@@ -1,20 +1,56 @@
-//! Measurement scenarios and table formatting for the reproduction
-//! harnesses.
+//! The library half of the `repro` binary: the shared CLI skeleton
+//! ([`cli`]), the application scenarios every subcommand selects from
+//! ([`apps`], [`planted`]), the §4.2 micro-scenarios ([`scenarios`]) and
+//! table formatting.
 //!
-//! The `repro` binary (and several tests/benches) measure *virtual* times
-//! of protocol operations by running tiny purpose-built cluster scenarios
-//! and reading the per-category breakdowns — the same way the paper
-//! measured its Table 1 / §4.2 numbers on the real system.
+//! `repro` measures *virtual* times of protocol operations by running
+//! purpose-built cluster scenarios and reading the per-category
+//! breakdowns — the same way the paper measured its Table 1 / §4.2
+//! numbers on the real system. Wall-clock measurement is not done here:
+//! the repo's one benchmark is `examples/mvbench`.
 
+pub mod apps;
+pub mod cli;
+pub mod planted;
 pub mod scenarios;
-pub mod simthru;
-pub mod wall;
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// Formats nanoseconds as microseconds with one decimal.
 pub fn us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1000.0)
+}
+
+/// Prints a section banner.
+pub fn header(title: &str) {
+    println!("\n================================================================");
+    println!("{title}");
+    println!("================================================================");
+}
+
+/// A text table built row by row from `(column header, cell)` pairs: the
+/// header sits next to the value it labels, so the two cannot drift
+/// apart. The first row fixes the header line.
+#[derive(Default)]
+pub struct Table {
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// Appends a row.
+    pub fn row<const N: usize>(&mut self, cells: [(&str, &dyn Display); N]) {
+        if self.rows.is_empty() {
+            self.rows
+                .push(cells.iter().map(|c| c.0.to_string()).collect());
+        }
+        self.rows
+            .push(cells.iter().map(|c| c.1.to_string()).collect());
+    }
+
+    /// Prints the table (see [`render_table`]).
+    pub fn print(&self) {
+        print!("{}", render_table(&self.rows));
+    }
 }
 
 /// Renders a fixed-width text table (first row = header).
@@ -61,6 +97,18 @@ mod tests {
     fn us_formats_microseconds() {
         assert_eq!(us(12_000), "12.0");
         assert_eq!(us(204_500), "204.5");
+    }
+
+    #[test]
+    fn table_takes_its_header_from_the_first_row() {
+        let mut t = Table::default();
+        t.row([("op", &"fault"), ("us", &26.0)]);
+        t.row([("op", &"set prot"), ("us", &12)]);
+        assert_eq!(
+            t.rows,
+            [["op", "us"], ["fault", "26"], ["set prot", "12"]]
+                .map(|r| r.map(String::from).to_vec())
+        );
     }
 
     #[test]

@@ -94,8 +94,6 @@ pub struct ClusterConfig {
     /// reject it at scheduler construction, and with `sched` off it is
     /// ignored (free-threaded runs are already multi-core). The observable
     /// schedule is byte-identical to the sequential one at the same seed.
-    /// Defaults to `None`, or to `MILLIPAGE_SIM_WORKERS` workers when that
-    /// environment variable is set to an integer ≥ 2.
     pub parallel: Option<ParallelConfig>,
     /// Per-minipage sharing diagnostics (see [`crate::diag`]): heat
     /// counters on the fault and invalidation paths, merged into
@@ -139,11 +137,7 @@ impl Default for ClusterConfig {
             } else {
                 SchedMode::off()
             },
-            parallel: std::env::var("MILLIPAGE_SIM_WORKERS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&w| w >= 2)
-                .map(ParallelConfig::workers),
+            parallel: None,
             diag: false,
             adapt: crate::adapt::AdaptConfig::default(),
             bug_stale_reinstall: false,
@@ -308,10 +302,8 @@ where
         match &cfg.parallel {
             // The exploration policies (Random/PCT/Replay) are inherently
             // sequential — their whole point is to own the global
-            // interleaving — so a parallel request (e.g. the
-            // MILLIPAGE_SIM_WORKERS environment default) quietly falls
-            // back to the sequential scheduler for them rather than
-            // poisoning every exploration run.
+            // interleaving — so a parallel request quietly falls back to
+            // the sequential scheduler for them.
             Some(p) if cfg.sched.is_on() && cfg.sched.is_virtual_time() => {
                 let map = p
                     .partition_map

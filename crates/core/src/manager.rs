@@ -77,6 +77,11 @@ pub struct ManagerShard {
     dir: Directory,
     locks: HashMap<u64, LockState>,
     barrier_waiters: Vec<Pmsg>,
+    /// Latest service time over the open barrier's enters. Enters served
+    /// out of virtual-time order rewind the timeline
+    /// (`ServerTimeline::begin_service`'s inversion branch), so the last
+    /// *served* enter is not necessarily the last to *arrive*.
+    barrier_high: Ns,
     stats: ManagerStats,
     /// Every host's memory, behind the backend boundary. The allocating
     /// shard initializes freshly allocated minipages directly in their
@@ -128,6 +133,7 @@ impl ManagerShard {
             dir: Directory::new(me),
             locks: HashMap::new(),
             barrier_waiters: Vec::new(),
+            barrier_high: 0,
             stats: ManagerStats::default(),
             home,
             cluster,
@@ -640,7 +646,13 @@ impl ManagerShard {
         ep: &T,
     ) -> Result<(), ProtocolError> {
         self.barrier_waiters.push(m);
+        self.barrier_high = self.barrier_high.max(tl.now());
         if self.barrier_waiters.len() == self.barrier_quorum {
+            // No release may leave before the slowest arrival: make up
+            // the shortfall when this enter was served "back then" (zero
+            // whenever enters are served in virtual-time order).
+            let high = std::mem::take(&mut self.barrier_high);
+            tl.charge(high.saturating_sub(tl.now()));
             tl.charge(self.cost.barrier_base);
             self.stats.barriers += 1;
             let waiters = std::mem::take(&mut self.barrier_waiters);

@@ -12,9 +12,27 @@ use multiview::MinipageId;
 use sim_core::{HostId, Ns};
 use sim_mem::VAddr;
 
-/// Message discriminator.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MsgKind {
+/// Declares [`MsgKind`] and, from the same list, [`MsgKind::ALL`]: the
+/// kind's position in the list is its wire byte and its identifier is its
+/// name, so the three can never drift apart.
+macro_rules! msg_kinds {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Message discriminator.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        #[repr(u8)]
+        pub enum MsgKind {
+            $($(#[$doc])* $name,)*
+        }
+
+        impl MsgKind {
+            /// Every kind with its name, indexed by wire byte.
+            pub(crate) const ALL: &'static [(MsgKind, &'static str)] =
+                &[$((MsgKind::$name, stringify!($name)),)*];
+        }
+    };
+}
+
+msg_kinds! {
     /// Faulting host → manager: read copy wanted.
     ReadRequest,
     /// Faulting host → manager: writable copy wanted.
@@ -87,33 +105,19 @@ pub enum MsgKind {
 impl MsgKind {
     /// Static name, for typed-error reporting.
     pub(crate) fn name(self) -> &'static str {
-        use MsgKind::*;
-        match self {
-            ReadRequest => "ReadRequest",
-            WriteRequest => "WriteRequest",
-            ServeRead => "ServeRead",
-            ServeWrite => "ServeWrite",
-            ReadReply => "ReadReply",
-            WriteReply => "WriteReply",
-            InvalidateRequest => "InvalidateRequest",
-            InvalidateReply => "InvalidateReply",
-            Ack => "Ack",
-            AllocRequest => "AllocRequest",
-            AllocReply => "AllocReply",
-            BarrierEnter => "BarrierEnter",
-            BarrierRelease => "BarrierRelease",
-            LockAcquire => "LockAcquire",
-            LockGrant => "LockGrant",
-            LockRelease => "LockRelease",
-            PushRequest => "PushRequest",
-            PushData => "PushData",
-            RcDiff => "RcDiff",
-            RcDiffAck => "RcDiffAck",
-            AdaptApply => "AdaptApply",
-            AdaptAck => "AdaptAck",
-            Nack => "Nack",
-            Shutdown => "Shutdown",
-        }
+        Self::ALL[self as usize].1
+    }
+
+    /// The byte this kind travels as on the host backend's socketpair
+    /// wire (which never leaves the process, so the values are free).
+    pub(crate) fn to_u8(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`to_u8`](Self::to_u8); `None` for any other byte.
+    /// Async-signal-safe: one bounds-checked read of a static table.
+    pub(crate) fn from_u8(b: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(b)).map(|&(k, _)| k)
     }
 }
 
@@ -214,6 +218,19 @@ mod tests {
         assert_eq!(m.aux, 7);
         assert!(!m.prefetch);
         assert_eq!(m.payload_bytes(), 0);
+    }
+
+    #[test]
+    fn kind_bytes_round_trip_and_every_other_byte_is_rejected() {
+        for (i, &(k, name)) in MsgKind::ALL.iter().enumerate() {
+            assert_eq!(usize::from(k.to_u8()), i);
+            assert_eq!(MsgKind::from_u8(k.to_u8()), Some(k));
+            assert_eq!(k.name(), name);
+            assert_eq!(format!("{k:?}"), name);
+        }
+        for b in MsgKind::ALL.len()..=usize::from(u8::MAX) {
+            assert_eq!(MsgKind::from_u8(b as u8), None, "byte {b}");
+        }
     }
 
     #[test]

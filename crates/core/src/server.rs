@@ -115,18 +115,6 @@ pub(crate) fn server_loop(
         // and read as idle; self-addressed messages (a shard forwarding
         // to its own server) find the server already running.
         let busy = pkt.from != ep.host() && state.busy.busy_at(seen_vt);
-        if trace_enabled() {
-            eprintln!(
-                "[trace h{} <- {}] {:?} ev={} mp={} addr={} len={}",
-                ep.host().index(),
-                pkt.from,
-                pkt.msg.kind,
-                pkt.msg.event,
-                pkt.msg.minipage,
-                pkt.msg.addr,
-                pkt.msg.len,
-            );
-        }
         if rec.enabled() {
             let (from, event, mp, bytes, seq) = (
                 pkt.from,
@@ -300,12 +288,6 @@ fn handle_nack(
         event: m.event,
         kind: "Nack",
     })
-}
-
-/// Whether `MILLIPAGE_TRACE` protocol tracing is on (debugging aid).
-fn trace_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("MILLIPAGE_TRACE").is_some())
 }
 
 /// Sends through `ep`, surfacing an exhausted retransmit budget as a

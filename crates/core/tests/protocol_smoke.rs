@@ -1,6 +1,6 @@
 //! End-to-end protocol smoke tests for the Millipage cluster.
 
-use millipage::{run, AllocMode, Category, ClusterConfig, CostModel, HostId};
+use millipage::{run, AllocMode, Category, ClusterConfig, CostModel, HostId, SchedMode};
 
 fn cfg(hosts: usize) -> ClusterConfig {
     ClusterConfig {
@@ -210,10 +210,11 @@ fn locks_provide_mutual_exclusion() {
     assert!(report.breakdown.get(Category::Synch) > 0);
 }
 
-#[test]
-fn barrier_synchronizes_virtual_time() {
+/// One host computes for 50 ms before the barrier; nobody may leave it
+/// earlier than that.
+fn slow_host_barrier(cfg: ClusterConfig) {
     let report = run(
-        cfg(3),
+        cfg,
         |_| (),
         |ctx, ()| {
             if ctx.host() == HostId(2) {
@@ -226,6 +227,24 @@ fn barrier_synchronizes_virtual_time() {
     );
     assert!(report.virtual_time >= 50_000_000);
     assert_eq!(report.barriers, 1);
+}
+
+#[test]
+fn barrier_synchronizes_virtual_time() {
+    slow_host_barrier(cfg(3));
+}
+
+/// Regression: when the manager serves the slow host's enter *before* a
+/// fast host's (exploration schedules do it readily), the fast enter is
+/// served "back then" and the releases used to carry its stamp.
+#[test]
+fn barrier_waits_for_the_slowest_arrival_under_seeded_schedules() {
+    for seed in 0..64 {
+        slow_host_barrier(ClusterConfig {
+            sched: SchedMode::random(seed),
+            ..cfg(3)
+        });
+    }
 }
 
 #[test]

@@ -8,29 +8,24 @@
 
 use millipage::{
     audit, run, AdaptConfig, AuditMode, ClusterConfig, Consistency, HomePolicyKind, RunReport,
-    SchedMode, Tracer,
+    Tracer,
+};
+use millipage_bench::planted::{
+    adapt_base, false_sharing_run, faults_plus_inv, ping_pong_pair_run, skewed_home_run,
 };
 
 const TRACE_RING: usize = 1 << 16;
 
+/// The planted workloads' base config with the engine armed or not.
 fn cfg(hosts: usize, adapt: bool) -> ClusterConfig {
-    ClusterConfig {
+    adapt_base(
         hosts,
-        views: 16,
-        pages: 64,
-        diag: true,
-        sched: SchedMode::deterministic(),
-        adapt: if adapt {
+        if adapt {
             AdaptConfig::enabled()
         } else {
             AdaptConfig::default()
         },
-        ..ClusterConfig::default()
-    }
-}
-
-fn faults_plus_inv(r: &RunReport) -> u64 {
-    r.read_faults + r.write_faults + r.invalidations
+    )
 }
 
 fn assert_clean(r: &RunReport, what: &str) {
@@ -44,73 +39,6 @@ fn assert_clean(r: &RunReport, what: &str) {
         "{what}: protocol errors: {:?}",
         r.protocol_errors
     );
-}
-
-/// Two hosts write pairwise-disjoint halves of one 64-byte minipage —
-/// the canonical false-sharing pair. Every round the whole minipage
-/// bounces between them even though no byte is truly shared.
-fn false_sharing_run(cfg: ClusterConfig) -> RunReport {
-    run(
-        cfg,
-        |s| s.alloc_vec_init(&[0u32; 16]),
-        |ctx, v| {
-            let me = ctx.host().index();
-            for round in 0..16u32 {
-                ctx.write_range(v, me * 8, &[round; 8]);
-                ctx.barrier();
-            }
-        },
-    )
-}
-
-/// Two physically adjacent 4-byte minipages always written together by
-/// whichever host holds the round — a ping-ponging pair the engine
-/// should merge back into one transfer unit.
-fn ping_pong_pair_run(cfg: ClusterConfig) -> RunReport {
-    run(
-        cfg,
-        |s| {
-            let a = s.alloc_vec_init(&[0u32]);
-            let b = s.alloc_vec_init(&[0u32]);
-            (a, b)
-        },
-        |ctx, (a, b)| {
-            let me = ctx.host().index();
-            for round in 0..16u32 {
-                if round as usize % 2 == me {
-                    ctx.write_range(a, 0, &[round]);
-                    ctx.write_range(b, 0, &[round]);
-                }
-                ctx.barrier();
-            }
-        },
-    )
-}
-
-/// Host 1 hammers one remotely homed minipage under HLRC — every round
-/// ships a diff to the home and re-faults — while the rest of the heap
-/// sees one cold touch per host (first, so the detector has a baseline
-/// mid-run). The home should migrate to the writer.
-fn skewed_home_run(cfg: ClusterConfig) -> RunReport {
-    run(
-        cfg,
-        |s| {
-            let hot = s.alloc_vec_init(&[0u32; 8]);
-            let cold: Vec<_> = (0..6).map(|_| s.alloc_vec_init(&[0u32])).collect();
-            (hot, cold)
-        },
-        |ctx, (hot, cold)| {
-            let me = ctx.host().index();
-            let _ = ctx.read_range(&cold[me % cold.len()], 0..1);
-            ctx.barrier();
-            for round in 0..24u32 {
-                if me == 1 {
-                    ctx.write_range(hot, 0, &[round; 8]);
-                }
-                ctx.barrier();
-            }
-        },
-    )
 }
 
 #[test]
