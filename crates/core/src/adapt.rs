@@ -111,15 +111,6 @@ impl AdaptAction {
         }
     }
 
-    /// Short action name for reports and traces.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            AdaptAction::Split { .. } => "split",
-            AdaptAction::Merge { .. } => "merge",
-            AdaptAction::Migrate { .. } => "migrate",
-        }
-    }
-
     /// Wire encoding for `AdaptApply` (little-endian, self-delimiting).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();

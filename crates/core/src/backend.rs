@@ -19,10 +19,16 @@
 //!   [`ServerTimeline`] charges virtual nanoseconds from the cost model;
 //!   the host backend reads a wall clock and charges nothing (real time
 //!   passes by itself).
-//! * [`ClusterMemory`] — the manager shard's alloc-time access to *every*
-//!   host's memory (fresh minipages are initialized directly at their home
-//!   host before any application can reach them — setup, not protocol
-//!   traffic).
+//! * [`LocalWake`] — how the server releases the local application thread
+//!   blocked on an event: a waiter map in the sim, a completion socket on
+//!   the host backend. It is the only thing the server engine
+//!   ([`server::dispatch`](crate::server)) does differently per substrate.
+//!
+//! [`ClusterMemory`] is the manager shard's alloc-time access to *every*
+//! host's memory (fresh minipages are initialized directly at their home
+//! host before any application can reach them — setup, not protocol
+//! traffic). It has one implementation, over the per-host
+//! [`HostState`]s of whichever substrate is running.
 //!
 //! The sim implementations monomorphize to exactly the pre-refactor code:
 //! the determinism tests and the goldens under `tests/goldens/` hold the
@@ -30,8 +36,8 @@
 
 use crate::error::ProtocolError;
 use crate::hlrc::MpInfo;
+use crate::host::HostState;
 use crate::msg::Pmsg;
-use crate::server::send_checked;
 use sim_core::{Geometry, HostId, Ns, VAddr};
 use sim_mem::{Access, AddressSpace, Prot};
 use sim_net::{Endpoint, ServerTimeline};
@@ -205,7 +211,18 @@ impl Transport for Endpoint<Pmsg> {
         now: Ns,
         what: &'static str,
     ) -> Result<Ns, ProtocolError> {
-        send_checked(self, to, msg, payload, now, what)
+        // An exhausted retransmit budget surfaces as a typed timeout.
+        let event = msg.event;
+        let receipt = self.send_receipt(to, msg, payload, now);
+        if receipt.delivered {
+            Ok(receipt.arrival)
+        } else {
+            Err(ProtocolError::Timeout {
+                host: self.host(),
+                what,
+                event,
+            })
+        }
     }
 }
 
@@ -232,6 +249,24 @@ impl ProtoClock for ServerTimeline {
     }
 }
 
+/// The one substrate-specific act of the server engine: releasing the
+/// local application thread blocked on a protocol event (Figure 3's "signal
+/// the event"). The sim resolves a [`Waiter`](crate::host::Waiter) in the
+/// host's waiter map; the host backend writes a completion datagram to the
+/// socket its application thread is blocked in `recv` on.
+pub(crate) trait LocalWake {
+    /// Resolves the thread blocked on `m.event`: `Ok(t)` completes its
+    /// request at time `t`, `Err` fails it. `what` names the message in
+    /// the [`ProtocolError::NoWaiter`] returned when nobody is blocked.
+    fn wake(
+        &self,
+        host: HostId,
+        m: &Pmsg,
+        what: &'static str,
+        outcome: Result<Ns, ProtocolError>,
+    ) -> Result<(), ProtocolError>;
+}
+
 /// The manager shard's cross-host memory access, used only at allocation
 /// time: fresh minipages are initialized directly in their home host's
 /// space before the allocation reply makes them reachable.
@@ -247,32 +282,24 @@ pub(crate) trait ClusterMemory: Send + Sync {
     fn learn_rc(&self, host: HostId, vpages: Range<usize>, info: MpInfo);
 }
 
-/// The sim cluster's memory: every host's [`HostState`] address space.
-pub(crate) struct SimClusterMemory {
-    states: Vec<Arc<crate::host::HostState>>,
-}
-
-impl SimClusterMemory {
-    pub(crate) fn new(states: Vec<Arc<crate::host::HostState>>) -> Self {
-        Self { states }
-    }
-}
-
-impl ClusterMemory for SimClusterMemory {
+/// Every host's [`HostState`] *is* the cluster's memory, on either
+/// substrate: the shards reach a host's space and release-consistency
+/// cache through the same state its server thread works on.
+impl<M: MemoryBackend + Send + Sync, W: Send + Sync> ClusterMemory for Vec<Arc<HostState<M, W>>> {
     fn set_prot(&self, host: HostId, vpage: usize, prot: PageProt) -> Result<(), MemFault> {
-        MemoryBackend::set_prot(&self.states[host.index()].space, vpage, prot)
+        self[host.index()].space.set_prot(vpage, prot)
     }
 
     fn priv_read(&self, host: HostId, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault> {
-        MemoryBackend::priv_read(&self.states[host.index()].space, addr, len)
+        self[host.index()].space.priv_read(addr, len)
     }
 
     fn priv_write(&self, host: HostId, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
-        MemoryBackend::priv_write(&self.states[host.index()].space, addr, data)
+        self[host.index()].space.priv_write(addr, data)
     }
 
     fn learn_rc(&self, host: HostId, vpages: Range<usize>, info: MpInfo) {
-        self.states[host.index()].rc.lock().learn(vpages, info);
+        self[host.index()].rc.lock().learn(vpages, info);
     }
 }
 

@@ -13,7 +13,7 @@ use crate::error::ProtocolError;
 use crate::faults::WireFaults;
 use crate::hlrc::Consistency;
 use crate::home::{HomePolicyKind, HomeTable};
-use crate::host::{HostCtx, HostState};
+use crate::host::{HostCtx, HostState, Waiters};
 use crate::manager::{ManagerShard, ManagerStats};
 use crate::msg::{MsgKind, Pmsg};
 use crate::server::{server_loop, ServerOutcome};
@@ -262,18 +262,31 @@ where
         .as_ref()
         .map(|t| DiagSink::new(Arc::clone(t)))
         .unwrap_or_default();
+    let manager_id = HostId(cfg.manager as u16);
+    let home = Arc::new(HomeTable::new(
+        cfg.home_policy,
+        cfg.hosts,
+        manager_id,
+        geo.clone(),
+    ));
     let states: Vec<Arc<HostState>> = (0..cfg.hosts)
         .map(|h| {
-            HostState::new(
-                HostId(h as u16),
-                AddressSpace::new(geo.clone()),
-                diag_sink.clone(),
-            )
+            Arc::new(HostState {
+                bug_stale_reinstall: cfg.bug_stale_reinstall,
+                ..HostState::new(
+                    HostId(h as u16),
+                    AddressSpace::new(geo.clone()),
+                    Waiters::default(),
+                    cfg.cost.clone(),
+                    cfg.consistency,
+                    Arc::clone(&home),
+                    diag_sink.clone(),
+                )
+            })
         })
         .collect();
     let (net, endpoints) =
         Network::<Pmsg>::with_faults(cfg.hosts, cfg.cost.clone(), cfg.faults.to_plane());
-    let manager_id = HostId(cfg.manager as u16);
     // Deterministic mode replaces wall-clock backstops outright: virtual
     // threads legitimately sit parked for unbounded real time while the
     // schedule runs elsewhere, and a schedule nobody can advance is
@@ -316,17 +329,10 @@ where
         }
     };
     net.attach_scheduler(&sched);
-    let home = Arc::new(HomeTable::new(
-        cfg.home_policy,
-        cfg.hosts,
-        manager_id,
-        geo.clone(),
-    ));
     // Every host runs a manager shard; the manager host's shard also
     // carries the shared allocator and the synchronization services. The
     // shards see the cluster's memory only through the backend trait.
-    let cluster_mem: Arc<dyn crate::backend::ClusterMemory> =
-        Arc::new(crate::backend::SimClusterMemory::new(states.clone()));
+    let cluster_mem: Arc<dyn crate::backend::ClusterMemory> = Arc::new(states.clone());
     let mut shards: Vec<Option<ManagerShard>> = (0..cfg.hosts)
         .map(|h| {
             let allocator = (h == cfg.manager).then(|| Allocator::new(geo.clone(), cfg.alloc_mode));
@@ -361,17 +367,14 @@ where
         let mut server_handles = Vec::with_capacity(cfg.hosts);
         for (h, ep) in endpoints.into_iter().enumerate() {
             let state = Arc::clone(&states[h]);
-            let cost = cfg.cost.clone();
             let timeline = ServerTimeline::new(cfg.cost.clone(), rng.fork(h as u64));
             let shard = shards[h].take().expect("shard present");
-            let consistency = cfg.consistency;
             // The server's own sends (serves, replies, fan-outs) get
             // recorded at the endpoint; handler-level events go through the
             // loop's recorder.
             ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
             let rec = cfg.tracer.recorder(HostId(h as u16), Track::Server);
             let sched = sched.clone();
-            let bug = cfg.bug_stale_reinstall;
             server_handles.push(
                 std::thread::Builder::new()
                     .name(format!("mv-server-{h}"))
@@ -380,7 +383,7 @@ where
                         // whole thread set is registered and the policy
                         // picks it.
                         let st = sched.attach(ThreadKey::server(HostId(h as u16)));
-                        server_loop(ep, state, cost, consistency, timeline, shard, rec, st, bug)
+                        server_loop(ep, state, timeline, shard, rec, st)
                     })
                     .expect("spawn server thread"),
             );

@@ -8,6 +8,7 @@
 //! block, retry, ack), and every virtual nanosecond is attributed to a
 //! Figure 6 category.
 
+use crate::backend::LocalWake;
 use crate::diag::DiagSink;
 use crate::diff::Twin;
 use crate::error::ProtocolError;
@@ -117,16 +118,53 @@ pub(crate) struct HostCounters {
     pub pushes_received: Counter,
 }
 
+/// The simulator's blocked requests, by event id.
+pub(crate) type Waiters = Mutex<HashMap<u64, Arc<Waiter>>>;
+
+impl LocalWake for Waiters {
+    fn wake(
+        &self,
+        host: HostId,
+        m: &Pmsg,
+        what: &'static str,
+        outcome: Result<Ns, ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        let w = self
+            .lock()
+            .remove(&m.event)
+            .ok_or(ProtocolError::NoWaiter {
+                host,
+                event: m.event,
+                kind: what,
+            })?;
+        match outcome {
+            Ok(resume_vt) => w.fulfill(Completion {
+                resume_vt,
+                addr: m.addr,
+            }),
+            Err(e) => w.fail(e),
+        }
+        Ok(())
+    }
+}
+
 /// State shared between one host's application threads and its DSM server
-/// thread.
-pub(crate) struct HostState {
+/// thread, generic over the substrate: `M` is the host's memory, `W` how a
+/// thread blocked on a protocol event is released (see [`LocalWake`]). The
+/// defaults are the simulator's.
+pub(crate) struct HostState<M = AddressSpace, W = Waiters> {
     pub host: HostId,
-    pub space: AddressSpace,
+    pub space: M,
+    /// What the host's server engine runs under: the platform cost model,
+    /// the coherence protocol, and the cluster's home map.
+    pub cost: CostModel,
+    pub consistency: Consistency,
+    pub home: Arc<HomeTable>,
     /// The application's most recent compute burst (the server's "was
     /// the host busy computing at this virtual time?" test, §3.5.1).
     pub busy: BusyWindow,
-    /// Blocked requests by event id.
-    pub waiters: Mutex<HashMap<u64, Arc<Waiter>>>,
+    /// The threads blocked on protocol events.
+    pub waiters: W,
     /// Outstanding prefetches by covered global vpage.
     pub prefetch_waiters: Mutex<HashMap<usize, Arc<Waiter>>>,
     /// Release-consistency state (boundary cache + twins; unused under
@@ -140,23 +178,53 @@ pub(crate) struct HostState {
     /// no new wait may begin, and every outstanding wait has been (or is
     /// about to be) failed with [`ProtocolError::Cancelled`].
     pub aborted: AtomicBool,
+    /// Deliberately re-introduces the fixed stale-reinstall bug (see
+    /// `ClusterConfig::bug_stale_reinstall`); never set outside the
+    /// schedule-exploration tests.
+    pub bug_stale_reinstall: bool,
 }
 
-impl HostState {
-    pub(crate) fn new(host: HostId, space: AddressSpace, diag: DiagSink) -> Arc<Self> {
-        Arc::new(Self {
+impl<M, W> HostState<M, W> {
+    pub(crate) fn new(
+        host: HostId,
+        space: M,
+        waiters: W,
+        cost: CostModel,
+        consistency: Consistency,
+        home: Arc<HomeTable>,
+        diag: DiagSink,
+    ) -> Self {
+        Self {
             host,
             space,
+            cost,
+            consistency,
+            home,
             busy: BusyWindow::new(),
-            waiters: Mutex::new(HashMap::new()),
+            waiters,
             prefetch_waiters: Mutex::new(HashMap::new()),
             rc: Mutex::new(RcState::default()),
             counters: HostCounters::default(),
             diag,
             aborted: AtomicBool::new(false),
-        })
+            bug_stale_reinstall: false,
+        }
     }
+}
 
+impl<M, W: LocalWake> HostState<M, W> {
+    /// Completes or fails the local thread blocked on `m.event`.
+    pub(crate) fn wake(
+        &self,
+        m: &Pmsg,
+        what: &'static str,
+        outcome: Result<Ns, ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        self.waiters.wake(self.host, m, what, outcome)
+    }
+}
+
+impl HostState {
     /// Registers a waiter under a fresh event id drawn from `events`.
     pub(crate) fn register_waiter(&self, events: &AtomicU64) -> (u64, Arc<Waiter>) {
         let ev = events.fetch_add(1, Ordering::Relaxed);

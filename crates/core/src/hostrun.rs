@@ -15,17 +15,20 @@
 //! * each host runs a real DSM server thread; the wire is a
 //!   `SOCK_SEQPACKET` socketpair per host (atomic datagrams, FIFO — the
 //!   ordering the protocol's correctness arguments assume);
-//! * the protocol logic itself is **shared with the simulator**: the
-//!   server loop dispatches into [`ManagerShard::handle`] and the generic
-//!   engine functions of [`server`](crate::server) through the
-//!   [`MemoryBackend`]/[`Transport`]/[`ProtoClock`] traits. Only the
-//!   substrate differs.
+//! * the server is **the simulator's**: the loop here only receives and
+//!   decodes a datagram, then hands it to `server::dispatch` — the same
+//!   router, handlers and failure policy, instantiated over this module's
+//!   [`MemoryBackend`]/[`Transport`]/[`ProtoClock`]/`LocalWake`
+//!   implementations and a `HostState` per host. Only the substrate
+//!   differs.
 //!
 //! Scope: `SequentialSwMr` consistency, `Centralized` homes, one
 //! application thread per host, no prefetch/push/locks — exactly the
-//! surface the [`Dsm`](crate::dsm::Dsm) trait exposes. Backend failures
-//! are fatal to the run (reported, not retried): there is no fault plane
-//! to degrade through on a local socketpair.
+//! surface the [`Dsm`](crate::dsm::Dsm) trait exposes on the client side.
+//! A failed handler is reported on the run and, as in the simulator, a
+//! failed request nacks its requester; there is no fault plane to degrade
+//! through on a local socketpair, so the nacked thread is not retried — it
+//! crashes (see `dsm_resolver`) instead of hanging.
 //!
 //! Addresses on the wire are the canonical shared [`Geometry`] addresses
 //! (every message field means the same thing as in the simulator); they
@@ -34,13 +37,16 @@
 //! SIGSEGV handler, which is what makes `--backend host` reports
 //! comparable with the simulator's fault counts.
 
-use crate::backend::{ClusterMemory, MemFault, MemoryBackend, PageProt, ProtoClock, Transport};
+use crate::backend::{
+    ClusterMemory, LocalWake, MemFault, MemoryBackend, PageProt, ProtoClock, Transport,
+};
 use crate::cluster::SetupCtx;
 use crate::diag::{build_report, DiagReport, DiagSink, DiagTable};
 use crate::dsm::Dsm;
 use crate::error::ProtocolError;
-use crate::hlrc::{Consistency, MpInfo};
+use crate::hlrc::Consistency;
 use crate::home::{HomePolicyKind, HomeTable};
+use crate::host::HostState;
 use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
 use crate::server;
@@ -48,7 +54,7 @@ use crate::shared::{decode_slice, encode_slice, Pod, SharedVec};
 use bytes::Bytes;
 use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
 use multiview::{AllocMode, Allocator, MinipageId};
-use sim_core::trace::{Tracer, Track};
+use sim_core::trace::TraceRecorder;
 use sim_core::{CostModel, Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
 use std::cell::Cell;
 use std::ops::Range;
@@ -231,8 +237,11 @@ impl Transport for SocketTransport {
             let mut head = [0u8; HEADER];
             encode_header(&mut head, self.me, &msg, 0);
             send_fd(self.srv_tx[to.index()], &head)
+        } else if msg.data.len() > MAX_DATA {
+            // Receive buffers stop at `MAX_DATA`: fail this one request
+            // (its requester is nacked) rather than the server thread.
+            Err(libc::EMSGSIZE)
         } else {
-            assert!(msg.data.len() <= MAX_DATA, "datagram over wire limit");
             send_fd(self.srv_tx[to.index()], &encode_frame(self.me, &msg))
         }
         .map_err(|errno| ProtocolError::Backend {
@@ -360,37 +369,30 @@ impl MemoryBackend for HostMemory {
     }
 }
 
-/// The manager's setup-time access to every host's region (fresh minipages
-/// are initialized at their home host before the run starts).
-struct HostClusterMemory {
-    geo: Geometry,
-    regions: Vec<Arc<MultiViewRegion>>,
-}
+/// The host backend's [`LocalWake`]: the send side of the completion
+/// socket the host's (single) application thread blocks in `recv` on. The
+/// message's bare header releases it; a failure travels as a `Nack`, which
+/// crashes the thread cleanly (see [`dsm_resolver`]).
+struct CompletionTx(libc::c_int);
 
-impl HostClusterMemory {
-    fn mem(&self, host: HostId) -> HostMemory {
-        HostMemory {
-            geo: self.geo.clone(),
-            region: Arc::clone(&self.regions[host.index()]),
+impl LocalWake for CompletionTx {
+    fn wake(
+        &self,
+        host: HostId,
+        m: &Pmsg,
+        _what: &'static str,
+        outcome: Result<Ns, ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        let mut head = [0u8; HEADER];
+        encode_header(&mut head, host, m, 0);
+        if outcome.is_err() {
+            head[0] = MsgKind::Nack.to_u8();
         }
-    }
-}
-
-impl ClusterMemory for HostClusterMemory {
-    fn set_prot(&self, host: HostId, vpage: usize, prot: PageProt) -> Result<(), MemFault> {
-        self.mem(host).set_prot(vpage, prot)
-    }
-
-    fn priv_read(&self, host: HostId, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault> {
-        self.mem(host).priv_read(addr, len)
-    }
-
-    fn priv_write(&self, host: HostId, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
-        self.mem(host).priv_write(addr, data)
-    }
-
-    fn learn_rc(&self, _host: HostId, _vpages: Range<usize>, _info: MpInfo) {
-        // SequentialSwMr only: no release-consistency bookkeeping.
+        send_fd(self.0, &head).map_err(|errno| ProtocolError::Backend {
+            host,
+            what: "completion forward",
+            errno,
+        })
     }
 }
 
@@ -405,10 +407,9 @@ struct ThreadRt {
     /// This thread's (fixed) event id — events are per-host scoped, so a
     /// constant nonzero id is protocol-valid.
     event: u64,
-    /// Server → application completion channel (recv side).
+    /// Server → application completion channel (recv side; the send side
+    /// is the host state's [`CompletionTx`]).
     res_rx: libc::c_int,
-    /// Send side, held by the host's server thread.
-    res_tx: libc::c_int,
     /// Canonical address of the last serviced fault, still owing the
     /// manager its window-closing `Ack` (0 = none). Set by the resolver,
     /// drained at the next fault, after each range operation, and before
@@ -531,38 +532,20 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
 // Server loop
 // ---------------------------------------------------------------------------
 
-/// What one host's server thread hands back at shutdown.
-struct HostServerOutcome {
-    /// Protocol/backend errors (fatal to the affected request; a non-empty
-    /// list fails the run report).
-    errors: Vec<String>,
-    /// Invalidations applied on this host (protocol counter, matches the
-    /// sim's `invalidations_received`).
-    invalidations: u64,
-    /// Adaptation actions this host's shard applied.
-    adapt: crate::adapt::AdaptReport,
-}
-
 /// One host's DSM server: the real-thread analogue of
-/// [`server::server_loop`], dispatching into the same shard and engine
-/// code through the backend traits.
-#[allow(clippy::too_many_arguments)]
+/// [`server::server_loop`] — a datagram receive in front of the same
+/// per-message engine ([`server::dispatch`]). Hands back the errors it
+/// degraded through (fatal to the affected request; a non-empty list fails
+/// the run report) and the adaptation actions its shard applied.
 fn host_server_loop(
-    me: HostId,
     srv_rx: libc::c_int,
-    res_tx: libc::c_int,
-    mem: HostMemory,
+    state: &HostState<HostMemory, CompletionTx>,
     mut shard: ManagerShard,
     ep: SocketTransport,
     mut clock: WallClock,
-    cost: CostModel,
-    diag: DiagSink,
-) -> HostServerOutcome {
-    let home = Arc::clone(shard.home_table());
-    let tracer = Tracer::disabled();
-    let mut rec = tracer.recorder(me, Track::Server);
+) -> (Vec<String>, crate::adapt::AdaptReport) {
+    let mut rec = TraceRecorder::disabled();
     let mut errors = Vec::new();
-    let mut invalidations = 0u64;
     let mut buf = vec![0u8; HEADER + MAX_DATA];
     loop {
         let n = match recv_fd(srv_rx, &mut buf) {
@@ -570,105 +553,33 @@ fn host_server_loop(
             Err(errno) => {
                 errors.push(format!(
                     "h{}: server recv failed: errno {errno}",
-                    me.index()
+                    state.host.index()
                 ));
                 break;
             }
         };
         let Some((wire_from, m)) = decode_frame(&buf[..n]) else {
-            errors.push(format!("h{}: malformed frame ({n} bytes)", me.index()));
+            errors.push(format!(
+                "h{}: malformed frame ({n} bytes)",
+                state.host.index()
+            ));
             continue;
         };
-        let kind = m.kind;
-        let event = m.event;
-        let result: Result<(), ProtocolError> = match kind {
-            MsgKind::Shutdown => break,
-            // Shard-addressed kinds: identical dispatch to the simulator's.
-            MsgKind::ReadRequest
-            | MsgKind::WriteRequest
-            | MsgKind::InvalidateReply
-            | MsgKind::Ack
-            | MsgKind::AllocRequest
-            | MsgKind::BarrierEnter
-            | MsgKind::LockAcquire
-            | MsgKind::LockRelease
-            | MsgKind::PushRequest
-            | MsgKind::RcDiff
-            | MsgKind::AdaptApply
-            | MsgKind::AdaptAck => shard.handle(m, &mut clock, &ep),
-            MsgKind::ServeRead => server::serve_read(m, &mem, me, &cost, &mut clock, &ep, &mut rec),
-            MsgKind::ServeWrite => {
-                server::serve_write(m, &mem, me, &cost, &mut clock, &ep, &mut rec)
-            }
-            MsgKind::InvalidateRequest => {
-                server::invalidate_local(&m, &mem, me, &cost, &mut clock, &mut rec).and_then(|()| {
-                    invalidations += 1;
-                    diag.inv_recv(m.minipage.0, me.0);
-                    let mut reply = Pmsg::new(MsgKind::InvalidateReply, me, m.event);
-                    reply.minipage = m.minipage;
-                    reply.addr = m.addr;
-                    ep.send(
-                        home.home(m.minipage),
-                        reply,
-                        0,
-                        clock.now(),
-                        "invalidate reply",
-                    )
-                    .map(|_| ())
-                })
-            }
-            MsgKind::ReadReply | MsgKind::WriteReply => {
-                // A self-addressed reply carries bytes read from the very
-                // page they would be written back to: skip the write, as
-                // the simulator does (stale-reinstall fix).
-                let skip_write = wire_from == me;
-                server::install_reply(&m, &mem, me, &cost, &mut clock, &mut rec, skip_write)
-                    .and_then(|_| {
-                        // Page open: release the faulting thread (the
-                        // sim's event signal, here a completion datagram).
-                        let mut head = [0u8; HEADER];
-                        encode_header(&mut head, me, &m, 0);
-                        send_fd(res_tx, &head).map_err(|errno| ProtocolError::Backend {
-                            host: me,
-                            what: "completion forward",
-                            errno,
-                        })
-                    })
-            }
-            // Synchronization completions go straight to the (single)
-            // application thread.
-            MsgKind::AllocReply | MsgKind::BarrierRelease | MsgKind::LockGrant | MsgKind::Nack => {
-                let mut head = [0u8; HEADER];
-                encode_header(&mut head, me, &m, 0);
-                send_fd(res_tx, &head).map_err(|errno| ProtocolError::Backend {
-                    host: me,
-                    what: "completion forward",
-                    errno,
-                })
-            }
-            MsgKind::PushData | MsgKind::RcDiffAck => Err(ProtocolError::Unroutable {
-                host: me,
-                kind: kind.name(),
-            }),
-        };
-        if let Err(e) = result {
-            // No fault plane to degrade through: a handler failure on this
-            // backend is a real bug or a dead socket. Record it and, when a
-            // thread is blocked on the outcome, crash it cleanly via Nack.
-            errors.push(e.to_string());
-            if event != 0 && matches!(kind, MsgKind::ReadReply | MsgKind::WriteReply) {
-                let nack = Pmsg::new(MsgKind::Nack, me, event);
-                let mut head = [0u8; HEADER];
-                encode_header(&mut head, me, &nack, 0);
-                let _ = send_fd(res_tx, &head);
-            }
+        if m.kind == MsgKind::Shutdown {
+            break;
         }
+        server::dispatch(
+            m,
+            wire_from,
+            state,
+            &mut shard,
+            &mut clock,
+            &ep,
+            &mut rec,
+            &mut errors,
+        );
     }
-    HostServerOutcome {
-        errors,
-        invalidations,
-        adapt: shard.adapt_report().clone(),
-    }
+    (errors, shard.adapt_report().clone())
 }
 
 // ---------------------------------------------------------------------------
@@ -685,7 +596,6 @@ pub struct HostDsmCtx {
     /// Virtual compute charged by the portable kernels (tallied for
     /// reporting; wall time passes by itself here).
     compute_ns: Ns,
-    timer_start: Instant,
 }
 
 impl HostDsmCtx {
@@ -741,17 +651,6 @@ impl HostDsmCtx {
             k => panic!("unexpected completion {k:?}"),
         }
     }
-
-    /// Virtual compute tallied via [`Dsm::compute`] (for comparing the
-    /// modeled kernel cost against real wall time).
-    pub fn compute_tallied(&self) -> Ns {
-        self.compute_ns
-    }
-
-    /// Wall time since the last [`Dsm::timer_reset`].
-    pub fn timed_wall(&self) -> std::time::Duration {
-        self.timer_start.elapsed()
-    }
 }
 
 impl Dsm for HostDsmCtx {
@@ -794,7 +693,6 @@ impl Dsm for HostDsmCtx {
 
     fn timer_reset(&mut self) {
         self.compute_ns = 0;
-        self.timer_start = Instant::now();
     }
 
     fn compute(&mut self, ns: Ns) {
@@ -910,12 +808,7 @@ where
         manager,
         geo.clone(),
     ));
-    let cluster: Arc<dyn ClusterMemory> = Arc::new(HostClusterMemory {
-        geo: geo.clone(),
-        regions: regions.clone(),
-    });
     let cost = CostModel::default();
-    let tracer = Tracer::disabled();
     // Sized like the sim backend's table: one slot per application-view
     // vpage bounds the minipage ids, so the signal-context recording
     // never hits the overflow path.
@@ -926,6 +819,41 @@ where
         .as_ref()
         .map(|t| DiagSink::new(Arc::clone(t)))
         .unwrap_or_default();
+    // Wire: one server inbox + one completion channel per host. The fds
+    // (like the runtime below) are leaked — the SIGSEGV resolver may hold
+    // them in signal context at any point for the rest of the process.
+    let mut srv_tx = Vec::with_capacity(cfg.hosts);
+    let mut srv_rx = Vec::with_capacity(cfg.hosts);
+    let mut threads = Vec::with_capacity(cfg.hosts);
+    let mut states = Vec::with_capacity(cfg.hosts);
+    for (h, region) in regions.iter().enumerate() {
+        let host = HostId(h as u16);
+        let (a, b) = seqpacket_pair()?;
+        srv_tx.push(a);
+        srv_rx.push(b);
+        let (res_tx, res_rx) = seqpacket_pair()?;
+        threads.push(ThreadRt {
+            host,
+            event: 1,
+            res_rx,
+            pending_ack: AtomicU64::new(0),
+        });
+        let mem = HostMemory {
+            geo: geo.clone(),
+            region: Arc::clone(region),
+        };
+        states.push(Arc::new(HostState::new(
+            host,
+            mem,
+            CompletionTx(res_tx),
+            cost.clone(),
+            Consistency::SequentialSwMr,
+            Arc::clone(&home),
+            diag_sink.clone(),
+        )));
+    }
+    let srv_tx = Arc::new(srv_tx);
+    let cluster: Arc<dyn ClusterMemory> = Arc::new(states.clone());
     let mut shards: Vec<Option<ManagerShard>> = (0..cfg.hosts)
         .map(|h| {
             let allocator = (h == manager.index())
@@ -939,7 +867,7 @@ where
                 allocator,
                 Arc::clone(&home),
                 Arc::clone(&cluster),
-                tracer.recorder(HostId(h as u16), Track::Shard),
+                TraceRecorder::disabled(),
                 diag_sink.clone(),
                 crate::adapt::AdaptConfig {
                     // Raw application pointers: granularity rewrites are
@@ -957,26 +885,6 @@ where
         setup(&mut sctx)
     };
 
-    // Wire: one server inbox + one completion channel per host. The fds
-    // (like the runtime below) are leaked — the SIGSEGV resolver may hold
-    // them in signal context at any point for the rest of the process.
-    let mut srv_tx = Vec::with_capacity(cfg.hosts);
-    let mut srv_rx = Vec::with_capacity(cfg.hosts);
-    let mut threads = Vec::with_capacity(cfg.hosts);
-    for h in 0..cfg.hosts {
-        let (a, b) = seqpacket_pair()?;
-        srv_tx.push(a);
-        srv_rx.push(b);
-        let (rtx, rrx) = seqpacket_pair()?;
-        threads.push(ThreadRt {
-            host: HostId(h as u16),
-            event: 1,
-            res_rx: rrx,
-            res_tx: rtx,
-            pending_ack: AtomicU64::new(0),
-        });
-    }
-    let srv_tx = Arc::new(srv_tx);
     // Setup has run, so the minipage table is final: freeze the vpage →
     // minipage attribution map the resolver uses from signal context.
     let mp_map = if diag_sink.enabled() {
@@ -1013,30 +921,22 @@ where
     let start = Instant::now();
     let shared_ref = &shared;
     let app_ref = &app;
-    let (outcomes, wall, compute_ns) = std::thread::scope(|scope| {
+    let (mut errors, adapt, wall, compute_ns) = std::thread::scope(|scope| {
         let mut servers = Vec::with_capacity(cfg.hosts);
         for h in 0..cfg.hosts {
-            let me = HostId(h as u16);
-            let mem = HostMemory {
-                geo: geo.clone(),
-                region: Arc::clone(&regions[h]),
-            };
+            let state = &*states[h];
             let shard = shards[h].take().expect("shard present");
             let ep = SocketTransport {
-                me,
+                me: state.host,
                 srv_tx: Arc::clone(&srv_tx),
                 diag: diag_sink.clone(),
             };
             let clock = WallClock { start };
-            let cost = cost.clone();
-            let diag = diag_sink.clone();
-            let (rx, res_tx) = (srv_rx[h], rt.threads[h].res_tx);
+            let rx = srv_rx[h];
             servers.push(
                 std::thread::Builder::new()
                     .name(format!("mv-server-{h}"))
-                    .spawn_scoped(scope, move || {
-                        host_server_loop(me, rx, res_tx, mem, shard, ep, clock, cost, diag)
-                    })
+                    .spawn_scoped(scope, move || host_server_loop(rx, state, shard, ep, clock))
                     .expect("spawn server thread"),
             );
         }
@@ -1053,7 +953,6 @@ where
                             slot: h,
                             region,
                             compute_ns: 0,
-                            timer_start: Instant::now(),
                         };
                         app_ref(&mut ctx, shared_ref);
                         ctx.compute_ns
@@ -1080,24 +979,19 @@ where
             encode_header(&mut head, manager, &msg, 0);
             let _ = send_fd(srv_tx[h], &head);
         }
-        let outcomes: Vec<HostServerOutcome> = servers
-            .into_iter()
-            .map(|s| s.join().expect("server thread panicked"))
-            .collect();
+        let mut errors = Vec::new();
+        let mut adapt = crate::adapt::AdaptReport::default();
+        for s in servers {
+            let (errs, actions) = s.join().expect("server thread panicked");
+            errors.extend(errs);
+            adapt.absorb(actions);
+        }
         if let Some(p) = app_panic {
             std::panic::resume_unwind(p);
         }
-        (outcomes, wall, compute_ns)
+        (errors, adapt, wall, compute_ns)
     });
 
-    let adapt = cfg.adapt.enabled.then(|| {
-        let mut merged = crate::adapt::AdaptReport::default();
-        for o in &outcomes {
-            merged.absorb(o.adapt.clone());
-        }
-        merged
-    });
-    let mut errors: Vec<String> = outcomes.iter().flat_map(|o| o.errors.clone()).collect();
     // Same post-run geometry oracle the sim backend applies after any
     // adaptation action.
     if home.mpt().adapt_gen() != 0 {
@@ -1106,7 +1000,10 @@ where
     Ok(HostRunReport {
         read_faults: counters.iter().map(|c| c.read_faults()).collect(),
         write_faults: counters.iter().map(|c| c.write_faults()).collect(),
-        invalidations: outcomes.iter().map(|o| o.invalidations).collect(),
+        invalidations: states
+            .iter()
+            .map(|s| s.counters.invalidations_received.get())
+            .collect(),
         wall,
         compute_ns,
         errors,
@@ -1115,7 +1012,7 @@ where
             let links = t.link_stats();
             build_report(&t, &minipages, &geo, &home, links)
         }),
-        adapt,
+        adapt: cfg.adapt.enabled.then_some(adapt),
     })
 }
 

@@ -150,11 +150,6 @@ impl ManagerShard {
         self.me
     }
 
-    /// The cluster's home table (policy, homes, replicated MPT).
-    pub(crate) fn home_table(&self) -> &Arc<HomeTable> {
-        &self.home
-    }
-
     /// Allocator statistics (Table 2's shared-memory size, views,
     /// granularity). Only the manager host's shard has them.
     pub fn alloc_stats(&self) -> AllocStats {

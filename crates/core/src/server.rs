@@ -14,14 +14,18 @@
 //! blocked requester is nacked (or its local waiter failed), and the
 //! server keeps serving — a lossy link degrades one request, not the
 //! whole host.
+//!
+//! [`server_loop`] is the simulator's receive loop; everything from
+//! [`dispatch`] down is generic over the backend traits and is the host
+//! backend's server too (`hostrun` only puts a datagram receive in front).
 
 use crate::backend::{
-    bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, MemoryBackend,
-    PageProt, ProtoClock, Transport,
+    bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, LocalWake,
+    MemoryBackend, PageProt, ProtoClock, Transport,
 };
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo};
-use crate::home::{HomePolicyKind, HomeTable};
+use crate::home::HomePolicyKind;
 use crate::host::{HostState, Waiter};
 use crate::manager::ManagerShard;
 use crate::msg::{Completion, MsgKind, Pmsg};
@@ -49,19 +53,14 @@ pub(crate) struct ServerOutcome {
 }
 
 /// Runs one host's DSM server until shutdown.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn server_loop(
     ep: Endpoint<Pmsg>,
     state: Arc<HostState>,
-    cost: CostModel,
-    consistency: Consistency,
     mut timeline: ServerTimeline,
     mut shard: ManagerShard,
     mut rec: TraceRecorder,
     sched: SchedThread,
-    bug_stale_reinstall: bool,
 ) -> ServerOutcome {
-    let home = Arc::clone(shard.home_table());
     let mut errors: Vec<String> = Vec::new();
     // Under an active fault plane the reliable channel can resequence a
     // window-closing `Ack` *behind* the controller's `Shutdown` (they
@@ -141,28 +140,16 @@ pub(crate) fn server_loop(
                 e.with_peer(pkt.from).with_event(pkt.msg.event)
             });
         }
-        let (kind, from, event, addr) = (pkt.msg.kind, pkt.msg.from, pkt.msg.event, pkt.msg.addr);
-        if let Err(e) = dispatch(
+        dispatch(
             pkt.msg,
             pkt.from,
             &state,
-            &cost,
-            consistency,
-            &mut timeline,
             &mut shard,
-            &home,
+            &mut timeline,
             &ep,
             &mut rec,
-            bug_stale_reinstall,
-        ) {
-            errors.push(e.to_string());
-            if matches!(e, ProtocolError::Timeout { .. }) {
-                rec.emit(timeline.now(), TraceKind::TimeoutFired, |ev| {
-                    ev.with_event(event)
-                });
-            }
-            surface_error(kind, from, event, addr, e, &state, &ep, &mut timeline);
-        }
+            &mut errors,
+        );
         // The handler may have fulfilled or failed a waiter: a blocked
         // application thread must re-check its rendezvous.
         sched.action();
@@ -179,44 +166,45 @@ pub(crate) fn server_loop(
     }
 }
 
+/// Serves one received message on either substrate: routes it to its
+/// handler and, when the handler fails, records the error and tells
+/// whoever is blocked on the outcome. This is the whole per-message engine
+/// — the sim's [`server_loop`] and the host backend's receive loop differ
+/// only in how they obtain `m`.
 #[allow(clippy::too_many_arguments)]
-fn dispatch(
+pub(crate) fn dispatch<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport>(
     m: Pmsg,
     wire_from: HostId,
-    state: &Arc<HostState>,
-    cost: &CostModel,
-    consistency: Consistency,
-    tl: &mut ServerTimeline,
+    state: &HostState<M, W>,
     shard: &mut ManagerShard,
-    home: &HomeTable,
-    ep: &Endpoint<Pmsg>,
+    tl: &mut C,
+    ep: &T,
     rec: &mut TraceRecorder,
-    bug_stale_reinstall: bool,
-) -> Result<(), ProtocolError> {
+    errors: &mut Vec<String>,
+) {
     use MsgKind::*;
-    match m.kind {
+    let (kind, from, event, addr) = (m.kind, m.from, m.event, m.addr);
+    let (mem, host, cost) = (&state.space, state.host, &state.cost);
+    let served = match kind {
         ReadRequest | WriteRequest | InvalidateReply | Ack | AllocRequest | BarrierEnter
         | LockAcquire | LockRelease | PushRequest | RcDiff | AdaptApply | AdaptAck => {
             shard.handle(m, tl, ep)
         }
-        ServeRead => serve_read(m, &state.space, state.host, cost, tl, ep, rec),
-        ServeWrite => serve_write(m, &state.space, state.host, cost, tl, ep, rec),
-        InvalidateRequest => handle_invalidate(m, state, cost, consistency, tl, home, ep, rec),
-        ReadReply | WriteReply => handle_data_reply(
-            m,
-            wire_from,
-            state,
-            cost,
-            tl,
-            home,
-            ep,
-            rec,
-            bug_stale_reinstall,
-        ),
-        AllocReply | BarrierRelease | LockGrant | RcDiffAck => fulfill_simple(m, state, cost, tl),
-        PushData => handle_push_data(m, state, cost, tl, rec),
-        Nack => handle_nack(m, state, cost, tl),
+        ServeRead => serve_read(m, mem, host, cost, tl, ep, rec),
+        ServeWrite => serve_write(m, mem, host, cost, tl, ep, rec),
+        InvalidateRequest => handle_invalidate(m, state, tl, ep, rec),
+        ReadReply | WriteReply => handle_data_reply(m, wire_from, state, tl, ep, rec),
+        AllocReply | BarrierRelease | LockGrant | RcDiffAck => fulfill_simple(m, state, tl),
+        PushData => handle_push_data(m, state, tl, rec),
+        Nack => handle_nack(m, state, tl),
         Shutdown => unreachable!("handled by the loop"),
+    };
+    if let Err(e) = served {
+        errors.push(e.to_string());
+        if matches!(e, ProtocolError::Timeout { .. }) {
+            rec.emit(tl.now(), TraceKind::TimeoutFired, |ev| ev.with_event(event));
+        }
+        surface_error(kind, from, event, addr, e, state, ep, tl);
     }
 }
 
@@ -225,17 +213,18 @@ fn dispatch(
 /// fails the local waiter directly. Fire-and-forget kinds have nobody to
 /// tell — the recorded error is their only trace.
 #[allow(clippy::too_many_arguments)]
-fn surface_error(
+fn surface_error<M, W: LocalWake, C: ProtoClock, T: Transport>(
     kind: MsgKind,
     from: HostId,
     event: u64,
     addr: VAddr,
     e: ProtocolError,
-    state: &Arc<HostState>,
-    ep: &Endpoint<Pmsg>,
-    tl: &mut ServerTimeline,
+    state: &HostState<M, W>,
+    ep: &T,
+    tl: &mut C,
 ) {
     use MsgKind::*;
+    let nack = Pmsg::new(Nack, ep.me(), event).with_addr(addr);
     match kind {
         ReadRequest | WriteRequest | ServeRead | ServeWrite | AllocRequest | BarrierEnter
         | LockAcquire | RcDiff
@@ -243,13 +232,11 @@ fn surface_error(
         {
             // Best-effort: if the nack itself exhausts its retransmit
             // budget the requester's wall-clock backstop still fires.
-            let nack = Pmsg::new(Nack, ep.host(), event).with_addr(addr);
-            ep.send(from, nack, 0, tl.now());
+            let _ = ep.send(from, nack, 0, tl.now(), "nack");
         }
         ReadReply | WriteReply | AllocReply | BarrierRelease | LockGrant | RcDiffAck => {
-            if let Some(w) = state.waiters.lock().remove(&event) {
-                w.fail(e);
-            }
+            // Nobody blocked on it (a prefetch reply): nobody to fail.
+            let _ = state.wake(&nack, "failed reply", Err(e));
         }
         _ => {}
     }
@@ -257,20 +244,19 @@ fn surface_error(
 
 /// A peer could not serve our request: fail the blocked thread with a
 /// typed error instead of letting it wait for a reply that never comes.
-fn handle_nack(
+fn handle_nack<M: MemoryBackend, W: LocalWake, C: ProtoClock>(
     m: Pmsg,
-    state: &Arc<HostState>,
-    cost: &CostModel,
-    tl: &mut ServerTimeline,
+    state: &HostState<M, W>,
+    tl: &mut C,
 ) -> Result<(), ProtocolError> {
-    tl.charge(cost.event_signal);
+    tl.charge(state.cost.event_signal);
     let nacked = ProtocolError::Nacked {
         host: state.host,
         event: m.event,
     };
-    if let Some(w) = state.waiters.lock().remove(&m.event) {
-        w.fail(nacked);
-        return Ok(());
+    let woken = state.wake(&m, "Nack", Err(nacked.clone()));
+    if woken.is_ok() {
+        return woken;
     }
     // A nacked prefetch registers no event waiter; resolve (and unlink)
     // the vpage waiters so a later fault retries the normal path rather
@@ -283,34 +269,7 @@ fn handle_nack(
             return Ok(());
         }
     }
-    Err(ProtocolError::NoWaiter {
-        host: state.host,
-        event: m.event,
-        kind: "Nack",
-    })
-}
-
-/// Sends through `ep`, surfacing an exhausted retransmit budget as a
-/// typed timeout; the arrival stamp is the caller's on success.
-pub(crate) fn send_checked(
-    ep: &Endpoint<Pmsg>,
-    to: HostId,
-    msg: Pmsg,
-    payload: usize,
-    now: Ns,
-    what: &'static str,
-) -> Result<Ns, ProtocolError> {
-    let event = msg.event;
-    let receipt = ep.send_receipt(to, msg, payload, now);
-    if receipt.delivered {
-        Ok(receipt.arrival)
-    } else {
-        Err(ProtocolError::Timeout {
-            host: ep.host(),
-            what,
-            event,
-        })
-    }
+    woken
 }
 
 /// Figure 3 "Handle Read Request": downgrade a writable copy to read-only
@@ -466,18 +425,16 @@ pub(crate) fn install_push<M: MemoryBackend, C: ProtoClock>(
 /// (HLRC invalidations ride FIFO ordering to the single manager); with
 /// distributed homes the home shard counts replies before acknowledging
 /// the flusher, so one is sent either way.
-#[allow(clippy::too_many_arguments)]
-fn handle_invalidate(
+fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
     m: Pmsg,
-    state: &Arc<HostState>,
-    cost: &CostModel,
-    consistency: Consistency,
-    tl: &mut ServerTimeline,
-    home: &HomeTable,
-    ep: &Endpoint<Pmsg>,
+    state: &HostState<M, W>,
+    tl: &mut C,
+    ep: &T,
     rec: &mut TraceRecorder,
 ) -> Result<(), ProtocolError> {
-    if consistency == Consistency::HomeEagerRc {
+    let (cost, home) = (&state.cost, &state.home);
+    let hlrc = state.consistency == Consistency::HomeEagerRc;
+    if hlrc {
         // aux 1: a received invalidation (see `invalidate_local`).
         rec.emit(tl.now(), TraceKind::InvalidateLocal, |e| {
             e.with_mp(m.minipage.0).with_event(m.event).with_aux(1)
@@ -492,18 +449,15 @@ fn handle_invalidate(
         let mut rc = state.rc.lock();
         let dirty = rc.dirty.remove(&m.minipage.0);
         if let Some(d) = dirty {
-            let data = MemoryBackend::snapshot_and_protect(
-                &state.space,
-                d.info.base,
-                d.info.len,
-                PageProt::NoAccess,
-            )
-            .map_err(|_| bad_priv(state.host, m.priv_base, "eviction snapshot"))?;
+            let data = state
+                .space
+                .snapshot_and_protect(d.info.base, d.info.len, PageProt::NoAccess)
+                .map_err(|_| bad_priv(state.host, m.priv_base, "eviction snapshot"))?;
             let diff = d.twin.diff(&data);
             tl.charge(cost.diff_time(d.info.len));
             tl.charge(cost.set_protection);
             if !diff.is_empty() {
-                let mut out = Pmsg::new(MsgKind::RcDiff, ep.host(), 0).with_addr(d.info.base);
+                let mut out = Pmsg::new(MsgKind::RcDiff, ep.me(), 0).with_addr(d.info.base);
                 out.minipage = d.info.id;
                 out.base = d.info.base;
                 out.len = d.info.len;
@@ -515,8 +469,7 @@ fn handle_invalidate(
                 rec.emit(tl.now(), TraceKind::RcDiffSend, |e| {
                     e.with_mp(d.info.id.0).with_bytes(payload).with_aux(0)
                 });
-                send_checked(
-                    ep,
+                ep.send(
                     home.home(d.info.id),
                     out,
                     payload,
@@ -530,59 +483,41 @@ fn handle_invalidate(
             let n = protect_range(&state.space, state.host, m.base, m.len, PageProt::NoAccess)?;
             tl.charge(n as Ns * cost.set_protection);
         }
-        state.counters.invalidations_received.bump();
-        state.diag.inv_recv(m.minipage.0, state.host.0);
-        if home.kind() != HomePolicyKind::Centralized {
-            // The home shard is counting confirmations before it releases
-            // the flusher; FIFO on this channel puts the confirmation
-            // behind any eviction diff sent above.
-            let mut reply = Pmsg::new(MsgKind::InvalidateReply, ep.host(), m.event);
-            reply.minipage = m.minipage;
-            reply.addr = m.addr;
-            send_checked(
-                ep,
-                home.home(m.minipage),
-                reply,
-                0,
-                tl.now(),
-                "invalidate reply",
-            )?;
-        }
-        return Ok(());
+    } else {
+        invalidate_local(&m, &state.space, state.host, cost, tl, rec)?;
     }
-    invalidate_local(&m, &state.space, state.host, cost, tl, rec)?;
     state.counters.invalidations_received.bump();
     state.diag.inv_recv(m.minipage.0, state.host.0);
-    let mut reply = Pmsg::new(MsgKind::InvalidateReply, ep.host(), m.event);
-    reply.minipage = m.minipage;
-    reply.addr = m.addr;
-    // The reply goes to the shard homing the minipage — the one that sent
-    // the invalidation.
-    send_checked(
-        ep,
-        home.home(m.minipage),
-        reply,
-        0,
-        tl.now(),
-        "invalidate reply",
-    )?;
+    if !hlrc || home.kind() != HomePolicyKind::Centralized {
+        // The reply goes to the shard homing the minipage — the one that
+        // sent the invalidation. Under HLRC with distributed homes it is
+        // counting confirmations before it releases the flusher; FIFO on
+        // this channel puts the confirmation behind any eviction diff
+        // sent above.
+        let mut reply = Pmsg::new(MsgKind::InvalidateReply, ep.me(), m.event);
+        reply.minipage = m.minipage;
+        reply.addr = m.addr;
+        ep.send(
+            home.home(m.minipage),
+            reply,
+            0,
+            tl.now(),
+            "invalidate reply",
+        )?;
+    }
     Ok(())
 }
 
 /// Figure 3 "Handle Read or Write Reply": receive the minipage contents
 /// directly into the privileged view (no buffer copy), open the
 /// protection, and wake the faulting thread.
-#[allow(clippy::too_many_arguments)]
-fn handle_data_reply(
+fn handle_data_reply<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport>(
     m: Pmsg,
     wire_from: HostId,
-    state: &Arc<HostState>,
-    cost: &CostModel,
-    tl: &mut ServerTimeline,
-    home: &HomeTable,
-    ep: &Endpoint<Pmsg>,
+    state: &HostState<M, W>,
+    tl: &mut C,
+    ep: &T,
     rec: &mut TraceRecorder,
-    bug_stale_reinstall: bool,
 ) -> Result<(), ProtocolError> {
     // A self-addressed reply (this host served its own request — it homes
     // the minipage) carries bytes read from the very page it would install
@@ -593,8 +528,9 @@ fn handle_data_reply(
     // release for good. The protection change is still required.
     // `bug_stale_reinstall` re-introduces the fixed bug on purpose so the
     // schedule-exploration harness can prove it would catch it.
-    let skip_write = wire_from == state.host && !bug_stale_reinstall;
-    let range = install_reply(&m, &state.space, state.host, cost, tl, rec, skip_write)?;
+    let skip_write = wire_from == state.host && !state.bug_stale_reinstall;
+    let (mem, cost) = (&state.space, &state.cost);
+    let range = install_reply(&m, mem, state.host, cost, tl, rec, skip_write)?;
     // Cache the manager's translation: the host-side minipage boundary
     // knowledge that the release-consistency write path relies on.
     state.rc.lock().learn(
@@ -626,60 +562,39 @@ fn handle_data_reply(
                 addr: m.addr,
             });
         }
-        let ack = Pmsg::new(MsgKind::Ack, ep.host(), 0).with_addr(m.addr);
-        send_checked(ep, home.home(m.minipage), ack, 0, tl.now(), "prefetch ack")?;
+        let ack = Pmsg::new(MsgKind::Ack, ep.me(), 0).with_addr(m.addr);
+        let home = state.home.home(m.minipage);
+        ep.send(home, ack, 0, tl.now(), "prefetch ack")?;
+        Ok(())
     } else {
-        let w = state.waiters.lock().remove(&m.event).ok_or({
-            ProtocolError::NoWaiter {
-                host: state.host,
-                event: m.event,
-                kind: if m.kind == MsgKind::ReadReply {
-                    "ReadReply"
-                } else {
-                    "WriteReply"
-                },
-            }
-        })?;
-        w.fulfill(Completion {
-            resume_vt: tl.now(),
-            addr: m.addr,
-        });
+        let what = if m.kind == MsgKind::ReadReply {
+            "ReadReply"
+        } else {
+            "WriteReply"
+        };
+        state.wake(&m, what, Ok(tl.now()))
     }
-    Ok(())
 }
 
 /// Wakes the thread blocked on an allocation, barrier, lock, or
 /// diff-flush event.
-fn fulfill_simple(
+fn fulfill_simple<M, W: LocalWake, C: ProtoClock>(
     m: Pmsg,
-    state: &Arc<HostState>,
-    cost: &CostModel,
-    tl: &mut ServerTimeline,
+    state: &HostState<M, W>,
+    tl: &mut C,
 ) -> Result<(), ProtocolError> {
-    tl.charge(cost.event_signal);
-    let w = state.waiters.lock().remove(&m.event).ok_or({
-        ProtocolError::NoWaiter {
-            host: state.host,
-            event: m.event,
-            kind: "completion",
-        }
-    })?;
-    w.fulfill(Completion {
-        resume_vt: tl.now(),
-        addr: m.addr,
-    });
-    Ok(())
+    tl.charge(state.cost.event_signal);
+    state.wake(&m, "completion", Ok(tl.now()))
 }
 
 /// Installs a pushed read copy (§4.3).
-fn handle_push_data(
+fn handle_push_data<M: MemoryBackend, W, C: ProtoClock>(
     m: Pmsg,
-    state: &Arc<HostState>,
-    cost: &CostModel,
-    tl: &mut ServerTimeline,
+    state: &HostState<M, W>,
+    tl: &mut C,
     rec: &mut TraceRecorder,
 ) -> Result<(), ProtocolError> {
-    install_push(&m, &state.space, state.host, cost, tl, rec)?;
+    install_push(&m, &state.space, state.host, &state.cost, tl, rec)?;
     state.counters.pushes_received.bump();
     Ok(())
 }

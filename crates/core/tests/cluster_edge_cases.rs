@@ -1,8 +1,8 @@
 //! Edge-case integration tests of the cluster API surface.
 
 use millipage::{
-    run, AllocMode, Category, ClusterConfig, Consistency, CostModel, HostId, SchedMode, WireFault,
-    WireFaults,
+    run, AllocMode, Category, ClusterConfig, Consistency, CostModel, HostId, SchedMode, SharedVec,
+    VAddr, WireFault, WireFaults,
 };
 use parking_lot::Mutex;
 
@@ -266,6 +266,33 @@ fn blackholed_request_surfaces_as_protocol_error() {
     );
     let nf = report.net_faults.expect("fault plane was active");
     assert_eq!(nf.expired, 1, "exactly the blackholed send expired");
+}
+
+#[test]
+fn stray_read_nacks_the_requester() {
+    // A read of a mapped address nothing was allocated at: the manager's
+    // translation fails, and the shared server error path must *tell the
+    // requester* (a `Nack`) rather than leave it blocked — the same
+    // guarantee `host_request_nack.rs` pins on the real-memory backend.
+    let stray = VAddr(sim_core::DEFAULT_BASE + 5 * 4096);
+    let report = run(
+        cfg(2),
+        |_| SharedVec::<f32>::from_raw(stray, 1),
+        |ctx, sv| {
+            if ctx.host() == HostId(1) {
+                let _ = ctx.get(sv, 0);
+            }
+            ctx.barrier();
+        },
+    );
+    let errs = &report.protocol_errors;
+    assert!(
+        errs.iter().any(|e| e.contains("hits no minipage"))
+            && errs
+                .iter()
+                .any(|e| e.starts_with("h1") && e.contains("nacked")),
+        "expected a BadTranslation/Nacked pair, got {errs:?}"
+    );
 }
 
 #[test]

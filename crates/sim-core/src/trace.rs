@@ -355,19 +355,6 @@ pub struct TraceLog {
     pub dropped_by_host: Vec<(u16, u64)>,
 }
 
-impl TraceLog {
-    /// The events in global record order ([`TraceEvent::seq`]): the
-    /// causally-consistent replay order the invariant auditor uses
-    /// (virtual timestamps can legitimately invert across hosts; record
-    /// order cannot, because a message is only processed after it was
-    /// sent).
-    pub fn causal_order(&self) -> Vec<TraceEvent> {
-        let mut evs = self.events.clone();
-        evs.sort_by_key(|e| e.seq);
-        evs
-    }
-}
-
 struct Ring {
     host: HostId,
     track: Track,

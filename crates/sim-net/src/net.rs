@@ -304,19 +304,6 @@ impl<M: Send + Clone> Network<M> {
         }
     }
 
-    /// Wire sequence numbers assigned on the `from → to` link so far.
-    pub fn link_sent(&self, from: HostId, to: HostId) -> u64 {
-        match &self.fabric.faults {
-            Some(f) => {
-                let link = f.links[self.link_index(from, to)]
-                    .lock()
-                    .expect("link lock");
-                link.next_seq - 1
-            }
-            None => 0,
-        }
-    }
-
     /// Cumulative-ack watermark of the `from → to` link: the highest wire
     /// sequence number the receiver has taken delivery of in order.
     pub fn link_acked(&self, from: HostId, to: HostId) -> u64 {
