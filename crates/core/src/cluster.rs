@@ -442,9 +442,11 @@ where
                                     for st in states_ref {
                                         st.cancel_pending();
                                     }
-                                    // Cancelled waiters are scheduler-visible state:
-                                    // blocked siblings must re-check and unwind.
-                                    ctx.sched_action();
+                                    // Cancelled waiters are scheduler-visible state
+                                    // on *every* host, whatever partition it lives
+                                    // in: all blocked threads must re-check and
+                                    // unwind as cancelled, not be ruled deadlocked.
+                                    ctx.sched.action_all();
                                     Some(payload)
                                 }
                             };

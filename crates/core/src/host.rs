@@ -333,13 +333,6 @@ impl HostCtx {
         self.thread
     }
 
-    /// Publishes a scheduler action: this thread just mutated state a
-    /// blocked peer may be waiting on outside the network path (e.g. the
-    /// cluster cancelling pending waiters after an application failure).
-    pub(crate) fn sched_action(&self) {
-        self.sched.action();
-    }
-
     /// Current virtual time of this application thread.
     pub fn now(&self) -> Ns {
         self.clock.now()

@@ -150,8 +150,9 @@ pub(crate) fn server_loop(
             &mut rec,
             &mut errors,
         );
-        // The handler may have fulfilled or failed a waiter: a blocked
-        // application thread must re-check its rendezvous.
+        // The handler may have fulfilled or failed a waiter — always one
+        // of this host's, which is exactly what `action` wakes: this
+        // host's blocked application threads re-check their rendezvous.
         sched.action();
     }
     ep.network()

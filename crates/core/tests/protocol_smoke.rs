@@ -342,3 +342,59 @@ fn virtual_time_reflects_fault_latency() {
     );
     assert!(report.per_host[1].breakdown.get(Category::ReadFault) > 0);
 }
+
+/// Hosts 0 and 1 take turns incrementing one shared counter under a
+/// lock; every other host's application thread exits at once and its
+/// server idles. Returns the scheduler steps the whole run took (the
+/// sequential scheduler logs one decision per step) and the write faults
+/// served.
+fn two_host_ping_pong_in(hosts: usize) -> (u64, u64) {
+    let cfg = ClusterConfig {
+        sched: SchedMode::deterministic(),
+        ..cfg(hosts)
+    };
+    let sched = cfg.sched.clone();
+    let report = run(
+        cfg,
+        |setup| setup.alloc_vec_init::<u64>(&[0]),
+        |ctx, sv| {
+            if ctx.host().index() < 2 {
+                for _ in 0..50 {
+                    ctx.lock(1);
+                    let v = ctx.get(sv, 0);
+                    ctx.set(sv, 0, v + 1);
+                    ctx.unlock(1);
+                }
+            }
+        },
+    );
+    assert!(
+        report.coherence_violations.is_empty() && report.protocol_errors.is_empty(),
+        "{:?} {:?}",
+        report.coherence_violations,
+        report.protocol_errors
+    );
+    (sched.decisions().len() as u64, report.write_faults)
+}
+
+/// Wake-ups name a host, so an idle host costs scheduler steps when it
+/// starts and when it stops, not once per message someone else exchanges:
+/// the same two-host exchange takes the same number of steps in a 4-host
+/// and a 32-host cluster, give or take the 28 extra hosts' start-up and
+/// teardown (a finishing thread wakes every host once, so that part is
+/// some tens of steps per extra host). Counted, not timed: 686 extra
+/// steps when written, against 63 070 with wake-ups broadcast to every
+/// blocked thread on every message.
+#[test]
+fn idle_hosts_cost_no_scheduler_steps_per_message() {
+    let (steps4, faults4) = two_host_ping_pong_in(4);
+    let (steps32, faults32) = two_host_ping_pong_in(32);
+    assert_eq!(faults4, faults32, "the exchange itself must not change");
+    assert!(faults4 >= 50, "the two hosts must actually take turns");
+    let extra = steps32 - steps4;
+    assert!(
+        extra <= 28 * 40,
+        "{steps4} steps on 4 hosts, {steps32} on 32: {extra} extra steps for 28 idle hosts \
+         over {faults4} faults"
+    );
+}

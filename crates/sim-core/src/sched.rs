@@ -45,18 +45,29 @@
 //! * **Disabled is free.** A disabled scheduler hands out inert
 //!   [`SchedThread`] handles whose methods are a single branch on an
 //!   `Option`; the free-threaded default path is untouched.
-//! * **Wake-ups are action-counted, not wired.** Blocking conditions
-//!   (a waiter slot filling, a packet landing in an inbox) live in the
-//!   protocol layer and are not told about the scheduler. Instead a
-//!   per-partition *action counter* is bumped after anything that could
-//!   unblock a peer (every delivery into the partition, every handler
-//!   dispatch); a blocked thread is schedulable again exactly when the
-//!   counter moved past the value it recorded when its condition last
-//!   failed, and it simply re-checks. A finite number of re-checks per
-//!   action means no livelock, and a thread whose condition was already
-//!   met never parks. Cross-partition wake-ups must travel through the
-//!   gate (a delivery), never through a bare action bump — that is what
-//!   keeps the counters partition-local and the schedule reproducible.
+//! * **Wake-ups name a host.** Blocking conditions live in the protocol
+//!   layer and are not told about the scheduler, but there are exactly
+//!   two of them and both are host-local state: host *h*'s server waits
+//!   on *h*'s inbox, and an application thread of *h* waits on a
+//!   rendezvous in *h*'s waiter table. So every partition keeps one *wake
+//!   generation per host*, bumped by whatever touched that host's state
+//!   (a gate release or direct delivery into its inbox, its server
+//!   finishing a handler); a blocked thread is schedulable again exactly
+//!   when its own host's generation moved past the value it recorded
+//!   before its condition last failed, and it simply re-checks. A thread
+//!   of another host is not re-dispatched: per-event cost does not grow
+//!   with the host count. A finite number of re-checks per wake means no
+//!   livelock, and a thread whose condition was already met never parks.
+//!   Anything that cannot name a host — a thread finishing, ungated
+//!   exploration-mode deliveries, external actors, a failed run
+//!   cancelling every host's waits — wakes every host instead (rare, and
+//!   always correct). **Adding a third blocking condition:** every
+//!   mutator of the state it waits on must wake the host that owns the
+//!   blocked thread; state with no owning host must wake everyone.
+//!   Cross-partition wake-ups travel through the gate (a delivery) or
+//!   are applied at the window barrier, when every partition is parked —
+//!   never as a bare bump into a running partition — which keeps each
+//!   partition's candidate set a function of its own history.
 //! * **Handler atomicity.** A DSM server handles one message per
 //!   scheduling step: the dispatch boundary *is* the yield point, and
 //!   everything inside a handler (window open/close, directory updates,
@@ -283,14 +294,15 @@ impl SchedMode {
 /// *releases* packets in `(release, source)` order exactly when the
 /// canonical virtual-time order reaches them.
 pub trait DeliveryGate: Send + Sync {
-    /// Minimum release virtual time pending for `host`, or [`Ns::MAX`]
-    /// when nothing is pending. Called from the destination partition's
-    /// dispatch loop and from the window barrier; must be cheap.
-    fn min_pending(&self, host: HostId) -> Ns;
+    /// The earliest pending release among `hosts` (ascending) as
+    /// `(release virtual time, destination)`, the lowest host winning a
+    /// tie; `None` when nothing is pending for any of them. Called once
+    /// per iteration of a partition's dispatch loop with the partition's
+    /// whole host set, and from the window barrier; must be cheap.
+    fn min_pending(&self, hosts: &[HostId]) -> Option<(Ns, HostId)>;
 
     /// Delivers the minimum pending packet for `host` into its inbox.
-    /// Must not re-enter the scheduler (the caller accounts the delivery
-    /// as a partition-local action itself).
+    /// Must not re-enter the scheduler (the caller wakes `host` itself).
     fn release_next(&self, host: HostId);
 
     /// Delivers every fault-held (reorder-in-flight) packet, returning
@@ -351,9 +363,9 @@ pub enum BlockOutcome<T> {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Status {
     Runnable,
-    /// Blocked since the partition's action counter read `seen`;
-    /// schedulable again (to re-check its condition) once the counter
-    /// moves past it.
+    /// Blocked since its host's wake generation read `seen`;
+    /// schedulable again (to re-check its condition) once that
+    /// generation moves past it.
     Blocked {
         seen: u64,
     },
@@ -392,18 +404,33 @@ struct PartState {
     running: Option<usize>,
     /// Whether the partition has arrived at the window barrier.
     at_barrier: bool,
-    /// Partition-local potentially-unblocking-action counter (see module
-    /// docs).
-    actions: u64,
+    /// Wake generation per host, indexed by global host index (only the
+    /// partition's own hosts' entries are ever read; see module docs).
+    wakes: Vec<u64>,
     steps: u64,
     policy: PolicyState,
 }
 
+impl PartState {
+    /// Something touched `host`'s inbox or waiter table: its blocked
+    /// threads must re-check.
+    fn wake(&mut self, host: HostId) {
+        self.wakes[host.index()] += 1;
+    }
+
+    /// A potentially-unblocking action that names no host: every blocked
+    /// thread of the partition re-checks.
+    fn wake_all(&mut self) {
+        for w in &mut self.wakes {
+            *w += 1;
+        }
+    }
+}
+
 struct Part {
     state: Mutex<PartState>,
-    /// One condvar per slot: a dispatch wakes exactly the picked thread
-    /// instead of broadcasting to every parked one (the broadcast storm
-    /// dominates runtime on million-step schedules).
+    /// One condvar per slot: a dispatch notifies exactly the picked
+    /// thread, never every parked one.
     cvs: Vec<Condvar>,
     /// The partition's hosts, ascending. Immutable after construction;
     /// the dispatch loop scans these for pending gated deliveries.
@@ -444,7 +471,12 @@ struct Inner {
     /// Whether cross-host deliveries are gated (virtual-time policy).
     gating: bool,
     gate: OnceLock<Arc<dyn DeliveryGate>>,
-    /// Host index → partition index (for action bumps and held-packet
+    /// A wake-everything request from a scheduled thread that must also
+    /// reach partitions other than its own (a failed run cancelling
+    /// every host's waits). Applied by the window barrier, when every
+    /// partition is parked, before it rules on idleness or deadlock.
+    wake_all_pending: AtomicBool,
+    /// Host index → partition index (for host wakes and held-packet
     /// rescue).
     host_part: Vec<usize>,
     total_slots: usize,
@@ -452,6 +484,21 @@ struct Inner {
     /// (one partition only: a total order does not exist otherwise).
     record: bool,
     log: Arc<Mutex<Vec<u32>>>,
+}
+
+impl Inner {
+    /// The partition that owns `host`. A host outside the map has no
+    /// partition, and a wake sent anywhere else would be silently lost.
+    fn part_of(&self, host: HostId) -> &Part {
+        match self.host_part.get(host.index()) {
+            Some(&pi) => &self.parts[pi],
+            None => panic!(
+                "wake for host {} but the partition map covers {} hosts",
+                host.index(),
+                self.host_part.len()
+            ),
+        }
+    }
 }
 
 /// The run-wide deterministic scheduler handle. Cloning shares the
@@ -612,7 +659,7 @@ impl Scheduler {
                         slots,
                         running: None,
                         at_barrier: true,
-                        actions: 0,
+                        wakes: vec![0; host_part.len()],
                         steps: 0,
                         policy,
                     }),
@@ -636,6 +683,7 @@ impl Scheduler {
                 lookahead,
                 gating,
                 gate: OnceLock::new(),
+                wake_all_pending: AtomicBool::new(false),
                 host_part,
                 total_slots,
                 record: parts.len() == 1,
@@ -726,17 +774,20 @@ impl Scheduler {
         t
     }
 
-    /// Bumps every partition's action counter from *any* thread
+    /// Wakes every host of every partition from *any* thread
     /// (registered or not) and re-examines a quiescent simulation:
     /// called on deliveries in ungated (exploration-policy) mode and by
-    /// external actors that made progress possible.
+    /// external actors that made progress possible. A scheduled thread
+    /// of a partitioned run must not call this (it would bump a running
+    /// partition); it has [`SchedThread::action`] for its own host and
+    /// [`SchedThread::action_all`] for everything else.
     pub fn bump_action(&self) {
         let Some(inner) = &self.inner else {
             return;
         };
         let mut ctl = lock(&inner.ctl);
         for part in &inner.parts {
-            lock(&part.state).actions += 1;
+            lock(&part.state).wake_all();
         }
         if ctl.started
             && !inner.external.load(Ordering::Acquire)
@@ -747,19 +798,22 @@ impl Scheduler {
         }
     }
 
-    /// Bumps the action counter of `host`'s partition only: a delivery
-    /// or handler effect whose observers all live on that host. The
-    /// partition-local form avoids the cross-partition control lock on
+    /// Wakes `host` only: a delivery or handler effect whose observers
+    /// all live on that host. Avoids the cross-partition control lock on
     /// the hot path; it never needs to re-dispatch because the caller is
     /// a currently-running scheduled thread of the same partition (or an
     /// external actor inside a quiesced window, whose re-examination
     /// happens when the window closes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `host` is outside the partition map: a wake delivered to
+    /// the wrong partition is a silently lost wake-up.
     pub fn bump_action_host(&self, host: HostId) {
         let Some(inner) = &self.inner else {
             return;
         };
-        let pi = inner.host_part.get(host.index()).copied().unwrap_or(0);
-        lock(&inner.parts[pi].state).actions += 1;
+        lock(&inner.part_of(host).state).wake(host);
     }
 
     /// Waits until the whole simulation is quiescent (every thread done
@@ -845,15 +899,30 @@ impl SchedThread {
         }
     }
 
-    /// Bumps the partition's action counter: the caller just did
-    /// something that may have unblocked a peer on its own host
-    /// (fulfilled a waiter, mutated protocol state) outside the
-    /// network-delivery hook.
+    /// Wakes the caller's own host: it just did something that may have
+    /// unblocked a peer there (fulfilled a waiter, mutated protocol
+    /// state) outside the network-delivery hook.
     pub fn action(&self) {
         let Some(inner) = &self.inner else {
             return;
         };
-        lock(&inner.parts[self.part].state).actions += 1;
+        let mut ps = lock(&inner.parts[self.part].state);
+        let host = ps.slots[self.id].key.host;
+        ps.wake(host);
+    }
+
+    /// Wakes every host of the run: the caller mutated state that
+    /// threads of *any* host may be blocked on (the cluster failing every
+    /// host's pending waits). The caller's own partition — whose schedule
+    /// it holds — is woken at once; the others at the next window
+    /// barrier, which cannot rule the run idle or deadlocked before it
+    /// has applied the request.
+    pub fn action_all(&self) {
+        let Some(inner) = &self.inner else {
+            return;
+        };
+        lock(&inner.parts[self.part].state).wake_all();
+        inner.wake_all_pending.store(true, Ordering::Release);
     }
 
     /// Blocks until `check` produces a value, yielding to other threads
@@ -868,16 +937,16 @@ impl SchedThread {
         };
         let part = &inner.parts[self.part];
         loop {
-            // Snapshot the counter *before* checking: an action landing
-            // between a failed check and the park below leaves `seen`
-            // stale, so the thread stays schedulable and re-checks —
-            // no lost wake-up.
+            // Snapshot the host's wake generation *before* checking: a
+            // wake landing between a failed check and the park below
+            // leaves `seen` stale, so the thread stays schedulable and
+            // re-checks — no lost wake-up.
             let seen = {
                 let ps = lock(&part.state);
                 if inner.poisoned.load(Ordering::Acquire) {
                     return BlockOutcome::Poisoned;
                 }
-                ps.actions
+                ps.wakes[ps.slots[self.id].key.host.index()]
             };
             if let Some(v) = check() {
                 return BlockOutcome::Ready(v);
@@ -912,10 +981,9 @@ impl SchedThread {
         let part = &inner.parts[self.part];
         let mut ps = lock(&part.state);
         ps.slots[self.id].status = Status::Done;
-        // Finishing is an action: a sibling blocked on state this thread
-        // just released (a cancelled waiter, a final message) must
-        // re-check.
-        ps.actions += 1;
+        // Finishing names no host: whatever this thread released on its
+        // way out, every blocked thread of the partition re-checks once.
+        ps.wake_all();
         if inner.poisoned.load(Ordering::Acquire) {
             return;
         }
@@ -952,11 +1020,12 @@ fn park_until_running<'a>(
     ps
 }
 
-/// Whether slot `s` may be scheduled right now.
-fn is_candidate(s: &Slot, actions: u64) -> bool {
+/// Whether slot `s` may be scheduled right now, given its partition's
+/// per-host wake generations.
+fn is_candidate(s: &Slot, wakes: &[u64]) -> bool {
     match s.status {
         Status::Runnable => true,
-        Status::Blocked { seen } => seen < actions,
+        Status::Blocked { seen } => seen < wakes[s.key.host.index()],
         Status::Done => false,
     }
 }
@@ -980,12 +1049,11 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
     }
     let window_end = inner.window_end.load(Ordering::Acquire);
     loop {
-        let actions = ps.actions;
         // Candidate scans are allocation-free: a schedule takes millions
         // of steps and a Vec per step would dominate the scheduler's
         // cost.
         let min_cand = (0..ps.slots.len())
-            .filter(|&i| is_candidate(&ps.slots[i], actions))
+            .filter(|&i| is_candidate(&ps.slots[i], &ps.wakes))
             .min_by_key(|&i| (ps.slots[i].vt, ps.slots[i].key));
         // Gated cross-host deliveries: release the earliest pending
         // packet for this partition's hosts when it precedes (or ties —
@@ -995,21 +1063,14 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
         // count.
         if inner.gating {
             if let Some(gate) = inner.gate.get() {
-                let mut best: Option<(Ns, HostId)> = None;
-                for &h in &part.hosts {
-                    let r = gate.min_pending(h);
-                    if r != Ns::MAX && best.is_none_or(|b| (r, h) < b) {
-                        best = Some((r, h));
-                    }
-                }
-                if let Some((r, h)) = best {
+                if let Some((r, h)) = gate.min_pending(&part.hosts) {
                     let cand_vt = min_cand.map(|i| ps.slots[i].vt);
                     if r < window_end && cand_vt.is_none_or(|cv| r <= cv) {
                         gate.release_next(h);
-                        // The delivery may unblock a receiver: count it
-                        // as a partition-local action and re-derive the
-                        // candidate set.
-                        ps.actions += 1;
+                        // The packet is in `h`'s inbox: wake `h` (its
+                        // server is the only possible receiver) and
+                        // re-derive the candidate set.
+                        ps.wake(h);
                         continue;
                     }
                 }
@@ -1022,20 +1083,27 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
             return Verdict::Barrier;
         }
         let step = ps.steps + 1;
-        let slots = &ps.slots;
-        let n_candidates = slots.iter().filter(|s| is_candidate(s, actions)).count();
-        let chosen = match &mut ps.policy {
+        let PartState {
+            slots,
+            wakes,
+            policy,
+            ..
+        } = &mut *ps;
+        let chosen = match policy {
             PolicyState::VirtualTime => None,
-            PolicyState::Random { rng } => (0..slots.len())
-                .filter(|&i| is_candidate(&slots[i], actions))
-                .nth(rng.next_usize(n_candidates)),
+            PolicyState::Random { rng } => {
+                let n_candidates = slots.iter().filter(|s| is_candidate(s, wakes)).count();
+                (0..slots.len())
+                    .filter(|&i| is_candidate(&slots[i], wakes))
+                    .nth(rng.next_usize(n_candidates))
+            }
             PolicyState::Pct {
                 prios,
                 change_at,
                 demote_next,
             } => {
                 let pick = (0..slots.len())
-                    .filter(|&i| is_candidate(&slots[i], actions))
+                    .filter(|&i| is_candidate(&slots[i], wakes))
                     .max_by_key(|&i| prios[i])
                     .expect("non-empty candidate set");
                 while change_at.first() == Some(&step) {
@@ -1050,7 +1118,7 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
                 *pos += 1;
                 // Exhausted or invalid choices fall back to virtual-time
                 // order.
-                want.filter(|&w| w < slots.len() && is_candidate(&slots[w], actions))
+                want.filter(|&w| w < slots.len() && is_candidate(&slots[w], wakes))
             }
         };
         let pick = chosen.unwrap_or(min_i);
@@ -1097,26 +1165,27 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl) {
         if inner.poisoned.load(Ordering::Acquire) {
             return;
         }
+        // A wake-everything request from a scheduled thread reaches the
+        // other partitions here, before any idle/deadlock verdict.
+        let wake_all = inner.wake_all_pending.swap(false, Ordering::AcqRel);
+        let gate = if inner.gating { inner.gate.get() } else { None };
         let mut w0 = Ns::MAX;
         let mut stuck_app = false;
         for part in &inner.parts {
-            let ps = lock(&part.state);
-            let actions = ps.actions;
+            let mut ps = lock(&part.state);
+            if wake_all {
+                ps.wake_all();
+            }
             for s in &ps.slots {
-                if is_candidate(s, actions) {
+                if is_candidate(s, &ps.wakes) {
                     w0 = w0.min(s.vt);
                 }
                 if s.key.class == ThreadClass::App && s.status != Status::Done {
                     stuck_app = true;
                 }
             }
-        }
-        let gate = if inner.gating { inner.gate.get() } else { None };
-        if let Some(g) = gate {
-            for part in &inner.parts {
-                for &h in &part.hosts {
-                    w0 = w0.min(g.min_pending(h));
-                }
+            if let Some((r, _)) = gate.and_then(|g| g.min_pending(&part.hosts)) {
+                w0 = w0.min(r);
             }
         }
         if w0 == Ns::MAX {
@@ -1128,8 +1197,7 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl) {
                 let rescued = g.flush_held();
                 if !rescued.is_empty() {
                     for h in rescued {
-                        let pi = inner.host_part.get(h.index()).copied().unwrap_or(0);
-                        lock(&inner.parts[pi].state).actions += 1;
+                        lock(&inner.part_of(h).state).wake(h);
                     }
                     continue;
                 }
@@ -1191,7 +1259,7 @@ fn poison(inner: &Inner) {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn keys(apps: usize) -> Vec<ThreadKey> {
         let mut v = vec![ThreadKey::server(HostId(0))];
@@ -1349,6 +1417,66 @@ mod tests {
         });
     }
 
+    /// Wake-ups are counted, not timed: `hosts` servers each parked in
+    /// `block_until`, one application thread on host 0 taking `n` ×
+    /// (`action` + `yield_now`). Returns the scheduling steps the loop
+    /// took. An action names host 0, so each round re-dispatches host
+    /// 0's server (one failed re-check) and the application thread
+    /// again — two steps, however many other hosts are parked.
+    fn steps_of_host0_actions(hosts: u16, n: u64) -> u64 {
+        let mut keys: Vec<ThreadKey> = (0..hosts).map(|h| ThreadKey::server(HostId(h))).collect();
+        keys.push(ThreadKey::app(HostId(0), 0));
+        let sched = Scheduler::new(&SchedMode::deterministic(), keys);
+        let done = AtomicBool::new(false);
+        let mut steps = 0;
+        std::thread::scope(|scope| {
+            for h in 0..hosts {
+                let (sched, done) = (&sched, &done);
+                scope.spawn(move || {
+                    let t = sched.attach(ThreadKey::server(HostId(h)));
+                    let check = || done.load(Ordering::SeqCst).then_some(());
+                    if let BlockOutcome::Poisoned = t.block_until(0, check) {
+                        panic!("server {h} poisoned");
+                    }
+                });
+            }
+            let (sched, done, steps) = (&sched, &done, &mut steps);
+            scope.spawn(move || {
+                let t = sched.attach(ThreadKey::app(HostId(0), 0));
+                // Every server (virtual time 0) runs into its park first.
+                t.yield_now(1);
+                let before = sched.steps();
+                for i in 0..n {
+                    t.action();
+                    t.yield_now(2 + i);
+                }
+                *steps = sched.steps() - before;
+                // Dropping the handle wakes everyone to see `done`.
+                done.store(true, Ordering::SeqCst);
+            });
+        });
+        steps
+    }
+
+    #[test]
+    fn a_host_action_wakes_only_that_host() {
+        let n = 50;
+        for hosts in [2, 8, 32] {
+            assert_eq!(
+                steps_of_host0_actions(hosts, n),
+                2 * n,
+                "{hosts} parked servers: steps per action must not grow with the host count"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wake for host 5 but the partition map covers 2 hosts")]
+    fn waking_a_host_outside_the_partition_map_panics() {
+        let sched = Scheduler::new(&SchedMode::deterministic(), two_host_keys());
+        sched.bump_action_host(HostId(5));
+    }
+
     fn two_host_keys() -> Vec<ThreadKey> {
         vec![
             ThreadKey::server(HostId(0)),
@@ -1463,15 +1591,14 @@ mod tests {
     }
 
     impl DeliveryGate for TestGate {
-        fn min_pending(&self, host: HostId) -> Ns {
+        fn min_pending(&self, hosts: &[HostId]) -> Option<(Ns, HostId)> {
             self.pending
                 .lock()
                 .unwrap()
                 .iter()
-                .filter(|(_, (to, _))| *to == host)
-                .map(|((r, _), _)| *r)
-                .next()
-                .unwrap_or(Ns::MAX)
+                .filter(|(_, (to, _))| hosts.contains(to))
+                .map(|((r, _), (to, _))| (*r, *to))
+                .min()
         }
 
         fn release_next(&self, host: HostId) {
@@ -1536,7 +1663,7 @@ mod tests {
                 }
             });
         });
-        assert_eq!(gate.min_pending(HostId(1)), Ns::MAX, "gate drained");
+        assert_eq!(gate.min_pending(&[HostId(1)]), None, "gate drained");
     }
 
     #[test]

@@ -664,12 +664,16 @@ struct GateHandle<M> {
 }
 
 impl<M: Send + Clone + 'static> DeliveryGate for GateHandle<M> {
-    fn min_pending(&self, host: HostId) -> Ns {
-        let Some(fabric) = self.fabric.upgrade() else {
-            return Ns::MAX;
-        };
+    fn min_pending(&self, hosts: &[HostId]) -> Option<(Ns, HostId)> {
+        // One upgrade and one pass over the lock-free `mins` mirror per
+        // call: the scheduler polls once per dispatch iteration.
+        let fabric = self.fabric.upgrade()?;
         let gate = fabric.gate.get().expect("delivery gate installed");
-        gate.mins[host.index()].load(Ordering::Acquire)
+        hosts
+            .iter()
+            .map(|&h| (gate.mins[h.index()].load(Ordering::Acquire), h))
+            .filter(|&(r, _)| r != Ns::MAX)
+            .min()
     }
 
     fn release_next(&self, host: HostId) {

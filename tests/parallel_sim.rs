@@ -12,7 +12,7 @@
 
 use millipage::{
     run, AdaptConfig, AllocMode, ChromeTrace, ClusterConfig, Consistency, HomePolicyKind, HostId,
-    ParallelConfig, SchedMode, Tracer, WireFaults,
+    ParallelConfig, ProtocolError, SchedMode, Tracer, WireFaults,
 };
 use proptest::prelude::*;
 
@@ -256,6 +256,132 @@ fn parallel_matches_sequential_first_touch() {
             WireFaults::disabled,
         );
         assert_parity(HomePolicyKind::FirstTouch, consistency, lossy_plane);
+    }
+}
+
+// ----------------------------------------------------------------------
+// The canonical schedule, pinned across commits.
+// ----------------------------------------------------------------------
+
+/// SHA-256 of [`run_to_bytes`] (sequential) for every cell of the matrix:
+/// per home policy, one digest for each of [`PINNED_CELLS`] in order. The
+/// parity tests above and `tests/determinism.rs` compare a commit with
+/// itself; these compare it with its ancestors, so a scheduler change that
+/// shifts the `VirtualTime` schedule *consistently* is still noticed.
+/// Recorded at commit 4e9c1f7 (PR 14). A change that means to move the
+/// canonical schedule, the trace format or the report format re-records
+/// them and says why; a wall-clock optimization must leave every one
+/// alone.
+const PINNED: [(HomePolicyKind, [&str; 4]); 3] = [
+    (
+        HomePolicyKind::Centralized,
+        [
+            "49de9982522cbebc0e3aec03963803448b0166d0fd7147dd5fbedacd44fe7f06",
+            "321a227166760170a8229dbd77c1412c0de94ba4eac96a46d2284e89ef43de65",
+            "fc12dc42a62cec43626ec3f060f8860b9d4fdf7b965475983cb7ba7717f1faa1",
+            "7c45ab6e1615e0a73e9923fe9df136833ea215c3127b77096860527358970ba2",
+        ],
+    ),
+    (
+        HomePolicyKind::Interleaved,
+        [
+            "3e0c296c5e17807a758b7ef858b20b7d9f08da2183a031737b57c23f3e2ec257",
+            "9cb7252aeb3aebfede5e65da613d7787304fb952cf018212ab586499c8c40202",
+            "caf4d544939be3c70e59520ed07369ee9103c296de5914c33ff409c7fca698d3",
+            "4fd5aeb3955e6249ceba4a48898fe25a5359781e631cb725a12a9475760dec6f",
+        ],
+    ),
+    (
+        HomePolicyKind::FirstTouch,
+        [
+            "0b3b67e15a7fb6e493f3c4a05c8ddafca9df24b375a4cef7484320c6d059ecba",
+            "9ee11bb9002d0dac0d47f7927b8080384ec548dc6765f044d691ac1aa16f3b34",
+            "4868f2d71d765a4f618ad8e0fb0952b977bfd1066cf222131197e8313e43a459",
+            "5a180f837ff4ce9b7fb4039fffef3e6f64310d2ed04aa36a2e5c417e6128c22f",
+        ],
+    ),
+];
+
+/// The `(consistency, fault plane)` cells behind each policy's pins.
+const PINNED_CELLS: [(Consistency, fn() -> WireFaults); 4] = [
+    (Consistency::SequentialSwMr, WireFaults::disabled),
+    (Consistency::SequentialSwMr, lossy_plane),
+    (Consistency::HomeEagerRc, WireFaults::disabled),
+    (Consistency::HomeEagerRc, lossy_plane),
+];
+
+#[test]
+fn canonical_schedule_is_pinned_across_commits() {
+    let mut moved = Vec::new();
+    for (policy, pins) in PINNED {
+        for ((consistency, faults), pin) in PINNED_CELLS.into_iter().zip(pins) {
+            let bytes = run_to_bytes(policy, consistency, faults(), None);
+            let got = sha256::digest_hex(bytes.as_bytes());
+            if got != pin {
+                let lossy = faults().is_active();
+                moved.push(format!(
+                    "({policy:?}, {consistency:?}, lossy={lossy}): pinned {pin}, got {got}"
+                ));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "the canonical schedule (or the trace/report encoding) moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+// ----------------------------------------------------------------------
+// A failed run cancels every host, in every partition.
+// ----------------------------------------------------------------------
+
+/// Host 0's application thread fails *after* hosts 1–3 are parked in the
+/// barrier (its virtual clock is far ahead when it next yields, so every
+/// other host runs into its wait first — sequentially and partitioned
+/// alike). The cluster then fails every host's pending waits, and each
+/// sibling must report that cancellation whatever partition it lives in.
+/// A wake that stops at the failing thread's own partition leaves the
+/// others to the deadlock verdict instead.
+#[test]
+fn failed_thread_cancels_siblings_in_every_partition() {
+    for workers in [None, Some(1), Some(2), Some(4)] {
+        let cfg = ClusterConfig {
+            hosts: 4,
+            views: 8,
+            pages: 16,
+            sched: SchedMode::deterministic(),
+            parallel: workers.map(ParallelConfig::workers),
+            ..ClusterConfig::default()
+        };
+        let report = run(
+            cfg,
+            |_| (),
+            |ctx, ()| {
+                if ctx.host() == HostId(0) {
+                    ctx.compute(1_000_000_000);
+                    ctx.lock(1);
+                    ctx.unlock(1);
+                    std::panic::panic_any(ProtocolError::Timeout {
+                        host: ctx.host(),
+                        what: "planted failure",
+                        event: 0,
+                    });
+                }
+                ctx.barrier();
+            },
+        );
+        let errors = &report.protocol_errors;
+        assert_eq!(errors.len(), 4, "{workers:?} workers: {errors:?}");
+        for h in 1..4 {
+            let prefix = format!("{}: ", HostId(h));
+            let own: Vec<&String> = errors.iter().filter(|e| e.starts_with(&prefix)).collect();
+            assert!(
+                own.len() == 1 && own[0].ends_with("cancelled by cluster shutdown"),
+                "{workers:?} workers: host {h} must report one cancellation, got {own:?} \
+                 (all: {errors:?})"
+            );
+        }
     }
 }
 
