@@ -1,12 +1,19 @@
-//! Cluster assembly: spawn servers and application threads, run, report.
+//! Cluster assembly: build the hosts, run the application, report.
 //!
 //! §3.4: "only a single instance of the application should be executed on
 //! each host". [`run`] plays the role of starting that executable
-//! concurrently on every host of the testbed: it spawns one DSM server
-//! thread and one application thread per simulated host, runs the
+//! concurrently on every host of the testbed: it builds one DSM server and
+//! spawns the application threads of every simulated host, runs the
 //! `setup` closure once (the manager initializing shared structures before
 //! the computation starts), hands every application thread the same shared
 //! handle bundle, and assembles a [`RunReport`] when everything joins.
+//!
+//! Application threads are always OS threads. A server is one only in
+//! free-threaded mode, where it blocks in `recv`; under the deterministic
+//! scheduler it is a passive slot (`sim_core::sched`) whose handlers run
+//! as upcalls of whichever application thread holds the schedule — the
+//! paper's §3.5 arrangement — so a deterministic run of H hosts × T
+//! threads has exactly H·T OS threads beyond the caller's.
 
 use crate::diag::{build_report, DiagSink, DiagTable, LinkStat};
 use crate::error::ProtocolError;
@@ -16,15 +23,16 @@ use crate::home::{HomePolicyKind, HomeTable};
 use crate::host::{HostCtx, HostState, Waiters};
 use crate::manager::{ManagerShard, ManagerStats};
 use crate::msg::{MsgKind, Pmsg};
-use crate::server::{server_loop, ServerOutcome};
+use crate::server::{Server, ServerOutcome};
 use crate::shared::{encode_slice, Pod, SharedCell, SharedVec};
 use crate::stats::{
     check_coherence, check_directories, check_rc_consistency, HostReport, NetFaultStats, RunReport,
     ShardStats,
 };
 use multiview::{AllocMode, Allocator};
+use parking_lot::Mutex;
 use sim_core::clock::Clock;
-use sim_core::sched::{ParallelConfig, SchedMode, SchedThread, Scheduler, ThreadKey};
+use sim_core::sched::{ParallelConfig, SchedMode, SchedThread, Scheduler, ThreadKey, Turn};
 use sim_core::trace::{Tracer, Track};
 use sim_core::{CostModel, HostId, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
@@ -364,29 +372,39 @@ where
 
     let states_ref = &states;
     let (host_reports, outcomes, app_failures) = std::thread::scope(|scope| {
-        let mut server_handles = Vec::with_capacity(cfg.hosts);
+        // A server needs a thread of its own only to block in `recv`.
+        // Under the scheduler nothing blocks: each server is a passive
+        // slot, and its turn — owned here, borrowed by the scheduler —
+        // runs on whichever application thread holds the schedule.
+        let mut server_handles = Vec::new();
+        let mut server_cells: Vec<Arc<Mutex<Option<Server>>>> = Vec::new();
         for (h, ep) in endpoints.into_iter().enumerate() {
-            let state = Arc::clone(&states[h]);
             let timeline = ServerTimeline::new(cfg.cost.clone(), rng.fork(h as u64));
             let shard = shards[h].take().expect("shard present");
             // The server's own sends (serves, replies, fan-outs) get
             // recorded at the endpoint; handler-level events go through the
-            // loop's recorder.
+            // server's recorder.
             ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
             let rec = cfg.tracer.recorder(HostId(h as u16), Track::Server);
-            let sched = sched.clone();
-            server_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("mv-server-{h}"))
-                    .spawn_scoped(scope, move || {
-                        // Attach on the spawned thread: it parks until the
-                        // whole thread set is registered and the policy
-                        // picks it.
-                        let st = sched.attach(ThreadKey::server(HostId(h as u16)));
-                        server_loop(ep, state, timeline, shard, rec, st)
-                    })
-                    .expect("spawn server thread"),
-            );
+            let mut server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, rec);
+            if sched.is_enabled() {
+                let cell = Arc::new(Mutex::new(Some(server)));
+                server_cells.push(Arc::clone(&cell));
+                sched.attach_passive(
+                    ThreadKey::server(HostId(h as u16)),
+                    Box::new(move || cell.lock().as_mut().map_or(Turn::Done, Server::turn)),
+                );
+            } else {
+                server_handles.push(
+                    std::thread::Builder::new()
+                        .name(format!("mv-server-{h}"))
+                        .spawn_scoped(scope, move || {
+                            server.run();
+                            server
+                        })
+                        .expect("spawn server thread"),
+                );
+            }
         }
         let mut app_handles = Vec::with_capacity(cfg.hosts * cfg.threads_per_host);
         for h in 0..cfg.hosts {
@@ -494,13 +512,29 @@ where
                 );
             }
         });
-        let outcomes: Vec<ServerOutcome> = server_handles
+        // Every server is collected before any is finished (which closes
+        // its endpoint). Taking a passive server out of its cell also
+        // works after a poisoned run that never served `Shutdown`, and
+        // breaks the scheduler → turn → endpoint → scheduler cycle.
+        let servers: Vec<Server> = server_handles
             .into_iter()
             .map(|h| h.join().expect("server thread panicked"))
+            .chain(
+                server_cells
+                    .iter()
+                    .map(|c| c.lock().take().expect("a server is collected once")),
+            )
             .collect();
+        let outcomes: Vec<ServerOutcome> = servers.into_iter().map(Server::finish).collect();
         (host_reports, outcomes, app_failures)
     });
 
+    // A handler that panicked was caught on whichever application thread
+    // was running its turn; it is the server's failure, not that
+    // application's. Re-raise it now that everything is torn down.
+    if let Some(payload) = sched.take_turn_panic() {
+        std::panic::resume_unwind(payload);
+    }
     let mut protocol_errors: Vec<String> = Vec::new();
     let mut server_queue_delay = LogHistogram::new();
     let mut shards: Vec<ManagerShard> = outcomes

@@ -533,7 +533,7 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
 // ---------------------------------------------------------------------------
 
 /// One host's DSM server: the real-thread analogue of
-/// [`server::server_loop`] — a datagram receive in front of the same
+/// [`server::Server::run`] — a datagram receive in front of the same
 /// per-message engine ([`server::dispatch`]). Hands back the errors it
 /// degraded through (fatal to the affected request; a non-empty list fails
 /// the run report) and the adaptation actions its shard applied.

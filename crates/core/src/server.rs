@@ -1,6 +1,6 @@
-//! The per-host DSM server thread (§3.5.1).
+//! The per-host DSM server (§3.5.1).
 //!
-//! Each host runs one server loop standing in for the paper's poller +
+//! Each host runs one server standing in for the paper's poller +
 //! sweeper + timer trio: it receives protocol messages, models the polling
 //! delay through [`ServerTimeline`], serves data requests through the
 //! privileged view, installs replies (zero-copy receive straight into the
@@ -15,9 +15,11 @@
 //! server keeps serving — a lossy link degrades one request, not the
 //! whole host.
 //!
-//! [`server_loop`] is the simulator's receive loop; everything from
-//! [`dispatch`] down is generic over the backend traits and is the host
-//! backend's server too (`hostrun` only puts a datagram receive in front).
+//! [`Server`] is the simulator's server — one per-packet body,
+//! [`Server::serve`], behind a blocking receive loop (free-threaded) or a
+//! scheduler turn (deterministic). Everything from [`dispatch`] down is
+//! generic over the backend traits and is the host backend's server too
+//! (`hostrun` only puts a datagram receive in front).
 
 use crate::backend::{
     bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, LocalWake,
@@ -31,13 +33,13 @@ use crate::manager::ManagerShard;
 use crate::msg::{Completion, MsgKind, Pmsg};
 use bytes::Bytes;
 use sim_core::clock::Ns;
-use sim_core::sched::{BlockOutcome, SchedThread};
+use sim_core::sched::Turn;
 use sim_core::trace::{TraceKind, TraceRecorder};
 use sim_core::{CostModel, HostId, LogHistogram, VAddr};
-use sim_net::{Endpoint, RecvError, ServerTimeline};
+use sim_net::{Endpoint, Packet, RecvError, ServerTimeline};
 use std::sync::Arc;
 
-/// What a server thread hands back when it stops.
+/// What a server hands back when it has stopped.
 pub(crate) struct ServerOutcome {
     /// This host's manager shard (directory slice, counters).
     pub shard: ManagerShard,
@@ -46,62 +48,108 @@ pub(crate) struct ServerOutcome {
     /// Protocol errors this server degraded through (empty on a clean
     /// wire), in occurrence order.
     pub errors: Vec<String>,
-    /// The endpoint is kept alive until every server has stopped so that
-    /// late messages from still-draining peers never hit a closed channel.
-    #[expect(dead_code)]
-    pub endpoint: Endpoint<Pmsg>,
 }
 
-/// Runs one host's DSM server until shutdown.
-pub(crate) fn server_loop(
+/// Whether a server goes on receiving after a packet.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Served {
+    /// Keep receiving.
+    Continue,
+    /// The packet was the cluster's `Shutdown`: the server is done.
+    Stop,
+}
+
+/// One host's DSM server: the state its per-packet body owns. It is not
+/// tied to a thread. Free-threaded runs give each server an OS thread
+/// blocking in [`Server::run`]; under the deterministic scheduler it is a
+/// passive slot whose [`Server::turn`] runs on whichever simulated thread
+/// holds the schedule (§3.5: handlers are upcalls of the thread that finds
+/// the message, and run to completion).
+pub(crate) struct Server {
     ep: Endpoint<Pmsg>,
     state: Arc<HostState>,
-    mut timeline: ServerTimeline,
-    mut shard: ManagerShard,
-    mut rec: TraceRecorder,
-    sched: SchedThread,
-) -> ServerOutcome {
-    let mut errors: Vec<String> = Vec::new();
-    // Under an active fault plane the reliable channel can resequence a
-    // window-closing `Ack` *behind* the controller's `Shutdown` (they
-    // travel on different links). Drain the inbox after `Shutdown` so
-    // those stragglers still close their directory windows.
-    let mut draining = false;
-    loop {
-        let pkt = if draining {
-            match ep.try_recv() {
-                Ok(p) => p,
-                Err(_) => break,
-            }
-        } else if sched.enabled() {
-            // Cooperative receive: one handler dispatch per scheduling
-            // step (the dispatch boundary is the server's yield point —
-            // handlers themselves run atomically, as in the real system).
-            sched.yield_now(timeline.now());
-            match sched.block_until(timeline.now(), || match ep.try_recv() {
-                Ok(p) => Some(Ok(p)),
-                Err(RecvError::Empty) => None,
-                Err(RecvError::Disconnected) => Some(Err(())),
-            }) {
-                BlockOutcome::Ready(Ok(p)) => p,
-                // Disconnected, or the schedule deadlocked and the run is
-                // tearing down; either way the server is done.
-                BlockOutcome::Ready(Err(())) | BlockOutcome::Poisoned => break,
-            }
-        } else {
-            match ep.recv() {
-                Ok(p) => p,
-                Err(RecvError::Disconnected) => break,
-                Err(RecvError::Empty) => unreachable!("blocking recv"),
-            }
-        };
-        if matches!(pkt.msg.kind, MsgKind::Shutdown) {
-            if ep.network().fault_active() {
-                draining = true;
-                continue;
-            }
-            break;
+    timeline: ServerTimeline,
+    shard: ManagerShard,
+    rec: TraceRecorder,
+    errors: Vec<String>,
+}
+
+impl Server {
+    pub(crate) fn new(
+        ep: Endpoint<Pmsg>,
+        state: Arc<HostState>,
+        timeline: ServerTimeline,
+        shard: ManagerShard,
+        rec: TraceRecorder,
+    ) -> Self {
+        Self {
+            ep,
+            state,
+            timeline,
+            shard,
+            rec,
+            errors: Vec::new(),
         }
+    }
+
+    /// Free-threaded service: blocks on the inbox until `Shutdown` (or
+    /// until every sender is gone).
+    pub(crate) fn run(&mut self) {
+        while let Ok(pkt) = self.ep.recv() {
+            if self.serve(pkt) == Served::Stop {
+                break;
+            }
+        }
+    }
+
+    /// One scheduling step of the server as a passive scheduler slot: at
+    /// most one handler dispatch (the dispatch boundary is the server's
+    /// yield point — handlers themselves run atomically, as in the real
+    /// system), or parked on an empty inbox.
+    pub(crate) fn turn(&mut self) -> Turn {
+        match self.ep.try_recv() {
+            Ok(pkt) => match self.serve(pkt) {
+                // The handler may have fulfilled or failed a waiter —
+                // always one of this host's, which is exactly what `Ran`
+                // wakes: this host's blocked application threads re-check
+                // their rendezvous.
+                Served::Continue => Turn::Ran {
+                    vt: self.timeline.now(),
+                },
+                Served::Stop => Turn::Done,
+            },
+            Err(RecvError::Empty) => Turn::Idle {
+                vt: self.timeline.now(),
+            },
+            Err(RecvError::Disconnected) => Turn::Done,
+        }
+    }
+
+    /// Serves one packet: the whole per-packet body of the simulator's
+    /// server, however the packet was received.
+    pub(crate) fn serve(&mut self, pkt: Packet<Pmsg>) -> Served {
+        if matches!(pkt.msg.kind, MsgKind::Shutdown) {
+            // Under an active fault plane the reliable channel can
+            // resequence a window-closing `Ack` *behind* the controller's
+            // `Shutdown` (they travel on different links). Drain the inbox
+            // so those stragglers still close their directory windows.
+            if self.ep.network().fault_active() {
+                while let Ok(late) = self.ep.try_recv() {
+                    if !matches!(late.msg.kind, MsgKind::Shutdown) {
+                        self.serve(late);
+                    }
+                }
+            }
+            return Served::Stop;
+        }
+        let Self {
+            ep,
+            state,
+            timeline,
+            shard,
+            rec,
+            errors,
+        } = self;
         // Under the conservative delivery gate a packet only becomes
         // visible at its release stamp (the link-FIFO cumulative maximum
         // of arrivals); service must not start before it. `release_vt` is
@@ -140,37 +188,32 @@ pub(crate) fn server_loop(
                 e.with_peer(pkt.from).with_event(pkt.msg.event)
             });
         }
-        dispatch(
-            pkt.msg,
-            pkt.from,
-            &state,
-            &mut shard,
-            &mut timeline,
-            &ep,
-            &mut rec,
-            &mut errors,
-        );
-        // The handler may have fulfilled or failed a waiter — always one
-        // of this host's, which is exactly what `action` wakes: this
-        // host's blocked application threads re-check their rendezvous.
-        sched.action();
+        dispatch(pkt.msg, pkt.from, state, shard, timeline, ep, rec, errors);
+        Served::Continue
     }
-    ep.network()
-        .stats()
-        .clamped_delays
-        .add(timeline.clamp_events());
-    ServerOutcome {
-        shard,
-        queue_delay: timeline.take_queue_delay(),
-        errors,
-        endpoint: ep,
+
+    /// Stops the server for good and hands back what the report needs.
+    /// The endpoint dies here, so callers collect every server of a run
+    /// before finishing any: late messages from still-draining peers must
+    /// never hit a closed channel.
+    pub(crate) fn finish(mut self) -> ServerOutcome {
+        self.ep
+            .network()
+            .stats()
+            .clamped_delays
+            .add(self.timeline.clamp_events());
+        ServerOutcome {
+            shard: self.shard,
+            queue_delay: self.timeline.take_queue_delay(),
+            errors: self.errors,
+        }
     }
 }
 
 /// Serves one received message on either substrate: routes it to its
 /// handler and, when the handler fails, records the error and tells
 /// whoever is blocked on the outcome. This is the whole per-message engine
-/// — the sim's [`server_loop`] and the host backend's receive loop differ
+/// — the sim's [`Server::serve`] and the host backend's receive loop differ
 /// only in how they obtain `m`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn dispatch<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport>(

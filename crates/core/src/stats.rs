@@ -453,3 +453,60 @@ pub(crate) fn check_directories(shards: &[ManagerShard], consistency: Consistenc
     }
     violations
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::diag::DiagSink;
+    use crate::home::HomePolicyKind;
+    use crate::host::Waiters;
+    use multiview::MinipageId;
+    use sim_core::CostModel;
+    use sim_mem::AddressSpace;
+
+    /// The post-run checkers read protections and bytes of every host;
+    /// reading must not make a host pay for a page it never wrote.
+    #[test]
+    fn checkers_on_an_idle_cluster_back_no_page() {
+        let geo = Geometry::new(8, 4);
+        let home = Arc::new(HomeTable::new(
+            HomePolicyKind::Centralized,
+            2,
+            HostId(0),
+            geo.clone(),
+        ));
+        let states: Vec<Arc<HostState>> = (0..2)
+            .map(|h| {
+                Arc::new(HostState::new(
+                    HostId(h),
+                    AddressSpace::new(geo.clone()),
+                    Waiters::default(),
+                    CostModel::default(),
+                    Consistency::HomeEagerRc,
+                    Arc::clone(&home),
+                    DiagSink::default(),
+                ))
+            })
+            .collect();
+        let mp = Minipage {
+            id: MinipageId(0),
+            base: geo.addr_of(0, 1, 0),
+            len: 256,
+            view: 0,
+            first_page: 1,
+            offset: 0,
+        };
+        home.mpt().publish(&geo, mp);
+        // A read copy away from home, so the RC check compares bytes.
+        for vp in mp.vpages(&geo) {
+            states[1].space.set_prot(vp, Prot::ReadOnly).unwrap();
+        }
+        let minipages = home.mpt().snapshot();
+        assert_eq!(minipages.len(), 1);
+        assert!(check_coherence(&minipages, &geo, &states).is_empty());
+        assert!(check_rc_consistency(&minipages, &geo, &states, &home).is_empty());
+        for st in &states {
+            assert_eq!(st.space.backed_pages(), 0, "{}", st.host);
+        }
+    }
+}

@@ -233,6 +233,38 @@ fn early_app_panic_terminates_cleanly() {
 }
 
 #[test]
+#[should_panic(expected = "shared allocation failed")]
+fn handler_panic_ends_the_run_with_its_own_message() {
+    // Under the deterministic scheduler a handler runs on whichever
+    // application thread holds the schedule — here h1's, inside its wait
+    // for the allocation reply. The manager's allocator panicking (the
+    // request exceeds the whole region) must neither be reported as h1's
+    // failure nor leave the other hosts parked: the scheduler catches it,
+    // poisons the run, and `run` re-raises that very panic after teardown.
+    let started = std::time::Instant::now();
+    let outcome = std::panic::catch_unwind(|| {
+        run(
+            ClusterConfig {
+                sched: SchedMode::deterministic(),
+                ..cfg(3)
+            },
+            |_| (),
+            |ctx, ()| {
+                if ctx.host() == HostId(1) {
+                    ctx.alloc_bytes(1 << 30);
+                }
+                ctx.barrier();
+            },
+        )
+    });
+    assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    match outcome {
+        Ok(report) => panic!("run survived: {:?}", report.protocol_errors),
+        Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
+
+#[test]
 fn blackholed_request_surfaces_as_protocol_error() {
     // A scripted blackhole eats every transmission of h1's first request
     // to the manager (the read-fault request and all its retransmits). The

@@ -37,7 +37,7 @@ pub use cost::{CostModel, ServiceDelayModel};
 pub use rng::SplitMix64;
 pub use sched::{
     BlockOutcome, DeliveryGate, ParallelConfig, SchedMode, SchedPolicy, SchedThread, Scheduler,
-    ThreadClass, ThreadKey,
+    ThreadClass, ThreadKey, Turn, TurnFn,
 };
 pub use stats::{Counter, Histogram, LogHistogram, Summary};
 pub use trace::{ChromeTrace, TraceEvent, TraceKind, TraceLog, TraceRecorder, Tracer, Track};

@@ -1,26 +1,63 @@
 //! Cooperative deterministic scheduling of simulated threads — sequential
 //! and conservative-parallel (PDES).
 //!
-//! The simulation runs every simulated host as real OS threads (one DSM
-//! server plus the application threads), which makes the default execution
-//! *optimistic*: virtual time is accounted deterministically, but the real
-//! interleaving — and therefore message arrival order, directory state
-//! transitions, and the recorded trace — is whatever the OS scheduler
-//! produced. This module adds a **deterministic mode**: when a
-//! [`Scheduler`] is enabled, every thread hands control back at explicit
-//! *yield points* (message send/receive, fault entry, blocking
-//! rendezvous), and the next runnable thread is picked by a deterministic
-//! [`SchedPolicy`]. A seed then maps to exactly one interleaving and one
-//! trace, which is what makes schedule *exploration* (random-walk / PCT
-//! search over interleavings, with replayable minimal reproducers)
-//! possible at all.
+//! Free-threaded, the simulation gives every simulated thread — each
+//! host's application threads and its DSM server — an OS thread, which
+//! makes that execution *optimistic*: virtual time is accounted
+//! deterministically, but the real interleaving — and therefore message
+//! arrival order, directory state transitions, and the recorded trace — is
+//! whatever the OS scheduler produced. This module adds a **deterministic
+//! mode**: when a [`Scheduler`] is enabled, every simulated thread is a
+//! *slot*, control changes hands only at explicit *yield points* (message
+//! send/receive, fault entry, blocking rendezvous), and the next runnable
+//! slot is picked by a deterministic [`SchedPolicy`]. A seed then maps to
+//! exactly one interleaving and one trace, which is what makes schedule
+//! *exploration* (random-walk / PCT search over interleavings, with
+//! replayable minimal reproducers) possible at all.
+//!
+//! # Threads and passive slots
+//!
+//! Only a slot that must keep a stack between yield points needs an OS
+//! thread: an application thread, parked on its own condvar while it does
+//! not hold the schedule ([`Scheduler::attach`]). A DSM server keeps
+//! nothing between two messages, so it is a **passive slot**
+//! ([`Scheduler::attach_passive`]): a boxed [`Turn`] function and no
+//! thread. When the policy picks a passive slot, the thread that is giving
+//! up the schedule — in `yield_now`, `block_until`, `finish`, or the
+//! unscheduled main thread inside [`Scheduler::quiesce_then`] — runs the
+//! turn to completion itself and dispatches again, until the pick is a
+//! thread (possibly itself: no switch at all). A passive slot is
+//! otherwise a slot like any other — same index, `(virtual time, key)`
+//! tie-break, candidate rule and decision-log entry — so schedules do not
+//! depend on how a slot is registered. The rules that keep this sound:
+//!
+//! * **No scheduler lock is held across a turn.** Handlers deliver
+//!   messages, and deliveries wake hosts under the partition lock (and,
+//!   ungated, the control lock). `dispatch_in` only installs the pick;
+//!   its caller unlocks, runs the turn, re-locks, applies the outcome.
+//! * **Whoever dispatches can drive.** Every caller of `dispatch_in` goes
+//!   through the same loop (`run_partition`); there is no second
+//!   dispatcher for passive slots, sequential or partitioned.
+//! * **A window barrier hands partitions to their own threads.** The
+//!   thread completing a barrier picks for every partition under the
+//!   control lock but runs nothing there. It drives its own partition's
+//!   passive pick afterwards; another partition's goes to one of *that*
+//!   partition's parked threads (named its `driver`), so partitions keep
+//!   running side by side; only a partition with no thread left alive
+//!   falls to the caller.
+//! * **A panicking turn ends the run.** The panic is caught around the
+//!   turn, the slot retired, the scheduler poisoned (every parked thread
+//!   returns [`BlockOutcome::Poisoned`]) and the payload kept for the
+//!   run's owner ([`Scheduler::take_turn_panic`]) — it is not the failure
+//!   of the thread that happened to be driving, and the schedule is never
+//!   left resting on a slot nobody can run.
 //!
 //! # Partitioned execution
 //!
 //! Deterministic mode is built as a **conservative parallel discrete-event
 //! simulation** (PDES). The host set is split into partitions, each driven
-//! by the OS threads of its hosts; within a partition exactly one
-//! simulated thread runs at a time. Partitions advance independently
+//! by the application threads of its hosts; within a partition exactly one
+//! slot runs at a time. Partitions advance independently
 //! through a window `[W0, W0 + L)` of virtual time, where `W0` is the
 //! globally-minimal next event and `L` is the *lookahead*: the minimum
 //! cross-host message latency ([`crate::cost::CostModel::min_remote_latency`]).
@@ -52,7 +89,7 @@
 //!   rendezvous in *h*'s waiter table. So every partition keeps one *wake
 //!   generation per host*, bumped by whatever touched that host's state
 //!   (a gate release or direct delivery into its inbox, its server
-//!   finishing a handler); a blocked thread is schedulable again exactly
+//!   finishing a handler — [`Turn::Ran`]); a blocked slot is schedulable again exactly
 //!   when its own host's generation moved past the value it recorded
 //!   before its condition last failed, and it simply re-checks. A thread
 //!   of another host is not re-dispatched: per-event cost does not grow
@@ -69,11 +106,11 @@
 //!   never as a bare bump into a running partition — which keeps each
 //!   partition's candidate set a function of its own history.
 //! * **Handler atomicity.** A DSM server handles one message per
-//!   scheduling step: the dispatch boundary *is* the yield point, and
-//!   everything inside a handler (window open/close, directory updates,
-//!   reply sends) is atomic with respect to other simulated threads —
-//!   exactly as in the real system, where a handler runs to completion
-//!   inside the message layer.
+//!   scheduling step — one [`Turn`]: the dispatch boundary *is* the yield
+//!   point, and everything inside a handler (window open/close, directory
+//!   updates, reply sends) is atomic with respect to other simulated
+//!   threads — exactly as in the real system, where a handler runs to
+//!   completion as an upcall of whichever thread found the message.
 //! * **Deadlock is a verdict, not a hang.** If no thread is runnable
 //!   anywhere, no gated packet is pending, and an application thread is
 //!   still blocked, the schedule deadlocked: the scheduler poisons
@@ -377,6 +414,44 @@ struct Slot {
     vt: Ns,
     status: Status,
     attached: bool,
+    /// Present on a passive slot (see [`Scheduler::attach_passive`]).
+    passive: Option<Passive>,
+}
+
+/// What one turn of a passive slot did. The scheduler applies it to the
+/// slot exactly as the thread it stands for would have at its next
+/// scheduling call.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Turn {
+    /// Handled one unit of work: the slot's virtual time is now `vt`, its
+    /// host is woken (the handler may have fulfilled a rendezvous there)
+    /// and it stays runnable.
+    Ran {
+        /// The slot's virtual time after the work.
+        vt: Ns,
+    },
+    /// Found nothing to do: the slot parks at `vt` until something next
+    /// wakes its host.
+    Idle {
+        /// The slot's virtual time while parked.
+        vt: Ns,
+    },
+    /// The slot is finished; its turn is dropped and never called again.
+    Done,
+}
+
+/// One turn of a passive slot, run to completion by whichever thread holds
+/// the schedule when the slot is picked.
+pub type TurnFn = Box<dyn FnMut() -> Turn + Send>;
+
+struct Passive {
+    /// `None` while the turn runs (the partition lock is released then).
+    turn: Option<TurnFn>,
+    /// Whether the slot's first pick is still ahead. That pick is the
+    /// attach step of the thread the slot stands for — it consumes a
+    /// scheduling step and runs nothing — which keeps decision logs
+    /// identical whichever way a server is registered.
+    fresh: bool,
 }
 
 enum PolicyState {
@@ -404,6 +479,9 @@ struct PartState {
     running: Option<usize>,
     /// Whether the partition has arrived at the window barrier.
     at_barrier: bool,
+    /// A parked application thread the window barrier asked to run the
+    /// passive slot it installed as `running` (see [`barrier_complete`]).
+    driver: Option<usize>,
     /// Wake generation per host, indexed by global host index (only the
     /// partition's own hosts' entries are ever read; see module docs).
     wakes: Vec<u64>,
@@ -458,6 +536,9 @@ struct Inner {
     /// [`Scheduler::quiesce_then`] waits on (holding the ctl lock).
     main_cv: Condvar,
     poisoned: AtomicBool,
+    /// Payload of the first passive turn that panicked (the run is
+    /// poisoned with it); [`Scheduler::take_turn_panic`] hands it out.
+    turn_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Set while an unregistered external actor (the cluster's main
     /// thread, delivering shutdowns) runs inside a quiesced window;
     /// suppresses dispatches from its action bumps and bypasses the
@@ -651,6 +732,7 @@ impl Scheduler {
                         vt: 0,
                         status: Status::Runnable,
                         attached: false,
+                        passive: None,
                     })
                     .collect();
                 let cvs = (0..slots.len()).map(|_| Condvar::new()).collect();
@@ -659,6 +741,7 @@ impl Scheduler {
                         slots,
                         running: None,
                         at_barrier: true,
+                        driver: None,
                         wakes: vec![0; host_part.len()],
                         steps: 0,
                         policy,
@@ -678,6 +761,7 @@ impl Scheduler {
                 }),
                 main_cv: Condvar::new(),
                 poisoned: AtomicBool::new(false),
+                turn_panic: Mutex::new(None),
                 external: AtomicBool::new(false),
                 window_end: AtomicU64::new(0),
                 lookahead,
@@ -737,41 +821,45 @@ impl Scheduler {
     /// Panics if `key` names no slot or was already attached.
     pub fn attach(&self, key: ThreadKey) -> SchedThread {
         let Some(inner) = &self.inner else {
-            return SchedThread {
-                inner: None,
-                part: 0,
-                id: 0,
-            };
+            return SchedThread::disabled();
         };
-        let mut ctl = lock(&inner.ctl);
-        let mut found = None;
-        for (pi, part) in inner.parts.iter().enumerate() {
-            let mut ps = lock(&part.state);
-            if let Some(id) = ps.slots.iter().position(|s| s.key == key) {
-                assert!(!ps.slots[id].attached, "thread {key} attached twice");
-                ps.slots[id].attached = true;
-                found = Some((pi, id));
-                break;
-            }
-        }
-        let (pi, id) = found.unwrap_or_else(|| panic!("no scheduler slot for thread {key}"));
-        ctl.attached += 1;
-        if ctl.attached == inner.total_slots {
-            // Attach doubles as the first window barrier: every
-            // partition is "arrived" until the full thread set exists.
-            ctl.started = true;
-            barrier_complete(inner, &mut ctl);
-        }
-        drop(ctl);
-        let t = SchedThread {
-            inner: Some(Arc::clone(inner)),
-            part: pi,
-            id,
-        };
-        let part = &inner.parts[pi];
-        let ps = lock(&part.state);
+        let (part, id) = register(inner, key, None);
+        let ps = lock(&inner.parts[part].state);
         drop(park_until_running(inner, part, ps, id));
-        t
+        SchedThread {
+            inner: Some(Arc::clone(inner)),
+            part,
+            id,
+        }
+    }
+
+    /// Registers slot `key` as **passive**: it owns no OS thread, and
+    /// whenever the policy picks it, the thread that is giving up the
+    /// schedule runs `turn` to completion and dispatches again (see the
+    /// module docs). The slot keeps its index, tie-break key, candidate
+    /// rule and decision-log entries, so a schedule does not depend on
+    /// whether a slot is a thread or passive. Callable from any thread;
+    /// no-op on a disabled scheduler.
+    ///
+    /// `turn` must never block on another simulated thread, and may call
+    /// [`Scheduler::bump_action`] / [`Scheduler::bump_action_host`] but no
+    /// [`SchedThread`] method.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` names no slot or was already attached.
+    pub fn attach_passive(&self, key: ThreadKey, turn: TurnFn) {
+        if let Some(inner) = &self.inner {
+            register(inner, key, Some(turn));
+        }
+    }
+
+    /// The payload of a passive turn that panicked, once. The scheduler
+    /// caught it on whichever thread was running the turn, retired the
+    /// slot and poisoned the run; the owner of the run re-raises it after
+    /// teardown.
+    pub fn take_turn_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
+        lock(&self.inner.as_ref()?.turn_panic).take()
     }
 
     /// Wakes every host of every partition from *any* thread
@@ -789,13 +877,16 @@ impl Scheduler {
         for part in &inner.parts {
             lock(&part.state).wake_all();
         }
-        if ctl.started
+        let quiet = ctl.started
             && !inner.external.load(Ordering::Acquire)
             && !inner.poisoned.load(Ordering::Acquire)
-            && ctl.arrived == inner.parts.len()
-        {
-            barrier_complete(inner, &mut ctl);
-        }
+            && ctl.arrived == inner.parts.len();
+        let mine = match quiet {
+            true => barrier_complete(inner, &mut ctl, None),
+            false => Vec::new(),
+        };
+        drop(ctl);
+        drive_installed(inner, mine, None);
     }
 
     /// Wakes `host` only: a delivery or handler effect whose observers
@@ -836,9 +927,15 @@ impl Scheduler {
         f();
         let mut ctl = lock(&inner.ctl);
         inner.external.store(false, Ordering::Release);
-        if !inner.poisoned.load(Ordering::Acquire) && ctl.arrived == inner.parts.len() {
-            barrier_complete(inner, &mut ctl);
-        }
+        let quiet = !inner.poisoned.load(Ordering::Acquire) && ctl.arrived == inner.parts.len();
+        let mine = match quiet {
+            true => barrier_complete(inner, &mut ctl, None),
+            false => Vec::new(),
+        };
+        drop(ctl);
+        // With every application thread gone this thread is the only one
+        // left to run what `f` made runnable (the servers' last turns).
+        drive_installed(inner, mine, None);
     }
 
     /// Number of scheduling decisions taken so far, summed over
@@ -889,14 +986,7 @@ impl SchedThread {
         }
         debug_assert_eq!(ps.running, Some(self.id), "yield from a paused thread");
         ps.slots[self.id].vt = vt;
-        match dispatch_in(inner, part, &mut ps) {
-            Verdict::Dispatched => drop(park_until_running(inner, part, ps, self.id)),
-            Verdict::Barrier => {
-                arrive_at_barrier(inner, ps);
-                let ps = lock(&part.state);
-                drop(park_until_running(inner, part, ps, self.id));
-            }
-        }
+        drop(hand_off(inner, (self.part, self.id), ps));
     }
 
     /// Wakes the caller's own host: it just did something that may have
@@ -957,14 +1047,7 @@ impl SchedThread {
             }
             ps.slots[self.id].vt = vt;
             ps.slots[self.id].status = Status::Blocked { seen };
-            let mut ps = match dispatch_in(inner, part, &mut ps) {
-                Verdict::Dispatched => park_until_running(inner, part, ps, self.id),
-                Verdict::Barrier => {
-                    arrive_at_barrier(inner, ps);
-                    let ps = lock(&part.state);
-                    park_until_running(inner, part, ps, self.id)
-                }
-            };
+            let mut ps = hand_off(inner, (self.part, self.id), ps);
             if inner.poisoned.load(Ordering::Acquire) {
                 return BlockOutcome::Poisoned;
             }
@@ -987,10 +1070,7 @@ impl SchedThread {
         if inner.poisoned.load(Ordering::Acquire) {
             return;
         }
-        match dispatch_in(&inner, part, &mut ps) {
-            Verdict::Dispatched => {}
-            Verdict::Barrier => arrive_at_barrier(&inner, ps),
-        }
+        relinquish(&inner, (self.part, self.id), ps);
     }
 }
 
@@ -1008,16 +1088,74 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(|e| e.into_inner())
 }
 
+/// Thread `me` gives up the schedule and parks until it is picked again.
+fn hand_off<'a>(
+    inner: &'a Inner,
+    me: (usize, usize),
+    ps: MutexGuard<'a, PartState>,
+) -> MutexGuard<'a, PartState> {
+    relinquish(inner, me, ps);
+    park_until_running(inner, me.0, lock(&inner.parts[me.0].state), me.1)
+}
+
+/// Parks thread `id` of partition `pi` until the policy picks it (or the
+/// run is poisoned). While parked it may be named the partition's driver
+/// by a window barrier some other partition's thread completed; it then
+/// runs the passive pick the barrier installed and returns to its park.
 fn park_until_running<'a>(
-    inner: &Inner,
-    part: &'a Part,
+    inner: &'a Inner,
+    pi: usize,
     mut ps: MutexGuard<'a, PartState>,
     id: usize,
 ) -> MutexGuard<'a, PartState> {
-    while !(inner.poisoned.load(Ordering::Acquire) || ps.running == Some(id)) {
+    let part = &inner.parts[pi];
+    loop {
+        if inner.poisoned.load(Ordering::Acquire) || ps.running == Some(id) {
+            return ps;
+        }
+        if ps.driver == Some(id) {
+            ps.driver = None;
+            let pick = ps.running.expect("a driver is named with a pick installed");
+            let me = Some((pi, id));
+            let mine = run_partition(inner, pi, ps, Verdict::Passive(pick), me);
+            drive_installed(inner, mine, me);
+            ps = lock(&part.state);
+            continue;
+        }
         ps = wait(&part.cvs[id], ps);
     }
-    ps
+}
+
+/// Marks slot `key` attached (as a passive slot when `turn` is given) and,
+/// when it completes the thread set, opens the first window. Returns the
+/// slot's partition and index.
+fn register(inner: &Inner, key: ThreadKey, mut turn: Option<TurnFn>) -> (usize, usize) {
+    let threaded = turn.is_none();
+    let mut ctl = lock(&inner.ctl);
+    let found = inner.parts.iter().enumerate().find_map(|(pi, part)| {
+        let mut ps = lock(&part.state);
+        let id = ps.slots.iter().position(|s| s.key == key)?;
+        assert!(!ps.slots[id].attached, "thread {key} attached twice");
+        ps.slots[id].attached = true;
+        ps.slots[id].passive = turn.take().map(|turn| Passive {
+            turn: Some(turn),
+            fresh: true,
+        });
+        Some((pi, id))
+    });
+    let (pi, id) = found.unwrap_or_else(|| panic!("no scheduler slot for thread {key}"));
+    let me = threaded.then_some((pi, id));
+    ctl.attached += 1;
+    // Attach doubles as the first window barrier: every partition is
+    // "arrived" until the full thread set exists.
+    ctl.started = ctl.attached == inner.total_slots;
+    let mine = match ctl.started {
+        true => barrier_complete(inner, &mut ctl, me.map(|m| m.0)),
+        false => Vec::new(),
+    };
+    drop(ctl);
+    drive_installed(inner, mine, me);
+    (pi, id)
 }
 
 /// Whether slot `s` may be scheduled right now, given its partition's
@@ -1031,17 +1169,21 @@ fn is_candidate(s: &Slot, wakes: &[u64]) -> bool {
 }
 
 enum Verdict {
-    /// A thread was picked and its condvar notified.
-    Dispatched,
+    /// Thread slot `.0` was picked and installed as `running`; the caller
+    /// must notify its condvar (unless it is the caller itself).
+    Thread(usize),
+    /// Passive slot `.0` was picked and installed as `running`; the caller
+    /// must run its turn (with no scheduler lock held) and dispatch again.
+    Passive(usize),
     /// Nothing dispatchable below the window end; the partition must
     /// arrive at the window barrier.
     Barrier,
 }
 
-/// Picks and installs the partition's next thread to run, releasing any
+/// Picks and installs the partition's next slot to run, releasing any
 /// gated deliveries the canonical virtual-time order reaches first. Call
 /// with the partition's state lock held, from the thread relinquishing
-/// control or from the window barrier.
+/// control or from the window barrier; the caller acts on the verdict.
 fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
     ps.running = None;
     if inner.poisoned.load(Ordering::Acquire) {
@@ -1131,26 +1273,144 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
                 .push(pick as u32);
         }
         ps.running = Some(pick);
-        part.cvs[pick].notify_one();
-        return Verdict::Dispatched;
+        return match ps.slots[pick].passive {
+            Some(_) => Verdict::Passive(pick),
+            None => Verdict::Thread(pick),
+        };
     }
 }
 
-/// Hands the caller's partition to the window barrier: everything below
-/// the window end is done. Consumes the partition guard (the barrier
-/// takes the control lock, which must never be acquired while holding a
-/// partition lock).
-fn arrive_at_barrier(inner: &Inner, mut ps: MutexGuard<'_, PartState>) {
+/// Runs the turn of passive slot `i`, which [`dispatch_in`] just installed
+/// as `running`, on the calling thread, and applies its outcome to the slot
+/// — what the server thread it stands for did through `block_until`,
+/// `action` + `yield_now`, or `finish`. The partition lock is released
+/// around the turn: handlers deliver messages, and deliveries wake hosts
+/// under that lock (and, ungated, under the control lock).
+fn run_turn<'a>(
+    inner: &Inner,
+    part: &'a Part,
+    mut ps: MutexGuard<'a, PartState>,
+    i: usize,
+) -> MutexGuard<'a, PartState> {
+    let host = ps.slots[i].key.host;
+    // Snapshot before the turn looks at its inbox, as `block_until` does:
+    // a wake landing in between leaves `seen` stale and the slot
+    // schedulable.
+    let seen = ps.wakes[host.index()];
+    let passive = ps.slots[i].passive.as_mut().expect("a passive pick");
+    if std::mem::take(&mut passive.fresh) {
+        return ps;
+    }
+    let mut turn = passive.turn.take().expect("one turn of a slot at a time");
+    drop(ps);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut turn));
+    let mut ps = lock(&part.state);
+    let (status, vt) = match outcome {
+        Ok(Turn::Ran { vt }) => {
+            ps.wake(host);
+            (Status::Runnable, vt)
+        }
+        Ok(Turn::Idle { vt }) => (Status::Blocked { seen }, vt),
+        Ok(Turn::Done) => {
+            // Like a thread finishing: names no host, wakes everyone.
+            ps.wake_all();
+            (Status::Done, ps.slots[i].vt)
+        }
+        Err(payload) => {
+            // A broken handler must end the run, not wedge it with the
+            // token on a slot nobody can run: retire the slot, keep the
+            // payload for the run's owner, and poison so every parked
+            // thread unwinds.
+            ps.slots[i].status = Status::Done;
+            drop(ps);
+            lock(&inner.turn_panic).get_or_insert(payload);
+            poison(inner, &lock(&inner.ctl));
+            return lock(&part.state);
+        }
+    };
+    let slot = &mut ps.slots[i];
+    (slot.status, slot.vt) = (status, vt);
+    if status != Status::Done {
+        slot.passive.as_mut().expect("a passive pick").turn = Some(turn);
+    }
+    ps
+}
+
+/// Thread `me` (partition, slot) gives up the schedule of its partition:
+/// picks what runs next and, as long as that is a passive slot, runs it
+/// right here. Returns once the schedule rests with a thread (possibly
+/// `me`, which then falls through its park) or the run went quiet.
+fn relinquish<'a>(inner: &'a Inner, me: (usize, usize), mut ps: MutexGuard<'a, PartState>) {
+    let verdict = dispatch_in(inner, &inner.parts[me.0], &mut ps);
+    let mine = run_partition(inner, me.0, ps, verdict, Some(me));
+    drive_installed(inner, mine, Some(me));
+}
+
+/// Carries partition `pi` on from `verdict` on the calling thread (`me`,
+/// if it is a scheduled one) until a thread was dispatched or the
+/// partition arrived at the window barrier. Returns the partitions a
+/// barrier this completed left to the caller (see [`barrier_complete`]).
+fn run_partition<'a>(
+    inner: &'a Inner,
+    pi: usize,
+    mut ps: MutexGuard<'a, PartState>,
+    mut verdict: Verdict,
+    me: Option<(usize, usize)>,
+) -> Vec<usize> {
+    let part = &inner.parts[pi];
+    loop {
+        match verdict {
+            Verdict::Thread(pick) => {
+                // Notify with the partition lock released: the woken
+                // thread needs that lock first, and when the wake-up
+                // preempts this thread it would be switched in only to
+                // block on it. Picking itself, the caller just returns.
+                drop(ps);
+                if me != Some((pi, pick)) {
+                    part.cvs[pick].notify_one();
+                }
+                return Vec::new();
+            }
+            Verdict::Barrier => return arrive_at_barrier(inner, pi, ps),
+            Verdict::Passive(i) => {
+                ps = run_turn(inner, part, ps, i);
+                verdict = dispatch_in(inner, part, &mut ps);
+            }
+        }
+    }
+}
+
+/// Runs every partition in `todo` — each with a passive pick installed by
+/// a window barrier — plus whatever further barriers completed on the way
+/// leave to this thread (`me`, if it is a scheduled one).
+fn drive_installed(inner: &Inner, mut todo: Vec<usize>, me: Option<(usize, usize)>) {
+    while let Some(pi) = todo.pop() {
+        if inner.poisoned.load(Ordering::Acquire) {
+            return;
+        }
+        let ps = lock(&inner.parts[pi].state);
+        let pick = ps.running.expect("the barrier installed a pick");
+        todo.extend(run_partition(inner, pi, ps, Verdict::Passive(pick), me));
+    }
+}
+
+/// Hands partition `pi` to the window barrier: everything below the
+/// window end is done. Consumes the partition guard (the barrier takes
+/// the control lock, which must never be acquired while holding a
+/// partition lock). Returns what [`barrier_complete`] left to the caller
+/// when this arrival completed the barrier.
+fn arrive_at_barrier(inner: &Inner, pi: usize, mut ps: MutexGuard<'_, PartState>) -> Vec<usize> {
     ps.at_barrier = true;
     drop(ps);
     let mut ctl = lock(&inner.ctl);
     if inner.poisoned.load(Ordering::Acquire) {
-        return;
+        return Vec::new();
     }
     ctl.arrived += 1;
     if ctl.started && ctl.arrived == inner.parts.len() {
-        barrier_complete(inner, &mut ctl);
+        return barrier_complete(inner, &mut ctl, Some(pi));
     }
+    Vec::new()
 }
 
 /// The window barrier: every partition has arrived. Derives the next
@@ -1160,10 +1420,19 @@ fn arrive_at_barrier(inner: &Inner, mut ps: MutexGuard<'_, PartState>) {
 /// anywhere, rules the run idle — or deadlocked, if an application
 /// thread is still blocked. Runs with the ctl lock held; every scheduled
 /// thread is parked, so partition states and the gate are stable.
-fn barrier_complete(inner: &Inner, ctl: &mut Ctl) {
+///
+/// A partition whose first pick of the new window is a *passive* slot
+/// needs somebody to run it, and not under the control lock. The caller
+/// (a thread of partition `own`, if any) takes its own partition; every
+/// other one goes to one of that partition's parked threads, so
+/// partitions keep running side by side; a partition with no thread left
+/// alive falls to the caller too. Returns the partitions the caller must
+/// drive once it has released the control lock.
+fn barrier_complete(inner: &Inner, ctl: &mut Ctl, own: Option<usize>) -> Vec<usize> {
+    let mut mine = Vec::new();
     loop {
         if inner.poisoned.load(Ordering::Acquire) {
-            return;
+            return mine;
         }
         // A wake-everything request from a scheduled thread reaches the
         // other partitions here, before any idle/deadlock verdict.
@@ -1206,7 +1475,7 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl) {
                 // A blocked application thread nobody can ever wake: the
                 // schedule deadlocked. Poison so every thread unwinds
                 // with a typed error instead of hanging the run.
-                poison(inner);
+                poison(inner, ctl);
             } else {
                 // Only servers are parked on empty inboxes; idle until
                 // an external action (the cluster's shutdown)
@@ -1214,26 +1483,42 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl) {
                 ctl.idle = true;
                 inner.main_cv.notify_all();
             }
-            return;
+            return mine;
         }
         ctl.idle = false;
         inner
             .window_end
             .store(w0.saturating_add(inner.lookahead), Ordering::Release);
         let mut dispatched_any = false;
-        for part in &inner.parts {
+        for (pi, part) in inner.parts.iter().enumerate() {
             let mut ps = lock(&part.state);
-            match dispatch_in(inner, part, &mut ps) {
-                Verdict::Dispatched => {
-                    ps.at_barrier = false;
-                    ctl.arrived -= 1;
-                    dispatched_any = true;
+            let verdict = dispatch_in(inner, part, &mut ps);
+            if matches!(verdict, Verdict::Barrier) {
+                continue;
+            }
+            ps.at_barrier = false;
+            ctl.arrived -= 1;
+            dispatched_any = true;
+            match verdict {
+                Verdict::Thread(pick) => part.cvs[pick].notify_one(),
+                _ if own == Some(pi) => mine.push(pi),
+                _ => {
+                    let parked = ps
+                        .slots
+                        .iter()
+                        .position(|s| s.passive.is_none() && s.status != Status::Done);
+                    match parked {
+                        Some(id) => {
+                            ps.driver = Some(id);
+                            part.cvs[id].notify_one();
+                        }
+                        None => mine.push(pi),
+                    }
                 }
-                Verdict::Barrier => {}
             }
         }
         if dispatched_any {
-            return;
+            return mine;
         }
         // The window's only events were packet releases to hosts with no
         // waiting receiver (drained by dispatch_in above); re-derive the
@@ -1243,8 +1528,9 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl) {
 
 /// Marks the schedule poisoned and wakes every parked thread (under
 /// their partition locks, so nobody is between a predicate check and a
-/// wait) plus the quiesce waiter. Call with the ctl lock held.
-fn poison(inner: &Inner) {
+/// wait) plus the quiesce waiter. Takes the held ctl guard as proof the
+/// quiesce waiter is not between its predicate check and its wait either.
+fn poison(inner: &Inner, _ctl: &Ctl) {
     inner.poisoned.store(true, Ordering::SeqCst);
     for part in &inner.parts {
         let _guard = lock(&part.state);
@@ -1674,6 +1960,312 @@ mod tests {
     #[test]
     fn gated_delivery_works_single_partition() {
         gated_handoff(1, vec![0, 0]);
+    }
+
+    /// The toy behind the passive-slot tests: every host has a server
+    /// echoing pings out of an inbox; `None` in an inbox is the stop
+    /// message.
+    struct Echo {
+        inboxes: Vec<Mutex<std::collections::VecDeque<Option<u16>>>>,
+        replies: Vec<AtomicU64>,
+    }
+
+    impl Echo {
+        fn new(hosts: u16) -> Arc<Self> {
+            Arc::new(Self {
+                inboxes: (0..hosts).map(|_| Mutex::default()).collect(),
+                replies: (0..hosts).map(|_| AtomicU64::new(0)).collect(),
+            })
+        }
+
+        fn send(&self, sched: &Scheduler, to: u16, msg: Option<u16>) {
+            self.inboxes[to as usize].lock().unwrap().push_back(msg);
+            sched.bump_action_host(HostId(to));
+        }
+
+        /// One server step of host `g`: what a server thread does between
+        /// two scheduling calls, and a passive server in one turn. Echoing
+        /// wakes the pinger's host from inside the step, as a handler's
+        /// reply delivery does.
+        fn serve(&self, sched: &Scheduler, g: u16, vt: &mut Ns) -> Turn {
+            let msg = self.inboxes[g as usize].lock().unwrap().pop_front();
+            match msg {
+                Some(Some(from)) => {
+                    self.replies[from as usize].fetch_add(1, Ordering::SeqCst);
+                    sched.bump_action_host(HostId(from));
+                    *vt += 10;
+                    Turn::Ran { vt: *vt }
+                }
+                Some(None) => Turn::Done,
+                None => Turn::Idle { vt: *vt },
+            }
+        }
+
+        fn passive_server(self: &Arc<Self>, sched: &Scheduler, g: u16) {
+            let (echo, sched2, mut vt) = (Arc::clone(self), sched.clone(), 0);
+            sched.attach_passive(
+                ThreadKey::server(HostId(g)),
+                Box::new(move || echo.serve(&sched2, g, &mut vt)),
+            );
+        }
+    }
+
+    fn server_app_keys(hosts: u16) -> Vec<ThreadKey> {
+        (0..hosts)
+            .map(|h| ThreadKey::server(HostId(h)))
+            .chain((0..hosts).map(|h| ThreadKey::app(HostId(h), 0)))
+            .collect()
+    }
+
+    /// Every host's application thread pings the next host's server three
+    /// times and waits for each echo; the main thread then stops the
+    /// servers the way the cluster does. Servers are OS threads written
+    /// like the pre-passive server loop, or passive turns. Returns the
+    /// decision log.
+    fn echo_decisions(mode: &SchedMode, hosts: u16, passive: bool) -> Vec<u32> {
+        let sched = Scheduler::new(mode, server_app_keys(hosts));
+        let echo = Echo::new(hosts);
+        std::thread::scope(|scope| {
+            for g in 0..hosts {
+                if passive {
+                    echo.passive_server(&sched, g);
+                    continue;
+                }
+                let (sched, echo) = (&sched, &echo);
+                scope.spawn(move || {
+                    let t = sched.attach(ThreadKey::server(HostId(g)));
+                    let mut vt = 0;
+                    loop {
+                        t.yield_now(vt);
+                        let step = t.block_until(vt, || match echo.serve(sched, g, &mut vt) {
+                            Turn::Idle { .. } => None,
+                            step => Some(step),
+                        });
+                        match step {
+                            BlockOutcome::Ready(Turn::Ran { .. }) => t.action(),
+                            _ => break,
+                        }
+                    }
+                });
+            }
+            for h in 0..hosts {
+                let (sched, echo) = (&sched, &echo);
+                scope.spawn(move || {
+                    let t = sched.attach(ThreadKey::app(HostId(h), 0));
+                    let mut vt = 0;
+                    for round in 1..=3 {
+                        vt += 7 + u64::from(h);
+                        echo.send(sched, (h + 1) % hosts, Some(h));
+                        t.yield_now(vt);
+                        let echoed = || {
+                            (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(())
+                        };
+                        if let BlockOutcome::Poisoned = t.block_until(vt, echoed) {
+                            panic!("host {h} poisoned in round {round}");
+                        }
+                    }
+                });
+            }
+            sched.quiesce_then(|| (0..hosts).for_each(|g| echo.send(&sched, g, None)));
+        });
+        mode.decisions()
+    }
+
+    #[test]
+    fn passive_servers_take_the_schedule_server_threads_took() {
+        for hosts in [1, 4, 32] {
+            for mode in [
+                SchedMode::deterministic(),
+                SchedMode::random(11),
+                SchedMode::pct(11, 3),
+            ] {
+                let threads = echo_decisions(&mode, hosts, false);
+                let passive = echo_decisions(&mode, hosts, true);
+                assert!(threads.len() >= 2 * hosts as usize, "every slot is picked");
+                assert_eq!(
+                    threads,
+                    passive,
+                    "{hosts} hosts, {}: decision logs differ",
+                    mode.policy_name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deadlock_beside_idle_passive_servers_is_still_a_verdict() {
+        let sched = Scheduler::new(&SchedMode::deterministic(), server_app_keys(2));
+        let echo = Echo::new(2);
+        echo.passive_server(&sched, 0);
+        echo.passive_server(&sched, 1);
+        let poisoned = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let (sched, poisoned) = (&sched, &poisoned);
+            scope.spawn(move || {
+                let t = sched.attach(ThreadKey::app(HostId(0), 0));
+                t.yield_now(1);
+            });
+            scope.spawn(move || {
+                let t = sched.attach(ThreadKey::app(HostId(1), 0));
+                if let BlockOutcome::Poisoned = t.block_until(0, || None::<()>) {
+                    poisoned.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        });
+        assert_eq!(poisoned.load(Ordering::SeqCst), 1);
+        assert!(sched.take_turn_panic().is_none());
+    }
+
+    #[test]
+    fn quiesce_drives_leftover_passive_slots_from_the_calling_thread() {
+        let sched = Scheduler::new(&SchedMode::deterministic(), server_app_keys(2));
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        let stop = Arc::new(AtomicBool::new(false));
+        for g in 0..2 {
+            let (ran_on, stop) = (Arc::clone(&ran_on), Arc::clone(&stop));
+            sched.attach_passive(
+                ThreadKey::server(HostId(g)),
+                Box::new(move || {
+                    if !stop.load(Ordering::SeqCst) {
+                        return Turn::Idle { vt: 0 };
+                    }
+                    ran_on.lock().unwrap().push(std::thread::current().id());
+                    Turn::Done
+                }),
+            );
+        }
+        std::thread::scope(|scope| {
+            for h in 0..2 {
+                let sched = &sched;
+                scope.spawn(move || sched.attach(ThreadKey::app(HostId(h), 0)).yield_now(3));
+            }
+        });
+        // Every application thread is gone; only this thread can run the
+        // servers' last turns.
+        sched.quiesce_then(|| {
+            stop.store(true, Ordering::SeqCst);
+            sched.bump_action_host(HostId(0));
+            sched.bump_action_host(HostId(1));
+        });
+        let me = std::thread::current().id();
+        assert_eq!(*ran_on.lock().unwrap(), vec![me, me]);
+        // Both slots are Done: nothing is left to dispatch, ever.
+        let steps = sched.steps();
+        sched.bump_action();
+        assert_eq!(sched.steps(), steps);
+    }
+
+    /// Per host, what its application thread and its passive server saw:
+    /// the server's turns as `(virtual time after the turn, thread that
+    /// ran it)`, and the application thread's own id.
+    type WindowLog = Vec<(Vec<(Ns, std::thread::ThreadId)>, std::thread::ThreadId)>;
+
+    /// Two hosts, each pinging its own server twice. The first echo puts
+    /// the server at virtual time 25 and the application thread waits at
+    /// 40, so the window that opens at 25 starts, in both hosts'
+    /// partitions, with a passive pick.
+    fn windows_opening_on_passive_turns(map: Vec<usize>, workers: usize) -> WindowLog {
+        let sched = Scheduler::new_parallel(
+            &SchedMode::deterministic(),
+            server_app_keys(2),
+            map,
+            workers,
+            10,
+        );
+        let echo = Echo::new(2);
+        let turns = Arc::new([Mutex::new(Vec::new()), Mutex::new(Vec::new())]);
+        for g in 0..2u16 {
+            let (echo, sched2, turns, mut vt) =
+                (Arc::clone(&echo), sched.clone(), Arc::clone(&turns), 15);
+            sched.attach_passive(
+                ThreadKey::server(HostId(g)),
+                Box::new(move || {
+                    let turn = echo.serve(&sched2, g, &mut vt);
+                    if let Turn::Ran { vt } = turn {
+                        turns[g as usize]
+                            .lock()
+                            .unwrap()
+                            .push((vt, std::thread::current().id()));
+                    }
+                    turn
+                }),
+            );
+        }
+        let apps: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2u16)
+                .map(|h| {
+                    let (sched, echo) = (&sched, &echo);
+                    scope.spawn(move || {
+                        let t = sched.attach(ThreadKey::app(HostId(h), 0));
+                        echo.send(sched, h, Some(h));
+                        echo.send(sched, h, Some(h));
+                        let echoed =
+                            || (echo.replies[h as usize].load(Ordering::SeqCst) == 2).then_some(());
+                        if let BlockOutcome::Poisoned = t.block_until(40, echoed) {
+                            panic!("host {h} poisoned");
+                        }
+                        std::thread::current().id()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        sched.quiesce_then(|| (0..2).for_each(|g| echo.send(&sched, g, None)));
+        (0..2)
+            .map(|h| (turns[h].lock().unwrap().clone(), apps[h]))
+            .collect()
+    }
+
+    #[test]
+    fn a_window_opening_on_passive_turns_runs_each_in_its_own_partition() {
+        let one = windows_opening_on_passive_turns(vec![0, 0], 1);
+        // Partition timing is up to the OS; the property must hold however
+        // the barrier arrivals interleave.
+        for _ in 0..20 {
+            let two = windows_opening_on_passive_turns(vec![0, 1], 2);
+            for (h, (turns, app)) in two.iter().enumerate() {
+                let vts: Vec<Ns> = turns.iter().map(|t| t.0).collect();
+                assert_eq!(vts, [25, 35], "host {h}: both pings echoed, one per window");
+                assert!(
+                    turns.iter().all(|t| t.1 == *app),
+                    "host {h}: a handler ran outside its partition's live thread"
+                );
+                let one_vts: Vec<Ns> = one[h].0.iter().map(|t| t.0).collect();
+                assert_eq!(vts, one_vts, "host {h}: window parity");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_turn_poisons_the_run_and_keeps_its_payload() {
+        let started = std::time::Instant::now();
+        let keys = vec![
+            ThreadKey::server(HostId(0)),
+            ThreadKey::app(HostId(0), 0),
+            ThreadKey::app(HostId(0), 1),
+        ];
+        let sched = Scheduler::new(&SchedMode::deterministic(), keys);
+        sched.attach_passive(
+            ThreadKey::server(HostId(0)),
+            Box::new(|| std::panic::panic_any("planted handler bug")),
+        );
+        let poisoned = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for lane in 0..2 {
+                let (sched, poisoned) = (&sched, &poisoned);
+                scope.spawn(move || {
+                    let t = sched.attach(ThreadKey::app(HostId(0), lane));
+                    if let BlockOutcome::Poisoned = t.block_until(5, || None::<()>) {
+                        poisoned.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(poisoned.load(Ordering::SeqCst), 2);
+        let payload = sched.take_turn_panic().expect("the turn's payload is kept");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"planted handler bug"));
+        assert!(sched.take_turn_panic().is_none(), "handed out once");
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
     }
 
     #[test]

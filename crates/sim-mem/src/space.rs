@@ -33,8 +33,11 @@ impl std::error::Error for AccessError {}
 
 /// One simulated host's mapping of the shared memory object.
 ///
-/// Holds the host's local copy of every physical page plus the protection
-/// of every vpage of every view. Application access goes through
+/// Holds the host's local copy of every physical page it has written plus
+/// the protection of every vpage of every view. A page nobody wrote yet is
+/// *unbacked*: it reads as zeros and owns no storage until its first write
+/// — a host pays for the part of the shared object it touches, not for
+/// the object (views alias pages; hosts do not each copy the region). Application access goes through
 /// [`read`](AddressSpace::read) / [`write`](AddressSpace::write), which
 /// enforce protections like the MMU would; DSM server threads use the
 /// `priv_*` methods, which model the privileged view (§2.3.1) and ignore
@@ -72,7 +75,10 @@ impl std::error::Error for AccessError {}
 pub struct AddressSpace {
     geo: Geometry,
     prots: Vec<AtomicU8>,
+    /// Per-page storage; an empty box is an unbacked (all-zero) page.
     pages: Vec<RwLock<Box<[u8]>>>,
+    /// What reads of an unbacked page see.
+    zeros: Box<[u8]>,
     /// Bumped (under the affected page's exclusive lock) by every
     /// protection change; validates [`TlbEntry`]s.
     prot_gen: AtomicU64,
@@ -163,7 +169,7 @@ impl TlbEntry {
 
 impl AddressSpace {
     /// Creates an address space: all application vpages `NoAccess`, the
-    /// privileged view `ReadWrite`, all pages zeroed.
+    /// privileged view `ReadWrite`, all pages zero and unbacked.
     pub fn new(geo: Geometry) -> Self {
         let total = geo.total_vpages();
         let mut prots = Vec::with_capacity(total);
@@ -177,15 +183,39 @@ impl AddressSpace {
                 prots.push(AtomicU8::new(p as u8));
             }
         }
-        let pages = (0..geo.pages())
-            .map(|_| RwLock::new(vec![0u8; geo.page_size()].into_boxed_slice()))
-            .collect();
+        let pages = (0..geo.pages()).map(|_| RwLock::default()).collect();
         Self {
+            zeros: vec![0u8; geo.page_size()].into_boxed_slice(),
             geo,
             prots,
             pages,
             prot_gen: AtomicU64::new(0),
         }
+    }
+
+    /// Number of pages that own storage (were written at least once).
+    pub fn backed_pages(&self) -> usize {
+        self.pages.iter().filter(|p| !p.read().is_empty()).count()
+    }
+
+    /// The bytes of a page held under (at least) its read lock.
+    #[inline]
+    fn bytes<'a>(&'a self, page: &'a [u8]) -> &'a [u8] {
+        if page.is_empty() {
+            &self.zeros
+        } else {
+            page
+        }
+    }
+
+    /// The bytes of a page held under its exclusive lock, backing it first
+    /// if this is its first write.
+    #[inline]
+    fn bytes_mut<'a>(&self, page: &'a mut Box<[u8]>) -> &'a mut [u8] {
+        if page.is_empty() {
+            *page = self.zeros.clone();
+        }
+        page
     }
 
     /// The shared geometry.
@@ -280,7 +310,7 @@ impl AddressSpace {
             return false;
         }
         let off = (addr.0 - e.base) as usize;
-        buf.copy_from_slice(&guard[off..off + buf.len()]);
+        buf.copy_from_slice(&self.bytes(&guard)[off..off + buf.len()]);
         true
     }
 
@@ -293,7 +323,7 @@ impl AddressSpace {
             return false;
         }
         let off = (addr.0 - e.base) as usize;
-        guard[off..off + data.len()].copy_from_slice(data);
+        self.bytes_mut(&mut guard)[off..off + data.len()].copy_from_slice(data);
         true
     }
 
@@ -349,7 +379,7 @@ impl AddressSpace {
                     }));
                 }
             }
-            dst[..take].copy_from_slice(&guard[off..off + take]);
+            dst[..take].copy_from_slice(&self.bytes(&guard)[off..off + take]);
             dst = &mut dst[take..];
             off = 0;
             page += 1;
@@ -373,7 +403,7 @@ impl AddressSpace {
         let mut vp_iter = vpages;
         while !src.is_empty() {
             let take = src.len().min(self.geo.page_size() - off);
-            let guard = self.pages[page].write();
+            let mut guard = self.pages[page].write();
             if !privileged {
                 let vp = vp_iter.next().expect("vpages cover the whole range");
                 if !self.prot(vp).allows(Access::Write) {
@@ -384,8 +414,7 @@ impl AddressSpace {
                     }));
                 }
             }
-            let mut pg = guard;
-            pg[off..off + take].copy_from_slice(&src[..take]);
+            self.bytes_mut(&mut guard)[off..off + take].copy_from_slice(&src[..take]);
             src = &src[take..];
             off = 0;
             page += 1;
@@ -425,7 +454,7 @@ impl AddressSpace {
                 }));
             }
         }
-        Ok(f(&guard[loc.offset..loc.offset + len]))
+        Ok(f(&self.bytes(&guard)[loc.offset..loc.offset + len]))
     }
 
     /// Application in-place update of a single-page range: the closure gets
@@ -459,7 +488,9 @@ impl AddressSpace {
                 }));
             }
         }
-        Ok(f(&mut guard[loc.offset..loc.offset + len]))
+        Ok(f(
+            &mut self.bytes_mut(&mut guard)[loc.offset..loc.offset + len]
+        ))
     }
 
     /// Privileged read (server threads, §2.3.1): ignores application
@@ -469,7 +500,7 @@ impl AddressSpace {
         let mut filled = 0usize;
         self.for_each_segment(addr, len, |page, off, take| {
             let guard = self.pages[page].read();
-            out[filled..filled + take].copy_from_slice(&guard[off..off + take]);
+            out[filled..filled + take].copy_from_slice(&self.bytes(&guard)[off..off + take]);
             filled += take;
         })?;
         Ok(out)
@@ -481,7 +512,7 @@ impl AddressSpace {
         let mut used = 0usize;
         self.for_each_segment(addr, data.len(), |page, off, take| {
             let mut guard = self.pages[page].write();
-            guard[off..off + take].copy_from_slice(&data[used..used + take]);
+            self.bytes_mut(&mut guard)[off..off + take].copy_from_slice(&data[used..used + take]);
             used += take;
         })?;
         Ok(())
@@ -517,7 +548,7 @@ impl AddressSpace {
         while filled < len {
             let take = (len - filled).min(self.geo.page_size() - off);
             let guard = self.pages[page].write();
-            out[filled..filled + take].copy_from_slice(&guard[off..off + take]);
+            out[filled..filled + take].copy_from_slice(&self.bytes(&guard)[off..off + take]);
             let vp = vp_iter.next().expect("vpages cover the range");
             self.prots[vp].store(prot as u8, Ordering::Release);
             self.prot_gen.fetch_add(1, Ordering::Release);
@@ -832,6 +863,77 @@ mod tests {
         assert!(tlb.lookup(g.addr_of(0, 0, 0), 1, Access::Read).is_some());
         tlb.clear();
         assert!(tlb.lookup(g.addr_of(0, 0, 0), 1, Access::Read).is_none());
+    }
+
+    #[test]
+    fn fresh_space_reads_zeros_and_stays_unbacked() {
+        let s = space();
+        let g = s.geometry().clone();
+        for page in 0..g.pages() {
+            s.set_prot(g.vpage_index(0, page), Prot::ReadWrite).unwrap();
+        }
+        let a = g.addr_of(0, 1, 40);
+        let mut buf = [0xffu8; 16];
+        s.read(a, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 16]);
+        // Across a page boundary, too.
+        let mut wide = [0xffu8; 64];
+        s.read(g.addr_of(0, 0, 4080), &mut wide).unwrap();
+        assert_eq!(wide, [0u8; 64]);
+        let all_zero = s.with_read(a, 16, |sl| sl.len() == 16 && sl.iter().all(|&b| b == 0));
+        assert!(all_zero.unwrap());
+        let e = s.tlb_fill(a).unwrap();
+        let mut buf = [0xffu8; 16];
+        assert!(s.tlb_read(&e, a, &mut buf));
+        assert_eq!(buf, [0u8; 16]);
+        assert_eq!(
+            s.priv_read(g.to_priv(a).unwrap(), 5000).unwrap(),
+            vec![0u8; 5000]
+        );
+        let snap = s.snapshot_and_protect(a, 16, Prot::ReadOnly).unwrap();
+        assert_eq!(snap, vec![0u8; 16]);
+        // A write that faults is not a write.
+        assert!(matches!(s.write(a, &[1]), Err(AccessError::Fault(_))));
+        assert!(s.with_write(a, 1, |sl| sl[0] = 1).is_err());
+        assert_eq!(s.backed_pages(), 0);
+    }
+
+    #[test]
+    fn first_write_backs_exactly_its_page() {
+        type WritePath = fn(&AddressSpace, VAddr);
+        let paths: [(&str, WritePath); 4] = [
+            ("write", |s, a| s.write(a, &[7; 8]).unwrap()),
+            ("with_write", |s, a| {
+                s.with_write(a, 8, |sl| sl.fill(7)).unwrap()
+            }),
+            ("tlb_write", |s, a| {
+                let e = s.tlb_fill(a).unwrap();
+                assert!(s.tlb_write(&e, a, &[7; 8]));
+            }),
+            ("priv_write", |s, a| {
+                let p = s.geometry().to_priv(a).unwrap();
+                s.priv_write(p, &[7; 8]).unwrap()
+            }),
+        ];
+        for (name, write) in paths {
+            let s = space();
+            let g = s.geometry().clone();
+            s.set_prot(g.vpage_index(1, 2), Prot::ReadWrite).unwrap();
+            let a = g.addr_of(1, 2, 24);
+            write(&s, a);
+            assert_eq!(s.backed_pages(), 1, "{name}");
+            // The rest of the page is zero, the written bytes are there,
+            // and the neighbours are still unbacked zeros.
+            let page = s.priv_read(g.addr_of(g.priv_view(), 2, 0), 4096).unwrap();
+            assert!(page[24..32].iter().all(|&b| b == 7), "{name}");
+            assert_eq!(page.iter().filter(|&&b| b != 0).count(), 8, "{name}");
+            assert_eq!(
+                s.priv_read(g.addr_of(g.priv_view(), 1, 0), 4096).unwrap(),
+                vec![0u8; 4096],
+                "{name}"
+            );
+            assert_eq!(s.backed_pages(), 1, "{name}: reads must not back");
+        }
     }
 
     #[test]
