@@ -6,12 +6,15 @@
 //! * every "host" is a [`hostmv::MultiViewRegion`]: its own `memfd` memory
 //!   object mapped through the application views plus the privileged view,
 //!   so hosts genuinely hold separate copies of the shared pages;
-//! * application accesses are volatile loads/stores through the view
-//!   mappings; a protection miss raises a **real SIGSEGV**, decoded from
-//!   the signal context ([`hostmv::RawFault`], write bit from `REG_ERR`)
-//!   and resolved by running the same request/reply protocol the simulator
-//!   runs — the fault handler sends the request and blocks on a socket
-//!   until the server thread has installed the reply and opened the page;
+//! * application accesses are span copies through the application view
+//!   mappings — one address decode per page-span, then volatile loads or
+//!   stores — so an access the MMU allows costs a load or a store and only
+//!   a fault costs protocol time; a protection miss raises a **real
+//!   SIGSEGV**, decoded from the signal context ([`hostmv::RawFault`],
+//!   write bit from `REG_ERR`) and resolved by running the same
+//!   request/reply protocol the simulator runs — the fault handler sends
+//!   the request and blocks on a socket until the server thread has
+//!   installed the reply and opened the page;
 //! * each host runs a real DSM server thread; the wire is a
 //!   `SOCK_SEQPACKET` socketpair per host (atomic datagrams, FIFO — the
 //!   ordering the protocol's correctness arguments assume);
@@ -29,6 +32,10 @@
 //! failed request nacks its requester; there is no fault plane to degrade
 //! through on a local socketpair, so the nacked thread is not retried — it
 //! crashes (see `dsm_resolver`) instead of hanging.
+//!
+//! A run gives back what it took from the process — mappings, memfds,
+//! socket fds, fault-handler registry slots, its runtime — before
+//! [`run_host`] returns or unwinds (see `Teardown`).
 //!
 //! Addresses on the wire are the canonical shared [`Geometry`] addresses
 //! (every message field means the same thing as in the simulator); they
@@ -58,6 +65,7 @@ use sim_core::trace::TraceRecorder;
 use sim_core::{CostModel, Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
 use std::cell::Cell;
 use std::ops::Range;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -141,20 +149,25 @@ fn decode_frame(buf: &[u8]) -> Option<(HostId, Pmsg)> {
 // ---------------------------------------------------------------------------
 
 /// A connected `SOCK_SEQPACKET` pair: datagrams written to `tx` arrive,
-/// boundaries intact and in order, at `rx`.
-fn seqpacket_pair() -> Result<(libc::c_int, libc::c_int), ProtocolError> {
+/// boundaries intact and in order, at `rx`. Each end closes when its owner
+/// drops, which is how a run — finished, panicked or half-assembled —
+/// gives its fds back.
+fn seqpacket_pair() -> Result<(OwnedFd, OwnedFd), ProtocolError> {
     let mut fds = [0 as libc::c_int; 2];
     // SAFETY: socketpair writes two fds into the provided array.
     let rc = unsafe { libc::socketpair(libc::AF_UNIX, libc::SOCK_SEQPACKET, 0, fds.as_mut_ptr()) };
     if rc != 0 {
         return Err(backend_err(HostId(0), "socketpair"));
     }
-    for fd in fds {
+    // SAFETY: two open fds the call above just created; nothing else owns
+    // them.
+    let fds = fds.map(|fd| unsafe { OwnedFd::from_raw_fd(fd) });
+    for fd in &fds {
         let sz: libc::c_int = 1 << 20;
         // SAFETY: setsockopt on a fd we just created; best-effort sizing.
         unsafe {
             libc::setsockopt(
-                fd,
+                fd.as_raw_fd(),
                 libc::SOL_SOCKET,
                 libc::SO_RCVBUF,
                 (&raw const sz).cast(),
@@ -162,12 +175,14 @@ fn seqpacket_pair() -> Result<(libc::c_int, libc::c_int), ProtocolError> {
             );
         }
     }
-    Ok((fds[0], fds[1]))
+    let [tx, rx] = fds;
+    Ok((tx, rx))
 }
 
 /// Sends one datagram, retrying on `EINTR`. Async-signal-safe (`send(2)`
 /// plus arithmetic), so the fault resolver may call it.
-fn send_fd(fd: libc::c_int, buf: &[u8]) -> Result<(), i32> {
+fn send_fd(fd: &OwnedFd, buf: &[u8]) -> Result<(), i32> {
+    let fd = fd.as_raw_fd();
     loop {
         // SAFETY: valid fd and an in-bounds buffer; MSG_NOSIGNAL keeps a
         // torn-down peer an error instead of a SIGPIPE.
@@ -185,10 +200,10 @@ fn send_fd(fd: libc::c_int, buf: &[u8]) -> Result<(), i32> {
 
 /// Receives one datagram into `buf`, retrying on `EINTR`. Returns the
 /// datagram length. Async-signal-safe.
-fn recv_fd(fd: libc::c_int, buf: &mut [u8]) -> Result<usize, i32> {
+fn recv_fd(fd: &OwnedFd, buf: &mut [u8]) -> Result<usize, i32> {
     loop {
         // SAFETY: valid fd, writable in-bounds buffer.
-        let n = unsafe { libc::recv(fd, buf.as_mut_ptr().cast(), buf.len(), 0) };
+        let n = unsafe { libc::recv(fd.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len(), 0) };
         if n >= 0 {
             return Ok(n as usize);
         }
@@ -214,7 +229,7 @@ fn backend_err(host: HostId, what: &'static str) -> ProtocolError {
 struct SocketTransport {
     me: HostId,
     /// Send-side fd of every host's server inbox, indexed by host.
-    srv_tx: Arc<Vec<libc::c_int>>,
+    srv_tx: Arc<Vec<OwnedFd>>,
     /// Sharing diagnostics (per-link wire counters); disabled by default.
     diag: DiagSink,
 }
@@ -236,13 +251,13 @@ impl Transport for SocketTransport {
         if msg.data.is_empty() {
             let mut head = [0u8; HEADER];
             encode_header(&mut head, self.me, &msg, 0);
-            send_fd(self.srv_tx[to.index()], &head)
+            send_fd(&self.srv_tx[to.index()], &head)
         } else if msg.data.len() > MAX_DATA {
             // Receive buffers stop at `MAX_DATA`: fail this one request
             // (its requester is nacked) rather than the server thread.
             Err(libc::EMSGSIZE)
         } else {
-            send_fd(self.srv_tx[to.index()], &encode_frame(self.me, &msg))
+            send_fd(&self.srv_tx[to.index()], &encode_frame(self.me, &msg))
         }
         .map_err(|errno| ProtocolError::Backend {
             host: self.me,
@@ -373,7 +388,7 @@ impl MemoryBackend for HostMemory {
 /// socket the host's (single) application thread blocks in `recv` on. The
 /// message's bare header releases it; a failure travels as a `Nack`, which
 /// crashes the thread cleanly (see [`dsm_resolver`]).
-struct CompletionTx(libc::c_int);
+struct CompletionTx(OwnedFd);
 
 impl LocalWake for CompletionTx {
     fn wake(
@@ -388,7 +403,7 @@ impl LocalWake for CompletionTx {
         if outcome.is_err() {
             head[0] = MsgKind::Nack.to_u8();
         }
-        send_fd(self.0, &head).map_err(|errno| ProtocolError::Backend {
+        send_fd(&self.0, &head).map_err(|errno| ProtocolError::Backend {
             host,
             what: "completion forward",
             errno,
@@ -409,7 +424,7 @@ struct ThreadRt {
     event: u64,
     /// Server → application completion channel (recv side; the send side
     /// is the host state's [`CompletionTx`]).
-    res_rx: libc::c_int,
+    res_rx: OwnedFd,
     /// Canonical address of the last serviced fault, still owing the
     /// manager its window-closing `Ack` (0 = none). Set by the resolver,
     /// drained at the next fault, after each range operation, and before
@@ -417,18 +432,18 @@ struct ThreadRt {
     pending_ack: AtomicU64,
 }
 
-/// Process-wide runtime shared by servers, application threads and the
-/// SIGSEGV resolver. Leaked for the process lifetime (the fault-handler
-/// registry keeps the regions alive anyway), so the resolver may reach it
-/// from signal context through a plain pointer.
+/// One run's runtime, shared by its servers, application threads and the
+/// SIGSEGV resolver, which reaches it from signal context through a plain
+/// pointer (the registration token). [`Teardown`] keeps it alive until the
+/// run's registrations are retired.
 struct HostRt {
     geo: Geometry,
     manager: HostId,
-    srv_tx: Arc<Vec<libc::c_int>>,
+    srv_tx: Arc<Vec<OwnedFd>>,
     threads: Vec<ThreadRt>,
-    /// Sharing diagnostics. The table behind the sink is pre-allocated and
-    /// leaked with the runtime; recording is relaxed atomic adds, so the
-    /// SIGSEGV resolver may record from signal context.
+    /// Sharing diagnostics. The table behind the sink is pre-allocated
+    /// before the run; recording is relaxed atomic adds, so the SIGSEGV
+    /// resolver may record from signal context.
     diag: DiagSink,
     /// `vpage → (minipage id, base address)`, built once after setup (the
     /// host backend takes no runtime allocations), so the resolver can
@@ -451,7 +466,7 @@ impl HostRt {
         self.diag.wire_send(wire_from.0, to.0, 0);
         let mut head = [0u8; HEADER];
         encode_header(&mut head, wire_from, msg, 0);
-        send_fd(self.srv_tx[to.index()], &head)
+        send_fd(&self.srv_tx[to.index()], &head)
     }
 
     /// Flushes the thread's pending window-closing `Ack`, if any.
@@ -475,8 +490,9 @@ impl HostRt {
 /// has installed the reply and opened the page. Everything on this path is
 /// async-signal-safe: atomics, const-init TLS, `send`/`recv`.
 fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bool {
-    // SAFETY: `token` is the leaked HostRt pointer installed alongside the
-    // handler; it lives for the process lifetime.
+    // SAFETY: `token` is the HostRt pointer installed alongside the
+    // handler; the run's `Teardown` frees it only after retiring the
+    // registration this call came through.
     let rt = unsafe { &*(token as *const HostRt) };
     let slot = SLOT.with(|s| s.get());
     if slot == usize::MAX {
@@ -514,7 +530,7 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
     // itself carries no data — the bytes went straight into the region
     // through the privileged view (the zero-copy receive path).
     let mut head = [0u8; HEADER];
-    let Ok(n) = recv_fd(th.res_rx, &mut head) else {
+    let Ok(n) = recv_fd(&th.res_rx, &mut head) else {
         return false;
     };
     if n < HEADER {
@@ -532,13 +548,28 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
 // Server loop
 // ---------------------------------------------------------------------------
 
+/// The receive step of a server loop: the next datagram's length, or the
+/// error line the loop stops with. `recv` returns 0 once every send side is
+/// closed: a disconnect (the simulator's `RecvError::Disconnected`), not an
+/// empty frame to decode and come back for.
+fn recv_inbox(host: HostId, srv_rx: &OwnedFd, buf: &mut [u8]) -> Result<usize, String> {
+    match recv_fd(srv_rx, buf) {
+        Ok(0) => Err(format!("h{}: server inbox at end of file", host.index())),
+        Ok(n) => Ok(n),
+        Err(errno) => Err(format!(
+            "h{}: server recv failed: errno {errno}",
+            host.index()
+        )),
+    }
+}
+
 /// One host's DSM server: the real-thread analogue of
 /// [`server::Server::run`] — a datagram receive in front of the same
 /// per-message engine ([`server::dispatch`]). Hands back the errors it
 /// degraded through (fatal to the affected request; a non-empty list fails
 /// the run report) and the adaptation actions its shard applied.
 fn host_server_loop(
-    srv_rx: libc::c_int,
+    srv_rx: &OwnedFd,
     state: &HostState<HostMemory, CompletionTx>,
     mut shard: ManagerShard,
     ep: SocketTransport,
@@ -548,13 +579,10 @@ fn host_server_loop(
     let mut errors = Vec::new();
     let mut buf = vec![0u8; HEADER + MAX_DATA];
     loop {
-        let n = match recv_fd(srv_rx, &mut buf) {
+        let n = match recv_inbox(state.host, srv_rx, &mut buf) {
             Ok(n) => n,
-            Err(errno) => {
-                errors.push(format!(
-                    "h{}: server recv failed: errno {errno}",
-                    state.host.index()
-                ));
+            Err(line) => {
+                errors.push(line);
                 break;
             }
         };
@@ -587,10 +615,10 @@ fn host_server_loop(
 // ---------------------------------------------------------------------------
 
 /// One application thread's context on the real-memory backend. Shared
-/// accesses are volatile loads/stores through the host's view mappings;
+/// accesses are span copies through the host's application view mappings;
 /// protection misses raise real SIGSEGVs resolved by [`dsm_resolver`].
 pub struct HostDsmCtx {
-    rt: &'static HostRt,
+    rt: Arc<HostRt>,
     slot: usize,
     region: Arc<MultiViewRegion>,
     /// Virtual compute charged by the portable kernels (tallied for
@@ -609,31 +637,23 @@ impl HostDsmCtx {
         }
     }
 
-    /// Copies `[addr, addr+len)` out of shared memory, one volatile byte
-    /// at a time, faulting pages in on demand.
-    fn read_bytes(&self, addr: VAddr, len: usize) -> Vec<u8> {
-        let mut out = vec![0u8; len];
-        for (i, b) in out.iter_mut().enumerate() {
-            let loc = self
-                .rt
-                .geo
-                .decode(addr.add(i))
-                .expect("shared address in range");
-            *b = self.region.read_u8(loc.view, loc.page, loc.offset);
-        }
-        out
-    }
-
-    /// Stores `data` into shared memory byte-wise, faulting for write
-    /// access on demand.
-    fn write_bytes(&self, addr: VAddr, data: &[u8]) {
-        for (i, &b) in data.iter().enumerate() {
-            let loc = self
-                .rt
-                .geo
-                .decode(addr.add(i))
-                .expect("shared address in range");
-            self.region.write_u8(loc.view, loc.page, loc.offset, b);
+    /// Calls `copy(view, page, offset, bytes)` for every page-span of
+    /// `[addr, addr+len)`, lowest first: one address decode per span. The
+    /// view is the *application* view the address names — its MMU check is
+    /// the coherence protocol's trigger.
+    fn for_each_span(
+        &self,
+        addr: VAddr,
+        len: usize,
+        mut copy: impl FnMut(usize, usize, usize, Range<usize>),
+    ) {
+        let geo = &self.rt.geo;
+        let mut done = 0;
+        while done < len {
+            let loc = geo.decode(addr.add(done)).expect("shared address in range");
+            let take = (geo.page_size() - loc.offset).min(len - done);
+            copy(loc.view, loc.page, loc.offset, done..done + take);
+            done += take;
         }
     }
 
@@ -641,7 +661,7 @@ impl HostDsmCtx {
     /// else on the channel is a protocol breach and panics.
     fn wait_for(&self, want: MsgKind) {
         let mut head = [0u8; HEADER];
-        let n = recv_fd(self.th().res_rx, &mut head).expect("completion recv");
+        let n = recv_fd(&self.th().res_rx, &mut head).expect("completion recv");
         assert!(n >= HEADER, "truncated completion");
         match MsgKind::from_u8(head[0]) {
             Some(k) if k == want => {}
@@ -667,7 +687,10 @@ impl Dsm for HostDsmCtx {
             return Vec::new();
         }
         let (addr, len) = sv.range_bytes(range.start, range.end);
-        let bytes = self.read_bytes(addr, len);
+        let mut bytes = vec![0u8; len];
+        self.for_each_span(addr, len, |view, page, offset, span| {
+            self.region.read_span(view, page, offset, &mut bytes[span]);
+        });
         self.flush_ack();
         decode_slice(&bytes)
     }
@@ -676,8 +699,11 @@ impl Dsm for HostDsmCtx {
         if vals.is_empty() {
             return;
         }
-        let (addr, _) = sv.range_bytes(start, start + vals.len());
-        self.write_bytes(addr, &encode_slice(vals));
+        let (addr, len) = sv.range_bytes(start, start + vals.len());
+        let bytes = encode_slice(vals);
+        self.for_each_span(addr, len, |view, page, offset, span| {
+            self.region.write_span(view, page, offset, &bytes[span]);
+        });
         self.flush_ack();
     }
 
@@ -768,6 +794,24 @@ impl HostRunReport {
     }
 }
 
+/// What a run holds of the process beyond its locals. Dropped after the
+/// threads are joined — run finished, application panicked or assembly
+/// failed — it retires the registrations (freeing their slots, letting the
+/// regions unmap) and only then lets go of the runtime, which the resolver
+/// reaches through the registrations' token.
+struct Teardown {
+    registrations: Vec<FaultCounters>,
+    rt: Arc<HostRt>,
+}
+
+impl Drop for Teardown {
+    fn drop(&mut self) {
+        for r in &self.registrations {
+            r.retire();
+        }
+    }
+}
+
 /// Runs `setup` then one application thread per host on real memory —
 /// the host-backend analogue of [`crate::run`].
 ///
@@ -819,9 +863,8 @@ where
         .as_ref()
         .map(|t| DiagSink::new(Arc::clone(t)))
         .unwrap_or_default();
-    // Wire: one server inbox + one completion channel per host. The fds
-    // (like the runtime below) are leaked — the SIGSEGV resolver may hold
-    // them in signal context at any point for the rest of the process.
+    // Wire: one server inbox + one completion channel per host; every end
+    // is owned by the piece of the run that uses it and closes with it.
     let mut srv_tx = Vec::with_capacity(cfg.hosts);
     let mut srv_rx = Vec::with_capacity(cfg.hosts);
     let mut threads = Vec::with_capacity(cfg.hosts);
@@ -900,22 +943,24 @@ where
     } else {
         Vec::new()
     };
-    let rt: &'static HostRt = Box::leak(Box::new(HostRt {
-        geo: geo.clone(),
-        manager,
-        srv_tx: Arc::clone(&srv_tx),
-        threads,
-        diag: diag_sink.clone(),
-        mp_map,
-    }));
-    let token = rt as *const HostRt as usize;
-    let mut counters: Vec<FaultCounters> = Vec::with_capacity(cfg.hosts);
+    let mut run = Teardown {
+        registrations: Vec::with_capacity(cfg.hosts),
+        rt: Arc::new(HostRt {
+            geo: geo.clone(),
+            manager,
+            srv_tx: Arc::clone(&srv_tx),
+            threads,
+            diag: diag_sink.clone(),
+            mp_map,
+        }),
+    };
+    let token = Arc::as_ptr(&run.rt) as usize;
     for region in &regions {
         let c = install_dsm_handler(Arc::clone(region), dsm_resolver, token).map_err(|e| {
             let _ = e;
             backend_err(manager, "fault handler registration")
         })?;
-        counters.push(c);
+        run.registrations.push(c);
     }
 
     let start = Instant::now();
@@ -932,7 +977,7 @@ where
                 diag: diag_sink.clone(),
             };
             let clock = WallClock { start };
-            let rx = srv_rx[h];
+            let rx = &srv_rx[h];
             servers.push(
                 std::thread::Builder::new()
                     .name(format!("mv-server-{h}"))
@@ -943,6 +988,7 @@ where
         let mut apps = Vec::with_capacity(cfg.hosts);
         for h in 0..cfg.hosts {
             let region = Arc::clone(&regions[h]);
+            let rt = Arc::clone(&run.rt);
             let builder = std::thread::Builder::new().name(format!("mv-host-{h}"));
             apps.push(
                 builder
@@ -977,7 +1023,7 @@ where
             let msg = Pmsg::new(MsgKind::Shutdown, manager, 0);
             let mut head = [0u8; HEADER];
             encode_header(&mut head, manager, &msg, 0);
-            let _ = send_fd(srv_tx[h], &head);
+            let _ = send_fd(&srv_tx[h], &head);
         }
         let mut errors = Vec::new();
         let mut adapt = crate::adapt::AdaptReport::default();
@@ -998,8 +1044,8 @@ where
         errors.extend(home.mpt().geometry_violations(&geo));
     }
     Ok(HostRunReport {
-        read_faults: counters.iter().map(|c| c.read_faults()).collect(),
-        write_faults: counters.iter().map(|c| c.write_faults()).collect(),
+        read_faults: run.registrations.iter().map(|c| c.read_faults()).collect(),
+        write_faults: run.registrations.iter().map(|c| c.write_faults()).collect(),
         invalidations: states
             .iter()
             .map(|s| s.counters.invalidations_received.get())
@@ -1020,6 +1066,22 @@ where
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Once every send side of an inbox is closed the receive step says so
+    /// — one line, and the loop breaks on it — instead of handing 0 bytes
+    /// to `decode_frame` forever.
+    #[test]
+    fn a_closed_inbox_reads_as_end_of_file() {
+        let (tx, rx) = seqpacket_pair().expect("socketpair");
+        let mut buf = [0u8; HEADER];
+        send_fd(&tx, &[7u8; HEADER]).expect("send");
+        drop(tx);
+        // What was sent before the close still arrives…
+        assert_eq!(recv_inbox(HostId(3), &rx, &mut buf), Ok(HEADER));
+        // …then end-of-file, as an error that names the host.
+        let eof = recv_inbox(HostId(3), &rx, &mut buf).expect_err("end of file");
+        assert!(eof.contains("h3") && eof.contains("end of file"), "{eof}");
+    }
 
     proptest! {
         /// Hostile wire bytes never panic `decode_frame`, and whatever it

@@ -31,6 +31,8 @@ mod region;
 #[cfg(target_os = "linux")]
 pub use error::HostMvError;
 #[cfg(target_os = "linux")]
-pub use fault::{install_dsm_handler, install_handler, FaultCounters, FaultResolver, RawFault};
+pub use fault::{
+    free_slots, install_dsm_handler, install_handler, FaultCounters, FaultResolver, RawFault,
+};
 #[cfg(target_os = "linux")]
 pub use region::{HostProt, MultiViewRegion};

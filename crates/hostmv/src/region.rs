@@ -26,20 +26,44 @@ impl HostProt {
     }
 }
 
+/// Where a region's views sit: all it takes to decode an address.
+/// Immutable, so the fault handler's registry keeps a copy of its own and
+/// a slot scan never dereferences the region itself.
+#[derive(Clone)]
+pub(crate) struct ViewLayout {
+    /// Base address of each view (len = views + 1, privileged view last).
+    bases: Box<[usize]>,
+    pages: usize,
+    page_size: usize,
+}
+
+impl ViewLayout {
+    pub(crate) fn priv_view(&self) -> usize {
+        self.bases.len() - 1
+    }
+
+    pub(crate) fn decode(&self, addr: usize) -> Option<(usize, usize, usize)> {
+        let bytes = self.pages * self.page_size;
+        for (view, &base) in self.bases.iter().enumerate() {
+            if addr >= base && addr < base + bytes {
+                let off = addr - base;
+                return Some((view, off / self.page_size, off % self.page_size));
+            }
+        }
+        None
+    }
+}
+
 /// One memory object mapped through `views + 1` views (§2.4): application
 /// views 0..views with mutable per-vpage protection, plus a privileged
 /// view fixed at read-write.
 ///
-/// Dropping the region unmaps every view and closes the memfd. Regions
-/// registered with the fault handler must live as long as the handler can
-/// see them (the registry holds them alive via `Arc`).
+/// Dropping the region unmaps every view and closes the memfd. A region
+/// registered with the fault handler is held alive by the registry (via
+/// `Arc`) until its registration is retired.
 pub struct MultiViewRegion {
     fd: libc::c_int,
-    page_size: usize,
-    pages: usize,
-    views: usize,
-    /// Base pointer of each view (len = views + 1).
-    bases: Vec<usize>,
+    pub(crate) layout: ViewLayout,
     /// Shadow protections, vpage-indexed (`view * pages + page`), kept for
     /// the fault handler's upgrade decision. Only meaningful for
     /// application views.
@@ -122,32 +146,33 @@ impl MultiViewRegion {
             .collect();
         Ok(MultiViewRegion {
             fd,
-            page_size,
-            pages,
-            views,
-            bases,
+            layout: ViewLayout {
+                bases: bases.into(),
+                pages,
+                page_size,
+            },
             prots,
         })
     }
 
     /// System page size.
     pub fn page_size(&self) -> usize {
-        self.page_size
+        self.layout.page_size
     }
 
     /// Pages in the memory object.
     pub fn pages(&self) -> usize {
-        self.pages
+        self.layout.pages
     }
 
     /// Application view count.
     pub fn views(&self) -> usize {
-        self.views
+        self.layout.priv_view()
     }
 
     /// Index of the privileged view.
     pub fn priv_view(&self) -> usize {
-        self.views
+        self.layout.priv_view()
     }
 
     /// Address of `(view, page, offset)`.
@@ -156,25 +181,31 @@ impl MultiViewRegion {
     ///
     /// Panics when out of range.
     pub fn addr(&self, view: usize, page: usize, offset: usize) -> usize {
-        assert!(view <= self.views && page < self.pages && offset < self.page_size);
-        self.bases[view] + page * self.page_size + offset
+        self.span_addr(view, page, offset, 1)
+    }
+
+    /// Address of the `len`-byte span at `(view, page, offset)`; panics
+    /// unless the span lies inside that one page.
+    fn span_addr(&self, view: usize, page: usize, offset: usize, len: usize) -> usize {
+        let l = &self.layout;
+        assert!(
+            view < l.bases.len()
+                && page < l.pages
+                && offset <= l.page_size
+                && len <= l.page_size - offset,
+            "span ({view}, {page}, {offset}) + {len} leaves its page"
+        );
+        l.bases[view] + page * l.page_size + offset
     }
 
     /// Decodes an address within the region to `(view, page, offset)`.
     pub fn decode(&self, addr: usize) -> Option<(usize, usize, usize)> {
-        let bytes = self.pages * self.page_size;
-        for (view, &base) in self.bases.iter().enumerate() {
-            if addr >= base && addr < base + bytes {
-                let off = addr - base;
-                return Some((view, off / self.page_size, off % self.page_size));
-            }
-        }
-        None
+        self.layout.decode(addr)
     }
 
     /// Shadow protection of a vpage.
     pub fn prot(&self, view: usize, page: usize) -> HostProt {
-        match self.prots[view * self.pages + page].load(Ordering::Acquire) {
+        match self.prots[view * self.layout.pages + page].load(Ordering::Acquire) {
             0 => HostProt::NoAccess,
             1 => HostProt::ReadOnly,
             _ => HostProt::ReadWrite,
@@ -186,12 +217,12 @@ impl MultiViewRegion {
     /// Targeting the privileged view (its protection is fixed) or an
     /// out-of-range page is a [`HostMvError::BadTarget`].
     pub fn protect(&self, view: usize, page: usize, prot: HostProt) -> Result<(), HostMvError> {
-        if view >= self.views {
+        if view >= self.views() {
             return Err(HostMvError::BadTarget {
                 what: "privileged view protection is fixed",
             });
         }
-        if page >= self.pages {
+        if page >= self.layout.pages {
             return Err(HostMvError::BadTarget {
                 what: "page out of range",
             });
@@ -209,21 +240,17 @@ impl MultiViewRegion {
         page: usize,
         prot: HostProt,
     ) -> Result<(), HostMvError> {
-        let addr = self.bases[view] + page * self.page_size;
+        let l = &self.layout;
+        let addr = l.bases[view] + page * l.page_size;
         // SAFETY: addr/page_size describe one page of a mapping this
         // region owns; changing its protection cannot create memory
         // unsafety by itself (accesses are checked by the MMU).
-        let rc = unsafe {
-            libc::mprotect(
-                addr as *mut libc::c_void,
-                self.page_size,
-                prot.to_prot_flags(),
-            )
-        };
+        let rc =
+            unsafe { libc::mprotect(addr as *mut libc::c_void, l.page_size, prot.to_prot_flags()) };
         if rc != 0 {
             return Err(HostMvError::last_os("mprotect"));
         }
-        self.prots[view * self.pages + page].store(prot as u8, Ordering::Release);
+        self.prots[view * l.pages + page].store(prot as u8, Ordering::Release);
         Ok(())
     }
 
@@ -246,11 +273,61 @@ impl MultiViewRegion {
         unsafe { ptr::write_volatile(a, v) }
     }
 
+    /// Copies the span at `(view, page, offset)` into `out` through that
+    /// view: one bounds check (panics if the span would cross the page
+    /// end), then volatile loads in ascending address order, 8 bytes wide
+    /// where aligned. The first access is the span's lowest byte, so a
+    /// fault — resolved by the handler before the load restarts, as for
+    /// [`read_u8`](Self::read_u8) — reports the first byte asked for.
+    pub fn read_span(&self, view: usize, page: usize, offset: usize, out: &mut [u8]) {
+        let base = self.span_addr(view, page, offset, out.len());
+        let mut i = 0;
+        while i < out.len() {
+            let a = (base + i) as *const u8;
+            // SAFETY: `a` lies inside the span checked against a live
+            // mapping of this region, with 8 bytes left wherever the wide
+            // load is taken; volatile keeps every access an actual load,
+            // in program order (the MMU check is the point).
+            unsafe {
+                if a as usize & 7 == 0 && out.len() - i >= 8 {
+                    let word = ptr::read_volatile(a.cast::<u64>());
+                    out[i..i + 8].copy_from_slice(&word.to_ne_bytes());
+                    i += 8;
+                } else {
+                    out[i] = ptr::read_volatile(a);
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    /// Stores `data` at the span at `(view, page, offset)` through that
+    /// view: [`read_span`](Self::read_span)'s mirror image.
+    pub fn write_span(&self, view: usize, page: usize, offset: usize, data: &[u8]) {
+        let base = self.span_addr(view, page, offset, data.len());
+        let mut i = 0;
+        while i < data.len() {
+            let a = (base + i) as *mut u8;
+            // SAFETY: as in `read_span`; races on the shared bytes are
+            // defused by volatile accesses, as for `write_u8`.
+            unsafe {
+                if a as usize & 7 == 0 && data.len() - i >= 8 {
+                    let word = data[i..i + 8].try_into().expect("8 bytes");
+                    ptr::write_volatile(a.cast::<u64>(), u64::from_ne_bytes(word));
+                    i += 8;
+                } else {
+                    ptr::write_volatile(a, data[i]);
+                    i += 1;
+                }
+            }
+        }
+    }
+
     /// Copies `data` into the region through the privileged view — the
     /// paper's zero-copy receive path (works regardless of application
     /// view protections).
     pub fn priv_write(&self, page: usize, offset: usize, data: &[u8]) {
-        assert!(offset + data.len() <= (self.pages - page) * self.page_size);
+        assert!(offset + data.len() <= (self.layout.pages - page) * self.layout.page_size);
         let a = self.addr(self.priv_view(), page, offset) as *mut u8;
         // SAFETY: bounds asserted above; the privileged view is always
         // PROT_READ|PROT_WRITE.
@@ -259,7 +336,7 @@ impl MultiViewRegion {
 
     /// Reads `len` bytes through the privileged view.
     pub fn priv_read(&self, page: usize, offset: usize, len: usize) -> Vec<u8> {
-        assert!(offset + len <= (self.pages - page) * self.page_size);
+        assert!(offset + len <= (self.layout.pages - page) * self.layout.page_size);
         let a = self.addr(self.priv_view(), page, offset) as *const u8;
         let mut out = vec![0u8; len];
         // SAFETY: bounds asserted; privileged view always readable.
@@ -275,8 +352,8 @@ impl MultiViewRegion {
 
 impl Drop for MultiViewRegion {
     fn drop(&mut self) {
-        let bytes = self.pages * self.page_size;
-        for &b in &self.bases {
+        let bytes = self.layout.pages * self.layout.page_size;
+        for &b in self.layout.bases.iter() {
             // SAFETY: unmapping mappings this region created and owns.
             unsafe { libc::munmap(b as *mut libc::c_void, bytes) };
         }
@@ -320,6 +397,42 @@ mod tests {
         assert_eq!(r.decode(a), Some((1, 3, 17)));
         assert!(r.contains(a));
         assert!(!r.contains(0x10));
+    }
+
+    #[test]
+    fn spans_copy_every_alignment_and_length() {
+        let r = MultiViewRegion::new(2, 1).unwrap();
+        r.protect(0, 1, HostProt::ReadWrite).unwrap();
+        let data: Vec<u8> = (0..40).map(|i| i as u8 ^ 0x5a).collect();
+        // Every misalignment of the start against the 8-byte words, every
+        // length from empty to several words: byte head, wide body, byte
+        // tail.
+        for offset in 0..9 {
+            for len in 0..=data.len() {
+                r.priv_write(1, 0, &[0u8; 64]);
+                r.write_span(0, 1, offset, &data[..len]);
+                assert_eq!(r.priv_read(1, offset, len), data[..len]);
+                assert_eq!(r.priv_read(1, offset + len, 8), [0u8; 8], "overrun");
+                let mut back = vec![0u8; len];
+                r.read_span(0, 1, offset, &mut back);
+                assert_eq!(back, data[..len]);
+            }
+        }
+        // Flush against the page end is in range.
+        let at = r.page_size() - data.len();
+        r.write_span(0, 1, at, &data);
+        assert_eq!(r.priv_read(1, at, data.len()), data);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaves its page")]
+    fn a_span_across_the_page_end_is_refused() {
+        let r = MultiViewRegion::new(2, 1).unwrap();
+        r.protect(0, 0, HostProt::ReadWrite).unwrap();
+        r.protect(0, 1, HostProt::ReadWrite).unwrap();
+        // Both pages are mapped and writable: only the bounds check stands
+        // between this store and the next page.
+        r.write_span(0, 0, r.page_size() - 4, &[1u8; 8]);
     }
 
     #[test]

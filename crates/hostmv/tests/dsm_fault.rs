@@ -101,6 +101,28 @@ fn read_then_write_on_readonly_page_faults_again_as_write() {
 }
 
 #[test]
+fn a_span_faults_once_at_its_lowest_offset() {
+    let _g = SERIAL.lock().unwrap();
+    let r = fixture();
+    let data: Vec<u8> = (0..300).map(|i| (i % 199) as u8 + 1).collect();
+    // Offsets chosen off the 8-byte grid: the first access is a byte of
+    // the unaligned head, not the first whole word and not the tail.
+    r.protect(1, 6, HostProt::NoAccess).unwrap();
+    let seq = LAST_SEQ.load(Ordering::Acquire);
+    r.write_span(1, 6, 1003, &data);
+    assert_eq!(LAST_SEQ.load(Ordering::Acquire), seq + 1, "one fault");
+    assert_eq!(last(), (1, 6, 1003, true), "write span: first byte");
+    assert_eq!(r.priv_read(6, 1003, data.len()), data);
+
+    r.protect(1, 6, HostProt::NoAccess).unwrap();
+    let mut back = vec![0u8; data.len()];
+    r.read_span(1, 6, 1003, &mut back);
+    assert_eq!(LAST_SEQ.load(Ordering::Acquire), seq + 2, "one fault");
+    assert_eq!(last(), (1, 6, 1003, false), "read span: first byte");
+    assert_eq!(back, data);
+}
+
+#[test]
 fn addresses_outside_the_region_do_not_decode() {
     let r = fixture();
     // In-region addresses decode exactly.

@@ -127,3 +127,24 @@ fn fault_cost_microbenchmark_smoke() {
     // A fault + two mprotects should be microseconds, not milliseconds.
     assert!(per < 5_000_000, "fault cycle took {per} ns");
 }
+
+#[test]
+fn a_span_takes_one_fault_however_many_bytes_it_copies() {
+    let _g = SERIAL.lock().unwrap();
+    let (r, c) = fixture();
+    let data: Vec<u8> = (0..600).map(|i| (i % 251) as u8).collect();
+    r.protect(1, 7, HostProt::NoAccess).unwrap();
+    r.protect(2, 7, HostProt::NoAccess).unwrap();
+    let (br, bw) = (c.read_faults(), c.write_faults());
+    // One write fault for 600 bytes through view 1 (NoAccess → ReadWrite)…
+    r.write_span(1, 7, 13, &data);
+    assert_eq!((c.read_faults(), c.write_faults()), (br, bw + 1));
+    assert_eq!(r.priv_read(7, 13, data.len()), data);
+    // …and one read fault for the same bytes through view 2, which the
+    // ladder only opens for reading.
+    let mut back = vec![0u8; data.len()];
+    r.read_span(2, 7, 13, &mut back);
+    assert_eq!((c.read_faults(), c.write_faults()), (br + 1, bw + 1));
+    assert_eq!(back, data);
+    assert_eq!(r.prot(2, 7), HostProt::ReadOnly);
+}

@@ -140,3 +140,71 @@ fn single_host_run_faults_but_never_invalidates() {
         "single host has nobody to invalidate"
     );
 }
+
+/// One `write_range` and one `read_range` over a vector of 3 pages + 8
+/// bytes, so each is cut into four page-spans. The bytes survive the
+/// cuts, and the faults are the simulator's for the same closure: one per
+/// minipage, not one per page-span and not one per byte.
+#[test]
+fn a_multi_page_range_copies_in_spans_and_faults_like_the_simulator() {
+    use millipage::{Dsm, SharedVec};
+    use std::sync::Mutex;
+    const LEN: usize = 3 * 4096 / 8 + 1;
+    const FROM: usize = 5;
+
+    fn app<D: Dsm>(ctx: &mut D, sv: &SharedVec<u64>, sum: &Mutex<u64>) {
+        let vals: Vec<u64> = (FROM..LEN).map(|i| i as u64 * 0x9e37_79b9 + 1).collect();
+        if ctx.host().index() == 1 {
+            ctx.write_range(sv, FROM, &vals);
+        }
+        ctx.barrier();
+        if ctx.host().index() == 0 {
+            let got = ctx.read_range(sv, 0..LEN);
+            assert_eq!(got[..FROM], [0; FROM], "elements below the write");
+            assert_eq!(got[FROM..], vals[..], "elements written by host 1");
+            *sum.lock().unwrap() = got.iter().fold(0, |a, &v| a.wrapping_add(v));
+        }
+        ctx.barrier();
+    }
+
+    let host_sum = Mutex::new(0);
+    let host = millipage::run_host(
+        millipage::HostRunConfig {
+            hosts: 2,
+            views: 2,
+            pages: 16,
+            ..Default::default()
+        },
+        |s| s.alloc_vec_init(&[0u64; LEN]),
+        |ctx, sv| app(ctx, sv, &host_sum),
+    )
+    .expect("host run");
+    assert!(host.errors.is_empty(), "{:?}", host.errors);
+
+    let sim_sum = Mutex::new(0);
+    let sim = millipage::run(
+        ClusterConfig {
+            hosts: 2,
+            views: 2,
+            pages: 16,
+            alloc_mode: AllocMode::FINE,
+            sched: millipage::SchedMode::deterministic(),
+            ..ClusterConfig::default()
+        },
+        |s| s.alloc_vec_init(&[0u64; LEN]),
+        |ctx, sv| app(ctx, sv, &sim_sum),
+    );
+    assert!(sim.protocol_errors.is_empty(), "{:?}", sim.protocol_errors);
+
+    assert_eq!(*host_sum.lock().unwrap(), *sim_sum.lock().unwrap());
+    let sim_faults =
+        |f: fn(&millipage::HostReport) -> u64| -> Vec<u64> { sim.per_host.iter().map(f).collect() };
+    assert_eq!(host.read_faults, sim_faults(|h| h.read_faults));
+    assert_eq!(host.write_faults, sim_faults(|h| h.write_faults));
+    // The vector is one minipage: host 1's store and host 0's load are the
+    // only two misses there are.
+    assert_eq!(
+        (host.read_faults, host.write_faults),
+        (vec![1, 0], vec![0, 1])
+    );
+}
