@@ -385,12 +385,31 @@ impl HostCtx {
     /// error as payload; the cluster catches it, cancels the other hosts'
     /// pending waits, and reports the error instead of hanging.
     fn blocking_wait(&mut self, w: &Waiter, what: &'static str) -> Completion {
+        self.wait_on(w, what, false)
+    }
+
+    /// Sends the (payload-free) request `msg` and blocks on `w`, its reply
+    /// event: the scheduling steps of `send` + `blocking_wait` as one park.
+    fn request(&mut self, dest: HostId, msg: Pmsg, w: &Waiter, what: &'static str) -> Completion {
+        self.transmit(dest, msg, 0);
+        self.wait_on(w, what, true)
+    }
+
+    /// The wait of [`blocking_wait`](Self::blocking_wait), or with `sent`
+    /// the one of [`request`](Self::request), which owes the schedule the
+    /// yield point of the send before it.
+    fn wait_on(&mut self, w: &Waiter, what: &'static str, sent: bool) -> Completion {
         let res = if self.sched.enabled() {
             // Cooperative wait: yield the schedule until the server
             // resolves the rendezvous. A poisoned scheduler means no
             // schedulable thread can ever fulfill it — the explored
             // interleaving deadlocked, which is a typed finding.
-            match self.sched.block_until(self.clock.now(), || w.try_result()) {
+            let (vt, check) = (self.clock.now(), || w.try_result());
+            let outcome = match sent {
+                true => self.sched.yield_then_block(vt, check),
+                false => self.sched.block_until(vt, check),
+            };
+            match outcome {
                 BlockOutcome::Ready(r) => r,
                 BlockOutcome::Poisoned => Err(ProtocolError::Deadlock {
                     host: self.host,
@@ -436,12 +455,22 @@ impl HostCtx {
         dest
     }
 
-    /// Sends `msg` from this thread, tracing the wire event when enabled.
+    /// Sends `msg` from this thread and yields: the message is on the wire;
+    /// give the schedule a chance to run its receiver before this thread
+    /// proceeds. Out of line because `flush_acks` is on the access fast
+    /// path: inlined into it, this cost `lu1_seq` 8% of its wall.
+    #[inline(never)]
+    fn send(&mut self, dest: HostId, msg: Pmsg, payload: usize) {
+        self.transmit(dest, msg, payload);
+        self.sched.yield_now(self.clock.now());
+    }
+
+    /// Puts `msg` on the wire, tracing the wire event when enabled.
     /// Under injected faults the reliable channel retransmits lost copies
     /// transparently; a message that exhausts its retransmit budget
     /// unwinds this thread with a typed [`ProtocolError::Timeout`] rather
     /// than leaving it blocked on a request that never left the host.
-    fn send(&mut self, dest: HostId, msg: Pmsg, payload: usize) {
+    fn transmit(&mut self, dest: HostId, msg: Pmsg, payload: usize) {
         let event = msg.event;
         if self.trace.enabled() {
             let mp = msg.minipage.0;
@@ -480,9 +509,6 @@ impl HostCtx {
                 event,
             });
         }
-        // Yield point: the message is on the wire; give the schedule a
-        // chance to run its receiver before this thread proceeds.
-        self.sched.yield_now(self.clock.now());
     }
 
     /// The minipage id at `addr`, for trace records only (callers gate on
@@ -521,8 +547,7 @@ impl HostCtx {
         let (ev, w) = self.state.register_waiter(&self.events);
         let msg = Pmsg::new(MsgKind::AllocRequest, self.host, ev).with_aux(bytes as u64);
         let mgr = self.home.manager();
-        self.send(mgr, msg, 0);
-        let c = self.blocking_wait(&w, "shared allocation");
+        let c = self.request(mgr, msg, &w, "shared allocation");
         self.clock.merge(c.resume_vt);
         self.breakdown.charge(Category::Comp, self.clock.now() - t0);
         c.addr
@@ -700,8 +725,7 @@ impl HostCtx {
             .emit(t0, TraceKind::BarrierEnter, |e| e.with_event(ev));
         let msg = Pmsg::new(MsgKind::BarrierEnter, self.host, ev);
         let mgr = self.home.manager();
-        self.send(mgr, msg, 0);
-        let c = self.blocking_wait(&w, "barrier release");
+        let c = self.request(mgr, msg, &w, "barrier release");
         self.clock.merge(c.resume_vt);
         self.trace
             .emit(self.clock.now(), TraceKind::BarrierResume, |e| {
@@ -719,8 +743,7 @@ impl HostCtx {
             .emit(t0, TraceKind::LockAcquireBegin, |e| e.with_event(id));
         let msg = Pmsg::new(MsgKind::LockAcquire, self.host, ev).with_aux(id);
         let mgr = self.home.manager();
-        self.send(mgr, msg, 0);
-        let c = self.blocking_wait(&w, "lock grant");
+        let c = self.request(mgr, msg, &w, "lock grant");
         self.clock.merge(c.resume_vt);
         self.trace
             .emit(self.clock.now(), TraceKind::LockResume, |e| {
@@ -1009,8 +1032,7 @@ impl HostCtx {
         let dest = self.route_home(f.addr, None);
         let (ev, w) = self.state.register_waiter(&self.events);
         let msg = Pmsg::new(kind, self.host, ev).with_addr(f.addr);
-        self.send(dest, msg, 0);
-        let c = self.blocking_wait(&w, "fault service");
+        let c = self.request(dest, msg, &w, "fault service");
         self.clock.merge(c.resume_vt);
         self.fault_hist.record(self.clock.now() - t0);
         self.trace.emit(self.clock.now(), end_kind, |e| {
@@ -1049,8 +1071,7 @@ impl HostCtx {
             let dest = self.route_home(f.addr, None);
             let (ev, w) = self.state.register_waiter(&self.events);
             let msg = Pmsg::new(MsgKind::ReadRequest, self.host, ev).with_addr(f.addr);
-            self.send(dest, msg, 0);
-            let c = self.blocking_wait(&w, "rc read fetch");
+            let c = self.request(dest, msg, &w, "rc read fetch");
             self.clock.merge(c.resume_vt);
         }
         // The reply taught us the minipage boundaries (home-allocated

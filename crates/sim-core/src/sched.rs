@@ -89,22 +89,35 @@
 //!   rendezvous in *h*'s waiter table. So every partition keeps one *wake
 //!   generation per host*, bumped by whatever touched that host's state
 //!   (a gate release or direct delivery into its inbox, its server
-//!   finishing a handler — [`Turn::Ran`]); a blocked slot is schedulable again exactly
-//!   when its own host's generation moved past the value it recorded
-//!   before its condition last failed, and it simply re-checks. A thread
-//!   of another host is not re-dispatched: per-event cost does not grow
-//!   with the host count. A finite number of re-checks per wake means no
-//!   livelock, and a thread whose condition was already met never parks.
-//!   Anything that cannot name a host — a thread finishing, ungated
-//!   exploration-mode deliveries, external actors, a failed run
-//!   cancelling every host's waits — wakes every host instead (rare, and
-//!   always correct). **Adding a third blocking condition:** every
-//!   mutator of the state it waits on must wake the host that owns the
-//!   blocked thread; state with no owning host must wake everyone.
+//!   finishing a handler — [`Turn::Ran`]); a blocked slot is schedulable
+//!   again exactly when its own host's generation moved past the value
+//!   recorded before its condition last failed. A slot of another host is
+//!   not re-dispatched: per-event cost does not grow with the host count.
+//!   A finite number of re-checks per wake means no livelock, and a thread
+//!   whose condition was already met never parks. Anything that cannot
+//!   name a host — a thread finishing, ungated exploration-mode
+//!   deliveries, external actors, a failed run cancelling every host's
+//!   waits — wakes every host instead (rare, and always correct).
 //!   Cross-partition wake-ups travel through the gate (a delivery) or
 //!   are applied at the window barrier, when every partition is parked —
 //!   never as a bare bump into a running partition — which keeps each
 //!   partition's candidate set a function of its own history.
+//! * **A parked thread is re-checked where the schedule is.** A thread
+//!   parking in [`SchedThread::block_until`] or
+//!   [`SchedThread::yield_then_block`] leaves its condition in its slot.
+//!   When the policy picks that slot — step counted, decision logged,
+//!   policy state advanced — *whichever thread is dispatching* evaluates
+//!   the condition under the partition lock: unmet, the slot is blocked
+//!   again and the loop picks on, no OS thread woken; met, the owner is
+//!   resumed — once per wait — and its own confirming call returns the
+//!   value. The schedule is the one in which every woken thread ran its
+//!   own re-check; only the switches are gone. **The condition contract,
+//!   and the rule for adding a third blocking condition:** it is `Send`
+//!   and so is its value; it is pure, answering `Some` or `None`; it
+//!   never calls the scheduler; it takes only leaf locks that no mutator
+//!   holds while waking a host (lock order: ctl → part → {gate,
+//!   condition}); and every mutator of the state it reads wakes the host
+//!   owning the blocked thread — state with no owning host wakes everyone.
 //! * **Handler atomicity.** A DSM server handles one message per
 //!   scheduling step — one [`Turn`]: the dispatch boundary *is* the yield
 //!   point, and everything inside a handler (window open/close, directory
@@ -237,6 +250,7 @@ pub struct SchedMode {
 struct ModeInner {
     policy: SchedPolicy,
     log: Arc<Mutex<Vec<u32>>>,
+    hand_offs: Arc<AtomicU64>,
 }
 
 impl SchedMode {
@@ -282,6 +296,7 @@ impl SchedMode {
             inner: Some(ModeInner {
                 policy,
                 log: Arc::new(Mutex::new(Vec::new())),
+                hand_offs: Arc::default(),
             }),
         }
     }
@@ -321,6 +336,13 @@ impl SchedMode {
             None => Vec::new(),
             Some(m) => m.log.lock().unwrap_or_else(|e| e.into_inner()).clone(),
         }
+    }
+
+    /// [`Scheduler::hand_offs`] of the last run under this mode.
+    pub fn hand_offs(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |m| m.hand_offs.load(Ordering::Relaxed))
     }
 }
 
@@ -416,6 +438,34 @@ struct Slot {
     attached: bool,
     /// Present on a passive slot (see [`Scheduler::attach_passive`]).
     passive: Option<Passive>,
+    /// The condition the slot's thread is parked on, if it is.
+    cond: Option<Cond>,
+}
+
+type CondFn<'a> = dyn FnMut() -> bool + Send + 'a;
+
+/// A blocking condition, published in its parked owner's [`Slot`] so that
+/// whoever dispatches evaluates it where the schedule is. Points at a
+/// closure on the owner's stack and forgets for how long:
+/// [`SchedThread::park_on`], its only maker, is what keeps that sound.
+struct Cond(*mut CondFn<'static>);
+
+// SAFETY: the pointee is `Send` and its owner leaves it alone while the
+// `Cond` exists, so sending the pointer sends exclusive access to it.
+unsafe impl Send for Cond {}
+
+impl Cond {
+    /// Evaluates the condition; the caller holds the slot's partition lock.
+    fn holds(&mut self) -> bool {
+        // SAFETY: a `Cond` exists only in its owner's slot and between the
+        // two assignments in `park_on`, both made under the partition lock
+        // the caller holds. So the owner is inside `park_on` — parked, or,
+        // picked or poisoned, waiting for this lock — the closure it
+        // borrowed for that call is alive, and nobody else is using it. (An
+        // owner unwinding out of its park held the schedule, and passes it
+        // on only through `finish`, which retires the slot first.)
+        unsafe { (*self.0)() }
+    }
 }
 
 /// What one turn of a passive slot did. The scheduler applies it to the
@@ -477,6 +527,8 @@ struct PartState {
     /// Index (within the partition) of the one thread currently allowed
     /// to run, if any.
     running: Option<usize>,
+    /// The thread slot picked last: a different one is a hand-off.
+    last_thread: Option<usize>,
     /// Whether the partition has arrived at the window barrier.
     at_barrier: bool,
     /// A parked application thread the window barrier asked to run the
@@ -517,7 +569,7 @@ struct Part {
 
 /// Cross-partition control state: attach/start bookkeeping and the
 /// window barrier. Locked after a partition's state is released, never
-/// while holding one (lock order: ctl → part → gate).
+/// while holding one (lock order: ctl → part → {gate, condition}).
 struct Ctl {
     attached: usize,
     started: bool,
@@ -565,6 +617,8 @@ struct Inner {
     /// (one partition only: a total order does not exist otherwise).
     record: bool,
     log: Arc<Mutex<Vec<u32>>>,
+    /// See [`Scheduler::hand_offs`]; shared with the mode like the log.
+    hand_offs: Arc<AtomicU64>,
 }
 
 impl Inner {
@@ -689,6 +743,7 @@ impl Scheduler {
         let gating = matches!(m.policy, SchedPolicy::VirtualTime);
         let total_slots = keys.len();
         m.log.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        m.hand_offs.store(0, Ordering::Relaxed);
         let mut part_keys: Vec<Vec<ThreadKey>> = vec![Vec::new(); nparts];
         for k in &keys {
             part_keys[host_part[k.host.index()]].push(*k);
@@ -733,6 +788,7 @@ impl Scheduler {
                         status: Status::Runnable,
                         attached: false,
                         passive: None,
+                        cond: None,
                     })
                     .collect();
                 let cvs = (0..slots.len()).map(|_| Condvar::new()).collect();
@@ -740,6 +796,7 @@ impl Scheduler {
                     state: Mutex::new(PartState {
                         slots,
                         running: None,
+                        last_thread: None,
                         at_barrier: true,
                         driver: None,
                         wakes: vec![0; host_part.len()],
@@ -772,6 +829,7 @@ impl Scheduler {
                 total_slots,
                 record: parts.len() == 1,
                 log: Arc::clone(&m.log),
+                hand_offs: Arc::clone(&m.hand_offs),
                 parts,
             })),
         }
@@ -946,6 +1004,15 @@ impl Scheduler {
             Some(inner) => inner.parts.iter().map(|p| lock(&p.state).steps).sum(),
         }
     }
+
+    /// Number of picks so far that passed the schedule to another thread
+    /// than the one picked last: the OS switches the schedule costs.
+    /// Passive picks, self-picks and unmet conditions cost none.
+    pub fn hand_offs(&self) -> u64 {
+        self.inner
+            .as_ref()
+            .map_or(0, |i| i.hand_offs.load(Ordering::Relaxed))
+    }
 }
 
 /// One simulated thread's handle into the scheduler. Obtained from
@@ -1016,43 +1083,85 @@ impl SchedThread {
     }
 
     /// Blocks until `check` produces a value, yielding to other threads
-    /// while the condition is unmet. `check` runs *while this thread
-    /// holds the schedule* (no scheduler lock held), so it may touch
-    /// channels and waiter slots freely; it must be side-effect-free on
-    /// failure. `vt` is the block-entry virtual time used for the
-    /// policy's tie-break while parked.
-    pub fn block_until<T>(&self, vt: Ns, mut check: impl FnMut() -> Option<T>) -> BlockOutcome<T> {
+    /// while the condition is unmet. `vt` is the block-entry virtual time
+    /// used for the policy's tie-break while parked. The caller checks once
+    /// itself and never parks on a condition already met; after that
+    /// `check` runs under the partition lock *on whichever thread
+    /// dispatches* when the parked slot is picked, so it must keep the
+    /// module docs' condition contract: pure, no scheduler calls, leaf
+    /// locks only.
+    pub fn block_until<T: Send>(
+        &self,
+        vt: Ns,
+        mut check: impl FnMut() -> Option<T> + Send,
+    ) -> BlockOutcome<T> {
         let Some(inner) = &self.inner else {
             unreachable!("block_until on a disabled scheduler handle");
         };
-        let part = &inner.parts[self.part];
-        loop {
-            // Snapshot the host's wake generation *before* checking: a
-            // wake landing between a failed check and the park below
-            // leaves `seen` stale, so the thread stays schedulable and
-            // re-checks — no lost wake-up.
-            let seen = {
-                let ps = lock(&part.state);
-                if inner.poisoned.load(Ordering::Acquire) {
-                    return BlockOutcome::Poisoned;
-                }
-                ps.wakes[ps.slots[self.id].key.host.index()]
-            };
-            if let Some(v) = check() {
-                return BlockOutcome::Ready(v);
-            }
-            let mut ps = lock(&part.state);
+        // Snapshot the host's wake generation *before* checking: a wake
+        // landing between a failed check and the park leaves `seen`
+        // stale, so the slot stays schedulable — no lost wake-up.
+        let seen = {
+            let ps = lock(&inner.parts[self.part].state);
             if inner.poisoned.load(Ordering::Acquire) {
                 return BlockOutcome::Poisoned;
             }
-            ps.slots[self.id].vt = vt;
-            ps.slots[self.id].status = Status::Blocked { seen };
-            let mut ps = hand_off(inner, (self.part, self.id), ps);
-            if inner.poisoned.load(Ordering::Acquire) {
-                return BlockOutcome::Poisoned;
-            }
-            ps.slots[self.id].status = Status::Runnable;
+            ps.wakes[ps.slots[self.id].key.host.index()]
+        };
+        match check() {
+            Some(v) => BlockOutcome::Ready(v),
+            None => self.park(vt, Status::Blocked { seen }, check),
         }
+    }
+
+    /// [`yield_now`](Self::yield_now) then [`block_until`](Self::block_until)
+    /// — the same scheduling steps and decision log — as one park: the slot
+    /// stays runnable with its condition published, and the pick that would
+    /// have returned from the yield evaluates it in place. What a request
+    /// wants: message on the wire, nothing to do until the reply.
+    pub fn yield_then_block<T: Send>(
+        &self,
+        vt: Ns,
+        check: impl FnMut() -> Option<T> + Send,
+    ) -> BlockOutcome<T> {
+        self.park(vt, Status::Runnable, check)
+    }
+
+    /// [`park_on`](Self::park_on) for a condition that yields a value.
+    fn park<T>(
+        &self,
+        vt: Ns,
+        status: Status,
+        mut check: impl FnMut() -> Option<T> + Send,
+    ) -> BlockOutcome<T> {
+        match self.park_on(vt, status, &mut || check().is_some()) {
+            true => BlockOutcome::Ready(check().expect("an impure condition: met, then unmet")),
+            false => BlockOutcome::Poisoned,
+        }
+    }
+
+    /// Gives up the schedule at `vt` in `status` with `check` published as
+    /// the slot's condition, and parks until a dispatcher found it met
+    /// (`true`) or the run is poisoned. Publishes and withdraws under the
+    /// partition lock.
+    fn park_on(&self, vt: Ns, status: Status, check: &mut CondFn<'_>) -> bool {
+        let Some(inner) = &self.inner else {
+            unreachable!("parking on a disabled scheduler handle");
+        };
+        let mut ps = lock(&inner.parts[self.part].state);
+        if inner.poisoned.load(Ordering::Acquire) {
+            return false;
+        }
+        let check: *mut CondFn<'_> = check;
+        // SAFETY: only the trait object's lifetime bound changes, which has
+        // no representation; `Cond::holds` argues that no use outlives it.
+        let check = unsafe { std::mem::transmute::<*mut CondFn<'_>, *mut CondFn<'static>>(check) };
+        let slot = &mut ps.slots[self.id];
+        (slot.vt, slot.status, slot.cond) = (vt, status, Some(Cond(check)));
+        let mut ps = hand_off(inner, (self.part, self.id), ps);
+        let slot = &mut ps.slots[self.id];
+        (slot.status, slot.cond) = (Status::Runnable, None);
+        !inner.poisoned.load(Ordering::Acquire)
     }
 
     /// Marks the thread done and hands control to the next runnable
@@ -1272,11 +1381,22 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
                 .unwrap_or_else(|e| e.into_inner())
                 .push(pick as u32);
         }
+        // A parked thread's condition is re-checked right here: unmet, the
+        // slot is blocked again — on the generation its own thread would
+        // have recorded, no wake can land under this lock — and we pick on.
+        if ps.slots[pick].cond.as_mut().is_some_and(|c| !c.holds()) {
+            let seen = ps.wakes[ps.slots[pick].key.host.index()];
+            ps.slots[pick].status = Status::Blocked { seen };
+            continue;
+        }
         ps.running = Some(pick);
-        return match ps.slots[pick].passive {
-            Some(_) => Verdict::Passive(pick),
-            None => Verdict::Thread(pick),
-        };
+        if ps.slots[pick].passive.is_some() {
+            return Verdict::Passive(pick);
+        }
+        if ps.last_thread.replace(pick) != Some(pick) {
+            inner.hand_offs.fetch_add(1, Ordering::Relaxed);
+        }
+        return Verdict::Thread(pick);
     }
 }
 
@@ -1649,24 +1769,50 @@ mod tests {
         assert!(diverged, "random walks never left the default order");
     }
 
+    /// Blocks `t` on a condition nothing ever meets, which borrows a local
+    /// that the thread overwrites the moment `block_until` returns. An
+    /// evaluation outliving the park — the use-after-return that publishing
+    /// a borrowed condition must rule out — reads the overwrite and sets
+    /// `stale`. Returns whether the wait ended poisoned.
+    fn block_forever(t: &SchedThread, vt: Ns, stale: &AtomicBool) -> bool {
+        let canary = AtomicU64::new(0);
+        let outcome = t.block_until(vt, || {
+            if canary.load(Ordering::SeqCst) != 0 {
+                stale.store(true, Ordering::SeqCst);
+            }
+            None::<()>
+        });
+        canary.store(u64::MAX, Ordering::SeqCst);
+        matches!(outcome, BlockOutcome::Poisoned)
+    }
+
     #[test]
     fn deadlock_poisons_instead_of_hanging() {
-        let mode = SchedMode::deterministic();
-        let sched = Scheduler::new(&mode, vec![ThreadKey::app(HostId(0), 0)]);
-        let outcome = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let t = sched.attach(ThreadKey::app(HostId(0), 0));
-                    // A condition nothing will ever satisfy.
-                    match t.block_until(0, || None::<()>) {
-                        BlockOutcome::Poisoned => "poisoned",
-                        BlockOutcome::Ready(()) => "ready",
-                    }
-                })
-                .join()
-                .unwrap()
-        });
-        assert_eq!(outcome, "poisoned");
+        let stale = AtomicBool::new(false);
+        for _ in 0..1000 {
+            let keys = vec![ThreadKey::app(HostId(0), 0), ThreadKey::app(HostId(0), 1)];
+            let sched = Scheduler::new(&SchedMode::deterministic(), keys);
+            let poisoned = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for lane in 0..2 {
+                    let (sched, stale, poisoned) = (&sched, &stale, &poisoned);
+                    scope.spawn(move || {
+                        let t = sched.attach(ThreadKey::app(HostId(0), lane));
+                        // Lane 1 first evaluates lane 0's parked condition
+                        // a few times, then blocks for good as well.
+                        for i in 0..u64::from(lane) * 3 {
+                            t.action();
+                            t.yield_now(i);
+                        }
+                        if block_forever(&t, 5, stale) {
+                            poisoned.fetch_add(1, Ordering::SeqCst);
+                        }
+                    });
+                }
+            });
+            assert_eq!(poisoned.load(Ordering::SeqCst), 2);
+        }
+        assert!(!stale.load(Ordering::SeqCst), "evaluated after the return");
     }
 
     #[test]
@@ -1754,6 +1900,59 @@ mod tests {
                 "{hosts} parked servers: steps per action must not grow with the host count"
             );
         }
+    }
+
+    /// A thread blocks on a flag of host 0; a peer wakes host 0 a hundred
+    /// times and only then sets the flag. Every wake-up makes the parked
+    /// slot a candidate and spends a step on it, but the peer evaluates
+    /// the condition where it is: the owner is switched in once.
+    #[test]
+    fn a_parked_condition_is_evaluated_by_the_dispatcher() {
+        let mode = SchedMode::deterministic();
+        let keys = vec![ThreadKey::app(HostId(0), 0), ThreadKey::app(HostId(0), 1)];
+        let sched = Scheduler::new(&mode, keys);
+        let flag = AtomicBool::new(false);
+        let evaluated_on = Mutex::new(Vec::new());
+        let (owner, (peer, before)) = std::thread::scope(|scope| {
+            let (sched, flag, evaluated_on) = (&sched, &flag, &evaluated_on);
+            let owner = scope.spawn(move || {
+                let t = sched.attach(ThreadKey::app(HostId(0), 0));
+                let set = || {
+                    let met = flag.load(Ordering::SeqCst);
+                    let me = std::thread::current().id();
+                    evaluated_on.lock().unwrap().push((me, met));
+                    met.then_some(())
+                };
+                assert!(matches!(t.block_until(0, set), BlockOutcome::Ready(())));
+                std::thread::current().id()
+            });
+            let peer = scope.spawn(move || {
+                let t = sched.attach(ThreadKey::app(HostId(0), 1));
+                // The owner (lane 0) went first and is parked by now.
+                let before = sched.hand_offs();
+                for i in 0..100 {
+                    t.action();
+                    t.yield_now(i);
+                }
+                flag.store(true, Ordering::SeqCst);
+                t.action();
+                t.yield_now(100);
+                (std::thread::current().id(), before)
+            });
+            (owner.join().unwrap(), peer.join().unwrap())
+        });
+        let mut expected = vec![(owner, false)];
+        expected.extend([(peer, false)].repeat(100));
+        expected.extend([(peer, true), (owner, true)]);
+        assert_eq!(*evaluated_on.lock().unwrap(), expected);
+        // A hundred and one wake-ups, two switches: to the owner once its
+        // flag is set, and back when it is done.
+        assert_eq!(sched.hand_offs() - before, 2);
+        // The decision log the parent commit (44d8230) records for this
+        // toy, where every wake-up resumed the owner to fail its own check:
+        // slot 0 then slot 1, once to start, once per wake-up, once to end.
+        assert_eq!(mode.decisions(), [0, 1].repeat(102));
+        assert_eq!(mode.hand_offs(), sched.hand_offs());
     }
 
     #[test]
@@ -1962,6 +2161,62 @@ mod tests {
         gated_handoff(1, vec![0, 0]);
     }
 
+    /// Host 0 sends host 1 twenty gated messages, one per window, while
+    /// host 1's only live thread is parked on a flag no message sets. Each
+    /// window barrier's first pick in host 1's partition is that slot —
+    /// woken by the release, not ready — and the thread completing the
+    /// barrier settles it on the spot: host 1's thread runs its condition
+    /// when it blocks and when it is finally resumed, and never in between.
+    #[test]
+    fn a_barrier_pick_that_is_not_ready_resumes_nobody() {
+        let mode = SchedMode::deterministic();
+        let lookahead = 10;
+        let sched = Scheduler::new_parallel(&mode, two_host_keys(), vec![0, 1], 2, lookahead);
+        let gate = Arc::new(TestGate::new());
+        sched.set_gate(Arc::clone(&gate) as Arc<dyn DeliveryGate>);
+        let (delivered, done) = (Arc::new(AtomicU64::new(0)), AtomicBool::new(false));
+        let evaluated_on = Mutex::new(Vec::new());
+        let parked = std::thread::scope(|scope| {
+            for h in 0..2 {
+                let sched = &sched;
+                scope.spawn(move || sched.attach(ThreadKey::server(HostId(h))).finish());
+            }
+            let (sched, gate, delivered) = (&sched, &gate, &delivered);
+            let (done, evaluated_on) = (&done, &evaluated_on);
+            scope.spawn(move || {
+                let t = sched.attach(ThreadKey::app(HostId(0), 0));
+                for i in 1..=21 {
+                    done.store(i == 21, Ordering::SeqCst);
+                    gate.send(i * 2 * lookahead, HostId(1), delivered);
+                    t.yield_now(i * 2 * lookahead);
+                }
+            });
+            let parked = scope.spawn(move || {
+                let t = sched.attach(ThreadKey::app(HostId(1), 0));
+                let check = || {
+                    evaluated_on
+                        .lock()
+                        .unwrap()
+                        .push(std::thread::current().id());
+                    done.load(Ordering::SeqCst).then_some(())
+                };
+                assert!(matches!(t.block_until(0, check), BlockOutcome::Ready(())));
+                std::thread::current().id()
+            });
+            parked.join().unwrap()
+        });
+        assert_eq!(delivered.load(Ordering::SeqCst), 21);
+        let evaluated_on = evaluated_on.lock().unwrap();
+        // Its own first and last, one per release, one for its host's
+        // server finishing (which wakes everybody).
+        assert_eq!(evaluated_on.len(), 2 + 21 + 1);
+        let by_owner = evaluated_on.iter().filter(|&&id| id == parked).count();
+        assert_eq!(
+            by_owner, 2,
+            "its thread was resumed for a pick that was not ready"
+        );
+    }
+
     /// The toy behind the passive-slot tests: every host has a server
     /// echoing pings out of an inbox; `None` in an inbox is the stop
     /// message.
@@ -2017,17 +2272,26 @@ mod tests {
             .collect()
     }
 
+    /// How the toy's servers are registered, and how its pingers wait.
+    #[derive(Clone, Copy, PartialEq)]
+    enum EchoToy {
+        /// Servers are OS threads written like the pre-passive server loop.
+        ServerThreads,
+        /// Servers are passive turns.
+        Passive,
+        /// Passive servers, and a ping is one `yield_then_block`.
+        OnePark,
+    }
+
     /// Every host's application thread pings the next host's server three
     /// times and waits for each echo; the main thread then stops the
-    /// servers the way the cluster does. Servers are OS threads written
-    /// like the pre-passive server loop, or passive turns. Returns the
-    /// decision log.
-    fn echo_decisions(mode: &SchedMode, hosts: u16, passive: bool) -> Vec<u32> {
+    /// servers the way the cluster does. Returns the decision log.
+    fn echo_decisions(mode: &SchedMode, hosts: u16, toy: EchoToy) -> Vec<u32> {
         let sched = Scheduler::new(mode, server_app_keys(hosts));
         let echo = Echo::new(hosts);
         std::thread::scope(|scope| {
             for g in 0..hosts {
-                if passive {
+                if toy != EchoToy::ServerThreads {
                     echo.passive_server(&sched, g);
                     continue;
                 }
@@ -2037,12 +2301,15 @@ mod tests {
                     let mut vt = 0;
                     loop {
                         t.yield_now(vt);
-                        let step = t.block_until(vt, || match echo.serve(sched, g, &mut vt) {
-                            Turn::Idle { .. } => None,
-                            step => Some(step),
-                        });
-                        match step {
-                            BlockOutcome::Ready(Turn::Ran { .. }) => t.action(),
+                        // The condition only peeks; the message is taken
+                        // and echoed once this thread holds the schedule.
+                        let inbox = &echo.inboxes[g as usize];
+                        let mail = || (!inbox.lock().unwrap().is_empty()).then_some(());
+                        if let BlockOutcome::Poisoned = t.block_until(vt, mail) {
+                            panic!("server {g} poisoned");
+                        }
+                        match echo.serve(sched, g, &mut vt) {
+                            Turn::Ran { .. } => t.action(),
                             _ => break,
                         }
                     }
@@ -2056,11 +2323,16 @@ mod tests {
                     for round in 1..=3 {
                         vt += 7 + u64::from(h);
                         echo.send(sched, (h + 1) % hosts, Some(h));
-                        t.yield_now(vt);
                         let echoed = || {
                             (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(())
                         };
-                        if let BlockOutcome::Poisoned = t.block_until(vt, echoed) {
+                        let outcome = if toy == EchoToy::OnePark {
+                            t.yield_then_block(vt, echoed)
+                        } else {
+                            t.yield_now(vt);
+                            t.block_until(vt, echoed)
+                        };
+                        if let BlockOutcome::Poisoned = outcome {
                             panic!("host {h} poisoned in round {round}");
                         }
                     }
@@ -2079,15 +2351,16 @@ mod tests {
                 SchedMode::random(11),
                 SchedMode::pct(11, 3),
             ] {
-                let threads = echo_decisions(&mode, hosts, false);
-                let passive = echo_decisions(&mode, hosts, true);
+                let threads = echo_decisions(&mode, hosts, EchoToy::ServerThreads);
                 assert!(threads.len() >= 2 * hosts as usize, "every slot is picked");
-                assert_eq!(
-                    threads,
-                    passive,
-                    "{hosts} hosts, {}: decision logs differ",
-                    mode.policy_name()
-                );
+                for toy in [EchoToy::Passive, EchoToy::OnePark] {
+                    assert_eq!(
+                        threads,
+                        echo_decisions(&mode, hosts, toy),
+                        "{hosts} hosts, {}: decision logs differ",
+                        mode.policy_name()
+                    );
+                }
             }
         }
     }
@@ -2238,34 +2511,82 @@ mod tests {
 
     #[test]
     fn a_panicking_turn_poisons_the_run_and_keeps_its_payload() {
-        let started = std::time::Instant::now();
-        let keys = vec![
-            ThreadKey::server(HostId(0)),
-            ThreadKey::app(HostId(0), 0),
-            ThreadKey::app(HostId(0), 1),
-        ];
-        let sched = Scheduler::new(&SchedMode::deterministic(), keys);
-        sched.attach_passive(
-            ThreadKey::server(HostId(0)),
-            Box::new(|| std::panic::panic_any("planted handler bug")),
-        );
-        let poisoned = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for lane in 0..2 {
-                let (sched, poisoned) = (&sched, &poisoned);
+        let stale = AtomicBool::new(false);
+        for _ in 0..1000 {
+            let started = std::time::Instant::now();
+            let keys = vec![
+                ThreadKey::server(HostId(0)),
+                ThreadKey::app(HostId(0), 0),
+                ThreadKey::app(HostId(0), 1),
+            ];
+            let sched = Scheduler::new(&SchedMode::deterministic(), keys);
+            sched.attach_passive(
+                ThreadKey::server(HostId(0)),
+                Box::new(|| std::panic::panic_any("planted handler bug")),
+            );
+            let poisoned = AtomicU64::new(0);
+            std::thread::scope(|scope| {
+                for lane in 0..2 {
+                    let (sched, stale, poisoned) = (&sched, &stale, &poisoned);
+                    scope.spawn(move || {
+                        let t = sched.attach(ThreadKey::app(HostId(0), lane));
+                        if block_forever(&t, 5, stale) {
+                            poisoned.fetch_add(1, Ordering::SeqCst);
+                        }
+                    });
+                }
+            });
+            assert_eq!(poisoned.load(Ordering::SeqCst), 2);
+            let payload = sched.take_turn_panic().expect("the turn's payload is kept");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"planted handler bug"));
+            assert!(sched.take_turn_panic().is_none(), "handed out once");
+            assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        }
+        assert!(!stale.load(Ordering::SeqCst), "evaluated after the return");
+    }
+
+    /// The race the condition pointer's safety argument is about: host 0's
+    /// second thread keeps evaluating the parked first one's condition
+    /// while, in the other partition, a handler panics and the poisoning
+    /// wakes the parked thread. Its return must wait out an evaluation in
+    /// progress.
+    #[test]
+    fn a_poisoned_owner_never_returns_under_an_evaluation() {
+        let stale = AtomicBool::new(false);
+        for _ in 0..1000 {
+            let keys = vec![
+                ThreadKey::app(HostId(0), 0),
+                ThreadKey::app(HostId(0), 1),
+                ThreadKey::server(HostId(1)),
+                ThreadKey::app(HostId(1), 0),
+            ];
+            let mode = SchedMode::deterministic();
+            let sched = Scheduler::new_parallel(&mode, keys, vec![0, 1], 2, 1000);
+            sched.attach_passive(
+                ThreadKey::server(HostId(1)),
+                Box::new(|| std::panic::panic_any("planted handler bug")),
+            );
+            let poisoned = std::thread::scope(|scope| {
+                let (sched, stale) = (&sched, &stale);
+                let parked = scope.spawn(move || {
+                    let t = sched.attach(ThreadKey::app(HostId(0), 0));
+                    block_forever(&t, 0, stale)
+                });
                 scope.spawn(move || {
-                    let t = sched.attach(ThreadKey::app(HostId(0), lane));
-                    if let BlockOutcome::Poisoned = t.block_until(5, || None::<()>) {
-                        poisoned.fetch_add(1, Ordering::SeqCst);
+                    let t = sched.attach(ThreadKey::app(HostId(0), 1));
+                    for _ in 0..300 {
+                        t.action();
+                        t.yield_now(0);
                     }
                 });
-            }
-        });
-        assert_eq!(poisoned.load(Ordering::SeqCst), 2);
-        let payload = sched.take_turn_panic().expect("the turn's payload is kept");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"planted handler bug"));
-        assert!(sched.take_turn_panic().is_none(), "handed out once");
-        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+                // Yielding past the server's virtual time runs its turn.
+                scope.spawn(move || sched.attach(ThreadKey::app(HostId(1), 0)).yield_now(5));
+                parked.join().unwrap()
+            });
+            assert!(poisoned);
+            assert!(sched.take_turn_panic().is_some());
+        }
+        assert!(!stale.load(Ordering::SeqCst), "evaluated after the return");
     }
 
     #[test]
