@@ -57,6 +57,17 @@ impl LuParams {
     }
 }
 
+/// Element `(i, j)` of the input, given the generator positioned at draw
+/// `i·n + j` (every element consumes one draw, the diagonal's unused).
+fn entry(rng: &mut SplitMix64, n: usize, i: usize, j: usize) -> f32 {
+    let noise = (rng.next_f64() - 0.5) as f32;
+    if i == j {
+        n as f32
+    } else {
+        noise
+    }
+}
+
 /// Deterministic, diagonally dominant input: `A = n·I + noise`.
 fn initial(p: LuParams) -> Vec<f32> {
     let mut rng = SplitMix64::new(p.seed);
@@ -64,11 +75,23 @@ fn initial(p: LuParams) -> Vec<f32> {
     let mut a = vec![0.0f32; n * n];
     for i in 0..n {
         for j in 0..n {
-            let noise = (rng.next_f64() - 0.5) as f32;
-            a[i * n + j] = if i == j { n as f32 } else { noise };
+            a[i * n + j] = entry(&mut rng, n, i, j);
         }
     }
     a
+}
+
+/// Block `(bi, bj)` of [`initial`] without the matrix around it: the
+/// generator is counter-based, so each block row starts at its own draw.
+fn initial_block(p: LuParams, bi: usize, bj: usize) -> Vec<f32> {
+    let (n, b) = (p.n, p.block);
+    let mut out = Vec::with_capacity(b * b);
+    for i in bi * b..(bi + 1) * b {
+        let mut rng = SplitMix64::new(p.seed);
+        rng.skip((i * n + bj * b) as u64);
+        out.extend((bj * b..(bj + 1) * b).map(|j| entry(&mut rng, n, i, j)));
+    }
+    out
 }
 
 /// Extracts block `(bi, bj)` from a row-major matrix (block-contiguous
@@ -206,15 +229,13 @@ pub fn worker(ctx: &mut HostCtx, sh: &LuShared) {
     let flops_panel = (bb * b) as u64;
     // Claim phase: every owner initializes its blocks from the
     // deterministic input matrix, then the factorization is timed.
-    let a = initial(p);
     for bi in 0..nb {
         for bj in 0..nb {
             if owner(bi, bj, nb, hosts) == me {
-                ctx.write_range(&sh.blocks[bi * nb + bj], 0, &extract_block(&a, p, bi, bj));
+                ctx.write_range(&sh.blocks[bi * nb + bj], 0, &initial_block(p, bi, bj));
             }
         }
     }
-    drop(a);
     ctx.barrier();
     ctx.timer_reset();
     for k in 0..nb {
@@ -323,6 +344,28 @@ mod tests {
             views: 4,
             pages: 256,
             ..ClusterConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_block_generated_alone_is_the_block_of_the_whole_matrix() {
+        let small = LuParams::small();
+        let all = (0..small.nb()).flat_map(|bi| (0..small.nb()).map(move |bj| (bi, bj)));
+        let last = LuParams::paper().nb() - 1;
+        let corners = [(0, 0), (0, last), (last, 0), (last, last)];
+        for (p, blocks) in [
+            (small, all.collect::<Vec<_>>()),
+            (LuParams::paper(), corners.to_vec()),
+        ] {
+            let a = initial(p);
+            for (bi, bj) in blocks {
+                assert_eq!(
+                    initial_block(p, bi, bj),
+                    extract_block(&a, p, bi, bj),
+                    "n = {}, block ({bi}, {bj})",
+                    p.n
+                );
+            }
         }
     }
 

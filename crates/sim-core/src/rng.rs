@@ -6,6 +6,9 @@
 //! source. SplitMix64 passes BigCrush, is trivially seedable, and every
 //! stream is independent when seeded from distinct values.
 
+/// The state increment per draw (the 64-bit golden ratio).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 pseudo-random number generator.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -22,18 +25,25 @@ impl SplitMix64 {
     /// Derives an independent child generator (useful for giving each host
     /// its own stream from one run seed).
     pub fn fork(&mut self, salt: u64) -> Self {
-        let s = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let s = self.next_u64() ^ salt.wrapping_mul(GAMMA);
         Self::new(s)
     }
 
     /// Next 64 uniformly distributed bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Discards the next `n` draws in constant time: the state is a
+    /// counter, advanced by a fixed increment per draw.
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(GAMMA.wrapping_mul(n));
     }
 
     /// Uniform value in `0..bound`.
@@ -90,6 +100,27 @@ mod tests {
         let mut a = SplitMix64::new(1);
         let mut b = SplitMix64::new(2);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn skip_is_that_many_discarded_draws() {
+        // The counter wraps about every other draw (γ ≈ 0.62 · 2^64).
+        for seed in [0, 123, u64::MAX] {
+            for n in [0u64, 1, 7, 1000] {
+                let mut skipped = SplitMix64::new(seed);
+                skipped.skip(n);
+                let mut drawn = SplitMix64::new(seed);
+                for _ in 0..n {
+                    drawn.next_u64();
+                }
+                assert_eq!(skipped.next_u64(), drawn.next_u64(), "seed {seed}, n = {n}");
+            }
+        }
+        // n·γ itself wraps: a skip of 2^63 twice is a skip of 2^64 ≡ 0.
+        let mut r = SplitMix64::new(9);
+        r.skip(1 << 63);
+        r.skip(1 << 63);
+        assert_eq!(r.next_u64(), SplitMix64::new(9).next_u64());
     }
 
     #[test]

@@ -102,6 +102,19 @@
 //!   are applied at the window barrier, when every partition is parked —
 //!   never as a bare bump into a running partition — which keeps each
 //!   partition's candidate set a function of its own history.
+//! * **The candidate set is kept, not recomputed.** Each partition holds
+//!   an ordered index, `(virtual time, key, slot)` of exactly the slots
+//!   that may be scheduled, so the canonical pick is its first entry and a
+//!   scheduling step costs O(log slots) however many threads are parked.
+//!   The invariant — index = {slots `is_candidate` holds for} whenever the
+//!   partition lock is released — lives in one place: every write to a
+//!   slot's `vt`/`status` or to a wake generation goes through `PartState`
+//!   (`set`, `wake`, `wake_all`), which re-files the slots that write can
+//!   have moved (for a wake, the woken host's). The exploration policies
+//!   keep their definitions — n-th candidate in slot order,
+//!   highest-priority candidate, "is this choice a candidate" — and read
+//!   membership from the index instead of re-deriving it. Debug builds
+//!   check every pick against the pass over all slots the index replaced.
 //! * **A parked thread is re-checked where the schedule is.** A thread
 //!   parking in [`SchedThread::block_until`] or
 //!   [`SchedThread::yield_then_block`] leaves its condition in its slot.
@@ -140,6 +153,7 @@
 use crate::clock::Ns;
 use crate::rng::SplitMix64;
 use crate::HostId;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
@@ -435,6 +449,8 @@ struct Slot {
     key: ThreadKey,
     vt: Ns,
     status: Status,
+    /// Whether the slot is filed in [`PartState::candidates`].
+    candidate: bool,
     attached: bool,
     /// Present on a passive slot (see [`Scheduler::attach_passive`]).
     passive: Option<Passive>,
@@ -524,6 +540,14 @@ enum PolicyState {
 /// the one-running-thread-at-a-time discipline, all under one mutex.
 struct PartState {
     slots: Vec<Slot>,
+    /// `(vt, key, slot)` of exactly the slots [`is_candidate`] holds for,
+    /// whenever the partition lock is free: its minimum is the canonical
+    /// pick. Kept so by [`PartState::set`], [`PartState::wake`] and
+    /// [`PartState::wake_all`], the only writers of a slot's `vt` or
+    /// `status` and of `wakes`.
+    candidates: BTreeSet<(Ns, ThreadKey, usize)>,
+    /// The partition's slots of each host, indexed like `wakes`.
+    host_slots: Vec<Vec<usize>>,
     /// Index (within the partition) of the one thread currently allowed
     /// to run, if any.
     running: Option<usize>,
@@ -542,10 +566,43 @@ struct PartState {
 }
 
 impl PartState {
+    /// Slot `i` is at virtual time `vt` in `status` from now on.
+    fn set(&mut self, i: usize, vt: Ns, status: Status) {
+        let s = &mut self.slots[i];
+        if s.candidate && s.vt != vt {
+            self.candidates.remove(&(s.vt, s.key, i));
+            s.candidate = false;
+        }
+        (s.vt, s.status) = (vt, status);
+        self.file(i);
+    }
+
+    /// Slot `i` is in `status` from now on, where it is in virtual time.
+    fn set_status(&mut self, i: usize, status: Status) {
+        self.set(i, self.slots[i].vt, status);
+    }
+
+    /// Files slot `i` in the candidate index, or takes it out, after a
+    /// write to what [`is_candidate`] reads.
+    fn file(&mut self, i: usize) {
+        let s = &mut self.slots[i];
+        let candidate = is_candidate(s, &self.wakes);
+        if std::mem::replace(&mut s.candidate, candidate) != candidate {
+            let entry = (s.vt, s.key, i);
+            match candidate {
+                true => self.candidates.insert(entry),
+                false => self.candidates.remove(&entry),
+            };
+        }
+    }
+
     /// Something touched `host`'s inbox or waiter table: its blocked
     /// threads must re-check.
     fn wake(&mut self, host: HostId) {
         self.wakes[host.index()] += 1;
+        for n in 0..self.host_slots[host.index()].len() {
+            self.file(self.host_slots[host.index()][n]);
+        }
     }
 
     /// A potentially-unblocking action that names no host: every blocked
@@ -554,6 +611,21 @@ impl PartState {
         for w in &mut self.wakes {
             *w += 1;
         }
+        (0..self.slots.len()).for_each(|i| self.file(i));
+    }
+
+    /// The canonical pick: the candidate first in `(vt, key)` order. Debug
+    /// builds check it against the pass over every slot it replaced.
+    fn first(&self) -> Option<usize> {
+        let first = self.candidates.first().map(|&(_, _, i)| i);
+        debug_assert_eq!(
+            first,
+            (0..self.slots.len())
+                .filter(|&i| is_candidate(&self.slots[i], &self.wakes))
+                .min_by_key(|&i| (self.slots[i].vt, self.slots[i].key)),
+            "the candidate index drifted"
+        );
+        first
     }
 }
 
@@ -780,12 +852,18 @@ impl Scheduler {
                 let mut hosts: Vec<HostId> = pkeys.iter().map(|k| k.host).collect();
                 hosts.sort_unstable();
                 hosts.dedup();
+                let mut host_slots = vec![Vec::new(); host_part.len()];
+                for (i, key) in pkeys.iter().enumerate() {
+                    host_slots[key.host.index()].push(i);
+                }
+                let candidates = (0..pkeys.len()).map(|i| (0, pkeys[i], i)).collect();
                 let slots: Vec<Slot> = pkeys
                     .into_iter()
                     .map(|key| Slot {
                         key,
                         vt: 0,
                         status: Status::Runnable,
+                        candidate: true,
                         attached: false,
                         passive: None,
                         cond: None,
@@ -795,6 +873,8 @@ impl Scheduler {
                 Part {
                     state: Mutex::new(PartState {
                         slots,
+                        candidates,
+                        host_slots,
                         running: None,
                         last_thread: None,
                         at_barrier: true,
@@ -1052,7 +1132,7 @@ impl SchedThread {
             return;
         }
         debug_assert_eq!(ps.running, Some(self.id), "yield from a paused thread");
-        ps.slots[self.id].vt = vt;
+        ps.set(self.id, vt, Status::Runnable);
         drop(hand_off(inner, (self.part, self.id), ps));
     }
 
@@ -1156,11 +1236,11 @@ impl SchedThread {
         // SAFETY: only the trait object's lifetime bound changes, which has
         // no representation; `Cond::holds` argues that no use outlives it.
         let check = unsafe { std::mem::transmute::<*mut CondFn<'_>, *mut CondFn<'static>>(check) };
-        let slot = &mut ps.slots[self.id];
-        (slot.vt, slot.status, slot.cond) = (vt, status, Some(Cond(check)));
+        ps.set(self.id, vt, status);
+        ps.slots[self.id].cond = Some(Cond(check));
         let mut ps = hand_off(inner, (self.part, self.id), ps);
-        let slot = &mut ps.slots[self.id];
-        (slot.status, slot.cond) = (Status::Runnable, None);
+        ps.set_status(self.id, Status::Runnable);
+        ps.slots[self.id].cond = None;
         !inner.poisoned.load(Ordering::Acquire)
     }
 
@@ -1172,7 +1252,7 @@ impl SchedThread {
         };
         let part = &inner.parts[self.part];
         let mut ps = lock(&part.state);
-        ps.slots[self.id].status = Status::Done;
+        ps.set_status(self.id, Status::Done);
         // Finishing names no host: whatever this thread released on its
         // way out, every blocked thread of the partition re-checks once.
         ps.wake_all();
@@ -1300,12 +1380,7 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
     }
     let window_end = inner.window_end.load(Ordering::Acquire);
     loop {
-        // Candidate scans are allocation-free: a schedule takes millions
-        // of steps and a Vec per step would dominate the scheduler's
-        // cost.
-        let min_cand = (0..ps.slots.len())
-            .filter(|&i| is_candidate(&ps.slots[i], &ps.wakes))
-            .min_by_key(|&i| (ps.slots[i].vt, ps.slots[i].key));
+        let min_cand = ps.first();
         // Gated cross-host deliveries: release the earliest pending
         // packet for this partition's hosts when it precedes (or ties —
         // the delivery enables the receiver) every candidate thread.
@@ -1320,7 +1395,7 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
                         gate.release_next(h);
                         // The packet is in `h`'s inbox: wake `h` (its
                         // server is the only possible receiver) and
-                        // re-derive the candidate set.
+                        // look at the candidates again.
                         ps.wake(h);
                         continue;
                     }
@@ -1336,25 +1411,22 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
         let step = ps.steps + 1;
         let PartState {
             slots,
-            wakes,
+            candidates,
             policy,
             ..
         } = &mut *ps;
         let chosen = match policy {
             PolicyState::VirtualTime => None,
-            PolicyState::Random { rng } => {
-                let n_candidates = slots.iter().filter(|s| is_candidate(s, wakes)).count();
-                (0..slots.len())
-                    .filter(|&i| is_candidate(&slots[i], wakes))
-                    .nth(rng.next_usize(n_candidates))
-            }
+            PolicyState::Random { rng } => (0..slots.len())
+                .filter(|&i| slots[i].candidate)
+                .nth(rng.next_usize(candidates.len())),
             PolicyState::Pct {
                 prios,
                 change_at,
                 demote_next,
             } => {
                 let pick = (0..slots.len())
-                    .filter(|&i| is_candidate(&slots[i], wakes))
+                    .filter(|&i| slots[i].candidate)
                     .max_by_key(|&i| prios[i])
                     .expect("non-empty candidate set");
                 while change_at.first() == Some(&step) {
@@ -1369,7 +1441,7 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
                 *pos += 1;
                 // Exhausted or invalid choices fall back to virtual-time
                 // order.
-                want.filter(|&w| w < slots.len() && is_candidate(&slots[w], wakes))
+                want.filter(|&w| slots.get(w).is_some_and(|s| s.candidate))
             }
         };
         let pick = chosen.unwrap_or(min_i);
@@ -1386,7 +1458,7 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
         // have recorded, no wake can land under this lock — and we pick on.
         if ps.slots[pick].cond.as_mut().is_some_and(|c| !c.holds()) {
             let seen = ps.wakes[ps.slots[pick].key.host.index()];
-            ps.slots[pick].status = Status::Blocked { seen };
+            ps.set_status(pick, Status::Blocked { seen });
             continue;
         }
         ps.running = Some(pick);
@@ -1441,17 +1513,17 @@ fn run_turn<'a>(
             // token on a slot nobody can run: retire the slot, keep the
             // payload for the run's owner, and poison so every parked
             // thread unwinds.
-            ps.slots[i].status = Status::Done;
+            ps.set_status(i, Status::Done);
             drop(ps);
             lock(&inner.turn_panic).get_or_insert(payload);
             poison(inner, &lock(&inner.ctl));
             return lock(&part.state);
         }
     };
-    let slot = &mut ps.slots[i];
-    (slot.status, slot.vt) = (status, vt);
+    ps.set(i, vt, status);
     if status != Status::Done {
-        slot.passive.as_mut().expect("a passive pick").turn = Some(turn);
+        let passive = ps.slots[i].passive.as_mut().expect("a passive pick");
+        passive.turn = Some(turn);
     }
     ps
 }
@@ -1559,19 +1631,13 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl, own: Option<usize>) -> Vec<usi
         let wake_all = inner.wake_all_pending.swap(false, Ordering::AcqRel);
         let gate = if inner.gating { inner.gate.get() } else { None };
         let mut w0 = Ns::MAX;
-        let mut stuck_app = false;
         for part in &inner.parts {
             let mut ps = lock(&part.state);
             if wake_all {
                 ps.wake_all();
             }
-            for s in &ps.slots {
-                if is_candidate(s, &ps.wakes) {
-                    w0 = w0.min(s.vt);
-                }
-                if s.key.class == ThreadClass::App && s.status != Status::Done {
-                    stuck_app = true;
-                }
+            if let Some(i) = ps.first() {
+                w0 = w0.min(ps.slots[i].vt);
             }
             if let Some((r, _)) = gate.and_then(|g| g.min_pending(&part.hosts)) {
                 w0 = w0.min(r);
@@ -1591,6 +1657,10 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl, own: Option<usize>) -> Vec<usi
                     continue;
                 }
             }
+            let stuck_app = inner.parts.iter().any(|part| {
+                let live = |s: &Slot| s.key.class == ThreadClass::App && s.status != Status::Done;
+                lock(&part.state).slots.iter().any(live)
+            });
             if stuck_app {
                 // A blocked application thread nobody can ever wake: the
                 // schedule deadlocked. Poison so every thread unwinds
@@ -2363,6 +2433,155 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// 64 application threads over 64 passive echo servers, each thread a
+    /// seeded mix of everything that moves a slot in or out of the
+    /// candidate set: yields at virtual times that jump back and forth,
+    /// waits (as one park and as two) on an echo from a random host, wakes
+    /// of a random host and of every host, and — the operation counts
+    /// differ — threads finishing while others run. Returns the decision
+    /// log.
+    fn churn_decisions(mode: &SchedMode) -> Vec<u32> {
+        const HOSTS: u16 = 64;
+        let sched = Scheduler::new(mode, server_app_keys(HOSTS));
+        let echo = Echo::new(HOSTS);
+        std::thread::scope(|scope| {
+            for h in 0..HOSTS {
+                echo.passive_server(&sched, h);
+                let (sched, echo) = (&sched, &echo);
+                scope.spawn(move || {
+                    let t = sched.attach(ThreadKey::app(HostId(h), 0));
+                    let mut rng = SplitMix64::new(20).fork(u64::from(h));
+                    let mut pings = 0;
+                    for _ in 0..4 + rng.next_range(36) {
+                        let vt = rng.next_range(500);
+                        let op = rng.next_range(6);
+                        let other = rng.next_range(u64::from(HOSTS)) as u16;
+                        match op {
+                            0 => {}
+                            1 => sched.bump_action_host(HostId(other)),
+                            2 => sched.bump_action(),
+                            _ => {
+                                pings += 1;
+                                echo.send(sched, other, Some(h));
+                                let echoed = || {
+                                    (echo.replies[h as usize].load(Ordering::SeqCst) >= pings)
+                                        .then_some(())
+                                };
+                                let outcome = match op {
+                                    3 => t.yield_then_block(vt, echoed),
+                                    _ => t.block_until(vt, echoed),
+                                };
+                                assert!(matches!(outcome, BlockOutcome::Ready(())));
+                                continue;
+                            }
+                        }
+                        t.yield_now(vt);
+                    }
+                });
+            }
+            sched.quiesce_then(|| (0..HOSTS).for_each(|g| echo.send(&sched, g, None)));
+        });
+        mode.decisions()
+    }
+
+    /// The decision logs the scanning dispatcher of commit 2cc6fc5 took on
+    /// the churn toy, as `(decisions, SHA-256 of their little-endian
+    /// bytes)`: the candidate index must name the same slot at every step,
+    /// under the policy that reads its minimum and under the two that read
+    /// its membership.
+    #[test]
+    fn the_index_is_the_scan() {
+        assert_eq!(
+            sha256_hex(b"abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        let mut moved = Vec::new();
+        for (mode, len, pin) in [
+            (
+                SchedMode::deterministic(),
+                19682,
+                "eed5d92e63898b03f49dd48c02e0d3fee3b25681fc09cd8aa5549dae41154e67",
+            ),
+            (
+                SchedMode::random(7),
+                5410,
+                "677862312c100cff646991233001dd4816ecb6cfb8df60fe44161ed43d323f62",
+            ),
+            (
+                SchedMode::pct(7, 3),
+                20835,
+                "a1b2f1bd6a4090f35775779657e4fd2b9e2111b84551c8775b892af9305aa866",
+            ),
+        ] {
+            let decisions = churn_decisions(&mode);
+            let bytes: Vec<u8> = decisions.iter().flat_map(|d| d.to_le_bytes()).collect();
+            let got = (decisions.len(), sha256_hex(&bytes));
+            if got != (len, pin.to_string()) {
+                moved.push(format!("{}: {got:?}", mode.policy_name()));
+            }
+        }
+        assert!(moved.is_empty(), "schedules moved:\n{}", moved.join("\n"));
+    }
+
+    /// FIPS 180-4 SHA-256 as lowercase hex (the implementation
+    /// `tests/parallel_sim.rs` holds the test vectors of).
+    fn sha256_hex(data: &[u8]) -> String {
+        const K: [u32; 64] = [
+            0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+            0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+            0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+            0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+            0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+            0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+            0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+            0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+            0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+            0xc67178f2,
+        ];
+        let mut h: [u32; 8] = [
+            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+            0x5be0cd19,
+        ];
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        for block in msg.chunks_exact(64) {
+            let mut w = [0u32; 64];
+            for (i, c) in block.chunks_exact(4).enumerate() {
+                w[i] = u32::from_be_bytes(c.try_into().unwrap());
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[i - 7])
+                    .wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
+            for i in 0..64 {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ (!e & g);
+                let t1 = hh
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let t2 = s0.wrapping_add((a & b) ^ (a & c) ^ (b & c));
+                (hh, g, f, e, d, c, b, a) =
+                    (g, f, e, d.wrapping_add(t1), c, b, a, t1.wrapping_add(t2));
+            }
+            for (s, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
+                *s = s.wrapping_add(v);
+            }
+        }
+        h.iter().map(|x| format!("{x:08x}")).collect()
     }
 
     #[test]

@@ -171,17 +171,11 @@ impl AddressSpace {
     /// Creates an address space: all application vpages `NoAccess`, the
     /// privileged view `ReadWrite`, all pages zero and unbacked.
     pub fn new(geo: Geometry) -> Self {
-        let total = geo.total_vpages();
-        let mut prots = Vec::with_capacity(total);
-        for view in 0..geo.total_views() {
-            let p = if view == geo.priv_view() {
-                Prot::ReadWrite
-            } else {
-                Prot::NoAccess
-            };
-            for _ in 0..geo.pages() {
-                prots.push(AtomicU8::new(p as u8));
-            }
+        let mut prots = Vec::new();
+        prots.resize_with(geo.total_vpages(), || AtomicU8::new(Prot::NoAccess as u8));
+        // The privileged view is the last one; nobody shares the table yet.
+        for p in &mut prots[geo.vpage_index(geo.priv_view(), 0)..] {
+            *p.get_mut() = Prot::ReadWrite as u8;
         }
         let pages = (0..geo.pages()).map(|_| RwLock::default()).collect();
         Self {
@@ -604,15 +598,19 @@ mod tests {
 
     #[test]
     fn fresh_space_has_noaccess_app_views_and_rw_priv() {
-        let s = space();
-        let g = s.geometry().clone();
-        for view in 0..g.views() {
-            for page in 0..g.pages() {
-                assert_eq!(s.prot(g.vpage_index(view, page)), Prot::NoAccess);
+        // The small test layout, and the default one a simulated host
+        // gets: 32 application views + the privileged one × 4 096 pages.
+        let default_layout = AddressSpace::new(Geometry::new(4096, 32));
+        for s in [space(), default_layout] {
+            let g = s.geometry().clone();
+            for view in 0..g.views() {
+                for page in 0..g.pages() {
+                    assert_eq!(s.prot(g.vpage_index(view, page)), Prot::NoAccess);
+                }
             }
-        }
-        for page in 0..g.pages() {
-            assert_eq!(s.prot(g.vpage_index(g.priv_view(), page)), Prot::ReadWrite);
+            for page in 0..g.pages() {
+                assert_eq!(s.prot(g.vpage_index(g.priv_view(), page)), Prot::ReadWrite);
+            }
         }
     }
 

@@ -7,11 +7,14 @@
 //! replaying something else. These are the SHA-256 digests of the decision
 //! log ([`SchedMode::decisions`], little-endian `u32`s) of the racy
 //! workload `tests/schedule_explore.rs` sweeps, recorded at commit 54cb4b3
-//! (PR 15). A change that means to move an exploration schedule
-//! re-records them and says why; anything else must leave all four alone.
+//! (PR 15), and of SOR on 32 hosts — 64 slots, enough for "which slot is
+//! next" to be worth an index — under all three kinds of policy. A change
+//! that means to move an exploration schedule re-records them and says
+//! why; anything else must leave all seven alone.
 
 use millipage::explore::{race_config, race_workload};
-use millipage::SchedMode;
+use millipage::{ClusterConfig, RunReport, SchedMode};
+use millipage_apps::sor;
 
 /// The FIPS 180-4 implementation of `tests/parallel_sim.rs` (which holds
 /// its test vectors), copied because integration tests share no module
@@ -85,12 +88,30 @@ mod sha256 {
     }
 }
 
-/// Runs the racy workload under `mode`; returns the decision count and the
-/// digest of the decision log.
-fn decision_digest(mode: SchedMode) -> (usize, String) {
+/// Runs the racy workload under `mode`.
+fn race(mode: SchedMode) -> RunReport {
     let mut cfg = race_config();
-    cfg.sched = mode.clone();
-    let report = race_workload(cfg);
+    cfg.sched = mode;
+    race_workload(cfg)
+}
+
+/// SOR `small()` on 32 hosts under `mode`: 64 slots, where the dispatcher's
+/// candidate index does the work a scan of all of them did.
+fn sor32(mode: SchedMode) -> RunReport {
+    let cfg = ClusterConfig {
+        hosts: 32,
+        sched: mode,
+        ..ClusterConfig::default()
+    };
+    sor::run_sor(cfg, sor::SorParams::small()).report
+}
+
+type Workload = fn(SchedMode) -> RunReport;
+
+/// Runs `workload` under `mode`; returns the decision count and the digest
+/// of the decision log.
+fn decision_digest(workload: Workload, mode: SchedMode) -> (usize, String) {
+    let report = workload(mode.clone());
     assert!(
         report.coherence_violations.is_empty() && report.protocol_errors.is_empty(),
         "{:?} {:?}",
@@ -102,32 +123,59 @@ fn decision_digest(mode: SchedMode) -> (usize, String) {
     (decisions.len(), sha256::digest_hex(&bytes))
 }
 
-/// `(mode name, mode, decisions, digest)` per pinned schedule.
-fn pinned() -> [(&'static str, SchedMode, usize, &'static str); 4] {
+/// `(schedule name, workload, mode, decisions, digest)` per pinned
+/// schedule. The `sor32` rows were recorded at 2cc6fc5, the last commit
+/// whose dispatcher found its pick by scanning every slot.
+fn pinned() -> [(&'static str, Workload, SchedMode, usize, &'static str); 7] {
     [
         (
             "random(1)",
+            race,
             SchedMode::random(1),
             521,
             "e2df4ad630f094613846e4b43855e57eb031f0e26dab3f16b5a238d31e961bee",
         ),
         (
             "random(7)",
+            race,
             SchedMode::random(7),
             493,
             "a6b507dda9c90a7dc1a377b76802debd2deda3aaec01a2a1b5f7097b6df95fda",
         ),
         (
             "random(42)",
+            race,
             SchedMode::random(42),
             503,
             "f800dccb1d090aaabf96578085f3dfa4dbc427e8271d6a8bdbdf9e1fd4ad230e",
         ),
         (
             "pct(7, 3)",
+            race,
             SchedMode::pct(7, 3),
             696,
             "6df288169486d9781bae90e33866af6a0e3be8e21ffa2aecc97edb0ee17b22e6",
+        ),
+        (
+            "sor32 deterministic()",
+            sor32,
+            SchedMode::deterministic(),
+            13661,
+            "0bcce68733c6dda1b66c337ab4da70f6bff0f0031b812759020885d7c39426e8",
+        ),
+        (
+            "sor32 random(7)",
+            sor32,
+            SchedMode::random(7),
+            56673,
+            "c564f2bff0078e9850c6f7b9a0c53046ab4d0b9802691fa69e05358cb68d6aea",
+        ),
+        (
+            "sor32 pct(7, 3)",
+            sor32,
+            SchedMode::pct(7, 3),
+            95671,
+            "769a67a3907bf58cd326e6755d6aa9b4e113f467d0ca7d1c45eb9d280d910268",
         ),
     ]
 }
@@ -135,8 +183,8 @@ fn pinned() -> [(&'static str, SchedMode, usize, &'static str); 4] {
 #[test]
 fn exploration_schedules_are_pinned_across_commits() {
     let mut moved = Vec::new();
-    for (name, mode, len, pin) in pinned() {
-        let (got_len, got) = decision_digest(mode);
+    for (name, workload, mode, len, pin) in pinned() {
+        let (got_len, got) = decision_digest(workload, mode);
         if (got_len, got.as_str()) != (len, pin) {
             moved.push(format!(
                 "{name}: pinned {len} decisions {pin}, got {got_len} decisions {got}"
@@ -145,7 +193,7 @@ fn exploration_schedules_are_pinned_across_commits() {
     }
     assert!(
         moved.is_empty(),
-        "an exploration seed names a different schedule than at 54cb4b3:\n{}",
+        "a seed names a different schedule than when it was pinned:\n{}",
         moved.join("\n")
     );
 }
