@@ -24,7 +24,7 @@ use crate::host::{HostCtx, HostState, Waiters};
 use crate::manager::{ManagerShard, ManagerStats};
 use crate::msg::{MsgKind, Pmsg};
 use crate::server::{Server, ServerOutcome};
-use crate::shared::{encode_slice, Pod, SharedCell, SharedVec};
+use crate::shared::{wire_bytes, Pod, SharedCell, SharedVec};
 use crate::stats::{
     check_coherence, check_directories, check_rc_consistency, HostReport, NetFaultStats, RunReport,
     ShardStats,
@@ -219,15 +219,12 @@ impl<'a> SetupCtx<'a> {
             return;
         }
         let (addr, _) = sv.range_bytes(start, start + vals.len());
-        let bytes = encode_slice(vals);
-        self.mgr.init_write(addr, &bytes);
+        self.mgr.init_write(addr, &wire_bytes(vals));
     }
 
     /// Initializes the cell (free, pre-run).
     pub fn write_cell<T: Pod>(&mut self, c: &SharedCell<T>, v: T) {
-        let mut buf = vec![0u8; T::SIZE];
-        v.to_bytes(&mut buf);
-        self.mgr.init_write(c.addr(), &buf);
+        self.mgr.init_write(c.addr(), &wire_bytes(&[v]));
     }
 }
 

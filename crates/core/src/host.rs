@@ -15,7 +15,7 @@ use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo, RcDirty, RcState};
 use crate::home::{HomePolicyKind, HomeTable};
 use crate::msg::{Completion, MsgKind, Pmsg};
-use crate::shared::{decode_slice, encode_slice, Pod, SharedCell, SharedVec};
+use crate::shared::{vec_filled, wire_bytes, Pod, SharedCell, SharedVec, POD_MAX};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use sim_core::clock::{BusyWindow, Clock, Ns};
@@ -28,10 +28,6 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Largest [`Pod`] element size: lets the typed accessors stage elements
-/// in a stack buffer instead of allocating per access.
-const POD_MAX: usize = 8;
 
 /// A one-shot rendezvous between a blocked application thread and the DSM
 /// server thread that completes its request.
@@ -569,52 +565,54 @@ impl HostCtx {
 
     /// Reads element `i`.
     pub fn get<T: Pod>(&mut self, sv: &SharedVec<T>, i: usize) -> T {
-        let mut buf = [0u8; POD_MAX];
-        self.read_bytes_at(sv.addr_of(i), &mut buf[..T::SIZE]);
-        T::from_bytes(&buf[..T::SIZE])
+        self.load(sv.addr_of(i))
     }
 
     /// Writes element `i`.
     pub fn set<T: Pod>(&mut self, sv: &SharedVec<T>, i: usize, v: T) {
-        let mut buf = [0u8; POD_MAX];
-        v.to_bytes(&mut buf[..T::SIZE]);
-        self.write_bytes_at(sv.addr_of(i), &buf[..T::SIZE]);
+        self.store(sv.addr_of(i), v);
     }
 
-    /// Reads elements `range` into a fresh vector.
+    /// Reads elements `range` into a fresh vector: one copy, page to vector.
     pub fn read_range<T: Pod>(&mut self, sv: &SharedVec<T>, range: Range<usize>) -> Vec<T> {
         let (addr, bytes) = sv.range_bytes(range.start, range.end);
         if bytes == 0 {
             return Vec::new();
         }
-        let mut buf = vec![0u8; bytes];
-        self.read_bytes_at(addr, &mut buf);
-        decode_slice(&buf)
+        vec_filled(range.len(), |buf| self.read_bytes_at(addr, buf))
     }
 
-    /// Writes `vals` starting at element `start`.
+    /// Writes `vals` starting at element `start`: one copy, slice to page.
     pub fn write_range<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, vals: &[T]) {
         if vals.is_empty() {
             return;
         }
-        let (addr, bytes) = sv.range_bytes(start, start + vals.len());
-        let buf = encode_slice(vals);
-        debug_assert_eq!(buf.len(), bytes);
-        self.write_bytes_at(addr, &buf);
+        let (addr, _) = sv.range_bytes(start, start + vals.len());
+        self.write_bytes_at(addr, &wire_bytes(vals));
     }
 
     /// Reads the cell.
     pub fn cell_get<T: Pod>(&mut self, c: &SharedCell<T>) -> T {
-        let mut buf = [0u8; POD_MAX];
-        self.read_bytes_at(c.addr(), &mut buf[..T::SIZE]);
-        T::from_bytes(&buf[..T::SIZE])
+        self.load(c.addr())
     }
 
     /// Writes the cell.
     pub fn cell_set<T: Pod>(&mut self, c: &SharedCell<T>, v: T) {
+        self.store(c.addr(), v);
+    }
+
+    /// One element from `addr`, staged on the stack.
+    fn load<T: Pod>(&mut self, addr: VAddr) -> T {
+        let mut buf = [0u8; POD_MAX];
+        self.read_bytes_at(addr, &mut buf[..T::SIZE]);
+        T::from_bytes(&buf[..T::SIZE])
+    }
+
+    /// One element to `addr`, likewise.
+    fn store<T: Pod>(&mut self, addr: VAddr, v: T) {
         let mut buf = [0u8; POD_MAX];
         v.to_bytes(&mut buf[..T::SIZE]);
-        self.write_bytes_at(c.addr(), &buf[..T::SIZE]);
+        self.write_bytes_at(addr, &buf[..T::SIZE]);
     }
 
     /// Segmented read: commits page by page, like a hardware memcpy whose

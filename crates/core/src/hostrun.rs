@@ -19,11 +19,11 @@
 //!   `SOCK_SEQPACKET` socketpair per host (atomic datagrams, FIFO — the
 //!   ordering the protocol's correctness arguments assume);
 //! * the server is **the simulator's**: the loop here only receives and
-//!   decodes a datagram, then hands it to `server::dispatch` — the same
-//!   router, handlers and failure policy, instantiated over this module's
+//!   decodes a datagram — or pops what the server sent itself, which
+//!   never leaves the process — and hands it to `server::dispatch`: the
+//!   same router, handlers and failure policy, over this module's
 //!   [`MemoryBackend`]/[`Transport`]/[`ProtoClock`]/`LocalWake`
-//!   implementations and a `HostState` per host. Only the substrate
-//!   differs.
+//!   implementations and a `HostState` per host.
 //!
 //! Scope: `SequentialSwMr` consistency, `Centralized` homes, one
 //! application thread per host, no prefetch/push/locks — exactly the
@@ -57,13 +57,14 @@ use crate::host::HostState;
 use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
 use crate::server;
-use crate::shared::{decode_slice, encode_slice, Pod, SharedVec};
+use crate::shared::{vec_filled, wire_bytes, Pod, SharedVec};
 use bytes::Bytes;
 use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
 use multiview::{AllocMode, Allocator, MinipageId};
 use sim_core::trace::TraceRecorder;
 use sim_core::{CostModel, Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,6 +233,9 @@ struct SocketTransport {
     srv_tx: Arc<Vec<OwnedFd>>,
     /// Sharing diagnostics (per-link wire counters); disabled by default.
     diag: DiagSink,
+    /// What this server sent itself, served before the loop's next `recv`
+    /// (self→self is its own link, so per-link FIFO holds).
+    to_self: RefCell<VecDeque<Pmsg>>,
 }
 
 impl Transport for SocketTransport {
@@ -248,6 +252,10 @@ impl Transport for SocketTransport {
         what: &'static str,
     ) -> Result<Ns, ProtocolError> {
         self.diag.wire_send(self.me.0, to.0, msg.data.len() as u64);
+        if to == self.me {
+            self.to_self.borrow_mut().push_back(msg);
+            return Ok(now);
+        }
         if msg.data.is_empty() {
             let mut head = [0u8; HEADER];
             encode_header(&mut head, self.me, &msg, 0);
@@ -579,19 +587,25 @@ fn host_server_loop(
     let mut errors = Vec::new();
     let mut buf = vec![0u8; HEADER + MAX_DATA];
     loop {
-        let n = match recv_inbox(state.host, srv_rx, &mut buf) {
-            Ok(n) => n,
-            Err(line) => {
-                errors.push(line);
-                break;
-            }
-        };
-        let Some((wire_from, m)) = decode_frame(&buf[..n]) else {
-            errors.push(format!(
-                "h{}: malformed frame ({n} bytes)",
-                state.host.index()
-            ));
-            continue;
+        let sent_to_self = ep.to_self.borrow_mut().pop_front();
+        let (wire_from, m) = if let Some(m) = sent_to_self {
+            (ep.me, m)
+        } else {
+            let n = match recv_inbox(state.host, srv_rx, &mut buf) {
+                Ok(n) => n,
+                Err(line) => {
+                    errors.push(line);
+                    break;
+                }
+            };
+            let Some(frame) = decode_frame(&buf[..n]) else {
+                errors.push(format!(
+                    "h{}: malformed frame ({n} bytes)",
+                    state.host.index()
+                ));
+                continue;
+            };
+            frame
         };
         if m.kind == MsgKind::Shutdown {
             break;
@@ -687,12 +701,12 @@ impl Dsm for HostDsmCtx {
             return Vec::new();
         }
         let (addr, len) = sv.range_bytes(range.start, range.end);
-        let mut bytes = vec![0u8; len];
-        self.for_each_span(addr, len, |view, page, offset, span| {
-            self.region.read_span(view, page, offset, &mut bytes[span]);
-        });
-        self.flush_ack();
-        decode_slice(&bytes)
+        vec_filled(range.len(), |bytes| {
+            self.for_each_span(addr, len, |view, page, offset, span| {
+                self.region.read_span(view, page, offset, &mut bytes[span]);
+            });
+            self.flush_ack();
+        })
     }
 
     fn write_range<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, vals: &[T]) {
@@ -700,7 +714,7 @@ impl Dsm for HostDsmCtx {
             return;
         }
         let (addr, len) = sv.range_bytes(start, start + vals.len());
-        let bytes = encode_slice(vals);
+        let bytes = wire_bytes(vals);
         self.for_each_span(addr, len, |view, page, offset, span| {
             self.region.write_span(view, page, offset, &bytes[span]);
         });
@@ -975,6 +989,7 @@ where
                 me: state.host,
                 srv_tx: Arc::clone(&srv_tx),
                 diag: diag_sink.clone(),
+                to_self: RefCell::default(),
             };
             let clock = WallClock { start };
             let rx = &srv_rx[h];
@@ -1081,6 +1096,78 @@ mod tests {
         // …then end-of-file, as an error that names the host.
         let eof = recv_inbox(HostId(3), &rx, &mut buf).expect_err("end of file");
         assert!(eof.contains("h3") && eof.contains("end of file"), "{eof}");
+    }
+
+    /// What a server sends itself stays in the process. A `Shutdown` is
+    /// already waiting in the inbox when the server addresses itself a
+    /// completion too large for any datagram: the loop serves the
+    /// completion first (its handler forwards it to the application's
+    /// channel), then reads the `Shutdown`, and the inbox holds nothing
+    /// else.
+    #[test]
+    fn a_self_addressed_send_never_reaches_the_socket() {
+        let me = HostId(0);
+        let region = Arc::new(MultiViewRegion::new(1, 1).expect("region"));
+        let geo = Geometry::with_layout(DEFAULT_BASE, region.page_size(), 1, 1);
+        let home = Arc::new(HomeTable::new(
+            HomePolicyKind::Centralized,
+            1,
+            me,
+            geo.clone(),
+        ));
+        let (inbox_tx, inbox_rx) = seqpacket_pair().expect("socketpair");
+        let (res_tx, res_rx) = seqpacket_pair().expect("socketpair");
+        let (cost, sw_mr) = (CostModel::default(), Consistency::SequentialSwMr);
+        let state = Arc::new(HostState::new(
+            me,
+            HostMemory { geo, region },
+            CompletionTx(res_tx),
+            cost.clone(),
+            sw_mr,
+            Arc::clone(&home),
+            DiagSink::default(),
+        ));
+        let cluster: Arc<dyn ClusterMemory> = Arc::new(vec![Arc::clone(&state)]);
+        let shard = ManagerShard::new(
+            me,
+            1,
+            1,
+            cost,
+            sw_mr,
+            None,
+            home,
+            cluster,
+            TraceRecorder::disabled(),
+            DiagSink::default(),
+            crate::adapt::AdaptConfig::default(),
+        );
+        let ep = SocketTransport {
+            me,
+            srv_tx: Arc::new(vec![inbox_tx]),
+            diag: DiagSink::default(),
+            to_self: RefCell::default(),
+        };
+        let mut head = [0u8; HEADER];
+        encode_header(&mut head, me, &Pmsg::new(MsgKind::Shutdown, me, 0), 0);
+        send_fd(&ep.srv_tx[0], &head).expect("send");
+        let mut release = Pmsg::new(MsgKind::BarrierRelease, me, 1);
+        release.data = Bytes::from(vec![0u8; MAX_DATA + 1]);
+        ep.send(me, release, 0, 0, "test").expect("queued");
+
+        let clock = WallClock {
+            start: Instant::now(),
+        };
+        let (errors, _) = host_server_loop(&inbox_rx, &state, shard, ep, clock);
+        assert_eq!(errors, Vec::<String>::new());
+        // The handler ran: the application's channel holds the release
+        // (its send side closed, so an empty channel would read 0)…
+        drop(state);
+        assert_eq!(recv_fd(&res_rx, &mut head), Ok(HEADER));
+        assert_eq!(MsgKind::from_u8(head[0]), Some(MsgKind::BarrierRelease));
+        // …and the socket never carried it: with the loop's transport gone
+        // every send side is closed, and the inbox is at end of file.
+        let eof = recv_inbox(me, &inbox_rx, &mut head).expect_err("end of file");
+        assert!(eof.contains("end of file"), "{eof}");
     }
 
     proptest! {

@@ -6,17 +6,26 @@
 //! the MMU would check it), so applications hold [`SharedVec`] /
 //! [`SharedCell`] handles — plain `Copy` values wrapping a shared virtual
 //! address — and access them through [`HostCtx`](crate::HostCtx) methods.
+//! A range access is one copy between the page and the caller's slice
+//! (`wire_bytes`, `vec_filled`), never a conversion element by element.
 
 use sim_mem::VAddr;
+use std::borrow::Cow;
 use std::marker::PhantomData;
 
-/// Element types storable in shared memory.
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// Element types storable in shared memory: the ten primitive integer and
+/// floating-point scalars, and only those (the trait is sealed).
 ///
-/// Values are serialized little-endian into the shared byte store, so the
-/// trait is safe to implement: no transmutation occurs. Implementations
-/// exist for the primitive integer and floating-point types.
-pub trait Pod: Copy + Send + Sync + 'static {
-    /// Serialized size in bytes.
+/// Shared memory — and every RC diff, golden and host datagram cut from
+/// it — holds values little-endian. Every bit pattern is a value and none
+/// has padding, so a `[T]` *is* its wire bytes (swapped per element on a
+/// big-endian target) and the range accessors copy it whole.
+pub trait Pod: sealed::Sealed + Copy + Send + Sync + 'static {
+    /// Serialized size in bytes; equals `size_of::<Self>()`.
     const SIZE: usize;
 
     /// Decodes a value from exactly [`SIZE`](Pod::SIZE) bytes.
@@ -36,13 +45,16 @@ pub trait Pod: Copy + Send + Sync + 'static {
 
 macro_rules! impl_pod {
     ($($t:ty),* $(,)?) => {$(
+        impl sealed::Sealed for $t {}
         impl Pod for $t {
             const SIZE: usize = std::mem::size_of::<$t>();
 
+            #[inline]
             fn from_bytes(b: &[u8]) -> Self {
                 <$t>::from_le_bytes(b.try_into().expect("exact size"))
             }
 
+            #[inline]
             fn to_bytes(self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
             }
@@ -52,17 +64,33 @@ macro_rules! impl_pod {
 
 impl_pod!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 
-/// Decodes a packed little-endian array.
-pub(crate) fn decode_slice<T: Pod>(bytes: &[u8]) -> Vec<T> {
-    assert_eq!(bytes.len() % T::SIZE, 0, "partial element");
-    bytes.chunks_exact(T::SIZE).map(T::from_bytes).collect()
+/// Largest [`Pod`] element size: one element stages in a stack buffer.
+pub(crate) const POD_MAX: usize = 8;
+
+/// `vals` as its wire bytes: a view (a swapped copy on a big-endian target).
+pub(crate) fn wire_bytes<T: Pod>(vals: &[T]) -> Cow<'_, [u8]> {
+    let len = std::mem::size_of_val(vals);
+    // SAFETY: the sealed `Pod` scalars have no padding, so all `len` bytes
+    // behind the pointer are initialized; `u8` has no alignment
+    // requirement; the view borrows `vals`.
+    let mut bytes = Cow::Borrowed(unsafe { std::slice::from_raw_parts(vals.as_ptr().cast(), len) });
+    if cfg!(target_endian = "big") {
+        let elements = bytes.to_mut().chunks_exact_mut(T::SIZE);
+        elements.for_each(<[u8]>::reverse);
+    }
+    bytes
 }
 
-/// Encodes a value slice into packed little-endian bytes.
-pub(crate) fn encode_slice<T: Pod>(vals: &[T]) -> Vec<u8> {
-    let mut out = vec![0u8; vals.len() * T::SIZE];
-    for (v, chunk) in vals.iter().zip(out.chunks_exact_mut(T::SIZE)) {
-        v.to_bytes(chunk);
+/// A `len`-element vector whose wire bytes `fill` wrote; they start zeroed.
+pub(crate) fn vec_filled<T: Pod>(len: usize, fill: impl FnOnce(&mut [u8])) -> Vec<T> {
+    let mut out = vec![T::from_bytes(&[0; POD_MAX][..T::SIZE]); len];
+    // SAFETY: `out` owns `len` initialized elements of `T::SIZE` =
+    // `size_of::<T>()` bytes each, borrowed exclusively while the view
+    // lives; every bit pattern `fill` can store is a sealed `Pod` scalar.
+    let bytes = unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast(), len * T::SIZE) };
+    fill(bytes);
+    if cfg!(target_endian = "big") {
+        bytes.chunks_exact_mut(T::SIZE).for_each(<[u8]>::reverse);
     }
     out
 }
@@ -183,11 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn slice_encode_decode_roundtrip() {
+    fn a_slice_is_its_little_endian_wire_bytes() {
         let xs = [1.5f32, -2.25, 1e10, 0.0];
-        let bytes = encode_slice(&xs);
-        assert_eq!(bytes.len(), 16);
-        assert_eq!(decode_slice::<f32>(&bytes), xs);
+        let bytes = wire_bytes(&xs);
+        let by_element: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
+        assert_eq!(*bytes, by_element);
+        assert_eq!(vec_filled::<f32>(4, |b| b.copy_from_slice(&bytes)), xs);
+        assert_eq!(vec_filled::<u16>(3, |b| assert_eq!(b, [0; 6])), [0; 3]);
+        assert!(wire_bytes::<i64>(&[]).is_empty());
     }
 
     #[test]

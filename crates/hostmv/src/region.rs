@@ -275,28 +275,33 @@ impl MultiViewRegion {
 
     /// Copies the span at `(view, page, offset)` into `out` through that
     /// view: one bounds check (panics if the span would cross the page
-    /// end), then volatile loads in ascending address order, 8 bytes wide
-    /// where aligned. The first access is the span's lowest byte, so a
-    /// fault — resolved by the handler before the load restarts, as for
+    /// end), then volatile loads in ascending address order — bytes up to
+    /// the first 8-byte boundary, whole words, bytes again. The first
+    /// access is the span's lowest byte, so a fault — resolved by the
+    /// handler before the load restarts, as for
     /// [`read_u8`](Self::read_u8) — reports the first byte asked for.
     pub fn read_span(&self, view: usize, page: usize, offset: usize, out: &mut [u8]) {
         let base = self.span_addr(view, page, offset, out.len());
-        let mut i = 0;
-        while i < out.len() {
-            let a = (base + i) as *const u8;
-            // SAFETY: `a` lies inside the span checked against a live
-            // mapping of this region, with 8 bytes left wherever the wide
-            // load is taken; volatile keeps every access an actual load,
-            // in program order (the MMU check is the point).
-            unsafe {
-                if a as usize & 7 == 0 && out.len() - i >= 8 {
-                    let word = ptr::read_volatile(a.cast::<u64>());
-                    out[i..i + 8].copy_from_slice(&word.to_ne_bytes());
-                    i += 8;
-                } else {
-                    out[i] = ptr::read_volatile(a);
-                    i += 1;
-                }
+        let (head, body) = split_at_words(base, out.len());
+        let (head, rest) = out.split_at_mut(head);
+        let (body, tail) = rest.split_at_mut(body);
+        let mut a = base as *const u8;
+        // SAFETY: `a` walks the span checked against a live mapping of this
+        // region, one step per byte of `out`, and is 8-aligned at every
+        // wide load; volatile keeps every access an actual load, in
+        // program order (the MMU check is the point).
+        unsafe {
+            for b in head {
+                *b = ptr::read_volatile(a);
+                a = a.add(1);
+            }
+            for word in body.chunks_exact_mut(8) {
+                word.copy_from_slice(&ptr::read_volatile(a.cast::<u64>()).to_ne_bytes());
+                a = a.add(8);
+            }
+            for b in tail {
+                *b = ptr::read_volatile(a);
+                a = a.add(1);
             }
         }
     }
@@ -305,20 +310,25 @@ impl MultiViewRegion {
     /// view: [`read_span`](Self::read_span)'s mirror image.
     pub fn write_span(&self, view: usize, page: usize, offset: usize, data: &[u8]) {
         let base = self.span_addr(view, page, offset, data.len());
-        let mut i = 0;
-        while i < data.len() {
-            let a = (base + i) as *mut u8;
-            // SAFETY: as in `read_span`; races on the shared bytes are
-            // defused by volatile accesses, as for `write_u8`.
-            unsafe {
-                if a as usize & 7 == 0 && data.len() - i >= 8 {
-                    let word = data[i..i + 8].try_into().expect("8 bytes");
-                    ptr::write_volatile(a.cast::<u64>(), u64::from_ne_bytes(word));
-                    i += 8;
-                } else {
-                    ptr::write_volatile(a, data[i]);
-                    i += 1;
-                }
+        let (head, body) = split_at_words(base, data.len());
+        let (head, rest) = data.split_at(head);
+        let (body, tail) = rest.split_at(body);
+        let mut a = base as *mut u8;
+        // SAFETY: as in `read_span`; races on the shared bytes are defused
+        // by volatile accesses, as for `write_u8`.
+        unsafe {
+            for &b in head {
+                ptr::write_volatile(a, b);
+                a = a.add(1);
+            }
+            for word in body.chunks_exact(8) {
+                let word = u64::from_ne_bytes(word.try_into().expect("8 bytes"));
+                ptr::write_volatile(a.cast::<u64>(), word);
+                a = a.add(8);
+            }
+            for &b in tail {
+                ptr::write_volatile(a, b);
+                a = a.add(1);
             }
         }
     }
@@ -348,6 +358,14 @@ impl MultiViewRegion {
     pub fn contains(&self, addr: usize) -> bool {
         self.decode(addr).is_some()
     }
+}
+
+/// Where the `len` bytes at address `base` split for a word-wide copy:
+/// the bytes before the first 8-byte boundary, then the bytes of the whole
+/// aligned words after it (`head + body <= len`; the rest is the tail).
+fn split_at_words(base: usize, len: usize) -> (usize, usize) {
+    let head = (base.wrapping_neg() & 7).min(len);
+    (head, (len - head) & !7)
 }
 
 impl Drop for MultiViewRegion {
@@ -402,26 +420,29 @@ mod tests {
     #[test]
     fn spans_copy_every_alignment_and_length() {
         let r = MultiViewRegion::new(2, 1).unwrap();
-        r.protect(0, 1, HostProt::ReadWrite).unwrap();
+        r.protect(0, 0, HostProt::ReadWrite).unwrap();
         let data: Vec<u8> = (0..40).map(|i| i as u8 ^ 0x5a).collect();
+        let page = r.page_size();
+        let blank = vec![0u8; 2 * page];
         // Every misalignment of the start against the 8-byte words, every
-        // length from empty to several words: byte head, wide body, byte
-        // tail.
-        for offset in 0..9 {
-            for len in 0..=data.len() {
-                r.priv_write(1, 0, &[0u8; 64]);
-                r.write_span(0, 1, offset, &data[..len]);
-                assert_eq!(r.priv_read(1, offset, len), data[..len]);
-                assert_eq!(r.priv_read(1, offset + len, 8), [0u8; 8], "overrun");
+        // length from empty to several words — byte head, wide body, byte
+        // tail, and each of them absent — at the start of the page and
+        // flush against its end.
+        for offset in (0..9).chain(page - 24..page) {
+            for len in 0..=data.len().min(page - offset) {
+                r.priv_write(0, 0, &blank);
+                r.write_span(0, 0, offset, &data[..len]);
+                assert_eq!(r.priv_read(0, offset, len), data[..len]);
+                let end = offset + len;
+                assert_eq!(r.priv_read(end / page, end % page, 8), [0u8; 8], "overrun");
+                if offset >= 8 {
+                    assert_eq!(r.priv_read(0, offset - 8, 8), [0u8; 8], "underrun");
+                }
                 let mut back = vec![0u8; len];
-                r.read_span(0, 1, offset, &mut back);
+                r.read_span(0, 0, offset, &mut back);
                 assert_eq!(back, data[..len]);
             }
         }
-        // Flush against the page end is in range.
-        let at = r.page_size() - data.len();
-        r.write_span(0, 1, at, &data);
-        assert_eq!(r.priv_read(1, at, data.len()), data);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and the cluster.
 
 use millipage::diff::Diff;
-use millipage::{run, AllocMode, ClusterConfig, CostModel, Pod};
+use millipage::{run, AllocMode, ClusterConfig, CostModel, Dsm, Pod, SharedVec};
 use multiview::{AllocMode as MvMode, Allocator};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -172,5 +172,129 @@ proptest! {
         prop_assert!(report.coherence_violations.is_empty());
         let m = mismatch.into_inner();
         prop_assert!(m.is_none(), "mismatch: {m:?}, model {model:?}");
+    }
+
+    /// A range access is a bit-exact copy: what `write_range` stored,
+    /// `read_range` returns — on the writing host and, after the minipages
+    /// travelled, on another — for every `Pod` type and whatever the
+    /// bytes spell (NaN payloads, signalling NaNs). The typed handles sit
+    /// at every byte skew over one three-page arena and the ranges start
+    /// around a page end, so they straddle it; page-grain allocation
+    /// makes every page end a minipage end too. On both backends.
+    #[test]
+    fn range_access_is_a_bit_exact_copy(
+        raw in proptest::collection::vec(any::<u8>(), 0..700),
+        skew in 0usize..9,
+        before_page_end in 0usize..300,
+        page_grain in any::<bool>(),
+    ) {
+        let from = 2 * PAGE - before_page_end;
+        let mismatches = Mutex::new(Vec::new());
+        let setup = |s: &mut millipage::SetupCtx| s.alloc_vec::<u8>(3 * PAGE);
+        let cfg = ClusterConfig {
+            hosts: 2,
+            views: 4,
+            pages: 16,
+            alloc_mode: if page_grain { AllocMode::PageGrain } else { AllocMode::FINE },
+            ..ClusterConfig::default()
+        };
+        let report = run(cfg, setup, |ctx, arena| {
+            all_pods_roundtrip(ctx, arena, skew, from, &raw, &mismatches);
+        });
+        prop_assert!(report.coherence_violations.is_empty());
+        #[cfg(target_os = "linux")]
+        {
+            let cfg = millipage::HostRunConfig { hosts: 2, views: 4, pages: 16, ..Default::default() };
+            let report = millipage::run_host(cfg, setup, |ctx, arena| {
+                all_pods_roundtrip(ctx, arena, skew, from, &raw, &mismatches);
+            });
+            let errors = report.expect("host run").errors;
+            prop_assert!(errors.is_empty(), "{errors:?}");
+        }
+        let m = mismatches.into_inner();
+        prop_assert!(m.is_empty(), "not the bytes written: {m:?}");
+    }
+}
+
+/// Both backends' page size on the machines the suite runs on.
+const PAGE: usize = 4096;
+
+/// Host 1 writes `raw` as a `[T]` at byte `skew + from` of the arena (cut
+/// to whole elements) and reads it back; then host 0 does the reading.
+/// Each type in turn; a readback that is not `raw` is pushed to `bad`.
+fn all_pods_roundtrip<D: Dsm>(
+    ctx: &mut D,
+    arena: &SharedVec<u8>,
+    skew: usize,
+    from: usize,
+    raw: &[u8],
+    bad: &Mutex<Vec<(&'static str, usize)>>,
+) {
+    fn one<T: Pod, D: Dsm>(
+        ctx: &mut D,
+        arena: &SharedVec<u8>,
+        skew: usize,
+        from: usize,
+        raw: &[u8],
+        bad: &Mutex<Vec<(&'static str, usize)>>,
+    ) {
+        let sv = SharedVec::<T>::from_raw(arena.base().add(skew), (arena.len() - skew) / T::SIZE);
+        let xs: Vec<T> = raw.chunks_exact(T::SIZE).map(T::from_bytes).collect();
+        let at = from / T::SIZE;
+        for reader in [1, 0] {
+            if ctx.host().index() == 1 && reader == 1 {
+                ctx.write_range(&sv, at, &xs);
+            }
+            if ctx.host().index() == reader {
+                let back = ctx.read_range(&sv, at..at + xs.len());
+                let mut bits = vec![0u8; back.len() * T::SIZE];
+                for (x, chunk) in back.iter().zip(bits.chunks_exact_mut(T::SIZE)) {
+                    x.to_bytes(chunk);
+                }
+                if bits != raw[..xs.len() * T::SIZE] {
+                    bad.lock().push((std::any::type_name::<T>(), reader));
+                }
+            }
+            ctx.barrier();
+        }
+    }
+    one::<u8, D>(ctx, arena, skew, from, raw, bad);
+    one::<i8, D>(ctx, arena, skew, from, raw, bad);
+    one::<u16, D>(ctx, arena, skew, from, raw, bad);
+    one::<i16, D>(ctx, arena, skew, from, raw, bad);
+    one::<u32, D>(ctx, arena, skew, from, raw, bad);
+    one::<i32, D>(ctx, arena, skew, from, raw, bad);
+    one::<u64, D>(ctx, arena, skew, from, raw, bad);
+    one::<i64, D>(ctx, arena, skew, from, raw, bad);
+    one::<f32, D>(ctx, arena, skew, from, raw, bad);
+    one::<f64, D>(ctx, arena, skew, from, raw, bad);
+}
+
+/// The wire format, pinned: shared memory holds a `u32` lowest byte first
+/// on both backends — RC diffs, goldens and the host wire all hash these
+/// bytes, so a typed range and a byte range over one address must agree.
+#[test]
+fn a_typed_range_is_little_endian_in_shared_memory() {
+    fn check<D: Dsm>(ctx: &mut D, words: &SharedVec<u32>) {
+        ctx.write_range(words, 1, &[0x0102_0304u32]);
+        let bytes = SharedVec::<u8>::from_raw(words.addr_of(1), 4);
+        assert_eq!(ctx.read_range(&bytes, 0..4), [4, 3, 2, 1]);
+        ctx.write_range(&bytes, 0, &[0xdd, 0xcc, 0xbb, 0xaa]);
+        assert_eq!(ctx.read_range(words, 1..2), [0xaabb_ccddu32]);
+    }
+    let setup = |s: &mut millipage::SetupCtx| s.alloc_vec_init(&[0u32, 0, 7]);
+    let cfg = ClusterConfig {
+        hosts: 1,
+        ..ClusterConfig::default()
+    };
+    run(cfg, setup, check);
+    #[cfg(target_os = "linux")]
+    {
+        let cfg = millipage::HostRunConfig {
+            hosts: 1,
+            ..Default::default()
+        };
+        let report = millipage::run_host(cfg, setup, check);
+        assert!(report.expect("host run").errors.is_empty());
     }
 }
