@@ -5,11 +5,14 @@
 # host (no faults after the first touch, no scheduler, no network) should
 # take about what its sequential kernel takes: apps.dsm_overhead_x on
 # lu1_seq is the run's wall clock over the reference's, both from one
-# process, so runner speed cancels. 0.8-1.05 when a range access is one
-# copy between the page and the caller's slice, 1.3-1.7 when every range
-# went through a staging buffer and a per-element conversion call. The
-# limit is the alarm for a per-element software cost coming back on the
-# access path.
+# process, so runner speed cancels. 1.01-1.17 when a range access is one
+# copy between the page and the caller's slice; 3.0-3.3 with PR 20's
+# staging buffer and conversion call per element put back under today's
+# kernel (read_range4k 110 -> 780 ns, write_range4k 50 -> 900 ns). That
+# path read 1.3-1.7 while the kernel stalled on its own stores and the
+# reference took 0.136 s, not 0.034: the slower the kernel, the less
+# this ratio sees. The limit is the alarm for a per-element software
+# cost coming back on the access path.
 #
 # The two terms are still taken seconds apart on a shared runner, so a
 # reading over the limit is taken again, twice at most. A per-element cost
@@ -17,7 +20,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-LIMIT=1.15
+LIMIT=1.5
 for attempt in 1 2 3; do
     if cargo run --release --quiet --manifest-path examples/mvbench/Cargo.toml -- \
         --workload lu1_seq --seed 1 --seconds 2 --trace 1 | tail -n 1 |

@@ -52,7 +52,13 @@ impl LuParams {
     }
 
     /// Blocks per dimension.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` does not divide `n`: the blocked algorithm has no
+    /// ragged edge, and would drop the remainder rows without saying so.
     pub fn nb(&self) -> usize {
+        assert_eq!(self.n % self.block, 0, "block must divide n");
         self.n / self.block
     }
 }
@@ -106,94 +112,154 @@ fn extract_block(a: &[f32], p: LuParams, bi: usize, bj: usize) -> Vec<f32> {
     out
 }
 
-/// In-place unblocked LU of the diagonal block (fixed order, no pivot).
-fn factor_diag(d: &mut [f32], b: usize) {
-    for k in 0..b {
-        let pivot = d[k * b + k];
-        for i in k + 1..b {
-            d[i * b + k] /= pivot;
-            let l = d[i * b + k];
-            for j in k + 1..b {
-                d[i * b + j] -= l * d[k * b + j];
+/// `out[j] -= xs[k]·rows[k·stride + j]` for every column `j` of `out` and
+/// every `k`, ascending in `k` for each element: the inner product all four
+/// block kernels are made of. `SKIP` passes over a zero `xs[k]`, which is
+/// not the same as subtracting its products (`-0.0`, or a non-finite
+/// `rows` entry), so a kernel either always skips or never does.
+///
+/// The row is cut into column strips and a strip stays in a local array
+/// from the first `k` to the last, so the `k` loop neither stores nor
+/// reloads it. Each strip is the widest that still fits: 32 `f32`s are
+/// half the vector registers of baseline x86-64, enough independent
+/// subtractions in flight to hide their latency.
+fn row_sub<const SKIP: bool>(out: &mut [f32], xs: &[f32], rows: &[f32], stride: usize) {
+    let widths = [
+        strips::<32, SKIP>,
+        strips::<16, SKIP>,
+        strips::<8, SKIP>,
+        strips::<4, SKIP>,
+        strips::<2, SKIP>,
+        strips::<1, SKIP>,
+    ];
+    let mut done = 0;
+    for strips_of_width in widths {
+        done = strips_of_width(out, xs, rows, stride, done);
+    }
+}
+
+/// [`row_sub`] on every `W`-wide strip that fits from column `j0` on;
+/// returns the first column left over.
+fn strips<const W: usize, const SKIP: bool>(
+    out: &mut [f32],
+    xs: &[f32],
+    rows: &[f32],
+    stride: usize,
+    mut j0: usize,
+) -> usize {
+    while j0 + W <= out.len() {
+        let strip = &mut out[j0..j0 + W];
+        let mut acc: [f32; W] = (&*strip).try_into().expect("W columns");
+        for (k, &x) in xs.iter().enumerate() {
+            if SKIP && x == 0.0 {
+                continue;
+            }
+            let u: &[f32; W] = rows[k * stride + j0..][..W].try_into().expect("W columns");
+            for (a, &u) in acc.iter_mut().zip(u) {
+                *a -= x * u;
             }
         }
+        strip.copy_from_slice(&acc);
+        j0 += W;
+    }
+    j0
+}
+
+/// Columns [`eliminate`] finishes at a time: wide enough for a strip of
+/// [`row_sub`], narrow enough that most of a row's steps lie left of it.
+const SOLVE_COLS: usize = 8;
+
+/// The first `steps` steps of a forward elimination of `row` against the
+/// upper triangle in `upper` (rows of `b`): step `k` scales `row[k]` by
+/// `1/upper(k,k)` and subtracts its multiple of `upper(k, k+1..)` from the
+/// rest of the row. A tile of columns takes the steps left of it through
+/// [`row_sub`], then its own triangle in place.
+fn eliminate(row: &mut [f32], upper: &[f32], b: usize, steps: usize) {
+    for j0 in (0..b).step_by(SOLVE_COLS) {
+        let (left, rest) = row.split_at_mut(j0);
+        let tile = &mut rest[..SOLVE_COLS.min(b - j0)];
+        row_sub::<false>(tile, &left[..j0.min(steps)], &upper[j0..], b);
+        for k in j0..(j0 + tile.len()).min(steps) {
+            let t = k - j0;
+            let x = tile[t] / upper[k * b + k];
+            tile[t] = x;
+            for s in t + 1..tile.len() {
+                tile[s] -= x * upper[k * b + j0 + s];
+            }
+        }
+    }
+}
+
+/// In-place unblocked LU of the diagonal block (fixed order, no pivot):
+/// row `i` is eliminated against the finished rows above it.
+fn factor_diag(d: &mut [f32], b: usize) {
+    for i in 1..b {
+        let (upper, rest) = d.split_at_mut(i * b);
+        eliminate(&mut rest[..b], upper, b, i);
     }
 }
 
 /// Solves `L·X = A` in place for a block below the diagonal (column
 /// panel): `A(i,k) ← A(i,k)·U(k,k)⁻¹`.
 fn update_col(blk: &mut [f32], diag: &[f32], b: usize) {
-    for i in 0..b {
-        for k in 0..b {
-            let x = blk[i * b + k] / diag[k * b + k];
-            blk[i * b + k] = x;
-            for j in k + 1..b {
-                blk[i * b + j] -= x * diag[k * b + j];
-            }
-        }
+    for row in blk.chunks_exact_mut(b) {
+        eliminate(row, diag, b, b);
     }
 }
 
 /// Solves for a block right of the diagonal (row panel):
 /// `A(k,j) ← L(k,k)⁻¹·A(k,j)` with unit lower-triangular `L`.
 fn update_row(blk: &mut [f32], diag: &[f32], b: usize) {
-    for k in 0..b {
-        for i in k + 1..b {
-            let l = diag[i * b + k];
-            for j in 0..b {
-                blk[i * b + j] -= l * blk[k * b + j];
-            }
-        }
+    for i in 1..b {
+        let (above, rest) = blk.split_at_mut(i * b);
+        row_sub::<false>(&mut rest[..b], &diag[i * b..i * b + i], above, b);
     }
 }
 
 /// Interior update: `A(i,j) -= L(i,k)·U(k,j)`.
 fn update_interior(blk: &mut [f32], l: &[f32], u: &[f32], b: usize) {
-    for i in 0..b {
-        for k in 0..b {
-            let x = l[i * b + k];
-            if x == 0.0 {
-                continue;
-            }
-            for j in 0..b {
-                blk[i * b + j] -= x * u[k * b + j];
+    for (row, xs) in blk.chunks_exact_mut(b).zip(l.chunks_exact(b)) {
+        row_sub::<true>(row, xs, u, b);
+    }
+}
+
+/// The blocked factorization of `a` on plain memory: the algorithm of
+/// [`worker`], one block at a time.
+fn factor_blocks(a: &[f32], p: LuParams) -> Vec<Vec<f32>> {
+    let nb = p.nb();
+    let b = p.block;
+    let mut blocks: Vec<Vec<f32>> = (0..nb * nb)
+        .map(|idx| extract_block(a, p, idx / nb, idx % nb))
+        .collect();
+    // A block being written is lifted out of the grid, so its operands
+    // are read where they lie.
+    for k in 0..nb {
+        let mut diag = std::mem::take(&mut blocks[k * nb + k]);
+        factor_diag(&mut diag, b);
+        for i in k + 1..nb {
+            update_col(&mut blocks[i * nb + k], &diag, b);
+            update_row(&mut blocks[k * nb + i], &diag, b);
+        }
+        blocks[k * nb + k] = diag;
+        for i in k + 1..nb {
+            for j in k + 1..nb {
+                let mut blk = std::mem::take(&mut blocks[i * nb + j]);
+                update_interior(&mut blk, &blocks[i * nb + k], &blocks[k * nb + j], b);
+                blocks[i * nb + j] = blk;
             }
         }
     }
+    blocks
 }
 
 /// Sequential reference: runs the identical blocked algorithm on plain
 /// memory and returns the checksum (sum of the factored matrix).
 pub fn reference(p: LuParams) -> f64 {
-    let nb = p.nb();
-    let b = p.block;
+    // Declared first, freed last: freeing the matrix before the blocks
+    // raises glibc's trim threshold past them and they stay resident.
     let a = initial(p);
-    let mut blocks: Vec<Vec<f32>> = (0..nb * nb)
-        .map(|idx| extract_block(&a, p, idx / nb, idx % nb))
-        .collect();
-    for k in 0..nb {
-        let diag = {
-            let d = &mut blocks[k * nb + k];
-            factor_diag(d, b);
-            d.clone()
-        };
-        for i in k + 1..nb {
-            update_col(&mut blocks[i * nb + k], &diag, b);
-            update_row(&mut blocks[k * nb + i], &diag, b);
-        }
-        for i in k + 1..nb {
-            let l = blocks[i * nb + k].clone();
-            for j in k + 1..nb {
-                let u = blocks[k * nb + j].clone();
-                update_interior(&mut blocks[i * nb + j], &l, &u, b);
-            }
-        }
-    }
-    blocks
-        .iter()
-        .flat_map(|bl| bl.iter())
-        .map(|&x| x as f64)
-        .sum()
+    let blocks = factor_blocks(&a, p);
+    blocks.iter().flatten().map(|&x| x as f64).sum()
 }
 
 /// Shared handles: the nb×nb grid of 4 KB blocks.
@@ -210,7 +276,6 @@ fn owner(i: usize, j: usize, nb: usize, hosts: usize) -> usize {
 /// Allocates the matrix block by block (4 KB allocations, view 0 only);
 /// block contents are written by their owners in the claim phase.
 pub fn setup(s: &mut SetupCtx, p: LuParams) -> LuShared {
-    assert_eq!(p.n % p.block, 0, "block must divide n");
     let nb = p.nb();
     let blocks = (0..nb * nb)
         .map(|_| s.alloc_vec(p.block * p.block))
@@ -238,33 +303,39 @@ pub fn worker(ctx: &mut HostCtx, sh: &LuShared) {
     }
     ctx.barrier();
     ctx.timer_reset();
+    // Operand buffers, read into again at every block update.
+    let [mut diag, mut l, mut u, mut blk] = [(); 4].map(|()| vec![0.0f32; bb]);
     for k in 0..nb {
+        let kk = &sh.blocks[k * nb + k];
         // Factor the diagonal block (its owner only).
         if owner(k, k, nb, hosts) == me {
-            let mut d = ctx.read_range(&sh.blocks[k * nb + k], 0..bb);
-            factor_diag(&mut d, b);
+            ctx.read_into(kk, 0, &mut diag);
+            factor_diag(&mut diag, b);
             ctx.compute(cal::LU_FLOP_NS * flops_panel / 3);
-            ctx.write_range(&sh.blocks[k * nb + k], 0, &d);
+            ctx.write_range(kk, 0, &diag);
         }
         ctx.barrier();
-        // Perimeter panels.
-        let mut diag: Option<Vec<f32>> = None;
+        // Perimeter panels; the first one this host owns fetches the
+        // factored diagonal.
+        let mut have_diag = false;
         for i in k + 1..nb {
             for (bi, bj, col) in [(i, k, true), (k, i, false)] {
                 if owner(bi, bj, nb, hosts) != me {
                     continue;
                 }
-                let d = diag.get_or_insert_with(|| ctx.read_range(&sh.blocks[k * nb + k], 0..bb));
-                let d = d.clone();
-                let idx = bi * nb + bj;
-                let mut blk = ctx.read_range(&sh.blocks[idx], 0..bb);
+                if !have_diag {
+                    ctx.read_into(kk, 0, &mut diag);
+                    have_diag = true;
+                }
+                let panel = &sh.blocks[bi * nb + bj];
+                ctx.read_into(panel, 0, &mut blk);
                 if col {
-                    update_col(&mut blk, &d, b);
+                    update_col(&mut blk, &diag, b);
                 } else {
-                    update_row(&mut blk, &d, b);
+                    update_row(&mut blk, &diag, b);
                 }
                 ctx.compute(cal::LU_FLOP_NS * flops_panel);
-                ctx.write_range(&sh.blocks[idx], 0, &blk);
+                ctx.write_range(panel, 0, &blk);
             }
         }
         ctx.barrier();
@@ -284,9 +355,9 @@ pub fn worker(ctx: &mut HostCtx, sh: &LuShared) {
                 ctx.prefetch_vec(&sh.blocks[ni * nb + k]);
                 ctx.prefetch_vec(&sh.blocks[k * nb + nj]);
             }
-            let l = ctx.read_range(&sh.blocks[i * nb + k], 0..bb);
-            let u = ctx.read_range(&sh.blocks[k * nb + j], 0..bb);
-            let mut blk = ctx.read_range(&sh.blocks[i * nb + j], 0..bb);
+            ctx.read_into(&sh.blocks[i * nb + k], 0, &mut l);
+            ctx.read_into(&sh.blocks[k * nb + j], 0, &mut u);
+            ctx.read_into(&sh.blocks[i * nb + j], 0, &mut blk);
             update_interior(&mut blk, &l, &u, b);
             ctx.compute(cal::LU_FLOP_NS * 2 * flops_panel);
             ctx.write_range(&sh.blocks[i * nb + j], 0, &blk);
@@ -297,10 +368,11 @@ pub fn worker(ctx: &mut HostCtx, sh: &LuShared) {
 
 /// Checksum (host 0, after the final barrier): sum of the factored matrix.
 pub fn checksum(ctx: &mut HostCtx, sh: &LuShared) -> f64 {
-    let bb = sh.params.block * sh.params.block;
+    let mut vals = vec![0.0f32; sh.params.block * sh.params.block];
     let mut sum = 0.0f64;
     for blk in &sh.blocks {
-        for v in ctx.read_range(blk, 0..bb) {
+        ctx.read_into(blk, 0, &mut vals);
+        for &v in &vals {
             sum += v as f64;
         }
     }
@@ -337,6 +409,145 @@ pub fn run_lu(mut cfg: ClusterConfig, p: LuParams) -> AppRun {
 mod tests {
     use super::*;
     use crate::close;
+    use proptest::prelude::*;
+
+    /// The block kernels as the triple loops they were written as: the
+    /// specification — which operations reach each element, in which
+    /// order — that the strip kernels are held to, bit for bit.
+    mod spec {
+        pub fn factor_diag(d: &mut [f32], b: usize) {
+            for k in 0..b {
+                let pivot = d[k * b + k];
+                for i in k + 1..b {
+                    d[i * b + k] /= pivot;
+                    let l = d[i * b + k];
+                    for j in k + 1..b {
+                        d[i * b + j] -= l * d[k * b + j];
+                    }
+                }
+            }
+        }
+
+        pub fn update_col(blk: &mut [f32], diag: &[f32], b: usize) {
+            for i in 0..b {
+                for k in 0..b {
+                    let x = blk[i * b + k] / diag[k * b + k];
+                    blk[i * b + k] = x;
+                    for j in k + 1..b {
+                        blk[i * b + j] -= x * diag[k * b + j];
+                    }
+                }
+            }
+        }
+
+        pub fn update_row(blk: &mut [f32], diag: &[f32], b: usize) {
+            for k in 0..b {
+                for i in k + 1..b {
+                    let l = diag[i * b + k];
+                    for j in 0..b {
+                        blk[i * b + j] -= l * blk[k * b + j];
+                    }
+                }
+            }
+        }
+
+        pub fn update_interior(blk: &mut [f32], l: &[f32], u: &[f32], b: usize) {
+            for i in 0..b {
+                for k in 0..b {
+                    let x = l[i * b + k];
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for j in 0..b {
+                        blk[i * b + j] -= x * u[k * b + j];
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `b`×`b` block of noise in (-0.5, 0.5) with one entry in five a
+    /// zero of either sign; `dominant` puts 2 + noise on the diagonal, so
+    /// it can be divided by.
+    fn noise_block(rng: &mut SplitMix64, b: usize, dominant: bool) -> Vec<f32> {
+        (0..b * b)
+            .map(|at| {
+                let x = (rng.next_f64() - 0.5) as f32;
+                match rng.next_u64() % 10 {
+                    _ if dominant && at / b == at % b => 2.0 + x,
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => x,
+                }
+            })
+            .collect()
+    }
+
+    fn bits(block: &[f32]) -> Vec<u32> {
+        block.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Every block size from one column to more than the widest strip
+        /// — all strip widths, with and without a remainder — and zeros
+        /// of both signs among the multipliers and the operands.
+        #[test]
+        fn the_strip_kernels_are_the_triple_loops_bit_for_bit(seed in any::<u64>()) {
+            let mut rng = SplitMix64::new(seed);
+            for b in 1..=40 {
+                let blk = noise_block(&mut rng, b, false);
+                let l = noise_block(&mut rng, b, false);
+                let u = noise_block(&mut rng, b, false);
+                let diag = noise_block(&mut rng, b, true);
+                type Kernel<'a> = &'a dyn Fn(&mut [f32]);
+                let kernels: [(&str, &[f32], Kernel, Kernel); 4] = [
+                    ("factor_diag", &diag,
+                        &|d| factor_diag(d, b), &|d| spec::factor_diag(d, b)),
+                    ("update_col", &blk,
+                        &|x| update_col(x, &diag, b), &|x| spec::update_col(x, &diag, b)),
+                    ("update_row", &blk,
+                        &|x| update_row(x, &diag, b), &|x| spec::update_row(x, &diag, b)),
+                    ("update_interior", &blk,
+                        &|x| update_interior(x, &l, &u, b), &|x| spec::update_interior(x, &l, &u, b)),
+                ];
+                for (name, input, strips, loops) in kernels {
+                    let (mut got, mut want) = (input.to_vec(), input.to_vec());
+                    strips(&mut got);
+                    loops(&mut want);
+                    prop_assert_eq!(bits(&got), bits(&want), "{}, b = {}", name, b);
+                }
+            }
+        }
+    }
+
+    /// The checksums as recorded at PR 21's commit, before the kernels
+    /// were rewritten: the reference and the DSM run, at any host count,
+    /// add the same numbers in the same order.
+    #[test]
+    fn checksums_are_pinned_to_the_bit() {
+        for (p, pin) in [
+            (LuParams::small(), 0x40c2_14dd_cf77_3dbc_u64),
+            (LuParams::paper(), 0x4130_0005_53a5_f6f8),
+        ] {
+            assert_eq!(reference(p).to_bits(), pin, "reference, n = {}", p.n);
+            for hosts in [1, 4] {
+                let r = run_lu(cfg(hosts), p);
+                assert_eq!(r.checksum.to_bits(), pin, "n = {}, {hosts} hosts", p.n);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "block must divide n")]
+    fn a_ragged_matrix_is_refused() {
+        reference(LuParams {
+            n: 100,
+            block: 16,
+            seed: 1,
+        });
+    }
 
     fn cfg(hosts: usize) -> ClusterConfig {
         ClusterConfig {
@@ -405,27 +616,7 @@ mod tests {
         let a = initial(p);
         let nb = p.nb();
         let b = p.block;
-        let mut blocks: Vec<Vec<f32>> = (0..nb * nb)
-            .map(|idx| extract_block(&a, p, idx / nb, idx % nb))
-            .collect();
-        for k in 0..nb {
-            let diag = {
-                let d = &mut blocks[k * nb + k];
-                factor_diag(d, b);
-                d.clone()
-            };
-            for i in k + 1..nb {
-                update_col(&mut blocks[i * nb + k], &diag, b);
-                update_row(&mut blocks[k * nb + i], &diag, b);
-            }
-            for i in k + 1..nb {
-                let l = blocks[i * nb + k].clone();
-                for j in k + 1..nb {
-                    let u = blocks[k * nb + j].clone();
-                    update_interior(&mut blocks[i * nb + j], &l, &u, b);
-                }
-            }
-        }
+        let blocks = factor_blocks(&a, p);
         // Dense L and U.
         let n = p.n;
         let get = |bi: usize, bj: usize, r: usize, c: usize| blocks[bi * nb + bj][r * b + c];

@@ -230,8 +230,9 @@ impl Transport for Endpoint<Pmsg> {
 ///
 /// The sim's [`ServerTimeline`] *is* the clock: handlers charge modeled
 /// costs and `now()` stamps every trace event and reply. The host backend
-/// cannot charge anything — real work takes real time — so its clock
-/// reads monotonic wall time and `charge` is a no-op.
+/// cannot charge anything — real work takes real time — so its clock is
+/// the monotonic wall time its server read when the message arrived, and
+/// `charge` is a no-op.
 pub trait ProtoClock {
     /// Current time on this host's service timeline.
     fn now(&self) -> Ns;

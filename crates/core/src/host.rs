@@ -15,7 +15,7 @@ use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo, RcDirty, RcState};
 use crate::home::{HomePolicyKind, HomeTable};
 use crate::msg::{Completion, MsgKind, Pmsg};
-use crate::shared::{vec_filled, wire_bytes, Pod, SharedCell, SharedVec, POD_MAX};
+use crate::shared::{fill_wire, wire_bytes, zeroed, Pod, SharedCell, SharedVec, POD_MAX};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 use sim_core::clock::{BusyWindow, Clock, Ns};
@@ -575,11 +575,20 @@ impl HostCtx {
 
     /// Reads elements `range` into a fresh vector: one copy, page to vector.
     pub fn read_range<T: Pod>(&mut self, sv: &SharedVec<T>, range: Range<usize>) -> Vec<T> {
-        let (addr, bytes) = sv.range_bytes(range.start, range.end);
+        let mut out = zeroed(range.len());
+        self.read_into(sv, range.start, &mut out);
+        out
+    }
+
+    /// Reads the `out.len()` elements from `start` into `out`: the same
+    /// copy and the same charge as [`read_range`](Self::read_range), into
+    /// a buffer the caller keeps.
+    pub fn read_into<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, out: &mut [T]) {
+        let (addr, bytes) = sv.range_bytes(start, start + out.len());
         if bytes == 0 {
-            return Vec::new();
+            return;
         }
-        vec_filled(range.len(), |buf| self.read_bytes_at(addr, buf))
+        fill_wire(out, |buf| self.read_bytes_at(addr, buf));
     }
 
     /// Writes `vals` starting at element `start`: one copy, slice to page.

@@ -57,7 +57,7 @@ use crate::host::HostState;
 use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
 use crate::server;
-use crate::shared::{vec_filled, wire_bytes, Pod, SharedVec};
+use crate::shared::{fill_wire, wire_bytes, zeroed, Pod, SharedVec};
 use bytes::Bytes;
 use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
 use multiview::{AllocMode, Allocator, MinipageId};
@@ -277,19 +277,32 @@ impl Transport for SocketTransport {
 }
 
 /// The host backend's [`ProtoClock`]: real work takes real time, so
-/// `charge` is a no-op and `now` reads the monotonic clock (nanoseconds
-/// since the run started — enough for window bookkeeping and stamps).
+/// `charge` is a no-op and `now` is the monotonic clock as the server
+/// loop read it when the message in hand arrived (nanoseconds since the
+/// run started — enough for window bookkeeping and stamps). One read per
+/// message: a handler asks for the time ten to fifteen times.
 struct WallClock {
     start: Instant,
+    stamp: Ns,
+}
+
+impl WallClock {
+    fn starting_at(start: Instant) -> Self {
+        Self { start, stamp: 0 }
+    }
+
+    fn read(&mut self) {
+        self.stamp = self.start.elapsed().as_nanos() as Ns;
+    }
 }
 
 impl ProtoClock for WallClock {
     fn now(&self) -> Ns {
-        self.start.elapsed().as_nanos() as Ns
+        self.stamp
     }
 
     fn charge(&mut self, _dt: Ns) -> Ns {
-        self.now()
+        self.stamp
     }
 }
 
@@ -610,6 +623,7 @@ fn host_server_loop(
         if m.kind == MsgKind::Shutdown {
             break;
         }
+        clock.read();
         server::dispatch(
             m,
             wire_from,
@@ -701,12 +715,14 @@ impl Dsm for HostDsmCtx {
             return Vec::new();
         }
         let (addr, len) = sv.range_bytes(range.start, range.end);
-        vec_filled(range.len(), |bytes| {
+        let mut out = zeroed(range.len());
+        fill_wire(&mut out, |bytes| {
             self.for_each_span(addr, len, |view, page, offset, span| {
                 self.region.read_span(view, page, offset, &mut bytes[span]);
             });
             self.flush_ack();
-        })
+        });
+        out
     }
 
     fn write_range<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, vals: &[T]) {
@@ -991,7 +1007,7 @@ where
                 diag: diag_sink.clone(),
                 to_self: RefCell::default(),
             };
-            let clock = WallClock { start };
+            let clock = WallClock::starting_at(start);
             let rx = &srv_rx[h];
             servers.push(
                 std::thread::Builder::new()
@@ -1154,9 +1170,7 @@ mod tests {
         release.data = Bytes::from(vec![0u8; MAX_DATA + 1]);
         ep.send(me, release, 0, 0, "test").expect("queued");
 
-        let clock = WallClock {
-            start: Instant::now(),
-        };
+        let clock = WallClock::starting_at(Instant::now());
         let (errors, _) = host_server_loop(&inbox_rx, &state, shard, ep, clock);
         assert_eq!(errors, Vec::<String>::new());
         // The handler ran: the application's channel holds the release

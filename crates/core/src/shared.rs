@@ -7,7 +7,7 @@
 //! [`SharedCell`] handles — plain `Copy` values wrapping a shared virtual
 //! address — and access them through [`HostCtx`](crate::HostCtx) methods.
 //! A range access is one copy between the page and the caller's slice
-//! (`wire_bytes`, `vec_filled`), never a conversion element by element.
+//! (`wire_bytes`, `fill_wire`), never a conversion element by element.
 
 use sim_mem::VAddr;
 use std::borrow::Cow;
@@ -81,18 +81,22 @@ pub(crate) fn wire_bytes<T: Pod>(vals: &[T]) -> Cow<'_, [u8]> {
     bytes
 }
 
-/// A `len`-element vector whose wire bytes `fill` wrote; they start zeroed.
-pub(crate) fn vec_filled<T: Pod>(len: usize, fill: impl FnOnce(&mut [u8])) -> Vec<T> {
-    let mut out = vec![T::from_bytes(&[0; POD_MAX][..T::SIZE]); len];
-    // SAFETY: `out` owns `len` initialized elements of `T::SIZE` =
-    // `size_of::<T>()` bytes each, borrowed exclusively while the view
-    // lives; every bit pattern `fill` can store is a sealed `Pod` scalar.
-    let bytes = unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast(), len * T::SIZE) };
+/// `len` elements of all-zero bytes, for [`fill_wire`] to overwrite.
+pub(crate) fn zeroed<T: Pod>(len: usize) -> Vec<T> {
+    vec![T::from_bytes(&[0; POD_MAX][..T::SIZE]); len]
+}
+
+/// Hands `out` to `fill` as its wire bytes, all of which `fill` overwrites.
+pub(crate) fn fill_wire<T: Pod>(out: &mut [T], fill: impl FnOnce(&mut [u8])) {
+    let len = std::mem::size_of_val(out);
+    // SAFETY: `out` borrows `len` initialized bytes (elements of `T::SIZE`
+    // = `size_of::<T>()` bytes each) exclusively while the view lives;
+    // every bit pattern `fill` can store is a sealed `Pod` scalar.
+    let bytes = unsafe { std::slice::from_raw_parts_mut(out.as_mut_ptr().cast(), len) };
     fill(bytes);
     if cfg!(target_endian = "big") {
         bytes.chunks_exact_mut(T::SIZE).for_each(<[u8]>::reverse);
     }
-    out
 }
 
 /// A shared array of `n` elements of `T`, allocated with one `malloc` call
@@ -216,8 +220,10 @@ mod tests {
         let bytes = wire_bytes(&xs);
         let by_element: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
         assert_eq!(*bytes, by_element);
-        assert_eq!(vec_filled::<f32>(4, |b| b.copy_from_slice(&bytes)), xs);
-        assert_eq!(vec_filled::<u16>(3, |b| assert_eq!(b, [0; 6])), [0; 3]);
+        let mut back = zeroed::<f32>(4);
+        fill_wire(&mut back, |b| b.copy_from_slice(&bytes));
+        assert_eq!(back, xs);
+        fill_wire(&mut zeroed::<u16>(3), |b| assert_eq!(b, [0; 6]));
         assert!(wire_bytes::<i64>(&[]).is_empty());
     }
 

@@ -1,11 +1,14 @@
 //! Property-based tests over the core data structures and the cluster.
 
 use millipage::diff::Diff;
-use millipage::{run, AllocMode, ClusterConfig, CostModel, Dsm, Pod, SharedVec};
+use millipage::{
+    run, AllocMode, ClusterConfig, CostModel, Dsm, HostCtx, HostId, Ns, Pod, SchedMode, SharedVec,
+};
 use multiview::{AllocMode as MvMode, Allocator};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use sim_mem::Geometry;
+use std::ops::Range;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -180,7 +183,11 @@ proptest! {
     /// bytes spell (NaN payloads, signalling NaNs). The typed handles sit
     /// at every byte skew over one three-page arena and the ranges start
     /// around a page end, so they straddle it; page-grain allocation
-    /// makes every page end a minipage end too. On both backends.
+    /// makes every page end a minipage end too. On both backends — and on
+    /// the simulator once more reading through `HostCtx::read_into`, which
+    /// must fill the caller's buffer with the same bits for the same
+    /// virtual time and counts (the two schedules are deterministic, so
+    /// the two reports are comparable whole).
     #[test]
     fn range_access_is_a_bit_exact_copy(
         raw in proptest::collection::vec(any::<u8>(), 0..700),
@@ -196,12 +203,17 @@ proptest! {
             views: 4,
             pages: 16,
             alloc_mode: if page_grain { AllocMode::PageGrain } else { AllocMode::FINE },
+            sched: SchedMode::deterministic(),
             ..ClusterConfig::default()
         };
-        let report = run(cfg, setup, |ctx, arena| {
+        let report = run(cfg.clone(), setup, |ctx, arena| {
             all_pods_roundtrip(ctx, arena, skew, from, &raw, &mismatches);
         });
         prop_assert!(report.coherence_violations.is_empty());
+        let through_read_into = run(cfg, setup, |ctx, arena| {
+            all_pods_roundtrip(&mut ReadsInto(ctx), arena, skew, from, &raw, &mismatches);
+        });
+        prop_assert_eq!(through_read_into.to_json(), report.to_json());
         #[cfg(target_os = "linux")]
         {
             let cfg = millipage::HostRunConfig { hosts: 2, views: 4, pages: 16, ..Default::default() };
@@ -268,6 +280,42 @@ fn all_pods_roundtrip<D: Dsm>(
     one::<i64, D>(ctx, arena, skew, from, raw, bad);
     one::<f32, D>(ctx, arena, skew, from, raw, bad);
     one::<f64, D>(ctx, arena, skew, from, raw, bad);
+}
+
+/// A simulator context whose `read_range` goes through
+/// [`HostCtx::read_into`], into a buffer that held something else.
+struct ReadsInto<'a>(&'a mut HostCtx);
+
+impl Dsm for ReadsInto<'_> {
+    fn host(&self) -> HostId {
+        self.0.host()
+    }
+
+    fn hosts(&self) -> usize {
+        self.0.hosts()
+    }
+
+    fn read_range<T: Pod>(&mut self, sv: &SharedVec<T>, range: Range<usize>) -> Vec<T> {
+        let mut out = vec![T::from_bytes(&[0xa5; 8][..T::SIZE]); range.len()];
+        self.0.read_into(sv, range.start, &mut out);
+        out
+    }
+
+    fn write_range<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, vals: &[T]) {
+        self.0.write_range(sv, start, vals);
+    }
+
+    fn barrier(&mut self) {
+        self.0.barrier();
+    }
+
+    fn timer_reset(&mut self) {
+        self.0.timer_reset();
+    }
+
+    fn compute(&mut self, ns: Ns) {
+        self.0.compute(ns);
+    }
 }
 
 /// The wire format, pinned: shared memory holds a `u32` lowest byte first
