@@ -8,12 +8,12 @@
 //! the computation starts), hands every application thread the same shared
 //! handle bundle, and assembles a [`RunReport`] when everything joins.
 //!
-//! Application threads are always OS threads. A server is one only in
-//! free-threaded mode, where it blocks in `recv`; under the deterministic
-//! scheduler it is a passive slot (`sim_core::sched`) whose handlers run
-//! as upcalls of whichever application thread holds the schedule — the
-//! paper's §3.5 arrangement — so a deterministic run of H hosts × T
-//! threads has exactly H·T OS threads beyond the caller's.
+//! Every run executes under the deterministic scheduler
+//! (`sim_core::sched`). Application threads are OS threads, of which the
+//! scheduler lets one per partition run at a time; a server is a passive
+//! slot whose handlers run as upcalls of whichever application thread
+//! holds the schedule — the paper's §3.5 arrangement — so a run of H hosts
+//! × T threads has exactly H·T OS threads beyond the caller's.
 
 use crate::diag::{build_report, DiagSink, DiagTable, LinkStat};
 use crate::error::ProtocolError;
@@ -32,7 +32,7 @@ use crate::stats::{
 use multiview::{AllocMode, Allocator};
 use parking_lot::Mutex;
 use sim_core::clock::Clock;
-use sim_core::sched::{ParallelConfig, SchedMode, SchedThread, Scheduler, ThreadKey, Turn};
+use sim_core::sched::{ParallelConfig, SchedMode, Scheduler, ThreadKey, Turn};
 use sim_core::trace::{Tracer, Track};
 use sim_core::{CostModel, HostId, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
@@ -81,27 +81,18 @@ pub struct ClusterConfig {
     /// plus scripted one-shot faults). Disabled by default, in which case
     /// the network takes the exact pre-fault-plane code path.
     pub faults: WireFaults,
-    /// Wall-clock backstop on blocking application waits. `None` blocks
-    /// forever except under an active fault plane, where it defaults to
-    /// 30 s so a lost-beyond-recovery reply surfaces as a typed
-    /// [`ProtocolError::Timeout`] instead of a hang. Ignored in
-    /// deterministic mode, where the scheduler's deadlock detection
-    /// replaces every wall-clock backstop.
-    pub request_timeout: Option<std::time::Duration>,
-    /// Cooperative deterministic scheduling (see `sim_core::sched`). Off
-    /// by default — the free-threaded optimistic execution — unless the
-    /// `MILLIPAGE_DET_SCHED` environment variable is set, which turns on
-    /// the canonical virtual-time schedule for every run (how CI runs the
-    /// integration suite deterministically without touching each test).
+    /// The schedule policy (see `sim_core::sched`): the canonical
+    /// virtual-time order by default, or a seeded exploration policy. A
+    /// schedule nobody can advance ends in a typed
+    /// [`ProtocolError::Deadlock`]; there is no wall-clock backstop.
     pub sched: SchedMode,
     /// Conservative parallel simulation: partition the hosts across N OS
     /// worker threads, each running ahead to a safety horizon derived from
     /// the cost model's latency floor (see `sim_core::sched` and DESIGN.md
-    /// §14). Requires the canonical virtual-time schedule (`sched` on with
-    /// the default policy); the exploration policies (Random/PCT/Replay)
-    /// reject it at scheduler construction, and with `sched` off it is
-    /// ignored (free-threaded runs are already multi-core). The observable
-    /// schedule is byte-identical to the sequential one at the same seed.
+    /// §14). Requires the canonical virtual-time schedule (`sched`'s
+    /// default policy); under the exploration policies (Random/PCT/Replay)
+    /// it is ignored. The observable schedule is byte-identical to the
+    /// sequential one at the same seed.
     pub parallel: Option<ParallelConfig>,
     /// Per-minipage sharing diagnostics (see [`crate::diag`]): heat
     /// counters on the fault and invalidation paths, merged into
@@ -139,12 +130,7 @@ impl Default for ClusterConfig {
             seed: 0x4D69_6C6C_6950_6167, // "MilliPag"
             tracer: Tracer::disabled(),
             faults: WireFaults::disabled(),
-            request_timeout: None,
-            sched: if std::env::var_os("MILLIPAGE_DET_SCHED").is_some() {
-                SchedMode::deterministic()
-            } else {
-                SchedMode::off()
-            },
+            sched: SchedMode::deterministic(),
             parallel: None,
             diag: false,
             adapt: crate::adapt::AdaptConfig::default(),
@@ -228,6 +214,25 @@ impl<'a> SetupCtx<'a> {
     }
 }
 
+/// Confines the calling application thread to `cpu`, the one [`run`]'s
+/// caller is on. With one partition the scheduler lets a single
+/// application thread run at a time, so spreading them over CPUs buys no
+/// parallelism and makes every hand-off a cross-CPU wake-up (≈ 30 µs
+/// against ≈ 2 µs, DESIGN.md §4). Nothing to undo — the thread dies with
+/// the run — and a refusal only leaves the thread where the OS puts it.
+#[cfg(target_os = "linux")]
+fn confine_to(cpu: usize) {
+    // SAFETY: all-zero bytes are a valid (empty) `cpu_set_t`.
+    let mut set: libc::cpu_set_t = unsafe { std::mem::zeroed() };
+    // SAFETY: `set` is a live `cpu_set_t` of exactly the size passed,
+    // holding `cpu`, which `sched_getcpu` reported; pid 0 names the
+    // calling thread.
+    unsafe {
+        libc::CPU_SET(cpu, &mut set);
+        libc::sched_setaffinity(0, std::mem::size_of_val(&set), &set);
+    }
+}
+
 /// Runs a parallel application on a simulated Millipage cluster.
 ///
 /// `setup` allocates and initializes shared structures (once, pre-run) and
@@ -292,19 +297,6 @@ where
         .collect();
     let (net, endpoints) =
         Network::<Pmsg>::with_faults(cfg.hosts, cfg.cost.clone(), cfg.faults.to_plane());
-    // Deterministic mode replaces wall-clock backstops outright: virtual
-    // threads legitimately sit parked for unbounded real time while the
-    // schedule runs elsewhere, and a schedule nobody can advance is
-    // detected as a deadlock instead of timed out.
-    let request_timeout = if cfg.sched.is_on() {
-        None
-    } else {
-        cfg.request_timeout.or_else(|| {
-            cfg.faults
-                .is_active()
-                .then(|| std::time::Duration::from_secs(30))
-        })
-    };
     // Slot order (servers, then application threads, in host order) is
     // the decision-log numbering; keep it stable across runs.
     let sched = {
@@ -322,7 +314,7 @@ where
             // sequential — their whole point is to own the global
             // interleaving — so a parallel request quietly falls back to
             // the sequential scheduler for them.
-            Some(p) if cfg.sched.is_on() && cfg.sched.is_virtual_time() => {
+            Some(p) if cfg.sched.is_virtual_time() => {
                 let map = p
                     .partition_map
                     .clone()
@@ -368,12 +360,16 @@ where
     let app_ref = &app;
 
     let states_ref = &states;
+    #[cfg(target_os = "linux")]
+    // SAFETY: `sched_getcpu` takes no argument and touches no memory.
+    let cpu = usize::try_from(unsafe { libc::sched_getcpu() })
+        .ok()
+        .filter(|_| sched.partitions() == 1);
     let (host_reports, outcomes, app_failures) = std::thread::scope(|scope| {
-        // A server needs a thread of its own only to block in `recv`.
-        // Under the scheduler nothing blocks: each server is a passive
-        // slot, and its turn — owned here, borrowed by the scheduler —
-        // runs on whichever application thread holds the schedule.
-        let mut server_handles = Vec::new();
+        // A server keeps nothing between two messages, so it needs no
+        // thread: it is a passive slot, and its turn — owned here, borrowed
+        // by the scheduler — runs on whichever application thread holds
+        // the schedule.
         let mut server_cells: Vec<Arc<Mutex<Option<Server>>>> = Vec::new();
         for (h, ep) in endpoints.into_iter().enumerate() {
             let timeline = ServerTimeline::new(cfg.cost.clone(), rng.fork(h as u64));
@@ -383,25 +379,13 @@ where
             // server's recorder.
             ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
             let rec = cfg.tracer.recorder(HostId(h as u16), Track::Server);
-            let mut server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, rec);
-            if sched.is_enabled() {
-                let cell = Arc::new(Mutex::new(Some(server)));
-                server_cells.push(Arc::clone(&cell));
-                sched.attach_passive(
-                    ThreadKey::server(HostId(h as u16)),
-                    Box::new(move || cell.lock().as_mut().map_or(Turn::Done, Server::turn)),
-                );
-            } else {
-                server_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("mv-server-{h}"))
-                        .spawn_scoped(scope, move || {
-                            server.run();
-                            server
-                        })
-                        .expect("spawn server thread"),
-                );
-            }
+            let server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, rec);
+            let cell = Arc::new(Mutex::new(Some(server)));
+            server_cells.push(Arc::clone(&cell));
+            sched.attach_passive(
+                ThreadKey::server(HostId(h as u16)),
+                Box::new(move || cell.lock().as_mut().map_or(Turn::Done, Server::turn)),
+            );
         }
         let mut app_handles = Vec::with_capacity(cfg.hosts * cfg.threads_per_host);
         for h in 0..cfg.hosts {
@@ -415,33 +399,38 @@ where
                 let events = Arc::new(AtomicU64::new(
                     ((h * cfg.threads_per_host + t + 1) as u64) << 40,
                 ));
-                let mut ctx = HostCtx {
-                    host: HostId(h as u16),
-                    hosts: cfg.hosts,
-                    thread: t,
-                    home: Arc::clone(&home),
-                    state: Arc::clone(&states[h]),
-                    net: net.clone(),
-                    cost: cfg.cost.clone(),
-                    clock: Clock::new(),
-                    breakdown: TimeBreakdown::new(),
-                    events,
-                    pending_acks: Vec::new(),
-                    consistency: cfg.consistency,
-                    timed_from: 0,
-                    breakdown_mark: TimeBreakdown::new(),
-                    trace: cfg.tracer.recorder(HostId(h as u16), Track::App(t as u16)),
-                    fault_hist: LogHistogram::new(),
-                    request_timeout,
-                    sched: SchedThread::disabled(),
-                    tlb: sim_mem::AccessTlb::new(),
-                };
+                let (home, state) = (Arc::clone(&home), Arc::clone(&states[h]));
+                let (net, cost) = (net.clone(), cfg.cost.clone());
+                let trace = cfg.tracer.recorder(HostId(h as u16), Track::App(t as u16));
                 let sched = sched.clone();
                 let builder = std::thread::Builder::new().name(format!("mv-host-{h}.{t}"));
                 app_handles.push(
                     builder
                         .spawn_scoped(scope, move || {
-                            ctx.sched = sched.attach(ThreadKey::app(HostId(h as u16), t as u16));
+                            #[cfg(target_os = "linux")]
+                            if let Some(cpu) = cpu {
+                                confine_to(cpu);
+                            }
+                            let mut ctx = HostCtx {
+                                host: HostId(h as u16),
+                                hosts: cfg.hosts,
+                                thread: t,
+                                home,
+                                state,
+                                net,
+                                cost,
+                                clock: Clock::new(),
+                                breakdown: TimeBreakdown::new(),
+                                events,
+                                pending_acks: Vec::new(),
+                                consistency: cfg.consistency,
+                                timed_from: 0,
+                                breakdown_mark: TimeBreakdown::new(),
+                                trace,
+                                fault_hist: LogHistogram::new(),
+                                sched: sched.attach(ThreadKey::app(HostId(h as u16), t as u16)),
+                                tlb: sim_mem::AccessTlb::new(),
+                            };
                             // Catch the unwind here so a failed thread can cancel
                             // its siblings' pending waits *before* anyone tries to
                             // join: joining a thread that is parked on a waiter
@@ -494,10 +483,10 @@ where
         // All application work is done (or cancelled); stop the servers —
         // unconditionally, so a failed run still tears down cleanly. FIFO
         // per sender guarantees the Shutdown trails every earlier
-        // application message. In deterministic mode the (unscheduled)
-        // main thread first waits for the scheduled world to quiesce, so
-        // the shutdown injection point — and with it the whole run,
-        // teardown included — is a pure function of the schedule.
+        // application message. The (unscheduled) main thread first waits
+        // for the scheduled world to quiesce, so the shutdown injection
+        // point — and with it the whole run, teardown included — is a pure
+        // function of the schedule.
         sched.quiesce_then(|| {
             for h in 0..cfg.hosts {
                 net.send(
@@ -510,17 +499,12 @@ where
             }
         });
         // Every server is collected before any is finished (which closes
-        // its endpoint). Taking a passive server out of its cell also
-        // works after a poisoned run that never served `Shutdown`, and
-        // breaks the scheduler → turn → endpoint → scheduler cycle.
-        let servers: Vec<Server> = server_handles
-            .into_iter()
-            .map(|h| h.join().expect("server thread panicked"))
-            .chain(
-                server_cells
-                    .iter()
-                    .map(|c| c.lock().take().expect("a server is collected once")),
-            )
+        // its endpoint). Taking a server out of its cell also works after
+        // a poisoned run that never served `Shutdown`, and breaks the
+        // scheduler → turn → endpoint → scheduler cycle.
+        let servers: Vec<Server> = server_cells
+            .iter()
+            .map(|c| c.lock().take().expect("a server is collected once"))
             .collect();
         let outcomes: Vec<ServerOutcome> = servers.into_iter().map(Server::finish).collect();
         (host_reports, outcomes, app_failures)

@@ -15,8 +15,7 @@ use sim_core::HostId;
 /// server thread or hanging the cluster.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProtocolError {
-    /// A request outlived its retransmit budget (or the configured
-    /// wall-clock backstop): the wire gave up on the message.
+    /// A message outlived its retransmit budget: the wire gave up on it.
     Timeout {
         /// Host that gave up.
         host: HostId,
@@ -95,9 +94,7 @@ pub enum ProtocolError {
         what: &'static str,
     },
     /// The deterministic scheduler found no runnable thread while this one
-    /// was still blocked: the explored schedule deadlocked. Only produced
-    /// in deterministic mode, where a deadlocking interleaving is a
-    /// finding, not a hang.
+    /// was still blocked: the schedule deadlocked — a finding, not a hang.
     Deadlock {
         /// Host whose wait can never complete.
         host: HostId,

@@ -17,7 +17,7 @@ use crate::home::{HomePolicyKind, HomeTable};
 use crate::msg::{Completion, MsgKind, Pmsg};
 use crate::shared::{fill_wire, wire_bytes, zeroed, Pod, SharedCell, SharedVec, POD_MAX};
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use sim_core::clock::{BusyWindow, Clock, Ns};
 use sim_core::sched::{BlockOutcome, SchedThread};
 use sim_core::trace::{TraceKind, TraceRecorder, NO_MP};
@@ -39,7 +39,6 @@ use std::sync::Arc;
 #[derive(Default)]
 pub(crate) struct Waiter {
     slot: Mutex<Option<Result<Completion, ProtocolError>>>,
-    cv: Condvar,
 }
 
 impl Waiter {
@@ -47,13 +46,13 @@ impl Waiter {
         Arc::new(Self::default())
     }
 
-    /// Server side: publishes the completion and wakes the waiter.
+    /// Server side: publishes the completion. The blocked thread looks
+    /// again when the handler's turn ends (`sim_core::sched::Turn::Ran`).
     pub(crate) fn fulfill(&self, c: Completion) {
         let mut slot = self.slot.lock();
         if slot.is_none() {
             *slot = Some(Ok(c));
         }
-        self.cv.notify_all();
     }
 
     /// Fails the rendezvous with a typed error (a fulfilled waiter keeps
@@ -63,44 +62,13 @@ impl Waiter {
         if slot.is_none() {
             *slot = Some(Err(e));
         }
-        self.cv.notify_all();
     }
 
     /// Non-blocking probe: the resolution, if the rendezvous already
-    /// completed. Used by the deterministic scheduler's cooperative wait
-    /// in place of parking on the condvar.
+    /// completed. The condition an application thread parks on in the
+    /// scheduler.
     pub(crate) fn try_result(&self) -> Option<Result<Completion, ProtocolError>> {
         self.slot.lock().clone()
-    }
-
-    /// Application side: blocks until fulfilled or failed.
-    pub(crate) fn wait(&self) -> Result<Completion, ProtocolError> {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(r) = slot.clone() {
-                return r;
-            }
-            self.cv.wait(&mut slot);
-        }
-    }
-
-    /// Like [`wait`](Self::wait) but gives up after `timeout` of wall
-    /// clock, returning `None`. The wall-clock backstop exists for runs
-    /// that disabled every deterministic failure path; virtual time never
-    /// advances while a thread is parked here.
-    pub(crate) fn wait_timeout(
-        &self,
-        timeout: std::time::Duration,
-    ) -> Option<Result<Completion, ProtocolError>> {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(r) = slot.clone() {
-                return Some(r);
-            }
-            if self.cv.wait_for(&mut slot, timeout).timed_out() {
-                return slot.clone();
-            }
-        }
     }
 }
 
@@ -294,13 +262,7 @@ pub struct HostCtx {
     pub(crate) trace: TraceRecorder,
     /// Fault service times (request to resume) of this thread.
     pub(crate) fault_hist: LogHistogram,
-    /// Wall-clock backstop on blocking waits. `None` (the default, and
-    /// always the case with the fault plane disabled) blocks forever, as
-    /// the pre-fault-plane code did; under injected faults a bounded wait
-    /// turns a lost-reply hang into a typed [`ProtocolError::Timeout`].
-    pub(crate) request_timeout: Option<std::time::Duration>,
-    /// This thread's handle into the deterministic scheduler (inert in
-    /// the default free-threaded mode).
+    /// This thread's handle into the deterministic scheduler.
     pub(crate) sched: SchedThread,
     /// Per-thread software TLB over the host's address space: caches the
     /// last few `(vpage → protection, page)` resolutions so the
@@ -395,32 +357,21 @@ impl HostCtx {
     /// the one of [`request`](Self::request), which owes the schedule the
     /// yield point of the send before it.
     fn wait_on(&mut self, w: &Waiter, what: &'static str, sent: bool) -> Completion {
-        let res = if self.sched.enabled() {
-            // Cooperative wait: yield the schedule until the server
-            // resolves the rendezvous. A poisoned scheduler means no
-            // schedulable thread can ever fulfill it — the explored
-            // interleaving deadlocked, which is a typed finding.
-            let (vt, check) = (self.clock.now(), || w.try_result());
-            let outcome = match sent {
-                true => self.sched.yield_then_block(vt, check),
-                false => self.sched.block_until(vt, check),
-            };
-            match outcome {
-                BlockOutcome::Ready(r) => r,
-                BlockOutcome::Poisoned => Err(ProtocolError::Deadlock {
-                    host: self.host,
-                    what,
-                }),
-            }
-        } else {
-            match self.request_timeout {
-                None => w.wait(),
-                Some(d) => w.wait_timeout(d).unwrap_or(Err(ProtocolError::Timeout {
-                    host: self.host,
-                    what,
-                    event: 0,
-                })),
-            }
+        // Cooperative wait: yield the schedule until the server resolves
+        // the rendezvous. A poisoned scheduler means no schedulable thread
+        // can ever fulfill it — the interleaving deadlocked, which is a
+        // typed finding.
+        let (vt, check) = (self.clock.now(), || w.try_result());
+        let outcome = match sent {
+            true => self.sched.yield_then_block(vt, check),
+            false => self.sched.block_until(vt, check),
+        };
+        let res = match outcome {
+            BlockOutcome::Ready(r) => r,
+            BlockOutcome::Poisoned => Err(ProtocolError::Deadlock {
+                host: self.host,
+                what,
+            }),
         };
         match res {
             Ok(c) => c,
@@ -966,20 +917,18 @@ impl HostCtx {
         // Yield point: a fault is where the hardware would trap out of
         // the application — a natural interleaving boundary.
         self.sched.yield_now(self.clock.now());
-        if self.sched.enabled() {
-            // The yield may have let the server resolve this very fault
-            // (a prefetch reply or push installing the page between the
-            // trap and the handler). Retry the access instead of
-            // requesting a copy the host already holds — the real kernel
-            // path does the same for a fault on a since-mapped page.
-            let p = self.state.space.prot(f.vpage);
-            let resolved = match f.access {
-                Access::Read => p != sim_mem::Prot::NoAccess,
-                Access::Write => p == sim_mem::Prot::ReadWrite,
-            };
-            if resolved {
-                return;
-            }
+        // The yield may have let the server resolve this very fault (a
+        // prefetch reply or push installing the page between the trap and
+        // the handler). Retry the access instead of requesting a copy the
+        // host already holds — the real kernel path does the same for a
+        // fault on a since-mapped page.
+        let p = self.state.space.prot(f.vpage);
+        let resolved = match f.access {
+            Access::Read => p != sim_mem::Prot::NoAccess,
+            Access::Write => p == sim_mem::Prot::ReadWrite,
+        };
+        if resolved {
+            return;
         }
         // Close any service window we still hold before requesting the
         // next minipage. A multi-minipage operation (possible under the

@@ -585,7 +585,7 @@ fn recv_inbox(host: HostId, srv_rx: &OwnedFd, buf: &mut [u8]) -> Result<usize, S
 }
 
 /// One host's DSM server: the real-thread analogue of
-/// [`server::Server::run`] — a datagram receive in front of the same
+/// [`server::Server::turn`] — a datagram receive in front of the same
 /// per-message engine ([`server::dispatch`]). Hands back the errors it
 /// degraded through (fatal to the affected request; a non-empty list fails
 /// the run report) and the adaptation actions its shard applied.

@@ -16,10 +16,9 @@
 //! whole host.
 //!
 //! [`Server`] is the simulator's server — one per-packet body,
-//! [`Server::serve`], behind a blocking receive loop (free-threaded) or a
-//! scheduler turn (deterministic). Everything from [`dispatch`] down is
-//! generic over the backend traits and is the host backend's server too
-//! (`hostrun` only puts a datagram receive in front).
+//! [`Server::serve`], behind a scheduler turn. Everything from [`dispatch`]
+//! down is generic over the backend traits and is the host backend's
+//! server too (`hostrun` only puts a datagram receive in front).
 
 use crate::backend::{
     bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, LocalWake,
@@ -60,11 +59,10 @@ pub(crate) enum Served {
 }
 
 /// One host's DSM server: the state its per-packet body owns. It is not
-/// tied to a thread. Free-threaded runs give each server an OS thread
-/// blocking in [`Server::run`]; under the deterministic scheduler it is a
-/// passive slot whose [`Server::turn`] runs on whichever simulated thread
-/// holds the schedule (§3.5: handlers are upcalls of the thread that finds
-/// the message, and run to completion).
+/// tied to a thread: it is a passive scheduler slot whose [`Server::turn`]
+/// runs on whichever simulated thread holds the schedule (§3.5: handlers
+/// are upcalls of the thread that finds the message, and run to
+/// completion).
 pub(crate) struct Server {
     ep: Endpoint<Pmsg>,
     state: Arc<HostState>,
@@ -89,16 +87,6 @@ impl Server {
             shard,
             rec,
             errors: Vec::new(),
-        }
-    }
-
-    /// Free-threaded service: blocks on the inbox until `Shutdown` (or
-    /// until every sender is gone).
-    pub(crate) fn run(&mut self) {
-        while let Ok(pkt) = self.ep.recv() {
-            if self.serve(pkt) == Served::Stop {
-                break;
-            }
         }
     }
 
@@ -154,7 +142,7 @@ impl Server {
         // visible at its release stamp (the link-FIFO cumulative maximum
         // of arrivals); service must not start before it. `release_vt` is
         // 0 whenever the gate is inactive, so this is the plain arrival
-        // stamp in free-threaded and exploration modes.
+        // stamp under the exploration policies.
         let seen_vt = pkt.arrival_vt.max(pkt.release_vt);
         // §3.5.1: if the application threads were computing at the
         // message's (virtual) arrival, only the (jittery) sweeper sees
@@ -275,7 +263,8 @@ fn surface_error<M, W: LocalWake, C: ProtoClock, T: Transport>(
             if event != 0 =>
         {
             // Best-effort: if the nack itself exhausts its retransmit
-            // budget the requester's wall-clock backstop still fires.
+            // budget the simulator ends the requester's wait with the
+            // scheduler's deadlock verdict.
             let _ = ep.send(from, nack, 0, tl.now(), "nack");
         }
         ReadReply | WriteReply | AllocReply | BarrierRelease | LockGrant | RcDiffAck => {

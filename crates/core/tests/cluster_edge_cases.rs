@@ -115,10 +115,7 @@ fn timer_reset_scopes_the_breakdown() {
 #[test]
 fn fetch_group_overlaps_fetches() {
     // Composed-view group fetch (§5): pulling 24 minipages as a group
-    // must cost far less than 24 serial fault round trips. The serial vs
-    // grouped timing ratio depends on how host 1's faults interleave with
-    // host 0's server, so the comparison runs under the deterministic
-    // scheduler: one canonical interleaving, stable virtual times.
+    // must cost far less than 24 serial fault round trips.
     let serial = Mutex::new(0u64);
     let grouped = Mutex::new(0u64);
     let report = run(
@@ -235,8 +232,8 @@ fn early_app_panic_terminates_cleanly() {
 #[test]
 #[should_panic(expected = "shared allocation failed")]
 fn handler_panic_ends_the_run_with_its_own_message() {
-    // Under the deterministic scheduler a handler runs on whichever
-    // application thread holds the schedule — here h1's, inside its wait
+    // A handler runs on whichever application thread holds the schedule
+    // — here h1's, inside its wait
     // for the allocation reply. The manager's allocator panicking (the
     // request exceeds the whole region) must neither be reported as h1's
     // failure nor leave the other hosts parked: the scheduler catches it,
@@ -277,7 +274,6 @@ fn blackholed_request_surfaces_as_protocol_error() {
                 scripted: vec![WireFault::blackhole_nth(HostId(1), HostId(0), 1)],
                 ..WireFaults::disabled()
             },
-            request_timeout: Some(std::time::Duration::from_millis(500)),
             ..cfg(2)
         },
         |s| s.alloc_vec_init::<u64>(&[7; 8]),

@@ -1,19 +1,15 @@
 //! Cooperative deterministic scheduling of simulated threads — sequential
 //! and conservative-parallel (PDES).
 //!
-//! Free-threaded, the simulation gives every simulated thread — each
-//! host's application threads and its DSM server — an OS thread, which
-//! makes that execution *optimistic*: virtual time is accounted
-//! deterministically, but the real interleaving — and therefore message
-//! arrival order, directory state transitions, and the recorded trace — is
-//! whatever the OS scheduler produced. This module adds a **deterministic
-//! mode**: when a [`Scheduler`] is enabled, every simulated thread is a
-//! *slot*, control changes hands only at explicit *yield points* (message
-//! send/receive, fault entry, blocking rendezvous), and the next runnable
-//! slot is picked by a deterministic [`SchedPolicy`]. A seed then maps to
-//! exactly one interleaving and one trace, which is what makes schedule
-//! *exploration* (random-walk / PCT search over interleavings, with
-//! replayable minimal reproducers) possible at all.
+//! Every simulated thread — each host's application threads and its DSM
+//! server — is a *slot* of the run's [`Scheduler`]: control changes hands
+//! only at explicit *yield points* (message send/receive, fault entry,
+//! blocking rendezvous), and the next runnable slot is picked by a
+//! deterministic [`SchedPolicy`], never by the OS. A policy and seed map to
+//! exactly one interleaving — message arrival order, directory state
+//! transitions, the recorded trace — which is what makes a run repeat and
+//! schedule *exploration* (random-walk / PCT search over interleavings,
+//! with replayable minimal reproducers) possible at all.
 //!
 //! # Threads and passive slots
 //!
@@ -54,7 +50,7 @@
 //!
 //! # Partitioned execution
 //!
-//! Deterministic mode is built as a **conservative parallel discrete-event
+//! The scheduler is built as a **conservative parallel discrete-event
 //! simulation** (PDES). The host set is split into partitions, each driven
 //! by the application threads of its hosts; within a partition exactly one
 //! slot runs at a time. Partitions advance independently
@@ -79,9 +75,6 @@
 //!
 //! Design notes:
 //!
-//! * **Disabled is free.** A disabled scheduler hands out inert
-//!   [`SchedThread`] handles whose methods are a single branch on an
-//!   `Option`; the free-threaded default path is untouched.
 //! * **Wake-ups name a host.** Blocking conditions live in the protocol
 //!   layer and are not told about the scheduler, but there are exactly
 //!   two of them and both are host-local state: host *h*'s server waits
@@ -250,46 +243,36 @@ pub enum SchedPolicy {
     },
 }
 
-/// Scheduling mode carried on a cluster configuration. Off by default:
-/// the free-threaded optimistic execution. When on, it names the policy
-/// and owns the shared decision log the run's [`Scheduler`] records into
-/// (so callers can retrieve the schedule after the run for replay and
+/// Scheduling mode carried on a cluster configuration: names the policy
+/// — the canonical [`SchedPolicy::VirtualTime`] order by default — and
+/// owns the shared decision log the run's [`Scheduler`] records into (so
+/// callers can retrieve the schedule after the run for replay and
 /// shrinking).
-#[derive(Clone, Debug, Default)]
-pub struct SchedMode {
-    inner: Option<ModeInner>,
-}
-
 #[derive(Clone, Debug)]
-struct ModeInner {
+pub struct SchedMode {
     policy: SchedPolicy,
     log: Arc<Mutex<Vec<u32>>>,
     hand_offs: Arc<AtomicU64>,
 }
 
+impl Default for SchedMode {
+    fn default() -> Self {
+        Self::deterministic()
+    }
+}
+
 impl SchedMode {
-    /// Free-threaded execution (the default).
-    pub fn off() -> Self {
-        Self { inner: None }
-    }
-
-    /// Whether deterministic scheduling is requested.
-    pub fn is_on(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Deterministic mode with the canonical [`SchedPolicy::VirtualTime`]
-    /// policy.
+    /// The canonical [`SchedPolicy::VirtualTime`] schedule (the default).
     pub fn deterministic() -> Self {
         Self::with_policy(SchedPolicy::VirtualTime)
     }
 
-    /// Deterministic mode with a seeded random-walk schedule.
+    /// A seeded random-walk schedule.
     pub fn random(seed: u64) -> Self {
         Self::with_policy(SchedPolicy::Random { seed })
     }
 
-    /// Deterministic mode with a seeded PCT priority schedule.
+    /// A seeded PCT priority schedule.
     pub fn pct(seed: u64, depth: u32) -> Self {
         Self::with_policy(SchedPolicy::Pct {
             seed,
@@ -297,66 +280,49 @@ impl SchedMode {
         })
     }
 
-    /// Deterministic mode replaying a recorded decision sequence.
+    /// The replay of a recorded decision sequence.
     pub fn replay(choices: Vec<u32>) -> Self {
         Self::with_policy(SchedPolicy::Replay {
             choices: Arc::new(choices),
         })
     }
 
-    /// Deterministic mode with an explicit policy.
+    /// A mode with an explicit policy.
     pub fn with_policy(policy: SchedPolicy) -> Self {
         Self {
-            inner: Some(ModeInner {
-                policy,
-                log: Arc::new(Mutex::new(Vec::new())),
-                hand_offs: Arc::default(),
-            }),
+            policy,
+            log: Arc::new(Mutex::new(Vec::new())),
+            hand_offs: Arc::default(),
         }
     }
 
     /// Whether the mode's policy is the canonical virtual-time order (the
     /// only policy that admits partitioned execution and delivery gating).
     pub fn is_virtual_time(&self) -> bool {
-        matches!(
-            &self.inner,
-            Some(ModeInner {
-                policy: SchedPolicy::VirtualTime,
-                ..
-            })
-        )
+        matches!(self.policy, SchedPolicy::VirtualTime)
     }
 
     /// Short policy name for reports.
     pub fn policy_name(&self) -> &'static str {
-        match &self.inner {
-            None => "off",
-            Some(m) => match m.policy {
-                SchedPolicy::VirtualTime => "virtual-time",
-                SchedPolicy::Random { .. } => "random",
-                SchedPolicy::Pct { .. } => "pct",
-                SchedPolicy::Replay { .. } => "replay",
-            },
+        match self.policy {
+            SchedPolicy::VirtualTime => "virtual-time",
+            SchedPolicy::Random { .. } => "random",
+            SchedPolicy::Pct { .. } => "pct",
+            SchedPolicy::Replay { .. } => "replay",
         }
     }
 
     /// The decision sequence the last run recorded under this mode (the
-    /// slot picked at each scheduling step). Empty before any run, when
-    /// off, or under partitioned execution (a total decision order only
-    /// exists with one partition). Feed it to [`SchedMode::replay`] to
-    /// reproduce the run.
+    /// slot picked at each scheduling step). Empty before any run or under
+    /// partitioned execution (a total decision order only exists with one
+    /// partition). Feed it to [`SchedMode::replay`] to reproduce the run.
     pub fn decisions(&self) -> Vec<u32> {
-        match &self.inner {
-            None => Vec::new(),
-            Some(m) => m.log.lock().unwrap_or_else(|e| e.into_inner()).clone(),
-        }
+        lock(&self.log).clone()
     }
 
     /// [`Scheduler::hand_offs`] of the last run under this mode.
     pub fn hand_offs(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |m| m.hand_offs.load(Ordering::Relaxed))
+        self.hand_offs.load(Ordering::Relaxed)
     }
 }
 
@@ -709,30 +675,21 @@ impl Inner {
 }
 
 /// The run-wide deterministic scheduler handle. Cloning shares the
-/// scheduler; a default/disabled one is inert.
-#[derive(Clone, Default)]
+/// scheduler.
+#[derive(Clone)]
 pub struct Scheduler {
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
 }
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            None => write!(f, "Scheduler(off)"),
-            Some(inner) => write!(f, "Scheduler(deterministic, {} parts)", inner.parts.len()),
-        }
+        write!(f, "Scheduler({} parts)", self.inner.parts.len())
     }
 }
 
 impl Scheduler {
-    /// An inert scheduler: every handle it produces is a no-op.
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
     /// Builds a sequential scheduler for the thread set named by `keys`
-    /// under `mode`'s policy (inert when the mode is off): one partition,
-    /// infinite lookahead. The slot order of `keys` defines the
+    /// under `mode`'s policy: one partition, infinite lookahead. The slot order of `keys` defines the
     /// decision-log numbering, so callers must build it deterministically
     /// (the cluster enumerates servers then application threads in host
     /// order).
@@ -759,30 +716,25 @@ impl Scheduler {
         workers: usize,
         lookahead: Ns,
     ) -> Self {
-        if mode.is_on() {
-            assert!(
-                mode.is_virtual_time(),
-                "parallel execution requires the virtual-time policy; \
-                 {} schedules are sequential-only",
-                mode.policy_name()
-            );
-        }
+        assert!(
+            mode.is_virtual_time(),
+            "parallel execution requires the virtual-time policy; \
+             {} schedules are sequential-only",
+            mode.policy_name()
+        );
         assert!(workers >= 1, "parallel execution with zero workers");
         assert!(lookahead >= 1, "zero lookahead would never make progress");
         Self::build(mode, keys, host_part, workers, lookahead)
     }
 
     fn build(
-        mode: &SchedMode,
+        m: &SchedMode,
         keys: Vec<ThreadKey>,
         host_part_in: Vec<usize>,
         workers: usize,
         lookahead: Ns,
     ) -> Self {
-        let Some(m) = &mode.inner else {
-            return Self::disabled();
-        };
-        assert!(!keys.is_empty(), "deterministic mode with no threads");
+        assert!(!keys.is_empty(), "a scheduler with no threads");
         let max_host = keys.iter().map(|k| k.host.index()).max().unwrap_or(0);
         assert!(
             host_part_in.len() > max_host,
@@ -889,7 +841,7 @@ impl Scheduler {
             })
             .collect();
         Self {
-            inner: Some(Arc::new(Inner {
+            inner: Arc::new(Inner {
                 ctl: Mutex::new(Ctl {
                     attached: 0,
                     started: false,
@@ -911,63 +863,52 @@ impl Scheduler {
                 log: Arc::clone(&m.log),
                 hand_offs: Arc::clone(&m.hand_offs),
                 parts,
-            })),
+            }),
         }
     }
 
-    /// Whether deterministic scheduling is active.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Number of worker partitions (0 when disabled).
+    /// Number of worker partitions.
     pub fn partitions(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.parts.len())
+        self.inner.parts.len()
     }
 
-    /// Whether cross-host deliveries must be gated: deterministic mode
-    /// under the canonical virtual-time policy. The network fabric keys
-    /// its delivery path off this.
+    /// Whether cross-host deliveries must be gated: the canonical
+    /// virtual-time policy. The network fabric keys its delivery path off
+    /// this.
     pub fn gating(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.gating)
+        self.inner.gating
     }
 
     /// Whether an external (unscheduled) actor currently runs inside a
     /// quiesced window; the fabric then delivers directly instead of
     /// enqueueing into the gate.
     pub fn external_active(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.external.load(Ordering::Acquire))
+        self.inner.external.load(Ordering::Acquire)
     }
 
     /// Installs the delivery gate (the fabric's gated-packet store).
     /// One-shot; later calls are ignored.
     pub fn set_gate(&self, gate: Arc<dyn DeliveryGate>) {
-        if let Some(inner) = &self.inner {
-            let _ = inner.gate.set(gate);
-        }
+        let _ = self.inner.gate.set(gate);
     }
 
     /// Registers the calling OS thread as the simulated thread `key` and
     /// parks it until every expected thread has attached and the policy
-    /// picks it. Must be called on the spawned thread itself. Returns an
-    /// inert handle when the scheduler is disabled.
+    /// picks it. Must be called on the spawned thread itself.
     ///
     /// # Panics
     ///
     /// Panics if `key` names no slot or was already attached.
     pub fn attach(&self, key: ThreadKey) -> SchedThread {
-        let Some(inner) = &self.inner else {
-            return SchedThread::disabled();
-        };
+        let inner = &self.inner;
         let (part, id) = register(inner, key, None);
         let ps = lock(&inner.parts[part].state);
         drop(park_until_running(inner, part, ps, id));
         SchedThread {
-            inner: Some(Arc::clone(inner)),
+            inner: Arc::clone(inner),
             part,
             id,
+            finished: false,
         }
     }
 
@@ -976,8 +917,7 @@ impl Scheduler {
     /// schedule runs `turn` to completion and dispatches again (see the
     /// module docs). The slot keeps its index, tie-break key, candidate
     /// rule and decision-log entries, so a schedule does not depend on
-    /// whether a slot is a thread or passive. Callable from any thread;
-    /// no-op on a disabled scheduler.
+    /// whether a slot is a thread or passive. Callable from any thread.
     ///
     /// `turn` must never block on another simulated thread, and may call
     /// [`Scheduler::bump_action`] / [`Scheduler::bump_action_host`] but no
@@ -987,9 +927,7 @@ impl Scheduler {
     ///
     /// Panics if `key` names no slot or was already attached.
     pub fn attach_passive(&self, key: ThreadKey, turn: TurnFn) {
-        if let Some(inner) = &self.inner {
-            register(inner, key, Some(turn));
-        }
+        register(&self.inner, key, Some(turn));
     }
 
     /// The payload of a passive turn that panicked, once. The scheduler
@@ -997,7 +935,7 @@ impl Scheduler {
     /// slot and poisoned the run; the owner of the run re-raises it after
     /// teardown.
     pub fn take_turn_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        lock(&self.inner.as_ref()?.turn_panic).take()
+        lock(&self.inner.turn_panic).take()
     }
 
     /// Wakes every host of every partition from *any* thread
@@ -1008,9 +946,7 @@ impl Scheduler {
     /// partition); it has [`SchedThread::action`] for its own host and
     /// [`SchedThread::action_all`] for everything else.
     pub fn bump_action(&self) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
+        let inner = &self.inner;
         let mut ctl = lock(&inner.ctl);
         for part in &inner.parts {
             lock(&part.state).wake_all();
@@ -1039,10 +975,7 @@ impl Scheduler {
     /// Panics if `host` is outside the partition map: a wake delivered to
     /// the wrong partition is a silently lost wake-up.
     pub fn bump_action_host(&self, host: HostId) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        lock(&inner.part_of(host).state).wake(host);
+        lock(&self.inner.part_of(host).state).wake(host);
     }
 
     /// Waits until the whole simulation is quiescent (every thread done
@@ -1052,10 +985,7 @@ impl Scheduler {
     /// main thread injects its shutdown messages without racing the
     /// scheduled world.
     pub fn quiesce_then(&self, f: impl FnOnce()) {
-        let Some(inner) = &self.inner else {
-            f();
-            return;
-        };
+        let inner = &self.inner;
         let mut ctl = lock(&inner.ctl);
         while !(inner.poisoned.load(Ordering::Acquire) || (ctl.started && ctl.idle)) {
             ctl = wait(&inner.main_cv, ctl);
@@ -1079,53 +1009,34 @@ impl Scheduler {
     /// Number of scheduling decisions taken so far, summed over
     /// partitions.
     pub fn steps(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => inner.parts.iter().map(|p| lock(&p.state).steps).sum(),
-        }
+        let parts = &self.inner.parts;
+        parts.iter().map(|p| lock(&p.state).steps).sum()
     }
 
     /// Number of picks so far that passed the schedule to another thread
     /// than the one picked last: the OS switches the schedule costs.
     /// Passive picks, self-picks and unmet conditions cost none.
     pub fn hand_offs(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.hand_offs.load(Ordering::Relaxed))
+        self.inner.hand_offs.load(Ordering::Relaxed)
     }
 }
 
 /// One simulated thread's handle into the scheduler. Obtained from
-/// [`Scheduler::attach`]; all methods are no-ops on a disabled handle.
-/// Dropping the handle marks the thread done and hands control on.
+/// [`Scheduler::attach`]. Dropping the handle marks the thread done and
+/// hands control on.
 pub struct SchedThread {
-    inner: Option<Arc<Inner>>,
+    inner: Arc<Inner>,
     part: usize,
     id: usize,
+    finished: bool,
 }
 
 impl SchedThread {
-    /// An inert handle (what a disabled scheduler hands out).
-    pub fn disabled() -> Self {
-        Self {
-            inner: None,
-            part: 0,
-            id: 0,
-        }
-    }
-
-    /// Whether this thread is cooperatively scheduled.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// A cooperative yield point: records the thread's current virtual
     /// time, lets the policy pick the next thread (possibly this one
     /// again), and returns when this thread is picked again.
     pub fn yield_now(&self, vt: Ns) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
+        let inner = &self.inner;
         let part = &inner.parts[self.part];
         let mut ps = lock(&part.state);
         if inner.poisoned.load(Ordering::Acquire) {
@@ -1140,10 +1051,7 @@ impl SchedThread {
     /// unblocked a peer there (fulfilled a waiter, mutated protocol
     /// state) outside the network-delivery hook.
     pub fn action(&self) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        let mut ps = lock(&inner.parts[self.part].state);
+        let mut ps = lock(&self.inner.parts[self.part].state);
         let host = ps.slots[self.id].key.host;
         ps.wake(host);
     }
@@ -1155,11 +1063,8 @@ impl SchedThread {
     /// barrier, which cannot rule the run idle or deadlocked before it
     /// has applied the request.
     pub fn action_all(&self) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        lock(&inner.parts[self.part].state).wake_all();
-        inner.wake_all_pending.store(true, Ordering::Release);
+        lock(&self.inner.parts[self.part].state).wake_all();
+        self.inner.wake_all_pending.store(true, Ordering::Release);
     }
 
     /// Blocks until `check` produces a value, yielding to other threads
@@ -1175,9 +1080,7 @@ impl SchedThread {
         vt: Ns,
         mut check: impl FnMut() -> Option<T> + Send,
     ) -> BlockOutcome<T> {
-        let Some(inner) = &self.inner else {
-            unreachable!("block_until on a disabled scheduler handle");
-        };
+        let inner = &self.inner;
         // Snapshot the host's wake generation *before* checking: a wake
         // landing between a failed check and the park leaves `seen`
         // stale, so the slot stays schedulable — no lost wake-up.
@@ -1225,9 +1128,7 @@ impl SchedThread {
     /// (`true`) or the run is poisoned. Publishes and withdraws under the
     /// partition lock.
     fn park_on(&self, vt: Ns, status: Status, check: &mut CondFn<'_>) -> bool {
-        let Some(inner) = &self.inner else {
-            unreachable!("parking on a disabled scheduler handle");
-        };
+        let inner = &self.inner;
         let mut ps = lock(&inner.parts[self.part].state);
         if inner.poisoned.load(Ordering::Acquire) {
             return false;
@@ -1247,9 +1148,10 @@ impl SchedThread {
     /// Marks the thread done and hands control to the next runnable
     /// thread. Idempotent; also called on drop.
     pub fn finish(&mut self) {
-        let Some(inner) = self.inner.take() else {
+        if std::mem::replace(&mut self.finished, true) {
             return;
-        };
+        }
+        let inner = &self.inner;
         let part = &inner.parts[self.part];
         let mut ps = lock(&part.state);
         ps.set_status(self.id, Status::Done);
@@ -1259,7 +1161,7 @@ impl SchedThread {
         if inner.poisoned.load(Ordering::Acquire) {
             return;
         }
-        relinquish(&inner, (self.part, self.id), ps);
+        relinquish(inner, (self.part, self.id), ps);
     }
 }
 
@@ -1743,22 +1645,6 @@ mod tests {
             v.push(ThreadKey::app(HostId(0), t as u16));
         }
         v
-    }
-
-    #[test]
-    fn disabled_scheduler_is_inert() {
-        let s = Scheduler::disabled();
-        assert!(!s.is_enabled());
-        assert!(!s.gating());
-        assert_eq!(s.partitions(), 0);
-        let t = s.attach(ThreadKey::app(HostId(0), 0));
-        assert!(!t.enabled());
-        t.yield_now(5);
-        s.bump_action();
-        s.bump_action_host(HostId(0));
-        s.quiesce_then(|| {});
-        assert_eq!(s.steps(), 0);
-        assert_eq!(SchedMode::off().decisions(), Vec::<u32>::new());
     }
 
     /// Two producers and one counter-consumer, serialized: the consumer

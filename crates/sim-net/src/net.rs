@@ -59,9 +59,9 @@ pub struct Packet<M> {
     pub wire_seq: u64,
     /// Virtual time at which the delivery gate released this packet to the
     /// destination (the link-FIFO cumulative maximum of arrival stamps).
-    /// 0 when the gate is inactive — i.e. in free-threaded mode, under the
-    /// exploration policies, and for self-delivery. Servers must not begin
-    /// service before `max(arrival_vt, release_vt)`.
+    /// 0 when the gate is inactive — i.e. on a fabric with no scheduler
+    /// attached, under the exploration policies, and for self-delivery.
+    /// Servers must not begin service before `max(arrival_vt, release_vt)`.
     pub release_vt: Ns,
 }
 
@@ -170,8 +170,8 @@ struct Fabric<M> {
     link_traffic: Vec<AtomicU64>,
     faults: Option<FaultState<M>>,
     /// Deterministic scheduler to notify on every delivery (a delivery may
-    /// unblock the destination's receive loop). Unset or disabled in the
-    /// default free-threaded mode.
+    /// unblock the destination's receive loop). Unset on a fabric used on
+    /// its own, whose receivers block in [`Endpoint::recv`].
     sched: OnceLock<Scheduler>,
     /// Conservative delivery gate; installed by `attach_scheduler` when the
     /// scheduler gates deliveries (canonical virtual-time policy).
@@ -580,34 +580,31 @@ impl<M: Send + Clone> Network<M> {
     }
 
     /// Attaches the deterministic scheduler so deliveries count as
-    /// potentially-unblocking actions. No-op for a disabled scheduler;
-    /// later attachments are ignored.
+    /// potentially-unblocking actions. Later attachments are ignored.
     pub fn attach_scheduler(&self, sched: &Scheduler)
     where
         M: 'static,
     {
-        if sched.is_enabled() {
-            if self.fabric.sched.set(sched.clone()).is_err() {
-                return;
-            }
-            if sched.gating() {
-                let hosts = self.hosts();
-                let _ = self.fabric.gate.set(GateState {
-                    links: (0..hosts * hosts)
-                        .map(|_| {
-                            Mutex::new(GateLink {
-                                cummax: 0,
-                                next_seq: 0,
-                            })
+        if self.fabric.sched.set(sched.clone()).is_err() {
+            return;
+        }
+        if sched.gating() {
+            let hosts = self.hosts();
+            let _ = self.fabric.gate.set(GateState {
+                links: (0..hosts * hosts)
+                    .map(|_| {
+                        Mutex::new(GateLink {
+                            cummax: 0,
+                            next_seq: 0,
                         })
-                        .collect(),
-                    queues: (0..hosts).map(|_| Mutex::new(BTreeMap::new())).collect(),
-                    mins: (0..hosts).map(|_| AtomicU64::new(Ns::MAX)).collect(),
-                });
-                sched.set_gate(Arc::new(GateHandle {
-                    fabric: Arc::downgrade(&self.fabric),
-                }));
-            }
+                    })
+                    .collect(),
+                queues: (0..hosts).map(|_| Mutex::new(BTreeMap::new())).collect(),
+                mins: (0..hosts).map(|_| AtomicU64::new(Ns::MAX)).collect(),
+            });
+            sched.set_gate(Arc::new(GateHandle {
+                fabric: Arc::downgrade(&self.fabric),
+            }));
         }
     }
 

@@ -21,21 +21,10 @@ fn sor_speedup_grows_with_hosts() {
         cols: 64,
         iters: 6,
     };
-    // Virtual times carry scheduling jitter: message arrival order at the
-    // servers depends on real thread interleaving, and under parallel
-    // test load an unlucky interleaving can shave a few percent off one
-    // data point. The *shape* claim is about the best achievable time per
-    // host count, so take the min of a few runs — that is deterministic
-    // in the limit and converges after 2-3 tries in practice.
-    let best = |hosts: usize| {
-        (0..3)
-            .map(|_| sor::run_sor(cfg(hosts), p).timed_ns)
-            .min()
-            .expect("nonempty")
-    };
-    let t1 = best(1);
-    let t2 = best(2);
-    let t8 = best(8);
+    let timed = |hosts: usize| sor::run_sor(cfg(hosts), p).timed_ns;
+    let t1 = timed(1);
+    let t2 = timed(2);
+    let t8 = timed(8);
     let s2 = t1 as f64 / t2 as f64;
     let s8 = t1 as f64 / t8 as f64;
     assert!(s2 > 1.4, "2-host speedup {s2:.2}");
