@@ -15,15 +15,15 @@
 //!   request/reply protocol the simulator runs — the fault handler sends
 //!   the request and blocks on a socket until the server thread has
 //!   installed the reply and opened the page;
-//! * each host runs a real DSM server thread; the wire is a
-//!   `SOCK_SEQPACKET` socketpair per host (atomic datagrams, FIFO — the
-//!   ordering the protocol's correctness arguments assume);
+//! * one real OS thread serves every host's DSM server from one
+//!   `SOCK_SEQPACKET` inbox (atomic datagrams, FIFO — the ordering the
+//!   protocol's correctness arguments assume); a header names its host;
 //! * the server is **the simulator's**: the loop here only receives and
-//!   decodes a datagram — or pops what the server sent itself, which
-//!   never leaves the process — and hands it to `server::dispatch`: the
-//!   same router, handlers and failure policy, over this module's
-//!   [`MemoryBackend`]/[`Transport`]/[`ProtoClock`]/`LocalWake`
-//!   implementations and a `HostState` per host.
+//!   decodes a datagram — or pops what a server sent itself, which never
+//!   leaves the process — and hands it to `server::dispatch` with the
+//!   named host's `HostState`: the same router, handlers and failure
+//!   policy, over this module's [`MemoryBackend`]/[`Transport`]/
+//!   [`ProtoClock`]/`LocalWake` implementations.
 //!
 //! Scope: `SequentialSwMr` consistency, `Centralized` homes, one
 //! application thread per host, no prefetch/push/locks — exactly the
@@ -85,12 +85,12 @@ const MAX_DATA: usize = 128 * 1024;
 
 /// Encodes a message header into a fixed stack buffer. No allocation —
 /// this is the encoder the SIGSEGV resolver uses from signal context.
-fn encode_header(buf: &mut [u8; HEADER], wire_from: HostId, m: &Pmsg, data_len: usize) {
+fn encode_header(buf: &mut [u8; HEADER], to: HostId, wire_from: HostId, m: &Pmsg, data_len: usize) {
     buf[0] = m.kind.to_u8();
     buf[1] = u8::from(m.prefetch);
     buf[2..4].copy_from_slice(&wire_from.0.to_le_bytes());
     buf[4..6].copy_from_slice(&m.from.0.to_le_bytes());
-    buf[6..8].copy_from_slice(&[0, 0]);
+    buf[6..8].copy_from_slice(&to.0.to_le_bytes());
     buf[8..16].copy_from_slice(&m.event.to_le_bytes());
     buf[16..24].copy_from_slice(&m.addr.0.to_le_bytes());
     buf[24..32].copy_from_slice(&m.base.0.to_le_bytes());
@@ -102,9 +102,9 @@ fn encode_header(buf: &mut [u8; HEADER], wire_from: HostId, m: &Pmsg, data_len: 
 }
 
 /// Encodes a whole datagram: header plus the message's data.
-fn encode_frame(wire_from: HostId, m: &Pmsg) -> Vec<u8> {
+fn encode_frame(to: HostId, wire_from: HostId, m: &Pmsg) -> Vec<u8> {
     let mut head = [0u8; HEADER];
-    encode_header(&mut head, wire_from, m, m.data.len());
+    encode_header(&mut head, to, wire_from, m, m.data.len());
     let mut frame = Vec::with_capacity(HEADER + m.data.len());
     frame.extend_from_slice(&head);
     frame.extend_from_slice(&m.data);
@@ -115,14 +115,15 @@ fn u64_at(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// Decodes a received datagram into (sender, message). `None` on a
-/// malformed or truncated frame.
-fn decode_frame(buf: &[u8]) -> Option<(HostId, Pmsg)> {
+/// Decodes a received datagram into (destination, sender, message). `None`
+/// on a malformed or truncated frame (the loop checks the destination).
+fn decode_frame(buf: &[u8]) -> Option<(HostId, HostId, Pmsg)> {
     if buf.len() < HEADER {
         return None;
     }
     let kind = MsgKind::from_u8(buf[0])?;
     let wire_from = HostId(u16::from_le_bytes([buf[2], buf[3]]));
+    let to = HostId(u16::from_le_bytes([buf[6], buf[7]]));
     let data_len = u32::from_le_bytes(buf[52..56].try_into().expect("4 bytes")) as usize;
     if buf.len() != HEADER + data_len {
         return None;
@@ -142,7 +143,7 @@ fn decode_frame(buf: &[u8]) -> Option<(HostId, Pmsg)> {
     if data_len > 0 {
         m.data = Bytes::copy_from_slice(&buf[HEADER..]);
     }
-    Some((wire_from, m))
+    Some((to, wire_from, m))
 }
 
 // ---------------------------------------------------------------------------
@@ -153,6 +154,13 @@ fn decode_frame(buf: &[u8]) -> Option<(HostId, Pmsg)> {
 /// boundaries intact and in order, at `rx`. Each end closes when its owner
 /// drops, which is how a run — finished, panicked or half-assembled —
 /// gives its fds back.
+///
+/// `AF_UNIX` charges a queued datagram to its *sender*, so the shared
+/// inbox holds `tx`'s `SO_SNDBUF` (1 MB asked; at most twice `wmem_max`,
+/// 416 KB on a stock kernel). In flight at once: per application thread
+/// one request, one ack and one barrier enter; per request `hosts`
+/// invalidations and their replies, a forward and a data reply — at four
+/// hosts under 60 headers (≈ 0.8 KB each to the kernel) plus 4 minipages.
 fn seqpacket_pair() -> Result<(OwnedFd, OwnedFd), ProtocolError> {
     let mut fds = [0 as libc::c_int; 2];
     // SAFETY: socketpair writes two fds into the provided array.
@@ -170,7 +178,7 @@ fn seqpacket_pair() -> Result<(OwnedFd, OwnedFd), ProtocolError> {
             libc::setsockopt(
                 fd.as_raw_fd(),
                 libc::SOL_SOCKET,
-                libc::SO_RCVBUF,
+                libc::SO_SNDBUF,
                 (&raw const sz).cast(),
                 std::mem::size_of::<libc::c_int>() as libc::socklen_t,
             );
@@ -181,13 +189,14 @@ fn seqpacket_pair() -> Result<(OwnedFd, OwnedFd), ProtocolError> {
 }
 
 /// Sends one datagram, retrying on `EINTR`. Async-signal-safe (`send(2)`
-/// plus arithmetic), so the fault resolver may call it.
-fn send_fd(fd: &OwnedFd, buf: &[u8]) -> Result<(), i32> {
-    let fd = fd.as_raw_fd();
+/// plus arithmetic), so the fault resolver may call it. The server thread
+/// adds `MSG_DONTWAIT`; everyone else waits for it to make room.
+fn send_fd(fd: &OwnedFd, buf: &[u8], flags: libc::c_int) -> Result<(), i32> {
+    let (fd, flags) = (fd.as_raw_fd(), libc::MSG_NOSIGNAL | flags);
     loop {
         // SAFETY: valid fd and an in-bounds buffer; MSG_NOSIGNAL keeps a
         // torn-down peer an error instead of a SIGPIPE.
-        let n = unsafe { libc::send(fd, buf.as_ptr().cast(), buf.len(), libc::MSG_NOSIGNAL) };
+        let n = unsafe { libc::send(fd, buf.as_ptr().cast(), buf.len(), flags) };
         if n == buf.len() as isize {
             return Ok(());
         }
@@ -224,13 +233,15 @@ fn backend_err(host: HostId, what: &'static str) -> ProtocolError {
     }
 }
 
-/// The host backend's [`Transport`]: every host's server inbox is one
-/// `SOCK_SEQPACKET` socket; anyone holding the send side (servers, app
-/// threads, the fault resolver) can enqueue a datagram atomically.
+/// One host's [`Transport`] into the run's one server inbox; anyone holding
+/// the send side (the server thread, app threads, the fault resolver) can
+/// enqueue a datagram atomically. The server thread is the inbox's reader,
+/// so it never waits for room: a full inbox is a `Backend` error (`EAGAIN`)
+/// that fails the request being served, whose requester is nacked.
 struct SocketTransport {
     me: HostId,
-    /// Send-side fd of every host's server inbox, indexed by host.
-    srv_tx: Arc<Vec<OwnedFd>>,
+    /// Send side of the shared server inbox.
+    srv_tx: Arc<OwnedFd>,
     /// Sharing diagnostics (per-link wire counters); disabled by default.
     diag: DiagSink,
     /// What this server sent itself, served before the loop's next `recv`
@@ -258,14 +269,15 @@ impl Transport for SocketTransport {
         }
         if msg.data.is_empty() {
             let mut head = [0u8; HEADER];
-            encode_header(&mut head, self.me, &msg, 0);
-            send_fd(&self.srv_tx[to.index()], &head)
+            encode_header(&mut head, to, self.me, &msg, 0);
+            send_fd(&self.srv_tx, &head, libc::MSG_DONTWAIT)
         } else if msg.data.len() > MAX_DATA {
             // Receive buffers stop at `MAX_DATA`: fail this one request
             // (its requester is nacked) rather than the server thread.
             Err(libc::EMSGSIZE)
         } else {
-            send_fd(&self.srv_tx[to.index()], &encode_frame(self.me, &msg))
+            let frame = encode_frame(to, self.me, &msg);
+            send_fd(&self.srv_tx, &frame, libc::MSG_DONTWAIT)
         }
         .map_err(|errno| ProtocolError::Backend {
             host: self.me,
@@ -408,7 +420,8 @@ impl MemoryBackend for HostMemory {
 /// The host backend's [`LocalWake`]: the send side of the completion
 /// socket the host's (single) application thread blocks in `recv` on. The
 /// message's bare header releases it; a failure travels as a `Nack`, which
-/// crashes the thread cleanly (see [`dsm_resolver`]).
+/// crashes the thread cleanly (see [`dsm_resolver`]). Sent without waiting,
+/// like every send of the server thread.
 struct CompletionTx(OwnedFd);
 
 impl LocalWake for CompletionTx {
@@ -420,11 +433,11 @@ impl LocalWake for CompletionTx {
         outcome: Result<Ns, ProtocolError>,
     ) -> Result<(), ProtocolError> {
         let mut head = [0u8; HEADER];
-        encode_header(&mut head, host, m, 0);
+        encode_header(&mut head, host, host, m, 0);
         if outcome.is_err() {
             head[0] = MsgKind::Nack.to_u8();
         }
-        send_fd(&self.0, &head).map_err(|errno| ProtocolError::Backend {
+        send_fd(&self.0, &head, libc::MSG_DONTWAIT).map_err(|errno| ProtocolError::Backend {
             host,
             what: "completion forward",
             errno,
@@ -453,14 +466,14 @@ struct ThreadRt {
     pending_ack: AtomicU64,
 }
 
-/// One run's runtime, shared by its servers, application threads and the
-/// SIGSEGV resolver, which reaches it from signal context through a plain
-/// pointer (the registration token). [`Teardown`] keeps it alive until the
-/// run's registrations are retired.
+/// One run's runtime, shared by its server thread, application threads and
+/// the SIGSEGV resolver, which reaches it from signal context through a
+/// plain pointer (the registration token). [`Teardown`] keeps it alive
+/// until the run's registrations are retired.
 struct HostRt {
     geo: Geometry,
     manager: HostId,
-    srv_tx: Arc<Vec<OwnedFd>>,
+    srv_tx: Arc<OwnedFd>,
     threads: Vec<ThreadRt>,
     /// Sharing diagnostics. The table behind the sink is pre-allocated
     /// before the run; recording is relaxed atomic adds, so the SIGSEGV
@@ -486,8 +499,8 @@ impl HostRt {
     fn send_header(&self, to: HostId, wire_from: HostId, msg: &Pmsg) -> Result<(), i32> {
         self.diag.wire_send(wire_from.0, to.0, 0);
         let mut head = [0u8; HEADER];
-        encode_header(&mut head, wire_from, msg, 0);
-        send_fd(&self.srv_tx[to.index()], &head)
+        encode_header(&mut head, to, wire_from, msg, 0);
+        send_fd(&self.srv_tx, &head, 0)
     }
 
     /// Flushes the thread's pending window-closing `Ack`, if any.
@@ -569,73 +582,83 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
 // Server loop
 // ---------------------------------------------------------------------------
 
-/// The receive step of a server loop: the next datagram's length, or the
+/// The receive step of the server loop: the next datagram's length, or the
 /// error line the loop stops with. `recv` returns 0 once every send side is
 /// closed: a disconnect (the simulator's `RecvError::Disconnected`), not an
 /// empty frame to decode and come back for.
-fn recv_inbox(host: HostId, srv_rx: &OwnedFd, buf: &mut [u8]) -> Result<usize, String> {
+fn recv_inbox(srv_rx: &OwnedFd, buf: &mut [u8]) -> Result<usize, String> {
     match recv_fd(srv_rx, buf) {
-        Ok(0) => Err(format!("h{}: server inbox at end of file", host.index())),
+        Ok(0) => Err("server inbox at end of file".to_string()),
         Ok(n) => Ok(n),
-        Err(errno) => Err(format!(
-            "h{}: server recv failed: errno {errno}",
-            host.index()
-        )),
+        Err(errno) => Err(format!("server recv failed: errno {errno}")),
     }
 }
 
-/// One host's DSM server: the real-thread analogue of
-/// [`server::Server::turn`] — a datagram receive in front of the same
-/// per-message engine ([`server::dispatch`]). Hands back the errors it
-/// degraded through (fatal to the affected request; a non-empty list fails
-/// the run report) and the adaptation actions its shard applied.
+/// One host's DSM server, as the one server thread holds it.
+struct HostServer<'a> {
+    state: &'a HostState<HostMemory, CompletionTx>,
+    shard: ManagerShard,
+    ep: SocketTransport,
+}
+
+/// Every host's DSM server on one thread: the real-thread analogue of
+/// [`server::Server::turn`] — a datagram receive (self-sends first) in
+/// front of the same per-message engine ([`server::dispatch`]), run for the
+/// host the header names. Hands back the errors it degraded through (fatal
+/// to the affected request; a non-empty list fails the run report) and the
+/// adaptation actions the shards applied.
 fn host_server_loop(
     srv_rx: &OwnedFd,
-    state: &HostState<HostMemory, CompletionTx>,
-    mut shard: ManagerShard,
-    ep: SocketTransport,
+    mut hosts: Vec<HostServer<'_>>,
     mut clock: WallClock,
 ) -> (Vec<String>, crate::adapt::AdaptReport) {
     let mut rec = TraceRecorder::disabled();
     let mut errors = Vec::new();
     let mut buf = vec![0u8; HEADER + MAX_DATA];
     loop {
-        let sent_to_self = ep.to_self.borrow_mut().pop_front();
-        let (wire_from, m) = if let Some(m) = sent_to_self {
-            (ep.me, m)
+        let sent_to_self = hosts.iter().enumerate().find_map(|(h, s)| {
+            let m = s.ep.to_self.borrow_mut().pop_front()?;
+            Some((h, s.ep.me, m))
+        });
+        let (to, wire_from, m) = if let Some(next) = sent_to_self {
+            next
         } else {
-            let n = match recv_inbox(state.host, srv_rx, &mut buf) {
+            let n = match recv_inbox(srv_rx, &mut buf) {
                 Ok(n) => n,
                 Err(line) => {
                     errors.push(line);
                     break;
                 }
             };
-            let Some(frame) = decode_frame(&buf[..n]) else {
-                errors.push(format!(
-                    "h{}: malformed frame ({n} bytes)",
-                    state.host.index()
-                ));
-                continue;
-            };
-            frame
+            match decode_frame(&buf[..n]) {
+                Some((to, wire_from, m)) if to.index() < hosts.len() => (to.index(), wire_from, m),
+                _ => {
+                    errors.push(format!("server: malformed frame ({n} bytes)"));
+                    continue;
+                }
+            }
         };
         if m.kind == MsgKind::Shutdown {
             break;
         }
         clock.read();
+        let host = &mut hosts[to];
         server::dispatch(
             m,
             wire_from,
-            state,
-            &mut shard,
+            host.state,
+            &mut host.shard,
             &mut clock,
-            &ep,
+            &host.ep,
             &mut rec,
             &mut errors,
         );
     }
-    (errors, shard.adapt_report().clone())
+    let mut adapt = crate::adapt::AdaptReport::default();
+    for host in &hosts {
+        adapt.absorb(host.shard.adapt_report().clone());
+    }
+    (errors, adapt)
 }
 
 // ---------------------------------------------------------------------------
@@ -763,7 +786,7 @@ impl Dsm for HostDsmCtx {
 /// Configuration of a real-memory run.
 #[derive(Clone, Debug)]
 pub struct HostRunConfig {
-    /// Hosts (one region + one server thread + one app thread each).
+    /// Hosts (one region + one app thread each; one server thread for all).
     pub hosts: usize,
     /// Application views per host.
     pub views: usize,
@@ -847,8 +870,9 @@ impl Drop for Teardown {
 ///
 /// The protocol layer (manager shards, serve/install/invalidate engine) is
 /// the same code the simulator runs; memory is per-host
-/// [`MultiViewRegion`]s, faults are real SIGSEGVs, and the wire is
-/// socketpairs between real OS threads.
+/// [`MultiViewRegion`]s, faults are real SIGSEGVs, and the wire is one
+/// server inbox and a completion channel per host, socketpairs between
+/// real OS threads.
 ///
 /// # Errors
 ///
@@ -868,10 +892,8 @@ where
     let manager = HostId(0);
     let mut regions = Vec::with_capacity(cfg.hosts);
     for h in 0..cfg.hosts {
-        let region = MultiViewRegion::new(cfg.pages, cfg.views).map_err(|e| {
-            let _ = e;
-            backend_err(HostId(h as u16), "region mapping")
-        })?;
+        let region = MultiViewRegion::new(cfg.pages, cfg.views)
+            .map_err(|_| backend_err(HostId(h as u16), "region mapping"))?;
         regions.push(Arc::new(region));
     }
     let page_size = regions[0].page_size();
@@ -895,15 +917,12 @@ where
         .unwrap_or_default();
     // Wire: one server inbox + one completion channel per host; every end
     // is owned by the piece of the run that uses it and closes with it.
-    let mut srv_tx = Vec::with_capacity(cfg.hosts);
-    let mut srv_rx = Vec::with_capacity(cfg.hosts);
+    let (srv_tx, srv_rx) = seqpacket_pair()?;
+    let srv_tx = Arc::new(srv_tx);
     let mut threads = Vec::with_capacity(cfg.hosts);
     let mut states = Vec::with_capacity(cfg.hosts);
     for (h, region) in regions.iter().enumerate() {
         let host = HostId(h as u16);
-        let (a, b) = seqpacket_pair()?;
-        srv_tx.push(a);
-        srv_rx.push(b);
         let (res_tx, res_rx) = seqpacket_pair()?;
         threads.push(ThreadRt {
             host,
@@ -925,13 +944,12 @@ where
             diag_sink.clone(),
         )));
     }
-    let srv_tx = Arc::new(srv_tx);
     let cluster: Arc<dyn ClusterMemory> = Arc::new(states.clone());
-    let mut shards: Vec<Option<ManagerShard>> = (0..cfg.hosts)
+    let mut shards: Vec<ManagerShard> = (0..cfg.hosts)
         .map(|h| {
             let allocator = (h == manager.index())
                 .then(|| Allocator::new(geo.clone(), AllocMode::FineGrain { chunking: 1 }));
-            Some(ManagerShard::new(
+            ManagerShard::new(
                 HostId(h as u16),
                 cfg.hosts,
                 cfg.hosts, // one app thread per host = barrier quorum
@@ -949,14 +967,10 @@ where
                     allow_merge: false,
                     ..cfg.adapt.clone()
                 },
-            ))
+            )
         })
         .collect();
-    let shared = {
-        let mgr = shards[manager.index()].as_mut().expect("shard present");
-        let mut sctx = SetupCtx::new(mgr);
-        setup(&mut sctx)
-    };
+    let shared = setup(&mut SetupCtx::new(&mut shards[manager.index()]));
 
     // Setup has run, so the minipage table is final: freeze the vpage →
     // minipage attribution map the resolver uses from signal context.
@@ -986,10 +1000,8 @@ where
     };
     let token = Arc::as_ptr(&run.rt) as usize;
     for region in &regions {
-        let c = install_dsm_handler(Arc::clone(region), dsm_resolver, token).map_err(|e| {
-            let _ = e;
-            backend_err(manager, "fault handler registration")
-        })?;
+        let c = install_dsm_handler(Arc::clone(region), dsm_resolver, token)
+            .map_err(|_| backend_err(manager, "fault handler registration"))?;
         run.registrations.push(c);
     }
 
@@ -997,25 +1009,25 @@ where
     let shared_ref = &shared;
     let app_ref = &app;
     let (mut errors, adapt, wall, compute_ns) = std::thread::scope(|scope| {
-        let mut servers = Vec::with_capacity(cfg.hosts);
-        for h in 0..cfg.hosts {
-            let state = &*states[h];
-            let shard = shards[h].take().expect("shard present");
-            let ep = SocketTransport {
-                me: state.host,
-                srv_tx: Arc::clone(&srv_tx),
-                diag: diag_sink.clone(),
-                to_self: RefCell::default(),
-            };
-            let clock = WallClock::starting_at(start);
-            let rx = &srv_rx[h];
-            servers.push(
-                std::thread::Builder::new()
-                    .name(format!("mv-server-{h}"))
-                    .spawn_scoped(scope, move || host_server_loop(rx, state, shard, ep, clock))
-                    .expect("spawn server thread"),
-            );
-        }
+        let hosts = states
+            .iter()
+            .zip(shards)
+            .map(|(state, shard)| HostServer {
+                state,
+                shard,
+                ep: SocketTransport {
+                    me: state.host,
+                    srv_tx: Arc::clone(&srv_tx),
+                    diag: diag_sink.clone(),
+                    to_self: RefCell::default(),
+                },
+            })
+            .collect();
+        let (rx, clock) = (&srv_rx, WallClock::starting_at(start));
+        let server = std::thread::Builder::new()
+            .name("mv-server".to_string())
+            .spawn_scoped(scope, move || host_server_loop(rx, hosts, clock))
+            .expect("spawn server thread");
         let mut apps = Vec::with_capacity(cfg.hosts);
         for h in 0..cfg.hosts {
             let region = Arc::clone(&regions[h]);
@@ -1037,36 +1049,24 @@ where
                     .expect("spawn app thread"),
             );
         }
-        let mut compute_ns = 0;
         let mut app_panic = None;
-        for (h, a) in apps.into_iter().enumerate() {
-            match a.join() {
-                Ok(ns) => {
-                    if h == 0 {
-                        compute_ns = ns;
-                    }
-                }
-                Err(p) => app_panic = Some(p),
-            }
-        }
+        let compute: Vec<Ns> = apps
+            .into_iter()
+            .map(|a| {
+                a.join().unwrap_or_else(|p| {
+                    app_panic = Some(p);
+                    0
+                })
+            })
+            .collect();
         let wall = start.elapsed();
-        for h in 0..cfg.hosts {
-            let msg = Pmsg::new(MsgKind::Shutdown, manager, 0);
-            let mut head = [0u8; HEADER];
-            encode_header(&mut head, manager, &msg, 0);
-            let _ = send_fd(&srv_tx[h], &head);
-        }
-        let mut errors = Vec::new();
-        let mut adapt = crate::adapt::AdaptReport::default();
-        for s in servers {
-            let (errs, actions) = s.join().expect("server thread panicked");
-            errors.extend(errs);
-            adapt.absorb(actions);
-        }
+        let shutdown = encode_frame(manager, manager, &Pmsg::new(MsgKind::Shutdown, manager, 0));
+        let _ = send_fd(&srv_tx, &shutdown, 0);
+        let (errors, adapt) = server.join().expect("server thread panicked");
         if let Some(p) = app_panic {
             std::panic::resume_unwind(p);
         }
-        (errors, adapt, wall, compute_ns)
+        (errors, adapt, wall, compute[0])
     });
 
     // Same post-run geometry oracle the sim backend applies after any
@@ -1105,23 +1105,22 @@ mod tests {
     fn a_closed_inbox_reads_as_end_of_file() {
         let (tx, rx) = seqpacket_pair().expect("socketpair");
         let mut buf = [0u8; HEADER];
-        send_fd(&tx, &[7u8; HEADER]).expect("send");
+        send_fd(&tx, &[7u8; HEADER], 0).expect("send");
         drop(tx);
         // What was sent before the close still arrives…
-        assert_eq!(recv_inbox(HostId(3), &rx, &mut buf), Ok(HEADER));
-        // …then end-of-file, as an error that names the host.
-        let eof = recv_inbox(HostId(3), &rx, &mut buf).expect_err("end of file");
-        assert!(eof.contains("h3") && eof.contains("end of file"), "{eof}");
+        assert_eq!(recv_inbox(&rx, &mut buf), Ok(HEADER));
+        // …then end-of-file, as an error line.
+        let eof = recv_inbox(&rx, &mut buf).expect_err("end of file");
+        assert!(eof.contains("end of file"), "{eof}");
     }
 
-    /// What a server sends itself stays in the process. A `Shutdown` is
-    /// already waiting in the inbox when the server addresses itself a
-    /// completion too large for any datagram: the loop serves the
-    /// completion first (its handler forwards it to the application's
-    /// channel), then reads the `Shutdown`, and the inbox holds nothing
-    /// else.
-    #[test]
-    fn a_self_addressed_send_never_reaches_the_socket() {
+    /// Host 0 of a one-host run, one page, no minipages: its state, its
+    /// shard and the receive side of its application's completion channel.
+    fn lone_host() -> (
+        Arc<HostState<HostMemory, CompletionTx>>,
+        ManagerShard,
+        OwnedFd,
+    ) {
         let me = HostId(0);
         let region = Arc::new(MultiViewRegion::new(1, 1).expect("region"));
         let geo = Geometry::with_layout(DEFAULT_BASE, region.page_size(), 1, 1);
@@ -1131,7 +1130,6 @@ mod tests {
             me,
             geo.clone(),
         ));
-        let (inbox_tx, inbox_rx) = seqpacket_pair().expect("socketpair");
         let (res_tx, res_rx) = seqpacket_pair().expect("socketpair");
         let (cost, sw_mr) = (CostModel::default(), Consistency::SequentialSwMr);
         let state = Arc::new(HostState::new(
@@ -1157,37 +1155,119 @@ mod tests {
             DiagSink::default(),
             crate::adapt::AdaptConfig::default(),
         );
-        let ep = SocketTransport {
+        (state, shard, res_rx)
+    }
+
+    fn transport(me: HostId, inbox_tx: OwnedFd) -> SocketTransport {
+        SocketTransport {
             me,
-            srv_tx: Arc::new(vec![inbox_tx]),
+            srv_tx: Arc::new(inbox_tx),
             diag: DiagSink::default(),
             to_self: RefCell::default(),
-        };
-        let mut head = [0u8; HEADER];
-        encode_header(&mut head, me, &Pmsg::new(MsgKind::Shutdown, me, 0), 0);
-        send_fd(&ep.srv_tx[0], &head).expect("send");
+        }
+    }
+
+    fn shutdown_frame(to: HostId) -> Vec<u8> {
+        encode_frame(to, HostId(0), &Pmsg::new(MsgKind::Shutdown, HostId(0), 0))
+    }
+
+    /// What a server sends itself stays in the process. A `Shutdown` is
+    /// already waiting in the inbox when the server addresses itself a
+    /// completion too large for any datagram: the loop serves the
+    /// completion first (its handler forwards it to the application's
+    /// channel), then reads the `Shutdown`, and the inbox holds nothing
+    /// else.
+    #[test]
+    fn a_self_addressed_send_never_reaches_the_socket() {
+        let (inbox_tx, inbox_rx) = seqpacket_pair().expect("socketpair");
+        let (state, shard, res_rx) = lone_host();
+        let me = state.host;
+        let ep = transport(me, inbox_tx);
+        send_fd(&ep.srv_tx, &shutdown_frame(me), 0).expect("send");
         let mut release = Pmsg::new(MsgKind::BarrierRelease, me, 1);
         release.data = Bytes::from(vec![0u8; MAX_DATA + 1]);
         ep.send(me, release, 0, 0, "test").expect("queued");
 
+        let hosts = vec![HostServer {
+            state: &state,
+            shard,
+            ep,
+        }];
         let clock = WallClock::starting_at(Instant::now());
-        let (errors, _) = host_server_loop(&inbox_rx, &state, shard, ep, clock);
+        let (errors, _) = host_server_loop(&inbox_rx, hosts, clock);
         assert_eq!(errors, Vec::<String>::new());
         // The handler ran: the application's channel holds the release
         // (its send side closed, so an empty channel would read 0)…
         drop(state);
+        let mut head = [0u8; HEADER];
         assert_eq!(recv_fd(&res_rx, &mut head), Ok(HEADER));
         assert_eq!(MsgKind::from_u8(head[0]), Some(MsgKind::BarrierRelease));
         // …and the socket never carried it: with the loop's transport gone
         // every send side is closed, and the inbox is at end of file.
-        let eof = recv_inbox(me, &inbox_rx, &mut head).expect_err("end of file");
+        let eof = recv_inbox(&inbox_rx, &mut head).expect_err("end of file");
         assert!(eof.contains("end of file"), "{eof}");
+    }
+
+    /// The destination bytes are wire input like any other: a frame for a
+    /// host the run does not have — the next one, the largest a header can
+    /// name, even a `Shutdown` — is one "malformed frame" line and the loop
+    /// reads on, never an index past the run's hosts.
+    #[test]
+    fn a_frame_for_no_host_is_a_malformed_frame() {
+        let (inbox_tx, inbox_rx) = seqpacket_pair().expect("socketpair");
+        let (state, shard, _res_rx) = lone_host();
+        let me = state.host;
+        let request = Pmsg::new(MsgKind::ReadRequest, me, 1).with_addr(VAddr(DEFAULT_BASE));
+        for frame in [
+            encode_frame(HostId(1), me, &request),
+            encode_frame(HostId(u16::MAX), me, &request),
+            shutdown_frame(HostId(1)),
+            shutdown_frame(me),
+        ] {
+            send_fd(&inbox_tx, &frame, 0).expect("send");
+        }
+        let hosts = vec![HostServer {
+            state: &state,
+            shard,
+            ep: transport(me, inbox_tx),
+        }];
+        let clock = WallClock::starting_at(Instant::now());
+        let (errors, _) = host_server_loop(&inbox_rx, hosts, clock);
+        assert_eq!(errors, vec!["server: malformed frame (64 bytes)"; 3]);
+    }
+
+    /// The server thread is its inbox's only reader, so it must never wait
+    /// for room in it: once a `MSG_DONTWAIT` send finds the inbox full, a
+    /// server's send fails with `EAGAIN` as a backend error — the request
+    /// it serves is nacked — instead of blocking.
+    #[test]
+    fn a_full_inbox_fails_one_request() {
+        let (inbox_tx, _inbox_rx) = seqpacket_pair().expect("socketpair");
+        let filler = [0u8; 4096];
+        let mut sent = 0;
+        let errno = loop {
+            match send_fd(&inbox_tx, &filler, libc::MSG_DONTWAIT) {
+                Ok(()) => sent += 1,
+                Err(errno) => break errno,
+            }
+        };
+        assert_eq!(errno, libc::EAGAIN, "after {sent} datagrams");
+        let ep = transport(HostId(0), inbox_tx);
+        let forward = Pmsg::new(MsgKind::ServeRead, HostId(1), 1);
+        assert_eq!(
+            ep.send(HostId(1), forward, 0, 0, "serve forward"),
+            Err(ProtocolError::Backend {
+                host: HostId(0),
+                what: "serve forward",
+                errno: libc::EAGAIN,
+            })
+        );
     }
 
     proptest! {
         /// Hostile wire bytes never panic `decode_frame`, and whatever it
-        /// accepts re-encodes to the bytes it was given (modulo the two
-        /// padding bytes and a non-canonical `prefetch` flag).
+        /// accepts re-encodes to the bytes it was given, except that a
+        /// non-canonical `prefetch` byte is normalized.
         #[test]
         fn decode_frame_is_total_on_arbitrary_bytes(
             raw in proptest::collection::vec(any::<u8>(), 0..256),
@@ -1200,10 +1280,9 @@ mod tests {
                 let data_len = (raw.len() - HEADER) as u32;
                 raw[52..56].copy_from_slice(&data_len.to_le_bytes());
             }
-            if let Some((wire_from, m)) = decode_frame(&raw) {
+            if let Some((to, wire_from, m)) = decode_frame(&raw) {
                 raw[1] = u8::from(raw[1] != 0);
-                raw[6..8].copy_from_slice(&[0, 0]);
-                prop_assert_eq!(encode_frame(wire_from, &m), raw);
+                prop_assert_eq!(encode_frame(to, wire_from, &m), raw);
             } else {
                 prop_assert!(
                     raw.len() < HEADER
@@ -1221,6 +1300,7 @@ mod tests {
             ids in (0..MsgKind::ALL.len(), any::<u16>(), any::<u16>(), any::<u32>(), any::<bool>()),
             words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
             len in any::<usize>(),
+            to in any::<u16>(),
             data in proptest::collection::vec(any::<u8>(), 0..300),
         ) {
             let (kind, wire_from, from, minipage, prefetch) = ids;
@@ -1234,9 +1314,9 @@ mod tests {
             m.minipage = MinipageId(minipage);
             m.prefetch = prefetch;
             m.data = Bytes::from(data);
-            let (got_from, got) =
-                decode_frame(&encode_frame(HostId(wire_from), &m)).expect("own encoding is valid");
-            prop_assert_eq!(got_from, HostId(wire_from));
+            let frame = encode_frame(HostId(to), HostId(wire_from), &m);
+            let (got_to, got_from, got) = decode_frame(&frame).expect("own encoding is valid");
+            prop_assert_eq!((got_to, got_from), (HostId(to), HostId(wire_from)));
             prop_assert_eq!(
                 (got.kind, got.from, got.event, got.addr, got.base, got.priv_base),
                 (m.kind, m.from, m.event, m.addr, m.base, m.priv_base)

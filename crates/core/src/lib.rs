@@ -10,8 +10,9 @@
 //!
 //! The crate runs a whole simulated cluster inside one process:
 //!
-//! * [`ClusterConfig`] + [`run`] spawn one DSM server thread and one
-//!   application thread per simulated host;
+//! * [`ClusterConfig`] + [`run`] spawn one application thread per
+//!   simulated host; a host's DSM server has no thread of its own — its
+//!   handlers run on whichever application thread holds the schedule;
 //! * application code receives a [`HostCtx`] and uses the malloc-like
 //!   allocation API, typed [`SharedVec`]/[`SharedCell`] accessors,
 //!   [`HostCtx::barrier`], [`HostCtx::lock`]/[`HostCtx::unlock`],

@@ -11,8 +11,9 @@
 //!   standalone mechanism demo — or
 //! * hands the decoded fault to a **DSM resolver** —
 //!   [`install_dsm_handler`] — which runs the coherence protocol (send a
-//!   request, block on the reply, let the server thread open the
-//!   protection) and reports whether the faulting instruction may retry.
+//!   request, block on the reply, let the embedder's DSM server thread —
+//!   one for every host of a run — open the protection) and reports
+//!   whether the faulting instruction may retry.
 //!
 //! # Async-signal-safety
 //!
