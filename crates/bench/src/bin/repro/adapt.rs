@@ -15,15 +15,14 @@
 //! application memory) and requires the host engine's action log to
 //! match the sim's fingerprint exactly.
 
+use millipage::json;
 use millipage::{
     run, AdaptConfig, AdaptReport, AuditMode, ClusterConfig, Consistency, DiagReport,
     HomePolicyKind, RunReport, SchedMode,
 };
 use millipage_apps::close;
 use millipage_bench::apps::{app_cfg, select_specs};
-use millipage_bench::cli::{
-    json_array, traced_run, write_artifact, Backend, Flags, Gate, UsageError,
-};
+use millipage_bench::cli::{traced_run, write_artifact, Backend, Flags, Gate, UsageError};
 use millipage_bench::planted::{
     adapt_base, false_sharing_run, faults_plus_inv, ping_pong_pair_run, skewed_home_run,
 };
@@ -57,22 +56,21 @@ impl Delta {
             wire: [stat, adapted].map(cross_host_bytes),
         }
     }
+}
 
-    /// One `--json` entry.
-    fn json(&self, kind: &str, name: &str, a: &AdaptReport) -> String {
-        let side = |i: usize| {
-            format!(
-                "{{\"faults_plus_inv\":{},\"cross_host_bytes\":{}}}",
-                self.fi[i], self.wire[i]
-            )
-        };
-        format!(
-            "{{\"kind\":\"{kind}\",\"name\":\"{name}\",\"static\":{},\"adapted\":{},\"adapt\":{}}}",
-            side(0),
-            side(1),
-            a.to_json()
-        )
-    }
+/// One `--json` entry: a workload's static and adapted metrics and the
+/// adapted run's action log.
+fn json_entry(w: &mut json::Writer, (kind, name, d, a): &(&str, &str, Delta, AdaptReport)) {
+    w.object(|w| {
+        w.field("kind", kind).field("name", name);
+        for (side, i) in [("static", 0), ("adapted", 1)] {
+            w.key(side).object(|w| {
+                w.field("faults_plus_inv", d.fi[i])
+                    .field("cross_host_bytes", d.wire[i]);
+            });
+        }
+        w.field("adapt", a);
+    });
 }
 
 /// One planted pathology: the workload, the action that must answer it,
@@ -149,7 +147,7 @@ pub fn adapt(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         }
     }
     header("Adapt — online split/merge/home-migration vs static (deterministic)");
-    let mut json_out: Vec<String> = Vec::new();
+    let mut json_out = Vec::new();
     let mut table = Table::default();
     let (mut total_before, mut total_after) = (0u64, 0u64);
     for spec in &PLANTED {
@@ -256,7 +254,7 @@ pub fn adapt(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
             ("adapted", &wa),
             ("finding", &finding),
         ]);
-        json_out.push(d.json("planted", spec.name, a));
+        json_out.push(("planted", spec.name, d, a.clone()));
     }
     table.print();
     if gate.check(total_after * 4 <= total_before * 3, || {
@@ -313,14 +311,16 @@ pub fn adapt(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
             ("adapted", &d.wire[1]),
             ("checksum", &if same { "ok" } else { "MISMATCH" }),
         ]);
-        json_out.push(d.json("app", spec.name, a));
+        json_out.push(("app", spec.name, d, a.clone()));
     }
     table.print();
     if let Some(p) = &json_path {
         write_artifact(
             gate,
             p,
-            json_array(&json_out),
+            json::document(|w| {
+                w.array(|w| json_out.iter().for_each(|e| json_entry(w, e)));
+            }),
             format_args!("wrote adaptation report JSON to {p}"),
         );
     }

@@ -13,13 +13,11 @@
 //! match the simulator's trace-derived counts exactly.
 
 use millipage::{
-    trace_counts, AuditMode, ChromeTrace, ClusterConfig, Finding, Ns, SchedMode, TraceEvent,
+    json, trace_counts, AuditMode, ChromeTrace, ClusterConfig, Finding, Ns, SchedMode, TraceEvent,
     TraceKind,
 };
 use millipage_bench::apps::{app_cfg, select_specs};
-use millipage_bench::cli::{
-    json_array, traced_run, write_artifact, Backend, Flags, Gate, UsageError,
-};
+use millipage_bench::cli::{traced_run, write_artifact, Backend, Flags, Gate, UsageError};
 use millipage_bench::{header, Table};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -101,7 +99,7 @@ pub fn diagnose(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     ));
     let mut chrome = ChromeTrace::with_os_names();
     let mut heatmap = String::from("app,mp,vpage,host,read_faults,write_faults\n");
-    let mut json_apps: Vec<String> = Vec::new();
+    let mut diags = Vec::new();
     let mut table = Table::default();
     let mut findings_out = String::new();
     for (i, spec) in specs.iter().enumerate() {
@@ -203,11 +201,7 @@ pub fn diagnose(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
                 );
             }
         }
-        json_apps.push(format!(
-            "{{\"app\":\"{}\",\"diag\":{}}}",
-            spec.name,
-            diag.to_json()
-        ));
+        diags.push((spec.name, diag.clone()));
     }
     table.print();
     print!("{findings_out}");
@@ -227,7 +221,13 @@ pub fn diagnose(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         write_artifact(
             gate,
             p,
-            json_array(&json_apps),
+            json::document(|w| {
+                w.array(|w| {
+                    for (app, diag) in &diags {
+                        w.object(|w| _ = w.field("app", app).field("diag", diag));
+                    }
+                });
+            }),
             format_args!("wrote per-app diagnostics JSON to {p}"),
         );
     }

@@ -7,9 +7,9 @@
 //! nonzero on any audit violation or any dropped trace ring (a full ring
 //! means the analysis ran on an incomplete event stream).
 
-use millipage::{AuditMode, ChromeTrace, Ns};
+use millipage::{json, AuditMode, ChromeTrace, Ns};
 use millipage_bench::apps::{app_cfg, select_specs};
-use millipage_bench::cli::{json_array, traced_run, write_artifact, Flags, Gate, UsageError};
+use millipage_bench::cli::{traced_run, write_artifact, Flags, Gate, UsageError};
 use millipage_bench::{header, us, Table};
 
 pub fn trace(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
@@ -23,7 +23,7 @@ pub fn trace(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         "Trace — protocol events, latency histograms, invariant audit ({scenario}, 4 hosts)"
     ));
     let mut chrome = ChromeTrace::new();
-    let mut json_apps: Vec<String> = Vec::new();
+    let mut reports = Vec::new();
     let mut table = Table::default();
     let q = |v: Option<Ns>| v.map(us).unwrap_or_else(|| "-".into());
     for (i, spec) in specs.iter().enumerate() {
@@ -45,11 +45,7 @@ pub fn trace(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         // One Chrome "process" block of 64 pids per app keeps the runs
         // visually separate in the Perfetto UI.
         chrome.add_run(spec.name, (i as u32) * 64, &log.events);
-        json_apps.push(format!(
-            "{{\"app\":\"{}\",\"report\":{}}}",
-            spec.name,
-            r.report.to_json()
-        ));
+        reports.push((spec.name, r.report.to_json()));
     }
     table.print();
     write_artifact(
@@ -62,7 +58,15 @@ pub fn trace(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         write_artifact(
             gate,
             p,
-            json_array(&json_apps),
+            // Each report is its whole `to_json` document, so its
+            // trailing newline stays inside the app's object.
+            json::document(|w| {
+                w.array(|w| {
+                    for (app, report) in &reports {
+                        w.object(|w| _ = w.field("app", app).key("report").raw(report));
+                    }
+                });
+            }),
             format_args!("wrote per-app RunReport JSON to {p}"),
         );
     }

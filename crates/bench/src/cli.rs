@@ -245,11 +245,6 @@ pub fn write_artifact(
     }
 }
 
-/// The `--json` artifacts are arrays of per-scenario objects.
-pub fn json_array(items: &[String]) -> String {
-    format!("[{}]\n", items.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,12 +339,7 @@ mod tests {
         let mut g = Gate::new();
         let path = std::env::temp_dir().join(format!("repro-cli-{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp dir");
-        write_artifact(
-            &mut g,
-            path,
-            json_array(&["1".into(), "2".into()]),
-            format_args!("ok"),
-        );
+        write_artifact(&mut g, path, "[1,2]\n", format_args!("ok"));
         assert_eq!(std::fs::read_to_string(path).expect("written"), "[1,2]\n");
         std::fs::remove_file(path).expect("cleanup");
         assert!(g.failures().is_empty());

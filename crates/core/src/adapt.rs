@@ -30,7 +30,7 @@
 
 use crate::diag::{DiagReport, MinipageDiag};
 use multiview::{Minipage, MinipageId};
-use serde::Serialize;
+use sim_core::json::{ToJson, Writer};
 use sim_core::HostId;
 use std::collections::{HashMap, HashSet};
 
@@ -173,7 +173,7 @@ impl AdaptAction {
 }
 
 /// One applied action, as recorded in the run report.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AdaptEvent {
     /// The barrier (1-based) at whose quiesce point the action applied.
     pub barrier: u64,
@@ -188,7 +188,7 @@ pub struct AdaptEvent {
 }
 
 /// What the adaptation engine did over a run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdaptReport {
     /// Applied actions in application order.
     pub actions: Vec<AdaptEvent>,
@@ -231,30 +231,27 @@ impl AdaptReport {
     pub fn any_activity(&self) -> bool {
         !self.actions.is_empty() || self.deferred > 0
     }
+}
 
-    /// The report as a JSON fragment (embedded in the run report).
-    pub fn to_json(&self) -> String {
-        let actions: Vec<String> = self
-            .actions
-            .iter()
-            .map(|a| {
-                format!(
-                    "{{\"barrier\":{},\"kind\":\"{}\",\"mp\":{},\"detail\":\"{}\"}}",
-                    a.barrier,
-                    a.kind,
-                    a.mp,
-                    sim_core::trace::esc(&a.detail)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"actions\":[{}],\"splits\":{},\"merges\":{},\"migrations\":{},\"deferred\":{}}}",
-            actions.join(","),
-            self.splits,
-            self.merges,
-            self.migrations,
-            self.deferred
-        )
+/// The report as a JSON value (embedded in the run report).
+impl ToJson for AdaptReport {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("actions").array(|w| {
+                for a in &self.actions {
+                    w.object(|w| {
+                        w.field("barrier", a.barrier)
+                            .field("kind", &a.kind)
+                            .field("mp", a.mp)
+                            .field("detail", &a.detail);
+                    });
+                }
+            });
+            w.field("splits", self.splits)
+                .field("merges", self.merges)
+                .field("migrations", self.migrations)
+                .field("deferred", self.deferred);
+        });
     }
 }
 
@@ -712,7 +709,7 @@ mod tests {
         merged.absorb(AdaptReport::default());
         assert_eq!(merged.fingerprint(), fp);
         assert!(merged.any_activity());
-        let json = merged.to_json();
+        let json = sim_core::json::document(|w| merged.write_json(w));
         assert!(json.contains("\"splits\":1"));
         assert!(json.contains("\"migrations\":1"));
     }

@@ -52,8 +52,8 @@
 
 use crate::home::HomeTable;
 use multiview::Minipage;
-use serde::Serialize;
-use sim_core::trace::{esc, NO_MP};
+use sim_core::json::{ToJson, Writer};
+use sim_core::trace::NO_MP;
 use sim_core::{TraceEvent, TraceKind, Track};
 use sim_mem::Geometry;
 use std::collections::BTreeMap;
@@ -535,7 +535,7 @@ impl DiagSink {
 }
 
 /// One host's lane of a minipage's statistics.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HostLane {
     /// The host.
     pub host: u16,
@@ -553,6 +553,12 @@ pub struct HostLane {
 }
 
 impl HostLane {
+    /// Whether the host faulted on, received invalidations for, or wrote
+    /// the minipage.
+    fn active(&self) -> bool {
+        self.read_faults + self.write_faults + self.inv_recv > 0 || !self.write_extents.is_empty()
+    }
+
     /// The convex hull of the recorded extents, or `None` if the host
     /// never wrote (display/heatmap convenience).
     pub fn write_hull(&self) -> Option<(u64, u64)> {
@@ -563,7 +569,7 @@ impl HostLane {
 }
 
 /// Merged statistics of one minipage.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MinipageDiag {
     /// Minipage id.
     pub mp: u32,
@@ -613,14 +619,12 @@ impl MinipageDiag {
             || self.diff_bytes > 0
             || self.alternations > 0
             || self.last_writer.is_some()
-            || self.per_host.iter().any(|l| {
-                l.read_faults + l.write_faults + l.inv_recv > 0 || !l.write_extents.is_empty()
-            })
+            || self.per_host.iter().any(HostLane::active)
     }
 }
 
 /// One ranked detector finding.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Finding {
     /// Detector name (`"ping-pong"`, `"false-sharing"`, `"hot-home"`).
     pub detector: &'static str,
@@ -637,7 +641,7 @@ pub struct Finding {
 }
 
 /// Per-link wire traffic.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinkStat {
     /// Sending host.
     pub from: u16,
@@ -651,7 +655,7 @@ pub struct LinkStat {
 
 /// The merged diagnostics of one run: per-minipage statistics, ranked
 /// detector findings, and per-link wire traffic.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DiagReport {
     /// Minipages with any recorded activity, in id order.
     pub minipages: Vec<MinipageDiag>,
@@ -968,88 +972,68 @@ impl DiagReport {
             }
         }
     }
+}
 
-    /// The report as a JSON value (embedded under `"diag"` in
-    /// [`RunReport::to_json`](crate::RunReport::to_json)).
-    pub fn to_json(&self) -> String {
-        let mp_json = |d: &MinipageDiag| {
-            let lanes: Vec<String> = d
-                .per_host
-                .iter()
-                .filter(|l| {
-                    l.read_faults + l.write_faults + l.inv_recv > 0 || !l.write_extents.is_empty()
-                })
-                .map(|l| {
-                    let exts: Vec<String> = l
-                        .write_extents
-                        .iter()
-                        .map(|&(s, e)| format!("[{s},{e}]"))
-                        .collect();
-                    format!(
-                        "{{\"host\":{},\"read_faults\":{},\"write_faults\":{},\
-                         \"inv_recv\":{},\"write_extents\":[{}]}}",
-                        l.host,
-                        l.read_faults,
-                        l.write_faults,
-                        l.inv_recv,
-                        exts.join(",")
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"mp\":{},\"len\":{},\"home\":{},\"first_vpage\":{},\"vpages\":{},\
-                 \"inv_sent\":{},\"diff_bytes\":{},\"alternations\":{},\"last_writer\":{},\
-                 \"per_host\":[{}]}}",
-                d.mp,
-                d.len,
-                d.home,
-                d.first_vpage,
-                d.vpages,
-                d.inv_sent,
-                d.diff_bytes,
-                d.alternations,
-                d.last_writer.map_or("null".into(), |w| w.to_string()),
-                lanes.join(",")
-            )
+/// The report as a JSON value (embedded under `"diag"` in
+/// [`RunReport::to_json`](crate::RunReport::to_json)); lanes with no
+/// activity are left out.
+impl ToJson for DiagReport {
+    fn write_json(&self, w: &mut Writer) {
+        let findings = |w: &mut Writer, key: &str, fs: &[Finding]| {
+            w.key(key).array(|w| {
+                for f in fs {
+                    w.object(|w| {
+                        w.field("detector", f.detector)
+                            .field("mp", f.mp)
+                            .field("host", f.host)
+                            .field("score", f.score)
+                            .field("evidence", &f.evidence);
+                    });
+                }
+            });
         };
-        let findings_json = |fs: &[Finding]| {
-            let items: Vec<String> = fs
-                .iter()
-                .map(|f| {
-                    format!(
-                        "{{\"detector\":\"{}\",\"mp\":{},\"host\":{},\"score\":{},\
-                         \"evidence\":\"{}\"}}",
-                        f.detector,
-                        f.mp,
-                        f.host,
-                        f.score,
-                        esc(&f.evidence)
-                    )
-                })
-                .collect();
-            format!("[{}]", items.join(","))
-        };
-        let links: Vec<String> = self
-            .links
-            .iter()
-            .map(|l| {
-                format!(
-                    "{{\"from\":{},\"to\":{},\"messages\":{},\"bytes\":{}}}",
-                    l.from, l.to, l.messages, l.bytes
-                )
-            })
-            .collect();
-        let mps: Vec<String> = self.minipages.iter().map(mp_json).collect();
-        format!(
-            "{{\"minipages\":[{}],\"ping_pong\":{},\"false_sharing\":{},\"hot_home\":{},\
-             \"links\":[{}],\"overflow\":{}}}",
-            mps.join(","),
-            findings_json(&self.ping_pong),
-            findings_json(&self.false_sharing),
-            findings_json(&self.hot_home),
-            links.join(","),
-            self.overflow
-        )
+        w.object(|w| {
+            w.key("minipages").array(|w| {
+                for d in &self.minipages {
+                    w.object(|w| {
+                        w.field("mp", d.mp)
+                            .field("len", d.len)
+                            .field("home", d.home)
+                            .field("first_vpage", d.first_vpage)
+                            .field("vpages", d.vpages)
+                            .field("inv_sent", d.inv_sent)
+                            .field("diff_bytes", d.diff_bytes)
+                            .field("alternations", d.alternations)
+                            .field("last_writer", d.last_writer);
+                        w.key("per_host").array(|w| {
+                            for l in d.per_host.iter().filter(|l| l.active()) {
+                                w.object(|w| {
+                                    w.field("host", l.host)
+                                        .field("read_faults", l.read_faults)
+                                        .field("write_faults", l.write_faults)
+                                        .field("inv_recv", l.inv_recv)
+                                        .field("write_extents", &l.write_extents);
+                                });
+                            }
+                        });
+                    });
+                }
+            });
+            findings(w, "ping_pong", &self.ping_pong);
+            findings(w, "false_sharing", &self.false_sharing);
+            findings(w, "hot_home", &self.hot_home);
+            w.key("links").array(|w| {
+                for l in &self.links {
+                    w.object(|w| {
+                        w.field("from", l.from)
+                            .field("to", l.to)
+                            .field("messages", l.messages)
+                            .field("bytes", l.bytes);
+                    });
+                }
+            });
+            w.field("overflow", self.overflow);
+        });
     }
 }
 

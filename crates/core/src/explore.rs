@@ -28,8 +28,8 @@ use crate::cluster::{run, ClusterConfig};
 use crate::hlrc::Consistency;
 use crate::home::HomePolicyKind;
 use crate::stats::RunReport;
+use sim_core::json::{self, ToJson, Writer};
 use sim_core::sched::SchedMode;
-use sim_core::trace::esc;
 use sim_core::{SplitMix64, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -366,154 +366,48 @@ fn shrink(
 }
 
 // ---------------------------------------------------------------------------
-// Reproducer JSON (hand-rolled: the repo builds offline, no serde).
+// Reproducer JSON.
+
+impl ToJson for MinimizedRepro {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("seed", self.seed)
+                .field("schedule_index", self.schedule_index)
+                .field("policy", &self.policy)
+                .field("choices", &self.choices)
+                .field("violations", &self.violations)
+                .field("replays_used", self.replays_used);
+        });
+    }
+}
 
 impl MinimizedRepro {
-    /// Serializes the reproducer as a small standalone JSON document.
+    /// The reproducer as a standalone JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + 12 * self.choices.len());
-        s.push_str("{\n");
-        s.push_str(&format!("  \"seed\": {},\n", self.seed));
-        s.push_str(&format!("  \"schedule_index\": {},\n", self.schedule_index));
-        s.push_str(&format!("  \"policy\": \"{}\",\n", esc(&self.policy)));
-        s.push_str("  \"choices\": [");
-        for (i, c) in self.choices.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&c.to_string());
-        }
-        s.push_str("],\n");
-        s.push_str("  \"violations\": [");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    \"");
-            s.push_str(&esc(v));
-            s.push('"');
-        }
-        if !self.violations.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("],\n");
-        s.push_str(&format!("  \"replays_used\": {}\n", self.replays_used));
-        s.push_str("}\n");
-        s
+        json::document(|w| self.write_json(w))
     }
 
-    /// Parses a document produced by [`MinimizedRepro::to_json`]. Returns
-    /// `None` on anything structurally unexpected. This is a purposely
-    /// small field extractor, not a general JSON parser — it only has to
-    /// round-trip its own output.
+    /// Reads a reproducer back from any JSON layout of its six fields
+    /// (whitespace and member order are free). `None` on anything else.
     pub fn from_json(s: &str) -> Option<Self> {
+        let doc = json::parse(s.as_bytes()).ok()?;
+        let field = |key: &str| doc.get(key);
+        let uint = |key: &str| field(key)?.as_u64();
+        let list = |key: &str| field(key)?.as_array();
         Some(Self {
-            seed: json_u64(s, "seed")?,
-            schedule_index: json_u64(s, "schedule_index")? as usize,
-            policy: json_string(s, "policy")?,
-            choices: json_u32_array(s, "choices")?,
-            violations: json_string_array(s, "violations")?,
-            replays_used: json_u64(s, "replays_used")? as usize,
+            seed: uint("seed")?,
+            schedule_index: uint("schedule_index")?.try_into().ok()?,
+            policy: field("policy")?.as_str()?.to_owned(),
+            choices: list("choices")?
+                .iter()
+                .map(|c| c.as_u64()?.try_into().ok())
+                .collect::<Option<_>>()?,
+            violations: list("violations")?
+                .iter()
+                .map(|v| v.as_str().map(str::to_owned))
+                .collect::<Option<_>>()?,
+            replays_used: uint("replays_used")?.try_into().ok()?,
         })
-    }
-}
-
-/// Position just past `"key":` in `s`, skipping whitespace.
-fn json_field(s: &str, key: &str) -> Option<usize> {
-    let needle = format!("\"{key}\"");
-    let at = s.find(&needle)? + needle.len();
-    let rest = &s[at..];
-    let colon = rest.find(':')?;
-    let mut i = at + colon + 1;
-    while s[i..].starts_with([' ', '\n', '\t', '\r']) {
-        i += 1;
-    }
-    Some(i)
-}
-
-fn json_u64(s: &str, key: &str) -> Option<u64> {
-    let i = json_field(s, key)?;
-    let digits: String = s[i..].chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-/// Decodes the JSON string literal starting at the opening quote.
-/// Returns the decoded string and the index just past the closing quote.
-fn json_string_at(s: &str, start: usize) -> Option<(String, usize)> {
-    let bytes = s.as_bytes();
-    if bytes.get(start) != Some(&b'"') {
-        return None;
-    }
-    let mut out = String::new();
-    let mut chars = s[start + 1..].char_indices();
-    while let Some((off, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, start + 1 + off + 1)),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.1.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-fn json_string(s: &str, key: &str) -> Option<String> {
-    let i = json_field(s, key)?;
-    json_string_at(s, i).map(|(v, _)| v)
-}
-
-fn json_u32_array(s: &str, key: &str) -> Option<Vec<u32>> {
-    let i = json_field(s, key)?;
-    let rest = &s[i..];
-    if !rest.starts_with('[') {
-        return None;
-    }
-    let end = rest.find(']')?;
-    let body = &rest[1..end];
-    let mut out = Vec::new();
-    for part in body.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        out.push(part.parse().ok()?);
-    }
-    Some(out)
-}
-
-fn json_string_array(s: &str, key: &str) -> Option<Vec<String>> {
-    let mut i = json_field(s, key)?;
-    if !s[i..].starts_with('[') {
-        return None;
-    }
-    i += 1;
-    let mut out = Vec::new();
-    loop {
-        while s[i..].starts_with([' ', '\n', '\t', '\r', ',']) {
-            i += 1;
-        }
-        if s[i..].starts_with(']') {
-            return Some(out);
-        }
-        let (v, next) = json_string_at(s, i)?;
-        out.push(v);
-        i = next;
     }
 }
 
@@ -605,7 +499,7 @@ mod tests {
     #[test]
     fn repro_json_round_trips() {
         let repro = MinimizedRepro {
-            seed: 7,
+            seed: u64::MAX, // beyond 2^53: must not pass through an f64
             schedule_index: 13,
             policy: "pct".to_string(),
             choices: vec![0, 3, u32::MAX, 2],
@@ -639,6 +533,14 @@ mod tests {
         assert_eq!(MinimizedRepro::from_json("not json"), None);
         assert_eq!(
             MinimizedRepro::from_json("{\"seed\": 1, \"schedule_index\": []}"),
+            None
+        );
+        // A choice beyond u32 is not a decision index.
+        assert_eq!(
+            MinimizedRepro::from_json(
+                "{\"seed\":1,\"schedule_index\":0,\"policy\":\"pct\",\
+                 \"choices\":[4294967296],\"violations\":[],\"replays_used\":0}"
+            ),
             None
         );
     }

@@ -75,6 +75,6 @@ pub use sim_core::sched::{ParallelConfig, SchedMode, SchedPolicy};
 // Re-exports the applications and harnesses keep reaching for.
 pub use multiview::{AllocMode, AllocStats};
 pub use sim_core::{
-    Category, ChromeTrace, CostModel, HostId, LogHistogram, Ns, TimeBreakdown, TraceEvent,
+    json, Category, ChromeTrace, CostModel, HostId, LogHistogram, Ns, TimeBreakdown, TraceEvent,
     TraceKind, TraceLog, Tracer, Track, VAddr,
 };

@@ -5,13 +5,13 @@ use crate::home::HomeTable;
 use crate::host::HostState;
 use crate::manager::ManagerShard;
 use multiview::{AllocStats, Minipage};
-use serde::{Deserialize, Serialize};
-use sim_core::{HostId, LogHistogram, Ns, TimeBreakdown};
+use sim_core::json::{self, ToJson, Writer};
+use sim_core::{Category, HostId, LogHistogram, Ns, TimeBreakdown};
 use sim_mem::{Geometry, Prot};
 use std::sync::Arc;
 
 /// Per-application-thread outcome.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HostReport {
     /// The host this thread ran on.
     pub host: HostId,
@@ -35,7 +35,7 @@ pub struct HostReport {
 /// activity; the distributed policies spread it, and the spread (in
 /// particular the peak `competing_requests`) is the Figure 7 hot-spot
 /// measurement per shard.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ShardStats {
     /// The host this shard ran on.
     pub host: HostId,
@@ -52,7 +52,7 @@ pub struct ShardStats {
 
 /// Wire-fault activity of one run; present only when the cluster ran
 /// with active [`WireFaults`](crate::WireFaults).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct NetFaultStats {
     /// Transmissions the fault plane discarded (each costs one
     /// retransmission round-trip of added latency).
@@ -74,7 +74,7 @@ pub struct NetFaultStats {
 }
 
 /// The outcome of one cluster run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RunReport {
     /// Number of hosts.
     pub hosts: usize,
@@ -181,155 +181,86 @@ impl RunReport {
     /// The report as a JSON document (machine-readable run output; the
     /// `repro --json` flag).
     pub fn to_json(&self) -> String {
-        use sim_core::Category;
-        let mut s = String::with_capacity(4096);
-        s.push('{');
-        push_kv(&mut s, "hosts", &self.hosts.to_string());
-        push_kv(&mut s, "virtual_time_ns", &self.virtual_time.to_string());
-        push_kv(&mut s, "policy", &format!("\"{}\"", self.policy));
-        push_kv(&mut s, "read_faults", &self.read_faults.to_string());
-        push_kv(&mut s, "write_faults", &self.write_faults.to_string());
-        push_kv(&mut s, "prefetches", &self.prefetches.to_string());
-        push_kv(&mut s, "invalidations", &self.invalidations.to_string());
-        push_kv(
-            &mut s,
-            "competing_requests",
-            &self.competing_requests.to_string(),
-        );
-        push_kv(&mut s, "barriers", &self.barriers.to_string());
-        push_kv(&mut s, "lock_acquires", &self.lock_acquires.to_string());
-        push_kv(&mut s, "pushes", &self.pushes.to_string());
-        push_kv(&mut s, "messages", &self.messages.to_string());
-        push_kv(&mut s, "payload_bytes", &self.payload_bytes.to_string());
-        push_kv(&mut s, "rc_diffs", &self.rc_diffs.to_string());
-        let bd: Vec<String> = Category::ALL
-            .iter()
-            .map(|&c| format!("\"{c:?}\":{}", self.breakdown.get(c)))
-            .collect();
-        push_kv(&mut s, "breakdown_ns", &format!("{{{}}}", bd.join(",")));
-        push_kv(&mut s, "fault_latency", &hist_json(&self.fault_latency));
-        push_kv(
-            &mut s,
-            "server_queue_delay",
-            &hist_json(&self.server_queue_delay),
-        );
-        push_kv(&mut s, "inv_round_trip", &hist_json(&self.inv_round_trip));
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|sh| {
-                format!(
-                    "{{\"host\":{},\"competing_requests\":{},\"invalidations_sent\":{},\
-                     \"rc_diffs\":{},\"directory_entries\":{}}}",
-                    sh.host.index(),
-                    sh.competing_requests,
-                    sh.invalidations_sent,
-                    sh.rc_diffs,
-                    sh.directory_entries
-                )
-            })
-            .collect();
-        push_kv(&mut s, "shards", &format!("[{}]", shards.join(",")));
-        let hosts: Vec<String> = self
-            .per_host
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"host\":{},\"thread\":{},\"end_vt\":{},\"read_faults\":{},\
-                     \"write_faults\":{}}}",
-                    h.host.index(),
-                    h.thread,
-                    h.end_vt,
-                    h.read_faults,
-                    h.write_faults
-                )
-            })
-            .collect();
-        push_kv(&mut s, "per_host", &format!("[{}]", hosts.join(",")));
-        let viol: Vec<String> = self
-            .coherence_violations
-            .iter()
-            .map(|v| format!("\"{}\"", sim_core::trace::esc(v)))
-            .collect();
-        push_kv(
-            &mut s,
-            "coherence_violations",
-            &format!("[{}]", viol.join(",")),
-        );
-        // Fault-plane fields appear only on fault-injecting runs, keeping
-        // the disabled-plane JSON byte-for-byte what it always was.
-        if !self.protocol_errors.is_empty() {
-            let errs: Vec<String> = self
-                .protocol_errors
-                .iter()
-                .map(|e| format!("\"{}\"", sim_core::trace::esc(e)))
-                .collect();
-            push_kv(&mut s, "protocol_errors", &format!("[{}]", errs.join(",")));
-        }
-        if let Some(nf) = &self.net_faults {
-            push_kv(
-                &mut s,
-                "net_faults",
-                &format!(
-                    "{{\"drops\":{},\"retransmits\":{},\"dups_delivered\":{},\
-                     \"dups_suppressed\":{},\"reorders\":{},\"expired\":{},\
-                     \"delay\":{}}}",
-                    nf.drops,
-                    nf.retransmits,
-                    nf.dups_delivered,
-                    nf.dups_suppressed,
-                    nf.reorders,
-                    nf.expired,
-                    hist_json(&nf.delay),
-                ),
-            );
-        }
-        // Likewise, diagnostics fields appear only when the run recorded
-        // something, keeping the default report byte-for-byte stable.
-        if !self.trace_dropped.is_empty() {
-            let drops: Vec<String> = self
-                .trace_dropped
-                .iter()
-                .map(|(h, n)| format!("[{h},{n}]"))
-                .collect();
-            push_kv(&mut s, "trace_dropped", &format!("[{}]", drops.join(",")));
-        }
-        if let Some(d) = &self.diag {
-            push_kv(&mut s, "diag", &d.to_json());
-        }
-        if let Some(a) = &self.adapt {
-            push_kv(&mut s, "adapt", &a.to_json());
-        }
-        s.push('}');
-        s.push('\n');
-        s
+        json::document(|w| self.write_json(w))
     }
 }
 
-fn push_kv(out: &mut String, key: &str, val: &str) {
-    if out.len() > 1 {
-        out.push(',');
+impl ToJson for RunReport {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("hosts", self.hosts)
+                .field("virtual_time_ns", self.virtual_time)
+                .field("policy", self.policy)
+                .field("read_faults", self.read_faults)
+                .field("write_faults", self.write_faults)
+                .field("prefetches", self.prefetches)
+                .field("invalidations", self.invalidations)
+                .field("competing_requests", self.competing_requests)
+                .field("barriers", self.barriers)
+                .field("lock_acquires", self.lock_acquires)
+                .field("pushes", self.pushes)
+                .field("messages", self.messages)
+                .field("payload_bytes", self.payload_bytes)
+                .field("rc_diffs", self.rc_diffs);
+            w.key("breakdown_ns").object(|w| {
+                for c in Category::ALL {
+                    w.field(&format!("{c:?}"), self.breakdown.get(c));
+                }
+            });
+            w.field("fault_latency", &self.fault_latency)
+                .field("server_queue_delay", &self.server_queue_delay)
+                .field("inv_round_trip", &self.inv_round_trip);
+            w.key("shards").array(|w| {
+                for sh in &self.shards {
+                    w.object(|w| {
+                        w.field("host", sh.host.index())
+                            .field("competing_requests", sh.competing_requests)
+                            .field("invalidations_sent", sh.invalidations_sent)
+                            .field("rc_diffs", sh.rc_diffs)
+                            .field("directory_entries", sh.directory_entries);
+                    });
+                }
+            });
+            w.key("per_host").array(|w| {
+                for h in &self.per_host {
+                    w.object(|w| {
+                        w.field("host", h.host.index())
+                            .field("thread", h.thread)
+                            .field("end_vt", h.end_vt)
+                            .field("read_faults", h.read_faults)
+                            .field("write_faults", h.write_faults);
+                    });
+                }
+            });
+            w.field("coherence_violations", &self.coherence_violations);
+            // Fault-plane and diagnostics fields appear only when the run
+            // recorded something, keeping the default report byte-for-byte
+            // what it always was.
+            if !self.protocol_errors.is_empty() {
+                w.field("protocol_errors", &self.protocol_errors);
+            }
+            if let Some(nf) = &self.net_faults {
+                w.key("net_faults").object(|w| {
+                    w.field("drops", nf.drops)
+                        .field("retransmits", nf.retransmits)
+                        .field("dups_delivered", nf.dups_delivered)
+                        .field("dups_suppressed", nf.dups_suppressed)
+                        .field("reorders", nf.reorders)
+                        .field("expired", nf.expired)
+                        .field("delay", &nf.delay);
+                });
+            }
+            if !self.trace_dropped.is_empty() {
+                w.field("trace_dropped", &self.trace_dropped);
+            }
+            if let Some(d) = &self.diag {
+                w.field("diag", d);
+            }
+            if let Some(a) = &self.adapt {
+                w.field("adapt", a);
+            }
+        });
     }
-    out.push_str(&format!("\"{key}\":{val}"));
-}
-
-/// Count/mean/extremes/percentiles of one latency histogram as JSON.
-fn hist_json(h: &LogHistogram) -> String {
-    fn opt(v: Option<Ns>) -> String {
-        v.map_or_else(|| "null".into(), |x| x.to_string())
-    }
-    format!(
-        "{{\"count\":{},\"min_ns\":{},\"mean_ns\":{},\"max_ns\":{},\
-         \"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}}}",
-        h.count(),
-        opt(h.min()),
-        h.mean()
-            .map_or_else(|| "null".into(), |m| format!("{m:.1}")),
-        opt(h.max()),
-        opt(h.p50()),
-        opt(h.p95()),
-        opt(h.p99()),
-    )
 }
 
 /// Post-run validation for the release-consistency mode: after the final

@@ -71,7 +71,7 @@ impl std::fmt::Display for AllocError {
 impl std::error::Error for AllocError {}
 
 /// Aggregate allocator statistics (feeds Table 2).
-#[derive(Clone, Copy, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AllocStats {
     /// Number of `alloc` calls.
     pub allocations: u64,

@@ -7,10 +7,9 @@
 //! breakdown is exact rather than sampled.
 
 use crate::clock::Ns;
-use serde::{Deserialize, Serialize};
 
 /// Where a slice of virtual time was spent (Figure 6 categories).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Category {
     /// Application computation (including local memory access).
     Comp,
@@ -47,7 +46,7 @@ impl Category {
 }
 
 /// Accumulated virtual time per [`Category`].
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct TimeBreakdown {
     totals: [Ns; 5],
 }

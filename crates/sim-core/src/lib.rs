@@ -18,6 +18,8 @@
 //! * [`stats`] — counters, summaries, and histograms used by the harnesses,
 //! * [`trace`] — virtual-time protocol event tracing (per-thread rings,
 //!   Chrome-trace export),
+//! * [`json`] — the one JSON writer and reader every report, trace and
+//!   reproducer goes through,
 //! * [`sched`] — the cooperative deterministic scheduler (one seed, one
 //!   interleaving) backing schedule exploration.
 
@@ -25,6 +27,7 @@ pub mod account;
 pub mod addr;
 pub mod clock;
 pub mod cost;
+pub mod json;
 pub mod rng;
 pub mod sched;
 pub mod stats;
@@ -46,9 +49,7 @@ pub use trace::{ChromeTrace, TraceEvent, TraceKind, TraceLog, TraceRecorder, Tra
 ///
 /// The paper's testbed has eight hosts; the reproduction supports up to 64
 /// (copysets are stored as `u64` bitmasks).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct HostId(pub u16);
 
 impl HostId {

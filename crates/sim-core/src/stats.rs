@@ -1,6 +1,6 @@
 //! Counters, summaries and histograms used by the reproduction harnesses.
 
-use serde::{Deserialize, Serialize};
+use crate::json::{ToJson, Writer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -40,7 +40,7 @@ impl Counter {
 }
 
 /// Min/max/mean/standard-deviation summary of a stream of samples.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Summary {
     count: u64,
     min: f64,
@@ -116,7 +116,7 @@ impl Summary {
 }
 
 /// A fixed-bucket histogram over `u64` samples.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     bucket_width: u64,
     buckets: Vec<u64>,
@@ -194,7 +194,7 @@ impl Histogram {
 /// reported value is the matched bucket's inclusive upper bound (clamped
 /// to the true recorded maximum), i.e. at most 2× the true quantile —
 /// the usual log-bucket trade for O(1) recording.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LogHistogram {
     buckets: Vec<u64>,
     total: u64,
@@ -325,6 +325,25 @@ impl LogHistogram {
     /// 99th percentile (approximate).
     pub fn p99(&self) -> Option<u64> {
         self.quantile(0.99)
+    }
+}
+
+/// The summary a run report carries: count, extremes, the mean with one
+/// decimal and the p50/p95/p99 quantiles (`null` when empty).
+impl ToJson for LogHistogram {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.field("count", self.count()).field("min_ns", self.min());
+            w.key("mean_ns");
+            match self.mean() {
+                Some(m) => w.raw(&format!("{m:.1}")),
+                None => w.raw("null"),
+            };
+            w.field("max_ns", self.max())
+                .field("p50_ns", self.p50())
+                .field("p95_ns", self.p95())
+                .field("p99_ns", self.p99());
+        });
     }
 }
 

@@ -20,8 +20,8 @@
 //! rendezvous instants.
 
 use crate::clock::Ns;
+use crate::json::{self, Writer};
 use crate::HostId;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -31,7 +31,7 @@ pub const NO_MP: u32 = u32::MAX;
 pub const NO_PEER: u16 = u16::MAX;
 
 /// Which simulated thread of a host recorded an event.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Track {
     /// Application thread `t` of the host.
     App(u16),
@@ -43,7 +43,7 @@ pub enum Track {
 
 /// What happened. The comments name the protocol step each kind marks;
 /// `aux` encodes the kind-specific detail documented per variant.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceKind {
     /// Application thread enters the read-fault handler.
     ReadFaultBegin,
@@ -144,7 +144,7 @@ pub enum TraceKind {
 }
 
 /// One virtual-time-stamped protocol event.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TraceEvent {
     /// Virtual timestamp (ns) on the recording thread's clock.
     pub vt: Ns,
@@ -345,7 +345,7 @@ impl Tracer {
 }
 
 /// The merged outcome of a traced run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TraceLog {
     /// All recorded events in `(vt, audit_rank)` order.
     pub events: Vec<TraceEvent>,
@@ -485,20 +485,27 @@ impl ChromeTrace {
         }
     }
 
-    fn push(&mut self, obj: &str) {
+    /// Appends one event object; the document keeps one event per line.
+    fn push(&mut self, event: impl FnOnce(&mut Writer)) {
         if !self.body.is_empty() {
             self.body.push_str(",\n");
         }
-        self.body.push_str(obj);
+        self.body
+            .push_str(json::document(|w| _ = w.object(event)).trim_end());
     }
 
     fn ensure_names(&mut self, label: &str, pid: u32, host: u16, track: Track) {
+        let meta = |name: &'static str, tid: u32, arg: String| {
+            move |w: &mut Writer| {
+                w.field("name", name)
+                    .field("ph", "M")
+                    .field("pid", pid)
+                    .field("tid", tid);
+                w.key("args").object(|w| _ = w.field("name", &arg));
+            }
+        };
         if self.named.insert((pid, u32::MAX)) {
-            self.push(&format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{} h{host}\"}}}}",
-                esc(label)
-            ));
+            self.push(meta("process_name", 0, format!("{label} h{host}")));
         }
         let tid = Self::tid(track);
         if self.named.insert((pid, tid)) {
@@ -515,10 +522,7 @@ impl ChromeTrace {
                     Track::Shard => "manager shard".into(),
                 }
             };
-            self.push(&format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{tname}\"}}}}"
-            ));
+            self.push(meta("thread_name", tid, tname));
         }
     }
 
@@ -556,18 +560,18 @@ impl ChromeTrace {
             );
             if closes {
                 if let Some(o) = open.entry((e.host, tid)).or_default().pop() {
-                    self.push(&slice(&o, e.vt, pid, tid));
+                    self.push(|w| slice(w, &o, e.vt, pid, tid));
                 }
                 continue;
             }
-            self.push(&instant(e, pid, tid));
+            self.push(|w| instant(w, e, pid, tid));
         }
         // Unpaired begins (e.g. a window still open at a dropped-ring
         // boundary) close at their own start so they stay visible.
         for ((host, tid), stack) in open {
             let pid = pid_base + host as u32;
             for o in stack {
-                self.push(&slice(&o, o.begin, pid, tid));
+                self.push(|w| slice(w, &o, o.begin, pid, tid));
             }
         }
     }
@@ -578,12 +582,12 @@ impl ChromeTrace {
     /// counters.
     pub fn add_counter(&mut self, name: &str, pid: u32, points: &[(Ns, u64)]) {
         for &(vt, value) in points {
-            self.push(&format!(
-                "{{\"name\":\"{}\",\"cat\":\"diag\",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\
-                 \"args\":{{\"value\":{value}}}}}",
-                esc(name),
-                us3(vt),
-            ));
+            self.push(|w| {
+                w.field("name", name).field("cat", "diag").field("ph", "C");
+                w.key("ts").raw(&us3(vt));
+                w.field("pid", pid);
+                w.key("args").object(|w| _ = w.field("value", value));
+            });
         }
     }
 
@@ -601,72 +605,44 @@ fn us3(vt: Ns) -> String {
     format!("{}.{:03}", vt / 1_000, vt % 1_000)
 }
 
-fn slice(o: &Open, end: Ns, pid: u32, tid: u32) -> String {
-    let mut args = String::new();
-    if o.mp != NO_MP {
-        args.push_str(&format!("\"mp\":{}", o.mp));
-    }
-    if o.event != 0 {
-        if !args.is_empty() {
-            args.push(',');
+fn slice(w: &mut Writer, o: &Open, end: Ns, pid: u32, tid: u32) {
+    w.field("name", o.name)
+        .field("cat", "protocol")
+        .field("ph", "X");
+    w.key("ts").raw(&us3(o.begin));
+    w.key("dur").raw(&us3(end.saturating_sub(o.begin)));
+    w.field("pid", pid).field("tid", tid);
+    w.key("args").object(|w| {
+        if o.mp != NO_MP {
+            w.field("mp", o.mp);
         }
-        args.push_str(&format!("\"event\":{}", o.event));
-    }
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"protocol\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-         \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}",
-        o.name,
-        us3(o.begin),
-        us3(end.saturating_sub(o.begin)),
-    )
+        if o.event != 0 {
+            w.field("event", o.event);
+        }
+    });
 }
 
-fn instant(e: &TraceEvent, pid: u32, tid: u32) -> String {
-    let mut args = String::new();
-    if e.mp != NO_MP {
-        args.push_str(&format!("\"mp\":{}", e.mp));
-    }
-    if e.peer != NO_PEER {
-        if !args.is_empty() {
-            args.push(',');
+fn instant(w: &mut Writer, e: &TraceEvent, pid: u32, tid: u32) {
+    w.field("name", format!("{:?}", e.kind))
+        .field("cat", "protocol")
+        .field("ph", "i")
+        .field("s", "t");
+    w.key("ts").raw(&us3(e.vt));
+    w.field("pid", pid).field("tid", tid);
+    w.key("args").object(|w| {
+        if e.mp != NO_MP {
+            w.field("mp", e.mp);
         }
-        args.push_str(&format!("\"peer\":{}", e.peer));
-    }
-    if e.bytes != 0 {
-        if !args.is_empty() {
-            args.push(',');
+        if e.peer != NO_PEER {
+            w.field("peer", e.peer);
         }
-        args.push_str(&format!("\"bytes\":{}", e.bytes));
-    }
-    if e.event != 0 {
-        if !args.is_empty() {
-            args.push(',');
+        if e.bytes != 0 {
+            w.field("bytes", e.bytes);
         }
-        args.push_str(&format!("\"event\":{}", e.event));
-    }
-    format!(
-        "{{\"name\":\"{:?}\",\"cat\":\"protocol\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\
-         \"pid\":{pid},\"tid\":{tid},\"args\":{{{args}}}}}",
-        e.kind,
-        us3(e.vt),
-    )
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        if e.event != 0 {
+            w.field("event", e.event);
         }
-    }
-    out
+    });
 }
 
 #[cfg(test)]
@@ -816,11 +792,5 @@ mod tests {
         assert!(json.contains("\\\"quick\\\""));
         assert!(json.contains("\"ph\":\"i\""));
         assert!(json.ends_with("}\n"));
-    }
-
-    #[test]
-    fn esc_handles_specials() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
     }
 }

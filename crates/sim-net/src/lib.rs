@@ -17,7 +17,7 @@
 //!   sweeper thread's next (jittery) 1 ms timer tick — the effect §3.5.1
 //!   blames for most of Millipage's 750 µs average fault service time.
 //!
-//! Data messages carry their payload as [`bytes::Bytes`]; the zero-copy
+//! Data messages carry their payload as `bytes::Bytes`; the zero-copy
 //! receive into the privileged view (§2.3.1) is performed by the DSM layer.
 //!
 //! Reliable FIFO delivery is a property FM *builds*, not one Myrinet

@@ -20,7 +20,6 @@
 //!   delivered and acknowledged.
 
 use crate::fault::{backoff_penalty, FaultPlane, ScriptedKind, SendReceipt};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use sim_core::clock::Ns;
 use sim_core::sched::{DeliveryGate, Scheduler};
 use sim_core::trace::{TraceKind, TraceRecorder};
@@ -28,6 +27,7 @@ use sim_core::{CostModel, Counter, HostId, LogHistogram, SplitMix64};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
 
@@ -225,7 +225,7 @@ impl<M: Send + Clone> Network<M> {
         let mut inboxes = Vec::with_capacity(hosts);
         let mut receivers = Vec::with_capacity(hosts);
         for _ in 0..hosts {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             inboxes.push(tx);
             receivers.push(rx);
         }

@@ -24,6 +24,20 @@ fn clean_sweep_on_fixed_code() {
     assert_eq!(outcome.schedules_run, 40);
 }
 
+/// The reproducer `repro explore --inject stale-reinstall` wrote for the
+/// sweep below while reproducers were pretty-printed.
+const PRETTY_REPRO: &str = r#"{
+  "seed": 7,
+  "schedule_index": 1,
+  "policy": "pct",
+  "choices": [5, 5],
+  "violations": [
+    "panic: element 2 read 1 after barrier in round 1 (legal: 2 or 3)"
+  ],
+  "replays_used": 11
+}
+"#;
+
 #[test]
 fn injected_stale_reinstall_is_caught_shrunk_and_fixed() {
     let mut buggy = race_config();
@@ -46,10 +60,12 @@ fn injected_stale_reinstall_is_caught_shrunk_and_fixed() {
         repro.violations
     );
 
-    // The reproducer survives a JSON round trip (what CI archives).
+    // The reproducer survives a JSON round trip (what CI archives), and a
+    // file in the older pretty layout still reads as the same reproducer.
     let parsed =
         MinimizedRepro::from_json(&repro.to_json()).expect("reproducer JSON must parse back");
     assert_eq!(parsed, repro);
+    assert_eq!(MinimizedRepro::from_json(PRETTY_REPRO), Some(repro.clone()));
 
     // Shrinking preserved failure: the minimized schedule still loses the
     // update on buggy code...

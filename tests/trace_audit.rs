@@ -5,6 +5,7 @@
 //! *and* under the acceptance fault mix (1% drop + 0.5% dup + 2%
 //! reorder) — and (c) export to well-formed Chrome-trace/Perfetto JSON.
 
+use millipage::json::{self, Value};
 use millipage::{
     audit, run, AllocMode, AuditMode, ChromeTrace, ClusterConfig, Consistency, HomePolicyKind,
     HostId, RunReport, TraceLog, Tracer, WireFaults,
@@ -182,9 +183,8 @@ fn traced_run_populates_histograms() {
     }
 }
 
-/// The Chrome-trace exporter emits well-formed JSON (checked with a
-/// small structural parser — the workspace builds offline, so there is
-/// no JSON crate to lean on) with the expected metadata.
+/// The Chrome-trace exporter and the report dump emit documents the
+/// workspace's JSON reader accepts, with the expected members.
 #[test]
 fn chrome_trace_export_is_well_formed_json() {
     let (_, log) = traced_workload(
@@ -194,76 +194,26 @@ fn chrome_trace_export_is_well_formed_json() {
     );
     let mut ct = ChromeTrace::new();
     ct.add_run("audit-test", 0, &log.events);
-    let json = ct.finish();
-    assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("process_name"));
-    assert!(json.contains("\"displayTimeUnit\""));
-    let rest = skip_json_value(json.trim()).expect("valid JSON value");
-    assert!(rest.trim().is_empty(), "trailing garbage: {rest:.40?}");
+    let trace = json::parse(ct.finish().as_bytes()).expect("valid trace JSON");
+    let events = trace.get("traceEvents").and_then(Value::as_array);
+    assert!(events.is_some_and(|e| e.len() > log.events.len() / 2));
+    assert_eq!(
+        events
+            .and_then(|e| e[0].get("name"))
+            .and_then(Value::as_str),
+        Some("process_name")
+    );
+    assert_eq!(
+        trace.get("displayTimeUnit").and_then(Value::as_str),
+        Some("ms")
+    );
 
-    // The RunReport JSON dump must be well-formed too.
     let (report, _) = traced_workload(
         HomePolicyKind::Centralized,
         Consistency::SequentialSwMr,
         WireFaults::disabled(),
     );
-    let rj = report.to_json();
-    let rest = skip_json_value(rj.trim()).expect("valid report JSON");
-    assert!(rest.trim().is_empty(), "trailing garbage: {rest:.40?}");
-    assert!(rj.contains("\"fault_latency\""));
-    assert!(rj.contains("\"p99_ns\""));
-}
-
-// A minimal recursive-descent JSON *recognizer*: consumes one value,
-// returns the remaining input, or None on malformed input.
-fn skip_json_value(s: &str) -> Option<&str> {
-    let s = s.trim_start();
-    let mut chars = s.char_indices();
-    match chars.next()?.1 {
-        '{' => skip_json_container(&s[1..], '}', true),
-        '[' => skip_json_container(&s[1..], ']', false),
-        '"' => skip_json_string(s),
-        _ => {
-            // number / true / false / null: eat the token.
-            let end = s
-                .find(|c: char| !(c.is_ascii_alphanumeric() || "+-.eE".contains(c)))
-                .unwrap_or(s.len());
-            (end > 0).then(|| &s[end..])
-        }
-    }
-}
-
-fn skip_json_string(s: &str) -> Option<&str> {
-    debug_assert!(s.starts_with('"'));
-    let mut escaped = false;
-    for (i, c) in s[1..].char_indices() {
-        match c {
-            _ if escaped => escaped = false,
-            '\\' => escaped = true,
-            '"' => return Some(&s[1 + i + 1..]),
-            _ => {}
-        }
-    }
-    None
-}
-
-fn skip_json_container(mut s: &str, close: char, keyed: bool) -> Option<&str> {
-    loop {
-        s = s.trim_start();
-        if let Some(rest) = s.strip_prefix(close) {
-            return Some(rest);
-        }
-        if keyed {
-            s = skip_json_string(s.trim_start())?;
-            s = s.trim_start().strip_prefix(':')?;
-        }
-        s = skip_json_value(s)?;
-        s = s.trim_start();
-        if let Some(rest) = s.strip_prefix(',') {
-            s = rest;
-        } else {
-            s = s.strip_prefix(close)?;
-            return Some(s);
-        }
-    }
+    let rj = json::parse(report.to_json().as_bytes()).expect("valid report JSON");
+    let p99 = rj.get("fault_latency").and_then(|h| h.get("p99_ns"));
+    assert_eq!(p99.and_then(Value::as_u64), report.fault_latency_p99());
 }
