@@ -116,6 +116,8 @@ pub fn worker<D: Dsm>(ctx: &mut D, sh: &SorShared) {
     }
     ctx.barrier();
     ctx.timer_reset();
+    // The three rows a relaxation reads, in buffers the sweep keeps.
+    let (mut above, mut row, mut below) = (vec![0.0; p.cols], vec![0.0; p.cols], vec![0.0; p.cols]);
     for _ in 0..p.iters {
         for parity in [0usize, 1] {
             for i in my.clone() {
@@ -124,9 +126,9 @@ pub fn worker<D: Dsm>(ctx: &mut D, sh: &SorShared) {
                 }
                 // Boundary rows of neighbouring bands arrive by read fault;
                 // interior neighbours are local after the first iteration.
-                let above = ctx.read_range(&sh.rows[i - 1], 0..p.cols);
-                let below = ctx.read_range(&sh.rows[i + 1], 0..p.cols);
-                let mut row = ctx.read_range(&sh.rows[i], 0..p.cols);
+                ctx.read_into(&sh.rows[i - 1], 0, &mut above);
+                ctx.read_into(&sh.rows[i + 1], 0, &mut below);
+                ctx.read_into(&sh.rows[i], 0, &mut row);
                 relax_row(&above, &mut row, &below);
                 ctx.compute(cal::SOR_ELEM_NS * (p.cols as u64 - 2));
                 ctx.write_range(&sh.rows[i], 0, &row);

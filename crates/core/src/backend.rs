@@ -21,9 +21,10 @@
 //!   the host backend reads a wall clock and charges nothing (real time
 //!   passes by itself).
 //! * [`LocalWake`] — how the server releases the local application thread
-//!   blocked on an event: a waiter map in the sim, a completion socket on
-//!   the host backend. It is the only thing the server engine
-//!   ([`server::dispatch`](crate::server)) does differently per substrate.
+//!   blocked on an event: a waiter map in the sim, a futex word per
+//!   application thread on the host backend. It is the only thing the
+//!   server engine ([`server::dispatch`](crate::server)) does differently
+//!   per substrate.
 //!
 //! [`ClusterMemory`] is the manager shard's alloc-time access to *every*
 //! host's memory (fresh minipages are initialized directly at their home
@@ -254,8 +255,8 @@ impl ProtoClock for ServerTimeline {
 /// The one substrate-specific act of the server engine: releasing the
 /// local application thread blocked on a protocol event (Figure 3's "signal
 /// the event"). The sim resolves a [`Waiter`](crate::host::Waiter) in the
-/// host's waiter map; the host backend writes a completion datagram to the
-/// socket its application thread is blocked in `recv` on.
+/// host's waiter map; the host backend posts the completing kind to the
+/// futex word its application thread sleeps on.
 pub(crate) trait LocalWake {
     /// Resolves the thread blocked on `m.event`: `Ok(t)` completes its
     /// request at time `t`, `Err` fails it. `what` names the message in

@@ -13,7 +13,7 @@
 //! cannot accidentally depend on them.
 
 use crate::host::HostCtx;
-use crate::shared::{Pod, SharedVec};
+use crate::shared::{zeroed, Pod, SharedVec};
 use sim_core::{HostId, Ns};
 use std::ops::Range;
 
@@ -28,8 +28,17 @@ pub trait Dsm {
     /// Number of hosts in the cluster.
     fn hosts(&self) -> usize;
 
-    /// Reads `sv[range]`, faulting pages in as needed.
-    fn read_range<T: Pod>(&mut self, sv: &SharedVec<T>, range: Range<usize>) -> Vec<T>;
+    /// Reads `sv[range]` into a fresh vector: [`read_into`](Self::read_into)
+    /// on a zeroed one.
+    fn read_range<T: Pod>(&mut self, sv: &SharedVec<T>, range: Range<usize>) -> Vec<T> {
+        let mut out = zeroed(range.len());
+        self.read_into(sv, range.start, &mut out);
+        out
+    }
+
+    /// Reads the `out.len()` elements from `start` into `out`, faulting
+    /// pages in as needed: one copy, page to the caller's buffer.
+    fn read_into<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, out: &mut [T]);
 
     /// Writes `vals` over `sv[start..start + vals.len()]`.
     fn write_range<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, vals: &[T]);
@@ -54,8 +63,8 @@ impl Dsm for HostCtx {
         HostCtx::hosts(self)
     }
 
-    fn read_range<T: Pod>(&mut self, sv: &SharedVec<T>, range: Range<usize>) -> Vec<T> {
-        HostCtx::read_range(self, sv, range)
+    fn read_into<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, out: &mut [T]) {
+        HostCtx::read_into(self, sv, start, out)
     }
 
     fn write_range<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, vals: &[T]) {

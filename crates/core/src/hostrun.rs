@@ -13,8 +13,9 @@
 //!   SIGSEGV**, decoded from the signal context ([`hostmv::RawFault`],
 //!   write bit from `REG_ERR`) and resolved by running the same
 //!   request/reply protocol the simulator runs — the fault handler sends
-//!   the request and blocks on a socket until the server thread has
-//!   installed the reply and opened the page;
+//!   the request and sleeps on its thread's futex word until the server
+//!   thread has installed the reply, opened the page and posted the
+//!   completion;
 //! * one real OS thread serves every host's DSM server from one
 //!   `SOCK_SEQPACKET` inbox (atomic datagrams, FIFO — the ordering the
 //!   protocol's correctness arguments assume); a header names its host;
@@ -57,7 +58,7 @@ use crate::host::HostState;
 use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
 use crate::server;
-use crate::shared::{fill_wire, wire_bytes, zeroed, Pod, SharedVec};
+use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
 use bytes::Bytes;
 use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
 use multiview::{AllocMode, Allocator, MinipageId};
@@ -67,7 +68,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -202,23 +203,6 @@ fn send_fd(fd: &OwnedFd, buf: &[u8], flags: libc::c_int) -> Result<(), i32> {
         }
         let errno = std::io::Error::last_os_error().raw_os_error().unwrap_or(0);
         if n < 0 && errno == libc::EINTR {
-            continue;
-        }
-        return Err(errno);
-    }
-}
-
-/// Receives one datagram into `buf`, retrying on `EINTR`. Returns the
-/// datagram length. Async-signal-safe.
-fn recv_fd(fd: &OwnedFd, buf: &mut [u8]) -> Result<usize, i32> {
-    loop {
-        // SAFETY: valid fd, writable in-bounds buffer.
-        let n = unsafe { libc::recv(fd.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len(), 0) };
-        if n >= 0 {
-            return Ok(n as usize);
-        }
-        let errno = std::io::Error::last_os_error().raw_os_error().unwrap_or(0);
-        if errno == libc::EINTR {
             continue;
         }
         return Err(errno);
@@ -417,31 +401,74 @@ impl MemoryBackend for HostMemory {
     }
 }
 
-/// The host backend's [`LocalWake`]: the send side of the completion
-/// socket the host's (single) application thread blocks in `recv` on. The
-/// message's bare header releases it; a failure travels as a `Nack`, which
-/// crashes the thread cleanly (see [`dsm_resolver`]). Sent without waiting,
-/// like every send of the server thread.
-struct CompletionTx(OwnedFd);
+/// A [`Completion`] with nothing posted since it was last armed.
+const ARMED: u32 = u32::MAX;
+const NACK: u32 = MsgKind::Nack as u32;
+
+/// One application thread's completion word. The thread arms it, sends a
+/// request and sleeps on it (`FUTEX_WAIT`); the server thread posts the
+/// kind that completes the request — a `Nack` for a failure — and wakes it
+/// (`FUTEX_WAKE`). Atomics and one bare syscall each way: the fault
+/// resolver may use it from signal context. A `Nack` sticks, so a failure
+/// that lands while no request is outstanding (a handler that fails after
+/// its reply was posted) is what the next wait reports.
+struct Completion(AtomicU32);
+
+impl Completion {
+    /// Stores `word` over anything but a `Nack`.
+    fn set(&self, word: u32, order: Ordering) {
+        let unless_nack = |old| (old != NACK).then_some(word);
+        let _ = self.0.fetch_update(order, Ordering::Relaxed, unless_nack);
+    }
+
+    /// Forgets the last completion, unless it is a `Nack`.
+    fn arm(&self) {
+        self.set(ARMED, Ordering::Relaxed);
+    }
+
+    /// Posts `kind` and wakes the waiter. Release, paired with the Acquire
+    /// load in `wait`: the waiter sees what the server did before posting.
+    fn post(&self, kind: MsgKind) {
+        self.set(kind as u32, Ordering::Release);
+        futex(&self.0, libc::FUTEX_WAKE_PRIVATE, 1);
+    }
+
+    /// Sleeps until a post lands since the last `arm`; returns its kind.
+    fn wait(&self) -> Option<MsgKind> {
+        loop {
+            let kind = self.0.load(Ordering::Acquire);
+            if kind != ARMED {
+                return MsgKind::from_u8(kind as u8);
+            }
+            // Returns at once unless the word still reads `ARMED`, and on
+            // any signal; the load above decides.
+            futex(&self.0, libc::FUTEX_WAIT_PRIVATE, ARMED);
+        }
+    }
+}
+
+fn futex(word: &AtomicU32, op: libc::c_int, val: u32) {
+    let no_timeout = std::ptr::null::<libc::c_void>();
+    // SAFETY: a futex call on a live, aligned word; `FUTEX_WAKE` ignores
+    // the timeout.
+    unsafe { libc::syscall(libc::SYS_futex, word.as_ptr(), op, val, no_timeout) };
+}
+
+/// The host backend's [`LocalWake`]: posts to the completion word of the
+/// host's (single) application thread. A failure posts a `Nack`, which
+/// crashes the thread cleanly (see [`dsm_resolver`]).
+struct CompletionTx(Arc<Completion>);
 
 impl LocalWake for CompletionTx {
     fn wake(
         &self,
-        host: HostId,
+        _host: HostId,
         m: &Pmsg,
         _what: &'static str,
         outcome: Result<Ns, ProtocolError>,
     ) -> Result<(), ProtocolError> {
-        let mut head = [0u8; HEADER];
-        encode_header(&mut head, host, host, m, 0);
-        if outcome.is_err() {
-            head[0] = MsgKind::Nack.to_u8();
-        }
-        send_fd(&self.0, &head, libc::MSG_DONTWAIT).map_err(|errno| ProtocolError::Backend {
-            host,
-            what: "completion forward",
-            errno,
-        })
+        self.0.post(outcome.map_or(MsgKind::Nack, |_| m.kind));
+        Ok(())
     }
 }
 
@@ -456,9 +483,9 @@ struct ThreadRt {
     /// This thread's (fixed) event id — events are per-host scoped, so a
     /// constant nonzero id is protocol-valid.
     event: u64,
-    /// Server → application completion channel (recv side; the send side
-    /// is the host state's [`CompletionTx`]).
-    res_rx: OwnedFd,
+    /// What this thread sleeps on while a request is outstanding (the
+    /// host state's [`CompletionTx`] posts to it).
+    done: Arc<Completion>,
     /// Canonical address of the last serviced fault, still owing the
     /// manager its window-closing `Ack` (0 = none). Set by the resolver,
     /// drained at the next fault, after each range operation, and before
@@ -506,6 +533,11 @@ impl HostRt {
     /// Flushes the thread's pending window-closing `Ack`, if any.
     /// Async-signal-safe.
     fn flush_ack(&self, th: &ThreadRt) -> Result<(), i32> {
+        // Nothing owed is the common case: a plain load, not a locked swap
+        // (only this thread stores to the word, so it reads its own store).
+        if th.pending_ack.load(Ordering::Relaxed) == 0 {
+            return Ok(());
+        }
         let addr = th.pending_ack.swap(0, Ordering::AcqRel);
         if addr == 0 {
             return Ok(());
@@ -520,9 +552,9 @@ impl HostRt {
 
 /// The DSM fault resolver: runs on the faulting application thread, in
 /// signal context. Sends the read/write request the paper's fault handler
-/// sends, then blocks on the completion socket until this host's server
-/// has installed the reply and opened the page. Everything on this path is
-/// async-signal-safe: atomics, const-init TLS, `send`/`recv`.
+/// sends, then sleeps on the thread's completion word until this host's
+/// server has installed the reply and opened the page. Everything on this
+/// path is async-signal-safe: atomics, const-init TLS, `send`, `futex`.
 fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bool {
     // SAFETY: `token` is the HostRt pointer installed alongside the
     // handler; the run's `Teardown` frees it only after retiring the
@@ -557,22 +589,16 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
         }
     }
     let req = Pmsg::new(kind, th.host, th.event).with_addr(addr);
+    th.done.arm();
     if rt.send_header(rt.manager, th.host, &req).is_err() {
         return false;
     }
-    // Block until the server thread signals the install. The reply header
-    // itself carries no data — the bytes went straight into the region
-    // through the privileged view (the zero-copy receive path).
-    let mut head = [0u8; HEADER];
-    let Ok(n) = recv_fd(&th.res_rx, &mut head) else {
-        return false;
-    };
-    if n < HEADER {
-        return false;
-    }
-    match MsgKind::from_u8(head[0]) {
+    // Sleep until the server thread posts the install. The completion
+    // carries no data — the bytes went straight into the region through
+    // the privileged view (the zero-copy receive path).
+    match th.done.wait() {
         Some(MsgKind::ReadReply | MsgKind::WriteReply) => {}
-        _ => return false, // Nacked or torn down: crash with a core.
+        _ => return false, // Nacked: crash with a core.
     }
     th.pending_ack.store(addr.0, Ordering::Release);
     true
@@ -585,12 +611,20 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
 /// The receive step of the server loop: the next datagram's length, or the
 /// error line the loop stops with. `recv` returns 0 once every send side is
 /// closed: a disconnect (the simulator's `RecvError::Disconnected`), not an
-/// empty frame to decode and come back for.
+/// empty frame to decode and come back for; `EINTR` is retried.
 fn recv_inbox(srv_rx: &OwnedFd, buf: &mut [u8]) -> Result<usize, String> {
-    match recv_fd(srv_rx, buf) {
-        Ok(0) => Err("server inbox at end of file".to_string()),
-        Ok(n) => Ok(n),
-        Err(errno) => Err(format!("server recv failed: errno {errno}")),
+    loop {
+        // SAFETY: valid fd, writable in-bounds buffer.
+        let n = unsafe { libc::recv(srv_rx.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len(), 0) };
+        if n > 0 {
+            return Ok(n as usize);
+        } else if n == 0 {
+            return Err("server inbox at end of file".to_string());
+        }
+        let errno = std::io::Error::last_os_error().raw_os_error().unwrap_or(0);
+        if errno != libc::EINTR {
+            return Err(format!("server recv failed: errno {errno}"));
+        }
     }
 }
 
@@ -708,13 +742,10 @@ impl HostDsmCtx {
         }
     }
 
-    /// Blocks on the completion socket until `want` arrives; anything
-    /// else on the channel is a protocol breach and panics.
+    /// Sleeps on the completion word until `want` is posted; anything
+    /// else is a protocol breach and panics.
     fn wait_for(&self, want: MsgKind) {
-        let mut head = [0u8; HEADER];
-        let n = recv_fd(&self.th().res_rx, &mut head).expect("completion recv");
-        assert!(n >= HEADER, "truncated completion");
-        match MsgKind::from_u8(head[0]) {
+        match self.th().done.wait() {
             Some(k) if k == want => {}
             Some(MsgKind::Nack) => {
                 panic!("h{}: request nacked", self.th().host.index())
@@ -733,19 +764,17 @@ impl Dsm for HostDsmCtx {
         self.rt.threads.len()
     }
 
-    fn read_range<T: Pod>(&mut self, sv: &SharedVec<T>, range: Range<usize>) -> Vec<T> {
-        if range.is_empty() {
-            return Vec::new();
+    fn read_into<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, out: &mut [T]) {
+        if out.is_empty() {
+            return;
         }
-        let (addr, len) = sv.range_bytes(range.start, range.end);
-        let mut out = zeroed(range.len());
-        fill_wire(&mut out, |bytes| {
+        let (addr, len) = sv.range_bytes(start, start + out.len());
+        fill_wire(out, |bytes| {
             self.for_each_span(addr, len, |view, page, offset, span| {
                 self.region.read_span(view, page, offset, &mut bytes[span]);
             });
             self.flush_ack();
         });
-        out
     }
 
     fn write_range<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, vals: &[T]) {
@@ -764,6 +793,7 @@ impl Dsm for HostDsmCtx {
         self.flush_ack();
         let th = self.th();
         let msg = Pmsg::new(MsgKind::BarrierEnter, th.host, th.event);
+        th.done.arm();
         if self.rt.send_header(self.rt.manager, th.host, &msg).is_err() {
             panic!("h{}: barrier send failed", th.host.index());
         }
@@ -870,9 +900,9 @@ impl Drop for Teardown {
 ///
 /// The protocol layer (manager shards, serve/install/invalidate engine) is
 /// the same code the simulator runs; memory is per-host
-/// [`MultiViewRegion`]s, faults are real SIGSEGVs, and the wire is one
-/// server inbox and a completion channel per host, socketpairs between
-/// real OS threads.
+/// [`MultiViewRegion`]s, faults are real SIGSEGVs, the wire is one server
+/// inbox socketpair between real OS threads, and a blocked application
+/// thread sleeps on a futex word the server posts its completion to.
 ///
 /// # Errors
 ///
@@ -915,19 +945,19 @@ where
         .as_ref()
         .map(|t| DiagSink::new(Arc::clone(t)))
         .unwrap_or_default();
-    // Wire: one server inbox + one completion channel per host; every end
-    // is owned by the piece of the run that uses it and closes with it.
+    // Wire: one server inbox; each end is owned by the piece of the run
+    // that uses it and closes with it.
     let (srv_tx, srv_rx) = seqpacket_pair()?;
     let srv_tx = Arc::new(srv_tx);
     let mut threads = Vec::with_capacity(cfg.hosts);
     let mut states = Vec::with_capacity(cfg.hosts);
     for (h, region) in regions.iter().enumerate() {
         let host = HostId(h as u16);
-        let (res_tx, res_rx) = seqpacket_pair()?;
+        let done = Arc::new(Completion(AtomicU32::new(ARMED)));
         threads.push(ThreadRt {
             host,
             event: 1,
-            res_rx,
+            done: Arc::clone(&done),
             pending_ack: AtomicU64::new(0),
         });
         let mem = HostMemory {
@@ -937,7 +967,7 @@ where
         states.push(Arc::new(HostState::new(
             host,
             mem,
-            CompletionTx(res_tx),
+            CompletionTx(done),
             cost.clone(),
             Consistency::SequentialSwMr,
             Arc::clone(&home),
@@ -1114,12 +1144,70 @@ mod tests {
         assert!(eof.contains("end of file"), "{eof}");
     }
 
+    /// A completion posted before the thread waits is there when it does:
+    /// the wait returns at once.
+    #[test]
+    fn a_post_before_the_wait_returns_at_once() {
+        let done = Completion(AtomicU32::new(ARMED));
+        done.arm();
+        done.post(MsgKind::ReadReply);
+        assert_eq!(done.wait(), Some(MsgKind::ReadReply));
+    }
+
+    /// A thread asleep on the word wakes when the completion is posted.
+    #[test]
+    fn a_post_wakes_the_waiter() {
+        let done = Arc::new(Completion(AtomicU32::new(ARMED)));
+        done.arm();
+        let (task_tx, task_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let task = std::fs::read_link("/proc/thread-self").expect("procfs");
+                task_tx.send(task).expect("send");
+                done.wait()
+            })
+        };
+        // Post only once the waiter sleeps: the word reads `ARMED`, so the
+        // only sleep left on its way is `FUTEX_WAIT`.
+        let stat = std::path::Path::new("/proc")
+            .join(task_rx.recv().expect("task"))
+            .join("stat");
+        while !std::fs::read_to_string(&stat)
+            .expect("stat")
+            .contains(") S ")
+        {
+            std::thread::yield_now();
+        }
+        done.post(MsgKind::BarrierRelease);
+        assert_eq!(
+            waiter.join().expect("waiter"),
+            Some(MsgKind::BarrierRelease)
+        );
+    }
+
+    /// A failure that lands while no request is outstanding — a handler
+    /// that fails after its reply was posted — is not lost: arming for the
+    /// next request keeps it, a reply posted after it does not replace it,
+    /// and the next wait reports it.
+    #[test]
+    fn a_nack_between_requests_is_what_the_next_wait_reports() {
+        let done = Completion(AtomicU32::new(ARMED));
+        done.arm();
+        done.post(MsgKind::WriteReply);
+        assert_eq!(done.wait(), Some(MsgKind::WriteReply));
+        done.post(MsgKind::Nack);
+        done.arm();
+        done.post(MsgKind::ReadReply);
+        assert_eq!(done.wait(), Some(MsgKind::Nack));
+    }
+
     /// Host 0 of a one-host run, one page, no minipages: its state, its
-    /// shard and the receive side of its application's completion channel.
+    /// shard and its application's completion word.
     fn lone_host() -> (
         Arc<HostState<HostMemory, CompletionTx>>,
         ManagerShard,
-        OwnedFd,
+        Arc<Completion>,
     ) {
         let me = HostId(0);
         let region = Arc::new(MultiViewRegion::new(1, 1).expect("region"));
@@ -1130,12 +1218,12 @@ mod tests {
             me,
             geo.clone(),
         ));
-        let (res_tx, res_rx) = seqpacket_pair().expect("socketpair");
+        let done = Arc::new(Completion(AtomicU32::new(ARMED)));
         let (cost, sw_mr) = (CostModel::default(), Consistency::SequentialSwMr);
         let state = Arc::new(HostState::new(
             me,
             HostMemory { geo, region },
-            CompletionTx(res_tx),
+            CompletionTx(Arc::clone(&done)),
             cost.clone(),
             sw_mr,
             Arc::clone(&home),
@@ -1155,7 +1243,7 @@ mod tests {
             DiagSink::default(),
             crate::adapt::AdaptConfig::default(),
         );
-        (state, shard, res_rx)
+        (state, shard, done)
     }
 
     fn transport(me: HostId, inbox_tx: OwnedFd) -> SocketTransport {
@@ -1174,13 +1262,13 @@ mod tests {
     /// What a server sends itself stays in the process. A `Shutdown` is
     /// already waiting in the inbox when the server addresses itself a
     /// completion too large for any datagram: the loop serves the
-    /// completion first (its handler forwards it to the application's
-    /// channel), then reads the `Shutdown`, and the inbox holds nothing
-    /// else.
+    /// completion first (its handler posts it to the application's
+    /// completion word), then reads the `Shutdown`, and the inbox holds
+    /// nothing else.
     #[test]
     fn a_self_addressed_send_never_reaches_the_socket() {
         let (inbox_tx, inbox_rx) = seqpacket_pair().expect("socketpair");
-        let (state, shard, res_rx) = lone_host();
+        let (state, shard, done) = lone_host();
         let me = state.host;
         let ep = transport(me, inbox_tx);
         send_fd(&ep.srv_tx, &shutdown_frame(me), 0).expect("send");
@@ -1196,14 +1284,14 @@ mod tests {
         let clock = WallClock::starting_at(Instant::now());
         let (errors, _) = host_server_loop(&inbox_rx, hosts, clock);
         assert_eq!(errors, Vec::<String>::new());
-        // The handler ran: the application's channel holds the release
-        // (its send side closed, so an empty channel would read 0)…
-        drop(state);
-        let mut head = [0u8; HEADER];
-        assert_eq!(recv_fd(&res_rx, &mut head), Ok(HEADER));
-        assert_eq!(MsgKind::from_u8(head[0]), Some(MsgKind::BarrierRelease));
+        // The handler ran: the application's word holds the release…
+        assert_eq!(
+            done.0.load(Ordering::Acquire),
+            MsgKind::BarrierRelease as u32
+        );
         // …and the socket never carried it: with the loop's transport gone
         // every send side is closed, and the inbox is at end of file.
+        let mut head = [0u8; HEADER];
         let eof = recv_inbox(&inbox_rx, &mut head).expect_err("end of file");
         assert!(eof.contains("end of file"), "{eof}");
     }
@@ -1215,7 +1303,7 @@ mod tests {
     #[test]
     fn a_frame_for_no_host_is_a_malformed_frame() {
         let (inbox_tx, inbox_rx) = seqpacket_pair().expect("socketpair");
-        let (state, shard, _res_rx) = lone_host();
+        let (state, shard, _) = lone_host();
         let me = state.host;
         let request = Pmsg::new(MsgKind::ReadRequest, me, 1).with_addr(VAddr(DEFAULT_BASE));
         for frame in [

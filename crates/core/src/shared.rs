@@ -82,8 +82,13 @@ pub(crate) fn wire_bytes<T: Pod>(vals: &[T]) -> Cow<'_, [u8]> {
 }
 
 /// `len` elements of all-zero bytes, for [`fill_wire`] to overwrite.
+/// Not `vec![zero; len]`: a zero fill lowers to `alloc_zeroed`, which
+/// glibc serves as `calloc`, outside its per-thread cache — the larger
+/// part of a small row's read.
 pub(crate) fn zeroed<T: Pod>(len: usize) -> Vec<T> {
-    vec![T::from_bytes(&[0; POD_MAX][..T::SIZE]); len]
+    let mut out = Vec::with_capacity(len);
+    out.resize(len, T::from_bytes(&[0; POD_MAX][..T::SIZE]));
+    out
 }
 
 /// Hands `out` to `fill` as its wire bytes, all of which `fill` overwrites.

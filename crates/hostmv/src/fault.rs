@@ -28,8 +28,9 @@
 //!   ([`MultiViewRegion::protect_raw`]) — both listed as signal-safe;
 //! * counters: relaxed atomic increments — safe;
 //! * a DSM resolver is a plain `fn` pointer the *embedder* promises keeps
-//!   the same discipline: syscalls (`send`/`recv` on a socketpair are
-//!   async-signal-safe), atomics, and thread-locals that were initialized
+//!   the same discipline: syscalls (`send`/`recv` on a socketpair and a
+//!   bare `futex` wait or wake are async-signal-safe), atomics, and
+//!   thread-locals that were initialized
 //!   before the first fault (const-initialized TLS takes no lazy path).
 //!   No allocation, no mutexes, no `println!`.
 //! * resolver-side diagnostics (the embedder's sharing-stats table): the

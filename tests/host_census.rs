@@ -1,7 +1,7 @@
 //! What a real-memory run runs on: one application thread per host and a
-//! single server thread for all of them, one shared server inbox and a
-//! completion channel per host — 2·hosts + 2 socket fds, every one given
-//! back when the run returns.
+//! single server thread for all of them, and one shared server inbox — its
+//! 2 socket fds, given back when the run returns. A blocked application
+//! thread sleeps on a futex word, which takes no fd.
 //!
 //! One `#[test]` in a file of its own (so a process of its own): it counts
 //! this process's threads and sockets, which a neighbouring run would
@@ -61,7 +61,7 @@ fn a_four_host_run_is_four_app_threads_and_one_server() {
     let mut want: Vec<String> = (0..HOSTS).map(|h| format!("mv-host-{h}")).collect();
     want.push("mv-server".to_string());
     assert_eq!(threads, want);
-    assert_eq!(sockets - before, 2 * HOSTS + 2);
+    assert_eq!(sockets - before, 2);
     assert_eq!(open_sockets(), before);
     assert_eq!(run_threads(), Vec::<String>::new());
 }

@@ -2,7 +2,7 @@
 
 use millipage::diff::Diff;
 use millipage::{
-    run, AllocMode, ClusterConfig, CostModel, Dsm, HostCtx, HostId, Ns, Pod, SchedMode, SharedVec,
+    run, AllocMode, ClusterConfig, CostModel, Dsm, HostId, Ns, Pod, SchedMode, SharedVec,
 };
 use multiview::{AllocMode as MvMode, Allocator};
 use parking_lot::Mutex;
@@ -183,11 +183,12 @@ proptest! {
     /// bytes spell (NaN payloads, signalling NaNs). The typed handles sit
     /// at every byte skew over one three-page arena and the ranges start
     /// around a page end, so they straddle it; page-grain allocation
-    /// makes every page end a minipage end too. On both backends — and on
-    /// the simulator once more reading through `HostCtx::read_into`, which
-    /// must fill the caller's buffer with the same bits for the same
-    /// virtual time and counts (the two schedules are deterministic, so
-    /// the two reports are comparable whole).
+    /// makes every page end a minipage end too. On both backends, each
+    /// once more reading through `Dsm::read_into` into a junk-filled
+    /// buffer, which must come back holding the same bits — on the
+    /// simulator for the same virtual time and counts too (the two
+    /// schedules are deterministic, so the two reports are comparable
+    /// whole).
     #[test]
     fn range_access_is_a_bit_exact_copy(
         raw in proptest::collection::vec(any::<u8>(), 0..700),
@@ -217,10 +218,15 @@ proptest! {
         #[cfg(target_os = "linux")]
         {
             let cfg = millipage::HostRunConfig { hosts: 2, views: 4, pages: 16, ..Default::default() };
-            let report = millipage::run_host(cfg, setup, |ctx, arena| {
+            let report = millipage::run_host(cfg.clone(), setup, |ctx, arena| {
                 all_pods_roundtrip(ctx, arena, skew, from, &raw, &mismatches);
             });
             let errors = report.expect("host run").errors;
+            prop_assert!(errors.is_empty(), "{errors:?}");
+            let report = millipage::run_host(cfg, setup, |ctx, arena| {
+                all_pods_roundtrip(&mut ReadsInto(ctx), arena, skew, from, &raw, &mismatches);
+            });
+            let errors = report.expect("host run through read_into").errors;
             prop_assert!(errors.is_empty(), "{errors:?}");
         }
         let m = mismatches.into_inner();
@@ -282,11 +288,11 @@ fn all_pods_roundtrip<D: Dsm>(
     one::<f64, D>(ctx, arena, skew, from, raw, bad);
 }
 
-/// A simulator context whose `read_range` goes through
-/// [`HostCtx::read_into`], into a buffer that held something else.
-struct ReadsInto<'a>(&'a mut HostCtx);
+/// A context of either backend whose `read_range` goes through its
+/// [`Dsm::read_into`], into a buffer that held something else.
+struct ReadsInto<'a, D>(&'a mut D);
 
-impl Dsm for ReadsInto<'_> {
+impl<D: Dsm> Dsm for ReadsInto<'_, D> {
     fn host(&self) -> HostId {
         self.0.host()
     }
@@ -297,8 +303,12 @@ impl Dsm for ReadsInto<'_> {
 
     fn read_range<T: Pod>(&mut self, sv: &SharedVec<T>, range: Range<usize>) -> Vec<T> {
         let mut out = vec![T::from_bytes(&[0xa5; 8][..T::SIZE]); range.len()];
-        self.0.read_into(sv, range.start, &mut out);
+        self.read_into(sv, range.start, &mut out);
         out
+    }
+
+    fn read_into<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, out: &mut [T]) {
+        self.0.read_into(sv, start, out);
     }
 
     fn write_range<T: Pod>(&mut self, sv: &SharedVec<T>, start: usize, vals: &[T]) {
