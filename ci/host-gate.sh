@@ -4,8 +4,11 @@
 # Switches are the design check. One server thread serves every host from
 # one inbox, so a remote fault is a hand-off from the faulting thread to
 # the server thread and back: core.hostrun.ctxsw_per_fault on sor2_host
-# reads 2.06-2.17, and 5.04-5.22 with a server thread per host (request,
-# forward and reply each woke a different one). Fails above 3.
+# reads 2.25-2.80 (24 readings), and 5.04-5.22 with a server thread per
+# host (request, forward and reply each woke a different one). It read
+# 2.06-2.17 while the inbox was a socket: an AF_UNIX send is a sync
+# wake-up and a FUTEX_WAKE on the inbox ring's doorbell is not, so on one
+# CPU the woken server can preempt the pusher. Fails above 3.
 #
 # The ratio is the alarm for a per-element software cost coming back on
 # the access path. On a page-based DSM an access the MMU allows costs a
@@ -13,10 +16,11 @@
 # run's wall clock per fault (core.hostrun.us_per_fault) is close to what
 # one fault costs in the ping-pong driver of the same process
 # (core.hostrun.{read,write}_fault_us.p50). SOR's per-fault wall also
-# carries its compute and copies: 1.18-1.39 (12 readings) with its rows
-# read into kept buffers and a fault completed on a futex word; 1.35-1.89
-# (6) when each row read allocated a fresh Vec and a completion came back
-# as a datagram; 2.7-3.6 when every byte paid an address decode.
+# carries its compute and copies, which the ring did not shorten the way
+# it shortened a fault: 1.08-2.07 (21 readings, median 1.58) with the
+# inbox a ring; 1.18-1.39 (12) with it a socket; 1.35-1.89 (6) when each
+# row read also allocated a fresh Vec and a completion came back as a
+# datagram; 2.7-3.6 when every byte paid an address decode.
 #
 # The two numbers are taken seconds apart and a shared runner changes speed
 # under a run, which is where the spread comes from; so a reading over a
@@ -24,7 +28,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-LIMIT=1.6
+LIMIT=2.2
 SWITCHES=3
 for attempt in 1 2 3; do
     if cargo run --release --quiet --manifest-path examples/mvbench/Cargo.toml -- \

@@ -11,8 +11,8 @@
 //! * [`Transport`] — typed message send with delivery accounting. The
 //!   simulator implements it with [`sim_net::Endpoint`] (virtual-time
 //!   arrival stamps, fault plane, retransmission); the host backend with
-//!   one `SOCK_SEQPACKET` inbox that a single OS thread serves for every
-//!   host.
+//!   one in-process inbox ring (a futex doorbell, no socket) that a single
+//!   OS thread serves for every host.
 //!
 //! Two companions complete the pair:
 //!

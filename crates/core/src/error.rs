@@ -101,8 +101,8 @@ pub enum ProtocolError {
         /// What the thread was waiting on.
         what: &'static str,
     },
-    /// A real-memory backend operation failed (`mmap`, `mprotect`,
-    /// transport socket, fault-handler registry). Only produced by the
+    /// A real-memory backend operation failed (`mmap`, `mprotect`, a full
+    /// server inbox, fault-handler registry). Only produced by the
     /// host backend; the simulator's memory cannot fail this way.
     Backend {
         /// Host whose backend failed.

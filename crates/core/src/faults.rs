@@ -4,8 +4,8 @@
 //! leaked a backend type through `core`'s public API. [`WireFaults`] is the
 //! protocol layer's own vocabulary for "how unreliable is the wire";
 //! the sim transport converts it into its internal fault plane, and other
-//! transports are free to ignore the knobs they cannot model (a real
-//! socketpair does not inject drops).
+//! transports are free to ignore the knobs they cannot model (the host
+//! backend's in-process inbox does not inject drops).
 
 use sim_core::{HostId, Ns};
 use sim_net::{FaultPlane, ScriptedFault, ScriptedKind};

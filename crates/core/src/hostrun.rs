@@ -17,26 +17,27 @@
 //!   thread has installed the reply, opened the page and posted the
 //!   completion;
 //! * one real OS thread serves every host's DSM server from one
-//!   `SOCK_SEQPACKET` inbox (atomic datagrams, FIFO — the ordering the
-//!   protocol's correctness arguments assume); a header names its host;
-//! * the server is **the simulator's**: the loop here only receives and
-//!   decodes a datagram — or pops what a server sent itself, which never
-//!   leaves the process — and hands it to `server::dispatch` with the
-//!   named host's `HostState`: the same router, handlers and failure
-//!   policy, over this module's [`MemoryBackend`]/[`Transport`]/
-//!   [`ProtoClock`]/`LocalWake` implementations.
+//!   user-level inbox: a ring every sender pushes into (FIFO — the ordering
+//!   the protocol's correctness arguments assume) with a futex doorbell;
+//!   an envelope names its host;
+//! * the server is **the simulator's**: the loop here only pops an
+//!   envelope — or what a server sent itself, which never enters the ring
+//!   — and hands it to `server::dispatch` with the named host's
+//!   `HostState`: the same router, handlers and failure policy, over this
+//!   module's [`MemoryBackend`]/[`Transport`]/[`ProtoClock`]/`LocalWake`
+//!   implementations.
 //!
 //! Scope: `SequentialSwMr` consistency, `Centralized` homes, one
 //! application thread per host, no prefetch/push/locks — exactly the
 //! surface the [`Dsm`](crate::dsm::Dsm) trait exposes on the client side.
 //! A failed handler is reported on the run and, as in the simulator, a
 //! failed request nacks its requester; there is no fault plane to degrade
-//! through on a local socketpair, so the nacked thread is not retried — it
+//! through in one process, so the nacked thread is not retried — it
 //! crashes (see `dsm_resolver`) instead of hanging.
 //!
 //! A run gives back what it took from the process — mappings, memfds,
-//! socket fds, fault-handler registry slots, its runtime — before
-//! [`run_host`] returns or unwinds (see `Teardown`).
+//! fault-handler registry slots, its runtime — before [`run_host`] returns
+//! or unwinds (see `Teardown`).
 //!
 //! Addresses on the wire are the canonical shared [`Geometry`] addresses
 //! (every message field means the same thing as in the simulator); they
@@ -59,153 +60,181 @@ use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
 use crate::server;
 use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
-use bytes::Bytes;
 use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
-use multiview::{AllocMode, Allocator, MinipageId};
+use multiview::{AllocMode, Allocator};
 use sim_core::trace::TraceRecorder;
 use sim_core::{CostModel, Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
+use std::mem::MaybeUninit;
 use std::ops::Range;
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
-// Wire format
+// Wire
 // ---------------------------------------------------------------------------
 
-/// Fixed header size; minipage data (if any) follows in the same datagram.
-const HEADER: usize = 64;
-
-/// Largest data payload a single datagram may carry. `SOCK_SEQPACKET`
-/// sends are atomic up to the socket buffer; the default Linux buffer is
-/// ~208 KiB, so minipages (at most a few pages) fit with room to spare.
-const MAX_DATA: usize = 128 * 1024;
-
-/// Encodes a message header into a fixed stack buffer. No allocation —
-/// this is the encoder the SIGSEGV resolver uses from signal context.
-fn encode_header(buf: &mut [u8; HEADER], to: HostId, wire_from: HostId, m: &Pmsg, data_len: usize) {
-    buf[0] = m.kind.to_u8();
-    buf[1] = u8::from(m.prefetch);
-    buf[2..4].copy_from_slice(&wire_from.0.to_le_bytes());
-    buf[4..6].copy_from_slice(&m.from.0.to_le_bytes());
-    buf[6..8].copy_from_slice(&to.0.to_le_bytes());
-    buf[8..16].copy_from_slice(&m.event.to_le_bytes());
-    buf[16..24].copy_from_slice(&m.addr.0.to_le_bytes());
-    buf[24..32].copy_from_slice(&m.base.0.to_le_bytes());
-    buf[32..40].copy_from_slice(&m.priv_base.0.to_le_bytes());
-    buf[40..48].copy_from_slice(&(m.len as u64).to_le_bytes());
-    buf[48..52].copy_from_slice(&m.minipage.0.to_le_bytes());
-    buf[52..56].copy_from_slice(&(data_len as u32).to_le_bytes());
-    buf[56..64].copy_from_slice(&m.aux.to_le_bytes());
+/// A message on its way to a host's server. The message itself moves —
+/// a data reply's `Bytes` included — so nothing is encoded or copied.
+struct Envelope {
+    to: HostId,
+    wire_from: HostId,
+    msg: Pmsg,
 }
 
-/// Encodes a whole datagram: header plus the message's data.
-fn encode_frame(to: HostId, wire_from: HostId, m: &Pmsg) -> Vec<u8> {
-    let mut head = [0u8; HEADER];
-    encode_header(&mut head, to, wire_from, m, m.data.len());
-    let mut frame = Vec::with_capacity(HEADER + m.data.len());
-    frame.extend_from_slice(&head);
-    frame.extend_from_slice(&m.data);
-    frame
+/// Slots in the server inbox (88 bytes each). In flight at once: per
+/// application thread one request, one ack and one barrier entry; per
+/// request `hosts` invalidations and their replies, a forward and a data
+/// reply — at four hosts under 60.
+const INBOX_SLOTS: usize = 1024;
+
+/// The doorbell's values: the server is running, or sleeps (or is about
+/// to) on an empty ring.
+const AWAKE: u32 = 0;
+const ASLEEP: u32 = 1;
+
+/// The run's one server inbox: a bounded multi-producer ring of
+/// [`Envelope`]s (Vyukov's sequence-numbered slots) and a futex doorbell.
+/// Every sender — application threads, the SIGSEGV resolver, the server's
+/// cross-host sends — pushes into the same ring, so messages arrive in one
+/// total FIFO order (the ordering the protocol's correctness arguments
+/// assume); the server thread pops. A push is atomics and at most one
+/// `FUTEX_WAKE`: no lock, no allocation, so the resolver may push from
+/// signal context.
+struct Inbox {
+    slots: Box<[InboxSlot]>,
+    /// Next position a push claims.
+    tail: AtomicUsize,
+    /// Next position a pop claims.
+    head: AtomicUsize,
+    doorbell: AtomicU32,
 }
 
-fn u64_at(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
+/// One ring slot. At position `pos` (`pos % INBOX_SLOTS` is its index)
+/// `seq` reads `pos` while the slot is free for the push claiming `pos`,
+/// `pos + 1` once that push has written it, and `pos + INBOX_SLOTS` once
+/// popped: free for the push one lap later.
+struct InboxSlot {
+    seq: AtomicUsize,
+    env: UnsafeCell<MaybeUninit<Envelope>>,
 }
 
-/// Decodes a received datagram into (destination, sender, message). `None`
-/// on a malformed or truncated frame (the loop checks the destination).
-fn decode_frame(buf: &[u8]) -> Option<(HostId, HostId, Pmsg)> {
-    if buf.len() < HEADER {
-        return None;
-    }
-    let kind = MsgKind::from_u8(buf[0])?;
-    let wire_from = HostId(u16::from_le_bytes([buf[2], buf[3]]));
-    let to = HostId(u16::from_le_bytes([buf[6], buf[7]]));
-    let data_len = u32::from_le_bytes(buf[52..56].try_into().expect("4 bytes")) as usize;
-    if buf.len() != HEADER + data_len {
-        return None;
-    }
-    let mut m = Pmsg::new(
-        kind,
-        HostId(u16::from_le_bytes([buf[4], buf[5]])),
-        u64_at(buf, 8),
-    );
-    m.prefetch = buf[1] != 0;
-    m.addr = VAddr(u64_at(buf, 16));
-    m.base = VAddr(u64_at(buf, 24));
-    m.priv_base = VAddr(u64_at(buf, 32));
-    m.len = u64_at(buf, 40) as usize;
-    m.minipage = MinipageId(u32::from_le_bytes(buf[48..52].try_into().expect("4 bytes")));
-    m.aux = u64_at(buf, 56);
-    if data_len > 0 {
-        m.data = Bytes::copy_from_slice(&buf[HEADER..]);
-    }
-    Some((to, wire_from, m))
-}
+// SAFETY: a slot's envelope is written only by the push that claimed its
+// position on `tail` while `seq` read `pos`, and read only by the pop that
+// claimed the same position on `head` once `seq` read `pos + 1` (the Release
+// stores of `seq` pair with the Acquire loads), so no two threads touch one
+// envelope at once; `Envelope` is `Send`. Every other field is an atomic.
+unsafe impl Sync for Inbox {}
 
-// ---------------------------------------------------------------------------
-// Sockets
-// ---------------------------------------------------------------------------
-
-/// A connected `SOCK_SEQPACKET` pair: datagrams written to `tx` arrive,
-/// boundaries intact and in order, at `rx`. Each end closes when its owner
-/// drops, which is how a run — finished, panicked or half-assembled —
-/// gives its fds back.
-///
-/// `AF_UNIX` charges a queued datagram to its *sender*, so the shared
-/// inbox holds `tx`'s `SO_SNDBUF` (1 MB asked; at most twice `wmem_max`,
-/// 416 KB on a stock kernel). In flight at once: per application thread
-/// one request, one ack and one barrier enter; per request `hosts`
-/// invalidations and their replies, a forward and a data reply — at four
-/// hosts under 60 headers (≈ 0.8 KB each to the kernel) plus 4 minipages.
-fn seqpacket_pair() -> Result<(OwnedFd, OwnedFd), ProtocolError> {
-    let mut fds = [0 as libc::c_int; 2];
-    // SAFETY: socketpair writes two fds into the provided array.
-    let rc = unsafe { libc::socketpair(libc::AF_UNIX, libc::SOCK_SEQPACKET, 0, fds.as_mut_ptr()) };
-    if rc != 0 {
-        return Err(backend_err(HostId(0), "socketpair"));
-    }
-    // SAFETY: two open fds the call above just created; nothing else owns
-    // them.
-    let fds = fds.map(|fd| unsafe { OwnedFd::from_raw_fd(fd) });
-    for fd in &fds {
-        let sz: libc::c_int = 1 << 20;
-        // SAFETY: setsockopt on a fd we just created; best-effort sizing.
-        unsafe {
-            libc::setsockopt(
-                fd.as_raw_fd(),
-                libc::SOL_SOCKET,
-                libc::SO_SNDBUF,
-                (&raw const sz).cast(),
-                std::mem::size_of::<libc::c_int>() as libc::socklen_t,
-            );
+impl Inbox {
+    fn new() -> Self {
+        let slots = (0..INBOX_SLOTS)
+            .map(|pos| InboxSlot {
+                seq: AtomicUsize::new(pos),
+                env: UnsafeCell::new(MaybeUninit::uninit()),
+            })
+            .collect();
+        Self {
+            slots,
+            tail: AtomicUsize::new(0),
+            head: AtomicUsize::new(0),
+            doorbell: AtomicU32::new(AWAKE),
         }
     }
-    let [tx, rx] = fds;
-    Ok((tx, rx))
+
+    /// Claims the next position on `counter` (`tail` for a push, `head`
+    /// for a pop), whose slot's `seq` must read the position plus `ahead`;
+    /// `None` if it reads less: the ring is full (a push) or empty (a pop).
+    fn claim(&self, counter: &AtomicUsize, ahead: usize) -> Option<(usize, &InboxSlot)> {
+        let mut pos = counter.load(Ordering::Relaxed);
+        loop {
+            let slot = &self.slots[pos % INBOX_SLOTS];
+            match slot.seq.load(Ordering::Acquire).wrapping_sub(pos + ahead) as isize {
+                0 => match counter.compare_exchange_weak(
+                    pos,
+                    pos + 1,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => return Some((pos, slot)),
+                    Err(now) => pos = now,
+                },
+                behind if behind < 0 => return None,
+                // Another thread claimed `pos` first.
+                _ => pos = counter.load(Ordering::Relaxed),
+            }
+        }
+    }
+
+    /// Pushes `env`, or hands it back when the ring is full. Never waits:
+    /// the server, the ring's reader, sends with this.
+    fn try_push(&self, env: Envelope) -> Result<(), Envelope> {
+        let Some((pos, slot)) = self.claim(&self.tail, 0) else {
+            return Err(env);
+        };
+        // SAFETY: claiming `pos` on `tail` while `seq` read `pos` makes this
+        // push the slot's only user until it stores `pos + 1`.
+        unsafe { (*slot.env.get()).write(env) };
+        slot.seq.store(pos + 1, Ordering::Release);
+        // Pairs with the fence in `pop_wait`: either the server's re-check
+        // sees this slot, or the load below sees its `ASLEEP`.
+        fence(Ordering::SeqCst);
+        if self.doorbell.load(Ordering::Relaxed) == ASLEEP
+            && self.doorbell.swap(AWAKE, Ordering::Relaxed) == ASLEEP
+        {
+            futex(&self.doorbell, libc::FUTEX_WAKE_PRIVATE, 1);
+        }
+        Ok(())
+    }
+
+    /// Pushes `env`, yielding the CPU while the ring is full (the server is
+    /// draining it). Async-signal-safe.
+    fn push(&self, mut env: Envelope) {
+        while let Err(back) = self.try_push(env) {
+            env = back;
+            std::thread::yield_now();
+        }
+    }
+
+    /// The oldest envelope, unless its push has not finished.
+    fn pop(&self) -> Option<Envelope> {
+        let (pos, slot) = self.claim(&self.head, 1)?;
+        // SAFETY: `seq` read `pos + 1`, so the push that claimed `pos` has
+        // written the envelope; claiming `pos` on `head` makes this pop its
+        // only reader.
+        let env = unsafe { (*slot.env.get()).assume_init_read() };
+        slot.seq.store(pos + INBOX_SLOTS, Ordering::Release);
+        Some(env)
+    }
+
+    /// The oldest envelope, sleeping on the doorbell while there is none.
+    fn pop_wait(&self) -> Envelope {
+        loop {
+            if let Some(env) = self.pop() {
+                return env;
+            }
+            self.doorbell.store(ASLEEP, Ordering::Relaxed);
+            // Pairs with the fence in `try_push`.
+            fence(Ordering::SeqCst);
+            let env = self.pop();
+            if env.is_none() {
+                // Returns at once if a push has rung since the store.
+                futex(&self.doorbell, libc::FUTEX_WAIT_PRIVATE, ASLEEP);
+            }
+            self.doorbell.store(AWAKE, Ordering::Relaxed);
+            if let Some(env) = env {
+                return env;
+            }
+        }
+    }
 }
 
-/// Sends one datagram, retrying on `EINTR`. Async-signal-safe (`send(2)`
-/// plus arithmetic), so the fault resolver may call it. The server thread
-/// adds `MSG_DONTWAIT`; everyone else waits for it to make room.
-fn send_fd(fd: &OwnedFd, buf: &[u8], flags: libc::c_int) -> Result<(), i32> {
-    let (fd, flags) = (fd.as_raw_fd(), libc::MSG_NOSIGNAL | flags);
-    loop {
-        // SAFETY: valid fd and an in-bounds buffer; MSG_NOSIGNAL keeps a
-        // torn-down peer an error instead of a SIGPIPE.
-        let n = unsafe { libc::send(fd, buf.as_ptr().cast(), buf.len(), flags) };
-        if n == buf.len() as isize {
-            return Ok(());
-        }
-        let errno = std::io::Error::last_os_error().raw_os_error().unwrap_or(0);
-        if n < 0 && errno == libc::EINTR {
-            continue;
-        }
-        return Err(errno);
+impl Drop for Inbox {
+    /// Releases what is still queued (a data reply's `Bytes`, say).
+    fn drop(&mut self) {
+        while self.pop().is_some() {}
     }
 }
 
@@ -217,23 +246,21 @@ fn backend_err(host: HostId, what: &'static str) -> ProtocolError {
     }
 }
 
-/// One host's [`Transport`] into the run's one server inbox; anyone holding
-/// the send side (the server thread, app threads, the fault resolver) can
-/// enqueue a datagram atomically. The server thread is the inbox's reader,
-/// so it never waits for room: a full inbox is a `Backend` error (`EAGAIN`)
-/// that fails the request being served, whose requester is nacked.
-struct SocketTransport {
+/// One host's [`Transport`] into the run's server inbox. The server thread
+/// is the inbox's reader, so it never waits for room: a full ring is a
+/// `Backend` error (`EAGAIN`) that fails the request being served, whose
+/// requester is nacked.
+struct RingTransport<'a> {
     me: HostId,
-    /// Send side of the shared server inbox.
-    srv_tx: Arc<OwnedFd>,
+    inbox: &'a Inbox,
     /// Sharing diagnostics (per-link wire counters); disabled by default.
     diag: DiagSink,
-    /// What this server sent itself, served before the loop's next `recv`
+    /// What this server sent itself, served before the loop's next pop
     /// (self→self is its own link, so per-link FIFO holds).
-    to_self: RefCell<VecDeque<Pmsg>>,
+    to_self: RefCell<VecDeque<Envelope>>,
 }
 
-impl Transport for SocketTransport {
+impl Transport for RingTransport<'_> {
     fn me(&self) -> HostId {
         self.me
     }
@@ -247,27 +274,19 @@ impl Transport for SocketTransport {
         what: &'static str,
     ) -> Result<Ns, ProtocolError> {
         self.diag.wire_send(self.me.0, to.0, msg.data.len() as u64);
+        let wire_from = self.me;
+        let env = Envelope { to, wire_from, msg };
         if to == self.me {
-            self.to_self.borrow_mut().push_back(msg);
+            self.to_self.borrow_mut().push_back(env);
             return Ok(now);
         }
-        if msg.data.is_empty() {
-            let mut head = [0u8; HEADER];
-            encode_header(&mut head, to, self.me, &msg, 0);
-            send_fd(&self.srv_tx, &head, libc::MSG_DONTWAIT)
-        } else if msg.data.len() > MAX_DATA {
-            // Receive buffers stop at `MAX_DATA`: fail this one request
-            // (its requester is nacked) rather than the server thread.
-            Err(libc::EMSGSIZE)
-        } else {
-            let frame = encode_frame(to, self.me, &msg);
-            send_fd(&self.srv_tx, &frame, libc::MSG_DONTWAIT)
-        }
-        .map_err(|errno| ProtocolError::Backend {
-            host: self.me,
-            what,
-            errno,
-        })?;
+        self.inbox
+            .try_push(env)
+            .map_err(|_| ProtocolError::Backend {
+                host: self.me,
+                what,
+                errno: libc::EAGAIN,
+            })?;
         Ok(now)
     }
 }
@@ -500,7 +519,7 @@ struct ThreadRt {
 struct HostRt {
     geo: Geometry,
     manager: HostId,
-    srv_tx: Arc<OwnedFd>,
+    inbox: Inbox,
     threads: Vec<ThreadRt>,
     /// Sharing diagnostics. The table behind the sink is pre-allocated
     /// before the run; recording is relaxed atomic adds, so the SIGSEGV
@@ -522,31 +541,29 @@ thread_local! {
 }
 
 impl HostRt {
-    /// Sends `msg` as a bare header to `to`'s server. Async-signal-safe.
-    fn send_header(&self, to: HostId, wire_from: HostId, msg: &Pmsg) -> Result<(), i32> {
+    /// Sends header-only `msg` to `to`'s server. Async-signal-safe.
+    fn send(&self, to: HostId, wire_from: HostId, msg: Pmsg) {
         self.diag.wire_send(wire_from.0, to.0, 0);
-        let mut head = [0u8; HEADER];
-        encode_header(&mut head, to, wire_from, msg, 0);
-        send_fd(&self.srv_tx, &head, 0)
+        self.inbox.push(Envelope { to, wire_from, msg });
     }
 
     /// Flushes the thread's pending window-closing `Ack`, if any.
     /// Async-signal-safe.
-    fn flush_ack(&self, th: &ThreadRt) -> Result<(), i32> {
+    fn flush_ack(&self, th: &ThreadRt) {
         // Nothing owed is the common case: a plain load, not a locked swap
         // (only this thread stores to the word, so it reads its own store).
         if th.pending_ack.load(Ordering::Relaxed) == 0 {
-            return Ok(());
+            return;
         }
         let addr = th.pending_ack.swap(0, Ordering::AcqRel);
         if addr == 0 {
-            return Ok(());
+            return;
         }
         // Figure 3's fault-service confirmation: event 0, addressed so the
         // manager can translate it back to the minipage. Centralized homes:
         // every window lives at the manager.
         let ack = Pmsg::new(MsgKind::Ack, th.host, 0).with_addr(VAddr(addr));
-        self.send_header(self.manager, th.host, &ack)
+        self.send(self.manager, th.host, ack);
     }
 }
 
@@ -554,7 +571,8 @@ impl HostRt {
 /// signal context. Sends the read/write request the paper's fault handler
 /// sends, then sleeps on the thread's completion word until this host's
 /// server has installed the reply and opened the page. Everything on this
-/// path is async-signal-safe: atomics, const-init TLS, `send`, `futex`.
+/// path is async-signal-safe: atomics, const-init TLS, a ring push,
+/// `futex`.
 fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bool {
     // SAFETY: `token` is the HostRt pointer installed alongside the
     // handler; the run's `Teardown` frees it only after retiring the
@@ -565,9 +583,7 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
         return false; // A fault off the application threads is a crash.
     }
     let th = &rt.threads[slot];
-    if rt.flush_ack(th).is_err() {
-        return false;
-    }
+    rt.flush_ack(th);
     let addr = rt.geo.addr_of(fault.view, fault.page, fault.offset);
     let kind = if fault.write {
         MsgKind::WriteRequest
@@ -590,9 +606,7 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
     }
     let req = Pmsg::new(kind, th.host, th.event).with_addr(addr);
     th.done.arm();
-    if rt.send_header(rt.manager, th.host, &req).is_err() {
-        return false;
-    }
+    rt.send(rt.manager, th.host, req);
     // Sleep until the server thread posts the install. The completion
     // carries no data — the bytes went straight into the region through
     // the privileged view (the zero-copy receive path).
@@ -608,77 +622,41 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
 // Server loop
 // ---------------------------------------------------------------------------
 
-/// The receive step of the server loop: the next datagram's length, or the
-/// error line the loop stops with. `recv` returns 0 once every send side is
-/// closed: a disconnect (the simulator's `RecvError::Disconnected`), not an
-/// empty frame to decode and come back for; `EINTR` is retried.
-fn recv_inbox(srv_rx: &OwnedFd, buf: &mut [u8]) -> Result<usize, String> {
-    loop {
-        // SAFETY: valid fd, writable in-bounds buffer.
-        let n = unsafe { libc::recv(srv_rx.as_raw_fd(), buf.as_mut_ptr().cast(), buf.len(), 0) };
-        if n > 0 {
-            return Ok(n as usize);
-        } else if n == 0 {
-            return Err("server inbox at end of file".to_string());
-        }
-        let errno = std::io::Error::last_os_error().raw_os_error().unwrap_or(0);
-        if errno != libc::EINTR {
-            return Err(format!("server recv failed: errno {errno}"));
-        }
-    }
-}
-
 /// One host's DSM server, as the one server thread holds it.
 struct HostServer<'a> {
     state: &'a HostState<HostMemory, CompletionTx>,
     shard: ManagerShard,
-    ep: SocketTransport,
+    ep: RingTransport<'a>,
 }
 
 /// Every host's DSM server on one thread: the real-thread analogue of
-/// [`server::Server::turn`] — a datagram receive (self-sends first) in
+/// [`server::Server::turn`] — a pop off the inbox (self-sends first) in
 /// front of the same per-message engine ([`server::dispatch`]), run for the
-/// host the header names. Hands back the errors it degraded through (fatal
+/// host the envelope names. Hands back the errors it degraded through (fatal
 /// to the affected request; a non-empty list fails the run report) and the
 /// adaptation actions the shards applied.
 fn host_server_loop(
-    srv_rx: &OwnedFd,
+    inbox: &Inbox,
     mut hosts: Vec<HostServer<'_>>,
     mut clock: WallClock,
 ) -> (Vec<String>, crate::adapt::AdaptReport) {
     let mut rec = TraceRecorder::disabled();
     let mut errors = Vec::new();
-    let mut buf = vec![0u8; HEADER + MAX_DATA];
     loop {
-        let sent_to_self = hosts.iter().enumerate().find_map(|(h, s)| {
-            let m = s.ep.to_self.borrow_mut().pop_front()?;
-            Some((h, s.ep.me, m))
-        });
-        let (to, wire_from, m) = if let Some(next) = sent_to_self {
-            next
-        } else {
-            let n = match recv_inbox(srv_rx, &mut buf) {
-                Ok(n) => n,
-                Err(line) => {
-                    errors.push(line);
-                    break;
-                }
-            };
-            match decode_frame(&buf[..n]) {
-                Some((to, wire_from, m)) if to.index() < hosts.len() => (to.index(), wire_from, m),
-                _ => {
-                    errors.push(format!("server: malformed frame ({n} bytes)"));
-                    continue;
-                }
-            }
+        let sent_to_self = hosts
+            .iter()
+            .find_map(|s| s.ep.to_self.borrow_mut().pop_front());
+        let Envelope { to, wire_from, msg } = sent_to_self.unwrap_or_else(|| inbox.pop_wait());
+        let Some(host) = hosts.get_mut(to.index()) else {
+            errors.push(format!("server: a message for h{}, not in this run", to.0));
+            continue;
         };
-        if m.kind == MsgKind::Shutdown {
+        if msg.kind == MsgKind::Shutdown {
             break;
         }
         clock.read();
-        let host = &mut hosts[to];
         server::dispatch(
-            m,
+            msg,
             wire_from,
             host.state,
             &mut host.shard,
@@ -716,12 +694,6 @@ impl HostDsmCtx {
         &self.rt.threads[self.slot]
     }
 
-    fn flush_ack(&self) {
-        if self.rt.flush_ack(self.th()).is_err() {
-            panic!("h{}: ack send failed", self.th().host.index());
-        }
-    }
-
     /// Calls `copy(view, page, offset, bytes)` for every page-span of
     /// `[addr, addr+len)`, lowest first: one address decode per span. The
     /// view is the *application* view the address names — its MMU check is
@@ -739,18 +711,6 @@ impl HostDsmCtx {
             let take = (geo.page_size() - loc.offset).min(len - done);
             copy(loc.view, loc.page, loc.offset, done..done + take);
             done += take;
-        }
-    }
-
-    /// Sleeps on the completion word until `want` is posted; anything
-    /// else is a protocol breach and panics.
-    fn wait_for(&self, want: MsgKind) {
-        match self.th().done.wait() {
-            Some(k) if k == want => {}
-            Some(MsgKind::Nack) => {
-                panic!("h{}: request nacked", self.th().host.index())
-            }
-            k => panic!("unexpected completion {k:?}"),
         }
     }
 }
@@ -773,7 +733,7 @@ impl Dsm for HostDsmCtx {
             self.for_each_span(addr, len, |view, page, offset, span| {
                 self.region.read_span(view, page, offset, &mut bytes[span]);
             });
-            self.flush_ack();
+            self.rt.flush_ack(self.th());
         });
     }
 
@@ -786,18 +746,21 @@ impl Dsm for HostDsmCtx {
         self.for_each_span(addr, len, |view, page, offset, span| {
             self.region.write_span(view, page, offset, &bytes[span]);
         });
-        self.flush_ack();
+        self.rt.flush_ack(self.th());
     }
 
     fn barrier(&mut self) {
-        self.flush_ack();
         let th = self.th();
+        self.rt.flush_ack(th);
         let msg = Pmsg::new(MsgKind::BarrierEnter, th.host, th.event);
         th.done.arm();
-        if self.rt.send_header(self.rt.manager, th.host, &msg).is_err() {
-            panic!("h{}: barrier send failed", th.host.index());
+        self.rt.send(self.rt.manager, th.host, msg);
+        // Anything but the release is a protocol breach.
+        match th.done.wait() {
+            Some(MsgKind::BarrierRelease) => {}
+            Some(MsgKind::Nack) => panic!("h{}: request nacked", th.host.index()),
+            k => panic!("unexpected completion {k:?}"),
         }
-        self.wait_for(MsgKind::BarrierRelease);
     }
 
     fn timer_reset(&mut self) {
@@ -900,13 +863,14 @@ impl Drop for Teardown {
 ///
 /// The protocol layer (manager shards, serve/install/invalidate engine) is
 /// the same code the simulator runs; memory is per-host
-/// [`MultiViewRegion`]s, faults are real SIGSEGVs, the wire is one server
-/// inbox socketpair between real OS threads, and a blocked application
-/// thread sleeps on a futex word the server posts its completion to.
+/// [`MultiViewRegion`]s, faults are real SIGSEGVs, the wire is one
+/// in-process server inbox between real OS threads, and a blocked
+/// application thread sleeps on a futex word the server posts its
+/// completion to.
 ///
 /// # Errors
 ///
-/// Setup failures (region mapping, sockets, handler registration) are
+/// Setup failures (region mapping, handler registration) are
 /// returned; protocol errors during the run surface in
 /// [`HostRunReport::errors`]. An application panic propagates.
 pub fn run_host<T, F>(
@@ -945,10 +909,6 @@ where
         .as_ref()
         .map(|t| DiagSink::new(Arc::clone(t)))
         .unwrap_or_default();
-    // Wire: one server inbox; each end is owned by the piece of the run
-    // that uses it and closes with it.
-    let (srv_tx, srv_rx) = seqpacket_pair()?;
-    let srv_tx = Arc::new(srv_tx);
     let mut threads = Vec::with_capacity(cfg.hosts);
     let mut states = Vec::with_capacity(cfg.hosts);
     for (h, region) in regions.iter().enumerate() {
@@ -1022,7 +982,7 @@ where
         rt: Arc::new(HostRt {
             geo: geo.clone(),
             manager,
-            srv_tx: Arc::clone(&srv_tx),
+            inbox: Inbox::new(),
             threads,
             diag: diag_sink.clone(),
             mp_map,
@@ -1038,6 +998,7 @@ where
     let start = Instant::now();
     let shared_ref = &shared;
     let app_ref = &app;
+    let inbox = &run.rt.inbox;
     let (mut errors, adapt, wall, compute_ns) = std::thread::scope(|scope| {
         let hosts = states
             .iter()
@@ -1045,18 +1006,18 @@ where
             .map(|(state, shard)| HostServer {
                 state,
                 shard,
-                ep: SocketTransport {
+                ep: RingTransport {
                     me: state.host,
-                    srv_tx: Arc::clone(&srv_tx),
+                    inbox,
                     diag: diag_sink.clone(),
                     to_self: RefCell::default(),
                 },
             })
             .collect();
-        let (rx, clock) = (&srv_rx, WallClock::starting_at(start));
+        let clock = WallClock::starting_at(start);
         let server = std::thread::Builder::new()
             .name("mv-server".to_string())
-            .spawn_scoped(scope, move || host_server_loop(rx, hosts, clock))
+            .spawn_scoped(scope, move || host_server_loop(inbox, hosts, clock))
             .expect("spawn server thread");
         let mut apps = Vec::with_capacity(cfg.hosts);
         for h in 0..cfg.hosts {
@@ -1090,8 +1051,9 @@ where
             })
             .collect();
         let wall = start.elapsed();
-        let shutdown = encode_frame(manager, manager, &Pmsg::new(MsgKind::Shutdown, manager, 0));
-        let _ = send_fd(&srv_tx, &shutdown, 0);
+        let (to, wire_from) = (manager, manager);
+        let msg = Pmsg::new(MsgKind::Shutdown, manager, 0);
+        inbox.push(Envelope { to, wire_from, msg });
         let (errors, adapt) = server.join().expect("server thread panicked");
         if let Some(p) = app_panic {
             std::panic::resume_unwind(p);
@@ -1126,22 +1088,95 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use bytes::Bytes;
+    use std::time::Duration;
 
-    /// Once every send side of an inbox is closed the receive step says so
-    /// — one line, and the loop breaks on it — instead of handing 0 bytes
-    /// to `decode_frame` forever.
+    fn envelope(from: u16, event: u64) -> Envelope {
+        let msg = Pmsg::new(MsgKind::Ack, HostId(from), event);
+        let (to, wire_from) = (HostId(0), HostId(from));
+        Envelope { to, wire_from, msg }
+    }
+
+    fn shutdown(to: HostId) -> Envelope {
+        let msg = Pmsg::new(MsgKind::Shutdown, HostId(0), 0);
+        let wire_from = HostId(0);
+        Envelope { to, wire_from, msg }
+    }
+
+    /// Producer threads and the reader's own pushes (the server's
+    /// cross-host sends, which never wait, so some find the ring full)
+    /// share one ring: each producer's messages arrive in the order it
+    /// pushed them, and none is lost or duplicated.
     #[test]
-    fn a_closed_inbox_reads_as_end_of_file() {
-        let (tx, rx) = seqpacket_pair().expect("socketpair");
-        let mut buf = [0u8; HEADER];
-        send_fd(&tx, &[7u8; HEADER], 0).expect("send");
-        drop(tx);
-        // What was sent before the close still arrives…
-        assert_eq!(recv_inbox(&rx, &mut buf), Ok(HEADER));
-        // …then end-of-file, as an error line.
-        let eof = recv_inbox(&rx, &mut buf).expect_err("end of file");
-        assert!(eof.contains("end of file"), "{eof}");
+    fn every_producer_arrives_in_order_and_the_total_is_exact() {
+        const PRODUCERS: u16 = 4;
+        const EACH: u64 = 20_000;
+        let inbox = Inbox::new();
+        std::thread::scope(|scope| {
+            for p in 0..PRODUCERS {
+                let inbox = &inbox;
+                scope.spawn(move || (0..EACH).for_each(|i| inbox.push(envelope(p, i))));
+            }
+            let mut next = [0u64; PRODUCERS as usize];
+            let (mut own_sent, mut own_seen) = (0, 0);
+            while next.iter().any(|&n| n < EACH) || own_seen < own_sent {
+                let env = inbox.pop_wait();
+                let Some(next) = next.get_mut(env.wire_from.index()) else {
+                    assert_eq!(env.msg.event, own_seen, "own pushes");
+                    own_seen += 1;
+                    continue;
+                };
+                assert_eq!(env.msg.event, *next, "producer {}", env.wire_from.0);
+                *next += 1;
+                if inbox.try_push(envelope(PRODUCERS, own_sent)).is_ok() {
+                    own_sent += 1;
+                }
+            }
+            assert!(own_sent > 0);
+        });
+        assert!(inbox.pop().is_none());
+    }
+
+    /// A ping-pong over two rings: each side sleeps on its doorbell until
+    /// the other pushes, so one lost wake-up stalls the exchange for good.
+    #[test]
+    fn no_wake_up_is_lost() {
+        const ROUNDS: u64 = 100_000;
+        let (ping, pong) = (Arc::new(Inbox::new()), Arc::new(Inbox::new()));
+        let echo = {
+            let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
+            std::thread::spawn(move || (0..ROUNDS).for_each(|_| pong.push(ping.pop_wait())))
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let pinger = std::thread::spawn(move || {
+            for i in 0..ROUNDS {
+                ping.push(envelope(0, i));
+                assert_eq!(pong.pop_wait().msg.event, i);
+            }
+            done_tx.send(()).expect("report");
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a wake-up was lost");
+        pinger.join().expect("pinger");
+        echo.join().expect("echo");
+    }
+
+    /// Envelopes still queued when the ring is dropped go with it: the
+    /// data they carry is released.
+    #[test]
+    fn a_dropped_ring_releases_what_it_holds() {
+        let data = Bytes::from(vec![7u8; 4096]);
+        let inbox = Inbox::new();
+        for event in 0..3 {
+            let mut env = envelope(1, event);
+            env.msg.data = data.clone();
+            inbox.push(env);
+        }
+        assert!(inbox.pop().is_some());
+        assert!(!data.is_unique());
+        drop(inbox);
+        assert!(data.is_unique());
     }
 
     /// A completion posted before the thread waits is there when it does:
@@ -1203,7 +1238,8 @@ mod tests {
     }
 
     /// Host 0 of a one-host run, one page, no minipages: its state, its
-    /// shard and its application's completion word.
+    /// shard (whose barrier waits for two entries) and its application's
+    /// completion word.
     fn lone_host() -> (
         Arc<HostState<HostMemory, CompletionTx>>,
         ManagerShard,
@@ -1233,7 +1269,7 @@ mod tests {
         let shard = ManagerShard::new(
             me,
             1,
-            1,
+            2,
             cost,
             sw_mr,
             None,
@@ -1246,173 +1282,110 @@ mod tests {
         (state, shard, done)
     }
 
-    fn transport(me: HostId, inbox_tx: OwnedFd) -> SocketTransport {
-        SocketTransport {
+    fn transport(me: HostId, inbox: &Inbox) -> RingTransport<'_> {
+        RingTransport {
             me,
-            srv_tx: Arc::new(inbox_tx),
+            inbox,
             diag: DiagSink::default(),
             to_self: RefCell::default(),
         }
     }
 
-    fn shutdown_frame(to: HostId) -> Vec<u8> {
-        encode_frame(to, HostId(0), &Pmsg::new(MsgKind::Shutdown, HostId(0), 0))
+    fn serve(inbox: &Inbox, hosts: Vec<HostServer<'_>>) -> Vec<String> {
+        host_server_loop(inbox, hosts, WallClock::starting_at(Instant::now())).0
     }
 
-    /// What a server sends itself stays in the process. A `Shutdown` is
-    /// already waiting in the inbox when the server addresses itself a
-    /// completion too large for any datagram: the loop serves the
-    /// completion first (its handler posts it to the application's
-    /// completion word), then reads the `Shutdown`, and the inbox holds
-    /// nothing else.
+    /// What a server sends itself stays out of the ring. A `Shutdown` is
+    /// already waiting in the ring when the server addresses itself a
+    /// completion: the loop serves the completion first (its handler posts
+    /// it to the application's completion word), then pops the `Shutdown`,
+    /// and the ring holds nothing else.
     #[test]
-    fn a_self_addressed_send_never_reaches_the_socket() {
-        let (inbox_tx, inbox_rx) = seqpacket_pair().expect("socketpair");
+    fn a_self_addressed_send_never_enters_the_ring() {
+        let inbox = Inbox::new();
         let (state, shard, done) = lone_host();
         let me = state.host;
-        let ep = transport(me, inbox_tx);
-        send_fd(&ep.srv_tx, &shutdown_frame(me), 0).expect("send");
-        let mut release = Pmsg::new(MsgKind::BarrierRelease, me, 1);
-        release.data = Bytes::from(vec![0u8; MAX_DATA + 1]);
+        inbox.push(shutdown(me));
+        let ep = transport(me, &inbox);
+        let release = Pmsg::new(MsgKind::BarrierRelease, me, 1);
         ep.send(me, release, 0, 0, "test").expect("queued");
 
-        let hosts = vec![HostServer {
-            state: &state,
-            shard,
-            ep,
-        }];
-        let clock = WallClock::starting_at(Instant::now());
-        let (errors, _) = host_server_loop(&inbox_rx, hosts, clock);
-        assert_eq!(errors, Vec::<String>::new());
-        // The handler ran: the application's word holds the release…
+        let state = &state;
+        assert_eq!(
+            serve(&inbox, vec![HostServer { state, shard, ep }]),
+            Vec::<String>::new()
+        );
         assert_eq!(
             done.0.load(Ordering::Acquire),
             MsgKind::BarrierRelease as u32
         );
-        // …and the socket never carried it: with the loop's transport gone
-        // every send side is closed, and the inbox is at end of file.
-        let mut head = [0u8; HEADER];
-        let eof = recv_inbox(&inbox_rx, &mut head).expect_err("end of file");
-        assert!(eof.contains("end of file"), "{eof}");
+        assert!(inbox.pop().is_none());
     }
 
-    /// The destination bytes are wire input like any other: a frame for a
-    /// host the run does not have — the next one, the largest a header can
-    /// name, even a `Shutdown` — is one "malformed frame" line and the loop
-    /// reads on, never an index past the run's hosts.
+    /// The destination is checked like any other field: an envelope for a
+    /// host the run does not have — the next one, the largest an id can
+    /// name, even a `Shutdown` — is one error line and the loop reads on,
+    /// never an index past the run's hosts.
     #[test]
-    fn a_frame_for_no_host_is_a_malformed_frame() {
-        let (inbox_tx, inbox_rx) = seqpacket_pair().expect("socketpair");
+    fn an_envelope_for_no_host_is_one_error_line() {
+        let inbox = Inbox::new();
         let (state, shard, _) = lone_host();
         let me = state.host;
-        let request = Pmsg::new(MsgKind::ReadRequest, me, 1).with_addr(VAddr(DEFAULT_BASE));
-        for frame in [
-            encode_frame(HostId(1), me, &request),
-            encode_frame(HostId(u16::MAX), me, &request),
-            shutdown_frame(HostId(1)),
-            shutdown_frame(me),
-        ] {
-            send_fd(&inbox_tx, &frame, 0).expect("send");
+        let msg = Pmsg::new(MsgKind::ReadRequest, me, 1).with_addr(VAddr(DEFAULT_BASE));
+        for to in [HostId(1), HostId(u16::MAX)] {
+            let msg = msg.clone();
+            inbox.push(Envelope {
+                to,
+                wire_from: me,
+                msg,
+            });
         }
-        let hosts = vec![HostServer {
-            state: &state,
-            shard,
-            ep: transport(me, inbox_tx),
-        }];
-        let clock = WallClock::starting_at(Instant::now());
-        let (errors, _) = host_server_loop(&inbox_rx, hosts, clock);
-        assert_eq!(errors, vec!["server: malformed frame (64 bytes)"; 3]);
+        inbox.push(shutdown(HostId(1)));
+        inbox.push(shutdown(me));
+        let (state, ep) = (&state, transport(me, &inbox));
+        assert_eq!(
+            serve(&inbox, vec![HostServer { state, shard, ep }]),
+            [1, u16::MAX, 1].map(|h| format!("server: a message for h{h}, not in this run"))
+        );
     }
 
     /// The server thread is its inbox's only reader, so it must never wait
-    /// for room in it: once a `MSG_DONTWAIT` send finds the inbox full, a
-    /// server's send fails with `EAGAIN` as a backend error — the request
-    /// it serves is nacked — instead of blocking.
+    /// for room in it: a send that finds the ring full fails with `EAGAIN`
+    /// as a backend error, and the request being served is nacked. Here
+    /// the second of two barrier entries (both self-sent: the ring has no
+    /// room) completes the barrier, the release to the other entrant
+    /// cannot be pushed, and the completing entrant's word holds a `Nack`.
     #[test]
     fn a_full_inbox_fails_one_request() {
-        let (inbox_tx, _inbox_rx) = seqpacket_pair().expect("socketpair");
-        let filler = [0u8; 4096];
-        let mut sent = 0;
-        let errno = loop {
-            match send_fd(&inbox_tx, &filler, libc::MSG_DONTWAIT) {
-                Ok(()) => sent += 1,
-                Err(errno) => break errno,
-            }
-        };
-        assert_eq!(errno, libc::EAGAIN, "after {sent} datagrams");
-        let ep = transport(HostId(0), inbox_tx);
+        let inbox = Inbox::new();
+        let (state, shard, done) = lone_host();
+        let me = state.host;
+        while inbox.try_push(shutdown(me)).is_ok() {}
+        let ep = transport(me, &inbox);
         let forward = Pmsg::new(MsgKind::ServeRead, HostId(1), 1);
         assert_eq!(
             ep.send(HostId(1), forward, 0, 0, "serve forward"),
             Err(ProtocolError::Backend {
-                host: HostId(0),
+                host: me,
                 what: "serve forward",
                 errno: libc::EAGAIN,
             })
         );
-    }
-
-    proptest! {
-        /// Hostile wire bytes never panic `decode_frame`, and whatever it
-        /// accepts re-encodes to the bytes it was given, except that a
-        /// non-canonical `prefetch` byte is normalized.
-        #[test]
-        fn decode_frame_is_total_on_arbitrary_bytes(
-            raw in proptest::collection::vec(any::<u8>(), 0..256),
-            fix_len in any::<bool>(),
-        ) {
-            let mut raw = raw;
-            // Random bytes almost never carry a consistent length field;
-            // patch it in half the cases so the accept path runs too.
-            if fix_len && raw.len() >= HEADER {
-                let data_len = (raw.len() - HEADER) as u32;
-                raw[52..56].copy_from_slice(&data_len.to_le_bytes());
-            }
-            if let Some((to, wire_from, m)) = decode_frame(&raw) {
-                raw[1] = u8::from(raw[1] != 0);
-                prop_assert_eq!(encode_frame(to, wire_from, &m), raw);
-            } else {
-                prop_assert!(
-                    raw.len() < HEADER
-                        || MsgKind::from_u8(raw[0]).is_none()
-                        || raw.len() - HEADER
-                            != u32::from_le_bytes(raw[52..56].try_into().expect("4 bytes")) as usize
-                );
-            }
+        for from in [HostId(1), me] {
+            let enter = Pmsg::new(MsgKind::BarrierEnter, from, 1);
+            ep.send(me, enter, 0, 0, "test").expect("queued");
         }
 
-        /// `decode_frame(encode_frame(m)) == m` for every field of every
-        /// message kind.
-        #[test]
-        fn encode_decode_round_trips(
-            ids in (0..MsgKind::ALL.len(), any::<u16>(), any::<u16>(), any::<u32>(), any::<bool>()),
-            words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
-            len in any::<usize>(),
-            to in any::<u16>(),
-            data in proptest::collection::vec(any::<u8>(), 0..300),
-        ) {
-            let (kind, wire_from, from, minipage, prefetch) = ids;
-            let (event, addr, base, priv_base, aux) = words;
-            let mut m = Pmsg::new(MsgKind::ALL[kind].0, HostId(from), event)
-                .with_addr(VAddr(addr))
-                .with_aux(aux);
-            m.base = VAddr(base);
-            m.priv_base = VAddr(priv_base);
-            m.len = len;
-            m.minipage = MinipageId(minipage);
-            m.prefetch = prefetch;
-            m.data = Bytes::from(data);
-            let frame = encode_frame(HostId(to), HostId(wire_from), &m);
-            let (got_to, got_from, got) = decode_frame(&frame).expect("own encoding is valid");
-            prop_assert_eq!((got_to, got_from), (HostId(to), HostId(wire_from)));
-            prop_assert_eq!(
-                (got.kind, got.from, got.event, got.addr, got.base, got.priv_base),
-                (m.kind, m.from, m.event, m.addr, m.base, m.priv_base)
-            );
-            prop_assert_eq!(
-                (got.len, got.minipage, got.aux, got.prefetch, got.data),
-                (m.len, m.minipage, m.aux, m.prefetch, m.data)
-            );
-        }
+        let errors = serve(
+            &inbox,
+            vec![HostServer {
+                state: &state,
+                shard,
+                ep,
+            }],
+        );
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("barrier release"), "{errors:?}");
+        assert_eq!(done.0.load(Ordering::Acquire), NACK);
     }
 }

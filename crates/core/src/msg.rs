@@ -108,14 +108,10 @@ impl MsgKind {
         Self::ALL[self as usize].1
     }
 
-    /// The byte this kind travels as on the host backend's socketpair
-    /// wire (which never leaves the process, so the values are free).
-    pub(crate) fn to_u8(self) -> u8 {
-        self as u8
-    }
-
-    /// Inverse of [`to_u8`](Self::to_u8); `None` for any other byte.
-    /// Async-signal-safe: one bounds-checked read of a static table.
+    /// The kind whose position in [`ALL`](Self::ALL) is `b` (`kind as u8`
+    /// inverted: the host backend's completion word holds one); `None` for
+    /// any other byte. Async-signal-safe: one bounds-checked read of a
+    /// static table.
     pub(crate) fn from_u8(b: u8) -> Option<Self> {
         Self::ALL.get(usize::from(b)).map(|&(k, _)| k)
     }
@@ -223,8 +219,8 @@ mod tests {
     #[test]
     fn kind_bytes_round_trip_and_every_other_byte_is_rejected() {
         for (i, &(k, name)) in MsgKind::ALL.iter().enumerate() {
-            assert_eq!(usize::from(k.to_u8()), i);
-            assert_eq!(MsgKind::from_u8(k.to_u8()), Some(k));
+            assert_eq!(usize::from(k as u8), i);
+            assert_eq!(MsgKind::from_u8(k as u8), Some(k));
             assert_eq!(k.name(), name);
             assert_eq!(format!("{k:?}"), name);
         }

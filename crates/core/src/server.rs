@@ -18,7 +18,7 @@
 //! [`Server`] is the simulator's server — one per-packet body,
 //! [`Server::serve`], behind a scheduler turn. Everything from [`dispatch`]
 //! down is generic over the backend traits and is the host backend's
-//! server too (`hostrun` only puts a datagram receive in front).
+//! server too (`hostrun` only puts a pop off its inbox in front).
 
 use crate::backend::{
     bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, LocalWake,

@@ -20,7 +20,7 @@ mod sealed {
 /// Element types storable in shared memory: the ten primitive integer and
 /// floating-point scalars, and only those (the trait is sealed).
 ///
-/// Shared memory — and every RC diff, golden and host datagram cut from
+/// Shared memory — and every RC diff, golden and host data reply cut from
 /// it — holds values little-endian. Every bit pattern is a value and none
 /// has padding, so a `[T]` *is* its wire bytes (swapped per element on a
 /// big-endian target) and the range accessors copy it whole.

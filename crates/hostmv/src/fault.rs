@@ -28,10 +28,10 @@
 //!   ([`MultiViewRegion::protect_raw`]) — both listed as signal-safe;
 //! * counters: relaxed atomic increments — safe;
 //! * a DSM resolver is a plain `fn` pointer the *embedder* promises keeps
-//!   the same discipline: syscalls (`send`/`recv` on a socketpair and a
-//!   bare `futex` wait or wake are async-signal-safe), atomics, and
-//!   thread-locals that were initialized
-//!   before the first fault (const-initialized TLS takes no lazy path).
+//!   the same discipline: atomics (a lock-free ring push), bare syscalls
+//!   (a `futex` wait or wake, `sched_yield`), and thread-locals that were
+//!   initialized before the first fault (const-initialized TLS takes no
+//!   lazy path).
 //!   No allocation, no mutexes, no `println!`.
 //! * resolver-side diagnostics (the embedder's sharing-stats table): the
 //!   same discipline holds because the table is pre-allocated and leaked

@@ -1,5 +1,5 @@
 //! What a real-memory run takes from the process, it gives back: view
-//! mappings, socket fds, fault-handler registry slots and its runtime —
+//! mappings, memfds, fault-handler registry slots and its runtime —
 //! whether it finished or failed half-assembled.
 //!
 //! One `#[test]` in a file of its own (so a process of its own): it
@@ -11,7 +11,7 @@ use hostmv::{free_slots, install_handler, FaultCounters, MultiViewRegion};
 use millipage::{run_host, Dsm, HostRunConfig, HostRunReport, ProtocolError};
 use std::sync::Arc;
 
-/// Sixteen 64 KB vectors (a minipage must fit one datagram). Every host
+/// Sixteen 64 KB vectors (one minipage each). Every host
 /// writes its share of them and reads the rest, so each run leaves 1 MB of
 /// touched shared memory per host behind — if it leaves anything.
 fn one_run(hosts: usize) -> Result<HostRunReport, ProtocolError> {
@@ -84,7 +84,7 @@ fn runs_give_back_their_regions_fds_and_registry_slots() {
 
     // A failed assembly releases what it took: with one slot left, the
     // second host's registration fails after the first host's succeeded
-    // and after every region and socket of the run was created.
+    // and after every region of the run was created.
     let tiny = || Arc::new(MultiViewRegion::new(1, 1).expect("mmap views"));
     let fillers: Vec<FaultCounters> = (1..slots)
         .map(|_| install_handler(tiny()).expect("install handler"))
