@@ -3,12 +3,11 @@
 #
 # Switches are the design check. One server thread serves every host from
 # one inbox, so a remote fault is a hand-off from the faulting thread to
-# the server thread and back: core.hostrun.ctxsw_per_fault on sor2_host
-# reads 2.25-2.80 (24 readings), and 5.04-5.22 with a server thread per
-# host (request, forward and reply each woke a different one). It read
-# 2.06-2.17 while the inbox was a socket: an AF_UNIX send is a sync
-# wake-up and a FUTEX_WAKE on the inbox ring's doorbell is not, so on one
-# CPU the woken server can preempt the pusher. Fails above 3.
+# the server thread and back: two switches, the floor of that design.
+# core.hostrun.ctxsw_per_fault on sor2_host reads 2.01 (22 readings).
+# It read 2.40-2.82 while the window-closing Ack woke a sleeping server
+# after every fault (a second hand-off whenever it found the server
+# asleep), and 5.04-5.22 with a server thread per host. Fails above 2.3.
 #
 # The ratio is the alarm for a per-element software cost coming back on
 # the access path. On a page-based DSM an access the MMU allows costs a
@@ -16,11 +15,9 @@
 # run's wall clock per fault (core.hostrun.us_per_fault) is close to what
 # one fault costs in the ping-pong driver of the same process
 # (core.hostrun.{read,write}_fault_us.p50). SOR's per-fault wall also
-# carries its compute and copies, which the ring did not shorten the way
-# it shortened a fault: 1.08-2.07 (21 readings, median 1.58) with the
-# inbox a ring; 1.18-1.39 (12) with it a socket; 1.35-1.89 (6) when each
-# row read also allocated a fresh Vec and a completion came back as a
-# datagram; 2.7-3.6 when every byte paid an address decode.
+# carries its compute and copies: 0.99-1.63 (22 readings, median 1.50);
+# 1.47-1.98 while every Ack woke the server; 2.7-3.6 when every byte paid
+# an address decode. Fails above 1.9.
 #
 # The two numbers are taken seconds apart and a shared runner changes speed
 # under a run, which is where the spread comes from; so a reading over a
@@ -28,8 +25,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-LIMIT=2.2
-SWITCHES=3
+LIMIT=1.9
+SWITCHES=2.3
 for attempt in 1 2 3; do
     if cargo run --release --quiet --manifest-path examples/mvbench/Cargo.toml -- \
         --workload sor2_host --seed 1 --seconds 2 --trace 1 | tail -n 1 |

@@ -91,6 +91,9 @@ pub struct Directory {
     me: HostId,
     entries: HashMap<usize, DirectoryEntry>,
     competing: u64,
+    /// Requests queued behind open windows right now: the sum of the
+    /// entries' queue lengths.
+    waiting: usize,
 }
 
 impl Directory {
@@ -100,6 +103,7 @@ impl Directory {
             me,
             entries: HashMap::new(),
             competing: 0,
+            waiting: 0,
         }
     }
 
@@ -141,6 +145,7 @@ impl Directory {
         if e.in_service {
             e.queue.push_back(pending);
             self.competing += 1;
+            self.waiting += 1;
             false
         } else {
             e.in_service = true;
@@ -153,7 +158,9 @@ impl Directory {
     pub fn end_service(&mut self, id: usize) -> Option<Pmsg> {
         let e = self.entry(id);
         e.in_service = false;
-        e.queue.pop_front()
+        let next = e.queue.pop_front();
+        self.waiting -= usize::from(next.is_some());
+        next
     }
 
     /// Drops the entry for `id` (adaptation: the minipage was retired or
@@ -161,12 +168,20 @@ impl Directory {
     /// touch — here for a split child, at the new home after a migration
     /// — rematerializes the fresh at-home state.
     pub fn forget(&mut self, id: usize) -> Option<DirectoryEntry> {
-        self.entries.remove(&id)
+        let e = self.entries.remove(&id)?;
+        self.waiting -= e.queue.len();
+        Some(e)
     }
 
     /// Competing requests observed at this shard (Figure 7's metric).
     pub fn competing_requests(&self) -> u64 {
         self.competing
+    }
+
+    /// Requests queued behind open service windows right now, over every
+    /// entry.
+    pub fn waiting(&self) -> usize {
+        self.waiting
     }
 }
 
@@ -228,6 +243,33 @@ mod tests {
         let next2 = d.end_service(0).unwrap();
         assert_eq!(next2.from, HostId(3));
         assert!(d.end_service(0).is_none());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `waiting()` is the sum of the queue lengths after every step of
+        /// a random mix of window opens, closes and forgotten entries.
+        fn waiting_is_the_sum_of_the_queues(
+            ops in proptest::collection::vec((0usize..4, 0usize..4), 1..200),
+        ) {
+            let mut d = Directory::new(HostId(0));
+            for (op, id) in ops {
+                match op {
+                    0 | 1 => {
+                        d.begin_service(id, req(1));
+                    }
+                    2 => {
+                        d.end_service(id);
+                    }
+                    _ => {
+                        d.forget(id);
+                    }
+                }
+                let queued: usize = d.iter().map(|(_, e)| e.queue.len()).sum();
+                proptest::prop_assert_eq!(d.waiting(), queued);
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //!   completion;
 //! * one real OS thread serves every host's DSM server from one
 //!   user-level inbox: a ring every sender pushes into (FIFO — the ordering
-//!   the protocol's correctness arguments assume) with a futex doorbell;
-//!   an envelope names its host;
+//!   the protocol's correctness arguments assume) with a futex doorbell of
+//!   three states — awake; asleep, woken by any push but an `Ack`; asleep
+//!   with a request queued behind an open window, woken by every push —
+//!   so the window-closing `Ack` wakes the server only when a request
+//!   waits on it; an envelope names its host;
 //! * the server is **the simulator's**: the loop here only pops an
 //!   envelope — or what a server sent itself, which never enters the ring
 //!   — and hands it to `server::dispatch` with the named host's
@@ -90,10 +93,12 @@ struct Envelope {
 /// reply — at four hosts under 60.
 const INBOX_SLOTS: usize = 1024;
 
-/// The doorbell's values: the server is running, or sleeps (or is about
-/// to) on an empty ring.
+/// The doorbell's values: the server is running; it sleeps (or is about
+/// to) on an empty ring and any push but an `Ack` wakes it; or it sleeps
+/// with a request queued behind an open window, so every push wakes it.
 const AWAKE: u32 = 0;
 const ASLEEP: u32 = 1;
+const ASLEEP_ACK_AWAITED: u32 = 2;
 
 /// The run's one server inbox: a bounded multi-producer ring of
 /// [`Envelope`]s (Vyukov's sequence-numbered slots) and a futex doorbell.
@@ -103,6 +108,12 @@ const ASLEEP: u32 = 1;
 /// assume); the server thread pops. A push is atomics and at most one
 /// `FUTEX_WAKE`: no lock, no allocation, so the resolver may push from
 /// signal context.
+///
+/// An `Ack` is quiet: it wakes the server only from `ASLEEP_ACK_AWAITED`.
+/// It matters only to a request queued behind the window it closes, and
+/// the server sleeps loud whenever one is; otherwise the `Ack` waits in
+/// the ring and is popped, in order, ahead of whatever push wakes the
+/// server next.
 struct Inbox {
     slots: Box<[InboxSlot]>,
     /// Next position a push claims.
@@ -171,6 +182,11 @@ impl Inbox {
     /// Pushes `env`, or hands it back when the ring is full. Never waits:
     /// the server, the ring's reader, sends with this.
     fn try_push(&self, env: Envelope) -> Result<(), Envelope> {
+        let rings_from = if env.msg.kind == MsgKind::Ack {
+            ASLEEP_ACK_AWAITED
+        } else {
+            ASLEEP
+        };
         let Some((pos, slot)) = self.claim(&self.tail, 0) else {
             return Err(env);
         };
@@ -179,10 +195,12 @@ impl Inbox {
         unsafe { (*slot.env.get()).write(env) };
         slot.seq.store(pos + 1, Ordering::Release);
         // Pairs with the fence in `pop_wait`: either the server's re-check
-        // sees this slot, or the load below sees its `ASLEEP`.
+        // sees this slot, or the load below sees the state it sleeps in.
         fence(Ordering::SeqCst);
-        if self.doorbell.load(Ordering::Relaxed) == ASLEEP
-            && self.doorbell.swap(AWAKE, Ordering::Relaxed) == ASLEEP
+        // Any state but `AWAKE` swapped out means the server sleeps or is
+        // about to: wake it, even from a state this push would not ring.
+        if self.doorbell.load(Ordering::Relaxed) >= rings_from
+            && self.doorbell.swap(AWAKE, Ordering::Relaxed) != AWAKE
         {
             futex(&self.doorbell, libc::FUTEX_WAKE_PRIVATE, 1);
         }
@@ -209,19 +227,34 @@ impl Inbox {
         Some(env)
     }
 
-    /// The oldest envelope, sleeping on the doorbell while there is none.
-    fn pop_wait(&self) -> Envelope {
+    /// The oldest envelope, sleeping on the doorbell while there is none:
+    /// in `ASLEEP_ACK_AWAITED` if `ack_awaited`, else in `ASLEEP`.
+    fn pop_wait(&self, mut ack_awaited: bool) -> Envelope {
         loop {
             if let Some(env) = self.pop() {
                 return env;
             }
-            self.doorbell.store(ASLEEP, Ordering::Relaxed);
+            let asleep = if ack_awaited {
+                ASLEEP_ACK_AWAITED
+            } else {
+                ASLEEP
+            };
+            self.doorbell.store(asleep, Ordering::Relaxed);
             // Pairs with the fence in `try_push`.
             fence(Ordering::SeqCst);
             let env = self.pop();
             if env.is_none() {
+                if asleep == ASLEEP
+                    && self.tail.load(Ordering::Relaxed) != self.head.load(Ordering::Relaxed)
+                {
+                    // A push has claimed the oldest slot and not written it
+                    // yet. If it is a quiet `Ack`, nothing rings for the
+                    // pushes behind it: sleep loud instead.
+                    ack_awaited = true;
+                    continue;
+                }
                 // Returns at once if a push has rung since the store.
-                futex(&self.doorbell, libc::FUTEX_WAIT_PRIVATE, ASLEEP);
+                futex(&self.doorbell, libc::FUTEX_WAIT_PRIVATE, asleep);
             }
             self.doorbell.store(AWAKE, Ordering::Relaxed);
             if let Some(env) = env {
@@ -547,8 +580,8 @@ impl HostRt {
         self.inbox.push(Envelope { to, wire_from, msg });
     }
 
-    /// Flushes the thread's pending window-closing `Ack`, if any.
-    /// Async-signal-safe.
+    /// Flushes the thread's pending window-closing `Ack`, if any: a quiet
+    /// push (see [`Inbox`]). Async-signal-safe.
     fn flush_ack(&self, th: &ThreadRt) {
         // Nothing owed is the common case: a plain load, not a locked swap
         // (only this thread stores to the word, so it reads its own store).
@@ -646,7 +679,11 @@ fn host_server_loop(
         let sent_to_self = hosts
             .iter()
             .find_map(|s| s.ep.to_self.borrow_mut().pop_front());
-        let Envelope { to, wire_from, msg } = sent_to_self.unwrap_or_else(|| inbox.pop_wait());
+        let Envelope { to, wire_from, msg } = sent_to_self.unwrap_or_else(|| {
+            // Only this thread changes the shards, so what they await
+            // holds until the next pop.
+            inbox.pop_wait(hosts.iter().any(|s| s.shard.awaits_ack()))
+        });
         let Some(host) = hosts.get_mut(to.index()) else {
             errors.push(format!("server: a message for h{}, not in this run", to.0));
             continue;
@@ -884,9 +921,11 @@ where
 {
     assert!(cfg.hosts >= 1, "need at least one host");
     let manager = HostId(0);
+    // Staged until the fault handler is installed: set-up's protections
+    // (one per allocated vpage) land in runs, not one `mprotect` each.
     let mut regions = Vec::with_capacity(cfg.hosts);
     for h in 0..cfg.hosts {
-        let region = MultiViewRegion::new(cfg.pages, cfg.views)
+        let region = MultiViewRegion::new_staged(cfg.pages, cfg.views)
             .map_err(|_| backend_err(HostId(h as u16), "region mapping"))?;
         regions.push(Arc::new(region));
     }
@@ -989,7 +1028,10 @@ where
         }),
     };
     let token = Arc::as_ptr(&run.rt) as usize;
-    for region in &regions {
+    for (h, region) in regions.iter().enumerate() {
+        region
+            .apply_staged()
+            .map_err(|_| backend_err(HostId(h as u16), "set-up protections"))?;
         let c = install_dsm_handler(Arc::clone(region), dsm_resolver, token)
             .map_err(|_| backend_err(manager, "fault handler registration"))?;
         run.registrations.push(c);
@@ -1089,10 +1131,12 @@ where
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use std::sync::mpsc::RecvTimeoutError;
     use std::time::Duration;
 
+    /// A message that wakes a sleeping reader (an `Ack` does not).
     fn envelope(from: u16, event: u64) -> Envelope {
-        let msg = Pmsg::new(MsgKind::Ack, HostId(from), event);
+        let msg = Pmsg::new(MsgKind::BarrierEnter, HostId(from), event);
         let (to, wire_from) = (HostId(0), HostId(from));
         Envelope { to, wire_from, msg }
     }
@@ -1106,35 +1150,53 @@ mod tests {
     /// Producer threads and the reader's own pushes (the server's
     /// cross-host sends, which never wait, so some find the ring full)
     /// share one ring: each producer's messages arrive in the order it
-    /// pushed them, and none is lost or duplicated.
+    /// pushed them, and none is lost or duplicated. Every other push is a
+    /// quiet `Ack`, which wakes nobody, and the reader sleeps in `ASLEEP`:
+    /// what wakes it is the next loud push, also when a quiet one is still
+    /// half done in front of it — each producer ends on a loud one.
     #[test]
     fn every_producer_arrives_in_order_and_the_total_is_exact() {
         const PRODUCERS: u16 = 4;
         const EACH: u64 = 20_000;
-        let inbox = Inbox::new();
-        std::thread::scope(|scope| {
-            for p in 0..PRODUCERS {
-                let inbox = &inbox;
-                scope.spawn(move || (0..EACH).for_each(|i| inbox.push(envelope(p, i))));
+        let push = |from, i| {
+            let mut env = envelope(from, i);
+            if i % 2 == 0 {
+                env.msg.kind = MsgKind::Ack;
             }
-            let mut next = [0u64; PRODUCERS as usize];
-            let (mut own_sent, mut own_seen) = (0, 0);
-            while next.iter().any(|&n| n < EACH) || own_seen < own_sent {
-                let env = inbox.pop_wait();
-                let Some(next) = next.get_mut(env.wire_from.index()) else {
-                    assert_eq!(env.msg.event, own_seen, "own pushes");
-                    own_seen += 1;
-                    continue;
-                };
-                assert_eq!(env.msg.event, *next, "producer {}", env.wire_from.0);
-                *next += 1;
-                if inbox.try_push(envelope(PRODUCERS, own_sent)).is_ok() {
-                    own_sent += 1;
+            env
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let inbox = Inbox::new();
+            std::thread::scope(|scope| {
+                for p in 0..PRODUCERS {
+                    let inbox = &inbox;
+                    scope.spawn(move || (0..EACH).for_each(|i| inbox.push(push(p, i))));
                 }
-            }
-            assert!(own_sent > 0);
+                let mut next = [0u64; PRODUCERS as usize];
+                let (mut own_sent, mut own_seen) = (0, 0);
+                while next.iter().any(|&n| n < EACH) || own_seen < own_sent {
+                    let env = inbox.pop_wait(false);
+                    let Some(next) = next.get_mut(env.wire_from.index()) else {
+                        assert_eq!(env.msg.event, own_seen, "own pushes");
+                        own_seen += 1;
+                        continue;
+                    };
+                    assert_eq!(env.msg.event, *next, "producer {}", env.wire_from.0);
+                    *next += 1;
+                    if inbox.try_push(push(PRODUCERS, own_sent)).is_ok() {
+                        own_sent += 1;
+                    }
+                }
+                assert!(own_sent > 0);
+            });
+            assert!(inbox.pop().is_none());
+            done_tx.send(()).expect("report");
         });
-        assert!(inbox.pop().is_none());
+        if let Err(RecvTimeoutError::Timeout) = done_rx.recv_timeout(Duration::from_secs(60)) {
+            panic!("the reader did not finish: a push stranded behind a quiet one?");
+        }
+        reader.join().expect("reader");
     }
 
     /// A ping-pong over two rings: each side sleeps on its doorbell until
@@ -1145,13 +1207,13 @@ mod tests {
         let (ping, pong) = (Arc::new(Inbox::new()), Arc::new(Inbox::new()));
         let echo = {
             let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
-            std::thread::spawn(move || (0..ROUNDS).for_each(|_| pong.push(ping.pop_wait())))
+            std::thread::spawn(move || (0..ROUNDS).for_each(|_| pong.push(ping.pop_wait(false))))
         };
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let pinger = std::thread::spawn(move || {
             for i in 0..ROUNDS {
                 ping.push(envelope(0, i));
-                assert_eq!(pong.pop_wait().msg.event, i);
+                assert_eq!(pong.pop_wait(false).msg.event, i);
             }
             done_tx.send(()).expect("report");
         });
@@ -1189,29 +1251,36 @@ mod tests {
         assert_eq!(done.wait(), Some(MsgKind::ReadReply));
     }
 
+    /// The `/proc` stat file of the calling thread.
+    fn own_stat() -> std::path::PathBuf {
+        let task = std::fs::read_link("/proc/thread-self").expect("procfs");
+        std::path::Path::new("/proc").join(task).join("stat")
+    }
+
+    /// Whether the thread `stat` describes sleeps in the kernel.
+    fn sleeps(stat: &std::path::Path) -> bool {
+        std::fs::read_to_string(stat)
+            .expect("stat")
+            .contains(") S ")
+    }
+
     /// A thread asleep on the word wakes when the completion is posted.
     #[test]
     fn a_post_wakes_the_waiter() {
         let done = Arc::new(Completion(AtomicU32::new(ARMED)));
         done.arm();
-        let (task_tx, task_rx) = std::sync::mpsc::channel();
+        let (stat_tx, stat_rx) = std::sync::mpsc::channel();
         let waiter = {
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
-                let task = std::fs::read_link("/proc/thread-self").expect("procfs");
-                task_tx.send(task).expect("send");
+                stat_tx.send(own_stat()).expect("send");
                 done.wait()
             })
         };
         // Post only once the waiter sleeps: the word reads `ARMED`, so the
         // only sleep left on its way is `FUTEX_WAIT`.
-        let stat = std::path::Path::new("/proc")
-            .join(task_rx.recv().expect("task"))
-            .join("stat");
-        while !std::fs::read_to_string(&stat)
-            .expect("stat")
-            .contains(") S ")
-        {
+        let stat = stat_rx.recv().expect("stat");
+        while !sleeps(&stat) {
             std::thread::yield_now();
         }
         done.post(MsgKind::BarrierRelease);
@@ -1237,9 +1306,9 @@ mod tests {
         assert_eq!(done.wait(), Some(MsgKind::Nack));
     }
 
-    /// Host 0 of a one-host run, one page, no minipages: its state, its
-    /// shard (whose barrier waits for two entries) and its application's
-    /// completion word.
+    /// Host 0 of a one-host run, one page, no minipages yet: its state,
+    /// its shard (the allocator's; its barrier waits for two entries) and
+    /// its application's completion word.
     fn lone_host() -> (
         Arc<HostState<HostMemory, CompletionTx>>,
         ManagerShard,
@@ -1256,6 +1325,7 @@ mod tests {
         ));
         let done = Arc::new(Completion(AtomicU32::new(ARMED)));
         let (cost, sw_mr) = (CostModel::default(), Consistency::SequentialSwMr);
+        let allocator = Allocator::new(geo.clone(), AllocMode::FineGrain { chunking: 1 });
         let state = Arc::new(HostState::new(
             me,
             HostMemory { geo, region },
@@ -1272,7 +1342,7 @@ mod tests {
             2,
             cost,
             sw_mr,
-            None,
+            Some(allocator),
             home,
             cluster,
             TraceRecorder::disabled(),
@@ -1387,5 +1457,101 @@ mod tests {
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("barrier release"), "{errors:?}");
         assert_eq!(done.0.load(Ordering::Acquire), NACK);
+    }
+
+    /// Polls `holds` until it does or five seconds pass; whether it held.
+    fn within_5s(holds: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !holds() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// Host 0's `kind` about `addr`, to itself.
+    fn to_self(kind: MsgKind, addr: VAddr) -> Envelope {
+        let me = HostId(0);
+        let msg = Pmsg::new(kind, me, 1).with_addr(addr);
+        Envelope {
+            to: me,
+            wire_from: me,
+            msg,
+        }
+    }
+
+    /// Runs `check` beside a server thread serving `inbox` for the lone
+    /// host, then shuts the server down — also when a check failed, so
+    /// the test fails instead of hanging — and hands back what `check`
+    /// saw and the server's errors. `check` gets the server's stat file.
+    fn beside_server<R>(
+        inbox: &Inbox,
+        state: &HostState<HostMemory, CompletionTx>,
+        shard: ManagerShard,
+        check: impl FnOnce(&std::path::Path) -> R,
+    ) -> (R, Vec<String>) {
+        std::thread::scope(|scope| {
+            let (stat_tx, stat_rx) = std::sync::mpsc::channel();
+            let server = scope.spawn(move || {
+                stat_tx.send(own_stat()).expect("send");
+                let ep = transport(state.host, inbox);
+                serve(inbox, vec![HostServer { state, shard, ep }])
+            });
+            let seen = check(&stat_rx.recv().expect("stat"));
+            inbox.push(shutdown(state.host));
+            (seen, server.join().expect("server thread"))
+        })
+    }
+
+    /// A request queued behind an open window makes the server sleep in
+    /// `ASLEEP_ACK_AWAITED`, so the window's quiet `Ack` wakes it and the
+    /// request is served. Host 0's write opens the window and is served;
+    /// its read queues behind the window until the `Ack`.
+    #[test]
+    fn a_quiet_ack_wakes_a_server_a_queued_request_waits_on() {
+        let inbox = Inbox::new();
+        let (state, mut shard, done) = lone_host();
+        let addr = shard.do_alloc(8, state.host, 0);
+        let posted = |kind: MsgKind| done.0.load(Ordering::Acquire) == kind as u32;
+        inbox.push(to_self(MsgKind::WriteRequest, addr));
+        inbox.push(to_self(MsgKind::ReadRequest, addr));
+        let ((slept_loud, read_served), errors) = beside_server(&inbox, &state, shard, |_| {
+            let slept_loud = within_5s(|| {
+                posted(MsgKind::WriteReply)
+                    && inbox.doorbell.load(Ordering::Relaxed) == ASLEEP_ACK_AWAITED
+            });
+            inbox.push(to_self(MsgKind::Ack, addr));
+            (slept_loud, within_5s(|| posted(MsgKind::ReadReply)))
+        });
+        assert!(slept_loud, "the server did not sleep awaiting the Ack");
+        assert!(read_served, "the Ack did not reach the queued read");
+        assert_eq!(errors, Vec::<String>::new());
+    }
+
+    /// With nothing queued the server sleeps in `ASLEEP`: a quiet `Ack`
+    /// leaves it asleep and waits in the ring, and the next loud push — a
+    /// `Shutdown` here — finds it served first.
+    #[test]
+    fn a_quiet_ack_waits_in_the_ring_for_the_next_loud_push() {
+        let inbox = Inbox::new();
+        let (state, mut shard, done) = lone_host();
+        let addr = shard.do_alloc(8, state.host, 0);
+        inbox.push(to_self(MsgKind::WriteRequest, addr));
+        let ((slept, after_ack), errors) = beside_server(&inbox, &state, shard, |server| {
+            let slept = within_5s(|| {
+                done.0.load(Ordering::Acquire) == MsgKind::WriteReply as u32
+                    && inbox.doorbell.load(Ordering::Relaxed) == ASLEEP
+                    && sleeps(server)
+            });
+            inbox.push(to_self(MsgKind::Ack, addr));
+            let queued = inbox.tail.load(Ordering::Relaxed) - inbox.head.load(Ordering::Relaxed);
+            (slept, (inbox.doorbell.load(Ordering::Relaxed), queued))
+        });
+        assert!(slept, "the server did not go to sleep");
+        assert_eq!(after_ack, (ASLEEP, 1), "the quiet Ack woke the server");
+        assert_eq!(errors, Vec::<String>::new());
+        assert!(inbox.pop().is_none(), "the Ack outlived the Shutdown");
     }
 }

@@ -180,6 +180,12 @@ impl ManagerShard {
         &self.dir
     }
 
+    /// Whether a request waits behind an open service window here, so the
+    /// `Ack` that closes the window must reach this shard without delay.
+    pub fn awaits_ack(&self) -> bool {
+        self.dir.waiting() != 0
+    }
+
     /// Adaptation actions this shard applied (merged cluster-wide into
     /// [`RunReport::adapt`](crate::RunReport)).
     pub fn adapt_report(&self) -> &AdaptReport {

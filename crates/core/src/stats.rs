@@ -353,6 +353,13 @@ pub(crate) fn check_coherence(
 pub(crate) fn check_directories(shards: &[ManagerShard], consistency: Consistency) -> Vec<String> {
     let mut violations = Vec::new();
     for shard in shards {
+        let waiting = shard.directory().waiting();
+        if waiting != 0 {
+            violations.push(format!(
+                "shard {}: {waiting} requests counted as waiting",
+                shard.me()
+            ));
+        }
         for (id, e) in shard.directory().iter() {
             let tag = format!("mp{} @ shard {}", id, shard.me());
             if e.in_service {

@@ -177,7 +177,8 @@ pub fn free_slots() -> usize {
 
 /// Installs the process-wide SIGSEGV handler (once) and registers
 /// `region` with the built-in protection-upgrade ladder. Returns the
-/// region's fault counters.
+/// region's fault counters. A region whose protections are still staged
+/// is a [`HostMvError::BadTarget`].
 ///
 /// The registration holds the region alive (and its slot occupied) until
 /// [`FaultCounters::retire`] is called on the returned handle; dropping
@@ -206,6 +207,13 @@ fn register(
     region: Arc<MultiViewRegion>,
     resolver: Option<(FaultResolver, usize)>,
 ) -> Result<FaultCounters, HostMvError> {
+    if region.is_staged() {
+        // Its real protections still lag the shadow table the handler's
+        // decisions read.
+        return Err(HostMvError::BadTarget {
+            what: "staged protections not yet applied",
+        });
+    }
     let mut install_err = None;
     INSTALL.call_once(|| {
         // SAFETY: installing a SA_SIGINFO handler with an otherwise

@@ -7,7 +7,8 @@
 //! * `memfd_create` — the memory object backed by anonymous memory,
 //! * N+1 `mmap(MAP_SHARED)` calls over the same fd — the views (the last
 //!   one left permanently `PROT_READ|PROT_WRITE`: the privileged view),
-//! * `mprotect` — independent per-vpage protection within each view,
+//! * `mprotect` — independent per-vpage protection within each view (a
+//!   region's set-up protections may be staged and land in runs),
 //! * a `SIGSEGV` handler — the access-fault hook that a DSM uses to run
 //!   its coherence protocol; here it implements the protection-upgrade
 //!   ladder (`NoAccess → ReadOnly → ReadWrite`) and counts faults.

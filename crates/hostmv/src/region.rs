@@ -1,8 +1,9 @@
-//! The multi-view mapping: one memfd, many views, per-vpage protection.
+//! The multi-view mapping: one memfd, many views, per-vpage protection —
+//! set one page at a time or, during set-up, staged and landed in runs.
 
 use crate::error::HostMvError;
 use std::ptr;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// Protection of one vpage, mirroring the paper's three states.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,6 +62,12 @@ impl ViewLayout {
 /// Dropping the region unmaps every view and closes the memfd. A region
 /// registered with the fault handler is held alive by the registry (via
 /// `Arc`) until its registration is retired.
+///
+/// A region created [*staged*](MultiViewRegion::new_staged) takes its
+/// set-up protections in the shadow table only, and
+/// [`apply_staged`](MultiViewRegion::apply_staged) lands them with one
+/// `mprotect` per run of equal protection instead of one per page; from
+/// then on it is like any other region.
 pub struct MultiViewRegion {
     fd: libc::c_int,
     pub(crate) layout: ViewLayout,
@@ -68,6 +75,8 @@ pub struct MultiViewRegion {
     /// the fault handler's upgrade decision. Only meaningful for
     /// application views.
     prots: Vec<AtomicU8>,
+    /// Until `apply_staged`: `protect` writes only `prots`.
+    staged: AtomicBool,
 }
 
 // SAFETY: the raw base addresses are plain integers; all mutation of the
@@ -85,6 +94,19 @@ impl MultiViewRegion {
     /// Application views start `NoAccess`; the privileged view is
     /// read-write forever.
     pub fn new(pages: usize, views: usize) -> Result<MultiViewRegion, HostMvError> {
+        Self::create(pages, views, false)
+    }
+
+    /// [`new`](Self::new), staged: until
+    /// [`apply_staged`](Self::apply_staged), [`protect`](Self::protect)
+    /// records a protection in the shadow table and makes no syscall, so
+    /// no access may touch the application views in between (and the
+    /// fault handler refuses to register the region).
+    pub fn new_staged(pages: usize, views: usize) -> Result<MultiViewRegion, HostMvError> {
+        Self::create(pages, views, true)
+    }
+
+    fn create(pages: usize, views: usize, staged: bool) -> Result<MultiViewRegion, HostMvError> {
         if pages == 0 || views == 0 {
             return Err(HostMvError::BadTarget {
                 what: "degenerate region (zero pages or views)",
@@ -152,6 +174,7 @@ impl MultiViewRegion {
                 page_size,
             },
             prots,
+            staged: AtomicBool::new(staged),
         })
     }
 
@@ -227,7 +250,48 @@ impl MultiViewRegion {
                 what: "page out of range",
             });
         }
+        if self.is_staged() {
+            self.prots[view * self.layout.pages + page].store(prot as u8, Ordering::Release);
+            return Ok(());
+        }
         self.protect_raw(view, page, prot)
+    }
+
+    /// Whether protections are still staged (see
+    /// [`new_staged`](Self::new_staged)).
+    pub(crate) fn is_staged(&self) -> bool {
+        // Pairs with the Release store in `apply_staged`: who sees the
+        // region live sees the protections landed.
+        self.staged.load(Ordering::Acquire)
+    }
+
+    /// Lands the staged protections: per application view, one `mprotect`
+    /// per maximal run of pages with equal protection — none for a
+    /// `NoAccess` run, which is how the views were mapped. From then on
+    /// [`protect`](Self::protect) is immediate. Returns the `mprotect`
+    /// calls made: 0 on a region that was not staged.
+    pub fn apply_staged(&self) -> Result<usize, HostMvError> {
+        if !self.is_staged() {
+            return Ok(0);
+        }
+        let pages = self.layout.pages;
+        let mut calls = 0;
+        for view in 0..self.views() {
+            let mut page = 0;
+            while page < pages {
+                let prot = self.prot(view, page);
+                let run = (page..pages)
+                    .take_while(|&p| self.prot(view, p) == prot)
+                    .count();
+                if prot != HostProt::NoAccess {
+                    self.mprotect(view, page, run, prot)?;
+                    calls += 1;
+                }
+                page += run;
+            }
+        }
+        self.staged.store(false, Ordering::Release);
+        Ok(calls)
     }
 
     /// `mprotect` + shadow update; used by both [`protect`] and the
@@ -240,17 +304,34 @@ impl MultiViewRegion {
         page: usize,
         prot: HostProt,
     ) -> Result<(), HostMvError> {
+        self.mprotect(view, page, 1, prot)?;
+        self.prots[view * self.layout.pages + page].store(prot as u8, Ordering::Release);
+        Ok(())
+    }
+
+    /// Sets the real protection of `pages` pages of `view` from `page` on.
+    fn mprotect(
+        &self,
+        view: usize,
+        page: usize,
+        pages: usize,
+        prot: HostProt,
+    ) -> Result<(), HostMvError> {
         let l = &self.layout;
         let addr = l.bases[view] + page * l.page_size;
-        // SAFETY: addr/page_size describe one page of a mapping this
-        // region owns; changing its protection cannot create memory
+        // SAFETY: addr and the length describe whole pages of a mapping
+        // this region owns; changing their protection cannot create memory
         // unsafety by itself (accesses are checked by the MMU).
-        let rc =
-            unsafe { libc::mprotect(addr as *mut libc::c_void, l.page_size, prot.to_prot_flags()) };
+        let rc = unsafe {
+            libc::mprotect(
+                addr as *mut libc::c_void,
+                pages * l.page_size,
+                prot.to_prot_flags(),
+            )
+        };
         if rc != 0 {
             return Err(HostMvError::last_os("mprotect"));
         }
-        self.prots[view * l.pages + page].store(prot as u8, Ordering::Release);
         Ok(())
     }
 
