@@ -39,6 +39,9 @@ use std::sync::Arc;
 #[derive(Default)]
 pub(crate) struct Waiter {
     slot: Mutex<Option<Result<Completion, ProtocolError>>>,
+    /// Set, under the slot lock, once the slot is written: most probes
+    /// find the rendezvous still open and answer from this load alone.
+    done: AtomicBool,
 }
 
 impl Waiter {
@@ -49,18 +52,22 @@ impl Waiter {
     /// Server side: publishes the completion. The blocked thread looks
     /// again when the handler's turn ends (`sim_core::sched::Turn::Ran`).
     pub(crate) fn fulfill(&self, c: Completion) {
-        let mut slot = self.slot.lock();
-        if slot.is_none() {
-            *slot = Some(Ok(c));
-        }
+        self.resolve(Ok(c));
     }
 
     /// Fails the rendezvous with a typed error (a fulfilled waiter keeps
     /// its completion — failure never clobbers a result already won).
     pub(crate) fn fail(&self, e: ProtocolError) {
+        self.resolve(Err(e));
+    }
+
+    fn resolve(&self, outcome: Result<Completion, ProtocolError>) {
         let mut slot = self.slot.lock();
         if slot.is_none() {
-            *slot = Some(Err(e));
+            *slot = Some(outcome);
+            // Release pairs with `try_result`'s acquire: a probe that sees
+            // the flag finds the slot written.
+            self.done.store(true, Ordering::Release);
         }
     }
 
@@ -68,6 +75,9 @@ impl Waiter {
     /// completed. The condition an application thread parks on in the
     /// scheduler.
     pub(crate) fn try_result(&self) -> Option<Result<Completion, ProtocolError>> {
+        if !self.done.load(Ordering::Acquire) {
+            return None;
+        }
         self.slot.lock().clone()
     }
 }
@@ -1183,6 +1193,76 @@ impl HostCtx {
             let msg = Pmsg::new(MsgKind::Ack, self.host, 0).with_addr(addr);
             let dest = self.route_home(addr, Some(Category::Comp));
             self.send(dest, msg, 0);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_mem::Geometry;
+
+    fn completion(resume_vt: Ns) -> Completion {
+        Completion {
+            resume_vt,
+            addr: VAddr(0x40),
+        }
+    }
+
+    fn cancelled() -> ProtocolError {
+        ProtocolError::Cancelled {
+            host: HostId(0),
+            what: "test",
+        }
+    }
+
+    #[test]
+    fn a_waiter_answers_its_first_outcome_forever() {
+        let w = Waiter::new();
+        assert!(w.try_result().is_none(), "open until resolved");
+        w.fulfill(completion(7));
+        w.fail(cancelled());
+        w.fulfill(completion(9));
+        for _ in 0..2 {
+            assert!(matches!(w.try_result(), Some(Ok(c)) if c.resume_vt == 7));
+        }
+        let w = Waiter::new();
+        w.fail(cancelled());
+        w.fulfill(completion(7));
+        for _ in 0..2 {
+            assert!(matches!(
+                w.try_result(),
+                Some(Err(ProtocolError::Cancelled { .. }))
+            ));
+        }
+    }
+
+    #[test]
+    fn cancel_pending_fails_every_parked_waiter() {
+        let geo = Geometry::new(4, 2);
+        let home = HomeTable::new(HomePolicyKind::Centralized, 1, HostId(0), geo.clone());
+        let st = HostState::new(
+            HostId(0),
+            AddressSpace::new(geo),
+            Waiters::default(),
+            CostModel::default(),
+            Consistency::default(),
+            Arc::new(home),
+            DiagSink::default(),
+        );
+        let events = AtomicU64::new(1);
+        let mut parked: Vec<_> = (0..3).map(|_| st.register_waiter(&events).1).collect();
+        parked.push(Waiter::new());
+        st.prefetch_waiters.lock().insert(0, Arc::clone(&parked[3]));
+        assert!(parked.iter().all(|w| w.try_result().is_none()));
+        st.cancel_pending();
+        // A wait registered after the sweep fails at once.
+        parked.push(st.register_waiter(&events).1);
+        for w in &parked {
+            assert!(matches!(
+                w.try_result(),
+                Some(Err(ProtocolError::Cancelled { .. }))
+            ));
         }
     }
 }

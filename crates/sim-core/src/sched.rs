@@ -313,9 +313,13 @@ impl SchedMode {
     }
 
     /// The decision sequence the last run recorded under this mode (the
-    /// slot picked at each scheduling step). Empty before any run or under
-    /// partitioned execution (a total decision order only exists with one
-    /// partition). Feed it to [`SchedMode::replay`] to reproduce the run.
+    /// slot picked at each scheduling step). The scheduler hands its log
+    /// over at every quiescence verdict (idle or deadlock) and when it is
+    /// dropped, so once a run is quiescent the log holds every step taken
+    /// ([`Scheduler::steps`] of them); mid-run it ends at the last verdict.
+    /// Empty before any run and under partitioned execution (a total
+    /// decision order only exists with one partition). Feed it to
+    /// [`SchedMode::replay`] to reproduce the run.
     pub fn decisions(&self) -> Vec<u32> {
         lock(&self.log).clone()
     }
@@ -327,21 +331,25 @@ impl SchedMode {
 }
 
 /// How gated cross-host deliveries are exposed to the scheduler. The
-/// network fabric implements this: a cross-host send is *enqueued* keyed
-/// by its release time (arrival time floored by the per-link FIFO
-/// cumulative maximum), and the destination partition's dispatch loop
-/// *releases* packets in `(release, source)` order exactly when the
-/// canonical virtual-time order reaches them.
+/// network fabric implements this over its per-host mailboxes: a
+/// cross-host send is *parked* in the destination's mailbox keyed by its
+/// release time (arrival time floored by the per-link FIFO cumulative
+/// maximum), and the destination partition's dispatch loop *releases*
+/// packets in `(release, source)` order exactly when the canonical
+/// virtual-time order reaches them. Both methods run under the partition
+/// lock and may take only leaf locks (lock order: ctl → part → gate).
 pub trait DeliveryGate: Send + Sync {
     /// The earliest pending release among `hosts` (ascending) as
     /// `(release virtual time, destination)`, the lowest host winning a
     /// tie; `None` when nothing is pending for any of them. Called once
     /// per iteration of a partition's dispatch loop with the partition's
-    /// whole host set, and from the window barrier; must be cheap.
+    /// whole host set, and from the window barrier; must be cheap — the
+    /// fabric reads one atomic head mirror per host.
     fn min_pending(&self, hosts: &[HostId]) -> Option<(Ns, HostId)>;
 
-    /// Delivers the minimum pending packet for `host` into its inbox.
-    /// Must not re-enter the scheduler (the caller wakes `host` itself).
+    /// Delivers the minimum pending packet for `host`: its receiver takes
+    /// it after everything delivered before. Must not re-enter the
+    /// scheduler (the caller wakes `host` itself).
     fn release_next(&self, host: HostId);
 
     /// Delivers every fault-held (reorder-in-flight) packet, returning
@@ -528,6 +536,9 @@ struct PartState {
     /// partition's own hosts' entries are ever read; see module docs).
     wakes: Vec<u64>,
     steps: u64,
+    /// The decisions since the log was last handed to the mode (see
+    /// [`flush_log`]); recorded only when `Inner::record`.
+    log: Vec<u32>,
     policy: PolicyState,
 }
 
@@ -654,6 +665,8 @@ struct Inner {
     /// Whether dispatch decisions are recorded into the decision log
     /// (one partition only: a total order does not exist otherwise).
     record: bool,
+    /// The mode's decision log, which the partition's own log is handed
+    /// to at every quiescence verdict and on drop.
     log: Arc<Mutex<Vec<u32>>>,
     /// See [`Scheduler::hand_offs`]; shared with the mode like the log.
     hand_offs: Arc<AtomicU64>,
@@ -766,7 +779,8 @@ impl Scheduler {
         );
         let gating = matches!(m.policy, SchedPolicy::VirtualTime);
         let total_slots = keys.len();
-        m.log.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        // Freed, not cleared: the partition's log is swapped in whole.
+        *lock(&m.log) = Vec::new();
         m.hand_offs.store(0, Ordering::Relaxed);
         let mut part_keys: Vec<Vec<ThreadKey>> = vec![Vec::new(); nparts];
         for k in &keys {
@@ -833,6 +847,7 @@ impl Scheduler {
                         driver: None,
                         wakes: vec![0; host_part.len()],
                         steps: 0,
+                        log: Vec::new(),
                         policy,
                     }),
                     cvs,
@@ -1349,11 +1364,7 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
         let pick = chosen.unwrap_or(min_i);
         ps.steps += 1;
         if inner.record {
-            inner
-                .log
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(pick as u32);
+            ps.log.push(pick as u32);
         }
         // A parked thread's condition is re-checked right here: unmet, the
         // slot is blocked again — on the generation its own thread would
@@ -1563,6 +1574,10 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl, own: Option<usize>) -> Vec<usi
                 let live = |s: &Slot| s.key.class == ThreadClass::App && s.status != Status::Done;
                 lock(&part.state).slots.iter().any(live)
             });
+            // Idle or deadlocked, the run is quiescent: its log is whole.
+            for part in &inner.parts {
+                flush_log(inner, &mut lock(&part.state));
+            }
             if stuck_app {
                 // A blocked application thread nobody can ever wake: the
                 // schedule deadlocked. Poison so every thread unwinds
@@ -1615,6 +1630,31 @@ fn barrier_complete(inner: &Inner, ctl: &mut Ctl, own: Option<usize>) -> Vec<usi
         // The window's only events were packet releases to hosts with no
         // waiting receiver (drained by dispatch_in above); re-derive the
         // next window from what is left.
+    }
+}
+
+/// Hands partition `ps`'s decisions to the mode's log: moved in whole
+/// while that log is empty, appended to it after that — one buffer either
+/// way, never a copy of the whole run.
+fn flush_log(inner: &Inner, ps: &mut PartState) {
+    if ps.log.is_empty() {
+        return;
+    }
+    let mut log = lock(&inner.log);
+    if log.is_empty() {
+        std::mem::swap(&mut *log, &mut ps.log);
+    } else {
+        log.append(&mut ps.log);
+    }
+}
+
+impl Drop for Inner {
+    /// A run torn down without a last verdict (a panicking turn poisons
+    /// it) still leaves its whole decision log with the mode.
+    fn drop(&mut self) {
+        for part in &self.parts {
+            flush_log(self, &mut lock(&part.state));
+        }
     }
 }
 
@@ -2297,6 +2337,71 @@ mod tests {
             sched.quiesce_then(|| (0..hosts).for_each(|g| echo.send(&sched, g, None)));
         });
         mode.decisions()
+    }
+
+    /// Every host's application thread pings the next host's passive echo
+    /// server three times, waiting for each echo, and finishes.
+    fn ping_around(sched: &Scheduler, hosts: u16) -> Arc<Echo> {
+        let echo = Echo::new(hosts);
+        (0..hosts).for_each(|g| echo.passive_server(sched, g));
+        std::thread::scope(|scope| {
+            for h in 0..hosts {
+                let echo = &echo;
+                scope.spawn(move || {
+                    let t = sched.attach(ThreadKey::app(HostId(h), 0));
+                    for round in 1..=3 {
+                        echo.send(sched, (h + 1) % hosts, Some(h));
+                        let echoed = || {
+                            (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(())
+                        };
+                        let outcome = t.yield_then_block(10 * round, echoed);
+                        assert!(matches!(outcome, BlockOutcome::Ready(())));
+                    }
+                });
+            }
+        });
+        echo
+    }
+
+    /// The scheduler keeps its decisions to itself while it runs; the mode
+    /// holds all of them once the run is quiescent — before the scheduler
+    /// drops, and again after `quiesce_then` ran more turns, as the two
+    /// parts one after the other. A partitioned run records nothing.
+    #[test]
+    fn the_decision_log_is_whole_once_the_run_is_quiescent() {
+        let mode = SchedMode::deterministic();
+        let sched = Scheduler::new(&mode, server_app_keys(2));
+        let echo = ping_around(&sched, 2);
+        let first = mode.decisions();
+        assert!(!first.is_empty());
+        assert_eq!(
+            first.len() as u64,
+            sched.steps(),
+            "whole at the idle verdict"
+        );
+        sched.quiesce_then(|| (0..2).for_each(|g| echo.send(&sched, g, None)));
+        let all = mode.decisions();
+        assert_eq!(
+            all.len() as u64,
+            sched.steps(),
+            "whole after the shutdown turns"
+        );
+        assert!(all.len() > first.len());
+        assert_eq!(
+            all[..first.len()],
+            first[..],
+            "the later turns are appended"
+        );
+
+        let mode = SchedMode::deterministic();
+        let sched = Scheduler::new_parallel(&mode, server_app_keys(2), vec![0, 1], 2, 10);
+        let echo = ping_around(&sched, 2);
+        sched.quiesce_then(|| (0..2).for_each(|g| echo.send(&sched, g, None)));
+        assert!(sched.steps() > 0);
+        assert!(
+            mode.decisions().is_empty(),
+            "no total order across partitions"
+        );
     }
 
     #[test]

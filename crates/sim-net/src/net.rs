@@ -1,23 +1,27 @@
-//! The message fabric: per-host endpoints over reliable FIFO channels.
+//! The message fabric: one mailbox per host, reliable FIFO per link.
+//!
+//! A Millipage host receives by polling one FastMessages queue (§3.5.1).
+//! Here every packet addressed to a host lands in that host's mailbox: one
+//! mutex over the per-sender delivery-gate stamps, the packets parked for
+//! the gate, and the ready FIFO its [`Endpoint`] receives from. Under a
+//! gating scheduler (the canonical virtual-time policy) a cross-host packet
+//! is *parked*, sorted by `(release_vt, from, seq)`, until the scheduler
+//! releases it into the ready FIFO (see [`DeliveryGate`]); every other
+//! delivery — ungated fabrics, self-sends, shutdown-era external sends —
+//! goes straight to the ready FIFO, in call order.
 //!
 //! With the [`FaultPlane`] inactive (the default) the fabric is the
-//! reliable, FIFO-ordered wire FM promises and nothing here costs anything
-//! beyond the channel send. With an active plane the raw wire drops,
-//! duplicates, jitters and reorders packets, and this module layers the
-//! reliable channel FM actually implements over Myrinet on top of it:
+//! reliable, FIFO-ordered wire FM promises. With an active plane the raw
+//! wire drops, duplicates, jitters and reorders packets, and this module
+//! layers the reliable channel FM builds over Myrinet on top of it:
 //!
-//! * per-(sender, destination) **wire sequence numbers**, stamped at send,
-//! * **virtual-time retransmission** with exponential backoff — a dropped
-//!   transmission costs the sender `rto·2^retry` virtual ns and the packet
-//!   that finally arrives carries the accumulated penalty in its
-//!   `arrival_vt` (the real channel delivers it once; the losses are
-//!   accounted, not re-executed),
-//! * **receive-side dedup and resequencing**: duplicates are suppressed,
-//!   out-of-order arrivals are parked until the gap fills, and delivery to
-//!   the caller is exactly-once in FIFO order per sender,
-//! * a **cumulative-ack watermark** per link, advanced on in-order
-//!   delivery, so a run can prove every assigned sequence number was
-//!   delivered and acknowledged.
+//! * per-link **wire sequence numbers**, stamped at send,
+//! * **virtual-time retransmission** with exponential backoff: each lost
+//!   transmission adds `rto·2^retry` virtual ns to the arrival stamp of
+//!   the copy that finally arrives (accounted, not re-executed),
+//! * **receive-side dedup and resequencing**: exactly-once FIFO per sender,
+//! * a **cumulative-ack watermark** per link, so a run can prove every
+//!   assigned sequence number was delivered.
 
 use crate::fault::{backoff_penalty, FaultPlane, ScriptedKind, SendReceipt};
 use sim_core::clock::Ns;
@@ -27,13 +31,12 @@ use sim_core::{CostModel, Counter, HostId, LogHistogram, SplitMix64};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::time::Duration;
 
-/// How long a fault-mode blocking receive parks before re-checking the
-/// per-link holdback slots for packets stashed by a sender that has since
-/// gone quiet. Pure wall-clock plumbing; carries no virtual time.
+/// How long a blocking receive waits before looking again — under a fault
+/// plane, at the holdback slots of senders that have since gone quiet.
+/// Pure wall-clock plumbing; carries no virtual time.
 const RESCUE_POLL: Duration = Duration::from_millis(5);
 
 /// A message in flight.
@@ -68,7 +71,8 @@ pub struct Packet<M> {
 /// Receive-side failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecvError {
-    /// All senders are gone; no message can ever arrive.
+    /// No message can ever arrive. An endpoint keeps its fabric alive, so
+    /// this fabric never returns it; receive loops match it to stay total.
     Disconnected,
     /// No message currently queued (only from `try_recv`).
     Empty,
@@ -128,40 +132,130 @@ struct FaultState<M> {
     delay: Mutex<LogHistogram>,
 }
 
-/// Per-link delivery-gate state: the cumulative maximum of release stamps
-/// handed out on this link (enforcing FIFO release order per link even
-/// when fault backoff inverts raw arrival stamps) and a per-link tie-break
-/// sequence for packets released at the same virtual time.
+/// Delivery-gate stamps of one `(sender, destination)` link: the
+/// cumulative maximum of its release stamps and the tie-break sequence for
+/// packets released at the same virtual time.
+#[derive(Clone, Copy, Default)]
 struct GateLink {
     cummax: Ns,
     next_seq: u64,
 }
 
-/// Release order of parked packets at one destination: release stamp,
-/// then sender, then per-link sequence number.
-type GateQueue<M> = BTreeMap<(Ns, HostId, u64), Packet<M>>;
+/// What one host's mailbox holds, all under its one lock.
+struct MailState<M> {
+    /// Gate stamps of the link from each sender to this host.
+    links: Vec<GateLink>,
+    /// Gated packets with their link sequence number, sorted by
+    /// `(release_vt, from, seq)` *descending*: the next release is last.
+    parked: Vec<(u64, Packet<M>)>,
+    /// Packets the endpoint receives next, in delivery order.
+    ready: VecDeque<Packet<M>>,
+    /// Unscheduled [`Endpoint::recv`] callers waiting on `arrived`.
+    waiting: usize,
+    /// Set when the endpoint is dropped: a delivery then fails.
+    closed: bool,
+}
 
-/// The conservative delivery gate, present only when the attached
-/// scheduler runs the canonical virtual-time policy.
-///
-/// Cross-host packets are parked here instead of going straight into the
-/// destination inbox; the scheduler's dispatch loop releases them in
-/// `(release_vt, from, seq)` order, interleaved with thread dispatches
-/// through the virtual-time total order. This is what makes partitioned
-/// execution byte-identical to the sequential schedule: delivery becomes
-/// an explicitly ordered event instead of a racy channel send.
-struct GateState<M> {
-    /// `hosts × hosts` link stamps, indexed `from * hosts + to`.
-    links: Vec<Mutex<GateLink>>,
-    /// Per-destination pending queue ordered by `(release_vt, from, seq)`.
-    queues: Vec<Mutex<GateQueue<M>>>,
-    /// Per-destination mirror of the minimum pending release stamp
-    /// (`Ns::MAX` when empty), readable without taking the queue lock.
-    mins: Vec<AtomicU64>,
+/// One host's receive side: every packet addressed to the host, parked or
+/// ready, under one leaf lock (lock order: scheduler ctl → part → mailbox).
+struct Mailbox<M> {
+    state: Mutex<MailState<M>>,
+    /// The earliest parked release stamp (`Ns::MAX` when none): stored
+    /// (`Release`) under the lock, loaded (`Acquire`) by the gate poll.
+    head: AtomicU64,
+    /// Where an unscheduled [`Endpoint::recv`] waits for a delivery;
+    /// notified only when someone waits.
+    arrived: Condvar,
+}
+
+impl<M> Mailbox<M> {
+    fn new(hosts: usize) -> Self {
+        Self {
+            state: Mutex::new(MailState {
+                links: vec![GateLink::default(); hosts],
+                parked: Vec::new(),
+                ready: VecDeque::new(),
+                waiting: 0,
+                closed: false,
+            }),
+            head: AtomicU64::new(Ns::MAX),
+            arrived: Condvar::new(),
+        }
+    }
+
+    /// Every update leaves the state valid, so a poisoned lock is
+    /// recovered (the endpoint's `Drop` takes it).
+    fn lock(&self) -> MutexGuard<'_, MailState<M>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Appends `pkt` to the ready FIFO under `st`, this mailbox's lock;
+    /// hands it back when the endpoint is gone.
+    fn push(&self, mut st: MutexGuard<MailState<M>>, pkt: Packet<M>) -> Result<(), Packet<M>> {
+        if st.closed {
+            return Err(pkt);
+        }
+        st.ready.push_back(pkt);
+        let waiter = st.waiting > 0;
+        drop(st);
+        if waiter {
+            self.arrived.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Parks a cross-host packet for the delivery gate. Its release stamp
+    /// is the cumulative maximum of arrival stamps on its link, so releases
+    /// on one link are FIFO even when fault backoff inverts raw arrivals.
+    fn park(&self, mut pkt: Packet<M>) {
+        let mut st = self.lock();
+        let link = &mut st.links[pkt.from.index()];
+        link.cummax = link.cummax.max(pkt.arrival_vt);
+        pkt.release_vt = link.cummax;
+        let seq = link.next_seq;
+        link.next_seq += 1;
+        let key = (pkt.release_vt, pkt.from, seq);
+        let at = st
+            .parked
+            .partition_point(|(s, p)| (p.release_vt, p.from, *s) > key);
+        st.parked.insert(at, (seq, pkt));
+        self.publish_head(&st);
+    }
+
+    /// Moves the earliest parked packet to the ready FIFO; hands it back
+    /// when the endpoint is gone.
+    fn release(&self) -> Result<(), Packet<M>> {
+        let mut st = self.lock();
+        let (_, pkt) = st
+            .parked
+            .pop()
+            .expect("release_next on an empty gate queue");
+        self.publish_head(&st);
+        self.push(st, pkt)
+    }
+
+    fn publish_head(&self, st: &MailState<M>) {
+        let head = st.parked.last().map_or(Ns::MAX, |(_, p)| p.release_vt);
+        self.head.store(head, Ordering::Release);
+    }
+
+    /// Pops the ready FIFO's head, or with `wait` and an empty FIFO first
+    /// waits up to [`RESCUE_POLL`] for a delivery.
+    fn pop(&self, wait: bool) -> Option<Packet<M>> {
+        let mut st = self.lock();
+        if wait && st.ready.is_empty() {
+            st.waiting += 1;
+            let woken = self.arrived.wait_timeout(st, RESCUE_POLL);
+            st = woken.unwrap_or_else(PoisonError::into_inner).0;
+            st.waiting -= 1;
+        }
+        st.ready.pop_front()
+    }
 }
 
 struct Fabric<M> {
-    inboxes: Vec<Sender<Packet<M>>>,
+    /// One mailbox per host, shared with the delivery gate.
+    mailboxes: Arc<[Mailbox<M>]>,
     cost: CostModel,
     stats: NetStats,
     /// Always-on per-link traffic counters: `hosts × hosts × 2` cells of
@@ -169,13 +263,9 @@ struct Fabric<M> {
     /// relaxed bumps per send; feeds the diagnose command's wire summary.
     link_traffic: Vec<AtomicU64>,
     faults: Option<FaultState<M>>,
-    /// Deterministic scheduler to notify on every delivery (a delivery may
-    /// unblock the destination's receive loop). Unset on a fabric used on
-    /// its own, whose receivers block in [`Endpoint::recv`].
+    /// Deterministic scheduler to notify on every delivery (it may unblock
+    /// the destination). Unset on a fabric used on its own.
     sched: OnceLock<Scheduler>,
-    /// Conservative delivery gate; installed by `attach_scheduler` when the
-    /// scheduler gates deliveries (canonical virtual-time policy).
-    gate: OnceLock<GateState<M>>,
 }
 
 /// A handle to the simulated interconnect.
@@ -222,13 +312,6 @@ impl<M: Send + Clone> Network<M> {
             (1..=HostId::MAX_HOSTS).contains(&hosts),
             "host count {hosts} out of range"
         );
-        let mut inboxes = Vec::with_capacity(hosts);
-        let mut receivers = Vec::with_capacity(hosts);
-        for _ in 0..hosts {
-            let (tx, rx) = channel();
-            inboxes.push(tx);
-            receivers.push(rx);
-        }
         let faults = plane.is_active().then(|| {
             let mut seed_rng = SplitMix64::new(plane.seed);
             let links = (0..hosts * hosts)
@@ -250,25 +333,21 @@ impl<M: Send + Clone> Network<M> {
         });
         let net = Network {
             fabric: Arc::new(Fabric {
-                inboxes,
+                mailboxes: (0..hosts).map(|_| Mailbox::new(hosts)).collect(),
                 cost,
                 stats: NetStats::default(),
                 link_traffic: (0..hosts * hosts * 2).map(|_| AtomicU64::new(0)).collect(),
                 faults,
                 sched: OnceLock::new(),
-                gate: OnceLock::new(),
             }),
         };
-        let endpoints = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| Endpoint {
+        let endpoints = (0..hosts)
+            .map(|i| Endpoint {
                 host: HostId(i as u16),
                 rel: net
                     .fault_active()
                     .then(|| RefCell::new(RelState::new(hosts))),
                 net: net.clone(),
-                inbox: rx,
                 tracer: RefCell::new(TraceRecorder::disabled()),
             })
             .collect();
@@ -277,7 +356,7 @@ impl<M: Send + Clone> Network<M> {
 
     /// Number of hosts on the fabric.
     pub fn hosts(&self) -> usize {
-        self.fabric.inboxes.len()
+        self.fabric.mailboxes.len()
     }
 
     /// Traffic statistics.
@@ -515,21 +594,16 @@ impl<M: Send + Clone> Network<M> {
         }
     }
 
-    /// Physically enqueues a packet, tolerating a torn-down receiver: a
-    /// host that exited early absorbs late protocol traffic into the
-    /// `send_failures` counter instead of panicking the sender.
-    ///
-    /// Under a gating scheduler (canonical virtual-time policy) cross-host
-    /// packets are parked in the delivery gate instead, to be released by
-    /// the scheduler in `(release_vt, from, seq)` order; self-deliveries
-    /// (local handler calls, not wire traffic) and shutdown-era external
-    /// deliveries (issued under `Scheduler::quiesce_then`, when no
-    /// simulated thread runs) still go straight into the inbox.
+    /// Physically enqueues a packet. Under a gating scheduler a cross-host
+    /// packet is parked in the destination's mailbox for the scheduler to
+    /// release; self-deliveries (local handler calls, not wire traffic) and
+    /// shutdown-era external deliveries (under `Scheduler::quiesce_then`,
+    /// when no simulated thread runs) go straight to the ready FIFO.
     fn deliver(&self, pkt: Packet<M>) {
         match self.fabric.sched.get() {
             Some(sched) if sched.gating() => {
                 if pkt.from != pkt.to && !sched.external_active() {
-                    self.gate_enqueue(pkt);
+                    self.fabric.mailboxes[pkt.to.index()].park(pkt);
                 } else {
                     let to = pkt.to;
                     self.deliver_raw(pkt);
@@ -538,49 +612,26 @@ impl<M: Send + Clone> Network<M> {
             }
             Some(sched) => {
                 self.deliver_raw(pkt);
-                // Every successful delivery may unblock the destination's
-                // receive loop: tell the deterministic scheduler so the
-                // receiver becomes a candidate again.
+                // Any delivery may unblock the destination's receiver.
                 sched.bump_action();
             }
             None => self.deliver_raw(pkt),
         }
     }
 
-    /// The raw physical enqueue: inbox send plus failure accounting, no
-    /// scheduler interaction. Gate release paths call this directly — the
-    /// scheduler's dispatch loop accounts the delivery itself, and
-    /// re-entering the scheduler from under its own locks would deadlock.
+    /// The raw enqueue into the ready FIFO, with no scheduler interaction.
+    /// A host that exited early absorbs late traffic into `send_failures`
+    /// instead of panicking the sender.
     fn deliver_raw(&self, pkt: Packet<M>) {
-        if self.fabric.inboxes[pkt.to.index()].send(pkt).is_err() {
+        let mailbox = &self.fabric.mailboxes[pkt.to.index()];
+        if mailbox.push(mailbox.lock(), pkt).is_err() {
             self.fabric.stats.send_failures.bump();
         }
     }
 
-    /// Parks a cross-host packet in the delivery gate. The release stamp is
-    /// the cumulative maximum of arrival stamps on its link, so releases on
-    /// one link are FIFO even when fault backoff inverts raw arrivals.
-    fn gate_enqueue(&self, mut pkt: Packet<M>) {
-        let gate = self.fabric.gate.get().expect("delivery gate installed");
-        let li = self.link_index(pkt.from, pkt.to);
-        let (release, seq) = {
-            let mut link = gate.links[li].lock().expect("gate link lock");
-            let release = pkt.arrival_vt.max(link.cummax);
-            link.cummax = release;
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            (release, seq)
-        };
-        pkt.release_vt = release;
-        let di = pkt.to.index();
-        let mut q = gate.queues[di].lock().expect("gate queue lock");
-        q.insert((release, pkt.from, seq), pkt);
-        let min = q.keys().next().map_or(Ns::MAX, |k| k.0);
-        gate.mins[di].store(min, Ordering::Release);
-    }
-
     /// Attaches the deterministic scheduler so deliveries count as
-    /// potentially-unblocking actions. Later attachments are ignored.
+    /// potentially-unblocking actions, and hands a gating one the
+    /// mailboxes as its delivery gate. Later attachments are ignored.
     pub fn attach_scheduler(&self, sched: &Scheduler)
     where
         M: 'static,
@@ -589,44 +640,23 @@ impl<M: Send + Clone> Network<M> {
             return;
         }
         if sched.gating() {
-            let hosts = self.hosts();
-            let _ = self.fabric.gate.set(GateState {
-                links: (0..hosts * hosts)
-                    .map(|_| {
-                        Mutex::new(GateLink {
-                            cummax: 0,
-                            next_seq: 0,
-                        })
-                    })
-                    .collect(),
-                queues: (0..hosts).map(|_| Mutex::new(BTreeMap::new())).collect(),
-                mins: (0..hosts).map(|_| AtomicU64::new(Ns::MAX)).collect(),
-            });
             sched.set_gate(Arc::new(GateHandle {
+                mailboxes: Arc::clone(&self.fabric.mailboxes),
                 fabric: Arc::downgrade(&self.fabric),
             }));
         }
     }
 
-    /// Whether the delivery gate is active (gating scheduler attached).
-    fn gated(&self) -> bool {
-        self.fabric.gate.get().is_some()
-    }
-
     /// Flushes any reorder-holdback packets destined to `to` into its
-    /// inbox. Called by the receiver before parking, so a stashed packet
-    /// whose sender went quiet cannot deadlock the destination. Returns
-    /// whether anything was flushed.
-    ///
-    /// Inert under a gating scheduler: receiver-driven flushes would race
-    /// the canonical schedule. There the scheduler itself flushes held
-    /// packets, at the deterministic global-idle point (see
-    /// [`DeliveryGate::flush_held`]).
+    /// mailbox, so a stashed packet whose sender went quiet cannot deadlock
+    /// the receiver. Returns whether anything was flushed. Inert under a
+    /// gating scheduler, which flushes at its deterministic global-idle
+    /// point instead ([`DeliveryGate::flush_held`]).
     fn flush_held_to(&self, to: HostId) -> bool {
         let Some(faults) = &self.fabric.faults else {
             return false;
         };
-        if self.gated() {
+        if self.fabric.sched.get().is_some_and(Scheduler::gating) {
             return false;
         }
         let hosts = self.hosts();
@@ -650,44 +680,28 @@ impl<M: Send + Clone> Network<M> {
     }
 }
 
-/// The scheduler-facing view of the delivery gate.
-///
-/// Holds the fabric weakly: the scheduler outlives the run's network in
-/// some teardown orders, and a strong reference here would cycle
-/// (fabric → scheduler → gate → fabric) and leak every run. A dead fabric
-/// degrades to "nothing pending".
+/// The scheduler-facing view of the delivery gate: the fabric's mailboxes.
+/// The fabric itself is held weakly, for the rare paths that need it: a
+/// strong reference would cycle (fabric → scheduler → gate → fabric).
 struct GateHandle<M> {
+    mailboxes: Arc<[Mailbox<M>]>,
     fabric: Weak<Fabric<M>>,
 }
 
 impl<M: Send + Clone + 'static> DeliveryGate for GateHandle<M> {
     fn min_pending(&self, hosts: &[HostId]) -> Option<(Ns, HostId)> {
-        // One upgrade and one pass over the lock-free `mins` mirror per
-        // call: the scheduler polls once per dispatch iteration.
-        let fabric = self.fabric.upgrade()?;
-        let gate = fabric.gate.get().expect("delivery gate installed");
         hosts
             .iter()
-            .map(|&h| (gate.mins[h.index()].load(Ordering::Acquire), h))
+            .map(|&h| (self.mailboxes[h.index()].head.load(Ordering::Acquire), h))
             .filter(|&(r, _)| r != Ns::MAX)
             .min()
     }
 
     fn release_next(&self, host: HostId) {
-        let Some(fabric) = self.fabric.upgrade() else {
-            return;
-        };
-        let net = Network { fabric };
-        let gate = net.fabric.gate.get().expect("delivery gate installed");
-        let pkt = {
-            let mut q = gate.queues[host.index()].lock().expect("gate queue lock");
-            let key = *q.keys().next().expect("release_next on empty gate queue");
-            let pkt = q.remove(&key).expect("gate queue entry");
-            let min = q.keys().next().map_or(Ns::MAX, |k| k.0);
-            gate.mins[host.index()].store(min, Ordering::Release);
-            pkt
-        };
-        net.deliver_raw(pkt);
+        let closed = self.mailboxes[host.index()].release().is_err();
+        if let (true, Some(fabric)) = (closed, self.fabric.upgrade()) {
+            fabric.stats.send_failures.bump();
+        }
     }
 
     fn flush_held(&self) -> Vec<HostId> {
@@ -739,20 +753,28 @@ impl<M> RelState<M> {
     }
 }
 
-/// One host's attachment to the fabric: its inbox plus a send handle.
+/// One host's attachment to the fabric: the receive side of its mailbox
+/// plus a send handle. Dropping it closes the mailbox: later deliveries to
+/// the host count as `send_failures`.
 pub struct Endpoint<M> {
     host: HostId,
     net: Network<M>,
-    inbox: Receiver<Packet<M>>,
     /// Reliable-channel receive state; present only under an active fault
-    /// plane. Like the tracer, an endpoint is single-thread-owned, so the
-    /// `RefCell` never contends.
+    /// plane. An endpoint is single-thread-owned: its `RefCell`s never
+    /// contend.
     rel: Option<RefCell<RelState<M>>>,
-    /// Protocol tracer for sends issued through this endpoint (the host's
-    /// server thread). Inert unless [`attach_tracer`](Self::attach_tracer)
-    /// installed an enabled recorder; an endpoint is single-thread-owned,
-    /// so the `RefCell` never contends.
+    /// Protocol tracer for sends issued through this endpoint. Inert
+    /// unless [`attach_tracer`](Self::attach_tracer) installed an enabled
+    /// recorder.
     tracer: RefCell<TraceRecorder>,
+}
+
+impl<M> Drop for Endpoint<M> {
+    fn drop(&mut self) {
+        let mut st = self.net.fabric.mailboxes[self.host.index()].lock();
+        st.closed = true;
+        st.ready.clear();
+    }
 }
 
 impl<M: Send + Clone> Endpoint<M> {
@@ -764,6 +786,10 @@ impl<M: Send + Clone> Endpoint<M> {
     /// The underlying network handle.
     pub fn network(&self) -> &Network<M> {
         &self.net
+    }
+
+    fn mailbox(&self) -> &Mailbox<M> {
+        &self.net.fabric.mailboxes[self.host.index()]
     }
 
     /// Installs a recorder that logs a `MsgSend` event for every send
@@ -791,25 +817,18 @@ impl<M: Send + Clone> Endpoint<M> {
         let receipt = self
             .net
             .send_receipt(self.host, to, msg, payload_bytes, now);
-        if receipt.drops > 0 {
-            let mut t = self.tracer.borrow_mut();
-            if t.enabled() {
-                for retry in 1..=receipt.drops {
-                    t.emit(now, TraceKind::PktDropped, |e| {
+        let mut t = self.tracer.borrow_mut();
+        if receipt.drops > 0 && t.enabled() {
+            let faults = self.net.fabric.faults.as_ref();
+            let budget = faults.map_or(0, |f| f.plane.max_retransmits);
+            for retry in 1..=receipt.drops {
+                t.emit(now, TraceKind::PktDropped, |e| {
+                    e.with_peer(to).with_aux(retry)
+                });
+                if retry <= budget {
+                    t.emit(now, TraceKind::Retransmit, |e| {
                         e.with_peer(to).with_aux(retry)
                     });
-                    if retry
-                        <= self
-                            .net
-                            .fabric
-                            .faults
-                            .as_ref()
-                            .map_or(0, |f| f.plane.max_retransmits)
-                    {
-                        t.emit(now, TraceKind::Retransmit, |e| {
-                            e.with_peer(to).with_aux(retry)
-                        });
-                    }
                 }
             }
         }
@@ -823,58 +842,43 @@ impl<M: Send + Clone> Endpoint<M> {
     /// duplicates are suppressed, out-of-order packets are parked until
     /// their gap fills, and delivery is exactly-once FIFO per sender.
     pub fn recv(&self) -> Result<Packet<M>, RecvError> {
-        let Some(rel) = &self.rel else {
-            return self.inbox.recv().map_err(|_| RecvError::Disconnected);
-        };
-        loop {
-            if let Some(p) = rel.borrow_mut().ready.pop_front() {
-                return Ok(p);
-            }
-            match self.inbox.try_recv() {
-                Ok(p) => self.sequence(rel, p),
-                Err(TryRecvError::Disconnected) => return Err(RecvError::Disconnected),
-                Err(TryRecvError::Empty) => {
-                    // A sender may have stashed a packet for us in a
-                    // holdback slot and gone quiet; rescue it rather than
-                    // blocking forever, then park briefly so the race
-                    // between a stash and this flush stays bounded.
-                    if self.net.flush_held_to(self.host) {
-                        continue;
-                    }
-                    match self.inbox.recv_timeout(RESCUE_POLL) {
-                        Ok(p) => self.sequence(rel, p),
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => return Err(RecvError::Disconnected),
-                    }
-                }
-            }
-        }
+        self.receive(true)
     }
 
     /// Non-blocking receive (reliable-channel semantics under an active
     /// fault plane, as for [`recv`](Self::recv)).
     pub fn try_recv(&self) -> Result<Packet<M>, RecvError> {
-        let Some(rel) = &self.rel else {
-            return self.inbox.try_recv().map_err(|e| match e {
-                TryRecvError::Empty => RecvError::Empty,
-                TryRecvError::Disconnected => RecvError::Disconnected,
-            });
-        };
-        let mut flushed_once = false;
+        self.receive(false)
+    }
+
+    fn receive(&self, block: bool) -> Result<Packet<M>, RecvError> {
+        let mut flushed = false;
         loop {
+            let Some(rel) = &self.rel else {
+                match self.mailbox().pop(block) {
+                    Some(p) => return Ok(p),
+                    None if block => continue,
+                    None => return Err(RecvError::Empty),
+                }
+            };
             if let Some(p) = rel.borrow_mut().ready.pop_front() {
                 return Ok(p);
             }
-            match self.inbox.try_recv() {
-                Ok(p) => self.sequence(rel, p),
-                Err(TryRecvError::Disconnected) => return Err(RecvError::Disconnected),
-                Err(TryRecvError::Empty) => {
-                    if !flushed_once && self.net.flush_held_to(self.host) {
-                        flushed_once = true;
-                        continue;
-                    }
-                    return Err(RecvError::Empty);
-                }
+            if let Some(p) = self.mailbox().pop(false) {
+                self.sequence(rel, p);
+                continue;
+            }
+            // A sender may have stashed a packet for us in a holdback slot
+            // and gone quiet: rescue it (looking once when not blocking),
+            // then wait briefly so a stash racing this flush stays bounded.
+            if (block || !flushed) && self.net.flush_held_to(self.host) {
+                flushed = true;
+                continue;
+            }
+            match self.mailbox().pop(block) {
+                Some(p) => self.sequence(rel, p),
+                None if block => {}
+                None => return Err(RecvError::Empty),
             }
         }
     }
@@ -906,16 +910,11 @@ impl<M: Send + Clone> Endpoint<M> {
             st.ready.push_back(pkt);
             // The gap just closed may release parked successors.
             loop {
-                let released = {
-                    let peer = &mut st.peers[from.index()];
-                    match peer.parked.remove(&peer.next) {
-                        Some(p) => {
-                            peer.next += 1;
-                            p
-                        }
-                        None => break,
-                    }
+                let peer = &mut st.peers[from.index()];
+                let Some(released) = peer.parked.remove(&peer.next) else {
+                    break;
                 };
+                peer.next += 1;
                 self.net.ack(from, self.host, released.wire_seq);
                 st.ready.push_back(released);
             }
@@ -930,6 +929,8 @@ impl<M: Send + Clone> Endpoint<M> {
 mod tests {
     use super::*;
     use crate::fault::ScriptedFault;
+    use proptest::prelude::*;
+    use sim_core::sched::{SchedMode, ThreadKey, Turn};
 
     #[test]
     fn arrival_stamp_uses_latency_model() {
@@ -1141,5 +1142,160 @@ mod tests {
         // must degrade into a counter instead.
         eps[0].send(HostId(1), 1, 0, 0);
         assert_eq!(net.stats().send_failures.get(), 1);
+    }
+
+    /// A fabric of `hosts` hosts under a gating scheduler that never
+    /// releases anything itself: its one slot is host `hosts`'s idle
+    /// server, one host past the ones under test, and the scheduler's gate
+    /// poll only looks at the hosts of its slots. The run is started and
+    /// quiescent, so [`Scheduler::quiesce_then`] sends as an external
+    /// actor. Returns the scheduler, the fabric, its endpoints and a gate
+    /// handle over its mailboxes like the one the scheduler was given.
+    fn idle_gated(hosts: usize, plane: FaultPlane) -> GatedFabric {
+        let idle = ThreadKey::server(HostId(hosts as u16));
+        let sched = Scheduler::new(&SchedMode::deterministic(), vec![idle]);
+        sched.attach_passive(idle, Box::new(|| Turn::Idle { vt: 0 }));
+        let (net, eps) = Network::with_faults(hosts + 1, CostModel::default(), plane);
+        net.attach_scheduler(&sched);
+        let gate = GateHandle {
+            mailboxes: Arc::clone(&net.fabric.mailboxes),
+            fabric: Arc::downgrade(&net.fabric),
+        };
+        (sched, net, eps, gate)
+    }
+
+    type GatedFabric = (Scheduler, Network<u64>, Vec<Endpoint<u64>>, GateHandle<u64>);
+
+    /// Release order: the `(release_vt, from, seq)` key the mailbox sorts
+    /// its parked packets by.
+    type Key = (Ns, HostId, u64);
+
+    proptest! {
+        /// The mailbox releases in the order of a `BTreeMap` keyed by
+        /// `(release_vt, from, seq)`: 2–5 senders send to each other at
+        /// stamps drawn from four values
+        /// (ties on and across links, arrival inversions on a link),
+        /// interleaved with global and per-host releases, self and
+        /// external deliveries, and receives. After every step the gate's
+        /// `min_pending` must name the model's earliest key; every released
+        /// packet must carry the model's release stamp; and every receive
+        /// must return what the model's ready FIFO holds next.
+        #[test]
+        fn the_mailbox_releases_in_the_btreemap_order(
+            hosts in 2usize..6,
+            ops in proptest::collection::vec((0u8..10, 0usize..5, 0usize..5, 0u64..4), 1..160),
+        ) {
+            let (sched, net, eps, gate) = idle_gated(hosts, FaultPlane::disabled());
+            let all: Vec<HostId> = (0..=hosts).map(|h| HostId(h as u16)).collect();
+            let mut parked: Vec<BTreeMap<Key, u64>> = vec![BTreeMap::new(); hosts];
+            let mut ready: Vec<VecDeque<(u64, Ns)>> = vec![VecDeque::new(); hosts];
+            let mut links: BTreeMap<(usize, usize), (Ns, u64)> = BTreeMap::new();
+            let model_min = |parked: &[BTreeMap<Key, u64>]| {
+                (0..hosts)
+                    .filter_map(|h| parked[h].keys().next().map(|k| (k.0, HostId(h as u16))))
+                    .min()
+            };
+            let release = |h: usize, parked: &mut [BTreeMap<Key, u64>], ready: &mut [VecDeque<(u64, Ns)>]| {
+                gate.release_next(HostId(h as u16));
+                let ((r, _, _), id) = parked[h].pop_first().expect("model has it parked");
+                ready[h].push_back((id, r));
+            };
+            for (id, &(kind, a, b, stamp)) in ops.iter().enumerate() {
+                let (from, mut to) = (a % hosts, b % hosts);
+                let (id, vt) = (id as u64, stamp * 1_000);
+                match kind {
+                    0..=4 => {
+                        if to == from {
+                            to = (to + 1) % hosts;
+                        }
+                        let arrival = eps[from].send(HostId(to as u16), id, 0, vt);
+                        let (cummax, seq) = links.entry((from, to)).or_insert((0, 0));
+                        *cummax = arrival.max(*cummax);
+                        parked[to].insert((*cummax, HostId(from as u16), *seq), id);
+                        *seq += 1;
+                    }
+                    5 => {
+                        eps[from].send(HostId(from as u16), id, 0, vt);
+                        ready[from].push_back((id, 0));
+                    }
+                    6 => {
+                        sched.quiesce_then(|| {
+                            net.send(HostId(from as u16), HostId(to as u16), id, 0, vt);
+                        });
+                        ready[to].push_back((id, 0));
+                    }
+                    7 => {
+                        if let Some((_, h)) = model_min(&parked) {
+                            release(h.index(), &mut parked, &mut ready);
+                        }
+                    }
+                    8 => {
+                        if !parked[to].is_empty() {
+                            release(to, &mut parked, &mut ready);
+                        }
+                    }
+                    _ => {
+                        let got = eps[to].try_recv().ok().map(|p| (p.msg, p.release_vt));
+                        prop_assert_eq!(got, ready[to].pop_front(), "receive at host {}", to);
+                    }
+                }
+                prop_assert_eq!(gate.min_pending(&all), model_min(&parked), "after step {}", id);
+            }
+            while let Some((_, h)) = model_min(&parked) {
+                release(h.index(), &mut parked, &mut ready);
+            }
+            for (h, ep) in eps.iter().enumerate().take(hosts) {
+                while let Some(want) = ready[h].pop_front() {
+                    let got = ep.try_recv().map(|p| (p.msg, p.release_vt));
+                    prop_assert_eq!(got, Ok(want), "draining host {}", h);
+                }
+                prop_assert_eq!(ep.try_recv().unwrap_err(), RecvError::Empty);
+            }
+            prop_assert_eq!(gate.min_pending(&all), None);
+        }
+
+        /// Per-link FIFO through the gate on a wire that duplicates and
+        /// reorders: whatever order the releases and the idle-point flush
+        /// of held packets take, every receiver gets each sender's messages
+        /// once each, in send order.
+        #[test]
+        fn gated_links_stay_fifo_under_reorder_and_duplication(
+            hosts in 2usize..6,
+            seed in 0u64..1_000_000,
+            dup_pm in 0u32..500,
+            reorder_pm in 0u32..500,
+            sends in proptest::collection::vec((0usize..5, 0usize..5, 0u64..4), 1..120),
+        ) {
+            let plane = FaultPlane::lossy(seed, 0.0, dup_pm as f64 / 1000.0, reorder_pm as f64 / 1000.0);
+            let (_sched, net, eps, gate) = idle_gated(hosts, plane);
+            let all: Vec<HostId> = (0..hosts).map(|h| HostId(h as u16)).collect();
+            let mut sent: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+            for &(a, b, stamp) in &sends {
+                let (from, to) = (a % hosts, (a % hosts + 1 + b % (hosts - 1)) % hosts);
+                let n = sent.entry((from, to)).or_insert(0);
+                let msg = (from as u64) << 32 | *n;
+                eps[from].send(HostId(to as u16), msg, 0, stamp * 1_000);
+                *n += 1;
+            }
+            let mut got: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
+            loop {
+                while let Some((_, h)) = gate.min_pending(&all) {
+                    gate.release_next(h);
+                }
+                for (to, ep) in eps.iter().enumerate() {
+                    while let Ok(p) = ep.try_recv() {
+                        got.entry((p.from.index(), to)).or_default().push(p.msg & 0xffff_ffff);
+                    }
+                }
+                if gate.flush_held().is_empty() {
+                    break;
+                }
+            }
+            for (link, n) in sent {
+                prop_assert_eq!(got.remove(&link).unwrap_or_default(), (0..n).collect::<Vec<_>>(), "link {:?}", link);
+            }
+            prop_assert!(got.is_empty());
+            prop_assert_eq!(net.total_unacked(), 0);
+        }
     }
 }
