@@ -13,7 +13,7 @@
 # the access path. On a page-based DSM an access the MMU allows costs a
 # load or a store and only a fault costs protocol time, so a real-memory
 # run's wall clock per fault (core.hostrun.us_per_fault) is close to what
-# one fault costs in the ping-pong driver of the same process
+# one fault costs in the ping-pong benchmark of the same process
 # (core.hostrun.{read,write}_fault_us.p50). SOR's per-fault wall also
 # carries its compute and copies: 0.99-1.63 (22 readings, median 1.50);
 # 1.47-1.98 while every Ack woke the server; 2.7-3.6 when every byte paid

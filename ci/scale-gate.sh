@@ -3,7 +3,7 @@
 #
 # The dispatcher keeps an ordered index of its schedulable slots, so a
 # scheduling step costs O(log slots) however many threads are parked. The
-# wake driver of mvbench takes the same steps with 8 and with 128 threads
+# wake benchmark of mvbench takes the same steps with 8 and with 128 threads
 # (half of them parked and re-checked at every step), seconds apart in one
 # process, so the runner's speed cancels in
 # sim-core.sched.wake_us.t128 / sim-core.sched.wake_us.t8: 4 to 5 with

@@ -19,7 +19,7 @@ pub fn is(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
 /// One application (`which` indexes [`cmp_apps`]) on one or both backends.
 fn app_backend(which: usize, f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     let quick = f.switch("--quick");
-    let hosts: usize = f.value("--hosts")?.unwrap_or(4);
+    let hosts = f.hosts(4)?;
     let backend = f.value("--backend")?.unwrap_or(Backend::Sim);
     f.finish()?;
     let app = &cmp_apps(quick)[which];

@@ -62,11 +62,7 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ("table1", "", paper::table1),
     ("costs", "", paper::costs),
     ("fig5", "[--quick]", paper::fig5),
-    (
-        "table2",
-        "[--quick] [--backend sim|host] [--hosts N] [--workers W]",
-        paper::table2,
-    ),
+    ("table2", BACKEND_FLAGS, paper::table2),
     ("fig6", "[--quick]", paper::fig6),
     ("fig7", "[--quick]", paper::fig7),
     ("ablate", "[--quick]", paper::ablate),

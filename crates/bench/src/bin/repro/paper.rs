@@ -2,8 +2,7 @@
 //! §4.2 costs, Figures 5–7, Table 2, the manager sweep.
 
 use millipage::{
-    run, AllocMode, Category, ClusterConfig, Consistency, CostModel, HomePolicyKind, Ns,
-    ParallelConfig, SchedMode, SharedCell,
+    run, AllocMode, Category, ClusterConfig, Consistency, CostModel, HomePolicyKind, Ns, SharedCell,
 };
 use millipage_apps::{water, AppRun};
 use millipage_bench::apps::{app_cfg, app_specs, water_sweep_params};
@@ -153,14 +152,10 @@ pub fn fig5(f: &mut Flags, _: &mut Gate) -> Result<(), UsageError> {
 // Table 2: application suite.
 // ----------------------------------------------------------------------
 
-/// `--workers W` runs the simulation itself in conservative-parallel mode
-/// on that many OS threads (DESIGN.md §14); the output is byte-identical
-/// to a run without it. `--backend host` runs the host-capable subset on
-/// real memory instead.
+/// `--backend host` runs the host-capable subset on real memory instead.
 pub fn table2(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     let quick = f.switch("--quick");
-    let hosts = f.value("--hosts")?.unwrap_or(8);
-    let workers: Option<usize> = f.value("--workers")?;
+    let hosts = f.hosts(8)?;
     let backend = f.value("--backend")?.unwrap_or(Backend::Sim);
     f.finish()?;
     match backend {
@@ -176,14 +171,7 @@ pub fn table2(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     ));
     let mut table = Table::default();
     for spec in app_specs(quick, false, hosts) {
-        let mut cfg = app_cfg(hosts);
-        if let Some(w) = workers {
-            // Parallel simulation needs the canonical deterministic
-            // schedule (that is the contract it preserves).
-            cfg.sched = SchedMode::deterministic();
-            cfg.parallel = Some(ParallelConfig::workers(w));
-        }
-        let r = (spec.run)(cfg);
+        let r = (spec.run)(app_cfg(hosts));
         gate.clean(&r.report, spec.name);
         let a = &r.report.alloc;
         let granularity = if a.min_granularity == a.max_granularity {

@@ -10,7 +10,7 @@
 //!   status; nothing below `main` calls `process::exit`.
 //! * [`write_artifact`] writes an output file through the gate.
 
-use millipage::{audit, AuditMode, ClusterConfig, RunReport, TraceLog, Tracer};
+use millipage::{audit, AuditMode, ClusterConfig, HostId, RunReport, TraceLog, Tracer};
 use std::fmt::{self, Display};
 use std::str::FromStr;
 
@@ -62,6 +62,19 @@ impl Flags {
         raw.parse()
             .map(Some)
             .map_err(|e| UsageError(format!("bad {name} {raw:?}: {e}")))
+    }
+
+    /// `--hosts N`, `default` if absent: a cluster size the simulator can
+    /// build, `1..=HostId::MAX_HOSTS`.
+    pub fn hosts(&mut self, default: usize) -> Result<usize, UsageError> {
+        let hosts = self.value("--hosts")?.unwrap_or(default);
+        match (1..=HostId::MAX_HOSTS).contains(&hosts) {
+            true => Ok(hosts),
+            false => Err(UsageError(format!(
+                "bad --hosts {hosts}: expected 1 to {}",
+                HostId::MAX_HOSTS
+            ))),
+        }
     }
 
     /// The first bare word (a scenario name). Call after every
@@ -268,15 +281,19 @@ mod tests {
 
     #[test]
     fn malformed_missing_and_unknown_flags_are_usage_errors() {
-        for (name, args) in [
-            ("--hosts", &["--hosts", "x"][..]),
-            ("--hosts", &["--hosts", "-3"]),
-            ("--hosts", &["--hosts"]),
-            ("--hosts", &["--hosts", "--quick"]),
+        for args in [
+            &["--hosts", "x"][..],
+            &["--hosts", "-3"],
+            &["--hosts"],
+            &["--hosts", "--quick"],
+            &["--hosts", "0"],
+            &["--hosts", "1000"],
         ] {
-            let err = flags(args).value::<usize>(name).unwrap_err();
-            assert!(err.0.contains(name), "{err:?}");
+            let err = flags(args).hosts(4).unwrap_err();
+            assert!(err.0.contains("--hosts"), "{err:?}");
         }
+        assert_eq!(flags(&[]).hosts(4), Ok(4));
+        assert_eq!(flags(&["--hosts", "64"]).hosts(4), Ok(64));
         assert!(flags(&["--seed", "1e3"]).value::<u64>("--seed").is_err());
         let mut f = flags(&["--quick", "--host", "4"]);
         assert!(f.switch("--quick"));

@@ -10,10 +10,11 @@
 //!
 //! Every run executes under the deterministic scheduler
 //! (`sim_core::sched`). Application threads are OS threads, of which the
-//! scheduler lets one per partition run at a time; a server is a passive
-//! slot whose handlers run as upcalls of whichever application thread
-//! holds the schedule — the paper's §3.5 arrangement — so a run of H hosts
-//! × T threads has exactly H·T OS threads beyond the caller's.
+//! scheduler lets one run at a time; a server is a passive slot whose
+//! handlers run as upcalls of whichever application thread holds the
+//! schedule — the paper's §3.5 arrangement — so a run of H hosts × T
+//! threads has exactly H·T OS threads beyond the caller's, all confined
+//! to the caller's CPU.
 
 use crate::diag::{build_report, DiagSink, DiagTable, LinkStat};
 use crate::error::ProtocolError;
@@ -32,7 +33,7 @@ use crate::stats::{
 use multiview::{AllocMode, Allocator};
 use parking_lot::Mutex;
 use sim_core::clock::Clock;
-use sim_core::sched::{ParallelConfig, SchedMode, Scheduler, ThreadKey, Turn};
+use sim_core::sched::{SchedMode, Scheduler, ThreadKey, Turn};
 use sim_core::trace::{Tracer, Track};
 use sim_core::{CostModel, HostId, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
@@ -86,13 +87,10 @@ pub struct ClusterConfig {
     /// schedule nobody can advance ends in a typed
     /// [`ProtocolError::Deadlock`]; there is no wall-clock backstop.
     pub sched: SchedMode,
-    /// Conservative parallel simulation: partition the hosts across N OS
-    /// worker threads, each running ahead to a safety horizon derived from
-    /// the cost model's latency floor (see `sim_core::sched` and DESIGN.md
-    /// §14). Requires the canonical virtual-time schedule (`sched`'s
-    /// default policy); under the exploration policies (Random/PCT/Replay)
-    /// it is ignored. The observable schedule is byte-identical to the
-    /// sequential one at the same seed.
+    /// Inert: nothing reads it. It outlived the partitioned scheduler
+    /// only because the benchmark still sets it; ROADMAP item 1(a) removes
+    /// that last user, and then this field goes too.
+    #[doc(hidden)]
     pub parallel: Option<ParallelConfig>,
     /// Per-minipage sharing diagnostics (see [`crate::diag`]): heat
     /// counters on the fault and invalidation paths, merged into
@@ -136,6 +134,21 @@ impl Default for ClusterConfig {
             adapt: crate::adapt::AdaptConfig::default(),
             bug_stale_reinstall: false,
         }
+    }
+}
+
+/// Inert, like [`ClusterConfig::parallel`]: the partitioned scheduler it
+/// configured is gone, and every run is sequential. Kept only for the
+/// benchmark's `sor32_w2` row until ROADMAP item 1(a) removes that last
+/// user.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct ParallelConfig;
+
+impl ParallelConfig {
+    /// The inert config, whatever the worker count.
+    pub fn workers(_: usize) -> Self {
+        Self
     }
 }
 
@@ -215,10 +228,9 @@ impl<'a> SetupCtx<'a> {
 }
 
 /// Confines the calling application thread to `cpu`, the one [`run`]'s
-/// caller is on. With one partition the scheduler lets a single
-/// application thread run at a time, so spreading them over CPUs buys no
-/// parallelism and makes every hand-off a cross-CPU wake-up (≈ 30 µs
-/// against ≈ 2 µs, DESIGN.md §4). Nothing to undo — the thread dies with
+/// caller is on. The scheduler lets a single application thread run at a
+/// time, so spreading them over CPUs buys no parallelism and makes every
+/// hand-off a cross-CPU wake-up (≈ 30 µs against ≈ 2 µs, DESIGN.md §4). Nothing to undo — the thread dies with
 /// the run — and a refusal only leaves the thread where the OS puts it.
 #[cfg(target_os = "linux")]
 fn confine_to(cpu: usize) {
@@ -309,21 +321,7 @@ where
                 keys.push(ThreadKey::app(HostId(h as u16), t as u16));
             }
         }
-        match &cfg.parallel {
-            // The exploration policies (Random/PCT/Replay) are inherently
-            // sequential — their whole point is to own the global
-            // interleaving — so a parallel request quietly falls back to
-            // the sequential scheduler for them.
-            Some(p) if cfg.sched.is_virtual_time() => {
-                let map = p
-                    .partition_map
-                    .clone()
-                    .unwrap_or_else(|| ParallelConfig::default_map(cfg.hosts, p.workers));
-                let lookahead = p.lookahead.unwrap_or_else(|| cfg.cost.min_remote_latency());
-                Scheduler::new_parallel(&cfg.sched, keys, map, p.workers, lookahead)
-            }
-            _ => Scheduler::new(&cfg.sched, keys),
-        }
+        Scheduler::new(&cfg.sched, keys)
     };
     net.attach_scheduler(&sched);
     // Every host runs a manager shard; the manager host's shard also
@@ -362,9 +360,7 @@ where
     let states_ref = &states;
     #[cfg(target_os = "linux")]
     // SAFETY: `sched_getcpu` takes no argument and touches no memory.
-    let cpu = usize::try_from(unsafe { libc::sched_getcpu() })
-        .ok()
-        .filter(|_| sched.partitions() == 1);
+    let cpu = usize::try_from(unsafe { libc::sched_getcpu() }).ok();
     let (host_reports, outcomes, app_failures) = std::thread::scope(|scope| {
         // A server keeps nothing between two messages, so it needs no
         // thread: it is a passive slot, and its turn — owned here, borrowed
@@ -392,10 +388,8 @@ where
             for t in 0..cfg.threads_per_host {
                 // Event ids are correlation keys, not a global order: give
                 // every application thread its own disjoint range (2^40
-                // ids each) so allocation never crosses threads. A shared
-                // counter would interleave differently under partitioned
-                // execution and leak the partitioning into message and
-                // trace bytes.
+                // ids each) so allocation never crosses threads. The
+                // ranges are part of every pinned message and trace byte.
                 let events = Arc::new(AtomicU64::new(
                     ((h * cfg.threads_per_host + t + 1) as u64) << 40,
                 ));
@@ -447,9 +441,9 @@ where
                                         st.cancel_pending();
                                     }
                                     // Cancelled waiters are scheduler-visible state
-                                    // on *every* host, whatever partition it lives
-                                    // in: all blocked threads must re-check and
-                                    // unwind as cancelled, not be ruled deadlocked.
+                                    // on *every* host: all blocked threads must
+                                    // re-check and unwind as cancelled, not be
+                                    // ruled deadlocked.
                                     ctx.sched.action_all();
                                     Some(payload)
                                 }

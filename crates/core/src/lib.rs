@@ -48,7 +48,7 @@ mod stats;
 
 pub use adapt::{AdaptAction, AdaptConfig, AdaptEvent, AdaptReport};
 pub use backend::{AccessKind, MemFault, MemoryBackend, PageProt, ProtoClock, Transport};
-pub use cluster::{run, ClusterConfig, SetupCtx};
+pub use cluster::{run, ClusterConfig, ParallelConfig, SetupCtx};
 pub use diag::{trace_counts, DiagReport, DiagSink, DiagTable, Finding, LinkStat, MinipageDiag};
 pub use directory::{Directory, DirectoryEntry};
 pub use dsm::Dsm;
@@ -70,7 +70,7 @@ pub use explore::{
     explore, explore_adapt_points, replay_repro, AdaptSweepOutcome, ExploreOpts, ExploreOutcome,
     MinimizedRepro,
 };
-pub use sim_core::sched::{ParallelConfig, SchedMode, SchedPolicy};
+pub use sim_core::sched::{SchedMode, SchedPolicy};
 
 // Re-exports the applications and harnesses keep reaching for.
 pub use multiview::{AllocMode, AllocStats};

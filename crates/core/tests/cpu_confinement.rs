@@ -3,7 +3,7 @@
 //! is a cross-CPU wake-up — and touches no other thread's affinity.
 #![cfg(target_os = "linux")]
 
-use millipage::{run, ClusterConfig, ParallelConfig};
+use millipage::{run, ClusterConfig};
 use parking_lot::Mutex;
 
 /// The CPUs of the calling thread's affinity mask, ascending.
@@ -20,15 +20,16 @@ fn cpus() -> Vec<usize> {
         .collect()
 }
 
-/// The masks the application threads of a 4-host, 2-thread run see.
-fn masks_inside(parallel: Option<ParallelConfig>) -> Vec<Vec<usize>> {
+#[test]
+fn a_run_confines_its_threads_to_one_cpu_of_the_caller() {
+    let before = cpus();
+    // The masks the application threads of a 4-host, 2-thread run see.
     let seen = Mutex::new(Vec::new());
     run(
         ClusterConfig {
             hosts: 4,
             threads_per_host: 2,
             pages: 64,
-            parallel,
             ..ClusterConfig::default()
         },
         |_| (),
@@ -37,27 +38,10 @@ fn masks_inside(parallel: Option<ParallelConfig>) -> Vec<Vec<usize>> {
             ctx.barrier();
         },
     );
-    seen.into_inner()
-}
-
-#[test]
-fn a_run_confines_its_threads_to_one_cpu_of_the_caller() {
-    let before = cpus();
-    let seen = masks_inside(None);
+    let seen = seen.into_inner();
     assert_eq!(seen.len(), 8);
     assert_eq!(seen[0].len(), 1, "not confined: {:?}", seen[0]);
     assert!(before.contains(&seen[0][0]), "{seen:?} outside {before:?}");
     assert!(seen.iter().all(|m| *m == seen[0]), "hosts differ: {seen:?}");
     assert_eq!(cpus(), before, "the caller's own mask moved");
-}
-
-#[test]
-fn a_partitioned_run_leaves_its_threads_alone() {
-    // Partitions run side by side; their threads keep the mask they
-    // inherit from the caller.
-    let before = cpus();
-    let seen = masks_inside(Some(ParallelConfig::workers(2)));
-    assert_eq!(seen.len(), 8);
-    assert!(seen.iter().all(|m| *m == before), "{seen:?} vs {before:?}");
-    assert_eq!(cpus(), before);
 }

@@ -135,9 +135,8 @@ impl CostModel {
     /// The minimum latency of any cross-host message: the header-only
     /// send/receive cost, [`CostModel::msg_base`]. Every wire message
     /// costs at least this much — payload bytes, fault jitter and
-    /// retransmission backoff only *add* delay — so it is a sound
-    /// conservative **lookahead** for parallel simulation: an event at
-    /// virtual time `t` on one host cannot affect another host before
+    /// retransmission backoff only *add* delay — so an event at virtual
+    /// time `t` on one host cannot affect another host before
     /// `t + min_remote_latency()`.
     #[inline]
     pub fn min_remote_latency(&self) -> Ns {

@@ -30,6 +30,7 @@ pub mod cost;
 pub mod json;
 pub mod rng;
 pub mod sched;
+mod sha256;
 pub mod stats;
 pub mod trace;
 
@@ -39,9 +40,11 @@ pub use clock::{BusyWindow, Clock, Ns, SharedClock};
 pub use cost::{CostModel, ServiceDelayModel};
 pub use rng::SplitMix64;
 pub use sched::{
-    BlockOutcome, DeliveryGate, ParallelConfig, SchedMode, SchedPolicy, SchedThread, Scheduler,
-    ThreadClass, ThreadKey, Turn, TurnFn,
+    BlockOutcome, DeliveryGate, SchedMode, SchedPolicy, SchedThread, Scheduler, ThreadClass,
+    ThreadKey, Turn, TurnFn,
 };
+#[doc(hidden)]
+pub use sha256::sha256_hex;
 pub use stats::{Counter, Histogram, LogHistogram, Summary};
 pub use trace::{ChromeTrace, TraceEvent, TraceKind, TraceLog, TraceRecorder, Tracer, Track};
 

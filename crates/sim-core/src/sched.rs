@@ -1,15 +1,14 @@
-//! Cooperative deterministic scheduling of simulated threads — sequential
-//! and conservative-parallel (PDES).
+//! Cooperative deterministic scheduling of simulated threads.
 //!
 //! Every simulated thread — each host's application threads and its DSM
 //! server — is a *slot* of the run's [`Scheduler`]: control changes hands
 //! only at explicit *yield points* (message send/receive, fault entry,
-//! blocking rendezvous), and the next runnable slot is picked by a
-//! deterministic [`SchedPolicy`], never by the OS. A policy and seed map to
-//! exactly one interleaving — message arrival order, directory state
-//! transitions, the recorded trace — which is what makes a run repeat and
-//! schedule *exploration* (random-walk / PCT search over interleavings,
-//! with replayable minimal reproducers) possible at all.
+//! blocking rendezvous), exactly one slot runs at a time, and the next one
+//! is picked by a deterministic [`SchedPolicy`], never by the OS. A policy
+//! and seed map to exactly one interleaving — message arrival order,
+//! directory state transitions, the recorded trace — which is what makes a
+//! run repeat and schedule *exploration* (random-walk / PCT search over
+//! interleavings, with replayable minimal reproducers) possible at all.
 //!
 //! # Threads and passive slots
 //!
@@ -19,8 +18,9 @@
 //! nothing between two messages, so it is a **passive slot**
 //! ([`Scheduler::attach_passive`]): a boxed [`Turn`] function and no
 //! thread. When the policy picks a passive slot, the thread that is giving
-//! up the schedule — in `yield_now`, `block_until`, `finish`, or the
-//! unscheduled main thread inside [`Scheduler::quiesce_then`] — runs the
+//! up the schedule — in `yield_now`, `block_until`, `finish`, or an
+//! unscheduled caller that finds the run quiescent
+//! ([`Scheduler::bump_action`], [`Scheduler::quiesce_then`]) — runs the
 //! turn to completion itself and dispatches again, until the pick is a
 //! thread (possibly itself: no switch at all). A passive slot is
 //! otherwise a slot like any other — same index, `(virtual time, key)`
@@ -28,19 +28,12 @@
 //! depend on how a slot is registered. The rules that keep this sound:
 //!
 //! * **No scheduler lock is held across a turn.** Handlers deliver
-//!   messages, and deliveries wake hosts under the partition lock (and,
-//!   ungated, the control lock). `dispatch_in` only installs the pick;
-//!   its caller unlocks, runs the turn, re-locks, applies the outcome.
-//! * **Whoever dispatches can drive.** Every caller of `dispatch_in` goes
-//!   through the same loop (`run_partition`); there is no second
-//!   dispatcher for passive slots, sequential or partitioned.
-//! * **A window barrier hands partitions to their own threads.** The
-//!   thread completing a barrier picks for every partition under the
-//!   control lock but runs nothing there. It drives its own partition's
-//!   passive pick afterwards; another partition's goes to one of *that*
-//!   partition's parked threads (named its `driver`), so partitions keep
-//!   running side by side; only a partition with no thread left alive
-//!   falls to the caller.
+//!   messages, and deliveries wake hosts under the scheduler lock.
+//!   `dispatch_in` only installs the pick; its caller unlocks, runs the
+//!   turn, re-locks, applies the outcome.
+//! * **Whoever dispatches drives.** Every caller of `dispatch_in` goes
+//!   through the same loop (`drive`); there is no second dispatcher for
+//!   passive slots.
 //! * **A panicking turn ends the run.** The panic is caught around the
 //!   turn, the slot retired, the scheduler poisoned (every parked thread
 //!   returns [`BlockOutcome::Poisoned`]) and the payload kept for the
@@ -48,30 +41,17 @@
 //!   of the thread that happened to be driving, and the schedule is never
 //!   left resting on a slot nobody can run.
 //!
-//! # Partitioned execution
+//! # Virtual-time order across the wire
 //!
-//! The scheduler is built as a **conservative parallel discrete-event
-//! simulation** (PDES). The host set is split into partitions, each driven
-//! by the application threads of its hosts; within a partition exactly one
-//! slot runs at a time. Partitions advance independently
-//! through a window `[W0, W0 + L)` of virtual time, where `W0` is the
-//! globally-minimal next event and `L` is the *lookahead*: the minimum
-//! cross-host message latency ([`crate::cost::CostModel::min_remote_latency`]).
-//! No event executed inside the window can affect another partition
-//! before the window ends, so partitions cannot observe each other's
-//! in-window progress. At the window boundary every partition arrives at
-//! a barrier; the last arriver derives the next window and releases the
-//! others.
-//!
-//! Cross-host message delivery is **gated** (see [`DeliveryGate`]): a
-//! send enqueues the packet keyed by its release time, and the
-//! *destination* partition's dispatch loop delivers it exactly when the
-//! canonical virtual-time order reaches it — before any runnable thread
-//! with a later (or equal) virtual time. Sequential execution is the
-//! one-partition, infinite-lookahead special case of the same machinery,
-//! which is what makes the parallel schedule **byte-identical** to the
-//! sequential one: both run the identical per-partition decision
-//! procedure; only the wall-clock concurrency differs.
+//! Under the canonical [`SchedPolicy::VirtualTime`] policy cross-host
+//! message delivery is **gated** (see [`DeliveryGate`]): a send parks the
+//! packet in the destination's mailbox keyed by its release time, and the
+//! dispatch loop delivers it exactly when the canonical virtual-time order
+//! reaches it — before any runnable thread with a later (or equal) virtual
+//! time. The exploration policies perturb that order on purpose, so their
+//! deliveries are immediate. When nothing is runnable and nothing is
+//! parked the run is quiescent: fault-held packets are flushed, and only
+//! then is the run ruled idle or deadlocked.
 //!
 //! Design notes:
 //!
@@ -79,7 +59,7 @@
 //!   layer and are not told about the scheduler, but there are exactly
 //!   two of them and both are host-local state: host *h*'s server waits
 //!   on *h*'s inbox, and an application thread of *h* waits on a
-//!   rendezvous in *h*'s waiter table. So every partition keeps one *wake
+//!   rendezvous in *h*'s waiter table. So the scheduler keeps one *wake
 //!   generation per host*, bumped by whatever touched that host's state
 //!   (a gate release or direct delivery into its inbox, its server
 //!   finishing a handler — [`Turn::Ran`]); a blocked slot is schedulable
@@ -91,17 +71,13 @@
 //!   name a host — a thread finishing, ungated exploration-mode
 //!   deliveries, external actors, a failed run cancelling every host's
 //!   waits — wakes every host instead (rare, and always correct).
-//!   Cross-partition wake-ups travel through the gate (a delivery) or
-//!   are applied at the window barrier, when every partition is parked —
-//!   never as a bare bump into a running partition — which keeps each
-//!   partition's candidate set a function of its own history.
-//! * **The candidate set is kept, not recomputed.** Each partition holds
+//! * **The candidate set is kept, not recomputed.** The scheduler holds
 //!   an ordered index, `(virtual time, key, slot)` of exactly the slots
 //!   that may be scheduled, so the canonical pick is its first entry and a
 //!   scheduling step costs O(log slots) however many threads are parked.
 //!   The invariant — index = {slots `is_candidate` holds for} whenever the
-//!   partition lock is released — lives in one place: every write to a
-//!   slot's `vt`/`status` or to a wake generation goes through `PartState`
+//!   scheduler lock is released — lives in one place: every write to a
+//!   slot's `vt`/`status` or to a wake generation goes through `State`
 //!   (`set`, `wake`, `wake_all`), which re-files the slots that write can
 //!   have moved (for a wake, the woken host's). The exploration policies
 //!   keep their definitions — n-th candidate in slot order,
@@ -113,7 +89,7 @@
 //!   [`SchedThread::yield_then_block`] leaves its condition in its slot.
 //!   When the policy picks that slot — step counted, decision logged,
 //!   policy state advanced — *whichever thread is dispatching* evaluates
-//!   the condition under the partition lock: unmet, the slot is blocked
+//!   the condition under the scheduler lock: unmet, the slot is blocked
 //!   again and the loop picks on, no OS thread woken; met, the owner is
 //!   resumed — once per wait — and its own confirming call returns the
 //!   value. The schedule is the one in which every woken thread ran its
@@ -121,7 +97,7 @@
 //!   and the rule for adding a third blocking condition:** it is `Send`
 //!   and so is its value; it is pure, answering `Some` or `None`; it
 //!   never calls the scheduler; it takes only leaf locks that no mutator
-//!   holds while waking a host (lock order: ctl → part → {gate,
+//!   holds while waking a host (lock order: scheduler → {gate,
 //!   condition}); and every mutator of the state it reads wakes the host
 //!   owning the blocked thread — state with no owning host wakes everyone.
 //! * **Handler atomicity.** A DSM server handles one message per
@@ -130,18 +106,12 @@
 //!   updates, reply sends) is atomic with respect to other simulated
 //!   threads — exactly as in the real system, where a handler runs to
 //!   completion as an upcall of whichever thread found the message.
-//! * **Deadlock is a verdict, not a hang.** If no thread is runnable
-//!   anywhere, no gated packet is pending, and an application thread is
-//!   still blocked, the schedule deadlocked: the scheduler poisons
-//!   itself, every blocked thread returns [`BlockOutcome::Poisoned`], and
-//!   the run terminates with typed errors instead of hanging — a
-//!   deadlocking schedule is a *finding* for the exploration harness.
-//! * **Exploration stays sequential.** [`SchedPolicy::Random`],
-//!   [`SchedPolicy::Pct`] and [`SchedPolicy::Replay`] perturb the global
-//!   interleaving, which only exists totally-ordered in the
-//!   one-partition case; [`Scheduler::new_parallel`] therefore rejects
-//!   them and parallel mode applies to the canonical
-//!   [`SchedPolicy::VirtualTime`] policy only.
+//! * **Deadlock is a verdict, not a hang.** If no thread is runnable, no
+//!   gated packet is pending, and an application thread is still blocked,
+//!   the schedule deadlocked: the scheduler poisons itself, every blocked
+//!   thread returns [`BlockOutcome::Poisoned`], and the run terminates
+//!   with typed errors instead of hanging — a deadlocking schedule is a
+//!   *finding* for the exploration harness.
 
 use crate::clock::Ns;
 use crate::rng::SplitMix64;
@@ -214,8 +184,7 @@ impl std::fmt::Display for ThreadKey {
 pub enum SchedPolicy {
     /// Smallest `(virtual time, thread key)` first — the canonical
     /// deterministic schedule, closest to what the virtual-time model
-    /// "means". The only policy that admits partitioned (parallel)
-    /// execution.
+    /// "means". The only policy that gates cross-host deliveries.
     VirtualTime,
     /// Seeded uniform random walk over the runnable set.
     Random {
@@ -296,12 +265,6 @@ impl SchedMode {
         }
     }
 
-    /// Whether the mode's policy is the canonical virtual-time order (the
-    /// only policy that admits partitioned execution and delivery gating).
-    pub fn is_virtual_time(&self) -> bool {
-        matches!(self.policy, SchedPolicy::VirtualTime)
-    }
-
     /// Short policy name for reports.
     pub fn policy_name(&self) -> &'static str {
         match self.policy {
@@ -317,9 +280,8 @@ impl SchedMode {
     /// over at every quiescence verdict (idle or deadlock) and when it is
     /// dropped, so once a run is quiescent the log holds every step taken
     /// ([`Scheduler::steps`] of them); mid-run it ends at the last verdict.
-    /// Empty before any run and under partitioned execution (a total
-    /// decision order only exists with one partition). Feed it to
-    /// [`SchedMode::replay`] to reproduce the run.
+    /// Empty before any run. Feed it to [`SchedMode::replay`] to reproduce
+    /// the run.
     pub fn decisions(&self) -> Vec<u32> {
         lock(&self.log).clone()
     }
@@ -334,18 +296,16 @@ impl SchedMode {
 /// network fabric implements this over its per-host mailboxes: a
 /// cross-host send is *parked* in the destination's mailbox keyed by its
 /// release time (arrival time floored by the per-link FIFO cumulative
-/// maximum), and the destination partition's dispatch loop *releases*
-/// packets in `(release, source)` order exactly when the canonical
-/// virtual-time order reaches them. Both methods run under the partition
-/// lock and may take only leaf locks (lock order: ctl → part → gate).
+/// maximum), and the dispatch loop *releases* packets in `(release,
+/// source)` order exactly when the canonical virtual-time order reaches
+/// them. Every method runs under the scheduler lock and may take only leaf
+/// locks (lock order: scheduler → gate).
 pub trait DeliveryGate: Send + Sync {
-    /// The earliest pending release among `hosts` (ascending) as
-    /// `(release virtual time, destination)`, the lowest host winning a
-    /// tie; `None` when nothing is pending for any of them. Called once
-    /// per iteration of a partition's dispatch loop with the partition's
-    /// whole host set, and from the window barrier; must be cheap — the
-    /// fabric reads one atomic head mirror per host.
-    fn min_pending(&self, hosts: &[HostId]) -> Option<(Ns, HostId)>;
+    /// The earliest pending release as `(release virtual time,
+    /// destination)`, the lowest host winning a tie; `None` when nothing
+    /// is pending. Called once per iteration of the dispatch loop; must be
+    /// cheap — the fabric reads one atomic head mirror per host.
+    fn min_pending(&self) -> Option<(Ns, HostId)>;
 
     /// Delivers the minimum pending packet for `host`: its receiver takes
     /// it after everything delivered before. Must not re-enter the
@@ -353,47 +313,10 @@ pub trait DeliveryGate: Send + Sync {
     fn release_next(&self, host: HostId);
 
     /// Delivers every fault-held (reorder-in-flight) packet, returning
-    /// the destination host of each delivered packet. Called only at the
-    /// global-idle decision point, when every partition is quiescent —
-    /// the gated replacement for the receiver-driven rescue poll.
+    /// the destination host of each delivered packet. Called only when the
+    /// run is quiescent — the gated replacement for the receiver-driven
+    /// rescue poll.
     fn flush_held(&self) -> Vec<HostId>;
-}
-
-/// Parallel-execution request carried on a cluster configuration: how
-/// many worker partitions to run, how hosts map onto them, and an
-/// optional lookahead override.
-#[derive(Clone, Debug)]
-pub struct ParallelConfig {
-    /// Number of partitions (OS-concurrency units). 1 is valid and runs
-    /// the identical window machinery on a single partition.
-    pub workers: usize,
-    /// Host → worker map (`partition_map[h]` is host `h`'s worker). When
-    /// `None`, hosts are split into contiguous balanced chunks.
-    pub partition_map: Option<Vec<usize>>,
-    /// Safety-horizon override in virtual nanoseconds. When `None`, the
-    /// cluster derives it from the cost model's minimum cross-host
-    /// message latency. Must never exceed that latency floor, or the
-    /// schedule is no longer conservative.
-    pub lookahead: Option<Ns>,
-}
-
-impl ParallelConfig {
-    /// A parallel config with `workers` partitions, the default
-    /// contiguous partition map and the cost-model-derived lookahead.
-    pub fn workers(workers: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            partition_map: None,
-            lookahead: None,
-        }
-    }
-
-    /// The default host → worker map: contiguous balanced chunks
-    /// (`host * workers / hosts`), which keeps neighbouring hosts — the
-    /// likeliest sharers — in one partition.
-    pub fn default_map(hosts: usize, workers: usize) -> Vec<usize> {
-        (0..hosts).map(|h| h * workers / hosts).collect()
-    }
 }
 
 /// What a scheduled blocking wait resolved to.
@@ -423,7 +346,7 @@ struct Slot {
     key: ThreadKey,
     vt: Ns,
     status: Status,
-    /// Whether the slot is filed in [`PartState::candidates`].
+    /// Whether the slot is filed in [`State::candidates`].
     candidate: bool,
     attached: bool,
     /// Present on a passive slot (see [`Scheduler::attach_passive`]).
@@ -445,10 +368,10 @@ struct Cond(*mut CondFn<'static>);
 unsafe impl Send for Cond {}
 
 impl Cond {
-    /// Evaluates the condition; the caller holds the slot's partition lock.
+    /// Evaluates the condition; the caller holds the scheduler lock.
     fn holds(&mut self) -> bool {
         // SAFETY: a `Cond` exists only in its owner's slot and between the
-        // two assignments in `park_on`, both made under the partition lock
+        // two assignments in `park_on`, both made under the scheduler lock
         // the caller holds. So the owner is inside `park_on` — parked, or,
         // picked or poisoned, waiting for this lock — the closure it
         // borrowed for that call is alive, and nobody else is using it. (An
@@ -485,7 +408,7 @@ pub enum Turn {
 pub type TurnFn = Box<dyn FnMut() -> Turn + Send>;
 
 struct Passive {
-    /// `None` while the turn runs (the partition lock is released then).
+    /// `None` while the turn runs (the scheduler lock is released then).
     turn: Option<TurnFn>,
     /// Whether the slot's first pick is still ahead. That pick is the
     /// attach step of the thread the slot stands for — it consumes a
@@ -510,39 +433,38 @@ enum PolicyState {
     },
 }
 
-/// Per-partition mutable state: the slots of the partition's threads and
+/// The scheduler's mutable state: the slots of every simulated thread and
 /// the one-running-thread-at-a-time discipline, all under one mutex.
-struct PartState {
+struct State {
     slots: Vec<Slot>,
     /// `(vt, key, slot)` of exactly the slots [`is_candidate`] holds for,
-    /// whenever the partition lock is free: its minimum is the canonical
-    /// pick. Kept so by [`PartState::set`], [`PartState::wake`] and
-    /// [`PartState::wake_all`], the only writers of a slot's `vt` or
-    /// `status` and of `wakes`.
+    /// whenever the scheduler lock is free: its minimum is the canonical
+    /// pick. Kept so by [`State::set`], [`State::wake`] and
+    /// [`State::wake_all`], the only writers of a slot's `vt` or `status`
+    /// and of `wakes`.
     candidates: BTreeSet<(Ns, ThreadKey, usize)>,
-    /// The partition's slots of each host, indexed like `wakes`.
+    /// The slots of each host, indexed like `wakes`.
     host_slots: Vec<Vec<usize>>,
-    /// Index (within the partition) of the one thread currently allowed
-    /// to run, if any.
+    /// The one slot currently allowed to run, if any. With the lock free,
+    /// `None` in a started run means the run is quiescent.
     running: Option<usize>,
     /// The thread slot picked last: a different one is a hand-off.
     last_thread: Option<usize>,
-    /// Whether the partition has arrived at the window barrier.
-    at_barrier: bool,
-    /// A parked application thread the window barrier asked to run the
-    /// passive slot it installed as `running` (see [`barrier_complete`]).
-    driver: Option<usize>,
-    /// Wake generation per host, indexed by global host index (only the
-    /// partition's own hosts' entries are ever read; see module docs).
+    /// Wake generation per host (see module docs).
     wakes: Vec<u64>,
+    /// Whether every slot has attached; nothing is dispatched before.
+    started: bool,
+    /// A wake of every host ([`SchedThread::action_all`]) that is applied
+    /// once more when the run next goes quiescent, before any verdict.
+    wake_all_pending: bool,
     steps: u64,
     /// The decisions since the log was last handed to the mode (see
-    /// [`flush_log`]); recorded only when `Inner::record`.
+    /// [`State::flush_log`]).
     log: Vec<u32>,
     policy: PolicyState,
 }
 
-impl PartState {
+impl State {
     /// Slot `i` is at virtual time `vt` in `status` from now on.
     fn set(&mut self, i: usize, vt: Ns, status: Status) {
         let s = &mut self.slots[i];
@@ -583,7 +505,7 @@ impl PartState {
     }
 
     /// A potentially-unblocking action that names no host: every blocked
-    /// thread of the partition re-checks.
+    /// thread re-checks.
     fn wake_all(&mut self) {
         for w in &mut self.wakes {
             *w += 1;
@@ -604,87 +526,48 @@ impl PartState {
         );
         first
     }
-}
 
-struct Part {
-    state: Mutex<PartState>,
-    /// One condvar per slot: a dispatch notifies exactly the picked
-    /// thread, never every parked one.
-    cvs: Vec<Condvar>,
-    /// The partition's hosts, ascending. Immutable after construction;
-    /// the dispatch loop scans these for pending gated deliveries.
-    hosts: Vec<HostId>,
-}
-
-/// Cross-partition control state: attach/start bookkeeping and the
-/// window barrier. Locked after a partition's state is released, never
-/// while holding one (lock order: ctl → part → {gate, condition}).
-struct Ctl {
-    attached: usize,
-    started: bool,
-    /// Number of partitions currently at the window barrier.
-    arrived: usize,
-    /// Set when the whole simulation is quiescent (every partition at
-    /// the barrier with no event anywhere); what
-    /// [`Scheduler::quiesce_then`] waits for.
-    idle: bool,
+    /// Hands the decisions taken since the last call to the mode's log
+    /// `to`: moved in whole while that log is empty, appended to it after
+    /// that — one buffer either way, never a copy of the whole run.
+    fn flush_log(&mut self, to: &Mutex<Vec<u32>>) {
+        if self.log.is_empty() {
+            return;
+        }
+        let mut log = lock(to);
+        if log.is_empty() {
+            std::mem::swap(&mut *log, &mut self.log);
+        } else {
+            log.append(&mut self.log);
+        }
+    }
 }
 
 struct Inner {
-    parts: Vec<Part>,
-    ctl: Mutex<Ctl>,
-    /// Signalled when the scheduler goes idle or poisons; what
-    /// [`Scheduler::quiesce_then`] waits on (holding the ctl lock).
+    state: Mutex<State>,
+    /// One condvar per slot: a dispatch notifies exactly the picked
+    /// thread, never every parked one.
+    cvs: Vec<Condvar>,
+    /// Signalled when the run goes idle or poisons; what
+    /// [`Scheduler::quiesce_then`] waits on.
     main_cv: Condvar,
     poisoned: AtomicBool,
     /// Payload of the first passive turn that panicked (the run is
     /// poisoned with it); [`Scheduler::take_turn_panic`] hands it out.
     turn_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Set while an unregistered external actor (the cluster's main
-    /// thread, delivering shutdowns) runs inside a quiesced window;
+    /// thread, delivering shutdowns) runs inside a quiescent run;
     /// suppresses dispatches from its action bumps and bypasses the
     /// delivery gate.
     external: AtomicBool,
-    /// Exclusive upper bound of the current window. Stored by the
-    /// barrier while every partition is quiescent; read by dispatch
-    /// loops. `Ns::MAX` in the sequential (infinite-lookahead) case.
-    window_end: AtomicU64,
-    lookahead: Ns,
     /// Whether cross-host deliveries are gated (virtual-time policy).
     gating: bool,
     gate: OnceLock<Arc<dyn DeliveryGate>>,
-    /// A wake-everything request from a scheduled thread that must also
-    /// reach partitions other than its own (a failed run cancelling
-    /// every host's waits). Applied by the window barrier, when every
-    /// partition is parked, before it rules on idleness or deadlock.
-    wake_all_pending: AtomicBool,
-    /// Host index → partition index (for host wakes and held-packet
-    /// rescue).
-    host_part: Vec<usize>,
-    total_slots: usize,
-    /// Whether dispatch decisions are recorded into the decision log
-    /// (one partition only: a total order does not exist otherwise).
-    record: bool,
-    /// The mode's decision log, which the partition's own log is handed
+    /// The mode's decision log, which the scheduler's own log is handed
     /// to at every quiescence verdict and on drop.
     log: Arc<Mutex<Vec<u32>>>,
     /// See [`Scheduler::hand_offs`]; shared with the mode like the log.
     hand_offs: Arc<AtomicU64>,
-}
-
-impl Inner {
-    /// The partition that owns `host`. A host outside the map has no
-    /// partition, and a wake sent anywhere else would be silently lost.
-    fn part_of(&self, host: HostId) -> &Part {
-        match self.host_part.get(host.index()) {
-            Some(&pi) => &self.parts[pi],
-            None => panic!(
-                "wake for host {} but the partition map covers {} hosts",
-                host.index(),
-                self.host_part.len()
-            ),
-        }
-    }
 }
 
 /// The run-wide deterministic scheduler handle. Cloning shares the
@@ -696,195 +579,90 @@ pub struct Scheduler {
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Scheduler({} parts)", self.inner.parts.len())
+        write!(f, "Scheduler({} slots)", self.inner.cvs.len())
     }
 }
 
 impl Scheduler {
-    /// Builds a sequential scheduler for the thread set named by `keys`
-    /// under `mode`'s policy: one partition, infinite lookahead. The slot order of `keys` defines the
-    /// decision-log numbering, so callers must build it deterministically
-    /// (the cluster enumerates servers then application threads in host
-    /// order).
+    /// Builds the scheduler for the thread set named by `keys` under
+    /// `mode`'s policy. The slot order of `keys` defines the decision-log
+    /// numbering, so callers must build it deterministically (the cluster
+    /// enumerates servers then application threads in host order).
     pub fn new(mode: &SchedMode, keys: Vec<ThreadKey>) -> Self {
-        let hosts = keys.iter().map(|k| k.host.index() + 1).max().unwrap_or(1);
-        Self::build(mode, keys, vec![0; hosts], 1, Ns::MAX)
-    }
-
-    /// Builds a partitioned (conservative-parallel) scheduler:
-    /// `host_part[h]` names host `h`'s worker partition and `lookahead`
-    /// is the safety horizon in virtual nanoseconds (the minimum
-    /// cross-host message latency). Empty partitions are compacted away.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mode's policy is not [`SchedPolicy::VirtualTime`]
-    /// (exploration policies perturb a total order that only exists
-    /// sequentially), if the map is shorter than the host set, or if an
-    /// entry names a worker ≥ `workers`.
-    pub fn new_parallel(
-        mode: &SchedMode,
-        keys: Vec<ThreadKey>,
-        host_part: Vec<usize>,
-        workers: usize,
-        lookahead: Ns,
-    ) -> Self {
-        assert!(
-            mode.is_virtual_time(),
-            "parallel execution requires the virtual-time policy; \
-             {} schedules are sequential-only",
-            mode.policy_name()
-        );
-        assert!(workers >= 1, "parallel execution with zero workers");
-        assert!(lookahead >= 1, "zero lookahead would never make progress");
-        Self::build(mode, keys, host_part, workers, lookahead)
-    }
-
-    fn build(
-        m: &SchedMode,
-        keys: Vec<ThreadKey>,
-        host_part_in: Vec<usize>,
-        workers: usize,
-        lookahead: Ns,
-    ) -> Self {
         assert!(!keys.is_empty(), "a scheduler with no threads");
-        let max_host = keys.iter().map(|k| k.host.index()).max().unwrap_or(0);
-        assert!(
-            host_part_in.len() > max_host,
-            "partition map covers {} hosts but thread keys name host {}",
-            host_part_in.len(),
-            max_host
-        );
-        for (h, &w) in host_part_in.iter().enumerate() {
-            assert!(w < workers, "host {h} mapped to worker {w} of {workers}");
-        }
-        // Compact away workers that own no thread: an empty partition
-        // would never arrive at the window barrier.
-        let mut used = vec![false; workers];
-        for k in &keys {
-            used[host_part_in[k.host.index()]] = true;
-        }
-        let mut remap = vec![0usize; workers];
-        let mut nparts = 0;
-        for w in 0..workers {
-            if used[w] {
-                remap[w] = nparts;
-                nparts += 1;
-            }
-        }
-        let host_part: Vec<usize> = host_part_in.iter().map(|&w| remap[w]).collect();
-        assert!(
-            nparts == 1 || matches!(m.policy, SchedPolicy::VirtualTime),
-            "exploration policies are sequential-only"
-        );
-        let gating = matches!(m.policy, SchedPolicy::VirtualTime);
-        let total_slots = keys.len();
-        // Freed, not cleared: the partition's log is swapped in whole.
-        *lock(&m.log) = Vec::new();
-        m.hand_offs.store(0, Ordering::Relaxed);
-        let mut part_keys: Vec<Vec<ThreadKey>> = vec![Vec::new(); nparts];
-        for k in &keys {
-            part_keys[host_part[k.host.index()]].push(*k);
-        }
-        let parts: Vec<Part> = part_keys
-            .into_iter()
-            .map(|pkeys| {
-                let policy = match &m.policy {
-                    SchedPolicy::VirtualTime => PolicyState::VirtualTime,
-                    SchedPolicy::Random { seed } => PolicyState::Random {
-                        rng: SplitMix64::new(*seed),
-                    },
-                    SchedPolicy::Pct { seed, depth } => {
-                        let mut rng = SplitMix64::new(*seed);
-                        // High bit set: every initial priority sits above
-                        // every demotion value, and demotions stay
-                        // mutually distinct.
-                        let prios = pkeys.iter().map(|_| rng.next_u64() | (1 << 63)).collect();
-                        let mut change_at: Vec<u64> = (1..*depth)
-                            .map(|_| 1 + rng.next_range(PCT_STEP_HINT))
-                            .collect();
-                        change_at.sort_unstable();
-                        PolicyState::Pct {
-                            prios,
-                            change_at,
-                            demote_next: 1 << 62,
-                        }
-                    }
-                    SchedPolicy::Replay { choices } => PolicyState::Replay {
-                        choices: Arc::clone(choices),
-                        pos: 0,
-                    },
-                };
-                let mut hosts: Vec<HostId> = pkeys.iter().map(|k| k.host).collect();
-                hosts.sort_unstable();
-                hosts.dedup();
-                let mut host_slots = vec![Vec::new(); host_part.len()];
-                for (i, key) in pkeys.iter().enumerate() {
-                    host_slots[key.host.index()].push(i);
-                }
-                let candidates = (0..pkeys.len()).map(|i| (0, pkeys[i], i)).collect();
-                let slots: Vec<Slot> = pkeys
-                    .into_iter()
-                    .map(|key| Slot {
-                        key,
-                        vt: 0,
-                        status: Status::Runnable,
-                        candidate: true,
-                        attached: false,
-                        passive: None,
-                        cond: None,
-                    })
+        let hosts = keys.iter().map(|k| k.host.index() + 1).max().unwrap_or(1);
+        // Freed, not cleared: the scheduler's log is swapped in whole.
+        *lock(&mode.log) = Vec::new();
+        mode.hand_offs.store(0, Ordering::Relaxed);
+        let policy = match &mode.policy {
+            SchedPolicy::VirtualTime => PolicyState::VirtualTime,
+            SchedPolicy::Random { seed } => PolicyState::Random {
+                rng: SplitMix64::new(*seed),
+            },
+            SchedPolicy::Pct { seed, depth } => {
+                let mut rng = SplitMix64::new(*seed);
+                // High bit set: every initial priority sits above every
+                // demotion value, and demotions stay mutually distinct.
+                let prios = keys.iter().map(|_| rng.next_u64() | (1 << 63)).collect();
+                let mut change_at: Vec<u64> = (1..*depth)
+                    .map(|_| 1 + rng.next_range(PCT_STEP_HINT))
                     .collect();
-                let cvs = (0..slots.len()).map(|_| Condvar::new()).collect();
-                Part {
-                    state: Mutex::new(PartState {
-                        slots,
-                        candidates,
-                        host_slots,
-                        running: None,
-                        last_thread: None,
-                        at_barrier: true,
-                        driver: None,
-                        wakes: vec![0; host_part.len()],
-                        steps: 0,
-                        log: Vec::new(),
-                        policy,
-                    }),
-                    cvs,
-                    hosts,
+                change_at.sort_unstable();
+                PolicyState::Pct {
+                    prios,
+                    change_at,
+                    demote_next: 1 << 62,
                 }
+            }
+            SchedPolicy::Replay { choices } => PolicyState::Replay {
+                choices: Arc::clone(choices),
+                pos: 0,
+            },
+        };
+        let mut host_slots = vec![Vec::new(); hosts];
+        for (i, key) in keys.iter().enumerate() {
+            host_slots[key.host.index()].push(i);
+        }
+        let candidates = keys.iter().enumerate().map(|(i, &k)| (0, k, i)).collect();
+        let cvs = keys.iter().map(|_| Condvar::new()).collect();
+        let slots = keys
+            .into_iter()
+            .map(|key| Slot {
+                key,
+                vt: 0,
+                status: Status::Runnable,
+                candidate: true,
+                attached: false,
+                passive: None,
+                cond: None,
             })
             .collect();
         Self {
             inner: Arc::new(Inner {
-                ctl: Mutex::new(Ctl {
-                    attached: 0,
+                state: Mutex::new(State {
+                    slots,
+                    candidates,
+                    host_slots,
+                    running: None,
+                    last_thread: None,
+                    wakes: vec![0; hosts],
                     started: false,
-                    arrived: parts.len(),
-                    idle: false,
+                    wake_all_pending: false,
+                    steps: 0,
+                    log: Vec::new(),
+                    policy,
                 }),
+                cvs,
                 main_cv: Condvar::new(),
                 poisoned: AtomicBool::new(false),
                 turn_panic: Mutex::new(None),
                 external: AtomicBool::new(false),
-                window_end: AtomicU64::new(0),
-                lookahead,
-                gating,
+                gating: matches!(mode.policy, SchedPolicy::VirtualTime),
                 gate: OnceLock::new(),
-                wake_all_pending: AtomicBool::new(false),
-                host_part,
-                total_slots,
-                record: parts.len() == 1,
-                log: Arc::clone(&m.log),
-                hand_offs: Arc::clone(&m.hand_offs),
-                parts,
+                log: Arc::clone(&mode.log),
+                hand_offs: Arc::clone(&mode.hand_offs),
             }),
         }
-    }
-
-    /// Number of worker partitions.
-    pub fn partitions(&self) -> usize {
-        self.inner.parts.len()
     }
 
     /// Whether cross-host deliveries must be gated: the canonical
@@ -895,7 +673,7 @@ impl Scheduler {
     }
 
     /// Whether an external (unscheduled) actor currently runs inside a
-    /// quiesced window; the fabric then delivers directly instead of
+    /// quiescent run; the fabric then delivers directly instead of
     /// enqueueing into the gate.
     pub fn external_active(&self) -> bool {
         self.inner.external.load(Ordering::Acquire)
@@ -916,12 +694,10 @@ impl Scheduler {
     /// Panics if `key` names no slot or was already attached.
     pub fn attach(&self, key: ThreadKey) -> SchedThread {
         let inner = &self.inner;
-        let (part, id) = register(inner, key, None);
-        let ps = lock(&inner.parts[part].state);
-        drop(park_until_running(inner, part, ps, id));
+        let id = register(inner, key, None);
+        drop(park_until_running(inner, lock(&inner.state), id));
         SchedThread {
             inner: Arc::clone(inner),
-            part,
             id,
             finished: false,
         }
@@ -953,44 +729,27 @@ impl Scheduler {
         lock(&self.inner.turn_panic).take()
     }
 
-    /// Wakes every host of every partition from *any* thread
-    /// (registered or not) and re-examines a quiescent simulation:
-    /// called on deliveries in ungated (exploration-policy) mode and by
-    /// external actors that made progress possible. A scheduled thread
-    /// of a partitioned run must not call this (it would bump a running
-    /// partition); it has [`SchedThread::action`] for its own host and
-    /// [`SchedThread::action_all`] for everything else.
+    /// Wakes every host from *any* thread (registered or not) and, when
+    /// the run is quiescent, re-examines it on the calling thread: called
+    /// on deliveries in ungated (exploration-policy) mode and by external
+    /// actors that made progress possible. A scheduled thread has
+    /// [`SchedThread::action`] for its own host.
     pub fn bump_action(&self) {
         let inner = &self.inner;
-        let mut ctl = lock(&inner.ctl);
-        for part in &inner.parts {
-            lock(&part.state).wake_all();
+        let mut ps = lock(&inner.state);
+        ps.wake_all();
+        if ps.started && ps.running.is_none() && !inner.external.load(Ordering::Acquire) {
+            drive(inner, ps, Verdict::Quiet, None);
         }
-        let quiet = ctl.started
-            && !inner.external.load(Ordering::Acquire)
-            && !inner.poisoned.load(Ordering::Acquire)
-            && ctl.arrived == inner.parts.len();
-        let mine = match quiet {
-            true => barrier_complete(inner, &mut ctl, None),
-            false => Vec::new(),
-        };
-        drop(ctl);
-        drive_installed(inner, mine, None);
     }
 
     /// Wakes `host` only: a delivery or handler effect whose observers
-    /// all live on that host. Avoids the cross-partition control lock on
-    /// the hot path; it never needs to re-dispatch because the caller is
-    /// a currently-running scheduled thread of the same partition (or an
-    /// external actor inside a quiesced window, whose re-examination
-    /// happens when the window closes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `host` is outside the partition map: a wake delivered to
-    /// the wrong partition is a silently lost wake-up.
+    /// all live on that host. It never needs to re-dispatch, because the
+    /// caller is the running scheduled thread (or an external actor inside
+    /// [`Scheduler::quiesce_then`], whose re-examination happens when it
+    /// returns).
     pub fn bump_action_host(&self, host: HostId) {
-        lock(&self.inner.part_of(host).state).wake(host);
+        lock(&self.inner.state).wake(host);
     }
 
     /// Waits until the whole simulation is quiescent (every thread done
@@ -1001,31 +760,23 @@ impl Scheduler {
     /// scheduled world.
     pub fn quiesce_then(&self, f: impl FnOnce()) {
         let inner = &self.inner;
-        let mut ctl = lock(&inner.ctl);
-        while !(inner.poisoned.load(Ordering::Acquire) || (ctl.started && ctl.idle)) {
-            ctl = wait(&inner.main_cv, ctl);
+        let mut ps = lock(&inner.state);
+        while !(inner.poisoned.load(Ordering::Acquire) || (ps.started && ps.running.is_none())) {
+            ps = wait(&inner.main_cv, ps);
         }
         inner.external.store(true, Ordering::Release);
-        drop(ctl);
+        drop(ps);
         f();
-        let mut ctl = lock(&inner.ctl);
+        let ps = lock(&inner.state);
         inner.external.store(false, Ordering::Release);
-        let quiet = !inner.poisoned.load(Ordering::Acquire) && ctl.arrived == inner.parts.len();
-        let mine = match quiet {
-            true => barrier_complete(inner, &mut ctl, None),
-            false => Vec::new(),
-        };
-        drop(ctl);
         // With every application thread gone this thread is the only one
         // left to run what `f` made runnable (the servers' last turns).
-        drive_installed(inner, mine, None);
+        drive(inner, ps, Verdict::Quiet, None);
     }
 
-    /// Number of scheduling decisions taken so far, summed over
-    /// partitions.
+    /// Number of scheduling decisions taken so far.
     pub fn steps(&self) -> u64 {
-        let parts = &self.inner.parts;
-        parts.iter().map(|p| lock(&p.state).steps).sum()
+        lock(&self.inner.state).steps
     }
 
     /// Number of picks so far that passed the schedule to another thread
@@ -1041,7 +792,6 @@ impl Scheduler {
 /// hands control on.
 pub struct SchedThread {
     inner: Arc<Inner>,
-    part: usize,
     id: usize,
     finished: bool,
 }
@@ -1052,41 +802,40 @@ impl SchedThread {
     /// again), and returns when this thread is picked again.
     pub fn yield_now(&self, vt: Ns) {
         let inner = &self.inner;
-        let part = &inner.parts[self.part];
-        let mut ps = lock(&part.state);
+        let mut ps = lock(&inner.state);
         if inner.poisoned.load(Ordering::Acquire) {
             return;
         }
         debug_assert_eq!(ps.running, Some(self.id), "yield from a paused thread");
         ps.set(self.id, vt, Status::Runnable);
-        drop(hand_off(inner, (self.part, self.id), ps));
+        drop(hand_off(inner, self.id, ps));
     }
 
     /// Wakes the caller's own host: it just did something that may have
     /// unblocked a peer there (fulfilled a waiter, mutated protocol
     /// state) outside the network-delivery hook.
     pub fn action(&self) {
-        let mut ps = lock(&self.inner.parts[self.part].state);
+        let mut ps = lock(&self.inner.state);
         let host = ps.slots[self.id].key.host;
         ps.wake(host);
     }
 
     /// Wakes every host of the run: the caller mutated state that
     /// threads of *any* host may be blocked on (the cluster failing every
-    /// host's pending waits). The caller's own partition — whose schedule
-    /// it holds — is woken at once; the others at the next window
-    /// barrier, which cannot rule the run idle or deadlocked before it
-    /// has applied the request.
+    /// host's pending waits). Every blocked thread re-checks at once, and
+    /// once more when the run next goes quiescent, before it can be ruled
+    /// idle or deadlocked.
     pub fn action_all(&self) {
-        lock(&self.inner.parts[self.part].state).wake_all();
-        self.inner.wake_all_pending.store(true, Ordering::Release);
+        let mut ps = lock(&self.inner.state);
+        ps.wake_all();
+        ps.wake_all_pending = true;
     }
 
     /// Blocks until `check` produces a value, yielding to other threads
     /// while the condition is unmet. `vt` is the block-entry virtual time
     /// used for the policy's tie-break while parked. The caller checks once
     /// itself and never parks on a condition already met; after that
-    /// `check` runs under the partition lock *on whichever thread
+    /// `check` runs under the scheduler lock *on whichever thread
     /// dispatches* when the parked slot is picked, so it must keep the
     /// module docs' condition contract: pure, no scheduler calls, leaf
     /// locks only.
@@ -1100,7 +849,7 @@ impl SchedThread {
         // landing between a failed check and the park leaves `seen`
         // stale, so the slot stays schedulable — no lost wake-up.
         let seen = {
-            let ps = lock(&inner.parts[self.part].state);
+            let ps = lock(&inner.state);
             if inner.poisoned.load(Ordering::Acquire) {
                 return BlockOutcome::Poisoned;
             }
@@ -1141,10 +890,10 @@ impl SchedThread {
     /// Gives up the schedule at `vt` in `status` with `check` published as
     /// the slot's condition, and parks until a dispatcher found it met
     /// (`true`) or the run is poisoned. Publishes and withdraws under the
-    /// partition lock.
+    /// scheduler lock.
     fn park_on(&self, vt: Ns, status: Status, check: &mut CondFn<'_>) -> bool {
         let inner = &self.inner;
-        let mut ps = lock(&inner.parts[self.part].state);
+        let mut ps = lock(&inner.state);
         if inner.poisoned.load(Ordering::Acquire) {
             return false;
         }
@@ -1154,7 +903,7 @@ impl SchedThread {
         let check = unsafe { std::mem::transmute::<*mut CondFn<'_>, *mut CondFn<'static>>(check) };
         ps.set(self.id, vt, status);
         ps.slots[self.id].cond = Some(Cond(check));
-        let mut ps = hand_off(inner, (self.part, self.id), ps);
+        let mut ps = hand_off(inner, self.id, ps);
         ps.set_status(self.id, Status::Runnable);
         ps.slots[self.id].cond = None;
         !inner.poisoned.load(Ordering::Acquire)
@@ -1167,16 +916,15 @@ impl SchedThread {
             return;
         }
         let inner = &self.inner;
-        let part = &inner.parts[self.part];
-        let mut ps = lock(&part.state);
+        let mut ps = lock(&inner.state);
         ps.set_status(self.id, Status::Done);
         // Finishing names no host: whatever this thread released on its
-        // way out, every blocked thread of the partition re-checks once.
+        // way out, every blocked thread re-checks once.
         ps.wake_all();
         if inner.poisoned.load(Ordering::Acquire) {
             return;
         }
-        relinquish(inner, (self.part, self.id), ps);
+        relinquish(inner, self.id, ps);
     }
 }
 
@@ -1194,78 +942,50 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(|e| e.into_inner())
 }
 
-/// Thread `me` gives up the schedule and parks until it is picked again.
-fn hand_off<'a>(
-    inner: &'a Inner,
-    me: (usize, usize),
-    ps: MutexGuard<'a, PartState>,
-) -> MutexGuard<'a, PartState> {
+/// Thread slot `me` gives up the schedule and parks until it is picked
+/// again.
+fn hand_off<'a>(inner: &'a Inner, me: usize, ps: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
     relinquish(inner, me, ps);
-    park_until_running(inner, me.0, lock(&inner.parts[me.0].state), me.1)
+    park_until_running(inner, lock(&inner.state), me)
 }
 
-/// Parks thread `id` of partition `pi` until the policy picks it (or the
-/// run is poisoned). While parked it may be named the partition's driver
-/// by a window barrier some other partition's thread completed; it then
-/// runs the passive pick the barrier installed and returns to its park.
+/// Parks thread slot `id` until the policy picks it (or the run is
+/// poisoned).
 fn park_until_running<'a>(
     inner: &'a Inner,
-    pi: usize,
-    mut ps: MutexGuard<'a, PartState>,
+    mut ps: MutexGuard<'a, State>,
     id: usize,
-) -> MutexGuard<'a, PartState> {
-    let part = &inner.parts[pi];
-    loop {
-        if inner.poisoned.load(Ordering::Acquire) || ps.running == Some(id) {
-            return ps;
-        }
-        if ps.driver == Some(id) {
-            ps.driver = None;
-            let pick = ps.running.expect("a driver is named with a pick installed");
-            let me = Some((pi, id));
-            let mine = run_partition(inner, pi, ps, Verdict::Passive(pick), me);
-            drive_installed(inner, mine, me);
-            ps = lock(&part.state);
-            continue;
-        }
-        ps = wait(&part.cvs[id], ps);
+) -> MutexGuard<'a, State> {
+    while !(inner.poisoned.load(Ordering::Acquire) || ps.running == Some(id)) {
+        ps = wait(&inner.cvs[id], ps);
     }
+    ps
 }
 
 /// Marks slot `key` attached (as a passive slot when `turn` is given) and,
-/// when it completes the thread set, opens the first window. Returns the
-/// slot's partition and index.
-fn register(inner: &Inner, key: ThreadKey, mut turn: Option<TurnFn>) -> (usize, usize) {
-    let threaded = turn.is_none();
-    let mut ctl = lock(&inner.ctl);
-    let found = inner.parts.iter().enumerate().find_map(|(pi, part)| {
-        let mut ps = lock(&part.state);
-        let id = ps.slots.iter().position(|s| s.key == key)?;
-        assert!(!ps.slots[id].attached, "thread {key} attached twice");
-        ps.slots[id].attached = true;
-        ps.slots[id].passive = turn.take().map(|turn| Passive {
-            turn: Some(turn),
-            fresh: true,
-        });
-        Some((pi, id))
-    });
-    let (pi, id) = found.unwrap_or_else(|| panic!("no scheduler slot for thread {key}"));
-    let me = threaded.then_some((pi, id));
-    ctl.attached += 1;
-    // Attach doubles as the first window barrier: every partition is
-    // "arrived" until the full thread set exists.
-    ctl.started = ctl.attached == inner.total_slots;
-    let mine = match ctl.started {
-        true => barrier_complete(inner, &mut ctl, me.map(|m| m.0)),
-        false => Vec::new(),
+/// when it completes the thread set, starts the run on the calling thread.
+/// Returns the slot's index.
+fn register(inner: &Inner, key: ThreadKey, turn: Option<TurnFn>) -> usize {
+    let mut ps = lock(&inner.state);
+    let Some(id) = ps.slots.iter().position(|s| s.key == key) else {
+        panic!("no scheduler slot for thread {key}");
     };
-    drop(ctl);
-    drive_installed(inner, mine, me);
-    (pi, id)
+    assert!(!ps.slots[id].attached, "thread {key} attached twice");
+    let me = turn.is_none().then_some(id);
+    ps.slots[id].attached = true;
+    ps.slots[id].passive = turn.map(|turn| Passive {
+        turn: Some(turn),
+        fresh: true,
+    });
+    ps.started = ps.slots.iter().all(|s| s.attached);
+    if ps.started {
+        drive(inner, ps, Verdict::Quiet, me);
+    }
+    id
 }
 
-/// Whether slot `s` may be scheduled right now, given its partition's
-/// per-host wake generations.
+/// Whether slot `s` may be scheduled right now, given the per-host wake
+/// generations.
 fn is_candidate(s: &Slot, wakes: &[u64]) -> bool {
     match s.status {
         Status::Runnable => true,
@@ -1281,52 +1001,42 @@ enum Verdict {
     /// Passive slot `.0` was picked and installed as `running`; the caller
     /// must run its turn (with no scheduler lock held) and dispatch again.
     Passive(usize),
-    /// Nothing dispatchable below the window end; the partition must
-    /// arrive at the window barrier.
-    Barrier,
+    /// Nothing is runnable and no gated packet is pending: the caller must
+    /// [`settle`] the run.
+    Quiet,
 }
 
-/// Picks and installs the partition's next slot to run, releasing any
-/// gated deliveries the canonical virtual-time order reaches first. Call
-/// with the partition's state lock held, from the thread relinquishing
-/// control or from the window barrier; the caller acts on the verdict.
-fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
+/// Picks and installs the next slot to run, releasing any gated
+/// deliveries the canonical virtual-time order reaches first. Call with
+/// the scheduler lock held; the caller acts on the verdict.
+fn dispatch_in(inner: &Inner, ps: &mut State) -> Verdict {
     ps.running = None;
     if inner.poisoned.load(Ordering::Acquire) {
-        return Verdict::Barrier;
+        return Verdict::Quiet;
     }
-    let window_end = inner.window_end.load(Ordering::Acquire);
     loop {
         let min_cand = ps.first();
-        // Gated cross-host deliveries: release the earliest pending
-        // packet for this partition's hosts when it precedes (or ties —
-        // the delivery enables the receiver) every candidate thread.
-        // Releasing before dispatching keeps the canonical virtual-time
-        // total order across the wire, identically at any partition
-        // count.
-        if inner.gating {
-            if let Some(gate) = inner.gate.get() {
-                if let Some((r, h)) = gate.min_pending(&part.hosts) {
-                    let cand_vt = min_cand.map(|i| ps.slots[i].vt);
-                    if r < window_end && cand_vt.is_none_or(|cv| r <= cv) {
-                        gate.release_next(h);
-                        // The packet is in `h`'s inbox: wake `h` (its
-                        // server is the only possible receiver) and
-                        // look at the candidates again.
-                        ps.wake(h);
-                        continue;
-                    }
+        // Gated cross-host deliveries: release the earliest pending packet
+        // when it precedes (or ties — the delivery enables the receiver)
+        // every candidate thread. Releasing before dispatching keeps the
+        // canonical virtual-time total order across the wire.
+        if let Some(gate) = inner.gate.get().filter(|_| inner.gating) {
+            if let Some((r, h)) = gate.min_pending() {
+                if min_cand.is_none_or(|i| r <= ps.slots[i].vt) {
+                    gate.release_next(h);
+                    // The packet is in `h`'s inbox: wake `h` (its server
+                    // is the only possible receiver) and look at the
+                    // candidates again.
+                    ps.wake(h);
+                    continue;
                 }
             }
         }
         let Some(min_i) = min_cand else {
-            return Verdict::Barrier;
+            return Verdict::Quiet;
         };
-        if ps.slots[min_i].vt >= window_end {
-            return Verdict::Barrier;
-        }
         let step = ps.steps + 1;
-        let PartState {
+        let State {
             slots,
             candidates,
             policy,
@@ -1363,9 +1073,7 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
         };
         let pick = chosen.unwrap_or(min_i);
         ps.steps += 1;
-        if inner.record {
-            ps.log.push(pick as u32);
-        }
+        ps.log.push(pick as u32);
         // A parked thread's condition is re-checked right here: unmet, the
         // slot is blocked again — on the generation its own thread would
         // have recorded, no wake can land under this lock — and we pick on.
@@ -1388,15 +1096,14 @@ fn dispatch_in(inner: &Inner, part: &Part, ps: &mut PartState) -> Verdict {
 /// Runs the turn of passive slot `i`, which [`dispatch_in`] just installed
 /// as `running`, on the calling thread, and applies its outcome to the slot
 /// — what the server thread it stands for did through `block_until`,
-/// `action` + `yield_now`, or `finish`. The partition lock is released
+/// `action` + `yield_now`, or `finish`. The scheduler lock is released
 /// around the turn: handlers deliver messages, and deliveries wake hosts
-/// under that lock (and, ungated, under the control lock).
+/// under that lock.
 fn run_turn<'a>(
-    inner: &Inner,
-    part: &'a Part,
-    mut ps: MutexGuard<'a, PartState>,
+    inner: &'a Inner,
+    mut ps: MutexGuard<'a, State>,
     i: usize,
-) -> MutexGuard<'a, PartState> {
+) -> MutexGuard<'a, State> {
     let host = ps.slots[i].key.host;
     // Snapshot before the turn looks at its inbox, as `block_until` does:
     // a wake landing in between leaves `seen` stale and the slot
@@ -1409,7 +1116,7 @@ fn run_turn<'a>(
     let mut turn = passive.turn.take().expect("one turn of a slot at a time");
     drop(ps);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut turn));
-    let mut ps = lock(&part.state);
+    let mut ps = lock(&inner.state);
     let (status, vt) = match outcome {
         Ok(Turn::Ran { vt }) => {
             ps.wake(host);
@@ -1427,10 +1134,9 @@ fn run_turn<'a>(
             // payload for the run's owner, and poison so every parked
             // thread unwinds.
             ps.set_status(i, Status::Done);
-            drop(ps);
             lock(&inner.turn_panic).get_or_insert(payload);
-            poison(inner, &lock(&inner.ctl));
-            return lock(&part.state);
+            poison(inner, &ps);
+            return ps;
         }
     };
     ps.set(i, vt, status);
@@ -1441,234 +1147,109 @@ fn run_turn<'a>(
     ps
 }
 
-/// Thread `me` (partition, slot) gives up the schedule of its partition:
-/// picks what runs next and, as long as that is a passive slot, runs it
-/// right here. Returns once the schedule rests with a thread (possibly
-/// `me`, which then falls through its park) or the run went quiet.
-fn relinquish<'a>(inner: &'a Inner, me: (usize, usize), mut ps: MutexGuard<'a, PartState>) {
-    let verdict = dispatch_in(inner, &inner.parts[me.0], &mut ps);
-    let mine = run_partition(inner, me.0, ps, verdict, Some(me));
-    drive_installed(inner, mine, Some(me));
+/// Thread slot `me` gives up the schedule: picks what runs next and, as
+/// long as that is a passive slot, runs it right here. Returns once the
+/// schedule rests with a thread (possibly `me`, which then falls through
+/// its park) or the run went quiet.
+fn relinquish<'a>(inner: &'a Inner, me: usize, mut ps: MutexGuard<'a, State>) {
+    let verdict = dispatch_in(inner, &mut ps);
+    drive(inner, ps, verdict, Some(me));
 }
 
-/// Carries partition `pi` on from `verdict` on the calling thread (`me`,
-/// if it is a scheduled one) until a thread was dispatched or the
-/// partition arrived at the window barrier. Returns the partitions a
-/// barrier this completed left to the caller (see [`barrier_complete`]).
-fn run_partition<'a>(
+/// Carries the run on from `verdict` on the calling thread (thread slot
+/// `me`, if it is a scheduled one) until a thread was dispatched or the
+/// run was ruled idle or deadlocked.
+fn drive<'a>(
     inner: &'a Inner,
-    pi: usize,
-    mut ps: MutexGuard<'a, PartState>,
+    mut ps: MutexGuard<'a, State>,
     mut verdict: Verdict,
-    me: Option<(usize, usize)>,
-) -> Vec<usize> {
-    let part = &inner.parts[pi];
+    me: Option<usize>,
+) {
     loop {
-        match verdict {
+        verdict = match verdict {
             Verdict::Thread(pick) => {
-                // Notify with the partition lock released: the woken
-                // thread needs that lock first, and when the wake-up
-                // preempts this thread it would be switched in only to
-                // block on it. Picking itself, the caller just returns.
+                // Notify with the lock released: the woken thread needs
+                // that lock first, and when the wake-up preempts this
+                // thread it would be switched in only to block on it.
+                // Picking itself, the caller just returns.
                 drop(ps);
-                if me != Some((pi, pick)) {
-                    part.cvs[pick].notify_one();
+                if me != Some(pick) {
+                    inner.cvs[pick].notify_one();
                 }
-                return Vec::new();
+                return;
             }
-            Verdict::Barrier => return arrive_at_barrier(inner, pi, ps),
             Verdict::Passive(i) => {
-                ps = run_turn(inner, part, ps, i);
-                verdict = dispatch_in(inner, part, &mut ps);
+                ps = run_turn(inner, ps, i);
+                dispatch_in(inner, &mut ps)
             }
-        }
+            Verdict::Quiet => match settle(inner, &mut ps) {
+                Some(verdict) => verdict,
+                None => return,
+            },
+        };
     }
 }
 
-/// Runs every partition in `todo` — each with a passive pick installed by
-/// a window barrier — plus whatever further barriers completed on the way
-/// leave to this thread (`me`, if it is a scheduled one).
-fn drive_installed(inner: &Inner, mut todo: Vec<usize>, me: Option<(usize, usize)>) {
-    while let Some(pi) = todo.pop() {
-        if inner.poisoned.load(Ordering::Acquire) {
-            return;
-        }
-        let ps = lock(&inner.parts[pi].state);
-        let pick = ps.running.expect("the barrier installed a pick");
-        todo.extend(run_partition(inner, pi, ps, Verdict::Passive(pick), me));
-    }
-}
-
-/// Hands partition `pi` to the window barrier: everything below the
-/// window end is done. Consumes the partition guard (the barrier takes
-/// the control lock, which must never be acquired while holding a
-/// partition lock). Returns what [`barrier_complete`] left to the caller
-/// when this arrival completed the barrier.
-fn arrive_at_barrier(inner: &Inner, pi: usize, mut ps: MutexGuard<'_, PartState>) -> Vec<usize> {
-    ps.at_barrier = true;
-    drop(ps);
-    let mut ctl = lock(&inner.ctl);
-    if inner.poisoned.load(Ordering::Acquire) {
-        return Vec::new();
-    }
-    ctl.arrived += 1;
-    if ctl.started && ctl.arrived == inner.parts.len() {
-        return barrier_complete(inner, &mut ctl, Some(pi));
-    }
-    Vec::new()
-}
-
-/// The window barrier: every partition has arrived. Derives the next
-/// window `[W0, W0 + lookahead)` from the globally-minimal next event
-/// (runnable candidate or pending gated delivery) and releases every
-/// partition with work below the window end. With nothing pending
-/// anywhere, rules the run idle — or deadlocked, if an application
-/// thread is still blocked. Runs with the ctl lock held; every scheduled
-/// thread is parked, so partition states and the gate are stable.
-///
-/// A partition whose first pick of the new window is a *passive* slot
-/// needs somebody to run it, and not under the control lock. The caller
-/// (a thread of partition `own`, if any) takes its own partition; every
-/// other one goes to one of that partition's parked threads, so
-/// partitions keep running side by side; a partition with no thread left
-/// alive falls to the caller too. Returns the partitions the caller must
-/// drive once it has released the control lock.
-fn barrier_complete(inner: &Inner, ctl: &mut Ctl, own: Option<usize>) -> Vec<usize> {
-    let mut mine = Vec::new();
+/// Re-examines a run that went quiet: applies a pending wake of every
+/// host, then delivers the fault-held (reorder) packets — the
+/// receiver-driven rescue poll is off under gating — dispatching after
+/// each, and returns the first pick that comes of it. With nothing left,
+/// rules the run idle — or deadlocked, if an application thread is still
+/// blocked — and returns `None`.
+fn settle(inner: &Inner, ps: &mut State) -> Option<Verdict> {
     loop {
         if inner.poisoned.load(Ordering::Acquire) {
-            return mine;
+            return None;
         }
-        // A wake-everything request from a scheduled thread reaches the
-        // other partitions here, before any idle/deadlock verdict.
-        let wake_all = inner.wake_all_pending.swap(false, Ordering::AcqRel);
-        let gate = if inner.gating { inner.gate.get() } else { None };
-        let mut w0 = Ns::MAX;
-        for part in &inner.parts {
-            let mut ps = lock(&part.state);
-            if wake_all {
-                ps.wake_all();
-            }
-            if let Some(i) = ps.first() {
-                w0 = w0.min(ps.slots[i].vt);
-            }
-            if let Some((r, _)) = gate.and_then(|g| g.min_pending(&part.hosts)) {
-                w0 = w0.min(r);
-            }
+        if std::mem::take(&mut ps.wake_all_pending) {
+            ps.wake_all();
         }
-        if w0 == Ns::MAX {
-            // Nothing runnable and nothing in flight. Fault-held
-            // (reorder) packets are the last resort — the
-            // receiver-driven rescue poll is disabled under gating —
-            // flush them and re-examine.
-            if let Some(g) = gate {
-                let rescued = g.flush_held();
-                if !rescued.is_empty() {
-                    for h in rescued {
-                        lock(&inner.part_of(h).state).wake(h);
-                    }
-                    continue;
-                }
-            }
-            let stuck_app = inner.parts.iter().any(|part| {
-                let live = |s: &Slot| s.key.class == ThreadClass::App && s.status != Status::Done;
-                lock(&part.state).slots.iter().any(live)
-            });
-            // Idle or deadlocked, the run is quiescent: its log is whole.
-            for part in &inner.parts {
-                flush_log(inner, &mut lock(&part.state));
-            }
-            if stuck_app {
-                // A blocked application thread nobody can ever wake: the
-                // schedule deadlocked. Poison so every thread unwinds
-                // with a typed error instead of hanging the run.
-                poison(inner, ctl);
-            } else {
-                // Only servers are parked on empty inboxes; idle until
-                // an external action (the cluster's shutdown)
-                // re-examines.
-                ctl.idle = true;
-                inner.main_cv.notify_all();
-            }
-            return mine;
+        let verdict = dispatch_in(inner, ps);
+        if !matches!(verdict, Verdict::Quiet) {
+            return Some(verdict);
         }
-        ctl.idle = false;
-        inner
-            .window_end
-            .store(w0.saturating_add(inner.lookahead), Ordering::Release);
-        let mut dispatched_any = false;
-        for (pi, part) in inner.parts.iter().enumerate() {
-            let mut ps = lock(&part.state);
-            let verdict = dispatch_in(inner, part, &mut ps);
-            if matches!(verdict, Verdict::Barrier) {
-                continue;
-            }
-            ps.at_barrier = false;
-            ctl.arrived -= 1;
-            dispatched_any = true;
-            match verdict {
-                Verdict::Thread(pick) => part.cvs[pick].notify_one(),
-                _ if own == Some(pi) => mine.push(pi),
-                _ => {
-                    let parked = ps
-                        .slots
-                        .iter()
-                        .position(|s| s.passive.is_none() && s.status != Status::Done);
-                    match parked {
-                        Some(id) => {
-                            ps.driver = Some(id);
-                            part.cvs[id].notify_one();
-                        }
-                        None => mine.push(pi),
-                    }
-                }
-            }
+        let rescued = match inner.gate.get() {
+            Some(gate) if inner.gating => gate.flush_held(),
+            _ => Vec::new(),
+        };
+        if rescued.is_empty() {
+            break;
         }
-        if dispatched_any {
-            return mine;
+        for h in rescued {
+            ps.wake(h);
         }
-        // The window's only events were packet releases to hosts with no
-        // waiting receiver (drained by dispatch_in above); re-derive the
-        // next window from what is left.
     }
-}
-
-/// Hands partition `ps`'s decisions to the mode's log: moved in whole
-/// while that log is empty, appended to it after that — one buffer either
-/// way, never a copy of the whole run.
-fn flush_log(inner: &Inner, ps: &mut PartState) {
-    if ps.log.is_empty() {
-        return;
-    }
-    let mut log = lock(&inner.log);
-    if log.is_empty() {
-        std::mem::swap(&mut *log, &mut ps.log);
+    // Idle or deadlocked, the run is quiescent: its log is whole.
+    ps.flush_log(&inner.log);
+    let live = |s: &Slot| s.key.class == ThreadClass::App && s.status != Status::Done;
+    if ps.slots.iter().any(live) {
+        // A blocked application thread nobody can ever wake: the schedule
+        // deadlocked. Poison so every thread unwinds with a typed error
+        // instead of hanging the run.
+        poison(inner, ps);
     } else {
-        log.append(&mut ps.log);
+        // Only servers are parked on empty inboxes; idle until an
+        // external action (the cluster's shutdown) re-examines.
+        inner.main_cv.notify_all();
     }
+    None
 }
 
 impl Drop for Inner {
     /// A run torn down without a last verdict (a panicking turn poisons
     /// it) still leaves its whole decision log with the mode.
     fn drop(&mut self) {
-        for part in &self.parts {
-            flush_log(self, &mut lock(&part.state));
-        }
+        lock(&self.state).flush_log(&self.log);
     }
 }
 
-/// Marks the schedule poisoned and wakes every parked thread (under
-/// their partition locks, so nobody is between a predicate check and a
-/// wait) plus the quiesce waiter. Takes the held ctl guard as proof the
-/// quiesce waiter is not between its predicate check and its wait either.
-fn poison(inner: &Inner, _ctl: &Ctl) {
+/// Marks the schedule poisoned and wakes every parked thread plus the
+/// quiesce waiter. Takes the held scheduler state as proof that none of
+/// them is between a predicate check and its wait.
+fn poison(inner: &Inner, _ps: &State) {
     inner.poisoned.store(true, Ordering::SeqCst);
-    for part in &inner.parts {
-        let _guard = lock(&part.state);
-        for cv in &part.cvs {
-            cv.notify_all();
-        }
+    for cv in &inner.cvs {
+        cv.notify_all();
     }
     inner.main_cv.notify_all();
 }
@@ -1951,13 +1532,6 @@ mod tests {
         assert_eq!(mode.hand_offs(), sched.hand_offs());
     }
 
-    #[test]
-    #[should_panic(expected = "wake for host 5 but the partition map covers 2 hosts")]
-    fn waking_a_host_outside_the_partition_map_panics() {
-        let sched = Scheduler::new(&SchedMode::deterministic(), two_host_keys());
-        sched.bump_action_host(HostId(5));
-    }
-
     fn two_host_keys() -> Vec<ThreadKey> {
         vec![
             ThreadKey::server(HostId(0)),
@@ -1965,82 +1539,6 @@ mod tests {
             ThreadKey::app(HostId(0), 0),
             ThreadKey::app(HostId(1), 0),
         ]
-    }
-
-    #[test]
-    fn partitioned_threads_run_to_completion() {
-        // Two partitions advancing through many short windows: every
-        // thread must make all of its yields despite barrier round trips.
-        let mode = SchedMode::deterministic();
-        let sched = Scheduler::new_parallel(&mode, two_host_keys(), vec![0, 1], 2, 10);
-        assert_eq!(sched.partitions(), 2);
-        let done = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for h in 0..2u16 {
-                let sched_srv = sched.clone();
-                scope.spawn(move || {
-                    let mut t = sched_srv.attach(ThreadKey::server(HostId(h)));
-                    t.finish();
-                });
-                let sched_app = sched.clone();
-                let done = Arc::clone(&done);
-                scope.spawn(move || {
-                    let t = sched_app.attach(ThreadKey::app(HostId(h), 0));
-                    for i in 0..50u64 {
-                        // Strides differ per host so the partitions hit
-                        // window edges at different times.
-                        t.yield_now(i * (3 + u64::from(h)));
-                    }
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::Relaxed), 2);
-        assert!(sched.steps() >= 100);
-        // No total order exists across partitions: nothing recorded.
-        assert!(mode.decisions().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "sequential-only")]
-    fn parallel_rejects_exploration_policies() {
-        let _ = Scheduler::new_parallel(
-            &SchedMode::random(1),
-            two_host_keys(),
-            vec![0, 1],
-            2,
-            12_000,
-        );
-    }
-
-    #[test]
-    fn partitioned_deadlock_poisons_globally() {
-        let mode = SchedMode::deterministic();
-        let sched = Scheduler::new_parallel(&mode, two_host_keys(), vec![0, 1], 2, 10);
-        let poisoned = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for h in 0..2u16 {
-                let sched_srv = sched.clone();
-                scope.spawn(move || {
-                    let mut t = sched_srv.attach(ThreadKey::server(HostId(h)));
-                    t.finish();
-                });
-            }
-            let sched_done = sched.clone();
-            scope.spawn(move || {
-                let t = sched_done.attach(ThreadKey::app(HostId(0), 0));
-                t.yield_now(1);
-            });
-            let sched_stuck = sched.clone();
-            let poisoned = Arc::clone(&poisoned);
-            scope.spawn(move || {
-                let t = sched_stuck.attach(ThreadKey::app(HostId(1), 0));
-                if let BlockOutcome::Poisoned = t.block_until(0, || None::<()>) {
-                    poisoned.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        });
-        assert_eq!(poisoned.load(Ordering::Relaxed), 1);
     }
 
     /// One parked test message: destination host and the flag its
@@ -2072,12 +1570,11 @@ mod tests {
     }
 
     impl DeliveryGate for TestGate {
-        fn min_pending(&self, hosts: &[HostId]) -> Option<(Ns, HostId)> {
+        fn min_pending(&self) -> Option<(Ns, HostId)> {
             self.pending
                 .lock()
                 .unwrap()
                 .iter()
-                .filter(|(_, (to, _))| hosts.contains(to))
                 .map(|((r, _), (to, _))| (*r, *to))
                 .min()
         }
@@ -2099,118 +1596,36 @@ mod tests {
         }
     }
 
-    /// A cross-partition "message": host 0's app enqueues a gated
-    /// delivery for host 1, whose server blocks on the flag it bumps.
-    /// The delivery lands beyond the first window, so the server can
-    /// only wake if the window barrier advances time and releases it.
-    fn gated_handoff(workers: usize, map: Vec<usize>) {
-        let mode = SchedMode::deterministic();
-        let lookahead = 12;
-        let sched = Scheduler::new_parallel(&mode, two_host_keys(), map, workers, lookahead);
+    /// Host 0's application thread parks a gated delivery for host 1,
+    /// whose server blocks on the flag it bumps. Once the sender yields
+    /// past the release time nothing else is runnable, so only the
+    /// dispatch loop releasing the packet can wake the server.
+    #[test]
+    fn a_gated_delivery_wakes_its_blocked_receiver() {
+        let sched = Scheduler::new(&SchedMode::deterministic(), two_host_keys());
         let gate = Arc::new(TestGate::new());
         sched.set_gate(Arc::clone(&gate) as Arc<dyn DeliveryGate>);
         let flag = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
-            let sched_srv0 = sched.clone();
-            scope.spawn(move || {
-                let mut t = sched_srv0.attach(ThreadKey::server(HostId(0)));
-                t.finish();
-            });
-            let sched_app1 = sched.clone();
-            scope.spawn(move || {
-                let mut t = sched_app1.attach(ThreadKey::app(HostId(1), 0));
-                t.finish();
-            });
-            let sched_send = sched.clone();
-            let gate_send = Arc::clone(&gate);
-            let flag_send = Arc::clone(&flag);
-            scope.spawn(move || {
-                let t = sched_send.attach(ThreadKey::app(HostId(0), 0));
-                t.yield_now(5);
-                // "Send" at vt 5: released no earlier than 5 + lookahead.
-                gate_send.send(5 + lookahead, HostId(1), &flag_send);
-                t.yield_now(6);
-            });
-            let sched_recv = sched.clone();
-            let flag_recv = Arc::clone(&flag);
-            scope.spawn(move || {
-                let t = sched_recv.attach(ThreadKey::server(HostId(1)));
-                match t.block_until(0, || {
-                    let v = flag_recv.load(Ordering::Relaxed);
-                    (v > 0).then_some(v)
-                }) {
-                    BlockOutcome::Ready(v) => assert_eq!(v, 1),
-                    BlockOutcome::Poisoned => panic!("gated delivery never released"),
-                }
-            });
-        });
-        assert_eq!(gate.min_pending(&[HostId(1)]), None, "gate drained");
-    }
-
-    #[test]
-    fn gated_delivery_crosses_partitions() {
-        gated_handoff(2, vec![0, 1]);
-    }
-
-    #[test]
-    fn gated_delivery_works_single_partition() {
-        gated_handoff(1, vec![0, 0]);
-    }
-
-    /// Host 0 sends host 1 twenty gated messages, one per window, while
-    /// host 1's only live thread is parked on a flag no message sets. Each
-    /// window barrier's first pick in host 1's partition is that slot —
-    /// woken by the release, not ready — and the thread completing the
-    /// barrier settles it on the spot: host 1's thread runs its condition
-    /// when it blocks and when it is finally resumed, and never in between.
-    #[test]
-    fn a_barrier_pick_that_is_not_ready_resumes_nobody() {
-        let mode = SchedMode::deterministic();
-        let lookahead = 10;
-        let sched = Scheduler::new_parallel(&mode, two_host_keys(), vec![0, 1], 2, lookahead);
-        let gate = Arc::new(TestGate::new());
-        sched.set_gate(Arc::clone(&gate) as Arc<dyn DeliveryGate>);
-        let (delivered, done) = (Arc::new(AtomicU64::new(0)), AtomicBool::new(false));
-        let evaluated_on = Mutex::new(Vec::new());
-        let parked = std::thread::scope(|scope| {
-            for h in 0..2 {
-                let sched = &sched;
-                scope.spawn(move || sched.attach(ThreadKey::server(HostId(h))).finish());
-            }
-            let (sched, gate, delivered) = (&sched, &gate, &delivered);
-            let (done, evaluated_on) = (&done, &evaluated_on);
+            let (sched, gate, flag) = (&sched, &gate, &flag);
+            scope.spawn(move || sched.attach(ThreadKey::server(HostId(0))).finish());
+            scope.spawn(move || sched.attach(ThreadKey::app(HostId(1), 0)).finish());
             scope.spawn(move || {
                 let t = sched.attach(ThreadKey::app(HostId(0), 0));
-                for i in 1..=21 {
-                    done.store(i == 21, Ordering::SeqCst);
-                    gate.send(i * 2 * lookahead, HostId(1), delivered);
-                    t.yield_now(i * 2 * lookahead);
+                t.yield_now(5);
+                // "Send" at vt 5, released at 17.
+                gate.send(17, HostId(1), flag);
+                t.yield_now(20);
+            });
+            scope.spawn(move || {
+                let t = sched.attach(ThreadKey::server(HostId(1)));
+                let delivered = || (flag.load(Ordering::Relaxed) > 0).then_some(());
+                if let BlockOutcome::Poisoned = t.block_until(0, delivered) {
+                    panic!("gated delivery never released");
                 }
             });
-            let parked = scope.spawn(move || {
-                let t = sched.attach(ThreadKey::app(HostId(1), 0));
-                let check = || {
-                    evaluated_on
-                        .lock()
-                        .unwrap()
-                        .push(std::thread::current().id());
-                    done.load(Ordering::SeqCst).then_some(())
-                };
-                assert!(matches!(t.block_until(0, check), BlockOutcome::Ready(())));
-                std::thread::current().id()
-            });
-            parked.join().unwrap()
         });
-        assert_eq!(delivered.load(Ordering::SeqCst), 21);
-        let evaluated_on = evaluated_on.lock().unwrap();
-        // Its own first and last, one per release, one for its host's
-        // server finishing (which wakes everybody).
-        assert_eq!(evaluated_on.len(), 2 + 21 + 1);
-        let by_owner = evaluated_on.iter().filter(|&&id| id == parked).count();
-        assert_eq!(
-            by_owner, 2,
-            "its thread was resumed for a pick that was not ready"
-        );
+        assert_eq!(gate.min_pending(), None, "gate drained");
     }
 
     /// The toy behind the passive-slot tests: every host has a server
@@ -2366,7 +1781,7 @@ mod tests {
     /// The scheduler keeps its decisions to itself while it runs; the mode
     /// holds all of them once the run is quiescent — before the scheduler
     /// drops, and again after `quiesce_then` ran more turns, as the two
-    /// parts one after the other. A partitioned run records nothing.
+    /// parts one after the other.
     #[test]
     fn the_decision_log_is_whole_once_the_run_is_quiescent() {
         let mode = SchedMode::deterministic();
@@ -2391,16 +1806,6 @@ mod tests {
             all[..first.len()],
             first[..],
             "the later turns are appended"
-        );
-
-        let mode = SchedMode::deterministic();
-        let sched = Scheduler::new_parallel(&mode, server_app_keys(2), vec![0, 1], 2, 10);
-        let echo = ping_around(&sched, 2);
-        sched.quiesce_then(|| (0..2).for_each(|g| echo.send(&sched, g, None)));
-        assert!(sched.steps() > 0);
-        assert!(
-            mode.decisions().is_empty(),
-            "no total order across partitions"
         );
     }
 
@@ -2484,10 +1889,6 @@ mod tests {
     /// its membership.
     #[test]
     fn the_index_is_the_scan() {
-        assert_eq!(
-            sha256_hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
         let mut moved = Vec::new();
         for (mode, len, pin) in [
             (
@@ -2508,71 +1909,12 @@ mod tests {
         ] {
             let decisions = churn_decisions(&mode);
             let bytes: Vec<u8> = decisions.iter().flat_map(|d| d.to_le_bytes()).collect();
-            let got = (decisions.len(), sha256_hex(&bytes));
+            let got = (decisions.len(), crate::sha256_hex(&bytes));
             if got != (len, pin.to_string()) {
                 moved.push(format!("{}: {got:?}", mode.policy_name()));
             }
         }
         assert!(moved.is_empty(), "schedules moved:\n{}", moved.join("\n"));
-    }
-
-    /// FIPS 180-4 SHA-256 as lowercase hex (the implementation
-    /// `tests/parallel_sim.rs` holds the test vectors of).
-    fn sha256_hex(data: &[u8]) -> String {
-        const K: [u32; 64] = [
-            0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
-            0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
-            0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
-            0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
-            0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
-            0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-            0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
-            0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
-            0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
-            0xc67178f2,
-        ];
-        let mut h: [u32; 8] = [
-            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-            0x5be0cd19,
-        ];
-        let mut msg = data.to_vec();
-        msg.push(0x80);
-        while msg.len() % 64 != 56 {
-            msg.push(0);
-        }
-        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
-        for block in msg.chunks_exact(64) {
-            let mut w = [0u32; 64];
-            for (i, c) in block.chunks_exact(4).enumerate() {
-                w[i] = u32::from_be_bytes(c.try_into().unwrap());
-            }
-            for i in 16..64 {
-                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-                w[i] = w[i - 16]
-                    .wrapping_add(s0)
-                    .wrapping_add(w[i - 7])
-                    .wrapping_add(s1);
-            }
-            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-            for i in 0..64 {
-                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-                let ch = (e & f) ^ (!e & g);
-                let t1 = hh
-                    .wrapping_add(s1)
-                    .wrapping_add(ch)
-                    .wrapping_add(K[i])
-                    .wrapping_add(w[i]);
-                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-                let t2 = s0.wrapping_add((a & b) ^ (a & c) ^ (b & c));
-                (hh, g, f, e, d, c, b, a) =
-                    (g, f, e, d.wrapping_add(t1), c, b, a, t1.wrapping_add(t2));
-            }
-            for (s, v) in h.iter_mut().zip([a, b, c, d, e, f, g, hh]) {
-                *s = s.wrapping_add(v);
-            }
-        }
-        h.iter().map(|x| format!("{x:08x}")).collect()
     }
 
     #[test]
@@ -2638,87 +1980,6 @@ mod tests {
         assert_eq!(sched.steps(), steps);
     }
 
-    /// Per host, what its application thread and its passive server saw:
-    /// the server's turns as `(virtual time after the turn, thread that
-    /// ran it)`, and the application thread's own id.
-    type WindowLog = Vec<(Vec<(Ns, std::thread::ThreadId)>, std::thread::ThreadId)>;
-
-    /// Two hosts, each pinging its own server twice. The first echo puts
-    /// the server at virtual time 25 and the application thread waits at
-    /// 40, so the window that opens at 25 starts, in both hosts'
-    /// partitions, with a passive pick.
-    fn windows_opening_on_passive_turns(map: Vec<usize>, workers: usize) -> WindowLog {
-        let sched = Scheduler::new_parallel(
-            &SchedMode::deterministic(),
-            server_app_keys(2),
-            map,
-            workers,
-            10,
-        );
-        let echo = Echo::new(2);
-        let turns = Arc::new([Mutex::new(Vec::new()), Mutex::new(Vec::new())]);
-        for g in 0..2u16 {
-            let (echo, sched2, turns, mut vt) =
-                (Arc::clone(&echo), sched.clone(), Arc::clone(&turns), 15);
-            sched.attach_passive(
-                ThreadKey::server(HostId(g)),
-                Box::new(move || {
-                    let turn = echo.serve(&sched2, g, &mut vt);
-                    if let Turn::Ran { vt } = turn {
-                        turns[g as usize]
-                            .lock()
-                            .unwrap()
-                            .push((vt, std::thread::current().id()));
-                    }
-                    turn
-                }),
-            );
-        }
-        let apps: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2u16)
-                .map(|h| {
-                    let (sched, echo) = (&sched, &echo);
-                    scope.spawn(move || {
-                        let t = sched.attach(ThreadKey::app(HostId(h), 0));
-                        echo.send(sched, h, Some(h));
-                        echo.send(sched, h, Some(h));
-                        let echoed =
-                            || (echo.replies[h as usize].load(Ordering::SeqCst) == 2).then_some(());
-                        if let BlockOutcome::Poisoned = t.block_until(40, echoed) {
-                            panic!("host {h} poisoned");
-                        }
-                        std::thread::current().id()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        sched.quiesce_then(|| (0..2).for_each(|g| echo.send(&sched, g, None)));
-        (0..2)
-            .map(|h| (turns[h].lock().unwrap().clone(), apps[h]))
-            .collect()
-    }
-
-    #[test]
-    fn a_window_opening_on_passive_turns_runs_each_in_its_own_partition() {
-        let one = windows_opening_on_passive_turns(vec![0, 0], 1);
-        // Partition timing is up to the OS; the property must hold however
-        // the barrier arrivals interleave.
-        for _ in 0..20 {
-            let two = windows_opening_on_passive_turns(vec![0, 1], 2);
-            for (h, (turns, app)) in two.iter().enumerate() {
-                let vts: Vec<Ns> = turns.iter().map(|t| t.0).collect();
-                assert_eq!(vts, [25, 35], "host {h}: both pings echoed, one per window");
-                assert!(
-                    turns.iter().all(|t| t.1 == *app),
-                    "host {h}: a handler ran outside its partition's live thread"
-                );
-                let one_vts: Vec<Ns> = one[h].0.iter().map(|t| t.0).collect();
-                assert_eq!(vts, one_vts, "host {h}: window parity");
-            }
-        }
-    }
-
     #[test]
     fn a_panicking_turn_poisons_the_run_and_keeps_its_payload() {
         let stale = AtomicBool::new(false);
@@ -2753,76 +2014,5 @@ mod tests {
             assert!(started.elapsed() < std::time::Duration::from_secs(1));
         }
         assert!(!stale.load(Ordering::SeqCst), "evaluated after the return");
-    }
-
-    /// The race the condition pointer's safety argument is about: host 0's
-    /// second thread keeps evaluating the parked first one's condition
-    /// while, in the other partition, a handler panics and the poisoning
-    /// wakes the parked thread. Its return must wait out an evaluation in
-    /// progress.
-    #[test]
-    fn a_poisoned_owner_never_returns_under_an_evaluation() {
-        let stale = AtomicBool::new(false);
-        for _ in 0..1000 {
-            let keys = vec![
-                ThreadKey::app(HostId(0), 0),
-                ThreadKey::app(HostId(0), 1),
-                ThreadKey::server(HostId(1)),
-                ThreadKey::app(HostId(1), 0),
-            ];
-            let mode = SchedMode::deterministic();
-            let sched = Scheduler::new_parallel(&mode, keys, vec![0, 1], 2, 1000);
-            sched.attach_passive(
-                ThreadKey::server(HostId(1)),
-                Box::new(|| std::panic::panic_any("planted handler bug")),
-            );
-            let poisoned = std::thread::scope(|scope| {
-                let (sched, stale) = (&sched, &stale);
-                let parked = scope.spawn(move || {
-                    let t = sched.attach(ThreadKey::app(HostId(0), 0));
-                    block_forever(&t, 0, stale)
-                });
-                scope.spawn(move || {
-                    let t = sched.attach(ThreadKey::app(HostId(0), 1));
-                    for _ in 0..300 {
-                        t.action();
-                        t.yield_now(0);
-                    }
-                });
-                // Yielding past the server's virtual time runs its turn.
-                scope.spawn(move || sched.attach(ThreadKey::app(HostId(1), 0)).yield_now(5));
-                parked.join().unwrap()
-            });
-            assert!(poisoned);
-            assert!(sched.take_turn_panic().is_some());
-        }
-        assert!(!stale.load(Ordering::SeqCst), "evaluated after the return");
-    }
-
-    #[test]
-    fn default_map_is_contiguous_and_balanced() {
-        let m = ParallelConfig::default_map(8, 4);
-        assert_eq!(m, vec![0, 0, 1, 1, 2, 2, 3, 3]);
-        let m = ParallelConfig::default_map(5, 2);
-        assert_eq!(m, vec![0, 0, 0, 1, 1]);
-        // Never names a worker out of range, even degenerate shapes.
-        for hosts in 1..20 {
-            for workers in 1..10 {
-                for (h, w) in ParallelConfig::default_map(hosts, workers)
-                    .iter()
-                    .enumerate()
-                {
-                    assert!(*w < workers, "hosts={hosts} workers={workers} h={h}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn empty_partitions_are_compacted() {
-        // Map everything to worker 3 of 4: one real partition.
-        let mode = SchedMode::deterministic();
-        let sched = Scheduler::new_parallel(&mode, two_host_keys(), vec![3, 3], 4, 10);
-        assert_eq!(sched.partitions(), 1);
     }
 }

@@ -689,10 +689,11 @@ struct GateHandle<M> {
 }
 
 impl<M: Send + Clone + 'static> DeliveryGate for GateHandle<M> {
-    fn min_pending(&self, hosts: &[HostId]) -> Option<(Ns, HostId)> {
-        hosts
+    fn min_pending(&self) -> Option<(Ns, HostId)> {
+        self.mailboxes
             .iter()
-            .map(|&h| (self.mailboxes[h.index()].head.load(Ordering::Acquire), h))
+            .zip(0..)
+            .map(|(m, h)| (m.head.load(Ordering::Acquire), HostId(h)))
             .filter(|&(r, _)| r != Ns::MAX)
             .min()
     }
@@ -1144,17 +1145,36 @@ mod tests {
         assert_eq!(net.stats().send_failures.get(), 1);
     }
 
+    /// A gate with nothing to release, installed ahead of the fabric's own
+    /// so that the scheduler leaves every release to the test.
+    struct NoGate;
+
+    impl DeliveryGate for NoGate {
+        fn min_pending(&self) -> Option<(Ns, HostId)> {
+            None
+        }
+
+        fn release_next(&self, _: HostId) {
+            unreachable!("nothing is pending")
+        }
+
+        fn flush_held(&self) -> Vec<HostId> {
+            Vec::new()
+        }
+    }
+
     /// A fabric of `hosts` hosts under a gating scheduler that never
-    /// releases anything itself: its one slot is host `hosts`'s idle
-    /// server, one host past the ones under test, and the scheduler's gate
-    /// poll only looks at the hosts of its slots. The run is started and
-    /// quiescent, so [`Scheduler::quiesce_then`] sends as an external
-    /// actor. Returns the scheduler, the fabric, its endpoints and a gate
-    /// handle over its mailboxes like the one the scheduler was given.
+    /// releases anything itself: it polls [`NoGate`], and its one slot is
+    /// host `hosts`'s idle server, one host past the ones under test. The
+    /// run is started and quiescent, so [`Scheduler::quiesce_then`] sends
+    /// as an external actor. Returns the scheduler, the fabric, its
+    /// endpoints and a gate handle over its mailboxes like the one the
+    /// fabric offers the scheduler.
     fn idle_gated(hosts: usize, plane: FaultPlane) -> GatedFabric {
         let idle = ThreadKey::server(HostId(hosts as u16));
         let sched = Scheduler::new(&SchedMode::deterministic(), vec![idle]);
         sched.attach_passive(idle, Box::new(|| Turn::Idle { vt: 0 }));
+        sched.set_gate(Arc::new(NoGate));
         let (net, eps) = Network::with_faults(hosts + 1, CostModel::default(), plane);
         net.attach_scheduler(&sched);
         let gate = GateHandle {
@@ -1186,7 +1206,6 @@ mod tests {
             ops in proptest::collection::vec((0u8..10, 0usize..5, 0usize..5, 0u64..4), 1..160),
         ) {
             let (sched, net, eps, gate) = idle_gated(hosts, FaultPlane::disabled());
-            let all: Vec<HostId> = (0..=hosts).map(|h| HostId(h as u16)).collect();
             let mut parked: Vec<BTreeMap<Key, u64>> = vec![BTreeMap::new(); hosts];
             let mut ready: Vec<VecDeque<(u64, Ns)>> = vec![VecDeque::new(); hosts];
             let mut links: BTreeMap<(usize, usize), (Ns, u64)> = BTreeMap::new();
@@ -1239,7 +1258,7 @@ mod tests {
                         prop_assert_eq!(got, ready[to].pop_front(), "receive at host {}", to);
                     }
                 }
-                prop_assert_eq!(gate.min_pending(&all), model_min(&parked), "after step {}", id);
+                prop_assert_eq!(gate.min_pending(), model_min(&parked), "after step {}", id);
             }
             while let Some((_, h)) = model_min(&parked) {
                 release(h.index(), &mut parked, &mut ready);
@@ -1251,7 +1270,7 @@ mod tests {
                 }
                 prop_assert_eq!(ep.try_recv().unwrap_err(), RecvError::Empty);
             }
-            prop_assert_eq!(gate.min_pending(&all), None);
+            prop_assert_eq!(gate.min_pending(), None);
         }
 
         /// Per-link FIFO through the gate on a wire that duplicates and
@@ -1268,7 +1287,6 @@ mod tests {
         ) {
             let plane = FaultPlane::lossy(seed, 0.0, dup_pm as f64 / 1000.0, reorder_pm as f64 / 1000.0);
             let (_sched, net, eps, gate) = idle_gated(hosts, plane);
-            let all: Vec<HostId> = (0..hosts).map(|h| HostId(h as u16)).collect();
             let mut sent: BTreeMap<(usize, usize), u64> = BTreeMap::new();
             for &(a, b, stamp) in &sends {
                 let (from, to) = (a % hosts, (a % hosts + 1 + b % (hosts - 1)) % hosts);
@@ -1279,7 +1297,7 @@ mod tests {
             }
             let mut got: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
             loop {
-                while let Some((_, h)) = gate.min_pending(&all) {
+                while let Some((_, h)) = gate.min_pending() {
                     gate.release_next(h);
                 }
                 for (to, ep) in eps.iter().enumerate() {

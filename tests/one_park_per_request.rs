@@ -59,30 +59,27 @@ fn water_paper_input_parks_once_per_wait() {
 
 /// A lock nobody releases: the waiter's condition sits published in its
 /// slot when the schedule runs dry, and the verdict still reaches it as a
-/// typed error, sequential or partitioned.
+/// typed error.
 #[test]
 fn deadlock_verdict_reaches_a_published_condition() {
-    for workers in [None, Some(2)] {
-        let report = run(
-            ClusterConfig {
-                hosts: 2,
-                sched: SchedMode::deterministic(),
-                parallel: workers.map(millipage::ParallelConfig::workers),
-                ..ClusterConfig::default()
-            },
-            |_| (),
-            |ctx, ()| {
-                if ctx.host() == HostId(1) {
-                    ctx.compute(1_000_000);
-                }
-                ctx.lock(7);
-            },
-        );
-        let errors = &report.protocol_errors;
-        assert_eq!(errors.len(), 1, "{workers:?} workers: {errors:?}");
-        assert!(
-            errors[0].starts_with("h1: lock grant deadlocked"),
-            "{errors:?}"
-        );
-    }
+    let report = run(
+        ClusterConfig {
+            hosts: 2,
+            sched: SchedMode::deterministic(),
+            ..ClusterConfig::default()
+        },
+        |_| (),
+        |ctx, ()| {
+            if ctx.host() == HostId(1) {
+                ctx.compute(1_000_000);
+            }
+            ctx.lock(7);
+        },
+    );
+    let errors = &report.protocol_errors;
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(
+        errors[0].starts_with("h1: lock grant deadlocked"),
+        "{errors:?}"
+    );
 }
