@@ -183,21 +183,11 @@ pub fn run_is(mut cfg: ClusterConfig, p: IsParams) -> AppRun {
 }
 
 /// Runs IS on the real-memory backend (Linux): same workers, same
-/// checksum, real SIGSEGV faults.
+/// checksum, real SIGSEGV faults. `diag` records per-minipage sharing
+/// diagnostics (the counters `repro diagnose --backend host` cross-checks
+/// against the sim).
 #[cfg(target_os = "linux")]
-pub fn run_is_host(hosts: usize, p: IsParams) -> Result<crate::HostAppRun, String> {
-    run_is_host_cfg(hosts, p, false)
-}
-
-/// [`run_is_host`] with per-minipage sharing diagnostics recorded (the
-/// counters `repro diagnose --backend host` cross-checks against the sim).
-#[cfg(target_os = "linux")]
-pub fn run_is_host_diag(hosts: usize, p: IsParams) -> Result<crate::HostAppRun, String> {
-    run_is_host_cfg(hosts, p, true)
-}
-
-#[cfg(target_os = "linux")]
-fn run_is_host_cfg(hosts: usize, p: IsParams, diag: bool) -> Result<crate::HostAppRun, String> {
+pub fn run_is_host(hosts: usize, p: IsParams, diag: bool) -> Result<crate::HostAppRun, String> {
     assert!(
         hosts <= p.regions,
         "the rotated merge needs at least as many regions as hosts"

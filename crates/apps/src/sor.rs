@@ -182,34 +182,15 @@ pub fn run_sor(mut cfg: ClusterConfig, p: SorParams) -> AppRun {
 /// sizing with the real page size.
 #[cfg(target_os = "linux")]
 pub fn run_sor_host(hosts: usize, p: SorParams) -> Result<crate::HostAppRun, String> {
-    run_sor_host_cfg(hosts, p, false)
+    run_sor_host_with(hosts, p, false, millipage::AdaptConfig::default())
 }
 
 /// [`run_sor_host`] with per-minipage sharing diagnostics recorded (the
-/// counters `repro diagnose --backend host` cross-checks against the sim).
+/// counters `repro diagnose --backend host` cross-checks against the sim)
+/// and the online adaptation engine configured by `adapt` (the run `repro
+/// adapt --backend host` compares against the sim's actions).
 #[cfg(target_os = "linux")]
-pub fn run_sor_host_diag(hosts: usize, p: SorParams) -> Result<crate::HostAppRun, String> {
-    run_sor_host_cfg(hosts, p, true)
-}
-
-/// [`run_sor_host_diag`] with the online adaptation engine armed (the
-/// run `repro adapt --backend host` compares against the sim's actions).
-#[cfg(target_os = "linux")]
-pub fn run_sor_host_adapt(
-    hosts: usize,
-    p: SorParams,
-    adapt: millipage::AdaptConfig,
-) -> Result<crate::HostAppRun, String> {
-    run_sor_host_full(hosts, p, true, adapt)
-}
-
-#[cfg(target_os = "linux")]
-fn run_sor_host_cfg(hosts: usize, p: SorParams, diag: bool) -> Result<crate::HostAppRun, String> {
-    run_sor_host_full(hosts, p, diag, millipage::AdaptConfig::default())
-}
-
-#[cfg(target_os = "linux")]
-fn run_sor_host_full(
+pub fn run_sor_host_with(
     hosts: usize,
     p: SorParams,
     diag: bool,

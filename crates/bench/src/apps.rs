@@ -231,11 +231,7 @@ pub fn cmp_apps(quick: bool) -> [CmpApp; 2] {
             sim: Box::new(move |c| sor::run_sor(c, sp)),
             #[cfg(target_os = "linux")]
             host: Box::new(move |hosts, diag| {
-                if diag {
-                    sor::run_sor_host_diag(hosts, sp)
-                } else {
-                    sor::run_sor_host(hosts, sp)
-                }
+                sor::run_sor_host_with(hosts, sp, diag, millipage::AdaptConfig::default())
             }),
         },
         CmpApp {
@@ -252,13 +248,7 @@ pub fn cmp_apps(quick: bool) -> [CmpApp; 2] {
             parity_geometry: (1, 64),
             sim: Box::new(move |c| is::run_is(c, ip)),
             #[cfg(target_os = "linux")]
-            host: Box::new(move |hosts, diag| {
-                if diag {
-                    is::run_is_host_diag(hosts, ip)
-                } else {
-                    is::run_is_host(hosts, ip)
-                }
-            }),
+            host: Box::new(move |hosts, diag| is::run_is_host(hosts, ip, diag)),
         },
     ]
 }

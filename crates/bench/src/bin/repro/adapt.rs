@@ -451,7 +451,7 @@ fn adapt_host(quick: bool, gate: &mut Gate) {
     let sp = sor_cmp_params(quick);
     let Some(h) = gate.ok(
         "SOR host run failed",
-        sor::run_sor_host_adapt(hosts, sp, AdaptConfig::enabled()),
+        sor::run_sor_host_with(hosts, sp, true, AdaptConfig::enabled()),
     ) else {
         return;
     };

@@ -9,7 +9,7 @@
 //! Centralized runs are exported as a Perfetto trace (`--out`, default
 //! `faults-trace.json`).
 
-use millipage::{AuditMode, ChromeTrace, ClusterConfig, HomePolicyKind, NetFaultStats, WireFaults};
+use millipage::{AuditMode, ChromeTrace, ClusterConfig, FaultPlane, HomePolicyKind, NetFaultStats};
 use millipage_bench::apps::{app_cfg, select_specs};
 use millipage_bench::cli::{traced_run, write_artifact, Flags, Gate, UsageError};
 use millipage_bench::{header, us, Table};
@@ -51,7 +51,7 @@ pub fn faults(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
                 let what = format!("{} {policy:?} {loss}", spec.name);
                 let cfg = ClusterConfig {
                     home_policy: policy,
-                    faults: WireFaults::lossy(seed, loss, loss / 2.0, loss * 2.0),
+                    faults: FaultPlane::lossy(seed, loss, loss / 2.0, loss * 2.0),
                     ..app_cfg(4)
                 };
                 // SW/MR invariants plus the transport's exactly-once FIFO

@@ -19,7 +19,7 @@
 //! parked in `BarrierEnter`, no service window is open and no
 //! invalidation round is in flight, so the owning shard may rewrite the
 //! MPT, the directory and page protections without racing the protocol.
-//! The [`AdaptEngine`] plans from a fresh diagnostics snapshot; the
+//! The `AdaptEngine` plans from a fresh diagnostics snapshot; the
 //! manager applies locally homed actions directly and ships remotely
 //! homed ones as `AdaptApply` messages, holding the barrier release
 //! until every `AdaptAck` arrives.

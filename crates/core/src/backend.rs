@@ -41,66 +41,10 @@ use crate::hlrc::MpInfo;
 use crate::host::HostState;
 use crate::msg::Pmsg;
 use sim_core::{Geometry, HostId, Ns, VAddr};
-use sim_mem::{Access, AddressSpace, Prot};
+use sim_mem::{AddressSpace, Prot};
 use sim_net::{Endpoint, ServerTimeline};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// The kind of memory access an application performed when it faulted.
-///
-/// Core-owned mirror of the backends' fault decodings: the sim derives it
-/// from a simulated protection check, the host backend from the SIGSEGV
-/// signal context (error-code write bit).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum AccessKind {
-    /// A load.
-    Read,
-    /// A store.
-    Write,
-}
-
-impl From<Access> for AccessKind {
-    fn from(a: Access) -> Self {
-        match a {
-            Access::Read => AccessKind::Read,
-            Access::Write => AccessKind::Write,
-        }
-    }
-}
-
-/// Per-vpage protection, the three states of §2.2. Core-owned so protocol
-/// code does not speak any one backend's protection vocabulary.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-#[repr(u8)]
-pub enum PageProt {
-    /// The minipage is not present on this host.
-    #[default]
-    NoAccess = 0,
-    /// A read copy is present.
-    ReadOnly = 1,
-    /// The (single) writable copy is present.
-    ReadWrite = 2,
-}
-
-impl From<PageProt> for Prot {
-    fn from(p: PageProt) -> Prot {
-        match p {
-            PageProt::NoAccess => Prot::NoAccess,
-            PageProt::ReadOnly => Prot::ReadOnly,
-            PageProt::ReadWrite => Prot::ReadWrite,
-        }
-    }
-}
-
-impl From<Prot> for PageProt {
-    fn from(p: Prot) -> PageProt {
-        match p {
-            Prot::NoAccess => PageProt::NoAccess,
-            Prot::ReadOnly => PageProt::ReadOnly,
-            Prot::ReadWrite => PageProt::ReadWrite,
-        }
-    }
-}
 
 /// Why a backend memory operation failed. The protocol layer converts
 /// this into a [`ProtocolError`] carrying the message context.
@@ -125,9 +69,9 @@ pub trait MemoryBackend {
     /// The shared address-space geometry (same on every host, §2.4).
     fn geometry(&self) -> &Geometry;
     /// Current protection of a global vpage.
-    fn prot(&self, vpage: usize) -> PageProt;
+    fn prot(&self, vpage: usize) -> Prot;
     /// Changes the protection of an application vpage.
-    fn set_prot(&self, vpage: usize, prot: PageProt) -> Result<(), MemFault>;
+    fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemFault>;
     /// Reads bytes through the privileged view.
     fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault>;
     /// Writes bytes through the privileged view (zero-copy receive).
@@ -139,7 +83,7 @@ pub trait MemoryBackend {
         &self,
         addr: VAddr,
         len: usize,
-        prot: PageProt,
+        prot: Prot,
     ) -> Result<Vec<u8>, MemFault>;
 }
 
@@ -148,12 +92,12 @@ impl MemoryBackend for AddressSpace {
         AddressSpace::geometry(self)
     }
 
-    fn prot(&self, vpage: usize) -> PageProt {
-        AddressSpace::prot(self, vpage).into()
+    fn prot(&self, vpage: usize) -> Prot {
+        AddressSpace::prot(self, vpage)
     }
 
-    fn set_prot(&self, vpage: usize, prot: PageProt) -> Result<(), MemFault> {
-        AddressSpace::set_prot(self, vpage, prot.into()).map_err(|e| match e {
+    fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemFault> {
+        AddressSpace::set_prot(self, vpage, prot).map_err(|e| match e {
             sim_mem::MemError::OutOfRange { .. } => MemFault::OutOfRange,
             sim_mem::MemError::PrivilegedViewProtection { .. } => MemFault::Privileged,
         })
@@ -171,10 +115,9 @@ impl MemoryBackend for AddressSpace {
         &self,
         addr: VAddr,
         len: usize,
-        prot: PageProt,
+        prot: Prot,
     ) -> Result<Vec<u8>, MemFault> {
-        AddressSpace::snapshot_and_protect(self, addr, len, prot.into())
-            .map_err(|_| MemFault::OutOfRange)
+        AddressSpace::snapshot_and_protect(self, addr, len, prot).map_err(|_| MemFault::OutOfRange)
     }
 }
 
@@ -275,7 +218,7 @@ pub(crate) trait LocalWake {
 /// space before the allocation reply makes them reachable.
 pub(crate) trait ClusterMemory: Send + Sync {
     /// Changes the protection of `vpage` on `host`.
-    fn set_prot(&self, host: HostId, vpage: usize, prot: PageProt) -> Result<(), MemFault>;
+    fn set_prot(&self, host: HostId, vpage: usize, prot: Prot) -> Result<(), MemFault>;
     /// Reads bytes from `host`'s privileged view.
     fn priv_read(&self, host: HostId, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault>;
     /// Writes bytes into `host`'s privileged view.
@@ -289,7 +232,7 @@ pub(crate) trait ClusterMemory: Send + Sync {
 /// substrate: the shards reach a host's space and release-consistency
 /// cache through the same state its server thread works on.
 impl<M: MemoryBackend + Send + Sync, W: Send + Sync> ClusterMemory for Vec<Arc<HostState<M, W>>> {
-    fn set_prot(&self, host: HostId, vpage: usize, prot: PageProt) -> Result<(), MemFault> {
+    fn set_prot(&self, host: HostId, vpage: usize, prot: Prot) -> Result<(), MemFault> {
         self[host.index()].space.set_prot(vpage, prot)
     }
 
@@ -331,7 +274,7 @@ pub(crate) fn protect_range<M: MemoryBackend>(
     host: HostId,
     base: VAddr,
     len: usize,
-    prot: PageProt,
+    prot: Prot,
 ) -> Result<usize, ProtocolError> {
     let range = vpage_range(mem, host, base, len)?;
     let n = range.len();
@@ -351,8 +294,8 @@ pub(crate) fn downgrade_range<M: MemoryBackend>(
 ) -> Result<usize, ProtocolError> {
     let mut downgraded = 0;
     for vp in vpage_range(mem, host, base, len)? {
-        if mem.prot(vp) == PageProt::ReadWrite {
-            mem.set_prot(vp, PageProt::ReadOnly)
+        if mem.prot(vp) == Prot::ReadWrite {
+            mem.set_prot(vp, Prot::ReadOnly)
                 .map_err(|_| bad_vpage(host, vp))?;
             downgraded += 1;
         }
@@ -408,22 +351,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn page_prot_roundtrips_through_sim_prot() {
-        for p in [PageProt::NoAccess, PageProt::ReadOnly, PageProt::ReadWrite] {
-            assert_eq!(PageProt::from(Prot::from(p)), p);
-        }
-        assert_eq!(AccessKind::from(Access::Read), AccessKind::Read);
-        assert_eq!(AccessKind::from(Access::Write), AccessKind::Write);
-    }
-
-    #[test]
     fn engine_ops_drive_a_sim_address_space() {
         let geo = Geometry::new(4, 2);
         let space = AddressSpace::new(geo.clone());
         let host = HostId(0);
         let base = geo.addr_of(0, 1, 0);
         let priv_base = geo.to_priv(base).unwrap();
-        let n = protect_range(&space, host, base, 64, PageProt::ReadWrite).unwrap();
+        let n = protect_range(&space, host, base, 64, Prot::ReadWrite).unwrap();
         assert_eq!(n, 1);
         write_priv(&space, host, priv_base, &[7u8; 64], "install").unwrap();
         assert_eq!(
@@ -435,9 +369,9 @@ mod tests {
         assert_eq!(downgrade_range(&space, host, base, 64).unwrap(), 0);
         assert_eq!(
             MemoryBackend::prot(&space, geo.vpage_of(base).unwrap()),
-            PageProt::ReadOnly
+            Prot::ReadOnly
         );
         // Ranges outside the region surface as typed errors.
-        assert!(protect_range(&space, host, VAddr(1), 8, PageProt::NoAccess).is_err());
+        assert!(protect_range(&space, host, VAddr(1), 8, Prot::NoAccess).is_err());
     }
 }

@@ -18,7 +18,6 @@
 
 use crate::diag::{build_report, DiagSink, DiagTable, LinkStat};
 use crate::error::ProtocolError;
-use crate::faults::WireFaults;
 use crate::hlrc::Consistency;
 use crate::home::{HomePolicyKind, HomeTable};
 use crate::host::{HostCtx, HostState, Waiters};
@@ -37,7 +36,7 @@ use sim_core::sched::{SchedMode, Scheduler, ThreadKey, Turn};
 use sim_core::trace::{Tracer, Track};
 use sim_core::{CostModel, HostId, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
-use sim_net::{Network, ServerTimeline};
+use sim_net::{FaultPlane, Network, ServerTimeline};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -81,7 +80,7 @@ pub struct ClusterConfig {
     /// Seeded wire-fault injection (drop / duplicate / jitter / reorder
     /// plus scripted one-shot faults). Disabled by default, in which case
     /// the network takes the exact pre-fault-plane code path.
-    pub faults: WireFaults,
+    pub faults: FaultPlane,
     /// The schedule policy (see `sim_core::sched`): the canonical
     /// virtual-time order by default, or a seeded exploration policy. A
     /// schedule nobody can advance ends in a typed
@@ -127,7 +126,7 @@ impl Default for ClusterConfig {
             manager: 0,
             seed: 0x4D69_6C6C_6950_6167, // "MilliPag"
             tracer: Tracer::disabled(),
-            faults: WireFaults::disabled(),
+            faults: FaultPlane::disabled(),
             sched: SchedMode::deterministic(),
             parallel: None,
             diag: false,
@@ -308,7 +307,7 @@ where
         })
         .collect();
     let (net, endpoints) =
-        Network::<Pmsg>::with_faults(cfg.hosts, cfg.cost.clone(), cfg.faults.to_plane());
+        Network::<Pmsg>::with_faults(cfg.hosts, cfg.cost.clone(), cfg.faults.clone());
     // Slot order (servers, then application threads, in host order) is
     // the decision-log numbering; keep it stable across runs.
     let sched = {

@@ -240,7 +240,7 @@ impl DiagTable {
     /// extent, else claim an empty slot, else widen the nearest extent.
     /// Every path is a bounded sequence of relaxed CAS attempts on
     /// pre-allocated cells, so the host backend's signal-context resolver
-    /// may call it; past [`EXT_CAS_CAP`] the update is dropped.
+    /// may call it; past `EXT_CAS_CAP` the update is dropped.
     pub fn write_extent(&self, mp: u32, host: u16, off: u64, len: u64) {
         let (Some(i0), Some(i1)) = (
             self.host_cell(mp, host, L_EXT0),
@@ -383,7 +383,7 @@ impl DiagTable {
         self.links[i + 1].fetch_add(bytes, Relaxed);
     }
 
-    /// The per-link wire traffic recorded through [`wire_send`], links
+    /// The per-link wire traffic recorded through [`wire_send`](Self::wire_send), links
     /// with no traffic omitted.
     pub fn link_stats(&self) -> Vec<LinkStat> {
         let mut out = Vec::new();

@@ -7,7 +7,7 @@
 //! PCT priority schedules — and hold every run to the full oracle stack
 //! (application asserts, [`RunReport::coherence_violations`],
 //! [`RunReport::protocol_errors`], and the trace-replay
-//! [`audit`](crate::audit::audit)). The first violating schedule is
+//! [`audit`]). The first violating schedule is
 //! shrunk to a minimal decision sequence that still reproduces the
 //! violation, serialized as a small JSON [`MinimizedRepro`] that replays
 //! exactly via [`SchedMode::replay`].

@@ -5,8 +5,8 @@
 //! "the manager may become a bottleneck ... this problem can be solved by
 //! distributing the minipage management among several managers" (§5).
 //! This module implements that distribution. Every minipage gets a *home*
-//! host chosen by a [`HomePolicy`] at allocation time; the home's
-//! [`ManagerShard`](crate::Manager) owns the minipage's directory entry,
+//! host chosen by a [`HomePolicyKind`] at allocation time; the home's
+//! [`ManagerShard`](crate::ManagerShard) owns the minipage's directory entry,
 //! service window and (under release consistency) master copy. The MPT is
 //! replicated read-only to every host ([`SharedMpt`]), so translating a
 //! faulting address and finding its home stay local lookups.
@@ -22,88 +22,52 @@ use sim_mem::{Geometry, VAddr};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Chooses the home host of each freshly allocated minipage.
+/// How minipages are distributed over manager shards.
 ///
-/// Policies see the allocation metadata the `multiview` allocator
+/// An assignment sees the allocation metadata the `multiview` allocator
 /// produces — the dense [`MinipageId`] and the host that issued the
-/// allocation — and must be pure: the same inputs always give the same
-/// home, so every host can replay the assignment deterministically.
-pub trait HomePolicy: Send + Sync {
-    /// Human-readable policy name (reports, benches).
-    fn name(&self) -> &'static str;
-
-    /// The home host for minipage `id` allocated by `allocating` in a
-    /// cluster of `hosts` hosts.
-    fn assign(&self, id: MinipageId, allocating: HostId, hosts: usize) -> HostId;
-}
-
-/// Every minipage homed at the single manager host — bit-for-bit the
-/// paper's original centralized manager (§3.3).
-pub struct Centralized {
-    /// The manager host.
-    pub manager: HostId,
-}
-
-impl HomePolicy for Centralized {
-    fn name(&self) -> &'static str {
-        "centralized"
-    }
-
-    fn assign(&self, _id: MinipageId, _allocating: HostId, _hosts: usize) -> HostId {
-        self.manager
-    }
-}
-
-/// Homes spread round-robin over the hosts by minipage id — the classic
-/// static interleaving that splits directory load evenly regardless of
-/// access pattern.
-pub struct Interleaved;
-
-impl HomePolicy for Interleaved {
-    fn name(&self) -> &'static str {
-        "interleaved"
-    }
-
-    fn assign(&self, id: MinipageId, _allocating: HostId, hosts: usize) -> HostId {
-        HostId((id.index() % hosts) as u16)
-    }
-}
-
-/// Each minipage homed at the host that allocated it, on the heuristic
-/// that the allocator is also the principal writer. Setup-phase
-/// allocations are issued by the manager and therefore stay there.
-pub struct FirstTouch;
-
-impl HomePolicy for FirstTouch {
-    fn name(&self) -> &'static str {
-        "first-touch"
-    }
-
-    fn assign(&self, _id: MinipageId, allocating: HostId, _hosts: usize) -> HostId {
-        allocating
-    }
-}
-
-/// Config-friendly selector for the built-in policies.
+/// allocation — and is pure: the same inputs always give the same home,
+/// so every host can replay the assignment deterministically.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum HomePolicyKind {
-    /// [`Centralized`]: everything on the manager host (the default, and
-    /// the paper's original protocol).
+    /// Every minipage homed at the single manager host — bit-for-bit the
+    /// paper's original centralized manager (§3.3). The default.
     #[default]
     Centralized,
-    /// [`Interleaved`]: round-robin by minipage id.
+    /// Homes spread round-robin over the hosts by minipage id — the
+    /// classic static interleaving that splits directory load evenly
+    /// regardless of access pattern.
     Interleaved,
-    /// [`FirstTouch`]: home = allocating host.
+    /// Each minipage homed at the host that allocated it, on the
+    /// heuristic that the allocator is also the principal writer.
+    /// Setup-phase allocations are issued by the manager and therefore
+    /// stay there.
     FirstTouch,
 }
 
 impl HomePolicyKind {
-    /// Instantiates the policy (`manager` anchors [`Centralized`]).
-    pub fn build(self, manager: HostId) -> Box<dyn HomePolicy> {
+    /// Human-readable policy name (reports, benches).
+    pub fn name(self) -> &'static str {
         match self {
-            HomePolicyKind::Centralized => Box::new(Centralized { manager }),
-            HomePolicyKind::Interleaved => Box::new(Interleaved),
-            HomePolicyKind::FirstTouch => Box::new(FirstTouch),
+            HomePolicyKind::Centralized => "centralized",
+            HomePolicyKind::Interleaved => "interleaved",
+            HomePolicyKind::FirstTouch => "first-touch",
+        }
+    }
+
+    /// The home host for minipage `id` allocated by `allocating` in a
+    /// cluster of `hosts` hosts managed by `manager`.
+    pub fn assign(
+        self,
+        id: MinipageId,
+        allocating: HostId,
+        hosts: usize,
+        manager: HostId,
+    ) -> HostId {
+        match self {
+            HomePolicyKind::Centralized => manager,
+            HomePolicyKind::Interleaved => HostId((id.index() % hosts) as u16),
+            HomePolicyKind::FirstTouch => allocating,
         }
     }
 }
@@ -113,12 +77,11 @@ impl HomePolicyKind {
 ///
 /// The allocator host is the single writer (it publishes each minipage
 /// and its home as it allocates); everyone else only reads. Under the
-/// [`Centralized`] policy, routing short-circuits to the manager without
+/// `Centralized` policy, routing short-circuits to the manager without
 /// touching the replica at all, so the original protocol's costs and
 /// counters are reproduced exactly.
 pub struct HomeTable {
     kind: HomePolicyKind,
-    policy: Box<dyn HomePolicy>,
     hosts: usize,
     manager: HostId,
     geo: Geometry,
@@ -141,7 +104,6 @@ impl HomeTable {
     pub(crate) fn new(kind: HomePolicyKind, hosts: usize, manager: HostId, geo: Geometry) -> Self {
         Self {
             kind,
-            policy: kind.build(manager),
             hosts,
             manager,
             geo,
@@ -159,7 +121,7 @@ impl HomeTable {
 
     /// The policy's human-readable name.
     pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.kind.name()
     }
 
     /// The host running the allocator and synchronization services.
@@ -180,7 +142,9 @@ impl HomeTable {
     /// Registers a freshly allocated minipage: replicates its descriptor
     /// and assigns its home. Called by the allocator host only.
     pub(crate) fn publish(&self, mp: Minipage, allocating: HostId) -> HostId {
-        let home = self.policy.assign(mp.id, allocating, self.hosts);
+        let home = self
+            .kind
+            .assign(mp.id, allocating, self.hosts, self.manager);
         assert!(home.index() < self.hosts, "policy assigned an absent host");
         let mut homes = self.homes.write();
         assert_eq!(
@@ -277,26 +241,29 @@ mod tests {
 
     #[test]
     fn centralized_assigns_manager_everywhere() {
-        let p = Centralized { manager: HostId(3) };
         for id in 0..10 {
-            assert_eq!(p.assign(MinipageId(id), HostId(5), 8), HostId(3));
+            let home = HomePolicyKind::Centralized.assign(MinipageId(id), HostId(5), 8, HostId(3));
+            assert_eq!(home, HostId(3));
         }
     }
 
     #[test]
     fn interleaved_round_robins_by_id() {
-        let p = Interleaved;
         let homes: Vec<_> = (0..6)
-            .map(|id| p.assign(MinipageId(id), HostId(0), 4).index())
+            .map(|id| {
+                HomePolicyKind::Interleaved
+                    .assign(MinipageId(id), HostId(0), 4, HostId(0))
+                    .index()
+            })
             .collect();
         assert_eq!(homes, vec![0, 1, 2, 3, 0, 1]);
     }
 
     #[test]
     fn first_touch_follows_the_allocator() {
-        let p = FirstTouch;
-        assert_eq!(p.assign(MinipageId(9), HostId(6), 8), HostId(6));
-        assert_eq!(p.assign(MinipageId(9), HostId(0), 8), HostId(0));
+        let p = HomePolicyKind::FirstTouch;
+        assert_eq!(p.assign(MinipageId(9), HostId(6), 8, HostId(0)), HostId(6));
+        assert_eq!(p.assign(MinipageId(9), HostId(0), 8, HostId(3)), HostId(0));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //!
 //! Scope: `SequentialSwMr` consistency, `Centralized` homes, one
 //! application thread per host, no prefetch/push/locks — exactly the
-//! surface the [`Dsm`](crate::dsm::Dsm) trait exposes on the client side.
+//! surface the [`Dsm`] trait exposes on the client side.
 //! A failed handler is reported on the run and, as in the simulator, a
 //! failed request nacks its requester; there is no fault plane to degrade
 //! through in one process, so the nacked thread is not retried — it
@@ -45,13 +45,11 @@
 //! Addresses on the wire are the canonical shared [`Geometry`] addresses
 //! (every message field means the same thing as in the simulator); they
 //! are translated to each host's real mapping at the memory edge
-//! ([`HostMemory`]). The run's fault counters come straight from the
+//! (`HostMemory`). The run's fault counters come straight from the
 //! SIGSEGV handler, which is what makes `--backend host` reports
 //! comparable with the simulator's fault counts.
 
-use crate::backend::{
-    ClusterMemory, LocalWake, MemFault, MemoryBackend, PageProt, ProtoClock, Transport,
-};
+use crate::backend::{ClusterMemory, LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
 use crate::cluster::SetupCtx;
 use crate::diag::{build_report, DiagReport, DiagSink, DiagTable};
 use crate::dsm::Dsm;
@@ -67,6 +65,7 @@ use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawF
 use multiview::{AllocMode, Allocator};
 use sim_core::trace::TraceRecorder;
 use sim_core::{CostModel, Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
+use sim_mem::Prot;
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
@@ -358,19 +357,19 @@ impl ProtoClock for WallClock {
 // Memory
 // ---------------------------------------------------------------------------
 
-fn to_host_prot(p: PageProt) -> HostProt {
+fn to_host_prot(p: Prot) -> HostProt {
     match p {
-        PageProt::NoAccess => HostProt::NoAccess,
-        PageProt::ReadOnly => HostProt::ReadOnly,
-        PageProt::ReadWrite => HostProt::ReadWrite,
+        Prot::NoAccess => HostProt::NoAccess,
+        Prot::ReadOnly => HostProt::ReadOnly,
+        Prot::ReadWrite => HostProt::ReadWrite,
     }
 }
 
-fn from_host_prot(p: HostProt) -> PageProt {
+fn from_host_prot(p: HostProt) -> Prot {
     match p {
-        HostProt::NoAccess => PageProt::NoAccess,
-        HostProt::ReadOnly => PageProt::ReadOnly,
-        HostProt::ReadWrite => PageProt::ReadWrite,
+        HostProt::NoAccess => Prot::NoAccess,
+        HostProt::ReadOnly => Prot::ReadOnly,
+        HostProt::ReadWrite => Prot::ReadWrite,
     }
 }
 
@@ -397,15 +396,15 @@ impl MemoryBackend for HostMemory {
         &self.geo
     }
 
-    fn prot(&self, vpage: usize) -> PageProt {
+    fn prot(&self, vpage: usize) -> Prot {
         let (view, page) = (vpage / self.geo.pages(), vpage % self.geo.pages());
         if view >= self.geo.priv_view() {
-            return PageProt::ReadWrite;
+            return Prot::ReadWrite;
         }
         from_host_prot(self.region.prot(view, page))
     }
 
-    fn set_prot(&self, vpage: usize, prot: PageProt) -> Result<(), MemFault> {
+    fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemFault> {
         let (view, page) = (vpage / self.geo.pages(), vpage % self.geo.pages());
         if view >= self.geo.priv_view() {
             return Err(MemFault::Privileged);
@@ -436,7 +435,7 @@ impl MemoryBackend for HostMemory {
         &self,
         addr: VAddr,
         len: usize,
-        prot: PageProt,
+        prot: Prot,
     ) -> Result<Vec<u8>, MemFault> {
         // Copy first, then revoke: same order the sim's eviction uses.
         // (Unused under SequentialSwMr — present for trait completeness.)
@@ -716,7 +715,7 @@ fn host_server_loop(
 
 /// One application thread's context on the real-memory backend. Shared
 /// accesses are span copies through the host's application view mappings;
-/// protection misses raise real SIGSEGVs resolved by [`dsm_resolver`].
+/// protection misses raise real SIGSEGVs resolved by `dsm_resolver`.
 pub struct HostDsmCtx {
     rt: Arc<HostRt>,
     slot: usize,
@@ -910,6 +909,12 @@ impl Drop for Teardown {
 /// Setup failures (region mapping, handler registration) are
 /// returned; protocol errors during the run surface in
 /// [`HostRunReport::errors`]. An application panic propagates.
+///
+/// # Panics
+///
+/// Panics, before mapping anything, if `cfg.hosts` is outside
+/// `1..=HostId::MAX_HOSTS` (copysets are `u64` bitmasks), and if an
+/// application thread panics.
 pub fn run_host<T, F>(
     cfg: HostRunConfig,
     setup: impl FnOnce(&mut SetupCtx) -> T,
@@ -919,7 +924,11 @@ where
     T: Send + Sync,
     F: Fn(&mut HostDsmCtx, &T) + Send + Sync,
 {
-    assert!(cfg.hosts >= 1, "need at least one host");
+    assert!(
+        (1..=HostId::MAX_HOSTS).contains(&cfg.hosts),
+        "host count {} out of range",
+        cfg.hosts
+    );
     let manager = HostId(0);
     // Staged until the fault handler is installed: set-up's protections
     // (one per allocated vpage) land in runs, not one `mprotect` each.

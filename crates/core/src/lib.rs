@@ -34,7 +34,6 @@ mod directory;
 mod dsm;
 mod error;
 pub mod explore;
-mod faults;
 pub mod hlrc;
 mod home;
 mod host;
@@ -47,15 +46,14 @@ mod shared;
 mod stats;
 
 pub use adapt::{AdaptAction, AdaptConfig, AdaptEvent, AdaptReport};
-pub use backend::{AccessKind, MemFault, MemoryBackend, PageProt, ProtoClock, Transport};
+pub use backend::{MemFault, MemoryBackend, ProtoClock, Transport};
 pub use cluster::{run, ClusterConfig, ParallelConfig, SetupCtx};
 pub use diag::{trace_counts, DiagReport, DiagSink, DiagTable, Finding, LinkStat, MinipageDiag};
 pub use directory::{Directory, DirectoryEntry};
 pub use dsm::Dsm;
 pub use error::ProtocolError;
-pub use faults::{WireFault, WireFaultKind, WireFaults};
 pub use hlrc::Consistency;
-pub use home::{Centralized, FirstTouch, HomePolicy, HomePolicyKind, HomeTable, Interleaved};
+pub use home::{HomePolicyKind, HomeTable};
 pub use host::HostCtx;
 #[cfg(target_os = "linux")]
 pub use hostrun::{run_host, HostDsmCtx, HostRunConfig, HostRunReport};
@@ -71,6 +69,7 @@ pub use explore::{
     MinimizedRepro,
 };
 pub use sim_core::sched::{SchedMode, SchedPolicy};
+pub use sim_net::{FaultPlane, ScriptedFault, ScriptedKind};
 
 // Re-exports the applications and harnesses keep reaching for.
 pub use multiview::{AllocMode, AllocStats};

@@ -13,7 +13,7 @@
 //! runs a [`ManagerShard`], and each minipage's directory entry, service
 //! window and (under release consistency) master copy live at the shard of
 //! its *home* host, chosen by the cluster's
-//! [`HomePolicy`](crate::home::HomePolicy). The MPT is replicated
+//! [`HomePolicyKind`](crate::HomePolicyKind). The MPT is replicated
 //! read-only to all hosts through the [`HomeTable`], so every shard
 //! translates locally. The shared allocator and the synchronization
 //! services stay on the single manager host — they are not per-minipage
@@ -21,7 +21,7 @@
 //! manager host and the protocol is bit-for-bit the paper's original.
 
 use crate::adapt::{AdaptAction, AdaptConfig, AdaptEngine, AdaptReport};
-use crate::backend::{ClusterMemory, PageProt, ProtoClock, Transport};
+use crate::backend::{ClusterMemory, ProtoClock, Transport};
 use crate::diag::DiagSink;
 use crate::diff::Diff;
 use crate::directory::Directory;
@@ -32,6 +32,7 @@ use crate::msg::{MsgKind, Pmsg};
 use multiview::{AllocStats, Allocator, Minipage, MinipageId};
 use sim_core::trace::{TraceKind, TraceRecorder};
 use sim_core::{CostModel, HostId, LogHistogram, Ns, VAddr};
+use sim_mem::Prot;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -214,8 +215,8 @@ impl ManagerShard {
         // read-only so the home host's own writes twin and flush like
         // everyone else's.
         let home_prot = match self.consistency {
-            Consistency::SequentialSwMr => PageProt::ReadWrite,
-            Consistency::HomeEagerRc => PageProt::ReadOnly,
+            Consistency::SequentialSwMr => Prot::ReadWrite,
+            Consistency::HomeEagerRc => Prot::ReadOnly,
         };
         for mp in new_mps {
             let home = self.home.publish(mp, requester);
@@ -224,7 +225,7 @@ impl ManagerShard {
             self.trace.emit(now, TraceKind::AllocGrant, |e| {
                 e.with_mp(mp.id.0)
                     .with_peer(home)
-                    .with_aux(u32::from(home_prot == PageProt::ReadWrite))
+                    .with_aux(u32::from(home_prot == Prot::ReadWrite))
             });
             for vp in mp.vpages(&geo) {
                 self.cluster
@@ -1012,7 +1013,7 @@ impl ManagerShard {
         for h in 0..self.hosts {
             for vp in mp.vpages(geo) {
                 self.cluster
-                    .set_prot(HostId(h as u16), vp, PageProt::NoAccess)
+                    .set_prot(HostId(h as u16), vp, Prot::NoAccess)
                     .map_err(|_| crate::backend::bad_vpage(HostId(h as u16), vp))?;
             }
         }
@@ -1093,7 +1094,7 @@ impl ManagerShard {
                     self.home.publish_at(*child, self.me);
                     for vp in child.vpages(&geo) {
                         self.cluster
-                            .set_prot(self.me, vp, PageProt::ReadWrite)
+                            .set_prot(self.me, vp, Prot::ReadWrite)
                             .map_err(|_| crate::backend::bad_vpage(self.me, vp))?;
                     }
                     self.diag.reset_slot(child.id.0);
@@ -1155,7 +1156,7 @@ impl ManagerShard {
                 self.home.publish_at(merged, self.me);
                 for vp in merged.vpages(&geo) {
                     self.cluster
-                        .set_prot(self.me, vp, PageProt::ReadWrite)
+                        .set_prot(self.me, vp, Prot::ReadWrite)
                         .map_err(|_| crate::backend::bad_vpage(self.me, vp))?;
                 }
                 for id in &old {
@@ -1198,9 +1199,9 @@ impl ManagerShard {
                 // HLRC.
                 let writable = self.consistency == Consistency::SequentialSwMr;
                 let prot = if writable {
-                    PageProt::ReadWrite
+                    Prot::ReadWrite
                 } else {
-                    PageProt::ReadOnly
+                    Prot::ReadOnly
                 };
                 for vp in desc.vpages(&geo) {
                     self.cluster

@@ -22,7 +22,7 @@
 
 use crate::backend::{
     bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, LocalWake,
-    MemoryBackend, PageProt, ProtoClock, Transport,
+    MemoryBackend, ProtoClock, Transport,
 };
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo};
@@ -35,6 +35,7 @@ use sim_core::clock::Ns;
 use sim_core::sched::Turn;
 use sim_core::trace::{TraceKind, TraceRecorder};
 use sim_core::{CostModel, HostId, LogHistogram, VAddr};
+use sim_mem::Prot;
 use sim_net::{Endpoint, Packet, RecvError, ServerTimeline};
 use std::sync::Arc;
 
@@ -351,7 +352,7 @@ pub(crate) fn serve_write<M: MemoryBackend, C: ProtoClock, T: Transport>(
 ) -> Result<(), ProtocolError> {
     tl.charge(cost.dsm_overhead);
     // NoAccess first: once the bytes leave, local threads must fault.
-    let n = protect_range(mem, host, m.base, m.len, PageProt::NoAccess)?;
+    let n = protect_range(mem, host, m.base, m.len, Prot::NoAccess)?;
     tl.charge(n as Ns * cost.set_protection);
     rec.emit(tl.now(), TraceKind::InvalidateLocal, |e| {
         e.with_mp(m.minipage.0)
@@ -388,7 +389,7 @@ pub(crate) fn invalidate_local<M: MemoryBackend, C: ProtoClock>(
     rec.emit(tl.now(), TraceKind::InvalidateLocal, |e| {
         e.with_mp(m.minipage.0).with_event(m.event).with_aux(1)
     });
-    let n = protect_range(mem, host, m.base, m.len, PageProt::NoAccess)?;
+    let n = protect_range(mem, host, m.base, m.len, Prot::NoAccess)?;
     tl.charge(n as Ns * cost.set_protection);
     Ok(())
 }
@@ -417,9 +418,9 @@ pub(crate) fn install_reply<M: MemoryBackend, C: ProtoClock>(
         e.with_mp(m.minipage.0).with_event(m.event).with_aux(aux)
     });
     let prot = if m.kind == MsgKind::ReadReply {
-        PageProt::ReadOnly
+        Prot::ReadOnly
     } else {
-        PageProt::ReadWrite
+        Prot::ReadWrite
     };
     let range = vpage_range(mem, host, m.base, m.len)?;
     for vp in range.clone() {
@@ -444,7 +445,7 @@ pub(crate) fn install_push<M: MemoryBackend, C: ProtoClock>(
     rec.emit(tl.now(), TraceKind::Install, |e| {
         e.with_mp(m.minipage.0).with_aux(1)
     });
-    let n = protect_range(mem, host, m.base, m.len, PageProt::ReadOnly)?;
+    let n = protect_range(mem, host, m.base, m.len, Prot::ReadOnly)?;
     tl.charge(n as Ns * cost.set_protection);
     Ok(())
 }
@@ -484,7 +485,7 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
         if let Some(d) = dirty {
             let data = state
                 .space
-                .snapshot_and_protect(d.info.base, d.info.len, PageProt::NoAccess)
+                .snapshot_and_protect(d.info.base, d.info.len, Prot::NoAccess)
                 .map_err(|_| bad_priv(state.host, m.priv_base, "eviction snapshot"))?;
             let diff = d.twin.diff(&data);
             tl.charge(cost.diff_time(d.info.len));
@@ -513,7 +514,7 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
             drop(rc);
         } else {
             drop(rc);
-            let n = protect_range(&state.space, state.host, m.base, m.len, PageProt::NoAccess)?;
+            let n = protect_range(&state.space, state.host, m.base, m.len, Prot::NoAccess)?;
             tl.charge(n as Ns * cost.set_protection);
         }
     } else {

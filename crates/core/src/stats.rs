@@ -51,7 +51,7 @@ pub struct ShardStats {
 }
 
 /// Wire-fault activity of one run; present only when the cluster ran
-/// with active [`WireFaults`](crate::WireFaults).
+/// with an active [`FaultPlane`](crate::FaultPlane).
 #[derive(Clone, Debug)]
 pub struct NetFaultStats {
     /// Transmissions the fault plane discarded (each costs one

@@ -1,8 +1,8 @@
 //! Edge-case integration tests of the cluster API surface.
 
 use millipage::{
-    run, AllocMode, Category, ClusterConfig, Consistency, CostModel, HostId, SchedMode, SharedVec,
-    VAddr, WireFault, WireFaults,
+    run, AllocMode, Category, ClusterConfig, Consistency, CostModel, FaultPlane, HostId, SchedMode,
+    ScriptedFault, SharedVec, VAddr,
 };
 use parking_lot::Mutex;
 
@@ -270,9 +270,9 @@ fn blackholed_request_surfaces_as_protocol_error() {
     // error reported on the run — no hang, no propagated panic.
     let report = run(
         ClusterConfig {
-            faults: WireFaults {
-                scripted: vec![WireFault::blackhole_nth(HostId(1), HostId(0), 1)],
-                ..WireFaults::disabled()
+            faults: FaultPlane {
+                scripted: vec![ScriptedFault::blackhole_nth(HostId(1), HostId(0), 1)],
+                ..FaultPlane::disabled()
             },
             ..cfg(2)
         },
@@ -355,4 +355,40 @@ fn hlrc_and_page_grain_compose() {
         report.coherence_violations
     );
     assert!(report.rc_diffs > 0);
+}
+
+/// Copysets are `u64` bitmasks: both backends refuse a host count outside
+/// `1..=HostId::MAX_HOSTS` up front, before building anything.
+#[test]
+#[should_panic(expected = "host count 0 out of range")]
+fn run_rejects_zero_hosts() {
+    run(cfg(0), |_| (), |_, ()| {});
+}
+
+#[test]
+#[should_panic(expected = "host count 65 out of range")]
+fn run_rejects_sixty_five_hosts() {
+    run(cfg(HostId::MAX_HOSTS + 1), |_| (), |_, ()| {});
+}
+
+#[cfg(target_os = "linux")]
+fn host_cfg(hosts: usize) -> millipage::HostRunConfig {
+    millipage::HostRunConfig {
+        hosts,
+        ..Default::default()
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+#[should_panic(expected = "host count 0 out of range")]
+fn run_host_rejects_zero_hosts() {
+    let _ = millipage::run_host(host_cfg(0), |_| (), |_, ()| {});
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+#[should_panic(expected = "host count 65 out of range")]
+fn run_host_rejects_sixty_five_hosts() {
+    let _ = millipage::run_host(host_cfg(HostId::MAX_HOSTS + 1), |_| (), |_, ()| {});
 }

@@ -16,18 +16,18 @@
 //!   classical page-based DSM arrangement used as the `none` point in
 //!   Figure 7),
 //! * the **static layout** (§2.3): k equal minipages per page, for
-//!   global-memory-system style sub-page transfer units,
-//! * **composed views** (§5 future work): groups of minipages acquired as
-//!   one coarse unit, with the meet-of-protections rule.
+//!   global-memory-system style sub-page transfer units.
+//!
+//! §5's **composed views** — groups of minipages acquired as one coarse
+//! unit — are a DSM operation, not a layout: the `millipage` crate's
+//! `HostCtx::fetch_group`.
 
 mod alloc;
-mod composed;
 mod layout;
 mod minipage;
 mod mpt;
 
 pub use alloc::{AllocError, AllocMode, AllocStats, Allocator};
-pub use composed::ComposedView;
 pub use layout::static_layout;
 pub use minipage::{Minipage, MinipageId};
 pub use mpt::{Mpt, SharedMpt};

@@ -6,7 +6,6 @@
 //! Lamport style: a handler runs at `max(local, arrival)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Virtual nanoseconds.
 pub type Ns = u64;
@@ -19,9 +18,9 @@ pub const MS: Ns = 1_000_000;
 /// A thread-local virtual clock.
 ///
 /// The clock is deliberately not shareable: each simulated thread advances
-/// its own clock and publishes it through a [`SharedClock`] when other
-/// threads need to observe it (e.g. the server thread checking whether the
-/// application was busy when a message arrived).
+/// its own clock, and a host's application threads record their busy
+/// intervals in a [`BusyWindow`] for the server to test a message's
+/// arrival against.
 #[derive(Clone, Debug, Default)]
 pub struct Clock {
     now: Ns,
@@ -62,40 +61,6 @@ impl Clock {
             self.now = t;
         }
         self.now
-    }
-}
-
-/// A clock value published for other threads to read.
-///
-/// Used for the "was the host busy computing when the request arrived?"
-/// test in the service-delay model (§3.5.1 of the paper): the server thread
-/// compares a message's arrival time against the application clock of its
-/// host.
-#[derive(Clone, Debug, Default)]
-pub struct SharedClock {
-    inner: Arc<AtomicU64>,
-}
-
-impl SharedClock {
-    /// Creates a shared clock at virtual time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reads the most recently published time.
-    #[inline]
-    pub fn load(&self) -> Ns {
-        self.inner.load(Ordering::Acquire)
-    }
-
-    /// Publishes `t` if it is later than the currently published time.
-    ///
-    /// Publishing never moves the shared value backwards, so concurrent
-    /// publishers of a host's several application threads combine to "the
-    /// latest application activity on this host".
-    #[inline]
-    pub fn publish_max(&self, t: Ns) {
-        self.inner.fetch_max(t, Ordering::AcqRel);
     }
 }
 
@@ -177,23 +142,5 @@ mod tests {
     #[test]
     fn clock_at_starts_at_given_time() {
         assert_eq!(Clock::at(42).now(), 42);
-    }
-
-    #[test]
-    fn shared_clock_publish_max_keeps_latest() {
-        let s = SharedClock::new();
-        s.publish_max(100);
-        s.publish_max(50);
-        assert_eq!(s.load(), 100);
-        s.publish_max(150);
-        assert_eq!(s.load(), 150);
-    }
-
-    #[test]
-    fn shared_clock_clones_share_state() {
-        let s = SharedClock::new();
-        let s2 = s.clone();
-        s.publish_max(7);
-        assert_eq!(s2.load(), 7);
     }
 }

@@ -15,7 +15,7 @@
 //! * [`cost`] — the calibrated cost model (Table 1 and §3.5 of the paper),
 //! * [`rng`] — a small deterministic PRNG (SplitMix64),
 //! * [`account`] — per-category time accounting (the Figure 6 breakdown),
-//! * [`stats`] — counters, summaries, and histograms used by the harnesses,
+//! * [`stats`] — counters and the latency histogram used by the harnesses,
 //! * [`trace`] — virtual-time protocol event tracing (per-thread rings,
 //!   Chrome-trace export),
 //! * [`json`] — the one JSON writer and reader every report, trace and
@@ -36,7 +36,7 @@ pub mod trace;
 
 pub use account::{Category, TimeBreakdown};
 pub use addr::{Geometry, Loc, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE};
-pub use clock::{BusyWindow, Clock, Ns, SharedClock};
+pub use clock::{BusyWindow, Clock, Ns};
 pub use cost::{CostModel, ServiceDelayModel};
 pub use rng::SplitMix64;
 pub use sched::{
@@ -45,7 +45,7 @@ pub use sched::{
 };
 #[doc(hidden)]
 pub use sha256::sha256_hex;
-pub use stats::{Counter, Histogram, LogHistogram, Summary};
+pub use stats::{Counter, LogHistogram};
 pub use trace::{ChromeTrace, TraceEvent, TraceKind, TraceLog, TraceRecorder, Tracer, Track};
 
 /// Identifier of a simulated host (0-based, dense).

@@ -1,4 +1,5 @@
-//! Counters, summaries and histograms used by the reproduction harnesses.
+//! Counters and the log-bucketed latency histogram used by the
+//! reproduction harnesses.
 
 use crate::json::{ToJson, Writer};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,152 +37,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.inner.load(Ordering::Relaxed)
-    }
-}
-
-/// Min/max/mean/standard-deviation summary of a stream of samples.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Summary {
-    count: u64,
-    min: f64,
-    max: f64,
-    sum: f64,
-    sum_sq: f64,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-            sum_sq: 0.0,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        self.sum += x;
-        self.sum_sq += x * x;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest sample, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Population standard deviation, or `None` if empty.
-    pub fn stddev(&self) -> Option<f64> {
-        self.mean().map(|m| {
-            let var = (self.sum_sq / self.count as f64 - m * m).max(0.0);
-            var.sqrt()
-        })
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-    }
-}
-
-/// A fixed-bucket histogram over `u64` samples.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` buckets of `bucket_width` each;
-    /// samples at or beyond `buckets * bucket_width` land in an overflow
-    /// bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` or `buckets` is zero.
-    pub fn new(bucket_width: u64, buckets: usize) -> Self {
-        assert!(bucket_width > 0 && buckets > 0, "degenerate histogram");
-        Self {
-            bucket_width,
-            buckets: vec![0; buckets],
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records a sample.
-    pub fn record(&mut self, x: u64) {
-        let idx = (x / self.bucket_width) as usize;
-        if idx < self.buckets.len() {
-            self.buckets[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.total += 1;
-    }
-
-    /// Total recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in bucket `i` (i.e. samples in `i*w .. (i+1)*w`).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Approximate p-quantile (by bucket lower bound); `None` if empty.
-    pub fn quantile(&self, p: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((p.clamp(0.0, 1.0)) * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target.max(1) {
-                return Some(i as u64 * self.bucket_width);
-            }
-        }
-        Some(self.buckets.len() as u64 * self.bucket_width)
     }
 }
 
@@ -358,80 +213,6 @@ mod tests {
         c.bump();
         c2.add(4);
         assert_eq!(c.get(), 5);
-    }
-
-    #[test]
-    fn summary_basic_statistics() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert_eq!(s.mean(), Some(5.0));
-        assert!((s.stddev().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_summary_returns_none() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.stddev(), None);
-    }
-
-    #[test]
-    fn summary_merge_equals_combined_stream() {
-        let mut a = Summary::new();
-        let mut b = Summary::new();
-        let mut whole = Summary::new();
-        for x in 0..10 {
-            let v = x as f64 * 1.5;
-            if x % 2 == 0 {
-                a.add(v);
-            } else {
-                b.add(v);
-            }
-            whole.add(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.mean(), whole.mean());
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10, 3);
-        for x in [0, 5, 9, 10, 29, 30, 1000] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.bucket(0), 3);
-        assert_eq!(h.bucket(1), 1);
-        assert_eq!(h.bucket(2), 1);
-        assert_eq!(h.overflow(), 2);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(1, 100);
-        for x in 0..100 {
-            h.record(x);
-        }
-        assert_eq!(h.quantile(0.5), Some(49));
-        assert_eq!(h.quantile(0.0), Some(0));
-        assert_eq!(h.quantile(1.0), Some(99));
-        assert_eq!(Histogram::new(1, 1).quantile(0.5), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "degenerate histogram")]
-    fn zero_width_histogram_panics() {
-        let _ = Histogram::new(0, 4);
     }
 
     #[test]

@@ -29,14 +29,6 @@ impl Prot {
         }
     }
 
-    /// The meet (greatest lower bound) of two protections: the protection a
-    /// composed view must expose (§5 "Composed-Views": "the least of the
-    /// access permissions of its components").
-    #[inline]
-    pub fn meet(self, other: Prot) -> Prot {
-        self.min(other)
-    }
-
     /// Decodes the `repr(u8)` value; inverse of `as u8`.
     pub fn from_u8(v: u8) -> Option<Prot> {
         match v {
@@ -134,18 +126,6 @@ mod tests {
         assert!(!Prot::ReadOnly.allows(Access::Write));
         assert!(Prot::ReadWrite.allows(Access::Read));
         assert!(Prot::ReadWrite.allows(Access::Write));
-    }
-
-    #[test]
-    fn meet_is_min() {
-        assert_eq!(Prot::ReadWrite.meet(Prot::ReadOnly), Prot::ReadOnly);
-        assert_eq!(Prot::ReadOnly.meet(Prot::NoAccess), Prot::NoAccess);
-        assert_eq!(Prot::ReadWrite.meet(Prot::ReadWrite), Prot::ReadWrite);
-        // Commutative.
-        assert_eq!(
-            Prot::ReadOnly.meet(Prot::ReadWrite),
-            Prot::ReadWrite.meet(Prot::ReadOnly)
-        );
     }
 
     #[test]

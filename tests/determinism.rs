@@ -7,8 +7,8 @@
 //! drifted between runs, recorded reproducers would be meaningless.
 
 use millipage::{
-    run, AllocMode, ChromeTrace, ClusterConfig, Consistency, HomePolicyKind, HostId, SchedMode,
-    Tracer, WireFaults,
+    run, AllocMode, ChromeTrace, ClusterConfig, Consistency, FaultPlane, HomePolicyKind, HostId,
+    SchedMode, Tracer,
 };
 
 const POLICIES: [HomePolicyKind; 3] = [
@@ -20,15 +20,15 @@ const POLICIES: [HomePolicyKind; 3] = [
 /// The acceptance fault mix (1% drop + 0.5% dup + 2% reorder): the fault
 /// plane's per-link RNG streams are seeded, so even a faulty wire must
 /// replay identically.
-fn lossy_plane() -> WireFaults {
-    WireFaults::lossy(13, 0.01, 0.005, 0.02)
+fn lossy_plane() -> FaultPlane {
+    FaultPlane::lossy(13, 0.01, 0.005, 0.02)
 }
 
 /// One run under the deterministic scheduler, rendered to bytes: the
 /// full Chrome-trace export plus the `RunReport` JSON dump. Anything
 /// schedule-dependent — fault interleavings, lock grant order, queue
 /// depths, histograms, virtual times — feeds into one of the two.
-fn run_to_bytes(policy: HomePolicyKind, consistency: Consistency, faults: WireFaults) -> String {
+fn run_to_bytes(policy: HomePolicyKind, consistency: Consistency, faults: FaultPlane) -> String {
     let tracer = Tracer::enabled(1 << 14);
     let cfg = ClusterConfig {
         hosts: 4,
@@ -85,7 +85,7 @@ fn run_to_bytes(policy: HomePolicyKind, consistency: Consistency, faults: WireFa
     format!("{}\n{}", chrome.finish(), report.to_json())
 }
 
-fn assert_deterministic(faults: fn() -> WireFaults) {
+fn assert_deterministic(faults: fn() -> FaultPlane) {
     for policy in POLICIES {
         for consistency in [Consistency::SequentialSwMr, Consistency::HomeEagerRc] {
             let a = run_to_bytes(policy, consistency, faults());
@@ -112,7 +112,7 @@ fn assert_deterministic(faults: fn() -> WireFaults) {
 /// Perfect wire: same seed, same trace, same report — bytes for bytes.
 #[test]
 fn same_seed_same_bytes_perfect_wire() {
-    assert_deterministic(WireFaults::disabled);
+    assert_deterministic(FaultPlane::disabled);
 }
 
 /// Faulty wire: drops, duplicates and reorders are themselves seeded, so

@@ -5,7 +5,7 @@
 //! both from its own stats table and from a full event trace.
 #![cfg(target_os = "linux")]
 
-use millipage::{trace_counts, AllocMode, ClusterConfig, SchedMode, Tracer};
+use millipage::{trace_counts, AdaptConfig, AllocMode, ClusterConfig, SchedMode, Tracer};
 use millipage_apps::close;
 use millipage_apps::is::{self, IsParams};
 use millipage_apps::sor::{self, SorParams};
@@ -54,7 +54,7 @@ fn assert_parity(
 #[test]
 fn sor_host_counters_match_sim_exactly_at_four_hosts() {
     let p = SorParams::small();
-    let host = sor::run_sor_host_diag(4, p).expect("host run");
+    let host = sor::run_sor_host_with(4, p, true, AdaptConfig::default()).expect("host run");
     let tracer = Tracer::enabled(RING);
     let sim = sor::run_sor(
         ClusterConfig {
@@ -77,7 +77,7 @@ fn sor_host_counters_match_sim_exactly_at_four_hosts() {
 #[test]
 fn is_host_counters_match_sim_exactly_at_four_hosts() {
     let p = IsParams::small();
-    let host = is::run_is_host_diag(4, p).expect("host run");
+    let host = is::run_is_host(4, p, true).expect("host run");
     let tracer = Tracer::enabled(RING);
     let sim = is::run_is(
         ClusterConfig {

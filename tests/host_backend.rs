@@ -45,7 +45,7 @@ fn sor_runs_on_real_memory_and_matches_the_simulator() {
 #[test]
 fn is_runs_on_real_memory_and_matches_the_simulator() {
     let p = IsParams::small();
-    let host = is::run_is_host(4, p).expect("host run");
+    let host = is::run_is_host(4, p, false).expect("host run");
     assert!(
         close(host.checksum, is::reference(p, 4), 1e-9),
         "host {} vs reference {}",

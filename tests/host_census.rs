@@ -10,6 +10,7 @@
 
 use millipage::{run_host, Dsm, HostRunConfig};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Names of this process's threads that belong to a run.
 fn run_threads() -> Vec<String> {
@@ -68,5 +69,21 @@ fn a_four_host_run_is_four_app_threads_and_one_server() {
     assert_eq!(threads, want);
     assert_eq!(fds, before, "(sockets, other fds) beside the memfds");
     assert_eq!(open_fds(), before);
-    assert_eq!(run_threads(), Vec::<String>::new());
+    let left = threads_after_exit(Duration::from_secs(2));
+    assert!(left.is_empty(), "threads outlived the run: {left:?}");
+}
+
+/// The run's threads still listed after waiting up to `limit` for them to
+/// go. A joined thread can linger in `/proc/self/task` for a moment: the
+/// join returns when the kernel clears the thread's tid word, which it
+/// does before it removes the task.
+fn threads_after_exit(limit: Duration) -> Vec<String> {
+    let start = Instant::now();
+    loop {
+        let left = run_threads();
+        if left.is_empty() || start.elapsed() >= limit {
+            return left;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }

@@ -4,13 +4,13 @@
 //! link — and only then rules the run idle, or deadlocked if an application
 //! thread still waits.
 
-use millipage::{run, ClusterConfig, Consistency, HostId, RunReport, SchedMode, WireFaults};
+use millipage::{run, ClusterConfig, Consistency, FaultPlane, HostId, RunReport, SchedMode};
 
 /// Every packet is a reorder candidate: each link's holdback slot keeps
 /// one packet until the next one on that link pushes it out, and the last
 /// one until the run goes quiet.
-fn holdback_wire() -> WireFaults {
-    WireFaults::lossy(5, 0.0, 0.0, 1.0)
+fn holdback_wire() -> FaultPlane {
+    FaultPlane::lossy(5, 0.0, 0.0, 1.0)
 }
 
 fn cfg(hosts: usize, consistency: Consistency) -> ClusterConfig {

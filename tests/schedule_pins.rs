@@ -26,8 +26,8 @@
 
 use millipage::explore::{race_config, race_workload};
 use millipage::{
-    run, AdaptConfig, AllocMode, ChromeTrace, ClusterConfig, Consistency, HomePolicyKind, HostId,
-    ParallelConfig, ProtocolError, RunReport, SchedMode, Tracer, WireFaults,
+    run, AdaptConfig, AllocMode, ChromeTrace, ClusterConfig, Consistency, FaultPlane,
+    HomePolicyKind, HostId, ParallelConfig, ProtocolError, RunReport, SchedMode, Tracer,
 };
 use millipage_apps::sor;
 use sim_core::sha256_hex;
@@ -37,8 +37,8 @@ use sim_core::sha256_hex;
 // ----------------------------------------------------------------------
 
 /// The acceptance fault mix (1% drop + 0.5% dup + 2% reorder).
-fn lossy_plane() -> WireFaults {
-    WireFaults::lossy(13, 0.01, 0.005, 0.02)
+fn lossy_plane() -> FaultPlane {
+    FaultPlane::lossy(13, 0.01, 0.005, 0.02)
 }
 
 /// One deterministic 8-host run with diagnostics and the adaptation engine
@@ -147,10 +147,10 @@ const PINNED: [(HomePolicyKind, [&str; 4]); 3] = [
 ];
 
 /// The `(consistency, fault plane)` cells behind each policy's pins.
-const PINNED_CELLS: [(Consistency, fn() -> WireFaults); 4] = [
-    (Consistency::SequentialSwMr, WireFaults::disabled),
+const PINNED_CELLS: [(Consistency, fn() -> FaultPlane); 4] = [
+    (Consistency::SequentialSwMr, FaultPlane::disabled),
     (Consistency::SequentialSwMr, lossy_plane),
-    (Consistency::HomeEagerRc, WireFaults::disabled),
+    (Consistency::HomeEagerRc, FaultPlane::disabled),
     (Consistency::HomeEagerRc, lossy_plane),
 ];
 
@@ -208,7 +208,7 @@ fn the_parallel_field_is_inert() {
     let bytes = run_to_bytes(ClusterConfig {
         home_policy: HomePolicyKind::Centralized,
         consistency: Consistency::SequentialSwMr,
-        faults: WireFaults::disabled(),
+        faults: FaultPlane::disabled(),
         parallel: Some(ParallelConfig::workers(2)),
         ..ClusterConfig::default()
     });

@@ -7,8 +7,8 @@
 
 use millipage::json::{self, Value};
 use millipage::{
-    audit, run, AllocMode, AuditMode, ChromeTrace, ClusterConfig, Consistency, HomePolicyKind,
-    HostId, RunReport, TraceLog, Tracer, WireFaults,
+    audit, run, AllocMode, AuditMode, ChromeTrace, ClusterConfig, Consistency, FaultPlane,
+    HomePolicyKind, HostId, RunReport, TraceLog, Tracer,
 };
 
 /// A workload touching every traced protocol path: barrier-separated
@@ -18,7 +18,7 @@ use millipage::{
 fn traced_workload(
     policy: HomePolicyKind,
     consistency: Consistency,
-    faults: WireFaults,
+    faults: FaultPlane,
 ) -> (RunReport, TraceLog) {
     let tracer = Tracer::enabled(1 << 14);
     let cfg = ClusterConfig {
@@ -72,15 +72,15 @@ const POLICIES: [HomePolicyKind; 3] = [
 ];
 
 /// The acceptance fault mix: 1% drop, 0.5% duplicate, 2% reorder.
-fn lossy_plane() -> WireFaults {
-    WireFaults::lossy(13, 0.01, 0.005, 0.02)
+fn lossy_plane() -> FaultPlane {
+    FaultPlane::lossy(13, 0.01, 0.005, 0.02)
 }
 
 /// Runs the workload and holds its trace to the full invariant set; with
 /// the fault plane active additionally requires that no send exhausted
 /// its retransmit budget and no protocol error surfaced — the reliable
 /// channel hid every injected fault from the DSM protocol.
-fn assert_audits_clean(policy: HomePolicyKind, consistency: Consistency, faults: WireFaults) {
+fn assert_audits_clean(policy: HomePolicyKind, consistency: Consistency, faults: FaultPlane) {
     let fault_run = faults.is_active();
     let (report, log) = traced_workload(policy, consistency, faults);
     assert!(
@@ -122,7 +122,7 @@ fn assert_audits_clean(policy: HomePolicyKind, consistency: Consistency, faults:
 #[test]
 fn swmr_trace_audits_clean_under_every_home_policy() {
     for policy in POLICIES {
-        assert_audits_clean(policy, Consistency::SequentialSwMr, WireFaults::disabled());
+        assert_audits_clean(policy, Consistency::SequentialSwMr, FaultPlane::disabled());
     }
 }
 
@@ -131,7 +131,7 @@ fn swmr_trace_audits_clean_under_every_home_policy() {
 #[test]
 fn hlrc_trace_audits_clean_under_every_home_policy() {
     for policy in POLICIES {
-        assert_audits_clean(policy, Consistency::HomeEagerRc, WireFaults::disabled());
+        assert_audits_clean(policy, Consistency::HomeEagerRc, FaultPlane::disabled());
     }
 }
 
@@ -162,7 +162,7 @@ fn traced_run_populates_histograms() {
     let (traced, log) = traced_workload(
         HomePolicyKind::Centralized,
         Consistency::SequentialSwMr,
-        WireFaults::disabled(),
+        FaultPlane::disabled(),
     );
     let p50 = traced.fault_latency_p50().expect("faults were recorded");
     let p95 = traced.fault_latency_p95().expect("faults were recorded");
@@ -190,7 +190,7 @@ fn chrome_trace_export_is_well_formed_json() {
     let (_, log) = traced_workload(
         HomePolicyKind::Interleaved,
         Consistency::SequentialSwMr,
-        WireFaults::disabled(),
+        FaultPlane::disabled(),
     );
     let mut ct = ChromeTrace::new();
     ct.add_run("audit-test", 0, &log.events);
@@ -211,7 +211,7 @@ fn chrome_trace_export_is_well_formed_json() {
     let (report, _) = traced_workload(
         HomePolicyKind::Centralized,
         Consistency::SequentialSwMr,
-        WireFaults::disabled(),
+        FaultPlane::disabled(),
     );
     let rj = json::parse(report.to_json().as_bytes()).expect("valid report JSON");
     let p99 = rj.get("fault_latency").and_then(|h| h.get("p99_ns"));
