@@ -781,7 +781,7 @@ mod props {
     ) -> Result<(), TestCaseError> {
         let geo = Geometry::new(12, SEEDED + 1);
         let ps = geo.page_size();
-        let home = HomeTable::new(kind, HOSTS, HostId(0), geo.clone());
+        let home = HomeTable::new(kind, HOSTS, geo.clone());
         for k in 0..SEEDED {
             let mp = descriptor(MinipageId(k as u32), &geo, 0, k * ps, ps);
             home.publish(mp, HostId(0));

@@ -8,6 +8,13 @@
 //! the computation starts), hands every application thread the same shared
 //! handle bundle, and assembles a [`RunReport`] when everything joins.
 //!
+//! The protocol stack itself — home table, per-host states, manager
+//! shards, diagnostics table, setup, and the post-run coherence, directory
+//! and geometry checks — is backend-neutral: [`Stack`] builds and checks it
+//! for this simulator and for the real-memory backend
+//! ([`run_host`](crate::hostrun::run_host)) alike, over either's memory and
+//! wake-up.
+//!
 //! Every run executes under the deterministic scheduler
 //! (`sim_core::sched`). Application threads are OS threads, of which the
 //! scheduler lets one run at a time; a server is a passive slot whose
@@ -16,11 +23,13 @@
 //! threads has exactly H·T OS threads beyond the caller's, all confined
 //! to the caller's CPU.
 
-use crate::diag::{build_report, DiagSink, DiagTable, LinkStat};
+use crate::adapt::AdaptReport;
+use crate::backend::{ClusterMemory, MemoryBackend};
+use crate::diag::{build_report, DiagReport, DiagSink, DiagTable, LinkStat};
 use crate::error::ProtocolError;
 use crate::hlrc::Consistency;
-use crate::home::{HomePolicyKind, HomeTable};
-use crate::host::{HostCtx, HostState, Waiters};
+use crate::home::{HomePolicyKind, HomeTable, MANAGER};
+use crate::host::{HostCounters, HostCtx, HostState, Waiters};
 use crate::manager::{ManagerShard, ManagerStats};
 use crate::msg::{MsgKind, Pmsg};
 use crate::server::{Server, ServerOutcome};
@@ -34,7 +43,7 @@ use parking_lot::Mutex;
 use sim_core::clock::Clock;
 use sim_core::sched::{SchedMode, Scheduler, ThreadKey, Turn};
 use sim_core::trace::{Tracer, Track};
-use sim_core::{CostModel, HostId, LogHistogram, SplitMix64, TimeBreakdown};
+use sim_core::{CostModel, Counter, HostId, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
 use sim_net::{FaultPlane, Network, ServerTimeline};
 use std::sync::atomic::AtomicU64;
@@ -67,9 +76,6 @@ pub struct ClusterConfig {
     /// among several managers"). The default reproduces the paper's
     /// single centralized manager exactly.
     pub home_policy: HomePolicyKind,
-    /// The host running the shared allocator and the synchronization
-    /// services (and, under the centralized policy, every minipage).
-    pub manager: usize,
     /// Seed for every stochastic model component.
     pub seed: u64,
     /// Protocol event tracer. Disabled by default (recording then costs
@@ -123,7 +129,6 @@ impl Default for ClusterConfig {
             threads_per_host: 1,
             consistency: Consistency::SequentialSwMr,
             home_policy: HomePolicyKind::Centralized,
-            manager: 0,
             seed: 0x4D69_6C6C_6950_6167, // "MilliPag"
             tracer: Tracer::disabled(),
             faults: FaultPlane::disabled(),
@@ -160,13 +165,7 @@ pub struct SetupCtx<'a> {
     mgr: &'a mut ManagerShard,
 }
 
-impl<'a> SetupCtx<'a> {
-    /// Wraps the manager shard for a pre-run setup phase (used by every
-    /// backend's assembly code).
-    pub(crate) fn new(mgr: &'a mut ManagerShard) -> Self {
-        Self { mgr }
-    }
-
+impl SetupCtx<'_> {
     /// Allocates `bytes` of shared memory. Setup allocations are issued
     /// by the manager host, so first-touch homes them there.
     pub fn alloc_bytes(&mut self, bytes: usize) -> VAddr {
@@ -226,6 +225,174 @@ impl<'a> SetupCtx<'a> {
     }
 }
 
+/// Panics unless `hosts` fits a copyset (`u64` bitmasks).
+pub(crate) fn assert_hosts(hosts: usize) {
+    assert!(
+        (1..=HostId::MAX_HOSTS).contains(&hosts),
+        "host count {hosts} out of range"
+    );
+}
+
+/// One run's protocol stack, on either backend: the geometry, the home
+/// table, one [`HostState`] per host over the backend's memory `M` and
+/// wake-up `W`, and the diagnostics table. [`Stack::new`] builds it with
+/// the manager shards and runs setup; after the run, [`Stack::check`]
+/// holds the shards and states the driver hands back to the invariants.
+pub(crate) struct Stack<M, W> {
+    pub(crate) geo: Geometry,
+    pub(crate) home: Arc<HomeTable>,
+    pub(crate) states: Vec<Arc<HostState<M, W>>>,
+    /// Sharing-diagnostics sink (inert unless [`ClusterConfig::diag`]).
+    pub(crate) diag: DiagSink,
+    diag_table: Option<Arc<DiagTable>>,
+    consistency: Consistency,
+    adapt: bool,
+}
+
+/// What [`Stack::check`] finds after a run.
+pub(crate) struct Verdict {
+    /// Coherence, directory and geometry violations, in that order.
+    pub(crate) violations: Vec<String>,
+    /// The shards' adaptation actions, merged; `None` unless adaptation
+    /// was enabled.
+    pub(crate) adapt: Option<AdaptReport>,
+    /// The sharing report; `None` unless diagnostics were on.
+    pub(crate) diag: Option<DiagReport>,
+}
+
+impl<M, W> Stack<M, W>
+where
+    M: MemoryBackend + Send + Sync + 'static,
+    W: Send + Sync + 'static,
+{
+    /// Builds the stack for `cfg` over `geo`, with `host(h)` giving host
+    /// `h`'s memory and wake-up, and runs `setup` on the manager's shard.
+    /// Every host runs a manager shard; the manager's also carries the
+    /// shared allocator and the synchronization services. The shards see
+    /// the cluster's memory only through the backend trait.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host or thread count is out of range.
+    pub(crate) fn new<T>(
+        cfg: &ClusterConfig,
+        geo: Geometry,
+        mut host: impl FnMut(HostId) -> (M, W),
+        setup: impl FnOnce(&mut SetupCtx) -> T,
+    ) -> (Self, Vec<ManagerShard>, T) {
+        assert_hosts(cfg.hosts);
+        assert!(
+            cfg.threads_per_host >= 1,
+            "need at least one application thread"
+        );
+        // One slot per application-view vpage bounds the minipage ids any
+        // allocation order can produce, so the table never overflows (and
+        // the host backend's signal-context recording never takes the
+        // overflow path).
+        let diag_table = cfg
+            .diag
+            .then(|| DiagTable::with_slots(cfg.hosts, geo.priv_view() * geo.pages()));
+        let diag = diag_table
+            .as_ref()
+            .map(|t| DiagSink::new(Arc::clone(t)))
+            .unwrap_or_default();
+        let home = Arc::new(HomeTable::new(cfg.home_policy, cfg.hosts, geo.clone()));
+        let states: Vec<Arc<HostState<M, W>>> = (0..cfg.hosts)
+            .map(|h| {
+                let id = HostId(h as u16);
+                let (mem, wake) = host(id);
+                Arc::new(HostState {
+                    bug_stale_reinstall: cfg.bug_stale_reinstall,
+                    ..HostState::new(
+                        id,
+                        mem,
+                        wake,
+                        cfg.cost.clone(),
+                        cfg.consistency,
+                        Arc::clone(&home),
+                        diag.clone(),
+                    )
+                })
+            })
+            .collect();
+        let cluster: Arc<dyn ClusterMemory> = Arc::new(states.clone());
+        let mut shards: Vec<ManagerShard> = (0..cfg.hosts)
+            .map(|h| {
+                let id = HostId(h as u16);
+                let allocator =
+                    (id == MANAGER).then(|| Allocator::new(geo.clone(), cfg.alloc_mode));
+                ManagerShard::new(
+                    id,
+                    cfg.hosts,
+                    cfg.hosts * cfg.threads_per_host,
+                    cfg.cost.clone(),
+                    cfg.consistency,
+                    allocator,
+                    Arc::clone(&home),
+                    Arc::clone(&cluster),
+                    cfg.tracer.recorder(id, Track::Shard),
+                    diag.clone(),
+                    cfg.adapt.clone(),
+                )
+            })
+            .collect();
+        let mgr = &mut shards[MANAGER.index()];
+        let shared = setup(&mut SetupCtx { mgr });
+        let stack = Self {
+            geo,
+            home,
+            states,
+            diag,
+            diag_table,
+            consistency: cfg.consistency,
+            adapt: cfg.adapt.enabled,
+        };
+        (stack, shards, shared)
+    }
+
+    /// The post-run pass over the shards a run hands back, in host order:
+    /// the SW/MR invariant (one writer xor many readers) or, under release
+    /// consistency, every copy equal to its home's; every directory window
+    /// closed and queue drained; after any adaptation, a sound MPT
+    /// geometry. Also merges the adaptation actions and builds the sharing
+    /// report, with `links` giving the per-link traffic.
+    pub(crate) fn check(
+        &self,
+        shards: &[ManagerShard],
+        links: impl FnOnce(&DiagTable) -> Vec<LinkStat>,
+    ) -> Verdict {
+        let (geo, home) = (&self.geo, &self.home);
+        let minipages = home.mpt().snapshot();
+        let mut violations = match self.consistency {
+            Consistency::SequentialSwMr => check_coherence(&minipages, geo, &self.states),
+            Consistency::HomeEagerRc => check_rc_consistency(&minipages, geo, &self.states, home),
+        };
+        violations.extend(check_directories(shards, self.consistency));
+        // Any adaptation action must leave the MPT geometry sound: active
+        // minipages disjoint, no physical byte orphaned, every retired
+        // vpage redirecting to the active owner of its bytes.
+        if home.mpt().adapt_gen() != 0 {
+            violations.extend(home.mpt().geometry_violations(geo));
+        }
+        let adapt = self.adapt.then(|| {
+            let mut report = AdaptReport::default();
+            for s in shards {
+                report.absorb(s.adapt_report().clone());
+            }
+            report
+        });
+        let diag = self
+            .diag_table
+            .as_ref()
+            .map(|t| build_report(t, &minipages, geo, home, links(t)));
+        Verdict {
+            violations,
+            adapt,
+            diag,
+        }
+    }
+}
+
 /// Confines the calling application thread to `cpu`, the one [`run`]'s
 /// caller is on. The scheduler lets a single application thread run at a
 /// time, so spreading them over CPUs buys no parallelism and makes every
@@ -259,104 +426,27 @@ where
     T: Send + Sync,
     F: Fn(&mut HostCtx, &T) + Send + Sync,
 {
-    assert!(
-        cfg.hosts >= 1 && cfg.hosts <= HostId::MAX_HOSTS,
-        "host count {} out of range",
-        cfg.hosts
-    );
-    assert!(
-        cfg.threads_per_host >= 1,
-        "need at least one application thread"
-    );
-    assert!(
-        cfg.manager < cfg.hosts,
-        "manager host {} out of range",
-        cfg.manager
-    );
     let geo = Geometry::new(cfg.pages, cfg.views);
-    // One slot per application-view vpage bounds the minipage ids any
-    // allocation order can produce, so the table never overflows.
-    let diag_table = cfg
-        .diag
-        .then(|| DiagTable::with_slots(cfg.hosts, geo.priv_view() * geo.pages()));
-    let diag_sink = diag_table
-        .as_ref()
-        .map(|t| DiagSink::new(Arc::clone(t)))
-        .unwrap_or_default();
-    let manager_id = HostId(cfg.manager as u16);
-    let home = Arc::new(HomeTable::new(
-        cfg.home_policy,
-        cfg.hosts,
-        manager_id,
-        geo.clone(),
-    ));
-    let states: Vec<Arc<HostState>> = (0..cfg.hosts)
-        .map(|h| {
-            Arc::new(HostState {
-                bug_stale_reinstall: cfg.bug_stale_reinstall,
-                ..HostState::new(
-                    HostId(h as u16),
-                    AddressSpace::new(geo.clone()),
-                    Waiters::default(),
-                    cfg.cost.clone(),
-                    cfg.consistency,
-                    Arc::clone(&home),
-                    diag_sink.clone(),
-                )
-            })
-        })
-        .collect();
+    let space = |_| (AddressSpace::new(geo.clone()), Waiters::default());
+    let (stack, shards, shared) = Stack::new(&cfg, geo.clone(), space, setup);
+    let (home, states) = (&stack.home, &stack.states);
     let (net, endpoints) =
         Network::<Pmsg>::with_faults(cfg.hosts, cfg.cost.clone(), cfg.faults.clone());
     // Slot order (servers, then application threads, in host order) is
     // the decision-log numbering; keep it stable across runs.
-    let sched = {
-        let mut keys = Vec::with_capacity(cfg.hosts * (1 + cfg.threads_per_host));
-        for h in 0..cfg.hosts {
-            keys.push(ThreadKey::server(HostId(h as u16)));
-        }
-        for h in 0..cfg.hosts {
-            for t in 0..cfg.threads_per_host {
-                keys.push(ThreadKey::app(HostId(h as u16), t as u16));
-            }
-        }
-        Scheduler::new(&cfg.sched, keys)
-    };
+    let ids = || (0..cfg.hosts).map(|h| HostId(h as u16));
+    let apps =
+        ids().flat_map(|h| (0..cfg.threads_per_host).map(move |t| ThreadKey::app(h, t as u16)));
+    let sched = Scheduler::new(
+        &cfg.sched,
+        ids().map(ThreadKey::server).chain(apps).collect(),
+    );
     net.attach_scheduler(&sched);
-    // Every host runs a manager shard; the manager host's shard also
-    // carries the shared allocator and the synchronization services. The
-    // shards see the cluster's memory only through the backend trait.
-    let cluster_mem: Arc<dyn crate::backend::ClusterMemory> = Arc::new(states.clone());
-    let mut shards: Vec<Option<ManagerShard>> = (0..cfg.hosts)
-        .map(|h| {
-            let allocator = (h == cfg.manager).then(|| Allocator::new(geo.clone(), cfg.alloc_mode));
-            Some(ManagerShard::new(
-                HostId(h as u16),
-                cfg.hosts,
-                cfg.hosts * cfg.threads_per_host,
-                cfg.cost.clone(),
-                cfg.consistency,
-                allocator,
-                Arc::clone(&home),
-                Arc::clone(&cluster_mem),
-                cfg.tracer.recorder(HostId(h as u16), Track::Shard),
-                diag_sink.clone(),
-                cfg.adapt.clone(),
-            ))
-        })
-        .collect();
-    let shared = {
-        let mut sctx = SetupCtx {
-            mgr: shards[cfg.manager].as_mut().expect("shard present"),
-        };
-        setup(&mut sctx)
-    };
 
     let mut rng = SplitMix64::new(cfg.seed);
     let shared_ref = &shared;
     let app_ref = &app;
 
-    let states_ref = &states;
     #[cfg(target_os = "linux")]
     // SAFETY: `sched_getcpu` takes no argument and touches no memory.
     let cpu = usize::try_from(unsafe { libc::sched_getcpu() }).ok();
@@ -366,9 +456,8 @@ where
         // by the scheduler — runs on whichever application thread holds
         // the schedule.
         let mut server_cells: Vec<Arc<Mutex<Option<Server>>>> = Vec::new();
-        for (h, ep) in endpoints.into_iter().enumerate() {
+        for ((h, ep), shard) in endpoints.into_iter().enumerate().zip(shards) {
             let timeline = ServerTimeline::new(cfg.cost.clone(), rng.fork(h as u64));
-            let shard = shards[h].take().expect("shard present");
             // The server's own sends (serves, replies, fan-outs) get
             // recorded at the endpoint; handler-level events go through the
             // server's recorder.
@@ -392,7 +481,7 @@ where
                 let events = Arc::new(AtomicU64::new(
                     ((h * cfg.threads_per_host + t + 1) as u64) << 40,
                 ));
-                let (home, state) = (Arc::clone(&home), Arc::clone(&states[h]));
+                let (home, state) = (Arc::clone(home), Arc::clone(&states[h]));
                 let (net, cost) = (net.clone(), cfg.cost.clone());
                 let trace = cfg.tracer.recorder(HostId(h as u16), Track::App(t as u16));
                 let sched = sched.clone();
@@ -436,7 +525,7 @@ where
                             let failure = match result {
                                 Ok(()) => None,
                                 Err(payload) => {
-                                    for st in states_ref {
+                                    for st in states {
                                         st.cancel_pending();
                                     }
                                     // Cancelled waiters are scheduler-visible state
@@ -483,9 +572,9 @@ where
         sched.quiesce_then(|| {
             for h in 0..cfg.hosts {
                 net.send(
-                    manager_id,
+                    MANAGER,
                     HostId(h as u16),
-                    Pmsg::new(MsgKind::Shutdown, manager_id, 0),
+                    Pmsg::new(MsgKind::Shutdown, MANAGER, 0),
                     0,
                     0,
                 );
@@ -511,7 +600,8 @@ where
     }
     let mut protocol_errors: Vec<String> = Vec::new();
     let mut server_queue_delay = LogHistogram::new();
-    let mut shards: Vec<ManagerShard> = outcomes
+    // In host order, as the server cells were.
+    let shards: Vec<ManagerShard> = outcomes
         .into_iter()
         .map(|o| {
             server_queue_delay.merge(&o.queue_delay);
@@ -532,56 +622,40 @@ where
     if let Some(p) = hard_panic {
         std::panic::resume_unwind(p);
     }
-    shards.sort_by_key(|s| s.me().index());
 
     let mut per_host = host_reports;
     let mut fault_latency = LogHistogram::new();
-    for rep in &per_host {
-        fault_latency.merge(&rep.fault_latency);
-    }
     let mut breakdown = TimeBreakdown::new();
-    let mut read_faults = 0;
-    let mut write_faults = 0;
-    let mut prefetches = 0;
-    let mut invalidations = 0;
-    for st in &states {
-        read_faults += st.counters.read_faults.get();
-        write_faults += st.counters.write_faults.get();
-        prefetches += st.counters.prefetch_requests.get();
-        invalidations += st.counters.invalidations_received.get();
-    }
     for rep in per_host.iter_mut() {
+        fault_latency.merge(&rep.fault_latency);
         // Fault counters are per host (threads share the fault path).
         let st = &states[rep.host.index()];
         rep.read_faults = st.counters.read_faults.get();
         rep.write_faults = st.counters.write_faults.get();
         breakdown.merge(&rep.breakdown);
     }
+    let hosts_sum = |c: fn(&HostCounters) -> &Counter| -> u64 {
+        states.iter().map(|st| c(&st.counters).get()).sum()
+    };
     // Manager-side counters accumulate wherever the minipage's home shard
     // ran; sum them (barriers and locks only ever tick on the manager
     // host, directory counters on every home).
-    let mut mstats = ManagerStats::default();
-    let mut competing = 0u64;
+    let shards_sum =
+        |f: fn(ManagerStats) -> u64| -> u64 { shards.iter().map(|s| f(s.stats())).sum() };
     let mut inv_round_trip = LogHistogram::new();
-    let mut shard_reports = Vec::with_capacity(shards.len());
-    for s in &shards {
-        inv_round_trip.merge(s.inv_round_trip());
-        let st = s.stats();
-        mstats.barriers += st.barriers;
-        mstats.lock_acquires += st.lock_acquires;
-        mstats.invalidations_sent += st.invalidations_sent;
-        mstats.pushes += st.pushes;
-        mstats.stale_pushes += st.stale_pushes;
-        mstats.rc_diffs += st.rc_diffs;
-        competing += s.competing_requests();
-        shard_reports.push(ShardStats {
-            host: s.me(),
-            competing_requests: s.competing_requests(),
-            invalidations_sent: st.invalidations_sent,
-            rc_diffs: st.rc_diffs,
-            directory_entries: s.directory().len(),
-        });
-    }
+    let shard_reports: Vec<ShardStats> = shards
+        .iter()
+        .map(|s| {
+            inv_round_trip.merge(s.inv_round_trip());
+            ShardStats {
+                host: s.me(),
+                competing_requests: s.competing_requests(),
+                invalidations_sent: s.stats().invalidations_sent,
+                rc_diffs: s.stats().rc_diffs,
+                directory_entries: s.directory().len(),
+            }
+        })
+        .collect();
     let net_faults = net.fault_active().then(|| {
         let ns = net.stats();
         NetFaultStats {
@@ -594,32 +668,8 @@ where
             delay: net.fault_delay(),
         }
     });
-    let minipages = home.mpt().snapshot();
-    let mut violations = match cfg.consistency {
-        Consistency::SequentialSwMr => check_coherence(&minipages, &geo, &states),
-        Consistency::HomeEagerRc => check_rc_consistency(&minipages, &geo, &states, &home),
-    };
-    violations.extend(check_directories(&shards, cfg.consistency));
-    // Any adaptation action must leave the MPT geometry sound: active
-    // minipages disjoint, no physical byte orphaned, every retired vpage
-    // redirecting to the active owner of its bytes.
-    if home.mpt().adapt_gen() != 0 {
-        violations.extend(home.mpt().geometry_violations(&geo));
-    }
-    let mut adapt_report = crate::adapt::AdaptReport::default();
-    for s in &shards {
-        adapt_report.absorb(s.adapt_report().clone());
-    }
-    let adapt = cfg.adapt.enabled.then_some(adapt_report);
-    let alloc = shards[cfg.manager].alloc_stats();
-    // The shards carry the last live trace recorders; dropping them
-    // flushes their rings, so the per-host dropped-event counts read
-    // below are final.
-    drop(shards);
-    let trace_dropped = cfg.tracer.dropped_by_host();
-    let diag = diag_table.map(|t| {
-        let links = net
-            .link_traffic()
+    let verdict = stack.check(&shards, |_| {
+        net.link_traffic()
             .into_iter()
             .map(|(from, to, messages, bytes)| LinkStat {
                 from,
@@ -627,36 +677,40 @@ where
                 messages,
                 bytes,
             })
-            .collect();
-        build_report(&t, &minipages, &geo, &home, links)
+            .collect()
     });
-    RunReport {
+    let mut report = RunReport {
         hosts: cfg.hosts,
         virtual_time: per_host.iter().map(|r| r.end_vt).max().unwrap_or(0),
         breakdown,
-        read_faults,
-        write_faults,
-        prefetches,
-        invalidations,
-        competing_requests: competing,
-        barriers: mstats.barriers,
-        lock_acquires: mstats.lock_acquires,
-        pushes: mstats.pushes,
+        read_faults: hosts_sum(|c| &c.read_faults),
+        write_faults: hosts_sum(|c| &c.write_faults),
+        prefetches: hosts_sum(|c| &c.prefetch_requests),
+        invalidations: hosts_sum(|c| &c.invalidations_received),
+        competing_requests: shard_reports.iter().map(|s| s.competing_requests).sum(),
+        barriers: shards_sum(|m| m.barriers),
+        lock_acquires: shards_sum(|m| m.lock_acquires),
+        pushes: shards_sum(|m| m.pushes),
         messages: net.stats().messages.get(),
         payload_bytes: net.stats().payload_bytes.get(),
-        alloc,
-        rc_diffs: mstats.rc_diffs,
+        alloc: shards[MANAGER.index()].alloc_stats(),
+        rc_diffs: shards_sum(|m| m.rc_diffs),
         policy: home.policy_name(),
         shards: shard_reports,
-        coherence_violations: violations,
+        coherence_violations: verdict.violations,
         fault_latency,
         server_queue_delay,
         inv_round_trip,
         protocol_errors,
         net_faults,
-        trace_dropped,
-        diag,
-        adapt,
+        trace_dropped: Default::default(),
+        diag: verdict.diag,
+        adapt: verdict.adapt,
         per_host,
-    }
+    };
+    // The shards carry the last live trace recorders; dropping them
+    // flushes their rings, so the per-host dropped-event counts are final.
+    drop(shards);
+    report.trace_dropped = cfg.tracer.dropped_by_host();
+    report
 }

@@ -157,7 +157,35 @@ pub fn explore(
     opts: &ExploreOpts,
 ) -> ExploreOutcome {
     let _quiet = QuietPanics::install();
-    explore_inner(base, &runner, opts)
+    let runner: &dyn Fn(ClusterConfig) -> RunReport = &runner;
+    let mut seeds = SplitMix64::new(opts.seed);
+    for i in 0..opts.schedules {
+        let s = seeds.next_u64();
+        let mode = if i % 2 == 0 {
+            SchedMode::random(s)
+        } else {
+            SchedMode::pct(s, opts.pct_depth)
+        };
+        let (violations, decisions) = run_one(base, &mode, runner, opts.trace_capacity);
+        if !violations.is_empty() {
+            let (choices, replays_used) = shrink(base, runner, decisions, opts);
+            return ExploreOutcome {
+                schedules_run: i + 1,
+                finding: Some(MinimizedRepro {
+                    seed: opts.seed,
+                    schedule_index: i,
+                    policy: mode.policy_name().to_string(),
+                    choices,
+                    violations,
+                    replays_used,
+                }),
+            };
+        }
+    }
+    ExploreOutcome {
+        schedules_run: opts.schedules,
+        finding: None,
+    }
 }
 
 type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync + 'static>;
@@ -193,97 +221,6 @@ impl Drop for QuietPanics {
                 std::panic::set_hook(hook);
             }
         }
-    }
-}
-
-fn explore_inner(
-    base: &ClusterConfig,
-    runner: &dyn Fn(ClusterConfig) -> RunReport,
-    opts: &ExploreOpts,
-) -> ExploreOutcome {
-    let mut seeds = SplitMix64::new(opts.seed);
-    for i in 0..opts.schedules {
-        let s = seeds.next_u64();
-        let mode = if i % 2 == 0 {
-            SchedMode::random(s)
-        } else {
-            SchedMode::pct(s, opts.pct_depth)
-        };
-        let (violations, decisions) = run_one(base, &mode, runner, opts.trace_capacity);
-        if !violations.is_empty() {
-            let (choices, replays_used) = shrink(base, runner, decisions, opts);
-            return ExploreOutcome {
-                schedules_run: i + 1,
-                finding: Some(MinimizedRepro {
-                    seed: opts.seed,
-                    schedule_index: i,
-                    policy: mode.policy_name().to_string(),
-                    choices,
-                    violations,
-                    replays_used,
-                }),
-            };
-        }
-    }
-    ExploreOutcome {
-        schedules_run: opts.schedules,
-        finding: None,
-    }
-}
-
-/// Result of an adaptation-point sweep ([`explore_adapt_points`]).
-#[derive(Debug)]
-pub struct AdaptSweepOutcome {
-    /// Start barriers actually explored (the sweep stops at the first
-    /// violating point).
-    pub points_run: Vec<u64>,
-    /// The violating point and its shrunk reproducer, if any.
-    pub finding: Option<(u64, MinimizedRepro)>,
-}
-
-impl AdaptSweepOutcome {
-    /// True when every adaptation point passed every oracle.
-    pub fn is_clean(&self) -> bool {
-        self.finding.is_none()
-    }
-}
-
-/// Sweeps *adaptation points*: re-runs the exploration with the
-/// adaptation engine armed at each start barrier in `points`, splitting
-/// `opts.schedules` evenly across the points. Split/merge/migration then
-/// fire at a different moment of the execution in every arm, and each
-/// arm holds the full oracle stack — the protocol invariants must
-/// survive the actions no matter which barrier triggers them. `base`'s
-/// other adaptation knobs (action gates, budget) are explored as
-/// configured; only `enabled` and `start_barrier` are overridden.
-pub fn explore_adapt_points(
-    base: &ClusterConfig,
-    runner: impl Fn(ClusterConfig) -> RunReport,
-    opts: &ExploreOpts,
-    points: &[u64],
-) -> AdaptSweepOutcome {
-    let _quiet = QuietPanics::install();
-    let per_point = ExploreOpts {
-        schedules: opts.schedules.div_ceil(points.len().max(1)).max(1),
-        ..opts.clone()
-    };
-    let mut points_run = Vec::new();
-    for &p in points {
-        let mut cfg = base.clone();
-        cfg.adapt.enabled = true;
-        cfg.adapt.start_barrier = p;
-        let o = explore_inner(&cfg, &runner, &per_point);
-        points_run.push(p);
-        if let Some(f) = o.finding {
-            return AdaptSweepOutcome {
-                points_run,
-                finding: Some((p, f)),
-            };
-        }
-    }
-    AdaptSweepOutcome {
-        points_run,
-        finding: None,
     }
 }
 
@@ -436,7 +373,6 @@ pub fn race_config() -> ClusterConfig {
         threads_per_host: 1,
         consistency: Consistency::HomeEagerRc,
         home_policy: HomePolicyKind::Interleaved,
-        manager: 0,
         seed: 0x5eed,
         ..ClusterConfig::default()
     }

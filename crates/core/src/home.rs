@@ -12,8 +12,9 @@
 //! faulting address and finding its home stay local lookups.
 //!
 //! Synchronization services (barriers, queue locks) and the shared
-//! allocator stay on the single manager host: they are not per-minipage
-//! state and are not what Figure 7's competing-request hot spot measures.
+//! allocator stay on the single manager host, [`MANAGER`]: they are not
+//! per-minipage state and are not what Figure 7's competing-request hot
+//! spot measures.
 
 use multiview::{Minipage, MinipageId, SharedMpt};
 use parking_lot::RwLock;
@@ -21,6 +22,11 @@ use sim_core::HostId;
 use sim_mem::{Geometry, VAddr};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The manager host (§3.3): it runs the shared allocator and the
+/// synchronization services and, under the centralized policy, homes every
+/// minipage. Host 0 on either backend.
+pub(crate) const MANAGER: HostId = HostId(0);
 
 /// How minipages are distributed over manager shards.
 ///
@@ -56,16 +62,10 @@ impl HomePolicyKind {
     }
 
     /// The home host for minipage `id` allocated by `allocating` in a
-    /// cluster of `hosts` hosts managed by `manager`.
-    pub fn assign(
-        self,
-        id: MinipageId,
-        allocating: HostId,
-        hosts: usize,
-        manager: HostId,
-    ) -> HostId {
+    /// cluster of `hosts` hosts.
+    pub fn assign(self, id: MinipageId, allocating: HostId, hosts: usize) -> HostId {
         match self {
-            HomePolicyKind::Centralized => manager,
+            HomePolicyKind::Centralized => MANAGER,
             HomePolicyKind::Interleaved => HostId((id.index() % hosts) as u16),
             HomePolicyKind::FirstTouch => allocating,
         }
@@ -83,7 +83,6 @@ impl HomePolicyKind {
 pub struct HomeTable {
     kind: HomePolicyKind,
     hosts: usize,
-    manager: HostId,
     geo: Geometry,
     mpt: SharedMpt,
     homes: RwLock<Vec<HostId>>,
@@ -99,13 +98,11 @@ pub struct HomeTable {
 }
 
 impl HomeTable {
-    /// Builds the table for a cluster of `hosts` hosts managed by
-    /// `manager`.
-    pub(crate) fn new(kind: HomePolicyKind, hosts: usize, manager: HostId, geo: Geometry) -> Self {
+    /// Builds the table for a cluster of `hosts` hosts.
+    pub(crate) fn new(kind: HomePolicyKind, hosts: usize, geo: Geometry) -> Self {
         Self {
             kind,
             hosts,
-            manager,
             geo,
             mpt: SharedMpt::new(),
             homes: RwLock::new(Vec::new()),
@@ -124,11 +121,6 @@ impl HomeTable {
         self.kind.name()
     }
 
-    /// The host running the allocator and synchronization services.
-    pub fn manager(&self) -> HostId {
-        self.manager
-    }
-
     /// The replicated minipage table.
     pub fn mpt(&self) -> &SharedMpt {
         &self.mpt
@@ -142,9 +134,7 @@ impl HomeTable {
     /// Registers a freshly allocated minipage: replicates its descriptor
     /// and assigns its home. Called by the allocator host only.
     pub(crate) fn publish(&self, mp: Minipage, allocating: HostId) -> HostId {
-        let home = self
-            .kind
-            .assign(mp.id, allocating, self.hosts, self.manager);
+        let home = self.kind.assign(mp.id, allocating, self.hosts);
         assert!(home.index() < self.hosts, "policy assigned an absent host");
         let mut homes = self.homes.write();
         assert_eq!(
@@ -167,7 +157,7 @@ impl HomeTable {
             }
         }
         if self.kind == HomePolicyKind::Centralized {
-            return self.manager;
+            return MANAGER;
         }
         self.homes.read()[id.index()]
     }
@@ -204,7 +194,7 @@ impl HomeTable {
             );
             homes.push(home);
         }
-        if self.kind == HomePolicyKind::Centralized && home != self.manager {
+        if self.kind == HomePolicyKind::Centralized && home != MANAGER {
             // The Centralized fast path never reads `homes`; route the
             // pinned minipage through the override layer instead.
             self.overrides.write().insert(mp.id.0, home);
@@ -220,7 +210,7 @@ impl HomeTable {
     /// must translate to consult the override layer.
     pub fn route(&self, addr: VAddr) -> (HostId, bool) {
         if self.kind == HomePolicyKind::Centralized && self.epoch.load(Ordering::Acquire) == 0 {
-            return (self.manager, false);
+            return (MANAGER, false);
         }
         let mp = self
             .mpt
@@ -242,8 +232,8 @@ mod tests {
     #[test]
     fn centralized_assigns_manager_everywhere() {
         for id in 0..10 {
-            let home = HomePolicyKind::Centralized.assign(MinipageId(id), HostId(5), 8, HostId(3));
-            assert_eq!(home, HostId(3));
+            let home = HomePolicyKind::Centralized.assign(MinipageId(id), HostId(5), 8);
+            assert_eq!(home, MANAGER);
         }
     }
 
@@ -252,7 +242,7 @@ mod tests {
         let homes: Vec<_> = (0..6)
             .map(|id| {
                 HomePolicyKind::Interleaved
-                    .assign(MinipageId(id), HostId(0), 4, HostId(0))
+                    .assign(MinipageId(id), HostId(0), 4)
                     .index()
             })
             .collect();
@@ -262,14 +252,14 @@ mod tests {
     #[test]
     fn first_touch_follows_the_allocator() {
         let p = HomePolicyKind::FirstTouch;
-        assert_eq!(p.assign(MinipageId(9), HostId(6), 8, HostId(0)), HostId(6));
-        assert_eq!(p.assign(MinipageId(9), HostId(0), 8, HostId(3)), HostId(0));
+        assert_eq!(p.assign(MinipageId(9), HostId(6), 8), HostId(6));
+        assert_eq!(p.assign(MinipageId(9), HostId(0), 8), HostId(0));
     }
 
     #[test]
     fn home_table_publishes_and_routes() {
         let geo = Geometry::new(8, 4);
-        let table = HomeTable::new(HomePolicyKind::Interleaved, 4, HostId(0), geo.clone());
+        let table = HomeTable::new(HomePolicyKind::Interleaved, 4, geo.clone());
         for id in 0..3u32 {
             let mp = Minipage {
                 id: MinipageId(id),
@@ -291,7 +281,7 @@ mod tests {
     #[test]
     fn centralized_routing_skips_the_lookup() {
         let geo = Geometry::new(4, 2);
-        let table = HomeTable::new(HomePolicyKind::Centralized, 4, HostId(0), geo.clone());
+        let table = HomeTable::new(HomePolicyKind::Centralized, 4, geo.clone());
         // No minipage published at this address: the fast path must not
         // consult the replica at all.
         let (home, looked_up) = table.route(geo.addr_of(0, 0, 0));
@@ -321,7 +311,7 @@ mod tests {
             HomePolicyKind::FirstTouch,
         ] {
             let geo = Geometry::new(8, 4);
-            let table = HomeTable::new(kind, 4, HostId(0), geo.clone());
+            let table = HomeTable::new(kind, 4, geo.clone());
             table.publish(mp_at(&geo, 0, 0, 0), HostId(0));
             assert_eq!(table.epoch(), 0);
             let before = table.home(MinipageId(0));
@@ -345,7 +335,7 @@ mod tests {
             HomePolicyKind::FirstTouch,
         ] {
             let geo = Geometry::new(8, 4);
-            let table = HomeTable::new(kind, 4, HostId(0), geo.clone());
+            let table = HomeTable::new(kind, 4, geo.clone());
             table.publish(mp_at(&geo, 0, 0, 0), HostId(0));
             table.publish_at(mp_at(&geo, 1, 1, 0), HostId(3));
             assert_eq!(table.home(MinipageId(1)), HostId(3), "{kind:?}");

@@ -13,7 +13,7 @@ use crate::diag::DiagSink;
 use crate::diff::Twin;
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo, RcDirty, RcState};
-use crate::home::{HomePolicyKind, HomeTable};
+use crate::home::{HomePolicyKind, HomeTable, MANAGER};
 use crate::msg::{Completion, MsgKind, Pmsg};
 use crate::shared::{fill_wire, wire_bytes, zeroed, Pod, SharedCell, SharedVec, POD_MAX};
 use bytes::Bytes;
@@ -503,8 +503,7 @@ impl HostCtx {
         let t0 = self.clock.now();
         let (ev, w) = self.state.register_waiter(&self.events);
         let msg = Pmsg::new(MsgKind::AllocRequest, self.host, ev).with_aux(bytes as u64);
-        let mgr = self.home.manager();
-        let c = self.request(mgr, msg, &w, "shared allocation");
+        let c = self.request(MANAGER, msg, &w, "shared allocation");
         self.clock.merge(c.resume_vt);
         self.breakdown.charge(Category::Comp, self.clock.now() - t0);
         c.addr
@@ -692,8 +691,7 @@ impl HostCtx {
         self.trace
             .emit(t0, TraceKind::BarrierEnter, |e| e.with_event(ev));
         let msg = Pmsg::new(MsgKind::BarrierEnter, self.host, ev);
-        let mgr = self.home.manager();
-        let c = self.request(mgr, msg, &w, "barrier release");
+        let c = self.request(MANAGER, msg, &w, "barrier release");
         self.clock.merge(c.resume_vt);
         self.trace
             .emit(self.clock.now(), TraceKind::BarrierResume, |e| {
@@ -710,8 +708,7 @@ impl HostCtx {
         self.trace
             .emit(t0, TraceKind::LockAcquireBegin, |e| e.with_event(id));
         let msg = Pmsg::new(MsgKind::LockAcquire, self.host, ev).with_aux(id);
-        let mgr = self.home.manager();
-        let c = self.request(mgr, msg, &w, "lock grant");
+        let c = self.request(MANAGER, msg, &w, "lock grant");
         self.clock.merge(c.resume_vt);
         self.trace
             .emit(self.clock.now(), TraceKind::LockResume, |e| {
@@ -731,8 +728,7 @@ impl HostCtx {
                 e.with_event(id)
             });
         let msg = Pmsg::new(MsgKind::LockRelease, self.host, 0).with_aux(id);
-        let mgr = self.home.manager();
-        self.send(mgr, msg, 0);
+        self.send(MANAGER, msg, 0);
     }
 
     // ------------------------------------------------------------------
@@ -1240,7 +1236,7 @@ mod tests {
     #[test]
     fn cancel_pending_fails_every_parked_waiter() {
         let geo = Geometry::new(4, 2);
-        let home = HomeTable::new(HomePolicyKind::Centralized, 1, HostId(0), geo.clone());
+        let home = HomeTable::new(HomePolicyKind::Centralized, 1, geo.clone());
         let st = HostState::new(
             HostId(0),
             AddressSpace::new(geo),

@@ -30,9 +30,10 @@
 //!   module's [`MemoryBackend`]/[`Transport`]/[`ProtoClock`]/`LocalWake`
 //!   implementations.
 //!
-//! Scope: `SequentialSwMr` consistency, `Centralized` homes, one
-//! application thread per host, no prefetch/push/locks — exactly the
-//! surface the [`Dsm`] trait exposes on the client side.
+//! The protocol stack and its post-run coherence, directory and geometry
+//! checks are the simulator's (`cluster::Stack`) under `ClusterConfig`'s
+//! defaults: `SequentialSwMr`, `Centralized` homes, one application thread
+//! per host; no prefetch/push/locks, the surface the [`Dsm`] trait exposes.
 //! A failed handler is reported on the run and, as in the simulator, a
 //! failed request nacks its requester; there is no fault plane to degrade
 //! through in one process, so the nacked thread is not retried — it
@@ -49,22 +50,20 @@
 //! SIGSEGV handler, which is what makes `--backend host` reports
 //! comparable with the simulator's fault counts.
 
-use crate::backend::{ClusterMemory, LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
-use crate::cluster::SetupCtx;
-use crate::diag::{build_report, DiagReport, DiagSink, DiagTable};
+use crate::backend::{LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
+use crate::cluster::{assert_hosts, ClusterConfig, SetupCtx, Stack};
+use crate::diag::{DiagReport, DiagSink, DiagTable};
 use crate::dsm::Dsm;
 use crate::error::ProtocolError;
-use crate::hlrc::Consistency;
-use crate::home::{HomePolicyKind, HomeTable};
+use crate::home::MANAGER;
 use crate::host::HostState;
 use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
 use crate::server;
 use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
 use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
-use multiview::{AllocMode, Allocator};
 use sim_core::trace::TraceRecorder;
-use sim_core::{CostModel, Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
+use sim_core::{Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
 use sim_mem::Prot;
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -550,7 +549,6 @@ struct ThreadRt {
 /// until the run's registrations are retired.
 struct HostRt {
     geo: Geometry,
-    manager: HostId,
     inbox: Inbox,
     threads: Vec<ThreadRt>,
     /// Sharing diagnostics. The table behind the sink is pre-allocated
@@ -595,7 +593,7 @@ impl HostRt {
         // manager can translate it back to the minipage. Centralized homes:
         // every window lives at the manager.
         let ack = Pmsg::new(MsgKind::Ack, th.host, 0).with_addr(VAddr(addr));
-        self.send(self.manager, th.host, ack);
+        self.send(MANAGER, th.host, ack);
     }
 }
 
@@ -638,7 +636,7 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
     }
     let req = Pmsg::new(kind, th.host, th.event).with_addr(addr);
     th.done.arm();
-    rt.send(rt.manager, th.host, req);
+    rt.send(MANAGER, th.host, req);
     // Sleep until the server thread posts the install. The completion
     // carries no data — the bytes went straight into the region through
     // the privileged view (the zero-copy receive path).
@@ -666,12 +664,12 @@ struct HostServer<'a> {
 /// front of the same per-message engine ([`server::dispatch`]), run for the
 /// host the envelope names. Hands back the errors it degraded through (fatal
 /// to the affected request; a non-empty list fails the run report) and the
-/// adaptation actions the shards applied.
+/// shards, in host order, for the post-run checks.
 fn host_server_loop(
     inbox: &Inbox,
     mut hosts: Vec<HostServer<'_>>,
     mut clock: WallClock,
-) -> (Vec<String>, crate::adapt::AdaptReport) {
+) -> (Vec<String>, Vec<ManagerShard>) {
     let mut rec = TraceRecorder::disabled();
     let mut errors = Vec::new();
     loop {
@@ -702,11 +700,7 @@ fn host_server_loop(
             &mut errors,
         );
     }
-    let mut adapt = crate::adapt::AdaptReport::default();
-    for host in &hosts {
-        adapt.absorb(host.shard.adapt_report().clone());
-    }
-    (errors, adapt)
+    (errors, hosts.into_iter().map(|h| h.shard).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -790,7 +784,7 @@ impl Dsm for HostDsmCtx {
         self.rt.flush_ack(th);
         let msg = Pmsg::new(MsgKind::BarrierEnter, th.host, th.event);
         th.done.arm();
-        self.rt.send(self.rt.manager, th.host, msg);
+        self.rt.send(MANAGER, th.host, msg);
         // Anything but the release is a protocol breach.
         match th.done.wait() {
             Some(MsgKind::BarrierRelease) => {}
@@ -825,11 +819,10 @@ pub struct HostRunConfig {
     /// counters the simulator records, taken from the real fault and
     /// invalidation paths. Off by default.
     pub diag: bool,
-    /// Online adaptation (see [`crate::adapt`]). The real-memory backend
-    /// applies *home migration* only: applications hold raw pointers into
-    /// their view, so the granularity rewrites (split/merge, which move
-    /// minipages to fresh views) are force-disabled here regardless of
-    /// what this config allows.
+    /// Online adaptation (see [`crate::adapt`]), *home migration* only:
+    /// applications hold raw pointers into their view, so the granularity
+    /// rewrites (split/merge move minipages to fresh views) are off here
+    /// whatever this config allows.
     pub adapt: crate::adapt::AdaptConfig,
 }
 
@@ -846,7 +839,7 @@ impl Default for HostRunConfig {
 }
 
 /// What a real-memory run reports: real fault counts from the SIGSEGV
-/// handler, wall time, and any server-side errors (empty on a clean run).
+/// handler, wall time, and any errors or check violations (none if clean).
 #[derive(Clone, Debug)]
 pub struct HostRunReport {
     /// Read faults taken per host (SIGSEGV handler counters).
@@ -859,8 +852,8 @@ pub struct HostRunReport {
     pub wall: std::time::Duration,
     /// Virtual compute tallied by host 0's kernels (comparison aid).
     pub compute_ns: Ns,
-    /// Server-side protocol/backend errors; non-empty means the run is
-    /// not trustworthy.
+    /// Server-side protocol/backend errors, then the post-run coherence,
+    /// directory and geometry violations; non-empty: not trustworthy.
     pub errors: Vec<String>,
     /// Sharing diagnostics; `None` unless [`HostRunConfig::diag`] was set.
     pub diag: Option<DiagReport>,
@@ -924,12 +917,7 @@ where
     T: Send + Sync,
     F: Fn(&mut HostDsmCtx, &T) + Send + Sync,
 {
-    assert!(
-        (1..=HostId::MAX_HOSTS).contains(&cfg.hosts),
-        "host count {} out of range",
-        cfg.hosts
-    );
-    let manager = HostId(0);
+    assert_hosts(cfg.hosts);
     // Staged until the fault handler is installed: set-up's protections
     // (one per allocated vpage) land in runs, not one `mprotect` each.
     let mut regions = Vec::with_capacity(cfg.hosts);
@@ -938,29 +926,25 @@ where
             .map_err(|_| backend_err(HostId(h as u16), "region mapping"))?;
         regions.push(Arc::new(region));
     }
-    let page_size = regions[0].page_size();
-    let geo = Geometry::with_layout(DEFAULT_BASE, page_size, cfg.pages, cfg.views);
-    let home = Arc::new(HomeTable::new(
-        HomePolicyKind::Centralized,
-        cfg.hosts,
-        manager,
-        geo.clone(),
-    ));
-    let cost = CostModel::default();
-    // Sized like the sim backend's table: one slot per application-view
-    // vpage bounds the minipage ids, so the signal-context recording
-    // never hits the overflow path.
-    let diag_table = cfg
-        .diag
-        .then(|| DiagTable::with_slots(cfg.hosts, geo.priv_view() * geo.pages()));
-    let diag_sink = diag_table
-        .as_ref()
-        .map(|t| DiagSink::new(Arc::clone(t)))
-        .unwrap_or_default();
+    let geo = Geometry::with_layout(DEFAULT_BASE, regions[0].page_size(), cfg.pages, cfg.views);
+    // The rest is the simulator's default: centralized homes, SW/MR,
+    // fine-grain allocation, one application thread per host.
+    let cluster = ClusterConfig {
+        hosts: cfg.hosts,
+        views: cfg.views,
+        pages: cfg.pages,
+        diag: cfg.diag,
+        adapt: crate::adapt::AdaptConfig {
+            // Raw application pointers: granularity rewrites are sim-only.
+            // Migration is safe — addresses are stable.
+            allow_split: false,
+            allow_merge: false,
+            ..cfg.adapt
+        },
+        ..ClusterConfig::default()
+    };
     let mut threads = Vec::with_capacity(cfg.hosts);
-    let mut states = Vec::with_capacity(cfg.hosts);
-    for (h, region) in regions.iter().enumerate() {
-        let host = HostId(h as u16);
+    let per_host = |host: HostId| {
         let done = Arc::new(Completion(AtomicU32::new(ARMED)));
         threads.push(ThreadRt {
             host,
@@ -968,47 +952,12 @@ where
             done: Arc::clone(&done),
             pending_ack: AtomicU64::new(0),
         });
-        let mem = HostMemory {
-            geo: geo.clone(),
-            region: Arc::clone(region),
-        };
-        states.push(Arc::new(HostState::new(
-            host,
-            mem,
-            CompletionTx(done),
-            cost.clone(),
-            Consistency::SequentialSwMr,
-            Arc::clone(&home),
-            diag_sink.clone(),
-        )));
-    }
-    let cluster: Arc<dyn ClusterMemory> = Arc::new(states.clone());
-    let mut shards: Vec<ManagerShard> = (0..cfg.hosts)
-        .map(|h| {
-            let allocator = (h == manager.index())
-                .then(|| Allocator::new(geo.clone(), AllocMode::FineGrain { chunking: 1 }));
-            ManagerShard::new(
-                HostId(h as u16),
-                cfg.hosts,
-                cfg.hosts, // one app thread per host = barrier quorum
-                cost.clone(),
-                Consistency::SequentialSwMr,
-                allocator,
-                Arc::clone(&home),
-                Arc::clone(&cluster),
-                TraceRecorder::disabled(),
-                diag_sink.clone(),
-                crate::adapt::AdaptConfig {
-                    // Raw application pointers: granularity rewrites are
-                    // sim-only. Migration is safe — addresses are stable.
-                    allow_split: false,
-                    allow_merge: false,
-                    ..cfg.adapt.clone()
-                },
-            )
-        })
-        .collect();
-    let shared = setup(&mut SetupCtx::new(&mut shards[manager.index()]));
+        let region = Arc::clone(&regions[host.index()]);
+        let geo = geo.clone();
+        (HostMemory { geo, region }, CompletionTx(done))
+    };
+    let (stack, shards, shared) = Stack::new(&cluster, geo.clone(), per_host, setup);
+    let (home, states, diag_sink) = (&stack.home, &stack.states, &stack.diag);
 
     // Setup has run, so the minipage table is final: freeze the vpage →
     // minipage attribution map the resolver uses from signal context.
@@ -1029,7 +978,6 @@ where
         registrations: Vec::with_capacity(cfg.hosts),
         rt: Arc::new(HostRt {
             geo: geo.clone(),
-            manager,
             inbox: Inbox::new(),
             threads,
             diag: diag_sink.clone(),
@@ -1042,7 +990,7 @@ where
             .apply_staged()
             .map_err(|_| backend_err(HostId(h as u16), "set-up protections"))?;
         let c = install_dsm_handler(Arc::clone(region), dsm_resolver, token)
-            .map_err(|_| backend_err(manager, "fault handler registration"))?;
+            .map_err(|_| backend_err(MANAGER, "fault handler registration"))?;
         run.registrations.push(c);
     }
 
@@ -1050,7 +998,7 @@ where
     let shared_ref = &shared;
     let app_ref = &app;
     let inbox = &run.rt.inbox;
-    let (mut errors, adapt, wall, compute_ns) = std::thread::scope(|scope| {
+    let (mut errors, shards, wall, compute_ns) = std::thread::scope(|scope| {
         let hosts = states
             .iter()
             .zip(shards)
@@ -1102,21 +1050,18 @@ where
             })
             .collect();
         let wall = start.elapsed();
-        let (to, wire_from) = (manager, manager);
-        let msg = Pmsg::new(MsgKind::Shutdown, manager, 0);
+        let (to, wire_from) = (MANAGER, MANAGER);
+        let msg = Pmsg::new(MsgKind::Shutdown, MANAGER, 0);
         inbox.push(Envelope { to, wire_from, msg });
-        let (errors, adapt) = server.join().expect("server thread panicked");
+        let (errors, shards) = server.join().expect("server thread panicked");
         if let Some(p) = app_panic {
             std::panic::resume_unwind(p);
         }
-        (errors, adapt, wall, compute[0])
+        (errors, shards, wall, compute[0])
     });
 
-    // Same post-run geometry oracle the sim backend applies after any
-    // adaptation action.
-    if home.mpt().adapt_gen() != 0 {
-        errors.extend(home.mpt().geometry_violations(&geo));
-    }
+    let verdict = stack.check(&shards, DiagTable::link_stats);
+    errors.extend(verdict.violations);
     Ok(HostRunReport {
         read_faults: run.registrations.iter().map(|c| c.read_faults()).collect(),
         write_faults: run.registrations.iter().map(|c| c.write_faults()).collect(),
@@ -1127,12 +1072,8 @@ where
         wall,
         compute_ns,
         errors,
-        diag: diag_table.map(|t| {
-            let minipages = home.mpt().snapshot();
-            let links = t.link_stats();
-            build_report(&t, &minipages, &geo, &home, links)
-        }),
-        adapt: cfg.adapt.enabled.then_some(adapt),
+        diag: verdict.diag,
+        adapt: verdict.adapt,
     })
 }
 
@@ -1315,50 +1256,44 @@ mod tests {
         assert_eq!(done.wait(), Some(MsgKind::Nack));
     }
 
-    /// Host 0 of a one-host run, one page, no minipages yet: its state,
-    /// its shard (the allocator's; its barrier waits for two entries) and
-    /// its application's completion word.
+    /// A real-memory stack of `hosts` hosts with one page and one view
+    /// each, built by the run's assembly with `threads` application
+    /// threads per host (the barrier quorum), and its shards. Setup
+    /// allocates nothing.
+    fn stack(hosts: usize, threads: usize) -> (Stack<HostMemory, CompletionTx>, Vec<ManagerShard>) {
+        let page_size = MultiViewRegion::new(1, 1).expect("region").page_size();
+        let geo = Geometry::with_layout(DEFAULT_BASE, page_size, 1, 1);
+        let cfg = ClusterConfig {
+            hosts,
+            views: 1,
+            pages: 1,
+            threads_per_host: threads,
+            ..ClusterConfig::default()
+        };
+        let per_host = |_| {
+            let (geo, region) = (
+                geo.clone(),
+                Arc::new(MultiViewRegion::new(1, 1).expect("region")),
+            );
+            let done = Arc::new(Completion(AtomicU32::new(ARMED)));
+            (HostMemory { geo, region }, CompletionTx(done))
+        };
+        let (stack, shards, ()) = Stack::new(&cfg, geo.clone(), per_host, |_| ());
+        (stack, shards)
+    }
+
+    /// Host 0 of a one-host run, no minipages yet: its state, its shard
+    /// (the allocator's; its barrier waits for two entries) and its
+    /// application's completion word.
     fn lone_host() -> (
         Arc<HostState<HostMemory, CompletionTx>>,
         ManagerShard,
         Arc<Completion>,
     ) {
-        let me = HostId(0);
-        let region = Arc::new(MultiViewRegion::new(1, 1).expect("region"));
-        let geo = Geometry::with_layout(DEFAULT_BASE, region.page_size(), 1, 1);
-        let home = Arc::new(HomeTable::new(
-            HomePolicyKind::Centralized,
-            1,
-            me,
-            geo.clone(),
-        ));
-        let done = Arc::new(Completion(AtomicU32::new(ARMED)));
-        let (cost, sw_mr) = (CostModel::default(), Consistency::SequentialSwMr);
-        let allocator = Allocator::new(geo.clone(), AllocMode::FineGrain { chunking: 1 });
-        let state = Arc::new(HostState::new(
-            me,
-            HostMemory { geo, region },
-            CompletionTx(Arc::clone(&done)),
-            cost.clone(),
-            sw_mr,
-            Arc::clone(&home),
-            DiagSink::default(),
-        ));
-        let cluster: Arc<dyn ClusterMemory> = Arc::new(vec![Arc::clone(&state)]);
-        let shard = ManagerShard::new(
-            me,
-            1,
-            2,
-            cost,
-            sw_mr,
-            Some(allocator),
-            home,
-            cluster,
-            TraceRecorder::disabled(),
-            DiagSink::default(),
-            crate::adapt::AdaptConfig::default(),
-        );
-        (state, shard, done)
+        let (stack, mut shards) = stack(1, 2);
+        let state = Arc::clone(&stack.states[0]);
+        let done = Arc::clone(&state.waiters.0);
+        (state, shards.pop().expect("one shard"), done)
     }
 
     fn transport(me: HostId, inbox: &Inbox) -> RingTransport<'_> {
@@ -1562,5 +1497,40 @@ mod tests {
         assert_eq!(after_ack, (ASLEEP, 1), "the quiet Ack woke the server");
         assert_eq!(errors, Vec::<String>::new());
         assert!(inbox.pop().is_none(), "the Ack outlived the Shutdown");
+    }
+
+    /// A real-memory run ends with the simulator's post-run pass. Planted
+    /// here on a two-host stack: a write served by the manager whose
+    /// window no `Ack` closed, and two writable copies of its minipage.
+    #[test]
+    fn the_post_run_pass_reports_two_writers_and_an_open_window() {
+        let (stack, mut shards) = stack(2, 1);
+        let addr = shards[0].do_alloc(8, MANAGER, 0);
+        let inbox = Inbox::new();
+        let write = Pmsg::new(MsgKind::WriteRequest, HostId(1), 1).with_addr(addr);
+        let mut errors = Vec::new();
+        server::dispatch(
+            write,
+            HostId(1),
+            &stack.states[0],
+            &mut shards[0],
+            &mut WallClock::starting_at(Instant::now()),
+            &transport(MANAGER, &inbox),
+            &mut TraceRecorder::disabled(),
+            &mut errors,
+        );
+        assert_eq!(errors, Vec::<String>::new());
+        let mp = stack.home.translate(addr).expect("allocated");
+        for st in &stack.states {
+            for vp in mp.vpages(&stack.geo) {
+                st.space.set_prot(vp, Prot::ReadWrite).expect("protect");
+            }
+        }
+
+        let violations = stack.check(&shards, DiagTable::link_stats).violations;
+        let writers = format!("{}: multiple writers {:?}", mp.id, [HostId(0), HostId(1)]);
+        assert!(violations.contains(&writers), "{violations:?}");
+        let window = format!("mp{} @ shard h0: service window still open", mp.id.0);
+        assert!(violations.contains(&window), "{violations:?}");
     }
 }

@@ -64,10 +64,7 @@ pub use stats::{HostReport, NetFaultStats, RunReport, ShardStats};
 
 pub use audit::{audit, AuditMode};
 
-pub use explore::{
-    explore, explore_adapt_points, replay_repro, AdaptSweepOutcome, ExploreOpts, ExploreOutcome,
-    MinimizedRepro,
-};
+pub use explore::{explore, replay_repro, ExploreOpts, ExploreOutcome, MinimizedRepro};
 pub use sim_core::sched::{SchedMode, SchedPolicy};
 pub use sim_net::{FaultPlane, ScriptedFault, ScriptedKind};
 

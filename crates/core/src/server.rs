@@ -7,7 +7,8 @@
 //! privileged view), and wakes blocked application threads. Every server
 //! also carries its host's [`ManagerShard`]: requests for minipages homed
 //! here are handled in place, and protocol replies are routed to the
-//! responsible home shard through the cluster's [`HomeTable`].
+//! responsible home shard through the cluster's
+//! [`HomeTable`](crate::HomeTable).
 //!
 //! Handlers return `Result<(), ProtocolError>` rather than asserting the
 //! wire is reliable: a failed handler is recorded on the run report, the

@@ -1,5 +1,6 @@
 //! Run reports: everything the paper's tables and figures need.
 
+use crate::backend::MemoryBackend;
 use crate::hlrc::Consistency;
 use crate::home::HomeTable;
 use crate::host::HostState;
@@ -267,10 +268,10 @@ impl ToJson for RunReport {
 /// synchronization every present copy must byte-for-byte match its
 /// minipage's home copy (all dirty data flushed, all stale copies
 /// invalidated or refetched).
-pub(crate) fn check_rc_consistency(
+pub(crate) fn check_rc_consistency<M: MemoryBackend, W>(
     minipages: &[Minipage],
     geo: &Geometry,
-    states: &[Arc<HostState>],
+    states: &[Arc<HostState<M, W>>],
     home: &HomeTable,
 ) -> Vec<String> {
     let mut violations = Vec::new();
@@ -307,10 +308,10 @@ pub(crate) fn check_rc_consistency(
 /// Post-run validation of the Single-Writer/Multiple-Readers invariant:
 /// for every minipage, across all hosts, there is at most one writable
 /// copy, and never both a writable copy and read copies.
-pub(crate) fn check_coherence(
+pub(crate) fn check_coherence<M: MemoryBackend, W>(
     minipages: &[Minipage],
     geo: &Geometry,
-    states: &[Arc<HostState>],
+    states: &[Arc<HostState<M, W>>],
 ) -> Vec<String> {
     let mut violations = Vec::new();
     for mp in minipages {
@@ -319,14 +320,16 @@ pub(crate) fn check_coherence(
         for st in states {
             // A minipage's vpages move together; mixed protection within
             // one minipage on one host is itself a violation.
-            let prots: Vec<Prot> = mp.vpages(geo).map(|vp| st.space.prot(vp)).collect();
-            if prots.windows(2).any(|w| w[0] != w[1]) {
+            let mut vpages = mp.vpages(geo);
+            let first = vpages.next().map_or(Prot::NoAccess, |vp| st.space.prot(vp));
+            if vpages.any(|vp| st.space.prot(vp) != first) {
+                let prots: Vec<Prot> = mp.vpages(geo).map(|vp| st.space.prot(vp)).collect();
                 violations.push(format!(
                     "{}: mixed vpage protections {:?} on {}",
                     mp.id, prots, st.host
                 ));
             }
-            match prots[0] {
+            match first {
                 Prot::ReadWrite => writers.push(st.host),
                 Prot::ReadOnly => readers.push(st.host),
                 Prot::NoAccess => {}
@@ -361,28 +364,35 @@ pub(crate) fn check_directories(shards: &[ManagerShard], consistency: Consistenc
             ));
         }
         for (id, e) in shard.directory().iter() {
-            let tag = format!("mp{} @ shard {}", id, shard.me());
+            let tag = || format!("mp{} @ shard {}", id, shard.me());
             if e.in_service {
-                violations.push(format!("{tag}: service window still open"));
+                violations.push(format!("{}: service window still open", tag()));
             }
             if !e.queue.is_empty() {
-                violations.push(format!("{tag}: {} requests still queued", e.queue.len()));
+                violations.push(format!(
+                    "{}: {} requests still queued",
+                    tag(),
+                    e.queue.len()
+                ));
             }
             if e.inv_pending != 0 {
                 violations.push(format!(
-                    "{tag}: {} invalidation replies outstanding",
+                    "{}: {} invalidation replies outstanding",
+                    tag(),
                     e.inv_pending
                 ));
             }
             if e.pending_write.is_some() {
-                violations.push(format!("{tag}: a write is still parked"));
+                violations.push(format!("{}: a write is still parked", tag()));
             }
             if consistency == Consistency::SequentialSwMr {
                 if let Some(owner) = e.owner {
                     if e.copyset != 1u64 << owner.index() {
                         violations.push(format!(
-                            "{tag}: owner {} but copyset {:#b}",
-                            owner, e.copyset
+                            "{}: owner {} but copyset {:#b}",
+                            tag(),
+                            owner,
+                            e.copyset
                         ));
                     }
                 }
@@ -407,12 +417,7 @@ mod tests {
     #[test]
     fn checkers_on_an_idle_cluster_back_no_page() {
         let geo = Geometry::new(8, 4);
-        let home = Arc::new(HomeTable::new(
-            HomePolicyKind::Centralized,
-            2,
-            HostId(0),
-            geo.clone(),
-        ));
+        let home = Arc::new(HomeTable::new(HomePolicyKind::Centralized, 2, geo.clone()));
         let states: Vec<Arc<HostState>> = (0..2)
             .map(|h| {
                 Arc::new(HostState::new(

@@ -309,10 +309,11 @@ impl Mpt {
 #[derive(Clone, Debug, Default)]
 pub struct SharedMpt {
     inner: Arc<RwLock<Mpt>>,
-    /// Bumped on every adaptation action ([`retire_and_insert`]
-    /// (Self::retire_and_insert)). Access paths holding pre-action
-    /// addresses check this once per access (a relaxed load) and only pay
-    /// for re-translation after the table has actually changed shape.
+    /// Bumped on every adaptation action
+    /// ([`retire_and_insert`](Self::retire_and_insert)). Access paths
+    /// holding pre-action addresses check this once per access (a relaxed
+    /// load) and only pay for re-translation after the table has actually
+    /// changed shape.
     adapt_gen: Arc<AtomicU64>,
 }
 

@@ -72,14 +72,6 @@ impl SplitMix64 {
     pub fn next_usize(&mut self, bound: usize) -> usize {
         self.next_range(bound as u64) as usize
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_usize(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -158,15 +150,5 @@ mod tests {
         let a = parent.next_u64();
         let b = child.next_u64();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SplitMix64::new(11);
-        let mut xs: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 }

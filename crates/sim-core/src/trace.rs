@@ -284,11 +284,6 @@ impl Tracer {
         }
     }
 
-    /// Whether recorders from this tracer record anything.
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// A recorder for one simulated thread.
     pub fn recorder(&self, host: HostId, track: Track) -> TraceRecorder {
         TraceRecorder {

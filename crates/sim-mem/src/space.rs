@@ -64,8 +64,8 @@ impl std::error::Error for AccessError {}
 /// protection re-load. Safety rests on a single generation counter: every
 /// protection change ([`set_prot`](AddressSpace::set_prot),
 /// [`snapshot_and_protect`](AddressSpace::snapshot_and_protect)) bumps
-/// [`prot_generation`](AddressSpace::prot_generation) *while holding the
-/// page's exclusive lock*, and the fast path re-validates the cached
+/// the space's `prot_gen` field *while holding the page's exclusive
+/// lock*, and the fast path re-validates the cached
 /// generation *under the page lock* before touching bytes. A matching
 /// generation proves no protection anywhere changed since the entry was
 /// filled, so the cached protection is still exact; a mismatch falls back
@@ -88,7 +88,7 @@ pub struct AddressSpace {
 /// anything that requires a division or a map probe.
 #[derive(Clone, Copy, Debug)]
 pub struct TlbEntry {
-    /// [`AddressSpace::prot_generation`] at fill time.
+    /// The space's `prot_gen` at fill time.
     gen: u64,
     /// Global vpage index (identifies the entry for eviction).
     vpage: usize,
@@ -253,12 +253,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// The protection-change generation; a [`TlbEntry`] is valid only
-    /// while this still equals the value read at fill time.
-    pub fn prot_generation(&self) -> u64 {
-        self.prot_gen.load(Ordering::Acquire)
-    }
-
     /// Resolves `addr`'s vpage into a cacheable [`TlbEntry`] (page index,
     /// vpage bounds, current protection, current generation — read
     /// consistently under the page lock). Returns `None` outside the
@@ -414,77 +408,6 @@ impl AddressSpace {
             page += 1;
         }
         Ok(())
-    }
-
-    /// Application read that hands the caller a borrowed slice, avoiding a
-    /// copy. The range must lie within a single page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range crosses a page boundary (use
-    /// [`read`](AddressSpace::read) for multi-page ranges).
-    pub fn with_read<R>(
-        &self,
-        addr: VAddr,
-        len: usize,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, AccessError> {
-        let (loc, vpages) = self
-            .geo
-            .vpages_covering(addr, len)
-            .ok_or(MemError::OutOfRange { addr, len })?;
-        assert!(
-            vpages.len() == 1,
-            "with_read range must not cross a page boundary"
-        );
-        let guard = self.pages[loc.page].read();
-        if loc.view != self.geo.priv_view() {
-            let vp = vpages.start;
-            if !self.prot(vp).allows(Access::Read) {
-                return Err(AccessError::Fault(AccessFault {
-                    addr,
-                    access: Access::Read,
-                    vpage: vp,
-                }));
-            }
-        }
-        Ok(f(&self.bytes(&guard)[loc.offset..loc.offset + len]))
-    }
-
-    /// Application in-place update of a single-page range: the closure gets
-    /// a mutable slice. Checked like a write.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range crosses a page boundary.
-    pub fn with_write<R>(
-        &self,
-        addr: VAddr,
-        len: usize,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> Result<R, AccessError> {
-        let (loc, vpages) = self
-            .geo
-            .vpages_covering(addr, len)
-            .ok_or(MemError::OutOfRange { addr, len })?;
-        assert!(
-            vpages.len() == 1,
-            "with_write range must not cross a page boundary"
-        );
-        let mut guard = self.pages[loc.page].write();
-        if loc.view != self.geo.priv_view() {
-            let vp = vpages.start;
-            if !self.prot(vp).allows(Access::Write) {
-                return Err(AccessError::Fault(AccessFault {
-                    addr,
-                    access: Access::Write,
-                    vpage: vp,
-                }));
-            }
-        }
-        Ok(f(
-            &mut self.bytes_mut(&mut guard)[loc.offset..loc.offset + len]
-        ))
     }
 
     /// Privileged read (server threads, §2.3.1): ignores application
@@ -736,18 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn with_read_and_with_write_in_place() {
-        let s = space();
-        let g = s.geometry().clone();
-        s.set_prot(g.vpage_index(0, 1), Prot::ReadWrite).unwrap();
-        let a = g.addr_of(0, 1, 8);
-        s.with_write(a, 4, |sl| sl.copy_from_slice(&[1, 2, 3, 4]))
-            .unwrap();
-        let sum = s.with_read(a, 4, |sl| sl.iter().map(|&b| b as u32).sum::<u32>());
-        assert_eq!(sum.unwrap(), 10);
-    }
-
-    #[test]
     fn snapshot_and_protect_is_atomic_per_page() {
         let s = space();
         let g = s.geometry().clone();
@@ -878,8 +789,6 @@ mod tests {
         let mut wide = [0xffu8; 64];
         s.read(g.addr_of(0, 0, 4080), &mut wide).unwrap();
         assert_eq!(wide, [0u8; 64]);
-        let all_zero = s.with_read(a, 16, |sl| sl.len() == 16 && sl.iter().all(|&b| b == 0));
-        assert!(all_zero.unwrap());
         let e = s.tlb_fill(a).unwrap();
         let mut buf = [0xffu8; 16];
         assert!(s.tlb_read(&e, a, &mut buf));
@@ -892,18 +801,14 @@ mod tests {
         assert_eq!(snap, vec![0u8; 16]);
         // A write that faults is not a write.
         assert!(matches!(s.write(a, &[1]), Err(AccessError::Fault(_))));
-        assert!(s.with_write(a, 1, |sl| sl[0] = 1).is_err());
         assert_eq!(s.backed_pages(), 0);
     }
 
     #[test]
     fn first_write_backs_exactly_its_page() {
         type WritePath = fn(&AddressSpace, VAddr);
-        let paths: [(&str, WritePath); 4] = [
+        let paths: [(&str, WritePath); 3] = [
             ("write", |s, a| s.write(a, &[7; 8]).unwrap()),
-            ("with_write", |s, a| {
-                s.with_write(a, 8, |sl| sl.fill(7)).unwrap()
-            }),
             ("tlb_write", |s, a| {
                 let e = s.tlb_fill(a).unwrap();
                 assert!(s.tlb_write(&e, a, &[7; 8]));
