@@ -1,20 +1,19 @@
 //! `repro diagnose` runs each application twice under the deterministic
 //! scheduler — once with the tracer on, once stats-only (the production
-//! configuration of the diagnostics plane) — and cross-checks the
-//! lock-free stats table against counts re-derived from the full trace,
-//! and the detector rankings between the two runs. It prints the ranked
-//! ping-pong / false-sharing / hot-home findings and the per-link wire
-//! traffic, writes the vpage×host fault heatmap to
+//! configuration of the diagnostics plane) — and requires the detector
+//! rankings of the two runs to agree. The stats table and the trace need
+//! no cross-check: one probe call feeds both (`core::probe`). It prints
+//! the ranked ping-pong / false-sharing / hot-home findings and the
+//! per-link wire traffic, writes the vpage×host fault heatmap to
 //! `diagnose-heatmap.csv` and per-host cumulative fault counter tracks to
-//! `diagnose-trace.json` (Perfetto), and exits nonzero on any
-//! counter/detector divergence or dropped trace ring. `--backend host`
+//! `diagnose-trace.json` (Perfetto), and exits nonzero on any detector
+//! divergence, audit violation or dropped trace ring. `--backend host`
 //! instead runs SOR and IS on the real-memory backend (Linux) and
 //! requires the per-minipage counters recorded by the SIGSEGV path to
-//! match the simulator's trace-derived counts exactly.
+//! match the simulator's stats table exactly.
 
 use millipage::{
-    json, trace_counts, AuditMode, ChromeTrace, ClusterConfig, Finding, Ns, SchedMode, TraceEvent,
-    TraceKind,
+    json, AuditMode, ChromeTrace, ClusterConfig, Finding, Ns, SchedMode, TraceEvent, TraceKind,
 };
 use millipage_bench::apps::{app_cfg, select_specs};
 use millipage_bench::cli::{traced_run, write_artifact, Backend, Flags, Gate, UsageError};
@@ -123,17 +122,8 @@ pub fn diagnose(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
             gate.fail(format!("  {}: run produced no diagnostics", spec.name));
             continue;
         };
-        // Self-check 1: the lock-free stats table must agree with the
-        // counts re-derived from the full trace stream.
-        let from_table = diag.counts();
-        counts_match(
-            gate,
-            &format!("{}: trace vs stats table", spec.name),
-            &trace_counts(&log.events),
-            &from_table,
-        );
-        // Self-check 2: detector output must not depend on whether the
-        // tracer ran alongside the stats table.
+        // Detector output must not depend on whether the tracer ran
+        // alongside the stats table.
         gate.check(
             diag.findings_fingerprint() == diag2.findings_fingerprint(),
             || {
@@ -146,8 +136,8 @@ pub fn diagnose(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         table.row([
             ("app", &spec.name),
             ("active mp", &diag.minipages.len()),
-            ("faults", &total(&from_table, &[0, 1])),
-            ("inv recv", &total(&from_table, &[2])),
+            ("faults", &total(&diag.counts(), &[0, 1])),
+            ("inv recv", &total(&diag.counts(), &[2])),
             ("ping-pong", &diag.ping_pong.len()),
             ("false-sharing", &diag.false_sharing.len()),
             ("hot-home", &diag.hot_home.len()),
@@ -232,7 +222,7 @@ pub fn diagnose(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         );
     }
     gate.pass(format_args!(
-        "diagnose passed: stats table matches the trace and detectors agree \
+        "diagnose passed: detectors agree between traced and stats-only runs \
          across {} app(s)",
         specs.len()
     ));
@@ -241,7 +231,7 @@ pub fn diagnose(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
 
 /// `repro diagnose --backend host`: SOR and IS on the real-memory backend
 /// with the diagnostics table recorded on the SIGSEGV path, cross-checked
-/// per minipage against the simulator's trace-derived counts. The two
+/// per minipage against the simulator's stats table. The two
 /// backends share the protocol core and the barrier-phased apps make the
 /// fault pattern structural, so the counters must match *exactly*.
 #[cfg(target_os = "linux")]
@@ -268,13 +258,9 @@ fn diagnose_host(quick: bool, gate: &mut Gate) {
             gate.fail(format!("{}: a backend produced no diagnostics", app.name));
             continue;
         };
-        let (host_counts, sim_trace) = (hd.counts(), trace_counts(&log.events));
-        for (label, lhs) in [
-            ("host table vs sim trace", &host_counts),
-            ("sim table vs sim trace", &sd.counts()),
-        ] {
-            counts_match(gate, &format!("{}: {label}", app.name), lhs, &sim_trace);
-        }
+        let host_counts = hd.counts();
+        let label = format!("{}: host table vs sim table", app.name);
+        counts_match(gate, &label, &host_counts, &sd.counts());
         if gate.failures().len() == before {
             println!(
                 "{}: {} active minipages, {} real faults, {} invalidations \

@@ -25,13 +25,14 @@
 
 use crate::adapt::AdaptReport;
 use crate::backend::{ClusterMemory, MemoryBackend};
-use crate::diag::{build_report, DiagReport, DiagSink, DiagTable, LinkStat};
+use crate::diag::{build_report, DiagReport, DiagTable, LinkStat};
 use crate::error::ProtocolError;
 use crate::hlrc::Consistency;
 use crate::home::{HomePolicyKind, HomeTable, MANAGER};
-use crate::host::{HostCounters, HostCtx, HostState, Waiters};
-use crate::manager::{ManagerShard, ManagerStats};
+use crate::host::{HostCtx, HostState, Waiters};
+use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
+use crate::probe::Counts;
 use crate::server::{Server, ServerOutcome};
 use crate::shared::{wire_bytes, Pod, SharedCell, SharedVec};
 use crate::stats::{
@@ -43,10 +44,10 @@ use parking_lot::Mutex;
 use sim_core::clock::Clock;
 use sim_core::sched::{SchedMode, Scheduler, ThreadKey, Turn};
 use sim_core::trace::{Tracer, Track};
-use sim_core::{CostModel, Counter, HostId, LogHistogram, SplitMix64, TimeBreakdown};
+use sim_core::{CostModel, HostId, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
 use sim_net::{FaultPlane, Network, ServerTimeline};
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Configuration of a simulated Millipage cluster.
@@ -242,9 +243,8 @@ pub(crate) struct Stack<M, W> {
     pub(crate) geo: Geometry,
     pub(crate) home: Arc<HomeTable>,
     pub(crate) states: Vec<Arc<HostState<M, W>>>,
-    /// Sharing-diagnostics sink (inert unless [`ClusterConfig::diag`]).
-    pub(crate) diag: DiagSink,
-    diag_table: Option<Arc<DiagTable>>,
+    /// The diagnostics table; `None` unless [`ClusterConfig::diag`].
+    pub(crate) diag: Option<Arc<DiagTable>>,
     consistency: Consistency,
     adapt: bool,
 }
@@ -289,13 +289,9 @@ where
         // allocation order can produce, so the table never overflows (and
         // the host backend's signal-context recording never takes the
         // overflow path).
-        let diag_table = cfg
+        let diag = cfg
             .diag
             .then(|| DiagTable::with_slots(cfg.hosts, geo.priv_view() * geo.pages()));
-        let diag = diag_table
-            .as_ref()
-            .map(|t| DiagSink::new(Arc::clone(t)))
-            .unwrap_or_default();
         let home = Arc::new(HomeTable::new(cfg.home_policy, cfg.hosts, geo.clone()));
         let states: Vec<Arc<HostState<M, W>>> = (0..cfg.hosts)
             .map(|h| {
@@ -330,8 +326,7 @@ where
                     allocator,
                     Arc::clone(&home),
                     Arc::clone(&cluster),
-                    cfg.tracer.recorder(id, Track::Shard),
-                    diag.clone(),
+                    states[h].probe(&cfg.tracer, Track::Shard),
                     cfg.adapt.clone(),
                 )
             })
@@ -343,7 +338,6 @@ where
             home,
             states,
             diag,
-            diag_table,
             consistency: cfg.consistency,
             adapt: cfg.adapt.enabled,
         };
@@ -382,7 +376,7 @@ where
             report
         });
         let diag = self
-            .diag_table
+            .diag
             .as_ref()
             .map(|t| build_report(t, &minipages, geo, home, links(t)));
         Verdict {
@@ -460,10 +454,10 @@ where
             let timeline = ServerTimeline::new(cfg.cost.clone(), rng.fork(h as u64));
             // The server's own sends (serves, replies, fan-outs) get
             // recorded at the endpoint; handler-level events go through the
-            // server's recorder.
+            // server's probe.
             ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
-            let rec = cfg.tracer.recorder(HostId(h as u16), Track::Server);
-            let server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, rec);
+            let probe = states[h].probe(&cfg.tracer, Track::Server);
+            let server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, probe);
             let cell = Arc::new(Mutex::new(Some(server)));
             server_cells.push(Arc::clone(&cell));
             sched.attach_passive(
@@ -483,7 +477,7 @@ where
                 ));
                 let (home, state) = (Arc::clone(home), Arc::clone(&states[h]));
                 let (net, cost) = (net.clone(), cfg.cost.clone());
-                let trace = cfg.tracer.recorder(HostId(h as u16), Track::App(t as u16));
+                let probe = state.probe(&cfg.tracer, Track::App(t as u16));
                 let sched = sched.clone();
                 let builder = std::thread::Builder::new().name(format!("mv-host-{h}.{t}"));
                 app_handles.push(
@@ -508,7 +502,7 @@ where
                                 consistency: cfg.consistency,
                                 timed_from: 0,
                                 breakdown_mark: TimeBreakdown::new(),
-                                trace,
+                                probe,
                                 fault_hist: LogHistogram::new(),
                                 sched: sched.attach(ThreadKey::app(HostId(h as u16), t as u16)),
                                 tlb: sim_mem::AccessTlb::new(),
@@ -628,30 +622,28 @@ where
     let mut breakdown = TimeBreakdown::new();
     for rep in per_host.iter_mut() {
         fault_latency.merge(&rep.fault_latency);
-        // Fault counters are per host (threads share the fault path).
-        let st = &states[rep.host.index()];
-        rep.read_faults = st.counters.read_faults.get();
-        rep.write_faults = st.counters.write_faults.get();
+        // Fault counts are per host (threads share the fault path).
+        let counts = &states[rep.host.index()].counts;
+        rep.read_faults = counts.read_faults.load(Relaxed);
+        rep.write_faults = counts.write_faults.load(Relaxed);
         breakdown.merge(&rep.breakdown);
     }
-    let hosts_sum = |c: fn(&HostCounters) -> &Counter| -> u64 {
-        states.iter().map(|st| c(&st.counters).get()).sum()
+    // A shard counts into its host's counts (barriers and locks only ever
+    // tick on the manager host, directory counters on every home).
+    let sum = |f: fn(&Counts) -> &AtomicU64| -> u64 {
+        states.iter().map(|st| f(&st.counts).load(Relaxed)).sum()
     };
-    // Manager-side counters accumulate wherever the minipage's home shard
-    // ran; sum them (barriers and locks only ever tick on the manager
-    // host, directory counters on every home).
-    let shards_sum =
-        |f: fn(ManagerStats) -> u64| -> u64 { shards.iter().map(|s| f(s.stats())).sum() };
     let mut inv_round_trip = LogHistogram::new();
     let shard_reports: Vec<ShardStats> = shards
         .iter()
         .map(|s| {
             inv_round_trip.merge(s.inv_round_trip());
+            let counts = &states[s.me().index()].counts;
             ShardStats {
                 host: s.me(),
                 competing_requests: s.competing_requests(),
-                invalidations_sent: s.stats().invalidations_sent,
-                rc_diffs: s.stats().rc_diffs,
+                invalidations_sent: counts.invalidations_sent.load(Relaxed),
+                rc_diffs: counts.rc_diffs.load(Relaxed),
                 directory_entries: s.directory().len(),
             }
         })
@@ -683,18 +675,18 @@ where
         hosts: cfg.hosts,
         virtual_time: per_host.iter().map(|r| r.end_vt).max().unwrap_or(0),
         breakdown,
-        read_faults: hosts_sum(|c| &c.read_faults),
-        write_faults: hosts_sum(|c| &c.write_faults),
-        prefetches: hosts_sum(|c| &c.prefetch_requests),
-        invalidations: hosts_sum(|c| &c.invalidations_received),
+        read_faults: sum(|c| &c.read_faults),
+        write_faults: sum(|c| &c.write_faults),
+        prefetches: sum(|c| &c.prefetches),
+        invalidations: sum(|c| &c.invalidations_received),
         competing_requests: shard_reports.iter().map(|s| s.competing_requests).sum(),
-        barriers: shards_sum(|m| m.barriers),
-        lock_acquires: shards_sum(|m| m.lock_acquires),
-        pushes: shards_sum(|m| m.pushes),
+        barriers: sum(|c| &c.barriers),
+        lock_acquires: sum(|c| &c.lock_acquires),
+        pushes: sum(|c| &c.pushes),
         messages: net.stats().messages.get(),
         payload_bytes: net.stats().payload_bytes.get(),
         alloc: shards[MANAGER.index()].alloc_stats(),
-        rc_diffs: shards_sum(|m| m.rc_diffs),
+        rc_diffs: sum(|c| &c.rc_diffs),
         policy: home.policy_name(),
         shards: shard_reports,
         coherence_violations: verdict.violations,

@@ -16,16 +16,16 @@
 //!   received, two bounded packed write extents) plus shard-side counters
 //!   (invalidations fanned out, diff bytes, last writer, inter-host
 //!   write-ownership alternations).
-//! * [`DiagSink`] — the cheap handle threaded through the protocol, in
-//!   the same style as the tracer: a disabled sink costs one branch per
-//!   instrumentation point and leaves every report byte-for-byte what it
-//!   was.
 //! * [`DiagReport`] — the merged per-minipage statistics plus the ranked
 //!   findings of three detectors (ping-pong, false sharing, hot home) and
 //!   the per-link wire traffic.
-//! * [`trace_counts`] — the same per-minipage counters re-derived from a
-//!   PR-2 trace stream, so `repro diagnose` can self-check that the
-//!   lock-free counters and the trace plane agree event for event.
+//!
+//! Nothing in the protocol calls the table directly: each recording thread
+//! records through its probe (`core::probe`), which updates these lanes
+//! from the same call that bumps the run's counters and writes the trace,
+//! so the lanes and the counters cannot drift apart. A run with
+//! diagnostics off has no table, and every report stays byte-for-byte
+//! what it was.
 //!
 //! # Detector definitions
 //!
@@ -54,19 +54,10 @@ use crate::home::HomeTable;
 use multiview::Minipage;
 use sim_core::json::{ToJson, Writer};
 use sim_core::trace::NO_MP;
-use sim_core::{TraceEvent, TraceKind, Track};
 use sim_mem::Geometry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
-
-/// Default table capacity ([`DiagTable::new`]): minipages with ids at or
-/// above the capacity record into the overflow counter instead of a
-/// dedicated slot. The backends size their tables from the geometry
-/// instead ([`DiagTable::with_slots`] with one slot per application-view
-/// vpage — an upper bound on minipage ids, since every minipage occupies
-/// at least one vpage), so no shipped run overflows.
-pub const DIAG_SLOTS: usize = 4096;
 
 /// Ping-pong detector threshold: minimum inter-host write-ownership
 /// alternations (any alternation implies ≥ 2 distinct writers).
@@ -130,6 +121,16 @@ const S_LAST_WRITER: usize = 2;
 const S_ALTERNATIONS: usize = 3;
 const SLOT_LANES: usize = 4;
 
+/// The value lane `lane` of a slot's stride starts at, in a table of
+/// `hosts` hosts: extents empty, the last writer none, counters zero.
+fn initial(hosts: usize, lane: usize) -> u64 {
+    match lane.checked_sub(hosts * HOST_LANES) {
+        None if matches!(lane % HOST_LANES, L_EXT0 | L_EXT1) => EXT_EMPTY,
+        Some(S_LAST_WRITER) => NO_WRITER,
+        _ => 0,
+    }
+}
+
 /// The lock-free statistics table. Pre-allocated at run start; every
 /// update is one relaxed atomic RMW, so both the simulator's threads and
 /// the host backend's signal-context resolver may record into it.
@@ -146,34 +147,13 @@ pub struct DiagTable {
 }
 
 impl DiagTable {
-    /// A zeroed table for a cluster of `hosts` hosts at the default
-    /// capacity ([`DIAG_SLOTS`]).
-    pub fn new(hosts: usize) -> Arc<Self> {
-        Self::with_slots(hosts, DIAG_SLOTS)
-    }
-
     /// A zeroed table with room for minipage ids `0..slots`. The backends
     /// pass the geometry's application-view vpage count, which bounds the
     /// minipage ids any allocation order can produce.
     pub fn with_slots(hosts: usize, slots: usize) -> Arc<Self> {
         let stride = hosts * HOST_LANES + SLOT_LANES;
-        let cells: Vec<AtomicU64> = (0..slots * stride)
-            .map(|i| {
-                let lane = i % stride;
-                // Write-extent minima start at MAX so fetch_min works;
-                // the last-writer cell starts at the "none" marker.
-                let init = if lane < hosts * HOST_LANES {
-                    match lane % HOST_LANES {
-                        L_EXT0 | L_EXT1 => EXT_EMPTY,
-                        _ => 0,
-                    }
-                } else if lane - hosts * HOST_LANES == S_LAST_WRITER {
-                    NO_WRITER
-                } else {
-                    0
-                };
-                AtomicU64::new(init)
-            })
+        let cells = (0..slots * stride)
+            .map(|i| AtomicU64::new(initial(hosts, i % stride)))
             .collect();
         Arc::new(Self {
             hosts,
@@ -182,11 +162,6 @@ impl DiagTable {
             links: (0..hosts * hosts * 2).map(|_| AtomicU64::new(0)).collect(),
             overflow: AtomicU64::new(0),
         })
-    }
-
-    /// Number of hosts the table was sized for.
-    pub fn hosts(&self) -> usize {
-        self.hosts
     }
 
     #[inline]
@@ -354,18 +329,9 @@ impl DiagTable {
         if slot >= self.slots {
             return;
         }
-        for host in 0..self.hosts {
-            for lane in 0..HOST_LANES {
-                let init = match lane {
-                    L_EXT0 | L_EXT1 => EXT_EMPTY,
-                    _ => 0,
-                };
-                self.cells[slot * self.stride() + host * HOST_LANES + lane].store(init, Relaxed);
-            }
-        }
-        for lane in 0..SLOT_LANES {
-            let init = if lane == S_LAST_WRITER { NO_WRITER } else { 0 };
-            self.cells[slot * self.stride() + self.hosts * HOST_LANES + lane].store(init, Relaxed);
+        let stride = self.stride();
+        for (lane, cell) in self.cells[slot * stride..][..stride].iter().enumerate() {
+            cell.store(initial(self.hosts, lane), Relaxed);
         }
     }
 
@@ -421,116 +387,15 @@ impl DiagTable {
     fn slot_lane(&self, mp: u32, lane: usize) -> u64 {
         self.cells[mp as usize * self.stride() + self.hosts * HOST_LANES + lane].load(Relaxed)
     }
-}
 
-/// The cheap diagnostics handle threaded through the protocol. Cloning
-/// shares the table; the default sink is disabled and every recording
-/// method is a single branch.
-#[derive(Clone, Default)]
-pub struct DiagSink(Option<Arc<DiagTable>>);
-
-impl std::fmt::Debug for DiagSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Some(t) => write!(f, "DiagSink(enabled, {} slots)", t.slots),
-            None => write!(f, "DiagSink(disabled)"),
-        }
-    }
-}
-
-impl DiagSink {
-    /// A disabled sink (the default): recording is a no-op.
-    pub fn disabled() -> Self {
-        Self(None)
-    }
-
-    /// A sink recording into `table`.
-    pub fn new(table: Arc<DiagTable>) -> Self {
-        Self(Some(table))
-    }
-
-    /// Whether recording does anything; instrumentation points use this to
-    /// skip computing minipage ids when diagnostics are off.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// The underlying table, if enabled.
-    pub fn table(&self) -> Option<&Arc<DiagTable>> {
-        self.0.as_ref()
-    }
-
-    /// See [`DiagTable::read_fault`].
-    #[inline]
-    pub fn read_fault(&self, mp: u32, host: u16) {
-        if let Some(t) = &self.0 {
-            t.read_fault(mp, host);
-        }
-    }
-
-    /// See [`DiagTable::write_fault`].
-    #[inline]
-    pub fn write_fault(&self, mp: u32, host: u16, off: u64, len: u64) {
-        if let Some(t) = &self.0 {
-            t.write_fault(mp, host, off, len);
-        }
-    }
-
-    /// See [`DiagTable::write_extent`].
-    #[inline]
-    pub fn write_extent(&self, mp: u32, host: u16, off: u64, len: u64) {
-        if let Some(t) = &self.0 {
-            t.write_extent(mp, host, off, len);
-        }
-    }
-
-    /// See [`DiagTable::inv_recv`].
-    #[inline]
-    pub fn inv_recv(&self, mp: u32, host: u16) {
-        if let Some(t) = &self.0 {
-            t.inv_recv(mp, host);
-        }
-    }
-
-    /// See [`DiagTable::inv_sent`].
-    #[inline]
-    pub fn inv_sent(&self, mp: u32, n: u64) {
-        if let Some(t) = &self.0 {
-            t.inv_sent(mp, n);
-        }
-    }
-
-    /// See [`DiagTable::diff_bytes`].
-    #[inline]
-    pub fn diff_bytes(&self, mp: u32, bytes: u64) {
-        if let Some(t) = &self.0 {
-            t.diff_bytes(mp, bytes);
-        }
-    }
-
-    /// See [`DiagTable::writer`].
-    #[inline]
-    pub fn writer(&self, mp: u32, host: u16) {
-        if let Some(t) = &self.0 {
-            t.writer(mp, host);
-        }
-    }
-
-    /// See [`DiagTable::reset_slot`].
-    #[inline]
-    pub fn reset_slot(&self, mp: u32) {
-        if let Some(t) = &self.0 {
-            t.reset_slot(mp);
-        }
-    }
-
-    /// See [`DiagTable::wire_send`].
-    #[inline]
-    pub fn wire_send(&self, from: u16, to: u16, bytes: u64) {
-        if let Some(t) = &self.0 {
-            t.wire_send(from, to, bytes);
-        }
+    /// Every cell, link counter and the overflow count, in layout order:
+    /// two tables recorded the same iff their snapshots are equal.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Vec<u64> {
+        let all = self.cells.iter().chain(&self.links);
+        all.chain([&self.overflow])
+            .map(|c| c.load(Relaxed))
+            .collect()
     }
 }
 
@@ -602,16 +467,6 @@ impl MinipageDiag {
     /// Total write faults across hosts.
     pub fn write_faults(&self) -> u64 {
         self.per_host.iter().map(|l| l.write_faults).sum()
-    }
-
-    /// Total invalidations received across hosts.
-    pub fn inv_recv(&self) -> u64 {
-        self.per_host.iter().map(|l| l.inv_recv).sum()
-    }
-
-    /// Total faults (the heat metric).
-    pub fn faults(&self) -> u64 {
-        self.read_faults() + self.write_faults()
     }
 
     fn any_activity(&self) -> bool {
@@ -923,8 +778,8 @@ pub fn detect_hot_home(minipages: &[MinipageDiag], hosts: usize) -> Vec<Finding>
 
 impl DiagReport {
     /// The per-`(minipage, host)` counters `[read_faults, write_faults,
-    /// inv_recv]`, for comparison against [`trace_counts`] or another
-    /// backend's report. Zero triples are omitted.
+    /// inv_recv]`, for comparison against another backend's report. Zero
+    /// triples are omitted.
     pub fn counts(&self) -> BTreeMap<(u32, u16), [u64; 3]> {
         let mut m = BTreeMap::new();
         for d in &self.minipages {
@@ -1037,35 +892,6 @@ impl ToJson for DiagReport {
     }
 }
 
-/// Per-`(minipage, host)` counters re-derived from a trace stream:
-/// `[read_faults, write_faults, inv_recv]`, zero triples omitted — the
-/// same shape [`DiagReport::counts`] produces, so the two can be compared
-/// with `==`.
-///
-/// Fault counts come from the `ReadFaultBegin`/`WriteFaultBegin` events
-/// the application threads record; received invalidations from the
-/// `InvalidateLocal` events the *server* track records with `aux == 1`
-/// (the marker `handle_invalidate` attaches — the copy drops a server
-/// performs while *serving* a write and an application thread's own
-/// release-flush drops carry no marker, and neither counts as a received
-/// invalidation).
-pub fn trace_counts(events: &[TraceEvent]) -> BTreeMap<(u32, u16), [u64; 3]> {
-    let mut m: BTreeMap<(u32, u16), [u64; 3]> = BTreeMap::new();
-    for e in events {
-        if e.mp == NO_MP {
-            continue;
-        }
-        let lane = match e.kind {
-            TraceKind::ReadFaultBegin => 0,
-            TraceKind::WriteFaultBegin => 1,
-            TraceKind::InvalidateLocal if e.track == Track::Server && e.aux == 1 => 2,
-            _ => continue,
-        };
-        m.entry((e.mp, e.host)).or_default()[lane] += 1;
-    }
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1097,7 +923,7 @@ mod tests {
 
     #[test]
     fn table_records_and_merges() {
-        let t = DiagTable::new(2);
+        let t = DiagTable::with_slots(2, 8);
         t.read_fault(3, 0);
         t.write_fault(3, 1, 8, 4);
         t.inv_recv(3, 0);
@@ -1119,7 +945,7 @@ mod tests {
     /// extent; a third disjoint range widens the nearest slot only.
     #[test]
     fn extent_slots_keep_disjoint_ranges_distinct() {
-        let t = DiagTable::new(2);
+        let t = DiagTable::with_slots(2, 8);
         t.write_extent(0, 0, 0, 8);
         t.write_extent(0, 0, 48, 8);
         assert_eq!(t.host_extents(0, 0), vec![(0, 8), (48, 56)]);
@@ -1133,7 +959,7 @@ mod tests {
 
     #[test]
     fn reset_slot_restores_initial_state() {
-        let t = DiagTable::new(2);
+        let t = DiagTable::with_slots(2, 8);
         t.read_fault(5, 0);
         t.write_fault(5, 1, 8, 4);
         t.inv_recv(5, 0);
@@ -1160,8 +986,8 @@ mod tests {
 
     #[test]
     fn out_of_range_minipages_count_as_overflow() {
-        let t = DiagTable::new(2);
-        t.read_fault(DIAG_SLOTS as u32, 0);
+        let t = DiagTable::with_slots(2, 8);
+        t.read_fault(8, 0);
         t.read_fault(NO_MP, 1);
         assert_eq!(t.overflow.load(Relaxed), 2);
     }
@@ -1294,34 +1120,5 @@ mod tests {
             mp(1, 1, 0, vec![lane(1, 0, 0, None)]),
         ];
         assert_eq!(detect_hot_home(&mps, 4).len(), 1);
-    }
-
-    #[test]
-    fn disabled_sink_is_inert() {
-        let s = DiagSink::disabled();
-        assert!(!s.enabled());
-        s.read_fault(0, 0); // must not panic
-        assert!(s.table().is_none());
-    }
-
-    #[test]
-    fn trace_counts_filter_server_invalidations() {
-        use sim_core::HostId;
-        let mk = |kind, track, mp: u32, aux: u32| {
-            let mut e = TraceEvent::new(0, HostId(1), track, kind).with_mp(mp);
-            e.aux = aux;
-            e
-        };
-        let events = vec![
-            mk(TraceKind::ReadFaultBegin, Track::App(0), 7, 0),
-            mk(TraceKind::WriteFaultBegin, Track::App(0), 7, 0),
-            mk(TraceKind::InvalidateLocal, Track::Server, 7, 1),
-            // Serving-side copy drop (no aux marker) and an app-track
-            // release drop: neither is a received invalidation.
-            mk(TraceKind::InvalidateLocal, Track::Server, 7, 0),
-            mk(TraceKind::InvalidateLocal, Track::App(0), 7, 1),
-        ];
-        let m = trace_counts(&events);
-        assert_eq!(m.get(&(7, 1)), Some(&[1, 1, 1]));
     }
 }

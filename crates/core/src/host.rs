@@ -9,19 +9,20 @@
 //! Figure 6 category.
 
 use crate::backend::LocalWake;
-use crate::diag::DiagSink;
+use crate::diag::DiagTable;
 use crate::diff::Twin;
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo, RcDirty, RcState};
 use crate::home::{HomePolicyKind, HomeTable, MANAGER};
 use crate::msg::{Completion, MsgKind, Pmsg};
+use crate::probe::{Counts, Fact, Probe};
 use crate::shared::{fill_wire, wire_bytes, zeroed, Pod, SharedCell, SharedVec, POD_MAX};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sim_core::clock::{BusyWindow, Clock, Ns};
 use sim_core::sched::{BlockOutcome, SchedThread};
-use sim_core::trace::{TraceKind, TraceRecorder, NO_MP};
-use sim_core::{Category, CostModel, Counter, HostId, LogHistogram, TimeBreakdown};
+use sim_core::trace::{TraceKind, NO_MP};
+use sim_core::{Category, CostModel, HostId, LogHistogram, TimeBreakdown};
 use sim_mem::{Access, AccessError, AccessFault, AccessTlb, AddressSpace, VAddr};
 use sim_net::Network;
 use std::collections::HashMap;
@@ -82,16 +83,6 @@ impl Waiter {
     }
 }
 
-/// Event counters one host accumulates (shared by its threads).
-#[derive(Clone, Default, Debug)]
-pub(crate) struct HostCounters {
-    pub read_faults: Counter,
-    pub write_faults: Counter,
-    pub prefetch_requests: Counter,
-    pub invalidations_received: Counter,
-    pub pushes_received: Counter,
-}
-
 /// The simulator's blocked requests, by event id.
 pub(crate) type Waiters = Mutex<HashMap<u64, Arc<Waiter>>>;
 
@@ -144,10 +135,10 @@ pub(crate) struct HostState<M = AddressSpace, W = Waiters> {
     /// Release-consistency state (boundary cache + twins; unused under
     /// the sequential-consistency protocol apart from boundary learning).
     pub rc: Mutex<RcState>,
-    pub counters: HostCounters,
-    /// Sharing-diagnostics sink this host's threads record faults and
-    /// received invalidations into (inert unless diagnostics are on).
-    pub diag: DiagSink,
+    /// The host's protocol counts, which every probe of the host bumps.
+    pub counts: Arc<Counts>,
+    /// The run's diagnostics table; `None` unless diagnostics are on.
+    pub diag: Option<Arc<DiagTable>>,
     /// Set when the run failed somewhere and the cluster is tearing down:
     /// no new wait may begin, and every outstanding wait has been (or is
     /// about to be) failed with [`ProtocolError::Cancelled`].
@@ -166,7 +157,7 @@ impl<M, W> HostState<M, W> {
         cost: CostModel,
         consistency: Consistency,
         home: Arc<HomeTable>,
-        diag: DiagSink,
+        diag: Option<Arc<DiagTable>>,
     ) -> Self {
         Self {
             host,
@@ -178,7 +169,7 @@ impl<M, W> HostState<M, W> {
             waiters,
             prefetch_waiters: Mutex::new(HashMap::new()),
             rc: Mutex::new(RcState::default()),
-            counters: HostCounters::default(),
+            counts: Arc::default(),
             diag,
             aborted: AtomicBool::new(false),
             bug_stale_reinstall: false,
@@ -267,9 +258,9 @@ pub struct HostCtx {
     pub(crate) consistency: Consistency,
     pub(crate) timed_from: Ns,
     pub(crate) breakdown_mark: TimeBreakdown,
-    /// Protocol event recorder for this application thread (inert when
-    /// tracing is off).
-    pub(crate) trace: TraceRecorder,
+    /// This application thread's way into the counters, the diagnostics
+    /// lanes and the trace.
+    pub(crate) probe: Probe,
     /// Fault service times (request to resume) of this thread.
     pub(crate) fault_hist: LogHistogram,
     /// This thread's handle into the deterministic scheduler.
@@ -387,8 +378,8 @@ impl HostCtx {
             Ok(c) => c,
             Err(e) => {
                 if matches!(e, ProtocolError::Timeout { .. }) {
-                    self.trace
-                        .emit(self.clock.now(), TraceKind::TimeoutFired, |ev| ev);
+                    self.probe
+                        .trace(self.clock.now(), TraceKind::TimeoutFired, |ev| ev);
                 }
                 std::panic::panic_any(e)
             }
@@ -428,38 +419,28 @@ impl HostCtx {
     /// unwinds this thread with a typed [`ProtocolError::Timeout`] rather
     /// than leaving it blocked on a request that never left the host.
     fn transmit(&mut self, dest: HostId, msg: Pmsg, payload: usize) {
-        let event = msg.event;
-        if self.trace.enabled() {
-            let mp = msg.minipage.0;
-            self.trace.emit(self.clock.now(), TraceKind::MsgSend, |e| {
-                e.with_peer(dest)
-                    .with_event(event)
-                    .with_mp(mp)
-                    .with_bytes(payload)
+        let (event, mp, now) = (msg.event, msg.minipage.0, self.clock.now());
+        self.probe.trace(now, TraceKind::MsgSend, |e| {
+            e.with_peer(dest)
+                .with_event(event)
+                .with_mp(mp)
+                .with_bytes(payload)
+        });
+        let receipt = self.net.send_receipt(self.host, dest, msg, payload, now);
+        for retry in 1..=receipt.drops {
+            self.probe.trace(now, TraceKind::PktDropped, |e| {
+                e.with_peer(dest).with_event(event).with_aux(retry)
             });
-        }
-        let receipt = self
-            .net
-            .send_receipt(self.host, dest, msg, payload, self.clock.now());
-        if receipt.drops > 0 && self.trace.enabled() {
-            for retry in 1..=receipt.drops {
-                self.trace
-                    .emit(self.clock.now(), TraceKind::PktDropped, |e| {
-                        e.with_peer(dest).with_event(event).with_aux(retry)
-                    });
-                if receipt.delivered || retry < receipt.drops {
-                    self.trace
-                        .emit(self.clock.now(), TraceKind::Retransmit, |e| {
-                            e.with_peer(dest).with_event(event).with_aux(retry)
-                        });
-                }
+            if receipt.delivered || retry < receipt.drops {
+                self.probe.trace(now, TraceKind::Retransmit, |e| {
+                    e.with_peer(dest).with_event(event).with_aux(retry)
+                });
             }
         }
         if !receipt.delivered {
-            self.trace
-                .emit(self.clock.now(), TraceKind::TimeoutFired, |e| {
-                    e.with_peer(dest).with_event(event)
-                });
+            self.probe.trace(now, TraceKind::TimeoutFired, |e| {
+                e.with_peer(dest).with_event(event)
+            });
             std::panic::panic_any(ProtocolError::Timeout {
                 host: self.host,
                 what: "request send",
@@ -468,30 +449,17 @@ impl HostCtx {
         }
     }
 
-    /// The minipage id at `addr`, for trace records only (callers gate on
-    /// `trace.enabled()`; the lookup is replica-local and free).
-    fn trace_mp(&self, addr: VAddr) -> u32 {
-        self.home.translate(addr).map_or(NO_MP, |mp| mp.id.0)
-    }
-
-    /// Records one serviced fault into the diagnostics table, attributed
-    /// to the minipage and (for writes) the faulting byte offset. The
-    /// replica-local translation runs only when diagnostics are on, so
-    /// the disabled cost stays one branch. Callers bump the matching
-    /// `HostCounters` fault counter at the same site, which is what keeps
-    /// diag counts and report counters equal by construction.
-    fn diag_fault(&self, addr: VAddr, write: bool) {
-        if !self.state.diag.enabled() {
-            return;
-        }
-        if let Some(mp) = self.home.translate(addr) {
-            let off = addr.0 - mp.base.0;
-            if write {
-                self.state.diag.write_fault(mp.id.0, self.host.0, off, 1);
-            } else {
-                self.state.diag.read_fault(mp.id.0, self.host.0);
-            }
-        }
+    /// Records the fault at `addr` entering the protocol at `t0`, both
+    /// fault paths' one fact, and returns its minipage for the fault-end
+    /// record. The replica-local translation (free in virtual time) runs
+    /// only when a recorder takes the minipage.
+    fn fault_begin(&mut self, t0: Ns, addr: VAddr, write: bool) -> u32 {
+        let mp = self.probe.attributes().then(|| self.home.translate(addr));
+        let (mp, off) = mp
+            .flatten()
+            .map_or((NO_MP, 0), |mp| (mp.id.0, addr.0 - mp.base.0));
+        self.probe.on(t0, Fact::FaultBegin { mp, write, off });
+        mp
     }
 
     // ------------------------------------------------------------------
@@ -688,13 +656,13 @@ impl HostCtx {
         self.rc_flush();
         let t0 = self.clock.now();
         let (ev, w) = self.state.register_waiter(&self.events);
-        self.trace
-            .emit(t0, TraceKind::BarrierEnter, |e| e.with_event(ev));
+        self.probe
+            .trace(t0, TraceKind::BarrierEnter, |e| e.with_event(ev));
         let msg = Pmsg::new(MsgKind::BarrierEnter, self.host, ev);
         let c = self.request(MANAGER, msg, &w, "barrier release");
         self.clock.merge(c.resume_vt);
-        self.trace
-            .emit(self.clock.now(), TraceKind::BarrierResume, |e| {
+        self.probe
+            .trace(self.clock.now(), TraceKind::BarrierResume, |e| {
                 e.with_event(ev)
             });
         self.breakdown
@@ -705,13 +673,13 @@ impl HostCtx {
     pub fn lock(&mut self, id: u64) {
         let t0 = self.clock.now();
         let (ev, w) = self.state.register_waiter(&self.events);
-        self.trace
-            .emit(t0, TraceKind::LockAcquireBegin, |e| e.with_event(id));
+        self.probe
+            .trace(t0, TraceKind::LockAcquireBegin, |e| e.with_event(id));
         let msg = Pmsg::new(MsgKind::LockAcquire, self.host, ev).with_aux(id);
         let c = self.request(MANAGER, msg, &w, "lock grant");
         self.clock.merge(c.resume_vt);
-        self.trace
-            .emit(self.clock.now(), TraceKind::LockResume, |e| {
+        self.probe
+            .trace(self.clock.now(), TraceKind::LockResume, |e| {
                 e.with_event(id)
             });
         self.breakdown
@@ -723,8 +691,8 @@ impl HostCtx {
     /// acquirer observes them.
     pub fn unlock(&mut self, id: u64) {
         self.rc_flush();
-        self.trace
-            .emit(self.clock.now(), TraceKind::LockRelease, |e| {
+        self.probe
+            .trace(self.clock.now(), TraceKind::LockRelease, |e| {
                 e.with_event(id)
             });
         let msg = Pmsg::new(MsgKind::LockRelease, self.host, 0).with_aux(id);
@@ -763,7 +731,7 @@ impl HostCtx {
                 pf.entry(vp).or_insert_with(|| Arc::clone(&w));
             }
         }
-        self.state.counters.prefetch_requests.bump();
+        self.probe.on(self.clock.now(), Fact::Prefetch);
         let ev = self.events.fetch_add(1, Ordering::Relaxed);
         let mut msg = Pmsg::new(MsgKind::ReadRequest, self.host, ev).with_addr(addr);
         msg.prefetch = true;
@@ -860,11 +828,11 @@ impl HostCtx {
             self.breakdown
                 .charge(Category::Comp, self.cost.set_protection);
         }
-        if self.trace.enabled() {
-            let mp = self.trace_mp(addr);
-            self.trace
-                .emit(self.clock.now(), TraceKind::Downgrade, |e| e.with_mp(mp));
-        }
+        let home = &self.home;
+        self.probe
+            .trace(self.clock.now(), TraceKind::Downgrade, |e| {
+                e.with_mp(home.translate(addr).map_or(NO_MP, |mp| mp.id.0))
+            });
         let mut msg = Pmsg::new(MsgKind::PushRequest, self.host, 0).with_addr(addr);
         msg.data = Bytes::from(data);
         let payload = msg.payload_bytes();
@@ -959,34 +927,19 @@ impl HostCtx {
                 .charge(Category::Prefetch, self.clock.now() - t0);
             return;
         }
-        let (kind, cat, begin_kind, end_kind) = match f.access {
-            Access::Read => {
-                self.state.counters.read_faults.bump();
-                (
-                    MsgKind::ReadRequest,
-                    Category::ReadFault,
-                    TraceKind::ReadFaultBegin,
-                    TraceKind::ReadFaultEnd,
-                )
-            }
-            Access::Write => {
-                self.state.counters.write_faults.bump();
-                (
-                    MsgKind::WriteRequest,
-                    Category::WriteFault,
-                    TraceKind::WriteFaultBegin,
-                    TraceKind::WriteFaultEnd,
-                )
-            }
+        let (kind, cat, end_kind) = match f.access {
+            Access::Read => (
+                MsgKind::ReadRequest,
+                Category::ReadFault,
+                TraceKind::ReadFaultEnd,
+            ),
+            Access::Write => (
+                MsgKind::WriteRequest,
+                Category::WriteFault,
+                TraceKind::WriteFaultEnd,
+            ),
         };
-        self.diag_fault(f.addr, f.access == Access::Write);
-        let traced_mp = if self.trace.enabled() {
-            let mp = self.trace_mp(f.addr);
-            self.trace.emit(t0, begin_kind, |e| e.with_mp(mp));
-            mp
-        } else {
-            NO_MP
-        };
+        let traced_mp = self.fault_begin(t0, f.addr, f.access == Access::Write);
         // The kernel delivers the access fault to the handler...
         self.charge_busy(self.cost.access_fault);
         // ...which routes the request to the minipage's home shard and
@@ -997,7 +950,7 @@ impl HostCtx {
         let c = self.request(dest, msg, &w, "fault service");
         self.clock.merge(c.resume_vt);
         self.fault_hist.record(self.clock.now() - t0);
-        self.trace.emit(self.clock.now(), end_kind, |e| {
+        self.probe.trace(self.clock.now(), end_kind, |e| {
             e.with_mp(traced_mp).with_event(ev)
         });
         self.breakdown.charge(cat, self.clock.now() - t0);
@@ -1013,16 +966,7 @@ impl HostCtx {
     /// it, and upgrade the protection locally — no ownership transfer.
     fn rc_write_fault(&mut self, f: AccessFault) {
         let t0 = self.clock.now();
-        self.state.counters.write_faults.bump();
-        self.diag_fault(f.addr, true);
-        let traced_mp = if self.trace.enabled() {
-            let mp = self.trace_mp(f.addr);
-            self.trace
-                .emit(t0, TraceKind::WriteFaultBegin, |e| e.with_mp(mp));
-            mp
-        } else {
-            NO_MP
-        };
+        let traced_mp = self.fault_begin(t0, f.addr, true);
         self.charge_busy(self.cost.access_fault);
         // Wait for an in-flight prefetch, or fetch a read copy from home.
         let pf = self.state.prefetch_waiters.lock().get(&f.vpage).cloned();
@@ -1080,8 +1024,8 @@ impl HostCtx {
             self.charge_busy(self.cost.set_protection);
         }
         self.fault_hist.record(self.clock.now() - t0);
-        self.trace
-            .emit(self.clock.now(), TraceKind::WriteFaultEnd, |e| {
+        self.probe
+            .trace(self.clock.now(), TraceKind::WriteFaultEnd, |e| {
                 e.with_mp(traced_mp)
             });
         self.breakdown
@@ -1134,8 +1078,8 @@ impl HostCtx {
             let diff = d.twin.diff(&data);
             self.charge_busy(self.cost.diff_time(d.info.len));
             self.charge_busy(self.cost.set_protection);
-            self.trace
-                .emit(self.clock.now(), TraceKind::InvalidateLocal, |e| {
+            self.probe
+                .trace(self.clock.now(), TraceKind::InvalidateLocal, |e| {
                     e.with_mp(d.info.id.0)
                 });
             if diff.is_empty() {
@@ -1155,8 +1099,8 @@ impl HostCtx {
             msg.priv_base = d.info.priv_base;
             msg.data = Bytes::from(diff.encode());
             let payload = msg.payload_bytes();
-            self.trace
-                .emit(self.clock.now(), TraceKind::RcDiffSend, |e| {
+            self.probe
+                .trace(self.clock.now(), TraceKind::RcDiffSend, |e| {
                     e.with_mp(d.info.id.0)
                         .with_event(ev)
                         .with_bytes(payload)
@@ -1170,8 +1114,8 @@ impl HostCtx {
         for (ev, w) in pending {
             let c = self.blocking_wait(&w, "rc diff ack");
             self.clock.merge(c.resume_vt);
-            self.trace
-                .emit(self.clock.now(), TraceKind::RcDiffAckRecv, |e| {
+            self.probe
+                .trace(self.clock.now(), TraceKind::RcDiffAckRecv, |e| {
                     e.with_event(ev)
                 });
         }
@@ -1244,7 +1188,7 @@ mod tests {
             CostModel::default(),
             Consistency::default(),
             Arc::new(home),
-            DiagSink::default(),
+            None,
         );
         let events = AtomicU64::new(1);
         let mut parked: Vec<_> = (0..3).map(|_| st.register_waiter(&events).1).collect();

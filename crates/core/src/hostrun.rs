@@ -52,17 +52,18 @@
 
 use crate::backend::{LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
 use crate::cluster::{assert_hosts, ClusterConfig, SetupCtx, Stack};
-use crate::diag::{DiagReport, DiagSink, DiagTable};
+use crate::diag::{DiagReport, DiagTable};
 use crate::dsm::Dsm;
 use crate::error::ProtocolError;
 use crate::home::MANAGER;
 use crate::host::HostState;
 use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
+use crate::probe::{Fact, Probe};
 use crate::server;
 use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
 use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
-use sim_core::trace::TraceRecorder;
+use sim_core::trace::{Tracer, Track, NO_MP};
 use sim_core::{Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
 use sim_mem::Prot;
 use std::cell::{Cell, RefCell, UnsafeCell};
@@ -284,11 +285,23 @@ fn backend_err(host: HostId, what: &'static str) -> ProtocolError {
 struct RingTransport<'a> {
     me: HostId,
     inbox: &'a Inbox,
-    /// Sharing diagnostics (per-link wire counters); disabled by default.
-    diag: DiagSink,
+    /// Where the per-link wire traffic goes (diagnostics only).
+    probe: RefCell<Probe>,
     /// What this server sent itself, served before the loop's next pop
     /// (self→self is its own link, so per-link FIFO holds).
     to_self: RefCell<VecDeque<Envelope>>,
+}
+
+impl<'a> RingTransport<'a> {
+    /// The transport of `state`'s server into `inbox`.
+    fn new(state: &HostState<HostMemory, CompletionTx>, inbox: &'a Inbox) -> Self {
+        Self {
+            me: state.host,
+            inbox,
+            probe: RefCell::new(state.probe(&Tracer::disabled(), Track::Server)),
+            to_self: RefCell::default(),
+        }
+    }
 }
 
 impl Transport for RingTransport<'_> {
@@ -304,7 +317,10 @@ impl Transport for RingTransport<'_> {
         now: Ns,
         what: &'static str,
     ) -> Result<Ns, ProtocolError> {
-        self.diag.wire_send(self.me.0, to.0, msg.data.len() as u64);
+        let bytes = msg.data.len() as u64;
+        self.probe
+            .borrow_mut()
+            .on(now, Fact::WireSend { to, bytes });
         let wire_from = self.me;
         let env = Envelope { to, wire_from, msg };
         if to == self.me {
@@ -526,21 +542,35 @@ impl LocalWake for CompletionTx {
 // Runtime
 // ---------------------------------------------------------------------------
 
+/// Every application thread's (fixed) event id — events are per-host
+/// scoped, so a constant nonzero id is protocol-valid.
+const EVENT: u64 = 1;
+
 /// Per-application-thread runtime state the fault resolver needs. One per
 /// host (the host backend runs one application thread per host).
 struct ThreadRt {
-    host: HostId,
-    /// This thread's (fixed) event id — events are per-host scoped, so a
-    /// constant nonzero id is protocol-valid.
-    event: u64,
-    /// What this thread sleeps on while a request is outstanding (the
-    /// host state's [`CompletionTx`] posts to it).
-    done: Arc<Completion>,
+    /// The host's state: its id, the completion word its [`CompletionTx`]
+    /// posts to and this thread sleeps on while a request is outstanding,
+    /// and the counters and table the thread's facts go to.
+    state: Arc<HostState<HostMemory, CompletionTx>>,
     /// Canonical address of the last serviced fault, still owing the
     /// manager its window-closing `Ack` (0 = none). Set by the resolver,
     /// drained at the next fault, after each range operation, and before
     /// every barrier.
     pending_ack: AtomicU64,
+}
+
+impl ThreadRt {
+    fn done(&self) -> &Completion {
+        &self.state.waiters.0
+    }
+
+    /// A probe for this thread. It traces nothing, so a fact is relaxed
+    /// atomics on pre-allocated cells: the resolver may build one and
+    /// record through it in signal context.
+    fn probe(&self) -> Probe {
+        self.state.probe(&Tracer::disabled(), Track::App(0))
+    }
 }
 
 /// One run's runtime, shared by its server thread, application threads and
@@ -551,10 +581,6 @@ struct HostRt {
     geo: Geometry,
     inbox: Inbox,
     threads: Vec<ThreadRt>,
-    /// Sharing diagnostics. The table behind the sink is pre-allocated
-    /// before the run; recording is relaxed atomic adds, so the SIGSEGV
-    /// resolver may record from signal context.
-    diag: DiagSink,
     /// `vpage → (minipage id, base address)`, built once after setup (the
     /// host backend takes no runtime allocations), so the resolver can
     /// attribute a raw fault to its minipage without translation machinery.
@@ -572,14 +598,14 @@ thread_local! {
 
 impl HostRt {
     /// Sends header-only `msg` to `to`'s server. Async-signal-safe.
-    fn send(&self, to: HostId, wire_from: HostId, msg: Pmsg) {
-        self.diag.wire_send(wire_from.0, to.0, 0);
+    fn send(&self, probe: &mut Probe, to: HostId, wire_from: HostId, msg: Pmsg) {
+        probe.on(0, Fact::WireSend { to, bytes: 0 });
         self.inbox.push(Envelope { to, wire_from, msg });
     }
 
     /// Flushes the thread's pending window-closing `Ack`, if any: a quiet
     /// push (see [`Inbox`]). Async-signal-safe.
-    fn flush_ack(&self, th: &ThreadRt) {
+    fn flush_ack(&self, th: &ThreadRt, probe: &mut Probe) {
         // Nothing owed is the common case: a plain load, not a locked swap
         // (only this thread stores to the word, so it reads its own store).
         if th.pending_ack.load(Ordering::Relaxed) == 0 {
@@ -592,8 +618,8 @@ impl HostRt {
         // Figure 3's fault-service confirmation: event 0, addressed so the
         // manager can translate it back to the minipage. Centralized homes:
         // every window lives at the manager.
-        let ack = Pmsg::new(MsgKind::Ack, th.host, 0).with_addr(VAddr(addr));
-        self.send(MANAGER, th.host, ack);
+        let ack = Pmsg::new(MsgKind::Ack, th.state.host, 0).with_addr(VAddr(addr));
+        self.send(probe, MANAGER, th.state.host, ack);
     }
 }
 
@@ -613,34 +639,28 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
         return false; // A fault off the application threads is a crash.
     }
     let th = &rt.threads[slot];
-    rt.flush_ack(th);
+    let mut probe = th.probe();
+    rt.flush_ack(th, &mut probe);
     let addr = rt.geo.addr_of(fault.view, fault.page, fault.offset);
     let kind = if fault.write {
         MsgKind::WriteRequest
     } else {
         MsgKind::ReadRequest
     };
-    // Per-minipage heat, recorded at the same point the sim's
-    // `service_fault` records it: a table lookup plus relaxed atomic adds,
-    // all async-signal-safe. A fault on an unmapped vpage attributes to
-    // `u32::MAX`, which the table counts as overflow.
-    if rt.diag.enabled() {
-        let vpage = rt.geo.vpage_index(fault.view, fault.page);
-        let (mp, base) = rt.mp_map.get(vpage).copied().unwrap_or((u32::MAX, 0));
-        if fault.write {
-            rt.diag
-                .write_fault(mp, th.host.0, addr.0.saturating_sub(base), 1);
-        } else {
-            rt.diag.read_fault(mp, th.host.0);
-        }
-    }
-    let req = Pmsg::new(kind, th.host, th.event).with_addr(addr);
-    th.done.arm();
-    rt.send(MANAGER, th.host, req);
+    // The fault fact, at the point the sim's fault paths record it: a
+    // table lookup plus relaxed atomic adds. A fault on an unmapped vpage
+    // attributes to `NO_MP`, which the table counts as overflow.
+    let vpage = rt.geo.vpage_index(fault.view, fault.page);
+    let (mp, base) = rt.mp_map.get(vpage).copied().unwrap_or((NO_MP, 0));
+    let (write, off) = (fault.write, addr.0.saturating_sub(base));
+    probe.on(0, Fact::FaultBegin { mp, write, off });
+    let req = Pmsg::new(kind, th.state.host, EVENT).with_addr(addr);
+    th.done().arm();
+    rt.send(&mut probe, MANAGER, th.state.host, req);
     // Sleep until the server thread posts the install. The completion
     // carries no data — the bytes went straight into the region through
     // the privileged view (the zero-copy receive path).
-    match th.done.wait() {
+    match th.done().wait() {
         Some(MsgKind::ReadReply | MsgKind::WriteReply) => {}
         _ => return false, // Nacked: crash with a core.
     }
@@ -657,6 +677,24 @@ struct HostServer<'a> {
     state: &'a HostState<HostMemory, CompletionTx>,
     shard: ManagerShard,
     ep: RingTransport<'a>,
+    probe: Probe,
+}
+
+impl<'a> HostServer<'a> {
+    /// The server of `state`'s host, sending into `inbox`. Its probes
+    /// trace nothing: the host backend has no tracer.
+    fn new(
+        state: &'a HostState<HostMemory, CompletionTx>,
+        shard: ManagerShard,
+        inbox: &'a Inbox,
+    ) -> Self {
+        Self {
+            ep: RingTransport::new(state, inbox),
+            probe: state.probe(&Tracer::disabled(), Track::Server),
+            state,
+            shard,
+        }
+    }
 }
 
 /// Every host's DSM server on one thread: the real-thread analogue of
@@ -670,7 +708,6 @@ fn host_server_loop(
     mut hosts: Vec<HostServer<'_>>,
     mut clock: WallClock,
 ) -> (Vec<String>, Vec<ManagerShard>) {
-    let mut rec = TraceRecorder::disabled();
     let mut errors = Vec::new();
     loop {
         let sent_to_self = hosts
@@ -696,7 +733,7 @@ fn host_server_loop(
             &mut host.shard,
             &mut clock,
             &host.ep,
-            &mut rec,
+            &mut host.probe,
             &mut errors,
         );
     }
@@ -713,6 +750,7 @@ fn host_server_loop(
 pub struct HostDsmCtx {
     rt: Arc<HostRt>,
     slot: usize,
+    probe: Probe,
     region: Arc<MultiViewRegion>,
     /// Virtual compute charged by the portable kernels (tallied for
     /// reporting; wall time passes by itself here).
@@ -720,10 +758,6 @@ pub struct HostDsmCtx {
 }
 
 impl HostDsmCtx {
-    fn th(&self) -> &ThreadRt {
-        &self.rt.threads[self.slot]
-    }
-
     /// Calls `copy(view, page, offset, bytes)` for every page-span of
     /// `[addr, addr+len)`, lowest first: one address decode per span. The
     /// view is the *application* view the address names — its MMU check is
@@ -747,7 +781,7 @@ impl HostDsmCtx {
 
 impl Dsm for HostDsmCtx {
     fn host(&self) -> HostId {
-        self.th().host
+        self.rt.threads[self.slot].state.host
     }
 
     fn hosts(&self) -> usize {
@@ -763,7 +797,8 @@ impl Dsm for HostDsmCtx {
             self.for_each_span(addr, len, |view, page, offset, span| {
                 self.region.read_span(view, page, offset, &mut bytes[span]);
             });
-            self.rt.flush_ack(self.th());
+            self.rt
+                .flush_ack(&self.rt.threads[self.slot], &mut self.probe);
         });
     }
 
@@ -776,19 +811,21 @@ impl Dsm for HostDsmCtx {
         self.for_each_span(addr, len, |view, page, offset, span| {
             self.region.write_span(view, page, offset, &bytes[span]);
         });
-        self.rt.flush_ack(self.th());
+        self.rt
+            .flush_ack(&self.rt.threads[self.slot], &mut self.probe);
     }
 
     fn barrier(&mut self) {
-        let th = self.th();
-        self.rt.flush_ack(th);
-        let msg = Pmsg::new(MsgKind::BarrierEnter, th.host, th.event);
-        th.done.arm();
-        self.rt.send(MANAGER, th.host, msg);
+        let (rt, probe) = (&self.rt, &mut self.probe);
+        let th = &rt.threads[self.slot];
+        rt.flush_ack(th, probe);
+        let msg = Pmsg::new(MsgKind::BarrierEnter, th.state.host, EVENT);
+        th.done().arm();
+        rt.send(probe, MANAGER, th.state.host, msg);
         // Anything but the release is a protocol breach.
-        match th.done.wait() {
+        match th.done().wait() {
             Some(MsgKind::BarrierRelease) => {}
-            Some(MsgKind::Nack) => panic!("h{}: request nacked", th.host.index()),
+            Some(MsgKind::Nack) => panic!("h{}: request nacked", th.state.host.index()),
             k => panic!("unexpected completion {k:?}"),
         }
     }
@@ -943,26 +980,19 @@ where
         },
         ..ClusterConfig::default()
     };
-    let mut threads = Vec::with_capacity(cfg.hosts);
     let per_host = |host: HostId| {
         let done = Arc::new(Completion(AtomicU32::new(ARMED)));
-        threads.push(ThreadRt {
-            host,
-            event: 1,
-            done: Arc::clone(&done),
-            pending_ack: AtomicU64::new(0),
-        });
         let region = Arc::clone(&regions[host.index()]);
         let geo = geo.clone();
         (HostMemory { geo, region }, CompletionTx(done))
     };
     let (stack, shards, shared) = Stack::new(&cluster, geo.clone(), per_host, setup);
-    let (home, states, diag_sink) = (&stack.home, &stack.states, &stack.diag);
+    let (home, states) = (&stack.home, &stack.states);
 
     // Setup has run, so the minipage table is final: freeze the vpage →
     // minipage attribution map the resolver uses from signal context.
-    let mp_map = if diag_sink.enabled() {
-        let mut map = vec![(u32::MAX, 0u64); geo.priv_view() * geo.pages()];
+    let mp_map = if stack.diag.is_some() {
+        let mut map = vec![(NO_MP, 0u64); geo.priv_view() * geo.pages()];
         for mp in home.mpt().snapshot() {
             for vp in mp.vpages(&geo) {
                 if let Some(slot) = map.get_mut(vp) {
@@ -979,8 +1009,13 @@ where
         rt: Arc::new(HostRt {
             geo: geo.clone(),
             inbox: Inbox::new(),
-            threads,
-            diag: diag_sink.clone(),
+            threads: states
+                .iter()
+                .map(|state| ThreadRt {
+                    state: Arc::clone(state),
+                    pending_ack: AtomicU64::new(0),
+                })
+                .collect(),
             mp_map,
         }),
     };
@@ -1002,16 +1037,7 @@ where
         let hosts = states
             .iter()
             .zip(shards)
-            .map(|(state, shard)| HostServer {
-                state,
-                shard,
-                ep: RingTransport {
-                    me: state.host,
-                    inbox,
-                    diag: diag_sink.clone(),
-                    to_self: RefCell::default(),
-                },
-            })
+            .map(|(state, shard)| HostServer::new(state, shard, inbox))
             .collect();
         let clock = WallClock::starting_at(start);
         let server = std::thread::Builder::new()
@@ -1028,6 +1054,7 @@ where
                     .spawn_scoped(scope, move || {
                         SLOT.with(|s| s.set(h));
                         let mut ctx = HostDsmCtx {
+                            probe: rt.threads[h].probe(),
                             rt,
                             slot: h,
                             region,
@@ -1067,7 +1094,7 @@ where
         write_faults: run.registrations.iter().map(|c| c.write_faults()).collect(),
         invalidations: states
             .iter()
-            .map(|s| s.counters.invalidations_received.get())
+            .map(|s| s.counts.invalidations_received.load(Ordering::Relaxed))
             .collect(),
         wall,
         compute_ns,
@@ -1296,15 +1323,6 @@ mod tests {
         (state, shards.pop().expect("one shard"), done)
     }
 
-    fn transport(me: HostId, inbox: &Inbox) -> RingTransport<'_> {
-        RingTransport {
-            me,
-            inbox,
-            diag: DiagSink::default(),
-            to_self: RefCell::default(),
-        }
-    }
-
     fn serve(inbox: &Inbox, hosts: Vec<HostServer<'_>>) -> Vec<String> {
         host_server_loop(inbox, hosts, WallClock::starting_at(Instant::now())).0
     }
@@ -1320,15 +1338,11 @@ mod tests {
         let (state, shard, done) = lone_host();
         let me = state.host;
         inbox.push(shutdown(me));
-        let ep = transport(me, &inbox);
+        let server = HostServer::new(&state, shard, &inbox);
         let release = Pmsg::new(MsgKind::BarrierRelease, me, 1);
-        ep.send(me, release, 0, 0, "test").expect("queued");
+        server.ep.send(me, release, 0, 0, "test").expect("queued");
 
-        let state = &state;
-        assert_eq!(
-            serve(&inbox, vec![HostServer { state, shard, ep }]),
-            Vec::<String>::new()
-        );
+        assert_eq!(serve(&inbox, vec![server]), Vec::<String>::new());
         assert_eq!(
             done.0.load(Ordering::Acquire),
             MsgKind::BarrierRelease as u32
@@ -1356,9 +1370,8 @@ mod tests {
         }
         inbox.push(shutdown(HostId(1)));
         inbox.push(shutdown(me));
-        let (state, ep) = (&state, transport(me, &inbox));
         assert_eq!(
-            serve(&inbox, vec![HostServer { state, shard, ep }]),
+            serve(&inbox, vec![HostServer::new(&state, shard, &inbox)]),
             [1, u16::MAX, 1].map(|h| format!("server: a message for h{h}, not in this run"))
         );
     }
@@ -1375,10 +1388,10 @@ mod tests {
         let (state, shard, done) = lone_host();
         let me = state.host;
         while inbox.try_push(shutdown(me)).is_ok() {}
-        let ep = transport(me, &inbox);
+        let server = HostServer::new(&state, shard, &inbox);
         let forward = Pmsg::new(MsgKind::ServeRead, HostId(1), 1);
         assert_eq!(
-            ep.send(HostId(1), forward, 0, 0, "serve forward"),
+            server.ep.send(HostId(1), forward, 0, 0, "serve forward"),
             Err(ProtocolError::Backend {
                 host: me,
                 what: "serve forward",
@@ -1387,17 +1400,10 @@ mod tests {
         );
         for from in [HostId(1), me] {
             let enter = Pmsg::new(MsgKind::BarrierEnter, from, 1);
-            ep.send(me, enter, 0, 0, "test").expect("queued");
+            server.ep.send(me, enter, 0, 0, "test").expect("queued");
         }
 
-        let errors = serve(
-            &inbox,
-            vec![HostServer {
-                state: &state,
-                shard,
-                ep,
-            }],
-        );
+        let errors = serve(&inbox, vec![server]);
         assert_eq!(errors.len(), 1, "{errors:?}");
         assert!(errors[0].contains("barrier release"), "{errors:?}");
         assert_eq!(done.0.load(Ordering::Acquire), NACK);
@@ -1440,8 +1446,7 @@ mod tests {
             let (stat_tx, stat_rx) = std::sync::mpsc::channel();
             let server = scope.spawn(move || {
                 stat_tx.send(own_stat()).expect("send");
-                let ep = transport(state.host, inbox);
-                serve(inbox, vec![HostServer { state, shard, ep }])
+                serve(inbox, vec![HostServer::new(state, shard, inbox)])
             });
             let seen = check(&stat_rx.recv().expect("stat"));
             inbox.push(shutdown(state.host));
@@ -1515,8 +1520,8 @@ mod tests {
             &stack.states[0],
             &mut shards[0],
             &mut WallClock::starting_at(Instant::now()),
-            &transport(MANAGER, &inbox),
-            &mut TraceRecorder::disabled(),
+            &RingTransport::new(&stack.states[0], &inbox),
+            &mut stack.states[0].probe(&Tracer::disabled(), Track::Server),
             &mut errors,
         );
         assert_eq!(errors, Vec::<String>::new());

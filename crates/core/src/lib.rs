@@ -41,6 +41,7 @@ mod host;
 pub mod hostrun;
 mod manager;
 mod msg;
+mod probe;
 mod server;
 mod shared;
 mod stats;
@@ -48,7 +49,7 @@ mod stats;
 pub use adapt::{AdaptAction, AdaptConfig, AdaptEvent, AdaptReport};
 pub use backend::{MemFault, MemoryBackend, ProtoClock, Transport};
 pub use cluster::{run, ClusterConfig, ParallelConfig, SetupCtx};
-pub use diag::{trace_counts, DiagReport, DiagSink, DiagTable, Finding, LinkStat, MinipageDiag};
+pub use diag::{DiagReport, DiagTable, Finding, LinkStat, MinipageDiag};
 pub use directory::{Directory, DirectoryEntry};
 pub use dsm::Dsm;
 pub use error::ProtocolError;
@@ -57,7 +58,7 @@ pub use home::{HomePolicyKind, HomeTable};
 pub use host::HostCtx;
 #[cfg(target_os = "linux")]
 pub use hostrun::{run_host, HostDsmCtx, HostRunConfig, HostRunReport};
-pub use manager::{ManagerShard, ManagerStats};
+pub use manager::ManagerShard;
 pub use msg::{MsgKind, Pmsg};
 pub use shared::{Pod, SharedCell, SharedVec};
 pub use stats::{HostReport, NetFaultStats, RunReport, ShardStats};

@@ -22,15 +22,15 @@
 
 use crate::adapt::{AdaptAction, AdaptConfig, AdaptEngine, AdaptReport};
 use crate::backend::{ClusterMemory, ProtoClock, Transport};
-use crate::diag::DiagSink;
 use crate::diff::Diff;
 use crate::directory::Directory;
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo};
 use crate::home::HomeTable;
 use crate::msg::{MsgKind, Pmsg};
+use crate::probe::{Fact, Probe};
 use multiview::{AllocStats, Allocator, Minipage, MinipageId};
-use sim_core::trace::{TraceKind, TraceRecorder};
+use sim_core::trace::TraceKind;
 use sim_core::{CostModel, HostId, LogHistogram, Ns, VAddr};
 use sim_mem::Prot;
 use std::collections::HashMap;
@@ -41,23 +41,6 @@ use std::sync::Arc;
 struct LockState {
     held_by: Option<HostId>,
     queue: VecDeque<Pmsg>,
-}
-
-/// Aggregated manager-side statistics for a run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ManagerStats {
-    /// Barriers completed.
-    pub barriers: u64,
-    /// Lock acquisitions granted.
-    pub lock_acquires: u64,
-    /// Invalidation requests fanned out.
-    pub invalidations_sent: u64,
-    /// Push broadcasts performed.
-    pub pushes: u64,
-    /// Pushes dropped because ownership moved before processing.
-    pub stale_pushes: u64,
-    /// Release-consistency diffs applied at the home.
-    pub rc_diffs: u64,
 }
 
 /// One host's slice of the distributed manager: runs inside the DSM
@@ -83,19 +66,16 @@ pub struct ManagerShard {
     /// (`ServerTimeline::begin_service`'s inversion branch), so the last
     /// *served* enter is not necessarily the last to *arrive*.
     barrier_high: Ns,
-    stats: ManagerStats,
     /// Every host's memory, behind the backend boundary. The allocating
     /// shard initializes freshly allocated minipages directly in their
     /// home host's space — an alloc-time setup step, not protocol
     /// traffic: the minipage is unreachable by applications until the
     /// allocation reply delivers its address.
     cluster: Arc<dyn ClusterMemory>,
-    /// Protocol tracer for shard-side events (inert unless tracing is on).
-    trace: TraceRecorder,
-    /// Sharing-diagnostics sink for home-side accounting: invalidation
-    /// fan-outs, write-ownership alternations, diff extents. Inert unless
-    /// diagnostics are on.
-    diag: DiagSink,
+    /// Where shard-side facts go: this host's counters, the home-side
+    /// diagnostics lanes (fan-outs, write-ownership alternations, diff
+    /// extents) and the shard's trace.
+    probe: Probe,
     /// Invalidation round-trips observed at this shard: fan-out to last
     /// reply, per completed round.
     inv_rt: LogHistogram,
@@ -120,8 +100,7 @@ impl ManagerShard {
         allocator: Option<Allocator>,
         home: Arc<HomeTable>,
         cluster: Arc<dyn ClusterMemory>,
-        trace: TraceRecorder,
-        diag: DiagSink,
+        probe: Probe,
         adapt: AdaptConfig,
     ) -> Self {
         Self {
@@ -135,11 +114,9 @@ impl ManagerShard {
             locks: HashMap::new(),
             barrier_waiters: Vec::new(),
             barrier_high: 0,
-            stats: ManagerStats::default(),
             home,
             cluster,
-            trace,
-            diag,
+            probe,
             inv_rt: LogHistogram::new(),
             adapt: AdaptEngine::new(adapt),
             adapt_pending: None,
@@ -158,11 +135,6 @@ impl ManagerShard {
             .as_ref()
             .expect("the allocator lives on the manager host")
             .stats()
-    }
-
-    /// Manager statistics accumulated at this shard.
-    pub fn stats(&self) -> ManagerStats {
-        self.stats
     }
 
     /// Competing requests observed at this shard (Figure 7).
@@ -222,7 +194,7 @@ impl ManagerShard {
             let home = self.home.publish(mp, requester);
             // aux 1 = the home copy starts writable (SW/MR), 0 = read-only
             // (HLRC); peer = the home host the copy lands on.
-            self.trace.emit(now, TraceKind::AllocGrant, |e| {
+            self.probe.trace(now, TraceKind::AllocGrant, |e| {
                 e.with_mp(mp.id.0)
                     .with_peer(home)
                     .with_aux(u32::from(home_prot == Prot::ReadWrite))
@@ -359,7 +331,7 @@ impl ManagerShard {
         ep: &T,
     ) -> Result<(), ProtocolError> {
         let epoch = self.home.epoch();
-        self.trace.emit(tl.now(), TraceKind::AdaptForward, |e| {
+        self.probe.trace(tl.now(), TraceKind::AdaptForward, |e| {
             e.with_mp(id.0)
                 .with_peer(home)
                 .with_event(m.event)
@@ -381,22 +353,29 @@ impl ManagerShard {
             TraceKind::ReqQueued
         };
         let peer = m.from;
-        self.trace
-            .emit(now, kind, |e| e.with_mp(id.0).with_peer(peer).with_aux(aux));
+        self.probe
+            .trace(now, kind, |e| e.with_mp(id.0).with_peer(peer).with_aux(aux));
         opened
     }
 
-    /// [`Directory::end_service`] with a `WindowClose` trace record. An
-    /// ack can arrive for a windowless transfer (an HLRC home-served
+    /// [`Directory::end_service`] with a `WindowClose` trace record, then
+    /// the competing request queued behind the window, if any, is served.
+    /// An ack can arrive for a windowless transfer (an HLRC home-served
     /// read); closing is a no-op then and records nothing.
-    fn close_window(&mut self, id: MinipageId, now: Ns) -> Option<Pmsg> {
+    fn close_window<C: ProtoClock, T: Transport>(
+        &mut self,
+        id: MinipageId,
+        tl: &mut C,
+        ep: &T,
+    ) -> Result<(), ProtocolError> {
         let was_open = self.dir.entry(id.index()).in_service;
         let next = self.dir.end_service(id.index());
         if was_open {
-            self.trace
-                .emit(now, TraceKind::WindowClose, |e| e.with_mp(id.0));
+            let now = tl.now();
+            self.probe
+                .trace(now, TraceKind::WindowClose, |e| e.with_mp(id.0));
         }
-        next
+        next.map_or(Ok(()), |next| self.dispatch_queued(next, tl, ep))
     }
 
     fn handle_read_request<C: ProtoClock, T: Transport>(
@@ -427,7 +406,7 @@ impl ManagerShard {
             reply.data = bytes::Bytes::from(data);
             let to = reply.from;
             let payload = reply.payload_bytes();
-            self.trace.emit(tl.now(), TraceKind::Serve, |e| {
+            self.probe.trace(tl.now(), TraceKind::Serve, |e| {
                 e.with_mp(id.0).with_peer(to).with_aux(0)
             });
             ep.send(to, reply, payload, tl.now(), "home read reply")?;
@@ -446,7 +425,7 @@ impl ManagerShard {
         e.owner = None;
         e.add(m.from);
         m.kind = MsgKind::ServeRead;
-        self.trace.emit(tl.now(), TraceKind::Forward, |e| {
+        self.probe.trace(tl.now(), TraceKind::Forward, |e| {
             e.with_mp(id.0).with_peer(src).with_aux(0)
         });
         ep.send(src, m, 0, tl.now(), "read forward")?;
@@ -484,26 +463,32 @@ impl ManagerShard {
         };
         let targets: Vec<HostId> = e.holders().filter(|&h| h != src).collect();
         if targets.is_empty() {
-            self.trace.emit(tl.now(), TraceKind::Forward, |e| {
-                e.with_mp(id.0).with_peer(src).with_aux(1)
-            });
-            self.diag.writer(id.0, m.from.0);
-            Self::forward_write(e, src, m, tl, ep)?;
+            Self::forward_write(e, &mut self.probe, src, m, tl, ep)?;
         } else {
             e.inv_pending = targets.len() as u32;
             e.inv_sent_vt = tl.now();
             e.pending_write = Some(m.clone());
-            self.stats.invalidations_sent += targets.len() as u64;
-            self.diag.inv_sent(id.0, targets.len() as u64);
-            for t in targets {
-                let mut inv = m.clone();
-                inv.kind = MsgKind::InvalidateRequest;
-                inv.data = bytes::Bytes::new();
-                self.trace.emit(tl.now(), TraceKind::InvSend, |e| {
-                    e.with_mp(id.0).with_peer(t).with_event(inv.event)
-                });
-                ep.send(t, inv, 0, tl.now(), "invalidate fan-out")?;
-            }
+            self.invalidate(&m, &targets, tl, ep, "invalidate fan-out")?;
+        }
+        Ok(())
+    }
+
+    /// Fans an invalidation of `m`'s minipage out to `targets`.
+    fn invalidate<C: ProtoClock, T: Transport>(
+        &mut self,
+        m: &Pmsg,
+        targets: &[HostId],
+        tl: &mut C,
+        ep: &T,
+        what: &'static str,
+    ) -> Result<(), ProtocolError> {
+        for &to in targets {
+            let mut inv = m.clone();
+            inv.kind = MsgKind::InvalidateRequest;
+            inv.data = bytes::Bytes::new();
+            let (mp, event) = (m.minipage.0, m.event);
+            self.probe.on(tl.now(), Fact::InvSend { mp, to, event });
+            ep.send(to, inv, 0, tl.now(), what)?;
         }
         Ok(())
     }
@@ -516,7 +501,7 @@ impl ManagerShard {
     ) -> Result<(), ProtocolError> {
         let id = m.minipage;
         let from = m.from;
-        self.trace.emit(tl.now(), TraceKind::InvReplyRecv, |e| {
+        self.probe.trace(tl.now(), TraceKind::InvReplyRecv, |e| {
             e.with_mp(id.0).with_peer(from).with_event(m.event)
         });
         let pending = {
@@ -552,41 +537,51 @@ impl ManagerShard {
         if self.consistency == Consistency::HomeEagerRc {
             // The pending request is a flushed diff: every stale copy is
             // now gone, release the flusher.
-            let ack = Pmsg::new(MsgKind::RcDiffAck, self.me, w.event).with_addr(w.addr);
-            self.trace.emit(tl.now(), TraceKind::RcDiffAckSend, |e| {
-                e.with_mp(id.0).with_peer(w.from).with_event(w.event)
-            });
-            ep.send(w.from, ack, 0, tl.now(), "rc diff ack")?;
-            if let Some(next) = self.close_window(id, tl.now()) {
-                self.dispatch_queued(next, tl, ep)?;
-            }
+            self.ack_rc_diff(&w, tl, ep)
         } else {
             let e = self.dir.entry(id.index());
             let src = e.find_replica().ok_or(ProtocolError::MissingReplica {
                 host: self.me,
                 minipage: id.0,
             })?;
-            self.trace.emit(tl.now(), TraceKind::Forward, |e| {
-                e.with_mp(id.0).with_peer(src).with_aux(1)
-            });
-            self.diag.writer(id.0, w.from.0);
-            Self::forward_write(e, src, w, tl, ep)?;
+            Self::forward_write(e, &mut self.probe, src, w, tl, ep)
         }
-        Ok(())
     }
 
+    /// Hands `m.from` the writable copy: the directory names it sole
+    /// owner, and `src` serves the write.
     fn forward_write<C: ProtoClock, T: Transport>(
         e: &mut crate::directory::DirectoryEntry,
+        probe: &mut Probe,
         src: HostId,
         mut m: Pmsg,
         tl: &mut C,
         ep: &T,
     ) -> Result<(), ProtocolError> {
+        let (mp, writer) = (m.minipage.0, m.from);
+        probe.on(tl.now(), Fact::WriteForward { mp, src, writer });
         e.copyset = 1u64 << m.from.index();
         e.owner = Some(m.from);
         m.kind = MsgKind::ServeWrite;
         ep.send(src, m, 0, tl.now(), "write forward")?;
         Ok(())
+    }
+
+    /// Releases the flusher of the diff `m`: its diff is applied and every
+    /// stale copy gone. Closes the window and serves what queued behind it.
+    fn ack_rc_diff<C: ProtoClock, T: Transport>(
+        &mut self,
+        m: &Pmsg,
+        tl: &mut C,
+        ep: &T,
+    ) -> Result<(), ProtocolError> {
+        let id = m.minipage;
+        let ack = Pmsg::new(MsgKind::RcDiffAck, self.me, m.event).with_addr(m.addr);
+        self.probe.trace(tl.now(), TraceKind::RcDiffAckSend, |e| {
+            e.with_mp(id.0).with_peer(m.from).with_event(m.event)
+        });
+        ep.send(m.from, ack, 0, tl.now(), "rc diff ack")?;
+        self.close_window(id, tl, ep)
     }
 
     fn handle_ack<C: ProtoClock, T: Transport>(
@@ -599,14 +594,10 @@ impl ManagerShard {
             return Ok(());
         };
         let from = m.from;
-        self.trace.emit(tl.now(), TraceKind::AckRecv, |e| {
+        self.probe.trace(tl.now(), TraceKind::AckRecv, |e| {
             e.with_mp(id.0).with_peer(from)
         });
-        if let Some(next) = self.close_window(id, tl.now()) {
-            // The queued competing request is serviced now.
-            self.dispatch_queued(next, tl, ep)?;
-        }
-        Ok(())
+        self.close_window(id, tl, ep)
     }
 
     fn dispatch_queued<C: ProtoClock, T: Transport>(
@@ -656,7 +647,7 @@ impl ManagerShard {
             let high = std::mem::take(&mut self.barrier_high);
             tl.charge(high.saturating_sub(tl.now()));
             tl.charge(self.cost.barrier_base);
-            self.stats.barriers += 1;
+            self.probe.on(tl.now(), Fact::BarrierDone);
             let waiters = std::mem::take(&mut self.barrier_waiters);
             // The quiesce point: every application thread is parked here,
             // so the adaptation engine may rewrite granularity and homing
@@ -683,8 +674,8 @@ impl ManagerShard {
             tl.charge(self.cost.barrier_per_host);
             let mut rel = Pmsg::new(MsgKind::BarrierRelease, self.me, w.event);
             rel.addr = w.addr;
-            self.trace
-                .emit(tl.now(), TraceKind::BarrierReleaseSend, |e| {
+            self.probe
+                .trace(tl.now(), TraceKind::BarrierReleaseSend, |e| {
                     e.with_peer(w.from).with_event(w.event)
                 });
             ep.send(w.from, rel, 0, tl.now(), "barrier release")?;
@@ -700,17 +691,26 @@ impl ManagerShard {
     ) -> Result<(), ProtocolError> {
         let st = self.locks.entry(m.aux).or_default();
         if st.held_by.is_none() {
-            st.held_by = Some(m.from);
-            self.stats.lock_acquires += 1;
             tl.charge(self.cost.lock_service);
-            let grant = Pmsg::new(MsgKind::LockGrant, self.me, m.event).with_aux(m.aux);
-            self.trace.emit(tl.now(), TraceKind::LockGrantSend, |e| {
-                e.with_peer(m.from).with_event(m.aux)
-            });
-            ep.send(m.from, grant, 0, tl.now(), "lock grant")?;
+            self.grant_lock(m, tl, ep)?;
         } else {
             st.queue.push_back(m);
         }
+        Ok(())
+    }
+
+    /// Hands lock `m.aux` to its requester `m.from`.
+    fn grant_lock<C: ProtoClock, T: Transport>(
+        &mut self,
+        m: Pmsg,
+        tl: &mut C,
+        ep: &T,
+    ) -> Result<(), ProtocolError> {
+        let (lock, to) = (m.aux, m.from);
+        self.locks.entry(lock).or_default().held_by = Some(to);
+        self.probe.on(tl.now(), Fact::LockGrant { lock, to });
+        let grant = Pmsg::new(MsgKind::LockGrant, self.me, m.event).with_aux(lock);
+        ep.send(to, grant, 0, tl.now(), "lock grant")?;
         Ok(())
     }
 
@@ -733,13 +733,7 @@ impl ManagerShard {
         }
         st.held_by = None;
         if let Some(next) = st.queue.pop_front() {
-            st.held_by = Some(next.from);
-            self.stats.lock_acquires += 1;
-            let grant = Pmsg::new(MsgKind::LockGrant, self.me, next.event).with_aux(next.aux);
-            self.trace.emit(tl.now(), TraceKind::LockGrantSend, |e| {
-                e.with_peer(next.from).with_event(next.aux)
-            });
-            ep.send(next.from, grant, 0, tl.now(), "lock grant")?;
+            self.grant_lock(next, tl, ep)?;
         }
         Ok(())
     }
@@ -756,34 +750,28 @@ impl ManagerShard {
         if !self.open_window(id, &m, tl.now(), 2) {
             return Ok(()); // Queued behind an in-flight transfer.
         }
-        {
-            let hosts = self.hosts;
-            let e = self.dir.entry(id.index());
-            if e.owner == Some(m.from) {
-                // Publish read copies everywhere (§4.3, the TSP bound).
-                e.owner = None;
-                e.copyset = all_hosts_mask(hosts);
-                self.stats.pushes += 1;
-                for h in 0..hosts {
-                    let h = HostId(h as u16);
-                    if h == m.from {
-                        continue;
-                    }
-                    let mut push = m.clone();
-                    push.kind = MsgKind::PushData;
-                    let payload = push.payload_bytes();
-                    ep.send(h, push, payload, tl.now(), "push data")?;
+        let hosts = self.hosts;
+        let e = self.dir.entry(id.index());
+        // A push from a host that no longer owns the minipage is stale:
+        // ownership moved since it was issued, and it is dropped.
+        if e.owner == Some(m.from) {
+            // Publish read copies everywhere (§4.3, the TSP bound).
+            e.owner = None;
+            e.copyset = all_hosts_mask(hosts);
+            self.probe.on(tl.now(), Fact::Push);
+            for h in 0..hosts {
+                let h = HostId(h as u16);
+                if h == m.from {
+                    continue;
                 }
-            } else {
-                // Ownership moved since the push was issued: stale, drop.
-                self.stats.stale_pushes += 1;
+                let mut push = m.clone();
+                push.kind = MsgKind::PushData;
+                let payload = push.payload_bytes();
+                ep.send(h, push, payload, tl.now(), "push data")?;
             }
         }
         // Pushes hold no service window (no ack follows).
-        if let Some(next) = self.close_window(id, tl.now()) {
-            self.dispatch_queued(next, tl, ep)?;
-        }
-        Ok(())
+        self.close_window(id, tl, ep)
     }
 }
 
@@ -828,20 +816,17 @@ impl ManagerShard {
             host: self.me,
             what: "undecodable release diff",
         })?;
-        let (mp, diff_bytes, diff_event) = (m.minipage.0, m.data.len(), m.event);
-        self.trace.emit(tl.now(), TraceKind::RcDiffApply, |e| {
-            e.with_mp(mp)
-                .with_bytes(diff_bytes)
-                .with_event(diff_event)
-                .with_peer(m.from)
-        });
+        let fact = Fact::RcDiff {
+            mp: m.minipage.0,
+            from: m.from,
+            event: m.event,
+            bytes: m.data.len(),
+            diff: &diff,
+        };
+        self.probe.on(tl.now(), fact);
         // Patch run by run: only changed bytes are written, so a racing
         // local write to *other* bytes of the page is never clobbered.
-        self.diag.writer(mp, m.from.0);
-        self.diag.diff_bytes(mp, diff_bytes as u64);
         for (off, bytes) in diff.iter_runs() {
-            self.diag
-                .write_extent(mp, m.from.0, off as u64, bytes.len() as u64);
             self.cluster
                 .priv_write(self.me, m.priv_base.add(off), bytes)
                 .map_err(|_| ProtocolError::BadTranslation {
@@ -851,42 +836,23 @@ impl ManagerShard {
                 })?;
         }
         tl.charge((self.cost.patch_per_byte_ns * m.len as f64) as sim_core::Ns);
-        self.stats.rc_diffs += 1;
         let me = self.me;
-        let id = m.minipage;
-        let e = self.dir.entry(id.index());
+        let e = self.dir.entry(m.minipage.index());
         let targets: Vec<HostId> = e.holders().filter(|&h| h != me).collect();
-        self.stats.invalidations_sent += targets.len() as u64;
-        self.diag.inv_sent(id.0, targets.len() as u64);
-        for t in &targets {
-            let mut inv = m.clone();
-            inv.kind = MsgKind::InvalidateRequest;
-            inv.data = bytes::Bytes::new();
-            let t = *t;
-            self.trace.emit(tl.now(), TraceKind::InvSend, |e| {
-                e.with_mp(id.0).with_peer(t).with_event(inv.event)
-            });
-            ep.send(t, inv, 0, tl.now(), "rc invalidate fan-out")?;
-        }
         e.copyset = 1u64 << me.index();
         e.owner = None;
-        if acked {
-            if targets.is_empty() {
-                let ack = Pmsg::new(MsgKind::RcDiffAck, me, m.event).with_addr(m.addr);
-                self.trace.emit(tl.now(), TraceKind::RcDiffAckSend, |e| {
-                    e.with_mp(id.0).with_peer(m.from).with_event(m.event)
-                });
-                ep.send(m.from, ack, 0, tl.now(), "rc diff ack")?;
-                if let Some(next) = self.close_window(id, tl.now()) {
-                    self.dispatch_queued(next, tl, ep)?;
-                }
-            } else {
-                // Ack once the last invalidation is confirmed.
-                e.inv_pending = targets.len() as u32;
-                e.inv_sent_vt = tl.now();
-                e.pending_write = Some(m);
-            }
+        self.invalidate(&m, &targets, tl, ep, "rc invalidate fan-out")?;
+        if !acked {
+            return Ok(());
         }
+        if targets.is_empty() {
+            return self.ack_rc_diff(&m, tl, ep);
+        }
+        // Ack once the last invalidation is confirmed.
+        let e = self.dir.entry(m.minipage.index());
+        e.inv_pending = targets.len() as u32;
+        e.inv_sent_vt = tl.now();
+        e.pending_write = Some(m);
         Ok(())
     }
 }
@@ -906,7 +872,7 @@ impl ManagerShard {
         if !self.adapt.should_act(barrier) {
             return Ok(0);
         }
-        let Some(table) = self.diag.table().cloned() else {
+        let Some(table) = self.probe.table().cloned() else {
             return Ok(0); // No diagnostics, nothing to plan from.
         };
         let geo = self.home.geometry().clone();
@@ -1086,7 +1052,7 @@ impl ManagerShard {
                 self.pull_master_copy(&parent)?;
                 self.revoke_everywhere(&parent)?;
                 let n = children.len() as u32;
-                let first_child = children[0].id.0;
+                let first = children[0].id.0;
                 self.home
                     .mpt()
                     .retire_and_insert(&geo, &[parent.id], children.clone());
@@ -1097,16 +1063,11 @@ impl ManagerShard {
                             .set_prot(self.me, vp, Prot::ReadWrite)
                             .map_err(|_| crate::backend::bad_vpage(self.me, vp))?;
                     }
-                    self.diag.reset_slot(child.id.0);
                 }
                 self.dir.forget(parent.id.index());
-                self.diag.reset_slot(parent.id.0);
-                self.trace.emit(tl.now(), TraceKind::AdaptSplit, |e| {
-                    e.with_mp(parent.id.0)
-                        .with_aux(n)
-                        .with_event(first_child as u64)
-                });
-                self.adapt.record_split(barrier, parent.id.0, cuts);
+                let parent = parent.id.0;
+                self.probe.on(tl.now(), Fact::Split { parent, first, n });
+                self.adapt.record_split(barrier, parent, cuts);
                 Ok(true)
             }
             AdaptAction::Merge { group } => {
@@ -1161,16 +1122,14 @@ impl ManagerShard {
                 }
                 for id in &old {
                     self.dir.forget(id.index());
-                    self.diag.reset_slot(id.0);
                 }
-                self.diag.reset_slot(merged.id.0);
                 // Anti-oscillation: never split the merge result again.
                 self.adapt.forbid_split(merged.id.0);
-                self.trace.emit(tl.now(), TraceKind::AdaptMerge, |e| {
-                    e.with_mp(old[0].0)
-                        .with_aux(old.len() as u32)
-                        .with_event(merged.id.0 as u64)
-                });
+                let fact = Fact::Merge {
+                    old: &old,
+                    merged: merged.id.0,
+                };
+                self.probe.on(tl.now(), fact);
                 self.adapt.record_merge(barrier, &old, merged.id.0);
                 Ok(true)
             }
@@ -1222,14 +1181,9 @@ impl ManagerShard {
                 }
                 self.dir.forget(mp.index());
                 self.home.migrate(*mp, *to);
-                self.diag.reset_slot(mp.0);
-                let peer = *to;
-                self.trace.emit(tl.now(), TraceKind::AdaptMigrate, |e| {
-                    e.with_mp(mp.0)
-                        .with_peer(peer)
-                        .with_aux(u32::from(writable))
-                });
-                self.adapt.record_migrate(barrier, mp.0, to.0);
+                let (mp, to) = (mp.0, *to);
+                self.probe.on(tl.now(), Fact::Migrate { mp, to, writable });
+                self.adapt.record_migrate(barrier, mp, to.0);
                 Ok(true)
             }
         }

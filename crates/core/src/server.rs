@@ -31,10 +31,11 @@ use crate::home::HomePolicyKind;
 use crate::host::{HostState, Waiter};
 use crate::manager::ManagerShard;
 use crate::msg::{Completion, MsgKind, Pmsg};
+use crate::probe::{Fact, Probe};
 use bytes::Bytes;
 use sim_core::clock::Ns;
 use sim_core::sched::Turn;
-use sim_core::trace::{TraceKind, TraceRecorder};
+use sim_core::trace::TraceKind;
 use sim_core::{CostModel, HostId, LogHistogram, VAddr};
 use sim_mem::Prot;
 use sim_net::{Endpoint, Packet, RecvError, ServerTimeline};
@@ -70,7 +71,7 @@ pub(crate) struct Server {
     state: Arc<HostState>,
     timeline: ServerTimeline,
     shard: ManagerShard,
-    rec: TraceRecorder,
+    probe: Probe,
     errors: Vec<String>,
 }
 
@@ -80,14 +81,14 @@ impl Server {
         state: Arc<HostState>,
         timeline: ServerTimeline,
         shard: ManagerShard,
-        rec: TraceRecorder,
+        probe: Probe,
     ) -> Self {
         Self {
             ep,
             state,
             timeline,
             shard,
-            rec,
+            probe,
             errors: Vec::new(),
         }
     }
@@ -137,7 +138,7 @@ impl Server {
             state,
             timeline,
             shard,
-            rec,
+            probe,
             errors,
         } = self;
         // Under the conservative delivery gate a packet only becomes
@@ -152,33 +153,24 @@ impl Server {
         // and read as idle; self-addressed messages (a shard forwarding
         // to its own server) find the server already running.
         let busy = pkt.from != ep.host() && state.busy.busy_at(seen_vt);
-        if rec.enabled() {
-            let (from, event, mp, bytes, seq) = (
-                pkt.from,
-                pkt.msg.event,
-                pkt.msg.minipage.0,
-                pkt.payload_bytes,
-                pkt.wire_seq,
-            );
-            rec.emit(pkt.arrival_vt, TraceKind::MsgRecv, |e| {
-                e.with_peer(from)
-                    .with_event(event)
-                    .with_mp(mp)
-                    .with_bytes(bytes)
-                    .with_aux(seq as u32)
-            });
-        }
+        probe.trace(pkt.arrival_vt, TraceKind::MsgRecv, |e| {
+            e.with_peer(pkt.from)
+                .with_event(pkt.msg.event)
+                .with_mp(pkt.msg.minipage.0)
+                .with_bytes(pkt.payload_bytes)
+                .with_aux(pkt.wire_seq as u32)
+        });
         let clamps_before = timeline.clamp_events();
         timeline.begin_service(seen_vt, busy);
         // A clamp means the virtual-time model produced a negative queue
         // delay (arrival after service start); it is silently floored to
         // zero but no longer silently *uncounted*.
-        if timeline.clamp_events() > clamps_before && rec.enabled() {
-            rec.emit(pkt.arrival_vt, TraceKind::DelayClamped, |e| {
+        if timeline.clamp_events() > clamps_before {
+            probe.trace(pkt.arrival_vt, TraceKind::DelayClamped, |e| {
                 e.with_peer(pkt.from).with_event(pkt.msg.event)
             });
         }
-        dispatch(pkt.msg, pkt.from, state, shard, timeline, ep, rec, errors);
+        dispatch(pkt.msg, pkt.from, state, shard, timeline, ep, probe, errors);
         Served::Continue
     }
 
@@ -213,7 +205,7 @@ pub(crate) fn dispatch<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transpo
     shard: &mut ManagerShard,
     tl: &mut C,
     ep: &T,
-    rec: &mut TraceRecorder,
+    probe: &mut Probe,
     errors: &mut Vec<String>,
 ) {
     use MsgKind::*;
@@ -224,19 +216,19 @@ pub(crate) fn dispatch<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transpo
         | LockAcquire | LockRelease | PushRequest | RcDiff | AdaptApply | AdaptAck => {
             shard.handle(m, tl, ep)
         }
-        ServeRead => serve_read(m, mem, host, cost, tl, ep, rec),
-        ServeWrite => serve_write(m, mem, host, cost, tl, ep, rec),
-        InvalidateRequest => handle_invalidate(m, state, tl, ep, rec),
-        ReadReply | WriteReply => handle_data_reply(m, wire_from, state, tl, ep, rec),
+        ServeRead => serve_read(m, mem, host, cost, tl, ep, probe),
+        ServeWrite => serve_write(m, mem, host, cost, tl, ep, probe),
+        InvalidateRequest => handle_invalidate(m, state, tl, ep, probe),
+        ReadReply | WriteReply => handle_data_reply(m, wire_from, state, tl, ep, probe),
         AllocReply | BarrierRelease | LockGrant | RcDiffAck => fulfill_simple(m, state, tl),
-        PushData => handle_push_data(m, state, tl, rec),
+        PushData => install_push(&m, &state.space, state.host, &state.cost, tl, probe),
         Nack => handle_nack(m, state, tl),
         Shutdown => unreachable!("handled by the loop"),
     };
     if let Err(e) = served {
         errors.push(e.to_string());
         if matches!(e, ProtocolError::Timeout { .. }) {
-            rec.emit(tl.now(), TraceKind::TimeoutFired, |ev| ev.with_event(event));
+            probe.trace(tl.now(), TraceKind::TimeoutFired, |ev| ev.with_event(event));
         }
         surface_error(kind, from, event, addr, e, state, ep, tl);
     }
@@ -318,16 +310,16 @@ pub(crate) fn serve_read<M: MemoryBackend, C: ProtoClock, T: Transport>(
     cost: &CostModel,
     tl: &mut C,
     ep: &T,
-    rec: &mut TraceRecorder,
+    probe: &mut Probe,
 ) -> Result<(), ProtocolError> {
     tl.charge(cost.dsm_overhead);
     tl.charge(cost.get_protection);
     let downgraded = crate::backend::downgrade_range(mem, host, m.base, m.len)?;
     tl.charge(downgraded as Ns * cost.set_protection);
     if downgraded > 0 {
-        rec.emit(tl.now(), TraceKind::Downgrade, |e| e.with_mp(m.minipage.0));
+        probe.trace(tl.now(), TraceKind::Downgrade, |e| e.with_mp(m.minipage.0));
     }
-    rec.emit(tl.now(), TraceKind::Serve, |e| {
+    probe.trace(tl.now(), TraceKind::Serve, |e| {
         e.with_mp(m.minipage.0).with_peer(m.from).with_aux(0)
     });
     let data = read_priv(mem, host, m.priv_base, m.len, "serve-read source")?;
@@ -349,16 +341,16 @@ pub(crate) fn serve_write<M: MemoryBackend, C: ProtoClock, T: Transport>(
     cost: &CostModel,
     tl: &mut C,
     ep: &T,
-    rec: &mut TraceRecorder,
+    probe: &mut Probe,
 ) -> Result<(), ProtocolError> {
     tl.charge(cost.dsm_overhead);
     // NoAccess first: once the bytes leave, local threads must fault.
     let n = protect_range(mem, host, m.base, m.len, Prot::NoAccess)?;
     tl.charge(n as Ns * cost.set_protection);
-    rec.emit(tl.now(), TraceKind::InvalidateLocal, |e| {
+    probe.trace(tl.now(), TraceKind::InvalidateLocal, |e| {
         e.with_mp(m.minipage.0)
     });
-    rec.emit(tl.now(), TraceKind::Serve, |e| {
+    probe.trace(tl.now(), TraceKind::Serve, |e| {
         e.with_mp(m.minipage.0).with_peer(m.from).with_aux(1)
     });
     let data = read_priv(mem, host, m.priv_base, m.len, "serve-write source")?;
@@ -368,30 +360,6 @@ pub(crate) fn serve_write<M: MemoryBackend, C: ProtoClock, T: Transport>(
     let to = reply.from;
     let payload = reply.payload_bytes();
     ep.send(to, reply, payload, tl.now(), "write reply")?;
-    Ok(())
-}
-
-/// The backend-neutral core of Figure 3 "Handle Invalidate Request":
-/// record the local invalidation and revoke access to the minipage. The
-/// caller bumps its invalidation counter and sends the reply (the sim's
-/// HLRC path layers eviction diffs on top instead).
-pub(crate) fn invalidate_local<M: MemoryBackend, C: ProtoClock>(
-    m: &Pmsg,
-    mem: &M,
-    host: HostId,
-    cost: &CostModel,
-    tl: &mut C,
-    rec: &mut TraceRecorder,
-) -> Result<(), ProtocolError> {
-    // aux 1 marks a *received* invalidation (an InvalidateRequest from a
-    // home shard), distinguishing it from the copy drops a server performs
-    // while serving a write and from release-flush drops. The diagnostics
-    // self-check counts exactly these against the stats table.
-    rec.emit(tl.now(), TraceKind::InvalidateLocal, |e| {
-        e.with_mp(m.minipage.0).with_event(m.event).with_aux(1)
-    });
-    let n = protect_range(mem, host, m.base, m.len, Prot::NoAccess)?;
-    tl.charge(n as Ns * cost.set_protection);
     Ok(())
 }
 
@@ -406,7 +374,7 @@ pub(crate) fn install_reply<M: MemoryBackend, C: ProtoClock>(
     host: HostId,
     cost: &CostModel,
     tl: &mut C,
-    rec: &mut TraceRecorder,
+    probe: &mut Probe,
     skip_write: bool,
 ) -> Result<std::ops::Range<usize>, ProtocolError> {
     tl.charge(cost.dsm_overhead);
@@ -415,7 +383,7 @@ pub(crate) fn install_reply<M: MemoryBackend, C: ProtoClock>(
     }
     // aux 1 = read-only copy installed, aux 2 = writable copy installed.
     let aux = if m.kind == MsgKind::ReadReply { 1 } else { 2 };
-    rec.emit(tl.now(), TraceKind::Install, |e| {
+    probe.trace(tl.now(), TraceKind::Install, |e| {
         e.with_mp(m.minipage.0).with_event(m.event).with_aux(aux)
     });
     let prot = if m.kind == MsgKind::ReadReply {
@@ -432,18 +400,18 @@ pub(crate) fn install_reply<M: MemoryBackend, C: ProtoClock>(
     Ok(range)
 }
 
-/// The backend-neutral core of the §4.3 push install: write the pushed
-/// bytes and grant read access.
-pub(crate) fn install_push<M: MemoryBackend, C: ProtoClock>(
+/// Installs a pushed read copy (§4.3): write the pushed bytes and grant
+/// read access.
+fn install_push<M: MemoryBackend, C: ProtoClock>(
     m: &Pmsg,
     mem: &M,
     host: HostId,
     cost: &CostModel,
     tl: &mut C,
-    rec: &mut TraceRecorder,
+    probe: &mut Probe,
 ) -> Result<(), ProtocolError> {
     write_priv(mem, host, m.priv_base, &m.data, "push install")?;
-    rec.emit(tl.now(), TraceKind::Install, |e| {
+    probe.trace(tl.now(), TraceKind::Install, |e| {
         e.with_mp(m.minipage.0).with_aux(1)
     });
     let n = protect_range(mem, host, m.base, m.len, Prot::ReadOnly)?;
@@ -465,64 +433,52 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
     state: &HostState<M, W>,
     tl: &mut C,
     ep: &T,
-    rec: &mut TraceRecorder,
+    probe: &mut Probe,
 ) -> Result<(), ProtocolError> {
     let (cost, home) = (&state.cost, &state.home);
     let hlrc = state.consistency == Consistency::HomeEagerRc;
-    if hlrc {
-        // aux 1: a received invalidation (see `invalidate_local`).
-        rec.emit(tl.now(), TraceKind::InvalidateLocal, |e| {
-            e.with_mp(m.minipage.0).with_event(m.event).with_aux(1)
-        });
-        // Hold the release-state lock from the dirty-set removal until the
-        // eviction diff is on the wire. Released earlier, the owner's
-        // in-progress release flush could observe the emptied dirty set,
-        // skip flushing, and enqueue its barrier-enter *ahead* of the
-        // eviction diff on the host→home FIFO — the home would then count
-        // the release (and serve post-barrier reads) with this copy's
-        // final writes still in flight.
-        let mut rc = state.rc.lock();
-        let dirty = rc.dirty.remove(&m.minipage.0);
-        if let Some(d) = dirty {
-            let data = state
-                .space
-                .snapshot_and_protect(d.info.base, d.info.len, Prot::NoAccess)
-                .map_err(|_| bad_priv(state.host, m.priv_base, "eviction snapshot"))?;
-            let diff = d.twin.diff(&data);
-            tl.charge(cost.diff_time(d.info.len));
-            tl.charge(cost.set_protection);
-            if !diff.is_empty() {
-                let mut out = Pmsg::new(MsgKind::RcDiff, ep.me(), 0).with_addr(d.info.base);
-                out.minipage = d.info.id;
-                out.base = d.info.base;
-                out.len = d.info.len;
-                out.priv_base = d.info.priv_base;
-                out.data = Bytes::from(diff.encode());
-                let payload = out.payload_bytes();
-                // Eviction diff: event 0, fire-and-forget (aux 0 marks it
-                // as not awaiting an RcDiffAck).
-                rec.emit(tl.now(), TraceKind::RcDiffSend, |e| {
-                    e.with_mp(d.info.id.0).with_bytes(payload).with_aux(0)
-                });
-                ep.send(
-                    home.home(d.info.id),
-                    out,
-                    payload,
-                    tl.now(),
-                    "eviction diff",
-                )?;
-            }
-            drop(rc);
-        } else {
-            drop(rc);
-            let n = protect_range(&state.space, state.host, m.base, m.len, Prot::NoAccess)?;
-            tl.charge(n as Ns * cost.set_protection);
+    // A received invalidation, apart from the copy drops of a write serve
+    // and of a release flush: its trace record carries aux 1.
+    let (mp, event) = (m.minipage.0, m.event);
+    probe.on(tl.now(), Fact::InvRecv { mp, event });
+    // Under HLRC, hold the release-state lock from the dirty-set removal
+    // until the eviction diff is on the wire. Released earlier, the
+    // owner's in-progress release flush could observe the emptied dirty
+    // set, skip flushing, and enqueue its barrier-enter *ahead* of the
+    // eviction diff on the host→home FIFO — the home would then count the
+    // release (and serve post-barrier reads) with this copy's final writes
+    // still in flight.
+    let mut rc = hlrc.then(|| state.rc.lock());
+    if let Some(d) = rc.as_mut().and_then(|rc| rc.dirty.remove(&mp)) {
+        let data = state
+            .space
+            .snapshot_and_protect(d.info.base, d.info.len, Prot::NoAccess)
+            .map_err(|_| bad_priv(state.host, m.priv_base, "eviction snapshot"))?;
+        let diff = d.twin.diff(&data);
+        tl.charge(cost.diff_time(d.info.len));
+        tl.charge(cost.set_protection);
+        if !diff.is_empty() {
+            let mut out = Pmsg::new(MsgKind::RcDiff, ep.me(), 0).with_addr(d.info.base);
+            out.minipage = d.info.id;
+            out.base = d.info.base;
+            out.len = d.info.len;
+            out.priv_base = d.info.priv_base;
+            out.data = Bytes::from(diff.encode());
+            let payload = out.payload_bytes();
+            // Eviction diff: event 0, fire-and-forget (aux 0 marks it as
+            // not awaiting an RcDiffAck).
+            probe.trace(tl.now(), TraceKind::RcDiffSend, |e| {
+                e.with_mp(d.info.id.0).with_bytes(payload).with_aux(0)
+            });
+            let to = home.home(d.info.id);
+            ep.send(to, out, payload, tl.now(), "eviction diff")?;
         }
+        drop(rc);
     } else {
-        invalidate_local(&m, &state.space, state.host, cost, tl, rec)?;
+        drop(rc);
+        let n = protect_range(&state.space, state.host, m.base, m.len, Prot::NoAccess)?;
+        tl.charge(n as Ns * cost.set_protection);
     }
-    state.counters.invalidations_received.bump();
-    state.diag.inv_recv(m.minipage.0, state.host.0);
     if !hlrc || home.kind() != HomePolicyKind::Centralized {
         // The reply goes to the shard homing the minipage — the one that
         // sent the invalidation. Under HLRC with distributed homes it is
@@ -552,7 +508,7 @@ fn handle_data_reply<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport
     state: &HostState<M, W>,
     tl: &mut C,
     ep: &T,
-    rec: &mut TraceRecorder,
+    probe: &mut Probe,
 ) -> Result<(), ProtocolError> {
     // A self-addressed reply (this host served its own request — it homes
     // the minipage) carries bytes read from the very page it would install
@@ -565,7 +521,7 @@ fn handle_data_reply<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport
     // schedule-exploration harness can prove it would catch it.
     let skip_write = wire_from == state.host && !state.bug_stale_reinstall;
     let (mem, cost) = (&state.space, &state.cost);
-    let range = install_reply(&m, mem, state.host, cost, tl, rec, skip_write)?;
+    let range = install_reply(&m, mem, state.host, cost, tl, probe, skip_write)?;
     // Cache the manager's translation: the host-side minipage boundary
     // knowledge that the release-consistency write path relies on.
     state.rc.lock().learn(
@@ -620,16 +576,4 @@ fn fulfill_simple<M, W: LocalWake, C: ProtoClock>(
 ) -> Result<(), ProtocolError> {
     tl.charge(state.cost.event_signal);
     state.wake(&m, "completion", Ok(tl.now()))
-}
-
-/// Installs a pushed read copy (§4.3).
-fn handle_push_data<M: MemoryBackend, W, C: ProtoClock>(
-    m: Pmsg,
-    state: &HostState<M, W>,
-    tl: &mut C,
-    rec: &mut TraceRecorder,
-) -> Result<(), ProtocolError> {
-    install_push(&m, &state.space, state.host, &state.cost, tl, rec)?;
-    state.counters.pushes_received.bump();
-    Ok(())
 }

@@ -405,7 +405,6 @@ pub(crate) fn check_directories(shards: &[ManagerShard], consistency: Consistenc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::DiagSink;
     use crate::home::HomePolicyKind;
     use crate::host::Waiters;
     use multiview::MinipageId;
@@ -427,7 +426,7 @@ mod tests {
                     CostModel::default(),
                     Consistency::HomeEagerRc,
                     Arc::clone(&home),
-                    DiagSink::default(),
+                    None,
                 ))
             })
             .collect();
