@@ -403,8 +403,7 @@ fn adapt_host(quick: bool, gate: &mut Gate) {
         "Adapt (host backend) — home migration on real memory, action parity vs sim ({hosts} hosts)"
     ));
     let migrate_only = AdaptConfig {
-        allow_split: false,
-        allow_merge: false,
+        regranulate: false,
         ..AdaptConfig::enabled()
     };
     let host_cfg = millipage::HostRunConfig {

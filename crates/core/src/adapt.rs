@@ -26,7 +26,7 @@
 //!
 //! Anti-oscillation: a merge result is never split again, a minipage is
 //! migrated at most once, and the total number of planned actions is
-//! capped by [`AdaptConfig::max_actions`].
+//! capped by [`MAX_ACTIONS`].
 
 use crate::diag::{DiagReport, MinipageDiag};
 use multiview::{Minipage, MinipageId};
@@ -34,7 +34,11 @@ use sim_core::json::{ToJson, Writer};
 use sim_core::HostId;
 use std::collections::{HashMap, HashSet};
 
-/// Configuration of the online adaptation engine.
+/// Upper bound on the actions one run plans.
+pub const MAX_ACTIONS: usize = 16;
+
+/// Configuration of the online adaptation engine. Home migration is on
+/// whenever the engine is (both backends, both consistencies).
 #[derive(Clone, Debug)]
 pub struct AdaptConfig {
     /// Master switch. Disabled by default: the protocol is byte-for-byte
@@ -43,14 +47,9 @@ pub struct AdaptConfig {
     /// First barrier (1-based) at which the planner runs; earlier
     /// barriers only accumulate statistics.
     pub start_barrier: u64,
-    /// Allow splitting falsely shared minipages (sim backend, SW/MR).
-    pub allow_split: bool,
-    /// Allow merging ping-ponging adjacent minipages (sim backend, SW/MR).
-    pub allow_merge: bool,
-    /// Allow home migration (both backends, both consistencies).
-    pub allow_migrate: bool,
-    /// Upper bound on planned actions over the whole run.
-    pub max_actions: usize,
+    /// Allow the granularity rewrites: splitting falsely shared minipages
+    /// and merging ping-ponging adjacent ones (sim backend, SW/MR).
+    pub regranulate: bool,
 }
 
 impl Default for AdaptConfig {
@@ -58,10 +57,7 @@ impl Default for AdaptConfig {
         Self {
             enabled: false,
             start_barrier: 2,
-            allow_split: true,
-            allow_merge: true,
-            allow_migrate: true,
-            max_actions: 16,
+            regranulate: true,
         }
     }
 }
@@ -271,7 +267,7 @@ pub(crate) struct AdaptEngine {
     cfg: AdaptConfig,
     /// Barriers completed at this shard (1-based after `note_barrier`).
     barriers: u64,
-    /// Actions planned so far (counts against `max_actions`).
+    /// Actions planned so far (counts against [`MAX_ACTIONS`]).
     planned: usize,
     /// Minipages never to split again (merge results, past split
     /// parents) — the anti-oscillation set.
@@ -305,7 +301,7 @@ impl AdaptEngine {
 
     /// Whether the planner should run at this barrier.
     pub(crate) fn should_act(&self, barrier: u64) -> bool {
-        self.cfg.enabled && barrier >= self.cfg.start_barrier && self.planned < self.cfg.max_actions
+        self.cfg.enabled && barrier >= self.cfg.start_barrier && self.planned < MAX_ACTIONS
     }
 
     /// A fresh rendezvous event id for a remote apply.
@@ -362,7 +358,7 @@ impl AdaptEngine {
     /// Plans actions from a diagnostics snapshot. Pure with respect to
     /// protocol state: the caller applies (or ships) what it gets back.
     /// Consumes planning budget; each returned action counts against
-    /// `max_actions` whether or not it later applies.
+    /// [`MAX_ACTIONS`] whether or not it later applies.
     pub(crate) fn plan(
         &mut self,
         report: &DiagReport,
@@ -373,12 +369,12 @@ impl AdaptEngine {
         let diag_of = |mp: u32| report.minipages.iter().find(|d| d.mp == mp);
         let mut taken: HashSet<u32> = HashSet::new();
         let mut out = Vec::new();
-        let mut budget = self.cfg.max_actions.saturating_sub(self.planned);
+        let mut budget = MAX_ACTIONS.saturating_sub(self.planned);
 
         // Splits: a false-sharing finding whose writers have pairwise
         // disjoint write hulls becomes one child per writer, cut at each
         // later writer's hull start.
-        if self.cfg.allow_split {
+        if self.cfg.regranulate {
             for f in &report.false_sharing {
                 if budget == 0 {
                     break;
@@ -416,7 +412,7 @@ impl AdaptEngine {
 
         // Merges: chains of physically adjacent ping-ponging minipages
         // with the same home and the same writer set collapse into one.
-        if self.cfg.allow_merge {
+        if self.cfg.regranulate {
             let mut cands: Vec<&Minipage> = report
                 .ping_pong
                 .iter()
@@ -454,36 +450,34 @@ impl AdaptEngine {
 
         // Migrations: every minipage homed at a hot host whose writes
         // come (in the majority) from one other host moves there.
-        if self.cfg.allow_migrate {
-            for f in &report.hot_home {
-                let hot = f.host;
-                for d in &report.minipages {
-                    if budget == 0 {
-                        break;
-                    }
-                    if d.home != hot
-                        || taken.contains(&d.mp)
-                        || self.migrated.contains(&d.mp)
-                        || !by_id.contains_key(&d.mp)
-                    {
-                        continue;
-                    }
-                    let total: u64 = d.per_host.iter().map(|l| l.write_faults).sum();
-                    let Some(top) = d.per_host.iter().max_by_key(|l| l.write_faults) else {
-                        continue;
-                    };
-                    // A strict majority writer, and not already the home.
-                    if top.write_faults == 0 || top.host == hot || top.write_faults * 2 < total {
-                        continue;
-                    }
-                    taken.insert(d.mp);
-                    self.migrated.insert(d.mp);
-                    budget -= 1;
-                    out.push(AdaptAction::Migrate {
-                        mp: MinipageId(d.mp),
-                        to: HostId(top.host),
-                    });
+        for f in &report.hot_home {
+            let hot = f.host;
+            for d in &report.minipages {
+                if budget == 0 {
+                    break;
                 }
+                if d.home != hot
+                    || taken.contains(&d.mp)
+                    || self.migrated.contains(&d.mp)
+                    || !by_id.contains_key(&d.mp)
+                {
+                    continue;
+                }
+                let total: u64 = d.per_host.iter().map(|l| l.write_faults).sum();
+                let Some(top) = d.per_host.iter().max_by_key(|l| l.write_faults) else {
+                    continue;
+                };
+                // A strict majority writer, and not already the home.
+                if top.write_faults == 0 || top.host == hot || top.write_faults * 2 < total {
+                    continue;
+                }
+                taken.insert(d.mp);
+                self.migrated.insert(d.mp);
+                budget -= 1;
+                out.push(AdaptAction::Migrate {
+                    mp: MinipageId(d.mp),
+                    to: HostId(top.host),
+                });
             }
         }
 
@@ -678,7 +672,8 @@ mod tests {
     #[test]
     fn planning_budget_caps_total_actions() {
         let mut report = empty_report();
-        for mp in 0..4u32 {
+        let n = MAX_ACTIONS as u32 + 1;
+        for mp in 0..n {
             report.minipages.push(mp_diag(
                 mp,
                 32,
@@ -687,12 +682,9 @@ mod tests {
             ));
         }
         report.hot_home = vec![finding("hot-home", 0, 0)];
-        let active: Vec<Minipage> = (0..4).map(|k| desc(k, k as usize, 0, 32)).collect();
-        let mut eng = AdaptEngine::new(AdaptConfig {
-            max_actions: 3,
-            ..AdaptConfig::enabled()
-        });
-        assert_eq!(eng.plan(&report, &active, 4096).len(), 3);
+        let active: Vec<Minipage> = (0..n).map(|k| desc(k, 0, 32 * k as usize, 32)).collect();
+        let mut eng = AdaptEngine::new(AdaptConfig::enabled());
+        assert_eq!(eng.plan(&report, &active, 4096).len(), MAX_ACTIONS);
         assert!(!eng.should_act(5));
     }
 

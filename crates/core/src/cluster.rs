@@ -25,7 +25,7 @@
 
 use crate::adapt::AdaptReport;
 use crate::backend::{ClusterMemory, MemoryBackend};
-use crate::diag::{build_report, DiagReport, DiagTable, LinkStat};
+use crate::diag::{build_report, DiagReport, DiagTable};
 use crate::error::ProtocolError;
 use crate::hlrc::Consistency;
 use crate::home::{HomePolicyKind, HomeTable, MANAGER};
@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 use sim_core::clock::Clock;
 use sim_core::sched::{SchedMode, Scheduler, ThreadKey, Turn};
 use sim_core::trace::{Tracer, Track};
-use sim_core::{CostModel, HostId, LogHistogram, SplitMix64, TimeBreakdown};
+use sim_core::{CostModel, HostId, LinkTraffic, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
 use sim_net::{FaultPlane, Network, ServerTimeline};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -349,12 +349,8 @@ where
     /// consistency, every copy equal to its home's; every directory window
     /// closed and queue drained; after any adaptation, a sound MPT
     /// geometry. Also merges the adaptation actions and builds the sharing
-    /// report, with `links` giving the per-link traffic.
-    pub(crate) fn check(
-        &self,
-        shards: &[ManagerShard],
-        links: impl FnOnce(&DiagTable) -> Vec<LinkStat>,
-    ) -> Verdict {
+    /// report, with the per-link traffic the run's transport counted.
+    pub(crate) fn check(&self, shards: &[ManagerShard], links: &LinkTraffic) -> Verdict {
         let (geo, home) = (&self.geo, &self.home);
         let minipages = home.mpt().snapshot();
         let mut violations = match self.consistency {
@@ -378,11 +374,29 @@ where
         let diag = self
             .diag
             .as_ref()
-            .map(|t| build_report(t, &minipages, geo, home, links(t)));
+            .map(|t| build_report(t, &minipages, geo, home, links.links()));
         Verdict {
             violations,
             adapt,
             diag,
+        }
+    }
+}
+
+/// The failure policy of both backends, applied once every application
+/// thread has joined and the servers are shut down: of the panics the
+/// application threads were caught with, the first whose payload is not a
+/// [`ProtocolError`] — an application bug — resumes unwinding; otherwise
+/// each typed error (a thread nacked or cancelled after a sibling failed,
+/// or ruled deadlocked) is appended to the run's `errors`.
+pub(crate) fn settle_app_failures(
+    failures: impl IntoIterator<Item = Box<dyn std::any::Any + Send>>,
+    errors: &mut Vec<String>,
+) {
+    for payload in failures {
+        match payload.downcast::<ProtocolError>() {
+            Ok(e) => errors.push(e.to_string()),
+            Err(bug) => std::panic::resume_unwind(bug),
         }
     }
 }
@@ -603,19 +617,7 @@ where
             o.shard
         })
         .collect();
-    // Split the failures: typed protocol errors are reported on the run,
-    // anything else is a genuine application bug and resumes unwinding now
-    // that every server has shut down cleanly.
-    let mut hard_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for payload in app_failures {
-        match payload.downcast::<ProtocolError>() {
-            Ok(e) => protocol_errors.push(e.to_string()),
-            Err(other) => hard_panic = Some(other),
-        }
-    }
-    if let Some(p) = hard_panic {
-        std::panic::resume_unwind(p);
-    }
+    settle_app_failures(app_failures, &mut protocol_errors);
 
     let mut per_host = host_reports;
     let mut fault_latency = LogHistogram::new();
@@ -660,17 +662,7 @@ where
             delay: net.fault_delay(),
         }
     });
-    let verdict = stack.check(&shards, |_| {
-        net.link_traffic()
-            .into_iter()
-            .map(|(from, to, messages, bytes)| LinkStat {
-                from,
-                to,
-                messages,
-                bytes,
-            })
-            .collect()
-    });
+    let verdict = stack.check(&shards, net.link_traffic());
     let mut report = RunReport {
         hosts: cfg.hosts,
         virtual_time: per_host.iter().map(|r| r.end_vt).max().unwrap_or(0),

@@ -54,6 +54,7 @@ use crate::home::HomeTable;
 use multiview::Minipage;
 use sim_core::json::{ToJson, Writer};
 use sim_core::trace::NO_MP;
+pub use sim_core::LinkStat;
 use sim_mem::Geometry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -139,9 +140,6 @@ pub struct DiagTable {
     slots: usize,
     /// `slots × (hosts · HOST_LANES + SLOT_LANES)` cells.
     cells: Vec<AtomicU64>,
-    /// `hosts × hosts × 2` wire counters (messages, bytes), indexed
-    /// `(from · hosts + to) · 2`.
-    links: Vec<AtomicU64>,
     /// Events on minipages beyond the table capacity.
     overflow: AtomicU64,
 }
@@ -159,7 +157,6 @@ impl DiagTable {
             hosts,
             slots,
             cells,
-            links: (0..hosts * hosts * 2).map(|_| AtomicU64::new(0)).collect(),
             overflow: AtomicU64::new(0),
         })
     }
@@ -335,41 +332,6 @@ impl DiagTable {
         }
     }
 
-    /// Records one wire message of `bytes` payload on the `from → to`
-    /// link (used by the host backend's transport; the simulator reads
-    /// its fabric's per-link counters instead).
-    #[inline]
-    pub fn wire_send(&self, from: u16, to: u16, bytes: u64) {
-        let (f, t) = (from as usize, to as usize);
-        if f >= self.hosts || t >= self.hosts {
-            return;
-        }
-        let i = (f * self.hosts + t) * 2;
-        self.links[i].fetch_add(1, Relaxed);
-        self.links[i + 1].fetch_add(bytes, Relaxed);
-    }
-
-    /// The per-link wire traffic recorded through [`wire_send`](Self::wire_send), links
-    /// with no traffic omitted.
-    pub fn link_stats(&self) -> Vec<LinkStat> {
-        let mut out = Vec::new();
-        for from in 0..self.hosts {
-            for to in 0..self.hosts {
-                let i = (from * self.hosts + to) * 2;
-                let (m, b) = (self.links[i].load(Relaxed), self.links[i + 1].load(Relaxed));
-                if m > 0 {
-                    out.push(LinkStat {
-                        from: from as u16,
-                        to: to as u16,
-                        messages: m,
-                        bytes: b,
-                    });
-                }
-            }
-        }
-        out
-    }
-
     fn host_lane(&self, mp: u32, host: usize, lane: usize) -> u64 {
         self.cells[mp as usize * self.stride() + host * HOST_LANES + lane].load(Relaxed)
     }
@@ -388,14 +350,12 @@ impl DiagTable {
         self.cells[mp as usize * self.stride() + self.hosts * HOST_LANES + lane].load(Relaxed)
     }
 
-    /// Every cell, link counter and the overflow count, in layout order:
-    /// two tables recorded the same iff their snapshots are equal.
+    /// Every cell and the overflow count, in layout order: two tables
+    /// recorded the same iff their snapshots are equal.
     #[cfg(test)]
     pub(crate) fn snapshot(&self) -> Vec<u64> {
-        let all = self.cells.iter().chain(&self.links);
-        all.chain([&self.overflow])
-            .map(|c| c.load(Relaxed))
-            .collect()
+        let all = self.cells.iter().chain([&self.overflow]);
+        all.map(|c| c.load(Relaxed)).collect()
     }
 }
 
@@ -493,19 +453,6 @@ pub struct Finding {
     pub score: u64,
     /// Human-readable evidence: hosts, rates, byte ranges.
     pub evidence: String,
-}
-
-/// Per-link wire traffic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LinkStat {
-    /// Sending host.
-    pub from: u16,
-    /// Receiving host.
-    pub to: u16,
-    /// Messages sent on the link.
-    pub messages: u64,
-    /// Payload bytes sent on the link.
-    pub bytes: u64,
 }
 
 /// The merged diagnostics of one run: per-minipage statistics, ranked

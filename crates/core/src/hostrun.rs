@@ -51,8 +51,8 @@
 //! comparable with the simulator's fault counts.
 
 use crate::backend::{LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
-use crate::cluster::{assert_hosts, ClusterConfig, SetupCtx, Stack};
-use crate::diag::{DiagReport, DiagTable};
+use crate::cluster::{assert_hosts, settle_app_failures, ClusterConfig, SetupCtx, Stack};
+use crate::diag::DiagReport;
 use crate::dsm::Dsm;
 use crate::error::ProtocolError;
 use crate::home::MANAGER;
@@ -64,7 +64,7 @@ use crate::server;
 use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
 use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
 use sim_core::trace::{Tracer, Track, NO_MP};
-use sim_core::{Geometry, HostId, Ns, VAddr, DEFAULT_BASE};
+use sim_core::{Geometry, HostId, LinkTraffic, Ns, VAddr, DEFAULT_BASE};
 use sim_mem::Prot;
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
@@ -113,6 +113,10 @@ const ASLEEP_ACK_AWAITED: u32 = 2;
 /// the server sleeps loud whenever one is; otherwise the `Ack` waits in
 /// the ring and is popped, in order, ahead of whatever push wakes the
 /// server next.
+///
+/// Beside the ring sits the wire's per-link traffic table: each sender
+/// counts its message on its link (a server's self-sends, which skip the
+/// ring, included; the run's closing `Shutdown` is no traffic).
 struct Inbox {
     slots: Box<[InboxSlot]>,
     /// Next position a push claims.
@@ -120,6 +124,7 @@ struct Inbox {
     /// Next position a pop claims.
     head: AtomicUsize,
     doorbell: AtomicU32,
+    links: LinkTraffic,
 }
 
 /// One ring slot. At position `pos` (`pos % INBOX_SLOTS` is its index)
@@ -139,7 +144,8 @@ struct InboxSlot {
 unsafe impl Sync for Inbox {}
 
 impl Inbox {
-    fn new() -> Self {
+    /// An empty ring for a run of `hosts` hosts.
+    fn new(hosts: usize) -> Self {
         let slots = (0..INBOX_SLOTS)
             .map(|pos| InboxSlot {
                 seq: AtomicUsize::new(pos),
@@ -151,6 +157,7 @@ impl Inbox {
             tail: AtomicUsize::new(0),
             head: AtomicUsize::new(0),
             doorbell: AtomicU32::new(AWAKE),
+            links: LinkTraffic::new(hosts),
         }
     }
 
@@ -285,20 +292,17 @@ fn backend_err(host: HostId, what: &'static str) -> ProtocolError {
 struct RingTransport<'a> {
     me: HostId,
     inbox: &'a Inbox,
-    /// Where the per-link wire traffic goes (diagnostics only).
-    probe: RefCell<Probe>,
     /// What this server sent itself, served before the loop's next pop
     /// (self→self is its own link, so per-link FIFO holds).
     to_self: RefCell<VecDeque<Envelope>>,
 }
 
 impl<'a> RingTransport<'a> {
-    /// The transport of `state`'s server into `inbox`.
-    fn new(state: &HostState<HostMemory, CompletionTx>, inbox: &'a Inbox) -> Self {
+    /// The transport of host `me`'s server into `inbox`.
+    fn new(me: HostId, inbox: &'a Inbox) -> Self {
         Self {
-            me: state.host,
+            me,
             inbox,
-            probe: RefCell::new(state.probe(&Tracer::disabled(), Track::Server)),
             to_self: RefCell::default(),
         }
     }
@@ -317,10 +321,7 @@ impl Transport for RingTransport<'_> {
         now: Ns,
         what: &'static str,
     ) -> Result<Ns, ProtocolError> {
-        let bytes = msg.data.len() as u64;
-        self.probe
-            .borrow_mut()
-            .on(now, Fact::WireSend { to, bytes });
+        self.inbox.links.record(self.me, to, msg.data.len() as u64);
         let wire_from = self.me;
         let env = Envelope { to, wire_from, msg };
         if to == self.me {
@@ -564,13 +565,6 @@ impl ThreadRt {
     fn done(&self) -> &Completion {
         &self.state.waiters.0
     }
-
-    /// A probe for this thread. It traces nothing, so a fact is relaxed
-    /// atomics on pre-allocated cells: the resolver may build one and
-    /// record through it in signal context.
-    fn probe(&self) -> Probe {
-        self.state.probe(&Tracer::disabled(), Track::App(0))
-    }
 }
 
 /// One run's runtime, shared by its server thread, application threads and
@@ -598,14 +592,14 @@ thread_local! {
 
 impl HostRt {
     /// Sends header-only `msg` to `to`'s server. Async-signal-safe.
-    fn send(&self, probe: &mut Probe, to: HostId, wire_from: HostId, msg: Pmsg) {
-        probe.on(0, Fact::WireSend { to, bytes: 0 });
+    fn send(&self, to: HostId, wire_from: HostId, msg: Pmsg) {
+        self.inbox.links.record(wire_from, to, 0);
         self.inbox.push(Envelope { to, wire_from, msg });
     }
 
     /// Flushes the thread's pending window-closing `Ack`, if any: a quiet
     /// push (see [`Inbox`]). Async-signal-safe.
-    fn flush_ack(&self, th: &ThreadRt, probe: &mut Probe) {
+    fn flush_ack(&self, th: &ThreadRt) {
         // Nothing owed is the common case: a plain load, not a locked swap
         // (only this thread stores to the word, so it reads its own store).
         if th.pending_ack.load(Ordering::Relaxed) == 0 {
@@ -619,7 +613,7 @@ impl HostRt {
         // manager can translate it back to the minipage. Centralized homes:
         // every window lives at the manager.
         let ack = Pmsg::new(MsgKind::Ack, th.state.host, 0).with_addr(VAddr(addr));
-        self.send(probe, MANAGER, th.state.host, ack);
+        self.send(MANAGER, th.state.host, ack);
     }
 }
 
@@ -639,8 +633,7 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
         return false; // A fault off the application threads is a crash.
     }
     let th = &rt.threads[slot];
-    let mut probe = th.probe();
-    rt.flush_ack(th, &mut probe);
+    rt.flush_ack(th);
     let addr = rt.geo.addr_of(fault.view, fault.page, fault.offset);
     let kind = if fault.write {
         MsgKind::WriteRequest
@@ -653,10 +646,13 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
     let vpage = rt.geo.vpage_index(fault.view, fault.page);
     let (mp, base) = rt.mp_map.get(vpage).copied().unwrap_or((NO_MP, 0));
     let (write, off) = (fault.write, addr.0.saturating_sub(base));
+    // A probe that traces nothing records with relaxed atomics on
+    // pre-allocated cells: legal here.
+    let mut probe = th.state.probe(&Tracer::disabled(), Track::App(0));
     probe.on(0, Fact::FaultBegin { mp, write, off });
     let req = Pmsg::new(kind, th.state.host, EVENT).with_addr(addr);
     th.done().arm();
-    rt.send(&mut probe, MANAGER, th.state.host, req);
+    rt.send(MANAGER, th.state.host, req);
     // Sleep until the server thread posts the install. The completion
     // carries no data — the bytes went straight into the region through
     // the privileged view (the zero-copy receive path).
@@ -681,15 +677,15 @@ struct HostServer<'a> {
 }
 
 impl<'a> HostServer<'a> {
-    /// The server of `state`'s host, sending into `inbox`. Its probes
-    /// trace nothing: the host backend has no tracer.
+    /// The server of `state`'s host, sending into `inbox`. Its probe
+    /// traces nothing: the host backend has no tracer.
     fn new(
         state: &'a HostState<HostMemory, CompletionTx>,
         shard: ManagerShard,
         inbox: &'a Inbox,
     ) -> Self {
         Self {
-            ep: RingTransport::new(state, inbox),
+            ep: RingTransport::new(state.host, inbox),
             probe: state.probe(&Tracer::disabled(), Track::Server),
             state,
             shard,
@@ -750,7 +746,6 @@ fn host_server_loop(
 pub struct HostDsmCtx {
     rt: Arc<HostRt>,
     slot: usize,
-    probe: Probe,
     region: Arc<MultiViewRegion>,
     /// Virtual compute charged by the portable kernels (tallied for
     /// reporting; wall time passes by itself here).
@@ -797,8 +792,7 @@ impl Dsm for HostDsmCtx {
             self.for_each_span(addr, len, |view, page, offset, span| {
                 self.region.read_span(view, page, offset, &mut bytes[span]);
             });
-            self.rt
-                .flush_ack(&self.rt.threads[self.slot], &mut self.probe);
+            self.rt.flush_ack(&self.rt.threads[self.slot]);
         });
     }
 
@@ -811,21 +805,24 @@ impl Dsm for HostDsmCtx {
         self.for_each_span(addr, len, |view, page, offset, span| {
             self.region.write_span(view, page, offset, &bytes[span]);
         });
-        self.rt
-            .flush_ack(&self.rt.threads[self.slot], &mut self.probe);
+        self.rt.flush_ack(&self.rt.threads[self.slot]);
     }
 
     fn barrier(&mut self) {
-        let (rt, probe) = (&self.rt, &mut self.probe);
+        let rt = &self.rt;
         let th = &rt.threads[self.slot];
-        rt.flush_ack(th, probe);
-        let msg = Pmsg::new(MsgKind::BarrierEnter, th.state.host, EVENT);
+        rt.flush_ack(th);
+        let host = th.state.host;
         th.done().arm();
-        rt.send(probe, MANAGER, th.state.host, msg);
-        // Anything but the release is a protocol breach.
+        rt.send(MANAGER, host, Pmsg::new(MsgKind::BarrierEnter, host, EVENT));
+        // A `Nack` — a failed handler, or a sibling thread that failed —
+        // unwinds typed, into the run's errors; anything else but the
+        // release is a protocol breach.
         match th.done().wait() {
             Some(MsgKind::BarrierRelease) => {}
-            Some(MsgKind::Nack) => panic!("h{}: request nacked", th.state.host.index()),
+            Some(MsgKind::Nack) => {
+                std::panic::panic_any(ProtocolError::Nacked { host, event: EVENT })
+            }
             k => panic!("unexpected completion {k:?}"),
         }
     }
@@ -889,7 +886,8 @@ pub struct HostRunReport {
     pub wall: std::time::Duration,
     /// Virtual compute tallied by host 0's kernels (comparison aid).
     pub compute_ns: Ns,
-    /// Server-side protocol/backend errors, then the post-run coherence,
+    /// Server-side protocol/backend errors, then the typed errors the
+    /// application threads unwound with, then the post-run coherence,
     /// directory and geometry violations; non-empty: not trustworthy.
     pub errors: Vec<String>,
     /// Sharing diagnostics; `None` unless [`HostRunConfig::diag`] was set.
@@ -934,17 +932,28 @@ impl Drop for Teardown {
 /// application thread sleeps on a futex word the server posts its
 /// completion to.
 ///
+/// The failure policy is [`crate::run`]'s: an application thread's panic
+/// is caught and posts a `Nack` to every host's completion word, where it
+/// sticks, so a sibling waiting on a barrier — now or at its next one —
+/// unwinds with [`ProtocolError::Nacked`] instead of sleeping for good.
+/// Once every application thread has joined, the server is shut down;
+/// then the first panic whose payload is not a [`ProtocolError`] is
+/// re-raised, and typed ones are reported in [`HostRunReport::errors`]. A
+/// thread nacked while it waits inside the SIGSEGV resolver cannot unwind
+/// from there: the resolver declines the fault, and the process dies of
+/// it.
+///
 /// # Errors
 ///
 /// Setup failures (region mapping, handler registration) are
 /// returned; protocol errors during the run surface in
-/// [`HostRunReport::errors`]. An application panic propagates.
+/// [`HostRunReport::errors`].
 ///
 /// # Panics
 ///
 /// Panics, before mapping anything, if `cfg.hosts` is outside
-/// `1..=HostId::MAX_HOSTS` (copysets are `u64` bitmasks), and if an
-/// application thread panics.
+/// `1..=HostId::MAX_HOSTS` (copysets are `u64` bitmasks), and with the
+/// first application panic that is not a [`ProtocolError`].
 pub fn run_host<T, F>(
     cfg: HostRunConfig,
     setup: impl FnOnce(&mut SetupCtx) -> T,
@@ -974,8 +983,7 @@ where
         adapt: crate::adapt::AdaptConfig {
             // Raw application pointers: granularity rewrites are sim-only.
             // Migration is safe — addresses are stable.
-            allow_split: false,
-            allow_merge: false,
+            regranulate: false,
             ..cfg.adapt
         },
         ..ClusterConfig::default()
@@ -1008,7 +1016,7 @@ where
         registrations: Vec::with_capacity(cfg.hosts),
         rt: Arc::new(HostRt {
             geo: geo.clone(),
-            inbox: Inbox::new(),
+            inbox: Inbox::new(cfg.hosts),
             threads: states
                 .iter()
                 .map(|state| ThreadRt {
@@ -1054,40 +1062,42 @@ where
                     .spawn_scoped(scope, move || {
                         SLOT.with(|s| s.set(h));
                         let mut ctx = HostDsmCtx {
-                            probe: rt.threads[h].probe(),
                             rt,
                             slot: h,
                             region,
                             compute_ns: 0,
                         };
-                        app_ref(&mut ctx, shared_ref);
-                        ctx.compute_ns
+                        let app = std::panic::AssertUnwindSafe(|| app_ref(&mut ctx, shared_ref));
+                        let failure = std::panic::catch_unwind(app).err();
+                        // A failed thread nacks every host's completion
+                        // word, and the `Nack` sticks: a sibling waiting
+                        // on its barrier, or waiting next, unwinds instead
+                        // of sleeping for good.
+                        if failure.is_some() {
+                            ctx.rt
+                                .threads
+                                .iter()
+                                .for_each(|th| th.done().post(MsgKind::Nack));
+                        }
+                        (ctx.compute_ns, failure)
                     })
                     .expect("spawn app thread"),
             );
         }
-        let mut app_panic = None;
-        let compute: Vec<Ns> = apps
+        let (compute, failures): (Vec<Ns>, Vec<_>) = apps
             .into_iter()
-            .map(|a| {
-                a.join().unwrap_or_else(|p| {
-                    app_panic = Some(p);
-                    0
-                })
-            })
-            .collect();
+            .map(|a| a.join().expect("application thread panicked"))
+            .unzip();
         let wall = start.elapsed();
         let (to, wire_from) = (MANAGER, MANAGER);
         let msg = Pmsg::new(MsgKind::Shutdown, MANAGER, 0);
         inbox.push(Envelope { to, wire_from, msg });
-        let (errors, shards) = server.join().expect("server thread panicked");
-        if let Some(p) = app_panic {
-            std::panic::resume_unwind(p);
-        }
+        let (mut errors, shards) = server.join().expect("server thread panicked");
+        settle_app_failures(failures.into_iter().flatten(), &mut errors);
         (errors, shards, wall, compute[0])
     });
 
-    let verdict = stack.check(&shards, DiagTable::link_stats);
+    let verdict = stack.check(&shards, &run.rt.inbox.links);
     errors.extend(verdict.violations);
     Ok(HostRunReport {
         read_faults: run.registrations.iter().map(|c| c.read_faults()).collect(),
@@ -1144,7 +1154,7 @@ mod tests {
         };
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let reader = std::thread::spawn(move || {
-            let inbox = Inbox::new();
+            let inbox = Inbox::new(1);
             std::thread::scope(|scope| {
                 for p in 0..PRODUCERS {
                     let inbox = &inbox;
@@ -1181,7 +1191,7 @@ mod tests {
     #[test]
     fn no_wake_up_is_lost() {
         const ROUNDS: u64 = 100_000;
-        let (ping, pong) = (Arc::new(Inbox::new()), Arc::new(Inbox::new()));
+        let (ping, pong) = (Arc::new(Inbox::new(1)), Arc::new(Inbox::new(1)));
         let echo = {
             let (ping, pong) = (Arc::clone(&ping), Arc::clone(&pong));
             std::thread::spawn(move || (0..ROUNDS).for_each(|_| pong.push(ping.pop_wait(false))))
@@ -1206,7 +1216,7 @@ mod tests {
     #[test]
     fn a_dropped_ring_releases_what_it_holds() {
         let data = Bytes::from(vec![7u8; 4096]);
-        let inbox = Inbox::new();
+        let inbox = Inbox::new(1);
         for event in 0..3 {
             let mut env = envelope(1, event);
             env.msg.data = data.clone();
@@ -1334,7 +1344,7 @@ mod tests {
     /// and the ring holds nothing else.
     #[test]
     fn a_self_addressed_send_never_enters_the_ring() {
-        let inbox = Inbox::new();
+        let inbox = Inbox::new(1);
         let (state, shard, done) = lone_host();
         let me = state.host;
         inbox.push(shutdown(me));
@@ -1356,7 +1366,7 @@ mod tests {
     /// never an index past the run's hosts.
     #[test]
     fn an_envelope_for_no_host_is_one_error_line() {
-        let inbox = Inbox::new();
+        let inbox = Inbox::new(1);
         let (state, shard, _) = lone_host();
         let me = state.host;
         let msg = Pmsg::new(MsgKind::ReadRequest, me, 1).with_addr(VAddr(DEFAULT_BASE));
@@ -1384,7 +1394,7 @@ mod tests {
     /// cannot be pushed, and the completing entrant's word holds a `Nack`.
     #[test]
     fn a_full_inbox_fails_one_request() {
-        let inbox = Inbox::new();
+        let inbox = Inbox::new(1);
         let (state, shard, done) = lone_host();
         let me = state.host;
         while inbox.try_push(shutdown(me)).is_ok() {}
@@ -1460,7 +1470,7 @@ mod tests {
     /// its read queues behind the window until the `Ack`.
     #[test]
     fn a_quiet_ack_wakes_a_server_a_queued_request_waits_on() {
-        let inbox = Inbox::new();
+        let inbox = Inbox::new(1);
         let (state, mut shard, done) = lone_host();
         let addr = shard.do_alloc(8, state.host, 0);
         let posted = |kind: MsgKind| done.0.load(Ordering::Acquire) == kind as u32;
@@ -1484,7 +1494,7 @@ mod tests {
     /// `Shutdown` here — finds it served first.
     #[test]
     fn a_quiet_ack_waits_in_the_ring_for_the_next_loud_push() {
-        let inbox = Inbox::new();
+        let inbox = Inbox::new(1);
         let (state, mut shard, done) = lone_host();
         let addr = shard.do_alloc(8, state.host, 0);
         inbox.push(to_self(MsgKind::WriteRequest, addr));
@@ -1511,7 +1521,7 @@ mod tests {
     fn the_post_run_pass_reports_two_writers_and_an_open_window() {
         let (stack, mut shards) = stack(2, 1);
         let addr = shards[0].do_alloc(8, MANAGER, 0);
-        let inbox = Inbox::new();
+        let inbox = Inbox::new(2);
         let write = Pmsg::new(MsgKind::WriteRequest, HostId(1), 1).with_addr(addr);
         let mut errors = Vec::new();
         server::dispatch(
@@ -1520,7 +1530,7 @@ mod tests {
             &stack.states[0],
             &mut shards[0],
             &mut WallClock::starting_at(Instant::now()),
-            &RingTransport::new(&stack.states[0], &inbox),
+            &RingTransport::new(MANAGER, &inbox),
             &mut stack.states[0].probe(&Tracer::disabled(), Track::Server),
             &mut errors,
         );
@@ -1532,7 +1542,7 @@ mod tests {
             }
         }
 
-        let violations = stack.check(&shards, DiagTable::link_stats).violations;
+        let violations = stack.check(&shards, &inbox.links).violations;
         let writers = format!("{}: multiple writers {:?}", mp.id, [HostId(0), HostId(1)]);
         assert!(violations.contains(&writers), "{violations:?}");
         let window = format!("mp{} @ shard h0: service window still open", mp.id.0);

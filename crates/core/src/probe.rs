@@ -96,9 +96,6 @@ pub(crate) enum Fact<'a> {
     /// Adaptation moved `mp`'s home to `to` (`writable`: its fresh copy
     /// there starts writable).
     Migrate { mp: u32, to: HostId, writable: bool },
-    /// A message with `bytes` of data leaves for `to` (the host backend's
-    /// transport; the simulator's fabric counts its own links).
-    WireSend { to: HostId, bytes: u64 },
 }
 
 impl<M, W> HostState<M, W> {
@@ -243,7 +240,6 @@ impl Probe {
                     e.with_mp(mp).with_peer(to).with_aux(u32::from(writable))
                 });
             }
-            Fact::WireSend { to, bytes } => lane(&|t| t.wire_send(me, to.0, bytes)),
         }
     }
 }
@@ -255,7 +251,7 @@ mod tests {
     use crate::home::{HomePolicyKind, HomeTable};
     use crate::host::Waiters;
     use crate::msg::{MsgKind, Pmsg};
-    use sim_core::{CostModel, VAddr};
+    use sim_core::{CostModel, LinkTraffic, VAddr};
     use sim_mem::{AddressSpace, Geometry};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
@@ -391,7 +387,6 @@ mod tests {
             (Fact::Migrate { mp: 4, to: PEER, writable: true }, none(),
              |t| t.reset_slot(4),
              ev(TraceKind::AdaptMigrate).map(|e| e.with_mp(4).with_peer(PEER).with_aux(1))),
-            (Fact::WireSend { to: PEER, bytes: 64 }, none(), |t| t.wire_send(1, 0, 64), None),
         ];
         for (fact, want_counts, lanes, want_trace) in cases {
             let want_table = seeded();
@@ -407,9 +402,9 @@ mod tests {
     }
 
     /// What the host resolver does in signal context allocates nothing,
-    /// with diagnostics on: it builds its probe, records a fault and the
-    /// wire sends of its request and of the previous fault's `Ack`, and
-    /// builds, copies and drops those header-only messages. (The
+    /// with diagnostics on: it builds its probe, records a fault, counts
+    /// the link traffic of its request and of the previous fault's `Ack`,
+    /// and builds, copies and drops those header-only messages. (The
     /// interrupted thread may hold the allocator's lock.)
     #[test]
     fn signal_context_work_allocates_nothing() {
@@ -424,6 +419,7 @@ mod tests {
             Arc::new(home),
             Some(seeded()),
         );
+        let links = LinkTraffic::new(2);
         let allocs = || ALLOCS.with(Cell::get);
         let before = allocs();
         let mut probe = state.probe(&Tracer::disabled(), Track::App(0));
@@ -432,7 +428,7 @@ mod tests {
                 let (mp, write, off) = (3, kind == MsgKind::WriteRequest, 5);
                 probe.on(0, Fact::FaultBegin { mp, write, off });
             }
-            probe.on(0, Fact::WireSend { to: PEER, bytes: 0 });
+            links.record(ME, PEER, 0);
             let m = Pmsg::new(kind, ME, 1).with_addr(VAddr(0x4000));
             let copy = std::hint::black_box(m.clone());
             drop(std::hint::black_box(m));

@@ -38,7 +38,7 @@ use sim_core::sched::Turn;
 use sim_core::trace::TraceKind;
 use sim_core::{CostModel, HostId, LogHistogram, VAddr};
 use sim_mem::Prot;
-use sim_net::{Endpoint, Packet, RecvError, ServerTimeline};
+use sim_net::{Endpoint, Packet, ServerTimeline};
 use std::sync::Arc;
 
 /// What a server hands back when it has stopped.
@@ -98,8 +98,8 @@ impl Server {
     /// yield point — handlers themselves run atomically, as in the real
     /// system), or parked on an empty inbox.
     pub(crate) fn turn(&mut self) -> Turn {
-        match self.ep.try_recv() {
-            Ok(pkt) => match self.serve(pkt) {
+        match self.ep.recv() {
+            Some(pkt) => match self.serve(pkt) {
                 // The handler may have fulfilled or failed a waiter —
                 // always one of this host's, which is exactly what `Ran`
                 // wakes: this host's blocked application threads re-check
@@ -109,10 +109,9 @@ impl Server {
                 },
                 Served::Stop => Turn::Done,
             },
-            Err(RecvError::Empty) => Turn::Idle {
+            None => Turn::Idle {
                 vt: self.timeline.now(),
             },
-            Err(RecvError::Disconnected) => Turn::Done,
         }
     }
 
@@ -125,7 +124,7 @@ impl Server {
             // `Shutdown` (they travel on different links). Drain the inbox
             // so those stragglers still close their directory windows.
             if self.ep.network().fault_active() {
-                while let Ok(late) = self.ep.try_recv() {
+                while let Some(late) = self.ep.recv() {
                     if !matches!(late.msg.kind, MsgKind::Shutdown) {
                         self.serve(late);
                     }

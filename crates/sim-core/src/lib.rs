@@ -45,7 +45,7 @@ pub use sched::{
 };
 #[doc(hidden)]
 pub use sha256::sha256_hex;
-pub use stats::{Counter, LogHistogram};
+pub use stats::{Counter, LinkStat, LinkTraffic, LogHistogram};
 pub use trace::{ChromeTrace, TraceEvent, TraceKind, TraceLog, TraceRecorder, Tracer, Track};
 
 /// Identifier of a simulated host (0-based, dense).

@@ -50,8 +50,9 @@
 //! reaches it — before any runnable thread with a later (or equal) virtual
 //! time. The exploration policies perturb that order on purpose, so their
 //! deliveries are immediate. When nothing is runnable and nothing is
-//! parked the run is quiescent: fault-held packets are flushed, and only
-//! then is the run ruled idle or deadlocked.
+//! parked the run is quiescent: fault-held packets are flushed — under
+//! every policy, the only place they are — and only then is the run
+//! ruled idle or deadlocked.
 //!
 //! Design notes:
 //!
@@ -292,13 +293,16 @@ impl SchedMode {
     }
 }
 
-/// How gated cross-host deliveries are exposed to the scheduler. The
-/// network fabric implements this over its per-host mailboxes: a
-/// cross-host send is *parked* in the destination's mailbox keyed by its
-/// release time (arrival time floored by the per-link FIFO cumulative
-/// maximum), and the dispatch loop *releases* packets in `(release,
-/// source)` order exactly when the canonical virtual-time order reaches
-/// them. Every method runs under the scheduler lock and may take only leaf
+/// How the wire's pending deliveries are exposed to the scheduler. The
+/// network fabric implements this over its per-host mailboxes. Under the
+/// canonical policy a cross-host send is *parked* in the destination's
+/// mailbox keyed by its release time (arrival time floored by the
+/// per-link FIFO cumulative maximum), and the dispatch loop *releases*
+/// packets in `(release, source)` order exactly when the virtual-time
+/// order reaches them ([`min_pending`](Self::min_pending),
+/// [`release_next`](Self::release_next)); under every policy the quiet
+/// point flushes fault-held packets ([`flush_held`](Self::flush_held)).
+/// Every method runs under the scheduler lock and may take only leaf
 /// locks (lock order: scheduler → gate).
 pub trait DeliveryGate: Send + Sync {
     /// The earliest pending release as `(release virtual time,
@@ -314,8 +318,8 @@ pub trait DeliveryGate: Send + Sync {
 
     /// Delivers every fault-held (reorder-in-flight) packet, returning
     /// the destination host of each delivered packet. Called only when the
-    /// run is quiescent — the gated replacement for the receiver-driven
-    /// rescue poll.
+    /// run is quiescent, under every policy: the one rescue of a packet
+    /// whose link went quiet behind it.
     fn flush_held(&self) -> Vec<HostId>;
 }
 
@@ -679,8 +683,8 @@ impl Scheduler {
         self.inner.external.load(Ordering::Acquire)
     }
 
-    /// Installs the delivery gate (the fabric's gated-packet store).
-    /// One-shot; later calls are ignored.
+    /// Installs the delivery gate (the fabric's mailboxes and held
+    /// packets). One-shot; later calls are ignored.
     pub fn set_gate(&self, gate: Arc<dyn DeliveryGate>) {
         let _ = self.inner.gate.set(gate);
     }
@@ -1191,11 +1195,11 @@ fn drive<'a>(
 }
 
 /// Re-examines a run that went quiet: applies a pending wake of every
-/// host, then delivers the fault-held (reorder) packets — the
-/// receiver-driven rescue poll is off under gating — dispatching after
-/// each, and returns the first pick that comes of it. With nothing left,
-/// rules the run idle — or deadlocked, if an application thread is still
-/// blocked — and returns `None`.
+/// host, then delivers the fault-held (reorder) packets — their one
+/// rescue, under every policy — dispatching after each, and returns the
+/// first pick that comes of it. With nothing left, rules the run idle —
+/// or deadlocked, if an application thread is still blocked — and
+/// returns `None`.
 fn settle(inner: &Inner, ps: &mut State) -> Option<Verdict> {
     loop {
         if inner.poisoned.load(Ordering::Acquire) {
@@ -1208,10 +1212,7 @@ fn settle(inner: &Inner, ps: &mut State) -> Option<Verdict> {
         if !matches!(verdict, Verdict::Quiet) {
             return Some(verdict);
         }
-        let rescued = match inner.gate.get() {
-            Some(gate) if inner.gating => gate.flush_held(),
-            _ => Vec::new(),
-        };
+        let rescued = inner.gate.get().map(|g| g.flush_held()).unwrap_or_default();
         if rescued.is_empty() {
             break;
         }

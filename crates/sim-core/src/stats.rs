@@ -1,7 +1,8 @@
-//! Counters and the log-bucketed latency histogram used by the
-//! reproduction harnesses.
+//! Counters, the per-link traffic table and the log-bucketed latency
+//! histogram used by the reproduction harnesses.
 
 use crate::json::{ToJson, Writer};
+use crate::HostId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -38,6 +39,72 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.inner.load(Ordering::Relaxed)
     }
+}
+
+/// Per-link wire traffic: messages and payload bytes on every `(from, to)`
+/// link of a `hosts`-host wire. The wire's transport owns it — the
+/// simulator's fabric, the real-memory backend's inbox senders — and
+/// records each send with two relaxed adds on pre-allocated cells, so a
+/// signal handler may record too.
+#[derive(Debug)]
+pub struct LinkTraffic {
+    hosts: usize,
+    /// `hosts × hosts × 2` cells of (messages, bytes), indexed
+    /// `(from · hosts + to) · 2`.
+    cells: Box<[AtomicU64]>,
+}
+
+impl LinkTraffic {
+    /// A zeroed table for `hosts` hosts.
+    pub fn new(hosts: usize) -> Self {
+        Self {
+            hosts,
+            cells: (0..hosts * hosts * 2).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Counts one message of `bytes` payload on the `from → to` link. A
+    /// host outside the table is not counted rather than panicking: a
+    /// signal handler records too.
+    #[inline]
+    pub fn record(&self, from: HostId, to: HostId, bytes: u64) {
+        let (f, t) = (from.index(), to.index());
+        if f < self.hosts && t < self.hosts {
+            let i = (f * self.hosts + t) * 2;
+            self.cells[i].fetch_add(1, Ordering::Relaxed);
+            self.cells[i + 1].fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
+    /// Every link that carried traffic, in `(from, to)` order.
+    pub fn links(&self) -> Vec<LinkStat> {
+        let load = |i: usize| self.cells[i].load(Ordering::Relaxed);
+        let pairs = (0..self.hosts).flat_map(|f| (0..self.hosts).map(move |t| (f, t)));
+        pairs
+            .filter_map(|(from, to)| {
+                let i = (from * self.hosts + to) * 2;
+                (load(i) > 0).then(|| LinkStat {
+                    from: from as u16,
+                    to: to as u16,
+                    messages: load(i),
+                    bytes: load(i + 1),
+                })
+            })
+            .collect()
+    }
+}
+
+/// One link's traffic, as [`LinkTraffic::links`] reads it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LinkStat {
+    /// Sending host.
+    pub from: u16,
+    /// Receiving host.
+    pub to: u16,
+    /// Messages sent on the link.
+    pub messages: u64,
+    /// Payload bytes sent on the link.
+    pub bytes: u64,
 }
 
 /// A log-bucketed (power-of-two) histogram over `u64` samples.
@@ -213,6 +280,27 @@ mod tests {
         c.bump();
         c2.add(4);
         assert_eq!(c.get(), 5);
+    }
+
+    #[test]
+    fn link_traffic_attributes_per_link_and_omits_idle_and_foreign_links() {
+        let t = LinkTraffic::new(3);
+        for (from, to, bytes) in [
+            (0, 1, 128),
+            (0, 1, 32),
+            (2, 0, 8),
+            (1, 3, 8),
+            (u16::MAX, 0, 8),
+        ] {
+            t.record(HostId(from), HostId(to), bytes);
+        }
+        let stat = |(from, to, messages, bytes)| LinkStat {
+            from,
+            to,
+            messages,
+            bytes,
+        };
+        assert_eq!(t.links(), [(0, 1, 2, 160), (2, 0, 1, 8)].map(stat));
     }
 
     #[test]

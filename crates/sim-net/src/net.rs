@@ -3,12 +3,14 @@
 //! A Millipage host receives by polling one FastMessages queue (§3.5.1).
 //! Here every packet addressed to a host lands in that host's mailbox: one
 //! mutex over the per-sender delivery-gate stamps, the packets parked for
-//! the gate, and the ready FIFO its [`Endpoint`] receives from. Under a
-//! gating scheduler (the canonical virtual-time policy) a cross-host packet
-//! is *parked*, sorted by `(release_vt, from, seq)`, until the scheduler
-//! releases it into the ready FIFO (see [`DeliveryGate`]); every other
-//! delivery — ungated fabrics, self-sends, shutdown-era external sends —
-//! goes straight to the ready FIFO, in call order.
+//! the gate, and the ready FIFO its [`Endpoint`] polls — [`Endpoint::recv`]
+//! is the one receive, and it never waits. Under a gating scheduler (the
+//! canonical virtual-time policy) a cross-host packet is *parked*, sorted
+//! by `(release_vt, from, seq)`, until the scheduler releases it into the
+//! ready FIFO (see [`DeliveryGate`]); every other delivery — ungated
+//! fabrics, self-sends, shutdown-era external sends — goes straight to the
+//! ready FIFO, in call order. Every send also counts into the fabric's
+//! per-link [`LinkTraffic`].
 //!
 //! With the [`FaultPlane`] inactive (the default) the fabric is the
 //! reliable, FIFO-ordered wire FM promises. With an active plane the raw
@@ -22,22 +24,22 @@
 //! * **receive-side dedup and resequencing**: exactly-once FIFO per sender,
 //! * a **cumulative-ack watermark** per link, so a run can prove every
 //!   assigned sequence number was delivered.
+//!
+//! A reordered packet waits in its link's one-deep holdback slot until the
+//! link's next send overtakes it. A link that goes quiet leaves it there
+//! for its one rescue, [`DeliveryGate::flush_held`]: the scheduler calls it
+//! at its quiet point under every policy, and a fabric used without a
+//! scheduler calls it through [`Network::gate`].
 
 use crate::fault::{backoff_penalty, FaultPlane, ScriptedKind, SendReceipt};
 use sim_core::clock::Ns;
 use sim_core::sched::{DeliveryGate, Scheduler};
 use sim_core::trace::{TraceKind, TraceRecorder};
-use sim_core::{CostModel, Counter, HostId, LogHistogram, SplitMix64};
+use sim_core::{CostModel, Counter, HostId, LinkTraffic, LogHistogram, SplitMix64};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
-use std::time::Duration;
-
-/// How long a blocking receive waits before looking again — under a fault
-/// plane, at the holdback slots of senders that have since gone quiet.
-/// Pure wall-clock plumbing; carries no virtual time.
-const RESCUE_POLL: Duration = Duration::from_millis(5);
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 /// A message in flight.
 #[derive(Clone, Debug)]
@@ -66,16 +68,6 @@ pub struct Packet<M> {
     /// attached, under the exploration policies, and for self-delivery.
     /// Servers must not begin service before `max(arrival_vt, release_vt)`.
     pub release_vt: Ns,
-}
-
-/// Receive-side failure.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RecvError {
-    /// No message can ever arrive. An endpoint keeps its fabric alive, so
-    /// this fabric never returns it; receive loops match it to stay total.
-    Disconnected,
-    /// No message currently queued (only from `try_recv`).
-    Empty,
 }
 
 /// Aggregate traffic statistics for one network.
@@ -150,8 +142,6 @@ struct MailState<M> {
     parked: Vec<(u64, Packet<M>)>,
     /// Packets the endpoint receives next, in delivery order.
     ready: VecDeque<Packet<M>>,
-    /// Unscheduled [`Endpoint::recv`] callers waiting on `arrived`.
-    waiting: usize,
     /// Set when the endpoint is dropped: a delivery then fails.
     closed: bool,
 }
@@ -163,9 +153,6 @@ struct Mailbox<M> {
     /// The earliest parked release stamp (`Ns::MAX` when none): stored
     /// (`Release`) under the lock, loaded (`Acquire`) by the gate poll.
     head: AtomicU64,
-    /// Where an unscheduled [`Endpoint::recv`] waits for a delivery;
-    /// notified only when someone waits.
-    arrived: Condvar,
 }
 
 impl<M> Mailbox<M> {
@@ -175,11 +162,9 @@ impl<M> Mailbox<M> {
                 links: vec![GateLink::default(); hosts],
                 parked: Vec::new(),
                 ready: VecDeque::new(),
-                waiting: 0,
                 closed: false,
             }),
             head: AtomicU64::new(Ns::MAX),
-            arrived: Condvar::new(),
         }
     }
 
@@ -196,11 +181,6 @@ impl<M> Mailbox<M> {
             return Err(pkt);
         }
         st.ready.push_back(pkt);
-        let waiter = st.waiting > 0;
-        drop(st);
-        if waiter {
-            self.arrived.notify_one();
-        }
         Ok(())
     }
 
@@ -239,17 +219,9 @@ impl<M> Mailbox<M> {
         self.head.store(head, Ordering::Release);
     }
 
-    /// Pops the ready FIFO's head, or with `wait` and an empty FIFO first
-    /// waits up to [`RESCUE_POLL`] for a delivery.
-    fn pop(&self, wait: bool) -> Option<Packet<M>> {
-        let mut st = self.lock();
-        if wait && st.ready.is_empty() {
-            st.waiting += 1;
-            let woken = self.arrived.wait_timeout(st, RESCUE_POLL);
-            st = woken.unwrap_or_else(PoisonError::into_inner).0;
-            st.waiting -= 1;
-        }
-        st.ready.pop_front()
+    /// Pops the ready FIFO's head.
+    fn pop(&self) -> Option<Packet<M>> {
+        self.lock().ready.pop_front()
     }
 }
 
@@ -258,10 +230,9 @@ struct Fabric<M> {
     mailboxes: Arc<[Mailbox<M>]>,
     cost: CostModel,
     stats: NetStats,
-    /// Always-on per-link traffic counters: `hosts × hosts × 2` cells of
-    /// (messages, payload bytes), indexed `(from · hosts + to) · 2`. Two
-    /// relaxed bumps per send; feeds the diagnose command's wire summary.
-    link_traffic: Vec<AtomicU64>,
+    /// Always-on per-link traffic, counted on every send; the diagnostics
+    /// report's link table.
+    links: LinkTraffic,
     faults: Option<FaultState<M>>,
     /// Deterministic scheduler to notify on every delivery (it may unblock
     /// the destination). Unset on a fabric used on its own.
@@ -336,7 +307,7 @@ impl<M: Send + Clone> Network<M> {
                 mailboxes: (0..hosts).map(|_| Mailbox::new(hosts)).collect(),
                 cost,
                 stats: NetStats::default(),
-                link_traffic: (0..hosts * hosts * 2).map(|_| AtomicU64::new(0)).collect(),
+                links: LinkTraffic::new(hosts),
                 faults,
                 sched: OnceLock::new(),
             }),
@@ -415,22 +386,9 @@ impl<M: Send + Clone> Network<M> {
         from.index() * self.hosts() + to.index()
     }
 
-    /// Per-link traffic `(from, to, messages, payload_bytes)` recorded on
-    /// every send, links with no traffic omitted.
-    pub fn link_traffic(&self) -> Vec<(u16, u16, u64, u64)> {
-        let hosts = self.hosts();
-        let mut out = Vec::new();
-        for from in 0..hosts {
-            for to in 0..hosts {
-                let i = (from * hosts + to) * 2;
-                let msgs = self.fabric.link_traffic[i].load(Ordering::Relaxed);
-                if msgs > 0 {
-                    let bytes = self.fabric.link_traffic[i + 1].load(Ordering::Relaxed);
-                    out.push((from as u16, to as u16, msgs, bytes));
-                }
-            }
-        }
-        out
+    /// Per-link traffic (messages, payload bytes), counted on every send.
+    pub fn link_traffic(&self) -> &LinkTraffic {
+        &self.fabric.links
     }
 
     /// Sends `msg` from `from` to `to` at virtual time `now`, with
@@ -465,9 +423,7 @@ impl<M: Send + Clone> Network<M> {
         };
         self.fabric.stats.messages.bump();
         self.fabric.stats.payload_bytes.add(payload_bytes as u64);
-        let li = self.link_index(from, to) * 2;
-        self.fabric.link_traffic[li].fetch_add(1, Ordering::Relaxed);
-        self.fabric.link_traffic[li + 1].fetch_add(payload_bytes as u64, Ordering::Relaxed);
+        self.fabric.links.record(from, to, payload_bytes as u64);
         let pkt = Packet {
             from,
             to,
@@ -630,46 +586,32 @@ impl<M: Send + Clone> Network<M> {
     }
 
     /// Attaches the deterministic scheduler so deliveries count as
-    /// potentially-unblocking actions, and hands a gating one the
-    /// mailboxes as its delivery gate. Later attachments are ignored.
+    /// potentially-unblocking actions, and hands it the fabric's delivery
+    /// gate: a gating scheduler releases parked packets through it, and
+    /// every scheduler flushes reorder-held packets through it at its
+    /// quiet point. Later attachments are ignored.
     pub fn attach_scheduler(&self, sched: &Scheduler)
     where
         M: 'static,
     {
-        if self.fabric.sched.set(sched.clone()).is_err() {
-            return;
-        }
-        if sched.gating() {
-            sched.set_gate(Arc::new(GateHandle {
-                mailboxes: Arc::clone(&self.fabric.mailboxes),
-                fabric: Arc::downgrade(&self.fabric),
-            }));
+        if self.fabric.sched.set(sched.clone()).is_ok() {
+            sched.set_gate(self.gate());
         }
     }
 
-    /// Flushes any reorder-holdback packets destined to `to` into its
-    /// mailbox, so a stashed packet whose sender went quiet cannot deadlock
-    /// the receiver. Returns whether anything was flushed. Inert under a
-    /// gating scheduler, which flushes at its deterministic global-idle
-    /// point instead ([`DeliveryGate::flush_held`]).
-    fn flush_held_to(&self, to: HostId) -> bool {
-        let Some(faults) = &self.fabric.faults else {
-            return false;
-        };
-        if self.fabric.sched.get().is_some_and(Scheduler::gating) {
-            return false;
-        }
-        let hosts = self.hosts();
-        let mut flushed = false;
-        for from in 0..hosts {
-            let li = from * hosts + to.index();
-            let held = faults.links[li].lock().expect("link lock").held.take();
-            if let Some(pkt) = held {
-                self.deliver(pkt);
-                flushed = true;
-            }
-        }
-        flushed
+    /// The fabric's delivery gate, the one [`attach_scheduler`] installs.
+    /// Its [`DeliveryGate::flush_held`] is the one rescue of reorder-held
+    /// packets, and a fabric used without a scheduler calls it directly.
+    ///
+    /// [`attach_scheduler`]: Self::attach_scheduler
+    pub fn gate(&self) -> Arc<dyn DeliveryGate>
+    where
+        M: 'static,
+    {
+        Arc::new(GateHandle {
+            mailboxes: Arc::clone(&self.fabric.mailboxes),
+            fabric: Arc::downgrade(&self.fabric),
+        })
     }
 
     /// Records an acknowledged in-order delivery on the `from → to` link.
@@ -836,51 +778,26 @@ impl<M: Send + Clone> Endpoint<M> {
         receipt
     }
 
-    /// Blocking receive (models the FM handler loop; the *virtual* waiting
-    /// time is derived from packet timestamps, not from real time).
+    /// The next packet delivered to this host, or `None` when none is
+    /// (yet): FM's receive is a poll (§3.5.1), and a server polls when the
+    /// scheduler runs it. The *virtual* waiting time comes from packet
+    /// stamps, not from real time.
     ///
     /// Under an active fault plane this is the reliable-channel receive:
     /// duplicates are suppressed, out-of-order packets are parked until
-    /// their gap fills, and delivery is exactly-once FIFO per sender.
-    pub fn recv(&self) -> Result<Packet<M>, RecvError> {
-        self.receive(true)
-    }
-
-    /// Non-blocking receive (reliable-channel semantics under an active
-    /// fault plane, as for [`recv`](Self::recv)).
-    pub fn try_recv(&self) -> Result<Packet<M>, RecvError> {
-        self.receive(false)
-    }
-
-    fn receive(&self, block: bool) -> Result<Packet<M>, RecvError> {
-        let mut flushed = false;
+    /// their gap fills, and delivery is exactly-once FIFO per sender. A
+    /// packet the wire holds back to reorder it is not here until the
+    /// gate's [`flush_held`](DeliveryGate::flush_held) delivers it.
+    pub fn recv(&self) -> Option<Packet<M>> {
+        let Some(rel) = &self.rel else {
+            return self.mailbox().pop();
+        };
         loop {
-            let Some(rel) = &self.rel else {
-                match self.mailbox().pop(block) {
-                    Some(p) => return Ok(p),
-                    None if block => continue,
-                    None => return Err(RecvError::Empty),
-                }
-            };
             if let Some(p) = rel.borrow_mut().ready.pop_front() {
-                return Ok(p);
+                return Some(p);
             }
-            if let Some(p) = self.mailbox().pop(false) {
-                self.sequence(rel, p);
-                continue;
-            }
-            // A sender may have stashed a packet for us in a holdback slot
-            // and gone quiet: rescue it (looking once when not blocking),
-            // then wait briefly so a stash racing this flush stays bounded.
-            if (block || !flushed) && self.net.flush_held_to(self.host) {
-                flushed = true;
-                continue;
-            }
-            match self.mailbox().pop(block) {
-                Some(p) => self.sequence(rel, p),
-                None if block => {}
-                None => return Err(RecvError::Empty),
-            }
+            let p = self.mailbox().pop()?;
+            self.sequence(rel, p);
         }
     }
 
@@ -960,53 +877,26 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_delivery_works() {
-        let (_net, mut eps) = Network::<u64>::new(3, CostModel::default());
-        let e2 = eps.remove(2);
-        let e1 = eps.remove(1);
-        let e0 = eps.remove(0);
-        let t1 = std::thread::spawn(move || {
-            for i in 0..50 {
-                e0.send(HostId(2), i, 64, i);
-            }
-        });
-        let t2 = std::thread::spawn(move || {
-            for i in 50..100 {
-                e1.send(HostId(2), i, 64, i);
-            }
-        });
-        let mut got = Vec::new();
-        for _ in 0..100 {
-            got.push(e2.recv().unwrap().msg);
-        }
-        t1.join().unwrap();
-        t2.join().unwrap();
-        got.sort_unstable();
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn stats_count_messages_and_bytes() {
+    fn stats_and_link_traffic_count_messages_and_bytes() {
         let (net, eps) = Network::<()>::new(2, CostModel::default());
         eps[0].send(HostId(1), (), 128, 0);
         eps[0].send(HostId(1), (), 0, 0);
         assert_eq!(net.stats().messages.get(), 2);
         assert_eq!(net.stats().payload_bytes.get(), 128);
+        let (from, to, messages, bytes) = (0, 1, 2, 128);
+        let link = sim_core::LinkStat {
+            from,
+            to,
+            messages,
+            bytes,
+        };
+        assert_eq!(net.link_traffic().links(), [link]);
     }
 
     #[test]
-    fn link_traffic_attributes_per_link_and_omits_idle() {
-        let (net, eps) = Network::<()>::new(3, CostModel::default());
-        eps[0].send(HostId(1), (), 128, 0);
-        eps[0].send(HostId(1), (), 32, 0);
-        eps[2].send(HostId(0), (), 8, 0);
-        assert_eq!(net.link_traffic(), vec![(0, 1, 2, 160), (2, 0, 1, 8)],);
-    }
-
-    #[test]
-    fn try_recv_reports_empty() {
+    fn recv_on_an_empty_mailbox_is_none() {
         let (_net, eps) = Network::<()>::new(1, CostModel::default());
-        assert_eq!(eps[0].try_recv().unwrap_err(), RecvError::Empty);
+        assert!(eps[0].recv().is_none());
     }
 
     #[test]
@@ -1070,7 +960,7 @@ mod tests {
         for i in 0..10 {
             assert_eq!(eps[1].recv().unwrap().msg, i);
         }
-        assert_eq!(eps[1].try_recv().unwrap_err(), RecvError::Empty);
+        assert!(eps[1].recv().is_none());
         assert_eq!(net.stats().dups_delivered.get(), 10);
         assert_eq!(net.stats().dups_suppressed.get(), 10);
         assert_eq!(net.total_unacked(), 0);
@@ -1080,15 +970,20 @@ mod tests {
     fn reordered_packets_are_resequenced() {
         // Every packet is a reorder candidate; the holdback slot inverts
         // consecutive pairs on the wire and the receive buffer repairs
-        // them back into FIFO order.
+        // them back into FIFO order. The last, unpaired packet stays held
+        // until the gate flushes it.
         let plane = FaultPlane::lossy(7, 0.0, 0.0, 1.0);
         let (net, eps) = Network::<u32>::with_faults(2, CostModel::default(), plane);
-        for i in 0..20 {
+        for i in 0..21 {
             eps[0].send(HostId(1), i, 0, i as Ns);
         }
         for i in 0..20 {
             assert_eq!(eps[1].recv().unwrap().msg, i, "FIFO broken at {i}");
         }
+        assert!(eps[1].recv().is_none(), "the held packet arrived unflushed");
+        assert_eq!(net.gate().flush_held(), [HostId(1)]);
+        assert_eq!(eps[1].recv().unwrap().msg, 20);
+        assert!(net.gate().flush_held().is_empty());
         assert!(net.stats().reorders.get() > 0);
         assert!(net.stats().reorder_buffered.get() > 0);
         assert_eq!(net.total_unacked(), 0);
@@ -1109,7 +1004,7 @@ mod tests {
         // Packet 1 arrives; packet 3 stays parked behind the permanent
         // gap left by the blackholed packet 2.
         assert_eq!(eps[1].recv().unwrap().msg, 1);
-        assert_eq!(eps[1].try_recv().unwrap_err(), RecvError::Empty);
+        assert!(eps[1].recv().is_none());
         assert_eq!(net.link_acked(HostId(0), HostId(1)), 1);
         assert_eq!(net.total_unacked(), 2);
     }
@@ -1122,6 +1017,7 @@ mod tests {
             for i in 0..200 {
                 eps[0].send(HostId(1), i, 0, i as Ns);
             }
+            net.gate().flush_held();
             for i in 0..200 {
                 assert_eq!(eps[1].recv().unwrap().msg, i);
             }
@@ -1177,14 +1073,16 @@ mod tests {
         sched.set_gate(Arc::new(NoGate));
         let (net, eps) = Network::with_faults(hosts + 1, CostModel::default(), plane);
         net.attach_scheduler(&sched);
-        let gate = GateHandle {
-            mailboxes: Arc::clone(&net.fabric.mailboxes),
-            fabric: Arc::downgrade(&net.fabric),
-        };
+        let gate = net.gate();
         (sched, net, eps, gate)
     }
 
-    type GatedFabric = (Scheduler, Network<u64>, Vec<Endpoint<u64>>, GateHandle<u64>);
+    type GatedFabric = (
+        Scheduler,
+        Network<u64>,
+        Vec<Endpoint<u64>>,
+        Arc<dyn DeliveryGate>,
+    );
 
     /// Release order: the `(release_vt, from, seq)` key the mailbox sorts
     /// its parked packets by.
@@ -1254,7 +1152,7 @@ mod tests {
                         }
                     }
                     _ => {
-                        let got = eps[to].try_recv().ok().map(|p| (p.msg, p.release_vt));
+                        let got = eps[to].recv().map(|p| (p.msg, p.release_vt));
                         prop_assert_eq!(got, ready[to].pop_front(), "receive at host {}", to);
                     }
                 }
@@ -1265,10 +1163,10 @@ mod tests {
             }
             for (h, ep) in eps.iter().enumerate().take(hosts) {
                 while let Some(want) = ready[h].pop_front() {
-                    let got = ep.try_recv().map(|p| (p.msg, p.release_vt));
-                    prop_assert_eq!(got, Ok(want), "draining host {}", h);
+                    let got = ep.recv().map(|p| (p.msg, p.release_vt));
+                    prop_assert_eq!(got, Some(want), "draining host {}", h);
                 }
-                prop_assert_eq!(ep.try_recv().unwrap_err(), RecvError::Empty);
+                prop_assert!(ep.recv().is_none());
             }
             prop_assert_eq!(gate.min_pending(), None);
         }
@@ -1301,7 +1199,7 @@ mod tests {
                     gate.release_next(h);
                 }
                 for (to, ep) in eps.iter().enumerate() {
-                    while let Ok(p) = ep.try_recv() {
+                    while let Some(p) = ep.recv() {
                         got.entry((p.from.index(), to)).or_default().push(p.msg & 0xffff_ffff);
                     }
                 }

@@ -72,13 +72,13 @@ fn a_gated_send_release_and_receive_allocate_nothing() {
     let (inbox, outbox) = (eps.pop().expect("host 1"), eps.pop().expect("host 0"));
     let received = Arc::new(AtomicU64::new(0));
     let (counted, mut vt) = (Arc::clone(&received), 0);
-    let serve = move || match inbox.try_recv() {
-        Ok(pkt) => {
+    let serve = move || match inbox.recv() {
+        Some(pkt) => {
             counted.fetch_add(1, Ordering::Relaxed);
             vt = pkt.release_vt;
             Turn::Ran { vt }
         }
-        Err(_) => Turn::Idle { vt },
+        None => Turn::Idle { vt },
     };
     sched.attach_passive(server, Box::new(serve));
     let (allocated, steps) = std::thread::scope(|scope| {

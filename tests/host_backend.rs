@@ -208,3 +208,33 @@ fn a_multi_page_range_copies_in_spans_and_faults_like_the_simulator() {
         (vec![1, 0], vec![0, 1])
     );
 }
+
+/// `run_host` fails like `run`: host 0's application panics while host 1
+/// waits in a barrier. The failure nacks host 1's completion word, host 1
+/// unwinds with a typed error, the server shuts down, and host 0's panic
+/// is what `run_host` re-raises — within seconds, not never. A watchdog
+/// turns a hang into a failure.
+#[test]
+fn an_application_panic_is_re_raised_while_a_sibling_waits() {
+    use millipage::{run_host, Dsm, HostDsmCtx, HostId, HostRunConfig};
+    use std::time::Duration;
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = || {
+            let app = |ctx: &mut HostDsmCtx, _: &()| {
+                if ctx.host() == HostId(0) {
+                    panic!("host 0 gives up");
+                }
+                ctx.barrier();
+            };
+            run_host(HostRunConfig::default(), |_| (), app)
+        };
+        let outcome = std::panic::catch_unwind(run).err();
+        let message = outcome.and_then(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+        let _ = tx.send(message);
+    });
+    let reraised = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("run_host hung after an application panic");
+    assert_eq!(reraised.as_deref(), Some("host 0 gives up"));
+}
