@@ -11,6 +11,10 @@
 # operations), 14 to 25 when every pick passed over every slot. The limit
 # is the alarm for a per-step pass over all slots coming back.
 #
+# The benchmark drives OS-thread slots (`Scheduler::attach`), which only
+# code outside `millipage::run` still uses: a run's application threads are
+# fibers. The index it guards is the same for both.
+#
 # The two numbers are still taken seconds apart on a shared runner, so a
 # reading over the limit is taken again, twice at most. A pass over all
 # slots fails all three.

@@ -16,12 +16,13 @@
 //! wake-up.
 //!
 //! Every run executes under the deterministic scheduler
-//! (`sim_core::sched`). Application threads are OS threads, of which the
-//! scheduler lets one run at a time; a server is a passive slot whose
-//! handlers run as upcalls of whichever application thread holds the
-//! schedule — the paper's §3.5 arrangement — so a run of H hosts × T
-//! threads has exactly H·T OS threads beyond the caller's, all confined
-//! to the caller's CPU.
+//! (`sim_core::sched`), on the caller's OS thread. Application threads
+//! are fibers of that thread (`sim_core::fiber`), of which the scheduler
+//! lets one run at a time, so handing the schedule over is a stack switch;
+//! a server is a passive slot whose handlers run as upcalls of whichever
+//! application thread holds the schedule — the paper's §3.5 arrangement.
+//! A run of H hosts × T threads starts no OS thread and leaves the
+//! caller's CPU affinity alone.
 
 use crate::adapt::AdaptReport;
 use crate::backend::{ClusterMemory, MemoryBackend};
@@ -42,11 +43,12 @@ use crate::stats::{
 use multiview::{AllocMode, Allocator};
 use parking_lot::Mutex;
 use sim_core::clock::Clock;
-use sim_core::sched::{SchedMode, Scheduler, ThreadKey, Turn};
+use sim_core::sched::{FiberBody, SchedMode, Scheduler, ThreadKey, Turn};
 use sim_core::trace::{Tracer, Track};
 use sim_core::{CostModel, HostId, LinkTraffic, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
 use sim_net::{FaultPlane, Network, ServerTimeline};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -401,29 +403,15 @@ pub(crate) fn settle_app_failures(
     }
 }
 
-/// Confines the calling application thread to `cpu`, the one [`run`]'s
-/// caller is on. The scheduler lets a single application thread run at a
-/// time, so spreading them over CPUs buys no parallelism and makes every
-/// hand-off a cross-CPU wake-up (≈ 30 µs against ≈ 2 µs, DESIGN.md §4). Nothing to undo — the thread dies with
-/// the run — and a refusal only leaves the thread where the OS puts it.
-#[cfg(target_os = "linux")]
-fn confine_to(cpu: usize) {
-    // SAFETY: all-zero bytes are a valid (empty) `cpu_set_t`.
-    let mut set: libc::cpu_set_t = unsafe { std::mem::zeroed() };
-    // SAFETY: `set` is a live `cpu_set_t` of exactly the size passed,
-    // holding `cpu`, which `sched_getcpu` reported; pid 0 names the
-    // calling thread.
-    unsafe {
-        libc::CPU_SET(cpu, &mut set);
-        libc::sched_setaffinity(0, std::mem::size_of_val(&set), &set);
-    }
-}
-
 /// Runs a parallel application on a simulated Millipage cluster.
 ///
 /// `setup` allocates and initializes shared structures (once, pre-run) and
 /// returns the handle bundle every host receives; `app` is the per-host
-/// program. Returns the assembled [`RunReport`].
+/// program, run once per application thread, each a fiber on the calling
+/// thread. Returns the assembled [`RunReport`]. An application closure
+/// must not hold an OS lock across a DSM access: the access can hand the
+/// schedule to a fiber that takes the same lock, which then hangs the
+/// one thread.
 ///
 /// # Panics
 ///
@@ -452,153 +440,136 @@ where
     net.attach_scheduler(&sched);
 
     let mut rng = SplitMix64::new(cfg.seed);
-    let shared_ref = &shared;
-    let app_ref = &app;
-
-    #[cfg(target_os = "linux")]
-    // SAFETY: `sched_getcpu` takes no argument and touches no memory.
-    let cpu = usize::try_from(unsafe { libc::sched_getcpu() }).ok();
-    let (host_reports, outcomes, app_failures) = std::thread::scope(|scope| {
-        // A server keeps nothing between two messages, so it needs no
-        // thread: it is a passive slot, and its turn — owned here, borrowed
-        // by the scheduler — runs on whichever application thread holds
-        // the schedule.
-        let mut server_cells: Vec<Arc<Mutex<Option<Server>>>> = Vec::new();
-        for ((h, ep), shard) in endpoints.into_iter().enumerate().zip(shards) {
-            let timeline = ServerTimeline::new(cfg.cost.clone(), rng.fork(h as u64));
-            // The server's own sends (serves, replies, fan-outs) get
-            // recorded at the endpoint; handler-level events go through the
-            // server's probe.
-            ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
-            let probe = states[h].probe(&cfg.tracer, Track::Server);
-            let server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, probe);
-            let cell = Arc::new(Mutex::new(Some(server)));
-            server_cells.push(Arc::clone(&cell));
-            sched.attach_passive(
-                ThreadKey::server(HostId(h as u16)),
-                Box::new(move || cell.lock().as_mut().map_or(Turn::Done, Server::turn)),
+    // A server keeps nothing between two messages, so it needs no stack:
+    // it is a passive slot, and its turn — owned here, borrowed by the
+    // scheduler — runs on whichever application thread holds the schedule.
+    let mut server_cells: Vec<Arc<Mutex<Option<Server>>>> = Vec::new();
+    for ((h, ep), shard) in endpoints.into_iter().enumerate().zip(shards) {
+        let timeline = ServerTimeline::new(cfg.cost.clone(), rng.fork(h as u64));
+        // The server's own sends (serves, replies, fan-outs) get recorded
+        // at the endpoint; handler-level events go through the server's
+        // probe.
+        ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
+        let probe = states[h].probe(&cfg.tracer, Track::Server);
+        let server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, probe);
+        let cell = Arc::new(Mutex::new(Some(server)));
+        server_cells.push(Arc::clone(&cell));
+        sched.attach_passive(
+            ThreadKey::server(HostId(h as u16)),
+            Box::new(move || cell.lock().as_mut().map_or(Turn::Done, Server::turn)),
+        );
+    }
+    // Every application thread is a fiber on this thread; each leaves its
+    // report (and the panic it was caught with, if any) in its cell.
+    type Outcome = (HostReport, Option<Box<dyn std::any::Any + Send>>);
+    let outcomes: Vec<Cell<Option<Outcome>>> = (0..cfg.hosts * cfg.threads_per_host)
+        .map(|_| Cell::new(None))
+        .collect();
+    let mut bodies: Vec<(ThreadKey, FiberBody)> = Vec::with_capacity(outcomes.len());
+    for h in 0..cfg.hosts {
+        for t in 0..cfg.threads_per_host {
+            // Event ids are correlation keys, not a global order: give
+            // every application thread its own disjoint range (2^40 ids
+            // each) so allocation never crosses threads. The ranges are
+            // part of every pinned message and trace byte.
+            let events = Arc::new(AtomicU64::new(
+                ((h * cfg.threads_per_host + t + 1) as u64) << 40,
+            ));
+            let (home, state) = (Arc::clone(home), Arc::clone(&states[h]));
+            let (net, cost) = (net.clone(), cfg.cost.clone());
+            let probe = state.probe(&cfg.tracer, Track::App(t as u16));
+            let outcome = &outcomes[h * cfg.threads_per_host + t];
+            let (app, shared) = (&app, &shared);
+            let key = ThreadKey::app(HostId(h as u16), t as u16);
+            let body = move |sched| {
+                let mut ctx = HostCtx {
+                    host: HostId(h as u16),
+                    hosts: cfg.hosts,
+                    thread: t,
+                    home,
+                    state,
+                    net,
+                    cost,
+                    clock: Clock::new(),
+                    breakdown: TimeBreakdown::new(),
+                    events,
+                    pending_acks: Vec::new(),
+                    consistency: cfg.consistency,
+                    timed_from: 0,
+                    breakdown_mark: TimeBreakdown::new(),
+                    probe,
+                    fault_hist: LogHistogram::new(),
+                    sched,
+                    tlb: sim_mem::AccessTlb::new(),
+                };
+                // Catch the unwind here so a failed thread can cancel its
+                // siblings' pending waits: a sibling parked on a waiter
+                // nobody will ever fulfill would otherwise be ruled
+                // deadlocked instead of cancelled.
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    app(&mut ctx, shared);
+                }));
+                let failure = match result {
+                    Ok(()) => None,
+                    Err(payload) => {
+                        for st in states {
+                            st.cancel_pending();
+                        }
+                        // Cancelled waiters are scheduler-visible state on
+                        // *every* host: all blocked threads must re-check
+                        // and unwind as cancelled, not be ruled deadlocked.
+                        ctx.sched.action_all();
+                        Some(payload)
+                    }
+                };
+                let report = HostReport {
+                    host: ctx.host,
+                    thread: t,
+                    end_vt: ctx.now(),
+                    breakdown: *ctx.breakdown(),
+                    read_faults: 0, // Filled from host counters below.
+                    write_faults: 0,
+                    fault_latency: std::mem::take(&mut ctx.fault_hist),
+                };
+                outcome.set(Some((report, failure)));
+                // Dropping `ctx` marks the slot done; the fiber hands the
+                // schedule on once this body has returned.
+            };
+            bodies.push((key, Box::new(body)));
+        }
+    }
+    sched.run_fibers(bodies);
+    let (host_reports, app_failures): (Vec<HostReport>, Vec<_>) = outcomes
+        .into_iter()
+        .map(|o| o.into_inner().expect("every application fiber reports"))
+        .unzip();
+    // All application work is done (or cancelled); stop the servers —
+    // unconditionally, so a failed run still tears down cleanly. FIFO per
+    // sender guarantees the Shutdown trails every earlier application
+    // message. The run is quiescent here, so the shutdown injection point
+    // — and with it the whole run, teardown included — is a pure function
+    // of the schedule.
+    sched.quiesce_then(|| {
+        for h in 0..cfg.hosts {
+            net.send(
+                MANAGER,
+                HostId(h as u16),
+                Pmsg::new(MsgKind::Shutdown, MANAGER, 0),
+                0,
+                0,
             );
         }
-        let mut app_handles = Vec::with_capacity(cfg.hosts * cfg.threads_per_host);
-        for h in 0..cfg.hosts {
-            for t in 0..cfg.threads_per_host {
-                // Event ids are correlation keys, not a global order: give
-                // every application thread its own disjoint range (2^40
-                // ids each) so allocation never crosses threads. The
-                // ranges are part of every pinned message and trace byte.
-                let events = Arc::new(AtomicU64::new(
-                    ((h * cfg.threads_per_host + t + 1) as u64) << 40,
-                ));
-                let (home, state) = (Arc::clone(home), Arc::clone(&states[h]));
-                let (net, cost) = (net.clone(), cfg.cost.clone());
-                let probe = state.probe(&cfg.tracer, Track::App(t as u16));
-                let sched = sched.clone();
-                let builder = std::thread::Builder::new().name(format!("mv-host-{h}.{t}"));
-                app_handles.push(
-                    builder
-                        .spawn_scoped(scope, move || {
-                            #[cfg(target_os = "linux")]
-                            if let Some(cpu) = cpu {
-                                confine_to(cpu);
-                            }
-                            let mut ctx = HostCtx {
-                                host: HostId(h as u16),
-                                hosts: cfg.hosts,
-                                thread: t,
-                                home,
-                                state,
-                                net,
-                                cost,
-                                clock: Clock::new(),
-                                breakdown: TimeBreakdown::new(),
-                                events,
-                                pending_acks: Vec::new(),
-                                consistency: cfg.consistency,
-                                timed_from: 0,
-                                breakdown_mark: TimeBreakdown::new(),
-                                probe,
-                                fault_hist: LogHistogram::new(),
-                                sched: sched.attach(ThreadKey::app(HostId(h as u16), t as u16)),
-                                tlb: sim_mem::AccessTlb::new(),
-                            };
-                            // Catch the unwind here so a failed thread can cancel
-                            // its siblings' pending waits *before* anyone tries to
-                            // join: joining a thread that is parked on a waiter
-                            // nobody will ever fulfill would hang the cluster (and
-                            // pre-fault-plane, did).
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    app_ref(&mut ctx, shared_ref);
-                                }));
-                            let failure = match result {
-                                Ok(()) => None,
-                                Err(payload) => {
-                                    for st in states {
-                                        st.cancel_pending();
-                                    }
-                                    // Cancelled waiters are scheduler-visible state
-                                    // on *every* host: all blocked threads must
-                                    // re-check and unwind as cancelled, not be
-                                    // ruled deadlocked.
-                                    ctx.sched.action_all();
-                                    Some(payload)
-                                }
-                            };
-                            (
-                                HostReport {
-                                    host: ctx.host,
-                                    thread: t,
-                                    end_vt: ctx.now(),
-                                    breakdown: *ctx.breakdown(),
-                                    read_faults: 0, // Filled from host counters below.
-                                    write_faults: 0,
-                                    fault_latency: std::mem::take(&mut ctx.fault_hist),
-                                },
-                                failure,
-                            )
-                        })
-                        .expect("spawn app thread"),
-                );
-            }
-        }
-        let mut app_failures: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
-        let host_reports: Vec<HostReport> = app_handles
-            .into_iter()
-            .map(|h| {
-                let (rep, failure) = h.join().expect("application thread panicked");
-                app_failures.extend(failure);
-                rep
-            })
-            .collect();
-        // All application work is done (or cancelled); stop the servers —
-        // unconditionally, so a failed run still tears down cleanly. FIFO
-        // per sender guarantees the Shutdown trails every earlier
-        // application message. The (unscheduled) main thread first waits
-        // for the scheduled world to quiesce, so the shutdown injection
-        // point — and with it the whole run, teardown included — is a pure
-        // function of the schedule.
-        sched.quiesce_then(|| {
-            for h in 0..cfg.hosts {
-                net.send(
-                    MANAGER,
-                    HostId(h as u16),
-                    Pmsg::new(MsgKind::Shutdown, MANAGER, 0),
-                    0,
-                    0,
-                );
-            }
-        });
-        // Every server is collected before any is finished (which closes
-        // its endpoint). Taking a server out of its cell also works after
-        // a poisoned run that never served `Shutdown`, and breaks the
-        // scheduler → turn → endpoint → scheduler cycle.
-        let servers: Vec<Server> = server_cells
-            .iter()
-            .map(|c| c.lock().take().expect("a server is collected once"))
-            .collect();
-        let outcomes: Vec<ServerOutcome> = servers.into_iter().map(Server::finish).collect();
-        (host_reports, outcomes, app_failures)
     });
+    // Every server is collected before any is finished (which closes its
+    // endpoint). Taking a server out of its cell also works after a
+    // poisoned run that never served `Shutdown`, and breaks the scheduler
+    // → turn → endpoint → scheduler cycle.
+    let servers: Vec<Server> = server_cells
+        .iter()
+        .map(|c| c.lock().take().expect("a server is collected once"))
+        .collect();
+    let outcomes: Vec<ServerOutcome> = servers.into_iter().map(Server::finish).collect();
+    let app_failures = app_failures.into_iter().flatten();
 
     // A handler that panicked was caught on whichever application thread
     // was running its turn; it is the server's failure, not that

@@ -21,12 +21,15 @@
 //! * [`json`] — the one JSON writer and reader every report, trace and
 //!   reproducer goes through,
 //! * [`sched`] — the cooperative deterministic scheduler (one seed, one
-//!   interleaving) backing schedule exploration.
+//!   interleaving) backing schedule exploration, and the fibers (stackful
+//!   user-level threads on the calling OS thread) it runs application
+//!   threads as.
 
 pub mod account;
 pub mod addr;
 pub mod clock;
 pub mod cost;
+pub(crate) mod fiber;
 pub mod json;
 pub mod rng;
 pub mod sched;
@@ -40,8 +43,8 @@ pub use clock::{BusyWindow, Clock, Ns};
 pub use cost::{CostModel, ServiceDelayModel};
 pub use rng::SplitMix64;
 pub use sched::{
-    BlockOutcome, DeliveryGate, SchedMode, SchedPolicy, SchedThread, Scheduler, ThreadClass,
-    ThreadKey, Turn, TurnFn,
+    BlockOutcome, DeliveryGate, FiberBody, SchedMode, SchedPolicy, SchedThread, Scheduler,
+    ThreadClass, ThreadKey, Turn, TurnFn,
 };
 #[doc(hidden)]
 pub use sha256::sha256_hex;

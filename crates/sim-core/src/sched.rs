@@ -10,22 +10,28 @@
 //! run repeat and schedule *exploration* (random-walk / PCT search over
 //! interleavings, with replayable minimal reproducers) possible at all.
 //!
-//! # Threads and passive slots
+//! # Fibers, threads and passive slots
 //!
-//! Only a slot that must keep a stack between yield points needs an OS
-//! thread: an application thread, parked on its own condvar while it does
-//! not hold the schedule ([`Scheduler::attach`]). A DSM server keeps
-//! nothing between two messages, so it is a **passive slot**
+//! Only a slot that must keep a stack between yield points needs one: an
+//! application thread. It is a **fiber** on the OS thread that runs the
+//! scheduler ([`Scheduler::run_fibers`]; the `fiber` module): the
+//! thread giving up the schedule switches stacks straight to the fiber
+//! picked, or back to the caller of `run_fibers` once the run is over — a
+//! hand-off costs a stack switch, not an OS wake-up and wait. An
+//! application thread can also be an OS thread of its own, parked on its
+//! own condvar while it does not hold the schedule ([`Scheduler::attach`]);
+//! one scheduler takes one kind or the other, never both. A DSM server
+//! keeps nothing between two messages, so it is a **passive slot**
 //! ([`Scheduler::attach_passive`]): a boxed [`Turn`] function and no
-//! thread. When the policy picks a passive slot, the thread that is giving
+//! stack. When the policy picks a passive slot, the thread that is giving
 //! up the schedule — in `yield_now`, `block_until`, `finish`, or an
 //! unscheduled caller that finds the run quiescent
 //! ([`Scheduler::bump_action`], [`Scheduler::quiesce_then`]) — runs the
 //! turn to completion itself and dispatches again, until the pick is a
-//! thread (possibly itself: no switch at all). A passive slot is
-//! otherwise a slot like any other — same index, `(virtual time, key)`
-//! tie-break, candidate rule and decision-log entry — so schedules do not
-//! depend on how a slot is registered. The rules that keep this sound:
+//! thread (possibly itself: no switch at all). Every slot is otherwise a
+//! slot like any other — same index, `(virtual time, key)` tie-break,
+//! candidate rule and decision-log entry — so schedules do not depend on
+//! how a slot is registered. The rules that keep this sound:
 //!
 //! * **No scheduler lock is held across a turn.** Handlers deliver
 //!   messages, and deliveries wake hosts under the scheduler lock.
@@ -115,8 +121,10 @@
 //!   *finding* for the exploration harness.
 
 use crate::clock::Ns;
+use crate::fiber;
 use crate::rng::SplitMix64;
 use crate::HostId;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -355,6 +363,8 @@ struct Slot {
     attached: bool,
     /// Present on a passive slot (see [`Scheduler::attach_passive`]).
     passive: Option<Passive>,
+    /// The fiber index of a fiber slot (see [`Scheduler::run_fibers`]).
+    fiber: Option<usize>,
     /// The condition the slot's thread is parked on, if it is.
     cond: Option<Cond>,
 }
@@ -410,6 +420,10 @@ pub enum Turn {
 /// One turn of a passive slot, run to completion by whichever thread holds
 /// the schedule when the slot is picked.
 pub type TurnFn = Box<dyn FnMut() -> Turn + Send>;
+
+/// The body of a fiber slot (see [`Scheduler::run_fibers`]): given the
+/// slot's handle, it runs when the policy first picks the slot.
+pub type FiberBody<'a> = Box<dyn FnOnce(SchedThread) + 'a>;
 
 struct Passive {
     /// `None` while the turn runs (the scheduler lock is released then).
@@ -497,6 +511,13 @@ impl State {
                 false => self.candidates.remove(&entry),
             };
         }
+    }
+
+    /// Slot `i`'s thread is done. Finishing names no host: whatever the
+    /// thread released on its way out, every blocked thread re-checks once.
+    fn finish(&mut self, i: usize) {
+        self.set_status(i, Status::Done);
+        self.wake_all();
     }
 
     /// Something touched `host`'s inbox or waiter table: its blocked
@@ -638,6 +659,7 @@ impl Scheduler {
                 candidate: true,
                 attached: false,
                 passive: None,
+                fiber: None,
                 cond: None,
             })
             .collect();
@@ -691,11 +713,13 @@ impl Scheduler {
 
     /// Registers the calling OS thread as the simulated thread `key` and
     /// parks it until every expected thread has attached and the policy
-    /// picks it. Must be called on the spawned thread itself.
+    /// picks it. Must be called on the spawned thread itself. (What a
+    /// cluster run does instead is [`run_fibers`](Self::run_fibers).)
     ///
     /// # Panics
     ///
-    /// Panics if `key` names no slot or was already attached.
+    /// Panics if `key` names no slot or was already attached, or if the
+    /// scheduler runs fibers.
     pub fn attach(&self, key: ThreadKey) -> SchedThread {
         let inner = &self.inner;
         let id = register(inner, key, None);
@@ -703,7 +727,83 @@ impl Scheduler {
         SchedThread {
             inner: Arc::clone(inner),
             id,
+            fiber: None,
             finished: false,
+        }
+    }
+
+    /// Runs `bodies` as **fiber slots** on the calling thread and returns
+    /// once every one has exited. A body gets its slot's handle and runs,
+    /// on a stack of its own, when the policy first picks the slot; from
+    /// then on every hand-off between slots is a stack switch on this
+    /// thread (see the module docs), and a fiber that finishes gives up
+    /// the schedule only after its body has returned, everything it owned
+    /// dropped. A panic that escapes a body is caught on its fiber — the
+    /// slot finishes, as an OS thread unwinding out of it would — and
+    /// re-raised here once every fiber has exited: it never unwinds
+    /// through a switch. Every other slot must be a passive one attached
+    /// before, so the run starts here, and the bodies' borrows need only
+    /// outlive this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key names no slot, an attached slot or a server, if an
+    /// OS thread is attached or a slot is left unattached, and with the
+    /// first payload a body panicked with.
+    pub fn run_fibers(&self, bodies: Vec<(ThreadKey, FiberBody<'_>)>) {
+        let inner = &*self.inner;
+        let ids: Vec<usize> = {
+            let mut ps = lock(&inner.state);
+            let ids = (bodies.iter().enumerate())
+                .map(|(f, &(key, _))| {
+                    assert_eq!(key.class, ThreadClass::App, "fiber {key} is a server");
+                    let id = claim(&mut ps, key);
+                    ps.slots[id].fiber = Some(f);
+                    id
+                })
+                .collect();
+            assert!(
+                (ps.slots.iter()).all(|s| s.attached && (s.passive.is_some() || s.fiber.is_some())),
+                "fibers run beside passive slots only, all attached first"
+            );
+            ps.started = true;
+            ids
+        };
+        let escaped = Cell::new(None);
+        let fibers = (bodies.into_iter().zip(ids).enumerate())
+            .map(|(f, ((_, body), id))| {
+                let (arc, escaped) = (&self.inner, &escaped);
+                Box::new(move || {
+                    let me = SchedThread {
+                        inner: Arc::clone(arc),
+                        id,
+                        fiber: Some(f),
+                        finished: false,
+                    };
+                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(me)));
+                    if let Err(payload) = run {
+                        let first = escaped.take().unwrap_or(payload);
+                        escaped.set(Some(first));
+                    }
+                    exit_fiber(inner, id)
+                }) as fiber::Body<'_>
+            })
+            .collect();
+        let mut started = false;
+        fiber::run(fibers, || {
+            let ps = lock(&inner.state);
+            if !std::mem::replace(&mut started, true) {
+                return drive(inner, ps, Verdict::Quiet, None);
+            }
+            // Back on this thread's own stack: the run went idle with every
+            // fiber exited, or was poisoned, and then every fiber not yet
+            // done resumes in turn, returns `Poisoned` and unwinds to exit.
+            let poisoned = inner.poisoned.load(Ordering::Acquire);
+            let live = |s: &Slot| (s.status != Status::Done).then_some(s.fiber).flatten();
+            poisoned.then(|| ps.slots.iter().find_map(live)).flatten()
+        });
+        if let Some(payload) = escaped.into_inner() {
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -743,7 +843,7 @@ impl Scheduler {
         let mut ps = lock(&inner.state);
         ps.wake_all();
         if ps.started && ps.running.is_none() && !inner.external.load(Ordering::Acquire) {
-            drive(inner, ps, Verdict::Quiet, None);
+            quiet_drive(inner, ps);
         }
     }
 
@@ -775,7 +875,7 @@ impl Scheduler {
         inner.external.store(false, Ordering::Release);
         // With every application thread gone this thread is the only one
         // left to run what `f` made runnable (the servers' last turns).
-        drive(inner, ps, Verdict::Quiet, None);
+        quiet_drive(inner, ps);
     }
 
     /// Number of scheduling decisions taken so far.
@@ -797,6 +897,8 @@ impl Scheduler {
 pub struct SchedThread {
     inner: Arc<Inner>,
     id: usize,
+    /// The slot's fiber index, if it is a fiber slot.
+    fiber: Option<usize>,
     finished: bool,
 }
 
@@ -812,7 +914,7 @@ impl SchedThread {
         }
         debug_assert_eq!(ps.running, Some(self.id), "yield from a paused thread");
         ps.set(self.id, vt, Status::Runnable);
-        drop(hand_off(inner, self.id, ps));
+        drop(self.hand_off(ps));
     }
 
     /// Wakes the caller's own host: it just did something that may have
@@ -907,25 +1009,40 @@ impl SchedThread {
         let check = unsafe { std::mem::transmute::<*mut CondFn<'_>, *mut CondFn<'static>>(check) };
         ps.set(self.id, vt, status);
         ps.slots[self.id].cond = Some(Cond(check));
-        let mut ps = hand_off(inner, self.id, ps);
+        let mut ps = self.hand_off(ps);
         ps.set_status(self.id, Status::Runnable);
         ps.slots[self.id].cond = None;
         !inner.poisoned.load(Ordering::Acquire)
     }
 
+    /// Gives up the schedule and waits until this slot is picked again
+    /// (or the run is poisoned): a fiber switches to the fiber picked, an
+    /// OS thread notifies the pick and parks on its condvar.
+    fn hand_off<'a>(&'a self, ps: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        let inner = &*self.inner;
+        let next = relinquish(inner, self.id, ps);
+        match self.fiber {
+            Some(me) => {
+                if next.is_some_and(|f| f != me) {
+                    fiber::switch(next);
+                }
+                lock(&inner.state)
+            }
+            None => park_until_running(inner, lock(&inner.state), self.id),
+        }
+    }
+
     /// Marks the thread done and hands control to the next runnable
-    /// thread. Idempotent; also called on drop.
+    /// thread. Idempotent; also called on drop. A fiber only marks its
+    /// slot done here: it hands control on when its body has returned.
     pub fn finish(&mut self) {
         if std::mem::replace(&mut self.finished, true) {
             return;
         }
         let inner = &self.inner;
         let mut ps = lock(&inner.state);
-        ps.set_status(self.id, Status::Done);
-        // Finishing names no host: whatever this thread released on its
-        // way out, every blocked thread re-checks once.
-        ps.wake_all();
-        if inner.poisoned.load(Ordering::Acquire) {
+        ps.finish(self.id);
+        if inner.poisoned.load(Ordering::Acquire) || self.fiber.is_some() {
             return;
         }
         relinquish(inner, self.id, ps);
@@ -946,13 +1063,6 @@ fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(g).unwrap_or_else(|e| e.into_inner())
 }
 
-/// Thread slot `me` gives up the schedule and parks until it is picked
-/// again.
-fn hand_off<'a>(inner: &'a Inner, me: usize, ps: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-    relinquish(inner, me, ps);
-    park_until_running(inner, lock(&inner.state), me)
-}
-
 /// Parks thread slot `id` until the policy picks it (or the run is
 /// poisoned).
 fn park_until_running<'a>(
@@ -971,12 +1081,12 @@ fn park_until_running<'a>(
 /// Returns the slot's index.
 fn register(inner: &Inner, key: ThreadKey, turn: Option<TurnFn>) -> usize {
     let mut ps = lock(&inner.state);
-    let Some(id) = ps.slots.iter().position(|s| s.key == key) else {
-        panic!("no scheduler slot for thread {key}");
-    };
-    assert!(!ps.slots[id].attached, "thread {key} attached twice");
+    let id = claim(&mut ps, key);
     let me = turn.is_none().then_some(id);
-    ps.slots[id].attached = true;
+    if me.is_some() {
+        let fibers = ps.slots.iter().any(|s| s.fiber.is_some());
+        assert!(!fibers, "thread {key}: this scheduler runs fibers");
+    }
     ps.slots[id].passive = turn.map(|turn| Passive {
         turn: Some(turn),
         fresh: true,
@@ -985,6 +1095,16 @@ fn register(inner: &Inner, key: ThreadKey, turn: Option<TurnFn>) -> usize {
     if ps.started {
         drive(inner, ps, Verdict::Quiet, me);
     }
+    id
+}
+
+/// Marks slot `key` attached and returns its index.
+fn claim(ps: &mut State, key: ThreadKey) -> usize {
+    let Some(id) = ps.slots.iter().position(|s| s.key == key) else {
+        panic!("no scheduler slot for thread {key}");
+    };
+    assert!(!ps.slots[id].attached, "thread {key} attached twice");
+    ps.slots[id].attached = true;
     id
 }
 
@@ -1000,7 +1120,8 @@ fn is_candidate(s: &Slot, wakes: &[u64]) -> bool {
 
 enum Verdict {
     /// Thread slot `.0` was picked and installed as `running`; the caller
-    /// must notify its condvar (unless it is the caller itself).
+    /// must switch to its fiber or notify its condvar (unless it is the
+    /// caller itself).
     Thread(usize),
     /// Passive slot `.0` was picked and installed as `running`; the caller
     /// must run its turn (with no scheduler lock held) and dispatch again.
@@ -1154,42 +1275,67 @@ fn run_turn<'a>(
 /// Thread slot `me` gives up the schedule: picks what runs next and, as
 /// long as that is a passive slot, runs it right here. Returns once the
 /// schedule rests with a thread (possibly `me`, which then falls through
-/// its park) or the run went quiet.
-fn relinquish<'a>(inner: &'a Inner, me: usize, mut ps: MutexGuard<'a, State>) {
+/// its park) or the run went quiet; see [`drive`] for what it returns.
+fn relinquish<'a>(inner: &'a Inner, me: usize, mut ps: MutexGuard<'a, State>) -> Option<usize> {
     let verdict = dispatch_in(inner, &mut ps);
-    drive(inner, ps, verdict, Some(me));
+    drive(inner, ps, verdict, Some(me))
+}
+
+/// The last scheduling act of fiber slot `id`, after its body returned
+/// and dropped everything it owned: finishes the slot if the body did not,
+/// and gives up the schedule for good. Returns the fiber to switch to, or
+/// `None` for the caller of [`Scheduler::run_fibers`] (the run is over or
+/// poisoned).
+fn exit_fiber(inner: &Inner, id: usize) -> Option<usize> {
+    let mut ps = lock(&inner.state);
+    if ps.slots[id].status != Status::Done {
+        ps.finish(id);
+    }
+    if inner.poisoned.load(Ordering::Acquire) {
+        return None;
+    }
+    relinquish(inner, id, ps)
+}
+
+/// Re-examines a quiescent run from an unscheduled caller, which must not
+/// end on a fiber: a run that is quiet with a fiber alive is poisoned.
+fn quiet_drive(inner: &Inner, ps: MutexGuard<'_, State>) {
+    let resumed = drive(inner, ps, Verdict::Quiet, None);
+    assert_eq!(resumed, None, "a fiber picked outside its run");
 }
 
 /// Carries the run on from `verdict` on the calling thread (thread slot
 /// `me`, if it is a scheduled one) until a thread was dispatched or the
-/// run was ruled idle or deadlocked.
+/// run was ruled idle or deadlocked. Returns the fiber index of the thread
+/// dispatched if it is a fiber — the caller switches to it, unless it is
+/// the caller — and `None` when it is an OS thread, notified here, or the
+/// run went quiet.
 fn drive<'a>(
     inner: &'a Inner,
     mut ps: MutexGuard<'a, State>,
     mut verdict: Verdict,
     me: Option<usize>,
-) {
+) -> Option<usize> {
     loop {
         verdict = match verdict {
             Verdict::Thread(pick) => {
                 // Notify with the lock released: the woken thread needs
                 // that lock first, and when the wake-up preempts this
                 // thread it would be switched in only to block on it.
-                // Picking itself, the caller just returns.
+                // Picking itself, the caller just returns. A fiber is
+                // switched to by the caller, with the lock released too.
+                let fiber = ps.slots[pick].fiber;
                 drop(ps);
-                if me != Some(pick) {
+                if fiber.is_none() && me != Some(pick) {
                     inner.cvs[pick].notify_one();
                 }
-                return;
+                return fiber;
             }
             Verdict::Passive(i) => {
                 ps = run_turn(inner, ps, i);
                 dispatch_in(inner, &mut ps)
             }
-            Verdict::Quiet => match settle(inner, &mut ps) {
-                Some(verdict) => verdict,
-                None => return,
-            },
+            Verdict::Quiet => settle(inner, &mut ps)?,
         };
     }
 }
@@ -1695,10 +1841,31 @@ mod tests {
         OnePark,
     }
 
+    /// A body of an application thread in these tests: `Send`, so that it
+    /// can run on an OS thread as well as on a fiber.
+    type AppBody<'a> = Box<dyn FnOnce(SchedThread) + Send + 'a>;
+
+    /// Runs every `(key, body)` of `apps` with its slot's handle — as fiber
+    /// slots on this thread, or as OS threads that attach — and returns
+    /// when all are finished.
+    fn run_apps(sched: &Scheduler, fibers: bool, apps: Vec<(ThreadKey, AppBody<'_>)>) {
+        if fibers {
+            sched.run_fibers(apps.into_iter().map(|(k, b)| (k, b as FiberBody)).collect());
+            return;
+        }
+        std::thread::scope(|scope| {
+            for (key, body) in apps {
+                scope.spawn(move || body(sched.attach(key)));
+            }
+        });
+    }
+
     /// Every host's application thread pings the next host's server three
     /// times and waits for each echo; the main thread then stops the
-    /// servers the way the cluster does. Returns the decision log.
-    fn echo_decisions(mode: &SchedMode, hosts: u16, toy: EchoToy) -> Vec<u32> {
+    /// servers the way the cluster does. The application threads are
+    /// fibers if `fibers` is set (passive servers only). Returns the
+    /// decision log.
+    fn echo_decisions(mode: &SchedMode, hosts: u16, toy: EchoToy, fibers: bool) -> Vec<u32> {
         let sched = Scheduler::new(mode, server_app_keys(hosts));
         let echo = Echo::new(hosts);
         std::thread::scope(|scope| {
@@ -1727,10 +1894,9 @@ mod tests {
                     }
                 });
             }
-            for h in 0..hosts {
+            let apps = (0..hosts).map(|h| {
                 let (sched, echo) = (&sched, &echo);
-                scope.spawn(move || {
-                    let t = sched.attach(ThreadKey::app(HostId(h), 0));
+                let body = move |t: SchedThread| {
                     let mut vt = 0;
                     for round in 1..=3 {
                         vt += 7 + u64::from(h);
@@ -1748,34 +1914,35 @@ mod tests {
                             panic!("host {h} poisoned in round {round}");
                         }
                     }
-                });
-            }
+                };
+                (ThreadKey::app(HostId(h), 0), Box::new(body) as AppBody)
+            });
+            run_apps(&sched, fibers, apps.collect());
             sched.quiesce_then(|| (0..hosts).for_each(|g| echo.send(&sched, g, None)));
         });
         mode.decisions()
     }
 
-    /// Every host's application thread pings the next host's passive echo
-    /// server three times, waiting for each echo, and finishes.
-    fn ping_around(sched: &Scheduler, hosts: u16) -> Arc<Echo> {
+    /// Every host's application thread — a fiber if `fibers` is set —
+    /// pings the next host's passive echo server three times, waiting for
+    /// each echo, and finishes.
+    fn ping_around(sched: &Scheduler, hosts: u16, fibers: bool) -> Arc<Echo> {
         let echo = Echo::new(hosts);
         (0..hosts).for_each(|g| echo.passive_server(sched, g));
-        std::thread::scope(|scope| {
-            for h in 0..hosts {
-                let echo = &echo;
-                scope.spawn(move || {
-                    let t = sched.attach(ThreadKey::app(HostId(h), 0));
-                    for round in 1..=3 {
-                        echo.send(sched, (h + 1) % hosts, Some(h));
-                        let echoed = || {
-                            (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(())
-                        };
-                        let outcome = t.yield_then_block(10 * round, echoed);
-                        assert!(matches!(outcome, BlockOutcome::Ready(())));
-                    }
-                });
-            }
+        let apps = (0..hosts).map(|h| {
+            let echo = &echo;
+            let body = move |t: SchedThread| {
+                for round in 1..=3 {
+                    echo.send(sched, (h + 1) % hosts, Some(h));
+                    let echoed =
+                        || (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(());
+                    let outcome = t.yield_then_block(10 * round, echoed);
+                    assert!(matches!(outcome, BlockOutcome::Ready(())));
+                }
+            };
+            (ThreadKey::app(HostId(h), 0), Box::new(body) as AppBody)
         });
+        run_apps(sched, fibers, apps.collect());
         echo
     }
 
@@ -1787,7 +1954,7 @@ mod tests {
     fn the_decision_log_is_whole_once_the_run_is_quiescent() {
         let mode = SchedMode::deterministic();
         let sched = Scheduler::new(&mode, server_app_keys(2));
-        let echo = ping_around(&sched, 2);
+        let echo = ping_around(&sched, 2, false);
         let first = mode.decisions();
         assert!(!first.is_empty());
         assert_eq!(
@@ -1818,12 +1985,12 @@ mod tests {
                 SchedMode::random(11),
                 SchedMode::pct(11, 3),
             ] {
-                let threads = echo_decisions(&mode, hosts, EchoToy::ServerThreads);
+                let threads = echo_decisions(&mode, hosts, EchoToy::ServerThreads, false);
                 assert!(threads.len() >= 2 * hosts as usize, "every slot is picked");
                 for toy in [EchoToy::Passive, EchoToy::OnePark] {
                     assert_eq!(
                         threads,
-                        echo_decisions(&mode, hosts, toy),
+                        echo_decisions(&mode, hosts, toy, false),
                         "{hosts} hosts, {}: decision logs differ",
                         mode.policy_name()
                     );
@@ -1839,47 +2006,46 @@ mod tests {
     /// of a random host and of every host, and — the operation counts
     /// differ — threads finishing while others run. Returns the decision
     /// log.
-    fn churn_decisions(mode: &SchedMode) -> Vec<u32> {
+    fn churn_decisions(mode: &SchedMode, fibers: bool) -> Vec<u32> {
         const HOSTS: u16 = 64;
         let sched = Scheduler::new(mode, server_app_keys(HOSTS));
         let echo = Echo::new(HOSTS);
-        std::thread::scope(|scope| {
-            for h in 0..HOSTS {
-                echo.passive_server(&sched, h);
-                let (sched, echo) = (&sched, &echo);
-                scope.spawn(move || {
-                    let t = sched.attach(ThreadKey::app(HostId(h), 0));
-                    let mut rng = SplitMix64::new(20).fork(u64::from(h));
-                    let mut pings = 0;
-                    for _ in 0..4 + rng.next_range(36) {
-                        let vt = rng.next_range(500);
-                        let op = rng.next_range(6);
-                        let other = rng.next_range(u64::from(HOSTS)) as u16;
-                        match op {
-                            0 => {}
-                            1 => sched.bump_action_host(HostId(other)),
-                            2 => sched.bump_action(),
-                            _ => {
-                                pings += 1;
-                                echo.send(sched, other, Some(h));
-                                let echoed = || {
-                                    (echo.replies[h as usize].load(Ordering::SeqCst) >= pings)
-                                        .then_some(())
-                                };
-                                let outcome = match op {
-                                    3 => t.yield_then_block(vt, echoed),
-                                    _ => t.block_until(vt, echoed),
-                                };
-                                assert!(matches!(outcome, BlockOutcome::Ready(())));
-                                continue;
-                            }
+        (0..HOSTS).for_each(|h| echo.passive_server(&sched, h));
+        let apps = (0..HOSTS).map(|h| {
+            let (sched, echo) = (&sched, &echo);
+            let body = move |t: SchedThread| {
+                let mut rng = SplitMix64::new(20).fork(u64::from(h));
+                let mut pings = 0;
+                for _ in 0..4 + rng.next_range(36) {
+                    let vt = rng.next_range(500);
+                    let op = rng.next_range(6);
+                    let other = rng.next_range(u64::from(HOSTS)) as u16;
+                    match op {
+                        0 => {}
+                        1 => sched.bump_action_host(HostId(other)),
+                        2 => sched.bump_action(),
+                        _ => {
+                            pings += 1;
+                            echo.send(sched, other, Some(h));
+                            let echoed = || {
+                                (echo.replies[h as usize].load(Ordering::SeqCst) >= pings)
+                                    .then_some(())
+                            };
+                            let outcome = match op {
+                                3 => t.yield_then_block(vt, echoed),
+                                _ => t.block_until(vt, echoed),
+                            };
+                            assert!(matches!(outcome, BlockOutcome::Ready(())));
+                            continue;
                         }
-                        t.yield_now(vt);
                     }
-                });
-            }
-            sched.quiesce_then(|| (0..HOSTS).for_each(|g| echo.send(&sched, g, None)));
+                    t.yield_now(vt);
+                }
+            };
+            (ThreadKey::app(HostId(h), 0), Box::new(body) as AppBody)
         });
+        run_apps(&sched, fibers, apps.collect());
+        sched.quiesce_then(|| (0..HOSTS).for_each(|g| echo.send(&sched, g, None)));
         mode.decisions()
     }
 
@@ -1908,7 +2074,7 @@ mod tests {
                 "a1b2f1bd6a4090f35775779657e4fd2b9e2111b84551c8775b892af9305aa866",
             ),
         ] {
-            let decisions = churn_decisions(&mode);
+            let decisions = churn_decisions(&mode, false);
             let bytes: Vec<u8> = decisions.iter().flat_map(|d| d.to_le_bytes()).collect();
             let got = (decisions.len(), crate::sha256_hex(&bytes));
             if got != (len, pin.to_string()) {
@@ -2015,5 +2181,144 @@ mod tests {
             assert!(started.elapsed() < std::time::Duration::from_secs(1));
         }
         assert!(!stale.load(Ordering::SeqCst), "evaluated after the return");
+    }
+
+    /// The two toys that pin the schedule, with every application thread a
+    /// fiber on this thread: the same decision log and the same hand-offs
+    /// as with OS threads, under the canonical policy and both explorers.
+    #[test]
+    fn fiber_slots_take_the_schedule_os_threads_took() {
+        for mode in [
+            SchedMode::deterministic(),
+            SchedMode::random(11),
+            SchedMode::pct(11, 3),
+        ] {
+            let name = mode.policy_name();
+            for hosts in [1, 4, 32] {
+                for toy in [EchoToy::Passive, EchoToy::OnePark] {
+                    let threads = echo_decisions(&mode, hosts, toy, false);
+                    let hand_offs = mode.hand_offs();
+                    assert!(hand_offs > 0);
+                    let fibers = echo_decisions(&mode, hosts, toy, true);
+                    assert_eq!(threads, fibers, "echo, {hosts} hosts, {name}: decisions");
+                    assert_eq!(hand_offs, mode.hand_offs(), "echo, {name}: hand-offs");
+                }
+            }
+            let threads = churn_decisions(&mode, false);
+            let hand_offs = mode.hand_offs();
+            assert_eq!(threads, churn_decisions(&mode, true), "churn, {name}");
+            assert_eq!(hand_offs, mode.hand_offs(), "churn, {name}: hand-offs");
+        }
+        assert_eq!(fiber::live_stacks(), 0);
+    }
+
+    /// Counts, when dropped, a fiber body that got to its end or unwound
+    /// past it.
+    struct Exits<'a>(&'a AtomicU64);
+
+    impl Drop for Exits<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// `deadlock_poisons_instead_of_hanging` with fibers: both block for
+    /// good, the run is ruled deadlocked, and each fiber's wait returns
+    /// `Poisoned`; one fiber unwinds from it (caught in its body, as the
+    /// cluster catches an application's). Both have exited, their stacks
+    /// unmapped, when `run_fibers` returns.
+    #[test]
+    fn a_deadlocked_fiber_run_poisons_and_every_fiber_exits() {
+        let stale = AtomicBool::new(false);
+        for _ in 0..200 {
+            let keys = vec![ThreadKey::app(HostId(0), 0), ThreadKey::app(HostId(0), 1)];
+            let sched = Scheduler::new(&SchedMode::deterministic(), keys);
+            let (poisoned, exits) = (AtomicU64::new(0), AtomicU64::new(0));
+            let apps = (0..2u16).map(|lane| {
+                let (stale, poisoned, exits) = (&stale, &poisoned, &exits);
+                let body = move |t: SchedThread| {
+                    let _exit = Exits(exits);
+                    // Lane 1 first evaluates lane 0's parked condition a
+                    // few times, then blocks for good as well.
+                    for i in 0..u64::from(lane) * 3 {
+                        t.action();
+                        t.yield_now(i);
+                    }
+                    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let _exit = Exits(exits);
+                        if block_forever(&t, 5, stale) {
+                            poisoned.fetch_add(1, Ordering::SeqCst);
+                            if lane == 0 {
+                                std::panic::panic_any("deadlocked");
+                            }
+                        }
+                    }));
+                    assert_eq!(unwound.is_err(), lane == 0);
+                };
+                (ThreadKey::app(HostId(0), lane), Box::new(body) as FiberBody)
+            });
+            sched.run_fibers(apps.collect());
+            assert_eq!(poisoned.load(Ordering::SeqCst), 2);
+            assert_eq!(exits.load(Ordering::SeqCst), 4);
+            assert_eq!(fiber::live_stacks(), 0);
+        }
+        assert!(!stale.load(Ordering::SeqCst), "evaluated after the return");
+    }
+
+    /// A fiber body that panics out: its slot finishes, the sibling that
+    /// waited on it is ruled deadlocked and exits, and `run_fibers` — the
+    /// root — re-raises the payload. Had the unwind crossed the fiber's
+    /// first frame, the process would have aborted.
+    #[test]
+    fn a_panic_escaping_a_fiber_is_reraised_by_the_root() {
+        let keys = vec![ThreadKey::app(HostId(0), 0), ThreadKey::app(HostId(0), 1)];
+        let sched = Scheduler::new(&SchedMode::deterministic(), keys);
+        let (done, waiter) = (AtomicBool::new(false), AtomicU64::new(0));
+        let (done, waiter) = (&done, &waiter);
+        let failing = move |t: SchedThread| {
+            t.yield_now(1);
+            std::panic::panic_any("planted application bug");
+        };
+        let waiting = move |t: SchedThread| {
+            // Never met: the failing fiber never sets `done`.
+            let outcome = t.block_until(0, || done.load(Ordering::SeqCst).then_some(()));
+            waiter.store(
+                1 + matches!(outcome, BlockOutcome::Poisoned) as u64,
+                Ordering::SeqCst,
+            );
+        };
+        let apps: Vec<(ThreadKey, FiberBody)> = vec![
+            (ThreadKey::app(HostId(0), 0), Box::new(failing)),
+            (ThreadKey::app(HostId(0), 1), Box::new(waiting)),
+        ];
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sched.run_fibers(apps);
+        }))
+        .expect_err("the root re-raises the fiber's panic");
+        assert_eq!(
+            raised.downcast_ref::<&str>(),
+            Some(&"planted application bug")
+        );
+        assert_eq!(
+            waiter.load(Ordering::SeqCst),
+            2,
+            "the waiter returned Poisoned"
+        );
+        assert_eq!(fiber::live_stacks(), 0);
+    }
+
+    /// After a fiber run and its shutdown, nothing holds the scheduler: no
+    /// fiber kept a handle across its last switch (which never returns),
+    /// and every stack is unmapped.
+    #[test]
+    fn a_fiber_run_frees_its_scheduler_and_stacks() {
+        let mode = SchedMode::deterministic();
+        let sched = Scheduler::new(&mode, server_app_keys(4));
+        let state = Arc::downgrade(&sched.inner);
+        let echo = ping_around(&sched, 4, true);
+        assert_eq!(fiber::live_stacks(), 0);
+        sched.quiesce_then(|| (0..4).for_each(|g| echo.send(&sched, g, None)));
+        drop(sched);
+        assert!(state.upgrade().is_none(), "the scheduler outlived its run");
     }
 }
