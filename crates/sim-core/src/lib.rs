@@ -59,7 +59,8 @@ pub use trace::{ChromeTrace, TraceEvent, TraceKind, TraceLog, TraceRecorder, Tra
 pub struct HostId(pub u16);
 
 impl HostId {
-    /// Maximum number of hosts supported by the copyset bitmask encoding.
+    /// Maximum number of hosts supported by the copyset bitmask encoding
+    /// (and the delivery gate's moved-heads mask).
     pub const MAX_HOSTS: usize = 64;
 
     /// Returns the host id as a `usize` index.
@@ -68,6 +69,9 @@ impl HostId {
         self.0 as usize
     }
 }
+
+// Copysets and the moved-heads mask give every host one bit of a `u64`.
+const _: () = assert!(HostId::MAX_HOSTS <= u64::BITS as usize);
 
 impl std::fmt::Display for HostId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

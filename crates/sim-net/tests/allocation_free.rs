@@ -4,7 +4,7 @@
 //! thread's allocations.
 
 use sim_core::clock::Ns;
-use sim_core::sched::{SchedMode, Scheduler, ThreadKey, Turn};
+use sim_core::sched::{FiberBody, SchedMode, SchedThread, Scheduler, ThreadKey, Turn};
 use sim_core::{CostModel, HostId};
 use sim_net::Network;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -102,5 +102,67 @@ fn a_gated_send_release_and_receive_allocate_nothing() {
     assert!(
         allocated <= doublings,
         "{allocated} allocations over {MESSAGES} messages; the decision log doubled {doublings} times"
+    );
+}
+
+/// The same trip on a ring of 32 hosts, so the scheduler's pick index holds
+/// 32 mailbox leaves and 64 slot leaves: every host's application thread,
+/// a fiber on this thread, sends to the next host's passive server and
+/// yields to its arrival. Counted from the step where the last fiber ends
+/// its warm-up to the one where the first fiber is done.
+#[test]
+fn a_32_host_ring_of_gated_trips_allocates_nothing() {
+    const HOSTS: u16 = 32;
+    let apps = (0..HOSTS).map(|h| ThreadKey::app(HostId(h), 0));
+    let servers = (0..HOSTS).map(|h| ThreadKey::server(HostId(h)));
+    let sched = Scheduler::new(&SchedMode::deterministic(), servers.chain(apps).collect());
+    let (net, eps) = Network::<u64>::new(HOSTS.into(), CostModel::default());
+    net.attach_scheduler(&sched);
+    for (h, inbox) in (0..HOSTS).zip(eps) {
+        let mut vt = 0;
+        let serve = move || match inbox.recv() {
+            Some(pkt) => {
+                vt = pkt.release_vt;
+                Turn::Ran { vt }
+            }
+            None => Turn::Idle { vt },
+        };
+        sched.attach_passive(ThreadKey::server(HostId(h)), Box::new(serve));
+    }
+    let (warm, window) = (Cell::new(0), Cell::new([None; 2]));
+    let mark = |end: usize| {
+        let mut w = window.get();
+        w[end].get_or_insert((allocs(), sched.steps()));
+        window.set(w);
+    };
+    let bodies = (0..HOSTS).map(|h| {
+        let (net, mark, warm) = (&net, &mark, &warm);
+        let body = move |t: SchedThread| {
+            let mut now: Ns = 0;
+            for i in 0..WARM_UP + MESSAGES / 10 {
+                if i == WARM_UP {
+                    warm.set(warm.get() + 1);
+                    if warm.get() == HOSTS {
+                        mark(0);
+                    }
+                }
+                now = net.send(HostId(h), HostId((h + 1) % HOSTS), i, 0, now);
+                t.yield_now(now);
+            }
+            mark(1);
+        };
+        (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
+    });
+    sched.run_fibers(bodies.collect());
+    let [Some((before, first)), Some((after, last))] = window.get() else {
+        panic!("the window never opened");
+    };
+    assert!(last - first >= MESSAGES, "{} steps counted", last - first);
+    let doublings = (last.ilog2() - first.ilog2()) as usize;
+    assert!(
+        after - before <= doublings,
+        "{} allocations over {} steps; the decision log doubled {doublings} times",
+        after - before,
+        last - first
     );
 }
