@@ -714,15 +714,16 @@ mod tests {
 }
 
 /// Property tests: random split/merge/migrate sequences — built with the
-/// same placement arithmetic as `ManagerShard::apply_action` — preserve
-/// the MPT geometry invariants and home inheritance under every home
-/// policy. Lives in this crate because seeding a [`HomeTable`] and
-/// pinning homes ([`HomeTable::publish_at`]) is crate-private.
+/// same placement arithmetic as `ManagerShard::apply_action` — interleaved
+/// with allocations preserve the MPT geometry invariants and home
+/// inheritance under every home policy. Lives in this crate because
+/// building a [`HomeTable`] and replacing its minipages
+/// ([`HomeTable::replace`]) is crate-private.
 #[cfg(test)]
 mod props {
     use crate::home::HomeTable;
     use crate::HomePolicyKind;
-    use multiview::{Minipage, MinipageId};
+    use multiview::{AllocMode, Allocator, Minipage, MinipageId};
     use proptest::prelude::*;
     use sim_core::HostId;
     use sim_mem::Geometry;
@@ -764,25 +765,29 @@ mod props {
     }
 
     /// Replays one op sequence against a fresh table; every op is
-    /// followed by the full geometry oracle. Ops that cannot apply
-    /// (no candidate, exhausted views) are skipped, exactly like the
-    /// manager defers them.
+    /// followed by the full geometry oracle and a check of every id's
+    /// home against a model: the policy's at allocation, the retired
+    /// entries' for a replacement, the target's after a migration. Ops
+    /// that cannot apply (no candidate, exhausted views or memory) are
+    /// skipped, exactly like the manager defers them.
     fn run_sequence(
         kind: HomePolicyKind,
         ops: &[(usize, usize, usize)],
     ) -> Result<(), TestCaseError> {
-        let geo = Geometry::new(12, SEEDED + 1);
+        let geo = Geometry::new(24, SEEDED + 1);
         let ps = geo.page_size();
-        let home = HomeTable::new(kind, HOSTS, geo.clone());
-        for k in 0..SEEDED {
-            let mp = descriptor(MinipageId(k as u32), &geo, 0, k * ps, ps);
-            home.publish(mp, HostId(0));
+        let home = HomeTable::new(kind, HOSTS, Allocator::new(geo.clone(), AllocMode::FINE));
+        let mut homes = Vec::new();
+        for _ in 0..SEEDED {
+            let (_, placed) = home.alloc(ps, HostId(0)).unwrap();
+            homes.extend(placed.iter().map(|&(_, h)| h));
         }
-        let mpt = home.mpt().clone();
+        let mut allocated = SEEDED * ps;
         for &(op, pick, param) in ops {
-            let mut active = mpt.snapshot_active();
+            let mut active: Vec<Minipage> =
+                home.table.read().mpt().iter_active().copied().collect();
             active.sort_by_key(|m| m.phys_range(ps).start);
-            match op % 3 {
+            match op % 4 {
                 // Split at an interior cut, children in fresh views.
                 0 => {
                     let cands: Vec<&Minipage> = active.iter().filter(|m| m.len >= 2).collect();
@@ -791,34 +796,31 @@ mod props {
                     }
                     let parent = *cands[pick % cands.len()];
                     let cut = 1 + param % (parent.len - 1);
-                    let phys = parent.phys_range(ps).start;
-                    let Some(va) =
-                        mpt.free_view_for(&geo, phys / ps, pages_of(&geo, phys, cut), &[])
-                    else {
-                        continue;
+                    let children = {
+                        let t = home.table.read();
+                        let mpt = t.mpt();
+                        let phys = parent.phys_range(ps).start;
+                        let Some(va) =
+                            mpt.free_view_for(&geo, phys / ps, pages_of(&geo, phys, cut), &[])
+                        else {
+                            continue;
+                        };
+                        let pb = phys + cut;
+                        let lb = parent.len - cut;
+                        let Some(vb) =
+                            mpt.free_view_for(&geo, pb / ps, pages_of(&geo, pb, lb), &[va])
+                        else {
+                            continue;
+                        };
+                        let next = mpt.next_id().0;
+                        vec![
+                            descriptor(MinipageId(next), &geo, va, phys, cut),
+                            descriptor(MinipageId(next + 1), &geo, vb, pb, lb),
+                        ]
                     };
-                    let pb = phys + cut;
-                    let lb = parent.len - cut;
-                    let Some(vb) = mpt.free_view_for(&geo, pb / ps, pages_of(&geo, pb, lb), &[va])
-                    else {
-                        continue;
-                    };
-                    let next = mpt.next_id().0;
-                    let children = vec![
-                        descriptor(MinipageId(next), &geo, va, phys, cut),
-                        descriptor(MinipageId(next + 1), &geo, vb, pb, lb),
-                    ];
                     let parent_home = home.home(parent.id);
-                    mpt.retire_and_insert(&geo, &[parent.id], children.clone());
-                    for child in &children {
-                        home.publish_at(*child, parent_home);
-                        prop_assert_eq!(
-                            home.home(child.id),
-                            parent_home,
-                            "{:?}: split child did not inherit the parent home",
-                            kind
-                        );
-                    }
+                    home.replace(&[parent.id], children, parent_home);
+                    homes.extend([parent_home; 2]);
                 }
                 // Merge a physically adjacent same-home pair.
                 1 => {
@@ -833,45 +835,70 @@ mod props {
                     if start / ps + pages > geo.pages() {
                         continue;
                     }
-                    let Some(view) = mpt.free_view_for(&geo, start / ps, pages, &[]) else {
-                        continue;
+                    let merged = {
+                        let t = home.table.read();
+                        let Some(view) = t.mpt().free_view_for(&geo, start / ps, pages, &[]) else {
+                            continue;
+                        };
+                        descriptor(t.mpt().next_id(), &geo, view, start, len)
                     };
-                    let merged = descriptor(mpt.next_id(), &geo, view, start, len);
                     let group_home = home.home(pair[0].id);
-                    mpt.retire_and_insert(&geo, &[pair[0].id, pair[1].id], vec![merged]);
-                    home.publish_at(merged, group_home);
-                    prop_assert_eq!(
-                        home.home(merged.id),
-                        group_home,
-                        "{:?}: merge result did not inherit the group home",
-                        kind
-                    );
+                    home.replace(&[pair[0].id, pair[1].id], vec![merged], group_home);
+                    homes.push(group_home);
                 }
-                // Migrate any active minipage; the override must win.
-                _ => {
+                // Migrate any active minipage.
+                2 => {
                     let mp = active[pick % active.len()];
                     let to = HostId((param % HOSTS) as u16);
                     let epoch = home.migrate(mp.id, to);
                     prop_assert_eq!(home.epoch(), epoch);
                     prop_assert!(epoch > 0, "{:?}: migration did not bump the epoch", kind);
-                    prop_assert_eq!(
-                        home.home(mp.id),
-                        to,
-                        "{:?}: migration override did not take",
-                        kind
-                    );
+                    homes[mp.id.index()] = to;
+                }
+                // Allocate a small, a multi-page or a page-sized block
+                // around whatever adaptation placed so far.
+                _ => {
+                    let size = match pick % 3 {
+                        0 => 1 + param % 512,
+                        1 => ps + 1 + param,
+                        _ => ps,
+                    };
+                    let by = HostId((pick % HOSTS) as u16);
+                    let Ok((addr, placed)) = home.alloc(size, by) else {
+                        continue; // Out of memory.
+                    };
+                    let (mp, h) = placed[0];
+                    prop_assert_eq!(placed.len(), 1);
+                    prop_assert_eq!(mp.id.index(), homes.len());
+                    prop_assert_eq!(h, kind.assign(mp.id, by, HOSTS));
+                    prop_assert_eq!(home.translate(addr).map(|m| m.id), Some(mp.id));
+                    homes.push(h);
+                    allocated += mp.len;
                 }
             }
-            let v = mpt.geometry_violations(&geo);
+            let t = home.table.read();
+            let v = t.mpt().geometry_violations(&geo);
             prop_assert!(v.is_empty(), "{:?}: geometry violations: {:?}", kind, v);
+            prop_assert_eq!(t.mpt().len(), homes.len(), "{:?}: ids out of step", kind);
+            drop(t);
+            for (id, &want) in homes.iter().enumerate() {
+                prop_assert_eq!(
+                    home.home(MinipageId(id as u32)),
+                    want,
+                    "{:?}: {} lost its home",
+                    kind,
+                    id
+                );
+            }
         }
         // End-to-end: every seeded physical byte still reaches exactly
         // one active owner through the original (view-0) addresses, the
-        // active set covers exactly the seeded bytes, and every home is
+        // active set covers exactly the allocated bytes, and every home is
         // a real host.
-        let active = mpt.snapshot_active();
-        let covered: usize = active.iter().map(|m| m.len).sum();
-        prop_assert_eq!(covered, SEEDED * ps, "{:?}: active bytes leaked", kind);
+        let t = home.table.read();
+        let mpt = t.mpt();
+        let covered: usize = mpt.iter_active().map(|m| m.len).sum();
+        prop_assert_eq!(covered, allocated, "{:?}: active bytes leaked", kind);
         for byte in (0..SEEDED * ps).step_by(97) {
             let addr = geo.addr_of(0, byte / ps, byte % ps);
             let owner = mpt.translate(&geo, addr);
@@ -882,24 +909,21 @@ mod props {
                 byte
             );
         }
-        for m in &active {
-            prop_assert!(
-                home.home(m.id).index() < HOSTS,
-                "{:?}: {} homed at an absent host",
-                kind,
-                m.id
-            );
-        }
+        prop_assert!(
+            homes.iter().all(|h| h.index() < HOSTS),
+            "{:?}: a minipage homed at an absent host",
+            kind
+        );
         Ok(())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random adaptation sequences round-trip the MPT under all
-        /// three home policies.
+        /// Random adaptation sequences, with allocations between the
+        /// actions, round-trip the MPT under all three home policies.
         fn split_merge_migrate_sequences_round_trip_geometry(
-            ops in collection::vec((0usize..3, 0usize..64, 0usize..4096), 1..12),
+            ops in collection::vec((0usize..4, 0usize..64, 0usize..4096), 1..12),
         ) {
             for kind in POLICIES {
                 run_sequence(kind, &ops)?;

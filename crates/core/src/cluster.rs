@@ -40,7 +40,7 @@ use crate::stats::{
     check_coherence, check_directories, check_rc_consistency, HostReport, NetFaultStats, RunReport,
     ShardStats,
 };
-use multiview::{AllocMode, Allocator};
+use multiview::{AllocMode, Allocator, Minipage};
 use parking_lot::Mutex;
 use sim_core::clock::Clock;
 use sim_core::sched::{FiberBody, SchedMode, Scheduler, ThreadKey, Turn};
@@ -294,7 +294,8 @@ where
         let diag = cfg
             .diag
             .then(|| DiagTable::with_slots(cfg.hosts, geo.priv_view() * geo.pages()));
-        let home = Arc::new(HomeTable::new(cfg.home_policy, cfg.hosts, geo.clone()));
+        let alloc = Allocator::new(geo.clone(), cfg.alloc_mode);
+        let home = Arc::new(HomeTable::new(cfg.home_policy, cfg.hosts, alloc));
         let states: Vec<Arc<HostState<M, W>>> = (0..cfg.hosts)
             .map(|h| {
                 let id = HostId(h as u16);
@@ -316,16 +317,12 @@ where
         let cluster: Arc<dyn ClusterMemory> = Arc::new(states.clone());
         let mut shards: Vec<ManagerShard> = (0..cfg.hosts)
             .map(|h| {
-                let id = HostId(h as u16);
-                let allocator =
-                    (id == MANAGER).then(|| Allocator::new(geo.clone(), cfg.alloc_mode));
                 ManagerShard::new(
-                    id,
+                    HostId(h as u16),
                     cfg.hosts,
                     cfg.hosts * cfg.threads_per_host,
                     cfg.cost.clone(),
                     cfg.consistency,
-                    allocator,
                     Arc::clone(&home),
                     Arc::clone(&cluster),
                     states[h].probe(&cfg.tracer, Track::Shard),
@@ -354,7 +351,7 @@ where
     /// report, with the per-link traffic the run's transport counted.
     pub(crate) fn check(&self, shards: &[ManagerShard], links: &LinkTraffic) -> Verdict {
         let (geo, home) = (&self.geo, &self.home);
-        let minipages = home.mpt().snapshot();
+        let minipages: Vec<Minipage> = home.table.read().mpt().iter().copied().collect();
         let mut violations = match self.consistency {
             Consistency::SequentialSwMr => check_coherence(&minipages, geo, &self.states),
             Consistency::HomeEagerRc => check_rc_consistency(&minipages, geo, &self.states, home),
@@ -363,8 +360,8 @@ where
         // Any adaptation action must leave the MPT geometry sound: active
         // minipages disjoint, no physical byte orphaned, every retired
         // vpage redirecting to the active owner of its bytes.
-        if home.mpt().adapt_gen() != 0 {
-            violations.extend(home.mpt().geometry_violations(geo));
+        if home.reshaped() {
+            violations.extend(home.table.read().mpt().geometry_violations(geo));
         }
         let adapt = self.adapt.then(|| {
             let mut report = AdaptReport::default();
@@ -648,7 +645,7 @@ where
         pushes: sum(|c| &c.pushes),
         messages: net.stats().messages.get(),
         payload_bytes: net.stats().payload_bytes.get(),
-        alloc: shards[MANAGER.index()].alloc_stats(),
+        alloc: home.table.read().alloc.stats(),
         rc_diffs: sum(|c| &c.rc_diffs),
         policy: home.policy_name(),
         shards: shard_reports,

@@ -1,4 +1,5 @@
-//! Distributed minipage management: home assignment and routing.
+//! Distributed minipage management: the minipage table, home assignment
+//! and routing.
 //!
 //! The paper centralizes all minipage management in one manager host
 //! (§3.3) and already anticipates the fix for the resulting hot spot:
@@ -7,21 +8,26 @@
 //! This module implements that distribution. Every minipage gets a *home*
 //! host chosen by a [`HomePolicyKind`] at allocation time; the home's
 //! [`ManagerShard`](crate::ManagerShard) owns the minipage's directory entry,
-//! service window and (under release consistency) master copy. The MPT is
-//! replicated read-only to every host ([`SharedMpt`]), so translating a
-//! faulting address and finding its home stay local lookups.
+//! service window and (under release consistency) master copy.
+//!
+//! A run keeps one minipage table, as the paper's manager does: the shared
+//! allocator's [`Mpt`], which the [`HomeTable`] holds together with every
+//! minipage's home behind one lock. The allocator places into it,
+//! adaptation's splits and merges rewrite it, and every host translates
+//! and routes through it — §5's replication modelled as shared
+//! read-mostly state, so translating a faulting address and finding its
+//! home stay local lookups (the cost model still charges `mpt_lookup`).
 //!
 //! Synchronization services (barriers, queue locks) and the shared
 //! allocator stay on the single manager host, [`MANAGER`]: they are not
 //! per-minipage state and are not what Figure 7's competing-request hot
 //! spot measures.
 
-use multiview::{Minipage, MinipageId, SharedMpt};
+use multiview::{AllocError, Allocator, Minipage, MinipageId, Mpt};
 use parking_lot::RwLock;
 use sim_core::HostId;
 use sim_mem::{Geometry, VAddr};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The manager host (§3.3): it runs the shared allocator and the
 /// synchronization services and, under the centralized policy, homes every
@@ -72,42 +78,66 @@ impl HomePolicyKind {
     }
 }
 
-/// The cluster-wide home map: policy, assignments, and the replicated
-/// MPT, shared by every host's server, shard and application context.
+/// The cluster-wide home map: policy, the minipage table and every
+/// minipage's home, shared by every host's server, shard and application
+/// context.
 ///
-/// The allocator host is the single writer (it publishes each minipage
-/// and its home as it allocates); everyone else only reads. Under the
-/// `Centralized` policy, routing short-circuits to the manager without
-/// touching the replica at all, so the original protocol's costs and
-/// counters are reproduced exactly.
+/// The manager host writes (it allocates, and a shard applying an
+/// adaptation action rewrites its minipages); everyone else only reads.
+/// Under the `Centralized` policy, routing short-circuits to the manager
+/// without touching the table until the first migration, so the original
+/// protocol's costs and counters are reproduced exactly.
 pub struct HomeTable {
     kind: HomePolicyKind,
     hosts: usize,
     geo: Geometry,
-    mpt: SharedMpt,
-    homes: RwLock<Vec<HostId>>,
-    /// Migratory overrides layered over the policy assignment: minipages
-    /// whose home was moved (or pinned at publish time) by the adaptation
-    /// engine. Consulted only when `epoch != 0`, so un-adapted runs keep
-    /// the original lookup cost and the Centralized fast path.
-    overrides: RwLock<HashMap<u32, HostId>>,
+    /// Hold no guard across a yield point: on the simulator every
+    /// application thread is a fiber on one OS thread, which a parked
+    /// guard would block.
+    pub(crate) table: RwLock<Table>,
     /// Home-map version: 0 until the first migration/pin, bumped on each.
     /// A request served under an older epoch may reach a stale home; the
     /// stale shard forwards it to the current home rather than serving it.
     epoch: AtomicU64,
+    /// Set by the first split or merge. Access paths holding pre-action
+    /// addresses check it once per access (a relaxed load) and pay for
+    /// re-translation only once the table has actually changed shape.
+    reshaped: AtomicBool,
+}
+
+/// What [`HomeTable`]'s lock guards.
+pub(crate) struct Table {
+    /// The shared allocator; its [`Mpt`] is the run's minipage table.
+    /// Minipages enter it only through [`HomeTable::alloc`] and
+    /// [`HomeTable::replace`], which give each its home.
+    pub(crate) alloc: Allocator,
+    /// `homes[id]` is minipage `id`'s home: the policy's at allocation,
+    /// the retired entries' for a split child or merge result, overwritten
+    /// by a migration. One entry per minipage id.
+    homes: Vec<HostId>,
+}
+
+impl Table {
+    /// The run's minipage table.
+    pub(crate) fn mpt(&self) -> &Mpt {
+        self.alloc.mpt()
+    }
 }
 
 impl HomeTable {
-    /// Builds the table for a cluster of `hosts` hosts.
-    pub(crate) fn new(kind: HomePolicyKind, hosts: usize, geo: Geometry) -> Self {
+    /// Builds the table for a cluster of `hosts` hosts around the shared
+    /// allocator, whose geometry is the run's.
+    pub(crate) fn new(kind: HomePolicyKind, hosts: usize, alloc: Allocator) -> Self {
         Self {
             kind,
             hosts,
-            geo,
-            mpt: SharedMpt::new(),
-            homes: RwLock::new(Vec::new()),
-            overrides: RwLock::new(HashMap::new()),
+            geo: alloc.geometry().clone(),
+            table: RwLock::new(Table {
+                alloc,
+                homes: Vec::new(),
+            }),
             epoch: AtomicU64::new(0),
+            reshaped: AtomicBool::new(false),
         }
     }
 
@@ -121,50 +151,71 @@ impl HomeTable {
         self.kind.name()
     }
 
-    /// The replicated minipage table.
-    pub fn mpt(&self) -> &SharedMpt {
-        &self.mpt
-    }
-
     /// The shared address-space geometry.
     pub(crate) fn geometry(&self) -> &Geometry {
         &self.geo
     }
 
-    /// Registers a freshly allocated minipage: replicates its descriptor
-    /// and assigns its home. Called by the allocator host only.
-    pub(crate) fn publish(&self, mp: Minipage, allocating: HostId) -> HostId {
-        let home = self.kind.assign(mp.id, allocating, self.hosts);
-        assert!(home.index() < self.hosts, "policy assigned an absent host");
-        let mut homes = self.homes.write();
-        assert_eq!(
-            homes.len(),
-            mp.id.index(),
-            "homes are assigned in dense id order"
-        );
-        homes.push(home);
-        self.mpt.publish(&self.geo, mp);
-        home
+    /// The shared allocator's entry point (§3.2) for a request issued by
+    /// `allocating`: places `size` bytes and homes every minipage the
+    /// allocation defined by the policy. Returns the address and those
+    /// minipages with their homes.
+    pub(crate) fn alloc(
+        &self,
+        size: usize,
+        allocating: HostId,
+    ) -> Result<(VAddr, Vec<(Minipage, HostId)>), AllocError> {
+        let mut t = self.table.write();
+        let before = t.homes.len();
+        let addr = t.alloc.alloc(size)?;
+        let placed: Vec<(Minipage, HostId)> = t
+            .mpt()
+            .iter()
+            .skip(before)
+            .map(|&mp| {
+                let home = self.kind.assign(mp.id, allocating, self.hosts);
+                assert!(home.index() < self.hosts, "policy assigned an absent host");
+                (mp, home)
+            })
+            .collect();
+        t.homes.extend(placed.iter().map(|&(_, home)| home));
+        Ok((addr, placed))
     }
 
-    /// The home host of a minipage. Migratory overrides win over the
-    /// policy assignment; the override map is only consulted once a
-    /// migration has actually happened (`epoch != 0`).
-    pub fn home(&self, id: MinipageId) -> HostId {
-        if self.epoch.load(Ordering::Acquire) != 0 {
-            if let Some(&h) = self.overrides.read().get(&id.0) {
-                return h;
-            }
+    /// Retires `old` and inserts `new` in their place — a split's parent
+    /// by its children, a merge's members by their union — homed at `home`
+    /// under any policy: the replacements inherit the retired entries'
+    /// home. Under the centralized policy, each replacement pinned away
+    /// from the manager counts as a migration.
+    pub(crate) fn replace(&self, old: &[MinipageId], new: Vec<Minipage>, home: HostId) {
+        assert!(home.index() < self.hosts, "pinning to an absent host");
+        let mut t = self.table.write();
+        let ids = t.alloc.mpt_mut().retire_and_insert(&self.geo, old, new);
+        t.homes.extend(ids.iter().map(|_| home));
+        self.reshaped.store(true, Ordering::Release);
+        if self.kind == HomePolicyKind::Centralized && home != MANAGER {
+            // The centralized fast path reads no homes until the epoch moves.
+            self.epoch.fetch_add(ids.len() as u64, Ordering::AcqRel);
         }
-        if self.kind == HomePolicyKind::Centralized {
+    }
+
+    /// The home host of a minipage.
+    pub fn home(&self, id: MinipageId) -> HostId {
+        if self.kind == HomePolicyKind::Centralized && self.epoch() == 0 {
             return MANAGER;
         }
-        self.homes.read()[id.index()]
+        self.table.read().homes[id.index()]
     }
 
     /// The home-map version: 0 until the first migration, bumped on each.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Whether a split or merge has rewritten the table, so addresses
+    /// minted before it may name retired vpages.
+    pub fn reshaped(&self) -> bool {
+        self.reshaped.load(Ordering::Acquire)
     }
 
     /// Moves `id`'s home to `to`, bumping the epoch. Returns the new
@@ -175,59 +226,43 @@ impl HomeTable {
     /// epoch, so no window is served from stale directory state.
     pub(crate) fn migrate(&self, id: MinipageId, to: HostId) -> u64 {
         assert!(to.index() < self.hosts, "migrating to an absent host");
-        self.overrides.write().insert(id.0, to);
+        self.table.write().homes[id.index()] = to;
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Registers a minipage at an explicit, pre-decided home — how split
-    /// children and merged minipages inherit the retired entry's home
-    /// under *any* policy. Counts as a migration when the pinned home
-    /// differs from what the policy would have assigned.
-    pub(crate) fn publish_at(&self, mp: Minipage, home: HostId) {
-        assert!(home.index() < self.hosts, "pinning to an absent host");
-        {
-            let mut homes = self.homes.write();
-            assert_eq!(
-                homes.len(),
-                mp.id.index(),
-                "homes are assigned in dense id order"
-            );
-            homes.push(home);
-        }
-        if self.kind == HomePolicyKind::Centralized && home != MANAGER {
-            // The Centralized fast path never reads `homes`; route the
-            // pinned minipage through the override layer instead.
-            self.overrides.write().insert(mp.id.0, home);
-            self.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
     /// Routes a faulting address to its home shard. Returns the home and
-    /// whether a local MPT lookup was needed (callers charge the
-    /// `mpt_lookup` cost for it); the centralized fast path routes
-    /// straight to the manager with no lookup, exactly like the original
-    /// protocol — until the first migration, after which even Centralized
-    /// must translate to consult the override layer.
+    /// whether a table lookup was needed (callers charge the `mpt_lookup`
+    /// cost for it); the centralized fast path routes straight to the
+    /// manager with no lookup, exactly like the original protocol — until
+    /// the first migration, after which even Centralized must translate.
+    /// An address no minipage covers routes to the manager, whose shard
+    /// fails it as a bad translation and nacks the requester.
     pub fn route(&self, addr: VAddr) -> (HostId, bool) {
-        if self.kind == HomePolicyKind::Centralized && self.epoch.load(Ordering::Acquire) == 0 {
+        if self.kind == HomePolicyKind::Centralized && self.epoch() == 0 {
             return (MANAGER, false);
         }
-        let mp = self
-            .mpt
+        let t = self.table.read();
+        let home = t
+            .mpt()
             .translate(&self.geo, addr)
-            .unwrap_or_else(|| panic!("no minipage at {addr}"));
-        (self.home(mp.id), true)
+            .map_or(MANAGER, |mp| t.homes[mp.id.index()]);
+        (home, true)
     }
 
-    /// Translates an address through the local MPT replica.
+    /// Translates an address through the table.
     pub(crate) fn translate(&self, addr: VAddr) -> Option<Minipage> {
-        self.mpt.translate(&self.geo, addr)
+        self.table.read().mpt().translate(&self.geo, addr).copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multiview::AllocMode;
+
+    fn table(kind: HomePolicyKind, hosts: usize, geo: &Geometry) -> HomeTable {
+        HomeTable::new(kind, hosts, Allocator::new(geo.clone(), AllocMode::FINE))
+    }
 
     #[test]
     fn centralized_assigns_manager_everywhere() {
@@ -257,19 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn home_table_publishes_and_routes() {
+    fn home_table_allocates_and_routes() {
         let geo = Geometry::new(8, 4);
-        let table = HomeTable::new(HomePolicyKind::Interleaved, 4, geo.clone());
+        let table = table(HomePolicyKind::Interleaved, 4, &geo);
         for id in 0..3u32 {
-            let mp = Minipage {
-                id: MinipageId(id),
-                base: geo.addr_of(id as usize, 0, id as usize * 64),
-                len: 64,
-                view: id as usize,
-                first_page: 0,
-                offset: id as usize * 64,
-            };
-            let home = table.publish(mp, HostId(0));
+            let (addr, placed) = table.alloc(64, HostId(0)).unwrap();
+            assert_eq!(placed.len(), 1);
+            let (mp, home) = placed[0];
+            assert_eq!((mp.id, mp.base), (MinipageId(id), addr));
             assert_eq!(home.index(), id as usize % 4);
         }
         assert_eq!(table.home(MinipageId(2)), HostId(2));
@@ -278,12 +308,25 @@ mod tests {
         assert!(looked_up);
     }
 
+    /// An address no minipage covers routes to the manager under every
+    /// policy, whose shard nacks it.
+    #[test]
+    fn a_translation_miss_routes_to_the_manager() {
+        let geo = Geometry::new(8, 4);
+        for kind in POLICIES {
+            let table = table(kind, 4, &geo);
+            table.alloc(64, HostId(3)).unwrap();
+            let (home, _) = table.route(geo.addr_of(0, 5, 0));
+            assert_eq!(home, MANAGER, "{kind:?}");
+        }
+    }
+
     #[test]
     fn centralized_routing_skips_the_lookup() {
         let geo = Geometry::new(4, 2);
-        let table = HomeTable::new(HomePolicyKind::Centralized, 4, geo.clone());
-        // No minipage published at this address: the fast path must not
-        // consult the replica at all.
+        let table = table(HomePolicyKind::Centralized, 4, &geo);
+        // No minipage at this address: the fast path must not consult the
+        // table at all.
         let (home, looked_up) = table.route(geo.addr_of(0, 0, 0));
         assert_eq!(home, HostId(0));
         assert!(!looked_up);
@@ -300,19 +343,21 @@ mod tests {
         }
     }
 
-    /// Migration overrides win over every policy, bump the epoch, and —
-    /// under Centralized — force routing through the translate path so the
-    /// override layer is actually consulted.
+    const POLICIES: [HomePolicyKind; 3] = [
+        HomePolicyKind::Centralized,
+        HomePolicyKind::Interleaved,
+        HomePolicyKind::FirstTouch,
+    ];
+
+    /// A migration wins over every policy, bumps the epoch, and — under
+    /// Centralized — forces routing through the translate path so the
+    /// moved home is actually read.
     #[test]
     fn migration_overrides_every_policy() {
-        for kind in [
-            HomePolicyKind::Centralized,
-            HomePolicyKind::Interleaved,
-            HomePolicyKind::FirstTouch,
-        ] {
+        for kind in POLICIES {
             let geo = Geometry::new(8, 4);
-            let table = HomeTable::new(kind, 4, geo.clone());
-            table.publish(mp_at(&geo, 0, 0, 0), HostId(0));
+            let table = table(kind, 4, &geo);
+            table.alloc(64, HostId(0)).unwrap();
             assert_eq!(table.epoch(), 0);
             let before = table.home(MinipageId(0));
             let to = HostId((before.index() as u16 + 1) % 4);
@@ -322,23 +367,24 @@ mod tests {
             let (routed, looked_up) = table.route(geo.addr_of(0, 0, 7));
             assert_eq!(routed, to, "{kind:?}: route ignored the override");
             assert!(looked_up, "{kind:?}: post-migration route must translate");
+            assert!(!table.reshaped(), "{kind:?}: a migration reshapes nothing");
         }
     }
 
-    /// Pinned publication (split children inheriting the parent's home)
-    /// sticks under any policy, including the Centralized fast path.
+    /// A replacement's pinned home (a split child inheriting the parent's)
+    /// sticks under any policy, including the Centralized fast path, and
+    /// the next allocation takes the next id.
     #[test]
-    fn publish_at_pins_the_home() {
-        for kind in [
-            HomePolicyKind::Centralized,
-            HomePolicyKind::Interleaved,
-            HomePolicyKind::FirstTouch,
-        ] {
+    fn replace_pins_the_home() {
+        for kind in POLICIES {
             let geo = Geometry::new(8, 4);
-            let table = HomeTable::new(kind, 4, geo.clone());
-            table.publish(mp_at(&geo, 0, 0, 0), HostId(0));
-            table.publish_at(mp_at(&geo, 1, 1, 0), HostId(3));
+            let table = table(kind, 4, &geo);
+            table.alloc(64, HostId(0)).unwrap();
+            table.replace(&[MinipageId(0)], vec![mp_at(&geo, 1, 1, 0)], HostId(3));
             assert_eq!(table.home(MinipageId(1)), HostId(3), "{kind:?}");
+            assert!(table.reshaped());
+            let (_, placed) = table.alloc(64, HostId(0)).unwrap();
+            assert_eq!(placed[0].0.id, MinipageId(2), "{kind:?}");
         }
     }
 }

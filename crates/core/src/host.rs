@@ -387,7 +387,7 @@ impl HostCtx {
     }
 
     /// Routes `addr`'s protocol traffic to its home shard. Distributed
-    /// policies translate through the local MPT replica, which costs one
+    /// policies translate through the run's minipage table, which costs one
     /// `mpt_lookup` on the application thread; `cat` attributes that time
     /// when the caller's surrounding code does not already cover it with
     /// a category charge. The centralized policy routes straight to the
@@ -451,8 +451,8 @@ impl HostCtx {
 
     /// Records the fault at `addr` entering the protocol at `t0`, both
     /// fault paths' one fact, and returns its minipage for the fault-end
-    /// record. The replica-local translation (free in virtual time) runs
-    /// only when a recorder takes the minipage.
+    /// record. The translation (free in virtual time) runs only when a
+    /// recorder takes the minipage.
     fn fault_begin(&mut self, t0: Ns, addr: VAddr, write: bool) -> u32 {
         let mp = self.probe.attributes().then(|| self.home.translate(addr));
         let (mp, off) = mp
@@ -568,7 +568,7 @@ impl HostCtx {
             self.tlb.evict(e.vpage());
         }
         let page = self.state.space.geometry().page_size();
-        let remap = self.home.mpt().adapt_gen() != 0;
+        let remap = self.home.reshaped();
         let mut off = 0usize;
         while off < buf.len() {
             let mut seg_addr = addr.add(off);
@@ -599,7 +599,7 @@ impl HostCtx {
             self.tlb.evict(e.vpage());
         }
         let page = self.state.space.geometry().page_size();
-        let remap = self.home.mpt().adapt_gen() != 0;
+        let remap = self.home.reshaped();
         let mut off = 0usize;
         while off < data.len() {
             let mut seg_addr = addr.add(off);
@@ -1140,6 +1140,7 @@ impl HostCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multiview::{AllocMode, Allocator};
     use sim_mem::Geometry;
 
     fn completion(resume_vt: Ns) -> Completion {
@@ -1180,7 +1181,11 @@ mod tests {
     #[test]
     fn cancel_pending_fails_every_parked_waiter() {
         let geo = Geometry::new(4, 2);
-        let home = HomeTable::new(HomePolicyKind::Centralized, 1, geo.clone());
+        let home = HomeTable::new(
+            HomePolicyKind::Centralized,
+            1,
+            Allocator::new(geo.clone(), AllocMode::FINE),
+        );
         let st = HostState::new(
             HostId(0),
             AddressSpace::new(geo),

@@ -997,11 +997,12 @@ where
     let (stack, shards, shared) = Stack::new(&cluster, geo.clone(), per_host, setup);
     let (home, states) = (&stack.home, &stack.states);
 
-    // Setup has run, so the minipage table is final: freeze the vpage →
-    // minipage attribution map the resolver uses from signal context.
+    // Setup has run, so the minipage table is final: freeze its vpage →
+    // minipage attribution map for the resolver, which runs in signal
+    // context and so may not take the table's lock.
     let mp_map = if stack.diag.is_some() {
         let mut map = vec![(NO_MP, 0u64); geo.priv_view() * geo.pages()];
-        for mp in home.mpt().snapshot() {
+        for mp in home.table.read().mpt().iter() {
             for vp in mp.vpages(&geo) {
                 if let Some(slot) = map.get_mut(vp) {
                     *slot = (mp.id.0, mp.base.0);

@@ -13,12 +13,13 @@
 //! runs a [`ManagerShard`], and each minipage's directory entry, service
 //! window and (under release consistency) master copy live at the shard of
 //! its *home* host, chosen by the cluster's
-//! [`HomePolicyKind`](crate::HomePolicyKind). The MPT is replicated
-//! read-only to all hosts through the [`HomeTable`], so every shard
-//! translates locally. The shared allocator and the synchronization
-//! services stay on the single manager host — they are not per-minipage
-//! state. Under the `Centralized` policy every minipage is homed at the
-//! manager host and the protocol is bit-for-bit the paper's original.
+//! [`HomePolicyKind`](crate::HomePolicyKind). Every shard translates
+//! through the run's one MPT, which the [`HomeTable`] holds: the shared
+//! allocator places into it and adaptation rewrites it. Allocation and
+//! the synchronization services stay on the single manager host — they
+//! are not per-minipage state. Under the `Centralized` policy every
+//! minipage is homed at the manager host and the protocol is bit-for-bit
+//! the paper's original.
 
 use crate::adapt::{AdaptAction, AdaptConfig, AdaptEngine, AdaptReport};
 use crate::backend::{ClusterMemory, ProtoClock, Transport};
@@ -26,10 +27,10 @@ use crate::diff::Diff;
 use crate::directory::Directory;
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo};
-use crate::home::HomeTable;
+use crate::home::{HomeTable, MANAGER};
 use crate::msg::{MsgKind, Pmsg};
 use crate::probe::{Fact, Probe};
-use multiview::{AllocStats, Allocator, Minipage, MinipageId};
+use multiview::{Minipage, MinipageId};
 use sim_core::trace::TraceKind;
 use sim_core::{CostModel, HostId, LogHistogram, Ns, VAddr};
 use sim_mem::Prot;
@@ -45,8 +46,8 @@ struct LockState {
 
 /// One host's slice of the distributed manager: runs inside the DSM
 /// server thread and owns the directory entries of the minipages homed
-/// here. The manager host's shard additionally carries the shared
-/// allocator and the synchronization services.
+/// here. The manager host's shard additionally serves allocations and
+/// the synchronization services.
 pub struct ManagerShard {
     me: HostId,
     hosts: usize,
@@ -56,8 +57,6 @@ pub struct ManagerShard {
     cost: CostModel,
     consistency: Consistency,
     home: Arc<HomeTable>,
-    /// The shared allocator; present only on the manager host.
-    allocator: Option<Allocator>,
     dir: Directory,
     locks: HashMap<u64, LockState>,
     barrier_waiters: Vec<Pmsg>,
@@ -97,7 +96,6 @@ impl ManagerShard {
         barrier_quorum: usize,
         cost: CostModel,
         consistency: Consistency,
-        allocator: Option<Allocator>,
         home: Arc<HomeTable>,
         cluster: Arc<dyn ClusterMemory>,
         probe: Probe,
@@ -109,7 +107,6 @@ impl ManagerShard {
             barrier_quorum,
             cost,
             consistency,
-            allocator,
             dir: Directory::new(me),
             locks: HashMap::new(),
             barrier_waiters: Vec::new(),
@@ -126,15 +123,6 @@ impl ManagerShard {
     /// The host this shard runs on.
     pub fn me(&self) -> HostId {
         self.me
-    }
-
-    /// Allocator statistics (Table 2's shared-memory size, views,
-    /// granularity). Only the manager host's shard has them.
-    pub fn alloc_stats(&self) -> AllocStats {
-        self.allocator
-            .as_ref()
-            .expect("the allocator lives on the manager host")
-            .stats()
     }
 
     /// Competing requests observed at this shard (Figure 7).
@@ -166,22 +154,16 @@ impl ManagerShard {
     }
 
     /// Allocates shared memory and initializes its directory state: each
-    /// new minipage is published to the home table and starts at its home
-    /// host with a writable copy. Runs on the manager host only.
+    /// new minipage enters the home table and starts at its home host
+    /// with a writable copy. Runs on the manager host only.
     /// `now` is the virtual time of the grant (0 during pre-run setup).
     pub(crate) fn do_alloc(&mut self, size: usize, requester: HostId, now: Ns) -> VAddr {
-        let allocator = self
-            .allocator
-            .as_mut()
-            .expect("allocations are served by the manager host");
-        let before = allocator.mpt().len();
-        let addr = allocator
-            .alloc(size)
+        assert_eq!(self.me, MANAGER, "allocations go to the manager host");
+        let (addr, placed) = self
+            .home
+            .alloc(size, requester)
             .unwrap_or_else(|e| panic!("shared allocation failed: {e}"));
-        let geo = allocator.geometry().clone();
-        let new_mps: Vec<Minipage> = (before..allocator.mpt().len())
-            .map(|idx| *allocator.mpt().get(MinipageId(idx as u32)))
-            .collect();
+        let geo = self.home.geometry();
         // Fresh minipages live at their home host. Under SW/MR the home
         // copy starts writable; under release consistency it starts
         // read-only so the home host's own writes twin and flush like
@@ -190,8 +172,7 @@ impl ManagerShard {
             Consistency::SequentialSwMr => Prot::ReadWrite,
             Consistency::HomeEagerRc => Prot::ReadOnly,
         };
-        for mp in new_mps {
-            let home = self.home.publish(mp, requester);
+        for (mp, home) in placed {
             // aux 1 = the home copy starts writable (SW/MR), 0 = read-only
             // (HLRC); peer = the home host the copy lands on.
             self.probe.trace(now, TraceKind::AllocGrant, |e| {
@@ -199,7 +180,7 @@ impl ManagerShard {
                     .with_peer(home)
                     .with_aux(u32::from(home_prot == Prot::ReadWrite))
             });
-            for vp in mp.vpages(&geo) {
+            for vp in mp.vpages(geo) {
                 self.cluster
                     .set_prot(home, vp, home_prot)
                     .expect("application vpage");
@@ -207,12 +188,12 @@ impl ManagerShard {
             if self.consistency == Consistency::HomeEagerRc {
                 self.cluster.learn_rc(
                     home,
-                    mp.vpages(&geo),
+                    mp.vpages(geo),
                     MpInfo {
                         id: mp.id,
                         base: mp.base,
                         len: mp.len,
-                        priv_base: mp.priv_base(&geo),
+                        priv_base: mp.priv_base(geo),
                     },
                 );
             }
@@ -223,18 +204,12 @@ impl ManagerShard {
     /// Closes the current chunk (see
     /// [`Allocator::finish_chunk`](multiview::Allocator::finish_chunk)).
     pub(crate) fn finish_chunk(&mut self) {
-        self.allocator
-            .as_mut()
-            .expect("the allocator lives on the manager host")
-            .finish_chunk();
+        self.home.table.write().alloc.finish_chunk();
     }
 
     /// See [`Allocator::retire_page`](multiview::Allocator::retire_page).
     pub(crate) fn retire_page(&mut self) {
-        self.allocator
-            .as_mut()
-            .expect("the allocator lives on the manager host")
-            .retire_page();
+        self.home.table.write().alloc.retire_page();
     }
 
     /// Pre-run initialization write (free): lands in the home host's
@@ -287,11 +262,11 @@ impl ManagerShard {
         }
     }
 
-    /// Figure 3 `Translate`: fills the translation fields from the MPT
-    /// replica. Returns `None` after forwarding a stale-homed request:
-    /// the minipage migrated while the message was in flight (the sender
-    /// routed with an older epoch of the home table), so the request is
-    /// re-sent verbatim to the current home and local processing stops.
+    /// Figure 3 `Translate`: fills the translation fields from the MPT.
+    /// Returns `None` after forwarding a stale-homed request: the minipage
+    /// migrated while the message was in flight (the sender routed with an
+    /// older epoch of the home table), so the request is re-sent verbatim
+    /// to the current home and local processing stops.
     fn translate<C: ProtoClock, T: Transport>(
         &mut self,
         m: &mut Pmsg,
@@ -876,7 +851,14 @@ impl ManagerShard {
             return Ok(0); // No diagnostics, nothing to plan from.
         };
         let geo = self.home.geometry().clone();
-        let active = self.home.mpt().snapshot_active();
+        let active: Vec<Minipage> = self
+            .home
+            .table
+            .read()
+            .mpt()
+            .iter_active()
+            .copied()
+            .collect();
         let report = crate::diag::build_report(&table, &active, &geo, &self.home, Vec::new());
         let actions = self.adapt.plan(&report, &active, geo.page_size());
         let mut outstanding = 0usize;
@@ -951,6 +933,12 @@ impl ManagerShard {
         })
     }
 
+    /// `id`'s descriptor, unless an earlier action retired it.
+    fn live(&self, id: MinipageId) -> Option<Minipage> {
+        let t = self.home.table.read();
+        (!t.mpt().is_retired(id)).then(|| *t.mpt().get(id))
+    }
+
     /// Ensures this home's physical copy of `mp` is current: under SW/MR
     /// the latest bytes may live at a remote owner. Control-plane copy —
     /// no protocol messages, the cluster is quiesced.
@@ -1005,14 +993,13 @@ impl ManagerShard {
                 // Splitting rewrites protections per new vpage; only the
                 // SW/MR protocol's directory state survives that rewrite
                 // as "one writable copy at home".
-                if self.consistency != Consistency::SequentialSwMr
-                    || self.home.mpt().is_retired(*mp)
-                    || self.adapt_busy(*mp)
-                {
+                let parent = self.live(*mp).filter(|_| {
+                    self.consistency == Consistency::SequentialSwMr && !self.adapt_busy(*mp)
+                });
+                let Some(parent) = parent else {
                     self.adapt.record_deferred();
                     return Ok(false);
-                }
-                let parent = self.home.mpt().get(*mp);
+                };
                 let mut bounds = vec![0usize];
                 bounds.extend(cuts.iter().map(|&c| c as usize));
                 bounds.push(parent.len);
@@ -1023,7 +1010,8 @@ impl ManagerShard {
                 // Place each child in a fresh view over the parent's
                 // physical bytes: the data never moves.
                 let phys = parent.phys_range(ps);
-                let next = self.home.mpt().next_id().0;
+                let t = self.home.table.read();
+                let next = t.mpt().next_id().0;
                 let mut children = Vec::new();
                 let mut used_views = Vec::new();
                 for (k, w) in bounds.windows(2).enumerate() {
@@ -1031,10 +1019,7 @@ impl ManagerShard {
                     let len = w[1] - w[0];
                     let (first_page, offset) = (start / ps, start % ps);
                     let pages = (offset + len).div_ceil(ps);
-                    let view = self
-                        .home
-                        .mpt()
-                        .free_view_for(&geo, first_page, pages, &used_views);
+                    let view = t.mpt().free_view_for(&geo, first_page, pages, &used_views);
                     let Some(view) = view else {
                         self.adapt.record_deferred();
                         return Ok(false); // View space exhausted: skip.
@@ -1049,15 +1034,13 @@ impl ManagerShard {
                         offset,
                     });
                 }
+                drop(t);
                 self.pull_master_copy(&parent)?;
                 self.revoke_everywhere(&parent)?;
                 let n = children.len() as u32;
                 let first = children[0].id.0;
-                self.home
-                    .mpt()
-                    .retire_and_insert(&geo, &[parent.id], children.clone());
+                self.home.replace(&[parent.id], children.clone(), self.me);
                 for child in &children {
-                    self.home.publish_at(*child, self.me);
                     for vp in child.vpages(&geo) {
                         self.cluster
                             .set_prot(self.me, vp, Prot::ReadWrite)
@@ -1071,16 +1054,17 @@ impl ManagerShard {
                 Ok(true)
             }
             AdaptAction::Merge { group } => {
-                if self.consistency != Consistency::SequentialSwMr
-                    || group.len() < 2
-                    || group.iter().any(|&id| self.home.mpt().is_retired(id))
-                    || group.iter().any(|&id| self.adapt_busy(id))
-                {
+                let members: Option<Vec<Minipage>> =
+                    group.iter().map(|&id| self.live(id)).collect();
+                let members = members.filter(|_| {
+                    self.consistency == Consistency::SequentialSwMr
+                        && group.len() >= 2
+                        && !group.iter().any(|&id| self.adapt_busy(id))
+                });
+                let Some(mut members) = members else {
                     self.adapt.record_deferred();
                     return Ok(false);
-                }
-                let mut members: Vec<Minipage> =
-                    group.iter().map(|&id| self.home.mpt().get(id)).collect();
+                };
                 members.sort_by_key(|m| m.phys_range(ps).start);
                 let contiguous = members
                     .windows(2)
@@ -1089,12 +1073,20 @@ impl ManagerShard {
                 let len: usize = members.iter().map(|m| m.len).sum();
                 let (first_page, offset) = (start / ps, start % ps);
                 let pages = (offset + len).div_ceil(ps);
-                let view = self
-                    .home
-                    .mpt()
-                    .free_view_for(&geo, first_page, pages, &[])
-                    .filter(|_| contiguous && first_page + pages <= geo.pages());
-                let Some(view) = view else {
+                let merged = {
+                    let t = self.home.table.read();
+                    let view = t.mpt().free_view_for(&geo, first_page, pages, &[]);
+                    view.filter(|_| contiguous && first_page + pages <= geo.pages())
+                        .map(|view| Minipage {
+                            id: t.mpt().next_id(),
+                            base: geo.addr_of(view, first_page, offset),
+                            len,
+                            view,
+                            first_page,
+                            offset,
+                        })
+                };
+                let Some(merged) = merged else {
                     self.adapt.record_deferred();
                     return Ok(false);
                 };
@@ -1104,17 +1096,8 @@ impl ManagerShard {
                 for m in &members {
                     self.revoke_everywhere(m)?;
                 }
-                let merged = Minipage {
-                    id: self.home.mpt().next_id(),
-                    base: geo.addr_of(view, first_page, offset),
-                    len,
-                    view,
-                    first_page,
-                    offset,
-                };
                 let old: Vec<MinipageId> = members.iter().map(|m| m.id).collect();
-                self.home.mpt().retire_and_insert(&geo, &old, vec![merged]);
-                self.home.publish_at(merged, self.me);
+                self.home.replace(&old, vec![merged], self.me);
                 for vp in merged.vpages(&geo) {
                     self.cluster
                         .set_prot(self.me, vp, Prot::ReadWrite)
@@ -1134,15 +1117,13 @@ impl ManagerShard {
                 Ok(true)
             }
             AdaptAction::Migrate { mp, to } => {
-                if *to == self.me
-                    || to.index() >= self.hosts
-                    || self.home.mpt().is_retired(*mp)
-                    || self.adapt_busy(*mp)
-                {
+                let desc = self
+                    .live(*mp)
+                    .filter(|_| *to != self.me && to.index() < self.hosts && !self.adapt_busy(*mp));
+                let Some(desc) = desc else {
                     self.adapt.record_deferred();
                     return Ok(false);
-                }
-                let desc = self.home.mpt().get(*mp);
+                };
                 self.pull_master_copy(&desc)?;
                 let pb = desc.priv_base(&geo);
                 let data = self

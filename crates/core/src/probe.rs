@@ -251,6 +251,7 @@ mod tests {
     use crate::home::{HomePolicyKind, HomeTable};
     use crate::host::Waiters;
     use crate::msg::{MsgKind, Pmsg};
+    use multiview::{AllocMode, Allocator};
     use sim_core::{CostModel, LinkTraffic, VAddr};
     use sim_mem::{AddressSpace, Geometry};
     use std::alloc::{GlobalAlloc, Layout, System};
@@ -409,7 +410,11 @@ mod tests {
     #[test]
     fn signal_context_work_allocates_nothing() {
         let geo = Geometry::new(4, 2);
-        let home = HomeTable::new(HomePolicyKind::Centralized, 2, geo.clone());
+        let home = HomeTable::new(
+            HomePolicyKind::Centralized,
+            2,
+            Allocator::new(geo.clone(), AllocMode::FINE),
+        );
         let state = HostState::new(
             ME,
             AddressSpace::new(geo),

@@ -407,7 +407,7 @@ mod tests {
     use super::*;
     use crate::home::HomePolicyKind;
     use crate::host::Waiters;
-    use multiview::MinipageId;
+    use multiview::{AllocMode, Allocator};
     use sim_core::CostModel;
     use sim_mem::AddressSpace;
 
@@ -416,7 +416,8 @@ mod tests {
     #[test]
     fn checkers_on_an_idle_cluster_back_no_page() {
         let geo = Geometry::new(8, 4);
-        let home = Arc::new(HomeTable::new(HomePolicyKind::Centralized, 2, geo.clone()));
+        let alloc = Allocator::new(geo.clone(), AllocMode::FINE);
+        let home = Arc::new(HomeTable::new(HomePolicyKind::Centralized, 2, alloc));
         let states: Vec<Arc<HostState>> = (0..2)
             .map(|h| {
                 Arc::new(HostState::new(
@@ -430,20 +431,13 @@ mod tests {
                 ))
             })
             .collect();
-        let mp = Minipage {
-            id: MinipageId(0),
-            base: geo.addr_of(0, 1, 0),
-            len: 256,
-            view: 0,
-            first_page: 1,
-            offset: 0,
-        };
-        home.mpt().publish(&geo, mp);
+        let (_, placed) = home.alloc(256, HostId(0)).unwrap();
+        let mp = placed[0].0;
         // A read copy away from home, so the RC check compares bytes.
         for vp in mp.vpages(&geo) {
             states[1].space.set_prot(vp, Prot::ReadOnly).unwrap();
         }
-        let minipages = home.mpt().snapshot();
+        let minipages: Vec<Minipage> = home.table.read().mpt().iter().copied().collect();
         assert_eq!(minipages.len(), 1);
         assert!(check_coherence(&minipages, &geo, &states).is_empty());
         assert!(check_rc_consistency(&minipages, &geo, &states, &home).is_empty());

@@ -1,8 +1,8 @@
 //! Edge-case integration tests of the cluster API surface.
 
 use millipage::{
-    run, AllocMode, Category, ClusterConfig, Consistency, CostModel, FaultPlane, HostId, SchedMode,
-    ScriptedFault, SharedVec, VAddr,
+    run, AllocMode, Category, ClusterConfig, Consistency, CostModel, FaultPlane, HomePolicyKind,
+    HostId, SchedMode, ScriptedFault, SharedVec, VAddr,
 };
 use parking_lot::Mutex;
 
@@ -296,15 +296,18 @@ fn blackholed_request_surfaces_as_protocol_error() {
     assert_eq!(nf.expired, 1, "exactly the blackholed send expired");
 }
 
-#[test]
-fn stray_read_nacks_the_requester() {
-    // A read of a mapped address nothing was allocated at: the manager's
-    // translation fails, and the shared server error path must *tell the
-    // requester* (a `Nack`) rather than leave it blocked — the same
-    // guarantee `host_request_nack.rs` pins on the real-memory backend.
+/// A read of a mapped address nothing was allocated at: the translation
+/// fails, under every home policy the request reaches the manager's shard,
+/// and the shared server error path must *tell the requester* (a `Nack`)
+/// rather than leave it blocked — the same guarantee
+/// `host_request_nack.rs` pins on the real-memory backend.
+fn stray_read_nacks(policy: HomePolicyKind) {
     let stray = VAddr(sim_core::DEFAULT_BASE + 5 * 4096);
     let report = run(
-        cfg(2),
+        ClusterConfig {
+            home_policy: policy,
+            ..cfg(2)
+        },
         |_| SharedVec::<f32>::from_raw(stray, 1),
         |ctx, sv| {
             if ctx.host() == HostId(1) {
@@ -319,8 +322,19 @@ fn stray_read_nacks_the_requester() {
             && errs
                 .iter()
                 .any(|e| e.starts_with("h1") && e.contains("nacked")),
-        "expected a BadTranslation/Nacked pair, got {errs:?}"
+        "{policy:?}: expected a BadTranslation/Nacked pair, got {errs:?}"
     );
+}
+
+#[test]
+fn stray_read_nacks_the_requester() {
+    for policy in [
+        HomePolicyKind::Centralized,
+        HomePolicyKind::Interleaved,
+        HomePolicyKind::FirstTouch,
+    ] {
+        stray_read_nacks(policy);
+    }
 }
 
 #[test]

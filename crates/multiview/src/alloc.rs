@@ -107,12 +107,11 @@ pub struct Allocator {
     /// Page currently being filled with small minipages.
     cur_page: usize,
     cur_off: usize,
+    /// First view of `cur_page` not yet tried; `geo.views()` when there is
+    /// no page to fill (before the first small alloc, after a retire).
     cur_views: usize,
     /// First never-touched page.
     next_page: usize,
-    /// Whether `cur_page` is valid (false before the first small alloc and
-    /// after a page is retired).
-    cur_valid: bool,
     open_chunk: Option<OpenChunk>,
     /// PageGrain: linear bump offset and last page that got a minipage.
     linear_off: usize,
@@ -140,15 +139,14 @@ impl Allocator {
             assert!(chunking >= 1, "chunking level must be >= 1");
         }
         Self {
+            cur_views: geo.views(),
             geo,
             mode,
             align,
             mpt: Mpt::new(),
             cur_page: 0,
             cur_off: 0,
-            cur_views: 0,
             next_page: 0,
-            cur_valid: false,
             open_chunk: None,
             linear_off: 0,
             linear_minipaged: 0,
@@ -159,6 +157,13 @@ impl Allocator {
     /// The minipage table this allocator maintains.
     pub fn mpt(&self) -> &Mpt {
         &self.mpt
+    }
+
+    /// The table for adaptation to rewrite: splits and merges retire
+    /// entries and insert their replacements here, and later allocations
+    /// place around them.
+    pub fn mpt_mut(&mut self) -> &mut Mpt {
+        &mut self.mpt
     }
 
     /// The shared geometry.
@@ -212,7 +217,7 @@ impl Allocator {
     /// the view count of the structure that matters.
     pub fn retire_page(&mut self) {
         self.finish_chunk();
-        self.cur_valid = false;
+        self.cur_views = self.geo.views();
     }
 
     fn alloc_small(
@@ -233,20 +238,29 @@ impl Allocator {
         let psz = self.geo.page_size();
         let slots = chunking.min(psz / size).max(1);
         let mp_len = slots * size;
+        // The next view of the current page whose vpage is free: a split
+        // child or a merge result may already have taken one.
+        let view = (self.cur_off + mp_len <= psz)
+            .then(|| {
+                (self.cur_views..self.geo.views())
+                    .find(|&v| self.mpt.is_free(self.geo.vpage_index(v, self.cur_page)))
+            })
+            .flatten();
         // Retire the current page when the minipage no longer fits, either
-        // by space or because the page's view budget is exhausted.
-        if !self.cur_valid || self.cur_off + mp_len > psz || self.cur_views == self.geo.views() {
-            if self.next_page >= self.geo.pages() {
-                return Err(AllocError::OutOfMemory { requested: size });
+        // by space or because the page's views are all taken.
+        let view = match view {
+            Some(view) => view,
+            None => {
+                if self.next_page >= self.geo.pages() {
+                    return Err(AllocError::OutOfMemory { requested: size });
+                }
+                self.cur_page = self.next_page;
+                self.next_page += 1;
+                self.cur_off = 0;
+                self.stats.pages_used += 1;
+                0
             }
-            self.cur_page = self.next_page;
-            self.next_page += 1;
-            self.cur_off = 0;
-            self.cur_views = 0;
-            self.cur_valid = true;
-            self.stats.pages_used += 1;
-        }
-        let view = self.cur_views;
+        };
         let base = self.geo.addr_of(view, self.cur_page, self.cur_off);
         let mp = Minipage {
             id: self.mpt.next_id(),
@@ -259,7 +273,7 @@ impl Allocator {
         let id = self.mpt.insert(&self.geo, mp);
         self.record_minipage(mp_len, view);
         self.cur_off += mp_len;
-        self.cur_views += 1;
+        self.cur_views = view + 1;
         if slots > 1 {
             self.open_chunk = Some(OpenChunk {
                 id,
@@ -457,6 +471,33 @@ mod tests {
         let mut a = Allocator::new(geo(64, 8), AllocMode::FineGrain { chunking: 7 });
         let (_, id) = a.alloc_traced(672).unwrap();
         assert_eq!(a.mpt().get(id).len, 672 * 6);
+    }
+
+    /// A split placing its children in views the allocator has not
+    /// reached yet: the next allocation on the page steps over them (and
+    /// over the parent's retired vpage) instead of colliding.
+    #[test]
+    fn allocation_skips_views_adaptation_took() {
+        let mut a = Allocator::new(geo(8, 6), AllocMode::FINE);
+        let g = a.geometry().clone();
+        let (_, parent) = a.alloc_traced(64).unwrap();
+        let mpt = a.mpt_mut();
+        let va = mpt.free_view_for(&g, 0, 1, &[]).unwrap();
+        let vb = mpt.free_view_for(&g, 0, 1, &[va]).unwrap();
+        let child = |id, view, offset| Minipage {
+            id: MinipageId(id),
+            base: g.addr_of(view, 0, offset),
+            len: 32,
+            view,
+            first_page: 0,
+            offset,
+        };
+        mpt.retire_and_insert(&g, &[parent], vec![child(1, va, 0), child(2, vb, 32)]);
+        let (addr, id) = a.alloc_traced(64).unwrap();
+        assert_eq!(id, MinipageId(3));
+        let loc = g.decode(addr).unwrap();
+        assert_eq!((loc.page, loc.view, loc.offset), (0, 3, 64));
+        assert!(a.mpt().geometry_violations(&g).is_empty());
     }
 
     #[test]

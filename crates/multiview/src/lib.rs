@@ -6,7 +6,9 @@
 //! virtual memory of `sim-mem`:
 //!
 //! * [`Minipage`] descriptors and the minipage table ([`Mpt`]) that the
-//!   manager keeps (§2.3, §3.3),
+//!   manager keeps (§2.3, §3.3) — one per run: the [`Allocator`] owns it,
+//!   and adaptation's splits and merges rewrite it in place
+//!   ([`Allocator::mpt_mut`]), so allocation and adaptation never diverge,
 //! * the **dynamic layout** allocator (§2.3): every `malloc` defines its
 //!   own minipage, small allocations on the same physical page are handed
 //!   out through different views, large allocations stay contiguous,
@@ -30,4 +32,4 @@ mod mpt;
 pub use alloc::{AllocError, AllocMode, AllocStats, Allocator};
 pub use layout::static_layout;
 pub use minipage::{Minipage, MinipageId};
-pub use mpt::{Mpt, SharedMpt};
+pub use mpt::Mpt;

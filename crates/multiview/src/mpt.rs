@@ -7,11 +7,8 @@
 //! the minipage base, size, and privileged-view address.
 
 use crate::minipage::{Minipage, MinipageId};
-use parking_lot::RwLock;
 use sim_mem::{Geometry, VAddr};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The minipage table: id → descriptor, plus a vpage index for fault
 /// translation.
@@ -155,12 +152,14 @@ impl Mpt {
     ) -> Option<usize> {
         (0..geo.views()).find(|&view| {
             !avoid.contains(&view)
-                && (first_page..first_page + pages).all(|p| {
-                    let vp = geo.vpage_index(view, p);
-                    self.by_vpage.get(vp).copied().flatten().is_none()
-                        && !self.redirect.contains_key(&vp)
-                })
+                && (first_page..first_page + pages).all(|p| self.is_free(geo.vpage_index(view, p)))
         })
+    }
+
+    /// Whether global vpage `vp` carries no minipage and is no redirect
+    /// trampoline, so a new minipage may take it.
+    pub(crate) fn is_free(&self, vp: usize) -> bool {
+        self.by_vpage.get(vp).copied().flatten().is_none() && !self.redirect.contains_key(&vp)
     }
 
     /// The core adaptation mutation: retires `old` (a split's parent, or a
@@ -297,120 +296,6 @@ impl Mpt {
     }
 }
 
-/// A replicated, shared minipage table.
-///
-/// The distributed-management protocol replicates the MPT to every host
-/// so that translation (fault address → minipage) and home routing stay
-/// local lookups — no manager round-trip. The allocator host remains the
-/// single writer: it publishes every freshly defined minipage here, and
-/// all hosts read through cheap clones of the same handle. The in-process
-/// simulation models replication as shared read-mostly state; the cost
-/// model still charges a local `mpt_lookup` per translation.
-#[derive(Clone, Debug, Default)]
-pub struct SharedMpt {
-    inner: Arc<RwLock<Mpt>>,
-    /// Bumped on every adaptation action
-    /// ([`retire_and_insert`](Self::retire_and_insert)). Access paths
-    /// holding pre-action addresses check this once per access (a relaxed
-    /// load) and only pay for re-translation after the table has actually
-    /// changed shape.
-    adapt_gen: Arc<AtomicU64>,
-}
-
-impl SharedMpt {
-    /// An empty replicated table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Publishes a freshly allocated minipage to every replica.
-    pub fn publish(&self, geo: &Geometry, mp: Minipage) -> MinipageId {
-        self.inner.write().insert(geo, mp)
-    }
-
-    /// Descriptor for an id (copied out of the replica).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never published.
-    pub fn get(&self, id: MinipageId) -> Minipage {
-        *self.inner.read().get(id)
-    }
-
-    /// Local `Translate`: resolves an address to its minipage descriptor.
-    pub fn translate(&self, geo: &Geometry, addr: VAddr) -> Option<Minipage> {
-        self.inner.read().translate(geo, addr).copied()
-    }
-
-    /// Number of published minipages.
-    pub fn len(&self) -> usize {
-        self.inner.read().len()
-    }
-
-    /// Whether nothing has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
-    }
-
-    /// A point-in-time copy of every descriptor (post-run validation),
-    /// including retired entries.
-    pub fn snapshot(&self) -> Vec<Minipage> {
-        self.inner.read().iter().copied().collect()
-    }
-
-    /// A point-in-time copy of the active (non-retired) descriptors.
-    pub fn snapshot_active(&self) -> Vec<Minipage> {
-        self.inner.read().iter_active().copied().collect()
-    }
-
-    /// Whether `id` was retired by an adaptation action.
-    pub fn is_retired(&self, id: MinipageId) -> bool {
-        self.inner.read().is_retired(id)
-    }
-
-    /// Next dense id (adaptation builds replacement descriptors with it).
-    pub fn next_id(&self) -> MinipageId {
-        self.inner.read().next_id()
-    }
-
-    /// See [`Mpt::free_view_for`].
-    pub fn free_view_for(
-        &self,
-        geo: &Geometry,
-        first_page: usize,
-        pages: usize,
-        avoid: &[usize],
-    ) -> Option<usize> {
-        self.inner
-            .read()
-            .free_view_for(geo, first_page, pages, avoid)
-    }
-
-    /// See [`Mpt::retire_and_insert`]; bumps the adaptation generation so
-    /// replicas re-translate stale addresses.
-    pub fn retire_and_insert(
-        &self,
-        geo: &Geometry,
-        old: &[MinipageId],
-        replacements: Vec<Minipage>,
-    ) -> Vec<MinipageId> {
-        let ids = self.inner.write().retire_and_insert(geo, old, replacements);
-        self.adapt_gen.fetch_add(1, Ordering::Release);
-        ids
-    }
-
-    /// The adaptation generation: 0 until the first split/merge, bumped on
-    /// each. A relaxed/acquire load, cheap enough for per-access checks.
-    pub fn adapt_gen(&self) -> u64 {
-        self.adapt_gen.load(Ordering::Acquire)
-    }
-
-    /// See [`Mpt::geometry_violations`].
-    pub fn geometry_violations(&self, geo: &Geometry) -> Vec<String> {
-        self.inner.read().geometry_violations(geo)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,22 +375,6 @@ mod tests {
         mpt.insert(&g, mk(1, 1, 2, 128, 128, &g));
     }
 
-    #[test]
-    fn shared_mpt_replicates_published_entries() {
-        let g = geo();
-        let replica = SharedMpt::new();
-        let other_host_view = replica.clone();
-        assert!(replica.is_empty());
-        let m = mk(0, 1, 2, 256, 672, &g);
-        replica.publish(&g, m);
-        // Any clone of the handle sees the publication immediately.
-        assert_eq!(other_host_view.len(), 1);
-        let hit = other_host_view.translate(&g, g.addr_of(1, 2, 300)).unwrap();
-        assert_eq!(hit.id, MinipageId(0));
-        assert_eq!(other_host_view.get(MinipageId(0)).len, 672);
-        assert_eq!(replica.snapshot().len(), 1);
-    }
-
     /// Splitting a minipage into two children in fresh views keeps every
     /// byte reachable: the parent's addresses redirect by physical byte,
     /// the children translate directly, and merging the children back
@@ -515,10 +384,8 @@ mod tests {
         // Roomy view count: each action retires vpages whose views stay
         // reserved as redirect trampolines, so split + merge needs slack.
         let g = Geometry::new(8, 6);
-        let mpt = SharedMpt::new();
-        let parent = mk(0, 0, 2, 0, 64, &g);
-        mpt.publish(&g, parent);
-        assert_eq!(mpt.adapt_gen(), 0);
+        let mut mpt = Mpt::new();
+        mpt.insert(&g, mk(0, 0, 2, 0, 64, &g));
 
         // Split at byte 32 into two children over the same physical page.
         let va = mpt.free_view_for(&g, 2, 1, &[]).unwrap();
@@ -531,7 +398,6 @@ mod tests {
         );
         assert_eq!(kids, vec![MinipageId(1), MinipageId(2)]);
         assert!(mpt.is_retired(MinipageId(0)));
-        assert_eq!(mpt.adapt_gen(), 1);
         assert_eq!(mpt.geometry_violations(&g), Vec::<String>::new());
         // Stale parent-view addresses resolve by physical byte.
         assert_eq!(
@@ -551,7 +417,6 @@ mod tests {
             vec![mk(3, vm, 2, 0, 64, &g)],
         );
         assert_eq!(merged, vec![MinipageId(3)]);
-        assert_eq!(mpt.adapt_gen(), 2);
         assert_eq!(mpt.geometry_violations(&g), Vec::<String>::new());
         // Parent-view *and* child-view addresses all reach the merged mp.
         for probe in [
@@ -561,8 +426,8 @@ mod tests {
         ] {
             assert_eq!(mpt.translate(&g, probe).unwrap().id, MinipageId(3));
         }
-        assert_eq!(mpt.snapshot_active().len(), 1);
-        assert_eq!(mpt.snapshot().len(), 4);
+        assert_eq!(mpt.iter_active().count(), 1);
+        assert_eq!(mpt.iter().count(), 4);
     }
 
     /// An orphaned byte (children that do not cover the parent) is caught
@@ -570,8 +435,8 @@ mod tests {
     #[test]
     fn geometry_validator_catches_orphaned_bytes() {
         let g = geo();
-        let mpt = SharedMpt::new();
-        mpt.publish(&g, mk(0, 0, 2, 0, 64, &g));
+        let mut mpt = Mpt::new();
+        mpt.insert(&g, mk(0, 0, 2, 0, 64, &g));
         mpt.retire_and_insert(&g, &[MinipageId(0)], vec![mk(1, 1, 2, 0, 32, &g)]);
         let v = mpt.geometry_violations(&g);
         assert!(
