@@ -41,14 +41,14 @@ use crate::stats::{
     ShardStats,
 };
 use multiview::{AllocMode, Allocator, Minipage};
-use parking_lot::Mutex;
 use sim_core::clock::Clock;
-use sim_core::sched::{FiberBody, SchedMode, Scheduler, ThreadKey, Turn};
+use sim_core::sched::{FiberBody, FiberRun, SchedMode, Scheduler, ThreadKey, Turn, TurnFn};
 use sim_core::trace::{Tracer, Track};
 use sim_core::{CostModel, HostId, LinkTraffic, LogHistogram, SplitMix64, TimeBreakdown};
 use sim_mem::{AddressSpace, Geometry, VAddr};
 use sim_net::{FaultPlane, Network, ServerTimeline};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
@@ -438,9 +438,11 @@ where
 
     let mut rng = SplitMix64::new(cfg.seed);
     // A server keeps nothing between two messages, so it needs no stack:
-    // it is a passive slot, and its turn — owned here, borrowed by the
-    // scheduler — runs on whichever application thread holds the schedule.
-    let mut server_cells: Vec<Arc<Mutex<Option<Server>>>> = Vec::new();
+    // it is a passive slot of the fiber run, and its turn runs on whichever
+    // application thread holds the schedule. The server itself stays in a
+    // cell here, to be collected once the run is over.
+    let mut server_cells: Vec<Rc<RefCell<Option<Server>>>> = Vec::new();
+    let mut passive: Vec<(ThreadKey, TurnFn)> = Vec::with_capacity(cfg.hosts);
     for ((h, ep), shard) in endpoints.into_iter().enumerate().zip(shards) {
         let timeline = ServerTimeline::new(cfg.cost.clone(), rng.fork(h as u64));
         // The server's own sends (serves, replies, fan-outs) get recorded
@@ -449,12 +451,10 @@ where
         ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
         let probe = states[h].probe(&cfg.tracer, Track::Server);
         let server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, probe);
-        let cell = Arc::new(Mutex::new(Some(server)));
-        server_cells.push(Arc::clone(&cell));
-        sched.attach_passive(
-            ThreadKey::server(HostId(h as u16)),
-            Box::new(move || cell.lock().as_mut().map_or(Turn::Done, Server::turn)),
-        );
+        let cell = Rc::new(RefCell::new(Some(server)));
+        server_cells.push(Rc::clone(&cell));
+        let turn = move || cell.borrow_mut().as_mut().map_or(Turn::Done, Server::turn);
+        passive.push((ThreadKey::server(HostId(h as u16)), Box::new(turn)));
     }
     // Every application thread is a fiber on this thread; each leaves its
     // report (and the panic it was caught with, if any) in its cell.
@@ -535,18 +535,18 @@ where
             bodies.push((key, Box::new(body)));
         }
     }
-    sched.run_fibers(bodies);
-    let (host_reports, app_failures): (Vec<HostReport>, Vec<_>) = outcomes
-        .into_iter()
-        .map(|o| o.into_inner().expect("every application fiber reports"))
-        .unzip();
-    // All application work is done (or cancelled); stop the servers —
+    let run = FiberRun {
+        fibers: bodies,
+        passive,
+        gate: Some(net.gate()),
+    };
+    // Once all application work is done (or cancelled), stop the servers —
     // unconditionally, so a failed run still tears down cleanly. FIFO per
     // sender guarantees the Shutdown trails every earlier application
-    // message. The run is quiescent here, so the shutdown injection point
+    // message. The run is quiescent then, so the shutdown injection point
     // — and with it the whole run, teardown included — is a pure function
     // of the schedule.
-    sched.quiesce_then(|| {
+    sched.run_fibers(run, || {
         for h in 0..cfg.hosts {
             net.send(
                 MANAGER,
@@ -557,13 +557,16 @@ where
             );
         }
     });
+    let (host_reports, app_failures): (Vec<HostReport>, Vec<_>) = outcomes
+        .into_iter()
+        .map(|o| o.into_inner().expect("every application fiber reports"))
+        .unzip();
     // Every server is collected before any is finished (which closes its
     // endpoint). Taking a server out of its cell also works after a
-    // poisoned run that never served `Shutdown`, and breaks the scheduler
-    // → turn → endpoint → scheduler cycle.
+    // poisoned run that never served `Shutdown`.
     let servers: Vec<Server> = server_cells
         .iter()
-        .map(|c| c.lock().take().expect("a server is collected once"))
+        .map(|c| c.borrow_mut().take().expect("a server is collected once"))
         .collect();
     let outcomes: Vec<ServerOutcome> = servers.into_iter().map(Server::finish).collect();
     let app_failures = app_failures.into_iter().flatten();
@@ -631,6 +634,7 @@ where
         }
     });
     let verdict = stack.check(&shards, net.link_traffic());
+    let (messages, payload_bytes) = net.link_traffic().totals();
     let mut report = RunReport {
         hosts: cfg.hosts,
         virtual_time: per_host.iter().map(|r| r.end_vt).max().unwrap_or(0),
@@ -643,8 +647,8 @@ where
         barriers: sum(|c| &c.barriers),
         lock_acquires: sum(|c| &c.lock_acquires),
         pushes: sum(|c| &c.pushes),
-        messages: net.stats().messages.get(),
-        payload_bytes: net.stats().payload_bytes.get(),
+        messages,
+        payload_bytes,
         alloc: home.table.read().alloc.stats(),
         rc_diffs: sum(|c| &c.rc_diffs),
         policy: home.policy_name(),

@@ -178,11 +178,8 @@ impl Server {
     /// before finishing any: late messages from still-draining peers must
     /// never hit a closed channel.
     pub(crate) fn finish(mut self) -> ServerOutcome {
-        self.ep
-            .network()
-            .stats()
-            .clamped_delays
-            .add(self.timeline.clamp_events());
+        let clamped = &self.ep.network().stats().clamped_delays;
+        clamped.set(clamped.get() + self.timeline.clamp_events());
         ServerOutcome {
             shard: self.shard,
             queue_delay: self.timeline.take_queue_delay(),

@@ -43,12 +43,12 @@ pub use clock::{BusyWindow, Clock, Ns};
 pub use cost::{CostModel, ServiceDelayModel};
 pub use rng::SplitMix64;
 pub use sched::{
-    BlockOutcome, DeliveryGate, FiberBody, SchedMode, SchedPolicy, SchedThread, Scheduler,
-    ThreadClass, ThreadKey, Turn, TurnFn,
+    BlockOutcome, DeliveryGate, FiberBody, FiberRun, SchedMode, SchedPolicy, SchedThread,
+    Scheduler, ThreadClass, ThreadKey, Turn, TurnFn,
 };
 #[doc(hidden)]
 pub use sha256::sha256_hex;
-pub use stats::{Counter, LinkStat, LinkTraffic, LogHistogram};
+pub use stats::{LinkStat, LinkTraffic, LogHistogram};
 pub use trace::{ChromeTrace, TraceEvent, TraceKind, TraceLog, TraceRecorder, Tracer, Track};
 
 /// Identifier of a simulated host (0-based, dense).

@@ -21,14 +21,17 @@
 //! application thread can also be an OS thread of its own, parked on its
 //! own condvar while it does not hold the schedule ([`Scheduler::attach`]);
 //! one scheduler takes one kind or the other, never both. A DSM server
-//! keeps nothing between two messages, so it is a **passive slot**
-//! ([`Scheduler::attach_passive`]): a boxed [`Turn`] function and no
-//! stack. When the policy picks a passive slot, the thread that is giving
-//! up the schedule — in `yield_now`, `block_until`, `finish`, or an
-//! unscheduled caller that finds the run quiescent
-//! ([`Scheduler::bump_action`], [`Scheduler::quiesce_then`]) — runs the
-//! turn to completion itself and dispatches again, until the pick is a
-//! thread (possibly itself: no switch at all). Every slot is otherwise a
+//! keeps nothing between two messages, so it is a **passive slot** of a
+//! fiber run ([`FiberRun::passive`]): a boxed [`Turn`] function and no
+//! stack. When the policy picks a passive slot, the slot that is giving
+//! up the schedule — in `yield_now`, `block_until`, `finish`, or the root
+//! of the run when it finds the run quiescent — runs the turn to
+//! completion itself and dispatches again, until the pick is a thread
+//! (possibly itself: no switch at all). The turns and the wire's
+//! [`DeliveryGate`] never leave the run's OS thread, so neither is `Send`:
+//! they live in a value the run owns, not in the `Sync` scheduler, and
+//! the run's fibers reach it through an `Rc`. A run of attached OS
+//! threads has neither passive slots nor a gate. Every slot is otherwise a
 //! slot like any other — same index, `(virtual time, key)` tie-break,
 //! candidate rule and decision-log entry — so schedules do not depend on
 //! how a slot is registered. The rules that keep this sound:
@@ -104,9 +107,10 @@
 //!   and the rule for adding a third blocking condition:** it is `Send`
 //!   and so is its value; it is pure, answering `Some` or `None`; it
 //!   never calls the scheduler; it takes only leaf locks that no mutator
-//!   holds while waking a host (lock order: scheduler → {mailbox,
-//!   condition}); and every mutator of the state it reads wakes the host
-//!   owning the blocked thread — state with no owning host wakes everyone.
+//!   holds while waking a host (lock order: scheduler → condition; the
+//!   wire takes none); and every mutator of the state it reads wakes the
+//!   host owning the blocked thread — state with no owning host wakes
+//!   everyone.
 //! * **Handler atomicity.** A DSM server handles one message per
 //!   scheduling step — one [`Turn`]: the dispatch boundary *is* the yield
 //!   point, and everything inside a handler (window open/close, directory
@@ -125,8 +129,9 @@ use crate::fiber;
 use crate::rng::SplitMix64;
 use crate::HostId;
 use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// How many scheduling steps a PCT priority-change schedule spreads its
 /// change points over. PCT samples `depth - 1` change points uniformly
@@ -301,19 +306,20 @@ impl SchedMode {
 }
 
 /// How the wire's pending deliveries are exposed to the scheduler. The
-/// network fabric implements this over its per-host mailboxes. Under the
-/// canonical policy a cross-host send is *parked* in the destination's
-/// mailbox keyed by its release time (arrival time floored by the
-/// per-link FIFO cumulative maximum), and the dispatch loop *releases*
-/// packets in `(release, source)` order exactly when the virtual-time
-/// order reaches them; under every policy the quiet point flushes
-/// fault-held packets ([`flush_held`](Self::flush_held)). A sender that
-/// moves a mailbox's earliest packet marks the host in one mask, outside
-/// the scheduler lock. The methods run under it and take only leaf locks
-/// (lock order: scheduler → mailbox).
-pub trait DeliveryGate: Send + Sync {
+/// network fabric implements this over its per-host mailboxes, and a fiber
+/// run owns it ([`FiberRun::gate`]): the wire lives on the run's one OS
+/// thread, so the gate is neither `Send` nor `Sync`. Under the canonical
+/// policy a cross-host send is *parked* in the destination's mailbox keyed
+/// by its release time (arrival time floored by the per-link FIFO
+/// cumulative maximum), and the dispatch loop *releases* packets in
+/// `(release, source)` order exactly when the virtual-time order reaches
+/// them; under every policy the quiet point flushes fault-held packets
+/// ([`flush_held`](Self::flush_held)). A sender that moves a mailbox's
+/// earliest packet marks the host in one mask. The methods run under the
+/// scheduler lock and must not re-enter the scheduler.
+pub trait DeliveryGate {
     /// The hosts (bit *h*: host *h*) whose earliest parked packet changed
-    /// since the last call, which clears them: one atomic swap.
+    /// since the last call, which clears them.
     fn moved_heads(&self) -> u64;
 
     /// The release time of `host`'s earliest parked packet, if any.
@@ -361,8 +367,12 @@ struct Slot {
     /// The slot's leaf in [`State::picks`].
     leaf: usize,
     attached: bool,
-    /// Present on a passive slot (see [`Scheduler::attach_passive`]).
-    passive: Option<Passive>,
+    /// `Some(fresh)` on a passive slot (see [`FiberRun::passive`]): whether
+    /// its first pick is still ahead. That pick is the attach step of the
+    /// thread the slot stands for — it consumes a scheduling step and runs
+    /// nothing — which keeps decision logs identical whichever way a server
+    /// is registered.
+    passive: Option<bool>,
     /// The fiber index of a fiber slot (see [`Scheduler::run_fibers`]).
     fiber: Option<usize>,
     /// The condition the slot's thread is parked on, if it is.
@@ -417,22 +427,35 @@ pub enum Turn {
     Done,
 }
 
-/// One turn of a passive slot, run to completion by whichever thread holds
-/// the schedule when the slot is picked.
-pub type TurnFn = Box<dyn FnMut() -> Turn + Send>;
+/// One turn of a passive slot, run to completion on its fiber run's OS
+/// thread by whichever slot holds the schedule when the slot is picked.
+pub type TurnFn = Box<dyn FnMut() -> Turn>;
 
 /// The body of a fiber slot (see [`Scheduler::run_fibers`]): given the
 /// slot's handle, it runs when the policy first picks the slot.
 pub type FiberBody<'a> = Box<dyn FnOnce(SchedThread) + 'a>;
 
-struct Passive {
-    /// `None` while the turn runs (the scheduler lock is released then).
-    turn: Option<TurnFn>,
-    /// Whether the slot's first pick is still ahead. That pick is the
-    /// attach step of the thread the slot stands for — it consumes a
-    /// scheduling step and runs nothing — which keeps decision logs
-    /// identical whichever way a server is registered.
-    fresh: bool,
+/// The slots and the wire of one [`Scheduler::run_fibers`] call.
+pub struct FiberRun<'a> {
+    /// The application threads: each a body run on a stack of its own.
+    pub fibers: Vec<(ThreadKey, FiberBody<'a>)>,
+    /// The DSM servers: each a turn, run by whoever dispatches. A turn
+    /// never blocks on another simulated thread, and may call
+    /// [`Scheduler::bump_action`] / [`Scheduler::bump_action_host`] but no
+    /// [`SchedThread`] method.
+    pub passive: Vec<(ThreadKey, TurnFn)>,
+    /// The wire's delivery gate, if the run has a wire.
+    pub gate: Option<Rc<dyn DeliveryGate>>,
+}
+
+/// What a fiber run owns beside the `Sync` scheduler state, neither of
+/// them `Send`: the turns of its passive slots and its delivery gate.
+/// [`Scheduler::run_fibers`] keeps it until its shutdown is over; the
+/// run's fibers reach it through an `Rc`.
+struct Local {
+    /// Each slot's turn: `None` on a fiber slot and while the turn runs.
+    turns: Box<[Cell<Option<TurnFn>>]>,
+    gate: Option<Rc<dyn DeliveryGate>>,
 }
 
 enum PolicyState {
@@ -620,21 +643,20 @@ struct Inner {
     /// One condvar per slot: a dispatch notifies exactly the picked
     /// thread, never every parked one.
     cvs: Vec<Condvar>,
-    /// Signalled when the run goes idle or poisons; what
-    /// [`Scheduler::quiesce_then`] waits on.
+    /// Signalled when the run goes idle or poisons; what [`quiesce`]
+    /// waits on.
     main_cv: Condvar,
     poisoned: AtomicBool,
     /// Payload of the first passive turn that panicked (the run is
     /// poisoned with it); [`Scheduler::take_turn_panic`] hands it out.
     turn_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Set while an unregistered external actor (the cluster's main
-    /// thread, delivering shutdowns) runs inside a quiescent run;
+    /// Set while an unscheduled external actor (a fiber run's shutdown,
+    /// delivering the servers' stop messages) runs inside a quiescent run;
     /// suppresses dispatches from its action bumps and bypasses the
     /// delivery gate.
     external: AtomicBool,
     /// Whether cross-host deliveries are gated (virtual-time policy).
     gating: bool,
-    gate: OnceLock<Arc<dyn DeliveryGate>>,
     /// The mode's decision log, which the scheduler's own log is handed
     /// to at every quiescence verdict and on drop.
     log: Arc<Mutex<Vec<u32>>>,
@@ -737,7 +759,6 @@ impl Scheduler {
                 turn_panic: Mutex::new(None),
                 external: AtomicBool::new(false),
                 gating: matches!(mode.policy, SchedPolicy::VirtualTime),
-                gate: OnceLock::new(),
                 log: Arc::clone(&mode.log),
                 hand_offs: Arc::clone(&mode.hand_offs),
             }),
@@ -758,12 +779,6 @@ impl Scheduler {
         self.inner.external.load(Ordering::Acquire)
     }
 
-    /// Installs the delivery gate (the fabric's mailboxes and held
-    /// packets). One-shot; later calls are ignored.
-    pub fn set_gate(&self, gate: Arc<dyn DeliveryGate>) {
-        let _ = self.inner.gate.set(gate);
-    }
-
     /// Registers the calling OS thread as the simulated thread `key` and
     /// parks it until every expected thread has attached and the policy
     /// picks it. Must be called on the spawned thread itself. (What a
@@ -775,8 +790,16 @@ impl Scheduler {
     /// scheduler runs fibers.
     pub fn attach(&self, key: ThreadKey) -> SchedThread {
         let inner = &self.inner;
-        let id = register(inner, key, None);
-        drop(park_until_running(inner, lock(&inner.state), id));
+        let mut ps = lock(&inner.state);
+        let id = claim(&mut ps, key);
+        let fibers = ps.slots.iter().any(|s| s.fiber.is_some());
+        assert!(!fibers, "thread {key}: this scheduler runs fibers");
+        ps.started = ps.slots.iter().all(|s| s.attached);
+        if ps.started {
+            drive(inner, ps, Verdict::Quiet, Some(id), None);
+            ps = lock(&inner.state);
+        }
+        drop(park_until_running(inner, ps, id));
         SchedThread {
             inner: Arc::clone(inner),
             id,
@@ -785,29 +808,37 @@ impl Scheduler {
         }
     }
 
-    /// Runs `bodies` as **fiber slots** on the calling thread and returns
-    /// once every one has exited. A body gets its slot's handle and runs,
-    /// on a stack of its own, when the policy first picks the slot; from
-    /// then on every hand-off between slots is a stack switch on this
-    /// thread (see the module docs), and a fiber that finishes gives up
-    /// the schedule only after its body has returned, everything it owned
+    /// Runs `run`'s fibers and passive slots on the calling thread, then
+    /// `shutdown`, and returns once every fiber has exited and the turns
+    /// `shutdown` made runnable are done. A body gets its slot's handle and
+    /// runs, on a stack of its own, when the policy first picks the slot;
+    /// from then on every hand-off between slots is a stack switch on this
+    /// thread (see the module docs), and a fiber that finishes gives up the
+    /// schedule only after its body has returned, everything it owned
     /// dropped. A panic that escapes a body is caught on its fiber — the
     /// slot finishes, as an OS thread unwinding out of it would — and
-    /// re-raised here once every fiber has exited: it never unwinds
-    /// through a switch. Every other slot must be a passive one attached
-    /// before, so the run starts here, and the bodies' borrows need only
+    /// re-raised here at the end: it never unwinds through a switch. Once
+    /// the run is quiescent, `shutdown` runs as an external actor, as in
+    /// [`quiesce_then`](Self::quiesce_then), with the turns and the gate
+    /// still here. The run starts here, and the bodies' borrows need only
     /// outlive this call.
     ///
     /// # Panics
     ///
-    /// Panics if a key names no slot, an attached slot or a server, if an
-    /// OS thread is attached or a slot is left unattached, and with the
-    /// first payload a body panicked with.
-    pub fn run_fibers(&self, bodies: Vec<(ThreadKey, FiberBody<'_>)>) {
+    /// Panics if a key names no slot or an attached one, if a fiber is a
+    /// server, if an OS thread is attached or a slot is left out, and with
+    /// the first payload a body panicked with.
+    pub fn run_fibers(&self, run: FiberRun<'_>, shutdown: impl FnOnce()) {
         let inner = &*self.inner;
-        let ids: Vec<usize> = {
+        let (ids, turns) = {
             let mut ps = lock(&inner.state);
-            let ids = (bodies.iter().enumerate())
+            let turns: Box<[_]> = ps.slots.iter().map(|_| Cell::new(None)).collect();
+            for (key, turn) in run.passive {
+                let id = claim(&mut ps, key);
+                ps.slots[id].passive = Some(true);
+                turns[id].set(Some(turn));
+            }
+            let ids: Vec<usize> = (run.fibers.iter().enumerate())
                 .map(|(f, &(key, _))| {
                     assert_eq!(key.class, ThreadClass::App, "fiber {key} is a server");
                     let id = claim(&mut ps, key);
@@ -817,28 +848,32 @@ impl Scheduler {
                 .collect();
             assert!(
                 (ps.slots.iter()).all(|s| s.attached && (s.passive.is_some() || s.fiber.is_some())),
-                "fibers run beside passive slots only, all attached first"
+                "a fiber run takes every slot, as a fiber or a passive slot"
             );
             ps.started = true;
-            ids
+            (ids, turns)
         };
+        let local = Rc::new(Local {
+            turns,
+            gate: run.gate,
+        });
         let escaped = Cell::new(None);
-        let fibers = (bodies.into_iter().zip(ids).enumerate())
+        let fibers = (run.fibers.into_iter().zip(ids).enumerate())
             .map(|(f, ((_, body), id))| {
-                let (arc, escaped) = (&self.inner, &escaped);
+                let (arc, local, escaped) = (&self.inner, &local, &escaped);
                 Box::new(move || {
                     let me = SchedThread {
                         inner: Arc::clone(arc),
                         id,
-                        fiber: Some(f),
+                        fiber: Some((f, Rc::clone(local))),
                         finished: false,
                     };
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(me)));
-                    if let Err(payload) = run {
+                    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(me)));
+                    if let Err(payload) = ran {
                         let first = escaped.take().unwrap_or(payload);
                         escaped.set(Some(first));
                     }
-                    exit_fiber(inner, id)
+                    exit_fiber(inner, id, local)
                 }) as fiber::Body<'_>
             })
             .collect();
@@ -846,7 +881,7 @@ impl Scheduler {
         fiber::run(fibers, || {
             let ps = lock(&inner.state);
             if !std::mem::replace(&mut started, true) {
-                return drive(inner, ps, Verdict::Quiet, None);
+                return drive(inner, ps, Verdict::Quiet, None, Some(&local));
             }
             // Back on this thread's own stack: the run went idle with every
             // fiber exited, or was poisoned, and then every fiber not yet
@@ -855,27 +890,10 @@ impl Scheduler {
             let live = |s: &Slot| (s.status != Status::Done).then_some(s.fiber).flatten();
             poisoned.then(|| ps.slots.iter().find_map(live)).flatten()
         });
+        quiesce(inner, Some(&local), shutdown);
         if let Some(payload) = escaped.into_inner() {
             std::panic::resume_unwind(payload);
         }
-    }
-
-    /// Registers slot `key` as **passive**: it owns no OS thread, and
-    /// whenever the policy picks it, the thread that is giving up the
-    /// schedule runs `turn` to completion and dispatches again (see the
-    /// module docs). The slot keeps its index, tie-break key, candidate
-    /// rule and decision-log entries, so a schedule does not depend on
-    /// whether a slot is a thread or passive. Callable from any thread.
-    ///
-    /// `turn` must never block on another simulated thread, and may call
-    /// [`Scheduler::bump_action`] / [`Scheduler::bump_action_host`] but no
-    /// [`SchedThread`] method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` names no slot or was already attached.
-    pub fn attach_passive(&self, key: ThreadKey, turn: TurnFn) {
-        register(&self.inner, key, Some(turn));
     }
 
     /// The payload of a passive turn that panicked, once. The scheduler
@@ -889,46 +907,34 @@ impl Scheduler {
     /// Wakes every host from *any* thread (registered or not) and, when
     /// the run is quiescent, re-examines it on the calling thread: called
     /// on deliveries in ungated (exploration-policy) mode and by external
-    /// actors that made progress possible. A scheduled thread has
-    /// [`SchedThread::action`] for its own host.
+    /// actors that made progress possible. (A fiber run is quiescent only
+    /// after its fibers, where its shutdown re-examines it instead.) A
+    /// scheduled thread has [`SchedThread::action`] for its own host.
     pub fn bump_action(&self) {
         let inner = &self.inner;
         let mut ps = lock(&inner.state);
         ps.wake_all();
         if ps.started && ps.running.is_none() && !inner.external.load(Ordering::Acquire) {
-            quiet_drive(inner, ps);
+            quiet_drive(inner, ps, None);
         }
     }
 
     /// Wakes `host` only: a delivery or handler effect whose observers
     /// all live on that host. It never needs to re-dispatch, because the
     /// caller is the running scheduled thread (or an external actor inside
-    /// [`Scheduler::quiesce_then`], whose re-examination happens when it
-    /// returns).
+    /// a quiescent run, which is re-examined when the actor returns).
     pub fn bump_action_host(&self, host: HostId) {
         lock(&self.inner.state).wake(host);
     }
 
-    /// Waits until the whole simulation is quiescent (every thread done
-    /// or blocked with nothing runnable and nothing in flight), then runs
-    /// `f` with dispatching suppressed, then re-examines whatever `f`'s
-    /// actions made runnable. This is how the cluster's (unscheduled)
-    /// main thread injects its shutdown messages without racing the
-    /// scheduled world.
+    /// Waits until a run of attached OS threads is quiescent (every thread
+    /// done or blocked with nothing runnable and nothing in flight), then
+    /// runs `f` with dispatching suppressed, then re-examines whatever
+    /// `f`'s actions made runnable: how an unscheduled thread injects
+    /// messages without racing the scheduled world. A fiber run does the
+    /// same with its `shutdown` ([`run_fibers`](Self::run_fibers)).
     pub fn quiesce_then(&self, f: impl FnOnce()) {
-        let inner = &self.inner;
-        let mut ps = lock(&inner.state);
-        while !(inner.poisoned.load(Ordering::Acquire) || (ps.started && ps.running.is_none())) {
-            ps = wait(&inner.main_cv, ps);
-        }
-        inner.external.store(true, Ordering::Release);
-        drop(ps);
-        f();
-        let ps = lock(&inner.state);
-        inner.external.store(false, Ordering::Release);
-        // With every application thread gone this thread is the only one
-        // left to run what `f` made runnable (the servers' last turns).
-        quiet_drive(inner, ps);
+        quiesce(&self.inner, None, f);
     }
 
     /// Number of scheduling decisions taken so far.
@@ -950,8 +956,8 @@ impl Scheduler {
 pub struct SchedThread {
     inner: Arc<Inner>,
     id: usize,
-    /// The slot's fiber index, if it is a fiber slot.
-    fiber: Option<usize>,
+    /// A fiber slot's fiber index and its run's turns and gate.
+    fiber: Option<(usize, Rc<Local>)>,
     finished: bool,
 }
 
@@ -1073,9 +1079,9 @@ impl SchedThread {
     /// OS thread notifies the pick and parks on its condvar.
     fn hand_off<'a>(&'a self, ps: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         let inner = &*self.inner;
-        let next = relinquish(inner, self.id, ps);
+        let next = relinquish(inner, self.id, ps, self.fiber.as_ref().map(|(_, l)| &**l));
         match self.fiber {
-            Some(me) => {
+            Some((me, _)) => {
                 if next.is_some_and(|f| f != me) {
                     fiber::switch(next);
                 }
@@ -1098,7 +1104,7 @@ impl SchedThread {
         if inner.poisoned.load(Ordering::Acquire) || self.fiber.is_some() {
             return;
         }
-        relinquish(inner, self.id, ps);
+        relinquish(inner, self.id, ps, None);
     }
 }
 
@@ -1127,28 +1133,6 @@ fn park_until_running<'a>(
         ps = wait(&inner.cvs[id], ps);
     }
     ps
-}
-
-/// Marks slot `key` attached (as a passive slot when `turn` is given) and,
-/// when it completes the thread set, starts the run on the calling thread.
-/// Returns the slot's index.
-fn register(inner: &Inner, key: ThreadKey, turn: Option<TurnFn>) -> usize {
-    let mut ps = lock(&inner.state);
-    let id = claim(&mut ps, key);
-    let me = turn.is_none().then_some(id);
-    if me.is_some() {
-        let fibers = ps.slots.iter().any(|s| s.fiber.is_some());
-        assert!(!fibers, "thread {key}: this scheduler runs fibers");
-    }
-    ps.slots[id].passive = turn.map(|turn| Passive {
-        turn: Some(turn),
-        fresh: true,
-    });
-    ps.started = ps.slots.iter().all(|s| s.attached);
-    if ps.started {
-        drive(inner, ps, Verdict::Quiet, me);
-    }
-    id
 }
 
 /// Marks slot `key` attached and returns its index.
@@ -1187,12 +1171,14 @@ enum Verdict {
 /// Picks and installs the next slot to run, releasing any gated
 /// deliveries the canonical virtual-time order reaches first. Call with
 /// the scheduler lock held; the caller acts on the verdict.
-fn dispatch_in(inner: &Inner, ps: &mut State) -> Verdict {
+fn dispatch_in(inner: &Inner, ps: &mut State, local: Option<&Local>) -> Verdict {
     ps.running = None;
     if inner.poisoned.load(Ordering::Acquire) {
         return Verdict::Quiet;
     }
-    let gate = inner.gate.get().filter(|_| inner.gating).map(|g| &**g);
+    let gate = local
+        .and_then(|l| l.gate.as_deref())
+        .filter(|_| inner.gating);
     loop {
         let Some(leaf) = ps.first(gate) else {
             return Verdict::Quiet;
@@ -1278,17 +1264,18 @@ fn run_turn<'a>(
     inner: &'a Inner,
     mut ps: MutexGuard<'a, State>,
     i: usize,
+    local: Option<&Local>,
 ) -> MutexGuard<'a, State> {
     let host = ps.slots[i].key.host;
     // Snapshot before the turn looks at its inbox, as `block_until` does:
     // a wake landing in between leaves `seen` stale and the slot
     // schedulable.
     let seen = ps.wakes[host.index()];
-    let passive = ps.slots[i].passive.as_mut().expect("a passive pick");
-    if std::mem::take(&mut passive.fresh) {
+    if std::mem::take(ps.slots[i].passive.as_mut().expect("a passive pick")) {
         return ps;
     }
-    let mut turn = passive.turn.take().expect("one turn of a slot at a time");
+    let turns = &local.expect("a passive slot picked outside its run").turns;
+    let mut turn = turns[i].take().expect("one turn of a slot at a time");
     drop(ps);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut turn));
     let mut ps = lock(&inner.state);
@@ -1316,8 +1303,7 @@ fn run_turn<'a>(
     };
     ps.set(i, vt, status);
     if status != Status::Done {
-        let passive = ps.slots[i].passive.as_mut().expect("a passive pick");
-        passive.turn = Some(turn);
+        turns[i].set(Some(turn));
     }
     ps
 }
@@ -1326,9 +1312,14 @@ fn run_turn<'a>(
 /// long as that is a passive slot, runs it right here. Returns once the
 /// schedule rests with a thread (possibly `me`, which then falls through
 /// its park) or the run went quiet; see [`drive`] for what it returns.
-fn relinquish<'a>(inner: &'a Inner, me: usize, mut ps: MutexGuard<'a, State>) -> Option<usize> {
-    let verdict = dispatch_in(inner, &mut ps);
-    drive(inner, ps, verdict, Some(me))
+fn relinquish<'a>(
+    inner: &'a Inner,
+    me: usize,
+    mut ps: MutexGuard<'a, State>,
+    local: Option<&Local>,
+) -> Option<usize> {
+    let verdict = dispatch_in(inner, &mut ps, local);
+    drive(inner, ps, verdict, Some(me), local)
 }
 
 /// The last scheduling act of fiber slot `id`, after its body returned
@@ -1336,7 +1327,7 @@ fn relinquish<'a>(inner: &'a Inner, me: usize, mut ps: MutexGuard<'a, State>) ->
 /// and gives up the schedule for good. Returns the fiber to switch to, or
 /// `None` for the caller of [`Scheduler::run_fibers`] (the run is over or
 /// poisoned).
-fn exit_fiber(inner: &Inner, id: usize) -> Option<usize> {
+fn exit_fiber(inner: &Inner, id: usize, local: &Local) -> Option<usize> {
     let mut ps = lock(&inner.state);
     if ps.slots[id].status != Status::Done {
         ps.finish(id);
@@ -1344,13 +1335,29 @@ fn exit_fiber(inner: &Inner, id: usize) -> Option<usize> {
     if inner.poisoned.load(Ordering::Acquire) {
         return None;
     }
-    relinquish(inner, id, ps)
+    relinquish(inner, id, ps, Some(local))
+}
+
+/// Waits until the run is quiescent (or poisoned), runs `f` as an external
+/// actor, and then runs on this thread what `f` made runnable: with every
+/// application thread gone, the servers' last turns (`local`'s, if any).
+fn quiesce(inner: &Inner, local: Option<&Local>, f: impl FnOnce()) {
+    let mut ps = lock(&inner.state);
+    while !(inner.poisoned.load(Ordering::Acquire) || (ps.started && ps.running.is_none())) {
+        ps = wait(&inner.main_cv, ps);
+    }
+    inner.external.store(true, Ordering::Release);
+    drop(ps);
+    f();
+    let ps = lock(&inner.state);
+    inner.external.store(false, Ordering::Release);
+    quiet_drive(inner, ps, local);
 }
 
 /// Re-examines a quiescent run from an unscheduled caller, which must not
 /// end on a fiber: a run that is quiet with a fiber alive is poisoned.
-fn quiet_drive(inner: &Inner, ps: MutexGuard<'_, State>) {
-    let resumed = drive(inner, ps, Verdict::Quiet, None);
+fn quiet_drive(inner: &Inner, ps: MutexGuard<'_, State>, local: Option<&Local>) {
+    let resumed = drive(inner, ps, Verdict::Quiet, None, local);
     assert_eq!(resumed, None, "a fiber picked outside its run");
 }
 
@@ -1365,6 +1372,7 @@ fn drive<'a>(
     mut ps: MutexGuard<'a, State>,
     mut verdict: Verdict,
     me: Option<usize>,
+    local: Option<&Local>,
 ) -> Option<usize> {
     loop {
         verdict = match verdict {
@@ -1382,10 +1390,10 @@ fn drive<'a>(
                 return fiber;
             }
             Verdict::Passive(i) => {
-                ps = run_turn(inner, ps, i);
-                dispatch_in(inner, &mut ps)
+                ps = run_turn(inner, ps, i, local);
+                dispatch_in(inner, &mut ps, local)
             }
-            Verdict::Quiet => settle(inner, &mut ps)?,
+            Verdict::Quiet => settle(inner, &mut ps, local)?,
         };
     }
 }
@@ -1396,7 +1404,7 @@ fn drive<'a>(
 /// first pick that comes of it. With nothing left, rules the run idle —
 /// or deadlocked, if an application thread is still blocked — and
 /// returns `None`.
-fn settle(inner: &Inner, ps: &mut State) -> Option<Verdict> {
+fn settle(inner: &Inner, ps: &mut State, local: Option<&Local>) -> Option<Verdict> {
     loop {
         if inner.poisoned.load(Ordering::Acquire) {
             return None;
@@ -1404,11 +1412,12 @@ fn settle(inner: &Inner, ps: &mut State) -> Option<Verdict> {
         if std::mem::take(&mut ps.wake_all_pending) {
             ps.wake_all();
         }
-        let verdict = dispatch_in(inner, ps);
+        let verdict = dispatch_in(inner, ps, local);
         if !matches!(verdict, Verdict::Quiet) {
             return Some(verdict);
         }
-        let rescued = inner.gate.get().map(|g| g.flush_held()).unwrap_or_default();
+        let gate = local.and_then(|l| l.gate.as_ref());
+        let rescued = gate.map(|g| g.flush_held()).unwrap_or_default();
         if rescued.is_empty() {
             break;
         }
@@ -1454,6 +1463,7 @@ fn poison(inner: &Inner, _ps: &State) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
     use std::collections::{BTreeMap, BTreeSet};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -1738,95 +1748,144 @@ mod tests {
         ]
     }
 
+    /// A fiber run of `fibers` alone: no passive slot, no wire.
+    fn fibers_only(fibers: Vec<(ThreadKey, FiberBody<'_>)>) -> FiberRun<'_> {
+        FiberRun {
+            fibers,
+            passive: Vec::new(),
+            gate: None,
+        }
+    }
+
+    /// A flag a test message bumps when it is delivered.
+    type Flag = Rc<Cell<u64>>;
+
     /// One parked test message: destination host and the flag its
     /// release bumps.
-    type TestPending = BTreeMap<(Ns, u64), (HostId, Arc<AtomicU64>)>;
+    type TestPending = BTreeMap<(Ns, u64), (HostId, Flag)>;
 
     /// A miniature delivery gate: messages carry a release time and a
     /// destination flag to bump, standing in for the network fabric. It
-    /// marks a host moved whenever its earliest message changes.
+    /// marks a host moved whenever its earliest message changes, and keeps
+    /// held messages for its quiet-point flush. Like the fabric it lives on
+    /// one thread: it is neither `Send` nor `Sync`.
+    #[derive(Default)]
     struct TestGate {
-        pending: Mutex<TestPending>,
-        seq: AtomicU64,
-        moved: AtomicU64,
+        pending: RefCell<TestPending>,
+        held: RefCell<Vec<(HostId, Flag)>>,
+        seq: Cell<u64>,
+        moved: Cell<u64>,
     }
 
     impl TestGate {
-        fn new() -> Self {
-            Self {
-                pending: Mutex::new(BTreeMap::new()),
-                seq: AtomicU64::new(0),
-                moved: AtomicU64::new(0),
-            }
-        }
-
         fn earliest(p: &TestPending, host: HostId) -> Option<(Ns, u64)> {
             p.iter().find(|(_, (to, _))| *to == host).map(|(k, _)| *k)
         }
 
-        fn send(&self, release: Ns, to: HostId, flag: &Arc<AtomicU64>) {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let mut p = self.pending.lock().unwrap();
-            p.insert((release, seq), (to, Arc::clone(flag)));
+        fn send(&self, release: Ns, to: HostId, flag: &Flag) {
+            let seq = self.seq.replace(self.seq.get() + 1);
+            let mut p = self.pending.borrow_mut();
+            p.insert((release, seq), (to, Rc::clone(flag)));
             if Self::earliest(&p, to) == Some((release, seq)) {
-                self.moved.fetch_or(1 << to.index(), Ordering::Release);
+                self.moved.set(self.moved.get() | 1 << to.index());
             }
         }
     }
 
     impl DeliveryGate for TestGate {
         fn moved_heads(&self) -> u64 {
-            self.moved.swap(0, Ordering::Acquire)
+            self.moved.take()
         }
 
         fn head(&self, host: HostId) -> Option<Ns> {
-            Self::earliest(&self.pending.lock().unwrap(), host).map(|(r, _)| r)
+            Self::earliest(&self.pending.borrow(), host).map(|(r, _)| r)
         }
 
         fn release_next(&self, host: HostId) {
-            let mut p = self.pending.lock().unwrap();
+            let mut p = self.pending.borrow_mut();
             let key = Self::earliest(&p, host).expect("release with nothing pending");
             let (_, flag) = p.remove(&key).unwrap();
-            flag.fetch_add(1, Ordering::Relaxed);
-            self.moved.fetch_or(1 << host.index(), Ordering::Release);
+            flag.set(flag.get() + 1);
+            self.moved.set(self.moved.get() | 1 << host.index());
         }
 
         fn flush_held(&self) -> Vec<HostId> {
-            Vec::new()
+            let held = std::mem::take(&mut *self.held.borrow_mut());
+            held.into_iter()
+                .map(|(to, flag)| {
+                    flag.set(flag.get() + 1);
+                    to
+                })
+                .collect()
         }
     }
 
+    /// A passive server of `host` that waits for `flag` and is then done.
+    fn waits_for(host: u16, flag: &Flag) -> (ThreadKey, TurnFn) {
+        let flag = Rc::clone(flag);
+        let turn = move || match flag.get() {
+            0 => Turn::Idle { vt: 0 },
+            _ => Turn::Done,
+        };
+        (ThreadKey::server(HostId(host)), Box::new(turn))
+    }
+
     /// Host 0's application thread parks a gated delivery for host 1,
-    /// whose server blocks on the flag it bumps. Once the sender yields
+    /// whose server waits for the flag it bumps. Once the sender yields
     /// past the release time nothing else is runnable, so only the
     /// dispatch loop releasing the packet can wake the server.
     #[test]
     fn a_gated_delivery_wakes_its_blocked_receiver() {
         let sched = Scheduler::new(&SchedMode::deterministic(), two_host_keys());
-        let gate = Arc::new(TestGate::new());
-        sched.set_gate(Arc::clone(&gate) as Arc<dyn DeliveryGate>);
-        let flag = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            let (sched, gate, flag) = (&sched, &gate, &flag);
-            scope.spawn(move || sched.attach(ThreadKey::server(HostId(0))).finish());
-            scope.spawn(move || sched.attach(ThreadKey::app(HostId(1), 0)).finish());
-            scope.spawn(move || {
-                let t = sched.attach(ThreadKey::app(HostId(0), 0));
-                t.yield_now(5);
-                // "Send" at vt 5, released at 17.
-                gate.send(17, HostId(1), flag);
-                t.yield_now(20);
-            });
-            scope.spawn(move || {
-                let t = sched.attach(ThreadKey::server(HostId(1)));
-                let delivered = || (flag.load(Ordering::Relaxed) > 0).then_some(());
-                if let BlockOutcome::Poisoned = t.block_until(0, delivered) {
-                    panic!("gated delivery never released");
-                }
-            });
-        });
-        assert!(gate.pending.lock().unwrap().is_empty(), "gate drained");
+        let (gate, flag) = (Rc::new(TestGate::default()), Flag::default());
+        let (g, f) = (&gate, &flag);
+        let send = move |t: SchedThread| {
+            t.yield_now(5);
+            // "Send" at vt 5, released at 17.
+            g.send(17, HostId(1), f);
+            t.yield_now(20);
+        };
+        // Host 0's server and host 1's application thread have nothing to
+        // wait for.
+        let run = FiberRun {
+            fibers: vec![
+                (ThreadKey::app(HostId(0), 0), Box::new(send)),
+                (ThreadKey::app(HostId(1), 0), Box::new(drop)),
+            ],
+            passive: vec![waits_for(0, &Flag::new(Cell::new(1))), waits_for(1, &flag)],
+            gate: Some(Rc::clone(&gate) as Rc<dyn DeliveryGate>),
+        };
+        sched.run_fibers(run, || {});
+        assert_eq!(flag.get(), 1, "gated delivery released once");
+        assert!(gate.pending.borrow().is_empty(), "gate drained");
         assert_eq!(gate.moved_heads(), 0, "every moved head was re-filed");
+    }
+
+    /// A turn that owns an `Rc`, and a gate that is not `Sync`: a `Send`
+    /// bound back on [`TurnFn`] or [`DeliveryGate`] fails to compile here.
+    /// Host 0's application thread leaves a held message for host 0's
+    /// server and finishes; only the run's quiet point, flushing the gate,
+    /// can deliver it, and the server's turn sees it there.
+    #[test]
+    fn a_fiber_run_owns_turns_and_a_gate_that_are_not_send() {
+        let keys = vec![ThreadKey::server(HostId(0)), ThreadKey::app(HostId(0), 0)];
+        let sched = Scheduler::new(&SchedMode::deterministic(), keys);
+        let (gate, flag) = (Rc::new(TestGate::default()), Flag::default());
+        let held = (HostId(0), Rc::clone(&flag));
+        let hold = |t: SchedThread| {
+            gate.held.borrow_mut().push(held);
+            t.yield_now(3);
+        };
+        let run = FiberRun {
+            fibers: vec![(ThreadKey::app(HostId(0), 0), Box::new(hold))],
+            passive: vec![waits_for(0, &flag)],
+            gate: Some(Rc::clone(&gate) as Rc<dyn DeliveryGate>),
+        };
+        sched.run_fibers(run, || {});
+        assert_eq!(flag.get(), 1, "flushed once");
+        assert!(gate.held.borrow().is_empty());
+        // The server's turn, done after the flush, holds its `Rc` no more.
+        assert_eq!(Rc::strong_count(&flag), 1);
     }
 
     /// The toy behind the passive-slot tests: every host has a server
@@ -1850,6 +1909,11 @@ mod tests {
             sched.bump_action_host(HostId(to));
         }
 
+        /// Stops every server, the way the cluster does.
+        fn stop(&self, sched: &Scheduler) {
+            (0..self.inboxes.len() as u16).for_each(|g| self.send(sched, g, None));
+        }
+
         /// One server step of host `g`: what a server thread does between
         /// two scheduling calls, and a passive server in one turn. Echoing
         /// wakes the pinger's host from inside the step, as a handler's
@@ -1868,12 +1932,26 @@ mod tests {
             }
         }
 
-        fn passive_server(self: &Arc<Self>, sched: &Scheduler, g: u16) {
-            let (echo, sched2, mut vt) = (Arc::clone(self), sched.clone(), 0);
-            sched.attach_passive(
-                ThreadKey::server(HostId(g)),
-                Box::new(move || echo.serve(&sched2, g, &mut vt)),
-            );
+        /// Host `g`'s server as a passive slot.
+        fn passive_server(self: &Arc<Self>, sched: &Scheduler, g: u16) -> (ThreadKey, TurnFn) {
+            let (echo, sched, mut vt) = (Arc::clone(self), sched.clone(), 0);
+            let turn = move || echo.serve(&sched, g, &mut vt);
+            (ThreadKey::server(HostId(g)), Box::new(turn))
+        }
+
+        /// A fiber run of `fibers` beside every host's passive server.
+        fn run<'a>(
+            self: &Arc<Self>,
+            sched: &Scheduler,
+            fibers: Vec<(ThreadKey, FiberBody<'a>)>,
+        ) -> FiberRun<'a> {
+            let hosts = self.inboxes.len() as u16;
+            let passive = (0..hosts).map(|g| self.passive_server(sched, g));
+            FiberRun {
+                fibers,
+                passive: passive.collect(),
+                gate: None,
+            }
         }
     }
 
@@ -1887,9 +1965,10 @@ mod tests {
     /// How the toy's servers are registered, and how its pingers wait.
     #[derive(Clone, Copy, PartialEq)]
     enum EchoToy {
-        /// Servers are OS threads written like the pre-passive server loop.
+        /// Every slot is an OS thread, the servers written like the
+        /// pre-passive server loop.
         ServerThreads,
-        /// Servers are passive turns.
+        /// Servers are passive turns, pingers fibers.
         Passive,
         /// Passive servers, and a ping is one `yield_then_block`.
         OnePark,
@@ -1899,35 +1978,41 @@ mod tests {
     /// can run on an OS thread as well as on a fiber.
     type AppBody<'a> = Box<dyn FnOnce(SchedThread) + Send + 'a>;
 
-    /// Runs every `(key, body)` of `apps` with its slot's handle — as fiber
-    /// slots on this thread, or as OS threads that attach — and returns
-    /// when all are finished.
-    fn run_apps(sched: &Scheduler, fibers: bool, apps: Vec<(ThreadKey, AppBody<'_>)>) {
-        if fibers {
-            sched.run_fibers(apps.into_iter().map(|(k, b)| (k, b as FiberBody)).collect());
-            return;
-        }
-        std::thread::scope(|scope| {
-            for (key, body) in apps {
-                scope.spawn(move || body(sched.attach(key)));
-            }
-        });
-    }
-
     /// Every host's application thread pings the next host's server three
-    /// times and waits for each echo; the main thread then stops the
-    /// servers the way the cluster does. The application threads are
-    /// fibers if `fibers` is set (passive servers only). Returns the
-    /// decision log.
-    fn echo_decisions(mode: &SchedMode, hosts: u16, toy: EchoToy, fibers: bool) -> Vec<u32> {
+    /// times and waits for each echo; the servers are then stopped the way
+    /// the cluster stops them. Returns the decision log.
+    fn echo_decisions(mode: &SchedMode, hosts: u16, toy: EchoToy) -> Vec<u32> {
         let sched = Scheduler::new(mode, server_app_keys(hosts));
         let echo = Echo::new(hosts);
+        let apps = (0..hosts).map(|h| {
+            let (sched, echo) = (&sched, &echo);
+            let body = move |t: SchedThread| {
+                let mut vt = 0;
+                for round in 1..=3 {
+                    vt += 7 + u64::from(h);
+                    echo.send(sched, (h + 1) % hosts, Some(h));
+                    let echoed =
+                        || (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(());
+                    let outcome = if toy == EchoToy::OnePark {
+                        t.yield_then_block(vt, echoed)
+                    } else {
+                        t.yield_now(vt);
+                        t.block_until(vt, echoed)
+                    };
+                    if let BlockOutcome::Poisoned = outcome {
+                        panic!("host {h} poisoned in round {round}");
+                    }
+                }
+            };
+            (ThreadKey::app(HostId(h), 0), Box::new(body) as AppBody)
+        });
+        if toy != EchoToy::ServerThreads {
+            let fibers = apps.map(|(k, b)| (k, b as FiberBody)).collect();
+            sched.run_fibers(echo.run(&sched, fibers), || echo.stop(&sched));
+            return mode.decisions();
+        }
         std::thread::scope(|scope| {
             for g in 0..hosts {
-                if toy != EchoToy::ServerThreads {
-                    echo.passive_server(&sched, g);
-                    continue;
-                }
                 let (sched, echo) = (&sched, &echo);
                 scope.spawn(move || {
                     let t = sched.attach(ThreadKey::server(HostId(g)));
@@ -1948,42 +2033,21 @@ mod tests {
                     }
                 });
             }
-            let apps = (0..hosts).map(|h| {
-                let (sched, echo) = (&sched, &echo);
-                let body = move |t: SchedThread| {
-                    let mut vt = 0;
-                    for round in 1..=3 {
-                        vt += 7 + u64::from(h);
-                        echo.send(sched, (h + 1) % hosts, Some(h));
-                        let echoed = || {
-                            (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(())
-                        };
-                        let outcome = if toy == EchoToy::OnePark {
-                            t.yield_then_block(vt, echoed)
-                        } else {
-                            t.yield_now(vt);
-                            t.block_until(vt, echoed)
-                        };
-                        if let BlockOutcome::Poisoned = outcome {
-                            panic!("host {h} poisoned in round {round}");
-                        }
-                    }
-                };
-                (ThreadKey::app(HostId(h), 0), Box::new(body) as AppBody)
-            });
-            run_apps(&sched, fibers, apps.collect());
-            sched.quiesce_then(|| (0..hosts).for_each(|g| echo.send(&sched, g, None)));
+            for (key, body) in apps {
+                let sched = &sched;
+                scope.spawn(move || body(sched.attach(key)));
+            }
+            sched.quiesce_then(|| echo.stop(&sched));
         });
         mode.decisions()
     }
 
-    /// Every host's application thread — a fiber if `fibers` is set —
-    /// pings the next host's passive echo server three times, waiting for
-    /// each echo, and finishes.
-    fn ping_around(sched: &Scheduler, hosts: u16, fibers: bool) -> Arc<Echo> {
+    /// Every host's application thread, a fiber, pings the next host's
+    /// passive echo server three times, waiting for each echo, and
+    /// finishes; `shutdown` then runs before the servers are stopped.
+    fn ping_around(sched: &Scheduler, hosts: u16, shutdown: impl FnOnce()) {
         let echo = Echo::new(hosts);
-        (0..hosts).for_each(|g| echo.passive_server(sched, g));
-        let apps = (0..hosts).map(|h| {
+        let fibers = (0..hosts).map(|h| {
             let echo = &echo;
             let body = move |t: SchedThread| {
                 for round in 1..=3 {
@@ -1994,29 +2058,30 @@ mod tests {
                     assert!(matches!(outcome, BlockOutcome::Ready(())));
                 }
             };
-            (ThreadKey::app(HostId(h), 0), Box::new(body) as AppBody)
+            (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
         });
-        run_apps(sched, fibers, apps.collect());
-        echo
+        let run = echo.run(sched, fibers.collect());
+        sched.run_fibers(run, || {
+            shutdown();
+            echo.stop(sched);
+        });
     }
 
     /// The scheduler keeps its decisions to itself while it runs; the mode
-    /// holds all of them once the run is quiescent — before the scheduler
-    /// drops, and again after `quiesce_then` ran more turns, as the two
-    /// parts one after the other.
+    /// holds all of them once the run is quiescent — at the idle verdict
+    /// before the shutdown, and again after the shutdown ran more turns, as
+    /// the two parts one after the other.
     #[test]
     fn the_decision_log_is_whole_once_the_run_is_quiescent() {
         let mode = SchedMode::deterministic();
         let sched = Scheduler::new(&mode, server_app_keys(2));
-        let echo = ping_around(&sched, 2, false);
-        let first = mode.decisions();
+        let idle = RefCell::new((Vec::new(), 0));
+        ping_around(&sched, 2, || {
+            *idle.borrow_mut() = (mode.decisions(), sched.steps())
+        });
+        let (first, steps) = idle.into_inner();
         assert!(!first.is_empty());
-        assert_eq!(
-            first.len() as u64,
-            sched.steps(),
-            "whole at the idle verdict"
-        );
-        sched.quiesce_then(|| (0..2).for_each(|g| echo.send(&sched, g, None)));
+        assert_eq!(first.len() as u64, steps, "whole at the idle verdict");
         let all = mode.decisions();
         assert_eq!(
             all.len() as u64,
@@ -2039,12 +2104,12 @@ mod tests {
                 SchedMode::random(11),
                 SchedMode::pct(11, 3),
             ] {
-                let threads = echo_decisions(&mode, hosts, EchoToy::ServerThreads, false);
+                let threads = echo_decisions(&mode, hosts, EchoToy::ServerThreads);
                 assert!(threads.len() >= 2 * hosts as usize, "every slot is picked");
                 for toy in [EchoToy::Passive, EchoToy::OnePark] {
                     assert_eq!(
                         threads,
-                        echo_decisions(&mode, hosts, toy, false),
+                        echo_decisions(&mode, hosts, toy),
                         "{hosts} hosts, {}: decision logs differ",
                         mode.policy_name()
                     );
@@ -2060,12 +2125,11 @@ mod tests {
     /// of a random host and of every host, and — the operation counts
     /// differ — threads finishing while others run. Returns the decision
     /// log.
-    fn churn_decisions(mode: &SchedMode, fibers: bool) -> Vec<u32> {
+    fn churn_decisions(mode: &SchedMode) -> Vec<u32> {
         const HOSTS: u16 = 64;
         let sched = Scheduler::new(mode, server_app_keys(HOSTS));
         let echo = Echo::new(HOSTS);
-        (0..HOSTS).for_each(|h| echo.passive_server(&sched, h));
-        let apps = (0..HOSTS).map(|h| {
+        let fibers = (0..HOSTS).map(|h| {
             let (sched, echo) = (&sched, &echo);
             let body = move |t: SchedThread| {
                 let mut rng = SplitMix64::new(20).fork(u64::from(h));
@@ -2096,10 +2160,10 @@ mod tests {
                     t.yield_now(vt);
                 }
             };
-            (ThreadKey::app(HostId(h), 0), Box::new(body) as AppBody)
+            (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
         });
-        run_apps(&sched, fibers, apps.collect());
-        sched.quiesce_then(|| (0..HOSTS).for_each(|g| echo.send(&sched, g, None)));
+        let run = echo.run(&sched, fibers.collect());
+        sched.run_fibers(run, || echo.stop(&sched));
         mode.decisions()
     }
 
@@ -2128,7 +2192,7 @@ mod tests {
                 "a1b2f1bd6a4090f35775779657e4fd2b9e2111b84551c8775b892af9305aa866",
             ),
         ] {
-            let decisions = churn_decisions(&mode, false);
+            let decisions = churn_decisions(&mode);
             let bytes: Vec<u8> = decisions.iter().flat_map(|d| d.to_le_bytes()).collect();
             let got = (decisions.len(), crate::sha256_hex(&bytes));
             if got != (len, pin.to_string()) {
@@ -2177,59 +2241,67 @@ mod tests {
     fn deadlock_beside_idle_passive_servers_is_still_a_verdict() {
         let sched = Scheduler::new(&SchedMode::deterministic(), server_app_keys(2));
         let echo = Echo::new(2);
-        echo.passive_server(&sched, 0);
-        echo.passive_server(&sched, 1);
         let poisoned = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            let (sched, poisoned) = (&sched, &poisoned);
-            scope.spawn(move || {
-                let t = sched.attach(ThreadKey::app(HostId(0), 0));
-                t.yield_now(1);
-            });
-            scope.spawn(move || {
-                let t = sched.attach(ThreadKey::app(HostId(1), 0));
-                if let BlockOutcome::Poisoned = t.block_until(0, || None::<()>) {
-                    poisoned.fetch_add(1, Ordering::SeqCst);
-                }
-            });
-        });
+        let p = &poisoned;
+        let blocked = move |t: SchedThread| {
+            if let BlockOutcome::Poisoned = t.block_until(0, || None::<()>) {
+                p.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        let fibers: Vec<(ThreadKey, FiberBody)> = vec![
+            (ThreadKey::app(HostId(0), 0), Box::new(|t| t.yield_now(1))),
+            (ThreadKey::app(HostId(1), 0), Box::new(blocked)),
+        ];
+        sched.run_fibers(echo.run(&sched, fibers), || {});
         assert_eq!(poisoned.load(Ordering::SeqCst), 1);
         assert!(sched.take_turn_panic().is_none());
     }
 
+    /// With every application thread done, only the root of the run is
+    /// left to run the servers' last turns, which its shutdown made
+    /// runnable.
     #[test]
     fn quiesce_drives_leftover_passive_slots_from_the_calling_thread() {
         let sched = Scheduler::new(&SchedMode::deterministic(), server_app_keys(2));
-        let ran_on = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        for g in 0..2 {
-            let (ran_on, stop) = (Arc::clone(&ran_on), Arc::clone(&stop));
-            sched.attach_passive(
-                ThreadKey::server(HostId(g)),
-                Box::new(move || {
-                    if !stop.load(Ordering::SeqCst) {
-                        return Turn::Idle { vt: 0 };
-                    }
-                    ran_on.lock().unwrap().push(std::thread::current().id());
-                    Turn::Done
-                }),
-            );
-        }
-        std::thread::scope(|scope| {
-            for h in 0..2 {
-                let sched = &sched;
-                scope.spawn(move || sched.attach(ThreadKey::app(HostId(h), 0)).yield_now(3));
-            }
+        let (exited, ran, stop) = (
+            Flag::default(),
+            Rc::new(RefCell::new(Vec::new())),
+            Flag::default(),
+        );
+        let passive = (0..2).map(|g| {
+            let (exited, ran, stop) = (Rc::clone(&exited), Rc::clone(&ran), Rc::clone(&stop));
+            let turn = move || {
+                if stop.get() == 0 {
+                    return Turn::Idle { vt: 0 };
+                }
+                ran.borrow_mut().push(exited.get());
+                Turn::Done
+            };
+            (ThreadKey::server(HostId(g)), Box::new(turn) as TurnFn)
         });
-        // Every application thread is gone; only this thread can run the
-        // servers' last turns.
-        sched.quiesce_then(|| {
-            stop.store(true, Ordering::SeqCst);
+        let fibers = (0..2).map(|h| {
+            let exited = &exited;
+            let body = move |t: SchedThread| {
+                t.yield_now(3);
+                exited.set(exited.get() + 1);
+            };
+            (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
+        });
+        let run = FiberRun {
+            fibers: fibers.collect(),
+            passive: passive.collect(),
+            gate: None,
+        };
+        sched.run_fibers(run, || {
+            stop.set(1);
             sched.bump_action_host(HostId(0));
             sched.bump_action_host(HostId(1));
         });
-        let me = std::thread::current().id();
-        assert_eq!(*ran_on.lock().unwrap(), vec![me, me]);
+        assert_eq!(
+            *ran.borrow(),
+            [2, 2],
+            "each server's last turn, after both fibers"
+        );
         // Both slots are Done: nothing is left to dispatch, ever.
         let steps = sched.steps();
         sched.bump_action();
@@ -2247,22 +2319,23 @@ mod tests {
                 ThreadKey::app(HostId(0), 1),
             ];
             let sched = Scheduler::new(&SchedMode::deterministic(), keys);
-            sched.attach_passive(
-                ThreadKey::server(HostId(0)),
-                Box::new(|| std::panic::panic_any("planted handler bug")),
-            );
             let poisoned = AtomicU64::new(0);
-            std::thread::scope(|scope| {
-                for lane in 0..2 {
-                    let (sched, stale, poisoned) = (&sched, &stale, &poisoned);
-                    scope.spawn(move || {
-                        let t = sched.attach(ThreadKey::app(HostId(0), lane));
-                        if block_forever(&t, 5, stale) {
-                            poisoned.fetch_add(1, Ordering::SeqCst);
-                        }
-                    });
-                }
+            let fibers = (0..2).map(|lane| {
+                let (stale, poisoned) = (&stale, &poisoned);
+                let body = move |t: SchedThread| {
+                    if block_forever(&t, 5, stale) {
+                        poisoned.fetch_add(1, Ordering::SeqCst);
+                    }
+                };
+                (ThreadKey::app(HostId(0), lane), Box::new(body) as FiberBody)
             });
+            let bug = || std::panic::panic_any("planted handler bug");
+            let run = FiberRun {
+                fibers: fibers.collect(),
+                passive: vec![(ThreadKey::server(HostId(0)), Box::new(bug))],
+                gate: None,
+            };
+            sched.run_fibers(run, || {});
             assert_eq!(poisoned.load(Ordering::SeqCst), 2);
             let payload = sched.take_turn_panic().expect("the turn's payload is kept");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"planted handler bug"));
@@ -2273,30 +2346,32 @@ mod tests {
     }
 
     /// The two toys that pin the schedule, with every application thread a
-    /// fiber on this thread: the same decision log and the same hand-offs
-    /// as with OS threads, under the canonical policy and both explorers.
+    /// fiber on this thread: as many hand-offs as the same toys took with
+    /// every application thread an OS thread (the counts of commit
+    /// c3029d6), under the canonical policy and both explorers. The echo
+    /// toy's decision logs are the server threads' (above), the churn
+    /// toy's pinned by `the_index_is_the_scan`.
     #[test]
     fn fiber_slots_take_the_schedule_os_threads_took() {
-        for mode in [
-            SchedMode::deterministic(),
-            SchedMode::random(11),
-            SchedMode::pct(11, 3),
+        // Echo at 1, 4 and 32 hosts as (passive, one park), then churn.
+        for (mode, echo, churn) in [
+            (
+                SchedMode::deterministic(),
+                [[1, 1], [16, 16], [128, 128]],
+                269,
+            ),
+            (SchedMode::random(11), [[1, 1], [19, 15], [182, 128]], 1285),
+            (SchedMode::pct(11, 3), [[1, 1], [5, 5], [50, 50]], 166),
         ] {
             let name = mode.policy_name();
-            for hosts in [1, 4, 32] {
-                for toy in [EchoToy::Passive, EchoToy::OnePark] {
-                    let threads = echo_decisions(&mode, hosts, toy, false);
-                    let hand_offs = mode.hand_offs();
-                    assert!(hand_offs > 0);
-                    let fibers = echo_decisions(&mode, hosts, toy, true);
-                    assert_eq!(threads, fibers, "echo, {hosts} hosts, {name}: decisions");
-                    assert_eq!(hand_offs, mode.hand_offs(), "echo, {name}: hand-offs");
+            for (hosts, pins) in [1, 4, 32].into_iter().zip(echo) {
+                for (toy, pin) in [EchoToy::Passive, EchoToy::OnePark].into_iter().zip(pins) {
+                    echo_decisions(&mode, hosts, toy);
+                    assert_eq!(mode.hand_offs(), pin, "echo, {hosts} hosts, {name}");
                 }
             }
-            let threads = churn_decisions(&mode, false);
-            let hand_offs = mode.hand_offs();
-            assert_eq!(threads, churn_decisions(&mode, true), "churn, {name}");
-            assert_eq!(hand_offs, mode.hand_offs(), "churn, {name}: hand-offs");
+            churn_decisions(&mode);
+            assert_eq!(mode.hand_offs(), churn, "churn, {name}: hand-offs");
         }
         assert_eq!(fiber::live_stacks(), 0);
     }
@@ -2346,7 +2421,7 @@ mod tests {
                 };
                 (ThreadKey::app(HostId(0), lane), Box::new(body) as FiberBody)
             });
-            sched.run_fibers(apps.collect());
+            sched.run_fibers(fibers_only(apps.collect()), || {});
             assert_eq!(poisoned.load(Ordering::SeqCst), 2);
             assert_eq!(exits.load(Ordering::SeqCst), 4);
             assert_eq!(fiber::live_stacks(), 0);
@@ -2381,7 +2456,7 @@ mod tests {
             (ThreadKey::app(HostId(0), 1), Box::new(waiting)),
         ];
         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sched.run_fibers(apps);
+            sched.run_fibers(fibers_only(apps), || {});
         }))
         .expect_err("the root re-raises the fiber's panic");
         assert_eq!(
@@ -2398,15 +2473,13 @@ mod tests {
 
     /// After a fiber run and its shutdown, nothing holds the scheduler: no
     /// fiber kept a handle across its last switch (which never returns),
-    /// and every stack is unmapped.
+    /// the run dropped its turns, and every stack is unmapped.
     #[test]
     fn a_fiber_run_frees_its_scheduler_and_stacks() {
         let mode = SchedMode::deterministic();
         let sched = Scheduler::new(&mode, server_app_keys(4));
         let state = Arc::downgrade(&sched.inner);
-        let echo = ping_around(&sched, 4, true);
-        assert_eq!(fiber::live_stacks(), 0);
-        sched.quiesce_then(|| (0..4).for_each(|g| echo.send(&sched, g, None)));
+        ping_around(&sched, 4, || assert_eq!(fiber::live_stacks(), 0));
         drop(sched);
         assert!(state.upgrade().is_none(), "the scheduler outlived its run");
     }

@@ -1,45 +1,9 @@
-//! Counters, the per-link traffic table and the log-bucketed latency
-//! histogram used by the reproduction harnesses.
+//! The per-link traffic table and the log-bucketed latency histogram used
+//! by the reproduction harnesses.
 
 use crate::json::{ToJson, Writer};
 use crate::HostId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// A cheap shareable event counter.
-///
-/// Cloning a `Counter` yields a handle onto the same underlying count, so a
-/// run can hand the same counter to many threads and read the total at the
-/// end.
-#[derive(Clone, Debug, Default)]
-pub struct Counter {
-    inner: Arc<AtomicU64>,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn bump(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.inner.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.inner.load(Ordering::Relaxed)
-    }
-}
 
 /// Per-link wire traffic: messages and payload bytes on every `(from, to)`
 /// link of a `hosts`-host wire. The wire's transport owns it — the
@@ -74,6 +38,13 @@ impl LinkTraffic {
             self.cells[i].fetch_add(1, Ordering::Relaxed);
             self.cells[i + 1].fetch_add(bytes, Ordering::Relaxed);
         }
+    }
+
+    /// Messages and payload bytes over every link.
+    pub fn totals(&self) -> (u64, u64) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let pairs = self.cells.chunks_exact(2);
+        pairs.fold((0, 0), |(m, b), c| (m + load(&c[0]), b + load(&c[1])))
     }
 
     /// Every link that carried traffic, in `(from, to)` order.
@@ -274,15 +245,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_is_shared_between_clones() {
-        let c = Counter::new();
-        let c2 = c.clone();
-        c.bump();
-        c2.add(4);
-        assert_eq!(c.get(), 5);
-    }
-
-    #[test]
     fn link_traffic_attributes_per_link_and_omits_idle_and_foreign_links() {
         let t = LinkTraffic::new(3);
         for (from, to, bytes) in [
@@ -301,6 +263,7 @@ mod tests {
             bytes,
         };
         assert_eq!(t.links(), [(0, 1, 2, 160), (2, 0, 1, 8)].map(stat));
+        assert_eq!(t.totals(), (3, 168));
     }
 
     #[test]

@@ -2,15 +2,19 @@
 //!
 //! A Millipage host receives by polling one FastMessages queue (§3.5.1).
 //! Here every packet addressed to a host lands in that host's mailbox: one
-//! mutex over the per-sender delivery-gate stamps, the packets parked for
-//! the gate, and the ready FIFO its [`Endpoint`] polls — [`Endpoint::recv`]
-//! is the one receive, and it never waits. Under a gating scheduler (the
+//! `RefCell` over the per-sender delivery-gate stamps, the packets parked
+//! for the gate, and the ready FIFO its [`Endpoint`] polls —
+//! [`Endpoint::recv`] is the one receive, and it never waits. A simulated
+//! run is fibers on one OS thread, so the fabric is too: it sits behind an
+//! `Rc`, and no send, release or receive takes a lock or an atomic
+//! read-modify-write of its own. Under a gating scheduler (the
 //! canonical virtual-time policy) a cross-host packet is *parked*, sorted
 //! by `(release_vt, from, seq)`, until the scheduler releases it into the
 //! ready FIFO (see [`DeliveryGate`]); every other delivery — ungated
 //! fabrics, self-sends, shutdown-era external sends — goes straight to the
 //! ready FIFO, in call order. Every send also counts into the fabric's
-//! per-link [`LinkTraffic`].
+//! per-link [`LinkTraffic`], whose totals are the fabric's message and
+//! byte counts.
 //!
 //! With the [`FaultPlane`] inactive (the default) the fabric is the
 //! reliable, FIFO-ordered wire FM promises. With an active plane the raw
@@ -35,11 +39,10 @@ use crate::fault::{backoff_penalty, FaultPlane, ScriptedKind, SendReceipt};
 use sim_core::clock::Ns;
 use sim_core::sched::{DeliveryGate, Scheduler};
 use sim_core::trace::{TraceKind, TraceRecorder};
-use sim_core::{CostModel, Counter, HostId, LinkTraffic, LogHistogram, SplitMix64};
-use std::cell::RefCell;
+use sim_core::{CostModel, HostId, LinkTraffic, LogHistogram, SplitMix64};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
+use std::rc::Rc;
 
 /// A message in flight.
 #[derive(Clone, Debug)]
@@ -70,36 +73,38 @@ pub struct Packet<M> {
     pub release_vt: Ns,
 }
 
-/// Aggregate traffic statistics for one network.
+/// Fault-plane and teardown counts for one network. (Messages and
+/// payload bytes are the totals of [`Network::link_traffic`].)
 ///
 /// The fault-plane counters stay zero when the plane is inactive.
 #[derive(Clone, Debug, Default)]
 pub struct NetStats {
-    /// Messages sent.
-    pub messages: Counter,
-    /// Total payload bytes sent (headers excluded).
-    pub payload_bytes: Counter,
     /// Transmissions lost on the wire (each one cost the sender an RTO).
-    pub pkts_dropped: Counter,
+    pub pkts_dropped: Cell<u64>,
     /// Retransmissions driven by the virtual RTO timers.
-    pub retransmits: Counter,
+    pub retransmits: Cell<u64>,
     /// Duplicate physical deliveries injected by the plane.
-    pub dups_delivered: Counter,
+    pub dups_delivered: Cell<u64>,
     /// Duplicates discarded by the receive-side dedup buffer.
-    pub dups_suppressed: Counter,
+    pub dups_suppressed: Cell<u64>,
     /// Packets held back at send to force an out-of-order arrival.
-    pub reorders: Counter,
+    pub reorders: Cell<u64>,
     /// Out-of-order arrivals parked in a resequencing buffer.
-    pub reorder_buffered: Counter,
+    pub reorder_buffered: Cell<u64>,
     /// Sends that exhausted their retransmit budget (packet never arrives;
     /// the protocol layer must surface a timeout).
-    pub expired: Counter,
+    pub expired: Cell<u64>,
     /// Sends to an endpoint whose receiver was already torn down; the
     /// message is counted and discarded instead of panicking the sender.
-    pub send_failures: Counter,
+    pub send_failures: Cell<u64>,
     /// Negative queue-delay clamps observed by server timelines — each one
     /// is a virtual-clock inversion `saturating_sub` would silently hide.
-    pub clamped_delays: Counter,
+    pub clamped_delays: Cell<u64>,
+}
+
+/// Adds `n` to the count `c`.
+fn add(c: &Cell<u64>, n: u64) {
+    c.set(c.get() + n);
 }
 
 /// Per-link mutable fault state: the seeded fault stream, the next wire
@@ -114,14 +119,14 @@ struct LinkFault<M> {
 struct FaultState<M> {
     plane: FaultPlane,
     /// `hosts × hosts` links, indexed `from * hosts + to`.
-    links: Vec<Mutex<LinkFault<M>>>,
+    links: Vec<RefCell<LinkFault<M>>>,
     /// Cumulative-ack watermark per link: the highest wire sequence
     /// number delivered in order to the receiver.
-    acked: Vec<AtomicU64>,
+    acked: Vec<Cell<u64>>,
     /// Per scripted-fault count of matching packets seen so far.
-    script_hits: Mutex<Vec<u64>>,
+    script_hits: RefCell<Vec<u64>>,
     /// Virtual latency the plane added to faulted sends.
-    delay: Mutex<LogHistogram>,
+    delay: RefCell<LogHistogram>,
 }
 
 /// Delivery-gate stamps of one `(sender, destination)` link: the
@@ -133,7 +138,8 @@ struct GateLink {
     next_seq: u64,
 }
 
-/// What one host's mailbox holds, all under its one lock.
+/// One host's mailbox: every packet addressed to the host, parked or
+/// ready, in one `RefCell`.
 struct MailState<M> {
     /// Gate stamps of the link from each sender to this host.
     links: Vec<GateLink>,
@@ -146,95 +152,54 @@ struct MailState<M> {
     closed: bool,
 }
 
-/// One host's receive side: every packet addressed to the host, parked or
-/// ready, under one leaf lock (lock order: scheduler → mailbox).
-struct Mailbox<M> {
-    state: Mutex<MailState<M>>,
-    /// The earliest parked release stamp (`Ns::MAX` when none): stored
-    /// (`Release`) under the lock, loaded (`Acquire`) by the scheduler.
-    head: AtomicU64,
-}
-
-impl<M> Mailbox<M> {
+impl<M> MailState<M> {
     fn new(hosts: usize) -> Self {
         Self {
-            state: Mutex::new(MailState {
-                links: vec![GateLink::default(); hosts],
-                parked: Vec::new(),
-                ready: VecDeque::new(),
-                closed: false,
-            }),
-            head: AtomicU64::new(Ns::MAX),
+            links: vec![GateLink::default(); hosts],
+            parked: Vec::new(),
+            ready: VecDeque::new(),
+            closed: false,
         }
     }
 
-    /// Every update leaves the state valid, so a poisoned lock is
-    /// recovered (the endpoint's `Drop` takes it).
-    fn lock(&self) -> MutexGuard<'_, MailState<M>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Appends `pkt` to the ready FIFO under `st`, this mailbox's lock;
-    /// hands it back when the endpoint is gone.
-    fn push(&self, mut st: MutexGuard<MailState<M>>, pkt: Packet<M>) -> Result<(), Packet<M>> {
-        if st.closed {
+    /// Appends `pkt` to the ready FIFO; hands it back when the endpoint is
+    /// gone.
+    fn push(&mut self, pkt: Packet<M>) -> Result<(), Packet<M>> {
+        if self.closed {
             return Err(pkt);
         }
-        st.ready.push_back(pkt);
+        self.ready.push_back(pkt);
         Ok(())
     }
 
     /// Parks a cross-host packet for the delivery gate. Its release stamp
     /// is the cumulative maximum of arrival stamps on its link, so releases
     /// on one link are FIFO even when fault backoff inverts raw arrivals.
-    /// A new earliest packet marks its host in `moved`.
-    fn park(&self, mut pkt: Packet<M>, moved: &AtomicU64) {
-        let mut st = self.lock();
-        let link = &mut st.links[pkt.from.index()];
+    /// Returns whether it is the new earliest packet.
+    fn park(&mut self, mut pkt: Packet<M>) -> bool {
+        let link = &mut self.links[pkt.from.index()];
         link.cummax = link.cummax.max(pkt.arrival_vt);
         pkt.release_vt = link.cummax;
         let seq = link.next_seq;
         link.next_seq += 1;
         let key = (pkt.release_vt, pkt.from, seq);
-        let at = st
-            .parked
-            .partition_point(|(s, p)| (p.release_vt, p.from, *s) > key);
-        let (earliest, to) = (at == st.parked.len(), pkt.to);
-        st.parked.insert(at, (seq, pkt));
-        if earliest {
-            self.head_moved(&st, to, moved);
-        }
+        let at = (self.parked).partition_point(|(s, p)| (p.release_vt, p.from, *s) > key);
+        self.parked.insert(at, (seq, pkt));
+        at + 1 == self.parked.len()
     }
 
-    /// Moves the earliest parked packet to the ready FIFO, marking its host
-    /// in `moved`; hands it back when the endpoint is gone.
-    fn release(&self, moved: &AtomicU64) -> Result<(), Packet<M>> {
-        let mut st = self.lock();
-        let (_, pkt) = st
-            .parked
-            .pop()
-            .expect("release_next on an empty gate queue");
-        self.head_moved(&st, pkt.to, moved);
-        self.push(st, pkt)
-    }
-
-    /// Publishes host `to`'s new earliest parked packet: stamp, then mark.
-    fn head_moved(&self, st: &MailState<M>, to: HostId, moved: &AtomicU64) {
-        let head = st.parked.last().map_or(Ns::MAX, |(_, p)| p.release_vt);
-        self.head.store(head, Ordering::Release);
-        moved.fetch_or(1 << to.index(), Ordering::Release);
-    }
-
-    /// Pops the ready FIFO's head.
-    fn pop(&self) -> Option<Packet<M>> {
-        self.lock().ready.pop_front()
+    /// The release stamp of the earliest parked packet.
+    fn head(&self) -> Option<Ns> {
+        self.parked.last().map(|(_, p)| p.release_vt)
     }
 }
 
 struct Fabric<M> {
-    /// One mailbox per host and their moved-heads mask, shared with the gate.
-    mailboxes: Arc<[Mailbox<M>]>,
-    moved: Arc<AtomicU64>,
+    /// One mailbox per host.
+    mailboxes: Box<[RefCell<MailState<M>>]>,
+    /// The hosts (bit *h*: host *h*) whose earliest parked packet moved
+    /// since the scheduler last asked.
+    moved: Cell<u64>,
     cost: CostModel,
     stats: NetStats,
     /// Always-on per-link traffic, counted on every send; the diagnostics
@@ -243,7 +208,66 @@ struct Fabric<M> {
     faults: Option<FaultState<M>>,
     /// Deterministic scheduler to notify on every delivery (it may unblock
     /// the destination). Unset on a fabric used on its own.
-    sched: OnceLock<Scheduler>,
+    sched: OnceCell<Scheduler>,
+}
+
+impl<M> Fabric<M> {
+    /// The raw enqueue into the ready FIFO, with no scheduler interaction.
+    /// A host that exited early absorbs late traffic into `send_failures`
+    /// instead of panicking the sender.
+    fn deliver_raw(&self, pkt: Packet<M>) {
+        if self.mailboxes[pkt.to.index()]
+            .borrow_mut()
+            .push(pkt)
+            .is_err()
+        {
+            add(&self.stats.send_failures, 1);
+        }
+    }
+
+    /// Marks host `h`'s earliest parked packet as moved.
+    fn mark_moved(&self, h: HostId) {
+        self.moved.set(self.moved.get() | 1 << h.index());
+    }
+}
+
+/// The delivery gate is the fabric itself: the fiber run that owns it
+/// holds the fabric strongly, and the fabric holds no gate.
+impl<M> DeliveryGate for Fabric<M> {
+    fn moved_heads(&self) -> u64 {
+        self.moved.take()
+    }
+
+    fn head(&self, host: HostId) -> Option<Ns> {
+        self.mailboxes[host.index()].borrow().head()
+    }
+
+    fn release_next(&self, host: HostId) {
+        let mut mailbox = self.mailboxes[host.index()].borrow_mut();
+        let (_, pkt) = (mailbox.parked.pop()).expect("release_next on an empty gate queue");
+        self.mark_moved(host);
+        if mailbox.push(pkt).is_err() {
+            add(&self.stats.send_failures, 1);
+        }
+    }
+
+    fn flush_held(&self) -> Vec<HostId> {
+        let Some(faults) = &self.faults else {
+            return Vec::new();
+        };
+        // Fixed link order keeps the flush deterministic; the caller is at
+        // the global-idle decision point, so no sender is concurrently
+        // stashing.
+        let mut dests = Vec::new();
+        for link in &faults.links {
+            let held = link.borrow_mut().held.take();
+            if let Some(pkt) = held {
+                dests.push(pkt.to);
+                self.deliver_raw(pkt);
+            }
+        }
+        dests
+    }
 }
 
 /// A handle to the simulated interconnect.
@@ -254,18 +278,18 @@ struct Fabric<M> {
 /// [`FaultPlane`] is inactive, and via the reliable-channel layer (see the
 /// module docs) when it is not.
 pub struct Network<M> {
-    fabric: Arc<Fabric<M>>,
+    fabric: Rc<Fabric<M>>,
 }
 
 impl<M> Clone for Network<M> {
     fn clone(&self) -> Self {
         Self {
-            fabric: Arc::clone(&self.fabric),
+            fabric: Rc::clone(&self.fabric),
         }
     }
 }
 
-impl<M: Send + Clone> Network<M> {
+impl<M: Clone> Network<M> {
     /// Creates a fabric connecting `hosts` hosts with a reliable wire,
     /// returning one [`Endpoint`] per host (in host order).
     ///
@@ -278,9 +302,9 @@ impl<M: Send + Clone> Network<M> {
 
     /// Creates a fabric whose wire misbehaves according to `plane`.
     ///
-    /// An inactive plane (the default) is completely inert: no locks, no
-    /// RNG draws, wire sequence numbers stay 0, and behaviour is
-    /// byte-for-byte identical to [`Network::new`].
+    /// An inactive plane (the default) is completely inert: no RNG draws,
+    /// wire sequence numbers stay 0, and behaviour is byte-for-byte
+    /// identical to [`Network::new`].
     pub fn with_faults(
         hosts: usize,
         cost: CostModel,
@@ -294,7 +318,7 @@ impl<M: Send + Clone> Network<M> {
             let mut seed_rng = SplitMix64::new(plane.seed);
             let links = (0..hosts * hosts)
                 .map(|i| {
-                    Mutex::new(LinkFault {
+                    RefCell::new(LinkFault {
                         rng: seed_rng.fork(i as u64),
                         next_seq: 1,
                         held: None,
@@ -302,22 +326,24 @@ impl<M: Send + Clone> Network<M> {
                 })
                 .collect();
             FaultState {
-                script_hits: Mutex::new(vec![0; plane.scripted.len()]),
+                script_hits: RefCell::new(vec![0; plane.scripted.len()]),
                 plane,
                 links,
-                acked: (0..hosts * hosts).map(|_| AtomicU64::new(0)).collect(),
-                delay: Mutex::new(LogHistogram::new()),
+                acked: vec![Cell::new(0); hosts * hosts],
+                delay: RefCell::new(LogHistogram::new()),
             }
         });
         let net = Network {
-            fabric: Arc::new(Fabric {
-                mailboxes: (0..hosts).map(|_| Mailbox::new(hosts)).collect(),
-                moved: Arc::default(),
+            fabric: Rc::new(Fabric {
+                mailboxes: (0..hosts)
+                    .map(|_| RefCell::new(MailState::new(hosts)))
+                    .collect(),
+                moved: Cell::new(0),
                 cost,
                 stats: NetStats::default(),
                 links: LinkTraffic::new(hosts),
                 faults,
-                sched: OnceLock::new(),
+                sched: OnceCell::new(),
             }),
         };
         let endpoints = (0..hosts)
@@ -357,7 +383,7 @@ impl<M: Send + Clone> Network<M> {
     /// (empty histogram when the plane is inactive).
     pub fn fault_delay(&self) -> LogHistogram {
         match &self.fabric.faults {
-            Some(f) => f.delay.lock().expect("fault delay lock").clone(),
+            Some(f) => f.delay.borrow().clone(),
             None => LogHistogram::new(),
         }
     }
@@ -366,7 +392,7 @@ impl<M: Send + Clone> Network<M> {
     /// sequence number the receiver has taken delivery of in order.
     pub fn link_acked(&self, from: HostId, to: HostId) -> u64 {
         match &self.fabric.faults {
-            Some(f) => f.acked[self.link_index(from, to)].load(Ordering::Acquire),
+            Some(f) => f.acked[self.link_index(from, to)].get(),
             None => 0,
         }
     }
@@ -383,8 +409,8 @@ impl<M: Send + Clone> Network<M> {
         for from in 0..hosts {
             for to in 0..hosts {
                 let li = from * hosts + to;
-                let sent = f.links[li].lock().expect("link lock").next_seq - 1;
-                total += sent - f.acked[li].load(Ordering::Acquire);
+                let sent = f.links[li].borrow().next_seq - 1;
+                total += sent - f.acked[li].get();
             }
         }
         total
@@ -394,7 +420,8 @@ impl<M: Send + Clone> Network<M> {
         from.index() * self.hosts() + to.index()
     }
 
-    /// Per-link traffic (messages, payload bytes), counted on every send.
+    /// Per-link traffic (messages, payload bytes), counted on every send;
+    /// its [`totals`](LinkTraffic::totals) are the fabric's.
     pub fn link_traffic(&self) -> &LinkTraffic {
         &self.fabric.links
     }
@@ -429,8 +456,6 @@ impl<M: Send + Clone> Network<M> {
         } else {
             now + self.fabric.cost.msg_time(payload_bytes)
         };
-        self.fabric.stats.messages.bump();
-        self.fabric.stats.payload_bytes.add(payload_bytes as u64);
         self.fabric.links.record(from, to, payload_bytes as u64);
         let pkt = Packet {
             from,
@@ -464,7 +489,7 @@ impl<M: Send + Clone> Network<M> {
         let plane = &faults.plane;
         let stats = &self.fabric.stats;
         let li = self.link_index(pkt.from, pkt.to);
-        let mut link = faults.links[li].lock().expect("link lock");
+        let mut link = faults.links[li].borrow_mut();
         let seq = link.next_seq;
         link.next_seq += 1;
         pkt.wire_seq = seq;
@@ -473,7 +498,7 @@ impl<M: Send + Clone> Network<M> {
         let mut forced_drop = false;
         let mut blackhole = false;
         if !plane.scripted.is_empty() {
-            let mut hits = faults.script_hits.lock().expect("script lock");
+            let mut hits = faults.script_hits.borrow_mut();
             for (fault, hit) in plane.scripted.iter().zip(hits.iter_mut()) {
                 if fault.matches(pkt.from, pkt.to) {
                     *hit += 1;
@@ -506,8 +531,8 @@ impl<M: Send + Clone> Network<M> {
             }
         }
         let delivered = drops <= budget;
-        stats.pkts_dropped.add(drops as u64);
-        stats.retransmits.add(drops.min(budget) as u64);
+        add(&stats.pkts_dropped, drops.into());
+        add(&stats.retransmits, drops.min(budget).into());
         let mut fault_delay = backoff_penalty(plane.rto_ns, drops);
         if delivered && plane.jitter_ns > 0 {
             fault_delay += link.rng.next_range(plane.jitter_ns);
@@ -524,28 +549,24 @@ impl<M: Send + Clone> Network<M> {
             duplicated = link.rng.next_f64() < plane.dup;
             reordered = link.rng.next_f64() < plane.reorder && prev_held.is_none();
             if duplicated {
-                stats.dups_delivered.bump();
+                add(&stats.dups_delivered, 1);
                 self.deliver(pkt.clone());
             }
             if reordered {
-                stats.reorders.bump();
+                add(&stats.reorders, 1);
                 link.held = Some(pkt);
             } else {
                 self.deliver(pkt);
             }
         } else {
-            stats.expired.bump();
+            add(&stats.expired, 1);
         }
         if let Some(h) = prev_held {
             self.deliver(h);
         }
         drop(link);
         if fault_delay > 0 {
-            faults
-                .delay
-                .lock()
-                .expect("fault delay lock")
-                .record(fault_delay as u64);
+            faults.delay.borrow_mut().record(fault_delay as u64);
         }
         SendReceipt {
             arrival,
@@ -561,121 +582,56 @@ impl<M: Send + Clone> Network<M> {
     /// Physically enqueues a packet. Under a gating scheduler a cross-host
     /// packet is parked in the destination's mailbox for the scheduler to
     /// release; self-deliveries (local handler calls, not wire traffic) and
-    /// shutdown-era external deliveries (under `Scheduler::quiesce_then`,
-    /// when no simulated thread runs) go straight to the ready FIFO.
+    /// external deliveries (a fiber run's shutdown, when no simulated
+    /// thread runs) go straight to the ready FIFO.
     fn deliver(&self, pkt: Packet<M>) {
         match self.fabric.sched.get() {
             Some(sched) if sched.gating() => {
                 if pkt.from != pkt.to && !sched.external_active() {
-                    self.fabric.mailboxes[pkt.to.index()].park(pkt, &self.fabric.moved);
+                    let to = pkt.to;
+                    if self.fabric.mailboxes[to.index()].borrow_mut().park(pkt) {
+                        self.fabric.mark_moved(to);
+                    }
                 } else {
                     let to = pkt.to;
-                    self.deliver_raw(pkt);
+                    self.fabric.deliver_raw(pkt);
                     sched.bump_action_host(to);
                 }
             }
             Some(sched) => {
-                self.deliver_raw(pkt);
+                self.fabric.deliver_raw(pkt);
                 // Any delivery may unblock the destination's receiver.
                 sched.bump_action();
             }
-            None => self.deliver_raw(pkt),
-        }
-    }
-
-    /// The raw enqueue into the ready FIFO, with no scheduler interaction.
-    /// A host that exited early absorbs late traffic into `send_failures`
-    /// instead of panicking the sender.
-    fn deliver_raw(&self, pkt: Packet<M>) {
-        let mailbox = &self.fabric.mailboxes[pkt.to.index()];
-        if mailbox.push(mailbox.lock(), pkt).is_err() {
-            self.fabric.stats.send_failures.bump();
+            None => self.fabric.deliver_raw(pkt),
         }
     }
 
     /// Attaches the deterministic scheduler so deliveries count as
-    /// potentially-unblocking actions, and hands it the fabric's delivery
-    /// gate: a gating scheduler releases parked packets through it, and
-    /// every scheduler flushes reorder-held packets through it at its
-    /// quiet point. Later attachments are ignored.
-    pub fn attach_scheduler(&self, sched: &Scheduler)
-    where
-        M: 'static,
-    {
-        if self.fabric.sched.set(sched.clone()).is_ok() {
-            sched.set_gate(self.gate());
-        }
+    /// potentially-unblocking actions. Its fiber run takes the fabric's
+    /// [`gate`](Self::gate). Later attachments are ignored.
+    pub fn attach_scheduler(&self, sched: &Scheduler) {
+        let _ = self.fabric.sched.set(sched.clone());
     }
 
-    /// The fabric's delivery gate, the one [`attach_scheduler`] installs.
-    /// Its [`DeliveryGate::flush_held`] is the one rescue of reorder-held
-    /// packets, and a fabric used without a scheduler calls it directly.
-    ///
-    /// [`attach_scheduler`]: Self::attach_scheduler
-    pub fn gate(&self) -> Arc<dyn DeliveryGate>
+    /// The fabric's delivery gate, which a fiber run owns
+    /// (`sim_core::sched::FiberRun::gate`): a gating scheduler releases
+    /// parked packets through it, and every scheduler flushes
+    /// reorder-held packets through it at its quiet point. A fabric used
+    /// without a scheduler calls [`DeliveryGate::flush_held`] directly.
+    pub fn gate(&self) -> Rc<dyn DeliveryGate>
     where
         M: 'static,
     {
-        Arc::new(GateHandle {
-            mailboxes: Arc::clone(&self.fabric.mailboxes),
-            moved: Arc::clone(&self.fabric.moved),
-            fabric: Arc::downgrade(&self.fabric),
-        })
+        Rc::clone(&self.fabric) as Rc<dyn DeliveryGate>
     }
 
     /// Records an acknowledged in-order delivery on the `from → to` link.
     fn ack(&self, from: HostId, to: HostId, seq: u64) {
         if let Some(faults) = &self.fabric.faults {
-            faults.acked[self.link_index(from, to)].fetch_max(seq, Ordering::AcqRel);
+            let acked = &faults.acked[self.link_index(from, to)];
+            acked.set(acked.get().max(seq));
         }
-    }
-}
-
-/// The scheduler-facing view of the delivery gate: the fabric's mailboxes.
-/// The fabric itself is held weakly, for the rare paths that need it: a
-/// strong reference would cycle (fabric → scheduler → gate → fabric).
-struct GateHandle<M> {
-    mailboxes: Arc<[Mailbox<M>]>,
-    moved: Arc<AtomicU64>,
-    fabric: Weak<Fabric<M>>,
-}
-
-impl<M: Send + Clone + 'static> DeliveryGate for GateHandle<M> {
-    fn moved_heads(&self) -> u64 {
-        self.moved.swap(0, Ordering::Acquire)
-    }
-
-    fn head(&self, host: HostId) -> Option<Ns> {
-        Some(self.mailboxes[host.index()].head.load(Ordering::Acquire)).filter(|&r| r != Ns::MAX)
-    }
-
-    fn release_next(&self, host: HostId) {
-        let closed = self.mailboxes[host.index()].release(&self.moved).is_err();
-        if let (true, Some(fabric)) = (closed, self.fabric.upgrade()) {
-            fabric.stats.send_failures.bump();
-        }
-    }
-
-    fn flush_held(&self) -> Vec<HostId> {
-        let Some(fabric) = self.fabric.upgrade() else {
-            return Vec::new();
-        };
-        let net = Network { fabric };
-        let Some(faults) = &net.fabric.faults else {
-            return Vec::new();
-        };
-        // Fixed link order keeps the flush deterministic; the caller is at
-        // the global-idle decision point, so no sender is concurrently
-        // stashing.
-        let mut dests = Vec::new();
-        for link in &faults.links {
-            let held = link.lock().expect("link lock").held.take();
-            if let Some(pkt) = held {
-                dests.push(pkt.to);
-                net.deliver_raw(pkt);
-            }
-        }
-        dests
     }
 }
 
@@ -712,8 +668,7 @@ pub struct Endpoint<M> {
     host: HostId,
     net: Network<M>,
     /// Reliable-channel receive state; present only under an active fault
-    /// plane. An endpoint is single-thread-owned: its `RefCell`s never
-    /// contend.
+    /// plane.
     rel: Option<RefCell<RelState<M>>>,
     /// Protocol tracer for sends issued through this endpoint. Inert
     /// unless [`attach_tracer`](Self::attach_tracer) installed an enabled
@@ -723,13 +678,13 @@ pub struct Endpoint<M> {
 
 impl<M> Drop for Endpoint<M> {
     fn drop(&mut self) {
-        let mut st = self.net.fabric.mailboxes[self.host.index()].lock();
-        st.closed = true;
-        st.ready.clear();
+        let mut mailbox = self.net.fabric.mailboxes[self.host.index()].borrow_mut();
+        mailbox.closed = true;
+        mailbox.ready.clear();
     }
 }
 
-impl<M: Send + Clone> Endpoint<M> {
+impl<M: Clone> Endpoint<M> {
     /// This endpoint's host id.
     pub fn host(&self) -> HostId {
         self.host
@@ -740,8 +695,12 @@ impl<M: Send + Clone> Endpoint<M> {
         &self.net
     }
 
-    fn mailbox(&self) -> &Mailbox<M> {
-        &self.net.fabric.mailboxes[self.host.index()]
+    /// Pops the head of this host's ready FIFO.
+    fn pop(&self) -> Option<Packet<M>> {
+        self.net.fabric.mailboxes[self.host.index()]
+            .borrow_mut()
+            .ready
+            .pop_front()
     }
 
     /// Installs a recorder that logs a `MsgSend` event for every send
@@ -799,13 +758,13 @@ impl<M: Send + Clone> Endpoint<M> {
     /// gate's [`flush_held`](DeliveryGate::flush_held) delivers it.
     pub fn recv(&self) -> Option<Packet<M>> {
         let Some(rel) = &self.rel else {
-            return self.mailbox().pop();
+            return self.pop();
         };
         loop {
             if let Some(p) = rel.borrow_mut().ready.pop_front() {
                 return Some(p);
             }
-            let p = self.mailbox().pop()?;
+            let p = self.pop()?;
             self.sequence(rel, p);
         }
     }
@@ -824,7 +783,7 @@ impl<M: Send + Clone> Endpoint<M> {
         let seq = pkt.wire_seq;
         let expected = st.peers[from.index()].next;
         if seq < expected || st.peers[from.index()].parked.contains_key(&seq) {
-            stats.dups_suppressed.bump();
+            add(&stats.dups_suppressed, 1);
             let mut t = self.tracer.borrow_mut();
             if t.enabled() {
                 t.emit(pkt.arrival_vt, TraceKind::DupSuppressed, |e| {
@@ -846,7 +805,7 @@ impl<M: Send + Clone> Endpoint<M> {
                 st.ready.push_back(released);
             }
         } else {
-            stats.reorder_buffered.bump();
+            add(&stats.reorder_buffered, 1);
             st.peers[from.index()].parked.insert(seq, pkt);
         }
     }
@@ -857,7 +816,7 @@ mod tests {
     use super::*;
     use crate::fault::ScriptedFault;
     use proptest::prelude::*;
-    use sim_core::sched::{SchedMode, ThreadKey, Turn};
+    use sim_core::sched::{SchedMode, ThreadKey};
 
     #[test]
     fn arrival_stamp_uses_latency_model() {
@@ -890,8 +849,7 @@ mod tests {
         let (net, eps) = Network::<()>::new(2, CostModel::default());
         eps[0].send(HostId(1), (), 128, 0);
         eps[0].send(HostId(1), (), 0, 0);
-        assert_eq!(net.stats().messages.get(), 2);
-        assert_eq!(net.stats().payload_bytes.get(), 128);
+        assert_eq!(net.link_traffic().totals(), (2, 128));
         let (from, to, messages, bytes) = (0, 1, 2, 128);
         let link = sim_core::LinkStat {
             from,
@@ -1050,40 +1008,16 @@ mod tests {
         assert_eq!(net.stats().send_failures.get(), 1);
     }
 
-    /// A gate with nothing to release, installed ahead of the fabric's own
-    /// so that the scheduler leaves every release to the test.
-    struct NoGate;
-
-    impl DeliveryGate for NoGate {
-        fn moved_heads(&self) -> u64 {
-            0
-        }
-
-        fn head(&self, _: HostId) -> Option<Ns> {
-            None
-        }
-
-        fn release_next(&self, _: HostId) {
-            unreachable!("nothing is pending")
-        }
-
-        fn flush_held(&self) -> Vec<HostId> {
-            Vec::new()
-        }
-    }
-
-    /// A fabric of `hosts` hosts under a gating scheduler that never
-    /// releases anything itself: it reads [`NoGate`], and its one slot is
-    /// host `hosts`'s idle server, one host past the ones under test. The
-    /// run is started and quiescent, so [`Scheduler::quiesce_then`] sends
-    /// as an external actor. Returns the scheduler, the fabric, its
-    /// endpoints and a gate handle over its mailboxes like the one the
-    /// fabric offers the scheduler.
+    /// A fabric of `hosts` hosts under a gating scheduler with no gate: its
+    /// one slot, this OS thread as an application thread of host `hosts`
+    /// (one past the hosts under test), attached and finished. The run is
+    /// started and quiescent, so nothing releases a packet but the test,
+    /// and [`Scheduler::quiesce_then`] sends as an external actor. Returns
+    /// the scheduler, the fabric, its endpoints and its gate.
     fn idle_gated(hosts: usize, plane: FaultPlane) -> GatedFabric {
-        let idle = ThreadKey::server(HostId(hosts as u16));
+        let idle = ThreadKey::app(HostId(hosts as u16), 0);
         let sched = Scheduler::new(&SchedMode::deterministic(), vec![idle]);
-        sched.attach_passive(idle, Box::new(|| Turn::Idle { vt: 0 }));
-        sched.set_gate(Arc::new(NoGate));
+        sched.attach(idle).finish();
         let (net, eps) = Network::with_faults(hosts + 1, CostModel::default(), plane);
         net.attach_scheduler(&sched);
         let gate = net.gate();
@@ -1094,7 +1028,7 @@ mod tests {
         Scheduler,
         Network<u64>,
         Vec<Endpoint<u64>>,
-        Arc<dyn DeliveryGate>,
+        Rc<dyn DeliveryGate>,
     );
 
     /// Release order: the `(release_vt, from, seq)` key the mailbox sorts

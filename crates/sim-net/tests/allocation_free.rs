@@ -4,13 +4,12 @@
 //! thread's allocations.
 
 use sim_core::clock::Ns;
-use sim_core::sched::{FiberBody, SchedMode, SchedThread, Scheduler, ThreadKey, Turn};
+use sim_core::sched::{FiberBody, FiberRun, SchedMode, SchedThread, Scheduler, ThreadKey, Turn};
 use sim_core::{CostModel, HostId};
 use sim_net::Network;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 thread_local! {
     /// Allocations made by this thread. Const-initialized with no
@@ -58,11 +57,11 @@ fn an_unscheduled_send_and_recv_allocate_nothing() {
     assert_eq!(allocs() - before, 0);
 }
 
-/// Host 0's application thread sends host 1 a message and yields to its
-/// arrival, so the dispatcher releases the message from the gate and runs
-/// host 1's passive server, which receives it — all on the sending thread.
-/// The one allocation a step may make is the scheduler's decision log
-/// doubling.
+/// Host 0's application thread, a fiber, sends host 1 a message and yields
+/// to its arrival, so the dispatcher releases the message from the gate and
+/// runs host 1's passive server, which receives it — all on the sending
+/// fiber. The one allocation a step may make is the scheduler's decision
+/// log doubling.
 #[test]
 fn a_gated_send_release_and_receive_allocate_nothing() {
     let (app, server) = (ThreadKey::app(HostId(0), 0), ThreadKey::server(HostId(1)));
@@ -70,34 +69,36 @@ fn a_gated_send_release_and_receive_allocate_nothing() {
     let (net, mut eps) = Network::<u64>::new(2, CostModel::default());
     net.attach_scheduler(&sched);
     let (inbox, outbox) = (eps.pop().expect("host 1"), eps.pop().expect("host 0"));
-    let received = Arc::new(AtomicU64::new(0));
-    let (counted, mut vt) = (Arc::clone(&received), 0);
+    let received = Rc::new(Cell::new(0));
+    let (counted, mut vt) = (Rc::clone(&received), 0);
     let serve = move || match inbox.recv() {
         Some(pkt) => {
-            counted.fetch_add(1, Ordering::Relaxed);
+            counted.set(counted.get() + 1);
             vt = pkt.release_vt;
             Turn::Ran { vt }
         }
         None => Turn::Idle { vt },
     };
-    sched.attach_passive(server, Box::new(serve));
-    let (allocated, steps) = std::thread::scope(|scope| {
-        let sched = &sched;
-        let sender = scope.spawn(move || {
-            let t = sched.attach(app);
-            let mut now: Ns = 0;
-            let mut trip = |i| {
-                now = outbox.send(HostId(1), i, 0, now);
-                t.yield_now(now);
-            };
-            (0..WARM_UP).for_each(&mut trip);
-            let (before, first) = (allocs(), sched.steps());
-            (0..MESSAGES).for_each(&mut trip);
-            (allocs() - before, (first, sched.steps()))
-        });
-        sender.join().expect("the sender ran")
-    });
-    assert_eq!(received.load(Ordering::Relaxed), WARM_UP + MESSAGES);
+    let counts = Cell::new((0, (0, 0)));
+    let send = |t: SchedThread| {
+        let mut now: Ns = 0;
+        let mut trip = |i| {
+            now = outbox.send(HostId(1), i, 0, now);
+            t.yield_now(now);
+        };
+        (0..WARM_UP).for_each(&mut trip);
+        let (before, first) = (allocs(), sched.steps());
+        (0..MESSAGES).for_each(&mut trip);
+        counts.set((allocs() - before, (first, sched.steps())));
+    };
+    let run = FiberRun {
+        fibers: vec![(app, Box::new(send))],
+        passive: vec![(server, Box::new(serve))],
+        gate: Some(net.gate()),
+    };
+    sched.run_fibers(run, || {});
+    let (allocated, steps) = counts.get();
+    assert_eq!(received.get(), WARM_UP + MESSAGES);
     let doublings = (steps.1.ilog2() - steps.0.ilog2()) as usize;
     assert!(
         allocated <= doublings,
@@ -118,7 +119,7 @@ fn a_32_host_ring_of_gated_trips_allocates_nothing() {
     let sched = Scheduler::new(&SchedMode::deterministic(), servers.chain(apps).collect());
     let (net, eps) = Network::<u64>::new(HOSTS.into(), CostModel::default());
     net.attach_scheduler(&sched);
-    for (h, inbox) in (0..HOSTS).zip(eps) {
+    let servers = (0..HOSTS).zip(eps).map(|(h, inbox)| {
         let mut vt = 0;
         let serve = move || match inbox.recv() {
             Some(pkt) => {
@@ -127,8 +128,8 @@ fn a_32_host_ring_of_gated_trips_allocates_nothing() {
             }
             None => Turn::Idle { vt },
         };
-        sched.attach_passive(ThreadKey::server(HostId(h)), Box::new(serve));
-    }
+        (ThreadKey::server(HostId(h)), Box::new(serve) as _)
+    });
     let (warm, window) = (Cell::new(0), Cell::new([None; 2]));
     let mark = |end: usize| {
         let mut w = window.get();
@@ -153,7 +154,12 @@ fn a_32_host_ring_of_gated_trips_allocates_nothing() {
         };
         (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
     });
-    sched.run_fibers(bodies.collect());
+    let run = FiberRun {
+        fibers: bodies.collect(),
+        passive: servers.collect(),
+        gate: Some(net.gate()),
+    };
+    sched.run_fibers(run, || {});
     let [Some((before, first)), Some((after, last))] = window.get() else {
         panic!("the window never opened");
     };

@@ -109,8 +109,7 @@ proptest! {
             eps[0].send(HostId(1), (), p, 0);
             bytes += p as u64;
         }
-        prop_assert_eq!(net.stats().messages.get(), payloads.len() as u64);
-        prop_assert_eq!(net.stats().payload_bytes.get(), bytes);
+        prop_assert_eq!(net.link_traffic().totals(), (payloads.len() as u64, bytes));
     }
 }
 
