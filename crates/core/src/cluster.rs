@@ -434,7 +434,7 @@ where
         &cfg.sched,
         ids().map(ThreadKey::server).chain(apps).collect(),
     );
-    net.attach_scheduler(&sched);
+    let gate = net.attach_scheduler(&sched);
 
     let mut rng = SplitMix64::new(cfg.seed);
     // A server keeps nothing between two messages, so it needs no stack:
@@ -538,7 +538,7 @@ where
     let run = FiberRun {
         fibers: bodies,
         passive,
-        gate: Some(net.gate()),
+        gate: Some(gate),
     };
     // Once all application work is done (or cancelled), stop the servers —
     // unconditionally, so a failed run still tears down cleanly. FIFO per

@@ -1757,8 +1757,9 @@ mod tests {
         }
     }
 
-    /// A flag a test message bumps when it is delivered.
-    type Flag = Rc<Cell<u64>>;
+    /// A flag a test message bumps when it is delivered: an atomic, so
+    /// that a parked `block_until` condition may read it.
+    type Flag = Arc<AtomicU64>;
 
     /// One parked test message: destination host and the flag its
     /// release bumps.
@@ -1768,7 +1769,7 @@ mod tests {
     /// destination flag to bump, standing in for the network fabric. It
     /// marks a host moved whenever its earliest message changes, and keeps
     /// held messages for its quiet-point flush. Like the fabric it lives on
-    /// one thread: it is neither `Send` nor `Sync`.
+    /// one thread: it is not `Sync`.
     #[derive(Default)]
     struct TestGate {
         pending: RefCell<TestPending>,
@@ -1785,7 +1786,7 @@ mod tests {
         fn send(&self, release: Ns, to: HostId, flag: &Flag) {
             let seq = self.seq.replace(self.seq.get() + 1);
             let mut p = self.pending.borrow_mut();
-            p.insert((release, seq), (to, Rc::clone(flag)));
+            p.insert((release, seq), (to, Arc::clone(flag)));
             if Self::earliest(&p, to) == Some((release, seq)) {
                 self.moved.set(self.moved.get() | 1 << to.index());
             }
@@ -1805,7 +1806,7 @@ mod tests {
             let mut p = self.pending.borrow_mut();
             let key = Self::earliest(&p, host).expect("release with nothing pending");
             let (_, flag) = p.remove(&key).unwrap();
-            flag.set(flag.get() + 1);
+            flag.fetch_add(1, Ordering::SeqCst);
             self.moved.set(self.moved.get() | 1 << host.index());
         }
 
@@ -1813,7 +1814,7 @@ mod tests {
             let held = std::mem::take(&mut *self.held.borrow_mut());
             held.into_iter()
                 .map(|(to, flag)| {
-                    flag.set(flag.get() + 1);
+                    flag.fetch_add(1, Ordering::SeqCst);
                     to
                 })
                 .collect()
@@ -1822,8 +1823,8 @@ mod tests {
 
     /// A passive server of `host` that waits for `flag` and is then done.
     fn waits_for(host: u16, flag: &Flag) -> (ThreadKey, TurnFn) {
-        let flag = Rc::clone(flag);
-        let turn = move || match flag.get() {
+        let flag = Arc::clone(flag);
+        let turn = move || match flag.load(Ordering::SeqCst) {
             0 => Turn::Idle { vt: 0 },
             _ => Turn::Done,
         };
@@ -1831,61 +1832,85 @@ mod tests {
     }
 
     /// Host 0's application thread parks a gated delivery for host 1,
-    /// whose server waits for the flag it bumps. Once the sender yields
-    /// past the release time nothing else is runnable, so only the
-    /// dispatch loop releasing the packet can wake the server.
+    /// whose application thread blocks until the flag it bumps is set.
+    /// Once the sender yields past the release time nothing else is
+    /// runnable, so only the dispatch loop releasing the packet — waking
+    /// host 1 and re-checking the parked condition — can wake the receiver
+    /// before the sender runs again at vt 20.
     #[test]
     fn a_gated_delivery_wakes_its_blocked_receiver() {
         let sched = Scheduler::new(&SchedMode::deterministic(), two_host_keys());
         let (gate, flag) = (Rc::new(TestGate::default()), Flag::default());
-        let (g, f) = (&gate, &flag);
+        let woke = Cell::new(false);
+        let (g, f, w) = (&gate, &flag, &woke);
         let send = move |t: SchedThread| {
             t.yield_now(5);
             // "Send" at vt 5, released at 17.
             g.send(17, HostId(1), f);
             t.yield_now(20);
+            assert!(w.get(), "the release at vt 17 woke the receiver");
         };
-        // Host 0's server and host 1's application thread have nothing to
-        // wait for.
+        let receive = move |t: SchedThread| {
+            let delivered = || (f.load(Ordering::SeqCst) > 0).then_some(());
+            if let BlockOutcome::Poisoned = t.block_until(0, delivered) {
+                panic!("gated delivery never released");
+            }
+            w.set(true);
+        };
+        // Neither host's server has anything to wait for.
+        let done = Flag::new(AtomicU64::new(1));
         let run = FiberRun {
             fibers: vec![
                 (ThreadKey::app(HostId(0), 0), Box::new(send)),
-                (ThreadKey::app(HostId(1), 0), Box::new(drop)),
+                (ThreadKey::app(HostId(1), 0), Box::new(receive)),
             ],
-            passive: vec![waits_for(0, &Flag::new(Cell::new(1))), waits_for(1, &flag)],
+            passive: vec![waits_for(0, &done), waits_for(1, &done)],
             gate: Some(Rc::clone(&gate) as Rc<dyn DeliveryGate>),
         };
         sched.run_fibers(run, || {});
-        assert_eq!(flag.get(), 1, "gated delivery released once");
+        assert_eq!(
+            flag.load(Ordering::SeqCst),
+            1,
+            "gated delivery released once"
+        );
         assert!(gate.pending.borrow().is_empty(), "gate drained");
         assert_eq!(gate.moved_heads(), 0, "every moved head was re-filed");
     }
 
     /// A turn that owns an `Rc`, and a gate that is not `Sync`: a `Send`
-    /// bound back on [`TurnFn`] or [`DeliveryGate`] fails to compile here.
-    /// Host 0's application thread leaves a held message for host 0's
-    /// server and finishes; only the run's quiet point, flushing the gate,
-    /// can deliver it, and the server's turn sees it there.
+    /// bound back on [`TurnFn`], or a `Sync` one on [`DeliveryGate`], fails
+    /// to compile here. Host 0's application thread leaves a held message for
+    /// host 0's server and finishes; only the run's quiet point, flushing
+    /// the gate, can deliver it, and the server's turn sees it there.
     #[test]
     fn a_fiber_run_owns_turns_and_a_gate_that_are_not_send() {
         let keys = vec![ThreadKey::server(HostId(0)), ThreadKey::app(HostId(0), 0)];
         let sched = Scheduler::new(&SchedMode::deterministic(), keys);
         let (gate, flag) = (Rc::new(TestGate::default()), Flag::default());
-        let held = (HostId(0), Rc::clone(&flag));
+        let held = (HostId(0), Arc::clone(&flag));
         let hold = |t: SchedThread| {
             gate.held.borrow_mut().push(held);
             t.yield_now(3);
         };
+        let seen = Rc::new(Cell::new(0));
+        let (s, f) = (Rc::clone(&seen), Arc::clone(&flag));
+        let turn = move || match f.load(Ordering::SeqCst) {
+            0 => Turn::Idle { vt: 0 },
+            n => {
+                s.set(n);
+                Turn::Done
+            }
+        };
         let run = FiberRun {
             fibers: vec![(ThreadKey::app(HostId(0), 0), Box::new(hold))],
-            passive: vec![waits_for(0, &flag)],
+            passive: vec![(ThreadKey::server(HostId(0)), Box::new(turn))],
             gate: Some(Rc::clone(&gate) as Rc<dyn DeliveryGate>),
         };
         sched.run_fibers(run, || {});
-        assert_eq!(flag.get(), 1, "flushed once");
+        assert_eq!(seen.get(), 1, "flushed once");
         assert!(gate.held.borrow().is_empty());
         // The server's turn, done after the flush, holds its `Rc` no more.
-        assert_eq!(Rc::strong_count(&flag), 1);
+        assert_eq!(Rc::strong_count(&seen), 1);
     }
 
     /// The toy behind the passive-slot tests: every host has a server
@@ -2171,7 +2196,8 @@ mod tests {
     /// the churn toy, as `(decisions, SHA-256 of their little-endian
     /// bytes)`: the candidate index must name the same slot at every step,
     /// under the policy that reads its minimum and under the two that read
-    /// its membership.
+    /// its membership. The seed-11 explorers' logs are the ones the toy
+    /// took at commit c3029d6 with every application thread an OS thread.
     #[test]
     fn the_index_is_the_scan() {
         let mut moved = Vec::new();
@@ -2190,6 +2216,16 @@ mod tests {
                 SchedMode::pct(7, 3),
                 20835,
                 "a1b2f1bd6a4090f35775779657e4fd2b9e2111b84551c8775b892af9305aa866",
+            ),
+            (
+                SchedMode::random(11),
+                5337,
+                "2c28062278b9e3f453dc467ac9df2539c58644a0b57f5006d8b033c66c01695b",
+            ),
+            (
+                SchedMode::pct(11, 3),
+                20497,
+                "4cfa0c95e6f5d9c7a1a70e825ed564b1bda2ff89932e257844094220d2cc2a3e",
             ),
         ] {
             let decisions = churn_decisions(&mode);
@@ -2264,9 +2300,9 @@ mod tests {
     fn quiesce_drives_leftover_passive_slots_from_the_calling_thread() {
         let sched = Scheduler::new(&SchedMode::deterministic(), server_app_keys(2));
         let (exited, ran, stop) = (
-            Flag::default(),
+            Rc::new(Cell::new(0)),
             Rc::new(RefCell::new(Vec::new())),
-            Flag::default(),
+            Rc::new(Cell::new(0)),
         );
         let passive = (0..2).map(|g| {
             let (exited, ran, stop) = (Rc::clone(&exited), Rc::clone(&ran), Rc::clone(&stop));

@@ -608,17 +608,22 @@ impl<M: Clone> Network<M> {
     }
 
     /// Attaches the deterministic scheduler so deliveries count as
-    /// potentially-unblocking actions. Its fiber run takes the fabric's
-    /// [`gate`](Self::gate). Later attachments are ignored.
-    pub fn attach_scheduler(&self, sched: &Scheduler) {
+    /// potentially-unblocking actions, and returns the fabric's
+    /// [`gate`](Self::gate) for that scheduler's fiber run
+    /// (`sim_core::sched::FiberRun::gate`). Later attachments are ignored.
+    pub fn attach_scheduler(&self, sched: &Scheduler) -> Rc<dyn DeliveryGate>
+    where
+        M: 'static,
+    {
         let _ = self.fabric.sched.set(sched.clone());
+        self.gate()
     }
 
-    /// The fabric's delivery gate, which a fiber run owns
-    /// (`sim_core::sched::FiberRun::gate`): a gating scheduler releases
-    /// parked packets through it, and every scheduler flushes
-    /// reorder-held packets through it at its quiet point. A fabric used
-    /// without a scheduler calls [`DeliveryGate::flush_held`] directly.
+    /// The fabric's delivery gate, as [`attach_scheduler`](Self::attach_scheduler)
+    /// returns it for the fiber run: a gating scheduler releases parked
+    /// packets through it, and every scheduler flushes reorder-held
+    /// packets through it at its quiet point. A fabric used without a
+    /// scheduler calls [`DeliveryGate::flush_held`] directly.
     pub fn gate(&self) -> Rc<dyn DeliveryGate>
     where
         M: 'static,
@@ -1019,8 +1024,7 @@ mod tests {
         let sched = Scheduler::new(&SchedMode::deterministic(), vec![idle]);
         sched.attach(idle).finish();
         let (net, eps) = Network::with_faults(hosts + 1, CostModel::default(), plane);
-        net.attach_scheduler(&sched);
-        let gate = net.gate();
+        let gate = net.attach_scheduler(&sched);
         (sched, net, eps, gate)
     }
 

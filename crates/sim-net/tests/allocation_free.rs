@@ -67,7 +67,7 @@ fn a_gated_send_release_and_receive_allocate_nothing() {
     let (app, server) = (ThreadKey::app(HostId(0), 0), ThreadKey::server(HostId(1)));
     let sched = Scheduler::new(&SchedMode::deterministic(), vec![app, server]);
     let (net, mut eps) = Network::<u64>::new(2, CostModel::default());
-    net.attach_scheduler(&sched);
+    let gate = net.attach_scheduler(&sched);
     let (inbox, outbox) = (eps.pop().expect("host 1"), eps.pop().expect("host 0"));
     let received = Rc::new(Cell::new(0));
     let (counted, mut vt) = (Rc::clone(&received), 0);
@@ -94,7 +94,7 @@ fn a_gated_send_release_and_receive_allocate_nothing() {
     let run = FiberRun {
         fibers: vec![(app, Box::new(send))],
         passive: vec![(server, Box::new(serve))],
-        gate: Some(net.gate()),
+        gate: Some(gate),
     };
     sched.run_fibers(run, || {});
     let (allocated, steps) = counts.get();
@@ -118,7 +118,7 @@ fn a_32_host_ring_of_gated_trips_allocates_nothing() {
     let servers = (0..HOSTS).map(|h| ThreadKey::server(HostId(h)));
     let sched = Scheduler::new(&SchedMode::deterministic(), servers.chain(apps).collect());
     let (net, eps) = Network::<u64>::new(HOSTS.into(), CostModel::default());
-    net.attach_scheduler(&sched);
+    let gate = net.attach_scheduler(&sched);
     let servers = (0..HOSTS).zip(eps).map(|(h, inbox)| {
         let mut vt = 0;
         let serve = move || match inbox.recv() {
@@ -157,7 +157,7 @@ fn a_32_host_ring_of_gated_trips_allocates_nothing() {
     let run = FiberRun {
         fibers: bodies.collect(),
         passive: servers.collect(),
-        gate: Some(net.gate()),
+        gate: Some(gate),
     };
     sched.run_fibers(run, || {});
     let [Some((before, first)), Some((after, last))] = window.get() else {
