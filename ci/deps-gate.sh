@@ -5,7 +5,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-ALLOWED="proptest parking_lot bytes libc"
+ALLOWED="proptest bytes libc"
 MEMBERS=$(cargo metadata --no-deps --format-version 1 | python3 -c '
 import json, sys
 print(" ".join(p["name"] for p in json.load(sys.stdin)["packages"]))')

@@ -160,7 +160,7 @@ pub fn run_is(mut cfg: ClusterConfig, p: IsParams) -> AppRun {
         "the rotated merge needs at least as many regions as hosts"
     );
     cfg.views = cfg.views.max(p.regions);
-    let sum = parking_lot::Mutex::new(0.0f64);
+    let sum = std::sync::Mutex::new(0.0f64);
     let timed = TimedAgg::new();
     let report = run(
         cfg,
@@ -169,14 +169,14 @@ pub fn run_is(mut cfg: ClusterConfig, p: IsParams) -> AppRun {
             worker(ctx, sh);
             timed.record(ctx);
             if ctx.host().index() == 0 {
-                *sum.lock() = checksum(ctx, sh);
+                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
             }
         },
     );
     let (timed_ns, timed_breakdown) = timed.take();
     AppRun {
         report,
-        checksum: sum.into_inner(),
+        checksum: sum.into_inner().expect("checksum poisoned"),
         timed_ns,
         timed_breakdown,
     }
@@ -199,14 +199,14 @@ pub fn run_is_host(hosts: usize, p: IsParams, diag: bool) -> Result<crate::HostA
         diag,
         adapt: millipage::AdaptConfig::default(),
     };
-    let sum = parking_lot::Mutex::new(0.0f64);
+    let sum = std::sync::Mutex::new(0.0f64);
     let report = millipage::run_host(
         cfg,
         |s| setup(s, p),
         |ctx, sh| {
             worker(ctx, sh);
             if ctx.host().index() == 0 {
-                *sum.lock() = checksum(ctx, sh);
+                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
             }
         },
     )
@@ -216,7 +216,7 @@ pub fn run_is_host(hosts: usize, p: IsParams, diag: bool) -> Result<crate::HostA
     }
     Ok(crate::HostAppRun {
         report,
-        checksum: sum.into_inner(),
+        checksum: sum.into_inner().expect("checksum poisoned"),
     })
 }
 

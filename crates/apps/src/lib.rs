@@ -27,7 +27,7 @@ pub mod tsp;
 pub mod water;
 
 use millipage::{HostCtx, Ns, RunReport, TimeBreakdown};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Calibration of application compute charges, approximating the paper's
 /// 300 MHz Pentium II (§4): a handful of dependent ALU/FPU operations plus
@@ -105,14 +105,14 @@ impl TimedAgg {
     /// Records one thread's timed region (call right after the final
     /// barrier).
     pub fn record(&self, ctx: &HostCtx) {
-        let mut a = self.inner.lock();
+        let mut a = self.inner.lock().expect("accumulator poisoned");
         a.0 = a.0.max(ctx.timed());
         a.1.merge(&ctx.timed_breakdown());
     }
 
     /// The aggregate (max time, merged breakdown).
     pub fn take(self) -> (Ns, TimeBreakdown) {
-        self.inner.into_inner()
+        self.inner.into_inner().expect("accumulator poisoned")
     }
 }
 

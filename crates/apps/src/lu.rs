@@ -383,7 +383,7 @@ pub fn checksum(ctx: &mut HostCtx, sh: &LuShared) -> f64 {
 pub fn run_lu(mut cfg: ClusterConfig, p: LuParams) -> AppRun {
     let bytes = p.n * p.n * 4;
     cfg.pages = cfg.pages.max(bytes / 4096 + 128);
-    let sum = parking_lot::Mutex::new(0.0f64);
+    let sum = std::sync::Mutex::new(0.0f64);
     let timed = TimedAgg::new();
     let report = run(
         cfg,
@@ -392,14 +392,14 @@ pub fn run_lu(mut cfg: ClusterConfig, p: LuParams) -> AppRun {
             worker(ctx, sh);
             timed.record(ctx);
             if ctx.host().index() == 0 {
-                *sum.lock() = checksum(ctx, sh);
+                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
             }
         },
     );
     let (timed_ns, timed_breakdown) = timed.take();
     AppRun {
         report,
-        checksum: sum.into_inner(),
+        checksum: sum.into_inner().expect("checksum poisoned"),
         timed_ns,
         timed_breakdown,
     }

@@ -155,7 +155,7 @@ pub fn checksum<D: Dsm>(ctx: &mut D, sh: &SorShared) -> f64 {
 pub fn run_sor(mut cfg: ClusterConfig, p: SorParams) -> AppRun {
     cfg.pages = cfg.pages.max(p.shared_bytes() / 4096 * 2 + 64);
     cfg.views = cfg.views.max((4096 / (p.cols * 4)).clamp(1, 32));
-    let sum = parking_lot::Mutex::new(0.0f64);
+    let sum = std::sync::Mutex::new(0.0f64);
     let timed = TimedAgg::new();
     let report = run(
         cfg,
@@ -164,14 +164,14 @@ pub fn run_sor(mut cfg: ClusterConfig, p: SorParams) -> AppRun {
             worker(ctx, sh);
             timed.record(ctx);
             if ctx.host().index() == 0 {
-                *sum.lock() = checksum(ctx, sh);
+                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
             }
         },
     );
     let (timed_ns, timed_breakdown) = timed.take();
     AppRun {
         report,
-        checksum: sum.into_inner(),
+        checksum: sum.into_inner().expect("checksum poisoned"),
         timed_ns,
         timed_breakdown,
     }
@@ -206,14 +206,14 @@ pub fn run_sor_host_with(
         diag,
         adapt,
     };
-    let sum = parking_lot::Mutex::new(0.0f64);
+    let sum = std::sync::Mutex::new(0.0f64);
     let report = millipage::run_host(
         cfg,
         |s| setup(s, p),
         |ctx, sh| {
             worker(ctx, sh);
             if ctx.host().index() == 0 {
-                *sum.lock() = checksum(ctx, sh);
+                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
             }
         },
     )
@@ -223,7 +223,7 @@ pub fn run_sor_host_with(
     }
     Ok(crate::HostAppRun {
         report,
-        checksum: sum.into_inner(),
+        checksum: sum.into_inner().expect("checksum poisoned"),
     })
 }
 

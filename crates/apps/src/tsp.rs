@@ -437,7 +437,7 @@ pub fn run_tsp(mut cfg: ClusterConfig, p: TspParams) -> AppRun {
     let bytes = p.max_tours * (TOUR_I32S * 4 + 8) + 64;
     cfg.pages = cfg.pages.max(bytes / 4096 * 2 + 64);
     cfg.views = cfg.views.max(27);
-    let sum = parking_lot::Mutex::new(0.0f64);
+    let sum = std::sync::Mutex::new(0.0f64);
     let timed = TimedAgg::new();
     let report = run(
         cfg,
@@ -451,14 +451,14 @@ pub fn run_tsp(mut cfg: ClusterConfig, p: TspParams) -> AppRun {
             worker(ctx, sh);
             timed.record(ctx);
             if ctx.host().index() == 0 {
-                *sum.lock() = ctx.cell_get(&sh.best) as f64;
+                *sum.lock().expect("checksum poisoned") = ctx.cell_get(&sh.best) as f64;
             }
         },
     );
     let (timed_ns, timed_breakdown) = timed.take();
     AppRun {
         report,
-        checksum: sum.into_inner(),
+        checksum: sum.into_inner().expect("checksum poisoned"),
         timed_ns,
         timed_breakdown,
     }

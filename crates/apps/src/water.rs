@@ -275,7 +275,7 @@ pub fn run_water(mut cfg: ClusterConfig, p: WaterParams) -> AppRun {
     let bytes = p.molecules * MOL_F64S * 8;
     cfg.pages = cfg.pages.max(bytes / 4096 * 3 + 64);
     cfg.views = cfg.views.max(6);
-    let sum = parking_lot::Mutex::new(0.0f64);
+    let sum = std::sync::Mutex::new(0.0f64);
     let timed = TimedAgg::new();
     let report = run(
         cfg,
@@ -284,14 +284,14 @@ pub fn run_water(mut cfg: ClusterConfig, p: WaterParams) -> AppRun {
             worker(ctx, sh);
             timed.record(ctx);
             if ctx.host().index() == 0 {
-                *sum.lock() = checksum(ctx, sh);
+                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
             }
         },
     );
     let (timed_ns, timed_breakdown) = timed.take();
     AppRun {
         report,
-        checksum: sum.into_inner(),
+        checksum: sum.into_inner().expect("checksum poisoned"),
         timed_ns,
         timed_breakdown,
     }

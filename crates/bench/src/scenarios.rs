@@ -2,7 +2,7 @@
 //! time.
 
 use millipage::{run, AllocMode, ClusterConfig, CostModel, HostId, Ns};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Base configuration for microbenchmark scenarios: idle hosts (so the
 /// poller, not the sweeper, answers — the paper's microbenchmarks ran on
@@ -43,12 +43,12 @@ pub fn read_fault_time(size: usize, two_hop: bool) -> Ns {
             if ctx.host() == HostId(1) {
                 let t0 = ctx.now();
                 let _ = ctx.get(sv, 0);
-                *out.lock() = ctx.now() - t0;
+                *out.lock().expect("result poisoned") = ctx.now() - t0;
             }
             ctx.barrier();
         },
     );
-    out.into_inner()
+    out.into_inner().expect("result poisoned")
 }
 
 /// Virtual time to bring in a minipage of `size` bytes for writing with
@@ -74,12 +74,12 @@ pub fn write_fault_time(size: usize, read_copies: usize) -> Ns {
             if ctx.host().index() == hosts - 1 {
                 let t0 = ctx.now();
                 ctx.set(sv, 0, 9u8);
-                *out.lock() = ctx.now() - t0;
+                *out.lock().expect("result poisoned") = ctx.now() - t0;
             }
             ctx.barrier();
         },
     );
-    out.into_inner()
+    out.into_inner().expect("result poisoned")
 }
 
 /// Virtual barrier latency observed by the last arriver, for `hosts`
@@ -95,13 +95,13 @@ pub fn barrier_time(hosts: usize) -> Ns {
                 ctx.compute(1_000_000); // Arrive last, everyone waiting.
                 let t0 = ctx.now();
                 ctx.barrier();
-                *out.lock() = ctx.now() - t0;
+                *out.lock().expect("result poisoned") = ctx.now() - t0;
             } else {
                 ctx.barrier();
             }
         },
     );
-    out.into_inner()
+    out.into_inner().expect("result poisoned")
 }
 
 /// Virtual time of an uncontended lock followed by an unlock (§4.2:
@@ -116,12 +116,12 @@ pub fn lock_unlock_time() -> Ns {
                 let t0 = ctx.now();
                 ctx.lock(5);
                 ctx.unlock(5);
-                *out.lock() = ctx.now() - t0;
+                *out.lock().expect("result poisoned") = ctx.now() - t0;
             }
             ctx.barrier();
         },
     );
-    out.into_inner()
+    out.into_inner().expect("result poisoned")
 }
 
 /// Average minipage request service time with all hosts busy computing —
@@ -151,7 +151,7 @@ pub fn busy_vs_idle_service(samples: usize) -> (Ns, Ns) {
                     for v in vs {
                         let t0 = ctx.now();
                         let _ = ctx.get(v, 0);
-                        let mut t = total.lock();
+                        let mut t = total.lock().expect("result poisoned");
                         t.0 += (ctx.now() - t0) as u128;
                         t.1 += 1;
                     }
@@ -159,7 +159,7 @@ pub fn busy_vs_idle_service(samples: usize) -> (Ns, Ns) {
                 ctx.barrier();
             },
         );
-        let (sum, n) = total.into_inner();
+        let (sum, n) = total.into_inner().expect("result poisoned");
         (sum / n.max(1) as u128) as Ns
     };
     (measure(true), measure(false))
@@ -253,10 +253,10 @@ mod tests {
             |ctx, ()| {
                 ctx.barrier();
                 if ctx.host() == HostId(0) {
-                    *out.lock() = ctx.breakdown().get(Category::Synch);
+                    *out.lock().expect("result poisoned") = ctx.breakdown().get(Category::Synch);
                 }
             },
         );
-        assert!(out.into_inner() > 0);
+        assert!(out.into_inner().expect("result poisoned") > 0);
     }
 }

@@ -26,19 +26,23 @@
 //!   server engine ([`server::dispatch`](crate::server)) does differently
 //!   per substrate.
 //!
-//! [`ClusterMemory`] is the manager shard's alloc-time access to *every*
-//! host's memory (fresh minipages are initialized directly at their home
-//! host before any application can reach them — setup, not protocol
-//! traffic). It has one implementation, over the per-host
-//! [`HostState`]s of whichever substrate is running.
+//! [`ClusterMemory`] is the manager shard's access to *every* host's
+//! memory (fresh minipages are initialized directly at their home host
+//! before any application can reach them — setup, not protocol traffic —
+//! and a home patches release diffs into its own copy). It has one
+//! implementation, the per-host [`HostState`]s of whichever substrate is
+//! running ([`Cluster`]); a shard holds it by type, so it is `Send` exactly
+//! when the substrate's states are shareable across threads — on the host
+//! backend, whose shards move to its server thread, not in the simulator.
 //!
 //! The sim implementations monomorphize to exactly the pre-refactor code:
 //! the determinism tests and the goldens under `tests/goldens/` hold the
 //! sim backend to byte-identical traces and reports.
 
+use crate::diff::Diff;
 use crate::error::ProtocolError;
 use crate::hlrc::MpInfo;
-use crate::host::HostState;
+use crate::host::{HostState, Waiters};
 use crate::msg::Pmsg;
 use sim_core::{Geometry, HostId, Ns, VAddr};
 use sim_mem::{AddressSpace, Prot};
@@ -76,6 +80,11 @@ pub trait MemoryBackend {
     fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault>;
     /// Writes bytes through the privileged view (zero-copy receive).
     fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault>;
+    /// Patches a release diff into the `diff.source_len()` bytes at
+    /// `priv_base` through the privileged view: the range is checked
+    /// whole, then only the diff's runs are written, so a local write to
+    /// other bytes of the range is never clobbered.
+    fn apply_diff(&self, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault>;
     /// Atomically snapshots `[addr, addr+len)` and sets the protection of
     /// the covering vpages — the HLRC eviction step (no write may slip
     /// between the copy and the protection change).
@@ -109,6 +118,14 @@ impl MemoryBackend for AddressSpace {
 
     fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
         AddressSpace::priv_write(self, addr, data).map_err(|_| MemFault::OutOfRange)
+    }
+
+    /// One decode for the range and one page borrow per page it covers.
+    fn apply_diff(&self, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault> {
+        AddressSpace::priv_patch(self, priv_base, diff.source_len(), |at, bytes| {
+            diff.apply_at(at, bytes)
+        })
+        .map_err(|_| MemFault::OutOfRange)
     }
 
     fn snapshot_and_protect(
@@ -213,25 +230,32 @@ pub(crate) trait LocalWake {
     ) -> Result<(), ProtocolError>;
 }
 
-/// The manager shard's cross-host memory access, used only at allocation
-/// time: fresh minipages are initialized directly in their home host's
-/// space before the allocation reply makes them reachable.
-pub(crate) trait ClusterMemory: Send + Sync {
+/// The manager shard's cross-host memory access: fresh minipages are
+/// initialized directly in their home host's space before the allocation
+/// reply makes them reachable, and a home patches release diffs into its
+/// own copy.
+pub(crate) trait ClusterMemory {
     /// Changes the protection of `vpage` on `host`.
     fn set_prot(&self, host: HostId, vpage: usize, prot: Prot) -> Result<(), MemFault>;
     /// Reads bytes from `host`'s privileged view.
     fn priv_read(&self, host: HostId, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault>;
     /// Writes bytes into `host`'s privileged view.
     fn priv_write(&self, host: HostId, addr: VAddr, data: &[u8]) -> Result<(), MemFault>;
+    /// Patches a release diff into `host`'s privileged view (see
+    /// [`MemoryBackend::apply_diff`]).
+    fn apply_diff(&self, host: HostId, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault>;
     /// Caches a minipage translation in `host`'s release-consistency
     /// state (HLRC bookkeeping; backends without HLRC ignore it).
     fn learn_rc(&self, host: HostId, vpages: Range<usize>, info: MpInfo);
 }
 
-/// Every host's [`HostState`] *is* the cluster's memory, on either
-/// substrate: the shards reach a host's space and release-consistency
-/// cache through the same state its server thread works on.
-impl<M: MemoryBackend + Send + Sync, W: Send + Sync> ClusterMemory for Vec<Arc<HostState<M, W>>> {
+/// Every host's [`HostState`], in host order: the cluster's memory on
+/// either substrate. The defaults are the simulator's.
+pub(crate) type Cluster<M = AddressSpace, W = Waiters> = Vec<Arc<HostState<M, W>>>;
+
+/// The shards reach a host's space and release-consistency cache through
+/// the same state its server works on.
+impl<M: MemoryBackend, W> ClusterMemory for Cluster<M, W> {
     fn set_prot(&self, host: HostId, vpage: usize, prot: Prot) -> Result<(), MemFault> {
         self[host.index()].space.set_prot(vpage, prot)
     }
@@ -244,8 +268,16 @@ impl<M: MemoryBackend + Send + Sync, W: Send + Sync> ClusterMemory for Vec<Arc<H
         self[host.index()].space.priv_write(addr, data)
     }
 
+    fn apply_diff(&self, host: HostId, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault> {
+        self[host.index()].space.apply_diff(priv_base, diff)
+    }
+
     fn learn_rc(&self, host: HostId, vpages: Range<usize>, info: MpInfo) {
-        self[host.index()].rc.lock().learn(vpages, info);
+        self[host.index()]
+            .rc
+            .lock()
+            .expect("rc state poisoned")
+            .learn(vpages, info);
     }
 }
 

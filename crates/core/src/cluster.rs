@@ -25,7 +25,7 @@
 //! caller's CPU affinity alone.
 
 use crate::adapt::AdaptReport;
-use crate::backend::{ClusterMemory, MemoryBackend};
+use crate::backend::{Cluster, MemoryBackend};
 use crate::diag::{build_report, DiagReport, DiagTable};
 use crate::error::ProtocolError;
 use crate::hlrc::Consistency;
@@ -165,15 +165,30 @@ impl ParallelConfig {
 /// application threads start; its writes are free (they model the program
 /// initializing data before the timed region).
 pub struct SetupCtx<'a> {
-    mgr: &'a mut ManagerShard,
+    mgr: &'a mut dyn SetupShard,
+}
+
+/// What setup asks of the manager's shard, on either backend (each holds
+/// its shards with its own cluster type).
+pub(crate) trait SetupShard {
+    /// Allocates `bytes` for the manager host, at virtual time zero.
+    fn alloc(&mut self, bytes: usize) -> VAddr;
+    /// Closes the current chunk (see
+    /// [`Allocator::finish_chunk`](multiview::Allocator::finish_chunk)).
+    fn finish_chunk(&mut self);
+    /// See [`Allocator::retire_page`](multiview::Allocator::retire_page).
+    fn retire_page(&mut self);
+    /// Pre-run initialization write (free): lands in the home host's
+    /// memory of every minipage the range crosses, so the fresh master
+    /// copies carry the data.
+    fn init_write(&self, addr: VAddr, data: &[u8]);
 }
 
 impl SetupCtx<'_> {
     /// Allocates `bytes` of shared memory. Setup allocations are issued
     /// by the manager host, so first-touch homes them there.
     pub fn alloc_bytes(&mut self, bytes: usize) -> VAddr {
-        let me = self.mgr.me();
-        self.mgr.do_alloc(bytes, me, 0)
+        self.mgr.alloc(bytes)
     }
 
     /// Allocates a shared vector of `len` elements.
@@ -264,8 +279,8 @@ pub(crate) struct Verdict {
 
 impl<M, W> Stack<M, W>
 where
-    M: MemoryBackend + Send + Sync + 'static,
-    W: Send + Sync + 'static,
+    M: MemoryBackend + 'static,
+    W: 'static,
 {
     /// Builds the stack for `cfg` over `geo`, with `host(h)` giving host
     /// `h`'s memory and wake-up, and runs `setup` on the manager's shard.
@@ -281,7 +296,7 @@ where
         geo: Geometry,
         mut host: impl FnMut(HostId) -> (M, W),
         setup: impl FnOnce(&mut SetupCtx) -> T,
-    ) -> (Self, Vec<ManagerShard>, T) {
+    ) -> (Self, Vec<ManagerShard<Cluster<M, W>>>, T) {
         assert_hosts(cfg.hosts);
         assert!(
             cfg.threads_per_host >= 1,
@@ -314,8 +329,8 @@ where
                 })
             })
             .collect();
-        let cluster: Arc<dyn ClusterMemory> = Arc::new(states.clone());
-        let mut shards: Vec<ManagerShard> = (0..cfg.hosts)
+        let cluster = Arc::new(states.clone());
+        let mut shards: Vec<_> = (0..cfg.hosts)
             .map(|h| {
                 ManagerShard::new(
                     HostId(h as u16),
@@ -349,9 +364,20 @@ where
     /// closed and queue drained; after any adaptation, a sound MPT
     /// geometry. Also merges the adaptation actions and builds the sharing
     /// report, with the per-link traffic the run's transport counted.
-    pub(crate) fn check(&self, shards: &[ManagerShard], links: &LinkTraffic) -> Verdict {
+    pub(crate) fn check(
+        &self,
+        shards: &[ManagerShard<Cluster<M, W>>],
+        links: &LinkTraffic,
+    ) -> Verdict {
         let (geo, home) = (&self.geo, &self.home);
-        let minipages: Vec<Minipage> = home.table.read().mpt().iter().copied().collect();
+        let minipages: Vec<Minipage> = home
+            .table
+            .read()
+            .expect("home table poisoned")
+            .mpt()
+            .iter()
+            .copied()
+            .collect();
         let mut violations = match self.consistency {
             Consistency::SequentialSwMr => check_coherence(&minipages, geo, &self.states),
             Consistency::HomeEagerRc => check_rc_consistency(&minipages, geo, &self.states, home),
@@ -361,7 +387,13 @@ where
         // minipages disjoint, no physical byte orphaned, every retired
         // vpage redirecting to the active owner of its bytes.
         if home.reshaped() {
-            violations.extend(home.table.read().mpt().geometry_violations(geo));
+            violations.extend(
+                home.table
+                    .read()
+                    .expect("home table poisoned")
+                    .mpt()
+                    .geometry_violations(geo),
+            );
         }
         let adapt = self.adapt.then(|| {
             let mut report = AdaptReport::default();
@@ -649,7 +681,12 @@ where
         pushes: sum(|c| &c.pushes),
         messages,
         payload_bytes,
-        alloc: home.table.read().alloc.stats(),
+        alloc: home
+            .table
+            .read()
+            .expect("home table poisoned")
+            .alloc
+            .stats(),
         rc_diffs: sum(|c| &c.rc_diffs),
         policy: home.policy_name(),
         shards: shard_reports,

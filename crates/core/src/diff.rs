@@ -184,9 +184,21 @@ impl Diff {
             target.len() >= self.source_len,
             "target shorter than the diffed page"
         );
+        self.apply_at(0, target);
+    }
+
+    /// Applies the part of the diff that lands in bytes `at..at +
+    /// window.len()` of the diffed buffer, `window` being those bytes: a
+    /// buffer split into pieces (a minipage spanning pages) is patched one
+    /// piece at a time, each run clipped to the piece.
+    pub fn apply_at(&self, at: usize, window: &mut [u8]) {
+        let end = at + window.len();
         for r in &self.runs {
             let off = r.off as usize;
-            target[off..off + r.len as usize].copy_from_slice(self.run_bytes(r));
+            let (lo, hi) = (off.max(at), (off + r.len as usize).min(end));
+            if lo < hi {
+                window[lo - at..hi - at].copy_from_slice(&self.run_bytes(r)[lo - off..hi - off]);
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! distributing the minipage management among several managers" (§5).
 //! This module implements that distribution. Every minipage gets a *home*
 //! host chosen by a [`HomePolicyKind`] at allocation time; the home's
-//! [`ManagerShard`](crate::ManagerShard) owns the minipage's directory entry,
+//! [`ManagerShard`](crate::manager::ManagerShard) owns the minipage's directory entry,
 //! service window and (under release consistency) master copy.
 //!
 //! A run keeps one minipage table, as the paper's manager does: the shared
@@ -24,10 +24,10 @@
 //! spot measures.
 
 use multiview::{AllocError, Allocator, Minipage, MinipageId, Mpt};
-use parking_lot::RwLock;
 use sim_core::HostId;
 use sim_mem::{Geometry, VAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::RwLock;
 
 /// The manager host (§3.3): it runs the shared allocator and the
 /// synchronization services and, under the centralized policy, homes every
@@ -165,7 +165,7 @@ impl HomeTable {
         size: usize,
         allocating: HostId,
     ) -> Result<(VAddr, Vec<(Minipage, HostId)>), AllocError> {
-        let mut t = self.table.write();
+        let mut t = self.table.write().expect("home table poisoned");
         let before = t.homes.len();
         let addr = t.alloc.alloc(size)?;
         let placed: Vec<(Minipage, HostId)> = t
@@ -189,7 +189,7 @@ impl HomeTable {
     /// from the manager counts as a migration.
     pub(crate) fn replace(&self, old: &[MinipageId], new: Vec<Minipage>, home: HostId) {
         assert!(home.index() < self.hosts, "pinning to an absent host");
-        let mut t = self.table.write();
+        let mut t = self.table.write().expect("home table poisoned");
         let ids = t.alloc.mpt_mut().retire_and_insert(&self.geo, old, new);
         t.homes.extend(ids.iter().map(|_| home));
         self.reshaped.store(true, Ordering::Release);
@@ -204,7 +204,7 @@ impl HomeTable {
         if self.kind == HomePolicyKind::Centralized && self.epoch() == 0 {
             return MANAGER;
         }
-        self.table.read().homes[id.index()]
+        self.table.read().expect("home table poisoned").homes[id.index()]
     }
 
     /// The home-map version: 0 until the first migration, bumped on each.
@@ -226,7 +226,7 @@ impl HomeTable {
     /// epoch, so no window is served from stale directory state.
     pub(crate) fn migrate(&self, id: MinipageId, to: HostId) -> u64 {
         assert!(to.index() < self.hosts, "migrating to an absent host");
-        self.table.write().homes[id.index()] = to;
+        self.table.write().expect("home table poisoned").homes[id.index()] = to;
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
@@ -241,7 +241,7 @@ impl HomeTable {
         if self.kind == HomePolicyKind::Centralized && self.epoch() == 0 {
             return (MANAGER, false);
         }
-        let t = self.table.read();
+        let t = self.table.read().expect("home table poisoned");
         let home = t
             .mpt()
             .translate(&self.geo, addr)
@@ -251,7 +251,12 @@ impl HomeTable {
 
     /// Translates an address through the table.
     pub(crate) fn translate(&self, addr: VAddr) -> Option<Minipage> {
-        self.table.read().mpt().translate(&self.geo, addr).copied()
+        self.table
+            .read()
+            .expect("home table poisoned")
+            .mpt()
+            .translate(&self.geo, addr)
+            .copied()
     }
 }
 

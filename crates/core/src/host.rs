@@ -18,7 +18,6 @@ use crate::msg::{Completion, MsgKind, Pmsg};
 use crate::probe::{Counts, Fact, Probe};
 use crate::shared::{fill_wire, wire_bytes, zeroed, Pod, SharedCell, SharedVec, POD_MAX};
 use bytes::Bytes;
-use parking_lot::Mutex;
 use sim_core::clock::{BusyWindow, Clock, Ns};
 use sim_core::sched::{BlockOutcome, SchedThread};
 use sim_core::trace::{TraceKind, NO_MP};
@@ -28,7 +27,7 @@ use sim_net::Network;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A one-shot rendezvous between a blocked application thread and the DSM
 /// server thread that completes its request.
@@ -63,7 +62,7 @@ impl Waiter {
     }
 
     fn resolve(&self, outcome: Result<Completion, ProtocolError>) {
-        let mut slot = self.slot.lock();
+        let mut slot = self.slot.lock().expect("waiter poisoned");
         if slot.is_none() {
             *slot = Some(outcome);
             // Release pairs with `try_result`'s acquire: a probe that sees
@@ -79,7 +78,7 @@ impl Waiter {
         if !self.done.load(Ordering::Acquire) {
             return None;
         }
-        self.slot.lock().clone()
+        self.slot.lock().expect("waiter poisoned").clone()
     }
 }
 
@@ -96,6 +95,7 @@ impl LocalWake for Waiters {
     ) -> Result<(), ProtocolError> {
         let w = self
             .lock()
+            .expect("waiters poisoned")
             .remove(&m.event)
             .ok_or(ProtocolError::NoWaiter {
                 host,
@@ -200,7 +200,7 @@ impl HostState {
         // finds and fails the waiter). The old publish-then-recheck dance
         // took the lock twice per registration on the fault hot path.
         let cancelled = {
-            let mut ws = self.waiters.lock();
+            let mut ws = self.waiters.lock().expect("waiters poisoned");
             if self.aborted.load(Ordering::Acquire) {
                 true
             } else {
@@ -221,13 +221,18 @@ impl HostState {
     /// threads unblock and the cluster can shut down instead of hanging.
     pub(crate) fn cancel_pending(&self) {
         self.aborted.store(true, Ordering::Release);
-        for (_, w) in self.waiters.lock().drain() {
+        for (_, w) in self.waiters.lock().expect("waiters poisoned").drain() {
             w.fail(ProtocolError::Cancelled {
                 host: self.host,
                 what: "pending request",
             });
         }
-        for (_, w) in self.prefetch_waiters.lock().drain() {
+        for (_, w) in self
+            .prefetch_waiters
+            .lock()
+            .expect("prefetch waiters poisoned")
+            .drain()
+        {
             w.fail(ProtocolError::Cancelled {
                 host: self.host,
                 what: "pending prefetch",
@@ -269,9 +274,9 @@ pub struct HostCtx {
     /// last few `(vpage → protection, page)` resolutions so the
     /// non-faulting common case skips the address decode and protection
     /// load. Entries are validated against the space's protection
-    /// generation under the page lock, so the cache changes wall-clock
-    /// cost only — never which accesses fault (see
-    /// `sim_mem::AddressSpace`'s module docs).
+    /// generation before each copy, so the cache changes wall-clock cost
+    /// only — never which accesses fault (see `sim_mem::AddressSpace`'s
+    /// docs).
     pub(crate) tlb: AccessTlb,
 }
 
@@ -718,7 +723,11 @@ impl HostCtx {
         // first (we see the flag, publish nothing, send nothing) or finds
         // the published waiter and fails it — one lock either way.
         {
-            let mut pf = self.state.prefetch_waiters.lock();
+            let mut pf = self
+                .state
+                .prefetch_waiters
+                .lock()
+                .expect("prefetch waiters poisoned");
             let first = vpages.start;
             if self.state.space.prot(first) != sim_mem::Prot::NoAccess || pf.contains_key(&first) {
                 return;
@@ -763,7 +772,11 @@ impl HostCtx {
         let t0 = self.clock.now();
         let mut pending: Vec<Arc<Waiter>> = Vec::new();
         {
-            let pf = self.state.prefetch_waiters.lock();
+            let pf = self
+                .state
+                .prefetch_waiters
+                .lock()
+                .expect("prefetch waiters poisoned");
             for sv in members {
                 if sv.is_empty() {
                     continue;
@@ -919,7 +932,13 @@ impl HostCtx {
         let t0 = self.clock.now();
         // If a prefetch for this vpage is in flight, wait for it instead
         // of issuing a second (competing) request.
-        let pf = self.state.prefetch_waiters.lock().get(&f.vpage).cloned();
+        let pf = self
+            .state
+            .prefetch_waiters
+            .lock()
+            .expect("prefetch waiters poisoned")
+            .get(&f.vpage)
+            .cloned();
         if let Some(w) = pf {
             let c = self.blocking_wait(&w, "prefetch completion");
             self.clock.merge(c.resume_vt);
@@ -969,7 +988,13 @@ impl HostCtx {
         let traced_mp = self.fault_begin(t0, f.addr, true);
         self.charge_busy(self.cost.access_fault);
         // Wait for an in-flight prefetch, or fetch a read copy from home.
-        let pf = self.state.prefetch_waiters.lock().get(&f.vpage).cloned();
+        let pf = self
+            .state
+            .prefetch_waiters
+            .lock()
+            .expect("prefetch waiters poisoned")
+            .get(&f.vpage)
+            .cloned();
         if let Some(w) = pf {
             let c = self.blocking_wait(&w, "prefetch completion");
             self.clock.merge(c.resume_vt);
@@ -983,13 +1008,13 @@ impl HostCtx {
         // The reply taught us the minipage boundaries (home-allocated
         // minipages are pre-learned at the manager host).
         let info: MpInfo = {
-            let rc = self.state.rc.lock();
+            let rc = self.state.rc.lock().expect("rc state poisoned");
             *rc.boundaries
                 .get(&f.vpage)
                 .expect("boundaries cached by the fetch or at allocation")
         };
         let fresh_twin = {
-            let mut rc = self.state.rc.lock();
+            let mut rc = self.state.rc.lock().expect("rc state poisoned");
             if let std::collections::hash_map::Entry::Vacant(e) = rc.dirty.entry(info.id.0) {
                 let data = self
                     .state
@@ -1049,7 +1074,7 @@ impl HostCtx {
             return;
         }
         let dirty: Vec<RcDirty> = {
-            let mut rc = self.state.rc.lock();
+            let mut rc = self.state.rc.lock().expect("rc state poisoned");
             if rc.dirty.is_empty() {
                 return;
             }
@@ -1198,7 +1223,10 @@ mod tests {
         let events = AtomicU64::new(1);
         let mut parked: Vec<_> = (0..3).map(|_| st.register_waiter(&events).1).collect();
         parked.push(Waiter::new());
-        st.prefetch_waiters.lock().insert(0, Arc::clone(&parked[3]));
+        st.prefetch_waiters
+            .lock()
+            .expect("prefetch waiters poisoned")
+            .insert(0, Arc::clone(&parked[3]));
         assert!(parked.iter().all(|w| w.try_result().is_none()));
         st.cancel_pending();
         // A wait registered after the sweep fails at once.

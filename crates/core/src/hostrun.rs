@@ -50,9 +50,10 @@
 //! SIGSEGV handler, which is what makes `--backend host` reports
 //! comparable with the simulator's fault counts.
 
-use crate::backend::{LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
+use crate::backend::{Cluster, LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
 use crate::cluster::{assert_hosts, settle_app_failures, ClusterConfig, SetupCtx, Stack};
 use crate::diag::DiagReport;
+use crate::diff::Diff;
 use crate::dsm::Dsm;
 use crate::error::ProtocolError;
 use crate::home::MANAGER;
@@ -447,6 +448,19 @@ impl MemoryBackend for HostMemory {
         Ok(())
     }
 
+    /// The privileged view is plain mapped memory, so there is no page to
+    /// borrow: one check of the whole range, then one copy per run.
+    fn apply_diff(&self, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault> {
+        let (page, offset) = self.priv_loc(priv_base)?;
+        if offset + diff.source_len() > (self.geo.pages() - page) * self.geo.page_size() {
+            return Err(MemFault::OutOfRange);
+        }
+        for (off, bytes) in diff.iter_runs() {
+            self.priv_write(priv_base.add(off), bytes)?;
+        }
+        Ok(())
+    }
+
     fn snapshot_and_protect(
         &self,
         addr: VAddr,
@@ -668,10 +682,15 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
 // Server loop
 // ---------------------------------------------------------------------------
 
+/// A manager shard of the host backend. It holds every host's state by
+/// type, and those states are `Send + Sync`, so the shards can move to the
+/// server thread and back.
+type HostShard = ManagerShard<Cluster<HostMemory, CompletionTx>>;
+
 /// One host's DSM server, as the one server thread holds it.
 struct HostServer<'a> {
     state: &'a HostState<HostMemory, CompletionTx>,
-    shard: ManagerShard,
+    shard: HostShard,
     ep: RingTransport<'a>,
     probe: Probe,
 }
@@ -681,7 +700,7 @@ impl<'a> HostServer<'a> {
     /// traces nothing: the host backend has no tracer.
     fn new(
         state: &'a HostState<HostMemory, CompletionTx>,
-        shard: ManagerShard,
+        shard: HostShard,
         inbox: &'a Inbox,
     ) -> Self {
         Self {
@@ -703,7 +722,7 @@ fn host_server_loop(
     inbox: &Inbox,
     mut hosts: Vec<HostServer<'_>>,
     mut clock: WallClock,
-) -> (Vec<String>, Vec<ManagerShard>) {
+) -> (Vec<String>, Vec<HostShard>) {
     let mut errors = Vec::new();
     loop {
         let sent_to_self = hosts
@@ -1002,7 +1021,7 @@ where
     // context and so may not take the table's lock.
     let mp_map = if stack.diag.is_some() {
         let mut map = vec![(NO_MP, 0u64); geo.priv_view() * geo.pages()];
-        for mp in home.table.read().mpt().iter() {
+        for mp in home.table.read().expect("home table poisoned").mpt().iter() {
             for vp in mp.vpages(&geo) {
                 if let Some(slot) = map.get_mut(vp) {
                     *slot = (mp.id.0, mp.base.0);
@@ -1298,7 +1317,7 @@ mod tests {
     /// each, built by the run's assembly with `threads` application
     /// threads per host (the barrier quorum), and its shards. Setup
     /// allocates nothing.
-    fn stack(hosts: usize, threads: usize) -> (Stack<HostMemory, CompletionTx>, Vec<ManagerShard>) {
+    fn stack(hosts: usize, threads: usize) -> (Stack<HostMemory, CompletionTx>, Vec<HostShard>) {
         let page_size = MultiViewRegion::new(1, 1).expect("region").page_size();
         let geo = Geometry::with_layout(DEFAULT_BASE, page_size, 1, 1);
         let cfg = ClusterConfig {
@@ -1325,7 +1344,7 @@ mod tests {
     /// application's completion word.
     fn lone_host() -> (
         Arc<HostState<HostMemory, CompletionTx>>,
-        ManagerShard,
+        HostShard,
         Arc<Completion>,
     ) {
         let (stack, mut shards) = stack(1, 2);
@@ -1450,7 +1469,7 @@ mod tests {
     fn beside_server<R>(
         inbox: &Inbox,
         state: &HostState<HostMemory, CompletionTx>,
-        shard: ManagerShard,
+        shard: HostShard,
         check: impl FnOnce(&std::path::Path) -> R,
     ) -> (R, Vec<String>) {
         std::thread::scope(|scope| {

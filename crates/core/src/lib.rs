@@ -58,7 +58,6 @@ pub use home::{HomePolicyKind, HomeTable};
 pub use host::HostCtx;
 #[cfg(target_os = "linux")]
 pub use hostrun::{run_host, HostDsmCtx, HostRunConfig, HostRunReport};
-pub use manager::ManagerShard;
 pub use msg::{MsgKind, Pmsg};
 pub use shared::{Pod, SharedCell, SharedVec};
 pub use stats::{HostReport, NetFaultStats, RunReport, ShardStats};

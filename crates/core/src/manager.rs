@@ -22,7 +22,8 @@
 //! the paper's original.
 
 use crate::adapt::{AdaptAction, AdaptConfig, AdaptEngine, AdaptReport};
-use crate::backend::{ClusterMemory, ProtoClock, Transport};
+use crate::backend::{Cluster, ClusterMemory, ProtoClock, Transport};
+use crate::cluster::SetupShard;
 use crate::diff::Diff;
 use crate::directory::Directory;
 use crate::error::ProtocolError;
@@ -48,7 +49,7 @@ struct LockState {
 /// server thread and owns the directory entries of the minipages homed
 /// here. The manager host's shard additionally serves allocations and
 /// the synchronization services.
-pub struct ManagerShard {
+pub(crate) struct ManagerShard<Mem = Cluster> {
     me: HostId,
     hosts: usize,
     /// Total application threads (barrier quorum; ≥ hosts under §3.4
@@ -70,7 +71,7 @@ pub struct ManagerShard {
     /// home host's space — an alloc-time setup step, not protocol
     /// traffic: the minipage is unreachable by applications until the
     /// allocation reply delivers its address.
-    cluster: Arc<dyn ClusterMemory>,
+    cluster: Arc<Mem>,
     /// Where shard-side facts go: this host's counters, the home-side
     /// diagnostics lanes (fan-outs, write-ownership alternations, diff
     /// extents) and the shard's trace.
@@ -87,7 +88,7 @@ pub struct ManagerShard {
     adapt_pending: Option<(Vec<Pmsg>, usize)>,
 }
 
-impl ManagerShard {
+impl<Mem: ClusterMemory> ManagerShard<Mem> {
     /// Creates the shard for host `me` in a cluster of `hosts` hosts.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
@@ -97,7 +98,7 @@ impl ManagerShard {
         cost: CostModel,
         consistency: Consistency,
         home: Arc<HomeTable>,
-        cluster: Arc<dyn ClusterMemory>,
+        cluster: Arc<Mem>,
         probe: Probe,
         adapt: AdaptConfig,
     ) -> Self {
@@ -199,37 +200,6 @@ impl ManagerShard {
             }
         }
         addr
-    }
-
-    /// Closes the current chunk (see
-    /// [`Allocator::finish_chunk`](multiview::Allocator::finish_chunk)).
-    pub(crate) fn finish_chunk(&mut self) {
-        self.home.table.write().alloc.finish_chunk();
-    }
-
-    /// See [`Allocator::retire_page`](multiview::Allocator::retire_page).
-    pub(crate) fn retire_page(&mut self) {
-        self.home.table.write().alloc.retire_page();
-    }
-
-    /// Pre-run initialization write (free): lands in the home host's
-    /// memory of every minipage the range crosses, so the fresh master
-    /// copies carry the data.
-    pub(crate) fn init_write(&self, addr: VAddr, data: &[u8]) {
-        let mut off = 0usize;
-        while off < data.len() {
-            let cur = addr.add(off);
-            let mp = self
-                .home
-                .translate(cur)
-                .unwrap_or_else(|| panic!("init write at {cur} hits no minipage"));
-            let take = ((mp.base.0 + mp.len as u64 - cur.0) as usize).min(data.len() - off);
-            let home = self.home.home(mp.id);
-            self.cluster
-                .priv_write(home, cur, &data[off..off + take])
-                .expect("in range");
-            off += take;
-        }
     }
 
     /// Handles one shard-addressed message. `tl` is this host's server
@@ -750,7 +720,7 @@ impl ManagerShard {
     }
 }
 
-impl ManagerShard {
+impl<Mem: ClusterMemory> ManagerShard<Mem> {
     /// Applies a release-point diff to the home copy and invalidates the
     /// other copies.
     ///
@@ -791,6 +761,14 @@ impl ManagerShard {
             host: self.me,
             what: "undecodable release diff",
         })?;
+        // The diff covers its minipage exactly, so no run can reach
+        // privileged bytes outside it.
+        if diff.source_len() != m.len {
+            return Err(ProtocolError::Malformed {
+                host: self.me,
+                what: "release diff sized unlike its minipage",
+            });
+        }
         let fact = Fact::RcDiff {
             mp: m.minipage.0,
             from: m.from,
@@ -799,17 +777,15 @@ impl ManagerShard {
             diff: &diff,
         };
         self.probe.on(tl.now(), fact);
-        // Patch run by run: only changed bytes are written, so a racing
-        // local write to *other* bytes of the page is never clobbered.
-        for (off, bytes) in diff.iter_runs() {
-            self.cluster
-                .priv_write(self.me, m.priv_base.add(off), bytes)
-                .map_err(|_| ProtocolError::BadTranslation {
-                    host: self.me,
-                    addr: m.priv_base.add(off).0 as usize,
-                    what: "diff patch target",
-                })?;
-        }
+        // Only the runs' bytes are written, so a local write to *other*
+        // bytes of the minipage is never clobbered.
+        self.cluster
+            .apply_diff(self.me, m.priv_base, &diff)
+            .map_err(|_| ProtocolError::BadTranslation {
+                host: self.me,
+                addr: m.priv_base.0 as usize,
+                what: "diff patch target",
+            })?;
         tl.charge((self.cost.patch_per_byte_ns * m.len as f64) as sim_core::Ns);
         let me = self.me;
         let e = self.dir.entry(m.minipage.index());
@@ -832,7 +808,7 @@ impl ManagerShard {
     }
 }
 
-impl ManagerShard {
+impl<Mem: ClusterMemory> ManagerShard<Mem> {
     /// The barrier-quiesce adaptation hook. Plans from a fresh
     /// diagnostics snapshot; applies locally homed actions directly and
     /// ships remotely homed ones as [`MsgKind::AdaptApply`]. Returns the
@@ -855,6 +831,7 @@ impl ManagerShard {
             .home
             .table
             .read()
+            .expect("home table poisoned")
             .mpt()
             .iter_active()
             .copied()
@@ -935,7 +912,7 @@ impl ManagerShard {
 
     /// `id`'s descriptor, unless an earlier action retired it.
     fn live(&self, id: MinipageId) -> Option<Minipage> {
-        let t = self.home.table.read();
+        let t = self.home.table.read().expect("home table poisoned");
         (!t.mpt().is_retired(id)).then(|| *t.mpt().get(id))
     }
 
@@ -1010,7 +987,7 @@ impl ManagerShard {
                 // Place each child in a fresh view over the parent's
                 // physical bytes: the data never moves.
                 let phys = parent.phys_range(ps);
-                let t = self.home.table.read();
+                let t = self.home.table.read().expect("home table poisoned");
                 let next = t.mpt().next_id().0;
                 let mut children = Vec::new();
                 let mut used_views = Vec::new();
@@ -1074,7 +1051,7 @@ impl ManagerShard {
                 let (first_page, offset) = (start / ps, start % ps);
                 let pages = (offset + len).div_ceil(ps);
                 let merged = {
-                    let t = self.home.table.read();
+                    let t = self.home.table.read().expect("home table poisoned");
                     let view = t.mpt().free_view_for(&geo, first_page, pages, &[]);
                     view.filter(|_| contiguous && first_page + pages <= geo.pages())
                         .map(|view| Minipage {
@@ -1171,6 +1148,48 @@ impl ManagerShard {
     }
 }
 
+impl<Mem: ClusterMemory> SetupShard for ManagerShard<Mem> {
+    fn alloc(&mut self, bytes: usize) -> VAddr {
+        let me = self.me;
+        self.do_alloc(bytes, me, 0)
+    }
+
+    fn finish_chunk(&mut self) {
+        self.home
+            .table
+            .write()
+            .expect("home table poisoned")
+            .alloc
+            .finish_chunk();
+    }
+
+    fn retire_page(&mut self) {
+        self.home
+            .table
+            .write()
+            .expect("home table poisoned")
+            .alloc
+            .retire_page();
+    }
+
+    fn init_write(&self, addr: VAddr, data: &[u8]) {
+        let mut off = 0usize;
+        while off < data.len() {
+            let cur = addr.add(off);
+            let mp = self
+                .home
+                .translate(cur)
+                .unwrap_or_else(|| panic!("init write at {cur} hits no minipage"));
+            let take = ((mp.base.0 + mp.len as u64 - cur.0) as usize).min(data.len() - off);
+            let home = self.home.home(mp.id);
+            self.cluster
+                .priv_write(home, cur, &data[off..off + take])
+                .expect("in range");
+            off += take;
+        }
+    }
+}
+
 fn all_hosts_mask(hosts: usize) -> u64 {
     debug_assert!((1..=64).contains(&hosts));
     if hosts == 64 {
@@ -1183,6 +1202,77 @@ fn all_hosts_mask(hosts: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::{ClusterConfig, Stack};
+    use crate::host::Waiters;
+    use bytes::Bytes;
+    use sim_core::SplitMix64;
+    use sim_mem::{AddressSpace, Geometry};
+    use sim_net::ServerTimeline;
+    use std::ops::Range;
+
+    /// The transport of a handler that must not send.
+    struct NoSends;
+
+    impl Transport for NoSends {
+        fn me(&self) -> HostId {
+            MANAGER
+        }
+
+        fn send(&self, to: HostId, m: Pmsg, _: usize, _: Ns, _: &str) -> Result<Ns, ProtocolError> {
+            panic!("unexpected {:?} to {to}", m.kind)
+        }
+    }
+
+    /// A home patches a release diff only if the diff covers its minipage
+    /// exactly: a longer one could write privileged bytes past the
+    /// minipage, a shorter one was not made from it. Neither touches a
+    /// byte; a well-formed one still writes exactly its runs.
+    #[test]
+    fn a_release_diff_sized_unlike_its_minipage_is_malformed() {
+        let cfg = ClusterConfig {
+            hosts: 2,
+            pages: 4,
+            views: 2,
+            consistency: Consistency::HomeEagerRc,
+            ..ClusterConfig::default()
+        };
+        let geo = Geometry::new(cfg.pages, cfg.views);
+        let space = |_| (AddressSpace::new(geo.clone()), Waiters::default());
+        let (stack, mut shards, base) = Stack::new(&cfg, geo.clone(), space, |s| s.alloc_bytes(64));
+        let mp = stack.home.translate(base).expect("allocated");
+        let (n, priv_base) = (mp.len, mp.priv_base(&geo));
+        let home = &stack.states[MANAGER.index()].space;
+        let before = vec![0xAA; n + 64];
+        home.priv_write(priv_base, &before).unwrap();
+        // The diff of a `source_len`-byte copy of `before` whose `run`
+        // bytes became 7, shipped as the minipage's release diff.
+        let rc_diff = |source_len: usize, run: Range<usize>| {
+            let twin = &before[..source_len];
+            let mut current = twin.to_vec();
+            current[run].fill(7);
+            let mut m = Pmsg::new(MsgKind::RcDiff, HostId(1), 0).with_addr(base);
+            (m.minipage, m.base, m.len, m.priv_base) = (mp.id, base, n, priv_base);
+            m.data = Bytes::from(Diff::compute(twin, &current).encode());
+            m
+        };
+        let mut tl = ServerTimeline::new(cfg.cost.clone(), SplitMix64::new(1));
+        for m in [rc_diff(n + 64, n - 4..n + 8), rc_diff(n / 2, 0..4)] {
+            assert!(matches!(
+                shards[0].handle(m, &mut tl, &NoSends),
+                Err(ProtocolError::Malformed {
+                    what: "release diff sized unlike its minipage",
+                    ..
+                })
+            ));
+        }
+        assert_eq!(home.priv_read(priv_base, n + 64).unwrap(), before);
+        shards[0]
+            .handle(rc_diff(n, n - 4..n), &mut tl, &NoSends)
+            .expect("a well-formed diff applies");
+        let mut after = before.clone();
+        after[n - 4..n].fill(7);
+        assert_eq!(home.priv_read(priv_base, n + 64).unwrap(), after);
+    }
 
     #[test]
     fn all_hosts_mask_covers_exactly_n_hosts() {

@@ -22,7 +22,7 @@
 //! server too (`hostrun` only puts a pop off its inbox in front).
 
 use crate::backend::{
-    bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, LocalWake,
+    bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, Cluster, LocalWake,
     MemoryBackend, ProtoClock, Transport,
 };
 use crate::error::ProtocolError;
@@ -198,7 +198,7 @@ pub(crate) fn dispatch<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transpo
     m: Pmsg,
     wire_from: HostId,
     state: &HostState<M, W>,
-    shard: &mut ManagerShard,
+    shard: &mut ManagerShard<Cluster<M, W>>,
     tl: &mut C,
     ep: &T,
     probe: &mut Probe,
@@ -285,7 +285,10 @@ fn handle_nack<M: MemoryBackend, W: LocalWake, C: ProtoClock>(
     // the vpage waiters so a later fault retries the normal path rather
     // than parking on a request that already failed.
     if let Some(vp) = state.space.geometry().vpage_of(m.addr) {
-        let mut pf = state.prefetch_waiters.lock();
+        let mut pf = state
+            .prefetch_waiters
+            .lock()
+            .expect("prefetch waiters poisoned");
         if let Some(w) = pf.remove(&vp) {
             pf.retain(|_, x| !Arc::ptr_eq(x, &w));
             w.fail(nacked);
@@ -444,7 +447,7 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
     // eviction diff on the host→home FIFO — the home would then count the
     // release (and serve post-barrier reads) with this copy's final writes
     // still in flight.
-    let mut rc = hlrc.then(|| state.rc.lock());
+    let mut rc = hlrc.then(|| state.rc.lock().expect("rc state poisoned"));
     if let Some(d) = rc.as_mut().and_then(|rc| rc.dirty.remove(&mp)) {
         let data = state
             .space
@@ -520,7 +523,7 @@ fn handle_data_reply<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport
     let range = install_reply(&m, mem, state.host, cost, tl, probe, skip_write)?;
     // Cache the manager's translation: the host-side minipage boundary
     // knowledge that the release-consistency write path relies on.
-    state.rc.lock().learn(
+    state.rc.lock().expect("rc state poisoned").learn(
         range.clone(),
         MpInfo {
             id: m.minipage,
@@ -534,7 +537,10 @@ fn handle_data_reply<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport
         // close the service window ourselves.
         let mut sleepers: Vec<Arc<Waiter>> = Vec::new();
         {
-            let mut pf = state.prefetch_waiters.lock();
+            let mut pf = state
+                .prefetch_waiters
+                .lock()
+                .expect("prefetch waiters poisoned");
             for vp in range {
                 if let Some(w) = pf.remove(&vp) {
                     if !sleepers.iter().any(|s| Arc::ptr_eq(s, &w)) {

@@ -1,6 +1,6 @@
 //! Run reports: everything the paper's tables and figures need.
 
-use crate::backend::MemoryBackend;
+use crate::backend::{ClusterMemory, MemoryBackend};
 use crate::hlrc::Consistency;
 use crate::home::HomeTable;
 use crate::host::HostState;
@@ -353,7 +353,10 @@ pub(crate) fn check_coherence<M: MemoryBackend, W>(
 /// completed. Under SW/MR an exclusive owner must also be the sole
 /// copyset member (HLRC keeps `owner = Some(home)` on fresh entries while
 /// readers join the copyset, so that check is mode-specific).
-pub(crate) fn check_directories(shards: &[ManagerShard], consistency: Consistency) -> Vec<String> {
+pub(crate) fn check_directories<Mem: ClusterMemory>(
+    shards: &[ManagerShard<Mem>],
+    consistency: Consistency,
+) -> Vec<String> {
     let mut violations = Vec::new();
     for shard in shards {
         let waiting = shard.directory().waiting();
@@ -405,43 +408,43 @@ pub(crate) fn check_directories(shards: &[ManagerShard], consistency: Consistenc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::home::HomePolicyKind;
+    use crate::cluster::{ClusterConfig, Stack};
     use crate::host::Waiters;
-    use multiview::{AllocMode, Allocator};
-    use sim_core::CostModel;
     use sim_mem::AddressSpace;
 
     /// The post-run checkers read protections and bytes of every host;
     /// reading must not make a host pay for a page it never wrote.
     #[test]
     fn checkers_on_an_idle_cluster_back_no_page() {
-        let geo = Geometry::new(8, 4);
-        let alloc = Allocator::new(geo.clone(), AllocMode::FINE);
-        let home = Arc::new(HomeTable::new(HomePolicyKind::Centralized, 2, alloc));
-        let states: Vec<Arc<HostState>> = (0..2)
-            .map(|h| {
-                Arc::new(HostState::new(
-                    HostId(h),
-                    AddressSpace::new(geo.clone()),
-                    Waiters::default(),
-                    CostModel::default(),
-                    Consistency::HomeEagerRc,
-                    Arc::clone(&home),
-                    None,
-                ))
-            })
+        let cfg = ClusterConfig {
+            hosts: 2,
+            pages: 8,
+            views: 4,
+            consistency: Consistency::HomeEagerRc,
+            ..ClusterConfig::default()
+        };
+        let geo = Geometry::new(cfg.pages, cfg.views);
+        let space = |_| (AddressSpace::new(geo.clone()), Waiters::default());
+        let (stack, _, ()) = Stack::new(&cfg, geo.clone(), space, |s| {
+            s.alloc_bytes(256);
+        });
+        let (home, states) = (&stack.home, &stack.states);
+        let minipages: Vec<Minipage> = home
+            .table
+            .read()
+            .expect("home table poisoned")
+            .mpt()
+            .iter()
+            .copied()
             .collect();
-        let (_, placed) = home.alloc(256, HostId(0)).unwrap();
-        let mp = placed[0].0;
+        assert_eq!(minipages.len(), 1);
         // A read copy away from home, so the RC check compares bytes.
-        for vp in mp.vpages(&geo) {
+        for vp in minipages[0].vpages(&geo) {
             states[1].space.set_prot(vp, Prot::ReadOnly).unwrap();
         }
-        let minipages: Vec<Minipage> = home.table.read().mpt().iter().copied().collect();
-        assert_eq!(minipages.len(), 1);
-        assert!(check_coherence(&minipages, &geo, &states).is_empty());
-        assert!(check_rc_consistency(&minipages, &geo, &states, &home).is_empty());
-        for st in &states {
+        assert!(check_coherence(&minipages, &geo, states).is_empty());
+        assert!(check_rc_consistency(&minipages, &geo, states, home).is_empty());
+        for st in states {
             assert_eq!(st.space.backed_pages(), 0, "{}", st.host);
         }
     }

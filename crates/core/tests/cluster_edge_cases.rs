@@ -4,7 +4,7 @@ use millipage::{
     run, AllocMode, Category, ClusterConfig, Consistency, CostModel, FaultPlane, HomePolicyKind,
     HostId, SchedMode, ScriptedFault, SharedVec, VAddr,
 };
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 fn cfg(hosts: usize) -> ClusterConfig {
     ClusterConfig {
@@ -29,11 +29,11 @@ fn runtime_allocation_from_non_manager_host() {
             if ctx.host() == HostId(2) {
                 let sv = ctx.alloc_vec::<u64>(4);
                 ctx.set(&sv, 0, 99);
-                *addr_box.lock() = Some(sv);
+                *addr_box.lock().unwrap() = Some(sv);
             }
             ctx.barrier();
             if ctx.host() == HostId(0) {
-                let sv = addr_box.lock().expect("allocated");
+                let sv = addr_box.lock().unwrap().expect("allocated");
                 assert_eq!(ctx.get(&sv, 0), 99);
             }
             ctx.barrier();
@@ -104,10 +104,10 @@ fn timer_reset_scopes_the_breakdown() {
             ctx.compute(5_000_000);
             ctx.timer_reset();
             ctx.compute(1_000_000);
-            *out.lock() = (ctx.timed(), ctx.timed_breakdown().get(Category::Comp));
+            *out.lock().unwrap() = (ctx.timed(), ctx.timed_breakdown().get(Category::Comp));
         },
     );
-    let (timed, comp) = out.into_inner();
+    let (timed, comp) = out.into_inner().unwrap();
     assert_eq!(timed, 1_000_000);
     assert_eq!(comp, 1_000_000);
 }
@@ -134,19 +134,19 @@ fn fetch_group_overlaps_fetches() {
                 for sv in a {
                     let _ = ctx.get(sv, 0); // Serial faulting.
                 }
-                *serial.lock() = ctx.now() - t0;
+                *serial.lock().unwrap() = ctx.now() - t0;
                 let t1 = ctx.now();
                 ctx.fetch_group(b);
                 for sv in b {
                     assert_eq!(ctx.get(sv, 0), 2);
                 }
-                *grouped.lock() = ctx.now() - t1;
+                *grouped.lock().unwrap() = ctx.now() - t1;
             }
             ctx.barrier();
         },
     );
     assert!(report.coherence_violations.is_empty());
-    let (s, g) = (serial.into_inner(), grouped.into_inner());
+    let (s, g) = (serial.into_inner().unwrap(), grouped.into_inner().unwrap());
     assert!(
         g * 2 < s,
         "group fetch must overlap latencies: serial={s} grouped={g}"

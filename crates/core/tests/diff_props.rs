@@ -4,7 +4,9 @@
 
 use bytes::Bytes;
 use millipage::diff::{Diff, Twin};
+use millipage::MemoryBackend;
 use proptest::prelude::*;
+use sim_mem::{AddressSpace, Geometry};
 
 /// The specification: the naive byte-at-a-time run scan.
 fn reference_runs(twin: &[u8], current: &[u8]) -> Vec<(usize, Vec<u8>)> {
@@ -121,5 +123,50 @@ proptest! {
             let mut target = vec![0u8; d.source_len()];
             d.apply(&mut target); // must not panic
         }
+    }
+
+    /// A release diff patched in one pass — one decode, then one page
+    /// borrow per page the minipage covers ([`MemoryBackend::apply_diff`])
+    /// — leaves the same bytes as writing its runs one `priv_write` at a
+    /// time into a twin space. The minipage starts `before_end` bytes
+    /// before its first page ends, so it crosses into the next page when
+    /// `len` exceeds that (about half the cases); both pages hold other
+    /// bytes everywhere, or are unbacked zeros. Bytes outside the runs
+    /// keep their values.
+    #[test]
+    fn one_pass_patch_equals_per_run_writes(
+        first_page in 0usize..3,
+        before_end in 1usize..700,
+        len in 1usize..700,
+        seed in any::<u8>(),
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..12),
+        backed in any::<bool>(),
+    ) {
+        let geo = Geometry::new(4, 2);
+        let ps = geo.page_size();
+        let pages = geo.addr_of(geo.priv_view(), first_page, 0);
+        let start = ps - before_end;
+        let base = pages.add(start);
+        let (one_pass, per_run) = (AddressSpace::new(geo.clone()), AddressSpace::new(geo.clone()));
+        let mut want: Vec<u8> = if backed {
+            (0..2 * ps).map(|i| (i as u8).wrapping_mul(7) ^ seed).collect()
+        } else {
+            vec![0; 2 * ps]
+        };
+        if backed {
+            for s in [&one_pass, &per_run] {
+                s.priv_write(pages, &want).unwrap();
+            }
+        }
+        let (twin, cur) = build_pair(len, seed, &edits);
+        let d = Diff::compute(&twin, &cur);
+        one_pass.apply_diff(base, &d).expect("in range");
+        for (off, bytes) in d.iter_runs() {
+            per_run.priv_write(base.add(off), bytes).expect("in range");
+            want[start + off..start + off + bytes.len()].copy_from_slice(bytes);
+        }
+        let got = one_pass.priv_read(pages, 2 * ps).unwrap();
+        prop_assert_eq!(&got, &per_run.priv_read(pages, 2 * ps).unwrap());
+        prop_assert_eq!(got, want);
     }
 }

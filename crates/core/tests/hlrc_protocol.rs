@@ -1,7 +1,7 @@
 //! Tests of the §5 release-consistency extension (`Consistency::HomeEagerRc`).
 
 use millipage::{run, AllocMode, ClusterConfig, Consistency, CostModel, HostId};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 fn cfg(hosts: usize) -> ClusterConfig {
     ClusterConfig {
@@ -205,7 +205,7 @@ fn rc_reads_always_one_hop_from_home() {
             }
             ctx.barrier();
             if ctx.host() == HostId(1) {
-                *out.lock() = ctx.cell_get(c);
+                *out.lock().unwrap() = ctx.cell_get(c);
             }
             ctx.barrier();
         },
@@ -215,7 +215,7 @@ fn rc_reads_always_one_hop_from_home() {
         "{:?}",
         report.coherence_violations
     );
-    assert_eq!(out.into_inner(), 77);
+    assert_eq!(out.into_inner().unwrap(), 77);
 }
 
 #[test]

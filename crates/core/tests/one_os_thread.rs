@@ -5,7 +5,7 @@
 #![cfg(target_os = "linux")]
 
 use millipage::{run, ClusterConfig};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 use std::thread::ThreadId;
 
 /// The CPUs of the calling thread's affinity mask, ascending.
@@ -45,12 +45,12 @@ fn a_run_stays_on_the_callers_thread() {
         |_| (),
         |ctx, ()| {
             let look = || (std::thread::current().id(), tasks(), cpus());
-            seen.lock().push(look());
+            seen.lock().unwrap().push(look());
             ctx.barrier();
-            seen.lock().push(look());
+            seen.lock().unwrap().push(look());
         },
     );
-    let seen = seen.into_inner();
+    let seen = seen.into_inner().unwrap();
     assert_eq!(seen.len(), 16);
     for (id, n, m) in &seen {
         assert_eq!(*id, me, "an application closure ran on another thread");

@@ -4,7 +4,7 @@
 //! this host is a multi-processor (SMP) machine."
 
 use millipage::{run, AllocMode, ClusterConfig, CostModel, HostId};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 fn cfg(hosts: usize, threads: usize) -> ClusterConfig {
     ClusterConfig {
@@ -26,11 +26,11 @@ fn threads_have_distinct_identities() {
         cfg(2, 3),
         |_| (),
         |ctx, ()| {
-            seen.lock().push((ctx.host(), ctx.thread()));
+            seen.lock().unwrap().push((ctx.host(), ctx.thread()));
             ctx.barrier();
         },
     );
-    let mut ids = seen.into_inner();
+    let mut ids = seen.into_inner().unwrap();
     ids.sort();
     let want: Vec<(HostId, usize)> = (0..2)
         .flat_map(|h| (0..3).map(move |t| (HostId(h as u16), t)))

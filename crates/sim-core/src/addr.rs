@@ -151,18 +151,23 @@ impl Geometry {
     }
 
     /// Decodes a virtual address, or `None` if it lies outside every view.
+    ///
+    /// The page size is a power of two, so the offset is a mask and the
+    /// global page index a shift; one division by the page count splits
+    /// that index into view and page.
+    #[inline]
     pub fn decode(&self, addr: VAddr) -> Option<Loc> {
         let off = addr.0.checked_sub(self.base)?;
-        let span = self.view_span();
-        let view = (off / span) as usize;
-        if view >= self.total_views() {
+        let global = off >> self.page_size.trailing_zeros();
+        if global >= self.total_vpages() as u64 {
             return None;
         }
-        let within = (off % span) as usize;
+        let global = global as usize;
+        let view = global / self.pages;
         Some(Loc {
             view,
-            page: within / self.page_size,
-            offset: within % self.page_size,
+            page: global - view * self.pages,
+            offset: off as usize & (self.page_size - 1),
         })
     }
 
@@ -206,14 +211,13 @@ impl Geometry {
             return None;
         }
         let loc = self.decode(addr)?;
-        let end_byte = loc.page * self.page_size + loc.offset + len - 1;
-        let last_page = end_byte / self.page_size;
-        if last_page >= self.pages {
+        // Pages past the first that the range reaches into.
+        let more = loc.offset.checked_add(len - 1)? >> self.page_size.trailing_zeros();
+        if more >= self.pages - loc.page {
             return None;
         }
         let first = self.vpage_index(loc.view, loc.page);
-        let last = self.vpage_index(loc.view, last_page);
-        Some((loc, first..last + 1))
+        Some((loc, first..first + more + 1))
     }
 }
 
@@ -314,6 +318,89 @@ mod tests {
         // Spilling past the last page is rejected.
         let last = g.addr_of(0, 7, 4090);
         assert!(g.vpages_covering(last, 100).is_none());
+    }
+
+    /// The division-based decode the shift-based one replaced.
+    fn decode_by_division(g: &Geometry, addr: VAddr) -> Option<Loc> {
+        let off = addr.0.checked_sub(g.base)?;
+        let span = g.view_span();
+        let view = (off / span) as usize;
+        if view >= g.total_views() {
+            return None;
+        }
+        let within = (off % span) as usize;
+        Some(Loc {
+            view,
+            page: within / g.page_size,
+            offset: within % g.page_size,
+        })
+    }
+
+    /// The division-based `vpages_covering` the shift-based one replaced.
+    fn covering_by_division(
+        g: &Geometry,
+        addr: VAddr,
+        len: usize,
+    ) -> Option<(Loc, std::ops::Range<usize>)> {
+        if len == 0 {
+            return None;
+        }
+        let loc = decode_by_division(g, addr)?;
+        let end_byte = loc.page * g.page_size + loc.offset + len - 1;
+        let last_page = end_byte / g.page_size;
+        if last_page >= g.pages {
+            return None;
+        }
+        let first = g.vpage_index(loc.view, loc.page);
+        Some((loc, first..g.vpage_index(loc.view, last_page) + 1))
+    }
+
+    proptest::proptest! {
+        /// Shift-and-mask decoding names the same (view, page, offset)
+        /// and the same vpage range as division on random layouts: page
+        /// sizes 1 B..8 KB, page counts mostly not powers of two, any
+        /// base; probes in every view, at both ends of every view and of
+        /// the region, around them, and lengths that end a view exactly or
+        /// spill one byte past it.
+        #[test]
+        fn shift_decode_matches_division(
+            shift in 0u32..14,
+            pages in 1usize..70,
+            views in 1usize..6,
+            base in 0u64..(1 << 40),
+            probe in proptest::prelude::any::<u64>(),
+            len_seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = Geometry::with_layout(base, 1 << shift, pages, views);
+            let ps = g.page_size() as u64;
+            let end = base + g.total_vpages() as u64 * ps;
+            let mut addrs = vec![0, u64::MAX, base.wrapping_sub(1), base, end - 1, end, end + ps];
+            addrs.push(base.wrapping_sub(ps).wrapping_add(probe % (end - base + 2 * ps)));
+            for view in 0..g.total_views() {
+                let (page, off) = (probe as usize % pages, (probe >> 32) as usize % g.page_size());
+                addrs.push(g.addr_of(view, page, off).0);
+                addrs.push(g.addr_of(view, 0, 0).0);
+                addrs.push(g.addr_of(view, pages - 1, g.page_size() - 1).0);
+            }
+            for &a in &addrs {
+                let a = VAddr(a);
+                let loc = decode_by_division(&g, a);
+                proptest::prop_assert_eq!(g.decode(a), loc, "decode {}", a);
+                let mut lens = vec![0, 1, 1 + len_seed as usize % (2 * g.view_span() as usize)];
+                if let Some(l) = loc {
+                    let to_view_end = (pages - l.page) * g.page_size() - l.offset;
+                    lens.extend([to_view_end, to_view_end + 1]);
+                }
+                for len in lens {
+                    proptest::prop_assert_eq!(
+                        g.vpages_covering(a, len),
+                        covering_by_division(&g, a, len),
+                        "covering {} + {}", a, len
+                    );
+                }
+                proptest::prop_assert_eq!(g.vpages_covering(a, usize::MAX), None);
+            }
+        }
     }
 
     #[test]

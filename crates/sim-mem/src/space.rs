@@ -1,9 +1,8 @@
 //! Per-host address space: protections + page storage + checked access.
 
 use crate::fault::{Access, AccessFault, MemError, Prot};
-use parking_lot::RwLock;
 use sim_core::{Geometry, VAddr};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::{Cell, RefCell};
 
 /// Why a checked access did not complete.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,20 +38,25 @@ impl std::error::Error for AccessError {}
 /// — a host pays for the part of the shared object it touches, not for
 /// the object (views alias pages; hosts do not each copy the region). Application access goes through
 /// [`read`](AddressSpace::read) / [`write`](AddressSpace::write), which
-/// enforce protections like the MMU would; DSM server threads use the
+/// enforce protections like the MMU would; DSM server turns use the
 /// `priv_*` methods, which model the privileged view (§2.3.1) and ignore
 /// application protections.
 ///
-/// # Concurrency
+/// # One thread
 ///
-/// Application copies hold the underlying physical page lock while they
-/// re-check the vpage protection and move bytes, and protection *changes*
-/// ([`set_prot`](AddressSpace::set_prot)) take the same lock exclusively.
-/// An invalidation therefore cannot interleave with an in-flight
-/// application access: either the access completes first (and serializes
-/// before the remote write, which is legal under sequential consistency
-/// because the writer is still blocked waiting for the invalidation ack) or
-/// the protection change lands first and the access faults.
+/// A simulated run is fibers on one OS thread, so a space is used by one
+/// thread and takes no lock: page storage is a `RefCell` per page,
+/// protections and the generation are `Cell`s, and the type is not
+/// `Sync`. Two facts make that enough. An application copy never spans a
+/// yield point: it decodes, checks the vpage protection and moves bytes
+/// without calling the scheduler, and each page's borrow ends before the
+/// copy returns. Server turns — the only code that changes protections
+/// under a running application — run between yields. So an invalidation
+/// never lands inside an in-flight copy: either the copy completes first
+/// (and serializes before the remote write, which is legal under
+/// sequential consistency because the writer is still blocked waiting for
+/// the invalidation ack) or the protection change lands first and the
+/// access faults.
 ///
 /// # The software TLB
 ///
@@ -60,39 +64,38 @@ impl std::error::Error for AccessError {}
 /// supposed to make near-free, so threads may cache `(vpage → protection,
 /// page)` resolutions in a per-thread [`AccessTlb`] and take the
 /// [`tlb_read`](AddressSpace::tlb_read) / [`tlb_write`](AddressSpace::tlb_write)
-/// fast path, which skips the address decode (divisions) and the
-/// protection re-load. Safety rests on a single generation counter: every
-/// protection change ([`set_prot`](AddressSpace::set_prot),
+/// fast path, which skips the address decode and the protection load.
+/// Safety rests on a single generation counter: every protection change
+/// ([`set_prot`](AddressSpace::set_prot),
 /// [`snapshot_and_protect`](AddressSpace::snapshot_and_protect)) bumps
-/// the space's `prot_gen` field *while holding the page's exclusive
-/// lock*, and the fast path re-validates the cached
-/// generation *under the page lock* before touching bytes. A matching
-/// generation proves no protection anywhere changed since the entry was
-/// filled, so the cached protection is still exact; a mismatch falls back
-/// to the slow path (at worst a spurious miss for an unrelated vpage's
-/// change). The TLB therefore changes wall-clock cost only — never which
-/// accesses fault.
+/// the space's `prot_gen` field, and the fast path compares the cached
+/// generation before touching bytes. A server turn between two accesses
+/// may change protections, so the check stays: a matching generation
+/// proves no protection anywhere changed since the entry was filled, so
+/// the cached protection is still exact; a mismatch falls back to the
+/// slow path (at worst a spurious miss for an unrelated vpage's change).
+/// The TLB therefore changes wall-clock cost only — never which accesses
+/// fault.
 pub struct AddressSpace {
     geo: Geometry,
-    prots: Vec<AtomicU8>,
+    prots: Vec<Cell<Prot>>,
     /// Per-page storage; an empty box is an unbacked (all-zero) page.
-    pages: Vec<RwLock<Box<[u8]>>>,
+    pages: Vec<RefCell<Box<[u8]>>>,
     /// What reads of an unbacked page see.
     zeros: Box<[u8]>,
-    /// Bumped (under the affected page's exclusive lock) by every
-    /// protection change; validates [`TlbEntry`]s.
-    prot_gen: AtomicU64,
+    /// Bumped by every protection change; validates [`TlbEntry`]s.
+    prot_gen: Cell<u64>,
 }
 
 /// One cached vpage resolution: the fields a checked access needs, minus
-/// anything that requires a division or a map probe.
+/// anything that requires a decode or a protection load.
 #[derive(Clone, Copy, Debug)]
 pub struct TlbEntry {
     /// The space's `prot_gen` at fill time.
     gen: u64,
     /// Global vpage index (identifies the entry for eviction).
     vpage: usize,
-    /// Physical page index (the lock + storage to use).
+    /// Physical page index (the storage to use).
     page: usize,
     /// First address of the vpage.
     base: u64,
@@ -119,7 +122,7 @@ impl AccessTlb {
 
     /// A cached entry whose vpage covers `[addr, addr+len)` with a
     /// protection allowing `access`. The returned entry must still be
-    /// generation-validated under the page lock by
+    /// generation-validated by
     /// [`AddressSpace::tlb_read`] / [`AddressSpace::tlb_write`].
     #[inline]
     pub fn lookup(&self, addr: VAddr, len: usize, access: Access) -> Option<TlbEntry> {
@@ -171,28 +174,26 @@ impl AddressSpace {
     /// Creates an address space: all application vpages `NoAccess`, the
     /// privileged view `ReadWrite`, all pages zero and unbacked.
     pub fn new(geo: Geometry) -> Self {
-        let mut prots = Vec::new();
-        prots.resize_with(geo.total_vpages(), || AtomicU8::new(Prot::NoAccess as u8));
-        // The privileged view is the last one; nobody shares the table yet.
-        for p in &mut prots[geo.vpage_index(geo.priv_view(), 0)..] {
-            *p.get_mut() = Prot::ReadWrite as u8;
+        let prots = vec![Cell::new(Prot::NoAccess); geo.total_vpages()];
+        for p in &prots[geo.vpage_index(geo.priv_view(), 0)..] {
+            p.set(Prot::ReadWrite);
         }
-        let pages = (0..geo.pages()).map(|_| RwLock::default()).collect();
+        let pages = (0..geo.pages()).map(|_| RefCell::default()).collect();
         Self {
             zeros: vec![0u8; geo.page_size()].into_boxed_slice(),
             geo,
             prots,
             pages,
-            prot_gen: AtomicU64::new(0),
+            prot_gen: Cell::new(0),
         }
     }
 
     /// Number of pages that own storage (were written at least once).
     pub fn backed_pages(&self) -> usize {
-        self.pages.iter().filter(|p| !p.read().is_empty()).count()
+        self.pages.iter().filter(|p| !p.borrow().is_empty()).count()
     }
 
-    /// The bytes of a page held under (at least) its read lock.
+    /// The bytes of a borrowed page.
     #[inline]
     fn bytes<'a>(&'a self, page: &'a [u8]) -> &'a [u8] {
         if page.is_empty() {
@@ -202,8 +203,8 @@ impl AddressSpace {
         }
     }
 
-    /// The bytes of a page held under its exclusive lock, backing it first
-    /// if this is its first write.
+    /// The bytes of a mutably borrowed page, backing it first if this is
+    /// its first write.
     #[inline]
     fn bytes_mut<'a>(&self, page: &'a mut Box<[u8]>) -> &'a mut [u8] {
         if page.is_empty() {
@@ -222,13 +223,13 @@ impl AddressSpace {
     /// # Panics
     ///
     /// Panics if `vpage` is out of range.
+    #[inline]
     pub fn prot(&self, vpage: usize) -> Prot {
-        let raw = self.prots[vpage].load(Ordering::Acquire);
-        Prot::from_u8(raw).expect("protection bytes are only written from Prot values")
+        self.prots[vpage].get()
     }
 
-    /// Sets the protection of a global vpage, serializing against in-flight
-    /// application copies of the same physical page.
+    /// Sets the protection of a global vpage and invalidates every cached
+    /// [`TlbEntry`].
     ///
     /// Returns [`MemError::PrivilegedViewProtection`] for privileged vpages,
     /// whose protection is fixed (§2.3.1).
@@ -239,66 +240,57 @@ impl AddressSpace {
                 len: 0,
             });
         }
-        if vpage / self.geo.pages() == self.geo.priv_view() {
+        if vpage >= self.geo.vpage_index(self.geo.priv_view(), 0) {
             return Err(MemError::PrivilegedViewProtection { vpage });
         }
-        let page = vpage % self.geo.pages();
-        // Exclusive page lock: no application copy of this physical page is
-        // in flight while the protection changes. The generation bump under
-        // the same lock invalidates every cached TlbEntry before any fast
-        // path can next validate one against this page.
-        let _guard = self.pages[page].write();
-        self.prots[vpage].store(prot as u8, Ordering::Release);
-        self.prot_gen.fetch_add(1, Ordering::Release);
+        self.prots[vpage].set(prot);
+        self.bump_gen();
         Ok(())
     }
 
+    #[inline]
+    fn bump_gen(&self) {
+        self.prot_gen.set(self.prot_gen.get() + 1);
+    }
+
     /// Resolves `addr`'s vpage into a cacheable [`TlbEntry`] (page index,
-    /// vpage bounds, current protection, current generation — read
-    /// consistently under the page lock). Returns `None` outside the
-    /// shared region or for the privileged view, which bypasses
-    /// protections and stays on the slow path.
+    /// vpage bounds, current protection, current generation). Returns
+    /// `None` outside the shared region or for the privileged view, which
+    /// bypasses protections and stays on the slow path.
     pub fn tlb_fill(&self, addr: VAddr) -> Option<TlbEntry> {
         let (loc, vpages) = self.geo.vpages_covering(addr, 1)?;
         if loc.view == self.geo.priv_view() {
             return None;
         }
         let vpage = vpages.start;
-        let guard = self.pages[loc.page].read();
-        // Under the page's read lock no protection change for *this* page
-        // can interleave; reading the generation before the protection is
-        // merely conservative for concurrent changes to other pages.
-        let gen = self.prot_gen.load(Ordering::Acquire);
-        let prot = self.prot(vpage);
-        drop(guard);
         let base = addr.0 - loc.offset as u64;
         Some(TlbEntry {
-            gen,
+            gen: self.prot_gen.get(),
             vpage,
             page: loc.page,
             base,
             limit: base + self.geo.page_size() as u64,
-            prot,
+            prot: self.prot(vpage),
         })
     }
 
     /// Fast-path read through a cached [`TlbEntry`]: no address decode,
-    /// no protection load — one page read lock, one generation compare,
-    /// one copy. Returns `false` (without touching `buf`) if any
-    /// protection changed since the entry was filled; the caller falls
-    /// back to the checked slow path.
+    /// no protection load — one generation compare, one copy. Returns
+    /// `false` (without touching `buf`) if any protection changed since
+    /// the entry was filled; the caller falls back to the checked slow
+    /// path.
     ///
     /// The caller must have matched `addr`/`buf.len()` against the entry
     /// via [`AccessTlb::lookup`], which also checked the cached
     /// protection allows reads.
     #[inline]
     pub fn tlb_read(&self, e: &TlbEntry, addr: VAddr, buf: &mut [u8]) -> bool {
-        let guard = self.pages[e.page].read();
-        if self.prot_gen.load(Ordering::Acquire) != e.gen {
+        if self.prot_gen.get() != e.gen {
             return false;
         }
         let off = (addr.0 - e.base) as usize;
-        buf.copy_from_slice(&self.bytes(&guard)[off..off + buf.len()]);
+        let page = self.pages[e.page].borrow();
+        buf.copy_from_slice(&self.bytes(&page)[off..off + buf.len()]);
         true
     }
 
@@ -306,12 +298,12 @@ impl AddressSpace {
     /// [`tlb_read`](AddressSpace::tlb_read).
     #[inline]
     pub fn tlb_write(&self, e: &TlbEntry, addr: VAddr, data: &[u8]) -> bool {
-        let mut guard = self.pages[e.page].write();
-        if self.prot_gen.load(Ordering::Acquire) != e.gen {
+        if self.prot_gen.get() != e.gen {
             return false;
         }
         let off = (addr.0 - e.base) as usize;
-        self.bytes_mut(&mut guard)[off..off + data.len()].copy_from_slice(data);
+        let mut page = self.pages[e.page].borrow_mut();
+        self.bytes_mut(&mut page)[off..off + data.len()].copy_from_slice(data);
         true
     }
 
@@ -320,184 +312,144 @@ impl AddressSpace {
     ///
     /// The privileged view always passes.
     pub fn check(&self, addr: VAddr, len: usize, access: Access) -> Result<(), AccessError> {
-        let (loc, vpages) = self
-            .geo
-            .vpages_covering(addr, len)
-            .ok_or(MemError::OutOfRange { addr, len })?;
-        if loc.view == self.geo.priv_view() {
-            return Ok(());
-        }
-        for vp in vpages {
-            if !self.prot(vp).allows(access) {
-                return Err(AccessError::Fault(AccessFault {
-                    addr: self.fault_addr(addr, loc.view, vp),
-                    access,
-                    vpage: vp,
-                }));
+        let (view, segs) = self.segments(addr, len)?;
+        if view != self.geo.priv_view() {
+            for s in segs {
+                self.allow(addr, view, s.vpage, access)?;
             }
         }
         Ok(())
+    }
+
+    /// The protection check of one vpage of an application access.
+    #[inline]
+    fn allow(
+        &self,
+        addr: VAddr,
+        view: usize,
+        vp: usize,
+        access: Access,
+    ) -> Result<(), AccessError> {
+        if self.prot(vp).allows(access) {
+            return Ok(());
+        }
+        Err(AccessError::Fault(AccessFault {
+            addr: self.fault_addr(addr, view, vp),
+            access,
+            vpage: vp,
+        }))
     }
 
     /// Application read: copies `buf.len()` bytes starting at `addr` into
-    /// `buf`, enforcing protections.
+    /// `buf`, enforcing protections page by page.
     pub fn read(&self, addr: VAddr, buf: &mut [u8]) -> Result<(), AccessError> {
-        let (loc, vpages) =
-            self.geo
-                .vpages_covering(addr, buf.len())
-                .ok_or(MemError::OutOfRange {
-                    addr,
-                    len: buf.len(),
-                })?;
-        let privileged = loc.view == self.geo.priv_view();
-        let mut page = loc.page;
-        let mut off = loc.offset;
-        let mut dst = &mut buf[..];
-        let mut vp_iter = vpages;
-        while !dst.is_empty() {
-            let take = dst.len().min(self.geo.page_size() - off);
-            let guard = self.pages[page].read();
+        let (view, segs) = self.segments(addr, buf.len())?;
+        let privileged = view == self.geo.priv_view();
+        for s in segs {
             if !privileged {
-                let vp = vp_iter.next().expect("vpages cover the whole range");
-                if !self.prot(vp).allows(Access::Read) {
-                    return Err(AccessError::Fault(AccessFault {
-                        addr: self.fault_addr(addr, loc.view, vp),
-                        access: Access::Read,
-                        vpage: vp,
-                    }));
-                }
+                self.allow(addr, view, s.vpage, Access::Read)?;
             }
-            dst[..take].copy_from_slice(&self.bytes(&guard)[off..off + take]);
-            dst = &mut dst[take..];
-            off = 0;
-            page += 1;
+            let page = self.pages[s.page].borrow();
+            buf[s.at..s.at + s.take].copy_from_slice(&self.bytes(&page)[s.off..s.off + s.take]);
         }
         Ok(())
     }
 
-    /// Application write: copies `data` to `addr`, enforcing protections.
+    /// Application write: copies `data` to `addr`, enforcing protections
+    /// page by page (the pages before a faulting one are written).
     pub fn write(&self, addr: VAddr, data: &[u8]) -> Result<(), AccessError> {
-        let (loc, vpages) =
-            self.geo
-                .vpages_covering(addr, data.len())
-                .ok_or(MemError::OutOfRange {
-                    addr,
-                    len: data.len(),
-                })?;
-        let privileged = loc.view == self.geo.priv_view();
-        let mut page = loc.page;
-        let mut off = loc.offset;
-        let mut src = data;
-        let mut vp_iter = vpages;
-        while !src.is_empty() {
-            let take = src.len().min(self.geo.page_size() - off);
-            let mut guard = self.pages[page].write();
+        let (view, segs) = self.segments(addr, data.len())?;
+        let privileged = view == self.geo.priv_view();
+        for s in segs {
             if !privileged {
-                let vp = vp_iter.next().expect("vpages cover the whole range");
-                if !self.prot(vp).allows(Access::Write) {
-                    return Err(AccessError::Fault(AccessFault {
-                        addr: self.fault_addr(addr, loc.view, vp),
-                        access: Access::Write,
-                        vpage: vp,
-                    }));
-                }
+                self.allow(addr, view, s.vpage, Access::Write)?;
             }
-            self.bytes_mut(&mut guard)[off..off + take].copy_from_slice(&src[..take]);
-            src = &src[take..];
-            off = 0;
-            page += 1;
+            let mut page = self.pages[s.page].borrow_mut();
+            self.bytes_mut(&mut page)[s.off..s.off + s.take]
+                .copy_from_slice(&data[s.at..s.at + s.take]);
         }
         Ok(())
     }
 
-    /// Privileged read (server threads, §2.3.1): ignores application
+    /// Privileged read (server turns, §2.3.1): ignores application
     /// protections. `addr` may be expressed through any view.
     pub fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemError> {
         let mut out = vec![0u8; len];
-        let mut filled = 0usize;
-        self.for_each_segment(addr, len, |page, off, take| {
-            let guard = self.pages[page].read();
-            out[filled..filled + take].copy_from_slice(&self.bytes(&guard)[off..off + take]);
-            filled += take;
-        })?;
+        for s in self.segments(addr, len)?.1 {
+            let page = self.pages[s.page].borrow();
+            out[s.at..s.at + s.take].copy_from_slice(&self.bytes(&page)[s.off..s.off + s.take]);
+        }
         Ok(out)
     }
 
     /// Privileged write (zero-copy receive path of §3.5): ignores
     /// application protections.
     pub fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemError> {
-        let mut used = 0usize;
-        self.for_each_segment(addr, data.len(), |page, off, take| {
-            let mut guard = self.pages[page].write();
-            self.bytes_mut(&mut guard)[off..off + take].copy_from_slice(&data[used..used + take]);
-            used += take;
-        })?;
+        self.priv_patch(addr, data.len(), |at, bytes| {
+            bytes.copy_from_slice(&data[at..at + bytes.len()]);
+        })
+    }
+
+    /// Privileged in-place update of `[addr, addr+len)`: one decode for
+    /// the range, then `f(at, bytes)` once per page it covers, with
+    /// `bytes` that page's part of the range (backed first if the page is
+    /// unbacked) and `at` its offset within the range. A release diff is
+    /// applied through it with one borrow per page, not one write per run.
+    pub fn priv_patch(
+        &self,
+        addr: VAddr,
+        len: usize,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), MemError> {
+        for s in self.segments(addr, len)?.1 {
+            let mut page = self.pages[s.page].borrow_mut();
+            f(s.at, &mut self.bytes_mut(&mut page)[s.off..s.off + s.take]);
+        }
         Ok(())
     }
 
-    /// Atomically (per page) snapshots `[addr, addr+len)` and sets the
-    /// covered vpages to `prot`: each page's copy and protection change
-    /// happen under one exclusive page lock, so an application write to a
-    /// page either completes before the snapshot (and is captured) or
-    /// faults after the protection change. Used by the release-consistency
-    /// extension's invalidation path, which must capture a dirty copy's
-    /// final contents.
+    /// Snapshots `[addr, addr+len)` and sets the covered vpages to `prot`
+    /// in one step: no application write can land between the copy and
+    /// the protection change. Used by the release-consistency extension's
+    /// invalidation path, which must capture a dirty copy's final
+    /// contents.
     pub fn snapshot_and_protect(
         &self,
         addr: VAddr,
         len: usize,
         prot: Prot,
     ) -> Result<Vec<u8>, MemError> {
-        let (loc, vpages) = self
-            .geo
-            .vpages_covering(addr, len)
-            .ok_or(MemError::OutOfRange { addr, len })?;
-        if loc.view == self.geo.priv_view() {
-            return Err(MemError::PrivilegedViewProtection {
-                vpage: vpages.start,
-            });
+        let (view, segs) = self.segments(addr, len)?;
+        if view == self.geo.priv_view() {
+            return Err(MemError::PrivilegedViewProtection { vpage: segs.vpage });
         }
         let mut out = vec![0u8; len];
-        let mut filled = 0usize;
-        let mut page = loc.page;
-        let mut off = loc.offset;
-        let mut vp_iter = vpages;
-        while filled < len {
-            let take = (len - filled).min(self.geo.page_size() - off);
-            let guard = self.pages[page].write();
-            out[filled..filled + take].copy_from_slice(&self.bytes(&guard)[off..off + take]);
-            let vp = vp_iter.next().expect("vpages cover the range");
-            self.prots[vp].store(prot as u8, Ordering::Release);
-            self.prot_gen.fetch_add(1, Ordering::Release);
-            drop(guard);
-            filled += take;
-            off = 0;
-            page += 1;
+        for s in segs {
+            let page = self.pages[s.page].borrow();
+            out[s.at..s.at + s.take].copy_from_slice(&self.bytes(&page)[s.off..s.off + s.take]);
+            self.prots[s.vpage].set(prot);
+            self.bump_gen();
         }
         Ok(out)
     }
 
-    fn for_each_segment(
-        &self,
-        addr: VAddr,
-        len: usize,
-        mut f: impl FnMut(usize, usize, usize),
-    ) -> Result<(), MemError> {
-        let (loc, _) = self
+    /// Decodes `[addr, addr+len)` once: its view, and the page segments
+    /// it covers.
+    #[inline]
+    fn segments(&self, addr: VAddr, len: usize) -> Result<(usize, Segments), MemError> {
+        let (loc, vpages) = self
             .geo
             .vpages_covering(addr, len)
             .ok_or(MemError::OutOfRange { addr, len })?;
-        let mut page = loc.page;
-        let mut off = loc.offset;
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(self.geo.page_size() - off);
-            f(page, off, take);
-            remaining -= take;
-            off = 0;
-            page += 1;
-        }
-        Ok(())
+        let segs = Segments {
+            page_size: self.geo.page_size(),
+            vpage: vpages.start,
+            page: loc.page,
+            off: loc.offset,
+            at: 0,
+            len,
+        };
+        Ok((loc.view, segs))
     }
 
     /// The address to report in an [`AccessFault`] for vpage `vp`: the
@@ -508,6 +460,51 @@ impl AddressSpace {
             Some(l) if l.page == page && l.view == view => addr,
             _ => self.geo.addr_of(view, page, 0),
         }
+    }
+}
+
+/// One page's part of a decoded range: `take` bytes at offset `off` of
+/// physical page `page` (vpage `vpage` of the range's view), which are
+/// bytes `at..at + take` of the range.
+struct Segment {
+    vpage: usize,
+    page: usize,
+    off: usize,
+    at: usize,
+    take: usize,
+}
+
+/// The [`Segment`]s of a range, in address order.
+struct Segments {
+    page_size: usize,
+    vpage: usize,
+    page: usize,
+    off: usize,
+    at: usize,
+    len: usize,
+}
+
+impl Iterator for Segments {
+    type Item = Segment;
+
+    #[inline]
+    fn next(&mut self) -> Option<Segment> {
+        if self.at >= self.len {
+            return None;
+        }
+        let take = (self.len - self.at).min(self.page_size - self.off);
+        let s = Segment {
+            vpage: self.vpage,
+            page: self.page,
+            off: self.off,
+            at: self.at,
+            take,
+        };
+        self.at += take;
+        self.off = 0;
+        self.vpage += 1;
+        self.page += 1;
+        Some(s)
     }
 }
 
@@ -720,7 +717,7 @@ mod tests {
         // The invalidation (e.g. a remote writer taking ownership).
         s.set_prot(vp, Prot::NoAccess).unwrap();
         // The stale entry still matches the lookup — but the generation
-        // check under the page lock rejects it...
+        // check rejects it...
         let stale = tlb.lookup(a, 8, Access::Read).expect("stale entry");
         let mut buf = [0u8; 8];
         assert!(!s.tlb_read(&stale, a, &mut buf));

@@ -18,8 +18,8 @@
 use millipage::{
     run, AllocMode, ClusterConfig, Consistency, CostModel, HomePolicyKind, HostId, RunReport,
 };
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 /// The deterministic workload the golden counters were captured on:
 /// 16 one-cell u64 vectors, 4 barrier-separated phases, one writer per
@@ -208,7 +208,7 @@ proptest! {
                     for (i, c) in cells.iter().enumerate() {
                         let got = ctx.cell_get(c);
                         if got != model[i] {
-                            *mismatch.lock() = Some((ctx.host(), i, got, model[i]));
+                            *mismatch.lock().unwrap() = Some((ctx.host(), i, got, model[i]));
                         }
                     }
                     ctx.barrier();
@@ -219,7 +219,7 @@ proptest! {
                 "{policy:?} {consistency:?}: {:?}",
                 report.coherence_violations
             );
-            let m = mismatch.into_inner();
+            let m = mismatch.into_inner().unwrap();
             prop_assert!(m.is_none(), "{policy:?} {consistency:?} mismatch: {m:?}");
         }
     }

@@ -5,10 +5,10 @@ use millipage::{
     run, AllocMode, ClusterConfig, CostModel, Dsm, HostId, Ns, Pod, SchedMode, SharedVec,
 };
 use multiview::{AllocMode as MvMode, Allocator};
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use sim_mem::Geometry;
 use std::ops::Range;
+use std::sync::Mutex;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -166,14 +166,14 @@ proptest! {
                         m[i]
                     };
                     if got != want {
-                        *mismatch.lock() = Some((ctx.host(), i, got, want));
+                        *mismatch.lock().unwrap() = Some((ctx.host(), i, got, want));
                     }
                 }
                 ctx.barrier();
             },
         );
         prop_assert!(report.coherence_violations.is_empty());
-        let m = mismatch.into_inner();
+        let m = mismatch.into_inner().unwrap();
         prop_assert!(m.is_none(), "mismatch: {m:?}, model {model:?}");
     }
 
@@ -229,7 +229,7 @@ proptest! {
             let errors = report.expect("host run through read_into").errors;
             prop_assert!(errors.is_empty(), "{errors:?}");
         }
-        let m = mismatches.into_inner();
+        let m = mismatches.into_inner().unwrap();
         prop_assert!(m.is_empty(), "not the bytes written: {m:?}");
     }
 }
@@ -270,7 +270,9 @@ fn all_pods_roundtrip<D: Dsm>(
                     x.to_bytes(chunk);
                 }
                 if bits != raw[..xs.len() * T::SIZE] {
-                    bad.lock().push((std::any::type_name::<T>(), reader));
+                    bad.lock()
+                        .unwrap()
+                        .push((std::any::type_name::<T>(), reader));
                 }
             }
             ctx.barrier();

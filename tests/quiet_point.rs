@@ -36,7 +36,7 @@ fn held_packets_are_delivered_before_the_idle_verdict() {
     const ROUNDS: u64 = 3;
     for consistency in [Consistency::SequentialSwMr, Consistency::HomeEagerRc] {
         let hosts = 4;
-        let sum = parking_lot::Mutex::new(None);
+        let sum = std::sync::Mutex::new(None);
         let report = run(
             cfg(hosts, consistency),
             |s| (s.alloc_cell_init::<u64>(0), s.alloc_vec_init(&[0u64; 4])),
@@ -55,7 +55,7 @@ fn held_packets_are_delivered_before_the_idle_verdict() {
                     let total = ctx.cell_get(counter);
                     ctx.unlock(1);
                     let written: u64 = (0..4).map(|i| ctx.get(cells, i)).sum();
-                    *sum.lock() = Some((total, written));
+                    *sum.lock().unwrap() = Some((total, written));
                 }
                 ctx.barrier();
             },
@@ -68,7 +68,7 @@ fn held_packets_are_delivered_before_the_idle_verdict() {
         );
         assert!(reorders(&report) > 0, "{consistency:?}: nothing was held");
         assert_eq!(
-            sum.into_inner(),
+            sum.into_inner().unwrap(),
             Some((hosts as u64 * ROUNDS, hosts as u64 * ROUNDS)),
             "{consistency:?}"
         );

@@ -10,8 +10,8 @@
 //! shape is checked on a fixed list of them ([`on_each_schedule`]).
 
 use millipage::{run, AllocMode, ClusterConfig, CostModel, HomePolicyKind, HostId, SchedMode};
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 fn cfg(hosts: usize, seed: u64, sched: SchedMode) -> ClusterConfig {
     ClusterConfig {
@@ -83,11 +83,11 @@ fn store_buffering_outcome_is_forbidden() {
                     }
                     ctx.barrier();
                 }
-                outcomes.lock().push((ctx.host(), local));
+                outcomes.lock().unwrap().push((ctx.host(), local));
             },
         );
         assert!(report.coherence_violations.is_empty());
-        let all = outcomes.into_inner();
+        let all = outcomes.into_inner().unwrap();
         let h0 = &all.iter().find(|(h, _)| *h == HostId(0)).expect("h0 ran").1;
         let h1 = &all.iter().find(|(h, _)| *h == HostId(1)).expect("h1 ran").1;
         for round in 0..ROUNDS {
@@ -163,12 +163,12 @@ fn iriw_observers_agree_on_write_order() {
                         2 => {
                             let r1 = ctx.cell_get(x);
                             let r2 = ctx.cell_get(y);
-                            per_reader.lock().push((round, 2, r1, r2));
+                            per_reader.lock().unwrap().push((round, 2, r1, r2));
                         }
                         _ => {
                             let r3 = ctx.cell_get(y);
                             let r4 = ctx.cell_get(x);
-                            per_reader.lock().push((round, 3, r3, r4));
+                            per_reader.lock().unwrap().push((round, 3, r3, r4));
                         }
                     }
                     ctx.barrier();
@@ -183,7 +183,7 @@ fn iriw_observers_agree_on_write_order() {
             },
         );
         assert!(report.coherence_violations.is_empty());
-        let obs = per_reader.into_inner();
+        let obs = per_reader.into_inner().unwrap();
         for round in 0..ROUNDS {
             let a = obs
                 .iter()
@@ -222,13 +222,13 @@ fn single_location_writes_serialize() {
                     // across that wait deadlocks the deterministic scheduler
                     // (the lock-holder parks outside its yield points).
                     let v = ctx.cell_get(c);
-                    finals.lock().push((round, ctx.host(), v));
+                    finals.lock().unwrap().push((round, ctx.host(), v));
                     ctx.barrier();
                 }
             },
         );
         assert!(report.coherence_violations.is_empty());
-        let all = finals.into_inner();
+        let all = finals.into_inner().unwrap();
         for round in 0..ROUNDS {
             let vals: Vec<u32> = all
                 .iter()
@@ -331,13 +331,13 @@ fn register_stays_linearizable_under_distributed_homes() {
                         // As above: never hold the results lock across a DSM
                         // access.
                         let last = ctx.cell_get(reg);
-                        finals.lock().push(last);
-                        observations.lock().push((ctx.host(), seen));
+                        finals.lock().unwrap().push(last);
+                        observations.lock().unwrap().push((ctx.host(), seen));
                     },
                 );
                 let tag = format!("{policy:?} hosts={hosts}");
                 assert!(report.coherence_violations.is_empty(), "{tag}");
-                for (host, seen) in observations.into_inner() {
+                for (host, seen) in observations.into_inner().unwrap() {
                     assert!(
                         seen.windows(2).all(|w| w[0] <= w[1]),
                         "{tag}: host {host} saw the register go backwards: {seen:?}"
@@ -347,7 +347,7 @@ fn register_stays_linearizable_under_distributed_homes() {
                         "{tag}: host {host} read a never-written value: {seen:?}"
                     );
                 }
-                let finals = finals.into_inner();
+                let finals = finals.into_inner().unwrap();
                 assert!(
                     finals.iter().all(|&v| v == ROUNDS),
                     "{tag}: hosts disagree on the final value: {finals:?}"
