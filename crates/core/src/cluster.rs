@@ -501,9 +501,7 @@ where
             // every application thread its own disjoint range (2^40 ids
             // each) so allocation never crosses threads. The ranges are
             // part of every pinned message and trace byte.
-            let events = Arc::new(AtomicU64::new(
-                ((h * cfg.threads_per_host + t + 1) as u64) << 40,
-            ));
+            let events = ((h * cfg.threads_per_host + t + 1) as u64) << 40;
             let (home, state) = (Arc::clone(home), Arc::clone(&states[h]));
             let (net, cost) = (net.clone(), cfg.cost.clone());
             let probe = state.probe(&cfg.tracer, Track::App(t as u16));

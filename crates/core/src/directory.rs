@@ -6,8 +6,9 @@
 //! in the manager."
 
 use crate::msg::Pmsg;
+use sim_core::IntMap;
 use sim_core::{HostId, Ns};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Directory state of one minipage.
 #[derive(Debug, Clone, Default)]
@@ -89,7 +90,7 @@ impl DirectoryEntry {
 #[derive(Debug)]
 pub struct Directory {
     me: HostId,
-    entries: HashMap<usize, DirectoryEntry>,
+    entries: IntMap<usize, DirectoryEntry>,
     competing: u64,
     /// Requests queued behind open windows right now: the sum of the
     /// entries' queue lengths.
@@ -101,7 +102,7 @@ impl Directory {
     pub fn new(me: HostId) -> Self {
         Self {
             me,
-            entries: HashMap::new(),
+            entries: IntMap::default(),
             competing: 0,
             waiting: 0,
         }

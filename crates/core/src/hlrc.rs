@@ -36,8 +36,8 @@
 
 use crate::diff::Twin;
 use multiview::MinipageId;
+use sim_core::IntMap;
 use sim_mem::VAddr;
-use std::collections::HashMap;
 
 /// Which coherence protocol the cluster runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -72,9 +72,9 @@ pub(crate) struct RcDirty {
 #[derive(Default)]
 pub(crate) struct RcState {
     /// Boundary cache: every covered global vpage → minipage info.
-    pub boundaries: HashMap<usize, MpInfo>,
+    pub boundaries: IntMap<usize, MpInfo>,
     /// Twinned dirty minipages by minipage id.
-    pub dirty: HashMap<u32, RcDirty>,
+    pub dirty: IntMap<u32, RcDirty>,
 }
 
 impl RcState {

@@ -21,28 +21,26 @@ use bytes::Bytes;
 use sim_core::clock::{BusyWindow, Clock, Ns};
 use sim_core::sched::{BlockOutcome, SchedThread};
 use sim_core::trace::{TraceKind, NO_MP};
+use sim_core::IntMap;
 use sim_core::{Category, CostModel, HostId, LogHistogram, TimeBreakdown};
 use sim_mem::{Access, AccessError, AccessFault, AccessTlb, AddressSpace, VAddr};
 use sim_net::Network;
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A one-shot rendezvous between a blocked application thread and the DSM
 /// server thread that completes its request.
 ///
 /// A waiter resolves exactly once: either fulfilled with a [`Completion`]
 /// or failed with a typed [`ProtocolError`] (nacked request, cancelled
-/// run). Pre-fault-plane a request that never completed hung its thread
-/// forever; failure is now a first-class outcome.
+/// run), and the first outcome wins. Pre-fault-plane a request that never
+/// completed hung its thread forever; failure is now a first-class outcome.
+/// It is a `OnceLock`, so a blocking condition that reads it stays `Send`
+/// and takes no lock.
 #[derive(Default)]
-pub(crate) struct Waiter {
-    slot: Mutex<Option<Result<Completion, ProtocolError>>>,
-    /// Set, under the slot lock, once the slot is written: most probes
-    /// find the rendezvous still open and answer from this load alone.
-    done: AtomicBool,
-}
+pub(crate) struct Waiter(OnceLock<Result<Completion, ProtocolError>>);
 
 impl Waiter {
     pub(crate) fn new() -> Arc<Self> {
@@ -62,28 +60,20 @@ impl Waiter {
     }
 
     fn resolve(&self, outcome: Result<Completion, ProtocolError>) {
-        let mut slot = self.slot.lock().expect("waiter poisoned");
-        if slot.is_none() {
-            *slot = Some(outcome);
-            // Release pairs with `try_result`'s acquire: a probe that sees
-            // the flag finds the slot written.
-            self.done.store(true, Ordering::Release);
-        }
+        _ = self.0.set(outcome);
     }
 
     /// Non-blocking probe: the resolution, if the rendezvous already
     /// completed. The condition an application thread parks on in the
     /// scheduler.
     pub(crate) fn try_result(&self) -> Option<Result<Completion, ProtocolError>> {
-        if !self.done.load(Ordering::Acquire) {
-            return None;
-        }
-        self.slot.lock().expect("waiter poisoned").clone()
+        self.0.get().cloned()
     }
 }
 
-/// The simulator's blocked requests, by event id.
-pub(crate) type Waiters = Mutex<HashMap<u64, Arc<Waiter>>>;
+/// The simulator's blocked requests, by event id. A simulated host's
+/// threads and server share one OS thread, so the registry is a `RefCell`.
+pub(crate) type Waiters = RefCell<IntMap<u64, Arc<Waiter>>>;
 
 impl LocalWake for Waiters {
     fn wake(
@@ -93,15 +83,12 @@ impl LocalWake for Waiters {
         what: &'static str,
         outcome: Result<Ns, ProtocolError>,
     ) -> Result<(), ProtocolError> {
-        let w = self
-            .lock()
-            .expect("waiters poisoned")
-            .remove(&m.event)
-            .ok_or(ProtocolError::NoWaiter {
-                host,
-                event: m.event,
-                kind: what,
-            })?;
+        let removed = self.borrow_mut().remove(&m.event);
+        let w = removed.ok_or(ProtocolError::NoWaiter {
+            host,
+            event: m.event,
+            kind: what,
+        })?;
         match outcome {
             Ok(resume_vt) => w.fulfill(Completion {
                 resume_vt,
@@ -131,7 +118,7 @@ pub(crate) struct HostState<M = AddressSpace, W = Waiters> {
     /// The threads blocked on protocol events.
     pub waiters: W,
     /// Outstanding prefetches by covered global vpage.
-    pub prefetch_waiters: Mutex<HashMap<usize, Arc<Waiter>>>,
+    pub prefetch_waiters: Mutex<IntMap<usize, Arc<Waiter>>>,
     /// Release-consistency state (boundary cache + twins; unused under
     /// the sequential-consistency protocol apart from boundary learning).
     pub rc: Mutex<RcState>,
@@ -167,7 +154,7 @@ impl<M, W> HostState<M, W> {
             home,
             busy: BusyWindow::new(),
             waiters,
-            prefetch_waiters: Mutex::new(HashMap::new()),
+            prefetch_waiters: Mutex::default(),
             rc: Mutex::new(RcState::default()),
             counts: Arc::default(),
             diag,
@@ -190,38 +177,26 @@ impl<M, W: LocalWake> HostState<M, W> {
 }
 
 impl HostState {
-    /// Registers a waiter under a fresh event id drawn from `events`.
-    pub(crate) fn register_waiter(&self, events: &AtomicU64) -> (u64, Arc<Waiter>) {
-        let ev = events.fetch_add(1, Ordering::Relaxed);
+    /// Registers a waiter under the event id `ev`. After the cancel sweep
+    /// (`aborted`) nothing is published and the waiter fails at once.
+    pub(crate) fn register_waiter(&self, ev: u64) -> Arc<Waiter> {
         let w = Waiter::new();
-        // One critical section: checking `aborted` under the same lock the
-        // cancel sweep drains under means either the sweep ran first (we
-        // see the flag and never publish) or we publish first (the sweep
-        // finds and fails the waiter). The old publish-then-recheck dance
-        // took the lock twice per registration on the fault hot path.
-        let cancelled = {
-            let mut ws = self.waiters.lock().expect("waiters poisoned");
-            if self.aborted.load(Ordering::Acquire) {
-                true
-            } else {
-                ws.insert(ev, Arc::clone(&w));
-                false
-            }
-        };
-        if cancelled {
+        if self.aborted.load(Ordering::Acquire) {
             w.fail(ProtocolError::Cancelled {
                 host: self.host,
                 what: "request registered during shutdown",
             });
+        } else {
+            self.waiters.borrow_mut().insert(ev, Arc::clone(&w));
         }
-        (ev, w)
+        w
     }
 
     /// Fails every outstanding wait on this host so its application
     /// threads unblock and the cluster can shut down instead of hanging.
     pub(crate) fn cancel_pending(&self) {
         self.aborted.store(true, Ordering::Release);
-        for (_, w) in self.waiters.lock().expect("waiters poisoned").drain() {
+        for (_, w) in self.waiters.take() {
             w.fail(ProtocolError::Cancelled {
                 host: self.host,
                 what: "pending request",
@@ -258,7 +233,9 @@ pub struct HostCtx {
     pub(crate) cost: CostModel,
     pub(crate) clock: Clock,
     pub(crate) breakdown: TimeBreakdown,
-    pub(crate) events: Arc<AtomicU64>,
+    /// The next event id of this thread's own range (see
+    /// [`next_event`](Self::next_event)).
+    pub(crate) events: u64,
     pub(crate) pending_acks: Vec<VAddr>,
     pub(crate) consistency: Consistency,
     pub(crate) timed_from: Ns,
@@ -391,6 +368,19 @@ impl HostCtx {
         }
     }
 
+    /// A fresh event id: a correlation key, drawn from the range this
+    /// application thread owns.
+    fn next_event(&mut self) -> u64 {
+        self.events += 1;
+        self.events - 1
+    }
+
+    /// Registers a waiter on this host under a fresh event id.
+    fn waiter(&mut self) -> (u64, Arc<Waiter>) {
+        let ev = self.next_event();
+        (ev, self.state.register_waiter(ev))
+    }
+
     /// Routes `addr`'s protocol traffic to its home shard. Distributed
     /// policies translate through the run's minipage table, which costs one
     /// `mpt_lookup` on the application thread; `cat` attributes that time
@@ -474,7 +464,7 @@ impl HostCtx {
     /// Allocates `bytes` of shared memory; returns its address.
     pub fn alloc_bytes(&mut self, bytes: usize) -> VAddr {
         let t0 = self.clock.now();
-        let (ev, w) = self.state.register_waiter(&self.events);
+        let (ev, w) = self.waiter();
         let msg = Pmsg::new(MsgKind::AllocRequest, self.host, ev).with_aux(bytes as u64);
         let c = self.request(MANAGER, msg, &w, "shared allocation");
         self.clock.merge(c.resume_vt);
@@ -660,7 +650,7 @@ impl HostCtx {
     pub fn barrier(&mut self) {
         self.rc_flush();
         let t0 = self.clock.now();
-        let (ev, w) = self.state.register_waiter(&self.events);
+        let (ev, w) = self.waiter();
         self.probe
             .trace(t0, TraceKind::BarrierEnter, |e| e.with_event(ev));
         let msg = Pmsg::new(MsgKind::BarrierEnter, self.host, ev);
@@ -677,7 +667,7 @@ impl HostCtx {
     /// Acquires the queue lock `id` (blocking).
     pub fn lock(&mut self, id: u64) {
         let t0 = self.clock.now();
-        let (ev, w) = self.state.register_waiter(&self.events);
+        let (ev, w) = self.waiter();
         self.probe
             .trace(t0, TraceKind::LockAcquireBegin, |e| e.with_event(id));
         let msg = Pmsg::new(MsgKind::LockAcquire, self.host, ev).with_aux(id);
@@ -718,10 +708,9 @@ impl HostCtx {
             panic!("prefetch outside the shared region: {addr}+{len}");
         };
         // Skip when data is already present or a prefetch is in flight.
-        // Like `register_waiter`, the shutdown check lives inside the same
-        // critical section as the publication: the cancel sweep either ran
-        // first (we see the flag, publish nothing, send nothing) or finds
-        // the published waiter and fails it — one lock either way.
+        // Like `register_waiter`, publish nothing and send nothing once the
+        // cancel sweep ran (`aborted`); a sweep after this finds the
+        // published waiter and fails it.
         {
             let mut pf = self
                 .state
@@ -741,7 +730,7 @@ impl HostCtx {
             }
         }
         self.probe.on(self.clock.now(), Fact::Prefetch);
-        let ev = self.events.fetch_add(1, Ordering::Relaxed);
+        let ev = self.next_event();
         let mut msg = Pmsg::new(MsgKind::ReadRequest, self.host, ev).with_addr(addr);
         msg.prefetch = true;
         let dest = self.route_home(addr, Some(Category::Comp));
@@ -964,7 +953,7 @@ impl HostCtx {
         // ...which routes the request to the minipage's home shard and
         // waits on its event. The whole span lands in the fault category.
         let dest = self.route_home(f.addr, None);
-        let (ev, w) = self.state.register_waiter(&self.events);
+        let (ev, w) = self.waiter();
         let msg = Pmsg::new(kind, self.host, ev).with_addr(f.addr);
         let c = self.request(dest, msg, &w, "fault service");
         self.clock.merge(c.resume_vt);
@@ -1000,7 +989,7 @@ impl HostCtx {
             self.clock.merge(c.resume_vt);
         } else if self.state.space.prot(f.vpage) == sim_mem::Prot::NoAccess {
             let dest = self.route_home(f.addr, None);
-            let (ev, w) = self.state.register_waiter(&self.events);
+            let (ev, w) = self.waiter();
             let msg = Pmsg::new(MsgKind::ReadRequest, self.host, ev).with_addr(f.addr);
             let c = self.request(dest, msg, &w, "rc read fetch");
             self.clock.merge(c.resume_vt);
@@ -1111,7 +1100,7 @@ impl HostCtx {
                 continue;
             }
             let ev = if distributed {
-                let (ev, w) = self.state.register_waiter(&self.events);
+                let (ev, w) = self.waiter();
                 pending.push((ev, w));
                 ev
             } else {
@@ -1220,8 +1209,7 @@ mod tests {
             Arc::new(home),
             None,
         );
-        let events = AtomicU64::new(1);
-        let mut parked: Vec<_> = (0..3).map(|_| st.register_waiter(&events).1).collect();
+        let mut parked: Vec<_> = (1..4).map(|ev| st.register_waiter(ev)).collect();
         parked.push(Waiter::new());
         st.prefetch_waiters
             .lock()
@@ -1230,7 +1218,7 @@ mod tests {
         assert!(parked.iter().all(|w| w.try_result().is_none()));
         st.cancel_pending();
         // A wait registered after the sweep fails at once.
-        parked.push(st.register_waiter(&events).1);
+        parked.push(st.register_waiter(4));
         for w in &parked {
             assert!(matches!(
                 w.try_result(),

@@ -33,9 +33,9 @@ use crate::msg::{MsgKind, Pmsg};
 use crate::probe::{Fact, Probe};
 use multiview::{Minipage, MinipageId};
 use sim_core::trace::TraceKind;
+use sim_core::IntMap;
 use sim_core::{CostModel, HostId, LogHistogram, Ns, VAddr};
 use sim_mem::Prot;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -59,7 +59,7 @@ pub(crate) struct ManagerShard<Mem = Cluster> {
     consistency: Consistency,
     home: Arc<HomeTable>,
     dir: Directory,
-    locks: HashMap<u64, LockState>,
+    locks: IntMap<u64, LockState>,
     barrier_waiters: Vec<Pmsg>,
     /// Latest service time over the open barrier's enters. Enters served
     /// out of virtual-time order rewind the timeline
@@ -109,7 +109,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
             cost,
             consistency,
             dir: Directory::new(me),
-            locks: HashMap::new(),
+            locks: IntMap::default(),
             barrier_waiters: Vec::new(),
             barrier_high: 0,
             home,

@@ -14,6 +14,8 @@
 //! * [`clock`] — virtual clocks and time algebra,
 //! * [`cost`] — the calibrated cost model (Table 1 and §3.5 of the paper),
 //! * [`rng`] — a small deterministic PRNG (SplitMix64),
+//! * [`hash`] — the multiplicative hasher of the fault path's integer-keyed
+//!   maps,
 //! * [`account`] — per-category time accounting (the Figure 6 breakdown),
 //! * [`stats`] — counters and the latency histogram used by the harnesses,
 //! * [`trace`] — virtual-time protocol event tracing (per-thread rings,
@@ -30,6 +32,7 @@ pub mod addr;
 pub mod clock;
 pub mod cost;
 pub(crate) mod fiber;
+pub mod hash;
 pub mod json;
 pub mod rng;
 pub mod sched;
@@ -41,6 +44,7 @@ pub use account::{Category, TimeBreakdown};
 pub use addr::{Geometry, Loc, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE};
 pub use clock::{BusyWindow, Clock, Ns};
 pub use cost::{CostModel, ServiceDelayModel};
+pub use hash::IntMap;
 pub use rng::SplitMix64;
 pub use sched::{
     BlockOutcome, DeliveryGate, FiberBody, FiberRun, SchedMode, SchedPolicy, SchedThread,

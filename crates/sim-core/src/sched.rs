@@ -12,125 +12,105 @@
 //!
 //! # Fibers, threads and passive slots
 //!
-//! Only a slot that must keep a stack between yield points needs one: an
-//! application thread. It is a **fiber** on the OS thread that runs the
-//! scheduler ([`Scheduler::run_fibers`]; the `fiber` module): the
-//! thread giving up the schedule switches stacks straight to the fiber
-//! picked, or back to the caller of `run_fibers` once the run is over — a
-//! hand-off costs a stack switch, not an OS wake-up and wait. An
-//! application thread can also be an OS thread of its own, parked on its
-//! own condvar while it does not hold the schedule ([`Scheduler::attach`]);
-//! one scheduler takes one kind or the other, never both. A DSM server
-//! keeps nothing between two messages, so it is a **passive slot** of a
-//! fiber run ([`FiberRun::passive`]): a boxed [`Turn`] function and no
-//! stack. When the policy picks a passive slot, the slot that is giving
-//! up the schedule — in `yield_now`, `block_until`, `finish`, or the root
-//! of the run when it finds the run quiescent — runs the turn to
-//! completion itself and dispatches again, until the pick is a thread
-//! (possibly itself: no switch at all). The turns and the wire's
-//! [`DeliveryGate`] never leave the run's OS thread, so neither is `Send`:
-//! they live in a value the run owns, not in the `Sync` scheduler, and
-//! the run's fibers reach it through an `Rc`. A run of attached OS
-//! threads has neither passive slots nor a gate. Every slot is otherwise a
-//! slot like any other — same index, `(virtual time, key)` tie-break,
-//! candidate rule and decision-log entry — so schedules do not depend on
-//! how a slot is registered. The rules that keep this sound:
+//! An application thread keeps a stack between yield points: it is a
+//! **fiber** on the OS thread that runs the scheduler
+//! ([`Scheduler::run_fibers`]; the `fiber` module), and a hand-off is a
+//! stack switch to the fiber picked (or back to the root once the run is
+//! over), not an OS wake-up and wait. It can also be an OS thread of its
+//! own, parked on its own condvar ([`Scheduler::attach`]); one scheduler
+//! takes one kind or the other. A DSM server keeps nothing between two
+//! messages, so it is a **passive slot** of a fiber run
+//! ([`FiberRun::passive`]): a boxed [`Turn`] and no stack. When a passive
+//! slot is picked, the slot giving up the schedule — in `yield_now`,
+//! `block_until`, `finish`, or the root when the run is quiescent — runs
+//! the turn itself and dispatches again until the pick is a thread
+//! (possibly itself: no switch at all). Otherwise every slot is alike —
+//! index, `(virtual time, key)` tie-break, candidate rule, log entry — so
+//! schedules do not depend on how a slot is registered. The rules:
 //!
-//! * **No scheduler lock is held across a turn.** Handlers deliver
-//!   messages, and deliveries wake hosts under the scheduler lock.
-//!   `dispatch_in` only installs the pick; its caller unlocks, runs the
-//!   turn, re-locks, applies the outcome.
+//! * **A fiber run owns its state.** The scheduler's mutex and condvars
+//!   serve [`Scheduler::attach`]'s OS threads only. `run_fibers` moves the
+//!   state out into a value the run owns with the turns and the wire's
+//!   [`DeliveryGate`] (none of them `Send`), reached by its fibers through
+//!   an `Rc`: a yield, park, hand-off or turn borrows it there and takes no
+//!   lock, condvar or atomic. A turn calls no scheduler method: a delivery
+//!   the wire does not park marks its host in the gate, and the scheduler
+//!   applies those wakes before it next reads a wake generation or picks.
 //! * **Whoever dispatches drives.** Every caller of `dispatch_in` goes
-//!   through the same loop (`drive`); there is no second dispatcher for
-//!   passive slots.
-//! * **A panicking turn ends the run.** The panic is caught around the
-//!   turn, the slot retired, the scheduler poisoned (every parked thread
-//!   returns [`BlockOutcome::Poisoned`]) and the payload kept for the
-//!   run's owner ([`Scheduler::take_turn_panic`]) — it is not the failure
-//!   of the thread that happened to be driving, and the schedule is never
-//!   left resting on a slot nobody can run.
+//!   through one loop (`drive`) on `&mut State`, in either kind of run.
+//! * **A panicking turn ends the run.** It is caught, the slot retired,
+//!   the run poisoned (every parked thread returns
+//!   [`BlockOutcome::Poisoned`]) and the payload kept for the run's owner
+//!   ([`Scheduler::take_turn_panic`]): it is not the failure of whichever
+//!   thread was driving.
 //!
 //! # Virtual-time order across the wire
 //!
-//! Under the canonical [`SchedPolicy::VirtualTime`] policy cross-host
-//! message delivery is **gated** (see [`DeliveryGate`]): a send parks the
-//! packet in the destination's mailbox keyed by its release time, and the
-//! dispatch loop delivers it exactly when the canonical virtual-time order
-//! reaches it — before any runnable thread with a later (or equal) virtual
-//! time. The exploration policies perturb that order on purpose, so their
-//! deliveries are immediate. When nothing is runnable and nothing is
-//! parked the run is quiescent: fault-held packets are flushed — under
-//! every policy, the only place they are — and only then is the run
+//! Under the canonical [`SchedPolicy::VirtualTime`] policy a cross-host
+//! delivery is **gated** (see [`DeliveryGate`]): the packet is parked in
+//! the destination's mailbox keyed by its release time, and the dispatch
+//! loop delivers it when the canonical order reaches it — before any
+//! runnable thread at a later or equal virtual time. The exploration
+//! policies perturb that order on purpose, so their deliveries are
+//! immediate. When nothing is runnable or parked, fault-held packets are
+//! flushed (under every policy, and only there), and only then is the run
 //! ruled idle or deadlocked.
 //!
 //! Design notes:
 //!
-//! * **Wake-ups name a host.** Blocking conditions live in the protocol
-//!   layer and are not told about the scheduler, but there are exactly
-//!   two of them and both are host-local state: host *h*'s server waits
-//!   on *h*'s inbox, and an application thread of *h* waits on a
-//!   rendezvous in *h*'s waiter table. So the scheduler keeps one *wake
-//!   generation per host*, bumped by whatever touched that host's state
-//!   (a gate release or direct delivery into its inbox, its server
-//!   finishing a handler — [`Turn::Ran`]); a blocked slot is schedulable
-//!   again exactly when its own host's generation moved past the value
-//!   recorded before its condition last failed. A slot of another host is
-//!   not re-dispatched: per-event cost does not grow with the host count.
-//!   A finite number of re-checks per wake means no livelock, and a thread
-//!   whose condition was already met never parks. Anything that cannot
-//!   name a host — a thread finishing, ungated exploration-mode
-//!   deliveries, external actors, a failed run cancelling every host's
-//!   waits — wakes every host instead (rare, and always correct).
-//! * **The candidate set is kept, not recomputed.** A fixed min-tree
-//!   holds a leaf per host's earliest gated release, then one per slot in
-//!   key order, each filed exactly while it may be picked; its root is the
-//!   canonical pick, so a step costs O(log slots) and no pass over hosts.
-//!   The invariant — slot leaves filed = slots `is_candidate` holds for,
-//!   whenever the scheduler lock is released — lives in one place: every
-//!   write to a slot's `vt`/`status` or to a wake generation goes through
-//!   `State` (`set`, `wake`, `wake_all`), which re-files the slots it can
-//!   have moved; a mailbox leaf is re-filed when
-//!   [`DeliveryGate::moved_heads`] names its host. The exploration
-//!   policies (they never gate) keep their definitions over the slots
-//!   `is_candidate` holds for. Debug builds check every pick against the
-//!   passes over all slots and heads the tree replaced.
+//! * **Wake-ups name a host.** There are two blocking conditions, both on
+//!   host-local state: host *h*'s server waits on *h*'s inbox, an
+//!   application thread of *h* on a rendezvous in *h*'s waiter table. So
+//!   the scheduler keeps one *wake generation per host*, bumped by whatever
+//!   touched that host's state (a gate release or an unparked delivery into
+//!   its inbox, its server finishing a handler — [`Turn::Ran`]); a blocked
+//!   slot is schedulable again once its host's generation moved past the
+//!   value recorded before its condition last failed, so per-event cost
+//!   does not grow with the host count. What names no host — a thread
+//!   finishing, an ungated delivery, a failed run cancelling every host's
+//!   waits — wakes every host (rare, and always correct).
+//! * **The candidate set is kept, not recomputed.** A fixed min-tree holds
+//!   a leaf per host's earliest gated release, then one per slot in key
+//!   order, each filed exactly while it may be picked; its root is the
+//!   canonical pick, so a step costs O(log slots). Every write to a slot's
+//!   `vt`/`status` or to a wake generation goes through `State` (`set`,
+//!   `wake`, `wake_all`), which re-files what it moved; a mailbox leaf is
+//!   re-filed when [`DeliveryGate::moved_heads`] names its host. The
+//!   exploration policies (they never gate) read the slots `is_candidate`
+//!   holds for. Debug builds check every pick against a pass over all
+//!   slots and heads.
 //! * **A parked thread is re-checked where the schedule is.** A thread
 //!   parking in [`SchedThread::block_until`] or
 //!   [`SchedThread::yield_then_block`] leaves its condition in its slot.
-//!   When the policy picks that slot — step counted, decision logged,
-//!   policy state advanced — *whichever thread is dispatching* evaluates
-//!   the condition under the scheduler lock: unmet, the slot is blocked
-//!   again and the loop picks on, no OS thread woken; met, the owner is
-//!   resumed — once per wait — and its own confirming call returns the
-//!   value. The schedule is the one in which every woken thread ran its
-//!   own re-check; only the switches are gone. **The condition contract,
-//!   and the rule for adding a third blocking condition:** it is `Send`
-//!   and so is its value; it is pure, answering `Some` or `None`; it
-//!   never calls the scheduler; it takes only leaf locks that no mutator
-//!   holds while waking a host (lock order: scheduler → condition; the
-//!   wire takes none); and every mutator of the state it reads wakes the
-//!   host owning the blocked thread — state with no owning host wakes
-//!   everyone.
-//! * **Handler atomicity.** A DSM server handles one message per
-//!   scheduling step — one [`Turn`]: the dispatch boundary *is* the yield
-//!   point, and everything inside a handler (window open/close, directory
-//!   updates, reply sends) is atomic with respect to other simulated
-//!   threads — exactly as in the real system, where a handler runs to
-//!   completion as an upcall of whichever thread found the message.
-//! * **Deadlock is a verdict, not a hang.** If no thread is runnable, no
-//!   gated packet is pending, and an application thread is still blocked,
-//!   the schedule deadlocked: the scheduler poisons itself, every blocked
-//!   thread returns [`BlockOutcome::Poisoned`], and the run terminates
-//!   with typed errors instead of hanging — a deadlocking schedule is a
-//!   *finding* for the exploration harness.
+//!   When the policy picks that slot — step counted, decision logged —
+//!   *whichever thread is dispatching* evaluates it: unmet, the slot is
+//!   blocked again and the loop picks on; met, the owner is resumed once
+//!   and its own confirming call returns the value. The schedule is the
+//!   one in which every woken thread re-checked for itself. **The
+//!   condition contract**, and the rule for a third blocking condition: it
+//!   is `Send` and so is its value (`attach` evaluates it on another OS
+//!   thread); it is pure, answering `Some` or `None`; it never calls the
+//!   scheduler; it takes no lock or borrow a mutator may hold across a
+//!   yield point (in a fiber run every fiber shares one OS thread); and
+//!   every mutator of what it reads wakes the host owning the blocked
+//!   thread — state with no owning host wakes everyone.
+//! * **Handler atomicity.** A server handles one message per step — one
+//!   [`Turn`] — so a handler is atomic with respect to other simulated
+//!   threads, as in the real system, where it runs to completion as an
+//!   upcall of whichever thread found the message.
+//! * **Deadlock is a verdict, not a hang.** If nothing is runnable or
+//!   pending and an application thread is still blocked, the scheduler
+//!   poisons itself and every blocked thread returns
+//!   [`BlockOutcome::Poisoned`]: a typed error, and a *finding* for the
+//!   exploration harness.
 
 use crate::clock::Ns;
 use crate::fiber;
 use crate::rng::SplitMix64;
 use crate::HostId;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell, RefMut};
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// How many scheduling steps a PCT priority-change schedule spreads its
@@ -227,14 +207,14 @@ pub enum SchedPolicy {
 
 /// Scheduling mode carried on a cluster configuration: names the policy
 /// — the canonical [`SchedPolicy::VirtualTime`] order by default — and
-/// owns the shared decision log the run's [`Scheduler`] records into (so
-/// callers can retrieve the schedule after the run for replay and
-/// shrinking).
+/// owns the record the run's [`Scheduler`] hands its decisions and
+/// hand-off count to (so callers can retrieve the schedule after the run
+/// for replay and shrinking).
 #[derive(Clone, Debug)]
 pub struct SchedMode {
     policy: SchedPolicy,
-    log: Arc<Mutex<Vec<u32>>>,
-    hand_offs: Arc<AtomicU64>,
+    /// The decisions and the hand-off count.
+    record: Arc<Mutex<(Vec<u32>, u64)>>,
 }
 
 impl Default for SchedMode {
@@ -273,8 +253,7 @@ impl SchedMode {
     pub fn with_policy(policy: SchedPolicy) -> Self {
         Self {
             policy,
-            log: Arc::new(Mutex::new(Vec::new())),
-            hand_offs: Arc::default(),
+            record: Arc::default(),
         }
     }
 
@@ -296,45 +275,51 @@ impl SchedMode {
     /// Empty before any run. Feed it to [`SchedMode::replay`] to reproduce
     /// the run.
     pub fn decisions(&self) -> Vec<u32> {
-        lock(&self.log).clone()
+        lock(&self.record).0.clone()
     }
 
-    /// [`Scheduler::hand_offs`] of the last run under this mode.
+    /// [`Scheduler::hand_offs`] of the last run under this mode, handed
+    /// over with its decisions.
     pub fn hand_offs(&self) -> u64 {
-        self.hand_offs.load(Ordering::Relaxed)
+        lock(&self.record).1
     }
 }
 
-/// How the wire's pending deliveries are exposed to the scheduler. The
-/// network fabric implements this over its per-host mailboxes, and a fiber
-/// run owns it ([`FiberRun::gate`]): the wire lives on the run's one OS
-/// thread, so the gate is neither `Send` nor `Sync`. Under the canonical
+/// How the wire's deliveries reach the scheduler. The network fabric
+/// implements it over its per-host mailboxes, and a fiber run owns it
+/// ([`FiberRun::gate`]), on the run's one OS thread. Under the canonical
 /// policy a cross-host send is *parked* in the destination's mailbox keyed
-/// by its release time (arrival time floored by the per-link FIFO
-/// cumulative maximum), and the dispatch loop *releases* packets in
-/// `(release, source)` order exactly when the virtual-time order reaches
-/// them; under every policy the quiet point flushes fault-held packets
-/// ([`flush_held`](Self::flush_held)). A sender that moves a mailbox's
-/// earliest packet marks the host in one mask. The methods run under the
-/// scheduler lock and must not re-enter the scheduler.
+/// by its release time (arrival floored by the link's cumulative maximum),
+/// and the dispatch loop *releases* packets in `(release, source)` order
+/// when the virtual-time order reaches them; under every policy the quiet
+/// point flushes fault-held packets. A send that moves a mailbox's
+/// earliest packet marks its host in one mask, a delivery that is not
+/// parked in another. The methods must not call the scheduler.
 pub trait DeliveryGate {
     /// The hosts (bit *h*: host *h*) whose earliest parked packet changed
     /// since the last call, which clears them.
     fn moved_heads(&self) -> u64;
 
+    /// The mask in which a delivery the gate did not park (self, external;
+    /// ungated: every bit) sets its host's bit; the run takes it and wakes
+    /// those hosts before it next reads a wake generation or picks.
+    fn woken(&self) -> Rc<Cell<u64>>;
+
     /// The release time of `host`'s earliest parked packet, if any.
     fn head(&self, host: HostId) -> Option<Ns>;
 
     /// Delivers the minimum pending packet for `host`: its receiver takes
-    /// it after everything delivered before. Must not re-enter the
-    /// scheduler (the caller wakes `host` itself).
+    /// it after everything delivered before. The caller wakes `host`.
     fn release_next(&self, host: HostId);
 
     /// Delivers every fault-held (reorder-in-flight) packet, returning
-    /// the destination host of each delivered packet. Called only when the
-    /// run is quiescent, under every policy: the one rescue of a packet
-    /// whose link went quiet behind it.
+    /// each one's destination: called when the run is quiescent, the one
+    /// rescue of a packet whose link went quiet behind it.
     fn flush_held(&self) -> Vec<HostId>;
+
+    /// Whether the run's shutdown, unscheduled, is delivering: if so,
+    /// nothing is parked.
+    fn set_external(&self, external: bool);
 }
 
 /// What a scheduled blocking wait resolved to.
@@ -392,15 +377,16 @@ struct Cond(*mut CondFn<'static>);
 unsafe impl Send for Cond {}
 
 impl Cond {
-    /// Evaluates the condition; the caller holds the scheduler lock.
+    /// Evaluates the condition; the caller holds the scheduler state.
     fn holds(&mut self) -> bool {
         // SAFETY: a `Cond` exists only in its owner's slot and between the
-        // two assignments in `park_on`, both made under the scheduler lock
-        // the caller holds. So the owner is inside `park_on` — parked, or,
-        // picked or poisoned, waiting for this lock — the closure it
-        // borrowed for that call is alive, and nobody else is using it. (An
-        // owner unwinding out of its park held the schedule, and passes it
-        // on only through `finish`, which retires the slot first.)
+        // two assignments in `park_on`, both made holding the state (the
+        // lock, or the fiber run's borrow), as the caller does now. So the
+        // owner is inside `park_on` — parked, or, picked or poisoned, not
+        // holding the state yet — the closure it borrowed for that call is
+        // alive, and nobody else is using it. (An owner unwinding out of its
+        // park held the schedule, and passes it on only through `finish`,
+        // which retires the slot first.)
         unsafe { (*self.0)() }
     }
 }
@@ -440,22 +426,22 @@ pub struct FiberRun<'a> {
     /// The application threads: each a body run on a stack of its own.
     pub fibers: Vec<(ThreadKey, FiberBody<'a>)>,
     /// The DSM servers: each a turn, run by whoever dispatches. A turn
-    /// never blocks on another simulated thread, and may call
-    /// [`Scheduler::bump_action`] / [`Scheduler::bump_action_host`] but no
-    /// [`SchedThread`] method.
+    /// never blocks and calls no scheduler method: what it delivers wakes
+    /// hosts through the gate.
     pub passive: Vec<(ThreadKey, TurnFn)>,
     /// The wire's delivery gate, if the run has a wire.
     pub gate: Option<Rc<dyn DeliveryGate>>,
 }
 
-/// What a fiber run owns beside the `Sync` scheduler state, neither of
-/// them `Send`: the turns of its passive slots and its delivery gate.
-/// [`Scheduler::run_fibers`] keeps it until its shutdown is over; the
-/// run's fibers reach it through an `Rc`.
+/// What a fiber run owns while its fibers run, none of it `Send`: the
+/// scheduler's state, the turns of its passive slots and its gate.
 struct Local {
+    state: RefCell<State>,
     /// Each slot's turn: `None` on a fiber slot and while the turn runs.
     turns: Box<[Cell<Option<TurnFn>>]>,
     gate: Option<Rc<dyn DeliveryGate>>,
+    /// The gate's [`DeliveryGate::woken`] mask.
+    woken: Rc<Cell<u64>>,
 }
 
 enum PolicyState {
@@ -515,37 +501,42 @@ impl Picks {
 }
 
 /// The scheduler's mutable state: the slots of every simulated thread and
-/// the one-running-thread-at-a-time discipline, all under one mutex.
+/// the one-running-thread-at-a-time discipline (see the module docs for
+/// where it lives).
 struct State {
     slots: Vec<Slot>,
     /// Each host's earliest gated release, then each slot [`is_candidate`]
-    /// holds for. The slot leaves are exact whenever the scheduler lock is
-    /// free: `set`, `wake` and `wake_all` are the only writers of a slot's
-    /// `vt`/`status` and of `wakes`. A mailbox leaf is current only after
-    /// [`State::first`] has re-filed the hosts the gate's
-    /// [`DeliveryGate::moved_heads`] names, since senders park outside
-    /// the lock.
+    /// holds for: exact for the slots (`set`, `wake` and `wake_all` write
+    /// what it reads), and for the mailboxes once [`State::first`] took the
+    /// gate's wakes and moved heads.
     picks: Picks,
     /// The slot of each slot leaf, in key order.
     by_leaf: Box<[usize]>,
     /// The slots of each host, indexed like `wakes`.
     host_slots: Vec<Vec<usize>>,
-    /// The one slot currently allowed to run, if any. With the lock free,
-    /// `None` in a started run means the run is quiescent.
+    /// The one slot currently allowed to run, if any. Between scheduling
+    /// calls, `None` in a started run means the run is quiescent.
     running: Option<usize>,
     /// The thread slot picked last: a different one is a hand-off.
     last_thread: Option<usize>,
     /// Wake generation per host (see module docs).
     wakes: Vec<u64>,
+    /// Whether cross-host deliveries are gated (virtual-time policy).
+    gating: bool,
     /// Whether every slot has attached; nothing is dispatched before.
     started: bool,
+    /// Set when the run deadlocked or a turn panicked.
+    poisoned: bool,
+    /// The first panicked turn's payload ([`Scheduler::take_turn_panic`]).
+    turn_panic: Option<Box<dyn std::any::Any + Send>>,
     /// A wake of every host ([`SchedThread::action_all`]) that is applied
     /// once more when the run next goes quiescent, before any verdict.
     wake_all_pending: bool,
     steps: u64,
-    /// The decisions since the log was last handed to the mode (see
-    /// [`State::flush_log`]).
+    hand_offs: u64,
+    /// The decisions not yet handed to the mode's `record` ([`State::flush_log`]).
     log: Vec<u32>,
+    record: Arc<Mutex<(Vec<u32>, u64)>>,
     policy: PolicyState,
 }
 
@@ -595,17 +586,38 @@ impl State {
         (0..self.slots.len()).for_each(|i| self.file(i));
     }
 
-    /// Re-files the mailbox leaves of the hosts `gate` names as moved, and
-    /// returns the canonical pick's leaf. Debug builds check it against the
-    /// passes over every mailbox head and every slot the tree replaced.
-    fn first(&mut self, gate: Option<&dyn DeliveryGate>) -> Option<usize> {
-        let mut moved = gate.map_or(0, |g| g.moved_heads());
-        while moved != 0 {
-            let h = moved.trailing_zeros() as usize;
-            moved &= moved - 1;
-            assert!(h < self.wakes.len(), "host {h} has no slot");
-            let head = gate.and_then(|g| g.head(HostId(h as u16)));
-            self.picks.set(h, head, format_args!("h{h}'s mailbox"));
+    /// Applies the wakes the gate's unparked deliveries marked. A wake only
+    /// counts, so applying it late changes nothing as long as no wake
+    /// generation was read and no pick taken in between.
+    #[inline]
+    fn take_wakes(&mut self, local: Option<&Local>) {
+        match local.map_or(0, |l| l.woken.take()) {
+            0 => {}
+            u64::MAX => self.wake_all(),
+            woken => hosts_in(woken).for_each(|h| self.wake(h)),
+        }
+    }
+
+    /// `host`'s wake generation, once the gate's wakes are in.
+    fn generation(&mut self, host: HostId, local: Option<&Local>) -> u64 {
+        self.take_wakes(local);
+        self.wakes[host.index()]
+    }
+
+    /// Applies the gate's wakes, re-files the mailbox leaves of the hosts
+    /// it names as moved, and returns the canonical pick's leaf. Debug
+    /// builds check it against the passes over every mailbox head and
+    /// every slot the tree replaced.
+    fn first(&mut self, local: Option<&Local>) -> Option<usize> {
+        self.take_wakes(local);
+        let gate = local
+            .and_then(|l| l.gate.as_deref())
+            .filter(|_| self.gating);
+        for h in hosts_in(gate.map_or(0, |g| g.moved_heads())) {
+            assert!(h.index() < self.wakes.len(), "host {h} has no slot");
+            let head = gate.and_then(|g| g.head(h));
+            self.picks
+                .set(h.index(), head, format_args!("{h}'s mailbox"));
         }
         let first = self.picks.first();
         debug_assert_eq!(first, self.scan(gate), "the pick index drifted");
@@ -622,47 +634,43 @@ impl State {
         pick.map(|(_, leaf)| leaf.unwrap_or_else(|(_, leaf)| leaf))
     }
 
-    /// Hands the decisions taken since the last call to the mode's log
-    /// `to`: moved in whole while that log is empty, appended to it after
-    /// that — one buffer either way, never a copy of the whole run.
-    fn flush_log(&mut self, to: &Mutex<Vec<u32>>) {
+    /// Hands the decisions taken since the last call to the mode's record,
+    /// with the hand-off count: moved in whole while the record's log is
+    /// empty, appended to it after that — never a copy of the whole run.
+    fn flush_log(&mut self) {
         if self.log.is_empty() {
             return;
         }
-        let mut log = lock(to);
-        if log.is_empty() {
-            std::mem::swap(&mut *log, &mut self.log);
+        let (decisions, hand_offs) = &mut *lock(&self.record);
+        *hand_offs = self.hand_offs;
+        if decisions.is_empty() {
+            std::mem::swap(decisions, &mut self.log);
         } else {
-            log.append(&mut self.log);
+            decisions.append(&mut self.log);
         }
     }
 }
 
+impl Drop for State {
+    /// A run torn down without a last verdict (a panicking turn poisons
+    /// it) still leaves its whole decision log with the mode.
+    fn drop(&mut self) {
+        self.flush_log();
+    }
+}
+
 struct Inner {
-    state: Mutex<State>,
+    /// The state; `None` while a fiber run holds it.
+    state: Mutex<Option<State>>,
     /// One condvar per slot: a dispatch notifies exactly the picked
     /// thread, never every parked one.
     cvs: Vec<Condvar>,
-    /// Signalled when the run goes idle or poisons; what [`quiesce`]
-    /// waits on.
+    /// Signalled when the run goes idle or poisons; what
+    /// [`Scheduler::quiesce_then`] waits on.
     main_cv: Condvar,
-    poisoned: AtomicBool,
-    /// Payload of the first passive turn that panicked (the run is
-    /// poisoned with it); [`Scheduler::take_turn_panic`] hands it out.
-    turn_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// Set while an unscheduled external actor (a fiber run's shutdown,
-    /// delivering the servers' stop messages) runs inside a quiescent run;
-    /// suppresses dispatches from its action bumps and bypasses the
-    /// delivery gate.
-    external: AtomicBool,
-    /// Whether cross-host deliveries are gated (virtual-time policy).
-    gating: bool,
-    /// The mode's decision log, which the scheduler's own log is handed
-    /// to at every quiescence verdict and on drop.
-    log: Arc<Mutex<Vec<u32>>>,
-    /// See [`Scheduler::hand_offs`]; shared with the mode like the log.
-    hand_offs: Arc<AtomicU64>,
 }
+
+const LENT: &str = "the scheduler's state is with its fiber run";
 
 /// The run-wide deterministic scheduler handle. Cloning shares the
 /// scheduler.
@@ -686,8 +694,7 @@ impl Scheduler {
         assert!(!keys.is_empty(), "a scheduler with no threads");
         let hosts = keys.iter().map(|k| k.host.index() + 1).max().unwrap_or(1);
         // Freed, not cleared: the scheduler's log is swapped in whole.
-        *lock(&mode.log) = Vec::new();
-        mode.hand_offs.store(0, Ordering::Relaxed);
+        *lock(&mode.record) = Default::default();
         let policy = match &mode.policy {
             SchedPolicy::VirtualTime => PolicyState::VirtualTime,
             SchedPolicy::Random { seed } => PolicyState::Random {
@@ -739,7 +746,7 @@ impl Scheduler {
         }
         Self {
             inner: Arc::new(Inner {
-                state: Mutex::new(State {
+                state: Mutex::new(Some(State {
                     slots,
                     picks,
                     by_leaf,
@@ -747,36 +754,33 @@ impl Scheduler {
                     running: None,
                     last_thread: None,
                     wakes: vec![0; hosts],
+                    gating: matches!(mode.policy, SchedPolicy::VirtualTime),
                     started: false,
+                    poisoned: false,
+                    turn_panic: None,
                     wake_all_pending: false,
                     steps: 0,
+                    hand_offs: 0,
                     log: Vec::new(),
+                    record: Arc::clone(&mode.record),
                     policy,
-                }),
+                })),
                 cvs,
                 main_cv: Condvar::new(),
-                poisoned: AtomicBool::new(false),
-                turn_panic: Mutex::new(None),
-                external: AtomicBool::new(false),
-                gating: matches!(mode.policy, SchedPolicy::VirtualTime),
-                log: Arc::clone(&mode.log),
-                hand_offs: Arc::clone(&mode.hand_offs),
             }),
         }
+    }
+
+    /// Runs `f` on the state, which a fiber run must not hold.
+    fn with<R>(&self, f: impl FnOnce(&mut State) -> R) -> R {
+        f(lock(&self.inner.state).as_mut().expect(LENT))
     }
 
     /// Whether cross-host deliveries must be gated: the canonical
     /// virtual-time policy. The network fabric keys its delivery path off
     /// this.
     pub fn gating(&self) -> bool {
-        self.inner.gating
-    }
-
-    /// Whether an external (unscheduled) actor currently runs inside a
-    /// quiescent run; the fabric then delivers directly instead of
-    /// enqueueing into the gate.
-    pub fn external_active(&self) -> bool {
-        self.inner.external.load(Ordering::Acquire)
+        self.with(|ps| ps.gating)
     }
 
     /// Registers the calling OS thread as the simulated thread `key` and
@@ -789,19 +793,21 @@ impl Scheduler {
     /// Panics if `key` names no slot or was already attached, or if the
     /// scheduler runs fibers.
     pub fn attach(&self, key: ThreadKey) -> SchedThread {
-        let inner = &self.inner;
-        let mut ps = lock(&inner.state);
-        let id = claim(&mut ps, key);
+        let inner = &*self.inner;
+        let mut guard = lock(&inner.state);
+        let ps = guard.as_mut().expect(LENT);
+        let id = claim(ps, key);
         let fibers = ps.slots.iter().any(|s| s.fiber.is_some());
         assert!(!fibers, "thread {key}: this scheduler runs fibers");
         ps.started = ps.slots.iter().all(|s| s.attached);
         if ps.started {
-            drive(inner, ps, Verdict::Quiet, Some(id), None);
-            ps = lock(&inner.state);
+            let next = drive(ps, Verdict::Quiet, None);
+            hand_on(inner, guard, next, Some(id));
+            guard = lock(&inner.state);
         }
-        drop(park_until_running(inner, ps, id));
+        drop(park_until_running(inner, guard, id));
         SchedThread {
-            inner: Arc::clone(inner),
+            inner: Arc::clone(&self.inner),
             id,
             fiber: None,
             finished: false,
@@ -816,45 +822,42 @@ impl Scheduler {
     /// thread (see the module docs), and a fiber that finishes gives up the
     /// schedule only after its body has returned, everything it owned
     /// dropped. A panic that escapes a body is caught on its fiber — the
-    /// slot finishes, as an OS thread unwinding out of it would — and
-    /// re-raised here at the end: it never unwinds through a switch. Once
-    /// the run is quiescent, `shutdown` runs as an external actor, as in
-    /// [`quiesce_then`](Self::quiesce_then), with the turns and the gate
-    /// still here. The run starts here, and the bodies' borrows need only
-    /// outlive this call.
+    /// slot finishes — and re-raised here at the end: it never unwinds
+    /// through a switch. Once the run is quiescent, `shutdown` runs as an
+    /// external actor, as in [`quiesce_then`](Self::quiesce_then), with the
+    /// state back in the scheduler and the gate parking nothing.
     ///
     /// # Panics
     ///
     /// Panics if a key names no slot or an attached one, if a fiber is a
-    /// server, if an OS thread is attached or a slot is left out, and with
-    /// the first payload a body panicked with.
+    /// server, if a slot is left out or a fiber's handle outlives its body,
+    /// and with the first payload a body panicked with.
     pub fn run_fibers(&self, run: FiberRun<'_>, shutdown: impl FnOnce()) {
         let inner = &*self.inner;
-        let (ids, turns) = {
-            let mut ps = lock(&inner.state);
-            let turns: Box<[_]> = ps.slots.iter().map(|_| Cell::new(None)).collect();
-            for (key, turn) in run.passive {
+        let mut ps = lock(&inner.state).take().expect(LENT);
+        let turns: Box<[_]> = ps.slots.iter().map(|_| Cell::new(None)).collect();
+        for (key, turn) in run.passive {
+            let id = claim(&mut ps, key);
+            ps.slots[id].passive = Some(true);
+            turns[id].set(Some(turn));
+        }
+        let ids: Vec<usize> = (run.fibers.iter().enumerate())
+            .map(|(f, &(key, _))| {
+                assert_eq!(key.class, ThreadClass::App, "fiber {key} is a server");
                 let id = claim(&mut ps, key);
-                ps.slots[id].passive = Some(true);
-                turns[id].set(Some(turn));
-            }
-            let ids: Vec<usize> = (run.fibers.iter().enumerate())
-                .map(|(f, &(key, _))| {
-                    assert_eq!(key.class, ThreadClass::App, "fiber {key} is a server");
-                    let id = claim(&mut ps, key);
-                    ps.slots[id].fiber = Some(f);
-                    id
-                })
-                .collect();
-            assert!(
-                (ps.slots.iter()).all(|s| s.attached && (s.passive.is_some() || s.fiber.is_some())),
-                "a fiber run takes every slot, as a fiber or a passive slot"
-            );
-            ps.started = true;
-            (ids, turns)
-        };
+                ps.slots[id].fiber = Some(f);
+                id
+            })
+            .collect();
+        assert!(
+            (ps.slots.iter()).all(|s| s.attached && (s.passive.is_some() || s.fiber.is_some())),
+            "a fiber run takes every slot, as a fiber or a passive slot"
+        );
+        ps.started = true;
         let local = Rc::new(Local {
+            state: RefCell::new(ps),
             turns,
+            woken: run.gate.as_ref().map_or_else(Rc::default, |g| g.woken()),
             gate: run.gate,
         });
         let escaped = Cell::new(None);
@@ -873,24 +876,34 @@ impl Scheduler {
                         let first = escaped.take().unwrap_or(payload);
                         escaped.set(Some(first));
                     }
-                    exit_fiber(inner, id, local)
+                    exit_fiber(id, local)
                 }) as fiber::Body<'_>
             })
             .collect();
         let mut started = false;
         fiber::run(fibers, || {
-            let ps = lock(&inner.state);
+            let mut ps = local.state.borrow_mut();
             if !std::mem::replace(&mut started, true) {
-                return drive(inner, ps, Verdict::Quiet, None, Some(&local));
+                let next = drive(&mut ps, Verdict::Quiet, Some(&local));
+                return next.and_then(|pick| ps.slots[pick].fiber);
             }
             // Back on this thread's own stack: the run went idle with every
             // fiber exited, or was poisoned, and then every fiber not yet
             // done resumes in turn, returns `Poisoned` and unwinds to exit.
-            let poisoned = inner.poisoned.load(Ordering::Acquire);
-            let live = |s: &Slot| (s.status != Status::Done).then_some(s.fiber).flatten();
-            poisoned.then(|| ps.slots.iter().find_map(live)).flatten()
+            let live = |s: &Slot| s.fiber.filter(|_| ps.poisoned && s.status != Status::Done);
+            ps.slots.iter().find_map(live)
         });
-        quiesce(inner, Some(&local), shutdown);
+        let local = Rc::into_inner(local).expect("a fiber's handle outlived its run");
+        *lock(&inner.state) = Some(local.state.into_inner());
+        let gate = local.gate.as_deref();
+        gate.inspect(|g| g.set_external(true));
+        shutdown();
+        gate.inspect(|g| g.set_external(false));
+        let state = RefCell::new(lock(&inner.state).take().expect(LENT));
+        let local = Local { state, ..local };
+        let resumed = drive(&mut local.state.borrow_mut(), Verdict::Quiet, Some(&local));
+        assert_eq!(resumed, None, "a fiber picked outside its run");
+        *lock(&inner.state) = Some(local.state.into_inner());
         if let Some(payload) = escaped.into_inner() {
             std::panic::resume_unwind(payload);
         }
@@ -901,52 +914,43 @@ impl Scheduler {
     /// slot and poisoned the run; the owner of the run re-raises it after
     /// teardown.
     pub fn take_turn_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        lock(&self.inner.turn_panic).take()
+        self.with(|ps| ps.turn_panic.take())
     }
 
-    /// Wakes every host from *any* thread (registered or not) and, when
-    /// the run is quiescent, re-examines it on the calling thread: called
-    /// on deliveries in ungated (exploration-policy) mode and by external
-    /// actors that made progress possible. (A fiber run is quiescent only
-    /// after its fibers, where its shutdown re-examines it instead.) A
-    /// scheduled thread has [`SchedThread::action`] for its own host.
+    /// Wakes every host of a run of attached OS threads, from any thread,
+    /// and dispatches nothing ([`quiesce_then`](Self::quiesce_then) does).
+    /// A fiber run is woken through its gate or [`SchedThread::action`].
     pub fn bump_action(&self) {
-        let inner = &self.inner;
-        let mut ps = lock(&inner.state);
-        ps.wake_all();
-        if ps.started && ps.running.is_none() && !inner.external.load(Ordering::Acquire) {
-            quiet_drive(inner, ps, None);
-        }
-    }
-
-    /// Wakes `host` only: a delivery or handler effect whose observers
-    /// all live on that host. It never needs to re-dispatch, because the
-    /// caller is the running scheduled thread (or an external actor inside
-    /// a quiescent run, which is re-examined when the actor returns).
-    pub fn bump_action_host(&self, host: HostId) {
-        lock(&self.inner.state).wake(host);
+        self.with(State::wake_all);
     }
 
     /// Waits until a run of attached OS threads is quiescent (every thread
     /// done or blocked with nothing runnable and nothing in flight), then
-    /// runs `f` with dispatching suppressed, then re-examines whatever
-    /// `f`'s actions made runnable: how an unscheduled thread injects
-    /// messages without racing the scheduled world. A fiber run does the
-    /// same with its `shutdown` ([`run_fibers`](Self::run_fibers)).
+    /// runs `f`, then re-examines whatever `f`'s actions made runnable: how
+    /// an unscheduled thread injects messages without racing the scheduled
+    /// world. A fiber run does the same with its `shutdown`
+    /// ([`run_fibers`](Self::run_fibers)).
     pub fn quiesce_then(&self, f: impl FnOnce()) {
-        quiesce(&self.inner, None, f);
+        let inner = &*self.inner;
+        drop(wait_until(&inner.main_cv, lock(&inner.state), |ps| {
+            ps.poisoned || (ps.started && ps.running.is_none())
+        }));
+        f();
+        let mut guard = lock(&inner.state);
+        let next = drive(guard.as_mut().expect(LENT), Verdict::Quiet, None);
+        hand_on(inner, guard, next, None);
     }
 
-    /// Number of scheduling decisions taken so far.
+    /// Number of scheduling decisions taken so far (while a fiber run holds
+    /// the state, its fibers have [`SchedThread::steps`]).
     pub fn steps(&self) -> u64 {
-        lock(&self.inner.state).steps
+        self.with(|ps| ps.steps)
     }
 
-    /// Number of picks so far that passed the schedule to another thread
-    /// than the one picked last: the OS switches the schedule costs.
-    /// Passive picks, self-picks and unmet conditions cost none.
+    /// Picks so far that passed the schedule to another thread than the
+    /// last one ([`SchedMode::hand_offs`] too).
     pub fn hand_offs(&self) -> u64 {
-        self.inner.hand_offs.load(Ordering::Relaxed)
+        self.with(|ps| ps.hand_offs)
     }
 }
 
@@ -956,19 +960,53 @@ impl Scheduler {
 pub struct SchedThread {
     inner: Arc<Inner>,
     id: usize,
-    /// A fiber slot's fiber index and its run's turns and gate.
+    /// A fiber slot's fiber index and its run's state, turns and gate.
     fiber: Option<(usize, Rc<Local>)>,
     finished: bool,
 }
 
+/// The scheduler's state as a slot's thread holds it: a run of attached
+/// OS threads locks it, a fiber borrows it from its run.
+enum Held<'a> {
+    Locked(MutexGuard<'a, Option<State>>),
+    Lent(RefMut<'a, State>),
+}
+
+impl Deref for Held<'_> {
+    type Target = State;
+
+    fn deref(&self) -> &State {
+        match self {
+            Held::Locked(g) => g.as_ref().expect(LENT),
+            Held::Lent(ps) => ps,
+        }
+    }
+}
+
+impl DerefMut for Held<'_> {
+    fn deref_mut(&mut self) -> &mut State {
+        match self {
+            Held::Locked(g) => g.as_mut().expect(LENT),
+            Held::Lent(ps) => ps,
+        }
+    }
+}
+
 impl SchedThread {
+    /// The state, as this slot's kind of run holds it.
+    fn state(&self) -> Held<'_> {
+        match &self.fiber {
+            Some((_, local)) => Held::Lent(local.state.borrow_mut()),
+            None => Held::Locked(lock(&self.inner.state)),
+        }
+    }
+
     /// A cooperative yield point: records the thread's current virtual
     /// time, lets the policy pick the next thread (possibly this one
     /// again), and returns when this thread is picked again.
     pub fn yield_now(&self, vt: Ns) {
-        let inner = &self.inner;
-        let mut ps = lock(&inner.state);
-        if inner.poisoned.load(Ordering::Acquire) {
+        let mut ps = self.state();
+        if ps.poisoned {
             return;
         }
         debug_assert_eq!(ps.running, Some(self.id), "yield from a paused thread");
@@ -976,11 +1014,16 @@ impl SchedThread {
         drop(self.hand_off(ps));
     }
 
+    /// [`Scheduler::steps`], which a fiber's run holds while it runs.
+    pub fn steps(&self) -> u64 {
+        self.state().steps
+    }
+
     /// Wakes the caller's own host: it just did something that may have
     /// unblocked a peer there (fulfilled a waiter, mutated protocol
     /// state) outside the network-delivery hook.
     pub fn action(&self) {
-        let mut ps = lock(&self.inner.state);
+        let mut ps = self.state();
         let host = ps.slots[self.id].key.host;
         ps.wake(host);
     }
@@ -991,7 +1034,7 @@ impl SchedThread {
     /// once more when the run next goes quiescent, before it can be ruled
     /// idle or deadlocked.
     pub fn action_all(&self) {
-        let mut ps = lock(&self.inner.state);
+        let mut ps = self.state();
         ps.wake_all();
         ps.wake_all_pending = true;
     }
@@ -1000,25 +1043,25 @@ impl SchedThread {
     /// while the condition is unmet. `vt` is the block-entry virtual time
     /// used for the policy's tie-break while parked. The caller checks once
     /// itself and never parks on a condition already met; after that
-    /// `check` runs under the scheduler lock *on whichever thread
-    /// dispatches* when the parked slot is picked, so it must keep the
-    /// module docs' condition contract: pure, no scheduler calls, leaf
-    /// locks only.
+    /// `check` runs *on whichever thread dispatches* when the parked slot
+    /// is picked, while that thread holds the scheduler state, so it must
+    /// keep the module docs' condition contract: pure, no scheduler calls,
+    /// no lock or borrow a mutator may hold.
     pub fn block_until<T: Send>(
         &self,
         vt: Ns,
         mut check: impl FnMut() -> Option<T> + Send,
     ) -> BlockOutcome<T> {
-        let inner = &self.inner;
         // Snapshot the host's wake generation *before* checking: a wake
         // landing between a failed check and the park leaves `seen`
         // stale, so the slot stays schedulable — no lost wake-up.
         let seen = {
-            let ps = lock(&inner.state);
-            if inner.poisoned.load(Ordering::Acquire) {
+            let mut ps = self.state();
+            if ps.poisoned {
                 return BlockOutcome::Poisoned;
             }
-            ps.wakes[ps.slots[self.id].key.host.index()]
+            let host = ps.slots[self.id].key.host;
+            ps.generation(host, self.fiber.as_ref().map(|f| &*f.1))
         };
         match check() {
             Some(v) => BlockOutcome::Ready(v),
@@ -1054,12 +1097,11 @@ impl SchedThread {
 
     /// Gives up the schedule at `vt` in `status` with `check` published as
     /// the slot's condition, and parks until a dispatcher found it met
-    /// (`true`) or the run is poisoned. Publishes and withdraws under the
-    /// scheduler lock.
+    /// (`true`) or the run is poisoned. Publishes and withdraws while
+    /// holding the scheduler state.
     fn park_on(&self, vt: Ns, status: Status, check: &mut CondFn<'_>) -> bool {
-        let inner = &self.inner;
-        let mut ps = lock(&inner.state);
-        if inner.poisoned.load(Ordering::Acquire) {
+        let mut ps = self.state();
+        if ps.poisoned {
             return false;
         }
         let check: *mut CondFn<'_> = check;
@@ -1071,23 +1113,31 @@ impl SchedThread {
         let mut ps = self.hand_off(ps);
         ps.set_status(self.id, Status::Runnable);
         ps.slots[self.id].cond = None;
-        !inner.poisoned.load(Ordering::Acquire)
+        !ps.poisoned
     }
 
     /// Gives up the schedule and waits until this slot is picked again
     /// (or the run is poisoned): a fiber switches to the fiber picked, an
     /// OS thread notifies the pick and parks on its condvar.
-    fn hand_off<'a>(&'a self, ps: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
-        let inner = &*self.inner;
-        let next = relinquish(inner, self.id, ps, self.fiber.as_ref().map(|(_, l)| &**l));
-        match self.fiber {
-            Some((me, _)) => {
-                if next.is_some_and(|f| f != me) {
+    fn hand_off<'a>(&'a self, mut ps: Held<'a>) -> Held<'a> {
+        let next = relinquish(&mut ps, self.fiber.as_ref().map(|f| &*f.1));
+        match ps {
+            Held::Lent(ps) => {
+                let next = next.and_then(|pick| ps.slots[pick].fiber);
+                drop(ps);
+                if next.is_some() && next != self.fiber.as_ref().map(|f| f.0) {
                     fiber::switch(next);
                 }
-                lock(&inner.state)
+                self.state()
             }
-            None => park_until_running(inner, lock(&inner.state), self.id),
+            Held::Locked(guard) => {
+                hand_on(&self.inner, guard, next, Some(self.id));
+                Held::Locked(park_until_running(
+                    &self.inner,
+                    lock(&self.inner.state),
+                    self.id,
+                ))
+            }
         }
     }
 
@@ -1098,13 +1148,13 @@ impl SchedThread {
         if std::mem::replace(&mut self.finished, true) {
             return;
         }
-        let inner = &self.inner;
-        let mut ps = lock(&inner.state);
+        let mut ps = self.state();
         ps.finish(self.id);
-        if inner.poisoned.load(Ordering::Acquire) || self.fiber.is_some() {
-            return;
+        let poisoned = ps.poisoned;
+        if let (Held::Locked(mut guard), false) = (ps, poisoned) {
+            let next = relinquish(guard.as_mut().expect(LENT), None);
+            hand_on(&self.inner, guard, next, Some(self.id));
         }
-        relinquish(inner, self.id, ps, None);
     }
 }
 
@@ -1118,21 +1168,48 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(g).unwrap_or_else(|e| e.into_inner())
+/// Waits on `cv` until the scheduler state is `ready`.
+fn wait_until<'a>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, Option<State>>,
+    ready: impl Fn(&State) -> bool,
+) -> MutexGuard<'a, Option<State>> {
+    let waiting = |ps: &mut Option<State>| !ready(ps.as_ref().expect(LENT));
+    cv.wait_while(guard, waiting)
+        .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Parks thread slot `id` until the policy picks it (or the run is
+/// Parks OS thread slot `id` until the policy picks it (or the run is
 /// poisoned).
 fn park_until_running<'a>(
     inner: &'a Inner,
-    mut ps: MutexGuard<'a, State>,
+    guard: MutexGuard<'a, Option<State>>,
     id: usize,
-) -> MutexGuard<'a, State> {
-    while !(inner.poisoned.load(Ordering::Acquire) || ps.running == Some(id)) {
-        ps = wait(&inner.cvs[id], ps);
+) -> MutexGuard<'a, Option<State>> {
+    wait_until(&inner.cvs[id], guard, |ps| {
+        ps.poisoned || ps.running == Some(id)
+    })
+}
+
+/// Passes the schedule of a run of attached OS threads on once [`drive`]
+/// returned `next`: with the lock released, notifies the thread picked
+/// (unless it is `me`), or, when the run went quiet, whoever waits for the
+/// verdict (every parked thread, if it poisoned the run).
+fn hand_on(
+    inner: &Inner,
+    guard: MutexGuard<'_, Option<State>>,
+    next: Option<usize>,
+    me: Option<usize>,
+) {
+    let poisoned = guard.as_ref().expect(LENT).poisoned;
+    drop(guard);
+    let every = inner.cvs.iter().chain([&inner.main_cv]);
+    match next {
+        Some(pick) if me != Some(pick) => inner.cvs[pick].notify_one(),
+        Some(_) => {}
+        None if poisoned => every.for_each(Condvar::notify_all),
+        None => inner.main_cv.notify_all(),
     }
-    ps
 }
 
 /// Marks slot `key` attached and returns its index.
@@ -1143,6 +1220,15 @@ fn claim(ps: &mut State, key: ThreadKey) -> usize {
     assert!(!ps.slots[id].attached, "thread {key} attached twice");
     ps.slots[id].attached = true;
     id
+}
+
+/// The hosts `mask` names (bit *h*: host *h*), lowest first.
+fn hosts_in(mut mask: u64) -> impl Iterator<Item = HostId> {
+    std::iter::from_fn(move || {
+        let h = (mask != 0).then(|| HostId(mask.trailing_zeros() as u16));
+        mask &= mask.wrapping_sub(1);
+        h
+    })
 }
 
 /// Whether slot `s` may be scheduled right now, given the per-host wake
@@ -1156,12 +1242,10 @@ fn is_candidate(s: &Slot, wakes: &[u64]) -> bool {
 }
 
 enum Verdict {
-    /// Thread slot `.0` was picked and installed as `running`; the caller
-    /// must switch to its fiber or notify its condvar (unless it is the
-    /// caller itself).
+    /// Thread slot `.0` was picked and installed as `running`: see [`drive`].
     Thread(usize),
     /// Passive slot `.0` was picked and installed as `running`; the caller
-    /// must run its turn (with no scheduler lock held) and dispatch again.
+    /// runs its turn and dispatches again.
     Passive(usize),
     /// Nothing is runnable and no gated packet is pending: the caller must
     /// [`settle`] the run.
@@ -1169,18 +1253,14 @@ enum Verdict {
 }
 
 /// Picks and installs the next slot to run, releasing any gated
-/// deliveries the canonical virtual-time order reaches first. Call with
-/// the scheduler lock held; the caller acts on the verdict.
-fn dispatch_in(inner: &Inner, ps: &mut State, local: Option<&Local>) -> Verdict {
+/// deliveries the canonical virtual-time order reaches first.
+fn dispatch_in(ps: &mut State, local: Option<&Local>) -> Verdict {
     ps.running = None;
-    if inner.poisoned.load(Ordering::Acquire) {
+    if ps.poisoned {
         return Verdict::Quiet;
     }
-    let gate = local
-        .and_then(|l| l.gate.as_deref())
-        .filter(|_| inner.gating);
     loop {
-        let Some(leaf) = ps.first(gate) else {
+        let Some(leaf) = ps.first(local) else {
             return Verdict::Quiet;
         };
         let Some(rank) = leaf.checked_sub(ps.wakes.len()) else {
@@ -1188,6 +1268,7 @@ fn dispatch_in(inner: &Inner, ps: &mut State, local: Option<&Local>) -> Verdict 
             // its receiver): release it into host `h`'s inbox and wake `h`
             // (its server is the only possible receiver).
             let h = HostId(leaf as u16);
+            let gate = local.and_then(|l| l.gate.as_deref());
             gate.expect("a mailbox leaf is filed from the gate")
                 .release_next(h);
             ps.wake(h);
@@ -1237,9 +1318,9 @@ fn dispatch_in(inner: &Inner, ps: &mut State, local: Option<&Local>) -> Verdict 
         ps.log.push(pick as u32);
         // A parked thread's condition is re-checked right here: unmet, the
         // slot is blocked again — on the generation its own thread would
-        // have recorded, no wake can land under this lock — and we pick on.
+        // have recorded — and we pick on.
         if ps.slots[pick].cond.as_mut().is_some_and(|c| !c.holds()) {
-            let seen = ps.wakes[ps.slots[pick].key.host.index()];
+            let seen = ps.generation(ps.slots[pick].key.host, local);
             ps.set_status(pick, Status::Blocked { seen });
             continue;
         }
@@ -1248,37 +1329,27 @@ fn dispatch_in(inner: &Inner, ps: &mut State, local: Option<&Local>) -> Verdict 
             return Verdict::Passive(pick);
         }
         if ps.last_thread.replace(pick) != Some(pick) {
-            inner.hand_offs.fetch_add(1, Ordering::Relaxed);
+            ps.hand_offs += 1;
         }
         return Verdict::Thread(pick);
     }
 }
 
 /// Runs the turn of passive slot `i`, which [`dispatch_in`] just installed
-/// as `running`, on the calling thread, and applies its outcome to the slot
-/// — what the server thread it stands for did through `block_until`,
-/// `action` + `yield_now`, or `finish`. The scheduler lock is released
-/// around the turn: handlers deliver messages, and deliveries wake hosts
-/// under that lock.
-fn run_turn<'a>(
-    inner: &'a Inner,
-    mut ps: MutexGuard<'a, State>,
-    i: usize,
-    local: Option<&Local>,
-) -> MutexGuard<'a, State> {
+/// as `running`, and applies its outcome to the slot — what the server
+/// thread it stands for did through `block_until`, `action` + `yield_now`,
+/// or `finish`. The turn reaches the state only through the gate.
+fn run_turn(ps: &mut State, i: usize, local: &Local) {
     let host = ps.slots[i].key.host;
     // Snapshot before the turn looks at its inbox, as `block_until` does:
     // a wake landing in between leaves `seen` stale and the slot
     // schedulable.
-    let seen = ps.wakes[host.index()];
+    let seen = ps.generation(host, Some(local));
     if std::mem::take(ps.slots[i].passive.as_mut().expect("a passive pick")) {
-        return ps;
+        return;
     }
-    let turns = &local.expect("a passive slot picked outside its run").turns;
-    let mut turn = turns[i].take().expect("one turn of a slot at a time");
-    drop(ps);
+    let mut turn = local.turns[i].take().expect("one turn of a slot at a time");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(&mut turn));
-    let mut ps = lock(&inner.state);
     let (status, vt) = match outcome {
         Ok(Turn::Ran { vt }) => {
             ps.wake(host);
@@ -1296,127 +1367,75 @@ fn run_turn<'a>(
             // payload for the run's owner, and poison so every parked
             // thread unwinds.
             ps.set_status(i, Status::Done);
-            lock(&inner.turn_panic).get_or_insert(payload);
-            poison(inner, &ps);
-            return ps;
+            ps.turn_panic.get_or_insert(payload);
+            ps.poisoned = true;
+            return;
         }
     };
     ps.set(i, vt, status);
     if status != Status::Done {
-        turns[i].set(Some(turn));
+        local.turns[i].set(Some(turn));
     }
-    ps
 }
 
-/// Thread slot `me` gives up the schedule: picks what runs next and, as
-/// long as that is a passive slot, runs it right here. Returns once the
-/// schedule rests with a thread (possibly `me`, which then falls through
-/// its park) or the run went quiet; see [`drive`] for what it returns.
-fn relinquish<'a>(
-    inner: &'a Inner,
-    me: usize,
-    mut ps: MutexGuard<'a, State>,
-    local: Option<&Local>,
-) -> Option<usize> {
-    let verdict = dispatch_in(inner, &mut ps, local);
-    drive(inner, ps, verdict, Some(me), local)
+/// The calling thread slot gives up the schedule: picks what runs next
+/// and, as long as that is a passive slot, runs it right here. Returns
+/// once the schedule rests with a thread (possibly the caller, which then
+/// falls through its park) or the run went quiet; see [`drive`].
+fn relinquish(ps: &mut State, local: Option<&Local>) -> Option<usize> {
+    let verdict = dispatch_in(ps, local);
+    drive(ps, verdict, local)
 }
 
-/// The last scheduling act of fiber slot `id`, after its body returned
-/// and dropped everything it owned: finishes the slot if the body did not,
-/// and gives up the schedule for good. Returns the fiber to switch to, or
-/// `None` for the caller of [`Scheduler::run_fibers`] (the run is over or
-/// poisoned).
-fn exit_fiber(inner: &Inner, id: usize, local: &Local) -> Option<usize> {
-    let mut ps = lock(&inner.state);
+/// The last scheduling act of fiber slot `id`, once its body returned:
+/// finishes the slot if the body did not, and gives up the schedule for
+/// good. Returns the fiber to switch to, or `None` for the root.
+fn exit_fiber(id: usize, local: &Local) -> Option<usize> {
+    let mut ps = local.state.borrow_mut();
     if ps.slots[id].status != Status::Done {
         ps.finish(id);
     }
-    if inner.poisoned.load(Ordering::Acquire) {
+    if ps.poisoned {
         return None;
     }
-    relinquish(inner, id, ps, Some(local))
+    let next = relinquish(&mut ps, Some(local));
+    next.and_then(|pick| ps.slots[pick].fiber)
 }
 
-/// Waits until the run is quiescent (or poisoned), runs `f` as an external
-/// actor, and then runs on this thread what `f` made runnable: with every
-/// application thread gone, the servers' last turns (`local`'s, if any).
-fn quiesce(inner: &Inner, local: Option<&Local>, f: impl FnOnce()) {
-    let mut ps = lock(&inner.state);
-    while !(inner.poisoned.load(Ordering::Acquire) || (ps.started && ps.running.is_none())) {
-        ps = wait(&inner.main_cv, ps);
-    }
-    inner.external.store(true, Ordering::Release);
-    drop(ps);
-    f();
-    let ps = lock(&inner.state);
-    inner.external.store(false, Ordering::Release);
-    quiet_drive(inner, ps, local);
-}
-
-/// Re-examines a quiescent run from an unscheduled caller, which must not
-/// end on a fiber: a run that is quiet with a fiber alive is poisoned.
-fn quiet_drive(inner: &Inner, ps: MutexGuard<'_, State>, local: Option<&Local>) {
-    let resumed = drive(inner, ps, Verdict::Quiet, None, local);
-    assert_eq!(resumed, None, "a fiber picked outside its run");
-}
-
-/// Carries the run on from `verdict` on the calling thread (thread slot
-/// `me`, if it is a scheduled one) until a thread was dispatched or the
-/// run was ruled idle or deadlocked. Returns the fiber index of the thread
-/// dispatched if it is a fiber — the caller switches to it, unless it is
-/// the caller — and `None` when it is an OS thread, notified here, or the
-/// run went quiet.
-fn drive<'a>(
-    inner: &'a Inner,
-    mut ps: MutexGuard<'a, State>,
-    mut verdict: Verdict,
-    me: Option<usize>,
-    local: Option<&Local>,
-) -> Option<usize> {
+/// Carries the run on from `verdict` until a thread was dispatched — its
+/// slot is returned, for the caller to switch to or notify unless it is
+/// the caller — or the run was ruled idle or deadlocked (`None`).
+fn drive(ps: &mut State, mut verdict: Verdict, local: Option<&Local>) -> Option<usize> {
     loop {
         verdict = match verdict {
-            Verdict::Thread(pick) => {
-                // Notify with the lock released: the woken thread needs
-                // that lock first, and when the wake-up preempts this
-                // thread it would be switched in only to block on it.
-                // Picking itself, the caller just returns. A fiber is
-                // switched to by the caller, with the lock released too.
-                let fiber = ps.slots[pick].fiber;
-                drop(ps);
-                if fiber.is_none() && me != Some(pick) {
-                    inner.cvs[pick].notify_one();
-                }
-                return fiber;
-            }
+            Verdict::Thread(pick) => return Some(pick),
             Verdict::Passive(i) => {
-                ps = run_turn(inner, ps, i, local);
-                dispatch_in(inner, &mut ps, local)
+                let local = local.expect("a passive slot picked outside its run");
+                run_turn(ps, i, local);
+                dispatch_in(ps, Some(local))
             }
-            Verdict::Quiet => settle(inner, &mut ps, local)?,
+            Verdict::Quiet => settle(ps, local)?,
         };
     }
 }
 
 /// Re-examines a run that went quiet: applies a pending wake of every
-/// host, then delivers the fault-held (reorder) packets — their one
-/// rescue, under every policy — dispatching after each, and returns the
-/// first pick that comes of it. With nothing left, rules the run idle —
-/// or deadlocked, if an application thread is still blocked — and
-/// returns `None`.
-fn settle(inner: &Inner, ps: &mut State, local: Option<&Local>) -> Option<Verdict> {
+/// host, then delivers the fault-held packets (their one rescue, under
+/// every policy), and returns the first pick that comes of it. With
+/// nothing left, rules the run idle or deadlocked and returns `None`.
+fn settle(ps: &mut State, local: Option<&Local>) -> Option<Verdict> {
+    let gate = local.and_then(|l| l.gate.as_deref());
     loop {
-        if inner.poisoned.load(Ordering::Acquire) {
+        if ps.poisoned {
             return None;
         }
         if std::mem::take(&mut ps.wake_all_pending) {
             ps.wake_all();
         }
-        let verdict = dispatch_in(inner, ps, local);
+        let verdict = dispatch_in(ps, local);
         if !matches!(verdict, Verdict::Quiet) {
             return Some(verdict);
         }
-        let gate = local.and_then(|l| l.gate.as_ref());
         let rescued = gate.map(|g| g.flush_held()).unwrap_or_default();
         if rescued.is_empty() {
             break;
@@ -1425,39 +1444,14 @@ fn settle(inner: &Inner, ps: &mut State, local: Option<&Local>) -> Option<Verdic
             ps.wake(h);
         }
     }
-    // Idle or deadlocked, the run is quiescent: its log is whole.
-    ps.flush_log(&inner.log);
+    // Idle or deadlocked, the run is quiescent: its log is whole. A blocked
+    // application thread nobody can ever wake is a deadlock: poison, so
+    // every thread unwinds with a typed error. (Only servers parked: idle
+    // until an external actor, the shutdown, re-examines.)
+    ps.flush_log();
     let live = |s: &Slot| s.key.class == ThreadClass::App && s.status != Status::Done;
-    if ps.slots.iter().any(live) {
-        // A blocked application thread nobody can ever wake: the schedule
-        // deadlocked. Poison so every thread unwinds with a typed error
-        // instead of hanging the run.
-        poison(inner, ps);
-    } else {
-        // Only servers are parked on empty inboxes; idle until an
-        // external action (the cluster's shutdown) re-examines.
-        inner.main_cv.notify_all();
-    }
+    ps.poisoned = ps.slots.iter().any(live);
     None
-}
-
-impl Drop for Inner {
-    /// A run torn down without a last verdict (a panicking turn poisons
-    /// it) still leaves its whole decision log with the mode.
-    fn drop(&mut self) {
-        lock(&self.state).flush_log(&self.log);
-    }
-}
-
-/// Marks the schedule poisoned and wakes every parked thread plus the
-/// quiesce waiter. Takes the held scheduler state as proof that none of
-/// them is between a predicate check and its wait.
-fn poison(inner: &Inner, _ps: &State) {
-    inner.poisoned.store(true, Ordering::SeqCst);
-    for cv in &inner.cvs {
-        cv.notify_all();
-    }
-    inner.main_cv.notify_all();
 }
 
 #[cfg(test)]
@@ -1624,12 +1618,13 @@ mod tests {
                 }
             });
             // Main thread: wait for quiescence, then unblock the server
-            // the way the cluster injects its shutdown messages.
+            // the way the cluster injects its shutdown messages: the wake
+            // inside, and `quiesce_then` dispatches the server after.
             let flag_main = Arc::clone(&flag);
-            sched.quiesce_then(move || {
+            sched.quiesce_then(|| {
                 flag_main.store(9, Ordering::Relaxed);
+                sched.bump_action();
             });
-            sched.bump_action();
         });
     }
 
@@ -1767,15 +1762,17 @@ mod tests {
 
     /// A miniature delivery gate: messages carry a release time and a
     /// destination flag to bump, standing in for the network fabric. It
-    /// marks a host moved whenever its earliest message changes, and keeps
-    /// held messages for its quiet-point flush. Like the fabric it lives on
-    /// one thread: it is not `Sync`.
+    /// marks a host moved whenever its earliest message changes, keeps
+    /// held messages for its quiet-point flush, and marks the hosts its
+    /// owner wakes the way the fabric marks an unparked delivery's. Like
+    /// the fabric it lives on one thread: it is not `Sync`.
     #[derive(Default)]
     struct TestGate {
         pending: RefCell<TestPending>,
         held: RefCell<Vec<(HostId, Flag)>>,
         seq: Cell<u64>,
         moved: Cell<u64>,
+        woken: Rc<Cell<u64>>,
     }
 
     impl TestGate {
@@ -1797,6 +1794,12 @@ mod tests {
         fn moved_heads(&self) -> u64 {
             self.moved.take()
         }
+
+        fn woken(&self) -> Rc<Cell<u64>> {
+            Rc::clone(&self.woken)
+        }
+
+        fn set_external(&self, _: bool) {}
 
         fn head(&self, host: HostId) -> Option<Ns> {
             Self::earliest(&self.pending.borrow(), host).map(|(r, _)| r)
@@ -1913,6 +1916,28 @@ mod tests {
         assert_eq!(Rc::strong_count(&seen), 1);
     }
 
+    /// How the echo toy wakes a host: a fiber run through its gate, the way
+    /// the wire does; a run of attached OS threads, which has no gate, in
+    /// the scheduler's state.
+    trait Wake {
+        fn wake(&self, host: u16);
+    }
+
+    impl Wake for TestGate {
+        fn wake(&self, host: u16) {
+            self.woken.set(self.woken.get() | 1 << host);
+        }
+    }
+
+    impl Wake for Scheduler {
+        fn wake(&self, host: u16) {
+            lock(&self.inner.state)
+                .as_mut()
+                .expect(LENT)
+                .wake(HostId(host));
+        }
+    }
+
     /// The toy behind the passive-slot tests: every host has a server
     /// echoing pings out of an inbox; `None` in an inbox is the stop
     /// message.
@@ -1929,26 +1954,26 @@ mod tests {
             })
         }
 
-        fn send(&self, sched: &Scheduler, to: u16, msg: Option<u16>) {
+        fn send(&self, w: &impl Wake, to: u16, msg: Option<u16>) {
             self.inboxes[to as usize].lock().unwrap().push_back(msg);
-            sched.bump_action_host(HostId(to));
+            w.wake(to);
         }
 
         /// Stops every server, the way the cluster does.
-        fn stop(&self, sched: &Scheduler) {
-            (0..self.inboxes.len() as u16).for_each(|g| self.send(sched, g, None));
+        fn stop(&self, w: &impl Wake) {
+            (0..self.inboxes.len() as u16).for_each(|g| self.send(w, g, None));
         }
 
         /// One server step of host `g`: what a server thread does between
         /// two scheduling calls, and a passive server in one turn. Echoing
         /// wakes the pinger's host from inside the step, as a handler's
         /// reply delivery does.
-        fn serve(&self, sched: &Scheduler, g: u16, vt: &mut Ns) -> Turn {
+        fn serve(&self, w: &impl Wake, g: u16, vt: &mut Ns) -> Turn {
             let msg = self.inboxes[g as usize].lock().unwrap().pop_front();
             match msg {
                 Some(Some(from)) => {
                     self.replies[from as usize].fetch_add(1, Ordering::SeqCst);
-                    sched.bump_action_host(HostId(from));
+                    w.wake(from);
                     *vt += 10;
                     Turn::Ran { vt: *vt }
                 }
@@ -1958,24 +1983,25 @@ mod tests {
         }
 
         /// Host `g`'s server as a passive slot.
-        fn passive_server(self: &Arc<Self>, sched: &Scheduler, g: u16) -> (ThreadKey, TurnFn) {
-            let (echo, sched, mut vt) = (Arc::clone(self), sched.clone(), 0);
-            let turn = move || echo.serve(&sched, g, &mut vt);
+        fn passive_server(self: &Arc<Self>, gate: &Rc<TestGate>, g: u16) -> (ThreadKey, TurnFn) {
+            let (echo, gate, mut vt) = (Arc::clone(self), Rc::clone(gate), 0);
+            let turn = move || echo.serve(&*gate, g, &mut vt);
             (ThreadKey::server(HostId(g)), Box::new(turn))
         }
 
-        /// A fiber run of `fibers` beside every host's passive server.
+        /// A fiber run of `fibers` beside every host's passive server,
+        /// woken through `gate`.
         fn run<'a>(
             self: &Arc<Self>,
-            sched: &Scheduler,
+            gate: &Rc<TestGate>,
             fibers: Vec<(ThreadKey, FiberBody<'a>)>,
         ) -> FiberRun<'a> {
             let hosts = self.inboxes.len() as u16;
-            let passive = (0..hosts).map(|g| self.passive_server(sched, g));
+            let passive = (0..hosts).map(|g| self.passive_server(gate, g));
             FiberRun {
                 fibers,
                 passive: passive.collect(),
-                gate: None,
+                gate: Some(Rc::clone(gate) as Rc<dyn DeliveryGate>),
             }
         }
     }
@@ -1999,9 +2025,33 @@ mod tests {
         OnePark,
     }
 
-    /// A body of an application thread in these tests: `Send`, so that it
-    /// can run on an OS thread as well as on a fiber.
-    type AppBody<'a> = Box<dyn FnOnce(SchedThread) + Send + 'a>;
+    /// Host `h`'s application thread: pings the next host's server three
+    /// times and waits for each echo, with `toy`'s kind of wait.
+    fn pinger<'a>(
+        echo: &'a Echo,
+        w: &'a impl Wake,
+        (h, hosts): (u16, u16),
+        toy: EchoToy,
+    ) -> impl FnOnce(SchedThread) + 'a {
+        move |t: SchedThread| {
+            let mut vt = 0;
+            for round in 1..=3 {
+                vt += 7 + u64::from(h);
+                echo.send(w, (h + 1) % hosts, Some(h));
+                let echoed =
+                    || (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(());
+                let outcome = if toy == EchoToy::OnePark {
+                    t.yield_then_block(vt, echoed)
+                } else {
+                    t.yield_now(vt);
+                    t.block_until(vt, echoed)
+                };
+                if let BlockOutcome::Poisoned = outcome {
+                    panic!("host {h} poisoned in round {round}");
+                }
+            }
+        }
+    }
 
     /// Every host's application thread pings the next host's server three
     /// times and waits for each echo; the servers are then stopped the way
@@ -2009,31 +2059,14 @@ mod tests {
     fn echo_decisions(mode: &SchedMode, hosts: u16, toy: EchoToy) -> Vec<u32> {
         let sched = Scheduler::new(mode, server_app_keys(hosts));
         let echo = Echo::new(hosts);
-        let apps = (0..hosts).map(|h| {
-            let (sched, echo) = (&sched, &echo);
-            let body = move |t: SchedThread| {
-                let mut vt = 0;
-                for round in 1..=3 {
-                    vt += 7 + u64::from(h);
-                    echo.send(sched, (h + 1) % hosts, Some(h));
-                    let echoed =
-                        || (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(());
-                    let outcome = if toy == EchoToy::OnePark {
-                        t.yield_then_block(vt, echoed)
-                    } else {
-                        t.yield_now(vt);
-                        t.block_until(vt, echoed)
-                    };
-                    if let BlockOutcome::Poisoned = outcome {
-                        panic!("host {h} poisoned in round {round}");
-                    }
-                }
-            };
-            (ThreadKey::app(HostId(h), 0), Box::new(body) as AppBody)
-        });
+        let key = |h| ThreadKey::app(HostId(h), 0);
         if toy != EchoToy::ServerThreads {
-            let fibers = apps.map(|(k, b)| (k, b as FiberBody)).collect();
-            sched.run_fibers(echo.run(&sched, fibers), || echo.stop(&sched));
+            let gate = Rc::new(TestGate::default());
+            let fibers = (0..hosts).map(|h| {
+                let body = pinger(&echo, &*gate, (h, hosts), toy);
+                (key(h), Box::new(body) as FiberBody)
+            });
+            sched.run_fibers(echo.run(&gate, fibers.collect()), || echo.stop(&*gate));
             return mode.decisions();
         }
         std::thread::scope(|scope| {
@@ -2058,9 +2091,9 @@ mod tests {
                     }
                 });
             }
-            for (key, body) in apps {
-                let sched = &sched;
-                scope.spawn(move || body(sched.attach(key)));
+            for h in 0..hosts {
+                let (sched, echo) = (&sched, &echo);
+                scope.spawn(move || pinger(echo, sched, (h, hosts), toy)(sched.attach(key(h))));
             }
             sched.quiesce_then(|| echo.stop(&sched));
         });
@@ -2071,12 +2104,12 @@ mod tests {
     /// passive echo server three times, waiting for each echo, and
     /// finishes; `shutdown` then runs before the servers are stopped.
     fn ping_around(sched: &Scheduler, hosts: u16, shutdown: impl FnOnce()) {
-        let echo = Echo::new(hosts);
+        let (echo, gate) = (Echo::new(hosts), Rc::new(TestGate::default()));
         let fibers = (0..hosts).map(|h| {
-            let echo = &echo;
+            let (echo, gate) = (&echo, &*gate);
             let body = move |t: SchedThread| {
                 for round in 1..=3 {
-                    echo.send(sched, (h + 1) % hosts, Some(h));
+                    echo.send(gate, (h + 1) % hosts, Some(h));
                     let echoed =
                         || (echo.replies[h as usize].load(Ordering::SeqCst) >= round).then_some(());
                     let outcome = t.yield_then_block(10 * round, echoed);
@@ -2085,10 +2118,10 @@ mod tests {
             };
             (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
         });
-        let run = echo.run(sched, fibers.collect());
+        let run = echo.run(&gate, fibers.collect());
         sched.run_fibers(run, || {
             shutdown();
-            echo.stop(sched);
+            echo.stop(&*gate);
         });
     }
 
@@ -2153,9 +2186,9 @@ mod tests {
     fn churn_decisions(mode: &SchedMode) -> Vec<u32> {
         const HOSTS: u16 = 64;
         let sched = Scheduler::new(mode, server_app_keys(HOSTS));
-        let echo = Echo::new(HOSTS);
+        let (echo, gate) = (Echo::new(HOSTS), Rc::new(TestGate::default()));
         let fibers = (0..HOSTS).map(|h| {
-            let (sched, echo) = (&sched, &echo);
+            let (gate, echo) = (&*gate, &echo);
             let body = move |t: SchedThread| {
                 let mut rng = SplitMix64::new(20).fork(u64::from(h));
                 let mut pings = 0;
@@ -2165,11 +2198,12 @@ mod tests {
                     let other = rng.next_range(u64::from(HOSTS)) as u16;
                     match op {
                         0 => {}
-                        1 => sched.bump_action_host(HostId(other)),
-                        2 => sched.bump_action(),
+                        1 => gate.wake(other),
+                        // What an ungated delivery marks: every host.
+                        2 => gate.woken.set(u64::MAX),
                         _ => {
                             pings += 1;
-                            echo.send(sched, other, Some(h));
+                            echo.send(gate, other, Some(h));
                             let echoed = || {
                                 (echo.replies[h as usize].load(Ordering::SeqCst) >= pings)
                                     .then_some(())
@@ -2187,8 +2221,8 @@ mod tests {
             };
             (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
         });
-        let run = echo.run(&sched, fibers.collect());
-        sched.run_fibers(run, || echo.stop(&sched));
+        let run = echo.run(&gate, fibers.collect());
+        sched.run_fibers(run, || echo.stop(&*gate));
         mode.decisions()
     }
 
@@ -2288,7 +2322,8 @@ mod tests {
             (ThreadKey::app(HostId(0), 0), Box::new(|t| t.yield_now(1))),
             (ThreadKey::app(HostId(1), 0), Box::new(blocked)),
         ];
-        sched.run_fibers(echo.run(&sched, fibers), || {});
+        let gate = Rc::new(TestGate::default());
+        sched.run_fibers(echo.run(&gate, fibers), || {});
         assert_eq!(poisoned.load(Ordering::SeqCst), 1);
         assert!(sched.take_turn_panic().is_none());
     }
@@ -2323,15 +2358,16 @@ mod tests {
             };
             (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
         });
+        let gate = Rc::new(TestGate::default());
         let run = FiberRun {
             fibers: fibers.collect(),
             passive: passive.collect(),
-            gate: None,
+            gate: Some(Rc::clone(&gate) as Rc<dyn DeliveryGate>),
         };
         sched.run_fibers(run, || {
             stop.set(1);
-            sched.bump_action_host(HostId(0));
-            sched.bump_action_host(HostId(1));
+            gate.wake(0);
+            gate.wake(1);
         });
         assert_eq!(
             *ran.borrow(),

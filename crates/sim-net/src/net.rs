@@ -12,9 +12,9 @@
 //! by `(release_vt, from, seq)`, until the scheduler releases it into the
 //! ready FIFO (see [`DeliveryGate`]); every other delivery — ungated
 //! fabrics, self-sends, shutdown-era external sends — goes straight to the
-//! ready FIFO, in call order. Every send also counts into the fabric's
-//! per-link [`LinkTraffic`], whose totals are the fabric's message and
-//! byte counts.
+//! ready FIFO, in call order, and marks its host woken in the gate: the
+//! wire never calls the scheduler. Every send also counts into the fabric's
+//! per-link [`LinkTraffic`], whose totals are its message and byte counts.
 //!
 //! With the [`FaultPlane`] inactive (the default) the fabric is the
 //! reliable, FIFO-ordered wire FM promises. With an active plane the raw
@@ -40,7 +40,7 @@ use sim_core::clock::Ns;
 use sim_core::sched::{DeliveryGate, Scheduler};
 use sim_core::trace::{TraceKind, TraceRecorder};
 use sim_core::{CostModel, HostId, LinkTraffic, LogHistogram, SplitMix64};
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -200,15 +200,18 @@ struct Fabric<M> {
     /// The hosts (bit *h*: host *h*) whose earliest parked packet moved
     /// since the scheduler last asked.
     moved: Cell<u64>,
+    /// The gate's [`DeliveryGate::woken`] mask.
+    woken: Rc<Cell<u64>>,
+    /// Whether an attached scheduler gates cross-host deliveries.
+    gating: Cell<bool>,
+    /// Set while the run's shutdown delivers: nothing is parked.
+    external: Cell<bool>,
     cost: CostModel,
     stats: NetStats,
     /// Always-on per-link traffic, counted on every send; the diagnostics
     /// report's link table.
     links: LinkTraffic,
     faults: Option<FaultState<M>>,
-    /// Deterministic scheduler to notify on every delivery (it may unblock
-    /// the destination). Unset on a fabric used on its own.
-    sched: OnceCell<Scheduler>,
 }
 
 impl<M> Fabric<M> {
@@ -236,6 +239,14 @@ impl<M> Fabric<M> {
 impl<M> DeliveryGate for Fabric<M> {
     fn moved_heads(&self) -> u64 {
         self.moved.take()
+    }
+
+    fn woken(&self) -> Rc<Cell<u64>> {
+        Rc::clone(&self.woken)
+    }
+
+    fn set_external(&self, external: bool) {
+        self.external.set(external);
     }
 
     fn head(&self, host: HostId) -> Option<Ns> {
@@ -339,11 +350,13 @@ impl<M: Clone> Network<M> {
                     .map(|_| RefCell::new(MailState::new(hosts)))
                     .collect(),
                 moved: Cell::new(0),
+                woken: Rc::default(),
+                gating: Cell::new(false),
+                external: Cell::new(false),
                 cost,
                 stats: NetStats::default(),
                 links: LinkTraffic::new(hosts),
                 faults,
-                sched: OnceCell::new(),
             }),
         };
         let endpoints = (0..hosts)
@@ -583,39 +596,32 @@ impl<M: Clone> Network<M> {
     /// packet is parked in the destination's mailbox for the scheduler to
     /// release; self-deliveries (local handler calls, not wire traffic) and
     /// external deliveries (a fiber run's shutdown, when no simulated
-    /// thread runs) go straight to the ready FIFO.
+    /// thread runs) go straight to the ready FIFO and wake the destination.
+    /// Ungated, a delivery wakes every host.
     fn deliver(&self, pkt: Packet<M>) {
-        match self.fabric.sched.get() {
-            Some(sched) if sched.gating() => {
-                if pkt.from != pkt.to && !sched.external_active() {
-                    let to = pkt.to;
-                    if self.fabric.mailboxes[to.index()].borrow_mut().park(pkt) {
-                        self.fabric.mark_moved(to);
-                    }
-                } else {
-                    let to = pkt.to;
-                    self.fabric.deliver_raw(pkt);
-                    sched.bump_action_host(to);
-                }
+        let (fabric, to) = (&*self.fabric, pkt.to);
+        let woken = if !fabric.gating.get() {
+            u64::MAX
+        } else if pkt.from != to && !fabric.external.get() {
+            if fabric.mailboxes[to.index()].borrow_mut().park(pkt) {
+                fabric.mark_moved(to);
             }
-            Some(sched) => {
-                self.fabric.deliver_raw(pkt);
-                // Any delivery may unblock the destination's receiver.
-                sched.bump_action();
-            }
-            None => self.fabric.deliver_raw(pkt),
-        }
+            return;
+        } else {
+            1 << to.index()
+        };
+        fabric.deliver_raw(pkt);
+        fabric.woken.set(fabric.woken.get() | woken);
     }
 
-    /// Attaches the deterministic scheduler so deliveries count as
-    /// potentially-unblocking actions, and returns the fabric's
+    /// Parks deliveries if `sched` gates them, and returns the fabric's
     /// [`gate`](Self::gate) for that scheduler's fiber run
-    /// (`sim_core::sched::FiberRun::gate`). Later attachments are ignored.
+    /// (`sim_core::sched::FiberRun::gate`), through which they reach it.
     pub fn attach_scheduler(&self, sched: &Scheduler) -> Rc<dyn DeliveryGate>
     where
         M: 'static,
     {
-        let _ = self.fabric.sched.set(sched.clone());
+        self.fabric.gating.set(sched.gating());
         self.gate()
     }
 
@@ -821,7 +827,11 @@ mod tests {
     use super::*;
     use crate::fault::ScriptedFault;
     use proptest::prelude::*;
-    use sim_core::sched::{SchedMode, ThreadKey};
+    use sim_core::sched::{
+        BlockOutcome, FiberBody, FiberRun, SchedMode, SchedThread, ThreadKey, Turn, TurnFn,
+    };
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn arrival_stamp_uses_latency_model() {
@@ -1013,27 +1023,36 @@ mod tests {
         assert_eq!(net.stats().send_failures.get(), 1);
     }
 
-    /// A fabric of `hosts` hosts under a gating scheduler with no gate: its
-    /// one slot, this OS thread as an application thread of host `hosts`
-    /// (one past the hosts under test), attached and finished. The run is
-    /// started and quiescent, so nothing releases a packet but the test,
-    /// and [`Scheduler::quiesce_then`] sends as an external actor. Returns
-    /// the scheduler, the fabric, its endpoints and its gate.
-    fn idle_gated(hosts: usize, plane: FaultPlane) -> GatedFabric {
+    /// Runs `test` on a fabric of `hosts` hosts under a gating scheduler,
+    /// as the body of the one fiber of that scheduler's run: an application
+    /// thread of host `hosts` (one past the hosts under test) that takes no
+    /// scheduling step until `test` returns, so nothing releases a packet
+    /// but the test. An external send is one the test makes between the
+    /// gate's `set_external(true)` and `(false)`, as the run's shutdown
+    /// would. `test` gets the fabric, its endpoints and its gate.
+    fn in_gated_run(
+        hosts: usize,
+        plane: FaultPlane,
+        test: impl FnOnce(
+            &Network<u64>,
+            &[Endpoint<u64>],
+            &dyn DeliveryGate,
+        ) -> Result<(), TestCaseError>,
+    ) -> Result<(), TestCaseError> {
         let idle = ThreadKey::app(HostId(hosts as u16), 0);
         let sched = Scheduler::new(&SchedMode::deterministic(), vec![idle]);
-        sched.attach(idle).finish();
         let (net, eps) = Network::with_faults(hosts + 1, CostModel::default(), plane);
         let gate = net.attach_scheduler(&sched);
-        (sched, net, eps, gate)
+        let result = RefCell::new(Ok(()));
+        let body = |_: SchedThread| *result.borrow_mut() = test(&net, &eps, &*gate);
+        let run = FiberRun {
+            fibers: vec![(idle, Box::new(body) as FiberBody)],
+            passive: Vec::new(),
+            gate: Some(Rc::clone(&gate)),
+        };
+        sched.run_fibers(run, || {});
+        result.into_inner()
     }
-
-    type GatedFabric = (
-        Scheduler,
-        Network<u64>,
-        Vec<Endpoint<u64>>,
-        Rc<dyn DeliveryGate>,
-    );
 
     /// Release order: the `(release_vt, from, seq)` key the mailbox sorts
     /// its parked packets by.
@@ -1081,7 +1100,7 @@ mod tests {
             hosts in 2usize..6,
             ops in proptest::collection::vec((0u8..10, 0usize..5, 0usize..5, 0u64..4), 1..160),
         ) {
-            let (sched, net, eps, gate) = idle_gated(hosts, FaultPlane::disabled());
+            in_gated_run(hosts, FaultPlane::disabled(), |net, eps, gate| {
             let mut parked: Vec<BTreeMap<Key, u64>> = vec![BTreeMap::new(); hosts];
             let mut ready: Vec<VecDeque<(u64, Ns)>> = vec![VecDeque::new(); hosts];
             let mut links: BTreeMap<(usize, usize), (Ns, u64)> = BTreeMap::new();
@@ -1117,9 +1136,9 @@ mod tests {
                         ready[from].push_back((id, 0));
                     }
                     6 => {
-                        sched.quiesce_then(|| {
-                            net.send(HostId(from as u16), HostId(to as u16), id, 0, vt);
-                        });
+                        gate.set_external(true);
+                        net.send(HostId(from as u16), HostId(to as u16), id, 0, vt);
+                        gate.set_external(false);
                         ready[to].push_back((id, 0));
                     }
                     7 => {
@@ -1155,6 +1174,8 @@ mod tests {
                 prop_assert!(ep.recv().is_none());
                 prop_assert_eq!(gate.head(HostId(h as u16)), None);
             }
+            Ok(())
+            })?;
         }
 
         /// Per-link FIFO through the gate on a wire that duplicates and
@@ -1170,7 +1191,7 @@ mod tests {
             sends in proptest::collection::vec((0usize..5, 0usize..5, 0u64..4), 1..120),
         ) {
             let plane = FaultPlane::lossy(seed, 0.0, dup_pm as f64 / 1000.0, reorder_pm as f64 / 1000.0);
-            let (_sched, net, eps, gate) = idle_gated(hosts, plane);
+            in_gated_run(hosts, plane, |net, eps, gate| {
             let mut sent: BTreeMap<(usize, usize), u64> = BTreeMap::new();
             for &(a, b, stamp) in &sends {
                 let (from, to) = (a % hosts, (a % hosts + 1 + b % (hosts - 1)) % hosts);
@@ -1182,10 +1203,10 @@ mod tests {
             let mut got: BTreeMap<(usize, usize), Vec<u64>> = BTreeMap::new();
             let mut heads = Heads(vec![None; hosts]);
             loop {
-                heads.refile(&*gate);
+                heads.refile(gate);
                 while let Some(h) = heads.first() {
                     gate.release_next(h);
-                    prop_assert!(heads.refile(&*gate) & 1 << h.index() != 0, "a release moves its head");
+                    prop_assert!(heads.refile(gate) & 1 << h.index() != 0, "a release moves its head");
                     let now: Vec<_> = (0..hosts).map(|h| gate.head(HostId(h as u16))).collect();
                     prop_assert_eq!(&heads.0, &now, "a moved head went unnamed");
                 }
@@ -1203,6 +1224,147 @@ mod tests {
             }
             prop_assert!(got.is_empty());
             prop_assert_eq!(net.total_unacked(), 0);
+            Ok(())
+            })?;
         }
+    }
+
+    /// A fiber run of `fibers` and `passive` on a fresh two-host fabric
+    /// under `mode`, each slot built from the fabric's endpoints; `shutdown`
+    /// sends on the fabric once the run is quiescent.
+    fn run_on_wire<'a>(
+        mode: &SchedMode,
+        keys: Vec<ThreadKey>,
+        slots: impl FnOnce(
+            &[Rc<Endpoint<u64>>],
+        ) -> (Vec<(ThreadKey, FiberBody<'a>)>, Vec<(ThreadKey, TurnFn)>),
+        shutdown: impl FnOnce(&Network<u64>),
+    ) {
+        let sched = Scheduler::new(mode, keys);
+        let (net, eps) = Network::<u64>::new(2, CostModel::default());
+        let gate = net.attach_scheduler(&sched);
+        let eps: Vec<_> = eps.into_iter().map(Rc::new).collect();
+        let (fibers, passive) = slots(&eps);
+        let run = FiberRun {
+            fibers,
+            passive,
+            gate: Some(gate),
+        };
+        sched.run_fibers(run, || shutdown(&net));
+    }
+
+    /// Host 0's server, a passive slot, sends to itself and reports nothing
+    /// done, while host 0's application thread is blocked on what the send
+    /// made true. Nothing but the self-delivery's mark in the gate wakes
+    /// host 0; without it the run ends in a deadlock verdict.
+    #[test]
+    fn a_self_send_from_a_passive_turn_wakes_its_host() {
+        let (app, server) = (ThreadKey::app(HostId(0), 0), ThreadKey::server(HostId(0)));
+        let (sent, woke) = (Arc::new(AtomicBool::new(false)), Cell::new(false));
+        let slots = |eps: &[Rc<Endpoint<u64>>]| {
+            let (ep, sent_by_turn) = (Rc::clone(&eps[0]), Arc::clone(&sent));
+            let turn = move || {
+                if !sent_by_turn.swap(true, Ordering::SeqCst) {
+                    ep.send(HostId(0), 1, 0, 0);
+                }
+                while ep.recv().is_some() {}
+                Turn::Idle { vt: 0 }
+            };
+            let (sent, woke) = (&sent, &woke);
+            let body = move |t: SchedThread| {
+                let outcome = t.block_until(0, || sent.load(Ordering::SeqCst).then_some(()));
+                woke.set(matches!(outcome, BlockOutcome::Ready(())));
+            };
+            let fibers = vec![(app, Box::new(body) as FiberBody)];
+            (fibers, vec![(server, Box::new(turn) as TurnFn)])
+        };
+        run_on_wire(
+            &SchedMode::deterministic(),
+            vec![server, app],
+            slots,
+            |_| {},
+        );
+        assert!(woke.get(), "the self-send woke host 0's blocked thread");
+    }
+
+    /// Under an exploration policy every delivery is immediate. Host 1's
+    /// application thread blocks until host 0's has sent it a message;
+    /// host 0's then blocks until host 1's acknowledges. Only the send's
+    /// mark in the gate (every host, ungated) wakes host 1: without it both
+    /// are blocked and the run is ruled deadlocked.
+    #[test]
+    fn an_ungated_delivery_wakes_its_receiver() {
+        let keys = vec![ThreadKey::app(HostId(0), 0), ThreadKey::app(HostId(1), 0)];
+        let (parked, sent, acked) = (
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+            AtomicBool::new(false),
+        );
+        let outcomes = RefCell::new(Vec::new());
+        for seed in 0..8 {
+            let slots = |eps: &[Rc<Endpoint<u64>>]| {
+                let ep = Rc::clone(&eps[0]);
+                let (parked, sent, acked, outcomes) = (&parked, &sent, &acked, &outcomes);
+                let sender = move |t: SchedThread| {
+                    // Wait, yielding, for the receiver to have parked.
+                    while !parked.load(Ordering::SeqCst) {
+                        t.yield_now(0);
+                    }
+                    sent.store(true, Ordering::SeqCst);
+                    ep.send(HostId(1), 1, 0, 0);
+                    let outcome = t.block_until(0, || acked.load(Ordering::SeqCst).then_some(()));
+                    outcomes
+                        .borrow_mut()
+                        .push(matches!(outcome, BlockOutcome::Ready(())));
+                };
+                let receiver = move |t: SchedThread| {
+                    parked.store(true, Ordering::SeqCst);
+                    let outcome = t.block_until(0, || sent.load(Ordering::SeqCst).then_some(()));
+                    acked.store(true, Ordering::SeqCst);
+                    outcomes
+                        .borrow_mut()
+                        .push(matches!(outcome, BlockOutcome::Ready(())));
+                };
+                let fibers: Vec<(ThreadKey, FiberBody)> =
+                    vec![(keys[0], Box::new(sender)), (keys[1], Box::new(receiver))];
+                (fibers, Vec::new())
+            };
+            run_on_wire(&SchedMode::random(seed), keys.clone(), slots, |_| {});
+            let outcomes = outcomes.take();
+            assert_eq!(outcomes, [true, true], "seed {seed}: both waits were met");
+            for flag in [&parked, &sent, &acked] {
+                flag.store(false, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Host 1's server is parked on its empty mailbox when the run goes
+    /// quiescent; the run's shutdown then sends it a message, which the
+    /// gate does not park. Only the delivery's mark wakes host 1, so that
+    /// its server's last turn takes the message.
+    #[test]
+    fn a_delivery_from_the_shutdown_wakes_its_server() {
+        let (app, server) = (ThreadKey::app(HostId(0), 0), ThreadKey::server(HostId(1)));
+        let got = Rc::new(Cell::new(None));
+        let slots = |eps: &[Rc<Endpoint<u64>>]| {
+            let (ep, got) = (Rc::clone(&eps[1]), Rc::clone(&got));
+            let turn = move || match ep.recv() {
+                Some(pkt) => {
+                    got.set(Some(pkt.msg));
+                    Turn::Done
+                }
+                None => Turn::Idle { vt: 0 },
+            };
+            let body = |t: SchedThread| t.yield_now(5);
+            let fibers = vec![(app, Box::new(body) as FiberBody)];
+            (fibers, vec![(server, Box::new(turn) as TurnFn)])
+        };
+        let stop = |net: &Network<u64>| _ = net.send(HostId(0), HostId(1), 9, 0, 0);
+        run_on_wire(&SchedMode::deterministic(), vec![server, app], slots, stop);
+        assert_eq!(
+            got.get(),
+            Some(9),
+            "the shutdown's delivery reached host 1's server"
+        );
     }
 }

@@ -87,9 +87,9 @@ fn a_gated_send_release_and_receive_allocate_nothing() {
             t.yield_now(now);
         };
         (0..WARM_UP).for_each(&mut trip);
-        let (before, first) = (allocs(), sched.steps());
+        let (before, first) = (allocs(), t.steps());
         (0..MESSAGES).for_each(&mut trip);
-        counts.set((allocs() - before, (first, sched.steps())));
+        counts.set((allocs() - before, (first, t.steps())));
     };
     let run = FiberRun {
         fibers: vec![(app, Box::new(send))],
@@ -131,9 +131,9 @@ fn a_32_host_ring_of_gated_trips_allocates_nothing() {
         (ThreadKey::server(HostId(h)), Box::new(serve) as _)
     });
     let (warm, window) = (Cell::new(0), Cell::new([None; 2]));
-    let mark = |end: usize| {
+    let mark = |end: usize, t: &SchedThread| {
         let mut w = window.get();
-        w[end].get_or_insert((allocs(), sched.steps()));
+        w[end].get_or_insert((allocs(), t.steps()));
         window.set(w);
     };
     let bodies = (0..HOSTS).map(|h| {
@@ -144,13 +144,13 @@ fn a_32_host_ring_of_gated_trips_allocates_nothing() {
                 if i == WARM_UP {
                     warm.set(warm.get() + 1);
                     if warm.get() == HOSTS {
-                        mark(0);
+                        mark(0, &t);
                     }
                 }
                 now = net.send(HostId(h), HostId((h + 1) % HOSTS), i, 0, now);
                 t.yield_now(now);
             }
-            mark(1);
+            mark(1, &t);
         };
         (ThreadKey::app(HostId(h), 0), Box::new(body) as FiberBody)
     });
