@@ -5,39 +5,35 @@
 //! diff operation (as described in Munin) for 4 KB page takes 250 µs and
 //! decreases linearly with the size of the page. Obviously, this time is
 //! not negligible, and would have dominated the overhead if it were
-//! required in the DSM protocol." This module provides the twin/diff
-//! machinery so the reproduction can (a) measure that cost and (b) build
-//! the §5 reduced-consistency extension ([`crate::hlrc`]).
+//! required in the DSM protocol." This module provides the diff machinery
+//! so the reproduction can (a) measure that cost and (b) build the §5
+//! reduced-consistency extension ([`crate::hlrc`]), whose twin is the
+//! plain copy of the minipage its write fault read.
 //!
 //! The *virtual* cost of a diff is what [`sim_core::cost::CostModel`]
 //! charges (61 ns/byte, the paper's 250 µs/4 KB); the implementation here
 //! only has to be fast in *wall-clock* terms. `compute` scans u64 words
-//! and refines byte-by-byte only inside a mismatching word; a diff stores
-//! all changed bytes in one contiguous [`Bytes`] buffer with runs indexing
-//! into it, so `decode` is zero-copy over the wire buffer (runs borrow the
-//! incoming `Bytes`; no per-run `Vec` is ever allocated).
+//! and refines byte-by-byte only inside a mismatching word. A diff *is*
+//! its wire encoding — `[source_len u32][n u32]`, then per run
+//! `[off u32][len u32][bytes]`, little-endian — in one [`Bytes`]:
+//! `compute` writes it into one buffer reserved at the worst case,
+//! `encode` hands it out (a refcount bump), `decode` validates an incoming
+//! buffer where it lies, and `iter_runs`/`apply_at` walk it. Only
+//! `compute` allocates, at most twice.
 
 use bytes::Bytes;
 
-/// One changed run: `len` bytes at page offset `off`, stored at `pos`
-/// in the diff's shared data buffer.
-#[derive(Clone, Copy, Debug)]
-struct Run {
-    off: u32,
-    len: u32,
-    pos: u32,
-}
-
-/// A run-length diff: a list of `(offset, bytes)` runs that changed
-/// between a twin and the current page contents.
-#[derive(Clone, Debug, Default)]
+/// A run-length diff: the `(offset, bytes)` runs that changed between a
+/// twin and the current contents, held as their wire encoding. Diffs are
+/// equal when their encodings are: the same source length and the same
+/// run sequence.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diff {
-    runs: Vec<Run>,
-    /// Backing store for every run's bytes: the gathered changed bytes
-    /// after [`compute`](Diff::compute), the whole wire buffer after
-    /// [`decode`](Diff::decode).
-    data: Bytes,
-    source_len: usize,
+    /// Every run lies inside the header's `source_len` and the buffer
+    /// ends with the last run: true by construction after
+    /// [`compute`](Diff::compute), checked by [`decode`](Diff::decode).
+    wire: Bytes,
+    runs: usize,
 }
 
 /// All-ones in each byte; `x - LO` borrows out of exactly the zero bytes.
@@ -60,6 +56,43 @@ fn word_at(b: &[u8], i: usize) -> u64 {
 /// under HLRC), which sits squarely on the byte path.
 const WORD_SCAN_MIN: usize = 16;
 
+/// The wire encoding of a diff being computed, in a buffer reserved at
+/// the worst case so that no run grows it: an `n`-byte source has at most
+/// `⌈n/2⌉` runs (an equal byte ends each but the last) holding at most
+/// `n` bytes.
+struct Encoder {
+    wire: Vec<u8>,
+    runs: usize,
+}
+
+impl Encoder {
+    fn new(source_len: usize) -> Self {
+        let n = u32::try_from(source_len).expect("a diffed buffer is under 4 GiB");
+        let mut wire = Vec::with_capacity(8 + source_len + 8 * source_len.div_ceil(2));
+        // The run count half is patched by `finish`.
+        wire.extend_from_slice(&u64::from(n).to_le_bytes());
+        Self { wire, runs: 0 }
+    }
+
+    /// Appends the run of `bytes` at offset `off`, its header in one
+    /// 8-byte write: sparse diffs are header-dominated.
+    #[inline]
+    fn run(&mut self, off: usize, bytes: &[u8]) {
+        let hdr = off as u64 | (bytes.len() as u64) << 32;
+        self.wire.extend_from_slice(&hdr.to_le_bytes());
+        self.wire.extend_from_slice(bytes);
+        self.runs += 1;
+    }
+
+    fn finish(mut self) -> Diff {
+        self.wire[4..8].copy_from_slice(&(self.runs as u32).to_le_bytes());
+        Diff {
+            wire: Bytes::from(self.wire),
+            runs: self.runs,
+        }
+    }
+}
+
 impl Diff {
     /// Computes the run-length diff turning `twin` into `current`.
     ///
@@ -77,8 +110,7 @@ impl Diff {
         if n <= WORD_SCAN_MIN {
             return Self::compute_small(twin, current);
         }
-        let mut runs = Vec::new();
-        let mut data = Vec::new();
+        let mut out = Encoder::new(n);
         let mut i = 0usize;
         while i < n {
             // Find the next differing byte, whole equal words at a time.
@@ -113,18 +145,9 @@ impl Diff {
             while i < n && twin[i] != current[i] {
                 i += 1;
             }
-            runs.push(Run {
-                off: start as u32,
-                len: (i - start) as u32,
-                pos: data.len() as u32,
-            });
-            data.extend_from_slice(&current[start..i]);
+            out.run(start, &current[start..i]);
         }
-        Self {
-            runs,
-            data: Bytes::from(data),
-            source_len: n,
-        }
+        out.finish()
     }
 
     /// Byte-at-a-time [`compute`](Diff::compute) for buffers below
@@ -134,8 +157,7 @@ impl Diff {
     /// what beats the word loop's per-word setup at minipage sizes.
     fn compute_small(twin: &[u8], current: &[u8]) -> Self {
         let n = twin.len();
-        let mut runs = Vec::new();
-        let mut data = Vec::new();
+        let mut out = Encoder::new(n);
         let mut i = 0usize;
         while i < n {
             let Some(d) = twin[i..]
@@ -151,27 +173,10 @@ impl Diff {
                 .zip(&current[start..])
                 .position(|(a, b)| a == b)
                 .unwrap_or(n - start);
-            let end = start + len;
-            runs.push(Run {
-                off: start as u32,
-                len: len as u32,
-                pos: data.len() as u32,
-            });
-            data.extend_from_slice(&current[start..end]);
-            i = end;
+            i = start + len;
+            out.run(start, &current[start..i]);
         }
-        Self {
-            runs,
-            data: Bytes::from(data),
-            source_len: n,
-        }
-    }
-
-    /// The bytes of one run, borrowed from the shared data buffer.
-    #[inline]
-    fn run_bytes(&self, r: &Run) -> &[u8] {
-        let p = r.pos as usize;
-        &self.data[p..p + r.len as usize]
+        out.finish()
     }
 
     /// Applies the diff to `target` in place.
@@ -181,7 +186,7 @@ impl Diff {
     /// Panics if `target` is shorter than the diffed buffer.
     pub fn apply(&self, target: &mut [u8]) {
         assert!(
-            target.len() >= self.source_len,
+            target.len() >= self.source_len(),
             "target shorter than the diffed page"
         );
         self.apply_at(0, target);
@@ -193,72 +198,65 @@ impl Diff {
     /// piece at a time, each run clipped to the piece.
     pub fn apply_at(&self, at: usize, window: &mut [u8]) {
         let end = at + window.len();
-        for r in &self.runs {
-            let off = r.off as usize;
-            let (lo, hi) = (off.max(at), (off + r.len as usize).min(end));
+        for (off, bytes) in self.iter_runs() {
+            let (lo, hi) = (off.max(at), (off + bytes.len()).min(end));
             if lo < hi {
-                window[lo - at..hi - at].copy_from_slice(&self.run_bytes(r)[lo - off..hi - off]);
+                window[lo - at..hi - at].copy_from_slice(&bytes[lo - off..hi - off]);
             }
         }
     }
 
-    /// Iterates `(offset, bytes)` runs (used to apply a diff in place
-    /// without a whole-page read-modify-write).
+    /// Iterates `(offset, bytes)` runs in wire order, the bytes borrowed
+    /// from the wire buffer (used to apply a diff in place without a
+    /// whole-page read-modify-write).
     pub fn iter_runs(&self) -> impl Iterator<Item = (usize, &[u8])> {
-        self.runs
-            .iter()
-            .map(|r| (r.off as usize, self.run_bytes(r)))
+        let mut rest = &self.wire[8..];
+        (0..self.runs).map(move |_| {
+            let hdr = word_at(rest, 0);
+            let (off, len) = (hdr as u32 as usize, (hdr >> 32) as usize);
+            let (bytes, tail) = rest[8..].split_at(len);
+            rest = tail;
+            (off, bytes)
+        })
     }
 
     /// Number of changed runs.
     pub fn runs(&self) -> usize {
-        self.runs.len()
+        self.runs
     }
 
     /// Total changed bytes.
     pub fn changed_bytes(&self) -> usize {
-        self.runs.iter().map(|r| r.len as usize).sum()
+        self.wire_bytes() - 8 * self.runs
     }
 
     /// Whether nothing changed.
     pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
+        self.runs == 0
     }
 
     /// Length of the diffed buffer: every run fits inside it, and
     /// [`apply`](Diff::apply) requires a target at least this long.
     pub fn source_len(&self) -> usize {
-        self.source_len
+        word_at(&self.wire, 0) as u32 as usize
     }
 
     /// Wire size: 8 bytes of run header per run plus the changed bytes
     /// (the encoding Munin-style systems ship at release time).
     pub fn wire_bytes(&self) -> usize {
-        self.runs.len() * 8 + self.changed_bytes()
+        self.wire.len() - 8
     }
 
-    /// Serializes the diff for the wire: `[source_len u32][n u32]` then
-    /// `n` runs of `[offset u32][len u32][bytes]`, little-endian.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.wire_bytes());
-        out.extend_from_slice(&(self.source_len as u32).to_le_bytes());
-        out.extend_from_slice(&(self.runs.len() as u32).to_le_bytes());
-        for r in &self.runs {
-            // One 8-byte header write per run instead of two 4-byte ones:
-            // sparse diffs are header-dominated, so halving the reserve/
-            // copy calls is measurable there.
-            let mut hdr = [0u8; 8];
-            hdr[..4].copy_from_slice(&r.off.to_le_bytes());
-            hdr[4..].copy_from_slice(&r.len.to_le_bytes());
-            out.extend_from_slice(&hdr);
-            out.extend_from_slice(self.run_bytes(r));
-        }
-        out
+    /// The diff for the wire: `[source_len u32][n u32]` then `n` runs of
+    /// `[offset u32][len u32][bytes]`, little-endian. The diff already is
+    /// this buffer, so encoding is a refcount bump.
+    pub fn encode(&self) -> Bytes {
+        self.wire.clone()
     }
 
     /// Parses a diff serialized by [`encode`](Diff::encode) without
-    /// copying: the returned diff's runs index into `wire` itself (an
-    /// `Arc` refcount bump, no per-run allocation).
+    /// copying or allocating: the returned diff holds `wire` itself (a
+    /// refcount bump).
     ///
     /// Returns `None` on malformed input — truncated headers or payloads,
     /// trailing junk, or any run whose `offset + len` exceeds
@@ -270,83 +268,28 @@ impl Diff {
         if b.len() > u32::MAX as usize {
             return None;
         }
-        fn take_u32(b: &[u8], pos: &mut usize) -> Option<u32> {
+        fn take_u32(b: &[u8], pos: &mut usize) -> Option<usize> {
             let v = b.get(*pos..*pos + 4)?;
             *pos += 4;
-            Some(u32::from_le_bytes(v.try_into().unwrap()))
+            Some(u32::from_le_bytes(v.try_into().unwrap()) as usize)
         }
         let mut pos = 0usize;
-        let source_len = take_u32(b, &mut pos)? as usize;
-        let n = take_u32(b, &mut pos)? as usize;
-        let mut runs = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
+        let source_len = take_u32(b, &mut pos)?;
+        let runs = take_u32(b, &mut pos)?;
+        for _ in 0..runs {
             let off = take_u32(b, &mut pos)?;
-            let len = take_u32(b, &mut pos)? as usize;
-            if b.len() - pos < len || (off as usize).checked_add(len)? > source_len {
+            let len = take_u32(b, &mut pos)?;
+            if b.len() - pos < len || off.checked_add(len)? > source_len {
                 return None;
             }
-            runs.push(Run {
-                off,
-                len: len as u32,
-                pos: pos as u32,
-            });
             pos += len;
         }
-        if pos != b.len() {
-            return None;
-        }
-        Some(Diff {
+        (pos == b.len()).then(|| Diff {
+            wire: wire.clone(),
             runs,
-            data: wire.clone(),
-            source_len,
         })
     }
 }
-
-/// Diffs are equal when they describe the same edit — same source length
-/// and the same `(offset, bytes)` run sequence — regardless of whether
-/// the bytes live in a gathered buffer or a borrowed wire buffer.
-impl PartialEq for Diff {
-    fn eq(&self, other: &Self) -> bool {
-        self.source_len == other.source_len
-            && self.runs.len() == other.runs.len()
-            && self.iter_runs().eq(other.iter_runs())
-    }
-}
-
-impl Eq for Diff {}
-
-/// A twin: the pristine copy made on the first write to a page, later
-/// diffed against the current contents.
-#[derive(Clone, Debug)]
-pub struct Twin {
-    original: Vec<u8>,
-}
-
-impl Twin {
-    /// Snapshots `page`.
-    pub fn capture(page: &[u8]) -> Self {
-        Self {
-            original: page.to_vec(),
-        }
-    }
-
-    /// Length of the twinned region.
-    pub fn len(&self) -> usize {
-        self.original.len()
-    }
-
-    /// Whether the twin is empty.
-    pub fn is_empty(&self) -> bool {
-        self.original.is_empty()
-    }
-
-    /// Diffs the twin against the page's current contents.
-    pub fn diff(&self, current: &[u8]) -> Diff {
-        Diff::compute(&self.original, current)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,16 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn twin_captures_and_diffs() {
-        let mut page = vec![1u8; 128];
-        let twin = Twin::capture(&page);
-        assert_eq!(twin.len(), 128);
-        page[0] = 2;
-        let d = twin.diff(&page);
-        assert_eq!(d.changed_bytes(), 1);
-    }
-
-    #[test]
     fn diffs_from_disjoint_writers_compose() {
         // The Munin insight: two hosts writing disjoint parts of a page
         // can both diff against the twin and both diffs apply cleanly.
@@ -509,8 +442,7 @@ mod tests {
         cur[200] = 2;
         cur[201] = 3;
         let d = Diff::compute(&twin, &cur);
-        let bytes = Bytes::from(d.encode());
-        let d2 = Diff::decode(&bytes).expect("valid encoding");
+        let d2 = Diff::decode(&d.encode()).expect("valid encoding");
         assert_eq!(d, d2);
         let mut rebuilt = twin.clone();
         d2.apply(&mut rebuilt);
@@ -524,11 +456,11 @@ mod tests {
         let twin = vec![0u8; 64];
         let mut cur = twin.clone();
         cur[10] = 9;
-        let mut bytes = Diff::compute(&twin, &cur).encode();
+        let mut bytes = Diff::compute(&twin, &cur).encode().to_vec();
         bytes.truncate(bytes.len() - 1);
         assert!(Diff::decode(&Bytes::from(bytes)).is_none());
         // Trailing junk.
-        let mut bytes2 = Diff::compute(&twin, &cur).encode();
+        let mut bytes2 = Diff::compute(&twin, &cur).encode().to_vec();
         bytes2.push(0);
         assert!(Diff::decode(&Bytes::from(bytes2)).is_none());
     }
@@ -562,7 +494,7 @@ mod tests {
         for b in cur[100..300].iter_mut() {
             *b = 7;
         }
-        let wire = Bytes::from(Diff::compute(&twin, &cur).encode());
+        let wire = Diff::compute(&twin, &cur).encode();
         let d = Diff::decode(&wire).expect("valid");
         let (_, run) = d.iter_runs().next().expect("one run");
         // Zero-copy: the run's bytes live inside the wire allocation.

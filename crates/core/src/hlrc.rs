@@ -34,7 +34,6 @@
 //!
 //! [`ClusterConfig`]: crate::ClusterConfig
 
-use crate::diff::Twin;
 use multiview::MinipageId;
 use sim_core::IntMap;
 use sim_mem::VAddr;
@@ -65,7 +64,9 @@ pub(crate) struct MpInfo {
 /// A locally writable (twinned) minipage awaiting its release flush.
 pub(crate) struct RcDirty {
     pub info: MpInfo,
-    pub twin: Twin,
+    /// The minipage's bytes when the write fault opened it: the copy its
+    /// release diff is computed against.
+    pub twin: Vec<u8>,
 }
 
 /// Per-host release-consistency state.

@@ -10,7 +10,7 @@
 
 use crate::backend::LocalWake;
 use crate::diag::DiagTable;
-use crate::diff::Twin;
+use crate::diff::Diff;
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo, RcDirty, RcState};
 use crate::home::{HomePolicyKind, HomeTable, MANAGER};
@@ -1005,15 +1005,12 @@ impl HostCtx {
         let fresh_twin = {
             let mut rc = self.state.rc.lock().expect("rc state poisoned");
             if let std::collections::hash_map::Entry::Vacant(e) = rc.dirty.entry(info.id.0) {
-                let data = self
+                let twin = self
                     .state
                     .space
                     .priv_read(info.priv_base, info.len)
                     .expect("translated minipage in range");
-                e.insert(RcDirty {
-                    info,
-                    twin: Twin::capture(&data),
-                });
+                e.insert(RcDirty { info, twin });
                 true
             } else {
                 false
@@ -1068,10 +1065,11 @@ impl HostCtx {
                 return;
             }
             let mut dirty: Vec<RcDirty> = rc.dirty.drain().map(|(_, d)| d).collect();
-            // HashMap drain order is nondeterministic; ship diffs in
-            // minipage order so the flush sequence (and everything
-            // downstream of it — traces, costs, home arrival order) is a
-            // pure function of the schedule.
+            // An `IntMap` drains in bucket order, an artifact of its
+            // hasher and capacity; ship diffs in minipage order instead,
+            // so the flush sequence (and everything downstream of it —
+            // traces, costs, home arrival order) is a function of the
+            // dirty set alone.
             dirty.sort_by_key(|d| d.info.id.0);
             dirty
         };
@@ -1089,7 +1087,7 @@ impl HostCtx {
                 .space
                 .snapshot_and_protect(d.info.base, d.info.len, sim_mem::Prot::NoAccess)
                 .expect("translated minipage in range");
-            let diff = d.twin.diff(&data);
+            let diff = Diff::compute(&d.twin, &data);
             self.charge_busy(self.cost.diff_time(d.info.len));
             self.charge_busy(self.cost.set_protection);
             self.probe
@@ -1111,7 +1109,7 @@ impl HostCtx {
             msg.base = d.info.base;
             msg.len = d.info.len;
             msg.priv_base = d.info.priv_base;
-            msg.data = Bytes::from(diff.encode());
+            msg.data = diff.encode();
             let payload = msg.payload_bytes();
             self.probe
                 .trace(self.clock.now(), TraceKind::RcDiffSend, |e| {

@@ -1204,7 +1204,6 @@ mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, Stack};
     use crate::host::Waiters;
-    use bytes::Bytes;
     use sim_core::SplitMix64;
     use sim_mem::{AddressSpace, Geometry};
     use sim_net::ServerTimeline;
@@ -1252,7 +1251,7 @@ mod tests {
             current[run].fill(7);
             let mut m = Pmsg::new(MsgKind::RcDiff, HostId(1), 0).with_addr(base);
             (m.minipage, m.base, m.len, m.priv_base) = (mp.id, base, n, priv_base);
-            m.data = Bytes::from(Diff::compute(twin, &current).encode());
+            m.data = Diff::compute(twin, &current).encode();
             m
         };
         let mut tl = ServerTimeline::new(cfg.cost.clone(), SplitMix64::new(1));

@@ -25,6 +25,7 @@ use crate::backend::{
     bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, Cluster, LocalWake,
     MemoryBackend, ProtoClock, Transport,
 };
+use crate::diff::Diff;
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo};
 use crate::home::HomePolicyKind;
@@ -453,7 +454,7 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
             .space
             .snapshot_and_protect(d.info.base, d.info.len, Prot::NoAccess)
             .map_err(|_| bad_priv(state.host, m.priv_base, "eviction snapshot"))?;
-        let diff = d.twin.diff(&data);
+        let diff = Diff::compute(&d.twin, &data);
         tl.charge(cost.diff_time(d.info.len));
         tl.charge(cost.set_protection);
         if !diff.is_empty() {
@@ -462,7 +463,7 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
             out.base = d.info.base;
             out.len = d.info.len;
             out.priv_base = d.info.priv_base;
-            out.data = Bytes::from(diff.encode());
+            out.data = diff.encode();
             let payload = out.payload_bytes();
             // Eviction diff: event 0, fire-and-forget (aux 0 marks it as
             // not awaiting an RcDiffAck).

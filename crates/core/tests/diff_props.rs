@@ -3,7 +3,7 @@
 //! as the specification the optimized scan must match run for run).
 
 use bytes::Bytes;
-use millipage::diff::{Diff, Twin};
+use millipage::diff::Diff;
 use millipage::MemoryBackend;
 use proptest::prelude::*;
 use sim_mem::{AddressSpace, Geometry};
@@ -25,6 +25,22 @@ fn reference_runs(twin: &[u8], current: &[u8]) -> Vec<(usize, Vec<u8>)> {
         runs.push((start, current[start..i].to_vec()));
     }
     runs
+}
+
+/// The wire format, spelled out: `[source_len u32][n u32]`, then per run
+/// `[off u32][len u32][bytes]`, little-endian. The simulated network
+/// charges a diff's payload length in virtual time, so every byte of it is
+/// pinned here.
+fn reference_wire(source_len: usize, runs: &[(usize, Vec<u8>)]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    wire.extend_from_slice(&(source_len as u32).to_le_bytes());
+    wire.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+    for (off, bytes) in runs {
+        wire.extend_from_slice(&(*off as u32).to_le_bytes());
+        wire.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        wire.extend_from_slice(bytes);
+    }
+    wire
 }
 
 /// Builds a (twin, current) pair of `len` bytes: `twin` from `seed`,
@@ -84,10 +100,31 @@ proptest! {
         edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..12),
     ) {
         let (twin, cur) = build_pair(len, seed, &edits);
-        let d = Twin::capture(&twin).diff(&cur);
+        let d = Diff::compute(&twin, &cur);
         let mut rebuilt = twin.clone();
         d.apply(&mut rebuilt);
         prop_assert_eq!(rebuilt, cur);
+    }
+
+    /// `compute(..).encode()` is the reference encoding of the reference
+    /// runs, byte for byte, `8 + wire_bytes()` long, and decoding it gives
+    /// back the same runs.
+    #[test]
+    fn the_wire_format_is_pinned(
+        len in 0usize..700,
+        seed in any::<u8>(),
+        edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..40),
+    ) {
+        let (twin, cur) = build_pair(len, seed, &edits);
+        let runs = reference_runs(&twin, &cur);
+        let d = Diff::compute(&twin, &cur);
+        let wire = d.encode();
+        prop_assert_eq!(wire.as_ref(), &reference_wire(len, &runs)[..]);
+        prop_assert_eq!(wire.len(), 8 + d.wire_bytes());
+        let d2 = Diff::decode(&wire).expect("own encoding is valid");
+        let got: Vec<(usize, Vec<u8>)> =
+            d2.iter_runs().map(|(o, b)| (o, b.to_vec())).collect();
+        prop_assert_eq!(got, runs);
     }
 
     /// decode(encode(d)) round-trips semantically for arbitrary diffs.
@@ -99,7 +136,7 @@ proptest! {
     ) {
         let (twin, cur) = build_pair(len, seed, &edits);
         let d = Diff::compute(&twin, &cur);
-        let wire = Bytes::from(d.encode());
+        let wire = d.encode();
         let d2 = Diff::decode(&wire).expect("own encoding is valid");
         prop_assert_eq!(&d, &d2);
         prop_assert_eq!(d.wire_bytes(), d2.wire_bytes());
