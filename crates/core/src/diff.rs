@@ -17,9 +17,9 @@
 //! its wire encoding — `[source_len u32][n u32]`, then per run
 //! `[off u32][len u32][bytes]`, little-endian — in one [`Bytes`]:
 //! `compute` writes it into one buffer reserved at the worst case,
-//! `encode` hands it out (a refcount bump), `decode` validates an incoming
-//! buffer where it lies, and `iter_runs`/`apply_at` walk it. Only
-//! `compute` allocates, at most twice.
+//! `encode` hands it out as a [`Wire`] (a refcount bump), `decode`
+//! validates an incoming buffer where it lies, and `iter_runs`/`apply_at`
+//! walk it. Only `compute` allocates, at most twice.
 
 use bytes::Bytes;
 
@@ -33,7 +33,28 @@ pub struct Diff {
     /// ends with the last run: true by construction after
     /// [`compute`](Diff::compute), checked by [`decode`](Diff::decode).
     wire: Bytes,
-    runs: usize,
+}
+
+/// A diff's wire encoding as [`Diff::encode`] hands it out: the diff's own
+/// buffer, read in place through `Deref` (so `Diff::decode(&d.encode())`
+/// works) and taken for a message with `Bytes::from` or `.into()`, a move.
+/// It is a type of its own so that `d.encode().into()` is a conversion,
+/// not a same-type no-op.
+#[derive(Clone, Debug)]
+pub struct Wire(Bytes);
+
+impl std::ops::Deref for Wire {
+    type Target = Bytes;
+
+    fn deref(&self) -> &Bytes {
+        &self.0
+    }
+}
+
+impl From<Wire> for Bytes {
+    fn from(w: Wire) -> Bytes {
+        w.0
+    }
 }
 
 /// All-ones in each byte; `x - LO` borrows out of exactly the zero bytes.
@@ -88,7 +109,6 @@ impl Encoder {
         self.wire[4..8].copy_from_slice(&(self.runs as u32).to_le_bytes());
         Diff {
             wire: Bytes::from(self.wire),
-            runs: self.runs,
         }
     }
 }
@@ -211,7 +231,7 @@ impl Diff {
     /// whole-page read-modify-write).
     pub fn iter_runs(&self) -> impl Iterator<Item = (usize, &[u8])> {
         let mut rest = &self.wire[8..];
-        (0..self.runs).map(move |_| {
+        (0..self.runs()).map(move |_| {
             let hdr = word_at(rest, 0);
             let (off, len) = (hdr as u32 as usize, (hdr >> 32) as usize);
             let (bytes, tail) = rest[8..].split_at(len);
@@ -222,17 +242,17 @@ impl Diff {
 
     /// Number of changed runs.
     pub fn runs(&self) -> usize {
-        self.runs
+        (word_at(&self.wire, 0) >> 32) as usize
     }
 
     /// Total changed bytes.
     pub fn changed_bytes(&self) -> usize {
-        self.wire_bytes() - 8 * self.runs
+        self.wire_bytes() - 8 * self.runs()
     }
 
     /// Whether nothing changed.
     pub fn is_empty(&self) -> bool {
-        self.runs == 0
+        self.runs() == 0
     }
 
     /// Length of the diffed buffer: every run fits inside it, and
@@ -250,8 +270,8 @@ impl Diff {
     /// The diff for the wire: `[source_len u32][n u32]` then `n` runs of
     /// `[offset u32][len u32][bytes]`, little-endian. The diff already is
     /// this buffer, so encoding is a refcount bump.
-    pub fn encode(&self) -> Bytes {
-        self.wire.clone()
+    pub fn encode(&self) -> Wire {
+        Wire(self.wire.clone())
     }
 
     /// Parses a diff serialized by [`encode`](Diff::encode) without
@@ -284,10 +304,7 @@ impl Diff {
             }
             pos += len;
         }
-        (pos == b.len()).then(|| Diff {
-            wire: wire.clone(),
-            runs,
-        })
+        (pos == b.len()).then(|| Diff { wire: wire.clone() })
     }
 }
 #[cfg(test)]

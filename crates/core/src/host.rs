@@ -1109,7 +1109,7 @@ impl HostCtx {
             msg.base = d.info.base;
             msg.len = d.info.len;
             msg.priv_base = d.info.priv_base;
-            msg.data = diff.encode();
+            msg.data = diff.encode().into();
             let payload = msg.payload_bytes();
             self.probe
                 .trace(self.clock.now(), TraceKind::RcDiffSend, |e| {

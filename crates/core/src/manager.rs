@@ -1251,7 +1251,7 @@ mod tests {
             current[run].fill(7);
             let mut m = Pmsg::new(MsgKind::RcDiff, HostId(1), 0).with_addr(base);
             (m.minipage, m.base, m.len, m.priv_base) = (mp.id, base, n, priv_base);
-            m.data = Diff::compute(twin, &current).encode();
+            m.data = Diff::compute(twin, &current).encode().into();
             m
         };
         let mut tl = ServerTimeline::new(cfg.cost.clone(), SplitMix64::new(1));

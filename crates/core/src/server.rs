@@ -463,7 +463,7 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
             out.base = d.info.base;
             out.len = d.info.len;
             out.priv_base = d.info.priv_base;
-            out.data = diff.encode();
+            out.data = diff.encode().into();
             let payload = out.payload_bytes();
             // Eviction diff: event 0, fire-and-forget (aux 0 marks it as
             // not awaiting an RcDiffAck).

@@ -4,6 +4,7 @@
 //! encoding, decoding, walking and applying it allocate nothing. This
 //! file's allocator counts the calling thread's allocations.
 
+use bytes::Bytes;
 use millipage::diff::Diff;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -76,6 +77,8 @@ fn encode_decode_walk_and_apply_allocate_nothing() {
         let d = Diff::compute(&twin, &cur);
         let (n, wire) = allocations(|| d.encode());
         assert_eq!(n, 0, "encode");
+        let (n, _) = allocations(|| Bytes::from(d.encode()));
+        assert_eq!(n, 0, "encode into a message's Bytes");
         let (n, decoded) = allocations(|| Diff::decode(black_box(&wire)));
         assert_eq!(n, 0, "decode");
         let decoded = decoded.expect("own encoding is valid");
