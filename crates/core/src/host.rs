@@ -23,7 +23,7 @@ use sim_core::sched::{BlockOutcome, SchedThread};
 use sim_core::trace::{TraceKind, NO_MP};
 use sim_core::IntMap;
 use sim_core::{Category, CostModel, HostId, LogHistogram, TimeBreakdown};
-use sim_mem::{Access, AccessError, AccessFault, AccessTlb, AddressSpace, VAddr};
+use sim_mem::{Access, AccessError, AccessTlb, AddressSpace, Fault, Prot, VAddr};
 use sim_net::Network;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -718,7 +718,7 @@ impl HostCtx {
                 .lock()
                 .expect("prefetch waiters poisoned");
             let first = vpages.start;
-            if self.state.space.prot(first) != sim_mem::Prot::NoAccess || pf.contains_key(&first) {
+            if self.state.space.prot(first) != Prot::NoAccess || pf.contains_key(&first) {
                 return;
             }
             if self.state.aborted.load(Ordering::Acquire) {
@@ -824,7 +824,7 @@ impl HostCtx {
         for vp in vpages {
             self.state
                 .space
-                .set_prot(vp, sim_mem::Prot::ReadOnly)
+                .set_prot(vp, Prot::ReadOnly)
                 .expect("application vpage");
             self.charge_busy(self.cost.set_protection);
             self.breakdown
@@ -889,7 +889,7 @@ impl HostCtx {
     }
 
     /// Figure 3 "On Read or Write Fault".
-    fn service_fault(&mut self, f: AccessFault) {
+    fn service_fault(&mut self, f: Fault) {
         // Yield point: a fault is where the hardware would trap out of
         // the application — a natural interleaving boundary.
         self.sched.yield_now(self.clock.now());
@@ -898,12 +898,7 @@ impl HostCtx {
         // the handler). Retry the access instead of requesting a copy the
         // host already holds — the real kernel path does the same for a
         // fault on a since-mapped page.
-        let p = self.state.space.prot(f.vpage);
-        let resolved = match f.access {
-            Access::Read => p != sim_mem::Prot::NoAccess,
-            Access::Write => p == sim_mem::Prot::ReadWrite,
-        };
-        if resolved {
+        if self.state.space.prot(f.vpage).allows(f.access) {
             return;
         }
         // Close any service window we still hold before requesting the
@@ -919,18 +914,7 @@ impl HostCtx {
             return;
         }
         let t0 = self.clock.now();
-        // If a prefetch for this vpage is in flight, wait for it instead
-        // of issuing a second (competing) request.
-        let pf = self
-            .state
-            .prefetch_waiters
-            .lock()
-            .expect("prefetch waiters poisoned")
-            .get(&f.vpage)
-            .cloned();
-        if let Some(w) = pf {
-            let c = self.blocking_wait(&w, "prefetch completion");
-            self.clock.merge(c.resume_vt);
+        if self.await_prefetch(f.vpage) {
             self.breakdown
                 .charge(Category::Prefetch, self.clock.now() - t0);
             return;
@@ -970,24 +954,32 @@ impl HostCtx {
         }
     }
 
-    /// Write miss under release consistency: ensure a readable copy, twin
-    /// it, and upgrade the protection locally — no ownership transfer.
-    fn rc_write_fault(&mut self, f: AccessFault) {
-        let t0 = self.clock.now();
-        let traced_mp = self.fault_begin(t0, f.addr, true);
-        self.charge_busy(self.cost.access_fault);
-        // Wait for an in-flight prefetch, or fetch a read copy from home.
+    /// If a prefetch of `vpage` is in flight, waits for it — instead of
+    /// issuing a second (competing) request — and says so.
+    fn await_prefetch(&mut self, vpage: usize) -> bool {
         let pf = self
             .state
             .prefetch_waiters
             .lock()
             .expect("prefetch waiters poisoned")
-            .get(&f.vpage)
+            .get(&vpage)
             .cloned();
-        if let Some(w) = pf {
-            let c = self.blocking_wait(&w, "prefetch completion");
-            self.clock.merge(c.resume_vt);
-        } else if self.state.space.prot(f.vpage) == sim_mem::Prot::NoAccess {
+        let Some(w) = pf else {
+            return false;
+        };
+        let c = self.blocking_wait(&w, "prefetch completion");
+        self.clock.merge(c.resume_vt);
+        true
+    }
+
+    /// Write miss under release consistency: ensure a readable copy, twin
+    /// it, and upgrade the protection locally — no ownership transfer.
+    fn rc_write_fault(&mut self, f: Fault) {
+        let t0 = self.clock.now();
+        let traced_mp = self.fault_begin(t0, f.addr, true);
+        self.charge_busy(self.cost.access_fault);
+        // Wait for an in-flight prefetch, or fetch a read copy from home.
+        if !self.await_prefetch(f.vpage) && self.state.space.prot(f.vpage) == Prot::NoAccess {
             let dest = self.route_home(f.addr, None);
             let (ev, w) = self.waiter();
             let msg = Pmsg::new(MsgKind::ReadRequest, self.host, ev).with_addr(f.addr);
@@ -1030,7 +1022,7 @@ impl HostCtx {
         for vp in vpages {
             self.state
                 .space
-                .set_prot(vp, sim_mem::Prot::ReadWrite)
+                .set_prot(vp, Prot::ReadWrite)
                 .expect("application vpage");
             self.charge_busy(self.cost.set_protection);
         }
@@ -1085,7 +1077,7 @@ impl HostCtx {
             let data = self
                 .state
                 .space
-                .snapshot_and_protect(d.info.base, d.info.len, sim_mem::Prot::NoAccess)
+                .snapshot_and_protect(d.info.base, d.info.len, Prot::NoAccess)
                 .expect("translated minipage in range");
             let diff = Diff::compute(&d.twin, &data);
             self.charge_busy(self.cost.diff_time(d.info.len));

@@ -10,8 +10,9 @@
 //!   mappings — one address decode per page-span, then volatile loads or
 //!   stores — so an access the MMU allows costs a load or a store and only
 //!   a fault costs protocol time; a protection miss raises a **real
-//!   SIGSEGV**, decoded from the signal context ([`hostmv::RawFault`],
-//!   write bit from `REG_ERR`) and resolved by running the same
+//!   SIGSEGV**, decoded from the signal context into the simulator's
+//!   [`Fault`] (canonical address, vpage, access from `REG_ERR`; [`Prot`]
+//!   is the simulator's too) and resolved by running the same
 //!   request/reply protocol the simulator runs — the fault handler sends
 //!   the request and sleeps on its thread's futex word until the server
 //!   thread has installed the reply, opened the page and posted the
@@ -63,10 +64,9 @@ use crate::msg::{MsgKind, Pmsg};
 use crate::probe::{Fact, Probe};
 use crate::server;
 use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
-use hostmv::{install_dsm_handler, FaultCounters, HostProt, MultiViewRegion, RawFault};
+use hostmv::{install_dsm_handler, FaultCounters, MultiViewRegion, Unserved};
 use sim_core::trace::{Tracer, Track, NO_MP};
-use sim_core::{Geometry, HostId, LinkTraffic, Ns, VAddr, DEFAULT_BASE};
-use sim_mem::Prot;
+use sim_core::{Access, Fault, Geometry, HostId, LinkTraffic, Ns, Prot, VAddr};
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
@@ -374,27 +374,11 @@ impl ProtoClock for WallClock {
 // Memory
 // ---------------------------------------------------------------------------
 
-fn to_host_prot(p: Prot) -> HostProt {
-    match p {
-        Prot::NoAccess => HostProt::NoAccess,
-        Prot::ReadOnly => HostProt::ReadOnly,
-        Prot::ReadWrite => HostProt::ReadWrite,
-    }
-}
-
-fn from_host_prot(p: HostProt) -> Prot {
-    match p {
-        HostProt::NoAccess => Prot::NoAccess,
-        HostProt::ReadOnly => Prot::ReadOnly,
-        HostProt::ReadWrite => Prot::ReadWrite,
-    }
-}
-
 /// One host's [`MemoryBackend`] over its real [`MultiViewRegion`].
-/// Canonical [`Geometry`] addresses are decoded here and mapped onto the
-/// region's identical (view, page, offset) layout.
+/// Canonical [`Geometry`] addresses — the region's own
+/// [`geometry`](MultiViewRegion::geometry) — are decoded here and mapped
+/// onto the region's identical (view, page, offset) layout.
 struct HostMemory {
-    geo: Geometry,
     region: Arc<MultiViewRegion>,
 }
 
@@ -403,37 +387,40 @@ impl HostMemory {
     /// physical pages, exactly like the sim's privileged accessors) into a
     /// physical (page, offset).
     fn priv_loc(&self, addr: VAddr) -> Result<(usize, usize), MemFault> {
-        let loc = self.geo.decode(addr).ok_or(MemFault::OutOfRange)?;
+        let loc = self.geometry().decode(addr).ok_or(MemFault::OutOfRange)?;
         Ok((loc.page, loc.offset))
     }
 }
 
 impl MemoryBackend for HostMemory {
     fn geometry(&self) -> &Geometry {
-        &self.geo
+        self.region.geometry()
     }
 
     fn prot(&self, vpage: usize) -> Prot {
-        let (view, page) = (vpage / self.geo.pages(), vpage % self.geo.pages());
-        if view >= self.geo.priv_view() {
+        let geo = self.geometry();
+        let (view, page) = (vpage / geo.pages(), vpage % geo.pages());
+        if view >= geo.priv_view() {
             return Prot::ReadWrite;
         }
-        from_host_prot(self.region.prot(view, page))
+        self.region.prot(view, page)
     }
 
     fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemFault> {
-        let (view, page) = (vpage / self.geo.pages(), vpage % self.geo.pages());
-        if view >= self.geo.priv_view() {
+        let geo = self.geometry();
+        let (view, page) = (vpage / geo.pages(), vpage % geo.pages());
+        if view >= geo.priv_view() {
             return Err(MemFault::Privileged);
         }
         self.region
-            .protect(view, page, to_host_prot(prot))
+            .protect(view, page, prot)
             .map_err(|_| MemFault::OutOfRange)
     }
 
     fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault> {
         let (page, offset) = self.priv_loc(addr)?;
-        if offset + len > (self.geo.pages() - page) * self.geo.page_size() {
+        let geo = self.geometry();
+        if offset + len > (geo.pages() - page) * geo.page_size() {
             return Err(MemFault::OutOfRange);
         }
         Ok(self.region.priv_read(page, offset, len))
@@ -441,7 +428,8 @@ impl MemoryBackend for HostMemory {
 
     fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
         let (page, offset) = self.priv_loc(addr)?;
-        if offset + data.len() > (self.geo.pages() - page) * self.geo.page_size() {
+        let geo = self.geometry();
+        if offset + data.len() > (geo.pages() - page) * geo.page_size() {
             return Err(MemFault::OutOfRange);
         }
         self.region.priv_write(page, offset, data);
@@ -452,7 +440,8 @@ impl MemoryBackend for HostMemory {
     /// borrow: one check of the whole range, then one copy per run.
     fn apply_diff(&self, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault> {
         let (page, offset) = self.priv_loc(priv_base)?;
-        if offset + diff.source_len() > (self.geo.pages() - page) * self.geo.page_size() {
+        let geo = self.geometry();
+        if offset + diff.source_len() > (geo.pages() - page) * geo.page_size() {
             return Err(MemFault::OutOfRange);
         }
         for (off, bytes) in diff.iter_runs() {
@@ -469,12 +458,10 @@ impl MemoryBackend for HostMemory {
     ) -> Result<Vec<u8>, MemFault> {
         // Copy first, then revoke: same order the sim's eviction uses.
         // (Unused under SequentialSwMr — present for trait completeness.)
-        let priv_addr = self.geo.to_priv(addr).ok_or(MemFault::OutOfRange)?;
+        let geo = self.geometry();
+        let priv_addr = geo.to_priv(addr).ok_or(MemFault::OutOfRange)?;
         let data = self.priv_read(priv_addr, len)?;
-        let (_, range) = self
-            .geo
-            .vpages_covering(addr, len)
-            .ok_or(MemFault::OutOfRange)?;
+        let (_, range) = geo.vpages_covering(addr, len).ok_or(MemFault::OutOfRange)?;
         for vp in range {
             self.set_prot(vp, prot)?;
         }
@@ -586,7 +573,6 @@ impl ThreadRt {
 /// plain pointer (the registration token). [`Teardown`] keeps it alive
 /// until the run's registrations are retired.
 struct HostRt {
-    geo: Geometry,
     inbox: Inbox,
     threads: Vec<ThreadRt>,
     /// `vpage → (minipage id, base address)`, built once after setup (the
@@ -637,19 +623,21 @@ impl HostRt {
 /// server has installed the reply and opened the page. Everything on this
 /// path is async-signal-safe: atomics, const-init TLS, a ring push,
 /// `futex`.
-fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bool {
+fn dsm_resolver(_region: &MultiViewRegion, fault: &Fault, token: usize) -> Result<(), Unserved> {
     // SAFETY: `token` is the HostRt pointer installed alongside the
     // handler; the run's `Teardown` frees it only after retiring the
     // registration this call came through.
     let rt = unsafe { &*(token as *const HostRt) };
     let slot = SLOT.with(|s| s.get());
     if slot == usize::MAX {
-        return false; // A fault off the application threads is a crash.
+        return Err(Unserved {
+            reason: "fault off the application threads",
+        });
     }
     let th = &rt.threads[slot];
     rt.flush_ack(th);
-    let addr = rt.geo.addr_of(fault.view, fault.page, fault.offset);
-    let kind = if fault.write {
+    let (addr, write) = (fault.addr, fault.access == Access::Write);
+    let kind = if write {
         MsgKind::WriteRequest
     } else {
         MsgKind::ReadRequest
@@ -657,9 +645,8 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
     // The fault fact, at the point the sim's fault paths record it: a
     // table lookup plus relaxed atomic adds. A fault on an unmapped vpage
     // attributes to `NO_MP`, which the table counts as overflow.
-    let vpage = rt.geo.vpage_index(fault.view, fault.page);
-    let (mp, base) = rt.mp_map.get(vpage).copied().unwrap_or((NO_MP, 0));
-    let (write, off) = (fault.write, addr.0.saturating_sub(base));
+    let (mp, base) = rt.mp_map.get(fault.vpage).copied().unwrap_or((NO_MP, 0));
+    let off = addr.0.saturating_sub(base);
     // A probe that traces nothing records with relaxed atomics on
     // pre-allocated cells: legal here.
     let mut probe = th.state.probe(&Tracer::disabled(), Track::App(0));
@@ -670,12 +657,17 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &RawFault, token: usize) -> bo
     // Sleep until the server thread posts the install. The completion
     // carries no data — the bytes went straight into the region through
     // the privileged view (the zero-copy receive path).
-    match th.done().wait() {
-        Some(MsgKind::ReadReply | MsgKind::WriteReply) => {}
-        _ => return false, // Nacked: crash with a core.
+    let served = matches!(
+        th.done().wait(),
+        Some(MsgKind::ReadReply | MsgKind::WriteReply)
+    );
+    if !served {
+        return Err(Unserved {
+            reason: "request nacked",
+        });
     }
     th.pending_ack.store(addr.0, Ordering::Release);
-    true
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -782,7 +774,7 @@ impl HostDsmCtx {
         len: usize,
         mut copy: impl FnMut(usize, usize, usize, Range<usize>),
     ) {
-        let geo = &self.rt.geo;
+        let geo = self.region.geometry();
         let mut done = 0;
         while done < len {
             let loc = geo.decode(addr.add(done)).expect("shared address in range");
@@ -991,7 +983,7 @@ where
             .map_err(|_| backend_err(HostId(h as u16), "region mapping"))?;
         regions.push(Arc::new(region));
     }
-    let geo = Geometry::with_layout(DEFAULT_BASE, regions[0].page_size(), cfg.pages, cfg.views);
+    let geo = regions[0].geometry().clone();
     // The rest is the simulator's default: centralized homes, SW/MR,
     // fine-grain allocation, one application thread per host.
     let cluster = ClusterConfig {
@@ -1010,8 +1002,7 @@ where
     let per_host = |host: HostId| {
         let done = Arc::new(Completion(AtomicU32::new(ARMED)));
         let region = Arc::clone(&regions[host.index()]);
-        let geo = geo.clone();
-        (HostMemory { geo, region }, CompletionTx(done))
+        (HostMemory { region }, CompletionTx(done))
     };
     let (stack, shards, shared) = Stack::new(&cluster, geo.clone(), per_host, setup);
     let (home, states) = (&stack.home, &stack.states);
@@ -1035,7 +1026,6 @@ where
     let mut run = Teardown {
         registrations: Vec::with_capacity(cfg.hosts),
         rt: Arc::new(HostRt {
-            geo: geo.clone(),
             inbox: Inbox::new(cfg.hosts),
             threads: states
                 .iter()
@@ -1138,6 +1128,7 @@ where
 mod tests {
     use super::*;
     use bytes::Bytes;
+    use sim_core::DEFAULT_BASE;
     use std::sync::mpsc::RecvTimeoutError;
     use std::time::Duration;
 
@@ -1318,8 +1309,10 @@ mod tests {
     /// threads per host (the barrier quorum), and its shards. Setup
     /// allocates nothing.
     fn stack(hosts: usize, threads: usize) -> (Stack<HostMemory, CompletionTx>, Vec<HostShard>) {
-        let page_size = MultiViewRegion::new(1, 1).expect("region").page_size();
-        let geo = Geometry::with_layout(DEFAULT_BASE, page_size, 1, 1);
+        let geo = MultiViewRegion::new(1, 1)
+            .expect("region")
+            .geometry()
+            .clone();
         let cfg = ClusterConfig {
             hosts,
             views: 1,
@@ -1328,12 +1321,9 @@ mod tests {
             ..ClusterConfig::default()
         };
         let per_host = |_| {
-            let (geo, region) = (
-                geo.clone(),
-                Arc::new(MultiViewRegion::new(1, 1).expect("region")),
-            );
+            let region = Arc::new(MultiViewRegion::new(1, 1).expect("region"));
             let done = Arc::new(Completion(AtomicU32::new(ARMED)));
-            (HostMemory { geo, region }, CompletionTx(done))
+            (HostMemory { region }, CompletionTx(done))
         };
         let (stack, shards, ()) = Stack::new(&cfg, geo.clone(), per_host, |_| ());
         (stack, shards)

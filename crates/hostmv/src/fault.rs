@@ -3,17 +3,21 @@
 //! The paper's application threads "invoke a wrapper routine that installs
 //! the millipage exception handler" (§3.5.1). Here the handler implements
 //! the local half of that design: when an access faults inside a
-//! registered [`MultiViewRegion`], it decides between read and write
-//! intent from the page-fault error code and either
+//! registered [`MultiViewRegion`], it builds the canonical [`Fault`] —
+//! the address in the region's [`geometry`](MultiViewRegion::geometry),
+//! its vpage, and the access the page-fault error code reports — and
+//! hands it to the region's resolver:
 //!
-//! * runs the built-in **upgrade ladder** (`NoAccess → ReadOnly`,
-//!   anything → `ReadWrite` on a write) — [`install_handler`], the
-//!   standalone mechanism demo — or
-//! * hands the decoded fault to a **DSM resolver** —
-//!   [`install_dsm_handler`] — which runs the coherence protocol (send a
-//!   request, block on the reply, let the embedder's DSM server thread —
-//!   one for every host of a run — open the protection) and reports
-//!   whether the faulting instruction may retry.
+//! * the built-in **upgrade ladder** (`NoAccess → ReadOnly`, anything →
+//!   `ReadWrite` on a write) — [`install_handler`], the standalone
+//!   mechanism demo — or
+//! * a **DSM resolver** — [`install_dsm_handler`] — which runs the
+//!   coherence protocol (send a request, block on the reply, let the
+//!   embedder's DSM server thread — one for every host of a run — open
+//!   the protection).
+//!
+//! `Ok` retries the faulting instruction; an [`Unserved`] verdict, like a
+//! fault outside every region, takes the default SIGSEGV action.
 //!
 //! # Async-signal-safety
 //!
@@ -22,8 +26,9 @@
 //! must be async-signal-safe (POSIX 2017, XSH 2.4.3):
 //!
 //! * registry scan: `AtomicPtr` loads and address arithmetic — safe;
-//! * fault decoding: pointer compares on leaked, immutable layout metadata
-//!   (the registration's own copy of the view bases) — safe;
+//! * fault decoding: pointer compares and arithmetic on leaked, immutable
+//!   layout metadata (the registration's own copy of the view bases and
+//!   geometry) — safe;
 //! * the upgrade ladder: one `mprotect` syscall + one atomic store
 //!   ([`MultiViewRegion::protect_raw`]) — both listed as signal-safe;
 //! * counters: relaxed atomic increments — safe;
@@ -57,7 +62,8 @@
 //! caller of `retire` promises there are none left.
 
 use crate::error::HostMvError;
-use crate::region::{HostProt, MultiViewRegion, ViewLayout};
+use crate::region::{MultiViewRegion, ViewLayout};
+use sim_core::{Access, Fault, Prot};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
@@ -68,32 +74,24 @@ use std::sync::{Arc, Once};
 /// them when it ends.
 const MAX_REGIONS: usize = 64;
 
-/// One access fault, decoded against its region: which application view
-/// and page faulted, where in the page, and whether the access was a
-/// write (x86-64 page-fault error-code bit 1).
+/// Why a resolver left a fault unserved. The fault then takes the
+/// default SIGSEGV action: the process dies with a core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RawFault {
-    /// Application view index.
-    pub view: usize,
-    /// Page index within the view.
-    pub page: usize,
-    /// Byte offset within the page.
-    pub offset: usize,
-    /// Whether the faulting access was a write.
-    pub write: bool,
+pub struct Unserved {
+    /// What declined the fault.
+    pub reason: &'static str,
 }
 
-/// A DSM fault resolver: runs the coherence protocol for one decoded
-/// fault and returns whether the faulting instruction may retry (the
-/// protection has been opened). Returning `false` reinstates the default
-/// SIGSEGV action — the process crashes with a core, which is what an
-/// unresolvable fault deserves.
+/// A fault resolver: serves one [`Fault`] in `region` — opens the
+/// faulting vpage, through the coherence protocol or the built-in upgrade
+/// ladder — so that the faulting instruction may retry, or says why not.
 ///
 /// The resolver executes in signal context; it must stick to
 /// async-signal-safe operations (see the module docs). `token` is the
 /// opaque word passed to [`install_dsm_handler`] — typically a leaked
 /// runtime pointer, since the resolver is a plain `fn` and cannot capture.
-pub type FaultResolver = fn(region: &MultiViewRegion, fault: &RawFault, token: usize) -> bool;
+pub type FaultResolver =
+    fn(region: &MultiViewRegion, fault: &Fault, token: usize) -> Result<(), Unserved>;
 
 struct Registered {
     /// What a slot scan decodes against: a copy, so that a scan racing
@@ -103,8 +101,8 @@ struct Registered {
     region: AtomicPtr<MultiViewRegion>,
     reads: AtomicU64,
     writes: AtomicU64,
-    /// DSM resolver + token, or `None` for the built-in upgrade ladder.
-    resolver: Option<(FaultResolver, usize)>,
+    resolver: FaultResolver,
+    token: usize,
 }
 
 static SLOTS: [AtomicPtr<Registered>; MAX_REGIONS] =
@@ -186,26 +184,41 @@ pub fn free_slots() -> usize {
 /// for the rest of the process" — fault handling and `Drop` cannot race
 /// that way.
 pub fn install_handler(region: Arc<MultiViewRegion>) -> Result<FaultCounters, HostMvError> {
-    register(region, None)
+    register(region, upgrade_ladder, 0)
+}
+
+/// The built-in resolver: opens the faulting vpage to `ReadOnly` on a
+/// read and to `ReadWrite` on a write (one `mprotect` + one atomic store).
+fn upgrade_ladder(region: &MultiViewRegion, fault: &Fault, _token: usize) -> Result<(), Unserved> {
+    let pages = region.geometry().pages();
+    let prot = match fault.access {
+        Access::Read => Prot::ReadOnly,
+        Access::Write => Prot::ReadWrite,
+    };
+    region
+        .protect_raw(fault.vpage / pages, fault.vpage % pages, prot)
+        .map_err(|_| Unserved {
+            reason: "mprotect failed",
+        })
 }
 
 /// Installs the process-wide SIGSEGV handler (once) and registers
 /// `region` with a DSM fault resolver: every access fault in the region
-/// is decoded into a [`RawFault`] and handed to `resolver` together with
-/// `token` instead of the built-in upgrade ladder. Faults on the
-/// privileged view still crash (it is always writable; such a fault means
-/// the mapping is gone).
+/// is handed to `resolver`, together with `token`, instead of the
+/// built-in upgrade ladder. Faults on the privileged view still crash (it
+/// is always writable; such a fault means the mapping is gone).
 pub fn install_dsm_handler(
     region: Arc<MultiViewRegion>,
     resolver: FaultResolver,
     token: usize,
 ) -> Result<FaultCounters, HostMvError> {
-    register(region, Some((resolver, token)))
+    register(region, resolver, token)
 }
 
 fn register(
     region: Arc<MultiViewRegion>,
-    resolver: Option<(FaultResolver, usize)>,
+    resolver: FaultResolver,
+    token: usize,
 ) -> Result<FaultCounters, HostMvError> {
     if region.is_staged() {
         // Its real protections still lag the shadow table the handler's
@@ -239,6 +252,7 @@ fn register(
         reads: AtomicU64::new(0),
         writes: AtomicU64::new(0),
         resolver,
+        token,
     }));
     for slot in &SLOTS {
         if slot
@@ -258,19 +272,19 @@ fn register(
     })
 }
 
-/// x86-64 page-fault error-code bit 1: set for writes.
+/// The faulting access, from the x86-64 page-fault error code the kernel
+/// saves in the signal context.
 #[cfg(target_arch = "x86_64")]
-fn is_write_fault(ctx: *mut libc::c_void) -> bool {
+fn fault_access(ctx: *mut libc::c_void) -> Access {
     // SAFETY: the kernel hands SA_SIGINFO handlers a valid ucontext_t.
     let uc = unsafe { &*(ctx as *const libc::ucontext_t) };
-    let err = uc.uc_mcontext.gregs[libc::REG_ERR as usize];
-    err & 0x2 != 0
+    Access::from_x86_error_code(uc.uc_mcontext.gregs[libc::REG_ERR as usize] as u64)
 }
 
 /// Fallback for other architectures: assume write (the stronger upgrade).
 #[cfg(not(target_arch = "x86_64"))]
-fn is_write_fault(_ctx: *mut libc::c_void) -> bool {
-    true
+fn fault_access(_ctx: *mut libc::c_void) -> Access {
+    Access::Write
 }
 
 extern "C" fn handler(_sig: libc::c_int, info: *mut libc::siginfo_t, ctx: *mut libc::c_void) {
@@ -283,49 +297,38 @@ extern "C" fn handler(_sig: libc::c_int, info: *mut libc::siginfo_t, ctx: *mut l
         }
         // SAFETY: non-null slots point to leaked Registered entries.
         let reg = unsafe { &*p };
-        let Some((view, page, offset)) = reg.layout.decode(addr) else {
+        let Some(addr) = reg.layout.canonical(addr) else {
             continue;
         };
+        let geo = &reg.layout.geo;
         let region = reg.region.load(Ordering::Acquire);
         // Neither the privileged view nor a region retired under this scan
         // faults legitimately: crash.
-        if view == reg.layout.priv_view() || region.is_null() {
-            break;
-        }
+        let vpage = match geo.vpage_of(addr) {
+            Some(vp) if vp < geo.vpage_index(geo.priv_view(), 0) && !region.is_null() => vp,
+            _ => break,
+        };
         // SAFETY: non-null means the registry still holds its strong count
         // on the region, and `retire`'s caller promises that no thread can
         // fault inside it any more — which this one just did.
         let region = unsafe { &*region };
-        let write = is_write_fault(ctx);
-        if write {
-            reg.writes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            reg.reads.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some((resolve, token)) = reg.resolver {
-            let fault = RawFault {
-                view,
-                page,
-                offset,
-                write,
-            };
-            if resolve(region, &fault, token) {
-                return; // Protocol opened the page: retry the instruction.
-            }
-            break;
-        }
-        let new = if write {
-            HostProt::ReadWrite
-        } else {
-            HostProt::ReadOnly
+        let access = fault_access(ctx);
+        match access {
+            Access::Read => reg.reads.fetch_add(1, Ordering::Relaxed),
+            Access::Write => reg.writes.fetch_add(1, Ordering::Relaxed),
         };
-        if region.protect_raw(view, page, new).is_ok() {
-            return; // Retry the faulting instruction.
+        let fault = Fault {
+            addr,
+            vpage,
+            access,
+        };
+        if (reg.resolver)(region, &fault, reg.token).is_ok() {
+            return; // The vpage is open: retry the faulting instruction.
         }
         break;
     }
-    // Not one of ours (or upgrade failed): restore the default action and
-    // let the fault kill the process with a proper core.
+    // Not one of ours, or unserved: restore the default action and let the
+    // fault kill the process with a proper core.
     // SAFETY: resetting a signal disposition is async-signal-safe.
     unsafe {
         libc::signal(libc::SIGSEGV, libc::SIG_DFL);
@@ -398,7 +401,7 @@ mod tests {
                     registered.wait();
                     let mut faults = 0;
                     while !stop.load(Ordering::Relaxed) || faults == 0 {
-                        r.protect(0, 0, HostProt::NoAccess).expect("mprotect");
+                        r.protect(0, 0, Prot::NoAccess).expect("mprotect");
                         r.write_u8(0, 0, 0, 1);
                         faults += 1;
                     }

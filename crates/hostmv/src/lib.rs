@@ -10,8 +10,10 @@
 //! * `mprotect` — independent per-vpage protection within each view (a
 //!   region's set-up protections may be staged and land in runs),
 //! * a `SIGSEGV` handler — the access-fault hook that a DSM uses to run
-//!   its coherence protocol; here it implements the protection-upgrade
-//!   ladder (`NoAccess → ReadOnly → ReadWrite`) and counts faults.
+//!   its coherence protocol: it decodes the canonical `sim_core::Fault`
+//!   (address, vpage, access), counts it and hands it to a resolver — the
+//!   built-in protection-upgrade ladder (`NoAccess → ReadOnly →
+//!   ReadWrite`) or a DSM's.
 //!
 //! The crate demonstrates that MultiView is a real mechanism, not a
 //! simulation artifact: the same physical byte is covered by different
@@ -33,7 +35,10 @@ mod region;
 pub use error::HostMvError;
 #[cfg(target_os = "linux")]
 pub use fault::{
-    free_slots, install_dsm_handler, install_handler, FaultCounters, FaultResolver, RawFault,
+    free_slots, install_dsm_handler, install_handler, FaultCounters, FaultResolver, Unserved,
 };
 #[cfg(target_os = "linux")]
-pub use region::{HostProt, MultiViewRegion};
+pub use region::MultiViewRegion;
+/// The name mvbench's `hostmv` layer imports; [`sim_core::Prot`] itself.
+#[cfg(target_os = "linux")]
+pub use sim_core::Prot as HostProt;

@@ -2,28 +2,16 @@
 //! set one page at a time or, during set-up, staged and landed in runs.
 
 use crate::error::HostMvError;
+use sim_core::{Geometry, Loc, Prot, VAddr, DEFAULT_BASE};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
-/// Protection of one vpage, mirroring the paper's three states.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum HostProt {
-    /// `PROT_NONE`.
-    NoAccess = 0,
-    /// `PROT_READ`.
-    ReadOnly = 1,
-    /// `PROT_READ | PROT_WRITE`.
-    ReadWrite = 2,
-}
-
-impl HostProt {
-    fn to_prot_flags(self) -> libc::c_int {
-        match self {
-            HostProt::NoAccess => libc::PROT_NONE,
-            HostProt::ReadOnly => libc::PROT_READ,
-            HostProt::ReadWrite => libc::PROT_READ | libc::PROT_WRITE,
-        }
+/// The `mprotect` flags of a vpage protection.
+fn prot_flags(prot: Prot) -> libc::c_int {
+    match prot {
+        Prot::NoAccess => libc::PROT_NONE,
+        Prot::ReadOnly => libc::PROT_READ,
+        Prot::ReadWrite => libc::PROT_READ | libc::PROT_WRITE,
     }
 }
 
@@ -32,26 +20,24 @@ impl HostProt {
 /// a slot scan never dereferences the region itself.
 #[derive(Clone)]
 pub(crate) struct ViewLayout {
-    /// Base address of each view (len = views + 1, privileged view last).
+    /// Base address of each view's mapping (len = views + 1, privileged
+    /// view last).
     bases: Box<[usize]>,
-    pages: usize,
-    page_size: usize,
+    /// The same views at the canonical addresses: [`DEFAULT_BASE`] and the
+    /// system page size, so a decoded fault means what it means in the
+    /// simulator (§2.4).
+    pub(crate) geo: Geometry,
 }
 
 impl ViewLayout {
-    pub(crate) fn priv_view(&self) -> usize {
-        self.bases.len() - 1
-    }
-
-    pub(crate) fn decode(&self, addr: usize) -> Option<(usize, usize, usize)> {
-        let bytes = self.pages * self.page_size;
-        for (view, &base) in self.bases.iter().enumerate() {
-            if addr >= base && addr < base + bytes {
-                let off = addr - base;
-                return Some((view, off / self.page_size, off % self.page_size));
-            }
-        }
-        None
+    /// The canonical address of the mapped address `addr`: same view, page
+    /// and offset, or `None` outside every view.
+    pub(crate) fn canonical(&self, addr: usize) -> Option<VAddr> {
+        let span = self.geo.view_span() as usize;
+        self.bases.iter().enumerate().find_map(|(view, &base)| {
+            let off = addr.checked_sub(base).filter(|&off| off < span)?;
+            Some(self.geo.addr_of(view, 0, 0).add(off))
+        })
     }
 }
 
@@ -159,9 +145,9 @@ impl MultiViewRegion {
         let prots = (0..(views + 1) * pages)
             .map(|i| {
                 let v = if i / pages == views {
-                    HostProt::ReadWrite
+                    Prot::ReadWrite
                 } else {
-                    HostProt::NoAccess
+                    Prot::NoAccess
                 };
                 AtomicU8::new(v as u8)
             })
@@ -170,32 +156,19 @@ impl MultiViewRegion {
             fd,
             layout: ViewLayout {
                 bases: bases.into(),
-                pages,
-                page_size,
+                geo: Geometry::with_layout(DEFAULT_BASE, page_size, pages, views),
             },
             prots,
             staged: AtomicBool::new(staged),
         })
     }
 
-    /// System page size.
-    pub fn page_size(&self) -> usize {
-        self.layout.page_size
-    }
-
-    /// Pages in the memory object.
-    pub fn pages(&self) -> usize {
-        self.layout.pages
-    }
-
-    /// Application view count.
-    pub fn views(&self) -> usize {
-        self.layout.priv_view()
-    }
-
-    /// Index of the privileged view.
-    pub fn priv_view(&self) -> usize {
-        self.layout.priv_view()
+    /// The region's views at their canonical addresses: pages, views,
+    /// the system page size, and the addresses a [`Fault`] reports.
+    ///
+    /// [`Fault`]: sim_core::Fault
+    pub fn geometry(&self) -> &Geometry {
+        &self.layout.geo
     }
 
     /// Address of `(view, page, offset)`.
@@ -210,48 +183,44 @@ impl MultiViewRegion {
     /// Address of the `len`-byte span at `(view, page, offset)`; panics
     /// unless the span lies inside that one page.
     fn span_addr(&self, view: usize, page: usize, offset: usize, len: usize) -> usize {
-        let l = &self.layout;
+        let g = &self.layout.geo;
+        let ps = g.page_size();
         assert!(
-            view < l.bases.len()
-                && page < l.pages
-                && offset <= l.page_size
-                && len <= l.page_size - offset,
+            view < g.total_views() && page < g.pages() && offset <= ps && len <= ps - offset,
             "span ({view}, {page}, {offset}) + {len} leaves its page"
         );
-        l.bases[view] + page * l.page_size + offset
+        self.layout.bases[view] + page * ps + offset
     }
 
-    /// Decodes an address within the region to `(view, page, offset)`.
-    pub fn decode(&self, addr: usize) -> Option<(usize, usize, usize)> {
-        self.layout.decode(addr)
+    /// Decodes an address within the region to its view, page and offset.
+    pub fn decode(&self, addr: usize) -> Option<Loc> {
+        self.layout.geo.decode(self.layout.canonical(addr)?)
     }
 
     /// Shadow protection of a vpage.
-    pub fn prot(&self, view: usize, page: usize) -> HostProt {
-        match self.prots[view * self.layout.pages + page].load(Ordering::Acquire) {
-            0 => HostProt::NoAccess,
-            1 => HostProt::ReadOnly,
-            _ => HostProt::ReadWrite,
-        }
+    pub fn prot(&self, view: usize, page: usize) -> Prot {
+        let v = self.prots[self.layout.geo.vpage_index(view, page)].load(Ordering::Acquire);
+        Prot::from_u8(v).unwrap_or(Prot::ReadWrite)
     }
 
     /// Sets the real protection of one vpage of one application view.
     ///
     /// Targeting the privileged view (its protection is fixed) or an
     /// out-of-range page is a [`HostMvError::BadTarget`].
-    pub fn protect(&self, view: usize, page: usize, prot: HostProt) -> Result<(), HostMvError> {
-        if view >= self.views() {
+    pub fn protect(&self, view: usize, page: usize, prot: Prot) -> Result<(), HostMvError> {
+        if view >= self.layout.geo.priv_view() {
             return Err(HostMvError::BadTarget {
                 what: "privileged view protection is fixed",
             });
         }
-        if page >= self.layout.pages {
+        if page >= self.layout.geo.pages() {
             return Err(HostMvError::BadTarget {
                 what: "page out of range",
             });
         }
         if self.is_staged() {
-            self.prots[view * self.layout.pages + page].store(prot as u8, Ordering::Release);
+            self.prots[self.layout.geo.vpage_index(view, page)]
+                .store(prot as u8, Ordering::Release);
             return Ok(());
         }
         self.protect_raw(view, page, prot)
@@ -274,16 +243,16 @@ impl MultiViewRegion {
         if !self.is_staged() {
             return Ok(0);
         }
-        let pages = self.layout.pages;
+        let (pages, views) = (self.layout.geo.pages(), self.layout.geo.views());
         let mut calls = 0;
-        for view in 0..self.views() {
+        for view in 0..views {
             let mut page = 0;
             while page < pages {
                 let prot = self.prot(view, page);
                 let run = (page..pages)
                     .take_while(|&p| self.prot(view, p) == prot)
                     .count();
-                if prot != HostProt::NoAccess {
+                if prot != Prot::NoAccess {
                     self.mprotect(view, page, run, prot)?;
                     calls += 1;
                 }
@@ -302,10 +271,10 @@ impl MultiViewRegion {
         &self,
         view: usize,
         page: usize,
-        prot: HostProt,
+        prot: Prot,
     ) -> Result<(), HostMvError> {
         self.mprotect(view, page, 1, prot)?;
-        self.prots[view * self.layout.pages + page].store(prot as u8, Ordering::Release);
+        self.prots[self.layout.geo.vpage_index(view, page)].store(prot as u8, Ordering::Release);
         Ok(())
     }
 
@@ -315,20 +284,14 @@ impl MultiViewRegion {
         view: usize,
         page: usize,
         pages: usize,
-        prot: HostProt,
+        prot: Prot,
     ) -> Result<(), HostMvError> {
-        let l = &self.layout;
-        let addr = l.bases[view] + page * l.page_size;
+        let ps = self.layout.geo.page_size();
+        let addr = self.layout.bases[view] + page * ps;
         // SAFETY: addr and the length describe whole pages of a mapping
         // this region owns; changing their protection cannot create memory
         // unsafety by itself (accesses are checked by the MMU).
-        let rc = unsafe {
-            libc::mprotect(
-                addr as *mut libc::c_void,
-                pages * l.page_size,
-                prot.to_prot_flags(),
-            )
-        };
+        let rc = unsafe { libc::mprotect(addr as *mut libc::c_void, pages * ps, prot_flags(prot)) };
         if rc != 0 {
             return Err(HostMvError::last_os("mprotect"));
         }
@@ -418,8 +381,9 @@ impl MultiViewRegion {
     /// paper's zero-copy receive path (works regardless of application
     /// view protections).
     pub fn priv_write(&self, page: usize, offset: usize, data: &[u8]) {
-        assert!(offset + data.len() <= (self.layout.pages - page) * self.layout.page_size);
-        let a = self.addr(self.priv_view(), page, offset) as *mut u8;
+        let g = &self.layout.geo;
+        assert!(offset + data.len() <= (g.pages() - page) * g.page_size());
+        let a = self.addr(g.priv_view(), page, offset) as *mut u8;
         // SAFETY: bounds asserted above; the privileged view is always
         // PROT_READ|PROT_WRITE.
         unsafe { ptr::copy_nonoverlapping(data.as_ptr(), a, data.len()) }
@@ -427,8 +391,9 @@ impl MultiViewRegion {
 
     /// Reads `len` bytes through the privileged view.
     pub fn priv_read(&self, page: usize, offset: usize, len: usize) -> Vec<u8> {
-        assert!(offset + len <= (self.layout.pages - page) * self.layout.page_size);
-        let a = self.addr(self.priv_view(), page, offset) as *const u8;
+        let g = &self.layout.geo;
+        assert!(offset + len <= (g.pages() - page) * g.page_size());
+        let a = self.addr(g.priv_view(), page, offset) as *const u8;
         let mut out = vec![0u8; len];
         // SAFETY: bounds asserted; privileged view always readable.
         unsafe { ptr::copy_nonoverlapping(a, out.as_mut_ptr(), len) }
@@ -437,7 +402,7 @@ impl MultiViewRegion {
 
     /// Whether `addr` falls inside any view of this region.
     pub fn contains(&self, addr: usize) -> bool {
-        self.decode(addr).is_some()
+        self.layout.canonical(addr).is_some()
     }
 }
 
@@ -451,7 +416,7 @@ fn split_at_words(base: usize, len: usize) -> (usize, usize) {
 
 impl Drop for MultiViewRegion {
     fn drop(&mut self) {
-        let bytes = self.layout.pages * self.layout.page_size;
+        let bytes = self.layout.geo.view_span() as usize;
         for &b in self.layout.bases.iter() {
             // SAFETY: unmapping mappings this region created and owns.
             unsafe { libc::munmap(b as *mut libc::c_void, bytes) };
@@ -470,11 +435,11 @@ mod tests {
         let r = MultiViewRegion::new(2, 3).unwrap();
         r.priv_write(0, 10, b"shared!");
         // Open view 1 for reading and observe the privileged write.
-        r.protect(1, 0, HostProt::ReadOnly).unwrap();
+        r.protect(1, 0, Prot::ReadOnly).unwrap();
         assert_eq!(r.read_u8(1, 0, 10), b's');
         assert_eq!(r.read_u8(1, 0, 16), b'!');
         // Write through view 2 after opening it; visible in view 1.
-        r.protect(2, 0, HostProt::ReadWrite).unwrap();
+        r.protect(2, 0, Prot::ReadWrite).unwrap();
         r.write_u8(2, 0, 10, b'S');
         assert_eq!(r.read_u8(1, 0, 10), b'S');
         assert_eq!(r.priv_read(0, 10, 7), b"Shared!");
@@ -483,17 +448,24 @@ mod tests {
     #[test]
     fn per_view_protection_is_independent() {
         let r = MultiViewRegion::new(1, 2).unwrap();
-        r.protect(0, 0, HostProt::ReadWrite).unwrap();
-        assert_eq!(r.prot(0, 0), HostProt::ReadWrite);
-        assert_eq!(r.prot(1, 0), HostProt::NoAccess);
-        assert_eq!(r.prot(r.priv_view(), 0), HostProt::ReadWrite);
+        r.protect(0, 0, Prot::ReadWrite).unwrap();
+        assert_eq!(r.prot(0, 0), Prot::ReadWrite);
+        assert_eq!(r.prot(1, 0), Prot::NoAccess);
+        assert_eq!(r.prot(r.geometry().priv_view(), 0), Prot::ReadWrite);
     }
 
     #[test]
     fn decode_roundtrips() {
         let r = MultiViewRegion::new(4, 2).unwrap();
         let a = r.addr(1, 3, 17);
-        assert_eq!(r.decode(a), Some((1, 3, 17)));
+        assert_eq!(
+            r.decode(a),
+            Some(Loc {
+                view: 1,
+                page: 3,
+                offset: 17
+            })
+        );
         assert!(r.contains(a));
         assert!(!r.contains(0x10));
     }
@@ -501,9 +473,9 @@ mod tests {
     #[test]
     fn spans_copy_every_alignment_and_length() {
         let r = MultiViewRegion::new(2, 1).unwrap();
-        r.protect(0, 0, HostProt::ReadWrite).unwrap();
+        r.protect(0, 0, Prot::ReadWrite).unwrap();
         let data: Vec<u8> = (0..40).map(|i| i as u8 ^ 0x5a).collect();
-        let page = r.page_size();
+        let page = r.geometry().page_size();
         let blank = vec![0u8; 2 * page];
         // Every misalignment of the start against the 8-byte words, every
         // length from empty to several words — byte head, wide body, byte
@@ -530,24 +502,24 @@ mod tests {
     #[should_panic(expected = "leaves its page")]
     fn a_span_across_the_page_end_is_refused() {
         let r = MultiViewRegion::new(2, 1).unwrap();
-        r.protect(0, 0, HostProt::ReadWrite).unwrap();
-        r.protect(0, 1, HostProt::ReadWrite).unwrap();
+        r.protect(0, 0, Prot::ReadWrite).unwrap();
+        r.protect(0, 1, Prot::ReadWrite).unwrap();
         // Both pages are mapped and writable: only the bounds check stands
         // between this store and the next page.
-        r.write_span(0, 0, r.page_size() - 4, &[1u8; 8]);
+        r.write_span(0, 0, r.geometry().page_size() - 4, &[1u8; 8]);
     }
 
     #[test]
     fn privileged_protection_is_a_typed_error() {
         let r = MultiViewRegion::new(1, 1).unwrap();
         assert_eq!(
-            r.protect(1, 0, HostProt::NoAccess),
+            r.protect(1, 0, Prot::NoAccess),
             Err(HostMvError::BadTarget {
                 what: "privileged view protection is fixed"
             })
         );
         assert!(matches!(
-            r.protect(0, 9, HostProt::NoAccess),
+            r.protect(0, 9, Prot::NoAccess),
             Err(HostMvError::BadTarget { .. })
         ));
         assert!(matches!(

@@ -7,7 +7,8 @@
 
 #![cfg(target_os = "linux")]
 
-use hostmv::{install_handler, FaultCounters, HostProt, MultiViewRegion};
+use hostmv::{install_handler, FaultCounters, MultiViewRegion};
+use sim_core::Prot;
 use std::sync::{Arc, Mutex, OnceLock};
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -28,11 +29,11 @@ fn read_fault_upgrades_to_readonly() {
     let (r, c) = fixture();
     r.priv_write(0, 0, b"A");
     let before = c.read_faults();
-    assert_eq!(r.prot(0, 0), HostProt::NoAccess);
+    assert_eq!(r.prot(0, 0), Prot::NoAccess);
     // This load faults; the handler upgrades to ReadOnly and retries.
     assert_eq!(r.read_u8(0, 0, 0), b'A');
     assert_eq!(c.read_faults(), before + 1);
-    assert_eq!(r.prot(0, 0), HostProt::ReadOnly);
+    assert_eq!(r.prot(0, 0), Prot::ReadOnly);
     // Second read: no further fault.
     assert_eq!(r.read_u8(0, 0, 0), b'A');
     assert_eq!(c.read_faults(), before + 1);
@@ -43,10 +44,10 @@ fn write_fault_upgrades_to_readwrite() {
     let _g = SERIAL.lock().unwrap();
     let (r, c) = fixture();
     let before_w = c.write_faults();
-    assert_eq!(r.prot(1, 1), HostProt::NoAccess);
+    assert_eq!(r.prot(1, 1), Prot::NoAccess);
     r.write_u8(1, 1, 5, 42);
     assert_eq!(c.write_faults(), before_w + 1);
-    assert_eq!(r.prot(1, 1), HostProt::ReadWrite);
+    assert_eq!(r.prot(1, 1), Prot::ReadWrite);
     assert_eq!(r.read_u8(1, 1, 5), 42);
     // The same byte through the privileged view: shared storage.
     assert_eq!(r.priv_read(1, 5, 1), vec![42]);
@@ -62,8 +63,8 @@ fn same_page_different_views_fault_independently() {
     let before = c.read_faults();
     assert_eq!(r.read_u8(0, 2, 100), b'x'); // Fault + upgrade in view 0.
     assert_eq!(c.read_faults(), before + 1);
-    assert_eq!(r.prot(0, 2), HostProt::ReadOnly);
-    assert_eq!(r.prot(1, 2), HostProt::NoAccess, "view 1 stays sealed");
+    assert_eq!(r.prot(0, 2), Prot::ReadOnly);
+    assert_eq!(r.prot(1, 2), Prot::NoAccess, "view 1 stays sealed");
     assert_eq!(r.read_u8(1, 2, 101), b'y'); // Independent fault in view 1.
     assert_eq!(c.read_faults(), before + 2);
 }
@@ -75,9 +76,9 @@ fn privileged_updates_while_views_sealed_then_downgrade() {
     // §2.3.1: atomic minipage update in user mode — the server thread
     // writes through the privileged view while application views are
     // sealed, then opens the protection.
-    assert_eq!(r.prot(2, 3), HostProt::NoAccess);
+    assert_eq!(r.prot(2, 3), Prot::NoAccess);
     r.priv_write(3, 0, b"update-in-flight");
-    r.protect(2, 3, HostProt::ReadOnly).unwrap();
+    r.protect(2, 3, Prot::ReadOnly).unwrap();
     let before = c.read_faults();
     assert_eq!(r.read_u8(2, 3, 0), b'u');
     assert_eq!(c.read_faults(), before, "no fault after explicit grant");
@@ -102,7 +103,7 @@ fn downgrade_reprotects_for_real() {
     r.write_u8(0, 5, 0, 1); // Upgrade to ReadWrite.
     let bw = c.write_faults();
     // Downgrade (what an invalidation does) and touch again.
-    r.protect(0, 5, HostProt::NoAccess).unwrap();
+    r.protect(0, 5, Prot::NoAccess).unwrap();
     r.write_u8(0, 5, 0, 2);
     assert_eq!(
         c.write_faults(),
@@ -120,7 +121,7 @@ fn fault_cost_microbenchmark_smoke() {
     // take 50 fault→upgrade→downgrade cycles.
     let t0 = std::time::Instant::now();
     for i in 0..50u8 {
-        r.protect(0, 6, HostProt::NoAccess).unwrap();
+        r.protect(0, 6, Prot::NoAccess).unwrap();
         r.write_u8(0, 6, 0, i);
     }
     let per = t0.elapsed().as_nanos() / 50;
@@ -133,8 +134,8 @@ fn a_span_takes_one_fault_however_many_bytes_it_copies() {
     let _g = SERIAL.lock().unwrap();
     let (r, c) = fixture();
     let data: Vec<u8> = (0..600).map(|i| (i % 251) as u8).collect();
-    r.protect(1, 7, HostProt::NoAccess).unwrap();
-    r.protect(2, 7, HostProt::NoAccess).unwrap();
+    r.protect(1, 7, Prot::NoAccess).unwrap();
+    r.protect(2, 7, Prot::NoAccess).unwrap();
     let (br, bw) = (c.read_faults(), c.write_faults());
     // One write fault for 600 bytes through view 1 (NoAccess → ReadWrite)…
     r.write_span(1, 7, 13, &data);
@@ -146,5 +147,5 @@ fn a_span_takes_one_fault_however_many_bytes_it_copies() {
     r.read_span(2, 7, 13, &mut back);
     assert_eq!((c.read_faults(), c.write_faults()), (br + 1, bw + 1));
     assert_eq!(back, data);
-    assert_eq!(r.prot(2, 7), HostProt::ReadOnly);
+    assert_eq!(r.prot(2, 7), Prot::ReadOnly);
 }

@@ -7,7 +7,8 @@
 
 #![cfg(target_os = "linux")]
 
-use hostmv::{install_handler, HostMvError, HostProt, MultiViewRegion};
+use hostmv::{install_handler, HostMvError, MultiViewRegion};
+use sim_core::{Loc, Prot};
 use std::sync::Arc;
 
 const VIEWS: usize = 3;
@@ -15,9 +16,9 @@ const PAGES: usize = 64;
 
 /// The real protection of every page of every application view of `r`,
 /// as `/proc/self/maps` reports it.
-fn real_prots(r: &MultiViewRegion) -> Vec<HostProt> {
+fn real_prots(r: &MultiViewRegion) -> Vec<Prot> {
     let maps = std::fs::read_to_string("/proc/self/maps").expect("procfs");
-    let ps = r.page_size();
+    let ps = r.geometry().page_size();
     let mut prots = vec![None; VIEWS * PAGES];
     for line in maps.lines() {
         let mut fields = line.split_whitespace();
@@ -26,13 +27,18 @@ fn real_prots(r: &MultiViewRegion) -> Vec<HostProt> {
         let lo = usize::from_str_radix(lo, 16).expect("hex");
         let hi = usize::from_str_radix(hi, 16).expect("hex");
         let prot = match &perms[..2] {
-            "--" => HostProt::NoAccess,
-            "r-" => HostProt::ReadOnly,
-            "rw" => HostProt::ReadWrite,
+            "--" => Prot::NoAccess,
+            "r-" => Prot::ReadOnly,
+            "rw" => Prot::ReadWrite,
             other => panic!("unexpected permissions {other}"),
         };
         for a in (lo..hi).step_by(ps) {
-            if let Some((view, page, 0)) = r.decode(a) {
+            if let Some(Loc {
+                view,
+                page,
+                offset: 0,
+            }) = r.decode(a)
+            {
                 if view < VIEWS {
                     prots[view * PAGES + page] = Some(prot);
                 }
@@ -46,7 +52,7 @@ fn real_prots(r: &MultiViewRegion) -> Vec<HostProt> {
 }
 
 /// Maximal runs of equal protection, counted per view.
-fn runs(prots: &[HostProt]) -> usize {
+fn runs(prots: &[Prot]) -> usize {
     prots
         .chunks(PAGES)
         .map(|view| 1 + view.windows(2).filter(|w| w[0] != w[1]).count())
@@ -66,7 +72,7 @@ fn staged_protections_land_as_immediate_ones_do() {
         (x % n) as usize
     };
     for _ in 0..200 {
-        let prot = [HostProt::NoAccess, HostProt::ReadOnly, HostProt::ReadWrite][next(3)];
+        let prot = [Prot::NoAccess, Prot::ReadOnly, Prot::ReadWrite][next(3)];
         let (view, first) = (next(VIEWS as u64), next(PAGES as u64));
         for page in first..(first + 1 + next(4)).min(PAGES) {
             staged.protect(view, page, prot).expect("shadow");
@@ -81,12 +87,12 @@ fn staged_protections_land_as_immediate_ones_do() {
         "a staged region registered with the fault handler"
     );
     assert!(
-        real_prots(&staged).iter().all(|&p| p == HostProt::NoAccess),
+        real_prots(&staged).iter().all(|&p| p == Prot::NoAccess),
         "a staged protect made a syscall"
     );
 
     let calls = staged.apply_staged().expect("mprotect");
-    let shadow: Vec<HostProt> = (0..VIEWS * PAGES)
+    let shadow: Vec<Prot> = (0..VIEWS * PAGES)
         .map(|vp| staged.prot(vp / PAGES, vp % PAGES))
         .collect();
     assert_eq!(real_prots(&staged), real_prots(&immediate));
@@ -100,9 +106,9 @@ fn staged_protections_land_as_immediate_ones_do() {
 
     // Live now: a protection takes effect at once, as a fault shows.
     let counters = install_handler(Arc::clone(&staged)).expect("install handler");
-    staged.protect(0, 5, HostProt::NoAccess).expect("mprotect");
+    staged.protect(0, 5, Prot::NoAccess).expect("mprotect");
     assert_eq!(staged.read_u8(0, 5, 0), 0);
-    staged.protect(1, 9, HostProt::ReadOnly).expect("mprotect");
+    staged.protect(1, 9, Prot::ReadOnly).expect("mprotect");
     staged.write_u8(1, 9, 0, 1);
     assert_eq!((counters.read_faults(), counters.write_faults()), (1, 1));
     counters.retire();

@@ -11,6 +11,8 @@
 //!
 //! * [`addr`] — virtual addresses and the shared MultiView geometry (the
 //!   vocabulary every backend, simulated or real, speaks),
+//! * [`access`] — accesses, protections and the one access-fault record
+//!   both backends raise,
 //! * [`clock`] — virtual clocks and time algebra,
 //! * [`cost`] — the calibrated cost model (Table 1 and §3.5 of the paper),
 //! * [`rng`] — a small deterministic PRNG (SplitMix64),
@@ -27,6 +29,7 @@
 //!   user-level threads on the calling OS thread) it runs application
 //!   threads as.
 
+pub mod access;
 pub mod account;
 pub mod addr;
 pub mod clock;
@@ -40,6 +43,7 @@ mod sha256;
 pub mod stats;
 pub mod trace;
 
+pub use access::{Access, Fault, Prot};
 pub use account::{Category, TimeBreakdown};
 pub use addr::{Geometry, Loc, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE};
 pub use clock::{BusyWindow, Clock, Ns};

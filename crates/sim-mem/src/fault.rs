@@ -1,84 +1,8 @@
-//! Protections, access kinds, and fault/error types.
+//! Memory-system errors. Protections, access kinds and the access-fault
+//! record are `sim_core::access`'s, re-exported from the crate root.
 
 use sim_core::VAddr;
 use std::fmt;
-
-/// Per-vpage protection, exactly the three states §2.2 uses:
-/// "A NoAccess protection indicates a non-present minipage, a ReadOnly
-/// protection is set for read copies, and a writable copy gets a ReadWrite
-/// protection."
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-#[repr(u8)]
-pub enum Prot {
-    /// The minipage is not present on this host.
-    #[default]
-    NoAccess = 0,
-    /// A read copy is present.
-    ReadOnly = 1,
-    /// The (single) writable copy is present.
-    ReadWrite = 2,
-}
-
-impl Prot {
-    /// Whether this protection permits `access`.
-    #[inline]
-    pub fn allows(self, access: Access) -> bool {
-        match access {
-            Access::Read => self != Prot::NoAccess,
-            Access::Write => self == Prot::ReadWrite,
-        }
-    }
-
-    /// Decodes the `repr(u8)` value; inverse of `as u8`.
-    pub fn from_u8(v: u8) -> Option<Prot> {
-        match v {
-            0 => Some(Prot::NoAccess),
-            1 => Some(Prot::ReadOnly),
-            2 => Some(Prot::ReadWrite),
-            _ => None,
-        }
-    }
-}
-
-/// The kind of memory access an application performs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Access {
-    /// A load.
-    Read,
-    /// A store.
-    Write,
-}
-
-impl fmt::Display for Access {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Access::Read => write!(f, "read"),
-            Access::Write => write!(f, "write"),
-        }
-    }
-}
-
-/// An access fault: the simulated equivalent of the hardware page fault the
-/// DSM's exception handler receives.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct AccessFault {
-    /// The faulting virtual address.
-    pub addr: VAddr,
-    /// Load or store.
-    pub access: Access,
-    /// Global vpage index of the faulting vpage.
-    pub vpage: usize,
-}
-
-impl fmt::Display for AccessFault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} fault at {} (vpage {})",
-            self.access, self.addr, self.vpage
-        )
-    }
-}
 
 /// Errors from the simulated memory system.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -119,24 +43,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protection_lattice_allows() {
-        assert!(!Prot::NoAccess.allows(Access::Read));
-        assert!(!Prot::NoAccess.allows(Access::Write));
-        assert!(Prot::ReadOnly.allows(Access::Read));
-        assert!(!Prot::ReadOnly.allows(Access::Write));
-        assert!(Prot::ReadWrite.allows(Access::Read));
-        assert!(Prot::ReadWrite.allows(Access::Write));
-    }
-
-    #[test]
-    fn prot_u8_roundtrip() {
-        for p in [Prot::NoAccess, Prot::ReadOnly, Prot::ReadWrite] {
-            assert_eq!(Prot::from_u8(p as u8), Some(p));
-        }
-        assert_eq!(Prot::from_u8(3), None);
-    }
-
-    #[test]
     fn error_messages_are_informative() {
         let e = MemError::OutOfRange {
             addr: VAddr(0x10),
@@ -145,11 +51,5 @@ mod tests {
         assert!(e.to_string().contains("0x10"));
         let p = MemError::PrivilegedViewProtection { vpage: 5 };
         assert!(p.to_string().contains("privileged"));
-        let f = AccessFault {
-            addr: VAddr(0x20),
-            access: Access::Write,
-            vpage: 3,
-        };
-        assert!(f.to_string().contains("write fault"));
     }
 }

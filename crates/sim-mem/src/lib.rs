@@ -27,8 +27,9 @@
 mod fault;
 mod space;
 
-// The address vocabulary lives in `sim-core` (backends real and simulated
-// share it); re-exported here so memory-layer callers keep one import path.
-pub use fault::{Access, AccessFault, MemError, Prot};
-pub use sim_core::{Geometry, Loc, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE};
+// The address and access-fault vocabulary lives in `sim-core` (backends
+// real and simulated share it); re-exported here so memory-layer callers
+// keep one import path.
+pub use fault::MemError;
+pub use sim_core::{Access, Fault, Geometry, Loc, Prot, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE};
 pub use space::{AccessError, AccessTlb, AddressSpace, TlbEntry};

@@ -1,7 +1,7 @@
 //! Per-host address space: protections + page storage + checked access.
 
-use crate::fault::{Access, AccessFault, MemError, Prot};
-use sim_core::{Geometry, VAddr};
+use crate::fault::MemError;
+use sim_core::{Access, Fault, Geometry, Prot, VAddr};
 use std::cell::{Cell, RefCell};
 
 /// Why a checked access did not complete.
@@ -10,7 +10,7 @@ pub enum AccessError {
     /// Hard error: address outside the shared region (a program bug).
     Mem(MemError),
     /// An access fault to be resolved by the DSM protocol.
-    Fault(AccessFault),
+    Fault(Fault),
 }
 
 impl From<MemError> for AccessError {
@@ -333,10 +333,10 @@ impl AddressSpace {
         if self.prot(vp).allows(access) {
             return Ok(());
         }
-        Err(AccessError::Fault(AccessFault {
+        Err(AccessError::Fault(Fault {
             addr: self.fault_addr(addr, view, vp),
-            access,
             vpage: vp,
+            access,
         }))
     }
 
@@ -452,7 +452,7 @@ impl AddressSpace {
         Ok((loc.view, segs))
     }
 
-    /// The address to report in an [`AccessFault`] for vpage `vp`: the
+    /// The address to report in a [`Fault`] for vpage `vp`: the
     /// original address if it lies on that vpage, otherwise the vpage base.
     fn fault_addr(&self, addr: VAddr, view: usize, vp: usize) -> VAddr {
         let page = vp % self.geo.pages();
@@ -563,7 +563,7 @@ mod tests {
         s.read(a, &mut buf).unwrap();
         assert!(matches!(
             s.write(a, &buf),
-            Err(AccessError::Fault(AccessFault {
+            Err(AccessError::Fault(Fault {
                 access: Access::Write,
                 ..
             }))
