@@ -19,8 +19,19 @@
 # (and hand the state to a fiber run and back at its ends, and a run's
 # decision log to its mode at a verdict); an atomic there is the
 # multi-threaded schedule coming back, which took 2.81 uncontended
-# state-lock pairs per water4_seq message. Test modules (from each file's
-# `#[cfg(test)]` on) may use what they like.
+# state-lock pairs per water4_seq message.
+#
+# The protocol state: one OS thread builds, serves and checks a run's
+# stack on either backend (the simulator's caller; the host backend's
+# `mv-server` thread), so `HostState`, `HomeTable`, the shards and the busy
+# window take no lock (DESIGN §3, §11). A lock in non-test core code is
+# that state shared across threads again: on water4_seq its `rc`,
+# `prefetch_waiters` and home-table locks were 0.69 lock pairs per
+# message. Atomics stay where state does cross threads on the host
+# backend (counters, diagnostics, inbox, completion words), never in
+# home.rs or clock.rs. The one lock left is explore.rs's process-wide
+# panic-hook guard. Test modules (from each file's `#[cfg(test)]` on) may
+# use what they like.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,9 +50,11 @@ check() {
 check '\b(Mutex|RwLock|Condvar|Atomic[A-Za-z0-9]*|Weak|OnceLock|parking_lot)\b' \
     crates/sim-net/src/*.rs crates/sim-mem/src/*.rs
 check '\bAtomic[A-Za-z0-9]*\b' crates/sim-core/src/sched.rs
+check '\b(Mutex|RwLock|Condvar)\b' $(ls crates/core/src/*.rs | grep -v '/explore\.rs$')
+check '\bAtomic[A-Za-z0-9]*\b' crates/core/src/home.rs crates/sim-core/src/clock.rs
 if [ "$status" -ne 0 ]; then
-    echo "sync-gate: sim-net, sim-mem and the fiber schedule are single-threaded; the lines above name a lock, an atomic, a Weak or parking_lot" >&2
+    echo "sync-gate: sim-net, sim-mem, the fiber schedule and the protocol state are single-threaded; the lines above name a lock, an atomic, a Weak or parking_lot" >&2
 else
-    echo "sync-gate: no lock, atomic, Weak or parking_lot in sim-net or sim-mem, and no atomic in sched.rs"
+    echo "sync-gate: no lock, atomic, Weak or parking_lot in sim-net or sim-mem, no atomic in sched.rs, home.rs or clock.rs, and no lock in core outside explore.rs"
 fi
 exit "$status"

@@ -784,14 +784,8 @@ mod props {
         }
         let mut allocated = SEEDED * ps;
         for &(op, pick, param) in ops {
-            let mut active: Vec<Minipage> = home
-                .table
-                .read()
-                .expect("home table poisoned")
-                .mpt()
-                .iter_active()
-                .copied()
-                .collect();
+            let mut active: Vec<Minipage> =
+                home.table.borrow().mpt().iter_active().copied().collect();
             active.sort_by_key(|m| m.phys_range(ps).start);
             match op % 4 {
                 // Split at an interior cut, children in fresh views.
@@ -803,7 +797,7 @@ mod props {
                     let parent = *cands[pick % cands.len()];
                     let cut = 1 + param % (parent.len - 1);
                     let children = {
-                        let t = home.table.read().expect("home table poisoned");
+                        let t = home.table.borrow();
                         let mpt = t.mpt();
                         let phys = parent.phys_range(ps).start;
                         let Some(va) =
@@ -842,7 +836,7 @@ mod props {
                         continue;
                     }
                     let merged = {
-                        let t = home.table.read().expect("home table poisoned");
+                        let t = home.table.borrow();
                         let Some(view) = t.mpt().free_view_for(&geo, start / ps, pages, &[]) else {
                             continue;
                         };
@@ -882,7 +876,7 @@ mod props {
                     allocated += mp.len;
                 }
             }
-            let t = home.table.read().expect("home table poisoned");
+            let t = home.table.borrow();
             let v = t.mpt().geometry_violations(&geo);
             prop_assert!(v.is_empty(), "{:?}: geometry violations: {:?}", kind, v);
             prop_assert_eq!(t.mpt().len(), homes.len(), "{:?}: ids out of step", kind);
@@ -901,7 +895,7 @@ mod props {
         // one active owner through the original (view-0) addresses, the
         // active set covers exactly the allocated bytes, and every home is
         // a real host.
-        let t = home.table.read().expect("home table poisoned");
+        let t = home.table.borrow();
         let mpt = t.mpt();
         let covered: usize = mpt.iter_active().map(|m| m.len).sum();
         prop_assert_eq!(covered, allocated, "{:?}: active bytes leaked", kind);

@@ -31,9 +31,9 @@
 //! before any application can reach them — setup, not protocol traffic —
 //! and a home patches release diffs into its own copy). It has one
 //! implementation, the per-host [`HostState`]s of whichever substrate is
-//! running ([`Cluster`]); a shard holds it by type, so it is `Send` exactly
-//! when the substrate's states are shareable across threads — on the host
-//! backend, whose shards move to its server thread, not in the simulator.
+//! running ([`Cluster`]), held by `Rc`: on either backend one OS thread
+//! builds, serves and checks a run's states and shards, so neither is
+//! `Send` and none takes a lock.
 //!
 //! The sim implementations monomorphize to exactly the pre-refactor code:
 //! the determinism tests and the goldens under `tests/goldens/` hold the
@@ -48,7 +48,7 @@ use sim_core::{Geometry, HostId, Ns, VAddr};
 use sim_mem::{AddressSpace, Prot};
 use sim_net::{Endpoint, ServerTimeline};
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Why a backend memory operation failed. The protocol layer converts
 /// this into a [`ProtocolError`] carrying the message context.
@@ -245,13 +245,13 @@ pub(crate) trait ClusterMemory {
     /// [`MemoryBackend::apply_diff`]).
     fn apply_diff(&self, host: HostId, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault>;
     /// Caches a minipage translation in `host`'s release-consistency
-    /// state (HLRC bookkeeping; backends without HLRC ignore it).
+    /// state (see [`HostState::learn_rc`]).
     fn learn_rc(&self, host: HostId, vpages: Range<usize>, info: MpInfo);
 }
 
 /// Every host's [`HostState`], in host order: the cluster's memory on
 /// either substrate. The defaults are the simulator's.
-pub(crate) type Cluster<M = AddressSpace, W = Waiters> = Vec<Arc<HostState<M, W>>>;
+pub(crate) type Cluster<M = AddressSpace, W = Waiters> = Vec<Rc<HostState<M, W>>>;
 
 /// The shards reach a host's space and release-consistency cache through
 /// the same state its server works on.
@@ -273,11 +273,7 @@ impl<M: MemoryBackend, W> ClusterMemory for Cluster<M, W> {
     }
 
     fn learn_rc(&self, host: HostId, vpages: Range<usize>, info: MpInfo) {
-        self[host.index()]
-            .rc
-            .lock()
-            .expect("rc state poisoned")
-            .learn(vpages, info);
+        self[host.index()].learn_rc(vpages, info);
     }
 }
 

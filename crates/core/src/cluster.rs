@@ -256,10 +256,12 @@ pub(crate) fn assert_hosts(hosts: usize) {
 /// wake-up `W`, and the diagnostics table. [`Stack::new`] builds it with
 /// the manager shards and runs setup; after the run, [`Stack::check`]
 /// holds the shards and states the driver hands back to the invariants.
+/// One OS thread does all three (the simulator's caller, or the host
+/// backend's server thread), so the stack is held by `Rc`.
 pub(crate) struct Stack<M, W> {
     pub(crate) geo: Geometry,
-    pub(crate) home: Arc<HomeTable>,
-    pub(crate) states: Vec<Arc<HostState<M, W>>>,
+    pub(crate) home: Rc<HomeTable>,
+    pub(crate) states: Vec<Rc<HostState<M, W>>>,
     /// The diagnostics table; `None` unless [`ClusterConfig::diag`].
     pub(crate) diag: Option<Arc<DiagTable>>,
     consistency: Consistency,
@@ -310,12 +312,12 @@ where
             .diag
             .then(|| DiagTable::with_slots(cfg.hosts, geo.priv_view() * geo.pages()));
         let alloc = Allocator::new(geo.clone(), cfg.alloc_mode);
-        let home = Arc::new(HomeTable::new(cfg.home_policy, cfg.hosts, alloc));
-        let states: Vec<Arc<HostState<M, W>>> = (0..cfg.hosts)
+        let home = Rc::new(HomeTable::new(cfg.home_policy, cfg.hosts, alloc));
+        let states: Vec<Rc<HostState<M, W>>> = (0..cfg.hosts)
             .map(|h| {
                 let id = HostId(h as u16);
                 let (mem, wake) = host(id);
-                Arc::new(HostState {
+                Rc::new(HostState {
                     bug_stale_reinstall: cfg.bug_stale_reinstall,
                     ..HostState::new(
                         id,
@@ -323,13 +325,13 @@ where
                         wake,
                         cfg.cost.clone(),
                         cfg.consistency,
-                        Arc::clone(&home),
+                        Rc::clone(&home),
                         diag.clone(),
                     )
                 })
             })
             .collect();
-        let cluster = Arc::new(states.clone());
+        let cluster = Rc::new(states.clone());
         let mut shards: Vec<_> = (0..cfg.hosts)
             .map(|h| {
                 ManagerShard::new(
@@ -338,8 +340,8 @@ where
                     cfg.hosts * cfg.threads_per_host,
                     cfg.cost.clone(),
                     cfg.consistency,
-                    Arc::clone(&home),
-                    Arc::clone(&cluster),
+                    Rc::clone(&home),
+                    Rc::clone(&cluster),
                     states[h].probe(&cfg.tracer, Track::Shard),
                     cfg.adapt.clone(),
                 )
@@ -370,14 +372,7 @@ where
         links: &LinkTraffic,
     ) -> Verdict {
         let (geo, home) = (&self.geo, &self.home);
-        let minipages: Vec<Minipage> = home
-            .table
-            .read()
-            .expect("home table poisoned")
-            .mpt()
-            .iter()
-            .copied()
-            .collect();
+        let minipages: Vec<Minipage> = home.table.borrow().mpt().iter().copied().collect();
         let mut violations = match self.consistency {
             Consistency::SequentialSwMr => check_coherence(&minipages, geo, &self.states),
             Consistency::HomeEagerRc => check_rc_consistency(&minipages, geo, &self.states, home),
@@ -387,13 +382,7 @@ where
         // minipages disjoint, no physical byte orphaned, every retired
         // vpage redirecting to the active owner of its bytes.
         if home.reshaped() {
-            violations.extend(
-                home.table
-                    .read()
-                    .expect("home table poisoned")
-                    .mpt()
-                    .geometry_violations(geo),
-            );
+            violations.extend(home.table.borrow().mpt().geometry_violations(geo));
         }
         let adapt = self.adapt.then(|| {
             let mut report = AdaptReport::default();
@@ -482,7 +471,7 @@ where
         // probe.
         ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
         let probe = states[h].probe(&cfg.tracer, Track::Server);
-        let server = Server::new(ep, Arc::clone(&states[h]), timeline, shard, probe);
+        let server = Server::new(ep, Rc::clone(&states[h]), timeline, shard, probe);
         let cell = Rc::new(RefCell::new(Some(server)));
         server_cells.push(Rc::clone(&cell));
         let turn = move || cell.borrow_mut().as_mut().map_or(Turn::Done, Server::turn);
@@ -502,7 +491,7 @@ where
             // each) so allocation never crosses threads. The ranges are
             // part of every pinned message and trace byte.
             let events = ((h * cfg.threads_per_host + t + 1) as u64) << 40;
-            let (home, state) = (Arc::clone(home), Arc::clone(&states[h]));
+            let (home, state) = (Rc::clone(home), Rc::clone(&states[h]));
             let (net, cost) = (net.clone(), cfg.cost.clone());
             let probe = state.probe(&cfg.tracer, Track::App(t as u16));
             let outcome = &outcomes[h * cfg.threads_per_host + t];
@@ -679,12 +668,7 @@ where
         pushes: sum(|c| &c.pushes),
         messages,
         payload_bytes,
-        alloc: home
-            .table
-            .read()
-            .expect("home table poisoned")
-            .alloc
-            .stats(),
+        alloc: home.table.borrow().alloc.stats(),
         rc_diffs: sum(|c| &c.rc_diffs),
         policy: home.policy_name(),
         shards: shard_reports,

@@ -12,7 +12,7 @@
 //!
 //! A run keeps one minipage table, as the paper's manager does: the shared
 //! allocator's [`Mpt`], which the [`HomeTable`] holds together with every
-//! minipage's home behind one lock. The allocator places into it,
+//! minipage's home in one `RefCell`. The allocator places into it,
 //! adaptation's splits and merges rewrite it, and every host translates
 //! and routes through it — §5's replication modelled as shared
 //! read-mostly state, so translating a faulting address and finding its
@@ -26,8 +26,7 @@
 use multiview::{AllocError, Allocator, Minipage, MinipageId, Mpt};
 use sim_core::HostId;
 use sim_mem::{Geometry, VAddr};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::cell::{Cell, RefCell};
 
 /// The manager host (§3.3): it runs the shared allocator and the
 /// synchronization services and, under the centralized policy, homes every
@@ -80,7 +79,9 @@ impl HomePolicyKind {
 
 /// The cluster-wide home map: policy, the minipage table and every
 /// minipage's home, shared by every host's server, shard and application
-/// context.
+/// context. A run's protocol state lives on one OS thread (the fibers of a
+/// simulated run, or the host backend's server thread), so nothing here
+/// takes a lock.
 ///
 /// The manager host writes (it allocates, and a shard applying an
 /// adaptation action rewrites its minipages); everyone else only reads.
@@ -91,21 +92,19 @@ pub struct HomeTable {
     kind: HomePolicyKind,
     hosts: usize,
     geo: Geometry,
-    /// Hold no guard across a yield point: on the simulator every
-    /// application thread is a fiber on one OS thread, which a parked
-    /// guard would block.
-    pub(crate) table: RwLock<Table>,
+    /// Hold no borrow across a yield point: another fiber may write.
+    pub(crate) table: RefCell<Table>,
     /// Home-map version: 0 until the first migration/pin, bumped on each.
     /// A request served under an older epoch may reach a stale home; the
     /// stale shard forwards it to the current home rather than serving it.
-    epoch: AtomicU64,
+    epoch: Cell<u64>,
     /// Set by the first split or merge. Access paths holding pre-action
-    /// addresses check it once per access (a relaxed load) and pay for
-    /// re-translation only once the table has actually changed shape.
-    reshaped: AtomicBool,
+    /// addresses check it once per access and pay for re-translation only
+    /// once the table has actually changed shape.
+    reshaped: Cell<bool>,
 }
 
-/// What [`HomeTable`]'s lock guards.
+/// What [`HomeTable`]'s cell holds.
 pub(crate) struct Table {
     /// The shared allocator; its [`Mpt`] is the run's minipage table.
     /// Minipages enter it only through [`HomeTable::alloc`] and
@@ -132,12 +131,12 @@ impl HomeTable {
             kind,
             hosts,
             geo: alloc.geometry().clone(),
-            table: RwLock::new(Table {
+            table: RefCell::new(Table {
                 alloc,
                 homes: Vec::new(),
             }),
-            epoch: AtomicU64::new(0),
-            reshaped: AtomicBool::new(false),
+            epoch: Cell::new(0),
+            reshaped: Cell::new(false),
         }
     }
 
@@ -165,7 +164,7 @@ impl HomeTable {
         size: usize,
         allocating: HostId,
     ) -> Result<(VAddr, Vec<(Minipage, HostId)>), AllocError> {
-        let mut t = self.table.write().expect("home table poisoned");
+        let mut t = self.table.borrow_mut();
         let before = t.homes.len();
         let addr = t.alloc.alloc(size)?;
         let placed: Vec<(Minipage, HostId)> = t
@@ -189,13 +188,13 @@ impl HomeTable {
     /// from the manager counts as a migration.
     pub(crate) fn replace(&self, old: &[MinipageId], new: Vec<Minipage>, home: HostId) {
         assert!(home.index() < self.hosts, "pinning to an absent host");
-        let mut t = self.table.write().expect("home table poisoned");
+        let mut t = self.table.borrow_mut();
         let ids = t.alloc.mpt_mut().retire_and_insert(&self.geo, old, new);
         t.homes.extend(ids.iter().map(|_| home));
-        self.reshaped.store(true, Ordering::Release);
+        self.reshaped.set(true);
         if self.kind == HomePolicyKind::Centralized && home != MANAGER {
             // The centralized fast path reads no homes until the epoch moves.
-            self.epoch.fetch_add(ids.len() as u64, Ordering::AcqRel);
+            self.epoch.set(self.epoch.get() + ids.len() as u64);
         }
     }
 
@@ -204,18 +203,18 @@ impl HomeTable {
         if self.kind == HomePolicyKind::Centralized && self.epoch() == 0 {
             return MANAGER;
         }
-        self.table.read().expect("home table poisoned").homes[id.index()]
+        self.table.borrow().homes[id.index()]
     }
 
     /// The home-map version: 0 until the first migration, bumped on each.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.epoch.get()
     }
 
     /// Whether a split or merge has rewritten the table, so addresses
     /// minted before it may name retired vpages.
     pub fn reshaped(&self) -> bool {
-        self.reshaped.load(Ordering::Acquire)
+        self.reshaped.get()
     }
 
     /// Moves `id`'s home to `to`, bumping the epoch. Returns the new
@@ -226,8 +225,9 @@ impl HomeTable {
     /// epoch, so no window is served from stale directory state.
     pub(crate) fn migrate(&self, id: MinipageId, to: HostId) -> u64 {
         assert!(to.index() < self.hosts, "migrating to an absent host");
-        self.table.write().expect("home table poisoned").homes[id.index()] = to;
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        self.table.borrow_mut().homes[id.index()] = to;
+        self.epoch.set(self.epoch.get() + 1);
+        self.epoch.get()
     }
 
     /// Routes a faulting address to its home shard. Returns the home and
@@ -241,7 +241,7 @@ impl HomeTable {
         if self.kind == HomePolicyKind::Centralized && self.epoch() == 0 {
             return (MANAGER, false);
         }
-        let t = self.table.read().expect("home table poisoned");
+        let t = self.table.borrow();
         let home = t
             .mpt()
             .translate(&self.geo, addr)
@@ -252,8 +252,7 @@ impl HomeTable {
     /// Translates an address through the table.
     pub(crate) fn translate(&self, addr: VAddr) -> Option<Minipage> {
         self.table
-            .read()
-            .expect("home table poisoned")
+            .borrow()
             .mpt()
             .translate(&self.geo, addr)
             .copied()

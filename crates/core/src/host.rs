@@ -25,10 +25,10 @@ use sim_core::IntMap;
 use sim_core::{Category, CostModel, HostId, LogHistogram, TimeBreakdown};
 use sim_mem::{Access, AccessError, AccessTlb, AddressSpace, Fault, Prot, VAddr};
 use sim_net::Network;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 /// A one-shot rendezvous between a blocked application thread and the DSM
 /// server thread that completes its request.
@@ -100,10 +100,11 @@ impl LocalWake for Waiters {
     }
 }
 
-/// State shared between one host's application threads and its DSM server
-/// thread, generic over the substrate: `M` is the host's memory, `W` how a
-/// thread blocked on a protocol event is released (see [`LocalWake`]). The
-/// defaults are the simulator's.
+/// One host's protocol state, generic over the substrate: `M` is the
+/// host's memory, `W` how a thread blocked on a protocol event is released
+/// (see [`LocalWake`]). The defaults are the simulator's. It lives on the
+/// run's one protocol thread — the simulator's fibers, or the host
+/// backend's server thread — so it takes no lock.
 pub(crate) struct HostState<M = AddressSpace, W = Waiters> {
     pub host: HostId,
     pub space: M,
@@ -111,17 +112,17 @@ pub(crate) struct HostState<M = AddressSpace, W = Waiters> {
     /// the coherence protocol, and the cluster's home map.
     pub cost: CostModel,
     pub consistency: Consistency,
-    pub home: Arc<HomeTable>,
+    pub home: Rc<HomeTable>,
     /// The application's most recent compute burst (the server's "was
     /// the host busy computing at this virtual time?" test, §3.5.1).
     pub busy: BusyWindow,
     /// The threads blocked on protocol events.
     pub waiters: W,
     /// Outstanding prefetches by covered global vpage.
-    pub prefetch_waiters: Mutex<IntMap<usize, Arc<Waiter>>>,
-    /// Release-consistency state (boundary cache + twins; unused under
-    /// the sequential-consistency protocol apart from boundary learning).
-    pub rc: Mutex<RcState>,
+    pub prefetch_waiters: RefCell<IntMap<usize, Arc<Waiter>>>,
+    /// Release-consistency state (boundary cache + twins; empty under the
+    /// sequential-consistency protocol).
+    pub rc: RefCell<RcState>,
     /// The host's protocol counts, which every probe of the host bumps.
     pub counts: Arc<Counts>,
     /// The run's diagnostics table; `None` unless diagnostics are on.
@@ -129,7 +130,7 @@ pub(crate) struct HostState<M = AddressSpace, W = Waiters> {
     /// Set when the run failed somewhere and the cluster is tearing down:
     /// no new wait may begin, and every outstanding wait has been (or is
     /// about to be) failed with [`ProtocolError::Cancelled`].
-    pub aborted: AtomicBool,
+    pub aborted: Cell<bool>,
     /// Deliberately re-introduces the fixed stale-reinstall bug (see
     /// `ClusterConfig::bug_stale_reinstall`); never set outside the
     /// schedule-exploration tests.
@@ -143,7 +144,7 @@ impl<M, W> HostState<M, W> {
         waiters: W,
         cost: CostModel,
         consistency: Consistency,
-        home: Arc<HomeTable>,
+        home: Rc<HomeTable>,
         diag: Option<Arc<DiagTable>>,
     ) -> Self {
         Self {
@@ -154,12 +155,20 @@ impl<M, W> HostState<M, W> {
             home,
             busy: BusyWindow::new(),
             waiters,
-            prefetch_waiters: Mutex::default(),
-            rc: Mutex::new(RcState::default()),
+            prefetch_waiters: RefCell::default(),
+            rc: RefCell::default(),
             counts: Arc::default(),
             diag,
-            aborted: AtomicBool::new(false),
+            aborted: Cell::new(false),
             bug_stale_reinstall: false,
+        }
+    }
+
+    /// Caches a minipage's boundaries for every vpage it covers. Only the
+    /// release-consistency write path reads them, so SW/MR learns nothing.
+    pub(crate) fn learn_rc(&self, vpages: Range<usize>, info: MpInfo) {
+        if self.consistency == Consistency::HomeEagerRc {
+            self.rc.borrow_mut().learn(vpages, info);
         }
     }
 }
@@ -181,7 +190,7 @@ impl HostState {
     /// (`aborted`) nothing is published and the waiter fails at once.
     pub(crate) fn register_waiter(&self, ev: u64) -> Arc<Waiter> {
         let w = Waiter::new();
-        if self.aborted.load(Ordering::Acquire) {
+        if self.aborted.get() {
             w.fail(ProtocolError::Cancelled {
                 host: self.host,
                 what: "request registered during shutdown",
@@ -195,19 +204,14 @@ impl HostState {
     /// Fails every outstanding wait on this host so its application
     /// threads unblock and the cluster can shut down instead of hanging.
     pub(crate) fn cancel_pending(&self) {
-        self.aborted.store(true, Ordering::Release);
+        self.aborted.set(true);
         for (_, w) in self.waiters.take() {
             w.fail(ProtocolError::Cancelled {
                 host: self.host,
                 what: "pending request",
             });
         }
-        for (_, w) in self
-            .prefetch_waiters
-            .lock()
-            .expect("prefetch waiters poisoned")
-            .drain()
-        {
+        for (_, w) in self.prefetch_waiters.take() {
             w.fail(ProtocolError::Cancelled {
                 host: self.host,
                 what: "pending prefetch",
@@ -227,8 +231,8 @@ pub struct HostCtx {
     /// The cluster's home map: routes each minipage's protocol traffic to
     /// its home shard and names the manager host for synchronization and
     /// allocation services.
-    pub(crate) home: Arc<HomeTable>,
-    pub(crate) state: Arc<HostState>,
+    pub(crate) home: Rc<HomeTable>,
+    pub(crate) state: Rc<HostState>,
     pub(crate) net: Network<Pmsg>,
     pub(crate) cost: CostModel,
     pub(crate) clock: Clock,
@@ -712,16 +716,12 @@ impl HostCtx {
         // cancel sweep ran (`aborted`); a sweep after this finds the
         // published waiter and fails it.
         {
-            let mut pf = self
-                .state
-                .prefetch_waiters
-                .lock()
-                .expect("prefetch waiters poisoned");
+            let mut pf = self.state.prefetch_waiters.borrow_mut();
             let first = vpages.start;
             if self.state.space.prot(first) != Prot::NoAccess || pf.contains_key(&first) {
                 return;
             }
-            if self.state.aborted.load(Ordering::Acquire) {
+            if self.state.aborted.get() {
                 return;
             }
             let w = Waiter::new();
@@ -761,11 +761,7 @@ impl HostCtx {
         let t0 = self.clock.now();
         let mut pending: Vec<Arc<Waiter>> = Vec::new();
         {
-            let pf = self
-                .state
-                .prefetch_waiters
-                .lock()
-                .expect("prefetch waiters poisoned");
+            let pf = self.state.prefetch_waiters.borrow();
             for sv in members {
                 if sv.is_empty() {
                     continue;
@@ -957,13 +953,7 @@ impl HostCtx {
     /// If a prefetch of `vpage` is in flight, waits for it — instead of
     /// issuing a second (competing) request — and says so.
     fn await_prefetch(&mut self, vpage: usize) -> bool {
-        let pf = self
-            .state
-            .prefetch_waiters
-            .lock()
-            .expect("prefetch waiters poisoned")
-            .get(&vpage)
-            .cloned();
+        let pf = self.state.prefetch_waiters.borrow().get(&vpage).cloned();
         let Some(w) = pf else {
             return false;
         };
@@ -988,14 +978,15 @@ impl HostCtx {
         }
         // The reply taught us the minipage boundaries (home-allocated
         // minipages are pre-learned at the manager host).
-        let info: MpInfo = {
-            let rc = self.state.rc.lock().expect("rc state poisoned");
-            *rc.boundaries
-                .get(&f.vpage)
-                .expect("boundaries cached by the fetch or at allocation")
-        };
+        let info: MpInfo = *self
+            .state
+            .rc
+            .borrow()
+            .boundaries
+            .get(&f.vpage)
+            .expect("boundaries cached by the fetch or at allocation");
         let fresh_twin = {
-            let mut rc = self.state.rc.lock().expect("rc state poisoned");
+            let mut rc = self.state.rc.borrow_mut();
             if let std::collections::hash_map::Entry::Vacant(e) = rc.dirty.entry(info.id.0) {
                 let twin = self
                     .state
@@ -1052,7 +1043,7 @@ impl HostCtx {
             return;
         }
         let dirty: Vec<RcDirty> = {
-            let mut rc = self.state.rc.lock().expect("rc state poisoned");
+            let mut rc = self.state.rc.borrow_mut();
             if rc.dirty.is_empty() {
                 return;
             }
@@ -1196,14 +1187,13 @@ mod tests {
             Waiters::default(),
             CostModel::default(),
             Consistency::default(),
-            Arc::new(home),
+            Rc::new(home),
             None,
         );
         let mut parked: Vec<_> = (1..4).map(|ev| st.register_waiter(ev)).collect();
         parked.push(Waiter::new());
         st.prefetch_waiters
-            .lock()
-            .expect("prefetch waiters poisoned")
+            .borrow_mut()
             .insert(0, Arc::clone(&parked[3]));
         assert!(parked.iter().all(|w| w.try_result().is_none()));
         st.cancel_pending();

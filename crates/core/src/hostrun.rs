@@ -35,6 +35,10 @@
 //! checks are the simulator's (`cluster::Stack`) under `ClusterConfig`'s
 //! defaults: `SequentialSwMr`, `Centralized` homes, one application thread
 //! per host; no prefetch/push/locks, the surface the [`Dsm`] trait exposes.
+//! The server thread builds the stack (setup included), serves it and
+//! checks it, so no state of it is shared and none takes a lock. The
+//! application threads and the resolver hold only a `Send + Sync` handle
+//! of their host (`ThreadRt`).
 //! A failed handler is reported on the run and, as in the simulator, a
 //! failed request nacks its requester; there is no fault plane to degrade
 //! through in one process, so the nacked thread is not retried — it
@@ -52,8 +56,8 @@
 //! comparable with the simulator's fault counts.
 
 use crate::backend::{Cluster, LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
-use crate::cluster::{assert_hosts, settle_app_failures, ClusterConfig, SetupCtx, Stack};
-use crate::diag::DiagReport;
+use crate::cluster::{assert_hosts, settle_app_failures, ClusterConfig, SetupCtx, Stack, Verdict};
+use crate::diag::{DiagReport, DiagTable};
 use crate::diff::Diff;
 use crate::dsm::Dsm;
 use crate::error::ProtocolError;
@@ -61,18 +65,18 @@ use crate::home::MANAGER;
 use crate::host::HostState;
 use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
-use crate::probe::{Fact, Probe};
+use crate::probe::{Counts, Fact, Probe};
 use crate::server;
 use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
 use hostmv::{install_dsm_handler, FaultCounters, MultiViewRegion, Unserved};
-use sim_core::trace::{Tracer, Track, NO_MP};
+use sim_core::trace::{TraceRecorder, Tracer, Track, NO_MP};
 use sim_core::{Access, Fault, Geometry, HostId, LinkTraffic, Ns, Prot, VAddr};
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -548,24 +552,23 @@ impl LocalWake for CompletionTx {
 /// scoped, so a constant nonzero id is protocol-valid.
 const EVENT: u64 = 1;
 
-/// Per-application-thread runtime state the fault resolver needs. One per
-/// host (the host backend runs one application thread per host).
+/// What an application thread and the fault resolver hold of their host,
+/// one per host (the host backend runs one application thread per host):
+/// `Send + Sync`, unlike the host's [`HostState`], which stays on the
+/// server thread.
 struct ThreadRt {
-    /// The host's state: its id, the completion word its [`CompletionTx`]
-    /// posts to and this thread sleeps on while a request is outstanding,
-    /// and the counters and table the thread's facts go to.
-    state: Arc<HostState<HostMemory, CompletionTx>>,
+    host: HostId,
+    /// The word the host's [`CompletionTx`] posts to, which this thread
+    /// sleeps on while a request is outstanding.
+    done: Arc<Completion>,
+    /// Where the thread's facts go.
+    counts: Arc<Counts>,
+    diag: Option<Arc<DiagTable>>,
     /// Canonical address of the last serviced fault, still owing the
     /// manager its window-closing `Ack` (0 = none). Set by the resolver,
     /// drained at the next fault, after each range operation, and before
     /// every barrier.
     pending_ack: AtomicU64,
-}
-
-impl ThreadRt {
-    fn done(&self) -> &Completion {
-        &self.state.waiters.0
-    }
 }
 
 /// One run's runtime, shared by its server thread, application threads and
@@ -591,6 +594,13 @@ thread_local! {
 }
 
 impl HostRt {
+    /// Stops the server thread: a `Shutdown`, which is no traffic.
+    fn shut_down(&self) {
+        let msg = Pmsg::new(MsgKind::Shutdown, MANAGER, 0);
+        let (to, wire_from) = (MANAGER, MANAGER);
+        self.inbox.push(Envelope { to, wire_from, msg });
+    }
+
     /// Sends header-only `msg` to `to`'s server. Async-signal-safe.
     fn send(&self, to: HostId, wire_from: HostId, msg: Pmsg) {
         self.inbox.links.record(wire_from, to, 0);
@@ -612,8 +622,8 @@ impl HostRt {
         // Figure 3's fault-service confirmation: event 0, addressed so the
         // manager can translate it back to the minipage. Centralized homes:
         // every window lives at the manager.
-        let ack = Pmsg::new(MsgKind::Ack, th.state.host, 0).with_addr(VAddr(addr));
-        self.send(MANAGER, th.state.host, ack);
+        let ack = Pmsg::new(MsgKind::Ack, th.host, 0).with_addr(VAddr(addr));
+        self.send(MANAGER, th.host, ack);
     }
 }
 
@@ -649,16 +659,16 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &Fault, token: usize) -> Resul
     let off = addr.0.saturating_sub(base);
     // A probe that traces nothing records with relaxed atomics on
     // pre-allocated cells: legal here.
-    let mut probe = th.state.probe(&Tracer::disabled(), Track::App(0));
+    let mut probe = Probe::new(th.host, &th.counts, &th.diag, TraceRecorder::disabled());
     probe.on(0, Fact::FaultBegin { mp, write, off });
-    let req = Pmsg::new(kind, th.state.host, EVENT).with_addr(addr);
-    th.done().arm();
-    rt.send(MANAGER, th.state.host, req);
+    let req = Pmsg::new(kind, th.host, EVENT).with_addr(addr);
+    th.done.arm();
+    rt.send(MANAGER, th.host, req);
     // Sleep until the server thread posts the install. The completion
     // carries no data — the bytes went straight into the region through
     // the privileged view (the zero-copy receive path).
     let served = matches!(
-        th.done().wait(),
+        th.done.wait(),
         Some(MsgKind::ReadReply | MsgKind::WriteReply)
     );
     if !served {
@@ -674,9 +684,8 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &Fault, token: usize) -> Resul
 // Server loop
 // ---------------------------------------------------------------------------
 
-/// A manager shard of the host backend. It holds every host's state by
-/// type, and those states are `Send + Sync`, so the shards can move to the
-/// server thread and back.
+/// A manager shard of the host backend. Like the states it holds, it never
+/// leaves the server thread.
 type HostShard = ManagerShard<Cluster<HostMemory, CompletionTx>>;
 
 /// One host's DSM server, as the one server thread holds it.
@@ -787,7 +796,7 @@ impl HostDsmCtx {
 
 impl Dsm for HostDsmCtx {
     fn host(&self) -> HostId {
-        self.rt.threads[self.slot].state.host
+        self.rt.threads[self.slot].host
     }
 
     fn hosts(&self) -> usize {
@@ -823,13 +832,13 @@ impl Dsm for HostDsmCtx {
         let rt = &self.rt;
         let th = &rt.threads[self.slot];
         rt.flush_ack(th);
-        let host = th.state.host;
-        th.done().arm();
+        let host = th.host;
+        th.done.arm();
         rt.send(MANAGER, host, Pmsg::new(MsgKind::BarrierEnter, host, EVENT));
         // A `Nack` — a failed handler, or a sibling thread that failed —
         // unwinds typed, into the run's errors; anything else but the
         // release is a protocol breach.
-        match th.done().wait() {
+        match th.done.wait() {
             Some(MsgKind::BarrierRelease) => {}
             Some(MsgKind::Nack) => {
                 std::panic::panic_any(ProtocolError::Nacked { host, event: EVENT })
@@ -933,6 +942,66 @@ impl Drop for Teardown {
     }
 }
 
+/// The server thread's whole run: builds the stack for `cfg` over
+/// `regions` (setup included), hands the runtime and what setup returned
+/// to `built`, serves every host until `Shutdown`, then checks the stack.
+/// Returns the errors the servers degraded through and the verdict.
+fn host_server<T>(
+    cfg: &ClusterConfig,
+    regions: &[Arc<MultiViewRegion>],
+    setup: impl FnOnce(&mut SetupCtx) -> T,
+    built: mpsc::Sender<(Arc<HostRt>, T)>,
+) -> (Vec<String>, Verdict) {
+    let geo = regions[0].geometry().clone();
+    let per_host = |host: HostId| {
+        let done = Arc::new(Completion(AtomicU32::new(ARMED)));
+        let region = Arc::clone(&regions[host.index()]);
+        (HostMemory { region }, CompletionTx(done))
+    };
+    let (stack, shards, shared) = Stack::new(cfg, geo.clone(), per_host, setup);
+    let states = &stack.states;
+    // Setup has run, so the minipage table is final: freeze its vpage →
+    // minipage attribution map for the resolver, which runs in signal
+    // context on another thread and so may not read the table.
+    let mut mp_map = Vec::new();
+    if stack.diag.is_some() {
+        mp_map = vec![(NO_MP, 0u64); geo.priv_view() * geo.pages()];
+        for mp in stack.home.table.borrow().mpt().iter() {
+            for vp in mp.vpages(&geo) {
+                if let Some(slot) = mp_map.get_mut(vp) {
+                    *slot = (mp.id.0, mp.base.0);
+                }
+            }
+        }
+    }
+    let rt = Arc::new(HostRt {
+        inbox: Inbox::new(cfg.hosts),
+        threads: states
+            .iter()
+            .map(|s| ThreadRt {
+                host: s.host,
+                done: Arc::clone(&s.waiters.0),
+                counts: Arc::clone(&s.counts),
+                diag: s.diag.clone(),
+                pending_ack: AtomicU64::new(0),
+            })
+            .collect(),
+        mp_map,
+    });
+    let inbox = &rt.inbox;
+    let hosts = states
+        .iter()
+        .zip(shards)
+        .map(|(state, shard)| HostServer::new(state, shard, inbox))
+        .collect();
+    built
+        .send((Arc::clone(&rt), shared))
+        .expect("the caller waits for the runtime");
+    let clock = WallClock::starting_at(Instant::now());
+    let (errors, shards) = host_server_loop(inbox, hosts, clock);
+    (errors, stack.check(&shards, &inbox.links))
+}
+
 /// Runs `setup` then one application thread per host on real memory —
 /// the host-backend analogue of [`crate::run`].
 ///
@@ -941,7 +1010,9 @@ impl Drop for Teardown {
 /// [`MultiViewRegion`]s, faults are real SIGSEGVs, the wire is one
 /// in-process server inbox between real OS threads, and a blocked
 /// application thread sleeps on a futex word the server posts its
-/// completion to.
+/// completion to. One server thread builds the protocol stack, runs
+/// `setup` on it, serves it and checks it; this thread installs the fault
+/// handlers and runs the application threads.
 ///
 /// The failure policy is [`crate::run`]'s: an application thread's panic
 /// is caught and posts a `Nack` to every host's completion word, where it
@@ -963,11 +1034,12 @@ impl Drop for Teardown {
 /// # Panics
 ///
 /// Panics, before mapping anything, if `cfg.hosts` is outside
-/// `1..=HostId::MAX_HOSTS` (copysets are `u64` bitmasks), and with the
-/// first application panic that is not a [`ProtocolError`].
+/// `1..=HostId::MAX_HOSTS` (copysets are `u64` bitmasks), with a panic of
+/// `setup`, and with the first application panic that is not a
+/// [`ProtocolError`].
 pub fn run_host<T, F>(
     cfg: HostRunConfig,
-    setup: impl FnOnce(&mut SetupCtx) -> T,
+    setup: impl FnOnce(&mut SetupCtx) -> T + Send,
     app: F,
 ) -> Result<HostRunReport, ProtocolError>
 where
@@ -983,7 +1055,6 @@ where
             .map_err(|_| backend_err(HostId(h as u16), "region mapping"))?;
         regions.push(Arc::new(region));
     }
-    let geo = regions[0].geometry().clone();
     // The rest is the simulator's default: centralized homes, SW/MR,
     // fine-grain allocation, one application thread per host.
     let cluster = ClusterConfig {
@@ -999,77 +1070,49 @@ where
         },
         ..ClusterConfig::default()
     };
-    let per_host = |host: HostId| {
-        let done = Arc::new(Completion(AtomicU32::new(ARMED)));
-        let region = Arc::clone(&regions[host.index()]);
-        (HostMemory { region }, CompletionTx(done))
-    };
-    let (stack, shards, shared) = Stack::new(&cluster, geo.clone(), per_host, setup);
-    let (home, states) = (&stack.home, &stack.states);
-
-    // Setup has run, so the minipage table is final: freeze its vpage →
-    // minipage attribution map for the resolver, which runs in signal
-    // context and so may not take the table's lock.
-    let mp_map = if stack.diag.is_some() {
-        let mut map = vec![(NO_MP, 0u64); geo.priv_view() * geo.pages()];
-        for mp in home.table.read().expect("home table poisoned").mpt().iter() {
-            for vp in mp.vpages(&geo) {
-                if let Some(slot) = map.get_mut(vp) {
-                    *slot = (mp.id.0, mp.base.0);
+    let (regions, app) = (&regions, &app);
+    let (built, runtime) = mpsc::channel();
+    std::thread::scope(|scope| {
+        let server = std::thread::Builder::new()
+            .name("mv-server".to_string())
+            .spawn_scoped(scope, move || host_server(&cluster, regions, setup, built))
+            .expect("spawn server thread");
+        let Ok((rt, shared)) = runtime.recv() else {
+            // Only a panic of `setup` stops the server before it sends.
+            let payload = server.join().err().expect("the server sent no runtime");
+            std::panic::resume_unwind(payload);
+        };
+        let token = Arc::as_ptr(&rt) as usize;
+        let mut run = Teardown {
+            registrations: Vec::with_capacity(cfg.hosts),
+            rt,
+        };
+        for (h, region) in regions.iter().enumerate() {
+            let installed = region
+                .apply_staged()
+                .map_err(|_| backend_err(HostId(h as u16), "set-up protections"))
+                .and_then(|_| {
+                    install_dsm_handler(Arc::clone(region), dsm_resolver, token)
+                        .map_err(|_| backend_err(MANAGER, "fault handler registration"))
+                });
+            match installed {
+                Ok(c) => run.registrations.push(c),
+                Err(e) => {
+                    run.rt.shut_down();
+                    server.join().expect("server thread panicked");
+                    return Err(e);
                 }
             }
         }
-        map
-    } else {
-        Vec::new()
-    };
-    let mut run = Teardown {
-        registrations: Vec::with_capacity(cfg.hosts),
-        rt: Arc::new(HostRt {
-            inbox: Inbox::new(cfg.hosts),
-            threads: states
-                .iter()
-                .map(|state| ThreadRt {
-                    state: Arc::clone(state),
-                    pending_ack: AtomicU64::new(0),
-                })
-                .collect(),
-            mp_map,
-        }),
-    };
-    let token = Arc::as_ptr(&run.rt) as usize;
-    for (h, region) in regions.iter().enumerate() {
-        region
-            .apply_staged()
-            .map_err(|_| backend_err(HostId(h as u16), "set-up protections"))?;
-        let c = install_dsm_handler(Arc::clone(region), dsm_resolver, token)
-            .map_err(|_| backend_err(MANAGER, "fault handler registration"))?;
-        run.registrations.push(c);
-    }
 
-    let start = Instant::now();
-    let shared_ref = &shared;
-    let app_ref = &app;
-    let inbox = &run.rt.inbox;
-    let (mut errors, shards, wall, compute_ns) = std::thread::scope(|scope| {
-        let hosts = states
-            .iter()
-            .zip(shards)
-            .map(|(state, shard)| HostServer::new(state, shard, inbox))
-            .collect();
-        let clock = WallClock::starting_at(start);
-        let server = std::thread::Builder::new()
-            .name("mv-server".to_string())
-            .spawn_scoped(scope, move || host_server_loop(inbox, hosts, clock))
-            .expect("spawn server thread");
-        let mut apps = Vec::with_capacity(cfg.hosts);
-        for h in 0..cfg.hosts {
-            let region = Arc::clone(&regions[h]);
-            let rt = Arc::clone(&run.rt);
-            let builder = std::thread::Builder::new().name(format!("mv-host-{h}"));
-            apps.push(
-                builder
-                    .spawn_scoped(scope, move || {
+        let start = Instant::now();
+        let (compute, failures): (Vec<Ns>, Vec<_>) = std::thread::scope(|scope| {
+            let apps: Vec<_> = (0..cfg.hosts)
+                .map(|h| {
+                    let (region, rt) = (Arc::clone(&regions[h]), Arc::clone(&run.rt));
+                    let shared = &shared;
+                    let builder = std::thread::Builder::new().name(format!("mv-host-{h}"));
+                    let body = move || {
                         SLOT.with(|s| s.set(h));
                         let mut ctx = HostDsmCtx {
                             rt,
@@ -1077,50 +1120,47 @@ where
                             region,
                             compute_ns: 0,
                         };
-                        let app = std::panic::AssertUnwindSafe(|| app_ref(&mut ctx, shared_ref));
+                        let app = std::panic::AssertUnwindSafe(|| app(&mut ctx, shared));
                         let failure = std::panic::catch_unwind(app).err();
                         // A failed thread nacks every host's completion
-                        // word, and the `Nack` sticks: a sibling waiting
-                        // on its barrier, or waiting next, unwinds instead
-                        // of sleeping for good.
+                        // word, and the `Nack` sticks: a sibling waiting on
+                        // its barrier, or waiting next, unwinds instead of
+                        // sleeping for good.
                         if failure.is_some() {
                             ctx.rt
                                 .threads
                                 .iter()
-                                .for_each(|th| th.done().post(MsgKind::Nack));
+                                .for_each(|th| th.done.post(MsgKind::Nack));
                         }
                         (ctx.compute_ns, failure)
-                    })
-                    .expect("spawn app thread"),
-            );
-        }
-        let (compute, failures): (Vec<Ns>, Vec<_>) = apps
-            .into_iter()
-            .map(|a| a.join().expect("application thread panicked"))
-            .unzip();
+                    };
+                    builder.spawn_scoped(scope, body).expect("spawn app thread")
+                })
+                .collect();
+            apps.into_iter()
+                .map(|a| a.join().expect("application thread panicked"))
+                .unzip()
+        });
         let wall = start.elapsed();
-        let (to, wire_from) = (MANAGER, MANAGER);
-        let msg = Pmsg::new(MsgKind::Shutdown, MANAGER, 0);
-        inbox.push(Envelope { to, wire_from, msg });
-        let (mut errors, shards) = server.join().expect("server thread panicked");
+        run.rt.shut_down();
+        let (mut errors, verdict) = server.join().expect("server thread panicked");
         settle_app_failures(failures.into_iter().flatten(), &mut errors);
-        (errors, shards, wall, compute[0])
-    });
-
-    let verdict = stack.check(&shards, &run.rt.inbox.links);
-    errors.extend(verdict.violations);
-    Ok(HostRunReport {
-        read_faults: run.registrations.iter().map(|c| c.read_faults()).collect(),
-        write_faults: run.registrations.iter().map(|c| c.write_faults()).collect(),
-        invalidations: states
-            .iter()
-            .map(|s| s.counts.invalidations_received.load(Ordering::Relaxed))
-            .collect(),
-        wall,
-        compute_ns,
-        errors,
-        diag: verdict.diag,
-        adapt: verdict.adapt,
+        errors.extend(verdict.violations);
+        Ok(HostRunReport {
+            read_faults: run.registrations.iter().map(|c| c.read_faults()).collect(),
+            write_faults: run.registrations.iter().map(|c| c.write_faults()).collect(),
+            invalidations: run
+                .rt
+                .threads
+                .iter()
+                .map(|th| th.counts.invalidations_received.load(Ordering::Relaxed))
+                .collect(),
+            wall,
+            compute_ns: compute[0],
+            errors,
+            diag: verdict.diag,
+            adapt: verdict.adapt,
+        })
     })
 }
 
@@ -1129,6 +1169,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use sim_core::DEFAULT_BASE;
+    use std::rc::Rc;
     use std::sync::mpsc::RecvTimeoutError;
     use std::time::Duration;
 
@@ -1333,12 +1374,12 @@ mod tests {
     /// (the allocator's; its barrier waits for two entries) and its
     /// application's completion word.
     fn lone_host() -> (
-        Arc<HostState<HostMemory, CompletionTx>>,
+        Rc<HostState<HostMemory, CompletionTx>>,
         HostShard,
         Arc<Completion>,
     ) {
         let (stack, mut shards) = stack(1, 2);
-        let state = Arc::clone(&stack.states[0]);
+        let state = Rc::clone(&stack.states[0]);
         let done = Arc::clone(&state.waiters.0);
         (state, shards.pop().expect("one shard"), done)
     }
@@ -1452,25 +1493,30 @@ mod tests {
         }
     }
 
-    /// Runs `check` beside a server thread serving `inbox` for the lone
-    /// host, then shuts the server down — also when a check failed, so
-    /// the test fails instead of hanging — and hands back what `check`
-    /// saw and the server's errors. `check` gets the server's stat file.
-    fn beside_server<R>(
+    /// Serves `inbox` for the lone host on this thread, the server's, while
+    /// `check` runs on another; then shuts the server down — also when a
+    /// check failed, so the test fails instead of hanging — and hands back
+    /// what `check` saw and the server's errors. `check` gets the server's
+    /// stat file.
+    fn beside_server<R: Send>(
         inbox: &Inbox,
         state: &HostState<HostMemory, CompletionTx>,
         shard: HostShard,
-        check: impl FnOnce(&std::path::Path) -> R,
+        check: impl FnOnce(&std::path::Path) -> R + Send,
     ) -> (R, Vec<String>) {
+        let (me, stat) = (state.host, own_stat());
         std::thread::scope(|scope| {
-            let (stat_tx, stat_rx) = std::sync::mpsc::channel();
-            let server = scope.spawn(move || {
-                stat_tx.send(own_stat()).expect("send");
-                serve(inbox, vec![HostServer::new(state, shard, inbox)])
+            let checker = scope.spawn(|| {
+                let seen = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(&stat)));
+                inbox.push(shutdown(me));
+                seen
             });
-            let seen = check(&stat_rx.recv().expect("stat"));
-            inbox.push(shutdown(state.host));
-            (seen, server.join().expect("server thread"))
+            let errors = serve(inbox, vec![HostServer::new(state, shard, inbox)]);
+            let seen = checker.join().expect("checker thread");
+            (
+                seen.unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                errors,
+            )
         })
     }
 

@@ -37,7 +37,7 @@ use sim_core::IntMap;
 use sim_core::{CostModel, HostId, LogHistogram, Ns, VAddr};
 use sim_mem::Prot;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[derive(Debug, Default)]
 struct LockState {
@@ -57,7 +57,7 @@ pub(crate) struct ManagerShard<Mem = Cluster> {
     barrier_quorum: usize,
     cost: CostModel,
     consistency: Consistency,
-    home: Arc<HomeTable>,
+    home: Rc<HomeTable>,
     dir: Directory,
     locks: IntMap<u64, LockState>,
     barrier_waiters: Vec<Pmsg>,
@@ -71,7 +71,7 @@ pub(crate) struct ManagerShard<Mem = Cluster> {
     /// home host's space — an alloc-time setup step, not protocol
     /// traffic: the minipage is unreachable by applications until the
     /// allocation reply delivers its address.
-    cluster: Arc<Mem>,
+    cluster: Rc<Mem>,
     /// Where shard-side facts go: this host's counters, the home-side
     /// diagnostics lanes (fan-outs, write-ownership alternations, diff
     /// extents) and the shard's trace.
@@ -97,8 +97,8 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
         barrier_quorum: usize,
         cost: CostModel,
         consistency: Consistency,
-        home: Arc<HomeTable>,
-        cluster: Arc<Mem>,
+        home: Rc<HomeTable>,
+        cluster: Rc<Mem>,
         probe: Probe,
         adapt: AdaptConfig,
     ) -> Self {
@@ -186,18 +186,16 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                     .set_prot(home, vp, home_prot)
                     .expect("application vpage");
             }
-            if self.consistency == Consistency::HomeEagerRc {
-                self.cluster.learn_rc(
-                    home,
-                    mp.vpages(geo),
-                    MpInfo {
-                        id: mp.id,
-                        base: mp.base,
-                        len: mp.len,
-                        priv_base: mp.priv_base(geo),
-                    },
-                );
-            }
+            self.cluster.learn_rc(
+                home,
+                mp.vpages(geo),
+                MpInfo {
+                    id: mp.id,
+                    base: mp.base,
+                    len: mp.len,
+                    priv_base: mp.priv_base(geo),
+                },
+            );
         }
         addr
     }
@@ -830,8 +828,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
         let active: Vec<Minipage> = self
             .home
             .table
-            .read()
-            .expect("home table poisoned")
+            .borrow()
             .mpt()
             .iter_active()
             .copied()
@@ -912,7 +909,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
 
     /// `id`'s descriptor, unless an earlier action retired it.
     fn live(&self, id: MinipageId) -> Option<Minipage> {
-        let t = self.home.table.read().expect("home table poisoned");
+        let t = self.home.table.borrow();
         (!t.mpt().is_retired(id)).then(|| *t.mpt().get(id))
     }
 
@@ -987,7 +984,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                 // Place each child in a fresh view over the parent's
                 // physical bytes: the data never moves.
                 let phys = parent.phys_range(ps);
-                let t = self.home.table.read().expect("home table poisoned");
+                let t = self.home.table.borrow();
                 let next = t.mpt().next_id().0;
                 let mut children = Vec::new();
                 let mut used_views = Vec::new();
@@ -1051,7 +1048,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                 let (first_page, offset) = (start / ps, start % ps);
                 let pages = (offset + len).div_ceil(ps);
                 let merged = {
-                    let t = self.home.table.read().expect("home table poisoned");
+                    let t = self.home.table.borrow();
                     let view = t.mpt().free_view_for(&geo, first_page, pages, &[]);
                     view.filter(|_| contiguous && first_page + pages <= geo.pages())
                         .map(|view| Minipage {
@@ -1125,18 +1122,16 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                         .set_prot(*to, vp, prot)
                         .map_err(|_| crate::backend::bad_vpage(*to, vp))?;
                 }
-                if !writable {
-                    self.cluster.learn_rc(
-                        *to,
-                        desc.vpages(&geo),
-                        MpInfo {
-                            id: desc.id,
-                            base: desc.base,
-                            len: desc.len,
-                            priv_base: pb,
-                        },
-                    );
-                }
+                self.cluster.learn_rc(
+                    *to,
+                    desc.vpages(&geo),
+                    MpInfo {
+                        id: desc.id,
+                        base: desc.base,
+                        len: desc.len,
+                        priv_base: pb,
+                    },
+                );
                 self.dir.forget(mp.index());
                 self.home.migrate(*mp, *to);
                 let (mp, to) = (mp.0, *to);
@@ -1155,21 +1150,11 @@ impl<Mem: ClusterMemory> SetupShard for ManagerShard<Mem> {
     }
 
     fn finish_chunk(&mut self) {
-        self.home
-            .table
-            .write()
-            .expect("home table poisoned")
-            .alloc
-            .finish_chunk();
+        self.home.table.borrow_mut().alloc.finish_chunk();
     }
 
     fn retire_page(&mut self) {
-        self.home
-            .table
-            .write()
-            .expect("home table poisoned")
-            .alloc
-            .retire_page();
+        self.home.table.borrow_mut().alloc.retire_page();
     }
 
     fn init_write(&self, addr: VAddr, data: &[u8]) {

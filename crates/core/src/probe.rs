@@ -102,12 +102,8 @@ impl<M, W> HostState<M, W> {
     /// A probe for the recording thread `track` of this host, tracing
     /// into `tracer`.
     pub(crate) fn probe(&self, tracer: &Tracer, track: Track) -> Probe {
-        Probe {
-            host: self.host,
-            trace: tracer.recorder(self.host, track),
-            diag: self.diag.clone(),
-            counts: Arc::clone(&self.counts),
-        }
+        let trace = tracer.recorder(self.host, track);
+        Probe::new(self.host, &self.counts, &self.diag, trace)
     }
 }
 
@@ -121,6 +117,22 @@ pub(crate) struct Probe {
 }
 
 impl Probe {
+    /// A probe of `host` whose facts go to `counts`, `diag` and `trace`.
+    pub(crate) fn new(
+        host: HostId,
+        counts: &Arc<Counts>,
+        diag: &Option<Arc<DiagTable>>,
+        trace: TraceRecorder,
+    ) -> Self {
+        let (counts, diag) = (Arc::clone(counts), diag.clone());
+        Self {
+            host,
+            trace,
+            diag,
+            counts,
+        }
+    }
+
     /// Whether a fact's minipage reaches a recorder (diagnostics or
     /// tracing is on); callers skip attributing it otherwise.
     pub(crate) fn attributes(&self) -> bool {
@@ -256,6 +268,7 @@ mod tests {
     use sim_mem::{AddressSpace, Geometry};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
+    use std::rc::Rc;
 
     thread_local! {
         /// Allocations made by this thread. Const-initialized with no
@@ -421,7 +434,7 @@ mod tests {
             Waiters::default(),
             CostModel::default(),
             Consistency::default(),
-            Arc::new(home),
+            Rc::new(home),
             Some(seeded()),
         );
         let links = LinkTraffic::new(2);

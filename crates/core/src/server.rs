@@ -40,6 +40,7 @@ use sim_core::trace::TraceKind;
 use sim_core::{CostModel, HostId, LogHistogram, VAddr};
 use sim_mem::Prot;
 use sim_net::{Endpoint, Packet, ServerTimeline};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// What a server hands back when it has stopped.
@@ -69,7 +70,7 @@ pub(crate) enum Served {
 /// completion).
 pub(crate) struct Server {
     ep: Endpoint<Pmsg>,
-    state: Arc<HostState>,
+    state: Rc<HostState>,
     timeline: ServerTimeline,
     shard: ManagerShard,
     probe: Probe,
@@ -79,7 +80,7 @@ pub(crate) struct Server {
 impl Server {
     pub(crate) fn new(
         ep: Endpoint<Pmsg>,
-        state: Arc<HostState>,
+        state: Rc<HostState>,
         timeline: ServerTimeline,
         shard: ManagerShard,
         probe: Probe,
@@ -286,10 +287,7 @@ fn handle_nack<M: MemoryBackend, W: LocalWake, C: ProtoClock>(
     // the vpage waiters so a later fault retries the normal path rather
     // than parking on a request that already failed.
     if let Some(vp) = state.space.geometry().vpage_of(m.addr) {
-        let mut pf = state
-            .prefetch_waiters
-            .lock()
-            .expect("prefetch waiters poisoned");
+        let mut pf = state.prefetch_waiters.borrow_mut();
         if let Some(w) = pf.remove(&vp) {
             pf.retain(|_, x| !Arc::ptr_eq(x, &w));
             w.fail(nacked);
@@ -441,15 +439,13 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
     // and of a release flush: its trace record carries aux 1.
     let (mp, event) = (m.minipage.0, m.event);
     probe.on(tl.now(), Fact::InvRecv { mp, event });
-    // Under HLRC, hold the release-state lock from the dirty-set removal
-    // until the eviction diff is on the wire. Released earlier, the
-    // owner's in-progress release flush could observe the emptied dirty
-    // set, skip flushing, and enqueue its barrier-enter *ahead* of the
-    // eviction diff on the host→home FIFO — the home would then count the
-    // release (and serve post-barrier reads) with this copy's final writes
-    // still in flight.
-    let mut rc = hlrc.then(|| state.rc.lock().expect("rc state poisoned"));
-    if let Some(d) = rc.as_mut().and_then(|rc| rc.dirty.remove(&mp)) {
+    // Under HLRC a dirty copy leaves the dirty set and its eviction diff
+    // goes on the wire in this one handler, which runs to completion: the
+    // owner's release flush either shipped the copy already or finds it
+    // gone, and so never enqueues its barrier-enter *ahead* of the
+    // eviction diff on the host→home FIFO.
+    let dirty = hlrc.then(|| state.rc.borrow_mut().dirty.remove(&mp));
+    if let Some(d) = dirty.flatten() {
         let data = state
             .space
             .snapshot_and_protect(d.info.base, d.info.len, Prot::NoAccess)
@@ -473,9 +469,7 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
             let to = home.home(d.info.id);
             ep.send(to, out, payload, tl.now(), "eviction diff")?;
         }
-        drop(rc);
     } else {
-        drop(rc);
         let n = protect_range(&state.space, state.host, m.base, m.len, Prot::NoAccess)?;
         tl.charge(n as Ns * cost.set_protection);
     }
@@ -524,7 +518,7 @@ fn handle_data_reply<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport
     let range = install_reply(&m, mem, state.host, cost, tl, probe, skip_write)?;
     // Cache the manager's translation: the host-side minipage boundary
     // knowledge that the release-consistency write path relies on.
-    state.rc.lock().expect("rc state poisoned").learn(
+    state.learn_rc(
         range.clone(),
         MpInfo {
             id: m.minipage,
@@ -538,10 +532,7 @@ fn handle_data_reply<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transport
         // close the service window ourselves.
         let mut sleepers: Vec<Arc<Waiter>> = Vec::new();
         {
-            let mut pf = state
-                .prefetch_waiters
-                .lock()
-                .expect("prefetch waiters poisoned");
+            let mut pf = state.prefetch_waiters.borrow_mut();
             for vp in range {
                 if let Some(w) = pf.remove(&vp) {
                     if !sleepers.iter().any(|s| Arc::ptr_eq(s, &w)) {
@@ -579,4 +570,69 @@ fn fulfill_simple<M, W: LocalWake, C: ProtoClock>(
 ) -> Result<(), ProtocolError> {
     tl.charge(state.cost.event_signal);
     state.wake(&m, "completion", Ok(tl.now()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{ClusterConfig, Stack};
+    use crate::home::MANAGER;
+    use crate::host::Waiters;
+    use sim_core::trace::{Tracer, Track};
+    use sim_core::SplitMix64;
+    use sim_mem::{AddressSpace, Geometry};
+    use sim_net::Network;
+
+    /// Only the release-consistency write path reads a host's boundary
+    /// cache, so only a release-consistency run fills it: an allocation
+    /// teaches the home host, a data reply the requester. Under SW/MR
+    /// neither learns anything.
+    #[test]
+    fn only_release_consistency_learns_minipage_boundaries() {
+        for consistency in [Consistency::SequentialSwMr, Consistency::HomeEagerRc] {
+            let cfg = ClusterConfig {
+                hosts: 2,
+                pages: 4,
+                views: 2,
+                consistency,
+                ..ClusterConfig::default()
+            };
+            let geo = Geometry::new(cfg.pages, cfg.views);
+            let space = |_| (AddressSpace::new(geo.clone()), Waiters::default());
+            let (stack, mut shards, base) =
+                Stack::new(&cfg, geo.clone(), space, |s| s.alloc_bytes(64));
+            let mp = stack.home.translate(base).expect("allocated");
+            // Host 1's read fault, served by the manager: the reply lands.
+            let reader = &stack.states[1];
+            let waiter = reader.register_waiter(1);
+            let mut reply = Pmsg::new(MsgKind::ReadReply, reader.host, 1).with_addr(base);
+            (reply.minipage, reply.base, reply.len) = (mp.id, base, mp.len);
+            reply.priv_base = mp.priv_base(&geo);
+            reply.data = vec![0u8; mp.len].into();
+            let (_net, endpoints) = Network::<Pmsg>::new(2, cfg.cost.clone());
+            let mut tl = ServerTimeline::new(cfg.cost.clone(), SplitMix64::new(1));
+            let mut probe = reader.probe(&Tracer::disabled(), Track::Server);
+            let mut errors = Vec::new();
+            let (shard, ep) = (&mut shards[1], &endpoints[1]);
+            dispatch(
+                reply,
+                MANAGER,
+                reader,
+                shard,
+                &mut tl,
+                ep,
+                &mut probe,
+                &mut errors,
+            );
+            assert_eq!(errors, Vec::<String>::new());
+            assert!(matches!(waiter.try_result(), Some(Ok(_))));
+
+            let learned = stack.states.iter().map(|s| s.rc.borrow().boundaries.len());
+            let want = match consistency {
+                Consistency::SequentialSwMr => 0,
+                Consistency::HomeEagerRc => mp.vpages(&geo).len(),
+            };
+            assert_eq!(learned.collect::<Vec<_>>(), [want; 2], "{consistency:?}");
+        }
+    }
 }

@@ -9,7 +9,7 @@ use multiview::{AllocStats, Minipage};
 use sim_core::json::{self, ToJson, Writer};
 use sim_core::{Category, HostId, LogHistogram, Ns, TimeBreakdown};
 use sim_mem::{Geometry, Prot};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Per-application-thread outcome.
 #[derive(Clone, Debug)]
@@ -271,7 +271,7 @@ impl ToJson for RunReport {
 pub(crate) fn check_rc_consistency<M: MemoryBackend, W>(
     minipages: &[Minipage],
     geo: &Geometry,
-    states: &[Arc<HostState<M, W>>],
+    states: &[Rc<HostState<M, W>>],
     home: &HomeTable,
 ) -> Vec<String> {
     let mut violations = Vec::new();
@@ -311,7 +311,7 @@ pub(crate) fn check_rc_consistency<M: MemoryBackend, W>(
 pub(crate) fn check_coherence<M: MemoryBackend, W>(
     minipages: &[Minipage],
     geo: &Geometry,
-    states: &[Arc<HostState<M, W>>],
+    states: &[Rc<HostState<M, W>>],
 ) -> Vec<String> {
     let mut violations = Vec::new();
     for mp in minipages {
@@ -429,14 +429,7 @@ mod tests {
             s.alloc_bytes(256);
         });
         let (home, states) = (&stack.home, &stack.states);
-        let minipages: Vec<Minipage> = home
-            .table
-            .read()
-            .expect("home table poisoned")
-            .mpt()
-            .iter()
-            .copied()
-            .collect();
+        let minipages: Vec<Minipage> = home.table.borrow().mpt().iter().copied().collect();
         assert_eq!(minipages.len(), 1);
         // A read copy away from home, so the RC check compares bytes.
         for vp in minipages[0].vpages(&geo) {

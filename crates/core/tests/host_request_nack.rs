@@ -14,7 +14,7 @@ use millipage::{run_host, Dsm, HostDsmCtx, HostId, HostRunConfig, SetupCtx, Shar
 /// Forks, runs `run_host(setup, app)` on 2 hosts in the child under a
 /// 10 s alarm, and returns the signal that killed the child (0: it exited).
 fn child_death_signal<T: Send + Sync>(
-    setup: impl FnOnce(&mut SetupCtx) -> T,
+    setup: impl FnOnce(&mut SetupCtx) -> T + Send,
     app: impl Fn(&mut HostDsmCtx, &T) + Send + Sync,
 ) -> libc::c_int {
     // SAFETY: this binary holds one test, so the forking thread is the

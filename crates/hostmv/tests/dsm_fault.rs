@@ -17,7 +17,7 @@
 use hostmv::{install_dsm_handler, MultiViewRegion, Unserved};
 use sim_core::{Access, Fault, Loc, Prot, VAddr};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -84,7 +84,7 @@ fn last() -> (usize, usize, usize, bool) {
 
 #[test]
 fn read_fault_decodes_view_page_offset_and_read_intent() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let r = fixture();
     r.priv_write(0, 13, b"Z");
     let seq = LAST_SEQ.load(Ordering::Acquire);
@@ -95,7 +95,7 @@ fn read_fault_decodes_view_page_offset_and_read_intent() {
 
 #[test]
 fn write_fault_decodes_write_intent() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let r = fixture();
     let seq = LAST_SEQ.load(Ordering::Acquire);
     r.write_u8(2, 3, 77, 9);
@@ -107,7 +107,7 @@ fn write_fault_decodes_write_intent() {
 
 #[test]
 fn read_then_write_on_readonly_page_faults_again_as_write() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let r = fixture();
     // Seal, read (grants ReadWrite via the resolver), downgrade to
     // ReadOnly — the protocol's invalidate-to-shared — then store.
@@ -126,7 +126,7 @@ fn read_then_write_on_readonly_page_faults_again_as_write() {
 
 #[test]
 fn a_span_faults_once_at_its_lowest_offset() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let r = fixture();
     let data: Vec<u8> = (0..300).map(|i| (i % 199) as u8 + 1).collect();
     // Offsets chosen off the 8-byte grid: the first access is a byte of
@@ -192,7 +192,7 @@ fn child_dies_of_sigsegv(touch: impl FnOnce()) {
 
 #[test]
 fn unmapped_fault_still_crashes_the_process() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     // Handler installed: it must decline foreign faults. The child touches
     // an address no region owns; the handler restores SIG_DFL.
     fixture();
@@ -204,7 +204,7 @@ fn unmapped_fault_still_crashes_the_process() {
 
 #[test]
 fn an_unserved_fault_crashes_the_process() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let r = fixture();
     r.protect(0, 2, Prot::NoAccess).unwrap();
     // The fault is the region's, but its resolver declines it: the

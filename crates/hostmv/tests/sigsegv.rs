@@ -9,7 +9,7 @@
 
 use hostmv::{install_handler, FaultCounters, MultiViewRegion};
 use sim_core::Prot;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -25,7 +25,7 @@ fn fixture() -> (&'static Arc<MultiViewRegion>, &'static FaultCounters) {
 
 #[test]
 fn read_fault_upgrades_to_readonly() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (r, c) = fixture();
     r.priv_write(0, 0, b"A");
     let before = c.read_faults();
@@ -41,7 +41,7 @@ fn read_fault_upgrades_to_readonly() {
 
 #[test]
 fn write_fault_upgrades_to_readwrite() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (r, c) = fixture();
     let before_w = c.write_faults();
     assert_eq!(r.prot(1, 1), Prot::NoAccess);
@@ -55,7 +55,7 @@ fn write_fault_upgrades_to_readwrite() {
 
 #[test]
 fn same_page_different_views_fault_independently() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (r, c) = fixture();
     // Page 2 through view 0 and view 1: distinct protections over the
     // same physical page — the MultiView core property, on a real MMU.
@@ -71,7 +71,7 @@ fn same_page_different_views_fault_independently() {
 
 #[test]
 fn privileged_updates_while_views_sealed_then_downgrade() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (r, c) = fixture();
     // §2.3.1: atomic minipage update in user mode — the server thread
     // writes through the privileged view while application views are
@@ -86,7 +86,7 @@ fn privileged_updates_while_views_sealed_then_downgrade() {
 
 #[test]
 fn write_after_read_takes_a_second_fault() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (r, c) = fixture();
     let (br, bw) = (c.read_faults(), c.write_faults());
     assert_eq!(r.read_u8(0, 4, 0), 0); // Read fault → ReadOnly.
@@ -98,7 +98,7 @@ fn write_after_read_takes_a_second_fault() {
 
 #[test]
 fn downgrade_reprotects_for_real() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (r, c) = fixture();
     r.write_u8(0, 5, 0, 1); // Upgrade to ReadWrite.
     let bw = c.write_faults();
@@ -115,7 +115,7 @@ fn downgrade_reprotects_for_real() {
 
 #[test]
 fn fault_cost_microbenchmark_smoke() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (r, _c) = fixture();
     // Not a benchmark, but exercise a burst: seal page 6 in view 0 and
     // take 50 fault→upgrade→downgrade cycles.
@@ -131,7 +131,7 @@ fn fault_cost_microbenchmark_smoke() {
 
 #[test]
 fn a_span_takes_one_fault_however_many_bytes_it_copies() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (r, c) = fixture();
     let data: Vec<u8> = (0..600).map(|i| (i % 251) as u8).collect();
     r.protect(1, 7, Prot::NoAccess).unwrap();

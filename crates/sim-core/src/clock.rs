@@ -5,7 +5,7 @@
 //! run. Clocks only move forward. Message passing merges clocks in the
 //! Lamport style: a handler runs at `max(local, arrival)`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Virtual nanoseconds.
 pub type Ns = u64;
@@ -71,10 +71,12 @@ impl Clock {
 /// application records each compute/access burst `[start, end)`;
 /// contiguous bursts merge. Time spent blocked (barriers, locks, faults)
 /// is never recorded, so hosts parked in synchronization read as idle.
+/// The host's threads and its server share one OS thread, so the bounds
+/// are `Cell`s.
 #[derive(Debug, Default)]
 pub struct BusyWindow {
-    start: AtomicU64,
-    end: AtomicU64,
+    start: Cell<Ns>,
+    end: Cell<Ns>,
 }
 
 impl BusyWindow {
@@ -89,20 +91,16 @@ impl BusyWindow {
         if from > to {
             return;
         }
-        // Single producer (one application thread per host): plain loads
-        // and stores suffice.
-        if self.end.load(Ordering::Acquire) != from {
-            self.start.store(from, Ordering::Release);
+        if self.end.get() != from {
+            self.start.set(from);
         }
-        self.end.store(to, Ordering::Release);
+        self.end.set(to);
     }
 
     /// Whether the application was busy at virtual time `t` (within the
     /// most recent burst).
     pub fn busy_at(&self, t: Ns) -> bool {
-        let end = self.end.load(Ordering::Acquire);
-        let start = self.start.load(Ordering::Acquire);
-        t >= start && t < end
+        t >= self.start.get() && t < self.end.get()
     }
 }
 
