@@ -196,9 +196,10 @@ pub fn worker(ctx: &mut HostCtx, sh: &WaterShared) {
         // same molecule at the same instant would needlessly queue at the
         // manager; the original's interaction loops have the same skew).
         let mut snapshot = vec![[0.0f64; 3]; n];
+        let mut m = [0.0f64; MOL_F64S];
         for jj in 0..n {
             let j = (my.start + jj) % n;
-            let m = ctx.read_range(&sh.mols[j], 0..MOL_F64S);
+            ctx.read_into(&sh.mols[j], 0, &mut m);
             snapshot[j] = [m[POS], m[POS + 1], m[POS + 2]];
         }
         // Force phase over the half shell of owned molecules; private
@@ -226,7 +227,8 @@ pub fn worker(ctx: &mut HostCtx, sh: &WaterShared) {
                 continue;
             }
             ctx.lock(MOL_LOCK_BASE + j as u64);
-            let mut frc = ctx.read_range(&sh.mols[j], FRC..FRC + 3);
+            let mut frc = [0.0f64; 3];
+            ctx.read_into(&sh.mols[j], FRC, &mut frc);
             for d in 0..3 {
                 frc[d] += a[d];
             }
@@ -239,7 +241,7 @@ pub fn worker(ctx: &mut HostCtx, sh: &WaterShared) {
         // forces for the next step.
         let mut ke = 0.0f64;
         for i in my.clone() {
-            let mut m = ctx.read_range(&sh.mols[i], 0..MOL_F64S);
+            ctx.read_into(&sh.mols[i], 0, &mut m);
             for d in 0..3 {
                 let f = m[FRC + d] + acc[i][d];
                 m[VEL + d] += f * p.dt;
@@ -262,8 +264,9 @@ pub fn worker(ctx: &mut HostCtx, sh: &WaterShared) {
 /// Checksum (host 0, after the final barrier): kinetic + position sum.
 pub fn checksum(ctx: &mut HostCtx, sh: &WaterShared) -> f64 {
     let mut possum = 0.0;
+    let mut v = [0.0f64; 3];
     for m in &sh.mols {
-        let v = ctx.read_range(m, POS..POS + 3);
+        ctx.read_into(m, POS, &mut v);
         possum += v[0] + v[1] + v[2];
     }
     ctx.cell_get(&sh.kinetic) + possum

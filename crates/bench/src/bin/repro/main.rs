@@ -26,6 +26,9 @@
 //!                      scheduler; shrinks any violation to a replayable
 //!                      JSON reproducer
 //! repro all            table1 … manager-sweep, in order
+//! repro ab <rev>       The benchmark, parent revision against the
+//!                      working tree, in alternating pairs; the claims
+//!                      rule's verdict per row and end-to-end metric
 //! ```
 //!
 //! The flags of each are in [`COMMANDS`]; each module's docs say what its
@@ -40,6 +43,7 @@
 //! `--quick` shrinks the workloads for fast smoke runs; without it the
 //! paper's input sets (Table 2) are used. Shapes, not absolute numbers,
 //! are the reproduction target — see EXPERIMENTS.md.
+mod ab;
 mod adapt;
 mod backends;
 mod diagnose;
@@ -85,6 +89,11 @@ const COMMANDS: &[(&str, &str, Command)] = &[
         "explore",
         "[--schedules N] [--seed N] [--quick] [--out f] [--inject stale-reinstall] [--replay f]",
         explore::explore,
+    ),
+    (
+        "ab",
+        "<parent-rev> [--pairs N] [--rows a,b] [--seeds N,M] [--seconds S]",
+        ab::ab,
     ),
 ];
 const BACKEND_FLAGS: &str = "[--quick] [--backend sim|host] [--hosts N]";

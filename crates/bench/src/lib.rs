@@ -9,6 +9,7 @@
 //! numbers on the real system. Wall-clock measurement is not done here:
 //! the repo's one benchmark is `examples/mvbench`.
 
+pub mod ab;
 pub mod apps;
 pub mod cli;
 pub mod planted;

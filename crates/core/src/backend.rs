@@ -26,14 +26,13 @@
 //!   server engine ([`server::dispatch`](crate::server)) does differently
 //!   per substrate.
 //!
-//! [`ClusterMemory`] is the manager shard's access to *every* host's
-//! memory (fresh minipages are initialized directly at their home host
-//! before any application can reach them — setup, not protocol traffic —
-//! and a home patches release diffs into its own copy). It has one
-//! implementation, the per-host [`HostState`]s of whichever substrate is
-//! running ([`Cluster`]), held by `Rc`: on either backend one OS thread
-//! builds, serves and checks a run's states and shards, so neither is
-//! `Send` and none takes a lock.
+//! A manager shard reaches *every* host's memory (fresh minipages are
+//! initialized directly at their home host before any application can
+//! reach them — setup, not protocol traffic — and a home patches release
+//! diffs into its own copy) through the per-host [`HostState`]s of
+//! whichever substrate is running ([`Cluster`]), held by `Rc`: on either
+//! backend one OS thread builds, serves and checks a run's states and
+//! shards, so neither is `Send` and none takes a lock.
 //!
 //! The sim implementations monomorphize to exactly the pre-refactor code:
 //! the determinism tests and the goldens under `tests/goldens/` hold the
@@ -41,9 +40,9 @@
 
 use crate::diff::Diff;
 use crate::error::ProtocolError;
-use crate::hlrc::MpInfo;
 use crate::host::{HostState, Waiters};
 use crate::msg::Pmsg;
+use bytes::{Bytes, BytesMut};
 use sim_core::{Geometry, HostId, Ns, VAddr};
 use sim_mem::{AddressSpace, Prot};
 use sim_net::{Endpoint, ServerTimeline};
@@ -66,9 +65,9 @@ pub enum MemFault {
 ///
 /// Contract: `set_prot` on an application vpage takes effect before the
 /// call returns (a racing application access observes either the old or
-/// the new protection, never garbage); `priv_read`/`priv_write` bypass
-/// protections entirely (the privileged view is permanently `ReadWrite`,
-/// §2.3.1) and may span pages but not views.
+/// the new protection, never garbage); `priv_read_into`/`priv_write`
+/// bypass protections entirely (the privileged view is permanently
+/// `ReadWrite`, §2.3.1) and may span pages but not views.
 pub trait MemoryBackend {
     /// The shared address-space geometry (same on every host, §2.4).
     fn geometry(&self) -> &Geometry;
@@ -76,8 +75,9 @@ pub trait MemoryBackend {
     fn prot(&self, vpage: usize) -> Prot;
     /// Changes the protection of an application vpage.
     fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemFault>;
-    /// Reads bytes through the privileged view.
-    fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault>;
+    /// Fills `out` through the privileged view, from `addr` on: a reply's
+    /// bytes land straight in the buffer its message carries.
+    fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemFault>;
     /// Writes bytes through the privileged view (zero-copy receive).
     fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault>;
     /// Patches a release diff into the `diff.source_len()` bytes at
@@ -85,15 +85,11 @@ pub trait MemoryBackend {
     /// whole, then only the diff's runs are written, so a local write to
     /// other bytes of the range is never clobbered.
     fn apply_diff(&self, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault>;
-    /// Atomically snapshots `[addr, addr+len)` and sets the protection of
-    /// the covering vpages — the HLRC eviction step (no write may slip
-    /// between the copy and the protection change).
-    fn snapshot_and_protect(
-        &self,
-        addr: VAddr,
-        len: usize,
-        prot: Prot,
-    ) -> Result<Vec<u8>, MemFault>;
+    /// Atomically diffs the `twin.len()` bytes at application address
+    /// `addr` against `twin` and sets the protection of the covering
+    /// vpages — the HLRC eviction step (no write may slip between the
+    /// diff and the protection change).
+    fn diff_and_protect(&self, addr: VAddr, twin: &[u8], prot: Prot) -> Result<Diff, MemFault>;
 }
 
 impl MemoryBackend for AddressSpace {
@@ -112,8 +108,8 @@ impl MemoryBackend for AddressSpace {
         })
     }
 
-    fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault> {
-        AddressSpace::priv_read(self, addr, len).map_err(|_| MemFault::OutOfRange)
+    fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemFault> {
+        AddressSpace::priv_read_into(self, addr, out).map_err(|_| MemFault::OutOfRange)
     }
 
     fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
@@ -128,13 +124,13 @@ impl MemoryBackend for AddressSpace {
         .map_err(|_| MemFault::OutOfRange)
     }
 
-    fn snapshot_and_protect(
-        &self,
-        addr: VAddr,
-        len: usize,
-        prot: Prot,
-    ) -> Result<Vec<u8>, MemFault> {
-        AddressSpace::snapshot_and_protect(self, addr, len, prot).map_err(|_| MemFault::OutOfRange)
+    /// The diff reads the page where it lies (a range spanning pages is
+    /// gathered once, into the space's own buffer).
+    fn diff_and_protect(&self, addr: VAddr, twin: &[u8], prot: Prot) -> Result<Diff, MemFault> {
+        AddressSpace::snapshot_and_protect(self, addr, twin.len(), prot, |current| {
+            Diff::compute(twin, current)
+        })
+        .map_err(|_| MemFault::OutOfRange)
     }
 }
 
@@ -230,52 +226,9 @@ pub(crate) trait LocalWake {
     ) -> Result<(), ProtocolError>;
 }
 
-/// The manager shard's cross-host memory access: fresh minipages are
-/// initialized directly in their home host's space before the allocation
-/// reply makes them reachable, and a home patches release diffs into its
-/// own copy.
-pub(crate) trait ClusterMemory {
-    /// Changes the protection of `vpage` on `host`.
-    fn set_prot(&self, host: HostId, vpage: usize, prot: Prot) -> Result<(), MemFault>;
-    /// Reads bytes from `host`'s privileged view.
-    fn priv_read(&self, host: HostId, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault>;
-    /// Writes bytes into `host`'s privileged view.
-    fn priv_write(&self, host: HostId, addr: VAddr, data: &[u8]) -> Result<(), MemFault>;
-    /// Patches a release diff into `host`'s privileged view (see
-    /// [`MemoryBackend::apply_diff`]).
-    fn apply_diff(&self, host: HostId, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault>;
-    /// Caches a minipage translation in `host`'s release-consistency
-    /// state (see [`HostState::learn_rc`]).
-    fn learn_rc(&self, host: HostId, vpages: Range<usize>, info: MpInfo);
-}
-
 /// Every host's [`HostState`], in host order: the cluster's memory on
 /// either substrate. The defaults are the simulator's.
 pub(crate) type Cluster<M = AddressSpace, W = Waiters> = Vec<Rc<HostState<M, W>>>;
-
-/// The shards reach a host's space and release-consistency cache through
-/// the same state its server works on.
-impl<M: MemoryBackend, W> ClusterMemory for Cluster<M, W> {
-    fn set_prot(&self, host: HostId, vpage: usize, prot: Prot) -> Result<(), MemFault> {
-        self[host.index()].space.set_prot(vpage, prot)
-    }
-
-    fn priv_read(&self, host: HostId, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault> {
-        self[host.index()].space.priv_read(addr, len)
-    }
-
-    fn priv_write(&self, host: HostId, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
-        self[host.index()].space.priv_write(addr, data)
-    }
-
-    fn apply_diff(&self, host: HostId, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault> {
-        self[host.index()].space.apply_diff(priv_base, diff)
-    }
-
-    fn learn_rc(&self, host: HostId, vpages: Range<usize>, info: MpInfo) {
-        self[host.index()].learn_rc(vpages, info);
-    }
-}
 
 /// The global vpages covered by the translated minipage range named in a
 /// message.
@@ -331,16 +284,19 @@ pub(crate) fn downgrade_range<M: MemoryBackend>(
     Ok(downgraded)
 }
 
-/// Reads minipage bytes through the privileged view for a serve.
+/// Reads minipage bytes through the privileged view into the buffer a
+/// message carries: one allocation, one copy.
 pub(crate) fn read_priv<M: MemoryBackend>(
     mem: &M,
     host: HostId,
     priv_base: VAddr,
     len: usize,
     what: &'static str,
-) -> Result<Vec<u8>, ProtocolError> {
-    mem.priv_read(priv_base, len)
-        .map_err(|_| bad_priv(host, priv_base, what))
+) -> Result<Bytes, ProtocolError> {
+    let mut buf = BytesMut::zeroed(len);
+    mem.priv_read_into(priv_base, &mut buf)
+        .map_err(|_| bad_priv(host, priv_base, what))?;
+    Ok(buf.freeze())
 }
 
 /// Writes minipage bytes through the privileged view for an install.
@@ -390,7 +346,7 @@ mod tests {
         write_priv(&space, host, priv_base, &[7u8; 64], "install").unwrap();
         assert_eq!(
             read_priv(&space, host, priv_base, 64, "serve").unwrap(),
-            vec![7u8; 64]
+            Bytes::from(vec![7u8; 64])
         );
         assert_eq!(downgrade_range(&space, host, base, 64).unwrap(), 1);
         // Second downgrade is a no-op: already read-only.

@@ -25,7 +25,7 @@
 //! caller's CPU affinity alone.
 
 use crate::adapt::AdaptReport;
-use crate::backend::{Cluster, MemoryBackend};
+use crate::backend::MemoryBackend;
 use crate::diag::{build_report, DiagReport, DiagTable};
 use crate::error::ProtocolError;
 use crate::hlrc::Consistency;
@@ -298,7 +298,7 @@ where
         geo: Geometry,
         mut host: impl FnMut(HostId) -> (M, W),
         setup: impl FnOnce(&mut SetupCtx) -> T,
-    ) -> (Self, Vec<ManagerShard<Cluster<M, W>>>, T) {
+    ) -> (Self, Vec<ManagerShard<M, W>>, T) {
         assert_hosts(cfg.hosts);
         assert!(
             cfg.threads_per_host >= 1,
@@ -366,11 +366,7 @@ where
     /// closed and queue drained; after any adaptation, a sound MPT
     /// geometry. Also merges the adaptation actions and builds the sharing
     /// report, with the per-link traffic the run's transport counted.
-    pub(crate) fn check(
-        &self,
-        shards: &[ManagerShard<Cluster<M, W>>],
-        links: &LinkTraffic,
-    ) -> Verdict {
+    pub(crate) fn check(&self, shards: &[ManagerShard<M, W>], links: &LinkTraffic) -> Verdict {
         let (geo, home) = (&self.geo, &self.home);
         let minipages: Vec<Minipage> = home.table.borrow().mpt().iter().copied().collect();
         let mut violations = match self.consistency {
@@ -491,8 +487,7 @@ where
             // each) so allocation never crosses threads. The ranges are
             // part of every pinned message and trace byte.
             let events = ((h * cfg.threads_per_host + t + 1) as u64) << 40;
-            let (home, state) = (Rc::clone(home), Rc::clone(&states[h]));
-            let (net, cost) = (net.clone(), cfg.cost.clone());
+            let (state, net) = (Rc::clone(&states[h]), net.clone());
             let probe = state.probe(&cfg.tracer, Track::App(t as u16));
             let outcome = &outcomes[h * cfg.threads_per_host + t];
             let (app, shared) = (&app, &shared);
@@ -502,15 +497,14 @@ where
                     host: HostId(h as u16),
                     hosts: cfg.hosts,
                     thread: t,
-                    home,
                     state,
                     net,
-                    cost,
                     clock: Clock::new(),
                     breakdown: TimeBreakdown::new(),
                     events,
+                    spare_waiters: Vec::new(),
                     pending_acks: Vec::new(),
-                    consistency: cfg.consistency,
+                    flushing: Vec::new(),
                     timed_from: 0,
                     breakdown_mark: TimeBreakdown::new(),
                     probe,

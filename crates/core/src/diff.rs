@@ -16,12 +16,15 @@
 //! and refines byte-by-byte only inside a mismatching word. A diff *is*
 //! its wire encoding — `[source_len u32][n u32]`, then per run
 //! `[off u32][len u32][bytes]`, little-endian — in one [`Bytes`]:
-//! `compute` writes it into one buffer reserved at the worst case,
-//! `encode` hands it out as a [`Wire`] (a refcount bump), `decode`
-//! validates an incoming buffer where it lies, and `iter_runs`/`apply_at`
-//! walk it. Only `compute` allocates, at most twice.
+//! `compute` writes it into a per-thread buffer reserved at the worst
+//! case and copies it out exactly sized, `encode` hands it out as a
+//! [`Wire`] (a refcount bump), `decode` validates an incoming buffer where
+//! it lies, and `iter_runs`/`apply_at` walk it. Only `compute` allocates:
+//! once, for the diff's own buffer (and, on a thread's first diff or a
+//! larger one than before, the scratch buffer).
 
 use bytes::Bytes;
+use std::cell::Cell;
 
 /// A run-length diff: the `(offset, bytes)` runs that changed between a
 /// twin and the current contents, held as their wire encoding. Diffs are
@@ -77,10 +80,16 @@ fn word_at(b: &[u8], i: usize) -> u64 {
 /// under HLRC), which sits squarely on the byte path.
 const WORD_SCAN_MIN: usize = 16;
 
-/// The wire encoding of a diff being computed, in a buffer reserved at
-/// the worst case so that no run grows it: an `n`-byte source has at most
-/// `⌈n/2⌉` runs (an equal byte ends each but the last) holding at most
-/// `n` bytes.
+thread_local! {
+    /// Where [`Diff::compute`] writes a diff before copying it out: the
+    /// worst-case reservation is made once per thread, not once per diff.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// The wire encoding of a diff being computed, in this thread's scratch
+/// buffer (taken for the diff's duration), reserved at the worst case so
+/// that no run grows it: an `n`-byte source has at most `⌈n/2⌉` runs (an
+/// equal byte ends each but the last) holding at most `n` bytes.
 struct Encoder {
     wire: Vec<u8>,
     runs: usize,
@@ -89,7 +98,9 @@ struct Encoder {
 impl Encoder {
     fn new(source_len: usize) -> Self {
         let n = u32::try_from(source_len).expect("a diffed buffer is under 4 GiB");
-        let mut wire = Vec::with_capacity(8 + source_len + 8 * source_len.div_ceil(2));
+        let mut wire = SCRATCH.take();
+        wire.clear();
+        wire.reserve(8 + source_len + 8 * source_len.div_ceil(2));
         // The run count half is patched by `finish`.
         wire.extend_from_slice(&u64::from(n).to_le_bytes());
         Self { wire, runs: 0 }
@@ -105,11 +116,13 @@ impl Encoder {
         self.runs += 1;
     }
 
+    /// The diff, copied into its own exactly sized [`Bytes`]; the scratch
+    /// buffer goes back to the thread.
     fn finish(mut self) -> Diff {
         self.wire[4..8].copy_from_slice(&(self.runs as u32).to_le_bytes());
-        Diff {
-            wire: Bytes::from(self.wire),
-        }
+        let wire = Bytes::copy_from_slice(&self.wire);
+        SCRATCH.set(self.wire);
+        Diff { wire }
     }
 }
 

@@ -6,7 +6,6 @@
 //! in the manager."
 
 use crate::msg::Pmsg;
-use sim_core::IntMap;
 use sim_core::{HostId, Ns};
 use std::collections::VecDeque;
 
@@ -42,12 +41,6 @@ impl DirectoryEntry {
         }
     }
 
-    /// Hosts in the copyset.
-    pub fn holders(&self) -> impl Iterator<Item = HostId> + '_ {
-        let mask = self.copyset;
-        (0..64u16).filter_map(move |i| (mask >> i & 1 == 1).then_some(HostId(i)))
-    }
-
     /// Number of copies.
     pub fn copies(&self) -> u32 {
         self.copyset.count_ones()
@@ -78,11 +71,23 @@ impl DirectoryEntry {
     }
 }
 
+/// The hosts of a copyset-style bitmask, in ascending order.
+pub(crate) fn hosts_in(mut mask: u64) -> impl Iterator<Item = HostId> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let h = HostId(mask.trailing_zeros() as u16);
+            mask &= mask - 1;
+            h
+        })
+    })
+}
+
 /// One manager shard's slice of the directory: only the minipages homed
 /// at this host ever get entries here.
 ///
-/// Entries are sparse (the shard of host *h* never sees ids homed
-/// elsewhere) and materialize lazily on first touch as
+/// Entries are indexed by minipage id (ids are dense: the MPT hands them
+/// out in order), sparse in that the shard of host *h* never touches ids
+/// homed elsewhere, and materialize lazily on first touch as
 /// [`DirectoryEntry::fresh`]`(me)` — exactly the state every minipage has
 /// at allocation: one writable copy sitting at its home. Lazy creation
 /// keeps allocation local: the allocator host never has to reach into
@@ -90,7 +95,8 @@ impl DirectoryEntry {
 #[derive(Debug)]
 pub struct Directory {
     me: HostId,
-    entries: IntMap<usize, DirectoryEntry>,
+    /// `entries[id]`: minipage `id`'s entry, `None` until first touched.
+    entries: Vec<Option<DirectoryEntry>>,
     competing: u64,
     /// Requests queued behind open windows right now: the sum of the
     /// entries' queue lengths.
@@ -102,7 +108,7 @@ impl Directory {
     pub fn new(me: HostId) -> Self {
         Self {
             me,
-            entries: IntMap::default(),
+            entries: Vec::new(),
             competing: 0,
             waiting: 0,
         }
@@ -111,31 +117,34 @@ impl Directory {
     /// Entry accessor; materializes the fresh at-home entry on first
     /// touch.
     pub fn entry(&mut self, id: usize) -> &mut DirectoryEntry {
+        if id >= self.entries.len() {
+            self.entries.resize_with(id + 1, || None);
+        }
         let me = self.me;
-        self.entries
-            .entry(id)
-            .or_insert_with(|| DirectoryEntry::fresh(me))
+        self.entries[id].get_or_insert_with(|| DirectoryEntry::fresh(me))
     }
 
     /// Read-only entry accessor; `None` if the minipage was never touched
     /// (it is still in its fresh at-home state).
     pub fn entry_ref(&self, id: usize) -> Option<&DirectoryEntry> {
-        self.entries.get(&id)
+        self.entries.get(id)?.as_ref()
     }
 
     /// Number of materialized entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.iter().flatten().count()
     }
 
     /// Whether no entry has materialized yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
-    /// Iterates over the materialized entries (post-run invariant checks).
+    /// Iterates over the materialized entries in minipage order (post-run
+    /// invariant checks).
     pub fn iter(&self) -> impl Iterator<Item = (usize, &DirectoryEntry)> {
-        self.entries.iter().map(|(&id, e)| (id, e))
+        let entries = self.entries.iter().enumerate();
+        entries.filter_map(|(id, e)| Some((id, e.as_ref()?)))
     }
 
     /// Opens the service window for `id`; if one is already open, queues
@@ -169,7 +178,7 @@ impl Directory {
     /// touch — here for a split child, at the new home after a migration
     /// — rematerializes the fresh at-home state.
     pub fn forget(&mut self, id: usize) -> Option<DirectoryEntry> {
-        let e = self.entries.remove(&id)?;
+        let e = self.entries.get_mut(id)?.take()?;
         self.waiting -= e.queue.len();
         Some(e)
     }
@@ -210,7 +219,7 @@ mod tests {
         e.add(HostId(5));
         e.add(HostId(7));
         assert_eq!(e.copies(), 3);
-        let hs: Vec<_> = e.holders().collect();
+        let hs: Vec<_> = hosts_in(e.copyset).collect();
         assert_eq!(hs, vec![HostId(2), HostId(5), HostId(7)]);
         e.remove(HostId(5));
         assert!(!e.holds(HostId(5)));
@@ -286,8 +295,7 @@ mod tests {
         // Ids are sparse: touching 7 does not drag 4..=6 into existence.
         d.entry(7);
         assert_eq!(d.len(), 2);
-        let mut ids: Vec<_> = d.iter().map(|(id, _)| id).collect();
-        ids.sort_unstable();
+        let ids: Vec<_> = d.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![3, 7]);
     }
 }

@@ -76,6 +76,8 @@ pub(crate) struct RcState {
     pub boundaries: IntMap<usize, MpInfo>,
     /// Twinned dirty minipages by minipage id.
     pub dirty: IntMap<u32, RcDirty>,
+    /// The twins of flushed minipages, kept for the next write faults.
+    spare_twins: Vec<Vec<u8>>,
 }
 
 impl RcState {
@@ -84,6 +86,19 @@ impl RcState {
         for vp in vpages {
             self.boundaries.insert(vp, info);
         }
+    }
+
+    /// A `len`-byte buffer for a twin, reusing a flushed minipage's (its
+    /// old bytes stay until the twin is read into it).
+    pub fn twin_buffer(&mut self, len: usize) -> Vec<u8> {
+        let mut twin = self.spare_twins.pop().unwrap_or_default();
+        twin.resize(len, 0);
+        twin
+    }
+
+    /// Keeps a flushed minipage's twin for [`twin_buffer`](Self::twin_buffer).
+    pub fn recycle(&mut self, twin: Vec<u8>) {
+        self.spare_twins.push(twin);
     }
 }
 

@@ -8,16 +8,14 @@
 //! block, retry, ack), and every virtual nanosecond is attributed to a
 //! Figure 6 category.
 
-use crate::backend::LocalWake;
+use crate::backend::{read_priv, LocalWake, MemoryBackend};
 use crate::diag::DiagTable;
-use crate::diff::Diff;
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo, RcDirty, RcState};
 use crate::home::{HomePolicyKind, HomeTable, MANAGER};
 use crate::msg::{Completion, MsgKind, Pmsg};
 use crate::probe::{Counts, Fact, Probe};
 use crate::shared::{fill_wire, wire_bytes, zeroed, Pod, SharedCell, SharedVec, POD_MAX};
-use bytes::Bytes;
 use sim_core::clock::{BusyWindow, Clock, Ns};
 use sim_core::sched::{BlockOutcome, SchedThread};
 use sim_core::trace::{TraceKind, NO_MP};
@@ -108,8 +106,9 @@ impl LocalWake for Waiters {
 pub(crate) struct HostState<M = AddressSpace, W = Waiters> {
     pub host: HostId,
     pub space: M,
-    /// What the host's server engine runs under: the platform cost model,
-    /// the coherence protocol, and the cluster's home map.
+    /// What the host's server engine and application threads run under:
+    /// the platform cost model, the coherence protocol, and the cluster's
+    /// home map.
     pub cost: CostModel,
     pub consistency: Consistency,
     pub home: Rc<HomeTable>,
@@ -186,10 +185,9 @@ impl<M, W: LocalWake> HostState<M, W> {
 }
 
 impl HostState {
-    /// Registers a waiter under the event id `ev`. After the cancel sweep
-    /// (`aborted`) nothing is published and the waiter fails at once.
-    pub(crate) fn register_waiter(&self, ev: u64) -> Arc<Waiter> {
-        let w = Waiter::new();
+    /// Registers the open waiter `w` under the event id `ev`. After the
+    /// cancel sweep (`aborted`) nothing is published and `w` fails at once.
+    pub(crate) fn register_waiter(&self, ev: u64, w: Arc<Waiter>) -> Arc<Waiter> {
         if self.aborted.get() {
             w.fail(ProtocolError::Cancelled {
                 host: self.host,
@@ -228,20 +226,23 @@ pub struct HostCtx {
     pub(crate) host: HostId,
     pub(crate) hosts: usize,
     pub(crate) thread: usize,
-    /// The cluster's home map: routes each minipage's protocol traffic to
-    /// its home shard and names the manager host for synchronization and
-    /// allocation services.
-    pub(crate) home: Rc<HomeTable>,
+    /// The host's protocol state, which also holds what its requests run
+    /// under: the cluster's home map (routing each minipage's traffic to
+    /// its home shard), the cost model and the coherence protocol.
     pub(crate) state: Rc<HostState>,
     pub(crate) net: Network<Pmsg>,
-    pub(crate) cost: CostModel,
     pub(crate) clock: Clock,
     pub(crate) breakdown: TimeBreakdown,
     /// The next event id of this thread's own range (see
     /// [`next_event`](Self::next_event)).
     pub(crate) events: u64,
+    /// Open waiters this thread's finished requests left behind: a
+    /// request takes one instead of allocating.
+    pub(crate) spare_waiters: Vec<Arc<Waiter>>,
     pub(crate) pending_acks: Vec<VAddr>,
-    pub(crate) consistency: Consistency,
+    /// The dirty minipages of the release being flushed (kept between
+    /// releases for its capacity).
+    pub(crate) flushing: Vec<RcDirty>,
     pub(crate) timed_from: Ns,
     pub(crate) breakdown_mark: TimeBreakdown,
     /// This application thread's way into the counters, the diagnostics
@@ -329,21 +330,28 @@ impl HostCtx {
     /// on. A failed wait unwinds the application thread with the typed
     /// error as payload; the cluster catches it, cancels the other hosts'
     /// pending waits, and reports the error instead of hanging.
-    fn blocking_wait(&mut self, w: &Waiter, what: &'static str) -> Completion {
+    fn blocking_wait(&mut self, w: Arc<Waiter>, what: &'static str) -> Completion {
         self.wait_on(w, what, false)
     }
 
     /// Sends the (payload-free) request `msg` and blocks on `w`, its reply
     /// event: the scheduling steps of `send` + `blocking_wait` as one park.
-    fn request(&mut self, dest: HostId, msg: Pmsg, w: &Waiter, what: &'static str) -> Completion {
+    fn request(
+        &mut self,
+        dest: HostId,
+        msg: Pmsg,
+        w: Arc<Waiter>,
+        what: &'static str,
+    ) -> Completion {
         self.transmit(dest, msg, 0);
         self.wait_on(w, what, true)
     }
 
     /// The wait of [`blocking_wait`](Self::blocking_wait), or with `sent`
     /// the one of [`request`](Self::request), which owes the schedule the
-    /// yield point of the send before it.
-    fn wait_on(&mut self, w: &Waiter, what: &'static str, sent: bool) -> Completion {
+    /// yield point of the send before it. A completed waiter nobody else
+    /// holds any more is reset and kept for this thread's next request.
+    fn wait_on(&mut self, mut w: Arc<Waiter>, what: &'static str, sent: bool) -> Completion {
         // Cooperative wait: yield the schedule until the server resolves
         // the rendezvous. A poisoned scheduler means no schedulable thread
         // can ever fulfill it — the interleaving deadlocked, which is a
@@ -360,6 +368,10 @@ impl HostCtx {
                 what,
             }),
         };
+        if let Some(done) = Arc::get_mut(&mut w) {
+            done.0.take();
+            self.spare_waiters.push(w);
+        }
         match res {
             Ok(c) => c,
             Err(e) => {
@@ -379,10 +391,12 @@ impl HostCtx {
         self.events - 1
     }
 
-    /// Registers a waiter on this host under a fresh event id.
+    /// Registers a waiter on this host under a fresh event id, reusing a
+    /// spare one when this thread has it.
     fn waiter(&mut self) -> (u64, Arc<Waiter>) {
         let ev = self.next_event();
-        (ev, self.state.register_waiter(ev))
+        let w = self.spare_waiters.pop().unwrap_or_default();
+        (ev, self.state.register_waiter(ev, w))
     }
 
     /// Routes `addr`'s protocol traffic to its home shard. Distributed
@@ -392,11 +406,12 @@ impl HostCtx {
     /// a category charge. The centralized policy routes straight to the
     /// manager with no lookup and no cost, like the original protocol.
     fn route_home(&mut self, addr: VAddr, cat: Option<Category>) -> HostId {
-        let (dest, looked_up) = self.home.route(addr);
+        let (dest, looked_up) = self.state.home.route(addr);
         if looked_up {
-            self.charge_busy(self.cost.mpt_lookup);
+            let lookup = self.state.cost.mpt_lookup;
+            self.charge_busy(lookup);
             if let Some(cat) = cat {
-                self.breakdown.charge(cat, self.cost.mpt_lookup);
+                self.breakdown.charge(cat, lookup);
             }
         }
         dest
@@ -453,7 +468,10 @@ impl HostCtx {
     /// record. The translation (free in virtual time) runs only when a
     /// recorder takes the minipage.
     fn fault_begin(&mut self, t0: Ns, addr: VAddr, write: bool) -> u32 {
-        let mp = self.probe.attributes().then(|| self.home.translate(addr));
+        let mp = self
+            .probe
+            .attributes()
+            .then(|| self.state.home.translate(addr));
         let (mp, off) = mp
             .flatten()
             .map_or((NO_MP, 0), |mp| (mp.id.0, addr.0 - mp.base.0));
@@ -470,7 +488,7 @@ impl HostCtx {
         let t0 = self.clock.now();
         let (ev, w) = self.waiter();
         let msg = Pmsg::new(MsgKind::AllocRequest, self.host, ev).with_aux(bytes as u64);
-        let c = self.request(MANAGER, msg, &w, "shared allocation");
+        let c = self.request(MANAGER, msg, w, "shared allocation");
         self.clock.merge(c.resume_vt);
         self.breakdown.charge(Category::Comp, self.clock.now() - t0);
         c.addr
@@ -567,7 +585,7 @@ impl HostCtx {
             self.tlb.evict(e.vpage());
         }
         let page = self.state.space.geometry().page_size();
-        let remap = self.home.reshaped();
+        let remap = self.state.home.reshaped();
         let mut off = 0usize;
         while off < buf.len() {
             let mut seg_addr = addr.add(off);
@@ -598,7 +616,7 @@ impl HostCtx {
             self.tlb.evict(e.vpage());
         }
         let page = self.state.space.geometry().page_size();
-        let remap = self.home.reshaped();
+        let remap = self.state.home.reshaped();
         let mut off = 0usize;
         while off < data.len() {
             let mut seg_addr = addr.add(off);
@@ -628,7 +646,7 @@ impl HostCtx {
     /// the caller's page-boundary arithmetic stays valid; only the
     /// minipage-end cap is new.
     fn remap_segment(&self, addr: VAddr) -> Option<(VAddr, usize)> {
-        let mp = self.home.translate(addr)?;
+        let mp = self.state.home.translate(addr)?;
         let geo = self.state.space.geometry();
         let loc = geo.decode(addr)?;
         let byte = loc.page * geo.page_size() + loc.offset;
@@ -658,7 +676,7 @@ impl HostCtx {
         self.probe
             .trace(t0, TraceKind::BarrierEnter, |e| e.with_event(ev));
         let msg = Pmsg::new(MsgKind::BarrierEnter, self.host, ev);
-        let c = self.request(MANAGER, msg, &w, "barrier release");
+        let c = self.request(MANAGER, msg, w, "barrier release");
         self.clock.merge(c.resume_vt);
         self.probe
             .trace(self.clock.now(), TraceKind::BarrierResume, |e| {
@@ -675,7 +693,7 @@ impl HostCtx {
         self.probe
             .trace(t0, TraceKind::LockAcquireBegin, |e| e.with_event(id));
         let msg = Pmsg::new(MsgKind::LockAcquire, self.host, ev).with_aux(id);
-        let c = self.request(MANAGER, msg, &w, "lock grant");
+        let c = self.request(MANAGER, msg, w, "lock grant");
         self.clock.merge(c.resume_vt);
         self.probe
             .trace(self.clock.now(), TraceKind::LockResume, |e| {
@@ -777,7 +795,7 @@ impl HostCtx {
             }
         }
         for w in pending {
-            let c = self.blocking_wait(&w, "prefetch group");
+            let c = self.blocking_wait(w, "prefetch group");
             self.clock.merge(c.resume_vt);
         }
         if self.clock.now() > t0 {
@@ -799,7 +817,7 @@ impl HostCtx {
     /// Pushes read copies of the minipage containing `[addr, addr+len)`.
     pub fn push_bytes(&mut self, addr: VAddr, len: usize) {
         assert_eq!(
-            self.consistency,
+            self.state.consistency,
             Consistency::SequentialSwMr,
             "push requires the SW/MR protocol's exclusive ownership"
         );
@@ -811,28 +829,26 @@ impl HostCtx {
         let (_, vpages) = geo
             .vpages_covering(addr, len)
             .expect("validated by the check above");
-        let data = self
-            .state
-            .space
-            .priv_read(geo.to_priv(addr).expect("shared address"), len)
+        let priv_addr = geo.to_priv(addr).expect("shared address");
+        let data = read_priv(&self.state.space, self.host, priv_addr, len, "push source")
             .expect("validated range");
         // Downgrade our own copy before publishing, preserving SW/MR.
+        let set_protection = self.state.cost.set_protection;
         for vp in vpages {
             self.state
                 .space
                 .set_prot(vp, Prot::ReadOnly)
                 .expect("application vpage");
-            self.charge_busy(self.cost.set_protection);
-            self.breakdown
-                .charge(Category::Comp, self.cost.set_protection);
+            self.charge_busy(set_protection);
+            self.breakdown.charge(Category::Comp, set_protection);
         }
-        let home = &self.home;
+        let home = &self.state.home;
         self.probe
             .trace(self.clock.now(), TraceKind::Downgrade, |e| {
                 e.with_mp(home.translate(addr).map_or(NO_MP, |mp| mp.id.0))
             });
         let mut msg = Pmsg::new(MsgKind::PushRequest, self.host, 0).with_addr(addr);
-        msg.data = Bytes::from(data);
+        msg.data = data;
         let payload = msg.payload_bytes();
         let dest = self.route_home(addr, Some(Category::Comp));
         self.send(dest, msg, payload);
@@ -876,7 +892,7 @@ impl HostCtx {
     /// whether the copy went through the TLB fast path or the checked
     /// slow path, which is what keeps the TLB invisible to virtual time.
     fn account_access(&mut self, len: usize) {
-        let cost = self.cost.copy_time(len);
+        let cost = self.state.cost.copy_time(len);
         let t0 = self.clock.now();
         self.clock.advance(cost);
         self.breakdown.charge(Category::Comp, cost);
@@ -905,7 +921,8 @@ impl HostCtx {
         // each hardware fault is a single instruction, acked before the
         // next fault can occur.
         self.flush_acks();
-        if self.consistency == Consistency::HomeEagerRc && f.access == Access::Write {
+        let consistency = self.state.consistency;
+        if consistency == Consistency::HomeEagerRc && f.access == Access::Write {
             self.rc_write_fault(f);
             return;
         }
@@ -929,13 +946,13 @@ impl HostCtx {
         };
         let traced_mp = self.fault_begin(t0, f.addr, f.access == Access::Write);
         // The kernel delivers the access fault to the handler...
-        self.charge_busy(self.cost.access_fault);
+        self.charge_busy(self.state.cost.access_fault);
         // ...which routes the request to the minipage's home shard and
         // waits on its event. The whole span lands in the fault category.
         let dest = self.route_home(f.addr, None);
         let (ev, w) = self.waiter();
         let msg = Pmsg::new(kind, self.host, ev).with_addr(f.addr);
-        let c = self.request(dest, msg, &w, "fault service");
+        let c = self.request(dest, msg, w, "fault service");
         self.clock.merge(c.resume_vt);
         self.fault_hist.record(self.clock.now() - t0);
         self.probe.trace(self.clock.now(), end_kind, |e| {
@@ -945,7 +962,7 @@ impl HostCtx {
         // The ack goes out only after the retried access completes, so the
         // service window at the manager covers the access (§3.3). The
         // release-consistency protocol opens no service windows.
-        if self.consistency == Consistency::SequentialSwMr {
+        if consistency == Consistency::SequentialSwMr {
             self.pending_acks.push(f.addr);
         }
     }
@@ -957,7 +974,7 @@ impl HostCtx {
         let Some(w) = pf else {
             return false;
         };
-        let c = self.blocking_wait(&w, "prefetch completion");
+        let c = self.blocking_wait(w, "prefetch completion");
         self.clock.merge(c.resume_vt);
         true
     }
@@ -967,13 +984,13 @@ impl HostCtx {
     fn rc_write_fault(&mut self, f: Fault) {
         let t0 = self.clock.now();
         let traced_mp = self.fault_begin(t0, f.addr, true);
-        self.charge_busy(self.cost.access_fault);
+        self.charge_busy(self.state.cost.access_fault);
         // Wait for an in-flight prefetch, or fetch a read copy from home.
         if !self.await_prefetch(f.vpage) && self.state.space.prot(f.vpage) == Prot::NoAccess {
             let dest = self.route_home(f.addr, None);
             let (ev, w) = self.waiter();
             let msg = Pmsg::new(MsgKind::ReadRequest, self.host, ev).with_addr(f.addr);
-            let c = self.request(dest, msg, &w, "rc read fetch");
+            let c = self.request(dest, msg, w, "rc read fetch");
             self.clock.merge(c.resume_vt);
         }
         // The reply taught us the minipage boundaries (home-allocated
@@ -987,20 +1004,19 @@ impl HostCtx {
             .expect("boundaries cached by the fetch or at allocation");
         let fresh_twin = {
             let mut rc = self.state.rc.borrow_mut();
-            if let std::collections::hash_map::Entry::Vacant(e) = rc.dirty.entry(info.id.0) {
-                let twin = self
-                    .state
+            let fresh = !rc.dirty.contains_key(&info.id.0);
+            if fresh {
+                let mut twin = rc.twin_buffer(info.len);
+                self.state
                     .space
-                    .priv_read(info.priv_base, info.len)
+                    .priv_read_into(info.priv_base, &mut twin)
                     .expect("translated minipage in range");
-                e.insert(RcDirty { info, twin });
-                true
-            } else {
-                false
+                rc.dirty.insert(info.id.0, RcDirty { info, twin });
             }
+            fresh
         };
         if fresh_twin {
-            self.charge_busy(self.cost.copy_time(info.len));
+            self.charge_busy(self.state.cost.copy_time(info.len));
         }
         // Local upgrade: the MMU-level act MultiView makes cheap.
         let vpages = self
@@ -1015,7 +1031,7 @@ impl HostCtx {
                 .space
                 .set_prot(vp, Prot::ReadWrite)
                 .expect("application vpage");
-            self.charge_busy(self.cost.set_protection);
+            self.charge_busy(self.state.cost.set_protection);
         }
         self.fault_hist.record(self.clock.now() - t0);
         self.probe
@@ -1039,40 +1055,36 @@ impl HostCtx {
     /// all stale copies are invalidated. The diffs still go out back to
     /// back first, so their round-trips overlap.
     fn rc_flush(&mut self) {
-        if self.consistency != Consistency::HomeEagerRc {
+        if self.state.consistency != Consistency::HomeEagerRc {
             return;
         }
-        let dirty: Vec<RcDirty> = {
-            let mut rc = self.state.rc.borrow_mut();
-            if rc.dirty.is_empty() {
-                return;
-            }
-            let mut dirty: Vec<RcDirty> = rc.dirty.drain().map(|(_, d)| d).collect();
-            // An `IntMap` drains in bucket order, an artifact of its
-            // hasher and capacity; ship diffs in minipage order instead,
-            // so the flush sequence (and everything downstream of it —
-            // traces, costs, home arrival order) is a function of the
-            // dirty set alone.
-            dirty.sort_by_key(|d| d.info.id.0);
-            dirty
-        };
+        if self.state.rc.borrow().dirty.is_empty() {
+            return;
+        }
+        let mut dirty = std::mem::take(&mut self.flushing);
+        dirty.extend(self.state.rc.borrow_mut().dirty.drain().map(|(_, d)| d));
+        // An `IntMap` drains in bucket order, an artifact of its hasher
+        // and capacity; ship diffs in minipage order instead, so the flush
+        // sequence (and everything downstream of it — traces, costs, home
+        // arrival order) is a function of the dirty set alone.
+        dirty.sort_by_key(|d| d.info.id.0);
         let t0 = self.clock.now();
-        let distributed = self.home.kind() != HomePolicyKind::Centralized;
+        let distributed = self.state.home.kind() != HomePolicyKind::Centralized;
         let mut pending: Vec<(u64, Arc<Waiter>)> = Vec::new();
-        for d in dirty {
-            // Snapshot + invalidate atomically per page, then diff. The
-            // local copy is dropped (not downgraded): a concurrent
-            // invalidation from another flusher could otherwise race this
-            // downgrade and leave a stale read-only survivor. TreadMarks
-            // invalidates at synchronization points the same way.
-            let data = self
+        for d in dirty.drain(..) {
+            // Diff + invalidate atomically per page. The local copy is
+            // dropped (not downgraded): a concurrent invalidation from
+            // another flusher could otherwise race this downgrade and
+            // leave a stale read-only survivor. TreadMarks invalidates at
+            // synchronization points the same way.
+            let diff = self
                 .state
                 .space
-                .snapshot_and_protect(d.info.base, d.info.len, Prot::NoAccess)
+                .diff_and_protect(d.info.base, &d.twin, Prot::NoAccess)
                 .expect("translated minipage in range");
-            let diff = Diff::compute(&d.twin, &data);
-            self.charge_busy(self.cost.diff_time(d.info.len));
-            self.charge_busy(self.cost.set_protection);
+            self.state.rc.borrow_mut().recycle(d.twin);
+            self.charge_busy(self.state.cost.diff_time(d.info.len));
+            self.charge_busy(self.state.cost.set_protection);
             self.probe
                 .trace(self.clock.now(), TraceKind::InvalidateLocal, |e| {
                     e.with_mp(d.info.id.0)
@@ -1103,11 +1115,12 @@ impl HostCtx {
                 });
             // The boundary cache already names the minipage, so the home
             // comes from the id map — no MPT lookup to charge.
-            let dest = self.home.home(d.info.id);
+            let dest = self.state.home.home(d.info.id);
             self.send(dest, msg, payload);
         }
+        self.flushing = dirty;
         for (ev, w) in pending {
-            let c = self.blocking_wait(&w, "rc diff ack");
+            let c = self.blocking_wait(w, "rc diff ack");
             self.clock.merge(c.resume_vt);
             self.probe
                 .trace(self.clock.now(), TraceKind::RcDiffAckRecv, |e| {
@@ -1123,12 +1136,14 @@ impl HostCtx {
         if self.pending_acks.is_empty() {
             return;
         }
-        let acks = std::mem::take(&mut self.pending_acks);
-        for addr in acks {
+        // In place: nothing an ack's send runs can queue another ack.
+        for i in 0..self.pending_acks.len() {
+            let addr = self.pending_acks[i];
             let msg = Pmsg::new(MsgKind::Ack, self.host, 0).with_addr(addr);
             let dest = self.route_home(addr, Some(Category::Comp));
             self.send(dest, msg, 0);
         }
+        self.pending_acks.clear();
     }
 }
 
@@ -1190,7 +1205,9 @@ mod tests {
             Rc::new(home),
             None,
         );
-        let mut parked: Vec<_> = (1..4).map(|ev| st.register_waiter(ev)).collect();
+        let mut parked: Vec<_> = (1..4)
+            .map(|ev| st.register_waiter(ev, Waiter::new()))
+            .collect();
         parked.push(Waiter::new());
         st.prefetch_waiters
             .borrow_mut()
@@ -1198,7 +1215,7 @@ mod tests {
         assert!(parked.iter().all(|w| w.try_result().is_none()));
         st.cancel_pending();
         // A wait registered after the sweep fails at once.
-        parked.push(st.register_waiter(4));
+        parked.push(st.register_waiter(4, Waiter::new()));
         for w in &parked {
             assert!(matches!(
                 w.try_result(),

@@ -55,7 +55,7 @@
 //! SIGSEGV handler, which is what makes `--backend host` reports
 //! comparable with the simulator's fault counts.
 
-use crate::backend::{Cluster, LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
+use crate::backend::{LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
 use crate::cluster::{assert_hosts, settle_app_failures, ClusterConfig, SetupCtx, Stack, Verdict};
 use crate::diag::{DiagReport, DiagTable};
 use crate::diff::Diff;
@@ -421,13 +421,14 @@ impl MemoryBackend for HostMemory {
             .map_err(|_| MemFault::OutOfRange)
     }
 
-    fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault> {
+    fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemFault> {
         let (page, offset) = self.priv_loc(addr)?;
         let geo = self.geometry();
-        if offset + len > (geo.pages() - page) * geo.page_size() {
+        if offset + out.len() > (geo.pages() - page) * geo.page_size() {
             return Err(MemFault::OutOfRange);
         }
-        Ok(self.region.priv_read(page, offset, len))
+        self.region.priv_read_into(page, offset, out);
+        Ok(())
     }
 
     fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
@@ -454,22 +455,20 @@ impl MemoryBackend for HostMemory {
         Ok(())
     }
 
-    fn snapshot_and_protect(
-        &self,
-        addr: VAddr,
-        len: usize,
-        prot: Prot,
-    ) -> Result<Vec<u8>, MemFault> {
+    fn diff_and_protect(&self, addr: VAddr, twin: &[u8], prot: Prot) -> Result<Diff, MemFault> {
         // Copy first, then revoke: same order the sim's eviction uses.
         // (Unused under SequentialSwMr — present for trait completeness.)
         let geo = self.geometry();
         let priv_addr = geo.to_priv(addr).ok_or(MemFault::OutOfRange)?;
-        let data = self.priv_read(priv_addr, len)?;
-        let (_, range) = geo.vpages_covering(addr, len).ok_or(MemFault::OutOfRange)?;
+        let mut current = vec![0u8; twin.len()];
+        self.priv_read_into(priv_addr, &mut current)?;
+        let (_, range) = geo
+            .vpages_covering(addr, twin.len())
+            .ok_or(MemFault::OutOfRange)?;
         for vp in range {
             self.set_prot(vp, prot)?;
         }
-        Ok(data)
+        Ok(Diff::compute(twin, &current))
     }
 }
 
@@ -686,7 +685,7 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &Fault, token: usize) -> Resul
 
 /// A manager shard of the host backend. Like the states it holds, it never
 /// leaves the server thread.
-type HostShard = ManagerShard<Cluster<HostMemory, CompletionTx>>;
+type HostShard = ManagerShard<HostMemory, CompletionTx>;
 
 /// One host's DSM server, as the one server thread holds it.
 struct HostServer<'a> {

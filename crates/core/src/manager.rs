@@ -22,20 +22,23 @@
 //! the paper's original.
 
 use crate::adapt::{AdaptAction, AdaptConfig, AdaptEngine, AdaptReport};
-use crate::backend::{Cluster, ClusterMemory, ProtoClock, Transport};
+use crate::backend::{
+    bad_priv, bad_vpage, read_priv, Cluster, MemoryBackend, ProtoClock, Transport,
+};
 use crate::cluster::SetupShard;
 use crate::diff::Diff;
-use crate::directory::Directory;
+use crate::directory::{hosts_in, Directory};
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo};
 use crate::home::{HomeTable, MANAGER};
+use crate::host::Waiters;
 use crate::msg::{MsgKind, Pmsg};
 use crate::probe::{Fact, Probe};
 use multiview::{Minipage, MinipageId};
 use sim_core::trace::TraceKind;
 use sim_core::IntMap;
 use sim_core::{CostModel, HostId, LogHistogram, Ns, VAddr};
-use sim_mem::Prot;
+use sim_mem::{AddressSpace, Prot};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -49,7 +52,7 @@ struct LockState {
 /// server thread and owns the directory entries of the minipages homed
 /// here. The manager host's shard additionally serves allocations and
 /// the synchronization services.
-pub(crate) struct ManagerShard<Mem = Cluster> {
+pub(crate) struct ManagerShard<M = AddressSpace, W = Waiters> {
     me: HostId,
     hosts: usize,
     /// Total application threads (barrier quorum; ≥ hosts under §3.4
@@ -71,7 +74,7 @@ pub(crate) struct ManagerShard<Mem = Cluster> {
     /// home host's space — an alloc-time setup step, not protocol
     /// traffic: the minipage is unreachable by applications until the
     /// allocation reply delivers its address.
-    cluster: Rc<Mem>,
+    cluster: Rc<Cluster<M, W>>,
     /// Where shard-side facts go: this host's counters, the home-side
     /// diagnostics lanes (fan-outs, write-ownership alternations, diff
     /// extents) and the shard's trace.
@@ -88,7 +91,7 @@ pub(crate) struct ManagerShard<Mem = Cluster> {
     adapt_pending: Option<(Vec<Pmsg>, usize)>,
 }
 
-impl<Mem: ClusterMemory> ManagerShard<Mem> {
+impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// Creates the shard for host `me` in a cluster of `hosts` hosts.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
@@ -98,7 +101,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
         cost: CostModel,
         consistency: Consistency,
         home: Rc<HomeTable>,
-        cluster: Rc<Mem>,
+        cluster: Rc<Cluster<M, W>>,
         probe: Probe,
         adapt: AdaptConfig,
     ) -> Self {
@@ -124,6 +127,11 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
     /// The host this shard runs on.
     pub fn me(&self) -> HostId {
         self.me
+    }
+
+    /// Host `h`'s memory.
+    fn space(&self, h: HostId) -> &M {
+        &self.cluster[h.index()].space
     }
 
     /// Competing requests observed at this shard (Figure 7).
@@ -181,13 +189,14 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                     .with_peer(home)
                     .with_aux(u32::from(home_prot == Prot::ReadWrite))
             });
+            let state = &self.cluster[home.index()];
             for vp in mp.vpages(geo) {
-                self.cluster
-                    .set_prot(home, vp, home_prot)
+                state
+                    .space
+                    .set_prot(vp, home_prot)
                     .expect("application vpage");
             }
-            self.cluster.learn_rc(
-                home,
+            state.learn_rc(
                 mp.vpages(geo),
                 MpInfo {
                     id: mp.id,
@@ -336,17 +345,16 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
             tl.charge(self.cost.dsm_overhead);
             let e = self.dir.entry(id.index());
             e.add(m.from);
-            let data = self
-                .cluster
-                .priv_read(self.me, m.priv_base, m.len)
-                .map_err(|_| ProtocolError::BadTranslation {
-                    host: self.me,
-                    addr: m.priv_base.0 as usize,
-                    what: "home copy read",
-                })?;
+            let data = read_priv(
+                self.space(self.me),
+                self.me,
+                m.priv_base,
+                m.len,
+                "home copy read",
+            )?;
             let mut reply = m;
             reply.kind = MsgKind::ReadReply;
-            reply.data = bytes::Bytes::from(data);
+            reply.data = data;
             let to = reply.from;
             let payload = reply.payload_bytes();
             self.probe.trace(tl.now(), TraceKind::Serve, |e| {
@@ -404,31 +412,34 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                 minipage: id.0,
             })?
         };
-        let targets: Vec<HostId> = e.holders().filter(|&h| h != src).collect();
-        if targets.is_empty() {
+        let targets = e.copyset & !(1u64 << src.index());
+        if targets == 0 {
             Self::forward_write(e, &mut self.probe, src, m, tl, ep)?;
         } else {
-            e.inv_pending = targets.len() as u32;
+            e.inv_pending = targets.count_ones();
             e.inv_sent_vt = tl.now();
             e.pending_write = Some(m.clone());
-            self.invalidate(&m, &targets, tl, ep, "invalidate fan-out")?;
+            self.invalidate(&m, targets, tl, ep, "invalidate fan-out")?;
         }
         Ok(())
     }
 
-    /// Fans an invalidation of `m`'s minipage out to `targets`.
+    /// Fans an invalidation of `m`'s minipage out to the hosts of the
+    /// copyset mask `targets`, in ascending host order.
     fn invalidate<C: ProtoClock, T: Transport>(
         &mut self,
         m: &Pmsg,
-        targets: &[HostId],
+        targets: u64,
         tl: &mut C,
         ep: &T,
         what: &'static str,
     ) -> Result<(), ProtocolError> {
-        for &to in targets {
-            let mut inv = m.clone();
-            inv.kind = MsgKind::InvalidateRequest;
-            inv.data = bytes::Bytes::new();
+        for to in hosts_in(targets) {
+            let inv = Pmsg {
+                kind: MsgKind::InvalidateRequest,
+                data: bytes::Bytes::new(),
+                ..*m
+            };
             let (mp, event) = (m.minipage.0, m.event);
             self.probe.on(tl.now(), Fact::InvSend { mp, to, event });
             ep.send(to, inv, 0, tl.now(), what)?;
@@ -591,7 +602,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
             tl.charge(high.saturating_sub(tl.now()));
             tl.charge(self.cost.barrier_base);
             self.probe.on(tl.now(), Fact::BarrierDone);
-            let waiters = std::mem::take(&mut self.barrier_waiters);
+            let mut waiters = std::mem::take(&mut self.barrier_waiters);
             // The quiesce point: every application thread is parked here,
             // so the adaptation engine may rewrite granularity and homing
             // before the releases go out. Remotely homed actions park the
@@ -600,20 +611,22 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
             if outstanding > 0 {
                 self.adapt_pending = Some((waiters, outstanding));
             } else {
-                self.release_barrier(waiters, tl, ep)?;
+                self.release_barrier(&mut waiters, tl, ep)?;
+                // The next barrier's enters reuse the emptied list.
+                self.barrier_waiters = waiters;
             }
         }
         Ok(())
     }
 
-    /// Sends the parked barrier releases.
+    /// Sends the parked barrier releases, emptying `waiters`.
     fn release_barrier<C: ProtoClock, T: Transport>(
         &mut self,
-        waiters: Vec<Pmsg>,
+        waiters: &mut Vec<Pmsg>,
         tl: &mut C,
         ep: &T,
     ) -> Result<(), ProtocolError> {
-        for w in waiters {
+        for w in waiters.drain(..) {
             tl.charge(self.cost.barrier_per_host);
             let mut rel = Pmsg::new(MsgKind::BarrierRelease, self.me, w.event);
             rel.addr = w.addr;
@@ -718,7 +731,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
     }
 }
 
-impl<Mem: ClusterMemory> ManagerShard<Mem> {
+impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// Applies a release-point diff to the home copy and invalidates the
     /// other copies.
     ///
@@ -777,36 +790,36 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
         self.probe.on(tl.now(), fact);
         // Only the runs' bytes are written, so a local write to *other*
         // bytes of the minipage is never clobbered.
-        self.cluster
-            .apply_diff(self.me, m.priv_base, &diff)
+        self.space(self.me)
+            .apply_diff(m.priv_base, &diff)
             .map_err(|_| ProtocolError::BadTranslation {
                 host: self.me,
                 addr: m.priv_base.0 as usize,
                 what: "diff patch target",
             })?;
         tl.charge((self.cost.patch_per_byte_ns * m.len as f64) as sim_core::Ns);
-        let me = self.me;
+        let me = 1u64 << self.me.index();
         let e = self.dir.entry(m.minipage.index());
-        let targets: Vec<HostId> = e.holders().filter(|&h| h != me).collect();
-        e.copyset = 1u64 << me.index();
+        let targets = e.copyset & !me;
+        e.copyset = me;
         e.owner = None;
-        self.invalidate(&m, &targets, tl, ep, "rc invalidate fan-out")?;
+        self.invalidate(&m, targets, tl, ep, "rc invalidate fan-out")?;
         if !acked {
             return Ok(());
         }
-        if targets.is_empty() {
+        if targets == 0 {
             return self.ack_rc_diff(&m, tl, ep);
         }
         // Ack once the last invalidation is confirmed.
         let e = self.dir.entry(m.minipage.index());
-        e.inv_pending = targets.len() as u32;
+        e.inv_pending = targets.count_ones();
         e.inv_sent_vt = tl.now();
         e.pending_write = Some(m);
         Ok(())
     }
 }
 
-impl<Mem: ClusterMemory> ManagerShard<Mem> {
+impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// The barrier-quiesce adaptation hook. Plans from a fresh
     /// diagnostics snapshot; applies locally homed actions directly and
     /// ships remotely homed ones as [`MsgKind::AdaptApply`]. Returns the
@@ -883,7 +896,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
         if m.aux == 0 {
             self.adapt.record_deferred();
         }
-        let Some((waiters, left)) = self.adapt_pending.take() else {
+        let Some((mut waiters, left)) = self.adapt_pending.take() else {
             return Err(ProtocolError::BadState {
                 host: self.me,
                 what: "adapt ack with no parked barrier",
@@ -893,7 +906,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
             self.adapt_pending = Some((waiters, left - 1));
             Ok(())
         } else {
-            self.release_barrier(waiters, tl, ep)
+            self.release_barrier(&mut waiters, tl, ep)
         }
     }
 
@@ -925,13 +938,16 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
         if src == self.me {
             return Ok(());
         }
-        let data = self
-            .cluster
-            .priv_read(src, pb, mp.len)
-            .map_err(|_| crate::backend::bad_priv(self.me, pb, "adaptation master read"))?;
-        self.cluster
-            .priv_write(self.me, pb, &data)
-            .map_err(|_| crate::backend::bad_priv(self.me, pb, "adaptation master write"))?;
+        let data = read_priv(
+            self.space(src),
+            self.me,
+            pb,
+            mp.len,
+            "adaptation master read",
+        )?;
+        self.space(self.me)
+            .priv_write(pb, &data)
+            .map_err(|_| bad_priv(self.me, pb, "adaptation master write"))?;
         Ok(())
     }
 
@@ -939,10 +955,11 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
     fn revoke_everywhere(&self, mp: &Minipage) -> Result<(), ProtocolError> {
         let geo = self.home.geometry();
         for h in 0..self.hosts {
+            let h = HostId(h as u16);
             for vp in mp.vpages(geo) {
-                self.cluster
-                    .set_prot(HostId(h as u16), vp, Prot::NoAccess)
-                    .map_err(|_| crate::backend::bad_vpage(HostId(h as u16), vp))?;
+                self.space(h)
+                    .set_prot(vp, Prot::NoAccess)
+                    .map_err(|_| bad_vpage(h, vp))?;
             }
         }
         Ok(())
@@ -1016,9 +1033,9 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                 self.home.replace(&[parent.id], children.clone(), self.me);
                 for child in &children {
                     for vp in child.vpages(&geo) {
-                        self.cluster
-                            .set_prot(self.me, vp, Prot::ReadWrite)
-                            .map_err(|_| crate::backend::bad_vpage(self.me, vp))?;
+                        self.space(self.me)
+                            .set_prot(vp, Prot::ReadWrite)
+                            .map_err(|_| bad_vpage(self.me, vp))?;
                     }
                 }
                 self.dir.forget(parent.id.index());
@@ -1073,9 +1090,9 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                 let old: Vec<MinipageId> = members.iter().map(|m| m.id).collect();
                 self.home.replace(&old, vec![merged], self.me);
                 for vp in merged.vpages(&geo) {
-                    self.cluster
-                        .set_prot(self.me, vp, Prot::ReadWrite)
-                        .map_err(|_| crate::backend::bad_vpage(self.me, vp))?;
+                    self.space(self.me)
+                        .set_prot(vp, Prot::ReadWrite)
+                        .map_err(|_| bad_vpage(self.me, vp))?;
                 }
                 for id in &old {
                     self.dir.forget(id.index());
@@ -1100,14 +1117,11 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                 };
                 self.pull_master_copy(&desc)?;
                 let pb = desc.priv_base(&geo);
-                let data = self
-                    .cluster
-                    .priv_read(self.me, pb, desc.len)
-                    .map_err(|_| crate::backend::bad_priv(self.me, pb, "migration read"))?;
+                let data = read_priv(self.space(self.me), self.me, pb, desc.len, "migration read")?;
                 self.revoke_everywhere(&desc)?;
-                self.cluster
-                    .priv_write(*to, pb, &data)
-                    .map_err(|_| crate::backend::bad_priv(*to, pb, "migration write"))?;
+                self.space(*to)
+                    .priv_write(pb, &data)
+                    .map_err(|_| bad_priv(*to, pb, "migration write"))?;
                 // The new home starts exactly like a fresh allocation:
                 // writable under SW/MR, read-only (twin-on-write) under
                 // HLRC.
@@ -1118,12 +1132,11 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
                     Prot::ReadOnly
                 };
                 for vp in desc.vpages(&geo) {
-                    self.cluster
-                        .set_prot(*to, vp, prot)
-                        .map_err(|_| crate::backend::bad_vpage(*to, vp))?;
+                    self.space(*to)
+                        .set_prot(vp, prot)
+                        .map_err(|_| bad_vpage(*to, vp))?;
                 }
-                self.cluster.learn_rc(
-                    *to,
+                self.cluster[to.index()].learn_rc(
                     desc.vpages(&geo),
                     MpInfo {
                         id: desc.id,
@@ -1143,7 +1156,7 @@ impl<Mem: ClusterMemory> ManagerShard<Mem> {
     }
 }
 
-impl<Mem: ClusterMemory> SetupShard for ManagerShard<Mem> {
+impl<M: MemoryBackend, W> SetupShard for ManagerShard<M, W> {
     fn alloc(&mut self, bytes: usize) -> VAddr {
         let me = self.me;
         self.do_alloc(bytes, me, 0)
@@ -1167,8 +1180,8 @@ impl<Mem: ClusterMemory> SetupShard for ManagerShard<Mem> {
                 .unwrap_or_else(|| panic!("init write at {cur} hits no minipage"));
             let take = ((mp.base.0 + mp.len as u64 - cur.0) as usize).min(data.len() - off);
             let home = self.home.home(mp.id);
-            self.cluster
-                .priv_write(home, cur, &data[off..off + take])
+            self.space(home)
+                .priv_write(cur, &data[off..off + take])
                 .expect("in range");
             off += take;
         }
@@ -1188,9 +1201,8 @@ fn all_hosts_mask(hosts: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, Stack};
-    use crate::host::Waiters;
     use sim_core::SplitMix64;
-    use sim_mem::{AddressSpace, Geometry};
+    use sim_mem::Geometry;
     use sim_net::ServerTimeline;
     use std::ops::Range;
 

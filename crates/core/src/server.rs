@@ -22,10 +22,9 @@
 //! server too (`hostrun` only puts a pop off its inbox in front).
 
 use crate::backend::{
-    bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, Cluster, LocalWake,
+    bad_priv, bad_vpage, protect_range, read_priv, vpage_range, write_priv, LocalWake,
     MemoryBackend, ProtoClock, Transport,
 };
-use crate::diff::Diff;
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo};
 use crate::home::HomePolicyKind;
@@ -33,7 +32,6 @@ use crate::host::{HostState, Waiter};
 use crate::manager::ManagerShard;
 use crate::msg::{Completion, MsgKind, Pmsg};
 use crate::probe::{Fact, Probe};
-use bytes::Bytes;
 use sim_core::clock::Ns;
 use sim_core::sched::Turn;
 use sim_core::trace::TraceKind;
@@ -200,7 +198,7 @@ pub(crate) fn dispatch<M: MemoryBackend, W: LocalWake, C: ProtoClock, T: Transpo
     m: Pmsg,
     wire_from: HostId,
     state: &HostState<M, W>,
-    shard: &mut ManagerShard<Cluster<M, W>>,
+    shard: &mut ManagerShard<M, W>,
     tl: &mut C,
     ep: &T,
     probe: &mut Probe,
@@ -323,7 +321,7 @@ pub(crate) fn serve_read<M: MemoryBackend, C: ProtoClock, T: Transport>(
     let data = read_priv(mem, host, m.priv_base, m.len, "serve-read source")?;
     let mut reply = m;
     reply.kind = MsgKind::ReadReply;
-    reply.data = Bytes::from(data);
+    reply.data = data;
     let to = reply.from;
     let payload = reply.payload_bytes();
     ep.send(to, reply, payload, tl.now(), "read reply")?;
@@ -354,7 +352,7 @@ pub(crate) fn serve_write<M: MemoryBackend, C: ProtoClock, T: Transport>(
     let data = read_priv(mem, host, m.priv_base, m.len, "serve-write source")?;
     let mut reply = m;
     reply.kind = MsgKind::WriteReply;
-    reply.data = Bytes::from(data);
+    reply.data = data;
     let to = reply.from;
     let payload = reply.payload_bytes();
     ep.send(to, reply, payload, tl.now(), "write reply")?;
@@ -446,11 +444,11 @@ fn handle_invalidate<M: MemoryBackend, W, C: ProtoClock, T: Transport>(
     // eviction diff on the host→home FIFO.
     let dirty = hlrc.then(|| state.rc.borrow_mut().dirty.remove(&mp));
     if let Some(d) = dirty.flatten() {
-        let data = state
+        let diff = state
             .space
-            .snapshot_and_protect(d.info.base, d.info.len, Prot::NoAccess)
+            .diff_and_protect(d.info.base, &d.twin, Prot::NoAccess)
             .map_err(|_| bad_priv(state.host, m.priv_base, "eviction snapshot"))?;
-        let diff = Diff::compute(&d.twin, &data);
+        state.rc.borrow_mut().recycle(d.twin);
         tl.charge(cost.diff_time(d.info.len));
         tl.charge(cost.set_protection);
         if !diff.is_empty() {
@@ -604,7 +602,7 @@ mod tests {
             let mp = stack.home.translate(base).expect("allocated");
             // Host 1's read fault, served by the manager: the reply lands.
             let reader = &stack.states[1];
-            let waiter = reader.register_waiter(1);
+            let waiter = reader.register_waiter(1, Waiter::new());
             let mut reply = Pmsg::new(MsgKind::ReadReply, reader.host, 1).with_addr(base);
             (reply.minipage, reply.base, reply.len) = (mp.id, base, mp.len);
             reply.priv_base = mp.priv_base(&geo);

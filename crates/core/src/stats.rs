@@ -1,6 +1,6 @@
 //! Run reports: everything the paper's tables and figures need.
 
-use crate::backend::{ClusterMemory, MemoryBackend};
+use crate::backend::MemoryBackend;
 use crate::hlrc::Consistency;
 use crate::home::HomeTable;
 use crate::host::HostState;
@@ -275,12 +275,14 @@ pub(crate) fn check_rc_consistency<M: MemoryBackend, W>(
     home: &HomeTable,
 ) -> Vec<String> {
     let mut violations = Vec::new();
+    let (mut home_bytes, mut local) = (Vec::new(), Vec::new());
     for mp in minipages {
         let home_host = home.home(mp.id);
         let priv_base = mp.priv_base(geo);
-        let home_bytes = states[home_host.index()]
+        home_bytes.resize(mp.len, 0);
+        states[home_host.index()]
             .space
-            .priv_read(priv_base, mp.len)
+            .priv_read_into(priv_base, &mut home_bytes)
             .expect("home copy in range");
         for st in states {
             if st.host == home_host {
@@ -290,9 +292,9 @@ pub(crate) fn check_rc_consistency<M: MemoryBackend, W>(
             if !present {
                 continue;
             }
-            let local = st
-                .space
-                .priv_read(priv_base, mp.len)
+            local.resize(mp.len, 0);
+            st.space
+                .priv_read_into(priv_base, &mut local)
                 .expect("local copy in range");
             if local != home_bytes {
                 violations.push(format!(
@@ -353,8 +355,8 @@ pub(crate) fn check_coherence<M: MemoryBackend, W>(
 /// completed. Under SW/MR an exclusive owner must also be the sole
 /// copyset member (HLRC keeps `owner = Some(home)` on fresh entries while
 /// readers join the copyset, so that check is mode-specific).
-pub(crate) fn check_directories<Mem: ClusterMemory>(
-    shards: &[ManagerShard<Mem>],
+pub(crate) fn check_directories<M: MemoryBackend, W>(
+    shards: &[ManagerShard<M, W>],
     consistency: Consistency,
 ) -> Vec<String> {
     let mut violations = Vec::new();

@@ -391,13 +391,18 @@ impl MultiViewRegion {
 
     /// Reads `len` bytes through the privileged view.
     pub fn priv_read(&self, page: usize, offset: usize, len: usize) -> Vec<u8> {
-        let g = &self.layout.geo;
-        assert!(offset + len <= (g.pages() - page) * g.page_size());
-        let a = self.addr(g.priv_view(), page, offset) as *const u8;
         let mut out = vec![0u8; len];
-        // SAFETY: bounds asserted; privileged view always readable.
-        unsafe { ptr::copy_nonoverlapping(a, out.as_mut_ptr(), len) }
+        self.priv_read_into(page, offset, &mut out);
         out
+    }
+
+    /// Fills `out` from the privileged view, starting at `(page, offset)`.
+    pub fn priv_read_into(&self, page: usize, offset: usize, out: &mut [u8]) {
+        let g = &self.layout.geo;
+        assert!(offset + out.len() <= (g.pages() - page) * g.page_size());
+        let a = self.addr(g.priv_view(), page, offset) as *const u8;
+        // SAFETY: bounds asserted; privileged view always readable.
+        unsafe { ptr::copy_nonoverlapping(a, out.as_mut_ptr(), out.len()) }
     }
 
     /// Whether `addr` falls inside any view of this region.

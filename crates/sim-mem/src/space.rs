@@ -85,6 +85,9 @@ pub struct AddressSpace {
     zeros: Box<[u8]>,
     /// Bumped by every protection change; validates [`TlbEntry`]s.
     prot_gen: Cell<u64>,
+    /// Where [`snapshot_and_protect`](AddressSpace::snapshot_and_protect)
+    /// gathers a range that spans pages.
+    gathered: RefCell<Vec<u8>>,
 }
 
 /// One cached vpage resolution: the fields a checked access needs, minus
@@ -185,6 +188,7 @@ impl AddressSpace {
             prots,
             pages,
             prot_gen: Cell::new(0),
+            gathered: RefCell::default(),
         }
     }
 
@@ -375,11 +379,18 @@ impl AddressSpace {
     /// protections. `addr` may be expressed through any view.
     pub fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemError> {
         let mut out = vec![0u8; len];
-        for s in self.segments(addr, len)?.1 {
+        self.priv_read_into(addr, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`priv_read`](AddressSpace::priv_read) into `out`, filling all of
+    /// it: a reply's bytes land in the buffer the message carries.
+    pub fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemError> {
+        for s in self.segments(addr, out.len())?.1 {
             let page = self.pages[s.page].borrow();
             out[s.at..s.at + s.take].copy_from_slice(&self.bytes(&page)[s.off..s.off + s.take]);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Privileged write (zero-copy receive path of §3.5): ignores
@@ -408,29 +419,36 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Snapshots `[addr, addr+len)` and sets the covered vpages to `prot`
-    /// in one step: no application write can land between the copy and
-    /// the protection change. Used by the release-consistency extension's
-    /// invalidation path, which must capture a dirty copy's final
-    /// contents.
-    pub fn snapshot_and_protect(
+    /// Sets the vpages covering `[addr, addr+len)` to `prot` and hands `f`
+    /// the range's bytes as they were, in one step: no application write
+    /// can land between the two. Used by the release-consistency
+    /// extension, which diffs a dirty copy's final contents. A range on
+    /// one page is that page's own bytes; a range spanning pages is
+    /// gathered into a buffer the space keeps for the purpose.
+    pub fn snapshot_and_protect<R>(
         &self,
         addr: VAddr,
         len: usize,
         prot: Prot,
-    ) -> Result<Vec<u8>, MemError> {
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, MemError> {
         let (view, segs) = self.segments(addr, len)?;
         if view == self.geo.priv_view() {
             return Err(MemError::PrivilegedViewProtection { vpage: segs.vpage });
         }
-        let mut out = vec![0u8; len];
+        let (first, off) = (segs.page, segs.off);
         for s in segs {
-            let page = self.pages[s.page].borrow();
-            out[s.at..s.at + s.take].copy_from_slice(&self.bytes(&page)[s.off..s.off + s.take]);
             self.prots[s.vpage].set(prot);
-            self.bump_gen();
         }
-        Ok(out)
+        self.bump_gen();
+        if off + len <= self.geo.page_size() {
+            let page = self.pages[first].borrow();
+            return Ok(f(&self.bytes(&page)[off..off + len]));
+        }
+        let mut gathered = self.gathered.borrow_mut();
+        gathered.resize(len, 0);
+        self.priv_read_into(addr, &mut gathered)?;
+        Ok(f(&gathered))
     }
 
     /// Decodes `[addr, addr+len)` once: its view, and the page segments
@@ -662,14 +680,18 @@ mod tests {
         s.set_prot(g.vpage_index(0, 1), Prot::ReadWrite).unwrap();
         let a = g.addr_of(0, 1, 100);
         s.write(a, b"dirty-bytes").unwrap();
-        let snap = s.snapshot_and_protect(a, 11, Prot::NoAccess).unwrap();
+        let snap = s
+            .snapshot_and_protect(a, 11, Prot::NoAccess, <[u8]>::to_vec)
+            .unwrap();
         assert_eq!(snap, b"dirty-bytes");
         assert_eq!(s.prot(g.vpage_index(0, 1)), Prot::NoAccess);
         let mut buf = [0u8; 1];
         assert!(matches!(s.read(a, &mut buf), Err(AccessError::Fault(_))));
         // Privileged-view targets are rejected.
         let p = g.to_priv(a).unwrap();
-        assert!(s.snapshot_and_protect(p, 4, Prot::NoAccess).is_err());
+        assert!(s
+            .snapshot_and_protect(p, 4, Prot::NoAccess, |_| ())
+            .is_err());
     }
 
     #[test]
@@ -742,7 +764,8 @@ mod tests {
         let a = g.addr_of(0, 1, 0);
         let mut tlb = AccessTlb::new();
         tlb.insert(s.tlb_fill(a).unwrap());
-        s.snapshot_and_protect(a, 16, Prot::ReadOnly).unwrap();
+        s.snapshot_and_protect(a, 16, Prot::ReadOnly, |_| ())
+            .unwrap();
         let stale = tlb.lookup(a, 8, Access::Write).expect("stale entry");
         assert!(!s.tlb_write(&stale, a, &[1u8; 8]));
     }
@@ -794,7 +817,9 @@ mod tests {
             s.priv_read(g.to_priv(a).unwrap(), 5000).unwrap(),
             vec![0u8; 5000]
         );
-        let snap = s.snapshot_and_protect(a, 16, Prot::ReadOnly).unwrap();
+        let snap = s
+            .snapshot_and_protect(a, 16, Prot::ReadOnly, <[u8]>::to_vec)
+            .unwrap();
         assert_eq!(snap, vec![0u8; 16]);
         // A write that faults is not a write.
         assert!(matches!(s.write(a, &[1]), Err(AccessError::Fault(_))));

@@ -100,7 +100,9 @@ proptest! {
         let addr = geo.addr_of(1, 0, offset);
         let data: Vec<u8> = (0..len).map(|i| (i as u8) ^ seed).collect();
         s.priv_write(addr, &data).expect("in range");
-        let snap = s.snapshot_and_protect(addr, len, Prot::NoAccess).expect("app view");
+        let snap = s
+            .snapshot_and_protect(addr, len, Prot::NoAccess, <[u8]>::to_vec)
+            .expect("app view");
         prop_assert_eq!(snap, data);
         prop_assert!(matches!(
             s.check(addr, len, Access::Read),
