@@ -2,25 +2,29 @@
 //! alternating pairs, and the claims rule that turns each metric's pairs
 //! into a verdict.
 //!
-//! The rule is the one a wall-clock claim is held to: the change is
-//! better in at least nine pairs of ten, and its median is better than the
-//! parent's by more than the parent's interquartile range. A gain smaller
-//! than the parent's own spread is not told apart from noise, however
-//! often it wins. Every metric here is lower-is-better (`wall_s`,
-//! `setup_s`, `peak_rss_mb`).
+//! The rule is the one a wall-clock claim is held to: over at least ten
+//! pairs, the change is better in at least nine pairs of ten, and its
+//! median is better than the parent's by more than the parent's
+//! interquartile range. A gain smaller than the parent's own spread is not
+//! told apart from noise, however often it wins. Every metric here is
+//! lower-is-better (`wall_s`, `setup_s`, `peak_rss_mb`).
 
 use millipage::json::{self, Value};
 
 /// What the pairs of one metric say about the change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
-    /// Better in ≥ 9/10 pairs, by a median gain above the parent's IQR.
+    /// Better in ≥ 9/10 of at least [`MIN_PAIRS`] pairs, by a median gain
+    /// above the parent's IQR.
     Win,
     /// Neither a win nor a loss: no claim either way.
     Tie,
     /// Worse by the same rule turned around.
     Loss,
 }
+
+/// The fewest pairs a win or a loss is claimed on.
+pub const MIN_PAIRS: usize = 10;
 
 /// One metric's pairs, summarized.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,7 +75,7 @@ pub fn summarize(parent: &[f64], change: &[f64]) -> Summary {
     let losses = parent.iter().zip(change).filter(|(p, c)| c > p).count();
     let (parent_median, change_median) = (quantile(parent, 0.5), quantile(change, 0.5));
     let parent_iqr = quantile(parent, 0.75) - quantile(parent, 0.25);
-    let most = |n: usize| pairs > 0 && n * 10 >= pairs * 9;
+    let most = |n: usize| pairs >= MIN_PAIRS && n * 10 >= pairs * 9;
     let verdict = if most(wins) && parent_median - change_median > parent_iqr {
         Verdict::Win
     } else if most(losses) && change_median - parent_median > parent_iqr {
@@ -148,6 +152,9 @@ mod tests {
         // The same code on both sides.
         let same = summarize(&PARENT, &PARENT);
         assert_eq!((same.wins, same.losses, same.verdict), (0, 0, Verdict::Tie));
+        // A clear gain over too few pairs.
+        let few = summarize(&PARENT[..9], &shifted(-0.10)[..9]);
+        assert_eq!((few.wins, few.verdict), (9, Verdict::Tie));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! and metric it prints the change's wins, both medians, their relative
 //! difference, the parent's interquartile range and the verdict
 //! (`millipage_bench::ab`). `--rows` defaults to every workload of
-//! `BENCHMARK.json`, `--seconds` to its `run_seconds`.
+//! `BENCHMARK.json`, and every run lasts its `run_seconds`.
 
 use millipage::json::{self, Value};
 use millipage_bench::ab::{summarize, ResultLine, Verdict};
@@ -27,7 +27,6 @@ pub fn ab(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     let pairs: usize = f.value("--pairs")?.unwrap_or(10);
     let rows: Option<String> = f.value("--rows")?;
     let seeds: String = f.value("--seeds")?.unwrap_or_else(|| "7".into());
-    let seconds: Option<f64> = f.value("--seconds")?;
     let rev = f
         .positional()
         .ok_or_else(|| UsageError("name the parent revision".into()))?;
@@ -40,34 +39,9 @@ pub fn ab(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     if pairs == 0 {
         return Err(UsageError("--pairs must be at least 1".into()));
     }
-    let Some(root) = gate.ok(
-        "locate the repository",
-        git(None, &["rev-parse", "--show-toplevel"]),
-    ) else {
+    let Some((rows, seconds, bins)) = gate.ok("prepare the A/B", prepare(&rev, rows)) else {
         return Ok(());
     };
-    let root = PathBuf::from(root);
-    let bench = std::fs::read(root.join("BENCHMARK.json")).map_err(|e| e.to_string());
-    let Some(bench) = gate.ok("read BENCHMARK.json", bench.and_then(|b| parse(&b))) else {
-        return Ok(());
-    };
-    let rows: Vec<String> = match rows {
-        Some(r) => r.split(',').map(str::to_string).collect(),
-        None => workloads(&bench),
-    };
-    let seconds = seconds
-        .or_else(|| number(bench.get("run_seconds")?))
-        .unwrap_or(5.0);
-    let Some(parent) = gate.ok("export the parent", export(&root, &rev)) else {
-        return Ok(());
-    };
-    let mut bins = Vec::new();
-    for (side, tree) in [("parent", &parent), ("change", &root)] {
-        match gate.ok(&format!("build the {side}'s benchmark"), build(tree)) {
-            Some(bin) => bins.push(bin),
-            None => return Ok(()),
-        }
-    }
     header(&format!(
         "A/B — {rev} against the working tree: {pairs} alternating pairs of {seconds} s runs"
     ));
@@ -115,8 +89,21 @@ pub fn ab(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     Ok(())
 }
 
-fn parse(bytes: &[u8]) -> Result<Value, String> {
-    json::parse(bytes).map_err(|_| "not JSON".into())
+/// The rows to run, the run length, and the parent's and the change's
+/// benchmark binaries, built.
+fn prepare(rev: &str, rows: Option<String>) -> Result<(Vec<String>, f64, [PathBuf; 2]), String> {
+    let root = PathBuf::from(git(None, &["rev-parse", "--show-toplevel"])?);
+    let bench = std::fs::read(root.join("BENCHMARK.json"))
+        .map_err(|e| format!("BENCHMARK.json: {e}"))
+        .and_then(|b| json::parse(&b).map_err(|_| "BENCHMARK.json is not JSON".to_string()))?;
+    let rows = match rows {
+        Some(r) => r.split(',').map(str::to_string).collect(),
+        None => workloads(&bench),
+    };
+    let seconds = bench.get("run_seconds").and_then(number);
+    let seconds = seconds.ok_or("no run_seconds in BENCHMARK.json")?;
+    let parent = export(&root, rev)?;
+    Ok((rows, seconds, [build(&parent)?, build(&root)?]))
 }
 
 fn number(v: &Value) -> Option<f64> {

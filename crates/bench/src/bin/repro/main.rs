@@ -92,7 +92,7 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ),
     (
         "ab",
-        "<parent-rev> [--pairs N] [--rows a,b] [--seeds N,M] [--seconds S]",
+        "<parent-rev> [--pairs N] [--rows a,b] [--seeds N,M]",
         ab::ab,
     ),
 ];
