@@ -316,9 +316,10 @@ pub(crate) fn check_coherence<M: MemoryBackend, W>(
     states: &[Rc<HostState<M, W>>],
 ) -> Vec<String> {
     let mut violations = Vec::new();
+    let (mut writers, mut readers) = (Vec::new(), Vec::new());
     for mp in minipages {
-        let mut writers = Vec::new();
-        let mut readers = Vec::new();
+        writers.clear();
+        readers.clear();
         for st in states {
             // A minipage's vpages move together; mixed protection within
             // one minipage on one host is itself a violation.
