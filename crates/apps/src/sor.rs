@@ -148,7 +148,9 @@ pub fn checksum<D: Dsm>(ctx: &mut D, sh: &SorShared) -> f64 {
     let mut buf = vec![0.0f32; p.cols];
     for row in &sh.rows {
         ctx.read_into(row, 0, &mut buf);
-        sum += buf.iter().map(|&v| v as f64).sum::<f64>();
+        for &v in &buf {
+            sum += v as f64;
+        }
     }
     sum
 }
