@@ -1,6 +1,6 @@
 //! The statistics behind `repro ab`: a parent and a change run in
 //! alternating pairs, and the claims rule that turns each metric's pairs
-//! into a verdict.
+//! into a verdict; and the byte comparison behind `repro ab --parity`.
 //!
 //! The rule is the one a wall-clock claim is held to: over at least ten
 //! pairs, the change is better in at least nine pairs of ten, and its
@@ -10,6 +10,9 @@
 //! lower-is-better (`wall_s`, `setup_s`, `peak_rss_mb`).
 
 use millipage::json::{self, Value};
+use std::collections::BTreeSet;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// What the pairs of one metric say about the change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,6 +122,55 @@ impl ResultLine {
     }
 }
 
+/// How one output file of a parity run compares between the two builds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Parity {
+    /// The same bytes on both sides.
+    Identical,
+    /// Both sides wrote it, with different bytes.
+    Differs,
+    /// Only the parent wrote it.
+    OnlyParent,
+    /// Only the change wrote it.
+    OnlyChange,
+}
+
+/// Compares the files under `parent` and `change` byte for byte, by path
+/// relative to each: one verdict per path either side has, in path order.
+pub fn compare_trees(parent: &Path, change: &Path) -> io::Result<Vec<(PathBuf, Parity)>> {
+    let (a, b) = (files(parent)?, files(change)?);
+    let mut out = Vec::new();
+    for path in a.union(&b) {
+        let parity = match (a.contains(path), b.contains(path)) {
+            (true, false) => Parity::OnlyParent,
+            (false, true) => Parity::OnlyChange,
+            _ if std::fs::read(parent.join(path))? == std::fs::read(change.join(path))? => {
+                Parity::Identical
+            }
+            _ => Parity::Differs,
+        };
+        out.push((path.clone(), parity));
+    }
+    Ok(out)
+}
+
+/// Every file under `root`, as paths relative to it.
+fn files(root: &Path) -> io::Result<BTreeSet<PathBuf>> {
+    let (mut found, mut dirs) = (BTreeSet::new(), vec![root.to_path_buf()]);
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let rel = path.strip_prefix(root).expect("walked from the root");
+                found.insert(rel.to_path_buf());
+            }
+        }
+    }
+    Ok(found)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,5 +224,57 @@ mod tests {
         assert_eq!(r.metric("peak_rss_mb"), Some(41.0));
         assert_eq!(r.metric("setup_s"), None);
         assert!(ResultLine::parse("wall_s 0.07").is_none());
+    }
+
+    /// Two parity run directories holding `files`, under a fresh
+    /// directory of the system's temporary one.
+    fn run_dirs(name: &str, files: [(&str, &[u8], &[u8]); 2]) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("repro-ab-{name}-{}", std::process::id()));
+        for (side, pick) in [("parent", 0), ("change", 1)] {
+            let dir = root.join(side).join("trace");
+            std::fs::create_dir_all(&dir).expect("temporary directory");
+            for (file, a, b) in files {
+                std::fs::write(dir.join(file), [a, b][pick]).expect("written");
+            }
+        }
+        root
+    }
+
+    #[test]
+    fn identical_runs_compare_identical_file_by_file() {
+        let root = run_dirs(
+            "same",
+            [
+                ("stdout", b"Table 2\n", b"Table 2\n"),
+                ("trace.json", b"[1]", b"[1]"),
+            ],
+        );
+        let got = compare_trees(&root.join("parent"), &root.join("change")).expect("readable");
+        std::fs::remove_dir_all(&root).expect("cleanup");
+        let want = [
+            (PathBuf::from("trace/stdout"), Parity::Identical),
+            (PathBuf::from("trace/trace.json"), Parity::Identical),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn one_byte_apart_is_a_difference_and_a_missing_file_is_named() {
+        let root = run_dirs(
+            "apart",
+            [
+                ("stdout", b"Table 2\n", b"Table 2\n"),
+                ("trace.json", b"[1]", b"[2]"),
+            ],
+        );
+        std::fs::write(root.join("change/trace/extra.json"), "{}").expect("written");
+        let got = compare_trees(&root.join("parent"), &root.join("change")).expect("readable");
+        std::fs::remove_dir_all(&root).expect("cleanup");
+        let want = [
+            (PathBuf::from("trace/extra.json"), Parity::OnlyChange),
+            (PathBuf::from("trace/stdout"), Parity::Identical),
+            (PathBuf::from("trace/trace.json"), Parity::Differs),
+        ];
+        assert_eq!(got, want);
     }
 }

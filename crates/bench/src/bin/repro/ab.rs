@@ -12,25 +12,47 @@
 //! difference, the parent's interquartile range and the verdict
 //! (`millipage_bench::ab`). `--rows` defaults to every workload of
 //! `BENCHMARK.json`, and every run lasts its `run_seconds`.
+//!
+//! `--parity` runs the parity set instead: each command of [`PARITY`]
+//! once from each side's `repro`, in a directory of its own under
+//! `target/ab/parity/`, its stdout and exit status kept as files beside
+//! its artifacts. It prints, per output file, whether the two sides wrote
+//! the same bytes, and fails unless every file is identical: a change
+//! that moves only wall-clock time moves none of them.
 
 use millipage::json::{self, Value};
-use millipage_bench::ab::{summarize, ResultLine, Verdict};
+use millipage_bench::ab::{compare_trees, summarize, Parity, ResultLine, Verdict};
 use millipage_bench::cli::{Flags, Gate, UsageError};
 use millipage_bench::{header, Table};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
+use std::process::{Command, ExitStatus, Stdio};
 
 /// The end-to-end metrics every row reports.
 const METRICS: [&str; 3] = ["wall_s", "setup_s", "peak_rss_mb"];
+
+/// The parity set: `repro` commands whose every output byte is a function
+/// of the program and its inputs, never of the machine's speed.
+const PARITY: [&[&str]; 5] = [
+    &["trace", "table2", "--quick"],
+    &["faults", "table2", "--quick"],
+    &["diagnose", "table2", "--quick"],
+    &["adapt", "table2", "--quick"],
+    &["explore", "--schedules", "40", "--seed", "7"],
+];
 
 pub fn ab(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     let pairs: usize = f.value("--pairs")?.unwrap_or(10);
     let rows: Option<String> = f.value("--rows")?;
     let seeds: String = f.value("--seeds")?.unwrap_or_else(|| "7".into());
+    let parity = f.switch("--parity");
     let rev = f
         .positional()
         .ok_or_else(|| UsageError("name the parent revision".into()))?;
     f.finish()?;
+    if parity {
+        parity_set(&rev, gate);
+        return Ok(());
+    }
     let seeds = seeds
         .split(',')
         .map(|s| s.parse::<u64>())
@@ -87,6 +109,91 @@ pub fn ab(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     }
     table.print();
     Ok(())
+}
+
+/// Runs the parity set from the parent's and the change's `repro` and
+/// compares what each command wrote, file by file.
+fn parity_set(rev: &str, gate: &mut Gate) {
+    let prepared = git(None, &["rev-parse", "--show-toplevel"]).and_then(|root| {
+        let root = PathBuf::from(root);
+        let parent = export(&root, rev)?;
+        let bins = [build_repro(&parent)?, build_repro(&root)?];
+        Ok((root.join("target/ab/parity"), bins))
+    });
+    let Some((out, bins)) = gate.ok("prepare the parity set", prepared) else {
+        return;
+    };
+    header(&format!(
+        "Parity — {rev} against the working tree: every output file of {} commands",
+        PARITY.len()
+    ));
+    let mut table = Table::default();
+    for args in PARITY {
+        let (command, name) = (args.join(" "), args[0]);
+        let sides = ["parent", "change"];
+        let dirs = sides.map(|side| out.join(side).join(name));
+        for ((bin, dir), side) in bins.iter().zip(&dirs).zip(sides) {
+            let Some(status) = gate.ok(&command, run_into(bin, args, dir)) else {
+                return;
+            };
+            gate.check(status.success(), || {
+                format!("{command} failed on the {side}: {status}")
+            });
+        }
+        let Some(files) = gate.ok(&command, compare_trees(&dirs[0], &dirs[1])) else {
+            return;
+        };
+        for (file, parity) in files {
+            let verdict = match parity {
+                Parity::Identical => "identical",
+                Parity::Differs => "DIFFERS",
+                Parity::OnlyParent => "ONLY PARENT",
+                Parity::OnlyChange => "ONLY CHANGE",
+            };
+            table.row([
+                ("command", &command),
+                ("file", &file.display()),
+                ("bytes", &verdict),
+            ]);
+            gate.check(parity == Parity::Identical, || {
+                format!("{command}: {} is not identical ({verdict})", file.display())
+            });
+        }
+    }
+    table.print();
+}
+
+/// Runs `repro args` afresh in `dir`, keeping its stdout in `dir/stdout`
+/// and its exit status in `dir/status`, beside what it writes there; the
+/// exit status.
+fn run_into(bin: &Path, args: &[&str], dir: &Path) -> Result<ExitStatus, String> {
+    let io = |e: std::io::Error| format!("{}: {e}", dir.display());
+    let _ = std::fs::remove_dir_all(dir);
+    std::fs::create_dir_all(dir).map_err(io)?;
+    let stdout = std::fs::File::create(dir.join("stdout")).map_err(io)?;
+    let status = Command::new(bin)
+        .args(args)
+        .current_dir(dir)
+        .stdout(stdout)
+        .stderr(Stdio::null())
+        .status()
+        .map_err(|e| format!("{}: {e}", bin.display()))?;
+    std::fs::write(dir.join("status"), format!("{status}\n")).map_err(io)?;
+    Ok(status)
+}
+
+/// Builds `repro` in the tree at `tree`; the binary's path.
+fn build_repro(tree: &Path) -> Result<PathBuf, String> {
+    let status = Command::new("cargo")
+        .current_dir(tree)
+        .args(["build", "--release", "--quiet", "-p", "millipage-bench"])
+        .args(["--bin", "repro"])
+        .status()
+        .map_err(|e| format!("cargo: {e}"))?;
+    if !status.success() {
+        return Err(format!("cargo build of {}'s repro failed", tree.display()));
+    }
+    Ok(tree.join("target/release/repro"))
 }
 
 /// The rows to run, the run length, and the parent's and the change's

@@ -29,6 +29,8 @@
 //! repro ab <rev>       The benchmark, parent revision against the
 //!                      working tree, in alternating pairs; the claims
 //!                      rule's verdict per row and end-to-end metric
+//!                      (`--parity`: the parity set's outputs compared
+//!                      byte for byte instead)
 //! ```
 //!
 //! The flags of each are in [`COMMANDS`]; each module's docs say what its
@@ -92,7 +94,7 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ),
     (
         "ab",
-        "<parent-rev> [--pairs N] [--rows a,b] [--seeds N,M]",
+        "<parent-rev> [--pairs N] [--rows a,b] [--seeds N,M] [--parity]",
         ab::ab,
     ),
 ];

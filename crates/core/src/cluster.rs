@@ -431,7 +431,11 @@ pub(crate) fn settle_app_failures(
 ///
 /// Panics if the configuration is out of range or an application thread
 /// panics.
-pub fn run<T, F>(cfg: ClusterConfig, setup: impl FnOnce(&mut SetupCtx) -> T, app: F) -> RunReport
+pub fn run<T, F>(
+    mut cfg: ClusterConfig,
+    setup: impl FnOnce(&mut SetupCtx) -> T,
+    app: F,
+) -> RunReport
 where
     T: Send + Sync,
     F: Fn(&mut HostCtx, &T) + Send + Sync,
@@ -447,8 +451,11 @@ where
     let ids = || (0..cfg.hosts).map(|h| HostId(h as u16));
     let apps =
         ids().flat_map(|h| (0..cfg.threads_per_host).map(move |t| ThreadKey::app(h, t as u16)));
+    // The configuration's copy of the mode goes with the scheduler's
+    // build, so the scheduler holds the mode's record alone unless the
+    // caller kept a clone to read the decisions from.
     let sched = Scheduler::new(
-        &cfg.sched,
+        &std::mem::take(&mut cfg.sched),
         ids().map(ThreadKey::server).chain(apps).collect(),
     );
     let gate = net.attach_scheduler(&sched);

@@ -444,4 +444,88 @@ mod tests {
             assert_eq!(st.space.backed_pages(), 0, "{}", st.host);
         }
     }
+
+    /// The checkers report every violation, in the order of the
+    /// minipages they are handed and then of hosts.
+    #[test]
+    fn the_checkers_report_every_violation_in_minipage_then_host_order() {
+        let cfg = ClusterConfig {
+            hosts: 3,
+            pages: 8,
+            views: 4,
+            ..ClusterConfig::default()
+        };
+        let geo = Geometry::new(cfg.pages, cfg.views);
+        let space = |_| (AddressSpace::new(geo.clone()), Waiters::default());
+        let (stack, _, ()) = Stack::new(&cfg, geo.clone(), space, |s| {
+            s.alloc_bytes(256);
+            s.alloc_bytes(256);
+            s.alloc_bytes(2 * 4096);
+        });
+        let (home, states) = (&stack.home, &stack.states);
+        // Handed over last first, so handed order is not vpage order.
+        let mut minipages: Vec<Minipage> = home.table.borrow().mpt().iter().copied().collect();
+        minipages.reverse();
+        let [wide, b, a] = [0, 1, 2].map(|i| minipages[i].vpages(&geo));
+        assert_eq!(wide.len(), 2);
+        for st in states {
+            for vp in minipages.iter().flat_map(|mp| mp.vpages(&geo)) {
+                st.space.set_prot(vp, Prot::NoAccess).unwrap();
+            }
+        }
+        let grant = |host: usize, vp: usize, prot| states[host].space.set_prot(vp, prot).unwrap();
+        // Two writers of `a`; a writer and two readers of `b`.
+        grant(0, a.start, Prot::ReadWrite);
+        grant(2, a.start, Prot::ReadWrite);
+        grant(1, b.start, Prot::ReadWrite);
+        grant(2, b.start, Prot::ReadOnly);
+        grant(0, b.start, Prot::ReadOnly);
+        // Half of `wide` on host 2, then on host 1.
+        grant(2, wide.start + 1, Prot::ReadWrite);
+        grant(1, wide.start, Prot::ReadOnly);
+        let ids = minipages.iter().map(|mp| mp.id.to_string());
+        let [wide_id, b_id, a_id] = <[String; 3]>::try_from(ids.collect::<Vec<_>>()).unwrap();
+        assert_eq!(
+            check_coherence(&minipages, &geo, states),
+            [
+                format!("{wide_id}: mixed vpage protections [ReadOnly, NoAccess] on h1"),
+                format!("{wide_id}: mixed vpage protections [NoAccess, ReadWrite] on h2"),
+                format!("{b_id}: writer h1 coexists with readers [HostId(0), HostId(2)]"),
+                format!("{a_id}: multiple writers [HostId(0), HostId(2)]"),
+            ]
+        );
+        // Release consistency: the whole copies away from home that
+        // differ from it, and no other.
+        let home_of = |mp: &Minipage| home.home(mp.id).index();
+        let away = |mp: &Minipage| (home_of(mp) + 1) % 3;
+        for mp in &minipages {
+            for vp in mp.vpages(&geo) {
+                grant(away(mp), vp, Prot::ReadOnly);
+            }
+        }
+        // `b`'s copy differs; `a`'s copy is whole and equal; `wide` is
+        // only half there on host 1.
+        let b_mp = &minipages[1];
+        states[away(b_mp)]
+            .space
+            .priv_write(b_mp.priv_base(&geo), &[9])
+            .unwrap();
+        grant(1, wide.start + 1, Prot::NoAccess);
+        let bytes = states[1]
+            .space
+            .priv_read(minipages[0].priv_base(&geo), 1)
+            .unwrap();
+        states[1]
+            .space
+            .priv_write(minipages[0].priv_base(&geo), &[bytes[0] ^ 1])
+            .unwrap();
+        assert_eq!(
+            check_rc_consistency(&minipages, &geo, states, home),
+            [format!(
+                "{b_id}: copy on h{} diverges from the home copy on h{}",
+                away(b_mp),
+                home_of(b_mp)
+            )]
+        );
+    }
 }

@@ -209,7 +209,11 @@ pub enum SchedPolicy {
 /// — the canonical [`SchedPolicy::VirtualTime`] order by default — and
 /// owns the record the run's [`Scheduler`] hands its decisions and
 /// hand-off count to (so callers can retrieve the schedule after the run
-/// for replay and shrinking).
+/// for replay and shrinking). Every clone shares the record. A run keeps
+/// its decision log only while a clone besides its scheduler's holds the
+/// record: a caller that reads [`decisions`](SchedMode::decisions) or
+/// [`hand_offs`](SchedMode::hand_offs) after a run keeps a clone through
+/// it, and a run nobody can read back costs no log.
 #[derive(Clone, Debug)]
 pub struct SchedMode {
     policy: SchedPolicy,
@@ -632,6 +636,13 @@ impl State {
         let slots = slots.map(|s| (s.vt, Err((s.key, s.leaf))));
         let pick = (0..self.wakes.len()).filter_map(head).chain(slots).min();
         pick.map(|(_, leaf)| leaf.unwrap_or_else(|(_, leaf)| leaf))
+    }
+
+    /// Whether anyone but this run holds the mode's record and so can read
+    /// the decision log. Nobody can take a new hold of it, so a run left
+    /// alone with it stays alone, and keeps no log.
+    fn recorded(&self) -> bool {
+        Arc::strong_count(&self.record) > 1
     }
 
     /// Hands the decisions taken since the last call to the mode's record,
@@ -1315,7 +1326,9 @@ fn dispatch_in(ps: &mut State, local: Option<&Local>) -> Verdict {
         };
         let pick = chosen.unwrap_or(min_i);
         ps.steps += 1;
-        ps.log.push(pick as u32);
+        if ps.recorded() {
+            ps.log.push(pick as u32);
+        }
         // A parked thread's condition is re-checked right here: unmet, the
         // slot is blocked again — on the generation its own thread would
         // have recorded — and we pick on.

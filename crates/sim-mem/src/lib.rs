@@ -19,7 +19,12 @@
 //! the shared memory object. All hosts share one [`Geometry`], so a virtual
 //! address means the same thing everywhere and no translation is needed
 //! between hosts — the property §2.4 obtains by "carefully configuring the
-//! DSM addresses".
+//! DSM addresses". A view is reserved address space: as NT creates
+//! page-table entries only for the vpages it maps, a space keeps
+//! protections and page storage in fixed-size chunks made on first touch
+//! (a protection set, a page written), so a host costs what it touches.
+//! An absent chunk reads `NoAccess`, or zeros; the privileged view has no
+//! entries and reads `ReadWrite`.
 //!
 //! The real-OS counterpart of this crate (actual `mmap`/`mprotect`/SIGSEGV)
 //! lives in the `hostmv` crate.

@@ -2,7 +2,7 @@
 
 use crate::fault::MemError;
 use sim_core::{Access, Fault, Geometry, Prot, VAddr};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
 
 /// Why a checked access did not complete.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -33,10 +33,15 @@ impl std::error::Error for AccessError {}
 /// One simulated host's mapping of the shared memory object.
 ///
 /// Holds the host's local copy of every physical page it has written plus
-/// the protection of every vpage of every view. A page nobody wrote yet is
-/// *unbacked*: it reads as zeros and owns no storage until its first write
-/// — a host pays for the part of the shared object it touches, not for
-/// the object (views alias pages; hosts do not each copy the region). Application access goes through
+/// the protection of every application vpage it has had granted, in
+/// chunks made on first touch: a protection chunk (512 consecutive
+/// vpages) on the first grant of one of its vpages, a page chunk (64
+/// slots) on the first write to one of its pages. An absent protection
+/// chunk reads `NoAccess`; the privileged view has no entries and reads
+/// `ReadWrite`. A page nobody wrote yet is *unbacked*: it reads as zeros
+/// and owns no storage until its first write — a host pays for the part
+/// of the shared object it touches, not for the object (views alias
+/// pages; hosts do not each copy the region). Application access goes through
 /// [`read`](AddressSpace::read) / [`write`](AddressSpace::write), which
 /// enforce protections like the MMU would; DSM server turns use the
 /// `priv_*` methods, which model the privileged view (§2.3.1) and ignore
@@ -46,8 +51,8 @@ impl std::error::Error for AccessError {}
 ///
 /// A simulated run is fibers on one OS thread, so a space is used by one
 /// thread and takes no lock: page storage is a `RefCell` per page,
-/// protections and the generation are `Cell`s, and the type is not
-/// `Sync`. Two facts make that enough. An application copy never spans a
+/// protections and the generation are `Cell`s, chunks are `OnceCell`s,
+/// and the type is not `Sync`. Two facts make that enough. An application copy never spans a
 /// yield point: it decodes, checks the vpage protection and moves bytes
 /// without calling the scheduler, and each page's borrow ends before the
 /// copy returns. Server turns — the only code that changes protections
@@ -78,16 +83,33 @@ impl std::error::Error for AccessError {}
 /// fault.
 pub struct AddressSpace {
     geo: Geometry,
-    prots: Vec<Cell<Prot>>,
-    /// Per-page storage; an empty box is an unbacked (all-zero) page.
-    pages: Vec<RefCell<Box<[u8]>>>,
-    /// What reads of an unbacked page see.
-    zeros: Box<[u8]>,
+    /// The privileged view's first vpage; every vpage below it is an
+    /// application vpage.
+    priv_start: usize,
+    /// Application vpage protections, `PROT_CHUNK` to a chunk; an absent
+    /// chunk is all `NoAccess`.
+    prots: Box<[OnceCell<Box<ProtChunk>>]>,
+    /// Page storage, `PAGE_CHUNK` slots to a chunk; an absent chunk or an
+    /// empty slot is an unbacked (all-zero) page.
+    pages: Box<[OnceCell<Box<PageChunk>>]>,
     /// Bumped by every protection change; validates [`TlbEntry`]s.
     prot_gen: Cell<u64>,
     /// Where [`snapshot_and_protect`](AddressSpace::snapshot_and_protect)
-    /// gathers a range that spans pages.
+    /// gathers a range that is not one backed page's bytes.
     gathered: RefCell<Vec<u8>>,
+}
+
+/// Protections per chunk: a power of two.
+const PROT_CHUNK: usize = 512;
+/// Page slots per chunk: a power of two.
+const PAGE_CHUNK: usize = 64;
+
+type ProtChunk = [Cell<Prot>; PROT_CHUNK];
+type PageChunk = [RefCell<Box<[u8]>>; PAGE_CHUNK];
+
+/// `n` absent chunks of `per` entries each.
+fn absent<T>(n: usize, per: usize) -> Box<[OnceCell<T>]> {
+    (0..n.div_ceil(per)).map(|_| OnceCell::new()).collect()
 }
 
 /// One cached vpage resolution: the fields a checked access needs, minus
@@ -175,18 +197,15 @@ impl TlbEntry {
 
 impl AddressSpace {
     /// Creates an address space: all application vpages `NoAccess`, the
-    /// privileged view `ReadWrite`, all pages zero and unbacked.
+    /// privileged view `ReadWrite`, all pages zero and unbacked. Only the
+    /// two chunk tables are allocated.
     pub fn new(geo: Geometry) -> Self {
-        let prots = vec![Cell::new(Prot::NoAccess); geo.total_vpages()];
-        for p in &prots[geo.vpage_index(geo.priv_view(), 0)..] {
-            p.set(Prot::ReadWrite);
-        }
-        let pages = (0..geo.pages()).map(|_| RefCell::default()).collect();
+        let priv_start = geo.vpage_index(geo.priv_view(), 0);
         Self {
-            zeros: vec![0u8; geo.page_size()].into_boxed_slice(),
+            prots: absent(priv_start, PROT_CHUNK),
+            pages: absent(geo.pages(), PAGE_CHUNK),
+            priv_start,
             geo,
-            prots,
-            pages,
             prot_gen: Cell::new(0),
             gathered: RefCell::default(),
         }
@@ -194,27 +213,56 @@ impl AddressSpace {
 
     /// Number of pages that own storage (were written at least once).
     pub fn backed_pages(&self) -> usize {
-        self.pages.iter().filter(|p| !p.borrow().is_empty()).count()
+        let slots = self
+            .pages
+            .iter()
+            .filter_map(OnceCell::get)
+            .flat_map(|c| c.iter());
+        slots.filter(|p| !p.borrow().is_empty()).count()
     }
 
-    /// The bytes of a borrowed page.
+    /// Page `page`'s slot, if its chunk exists.
     #[inline]
-    fn bytes<'a>(&'a self, page: &'a [u8]) -> &'a [u8] {
-        if page.is_empty() {
-            &self.zeros
-        } else {
-            page
+    fn slot(&self, page: usize) -> Option<&RefCell<Box<[u8]>>> {
+        let chunk = self.pages[page / PAGE_CHUNK].get()?;
+        Some(&chunk[page % PAGE_CHUNK])
+    }
+
+    /// Copies bytes `off..off + out.len()` of page `page` into `out`.
+    #[inline]
+    fn copy_out(&self, page: usize, off: usize, out: &mut [u8]) {
+        match self.slot(page).map(RefCell::borrow).as_deref() {
+            Some(bytes) if !bytes.is_empty() => out.copy_from_slice(&bytes[off..off + out.len()]),
+            _ => out.fill(0),
         }
     }
 
-    /// The bytes of a mutably borrowed page, backing it first if this is
-    /// its first write.
+    /// Page `page`'s storage to write, backed first if this is its first
+    /// write.
     #[inline]
-    fn bytes_mut<'a>(&self, page: &'a mut Box<[u8]>) -> &'a mut [u8] {
-        if page.is_empty() {
-            *page = self.zeros.clone();
+    fn page_mut(&self, page: usize) -> RefMut<'_, Box<[u8]>> {
+        let chunk = match self.pages[page / PAGE_CHUNK].get() {
+            Some(chunk) => chunk,
+            None => self.new_page_chunk(page),
+        };
+        let mut bytes = chunk[page % PAGE_CHUNK].borrow_mut();
+        if bytes.is_empty() {
+            *bytes = self.zero_page();
         }
-        page
+        bytes
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn new_page_chunk(&self, page: usize) -> &PageChunk {
+        self.pages[page / PAGE_CHUNK]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| RefCell::default())))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn zero_page(&self) -> Box<[u8]> {
+        vec![0; self.geo.page_size()].into_boxed_slice()
     }
 
     /// The shared geometry.
@@ -229,7 +277,43 @@ impl AddressSpace {
     /// Panics if `vpage` is out of range.
     #[inline]
     pub fn prot(&self, vpage: usize) -> Prot {
-        self.prots[vpage].get()
+        if vpage < self.priv_start {
+            return self.app_prot(vpage);
+        }
+        assert!(
+            vpage < self.geo.total_vpages(),
+            "vpage {vpage} is out of range"
+        );
+        Prot::ReadWrite
+    }
+
+    /// The protection of application vpage `vp`: a shift, a mask and two
+    /// loads.
+    #[inline]
+    fn app_prot(&self, vp: usize) -> Prot {
+        match self.prots[vp / PROT_CHUNK].get() {
+            Some(chunk) => chunk[vp % PROT_CHUNK].get(),
+            None => Prot::NoAccess,
+        }
+    }
+
+    /// Sets application vpage `vp` to `prot`. `NoAccess` on an absent
+    /// chunk is what it reads already, so it materializes nothing.
+    #[inline]
+    fn put_prot(&self, vp: usize, prot: Prot) {
+        let chunk = match self.prots[vp / PROT_CHUNK].get() {
+            Some(chunk) => chunk,
+            None if prot == Prot::NoAccess => return,
+            None => self.new_prot_chunk(vp),
+        };
+        chunk[vp % PROT_CHUNK].set(prot);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn new_prot_chunk(&self, vp: usize) -> &ProtChunk {
+        self.prots[vp / PROT_CHUNK]
+            .get_or_init(|| Box::new([const { Cell::new(Prot::NoAccess) }; PROT_CHUNK]))
     }
 
     /// Sets the protection of a global vpage and invalidates every cached
@@ -237,17 +321,19 @@ impl AddressSpace {
     ///
     /// Returns [`MemError::PrivilegedViewProtection`] for privileged vpages,
     /// whose protection is fixed (§2.3.1).
+    #[inline]
     pub fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemError> {
-        if vpage >= self.prots.len() {
-            return Err(MemError::OutOfRange {
-                addr: VAddr(0),
-                len: 0,
+        if vpage >= self.priv_start {
+            return Err(if vpage < self.geo.total_vpages() {
+                MemError::PrivilegedViewProtection { vpage }
+            } else {
+                MemError::OutOfRange {
+                    addr: VAddr(0),
+                    len: 0,
+                }
             });
         }
-        if vpage >= self.geo.vpage_index(self.geo.priv_view(), 0) {
-            return Err(MemError::PrivilegedViewProtection { vpage });
-        }
-        self.prots[vpage].set(prot);
+        self.put_prot(vpage, prot);
         self.bump_gen();
         Ok(())
     }
@@ -274,7 +360,7 @@ impl AddressSpace {
             page: loc.page,
             base,
             limit: base + self.geo.page_size() as u64,
-            prot: self.prot(vpage),
+            prot: self.app_prot(vpage),
         })
     }
 
@@ -292,9 +378,7 @@ impl AddressSpace {
         if self.prot_gen.get() != e.gen {
             return false;
         }
-        let off = (addr.0 - e.base) as usize;
-        let page = self.pages[e.page].borrow();
-        buf.copy_from_slice(&self.bytes(&page)[off..off + buf.len()]);
+        self.copy_out(e.page, (addr.0 - e.base) as usize, buf);
         true
     }
 
@@ -306,8 +390,7 @@ impl AddressSpace {
             return false;
         }
         let off = (addr.0 - e.base) as usize;
-        let mut page = self.pages[e.page].borrow_mut();
-        self.bytes_mut(&mut page)[off..off + data.len()].copy_from_slice(data);
+        self.page_mut(e.page)[off..off + data.len()].copy_from_slice(data);
         true
     }
 
@@ -334,7 +417,7 @@ impl AddressSpace {
         vp: usize,
         access: Access,
     ) -> Result<(), AccessError> {
-        if self.prot(vp).allows(access) {
+        if self.app_prot(vp).allows(access) {
             return Ok(());
         }
         Err(AccessError::Fault(Fault {
@@ -353,8 +436,7 @@ impl AddressSpace {
             if !privileged {
                 self.allow(addr, view, s.vpage, Access::Read)?;
             }
-            let page = self.pages[s.page].borrow();
-            buf[s.at..s.at + s.take].copy_from_slice(&self.bytes(&page)[s.off..s.off + s.take]);
+            self.copy_out(s.page, s.off, &mut buf[s.at..s.at + s.take]);
         }
         Ok(())
     }
@@ -368,8 +450,7 @@ impl AddressSpace {
             if !privileged {
                 self.allow(addr, view, s.vpage, Access::Write)?;
             }
-            let mut page = self.pages[s.page].borrow_mut();
-            self.bytes_mut(&mut page)[s.off..s.off + s.take]
+            self.page_mut(s.page)[s.off..s.off + s.take]
                 .copy_from_slice(&data[s.at..s.at + s.take]);
         }
         Ok(())
@@ -387,8 +468,7 @@ impl AddressSpace {
     /// it: a reply's bytes land in the buffer the message carries.
     pub fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemError> {
         for s in self.segments(addr, out.len())?.1 {
-            let page = self.pages[s.page].borrow();
-            out[s.at..s.at + s.take].copy_from_slice(&self.bytes(&page)[s.off..s.off + s.take]);
+            self.copy_out(s.page, s.off, &mut out[s.at..s.at + s.take]);
         }
         Ok(())
     }
@@ -413,8 +493,7 @@ impl AddressSpace {
         mut f: impl FnMut(usize, &mut [u8]),
     ) -> Result<(), MemError> {
         for s in self.segments(addr, len)?.1 {
-            let mut page = self.pages[s.page].borrow_mut();
-            f(s.at, &mut self.bytes_mut(&mut page)[s.off..s.off + s.take]);
+            f(s.at, &mut self.page_mut(s.page)[s.off..s.off + s.take]);
         }
         Ok(())
     }
@@ -423,7 +502,7 @@ impl AddressSpace {
     /// the range's bytes as they were, in one step: no application write
     /// can land between the two. Used by the release-consistency
     /// extension, which diffs a dirty copy's final contents. A range on
-    /// one page is that page's own bytes; a range spanning pages is
+    /// one backed page is that page's own bytes; any other range is
     /// gathered into a buffer the space keeps for the purpose.
     pub fn snapshot_and_protect<R>(
         &self,
@@ -438,12 +517,14 @@ impl AddressSpace {
         }
         let (first, off) = (segs.page, segs.off);
         for s in segs {
-            self.prots[s.vpage].set(prot);
+            self.put_prot(s.vpage, prot);
         }
         self.bump_gen();
         if off + len <= self.geo.page_size() {
-            let page = self.pages[first].borrow();
-            return Ok(f(&self.bytes(&page)[off..off + len]));
+            let page = self.slot(first).map(RefCell::borrow);
+            if let Some(bytes) = page.as_deref().filter(|b| !b.is_empty()) {
+                return Ok(f(&bytes[off..off + len]));
+            }
         }
         let mut gathered = self.gathered.borrow_mut();
         gathered.resize(len, 0);
@@ -550,6 +631,50 @@ mod tests {
                 assert_eq!(s.prot(g.vpage_index(g.priv_view(), page)), Prot::ReadWrite);
             }
         }
+    }
+
+    #[test]
+    fn an_absent_chunk_reads_its_views_default_protection() {
+        // 700 pages × 2 application views: three protection chunks, the
+        // last one partial, and eleven page chunks.
+        let s = AddressSpace::new(Geometry::new(700, 2));
+        let g = s.geometry().clone();
+        let priv_start = g.vpage_index(g.priv_view(), 0);
+        assert_eq!((s.prots.len(), s.pages.len()), (3, 11));
+        s.set_prot(600, Prot::ReadOnly).unwrap();
+        // Closing a vpage of an absent chunk is what it reads already.
+        s.set_prot(1300, Prot::NoAccess).unwrap();
+        let present: Vec<bool> = s.prots.iter().map(|c| c.get().is_some()).collect();
+        assert_eq!(present, [false, true, false]);
+        for vp in 0..g.total_vpages() {
+            let want = match vp {
+                600 => Prot::ReadOnly,
+                vp if vp >= priv_start => Prot::ReadWrite,
+                _ => Prot::NoAccess,
+            };
+            assert_eq!(s.prot(vp), want, "vpage {vp}");
+        }
+        // Out of range and privileged vpages are still errors, and touch
+        // no chunk.
+        let out = MemError::OutOfRange {
+            addr: VAddr(0),
+            len: 0,
+        };
+        assert_eq!(s.set_prot(g.total_vpages(), Prot::ReadWrite), Err(out));
+        assert_eq!(s.set_prot(usize::MAX, Prot::ReadWrite), Err(out));
+        assert_eq!(
+            s.set_prot(priv_start, Prot::NoAccess),
+            Err(MemError::PrivilegedViewProtection { vpage: priv_start })
+        );
+        assert_eq!(s.prots.iter().filter(|c| c.get().is_some()).count(), 1);
+        assert!(s.pages.iter().all(|c| c.get().is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn reading_an_out_of_range_protection_panics() {
+        let s = space();
+        s.prot(s.geometry().total_vpages());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests of the simulated virtual memory.
 
 use proptest::prelude::*;
-use sim_mem::{Access, AccessError, AddressSpace, Geometry, Prot};
+use sim_mem::{
+    Access, AccessError, AccessTlb, AddressSpace, Fault, Geometry, MemError, Prot, VAddr,
+    DEFAULT_BASE,
+};
 
 fn space(pages: usize, views: usize) -> AddressSpace {
     AddressSpace::new(Geometry::new(pages, views))
@@ -108,5 +111,275 @@ proptest! {
             s.check(addr, len, Access::Read),
             Err(AccessError::Fault(_))
         ));
+    }
+}
+
+/// The geometry the model test runs on: 70 pages and 9 application views
+/// (630 application vpages) of 256 bytes, so neither count is a multiple
+/// of a chunk (512 protections, 64 page slots) and both the last
+/// protection chunk and the last page chunk are partial.
+fn model_geometry() -> Geometry {
+    Geometry::with_layout(DEFAULT_BASE, 256, 70, 9)
+}
+
+/// A dense model of an address space: every byte, every application
+/// vpage's protection and every page's backed flag in a plain `Vec`, and
+/// the count of protection changes the TLB's generation stands for.
+struct Model {
+    geo: Geometry,
+    bytes: Vec<u8>,
+    prots: Vec<Prot>,
+    backed: Vec<bool>,
+    changes: u64,
+}
+
+impl Model {
+    fn new(geo: Geometry) -> Self {
+        Model {
+            bytes: vec![0; geo.pages() * geo.page_size()],
+            prots: vec![Prot::NoAccess; geo.views() * geo.pages()],
+            backed: vec![false; geo.pages()],
+            changes: 0,
+            geo,
+        }
+    }
+
+    fn prot(&self, vpage: usize) -> Prot {
+        self.prots.get(vpage).copied().unwrap_or(Prot::ReadWrite)
+    }
+
+    fn set_prot(&mut self, vpage: usize, prot: Prot) -> Result<(), MemError> {
+        if vpage >= self.geo.total_vpages() {
+            return Err(MemError::OutOfRange {
+                addr: VAddr(0),
+                len: 0,
+            });
+        }
+        if vpage >= self.prots.len() {
+            return Err(MemError::PrivilegedViewProtection { vpage });
+        }
+        self.prots[vpage] = prot;
+        self.changes += 1;
+        Ok(())
+    }
+
+    /// The pages `[page*ps + off, +len)` covers, or the error a range
+    /// past the object's end is.
+    fn pages(
+        &self,
+        addr: VAddr,
+        page: usize,
+        off: usize,
+        len: usize,
+    ) -> Result<Vec<usize>, MemError> {
+        let ps = self.geo.page_size();
+        if page * ps + off + len > self.bytes.len() {
+            return Err(MemError::OutOfRange { addr, len });
+        }
+        Ok((page..=(page * ps + off + len - 1) / ps).collect())
+    }
+
+    /// An application access through `view`: the first covered vpage
+    /// that does not allow it faults, and a write lands on the pages
+    /// before it.
+    fn access(
+        &mut self,
+        (view, page, off): (usize, usize, usize),
+        len: usize,
+        write: Option<&[u8]>,
+    ) -> Result<Vec<u8>, AccessError> {
+        let geo = self.geo.clone();
+        let addr = geo.addr_of(view, page, off);
+        let access = if write.is_some() {
+            Access::Write
+        } else {
+            Access::Read
+        };
+        let start = page * geo.page_size() + off;
+        for p in self.pages(addr, page, off, len)? {
+            let vpage = geo.vpage_index(view, p);
+            if view != geo.priv_view() && !self.prot(vpage).allows(access) {
+                let addr = if p == page {
+                    addr
+                } else {
+                    geo.addr_of(view, p, 0)
+                };
+                return Err(AccessError::Fault(Fault {
+                    addr,
+                    vpage,
+                    access,
+                }));
+            }
+            if let Some(data) = write {
+                let lo = (p * geo.page_size()).max(start);
+                let hi = ((p + 1) * geo.page_size()).min(start + len);
+                self.bytes[lo..hi].copy_from_slice(&data[lo - start..hi - start]);
+                self.backed[p] = true;
+            }
+        }
+        Ok(self.bytes[start..start + len].to_vec())
+    }
+}
+
+/// What one generated operation's numbers pick: a view (the privileged
+/// one included), a page and an offset in it. Half the picks land on six
+/// vpages, so TLB entries meet the protection changes that stale them.
+fn place(geo: &Geometry, view: usize, page: usize, off: usize) -> (usize, usize, usize) {
+    let off = off % geo.page_size();
+    match view & 1 {
+        0 => ((view >> 1) % 2, page % 3, off),
+        _ => ((view >> 1) % geo.total_views(), page % geo.pages(), off),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The sparse space against the dense model, over random sequences
+    /// of every operation: protection changes (in range, privileged and
+    /// past the end), checked reads and writes, privileged reads and
+    /// patches, snapshots, and TLB fills, hits and misses. Bytes,
+    /// protections, faults, errors and the backed-page count must agree
+    /// after every step, and a TLB hit must only ever be an access the
+    /// slow path would allow.
+    #[test]
+    fn the_sparse_space_matches_a_dense_model(
+        ops in proptest::collection::vec(
+            (0u8..8, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16),
+            1..120,
+        ),
+    ) {
+        let geo = model_geometry();
+        let s = AddressSpace::new(geo.clone());
+        let mut m = Model::new(geo.clone());
+        let mut tlb = AccessTlb::new();
+        // The model's change count when each vpage's TLB entry was filled.
+        let mut filled = vec![u64::MAX; geo.total_vpages()];
+        let ps = geo.page_size();
+        for (op, a, b, c, d) in ops {
+            let prot = Prot::from_u8((d % 3) as u8).expect("0..3");
+            let (view, page, off) = place(&geo, a, b, c);
+            let addr = geo.addr_of(view, page, off);
+            let len = 1 + d % (3 * ps);
+            let data: Vec<u8> = (0..len).map(|i| (i + d) as u8 | 1).collect();
+            match op {
+                0 => {
+                    // The picked vpage, or any, or one past the end.
+                    let vpage = match c % 3 {
+                        0 => geo.vpage_index(view, page),
+                        _ => a % (geo.total_vpages() + 8),
+                    };
+                    prop_assert_eq!(s.set_prot(vpage, prot), m.set_prot(vpage, prot));
+                }
+                1 => {
+                    let mut buf = vec![0xee; len];
+                    let got = s.read(addr, &mut buf).map(|()| buf);
+                    prop_assert_eq!(got, m.access((view, page, off), len, None));
+                }
+                2 => {
+                    let want = m.access((view, page, off), len, Some(&data)).map(drop);
+                    prop_assert_eq!(s.write(addr, &data), want);
+                }
+                3 => {
+                    let mut buf = vec![0xee; len];
+                    let got = s.priv_read_into(addr, &mut buf).map(|()| buf);
+                    let want = m.pages(addr, page, off, len).map(|_| {
+                        let start = page * ps + off;
+                        m.bytes[start..start + len].to_vec()
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                4 => {
+                    // An in-place update that reads what it changes.
+                    let mut seen = 0;
+                    let got = s.priv_patch(addr, len, |at, bytes| {
+                        assert_eq!(at, seen, "segments in order, none skipped");
+                        seen += bytes.len();
+                        for (i, b) in bytes.iter_mut().enumerate() {
+                            *b = b.wrapping_mul(3).wrapping_add(data[at + i]);
+                        }
+                    });
+                    let want = m.pages(addr, page, off, len).map(|pages| {
+                        let start = page * ps + off;
+                        for (i, b) in m.bytes[start..start + len].iter_mut().enumerate() {
+                            *b = b.wrapping_mul(3).wrapping_add(data[i]);
+                        }
+                        for p in pages {
+                            m.backed[p] = true;
+                        }
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                5 => {
+                    let got = s.snapshot_and_protect(addr, len, prot, <[u8]>::to_vec);
+                    let want = m.pages(addr, page, off, len).and_then(|pages| {
+                        let first = geo.vpage_index(view, page);
+                        if view == geo.priv_view() {
+                            return Err(MemError::PrivilegedViewProtection { vpage: first });
+                        }
+                        for p in pages {
+                            m.set_prot(geo.vpage_index(view, p), prot).expect("application vpage");
+                        }
+                        // One generation bump for the whole range.
+                        m.changes -= (len + off - 1) as u64 / ps as u64;
+                        let start = page * ps + off;
+                        Ok(m.bytes[start..start + len].to_vec())
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    // A short access through the TLB, as a host makes it:
+                    // lookup, fast path, else evict and take the slow path,
+                    // then cache the vpage after a slow access that passed.
+                    let write = op == 7;
+                    let len = 1 + d % 16;
+                    let data = &data[..len];
+                    let access = if write { Access::Write } else { Access::Read };
+                    if view == geo.priv_view() {
+                        prop_assert!(s.tlb_fill(addr).is_none());
+                    }
+                    if let Some(e) = tlb.lookup(addr, len, access) {
+                        let mut buf = vec![0xee; len];
+                        let hit = if write {
+                            s.tlb_write(&e, addr, data)
+                        } else {
+                            s.tlb_read(&e, addr, &mut buf)
+                        };
+                        prop_assert_eq!(hit, filled[e.vpage()] == m.changes);
+                        if hit {
+                            prop_assert!(m.prot(e.vpage()).allows(access));
+                            let want = m.access((view, page, off), len, write.then_some(data));
+                            prop_assert!(want.is_ok());
+                            if !write {
+                                prop_assert_eq!(Ok(buf), want);
+                            }
+                            continue;
+                        }
+                        tlb.evict(e.vpage());
+                    }
+                    let want = m.access((view, page, off), len, write.then_some(data));
+                    let got = if write {
+                        s.write(addr, data).map(|()| want.clone().unwrap_or_default())
+                    } else {
+                        let mut buf = vec![0xee; len];
+                        s.read(addr, &mut buf).map(|()| buf)
+                    };
+                    prop_assert_eq!(&got, &want);
+                    if got.is_ok() {
+                        if let Some(e) = s.tlb_fill(addr) {
+                            prop_assert_eq!(e.vpage(), geo.vpage_index(view, page));
+                            filled[e.vpage()] = m.changes;
+                            tlb.insert(e);
+                        }
+                    }
+                }
+            }
+            for vpage in 0..geo.total_vpages() {
+                prop_assert_eq!(s.prot(vpage), m.prot(vpage), "vpage {}", vpage);
+            }
+            let backed = m.backed.iter().filter(|&&b| b).count();
+            prop_assert_eq!(s.backed_pages(), backed);
+        }
+        prop_assert_eq!(s.priv_read(geo.addr_of(geo.priv_view(), 0, 0), m.bytes.len()), Ok(m.bytes.clone()));
     }
 }
