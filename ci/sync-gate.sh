@@ -6,8 +6,8 @@
 # mailbox is one `RefCell`, the moved-heads and woken-hosts masks and the
 # counters are `Cell`s, and the fiber run owns the delivery gate (DESIGN
 # §4, §10). The memory: a host's `AddressSpace` keeps each page in a
-# `RefCell` and its protections and TLB generation in `Cell`s. A lock, an
-# atomic, a `Weak` or `parking_lot` back in non-test sim-net or sim-mem code
+# `RefCell` and its protections in `Cell`s. A lock, an atomic, a `Weak`
+# or `parking_lot` back in non-test sim-net or sim-mem code
 # is a multi-threaded simulator coming back: on water4_seq the wire's were
 # 3.05 mailbox lock pairs, 4.97 mask read-modify-writes and a
 # `Weak::upgrade` per message, about 8 % of its wall clock; on sor4_hlrc the

@@ -31,11 +31,16 @@ pub fn trace(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         // replay checks the Single-Writer/Multiple-Readers invariants.
         let (r, log, violations) = traced_run(app_cfg(4), AuditMode::SwMr, &spec.run);
         gate.audit(spec.name, &log, &violations);
+        // A log with gaps was not replayed: it has no violation count.
+        let violations = match log.dropped {
+            0 => violations.len().to_string(),
+            _ => "-".into(),
+        };
         table.row([
             ("app", &spec.name),
             ("events", &log.events.len()),
             ("dropped", &log.dropped),
-            ("violations", &violations.len()),
+            ("violations", &violations),
             ("fault p50", &q(r.report.fault_latency_p50())),
             ("fault p95", &q(r.report.fault_latency_p95())),
             ("fault p99", &q(r.report.fault_latency_p99())),

@@ -14,10 +14,12 @@ use millipage::{audit, AuditMode, ClusterConfig, HostId, RunReport, TraceLog, Tr
 use std::fmt::{self, Display};
 use std::str::FromStr;
 
-/// Per-recorder ring capacity for traced repro runs. 64Ki events per
-/// simulated thread keeps even the full-size Table 2 runs complete
-/// (`dropped == 0`) at the 4-host trace configuration.
-pub const TRACE_RING_CAPACITY: usize = 1 << 16;
+/// Per-recorder ring capacity for traced repro runs. A paper-size SOR
+/// run at 4 hosts records 871,337 events, of which rings of 2¹⁶ dropped
+/// 362,061; 2²⁰ keeps every paper-size run complete (`dropped == 0`). A
+/// ring grows as it records, so only the events a run records cost
+/// memory.
+pub const TRACE_RING_CAPACITY: usize = 1 << 20;
 
 /// A command line the subcommand cannot accept; `main` prints it with the
 /// subcommand's usage and exits 2.
@@ -181,11 +183,19 @@ impl Gate {
         }
     }
 
-    /// The outcome of a [`traced_run`]: every audit violation fails (the
-    /// first five are recorded individually), and so does a full trace
-    /// ring — it silently truncates the event stream, so the audit and
-    /// any export ran on incomplete data.
+    /// The outcome of a [`traced_run`]. A log with gaps (a full ring
+    /// overwrote events) gets one verdict, "incomplete", and no invariant
+    /// findings: a replay of what is left judges transitions whose causes
+    /// were overwritten. On a complete log every audit violation fails
+    /// (the first five are recorded individually).
     pub fn audit(&mut self, what: &str, log: &TraceLog, violations: &[String]) {
+        if log.dropped > 0 {
+            self.fail(format!(
+                "  {what}: incomplete: {} events dropped (raise TRACE_RING_CAPACITY)",
+                log.dropped
+            ));
+            return;
+        }
         for v in violations.iter().take(5) {
             self.fail(format!("  {what}: VIOLATION {v}"));
         }
@@ -193,13 +203,6 @@ impl Gate {
             self.fail(format!(
                 "  {what}: ... and {} more violation(s)",
                 violations.len() - 5
-            ));
-        }
-        if log.dropped > 0 {
-            self.fail(format!(
-                "  {what}: {} trace event(s) dropped from full rings — \
-                 raise TRACE_RING_CAPACITY",
-                log.dropped
             ));
         }
     }
@@ -228,19 +231,33 @@ impl Gate {
 }
 
 /// Runs `run` with a fresh tracer on `cfg`, drains the trace and replays
-/// it through the invariant auditor: `(run result, log, violations)`.
+/// it through the invariant auditor: `(run result, log, violations)`. A
+/// log with gaps is not replayed; [`Gate::audit`] calls it incomplete.
 pub fn traced_run<R>(
     cfg: ClusterConfig,
     mode: AuditMode,
     run: impl FnOnce(ClusterConfig) -> R,
 ) -> (R, TraceLog, Vec<String>) {
-    let tracer = Tracer::enabled(TRACE_RING_CAPACITY);
+    traced_run_with(TRACE_RING_CAPACITY, cfg, mode, run)
+}
+
+/// [`traced_run`] with rings of `capacity` events.
+fn traced_run_with<R>(
+    capacity: usize,
+    cfg: ClusterConfig,
+    mode: AuditMode,
+    run: impl FnOnce(ClusterConfig) -> R,
+) -> (R, TraceLog, Vec<String>) {
+    let tracer = Tracer::enabled(capacity);
     let r = run(ClusterConfig {
         tracer: tracer.clone(),
         ..cfg
     });
     let log = tracer.drain();
-    let violations = audit(&log.events, mode);
+    let violations = match log.dropped {
+        0 => audit(&log.events, mode),
+        _ => Vec::new(),
+    };
     (r, log, violations)
 }
 
@@ -339,16 +356,65 @@ mod tests {
         assert!(g.failures().is_empty());
 
         let violations: Vec<String> = (0..7).map(|i| format!("v{i}")).collect();
+        g.audit("SOR", &TraceLog::default(), &violations);
+        // Five individual violations, then the "and N more" line.
+        assert_eq!(g.failures().len(), 6);
+        assert_eq!(g.failures()[0], "  SOR: VIOLATION v0");
+        assert!(g.failures()[5].contains("2 more"));
+
+        // A log with gaps is one verdict, whatever was found in it.
+        let mut g = Gate::new();
         let log = TraceLog {
             dropped: 3,
             ..TraceLog::default()
         };
         g.audit("SOR", &log, &violations);
-        // Five individual violations, the "and N more" line, the ring.
-        assert_eq!(g.failures().len(), 7);
-        assert_eq!(g.failures()[0], "  SOR: VIOLATION v0");
-        assert!(g.failures()[5].contains("2 more"));
-        assert!(g.failures()[6].contains("3 trace event(s) dropped"));
+        assert_eq!(
+            g.failures(),
+            ["  SOR: incomplete: 3 events dropped (raise TRACE_RING_CAPACITY)"]
+        );
+    }
+
+    #[test]
+    fn a_traced_run_with_a_tiny_ring_is_incomplete_not_violated() {
+        // Two hosts take turns writing one vector: every round moves
+        // ownership, so the first events (allocation, first grants) are
+        // what a replay of the rest needs.
+        let app = |cfg: ClusterConfig| {
+            millipage::run(
+                ClusterConfig { hosts: 2, ..cfg },
+                |s| s.alloc_vec_init(&[0u64; 8]),
+                |ctx, sv| {
+                    for round in 0..8u64 {
+                        if ctx.host().0 as u64 == round % 2 {
+                            ctx.set(sv, 0, round);
+                        }
+                        ctx.barrier();
+                    }
+                },
+            )
+        };
+        let (r, log, violations) =
+            traced_run_with(16, ClusterConfig::default(), AuditMode::SwMr, app);
+        assert!(log.dropped > 0, "a 16-event ring must overwrite");
+        assert!(violations.is_empty(), "a log with gaps is not replayed");
+        assert!(
+            !audit(&log.events, AuditMode::SwMr).is_empty(),
+            "what is left of the log would read as violations"
+        );
+        let mut g = Gate::new();
+        g.clean(&r, "tiny");
+        g.audit("tiny", &log, &violations);
+        assert_eq!(
+            g.failures(),
+            [format!(
+                "  tiny: incomplete: {} events dropped (raise TRACE_RING_CAPACITY)",
+                log.dropped
+            )]
+        );
+        // The same run at the repro capacity is complete and clean.
+        let (_, log, violations) = traced_run(ClusterConfig::default(), AuditMode::SwMr, app);
+        assert_eq!((log.dropped, violations.len()), (0, 0));
     }
 
     #[test]

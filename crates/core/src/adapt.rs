@@ -922,6 +922,7 @@ mod props {
 
         /// Random adaptation sequences, with allocations between the
         /// actions, round-trip the MPT under all three home policies.
+        #[test]
         fn split_merge_migrate_sequences_round_trip_geometry(
             ops in collection::vec((0usize..4, 0usize..64, 0usize..4096), 1..12),
         ) {

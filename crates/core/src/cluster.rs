@@ -517,7 +517,6 @@ where
                     probe,
                     fault_hist: LogHistogram::new(),
                     sched,
-                    tlb: sim_mem::AccessTlb::new(),
                 };
                 // Catch the unwind here so a failed thread can cancel its
                 // siblings' pending waits: a sibling parked on a waiter

@@ -260,6 +260,7 @@ mod tests {
 
         /// `waiting()` is the sum of the queue lengths after every step of
         /// a random mix of window opens, closes and forgotten entries.
+        #[test]
         fn waiting_is_the_sum_of_the_queues(
             ops in proptest::collection::vec((0usize..4, 0usize..4), 1..200),
         ) {

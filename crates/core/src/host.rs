@@ -21,7 +21,7 @@ use sim_core::sched::{BlockOutcome, SchedThread};
 use sim_core::trace::{TraceKind, NO_MP};
 use sim_core::IntMap;
 use sim_core::{Category, CostModel, HostId, LogHistogram, TimeBreakdown};
-use sim_mem::{Access, AccessError, AccessTlb, AddressSpace, Fault, Prot, VAddr};
+use sim_mem::{Access, AccessError, AddressSpace, Fault, Prot, VAddr};
 use sim_net::Network;
 use std::cell::{Cell, RefCell};
 use std::ops::Range;
@@ -252,14 +252,6 @@ pub struct HostCtx {
     pub(crate) fault_hist: LogHistogram,
     /// This thread's handle into the deterministic scheduler.
     pub(crate) sched: SchedThread,
-    /// Per-thread software TLB over the host's address space: caches the
-    /// last few `(vpage → protection, page)` resolutions so the
-    /// non-faulting common case skips the address decode and protection
-    /// load. Entries are validated against the space's protection
-    /// generation before each copy, so the cache changes wall-clock cost
-    /// only — never which accesses fault (see `sim_mem::AddressSpace`'s
-    /// docs).
-    pub(crate) tlb: AccessTlb,
 }
 
 impl HostCtx {
@@ -419,8 +411,8 @@ impl HostCtx {
 
     /// Sends `msg` from this thread and yields: the message is on the wire;
     /// give the schedule a chance to run its receiver before this thread
-    /// proceeds. Out of line because `flush_acks` is on the access fast
-    /// path: inlined into it, this cost `lu1_seq` 8% of its wall.
+    /// proceeds. Out of line because `flush_acks` is on the access path:
+    /// inlined into it, this cost `lu1_seq` 8% of its wall.
     #[inline(never)]
     fn send(&mut self, dest: HostId, msg: Pmsg, payload: usize) {
         self.transmit(dest, msg, payload);
@@ -575,64 +567,44 @@ impl HostCtx {
     /// multi-minipage ranges live (per-page atomicity, as on real
     /// hardware).
     fn read_bytes_at(&mut self, addr: VAddr, buf: &mut [u8]) {
-        // TLB fast path: the whole access inside one cached, readable
-        // vpage — no address decode, no fault-retry machinery.
-        if let Some(e) = self.tlb.lookup(addr, buf.len(), Access::Read) {
-            if self.state.space.tlb_read(&e, addr, buf) {
-                self.account_access(buf.len());
-                return;
-            }
-            self.tlb.evict(e.vpage());
-        }
-        let page = self.state.space.geometry().page_size();
-        let remap = self.state.home.reshaped();
-        let mut off = 0usize;
-        while off < buf.len() {
-            let mut seg_addr = addr.add(off);
-            let into_page = (seg_addr.0 % page as u64) as usize;
-            let mut take = (page - into_page).min(buf.len() - off);
-            if remap {
-                if let Some((a, cap)) = self.remap_segment(seg_addr) {
-                    seg_addr = a;
-                    take = take.min(cap);
-                }
-            }
-            let dst = &mut buf[off..off + take];
-            self.checked(seg_addr, take, Access::Read, |space| {
-                space.read(seg_addr, dst)
-            });
-            self.tlb_refill(seg_addr);
-            off += take;
-        }
+        self.page_walk(addr, buf.len(), Access::Read, |space, seg, r| {
+            space.read(seg, &mut buf[r])
+        });
     }
 
     /// Segmented write; see [`read_bytes_at`](Self::read_bytes_at).
     fn write_bytes_at(&mut self, addr: VAddr, data: &[u8]) {
-        if let Some(e) = self.tlb.lookup(addr, data.len(), Access::Write) {
-            if self.state.space.tlb_write(&e, addr, data) {
-                self.account_access(data.len());
-                return;
-            }
-            self.tlb.evict(e.vpage());
-        }
+        self.page_walk(addr, data.len(), Access::Write, |space, seg, r| {
+            space.write(seg, &data[r])
+        });
+    }
+
+    /// The one shared-access path: splits `[addr, addr+len)` at page (and,
+    /// after a reshape, minipage) boundaries and runs `copy` on each
+    /// segment — its address and its part of the caller's bytes — through
+    /// the fault-retry loop.
+    fn page_walk(
+        &mut self,
+        addr: VAddr,
+        len: usize,
+        access: Access,
+        mut copy: impl FnMut(&AddressSpace, VAddr, Range<usize>) -> Result<(), AccessError>,
+    ) {
         let page = self.state.space.geometry().page_size();
         let remap = self.state.home.reshaped();
         let mut off = 0usize;
-        while off < data.len() {
-            let mut seg_addr = addr.add(off);
-            let into_page = (seg_addr.0 % page as u64) as usize;
-            let mut take = (page - into_page).min(data.len() - off);
+        while off < len {
+            let mut seg = addr.add(off);
+            let into_page = (seg.0 % page as u64) as usize;
+            let mut take = (page - into_page).min(len - off);
             if remap {
-                if let Some((a, cap)) = self.remap_segment(seg_addr) {
-                    seg_addr = a;
+                if let Some((a, cap)) = self.remap_segment(seg) {
+                    seg = a;
                     take = take.min(cap);
                 }
             }
-            let src = &data[off..off + take];
-            self.checked(seg_addr, take, Access::Write, |space| {
-                space.write(seg_addr, src)
-            });
-            self.tlb_refill(seg_addr);
+            let r = off..off + take;
+            self.checked(seg, take, access, |space| copy(space, seg, r.clone()));
             off += take;
         }
     }
@@ -652,14 +624,6 @@ impl HostCtx {
         let byte = loc.page * geo.page_size() + loc.offset;
         let into = byte - mp.phys_range(geo.page_size()).start;
         Some((mp.base.add(into), mp.len - into))
-    }
-
-    /// Caches the vpage resolution of a segment that just completed on
-    /// the slow path, so the next access to it takes the fast path.
-    fn tlb_refill(&mut self, addr: VAddr) {
-        if let Some(e) = self.state.space.tlb_fill(addr) {
-            self.tlb.insert(e);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -859,8 +823,8 @@ impl HostCtx {
     // ------------------------------------------------------------------
 
     /// Runs `attempt` against the address space, resolving faults through
-    /// the DSM protocol until it succeeds; then flushes pending acks and
-    /// charges the local access cost.
+    /// the DSM protocol until it succeeds; then charges the local access
+    /// cost and flushes pending acks.
     fn checked<R>(
         &mut self,
         addr: VAddr,
@@ -872,7 +836,12 @@ impl HostCtx {
         loop {
             match attempt(&self.state.space) {
                 Ok(r) => {
-                    self.account_access(len);
+                    let cost = self.state.cost.copy_time(len);
+                    let t0 = self.clock.now();
+                    self.clock.advance(cost);
+                    self.breakdown.charge(Category::Comp, cost);
+                    self.state.busy.record(t0, self.clock.now());
+                    self.flush_acks();
                     return r;
                 }
                 Err(AccessError::Fault(f)) => {
@@ -886,18 +855,6 @@ impl HostCtx {
                 }
             }
         }
-    }
-
-    /// The virtual-time charge of one completed shared access — identical
-    /// whether the copy went through the TLB fast path or the checked
-    /// slow path, which is what keeps the TLB invisible to virtual time.
-    fn account_access(&mut self, len: usize) {
-        let cost = self.state.cost.copy_time(len);
-        let t0 = self.clock.now();
-        self.clock.advance(cost);
-        self.breakdown.charge(Category::Comp, cost);
-        self.state.busy.record(t0, self.clock.now());
-        self.flush_acks();
     }
 
     /// Figure 3 "On Read or Write Fault".

@@ -1,7 +1,7 @@
-//! The software TLB against the coherence protocol: a protection change
-//! made by the protocol (invalidation, downgrade) must defeat cached
-//! entries — a stale hit would return old data or allow a write the
-//! protocol revoked.
+//! The access path against the coherence protocol: two protocol
+//! properties that hold whatever the access path caches. No read after
+//! an invalidation returns the old data, and no write after a downgrade
+//! lands without a fresh write fault (a write the protocol revoked).
 
 use millipage::{run, ClusterConfig, Consistency};
 
@@ -15,7 +15,7 @@ fn cfg(hosts: usize, consistency: Consistency) -> ClusterConfig {
 
 /// Two hosts alternate writes to the same element with barriers between.
 /// Each write invalidates the peer's copy; every read afterwards must see
-/// the latest value, never a stale TLB hit of the pre-invalidation copy.
+/// the latest value, never the pre-invalidation copy.
 #[test]
 fn alternating_writers_never_read_stale_data() {
     let report = run(
@@ -26,7 +26,7 @@ fn alternating_writers_never_read_stale_data() {
             for round in 1..=20u64 {
                 let writer = round % 2;
                 if me == writer {
-                    // Repeated accesses within the round make the TLB hot.
+                    // Repeated accesses within the round to the same page.
                     for i in 0..8 {
                         ctx.set(sv, i, round * 100 + i as u64);
                     }
@@ -90,7 +90,7 @@ fn alternating_writers_never_read_stale_data_hlrc() {
 }
 
 /// A downgraded writer (peer read forced ReadOnly) must fault on its next
-/// write instead of writing through a stale ReadWrite TLB entry — that
+/// write instead of writing through its old ReadWrite access — that
 /// write-through would bypass the single-writer protocol entirely.
 #[test]
 fn downgraded_writer_refaults_instead_of_writing_through() {
@@ -100,12 +100,12 @@ fn downgraded_writer_refaults_instead_of_writing_through() {
         |ctx, sv| {
             let me = ctx.host().0;
             if me == 0 {
-                ctx.set(sv, 0, 1); // own it writable, TLB hot
+                ctx.set(sv, 0, 1); // own it writable
                 ctx.barrier();
                 // Host 1 reads between these two barriers; that read
                 // downgraded our copy to ReadOnly. The next write must
                 // take a fresh write fault (ownership round trip), not
-                // hit the cached ReadWrite entry.
+                // write through the old ReadWrite protection.
                 ctx.barrier();
                 ctx.set(sv, 0, 2);
                 ctx.barrier();
@@ -125,9 +125,9 @@ fn downgraded_writer_refaults_instead_of_writing_through() {
     );
     // Host 0 allocated the vector so its first write hits an already
     // writable copy (no fault). The second write lands after host 1's
-    // read downgraded the copy, so it must fault — if the stale
-    // ReadWrite TLB entry had written through, no write fault at all
-    // would be recorded.
+    // read downgraded the copy, so it must fault — had it written
+    // through the old ReadWrite protection, no write fault at all would
+    // be recorded.
     assert!(
         report.per_host[0].write_faults >= 1,
         "downgrade did not force a refault: {} write faults",

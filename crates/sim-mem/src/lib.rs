@@ -37,4 +37,4 @@ mod space;
 // keep one import path.
 pub use fault::MemError;
 pub use sim_core::{Access, Fault, Geometry, Loc, Prot, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE};
-pub use space::{AccessError, AccessTlb, AddressSpace, TlbEntry};
+pub use space::{AccessError, AddressSpace};

@@ -51,36 +51,17 @@ impl std::error::Error for AccessError {}
 ///
 /// A simulated run is fibers on one OS thread, so a space is used by one
 /// thread and takes no lock: page storage is a `RefCell` per page,
-/// protections and the generation are `Cell`s, chunks are `OnceCell`s,
-/// and the type is not `Sync`. Two facts make that enough. An application copy never spans a
-/// yield point: it decodes, checks the vpage protection and moves bytes
-/// without calling the scheduler, and each page's borrow ends before the
-/// copy returns. Server turns — the only code that changes protections
+/// protections are `Cell`s, chunks are `OnceCell`s, and the type is
+/// not `Sync`. Two facts make that enough. An application copy never
+/// spans a yield point: it decodes, checks the vpage protection and
+/// moves bytes without calling the scheduler, and each page's borrow
+/// ends before the copy returns. Server turns — the only code that changes protections
 /// under a running application — run between yields. So an invalidation
 /// never lands inside an in-flight copy: either the copy completes first
 /// (and serializes before the remote write, which is legal under
 /// sequential consistency because the writer is still blocked waiting for
 /// the invalidation ack) or the protection change lands first and the
 /// access faults.
-///
-/// # The software TLB
-///
-/// The non-faulting common case is the one MultiView's protection trick is
-/// supposed to make near-free, so threads may cache `(vpage → protection,
-/// page)` resolutions in a per-thread [`AccessTlb`] and take the
-/// [`tlb_read`](AddressSpace::tlb_read) / [`tlb_write`](AddressSpace::tlb_write)
-/// fast path, which skips the address decode and the protection load.
-/// Safety rests on a single generation counter: every protection change
-/// ([`set_prot`](AddressSpace::set_prot),
-/// [`snapshot_and_protect`](AddressSpace::snapshot_and_protect)) bumps
-/// the space's `prot_gen` field, and the fast path compares the cached
-/// generation before touching bytes. A server turn between two accesses
-/// may change protections, so the check stays: a matching generation
-/// proves no protection anywhere changed since the entry was filled, so
-/// the cached protection is still exact; a mismatch falls back to the
-/// slow path (at worst a spurious miss for an unrelated vpage's change).
-/// The TLB therefore changes wall-clock cost only — never which accesses
-/// fault.
 pub struct AddressSpace {
     geo: Geometry,
     /// The privileged view's first vpage; every vpage below it is an
@@ -92,8 +73,6 @@ pub struct AddressSpace {
     /// Page storage, `PAGE_CHUNK` slots to a chunk; an absent chunk or an
     /// empty slot is an unbacked (all-zero) page.
     pages: Box<[OnceCell<Box<PageChunk>>]>,
-    /// Bumped by every protection change; validates [`TlbEntry`]s.
-    prot_gen: Cell<u64>,
     /// Where [`snapshot_and_protect`](AddressSpace::snapshot_and_protect)
     /// gathers a range that is not one backed page's bytes.
     gathered: RefCell<Vec<u8>>,
@@ -112,89 +91,6 @@ fn absent<T>(n: usize, per: usize) -> Box<[OnceCell<T>]> {
     (0..n.div_ceil(per)).map(|_| OnceCell::new()).collect()
 }
 
-/// One cached vpage resolution: the fields a checked access needs, minus
-/// anything that requires a decode or a protection load.
-#[derive(Clone, Copy, Debug)]
-pub struct TlbEntry {
-    /// The space's `prot_gen` at fill time.
-    gen: u64,
-    /// Global vpage index (identifies the entry for eviction).
-    vpage: usize,
-    /// Physical page index (the storage to use).
-    page: usize,
-    /// First address of the vpage.
-    base: u64,
-    /// One past the last address of the vpage.
-    limit: u64,
-    /// Protection at fill time (exact while `gen` is current).
-    prot: Prot,
-}
-
-/// A tiny per-thread cache of [`TlbEntry`]s (fully associative, round
-/// robin replacement — big enough for a stencil's neighbor rows, small
-/// enough to probe in a few compares).
-#[derive(Debug, Default)]
-pub struct AccessTlb {
-    entries: [Option<TlbEntry>; 4],
-    victim: usize,
-}
-
-impl AccessTlb {
-    /// An empty TLB.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A cached entry whose vpage covers `[addr, addr+len)` with a
-    /// protection allowing `access`. The returned entry must still be
-    /// generation-validated by
-    /// [`AddressSpace::tlb_read`] / [`AddressSpace::tlb_write`].
-    #[inline]
-    pub fn lookup(&self, addr: VAddr, len: usize, access: Access) -> Option<TlbEntry> {
-        self.entries
-            .iter()
-            .flatten()
-            .copied()
-            .find(|e| addr.0 >= e.base && addr.0 + len as u64 <= e.limit && e.prot.allows(access))
-    }
-
-    /// Caches `e`, replacing any entry for the same vpage, else a round
-    /// robin victim.
-    pub fn insert(&mut self, e: TlbEntry) {
-        let slot = self
-            .entries
-            .iter()
-            .position(|s| s.is_some_and(|s| s.vpage == e.vpage))
-            .unwrap_or_else(|| {
-                let v = self.victim;
-                self.victim = (v + 1) % self.entries.len();
-                v
-            });
-        self.entries[slot] = Some(e);
-    }
-
-    /// Drops the entry for `vpage` (after a failed generation check).
-    pub fn evict(&mut self, vpage: usize) {
-        for s in self.entries.iter_mut() {
-            if s.is_some_and(|e| e.vpage == vpage) {
-                *s = None;
-            }
-        }
-    }
-
-    /// Drops everything.
-    pub fn clear(&mut self) {
-        self.entries = [None; 4];
-    }
-}
-
-impl TlbEntry {
-    /// The global vpage this entry resolves (for [`AccessTlb::evict`]).
-    pub fn vpage(&self) -> usize {
-        self.vpage
-    }
-}
-
 impl AddressSpace {
     /// Creates an address space: all application vpages `NoAccess`, the
     /// privileged view `ReadWrite`, all pages zero and unbacked. Only the
@@ -206,7 +102,6 @@ impl AddressSpace {
             pages: absent(geo.pages(), PAGE_CHUNK),
             priv_start,
             geo,
-            prot_gen: Cell::new(0),
             gathered: RefCell::default(),
         }
     }
@@ -316,8 +211,7 @@ impl AddressSpace {
             .get_or_init(|| Box::new([const { Cell::new(Prot::NoAccess) }; PROT_CHUNK]))
     }
 
-    /// Sets the protection of a global vpage and invalidates every cached
-    /// [`TlbEntry`].
+    /// Sets the protection of a global vpage.
     ///
     /// Returns [`MemError::PrivilegedViewProtection`] for privileged vpages,
     /// whose protection is fixed (§2.3.1).
@@ -334,64 +228,7 @@ impl AddressSpace {
             });
         }
         self.put_prot(vpage, prot);
-        self.bump_gen();
         Ok(())
-    }
-
-    #[inline]
-    fn bump_gen(&self) {
-        self.prot_gen.set(self.prot_gen.get() + 1);
-    }
-
-    /// Resolves `addr`'s vpage into a cacheable [`TlbEntry`] (page index,
-    /// vpage bounds, current protection, current generation). Returns
-    /// `None` outside the shared region or for the privileged view, which
-    /// bypasses protections and stays on the slow path.
-    pub fn tlb_fill(&self, addr: VAddr) -> Option<TlbEntry> {
-        let (loc, vpages) = self.geo.vpages_covering(addr, 1)?;
-        if loc.view == self.geo.priv_view() {
-            return None;
-        }
-        let vpage = vpages.start;
-        let base = addr.0 - loc.offset as u64;
-        Some(TlbEntry {
-            gen: self.prot_gen.get(),
-            vpage,
-            page: loc.page,
-            base,
-            limit: base + self.geo.page_size() as u64,
-            prot: self.app_prot(vpage),
-        })
-    }
-
-    /// Fast-path read through a cached [`TlbEntry`]: no address decode,
-    /// no protection load — one generation compare, one copy. Returns
-    /// `false` (without touching `buf`) if any protection changed since
-    /// the entry was filled; the caller falls back to the checked slow
-    /// path.
-    ///
-    /// The caller must have matched `addr`/`buf.len()` against the entry
-    /// via [`AccessTlb::lookup`], which also checked the cached
-    /// protection allows reads.
-    #[inline]
-    pub fn tlb_read(&self, e: &TlbEntry, addr: VAddr, buf: &mut [u8]) -> bool {
-        if self.prot_gen.get() != e.gen {
-            return false;
-        }
-        self.copy_out(e.page, (addr.0 - e.base) as usize, buf);
-        true
-    }
-
-    /// Fast-path write through a cached [`TlbEntry`]; see
-    /// [`tlb_read`](AddressSpace::tlb_read).
-    #[inline]
-    pub fn tlb_write(&self, e: &TlbEntry, addr: VAddr, data: &[u8]) -> bool {
-        if self.prot_gen.get() != e.gen {
-            return false;
-        }
-        let off = (addr.0 - e.base) as usize;
-        self.page_mut(e.page)[off..off + data.len()].copy_from_slice(data);
-        true
     }
 
     /// Checks whether `[addr, addr+len)` is accessible for `access`
@@ -519,7 +356,6 @@ impl AddressSpace {
         for s in segs {
             self.put_prot(s.vpage, prot);
         }
-        self.bump_gen();
         if off + len <= self.geo.page_size() {
             let page = self.slot(first).map(RefCell::borrow);
             if let Some(bytes) = page.as_deref().filter(|b| !b.is_empty()) {
@@ -820,106 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn tlb_fast_path_reads_and_writes() {
-        let s = space();
-        let g = s.geometry().clone();
-        let vp = g.vpage_index(0, 1);
-        s.set_prot(vp, Prot::ReadWrite).unwrap();
-        let a = g.addr_of(0, 1, 100);
-        let mut tlb = AccessTlb::new();
-        assert!(tlb.lookup(a, 4, Access::Read).is_none());
-        let e = s.tlb_fill(a).unwrap();
-        assert_eq!(e.vpage(), vp);
-        tlb.insert(e);
-        let e = tlb.lookup(a, 4, Access::Write).expect("cached entry");
-        assert!(s.tlb_write(&e, a, &[1, 2, 3, 4]));
-        let mut buf = [0u8; 4];
-        let e = tlb.lookup(a, 4, Access::Read).expect("cached entry");
-        assert!(s.tlb_read(&e, a, &mut buf));
-        assert_eq!(buf, [1, 2, 3, 4]);
-        // An access past the vpage, or without the needed protection,
-        // never matches the cache.
-        assert!(tlb.lookup(g.addr_of(0, 2, 0), 4, Access::Read).is_none());
-        s.set_prot(vp, Prot::ReadOnly).unwrap();
-        let e = s.tlb_fill(a).unwrap();
-        tlb.insert(e);
-        assert!(tlb.lookup(a, 4, Access::Write).is_none());
-        assert!(tlb.lookup(a, 4, Access::Read).is_some());
-    }
-
-    #[test]
-    fn tlb_entry_is_invalidated_by_protection_change() {
-        // write → invalidate → read must fault (miss), not hit the stale
-        // cached entry: the generation bumped by set_prot defeats the
-        // cached ReadWrite resolution.
-        let s = space();
-        let g = s.geometry().clone();
-        let vp = g.vpage_index(0, 1);
-        s.set_prot(vp, Prot::ReadWrite).unwrap();
-        let a = g.addr_of(0, 1, 0);
-        let mut tlb = AccessTlb::new();
-        tlb.insert(s.tlb_fill(a).unwrap());
-        let e = tlb.lookup(a, 8, Access::Write).expect("cached entry");
-        assert!(s.tlb_write(&e, a, &[9u8; 8]));
-        // The invalidation (e.g. a remote writer taking ownership).
-        s.set_prot(vp, Prot::NoAccess).unwrap();
-        // The stale entry still matches the lookup — but the generation
-        // check rejects it...
-        let stale = tlb.lookup(a, 8, Access::Read).expect("stale entry");
-        let mut buf = [0u8; 8];
-        assert!(!s.tlb_read(&stale, a, &mut buf));
-        tlb.evict(stale.vpage());
-        assert!(tlb.lookup(a, 8, Access::Read).is_none());
-        // ...and the slow path faults, exactly as without a TLB.
-        assert!(matches!(s.read(a, &mut buf), Err(AccessError::Fault(_))));
-        // A refill after a re-grant works again.
-        s.set_prot(vp, Prot::ReadOnly).unwrap();
-        tlb.insert(s.tlb_fill(a).unwrap());
-        let e = tlb.lookup(a, 8, Access::Read).expect("refilled");
-        assert!(s.tlb_read(&e, a, &mut buf));
-        assert_eq!(buf, [9u8; 8]);
-    }
-
-    #[test]
-    fn tlb_is_invalidated_by_snapshot_and_protect() {
-        let s = space();
-        let g = s.geometry().clone();
-        let vp = g.vpage_index(0, 1);
-        s.set_prot(vp, Prot::ReadWrite).unwrap();
-        let a = g.addr_of(0, 1, 0);
-        let mut tlb = AccessTlb::new();
-        tlb.insert(s.tlb_fill(a).unwrap());
-        s.snapshot_and_protect(a, 16, Prot::ReadOnly, |_| ())
-            .unwrap();
-        let stale = tlb.lookup(a, 8, Access::Write).expect("stale entry");
-        assert!(!s.tlb_write(&stale, a, &[1u8; 8]));
-    }
-
-    #[test]
-    fn tlb_replacement_keeps_recent_entries() {
-        let s = space();
-        let g = s.geometry().clone();
-        let mut tlb = AccessTlb::new();
-        for page in 0..4 {
-            s.set_prot(g.vpage_index(0, page), Prot::ReadWrite).unwrap();
-            tlb.insert(s.tlb_fill(g.addr_of(0, page, 0)).unwrap());
-        }
-        // All four resident; a fifth (same vpage refreshed) replaces in
-        // place, not a victim.
-        for page in 0..4 {
-            assert!(
-                tlb.lookup(g.addr_of(0, page, 10), 1, Access::Read)
-                    .is_some(),
-                "page {page} evicted prematurely"
-            );
-        }
-        tlb.insert(s.tlb_fill(g.addr_of(0, 2, 0)).unwrap());
-        assert!(tlb.lookup(g.addr_of(0, 0, 0), 1, Access::Read).is_some());
-        tlb.clear();
-        assert!(tlb.lookup(g.addr_of(0, 0, 0), 1, Access::Read).is_none());
-    }
-
-    #[test]
     fn fresh_space_reads_zeros_and_stays_unbacked() {
         let s = space();
         let g = s.geometry().clone();
@@ -934,10 +670,6 @@ mod tests {
         let mut wide = [0xffu8; 64];
         s.read(g.addr_of(0, 0, 4080), &mut wide).unwrap();
         assert_eq!(wide, [0u8; 64]);
-        let e = s.tlb_fill(a).unwrap();
-        let mut buf = [0xffu8; 16];
-        assert!(s.tlb_read(&e, a, &mut buf));
-        assert_eq!(buf, [0u8; 16]);
         assert_eq!(
             s.priv_read(g.to_priv(a).unwrap(), 5000).unwrap(),
             vec![0u8; 5000]
@@ -954,12 +686,8 @@ mod tests {
     #[test]
     fn first_write_backs_exactly_its_page() {
         type WritePath = fn(&AddressSpace, VAddr);
-        let paths: [(&str, WritePath); 3] = [
+        let paths: [(&str, WritePath); 2] = [
             ("write", |s, a| s.write(a, &[7; 8]).unwrap()),
-            ("tlb_write", |s, a| {
-                let e = s.tlb_fill(a).unwrap();
-                assert!(s.tlb_write(&e, a, &[7; 8]));
-            }),
             ("priv_write", |s, a| {
                 let p = s.geometry().to_priv(a).unwrap();
                 s.priv_write(p, &[7; 8]).unwrap()

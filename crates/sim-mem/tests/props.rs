@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use sim_mem::{
-    Access, AccessError, AccessTlb, AddressSpace, Fault, Geometry, MemError, Prot, VAddr,
-    DEFAULT_BASE,
+    Access, AccessError, AddressSpace, Fault, Geometry, MemError, Prot, VAddr, DEFAULT_BASE,
 };
 
 fn space(pages: usize, views: usize) -> AddressSpace {
@@ -123,14 +122,12 @@ fn model_geometry() -> Geometry {
 }
 
 /// A dense model of an address space: every byte, every application
-/// vpage's protection and every page's backed flag in a plain `Vec`, and
-/// the count of protection changes the TLB's generation stands for.
+/// vpage's protection and every page's backed flag in a plain `Vec`.
 struct Model {
     geo: Geometry,
     bytes: Vec<u8>,
     prots: Vec<Prot>,
     backed: Vec<bool>,
-    changes: u64,
 }
 
 impl Model {
@@ -139,7 +136,6 @@ impl Model {
             bytes: vec![0; geo.pages() * geo.page_size()],
             prots: vec![Prot::NoAccess; geo.views() * geo.pages()],
             backed: vec![false; geo.pages()],
-            changes: 0,
             geo,
         }
     }
@@ -159,7 +155,6 @@ impl Model {
             return Err(MemError::PrivilegedViewProtection { vpage });
         }
         self.prots[vpage] = prot;
-        self.changes += 1;
         Ok(())
     }
 
@@ -223,7 +218,7 @@ impl Model {
 
 /// What one generated operation's numbers pick: a view (the privileged
 /// one included), a page and an offset in it. Half the picks land on six
-/// vpages, so TLB entries meet the protection changes that stale them.
+/// vpages, so accesses meet the protection changes that close them.
 fn place(geo: &Geometry, view: usize, page: usize, off: usize) -> (usize, usize, usize) {
     let off = off % geo.page_size();
     match view & 1 {
@@ -238,23 +233,18 @@ proptest! {
     /// The sparse space against the dense model, over random sequences
     /// of every operation: protection changes (in range, privileged and
     /// past the end), checked reads and writes, privileged reads and
-    /// patches, snapshots, and TLB fills, hits and misses. Bytes,
-    /// protections, faults, errors and the backed-page count must agree
-    /// after every step, and a TLB hit must only ever be an access the
-    /// slow path would allow.
+    /// patches, and snapshots. Bytes, protections, faults, errors and the
+    /// backed-page count must agree after every step.
     #[test]
     fn the_sparse_space_matches_a_dense_model(
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16),
+            (0u8..6, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16),
             1..120,
         ),
     ) {
         let geo = model_geometry();
         let s = AddressSpace::new(geo.clone());
         let mut m = Model::new(geo.clone());
-        let mut tlb = AccessTlb::new();
-        // The model's change count when each vpage's TLB entry was filled.
-        let mut filled = vec![u64::MAX; geo.total_vpages()];
         let ps = geo.page_size();
         for (op, a, b, c, d) in ops {
             let prot = Prot::from_u8((d % 3) as u8).expect("0..3");
@@ -310,7 +300,7 @@ proptest! {
                     });
                     prop_assert_eq!(got, want);
                 }
-                5 => {
+                _ => {
                     let got = s.snapshot_and_protect(addr, len, prot, <[u8]>::to_vec);
                     let want = m.pages(addr, page, off, len).and_then(|pages| {
                         let first = geo.vpage_index(view, page);
@@ -320,58 +310,10 @@ proptest! {
                         for p in pages {
                             m.set_prot(geo.vpage_index(view, p), prot).expect("application vpage");
                         }
-                        // One generation bump for the whole range.
-                        m.changes -= (len + off - 1) as u64 / ps as u64;
                         let start = page * ps + off;
                         Ok(m.bytes[start..start + len].to_vec())
                     });
                     prop_assert_eq!(got, want);
-                }
-                _ => {
-                    // A short access through the TLB, as a host makes it:
-                    // lookup, fast path, else evict and take the slow path,
-                    // then cache the vpage after a slow access that passed.
-                    let write = op == 7;
-                    let len = 1 + d % 16;
-                    let data = &data[..len];
-                    let access = if write { Access::Write } else { Access::Read };
-                    if view == geo.priv_view() {
-                        prop_assert!(s.tlb_fill(addr).is_none());
-                    }
-                    if let Some(e) = tlb.lookup(addr, len, access) {
-                        let mut buf = vec![0xee; len];
-                        let hit = if write {
-                            s.tlb_write(&e, addr, data)
-                        } else {
-                            s.tlb_read(&e, addr, &mut buf)
-                        };
-                        prop_assert_eq!(hit, filled[e.vpage()] == m.changes);
-                        if hit {
-                            prop_assert!(m.prot(e.vpage()).allows(access));
-                            let want = m.access((view, page, off), len, write.then_some(data));
-                            prop_assert!(want.is_ok());
-                            if !write {
-                                prop_assert_eq!(Ok(buf), want);
-                            }
-                            continue;
-                        }
-                        tlb.evict(e.vpage());
-                    }
-                    let want = m.access((view, page, off), len, write.then_some(data));
-                    let got = if write {
-                        s.write(addr, data).map(|()| want.clone().unwrap_or_default())
-                    } else {
-                        let mut buf = vec![0xee; len];
-                        s.read(addr, &mut buf).map(|()| buf)
-                    };
-                    prop_assert_eq!(&got, &want);
-                    if got.is_ok() {
-                        if let Some(e) = s.tlb_fill(addr) {
-                            prop_assert_eq!(e.vpage(), geo.vpage_index(view, page));
-                            filled[e.vpage()] = m.changes;
-                            tlb.insert(e);
-                        }
-                    }
                 }
             }
             for vpage in 0..geo.total_vpages() {
