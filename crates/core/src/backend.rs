@@ -8,23 +8,20 @@
 //!   through the privileged view. The simulator implements it with
 //!   [`sim_mem::AddressSpace`]; the Linux host backend implements it with
 //!   `hostmv::MultiViewRegion` (real `mmap`/`mprotect`).
-//! * [`Transport`] — typed message send with delivery accounting. The
-//!   simulator implements it with [`sim_net::Endpoint`] (virtual-time
-//!   arrival stamps, fault plane, retransmission); the host backend with
-//!   one in-process inbox ring (a futex doorbell, no socket) that a single
-//!   OS thread serves for every host.
+//! * [`Transport`] — typed message send with delivery accounting, and
+//!   the clock its sends are stamped with. The simulator implements it
+//!   with [`SimWire`]: a [`sim_net::Endpoint`] (virtual-time arrival
+//!   stamps, fault plane, retransmission) and the [`ServerTimeline`] that
+//!   charges handler work in virtual nanoseconds from the cost model. The
+//!   host backend implements it with one in-process inbox ring (a futex
+//!   doorbell, no socket) that a single OS thread serves for every host;
+//!   its clock is the wall time the server read when the message in hand
+//!   arrived, and a charge is a no-op (real work takes real time).
 //!
-//! Two companions complete the pair:
-//!
-//! * [`ProtoClock`] — how handler work is accounted. The sim's
-//!   [`ServerTimeline`] charges virtual nanoseconds from the cost model;
-//!   the host backend reads a wall clock and charges nothing (real time
-//!   passes by itself).
-//! * [`LocalWake`] — how the server releases the local application thread
-//!   blocked on an event: a waiter map in the sim, a futex word per
-//!   application thread on the host backend. It is the only thing the
-//!   server engine ([`server::dispatch`](crate::server)) does differently
-//!   per substrate.
+//! One companion completes the pair: [`LocalWake`], how the server
+//! releases the local application thread blocked on an event — a waiter
+//! map in the sim, a futex word per application thread on the host
+//! backend.
 //!
 //! A manager shard reaches *every* host's memory (fresh minipages are
 //! initialized directly at their home host before any application can
@@ -134,77 +131,67 @@ impl MemoryBackend for AddressSpace {
     }
 }
 
-/// Typed message send with delivery accounting.
+/// Typed message send with delivery accounting, on the host's service
+/// timeline.
 ///
 /// Contract: `send` either hands the message to a reliable channel and
 /// returns its (virtual or wall) arrival stamp, or surfaces the loss as a
-/// typed [`ProtocolError::Timeout`] tagged `what`. Ordering is FIFO per
-/// (sender, destination) pair — the protocol's correctness arguments
-/// (eviction diffs before invalidate confirmations, HLRC fire-and-forget
-/// to the centralized manager) rely on it.
+/// typed [`ProtocolError::Timeout`] tagged `what`. It stamps the message
+/// with [`now`](Transport::now). Ordering is FIFO per (sender,
+/// destination) pair — the protocol's correctness arguments (eviction
+/// diffs before invalidate confirmations, HLRC fire-and-forget to the
+/// centralized manager) rely on it.
 pub trait Transport {
-    /// The host this endpoint belongs to.
-    fn me(&self) -> HostId;
-    /// Sends `msg` (accounting `payload` data bytes) at time `now`.
-    fn send(
-        &self,
-        to: HostId,
-        msg: Pmsg,
-        payload: usize,
-        now: Ns,
-        what: &'static str,
-    ) -> Result<Ns, ProtocolError>;
-}
-
-impl Transport for Endpoint<Pmsg> {
-    fn me(&self) -> HostId {
-        self.host()
-    }
-
-    fn send(
-        &self,
-        to: HostId,
-        msg: Pmsg,
-        payload: usize,
-        now: Ns,
-        what: &'static str,
-    ) -> Result<Ns, ProtocolError> {
-        // An exhausted retransmit budget surfaces as a typed timeout.
-        let event = msg.event;
-        let receipt = self.send_receipt(to, msg, payload, now);
-        if receipt.delivered {
-            Ok(receipt.arrival)
-        } else {
-            Err(ProtocolError::Timeout {
-                host: self.host(),
-                what,
-                event,
-            })
-        }
-    }
-}
-
-/// How protocol handler work is accounted.
-///
-/// The sim's [`ServerTimeline`] *is* the clock: handlers charge modeled
-/// costs and `now()` stamps every trace event and reply. The host backend
-/// cannot charge anything — real work takes real time — so its clock is
-/// the monotonic wall time its server read when the message arrived, and
-/// `charge` is a no-op.
-pub trait ProtoClock {
     /// Current time on this host's service timeline.
     fn now(&self) -> Ns;
     /// Accounts `dt` of handler work; returns the completion time.
     fn charge(&mut self, dt: Ns) -> Ns;
+    /// Sends `msg` (accounting `payload` data bytes) at time `now()`.
+    fn send(
+        &mut self,
+        to: HostId,
+        msg: Pmsg,
+        payload: usize,
+        what: &'static str,
+    ) -> Result<Ns, ProtocolError>;
 }
 
-impl ProtoClock for ServerTimeline {
+/// The simulator's wire: a host's endpoint and the timeline its server's
+/// handler work is charged to (`now()` stamps every trace event and
+/// reply).
+pub(crate) struct SimWire {
+    pub(crate) ep: Endpoint<Pmsg>,
+    pub(crate) timeline: ServerTimeline,
+}
+
+impl Transport for SimWire {
     fn now(&self) -> Ns {
-        ServerTimeline::now(self)
+        self.timeline.now()
     }
 
     fn charge(&mut self, dt: Ns) -> Ns {
-        ServerTimeline::charge(self, dt)
+        self.timeline.charge(dt)
+    }
+
+    fn send(
+        &mut self,
+        to: HostId,
+        msg: Pmsg,
+        payload: usize,
+        what: &'static str,
+    ) -> Result<Ns, ProtocolError> {
+        // An exhausted retransmit budget surfaces as a typed timeout.
+        let event = msg.event;
+        let receipt = self.ep.send_receipt(to, msg, payload, self.timeline.now());
+        if receipt.delivered {
+            Ok(receipt.arrival)
+        } else {
+            Err(ProtocolError::Timeout {
+                host: self.ep.host(),
+                what,
+                event,
+            })
+        }
     }
 }
 

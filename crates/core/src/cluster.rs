@@ -25,7 +25,7 @@
 //! caller's CPU affinity alone.
 
 use crate::adapt::AdaptReport;
-use crate::backend::MemoryBackend;
+use crate::backend::{MemoryBackend, SimWire};
 use crate::diag::{build_report, DiagReport, DiagTable};
 use crate::error::ProtocolError;
 use crate::hlrc::Consistency;
@@ -336,10 +336,7 @@ where
             .map(|h| {
                 ManagerShard::new(
                     HostId(h as u16),
-                    cfg.hosts,
                     cfg.hosts * cfg.threads_per_host,
-                    cfg.cost.clone(),
-                    cfg.consistency,
                     Rc::clone(&home),
                     Rc::clone(&cluster),
                     states[h].probe(&cfg.tracer, Track::Shard),
@@ -474,7 +471,8 @@ where
         // probe.
         ep.attach_tracer(cfg.tracer.recorder(HostId(h as u16), Track::Server));
         let probe = states[h].probe(&cfg.tracer, Track::Server);
-        let server = Server::new(ep, Rc::clone(&states[h]), timeline, shard, probe);
+        let wire = SimWire { ep, timeline };
+        let server = Server::new(Rc::clone(&states[h]), shard, wire, probe);
         let cell = Rc::new(RefCell::new(Some(server)));
         server_cells.push(Rc::clone(&cell));
         let turn = move || cell.borrow_mut().as_mut().map_or(Turn::Done, Server::turn);

@@ -24,11 +24,11 @@
 //!   with a request queued behind an open window, woken by every push —
 //!   so the window-closing `Ack` wakes the server only when a request
 //!   waits on it; an envelope names its host;
-//! * the server is **the simulator's**: the loop here only pops an
-//!   envelope — or what a server sent itself, which never enters the ring
-//!   — and hands it to `server::dispatch` with the named host's
-//!   `HostState`: the same router, handlers and failure policy, over this
-//!   module's [`MemoryBackend`]/[`Transport`]/[`ProtoClock`]/`LocalWake`
+//! * the server is **the simulator's**: the loop here keeps one
+//!   `server::Server` per host, pops an envelope — or what a server sent
+//!   itself, which never enters the ring — and hands it to the named
+//!   host's server to dispatch: the same router, handlers and failure
+//!   policy, over this module's [`MemoryBackend`]/[`Transport`]/`LocalWake`
 //!   implementations.
 //!
 //! The protocol stack and its post-run coherence, directory and geometry
@@ -55,7 +55,7 @@
 //! SIGSEGV handler, which is what makes `--backend host` reports
 //! comparable with the simulator's fault counts.
 
-use crate::backend::{LocalWake, MemFault, MemoryBackend, ProtoClock, Transport};
+use crate::backend::{LocalWake, MemFault, MemoryBackend, Transport};
 use crate::cluster::{assert_hosts, settle_app_failures, ClusterConfig, SetupCtx, Stack, Verdict};
 use crate::diag::{DiagReport, DiagTable};
 use crate::diff::Diff;
@@ -66,15 +66,16 @@ use crate::host::HostState;
 use crate::manager::ManagerShard;
 use crate::msg::{MsgKind, Pmsg};
 use crate::probe::{Counts, Fact, Probe};
-use crate::server;
+use crate::server::Server;
 use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
 use hostmv::{install_dsm_handler, FaultCounters, MultiViewRegion, Unserved};
 use sim_core::trace::{TraceRecorder, Tracer, Track, NO_MP};
 use sim_core::{Access, Fault, Geometry, HostId, LinkTraffic, Ns, Prot, VAddr};
-use std::cell::{Cell, RefCell, UnsafeCell};
+use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -294,12 +295,19 @@ fn backend_err(host: HostId, what: &'static str) -> ProtocolError {
 /// is the inbox's reader, so it never waits for room: a full ring is a
 /// `Backend` error (`EAGAIN`) that fails the request being served, whose
 /// requester is nacked.
+///
+/// Its clock is the monotonic clock as the server loop read it when the
+/// message in hand arrived (nanoseconds since the loop started — enough
+/// for window bookkeeping and stamps): real work takes real time, so a
+/// charge is a no-op. One read per message: a handler asks for the time
+/// ten to fifteen times.
 struct RingTransport<'a> {
     me: HostId,
     inbox: &'a Inbox,
     /// What this server sent itself, served before the loop's next pop
     /// (self→self is its own link, so per-link FIFO holds).
-    to_self: RefCell<VecDeque<Envelope>>,
+    to_self: VecDeque<Envelope>,
+    stamp: Ns,
 }
 
 impl<'a> RingTransport<'a> {
@@ -308,30 +316,39 @@ impl<'a> RingTransport<'a> {
         Self {
             me,
             inbox,
-            to_self: RefCell::default(),
+            to_self: VecDeque::new(),
+            stamp: 0,
         }
+    }
+
+    /// Reads the wall clock for the message in hand.
+    fn read_clock(&mut self, start: Instant) {
+        self.stamp = start.elapsed().as_nanos() as Ns;
     }
 }
 
 impl Transport for RingTransport<'_> {
-    fn me(&self) -> HostId {
-        self.me
+    fn now(&self) -> Ns {
+        self.stamp
+    }
+
+    fn charge(&mut self, _dt: Ns) -> Ns {
+        self.stamp
     }
 
     fn send(
-        &self,
+        &mut self,
         to: HostId,
         msg: Pmsg,
         _payload: usize,
-        now: Ns,
         what: &'static str,
     ) -> Result<Ns, ProtocolError> {
         self.inbox.links.record(self.me, to, msg.data.len() as u64);
         let wire_from = self.me;
         let env = Envelope { to, wire_from, msg };
         if to == self.me {
-            self.to_self.borrow_mut().push_back(env);
-            return Ok(now);
+            self.to_self.push_back(env);
+            return Ok(self.stamp);
         }
         self.inbox
             .try_push(env)
@@ -340,37 +357,7 @@ impl Transport for RingTransport<'_> {
                 what,
                 errno: libc::EAGAIN,
             })?;
-        Ok(now)
-    }
-}
-
-/// The host backend's [`ProtoClock`]: real work takes real time, so
-/// `charge` is a no-op and `now` is the monotonic clock as the server
-/// loop read it when the message in hand arrived (nanoseconds since the
-/// run started — enough for window bookkeeping and stamps). One read per
-/// message: a handler asks for the time ten to fifteen times.
-struct WallClock {
-    start: Instant,
-    stamp: Ns,
-}
-
-impl WallClock {
-    fn starting_at(start: Instant) -> Self {
-        Self { start, stamp: 0 }
-    }
-
-    fn read(&mut self) {
-        self.stamp = self.start.elapsed().as_nanos() as Ns;
-    }
-}
-
-impl ProtoClock for WallClock {
-    fn now(&self) -> Ns {
-        self.stamp
-    }
-
-    fn charge(&mut self, _dt: Ns) -> Ns {
-        self.stamp
+        Ok(self.stamp)
     }
 }
 
@@ -687,72 +674,50 @@ fn dsm_resolver(_region: &MultiViewRegion, fault: &Fault, token: usize) -> Resul
 /// leaves the server thread.
 type HostShard = ManagerShard<HostMemory, CompletionTx>;
 
-/// One host's DSM server, as the one server thread holds it.
-struct HostServer<'a> {
-    state: &'a HostState<HostMemory, CompletionTx>,
+/// The server of `state`'s host, sending into `inbox`. Its probe traces
+/// nothing: the host backend has no tracer.
+fn ring_server<'a>(
+    state: &Rc<HostState<HostMemory, CompletionTx>>,
     shard: HostShard,
-    ep: RingTransport<'a>,
-    probe: Probe,
-}
-
-impl<'a> HostServer<'a> {
-    /// The server of `state`'s host, sending into `inbox`. Its probe
-    /// traces nothing: the host backend has no tracer.
-    fn new(
-        state: &'a HostState<HostMemory, CompletionTx>,
-        shard: HostShard,
-        inbox: &'a Inbox,
-    ) -> Self {
-        Self {
-            ep: RingTransport::new(state.host, inbox),
-            probe: state.probe(&Tracer::disabled(), Track::Server),
-            state,
-            shard,
-        }
-    }
+    inbox: &'a Inbox,
+) -> Server<HostMemory, CompletionTx, RingTransport<'a>> {
+    let probe = state.probe(&Tracer::disabled(), Track::Server);
+    let wire = RingTransport::new(state.host, inbox);
+    Server::new(Rc::clone(state), shard, wire, probe)
 }
 
 /// Every host's DSM server on one thread: the real-thread analogue of
-/// [`server::Server::turn`] — a pop off the inbox (self-sends first) in
-/// front of the same per-message engine ([`server::dispatch`]), run for the
-/// host the envelope names. Hands back the errors it degraded through (fatal
-/// to the affected request; a non-empty list fails the run report) and the
+/// [`Server::turn`] — a pop off the inbox (self-sends first) and one clock
+/// read in front of the same per-message engine ([`Server::dispatch`]),
+/// run by the server of the host the envelope names. Hands back the errors
+/// the servers degraded through, in occurrence order (fatal to the
+/// affected request; a non-empty list fails the run report), and the
 /// shards, in host order, for the post-run checks.
 fn host_server_loop(
     inbox: &Inbox,
-    mut hosts: Vec<HostServer<'_>>,
-    mut clock: WallClock,
+    mut servers: Vec<Server<HostMemory, CompletionTx, RingTransport<'_>>>,
 ) -> (Vec<String>, Vec<HostShard>) {
+    let start = Instant::now();
     let mut errors = Vec::new();
     loop {
-        let sent_to_self = hosts
-            .iter()
-            .find_map(|s| s.ep.to_self.borrow_mut().pop_front());
+        let sent_to_self = servers.iter_mut().find_map(|s| s.wire.to_self.pop_front());
         let Envelope { to, wire_from, msg } = sent_to_self.unwrap_or_else(|| {
             // Only this thread changes the shards, so what they await
             // holds until the next pop.
-            inbox.pop_wait(hosts.iter().any(|s| s.shard.awaits_ack()))
+            inbox.pop_wait(servers.iter().any(|s| s.shard.awaits_ack()))
         });
-        let Some(host) = hosts.get_mut(to.index()) else {
+        let Some(server) = servers.get_mut(to.index()) else {
             errors.push(format!("server: a message for h{}, not in this run", to.0));
             continue;
         };
         if msg.kind == MsgKind::Shutdown {
             break;
         }
-        clock.read();
-        server::dispatch(
-            msg,
-            wire_from,
-            host.state,
-            &mut host.shard,
-            &mut clock,
-            &host.ep,
-            &mut host.probe,
-            &mut errors,
-        );
+        server.wire.read_clock(start);
+        server.dispatch(msg, wire_from);
+        errors.append(&mut server.errors);
     }
-    (errors, hosts.into_iter().map(|h| h.shard).collect())
+    (errors, servers.into_iter().map(|s| s.shard).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -988,16 +953,15 @@ fn host_server<T>(
         mp_map,
     });
     let inbox = &rt.inbox;
-    let hosts = states
+    let servers = states
         .iter()
         .zip(shards)
-        .map(|(state, shard)| HostServer::new(state, shard, inbox))
+        .map(|(state, shard)| ring_server(state, shard, inbox))
         .collect();
     built
         .send((Arc::clone(&rt), shared))
         .expect("the caller waits for the runtime");
-    let clock = WallClock::starting_at(Instant::now());
-    let (errors, shards) = host_server_loop(inbox, hosts, clock);
+    let (errors, shards) = host_server_loop(inbox, servers);
     (errors, stack.check(&shards, &inbox.links))
 }
 
@@ -1168,7 +1132,6 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use sim_core::DEFAULT_BASE;
-    use std::rc::Rc;
     use std::sync::mpsc::RecvTimeoutError;
     use std::time::Duration;
 
@@ -1383,8 +1346,11 @@ mod tests {
         (state, shards.pop().expect("one shard"), done)
     }
 
-    fn serve(inbox: &Inbox, hosts: Vec<HostServer<'_>>) -> Vec<String> {
-        host_server_loop(inbox, hosts, WallClock::starting_at(Instant::now())).0
+    fn serve(
+        inbox: &Inbox,
+        servers: Vec<Server<HostMemory, CompletionTx, RingTransport<'_>>>,
+    ) -> Vec<String> {
+        host_server_loop(inbox, servers).0
     }
 
     /// What a server sends itself stays out of the ring. A `Shutdown` is
@@ -1398,9 +1364,9 @@ mod tests {
         let (state, shard, done) = lone_host();
         let me = state.host;
         inbox.push(shutdown(me));
-        let server = HostServer::new(&state, shard, &inbox);
+        let mut server = ring_server(&state, shard, &inbox);
         let release = Pmsg::new(MsgKind::BarrierRelease, me, 1);
-        server.ep.send(me, release, 0, 0, "test").expect("queued");
+        server.wire.send(me, release, 0, "test").expect("queued");
 
         assert_eq!(serve(&inbox, vec![server]), Vec::<String>::new());
         assert_eq!(
@@ -1431,7 +1397,7 @@ mod tests {
         inbox.push(shutdown(HostId(1)));
         inbox.push(shutdown(me));
         assert_eq!(
-            serve(&inbox, vec![HostServer::new(&state, shard, &inbox)]),
+            serve(&inbox, vec![ring_server(&state, shard, &inbox)]),
             [1, u16::MAX, 1].map(|h| format!("server: a message for h{h}, not in this run"))
         );
     }
@@ -1448,10 +1414,10 @@ mod tests {
         let (state, shard, done) = lone_host();
         let me = state.host;
         while inbox.try_push(shutdown(me)).is_ok() {}
-        let server = HostServer::new(&state, shard, &inbox);
+        let mut server = ring_server(&state, shard, &inbox);
         let forward = Pmsg::new(MsgKind::ServeRead, HostId(1), 1);
         assert_eq!(
-            server.ep.send(HostId(1), forward, 0, 0, "serve forward"),
+            server.wire.send(HostId(1), forward, 0, "serve forward"),
             Err(ProtocolError::Backend {
                 host: me,
                 what: "serve forward",
@@ -1460,7 +1426,7 @@ mod tests {
         );
         for from in [HostId(1), me] {
             let enter = Pmsg::new(MsgKind::BarrierEnter, from, 1);
-            server.ep.send(me, enter, 0, 0, "test").expect("queued");
+            server.wire.send(me, enter, 0, "test").expect("queued");
         }
 
         let errors = serve(&inbox, vec![server]);
@@ -1497,20 +1463,19 @@ mod tests {
     /// check failed, so the test fails instead of hanging — and hands back
     /// what `check` saw and the server's errors. `check` gets the server's
     /// stat file.
-    fn beside_server<R: Send>(
-        inbox: &Inbox,
-        state: &HostState<HostMemory, CompletionTx>,
-        shard: HostShard,
+    fn beside_server<'a, R: Send>(
+        inbox: &'a Inbox,
+        server: Server<HostMemory, CompletionTx, RingTransport<'a>>,
         check: impl FnOnce(&std::path::Path) -> R + Send,
     ) -> (R, Vec<String>) {
-        let (me, stat) = (state.host, own_stat());
+        let (me, stat) = (server.state.host, own_stat());
         std::thread::scope(|scope| {
             let checker = scope.spawn(|| {
                 let seen = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(&stat)));
                 inbox.push(shutdown(me));
                 seen
             });
-            let errors = serve(inbox, vec![HostServer::new(state, shard, inbox)]);
+            let errors = serve(inbox, vec![server]);
             let seen = checker.join().expect("checker thread");
             (
                 seen.unwrap_or_else(|p| std::panic::resume_unwind(p)),
@@ -1531,14 +1496,15 @@ mod tests {
         let posted = |kind: MsgKind| done.0.load(Ordering::Acquire) == kind as u32;
         inbox.push(to_self(MsgKind::WriteRequest, addr));
         inbox.push(to_self(MsgKind::ReadRequest, addr));
-        let ((slept_loud, read_served), errors) = beside_server(&inbox, &state, shard, |_| {
-            let slept_loud = within_5s(|| {
-                posted(MsgKind::WriteReply)
-                    && inbox.doorbell.load(Ordering::Relaxed) == ASLEEP_ACK_AWAITED
+        let ((slept_loud, read_served), errors) =
+            beside_server(&inbox, ring_server(&state, shard, &inbox), |_| {
+                let slept_loud = within_5s(|| {
+                    posted(MsgKind::WriteReply)
+                        && inbox.doorbell.load(Ordering::Relaxed) == ASLEEP_ACK_AWAITED
+                });
+                inbox.push(to_self(MsgKind::Ack, addr));
+                (slept_loud, within_5s(|| posted(MsgKind::ReadReply)))
             });
-            inbox.push(to_self(MsgKind::Ack, addr));
-            (slept_loud, within_5s(|| posted(MsgKind::ReadReply)))
-        });
         assert!(slept_loud, "the server did not sleep awaiting the Ack");
         assert!(read_served, "the Ack did not reach the queued read");
         assert_eq!(errors, Vec::<String>::new());
@@ -1553,20 +1519,93 @@ mod tests {
         let (state, mut shard, done) = lone_host();
         let addr = shard.do_alloc(8, state.host, 0);
         inbox.push(to_self(MsgKind::WriteRequest, addr));
-        let ((slept, after_ack), errors) = beside_server(&inbox, &state, shard, |server| {
-            let slept = within_5s(|| {
-                done.0.load(Ordering::Acquire) == MsgKind::WriteReply as u32
-                    && inbox.doorbell.load(Ordering::Relaxed) == ASLEEP
-                    && sleeps(server)
+        let ((slept, after_ack), errors) =
+            beside_server(&inbox, ring_server(&state, shard, &inbox), |server| {
+                let slept = within_5s(|| {
+                    done.0.load(Ordering::Acquire) == MsgKind::WriteReply as u32
+                        && inbox.doorbell.load(Ordering::Relaxed) == ASLEEP
+                        && sleeps(server)
+                });
+                inbox.push(to_self(MsgKind::Ack, addr));
+                let queued =
+                    inbox.tail.load(Ordering::Relaxed) - inbox.head.load(Ordering::Relaxed);
+                (slept, (inbox.doorbell.load(Ordering::Relaxed), queued))
             });
-            inbox.push(to_self(MsgKind::Ack, addr));
-            let queued = inbox.tail.load(Ordering::Relaxed) - inbox.head.load(Ordering::Relaxed);
-            (slept, (inbox.doorbell.load(Ordering::Relaxed), queued))
-        });
         assert!(slept, "the server did not go to sleep");
         assert_eq!(after_ack, (ASLEEP, 1), "the quiet Ack woke the server");
         assert_eq!(errors, Vec::<String>::new());
         assert!(inbox.pop().is_none(), "the Ack outlived the Shutdown");
+    }
+
+    /// One clock read per message on the host wire: a charge or a send
+    /// answers the stamp the loop read last, every record one dispatch
+    /// traces carries it, and the next envelope popped reads a later one.
+    /// Host 0 serves its own minipage to itself twice, 2 ms apart: a write
+    /// (its serve and install are two dispatches), then a read.
+    #[test]
+    fn a_dispatch_reads_the_clock_once_and_the_next_pop_reads_later() {
+        let inbox = Inbox::new(1);
+        let (state, mut shard, done) = lone_host();
+        let me = state.host;
+        let mut wire = RingTransport::new(me, &inbox);
+        wire.read_clock(Instant::now() - Duration::from_millis(1));
+        let now = wire.now();
+        assert!(now >= 1_000_000, "{now}");
+        assert_eq!(wire.charge(5_000), now);
+        let release = Pmsg::new(MsgKind::BarrierRelease, me, 1);
+        assert_eq!(wire.send(me, release, 0, "test"), Ok(now));
+        assert_eq!(wire.now(), now);
+
+        let mp = state
+            .home
+            .translate(shard.do_alloc(8, me, 0))
+            .expect("allocated");
+        let priv_base = mp.priv_base(state.space.geometry());
+        let serve = |kind| {
+            let mut msg = Pmsg::new(kind, me, 1).with_addr(mp.base);
+            (msg.minipage, msg.base, msg.len) = (mp.id, mp.base, mp.len);
+            msg.priv_base = priv_base;
+            Envelope {
+                to: me,
+                wire_from: me,
+                msg,
+            }
+        };
+        let posted = |kind: MsgKind| done.0.load(Ordering::Acquire) == kind as u32;
+        let tracer = Tracer::enabled(64);
+        let probe = state.probe(&tracer, Track::Server);
+        let server = Server::new(
+            Rc::clone(&state),
+            shard,
+            RingTransport::new(me, &inbox),
+            probe,
+        );
+        inbox.push(serve(MsgKind::ServeWrite));
+        let (served, errors) = beside_server(&inbox, server, |_| {
+            let wrote = within_5s(|| posted(MsgKind::WriteReply));
+            std::thread::sleep(Duration::from_millis(2));
+            inbox.push(serve(MsgKind::ServeRead));
+            wrote && within_5s(|| posted(MsgKind::ReadReply))
+        });
+        assert!(served, "a serve was not installed");
+        assert_eq!(errors, Vec::<String>::new());
+
+        let mut log = tracer.drain().events;
+        log.sort_by_key(|e| e.seq);
+        use sim_core::trace::TraceKind::*;
+        let kinds: Vec<_> = log.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [InvalidateLocal, Serve, Install, Downgrade, Serve, Install]
+        );
+        let vt: Vec<Ns> = log.iter().map(|e| e.vt).collect();
+        assert_eq!(vt[0], vt[1], "the write serve read the clock twice");
+        assert_eq!(vt[3], vt[4], "the read serve read the clock twice");
+        assert!(vt[1] <= vt[2], "{vt:?}");
+        assert!(
+            vt[3] >= vt[2] + 2_000_000,
+            "the read serve reused a stamp: {vt:?}"
+        );
     }
 
     /// A real-memory run ends with the simulator's post-run pass. Planted
@@ -1578,18 +1617,10 @@ mod tests {
         let addr = shards[0].do_alloc(8, MANAGER, 0);
         let inbox = Inbox::new(2);
         let write = Pmsg::new(MsgKind::WriteRequest, HostId(1), 1).with_addr(addr);
-        let mut errors = Vec::new();
-        server::dispatch(
-            write,
-            HostId(1),
-            &stack.states[0],
-            &mut shards[0],
-            &mut WallClock::starting_at(Instant::now()),
-            &RingTransport::new(MANAGER, &inbox),
-            &mut stack.states[0].probe(&Tracer::disabled(), Track::Server),
-            &mut errors,
-        );
-        assert_eq!(errors, Vec::<String>::new());
+        let mut server = ring_server(&stack.states[0], shards.remove(0), &inbox);
+        server.dispatch(write, HostId(1));
+        assert_eq!(server.errors, Vec::<String>::new());
+        shards.insert(0, server.shard);
         let mp = stack.home.translate(addr).expect("allocated");
         for st in &stack.states {
             for vp in mp.vpages(&stack.geo) {

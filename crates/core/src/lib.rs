@@ -47,7 +47,7 @@ mod shared;
 mod stats;
 
 pub use adapt::{AdaptAction, AdaptConfig, AdaptEvent, AdaptReport};
-pub use backend::{MemFault, MemoryBackend, ProtoClock, Transport};
+pub use backend::{MemFault, MemoryBackend, Transport};
 pub use cluster::{run, ClusterConfig, ParallelConfig, SetupCtx};
 pub use diag::{DiagReport, DiagTable, Finding, LinkStat, MinipageDiag};
 pub use directory::{Directory, DirectoryEntry};

@@ -22,22 +22,20 @@
 //! the paper's original.
 
 use crate::adapt::{AdaptAction, AdaptConfig, AdaptEngine, AdaptReport};
-use crate::backend::{
-    bad_priv, bad_vpage, read_priv, Cluster, MemoryBackend, ProtoClock, Transport,
-};
+use crate::backend::{bad_priv, bad_vpage, read_priv, Cluster, MemoryBackend, Transport};
 use crate::cluster::SetupShard;
 use crate::diff::Diff;
 use crate::directory::{hosts_in, Directory};
 use crate::error::ProtocolError;
 use crate::hlrc::{Consistency, MpInfo};
 use crate::home::{HomeTable, MANAGER};
-use crate::host::Waiters;
+use crate::host::{HostState, Waiters};
 use crate::msg::{MsgKind, Pmsg};
 use crate::probe::{Fact, Probe};
 use multiview::{Minipage, MinipageId};
 use sim_core::trace::TraceKind;
 use sim_core::IntMap;
-use sim_core::{CostModel, HostId, LogHistogram, Ns, VAddr};
+use sim_core::{HostId, LogHistogram, Ns, VAddr};
 use sim_mem::{AddressSpace, Prot};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -54,12 +52,9 @@ struct LockState {
 /// the synchronization services.
 pub(crate) struct ManagerShard<M = AddressSpace, W = Waiters> {
     me: HostId,
-    hosts: usize,
     /// Total application threads (barrier quorum; ≥ hosts under §3.4
     /// multithreading).
     barrier_quorum: usize,
-    cost: CostModel,
-    consistency: Consistency,
     home: Rc<HomeTable>,
     dir: Directory,
     locks: IntMap<u64, LockState>,
@@ -92,14 +87,11 @@ pub(crate) struct ManagerShard<M = AddressSpace, W = Waiters> {
 }
 
 impl<M: MemoryBackend, W> ManagerShard<M, W> {
-    /// Creates the shard for host `me` in a cluster of `hosts` hosts.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates the shard for host `me` of `cluster`, which runs under its
+    /// host's cost model and protocol.
     pub(crate) fn new(
         me: HostId,
-        hosts: usize,
         barrier_quorum: usize,
-        cost: CostModel,
-        consistency: Consistency,
         home: Rc<HomeTable>,
         cluster: Rc<Cluster<M, W>>,
         probe: Probe,
@@ -107,10 +99,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     ) -> Self {
         Self {
             me,
-            hosts,
             barrier_quorum,
-            cost,
-            consistency,
             dir: Directory::new(me),
             locks: IntMap::default(),
             barrier_waiters: Vec::new(),
@@ -132,6 +121,11 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// Host `h`'s memory.
     fn space(&self, h: HostId) -> &M {
         &self.cluster[h.index()].space
+    }
+
+    /// This shard's host: the cost model and protocol it runs under.
+    fn local(&self) -> &HostState<M, W> {
+        &self.cluster[self.me.index()]
     }
 
     /// Competing requests observed at this shard (Figure 7).
@@ -177,7 +171,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         // copy starts writable; under release consistency it starts
         // read-only so the home host's own writes twin and flush like
         // everyone else's.
-        let home_prot = match self.consistency {
+        let home_prot = match self.local().consistency {
             Consistency::SequentialSwMr => Prot::ReadWrite,
             Consistency::HomeEagerRc => Prot::ReadOnly,
         };
@@ -209,29 +203,29 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         addr
     }
 
-    /// Handles one shard-addressed message. `tl` is this host's server
-    /// timeline (service-start already charged by the server loop); `ep`
-    /// is its endpoint. A failed handler degrades the one request (the
-    /// server loop records the error and nacks the requester).
-    pub(crate) fn handle<C: ProtoClock, T: Transport>(
+    /// Handles one shard-addressed message. `wire` is this host's server
+    /// wire, whose clock every charge and stamp here goes to (on the sim,
+    /// service start already charged by the server). A failed handler
+    /// degrades the one request (the server records the error and nacks
+    /// the requester).
+    pub(crate) fn handle<T: Transport>(
         &mut self,
         m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         match m.kind {
-            MsgKind::ReadRequest => self.handle_read_request(m, tl, ep),
-            MsgKind::WriteRequest => self.handle_write_request(m, tl, ep),
-            MsgKind::InvalidateReply => self.handle_invalidate_reply(m, tl, ep),
-            MsgKind::Ack => self.handle_ack(m, tl, ep),
-            MsgKind::AllocRequest => self.handle_alloc(m, tl, ep),
-            MsgKind::BarrierEnter => self.handle_barrier_enter(m, tl, ep),
-            MsgKind::LockAcquire => self.handle_lock_acquire(m, tl, ep),
-            MsgKind::LockRelease => self.handle_lock_release(m, tl, ep),
-            MsgKind::PushRequest => self.handle_push(m, tl, ep),
-            MsgKind::RcDiff => self.handle_rc_diff(m, tl, ep),
-            MsgKind::AdaptApply => self.handle_adapt_apply(m, tl, ep),
-            MsgKind::AdaptAck => self.handle_adapt_ack(m, tl, ep),
+            MsgKind::ReadRequest => self.handle_read_request(m, wire),
+            MsgKind::WriteRequest => self.handle_write_request(m, wire),
+            MsgKind::InvalidateReply => self.handle_invalidate_reply(m, wire),
+            MsgKind::Ack => self.handle_ack(m, wire),
+            MsgKind::AllocRequest => self.handle_alloc(m, wire),
+            MsgKind::BarrierEnter => self.handle_barrier_enter(m, wire),
+            MsgKind::LockAcquire => self.handle_lock_acquire(m, wire),
+            MsgKind::LockRelease => self.handle_lock_release(m, wire),
+            MsgKind::PushRequest => self.handle_push(m, wire),
+            MsgKind::RcDiff => self.handle_rc_diff(m, wire),
+            MsgKind::AdaptApply => self.handle_adapt_apply(m, wire),
+            MsgKind::AdaptAck => self.handle_adapt_ack(m, wire),
             other => Err(ProtocolError::Unroutable {
                 host: self.me,
                 kind: other.name(),
@@ -244,13 +238,12 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// migrated while the message was in flight (the sender routed with an
     /// older epoch of the home table), so the request is re-sent verbatim
     /// to the current home and local processing stops.
-    fn translate<C: ProtoClock, T: Transport>(
+    fn translate<T: Transport>(
         &mut self,
         m: &mut Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<Option<MinipageId>, ProtocolError> {
-        tl.charge(self.cost.mpt_lookup);
+        wire.charge(self.local().cost.mpt_lookup);
         let mp = self
             .home
             .translate(m.addr)
@@ -265,7 +258,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         m.minipage = mp.id;
         let home = self.home.home(mp.id);
         if home != self.me {
-            self.forward_stale(mp.id, m.clone(), home, tl, ep)?;
+            self.forward_stale(mp.id, m.clone(), home, wire)?;
             return Ok(None);
         }
         Ok(Some(mp.id))
@@ -274,23 +267,22 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// Forwards a request that reached a shard no longer homing its
     /// minipage. The `AdaptForward` record carries the request's event so
     /// the auditor can check exactly-once forwarding per request.
-    fn forward_stale<C: ProtoClock, T: Transport>(
+    fn forward_stale<T: Transport>(
         &mut self,
         id: MinipageId,
         m: Pmsg,
         home: HostId,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         let epoch = self.home.epoch();
-        self.probe.trace(tl.now(), TraceKind::AdaptForward, |e| {
+        self.probe.trace(wire.now(), TraceKind::AdaptForward, |e| {
             e.with_mp(id.0)
                 .with_peer(home)
                 .with_event(m.event)
                 .with_aux(epoch.min(u32::MAX as u64) as u32)
         });
         let payload = m.payload_bytes();
-        ep.send(home, m, payload, tl.now(), "stale-home forward")?;
+        wire.send(home, m, payload, "stale-home forward")?;
         Ok(())
     }
 
@@ -314,35 +306,33 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// the competing request queued behind the window, if any, is served.
     /// An ack can arrive for a windowless transfer (an HLRC home-served
     /// read); closing is a no-op then and records nothing.
-    fn close_window<C: ProtoClock, T: Transport>(
+    fn close_window<T: Transport>(
         &mut self,
         id: MinipageId,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         let was_open = self.dir.entry(id.index()).in_service;
         let next = self.dir.end_service(id.index());
         if was_open {
-            let now = tl.now();
+            let now = wire.now();
             self.probe
                 .trace(now, TraceKind::WindowClose, |e| e.with_mp(id.0));
         }
-        next.map_or(Ok(()), |next| self.dispatch_queued(next, tl, ep))
+        next.map_or(Ok(()), |next| self.dispatch_queued(next, wire))
     }
 
-    fn handle_read_request<C: ProtoClock, T: Transport>(
+    fn handle_read_request<T: Transport>(
         &mut self,
         mut m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
-        let Some(id) = self.translate(&mut m, tl, ep)? else {
+        let Some(id) = self.translate(&mut m, wire)? else {
             return Ok(());
         };
-        if self.consistency == Consistency::HomeEagerRc {
+        if self.local().consistency == Consistency::HomeEagerRc {
             // The home copy is always current at synchronization points:
             // serve directly, one hop, no service window.
-            tl.charge(self.cost.dsm_overhead);
+            wire.charge(self.local().cost.dsm_overhead);
             let e = self.dir.entry(id.index());
             e.add(m.from);
             let data = read_priv(
@@ -357,13 +347,13 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
             reply.data = data;
             let to = reply.from;
             let payload = reply.payload_bytes();
-            self.probe.trace(tl.now(), TraceKind::Serve, |e| {
+            self.probe.trace(wire.now(), TraceKind::Serve, |e| {
                 e.with_mp(id.0).with_peer(to).with_aux(0)
             });
-            ep.send(to, reply, payload, tl.now(), "home read reply")?;
+            wire.send(to, reply, payload, "home read reply")?;
             return Ok(());
         }
-        if !self.open_window(id, &m, tl.now(), 0) {
+        if !self.open_window(id, &m, wire.now(), 0) {
             return Ok(()); // Queued as a competing request.
         }
         let e = self.dir.entry(id.index());
@@ -376,29 +366,28 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         e.owner = None;
         e.add(m.from);
         m.kind = MsgKind::ServeRead;
-        self.probe.trace(tl.now(), TraceKind::Forward, |e| {
+        self.probe.trace(wire.now(), TraceKind::Forward, |e| {
             e.with_mp(id.0).with_peer(src).with_aux(0)
         });
-        ep.send(src, m, 0, tl.now(), "read forward")?;
+        wire.send(src, m, 0, "read forward")?;
         Ok(())
     }
 
-    fn handle_write_request<C: ProtoClock, T: Transport>(
+    fn handle_write_request<T: Transport>(
         &mut self,
         mut m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
-        if self.consistency != Consistency::SequentialSwMr {
+        if self.local().consistency != Consistency::SequentialSwMr {
             return Err(ProtocolError::BadState {
                 host: self.me,
                 what: "write request under release consistency",
             });
         }
-        let Some(id) = self.translate(&mut m, tl, ep)? else {
+        let Some(id) = self.translate(&mut m, wire)? else {
             return Ok(());
         };
-        if !self.open_window(id, &m, tl.now(), 1) {
+        if !self.open_window(id, &m, wire.now(), 1) {
             return Ok(());
         }
         let e = self.dir.entry(id.index());
@@ -414,24 +403,23 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         };
         let targets = e.copyset & !(1u64 << src.index());
         if targets == 0 {
-            Self::forward_write(e, &mut self.probe, src, m, tl, ep)?;
+            Self::forward_write(e, &mut self.probe, src, m, wire)?;
         } else {
             e.inv_pending = targets.count_ones();
-            e.inv_sent_vt = tl.now();
+            e.inv_sent_vt = wire.now();
             e.pending_write = Some(m.clone());
-            self.invalidate(&m, targets, tl, ep, "invalidate fan-out")?;
+            self.invalidate(&m, targets, wire, "invalidate fan-out")?;
         }
         Ok(())
     }
 
     /// Fans an invalidation of `m`'s minipage out to the hosts of the
     /// copyset mask `targets`, in ascending host order.
-    fn invalidate<C: ProtoClock, T: Transport>(
+    fn invalidate<T: Transport>(
         &mut self,
         m: &Pmsg,
         targets: u64,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
         what: &'static str,
     ) -> Result<(), ProtocolError> {
         for to in hosts_in(targets) {
@@ -441,23 +429,23 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                 ..*m
             };
             let (mp, event) = (m.minipage.0, m.event);
-            self.probe.on(tl.now(), Fact::InvSend { mp, to, event });
-            ep.send(to, inv, 0, tl.now(), what)?;
+            self.probe.on(wire.now(), Fact::InvSend { mp, to, event });
+            wire.send(to, inv, 0, what)?;
         }
         Ok(())
     }
 
-    fn handle_invalidate_reply<C: ProtoClock, T: Transport>(
+    fn handle_invalidate_reply<T: Transport>(
         &mut self,
         m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         let id = m.minipage;
         let from = m.from;
-        self.probe.trace(tl.now(), TraceKind::InvReplyRecv, |e| {
+        self.probe.trace(wire.now(), TraceKind::InvReplyRecv, |e| {
             e.with_mp(id.0).with_peer(from).with_event(m.event)
         });
+        let rc = self.local().consistency == Consistency::HomeEagerRc;
         let pending = {
             let e = self.dir.entry(id.index());
             e.remove(m.from);
@@ -465,7 +453,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
             // including untracked ones sent on the fire-and-forget eviction
             // path; those echo event 0 and only update the copyset. Tracked
             // invalidations echo the waiting request's (nonzero) event.
-            if self.consistency == Consistency::HomeEagerRc && m.event == 0 {
+            if rc && m.event == 0 {
                 return Ok(());
             }
             if e.inv_pending == 0 {
@@ -478,7 +466,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
             // Figure 3: "if got less than (#replicas - 1) replies then
             // return".
             if e.inv_pending == 0 {
-                self.inv_rt.record(tl.now().saturating_sub(e.inv_sent_vt));
+                self.inv_rt.record(wire.now().saturating_sub(e.inv_sent_vt));
                 Some(e.pending_write.take().ok_or(ProtocolError::BadState {
                     host: self.me,
                     what: "no request pending on these invalidations",
@@ -488,83 +476,71 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
             }
         };
         let Some(w) = pending else { return Ok(()) };
-        if self.consistency == Consistency::HomeEagerRc {
+        if rc {
             // The pending request is a flushed diff: every stale copy is
             // now gone, release the flusher.
-            self.ack_rc_diff(&w, tl, ep)
+            self.ack_rc_diff(&w, wire)
         } else {
             let e = self.dir.entry(id.index());
             let src = e.find_replica().ok_or(ProtocolError::MissingReplica {
                 host: self.me,
                 minipage: id.0,
             })?;
-            Self::forward_write(e, &mut self.probe, src, w, tl, ep)
+            Self::forward_write(e, &mut self.probe, src, w, wire)
         }
     }
 
     /// Hands `m.from` the writable copy: the directory names it sole
     /// owner, and `src` serves the write.
-    fn forward_write<C: ProtoClock, T: Transport>(
+    fn forward_write<T: Transport>(
         e: &mut crate::directory::DirectoryEntry,
         probe: &mut Probe,
         src: HostId,
         mut m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         let (mp, writer) = (m.minipage.0, m.from);
-        probe.on(tl.now(), Fact::WriteForward { mp, src, writer });
+        probe.on(wire.now(), Fact::WriteForward { mp, src, writer });
         e.copyset = 1u64 << m.from.index();
         e.owner = Some(m.from);
         m.kind = MsgKind::ServeWrite;
-        ep.send(src, m, 0, tl.now(), "write forward")?;
+        wire.send(src, m, 0, "write forward")?;
         Ok(())
     }
 
     /// Releases the flusher of the diff `m`: its diff is applied and every
     /// stale copy gone. Closes the window and serves what queued behind it.
-    fn ack_rc_diff<C: ProtoClock, T: Transport>(
-        &mut self,
-        m: &Pmsg,
-        tl: &mut C,
-        ep: &T,
-    ) -> Result<(), ProtocolError> {
+    fn ack_rc_diff<T: Transport>(&mut self, m: &Pmsg, wire: &mut T) -> Result<(), ProtocolError> {
         let id = m.minipage;
         let ack = Pmsg::new(MsgKind::RcDiffAck, self.me, m.event).with_addr(m.addr);
-        self.probe.trace(tl.now(), TraceKind::RcDiffAckSend, |e| {
+        self.probe.trace(wire.now(), TraceKind::RcDiffAckSend, |e| {
             e.with_mp(id.0).with_peer(m.from).with_event(m.event)
         });
-        ep.send(m.from, ack, 0, tl.now(), "rc diff ack")?;
-        self.close_window(id, tl, ep)
+        wire.send(m.from, ack, 0, "rc diff ack")?;
+        self.close_window(id, wire)
     }
 
-    fn handle_ack<C: ProtoClock, T: Transport>(
-        &mut self,
-        mut m: Pmsg,
-        tl: &mut C,
-        ep: &T,
-    ) -> Result<(), ProtocolError> {
-        let Some(id) = self.translate(&mut m, tl, ep)? else {
+    fn handle_ack<T: Transport>(&mut self, mut m: Pmsg, wire: &mut T) -> Result<(), ProtocolError> {
+        let Some(id) = self.translate(&mut m, wire)? else {
             return Ok(());
         };
         let from = m.from;
-        self.probe.trace(tl.now(), TraceKind::AckRecv, |e| {
+        self.probe.trace(wire.now(), TraceKind::AckRecv, |e| {
             e.with_mp(id.0).with_peer(from)
         });
-        self.close_window(id, tl, ep)
+        self.close_window(id, wire)
     }
 
-    fn dispatch_queued<C: ProtoClock, T: Transport>(
+    fn dispatch_queued<T: Transport>(
         &mut self,
         m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         match m.kind {
-            MsgKind::ReadRequest => self.handle_read_request(m, tl, ep),
-            MsgKind::WriteRequest => self.handle_write_request(m, tl, ep),
-            MsgKind::PushRequest => self.handle_push(m, tl, ep),
-            MsgKind::RcDiff => self.handle_rc_diff(m, tl, ep),
+            MsgKind::ReadRequest => self.handle_read_request(m, wire),
+            MsgKind::WriteRequest => self.handle_write_request(m, wire),
+            MsgKind::PushRequest => self.handle_push(m, wire),
+            MsgKind::RcDiff => self.handle_rc_diff(m, wire),
             other => Err(ProtocolError::Unroutable {
                 host: self.me,
                 kind: other.name(),
@@ -572,46 +548,40 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         }
     }
 
-    fn handle_alloc<C: ProtoClock, T: Transport>(
-        &mut self,
-        m: Pmsg,
-        tl: &mut C,
-        ep: &T,
-    ) -> Result<(), ProtocolError> {
-        tl.charge(self.cost.mpt_lookup);
-        let addr = self.do_alloc(m.aux as usize, m.from, tl.now());
+    fn handle_alloc<T: Transport>(&mut self, m: Pmsg, wire: &mut T) -> Result<(), ProtocolError> {
+        wire.charge(self.local().cost.mpt_lookup);
+        let addr = self.do_alloc(m.aux as usize, m.from, wire.now());
         let mut reply = Pmsg::new(MsgKind::AllocReply, self.me, m.event);
         reply.addr = addr;
-        ep.send(m.from, reply, 0, tl.now(), "alloc reply")?;
+        wire.send(m.from, reply, 0, "alloc reply")?;
         Ok(())
     }
 
-    fn handle_barrier_enter<C: ProtoClock, T: Transport>(
+    fn handle_barrier_enter<T: Transport>(
         &mut self,
         m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         self.barrier_waiters.push(m);
-        self.barrier_high = self.barrier_high.max(tl.now());
+        self.barrier_high = self.barrier_high.max(wire.now());
         if self.barrier_waiters.len() == self.barrier_quorum {
             // No release may leave before the slowest arrival: make up
             // the shortfall when this enter was served "back then" (zero
             // whenever enters are served in virtual-time order).
             let high = std::mem::take(&mut self.barrier_high);
-            tl.charge(high.saturating_sub(tl.now()));
-            tl.charge(self.cost.barrier_base);
-            self.probe.on(tl.now(), Fact::BarrierDone);
+            wire.charge(high.saturating_sub(wire.now()));
+            wire.charge(self.local().cost.barrier_base);
+            self.probe.on(wire.now(), Fact::BarrierDone);
             let mut waiters = std::mem::take(&mut self.barrier_waiters);
             // The quiesce point: every application thread is parked here,
             // so the adaptation engine may rewrite granularity and homing
             // before the releases go out. Remotely homed actions park the
             // releases until their acks arrive.
-            let outstanding = self.run_adaptation(tl, ep)?;
+            let outstanding = self.run_adaptation(wire)?;
             if outstanding > 0 {
                 self.adapt_pending = Some((waiters, outstanding));
             } else {
-                self.release_barrier(&mut waiters, tl, ep)?;
+                self.release_barrier(&mut waiters, wire)?;
                 // The next barrier's enters reuse the emptied list.
                 self.barrier_waiters = waiters;
             }
@@ -620,35 +590,33 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     }
 
     /// Sends the parked barrier releases, emptying `waiters`.
-    fn release_barrier<C: ProtoClock, T: Transport>(
+    fn release_barrier<T: Transport>(
         &mut self,
         waiters: &mut Vec<Pmsg>,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         for w in waiters.drain(..) {
-            tl.charge(self.cost.barrier_per_host);
+            wire.charge(self.local().cost.barrier_per_host);
             let mut rel = Pmsg::new(MsgKind::BarrierRelease, self.me, w.event);
             rel.addr = w.addr;
             self.probe
-                .trace(tl.now(), TraceKind::BarrierReleaseSend, |e| {
+                .trace(wire.now(), TraceKind::BarrierReleaseSend, |e| {
                     e.with_peer(w.from).with_event(w.event)
                 });
-            ep.send(w.from, rel, 0, tl.now(), "barrier release")?;
+            wire.send(w.from, rel, 0, "barrier release")?;
         }
         Ok(())
     }
 
-    fn handle_lock_acquire<C: ProtoClock, T: Transport>(
+    fn handle_lock_acquire<T: Transport>(
         &mut self,
         m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         let st = self.locks.entry(m.aux).or_default();
         if st.held_by.is_none() {
-            tl.charge(self.cost.lock_service);
-            self.grant_lock(m, tl, ep)?;
+            wire.charge(self.local().cost.lock_service);
+            self.grant_lock(m, wire)?;
         } else {
             st.queue.push_back(m);
         }
@@ -656,27 +624,21 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     }
 
     /// Hands lock `m.aux` to its requester `m.from`.
-    fn grant_lock<C: ProtoClock, T: Transport>(
-        &mut self,
-        m: Pmsg,
-        tl: &mut C,
-        ep: &T,
-    ) -> Result<(), ProtocolError> {
+    fn grant_lock<T: Transport>(&mut self, m: Pmsg, wire: &mut T) -> Result<(), ProtocolError> {
         let (lock, to) = (m.aux, m.from);
         self.locks.entry(lock).or_default().held_by = Some(to);
-        self.probe.on(tl.now(), Fact::LockGrant { lock, to });
+        self.probe.on(wire.now(), Fact::LockGrant { lock, to });
         let grant = Pmsg::new(MsgKind::LockGrant, self.me, m.event).with_aux(lock);
-        ep.send(to, grant, 0, tl.now(), "lock grant")?;
+        wire.send(to, grant, 0, "lock grant")?;
         Ok(())
     }
 
-    fn handle_lock_release<C: ProtoClock, T: Transport>(
+    fn handle_lock_release<T: Transport>(
         &mut self,
         m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
-        tl.charge(self.cost.lock_service);
+        wire.charge(self.local().cost.lock_service);
         let st = self.locks.get_mut(&m.aux).ok_or(ProtocolError::BadState {
             host: self.me,
             what: "release of an unknown lock",
@@ -689,24 +651,23 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         }
         st.held_by = None;
         if let Some(next) = st.queue.pop_front() {
-            self.grant_lock(next, tl, ep)?;
+            self.grant_lock(next, wire)?;
         }
         Ok(())
     }
 
-    fn handle_push<C: ProtoClock, T: Transport>(
+    fn handle_push<T: Transport>(
         &mut self,
         mut m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
-        let Some(id) = self.translate(&mut m, tl, ep)? else {
+        let Some(id) = self.translate(&mut m, wire)? else {
             return Ok(());
         };
-        if !self.open_window(id, &m, tl.now(), 2) {
+        if !self.open_window(id, &m, wire.now(), 2) {
             return Ok(()); // Queued behind an in-flight transfer.
         }
-        let hosts = self.hosts;
+        let hosts = self.cluster.len();
         let e = self.dir.entry(id.index());
         // A push from a host that no longer owns the minipage is stale:
         // ownership moved since it was issued, and it is dropped.
@@ -714,7 +675,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
             // Publish read copies everywhere (§4.3, the TSP bound).
             e.owner = None;
             e.copyset = all_hosts_mask(hosts);
-            self.probe.on(tl.now(), Fact::Push);
+            self.probe.on(wire.now(), Fact::Push);
             for h in 0..hosts {
                 let h = HostId(h as u16);
                 if h == m.from {
@@ -723,11 +684,11 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                 let mut push = m.clone();
                 push.kind = MsgKind::PushData;
                 let payload = push.payload_bytes();
-                ep.send(h, push, payload, tl.now(), "push data")?;
+                wire.send(h, push, payload, "push data")?;
             }
         }
         // Pushes hold no service window (no ack follows).
-        self.close_window(id, tl, ep)
+        self.close_window(id, wire)
     }
 }
 
@@ -745,13 +706,8 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// only once every stale copy has confirmed its invalidation. The
     /// flusher blocks on that ack before entering the barrier or
     /// releasing the lock.
-    fn handle_rc_diff<C: ProtoClock, T: Transport>(
-        &mut self,
-        m: Pmsg,
-        tl: &mut C,
-        ep: &T,
-    ) -> Result<(), ProtocolError> {
-        if self.consistency != Consistency::HomeEagerRc {
+    fn handle_rc_diff<T: Transport>(&mut self, m: Pmsg, wire: &mut T) -> Result<(), ProtocolError> {
+        if self.local().consistency != Consistency::HomeEagerRc {
             return Err(ProtocolError::BadState {
                 host: self.me,
                 what: "RcDiff under the SW/MR protocol",
@@ -762,10 +718,10 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         let home = self.home.home(m.minipage);
         if home != self.me {
             let id = m.minipage;
-            return self.forward_stale(id, m, home, tl, ep);
+            return self.forward_stale(id, m, home, wire);
         }
         let acked = m.event != 0;
-        if acked && !self.open_window(m.minipage, &m, tl.now(), 3) {
+        if acked && !self.open_window(m.minipage, &m, wire.now(), 3) {
             return Ok(()); // A concurrent flush of this minipage is mid-window.
         }
         let diff = Diff::decode(&m.data).ok_or(ProtocolError::Malformed {
@@ -787,7 +743,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
             bytes: m.data.len(),
             diff: &diff,
         };
-        self.probe.on(tl.now(), fact);
+        self.probe.on(wire.now(), fact);
         // Only the runs' bytes are written, so a local write to *other*
         // bytes of the minipage is never clobbered.
         self.space(self.me)
@@ -797,23 +753,23 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                 addr: m.priv_base.0 as usize,
                 what: "diff patch target",
             })?;
-        tl.charge((self.cost.patch_per_byte_ns * m.len as f64) as sim_core::Ns);
+        wire.charge((self.local().cost.patch_per_byte_ns * m.len as f64) as sim_core::Ns);
         let me = 1u64 << self.me.index();
         let e = self.dir.entry(m.minipage.index());
         let targets = e.copyset & !me;
         e.copyset = me;
         e.owner = None;
-        self.invalidate(&m, targets, tl, ep, "rc invalidate fan-out")?;
+        self.invalidate(&m, targets, wire, "rc invalidate fan-out")?;
         if !acked {
             return Ok(());
         }
         if targets == 0 {
-            return self.ack_rc_diff(&m, tl, ep);
+            return self.ack_rc_diff(&m, wire);
         }
         // Ack once the last invalidation is confirmed.
         let e = self.dir.entry(m.minipage.index());
         e.inv_pending = targets.count_ones();
-        e.inv_sent_vt = tl.now();
+        e.inv_sent_vt = wire.now();
         e.pending_write = Some(m);
         Ok(())
     }
@@ -825,11 +781,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// ships remotely homed ones as [`MsgKind::AdaptApply`]. Returns the
     /// number of remote applications whose acks the caller must await
     /// before releasing the barrier.
-    fn run_adaptation<C: ProtoClock, T: Transport>(
-        &mut self,
-        tl: &mut C,
-        ep: &T,
-    ) -> Result<usize, ProtocolError> {
+    fn run_adaptation<T: Transport>(&mut self, wire: &mut T) -> Result<usize, ProtocolError> {
         let barrier = self.adapt.note_barrier();
         if !self.adapt.should_act(barrier) {
             return Ok(0);
@@ -852,14 +804,14 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
         for a in actions {
             let target = self.home.home(a.target());
             if target == self.me {
-                self.apply_action(&a, barrier, tl)?;
+                self.apply_action(&a, barrier, wire)?;
             } else {
                 let mut msg = Pmsg::new(MsgKind::AdaptApply, self.me, self.adapt.next_event());
                 msg.minipage = a.target();
                 msg.aux = barrier;
                 msg.data = bytes::Bytes::from(a.encode());
                 let payload = msg.payload_bytes();
-                ep.send(target, msg, payload, tl.now(), "adapt apply")?;
+                wire.send(target, msg, payload, "adapt apply")?;
                 outstanding += 1;
             }
         }
@@ -869,29 +821,27 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// A remotely planned action arriving at the shard homing its target.
     /// Any apply failure defers the action (`aux = 0` in the ack) rather
     /// than stranding the sender's parked barrier.
-    fn handle_adapt_apply<C: ProtoClock, T: Transport>(
+    fn handle_adapt_apply<T: Transport>(
         &mut self,
         m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         let action = AdaptAction::decode(&m.data).ok_or(ProtocolError::Malformed {
             host: self.me,
             what: "undecodable adaptation action",
         })?;
-        let applied = self.apply_action(&action, m.aux, tl).unwrap_or(false);
+        let applied = self.apply_action(&action, m.aux, wire).unwrap_or(false);
         let ack = Pmsg::new(MsgKind::AdaptAck, self.me, m.event).with_aux(u64::from(applied));
-        ep.send(m.from, ack, 0, tl.now(), "adapt ack")?;
+        wire.send(m.from, ack, 0, "adapt ack")?;
         Ok(())
     }
 
     /// One remote application finished; the last ack releases the parked
     /// barrier.
-    fn handle_adapt_ack<C: ProtoClock, T: Transport>(
+    fn handle_adapt_ack<T: Transport>(
         &mut self,
         m: Pmsg,
-        tl: &mut C,
-        ep: &T,
+        wire: &mut T,
     ) -> Result<(), ProtocolError> {
         if m.aux == 0 {
             self.adapt.record_deferred();
@@ -906,7 +856,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
             self.adapt_pending = Some((waiters, left - 1));
             Ok(())
         } else {
-            self.release_barrier(&mut waiters, tl, ep)
+            self.release_barrier(&mut waiters, wire)
         }
     }
 
@@ -954,12 +904,11 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// Revokes every host's application-view access to `mp`.
     fn revoke_everywhere(&self, mp: &Minipage) -> Result<(), ProtocolError> {
         let geo = self.home.geometry();
-        for h in 0..self.hosts {
-            let h = HostId(h as u16);
+        for st in self.cluster.iter() {
             for vp in mp.vpages(geo) {
-                self.space(h)
+                st.space
                     .set_prot(vp, Prot::NoAccess)
-                    .map_err(|_| bad_vpage(h, vp))?;
+                    .map_err(|_| bad_vpage(st.host, vp))?;
             }
         }
         Ok(())
@@ -970,13 +919,13 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
     /// busy directory state, a retired target, exhausted views, or a
     /// consistency/backend gate. The caller treats errors like deferrals
     /// where a hang would otherwise result.
-    fn apply_action<C: ProtoClock>(
+    fn apply_action<T: Transport>(
         &mut self,
         a: &AdaptAction,
         barrier: u64,
-        tl: &mut C,
+        wire: &mut T,
     ) -> Result<bool, ProtocolError> {
-        tl.charge(self.cost.mpt_lookup);
+        wire.charge(self.local().cost.mpt_lookup);
         let geo = self.home.geometry().clone();
         let ps = geo.page_size();
         match a {
@@ -985,7 +934,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                 // SW/MR protocol's directory state survives that rewrite
                 // as "one writable copy at home".
                 let parent = self.live(*mp).filter(|_| {
-                    self.consistency == Consistency::SequentialSwMr && !self.adapt_busy(*mp)
+                    self.local().consistency == Consistency::SequentialSwMr && !self.adapt_busy(*mp)
                 });
                 let Some(parent) = parent else {
                     self.adapt.record_deferred();
@@ -1040,7 +989,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                 }
                 self.dir.forget(parent.id.index());
                 let parent = parent.id.0;
-                self.probe.on(tl.now(), Fact::Split { parent, first, n });
+                self.probe.on(wire.now(), Fact::Split { parent, first, n });
                 self.adapt.record_split(barrier, parent, cuts);
                 Ok(true)
             }
@@ -1048,7 +997,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                 let members: Option<Vec<Minipage>> =
                     group.iter().map(|&id| self.live(id)).collect();
                 let members = members.filter(|_| {
-                    self.consistency == Consistency::SequentialSwMr
+                    self.local().consistency == Consistency::SequentialSwMr
                         && group.len() >= 2
                         && !group.iter().any(|&id| self.adapt_busy(id))
                 });
@@ -1103,14 +1052,14 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                     old: &old,
                     merged: merged.id.0,
                 };
-                self.probe.on(tl.now(), fact);
+                self.probe.on(wire.now(), fact);
                 self.adapt.record_merge(barrier, &old, merged.id.0);
                 Ok(true)
             }
             AdaptAction::Migrate { mp, to } => {
-                let desc = self
-                    .live(*mp)
-                    .filter(|_| *to != self.me && to.index() < self.hosts && !self.adapt_busy(*mp));
+                let desc = self.live(*mp).filter(|_| {
+                    *to != self.me && to.index() < self.cluster.len() && !self.adapt_busy(*mp)
+                });
                 let Some(desc) = desc else {
                     self.adapt.record_deferred();
                     return Ok(false);
@@ -1125,7 +1074,7 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                 // The new home starts exactly like a fresh allocation:
                 // writable under SW/MR, read-only (twin-on-write) under
                 // HLRC.
-                let writable = self.consistency == Consistency::SequentialSwMr;
+                let writable = self.local().consistency == Consistency::SequentialSwMr;
                 let prot = if writable {
                     Prot::ReadWrite
                 } else {
@@ -1148,7 +1097,8 @@ impl<M: MemoryBackend, W> ManagerShard<M, W> {
                 self.dir.forget(mp.index());
                 self.home.migrate(*mp, *to);
                 let (mp, to) = (mp.0, *to);
-                self.probe.on(tl.now(), Fact::Migrate { mp, to, writable });
+                self.probe
+                    .on(wire.now(), Fact::Migrate { mp, to, writable });
                 self.adapt.record_migrate(barrier, mp, to.0);
                 Ok(true)
             }
@@ -1201,20 +1151,22 @@ fn all_hosts_mask(hosts: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::cluster::{ClusterConfig, Stack};
-    use sim_core::SplitMix64;
     use sim_mem::Geometry;
-    use sim_net::ServerTimeline;
     use std::ops::Range;
 
-    /// The transport of a handler that must not send.
+    /// The wire of a handler that must not send; its clock stands still.
     struct NoSends;
 
     impl Transport for NoSends {
-        fn me(&self) -> HostId {
-            MANAGER
+        fn now(&self) -> Ns {
+            0
         }
 
-        fn send(&self, to: HostId, m: Pmsg, _: usize, _: Ns, _: &str) -> Result<Ns, ProtocolError> {
+        fn charge(&mut self, _: Ns) -> Ns {
+            0
+        }
+
+        fn send(&mut self, to: HostId, m: Pmsg, _: usize, _: &str) -> Result<Ns, ProtocolError> {
             panic!("unexpected {:?} to {to}", m.kind)
         }
     }
@@ -1251,10 +1203,9 @@ mod tests {
             m.data = Diff::compute(twin, &current).encode().into();
             m
         };
-        let mut tl = ServerTimeline::new(cfg.cost.clone(), SplitMix64::new(1));
         for m in [rc_diff(n + 64, n - 4..n + 8), rc_diff(n / 2, 0..4)] {
             assert!(matches!(
-                shards[0].handle(m, &mut tl, &NoSends),
+                shards[0].handle(m, &mut NoSends),
                 Err(ProtocolError::Malformed {
                     what: "release diff sized unlike its minipage",
                     ..
@@ -1263,7 +1214,7 @@ mod tests {
         }
         assert_eq!(home.priv_read(priv_base, n + 64).unwrap(), before);
         shards[0]
-            .handle(rc_diff(n, n - 4..n), &mut tl, &NoSends)
+            .handle(rc_diff(n, n - 4..n), &mut NoSends)
             .expect("a well-formed diff applies");
         let mut after = before.clone();
         after[n - 4..n].fill(7);
