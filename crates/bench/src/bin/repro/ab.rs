@@ -10,7 +10,8 @@
 //! swapping which goes first from one pair to the next. For each row, seed
 //! and metric it prints the change's wins, both medians, their relative
 //! difference, the parent's interquartile range and the verdict
-//! (`millipage_bench::ab`). `--rows` defaults to every workload of
+//! (`millipage_bench::ab`), one (row, seed) block as soon as its pairs
+//! finish. `--rows` defaults to every workload of
 //! `BENCHMARK.json`, and every run lasts its `run_seconds`.
 //!
 //! `--parity` runs the parity set instead: each command of [`PARITY`]
@@ -67,7 +68,6 @@ pub fn ab(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     header(&format!(
         "A/B — {rev} against the working tree: {pairs} alternating pairs of {seconds} s runs"
     ));
-    let mut table = Table::default();
     for row in &rows {
         for &seed in &seeds {
             // runs[side][pair]: side 0 is the parent, 1 the change.
@@ -82,6 +82,9 @@ pub fn ab(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
                     runs[side].push(line);
                 }
             }
+            // Printed as soon as its pairs finish, so a long A/B shows
+            // its progress and keeps what it measured when cut short.
+            let mut table = Table::default();
             for name in METRICS {
                 let column = |side: usize| -> Vec<f64> {
                     let values = runs[side].iter().map(|l| l.metric(name));
@@ -105,9 +108,9 @@ pub fn ab(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
                     ("verdict", &verdict),
                 ]);
             }
+            table.print();
         }
     }
-    table.print();
     Ok(())
 }
 

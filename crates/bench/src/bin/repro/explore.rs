@@ -4,11 +4,14 @@
 //! scheduler, auditing every interleaving. A clean sweep exits 0; any
 //! violation is shrunk to a minimal schedule and written as JSON
 //! (`--out`, default `schedule-repro.json`) with a nonzero exit.
-//! `--inject stale-reinstall` re-introduces the PR-3 stale-reinstall bug
-//! to demonstrate detection; `--replay <file>` replays a saved reproducer
-//! instead of sweeping (exit mirrors whether it still violates).
+//! `--inject <name>` plants the bug of that name in millipage's mutant
+//! table (`millipage::mutants::MUTANTS`; `stale-reinstall` re-introduces
+//! a fixed HLRC lost-update bug) to demonstrate detection; `--replay
+//! <file>` replays a saved reproducer instead of sweeping (exit mirrors
+//! whether it still violates).
 
 use millipage::explore::{race_config, race_workload};
+use millipage::mutants::{self, Mutant, MUTANTS};
 use millipage::{explore as sweep, replay_repro, ExploreOpts, MinimizedRepro};
 use millipage_bench::cli::{write_artifact, Flags, Gate, UsageError};
 use millipage_bench::header;
@@ -29,16 +32,17 @@ pub fn explore(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     let inject: Option<String> = f.value("--inject")?;
     let replay_path: Option<String> = f.value("--replay")?;
     f.finish()?;
-    let mut cfg = race_config();
-    match inject.as_deref() {
-        None => {}
-        Some("stale-reinstall") => cfg.bug_stale_reinstall = true,
-        Some(other) => {
-            return Err(UsageError(format!(
-                "unknown --inject {other:?} (known: stale-reinstall)"
-            )))
-        }
-    }
+    let mutant = match inject.as_deref() {
+        None => None,
+        Some(name) => Some(Mutant::named(name).ok_or_else(|| {
+            let known: Vec<&str> = MUTANTS.iter().map(|row| row.1).collect();
+            UsageError(format!(
+                "unknown --inject {name:?} (known: {})",
+                known.join(", ")
+            ))
+        })?),
+    };
+    let cfg = race_config();
 
     if let Some(path) = replay_path {
         let repro = std::fs::read_to_string(&path)
@@ -55,7 +59,9 @@ pub fn explore(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
             repro.policy,
             repro.choices.len()
         );
-        let violations = replay_repro(&cfg, race_workload, &repro, EXPLORE_RING_CAPACITY);
+        let violations = planted(mutant, || {
+            replay_repro(&cfg, race_workload, &repro, EXPLORE_RING_CAPACITY)
+        });
         if !violations.is_empty() {
             eprintln!("replay reproduces {} violation(s):", violations.len());
         }
@@ -71,11 +77,7 @@ pub fn explore(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
     header(&format!(
         "Explore — {schedules} schedule(s), seed {seed}, race workload ({} hosts{})",
         cfg.hosts,
-        if cfg.bug_stale_reinstall {
-            ", stale-reinstall injected"
-        } else {
-            ""
-        }
+        inject.map_or(String::new(), |name| format!(", {name} injected"))
     ));
     let opts = ExploreOpts {
         schedules,
@@ -83,7 +85,7 @@ pub fn explore(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         trace_capacity: EXPLORE_RING_CAPACITY,
         ..ExploreOpts::default()
     };
-    let outcome = sweep(&cfg, race_workload, &opts);
+    let outcome = planted(mutant, || sweep(&cfg, race_workload, &opts));
     if let Some(repro) = outcome.finding {
         eprintln!(
             "schedule {} (policy {}) violated; shrunk to {} choice(s) in {} replay(s):",
@@ -109,4 +111,12 @@ pub fn explore(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         outcome.schedules_run
     ));
     Ok(())
+}
+
+/// Runs `f` with `mutant`, if any, planted on this thread.
+fn planted<R>(mutant: Option<Mutant>, f: impl FnOnce() -> R) -> R {
+    match mutant {
+        Some(m) => mutants::with(m, f),
+        None => f(),
+    }
 }

@@ -89,7 +89,7 @@ const COMMANDS: &[(&str, &str, Command)] = &[
     ),
     (
         "explore",
-        "[--schedules N] [--seed N] [--quick] [--out f] [--inject stale-reinstall] [--replay f]",
+        "[--schedules N] [--seed N] [--quick] [--out f] [--inject mutant] [--replay f]",
         explore::explore,
     ),
     (

@@ -112,13 +112,6 @@ pub struct ClusterConfig {
     /// Disabled by default; most actions also need `diag: true` to have
     /// anything to plan from.
     pub adapt: crate::adapt::AdaptConfig,
-    /// Deliberately re-introduces the fixed PR-3 stale-reinstall bug (a
-    /// home host installing its own serve-time snapshot over concurrently
-    /// applied release diffs). Exists solely so the schedule-exploration
-    /// harness can demonstrate it catches and shrinks the bug; never set
-    /// this outside those tests.
-    #[doc(hidden)]
-    pub bug_stale_reinstall: bool,
 }
 
 impl Default for ClusterConfig {
@@ -139,7 +132,6 @@ impl Default for ClusterConfig {
             parallel: None,
             diag: false,
             adapt: crate::adapt::AdaptConfig::default(),
-            bug_stale_reinstall: false,
         }
     }
 }
@@ -317,18 +309,15 @@ where
             .map(|h| {
                 let id = HostId(h as u16);
                 let (mem, wake) = host(id);
-                Rc::new(HostState {
-                    bug_stale_reinstall: cfg.bug_stale_reinstall,
-                    ..HostState::new(
-                        id,
-                        mem,
-                        wake,
-                        cfg.cost.clone(),
-                        cfg.consistency,
-                        Rc::clone(&home),
-                        diag.clone(),
-                    )
-                })
+                Rc::new(HostState::new(
+                    id,
+                    mem,
+                    wake,
+                    cfg.cost.clone(),
+                    cfg.consistency,
+                    Rc::clone(&home),
+                    diag.clone(),
+                ))
             })
             .collect();
         let cluster = Rc::new(states.clone());

@@ -149,8 +149,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// violation lists, and the trace auditor.
 ///
 /// `base.sched` and `base.tracer` are overridden per schedule; every
-/// other field (including the fault plane and `bug_stale_reinstall`) is
-/// explored as configured.
+/// other field (including the fault plane) is explored as configured, as
+/// is a planted bug the calling thread selected (`mutants::with`).
 pub fn explore(
     base: &ClusterConfig,
     runner: impl Fn(ClusterConfig) -> RunReport,
@@ -356,9 +356,9 @@ impl MinimizedRepro {
 /// on host 1 while host 0 runs the manager. This is the exact shape of
 /// the fixed PR-3 stale-reinstall bug — a home host's *self-served*
 /// fetch racing a remote writer's release diff through its own server
-/// queue — so exploring it with
-/// [`ClusterConfig::bug_stale_reinstall`] set demonstrates the harness
-/// catches and shrinks a real historical protocol bug.
+/// queue — so exploring it with the `stale-reinstall` mutant selected
+/// (`mutants::with`) demonstrates the harness catches and shrinks a real
+/// historical protocol bug.
 ///
 /// Three hosts are the minimum for the race: a flusher blocks for its
 /// `RcDiffAck` before entering the barrier, so any fetch the *diff

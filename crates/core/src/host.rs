@@ -130,10 +130,6 @@ pub(crate) struct HostState<M = AddressSpace, W = Waiters> {
     /// no new wait may begin, and every outstanding wait has been (or is
     /// about to be) failed with [`ProtocolError::Cancelled`].
     pub aborted: Cell<bool>,
-    /// Deliberately re-introduces the fixed stale-reinstall bug (see
-    /// `ClusterConfig::bug_stale_reinstall`); never set outside the
-    /// schedule-exploration tests.
-    pub bug_stale_reinstall: bool,
 }
 
 impl<M, W> HostState<M, W> {
@@ -159,7 +155,6 @@ impl<M, W> HostState<M, W> {
             counts: Arc::default(),
             diag,
             aborted: Cell::new(false),
-            bug_stale_reinstall: false,
         }
     }
 

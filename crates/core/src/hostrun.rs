@@ -343,20 +343,21 @@ impl Transport for RingTransport<'_> {
         _payload: usize,
         what: &'static str,
     ) -> Result<Ns, ProtocolError> {
-        self.inbox.links.record(self.me, to, msg.data.len() as u64);
-        let wire_from = self.me;
+        let (wire_from, bytes) = (self.me, msg.data.len() as u64);
         let env = Envelope { to, wire_from, msg };
         if to == self.me {
             self.to_self.push_back(env);
-            return Ok(self.stamp);
+        } else {
+            self.inbox
+                .try_push(env)
+                .map_err(|_| ProtocolError::Backend {
+                    host: self.me,
+                    what,
+                    errno: libc::EAGAIN,
+                })?;
         }
-        self.inbox
-            .try_push(env)
-            .map_err(|_| ProtocolError::Backend {
-                host: self.me,
-                what,
-                errno: libc::EAGAIN,
-            })?;
+        // Counted once queued: a refused push is no traffic.
+        self.inbox.links.record(self.me, to, bytes);
         Ok(self.stamp)
     }
 }
@@ -1404,13 +1405,15 @@ mod tests {
 
     /// The server thread is its inbox's only reader, so it must never wait
     /// for room in it: a send that finds the ring full fails with `EAGAIN`
-    /// as a backend error, and the request being served is nacked. Here
+    /// as a backend error, is no traffic on its link (a table sized for
+    /// both hosts, so h1's link could count it), and the request being
+    /// served is nacked. Here
     /// the second of two barrier entries (both self-sent: the ring has no
     /// room) completes the barrier, the release to the other entrant
     /// cannot be pushed, and the completing entrant's word holds a `Nack`.
     #[test]
     fn a_full_inbox_fails_one_request() {
-        let inbox = Inbox::new(1);
+        let inbox = Inbox::new(2);
         let (state, shard, done) = lone_host();
         let me = state.host;
         while inbox.try_push(shutdown(me)).is_ok() {}
@@ -1424,6 +1427,7 @@ mod tests {
                 errno: libc::EAGAIN,
             })
         );
+        assert_eq!(inbox.links.totals(), (0, 0), "a refused send is no traffic");
         for from in [HostId(1), me] {
             let enter = Pmsg::new(MsgKind::BarrierEnter, from, 1);
             server.wire.send(me, enter, 0, "test").expect("queued");

@@ -24,6 +24,21 @@
 //! home-based eager release-consistency mode ([`hlrc`]) used for the
 //! SC-vs-relaxed ablation.
 
+// Whether planted bug `Mutant::$m` (see `mutants`) is selected on the
+// calling thread: the constant `false` without the `mutants` feature.
+#[cfg(feature = "mutants")]
+macro_rules! mutant {
+    ($m:ident) => {
+        $crate::mutants::selected() == Some($crate::mutants::Mutant::$m)
+    };
+}
+#[cfg(not(feature = "mutants"))]
+macro_rules! mutant {
+    ($m:ident) => {
+        false
+    };
+}
+
 pub mod adapt;
 pub mod audit;
 mod backend;
@@ -41,6 +56,8 @@ mod host;
 pub mod hostrun;
 mod manager;
 mod msg;
+#[cfg(feature = "mutants")]
+pub mod mutants;
 mod probe;
 mod server;
 mod shared;

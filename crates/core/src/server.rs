@@ -343,8 +343,8 @@ impl<M: MemoryBackend, W: LocalWake, T: Transport> Server<M, W, T> {
     /// serve and this install (another host's release flush) would be
     /// silently reverted by the stale write-back, losing that host's
     /// release for good. The protection change is still required.
-    /// `bug_stale_reinstall` re-introduces the fixed bug on purpose so the
-    /// schedule-exploration harness can prove it would catch it.
+    /// The `stale-reinstall` mutant (`mutants`) brings the fixed bug back
+    /// so the schedule-exploration harness can prove it would catch it.
     fn install_reply(
         &mut self,
         m: &Pmsg,
@@ -353,7 +353,7 @@ impl<M: MemoryBackend, W: LocalWake, T: Transport> Server<M, W, T> {
         let (mem, host, cost) = (&self.state.space, self.state.host, &self.state.cost);
         let wire = &mut self.wire;
         wire.charge(cost.dsm_overhead);
-        if wire_from != host || self.state.bug_stale_reinstall {
+        if wire_from != host || mutant!(StaleReinstall) {
             write_priv(mem, host, m.priv_base, &m.data, "reply install")?;
         }
         // aux 1 = read-only copy installed, aux 2 = writable copy installed.

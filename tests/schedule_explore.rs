@@ -6,6 +6,7 @@
 //! original lost-update fix.
 
 use millipage::explore::{race_config, race_workload};
+use millipage::mutants::{self, Mutant};
 use millipage::{explore, replay_repro, ExploreOpts, MinimizedRepro};
 
 #[test]
@@ -40,14 +41,14 @@ const PRETTY_REPRO: &str = r#"{
 
 #[test]
 fn injected_stale_reinstall_is_caught_shrunk_and_fixed() {
-    let mut buggy = race_config();
-    buggy.bug_stale_reinstall = true;
     let opts = ExploreOpts {
         schedules: 200,
         seed: 7,
         ..ExploreOpts::default()
     };
-    let outcome = explore(&buggy, race_workload, &opts);
+    let outcome = mutants::with(Mutant::StaleReinstall, || {
+        explore(&race_config(), race_workload, &opts)
+    });
     let repro = outcome
         .finding
         .expect("the sweep must catch the injected stale-reinstall bug");
@@ -69,7 +70,9 @@ fn injected_stale_reinstall_is_caught_shrunk_and_fixed() {
 
     // Shrinking preserved failure: the minimized schedule still loses the
     // update on buggy code...
-    let violations = replay_repro(&buggy, race_workload, &repro, 1 << 15);
+    let violations = mutants::with(Mutant::StaleReinstall, || {
+        replay_repro(&race_config(), race_workload, &repro, 1 << 15)
+    });
     assert!(
         !violations.is_empty(),
         "minimized reproducer no longer fails on buggy code"
