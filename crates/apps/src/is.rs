@@ -14,8 +14,8 @@
 //! disjoint regions — 9 barriers per iteration on 8 hosts, matching the
 //! paper's 90 barriers for 10 iterations.
 
-use crate::{band, cal, AppRun, TimedAgg};
-use millipage::{run, ClusterConfig, Dsm, SetupCtx, SharedVec};
+use crate::{band, cal, run_app, AppRun};
+use millipage::{ClusterConfig, Dsm, SetupCtx, SharedVec};
 use sim_core::SplitMix64;
 
 /// IS workload parameters.
@@ -160,26 +160,7 @@ pub fn run_is(mut cfg: ClusterConfig, p: IsParams) -> AppRun {
         "the rotated merge needs at least as many regions as hosts"
     );
     cfg.views = cfg.views.max(p.regions);
-    let sum = std::sync::Mutex::new(0.0f64);
-    let timed = TimedAgg::new();
-    let report = run(
-        cfg,
-        |s| setup(s, p),
-        |ctx, sh| {
-            worker(ctx, sh);
-            timed.record(ctx);
-            if ctx.host().index() == 0 {
-                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
-            }
-        },
-    );
-    let (timed_ns, timed_breakdown) = timed.take();
-    AppRun {
-        report,
-        checksum: sum.into_inner().expect("checksum poisoned"),
-        timed_ns,
-        timed_breakdown,
-    }
+    run_app(cfg, |s| setup(s, p), worker, checksum)
 }
 
 /// Runs IS on the real-memory backend (Linux): same workers, same
@@ -199,25 +180,7 @@ pub fn run_is_host(hosts: usize, p: IsParams, diag: bool) -> Result<crate::HostA
         diag,
         adapt: millipage::AdaptConfig::default(),
     };
-    let sum = std::sync::Mutex::new(0.0f64);
-    let report = millipage::run_host(
-        cfg,
-        |s| setup(s, p),
-        |ctx, sh| {
-            worker(ctx, sh);
-            if ctx.host().index() == 0 {
-                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
-            }
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    if !report.errors.is_empty() {
-        return Err(report.errors.join("; "));
-    }
-    Ok(crate::HostAppRun {
-        report,
-        checksum: sum.into_inner().expect("checksum poisoned"),
-    })
+    crate::run_app_host(cfg, |s| setup(s, p), worker, checksum)
 }
 
 #[cfg(test)]

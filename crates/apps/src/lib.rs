@@ -16,9 +16,15 @@
 //! element separately.
 //!
 //! Each module exposes a `Params` type (with `paper()` and `small()`
-//! presets), a parallel `run_*` entry point returning an [`AppRun`], and a
-//! deterministic sequential reference used by the tests to validate the
-//! parallel result.
+//! presets), a per-host `worker`, a `checksum` host 0 computes after the
+//! final barrier, and a deterministic sequential reference used by the
+//! tests to validate the parallel result. Its `run_*` entry point sizes
+//! the cluster for the input and hands all three to one driver, which
+//! times the region the paper measures (§4.3): each thread's timed region
+//! is taken when its worker returns, so the checksum falls outside it.
+//! The simulator's driver returns an [`AppRun`]; SOR and IS also run on
+//! the real-memory backend through its driver, returning a
+//! [`HostAppRun`].
 
 pub mod is;
 pub mod lu;
@@ -26,7 +32,7 @@ pub mod sor;
 pub mod tsp;
 pub mod water;
 
-use millipage::{HostCtx, Ns, RunReport, TimeBreakdown};
+use millipage::{ClusterConfig, HostCtx, Ns, RunReport, SetupCtx, TimeBreakdown};
 use std::sync::Mutex;
 
 /// Calibration of application compute charges, approximating the paper's
@@ -90,30 +96,58 @@ pub struct HostAppRun {
     pub checksum: f64,
 }
 
-/// Aggregates the timed regions of all application threads of a run.
-#[derive(Default)]
-pub struct TimedAgg {
-    inner: Mutex<(Ns, TimeBreakdown)>,
+/// Runs an application on a simulated cluster: `worker` on every
+/// application thread, whose timed region is taken when it returns, then
+/// `checksum` on host 0.
+pub(crate) fn run_app<S: Send + Sync>(
+    cfg: ClusterConfig,
+    setup: impl FnOnce(&mut SetupCtx) -> S,
+    worker: impl Fn(&mut HostCtx, &S) + Send + Sync,
+    checksum: impl Fn(&mut HostCtx, &S) -> f64 + Send + Sync,
+) -> AppRun {
+    let out = Mutex::new((0, TimeBreakdown::new(), 0.0));
+    let report = millipage::run(cfg, setup, |ctx, sh| {
+        worker(ctx, sh);
+        let (timed, breakdown) = (ctx.timed(), ctx.timed_breakdown());
+        let sum = (ctx.host().index() == 0).then(|| checksum(ctx, sh));
+        let mut out = out.lock().expect("run result poisoned");
+        out.0 = out.0.max(timed);
+        out.1.merge(&breakdown);
+        out.2 = sum.unwrap_or(out.2);
+    });
+    let (timed_ns, timed_breakdown, checksum) = out.into_inner().expect("run result poisoned");
+    AppRun {
+        report,
+        checksum,
+        timed_ns,
+        timed_breakdown,
+    }
 }
 
-impl TimedAgg {
-    /// An empty aggregate.
-    pub fn new() -> Self {
-        Self::default()
+/// [`run_app`] on the real-memory backend: `worker` on every application
+/// thread, then `checksum` on host 0. A report that carries errors is an
+/// `Err` naming them.
+#[cfg(target_os = "linux")]
+pub(crate) fn run_app_host<S: Send + Sync>(
+    cfg: millipage::HostRunConfig,
+    setup: impl FnOnce(&mut SetupCtx) -> S + Send,
+    worker: impl Fn(&mut millipage::HostDsmCtx, &S) + Send + Sync,
+    checksum: impl Fn(&mut millipage::HostDsmCtx, &S) -> f64 + Send + Sync,
+) -> Result<HostAppRun, String> {
+    use millipage::Dsm;
+    let sum = Mutex::new(0.0);
+    let report = millipage::run_host(cfg, setup, |ctx, sh| {
+        worker(ctx, sh);
+        if ctx.host().index() == 0 {
+            *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
+        }
+    })
+    .map_err(|e| e.to_string())?;
+    if !report.errors.is_empty() {
+        return Err(report.errors.join("; "));
     }
-
-    /// Records one thread's timed region (call right after the final
-    /// barrier).
-    pub fn record(&self, ctx: &HostCtx) {
-        let mut a = self.inner.lock().expect("accumulator poisoned");
-        a.0 = a.0.max(ctx.timed());
-        a.1.merge(&ctx.timed_breakdown());
-    }
-
-    /// The aggregate (max time, merged breakdown).
-    pub fn take(self) -> (Ns, TimeBreakdown) {
-        self.inner.into_inner().expect("accumulator poisoned")
-    }
+    let checksum = sum.into_inner().expect("checksum poisoned");
+    Ok(HostAppRun { report, checksum })
 }
 
 /// Relative comparison for checksums (LU/SOR accumulate rounding in a
@@ -161,6 +195,38 @@ mod tests {
         let min = sizes.iter().min().unwrap();
         let max = sizes.iter().max().unwrap();
         assert!(max - min <= 1);
+    }
+
+    /// The timed region ends where the worker returns: a checksum that
+    /// charges compute moves the run's virtual time, not its timed region.
+    #[test]
+    fn the_checksum_is_outside_the_timed_region() {
+        let p = sor::SorParams::small();
+        let cfg = ClusterConfig {
+            hosts: 2,
+            views: 32,
+            pages: 256,
+            ..ClusterConfig::default()
+        };
+        let plain = run_app(
+            cfg.clone(),
+            |s| sor::setup(s, p),
+            sor::worker,
+            sor::checksum,
+        );
+        let slow = run_app(
+            cfg,
+            |s| sor::setup(s, p),
+            sor::worker,
+            |ctx, sh| {
+                ctx.compute(1_000_000);
+                sor::checksum(ctx, sh)
+            },
+        );
+        assert_eq!(plain.timed_ns, slow.timed_ns);
+        assert_eq!(plain.timed_breakdown, slow.timed_breakdown);
+        assert_ne!(plain.report.virtual_time, slow.report.virtual_time);
+        assert_eq!(plain.checksum, slow.checksum);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! order, so the parallel result is bitwise equal to the sequential
 //! reference.
 
-use crate::{cal, AppRun, TimedAgg};
-use millipage::{run, ClusterConfig, HostCtx, SetupCtx, SharedVec};
+use crate::{cal, run_app, AppRun};
+use millipage::{ClusterConfig, HostCtx, SetupCtx, SharedVec};
 use sim_core::SplitMix64;
 
 /// LU workload parameters.
@@ -383,26 +383,7 @@ pub fn checksum(ctx: &mut HostCtx, sh: &LuShared) -> f64 {
 pub fn run_lu(mut cfg: ClusterConfig, p: LuParams) -> AppRun {
     let bytes = p.n * p.n * 4;
     cfg.pages = cfg.pages.max(bytes / 4096 + 128);
-    let sum = std::sync::Mutex::new(0.0f64);
-    let timed = TimedAgg::new();
-    let report = run(
-        cfg,
-        |s| setup(s, p),
-        |ctx, sh| {
-            worker(ctx, sh);
-            timed.record(ctx);
-            if ctx.host().index() == 0 {
-                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
-            }
-        },
-    );
-    let (timed_ns, timed_breakdown) = timed.take();
-    AppRun {
-        report,
-        checksum: sum.into_inner().expect("checksum poisoned"),
-        timed_ns,
-        timed_breakdown,
-    }
+    run_app(cfg, |s| setup(s, p), worker, checksum)
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! band-partitioned solver only communicates its two boundary rows per
 //! phase and false sharing is absent.
 
-use crate::{band, cal, AppRun, TimedAgg};
-use millipage::{run, ClusterConfig, Dsm, SetupCtx, SharedVec};
+use crate::{band, cal, run_app, AppRun};
+use millipage::{ClusterConfig, Dsm, SetupCtx, SharedVec};
 
 /// SOR workload parameters.
 #[derive(Clone, Copy, Debug)]
@@ -159,26 +159,7 @@ pub fn checksum<D: Dsm>(ctx: &mut D, sh: &SorShared) -> f64 {
 pub fn run_sor(mut cfg: ClusterConfig, p: SorParams) -> AppRun {
     cfg.pages = cfg.pages.max(p.shared_bytes() / 4096 * 2 + 64);
     cfg.views = cfg.views.max((4096 / (p.cols * 4)).clamp(1, 32));
-    let sum = std::sync::Mutex::new(0.0f64);
-    let timed = TimedAgg::new();
-    let report = run(
-        cfg,
-        |s| setup(s, p),
-        |ctx, sh| {
-            worker(ctx, sh);
-            timed.record(ctx);
-            if ctx.host().index() == 0 {
-                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
-            }
-        },
-    );
-    let (timed_ns, timed_breakdown) = timed.take();
-    AppRun {
-        report,
-        checksum: sum.into_inner().expect("checksum poisoned"),
-        timed_ns,
-        timed_breakdown,
-    }
+    run_app(cfg, |s| setup(s, p), worker, checksum)
 }
 
 /// Runs SOR on the real-memory backend (Linux): same workers, same
@@ -210,25 +191,7 @@ pub fn run_sor_host_with(
         diag,
         adapt,
     };
-    let sum = std::sync::Mutex::new(0.0f64);
-    let report = millipage::run_host(
-        cfg,
-        |s| setup(s, p),
-        |ctx, sh| {
-            worker(ctx, sh);
-            if ctx.host().index() == 0 {
-                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
-            }
-        },
-    )
-    .map_err(|e| e.to_string())?;
-    if !report.errors.is_empty() {
-        return Err(report.errors.join("; "));
-    }
-    Ok(crate::HostAppRun {
-        report,
-        checksum: sum.into_inner().expect("checksum poisoned"),
-    })
+    crate::run_app_host(cfg, |s| setup(s, p), worker, checksum)
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@
 //! covering pop + child pushes) down to `recursion_limit` cities, then
 //! solve the remaining suffix exactly with a local depth-first search.
 
-use crate::{cal, AppRun, TimedAgg};
-use millipage::{run, ClusterConfig, HostCtx, SetupCtx, SharedCell, SharedVec};
+use crate::{cal, run_app, AppRun};
+use millipage::{ClusterConfig, HostCtx, SetupCtx, SharedCell, SharedVec};
 use sim_core::SplitMix64;
 
 /// `i32`s per tour element: 37 × 4 = 148 bytes (Table 2).
@@ -437,9 +437,7 @@ pub fn run_tsp(mut cfg: ClusterConfig, p: TspParams) -> AppRun {
     let bytes = p.max_tours * (TOUR_I32S * 4 + 8) + 64;
     cfg.pages = cfg.pages.max(bytes / 4096 * 2 + 64);
     cfg.views = cfg.views.max(27);
-    let sum = std::sync::Mutex::new(0.0f64);
-    let timed = TimedAgg::new();
-    let report = run(
+    run_app(
         cfg,
         |s| {
             let sh = setup(s, p);
@@ -447,21 +445,9 @@ pub fn run_tsp(mut cfg: ClusterConfig, p: TspParams) -> AppRun {
             s.write_vec(&sh.free, p.max_tours - 1, &[1i32]);
             sh
         },
-        |ctx, sh| {
-            worker(ctx, sh);
-            timed.record(ctx);
-            if ctx.host().index() == 0 {
-                *sum.lock().expect("checksum poisoned") = ctx.cell_get(&sh.best) as f64;
-            }
-        },
-    );
-    let (timed_ns, timed_breakdown) = timed.take();
-    AppRun {
-        report,
-        checksum: sum.into_inner().expect("checksum poisoned"),
-        timed_ns,
-        timed_breakdown,
-    }
+        worker,
+        |ctx, sh| ctx.cell_get(&sh.best) as f64,
+    )
 }
 
 #[cfg(test)]

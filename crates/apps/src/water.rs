@@ -22,8 +22,8 @@
 //! host-count- and timing-dependent order, so checksums are compared with
 //! a relative tolerance.
 
-use crate::{band, cal, AppRun, TimedAgg};
-use millipage::{run, ClusterConfig, HostCtx, SetupCtx, SharedVec};
+use crate::{band, cal, run_app, AppRun};
+use millipage::{ClusterConfig, HostCtx, SetupCtx, SharedVec};
 
 /// Doubles per molecule: 84 × 8 = 672 bytes (Table 2).
 pub const MOL_F64S: usize = 84;
@@ -278,26 +278,7 @@ pub fn run_water(mut cfg: ClusterConfig, p: WaterParams) -> AppRun {
     let bytes = p.molecules * MOL_F64S * 8;
     cfg.pages = cfg.pages.max(bytes / 4096 * 3 + 64);
     cfg.views = cfg.views.max(6);
-    let sum = std::sync::Mutex::new(0.0f64);
-    let timed = TimedAgg::new();
-    let report = run(
-        cfg,
-        |s| setup(s, p),
-        |ctx, sh| {
-            worker(ctx, sh);
-            timed.record(ctx);
-            if ctx.host().index() == 0 {
-                *sum.lock().expect("checksum poisoned") = checksum(ctx, sh);
-            }
-        },
-    );
-    let (timed_ns, timed_breakdown) = timed.take();
-    AppRun {
-        report,
-        checksum: sum.into_inner().expect("checksum poisoned"),
-        timed_ns,
-        timed_breakdown,
-    }
+    run_app(cfg, |s| setup(s, p), worker, checksum)
 }
 
 #[cfg(test)]

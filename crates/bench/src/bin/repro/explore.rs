@@ -83,7 +83,6 @@ pub fn explore(f: &mut Flags, gate: &mut Gate) -> Result<(), UsageError> {
         schedules,
         seed,
         trace_capacity: EXPLORE_RING_CAPACITY,
-        ..ExploreOpts::default()
     };
     let outcome = planted(mutant, || sweep(&cfg, race_workload, &opts));
     if let Some(repro) = outcome.finding {

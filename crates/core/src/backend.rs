@@ -40,22 +40,11 @@ use crate::error::ProtocolError;
 use crate::host::{HostState, Waiters};
 use crate::msg::Pmsg;
 use bytes::{Bytes, BytesMut};
-use sim_core::{Geometry, HostId, Ns, VAddr};
+use sim_core::{Geometry, HostId, MemFault, Ns, VAddr};
 use sim_mem::{AddressSpace, Prot};
 use sim_net::{Endpoint, ServerTimeline};
 use std::ops::Range;
 use std::rc::Rc;
-
-/// Why a backend memory operation failed. The protocol layer converts
-/// this into a [`ProtocolError`] carrying the message context.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MemFault {
-    /// Address, range, or vpage outside the shared region.
-    OutOfRange,
-    /// A protection change targeted the (fixed `ReadWrite`) privileged
-    /// view.
-    Privileged,
-}
 
 /// One host's view of the shared memory object, as the protocol sees it:
 /// per-vpage protections plus privileged-view byte access.
@@ -99,18 +88,15 @@ impl MemoryBackend for AddressSpace {
     }
 
     fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemFault> {
-        AddressSpace::set_prot(self, vpage, prot).map_err(|e| match e {
-            sim_mem::MemError::OutOfRange { .. } => MemFault::OutOfRange,
-            sim_mem::MemError::PrivilegedViewProtection { .. } => MemFault::Privileged,
-        })
+        AddressSpace::set_prot(self, vpage, prot)
     }
 
     fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemFault> {
-        AddressSpace::priv_read_into(self, addr, out).map_err(|_| MemFault::OutOfRange)
+        AddressSpace::priv_read_into(self, addr, out)
     }
 
     fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
-        AddressSpace::priv_write(self, addr, data).map_err(|_| MemFault::OutOfRange)
+        AddressSpace::priv_write(self, addr, data)
     }
 
     /// One decode for the range and one page borrow per page it covers.
@@ -118,7 +104,6 @@ impl MemoryBackend for AddressSpace {
         AddressSpace::priv_patch(self, priv_base, diff.source_len(), |at, bytes| {
             diff.apply_at(at, bytes)
         })
-        .map_err(|_| MemFault::OutOfRange)
     }
 
     /// The diff reads the page where it lies (a range spanning pages is
@@ -127,7 +112,6 @@ impl MemoryBackend for AddressSpace {
         AddressSpace::snapshot_and_protect(self, addr, twin.len(), prot, |current| {
             Diff::compute(twin, current)
         })
-        .map_err(|_| MemFault::OutOfRange)
     }
 }
 

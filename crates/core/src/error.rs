@@ -24,11 +24,6 @@ pub enum ProtocolError {
         /// Protocol event id, or 0.
         event: u64,
     },
-    /// A peer's endpoint is gone; the message can never be handled.
-    Disconnected {
-        /// Host that observed the dead peer.
-        host: HostId,
-    },
     /// A reply arrived for which no waiter is registered (stale or
     /// duplicated beyond what the dedup layer can pair up).
     NoWaiter {
@@ -119,7 +114,6 @@ impl ProtocolError {
     pub fn host(&self) -> HostId {
         match *self {
             ProtocolError::Timeout { host, .. }
-            | ProtocolError::Disconnected { host }
             | ProtocolError::NoWaiter { host, .. }
             | ProtocolError::BadTranslation { host, .. }
             | ProtocolError::Malformed { host, .. }
@@ -139,9 +133,6 @@ impl std::fmt::Display for ProtocolError {
         match self {
             ProtocolError::Timeout { host, what, event } => {
                 write!(f, "{host}: {what} timed out (event {event})")
-            }
-            ProtocolError::Disconnected { host } => {
-                write!(f, "{host}: peer endpoint disconnected")
             }
             ProtocolError::NoWaiter { host, event, kind } => {
                 write!(f, "{host}: {kind} reply for event {event} has no waiter")

@@ -34,7 +34,13 @@ use sim_core::{SplitMix64, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// Exploration budget and tuning knobs.
+/// PCT preemption depth (number of forced priority-change points) for
+/// the odd-numbered schedules.
+const PCT_DEPTH: u32 = 3;
+/// Replay budget for shrinking a violating schedule.
+const SHRINK_BUDGET: usize = 128;
+
+/// Exploration budget.
 #[derive(Clone, Debug)]
 pub struct ExploreOpts {
     /// How many distinct schedules to try.
@@ -42,15 +48,10 @@ pub struct ExploreOpts {
     /// Master seed; schedule `i` derives its own seed from a SplitMix64
     /// stream, so the whole sweep replays from this one value.
     pub seed: u64,
-    /// PCT preemption depth (number of forced priority-change points) for
-    /// the odd-numbered schedules.
-    pub pct_depth: u32,
     /// Trace ring capacity per run. The auditor only sees complete logs;
     /// if a run overflows the ring its audit is skipped (the other
     /// oracles still apply).
     pub trace_capacity: usize,
-    /// Replay budget for shrinking a violating schedule.
-    pub shrink_budget: usize,
 }
 
 impl Default for ExploreOpts {
@@ -58,9 +59,7 @@ impl Default for ExploreOpts {
         Self {
             schedules: 200,
             seed: 7,
-            pct_depth: 3,
             trace_capacity: 1 << 15,
-            shrink_budget: 128,
         }
     }
 }
@@ -164,7 +163,7 @@ pub fn explore(
         let mode = if i % 2 == 0 {
             SchedMode::random(s)
         } else {
-            SchedMode::pct(s, opts.pct_depth)
+            SchedMode::pct(s, PCT_DEPTH)
         };
         let (violations, decisions) = run_one(base, &mode, runner, opts.trace_capacity);
         if !violations.is_empty() {
@@ -268,7 +267,7 @@ fn shrink(
     // Pass 1: shortest failing prefix. `hi` is always a confirmed-failing
     // prefix length.
     let (mut lo, mut hi) = (0usize, decisions.len());
-    while lo < hi && replays < opts.shrink_budget {
+    while lo < hi && replays < SHRINK_BUDGET {
         let mid = lo + (hi - lo) / 2;
         if fails(&decisions[..mid], &mut replays) {
             hi = mid;
@@ -281,7 +280,7 @@ fn shrink(
     // Pass 2: right-to-left, replace single decisions with the canonical
     // virtual-time pick where the failure survives it.
     for i in (0..choices.len()).rev() {
-        if replays >= opts.shrink_budget {
+        if replays >= SHRINK_BUDGET {
             break;
         }
         if choices[i] == u32::MAX {

@@ -55,7 +55,7 @@
 //! SIGSEGV handler, which is what makes `--backend host` reports
 //! comparable with the simulator's fault counts.
 
-use crate::backend::{LocalWake, MemFault, MemoryBackend, Transport};
+use crate::backend::{LocalWake, MemoryBackend, Transport};
 use crate::cluster::{assert_hosts, settle_app_failures, ClusterConfig, SetupCtx, Stack, Verdict};
 use crate::diag::{DiagReport, DiagTable};
 use crate::diff::Diff;
@@ -70,7 +70,7 @@ use crate::server::Server;
 use crate::shared::{fill_wire, wire_bytes, Pod, SharedVec};
 use hostmv::{install_dsm_handler, FaultCounters, MultiViewRegion, Unserved};
 use sim_core::trace::{TraceRecorder, Tracer, Track, NO_MP};
-use sim_core::{Access, Fault, Geometry, HostId, LinkTraffic, Ns, Prot, VAddr};
+use sim_core::{Access, Fault, Geometry, HostId, LinkTraffic, MemFault, Ns, Prot, VAddr};
 use std::cell::{Cell, UnsafeCell};
 use std::collections::VecDeque;
 use std::mem::MaybeUninit;
@@ -377,9 +377,15 @@ struct HostMemory {
 impl HostMemory {
     /// Decodes a canonical address (any view — every view aliases the same
     /// physical pages, exactly like the sim's privileged accessors) into a
-    /// physical (page, offset).
-    fn priv_loc(&self, addr: VAddr) -> Result<(usize, usize), MemFault> {
-        let loc = self.geometry().decode(addr).ok_or(MemFault::OutOfRange)?;
+    /// physical (page, offset), with the `len` bytes from it inside the
+    /// memory object.
+    fn priv_loc(&self, addr: VAddr, len: usize) -> Result<(usize, usize), MemFault> {
+        let geo = self.geometry();
+        let out = MemFault::OutOfRange { addr, len };
+        let loc = geo.decode(addr).ok_or(out)?;
+        if loc.offset + len > (geo.pages() - loc.page) * geo.page_size() {
+            return Err(out);
+        }
         Ok((loc.page, loc.offset))
     }
 }
@@ -402,29 +408,24 @@ impl MemoryBackend for HostMemory {
         let geo = self.geometry();
         let (view, page) = (vpage / geo.pages(), vpage % geo.pages());
         if view >= geo.priv_view() {
-            return Err(MemFault::Privileged);
+            return Err(MemFault::Privileged { vpage });
         }
         self.region
             .protect(view, page, prot)
-            .map_err(|_| MemFault::OutOfRange)
+            .map_err(|_| MemFault::OutOfRange {
+                addr: VAddr(0),
+                len: 0,
+            })
     }
 
     fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemFault> {
-        let (page, offset) = self.priv_loc(addr)?;
-        let geo = self.geometry();
-        if offset + out.len() > (geo.pages() - page) * geo.page_size() {
-            return Err(MemFault::OutOfRange);
-        }
+        let (page, offset) = self.priv_loc(addr, out.len())?;
         self.region.priv_read_into(page, offset, out);
         Ok(())
     }
 
     fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
-        let (page, offset) = self.priv_loc(addr)?;
-        let geo = self.geometry();
-        if offset + data.len() > (geo.pages() - page) * geo.page_size() {
-            return Err(MemFault::OutOfRange);
-        }
+        let (page, offset) = self.priv_loc(addr, data.len())?;
         self.region.priv_write(page, offset, data);
         Ok(())
     }
@@ -432,11 +433,7 @@ impl MemoryBackend for HostMemory {
     /// The privileged view is plain mapped memory, so there is no page to
     /// borrow: one check of the whole range, then one copy per run.
     fn apply_diff(&self, priv_base: VAddr, diff: &Diff) -> Result<(), MemFault> {
-        let (page, offset) = self.priv_loc(priv_base)?;
-        let geo = self.geometry();
-        if offset + diff.source_len() > (geo.pages() - page) * geo.page_size() {
-            return Err(MemFault::OutOfRange);
-        }
+        self.priv_loc(priv_base, diff.source_len())?;
         for (off, bytes) in diff.iter_runs() {
             self.priv_write(priv_base.add(off), bytes)?;
         }
@@ -447,12 +444,14 @@ impl MemoryBackend for HostMemory {
         // Copy first, then revoke: same order the sim's eviction uses.
         // (Unused under SequentialSwMr — present for trait completeness.)
         let geo = self.geometry();
-        let priv_addr = geo.to_priv(addr).ok_or(MemFault::OutOfRange)?;
+        let out = MemFault::OutOfRange {
+            addr,
+            len: twin.len(),
+        };
+        let priv_addr = geo.to_priv(addr).ok_or(out)?;
         let mut current = vec![0u8; twin.len()];
         self.priv_read_into(priv_addr, &mut current)?;
-        let (_, range) = geo
-            .vpages_covering(addr, twin.len())
-            .ok_or(MemFault::OutOfRange)?;
+        let (_, range) = geo.vpages_covering(addr, twin.len()).ok_or(out)?;
         for vp in range {
             self.set_prot(vp, prot)?;
         }

@@ -64,7 +64,7 @@ mod shared;
 mod stats;
 
 pub use adapt::{AdaptAction, AdaptConfig, AdaptEvent, AdaptReport};
-pub use backend::{MemFault, MemoryBackend, Transport};
+pub use backend::{MemoryBackend, Transport};
 pub use cluster::{run, ClusterConfig, ParallelConfig, SetupCtx};
 pub use diag::{DiagReport, DiagTable, Finding, LinkStat, MinipageDiag};
 pub use directory::{Directory, DirectoryEntry};
@@ -88,6 +88,6 @@ pub use sim_net::{FaultPlane, ScriptedFault, ScriptedKind};
 // Re-exports the applications and harnesses keep reaching for.
 pub use multiview::{AllocMode, AllocStats};
 pub use sim_core::{
-    json, Category, ChromeTrace, CostModel, HostId, LogHistogram, Ns, TimeBreakdown, TraceEvent,
-    TraceKind, TraceLog, Tracer, Track, VAddr,
+    json, Category, ChromeTrace, CostModel, HostId, LogHistogram, MemFault, Ns, TimeBreakdown,
+    TraceEvent, TraceKind, TraceLog, Tracer, Track, VAddr,
 };

@@ -1,6 +1,7 @@
 //! The access-fault vocabulary every backend speaks: what an access is,
-//! what a vpage's protection permits, and the fault a denied access
-//! raises — one record whether the MMU is simulated or real (§3.5.1).
+//! what a vpage's protection permits, the fault a denied access raises —
+//! one record whether the MMU is simulated or real (§3.5.1) — and the
+//! error a memory operation fails with.
 
 use crate::addr::VAddr;
 use std::fmt;
@@ -102,6 +103,41 @@ impl fmt::Display for Fault {
     }
 }
 
+/// Why a memory operation failed, on either backend. The protocol layer
+/// turns it into a `ProtocolError` carrying the message context.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MemFault {
+    /// The address (or the range it starts) lies outside every view, or a
+    /// range crosses the end of the memory object.
+    OutOfRange {
+        /// Offending address.
+        addr: VAddr,
+        /// Length of the attempted access.
+        len: usize,
+    },
+    /// A protection change targeted a privileged-view vpage, which is
+    /// fixed at `ReadWrite` (§2.3.1).
+    Privileged {
+        /// The privileged vpage whose protection was targeted.
+        vpage: usize,
+    },
+}
+
+impl fmt::Display for MemFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MemFault::OutOfRange { addr, len } => {
+                write!(f, "address range {addr}+{len} outside the shared region")
+            }
+            MemFault::Privileged { vpage } => {
+                write!(f, "privileged view protection is immutable (vpage {vpage})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MemFault {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,5 +203,16 @@ mod tests {
             access: Access::Write,
         };
         assert_eq!(f.to_string(), "write fault at 0x20 (vpage 3)");
+    }
+
+    #[test]
+    fn a_mem_fault_says_what_failed_and_where() {
+        let e = MemFault::OutOfRange {
+            addr: VAddr(0x10),
+            len: 8,
+        };
+        assert!(e.to_string().contains("0x10"));
+        let p = MemFault::Privileged { vpage: 5 };
+        assert!(p.to_string().contains("privileged"));
     }
 }

@@ -43,7 +43,7 @@ mod sha256;
 pub mod stats;
 pub mod trace;
 
-pub use access::{Access, Fault, Prot};
+pub use access::{Access, Fault, MemFault, Prot};
 pub use account::{Category, TimeBreakdown};
 pub use addr::{Geometry, Loc, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE};
 pub use clock::{BusyWindow, Clock, Ns};

@@ -29,12 +29,12 @@
 //! The real-OS counterpart of this crate (actual `mmap`/`mprotect`/SIGSEGV)
 //! lives in the `hostmv` crate.
 
-mod fault;
 mod space;
 
-// The address and access-fault vocabulary lives in `sim-core` (backends
-// real and simulated share it); re-exported here so memory-layer callers
-// keep one import path.
-pub use fault::MemError;
-pub use sim_core::{Access, Fault, Geometry, Loc, Prot, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE};
+// The address, access-fault and memory-error vocabulary lives in
+// `sim-core` (backends real and simulated share it); re-exported here so
+// memory-layer callers keep one import path.
+pub use sim_core::{
+    Access, Fault, Geometry, Loc, MemFault, Prot, VAddr, DEFAULT_BASE, DEFAULT_PAGE_SIZE,
+};
 pub use space::{AccessError, AddressSpace};

@@ -1,20 +1,19 @@
 //! Per-host address space: protections + page storage + checked access.
 
-use crate::fault::MemError;
-use sim_core::{Access, Fault, Geometry, Prot, VAddr};
+use sim_core::{Access, Fault, Geometry, MemFault, Prot, VAddr};
 use std::cell::{Cell, OnceCell, RefCell, RefMut};
 
 /// Why a checked access did not complete.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AccessError {
     /// Hard error: address outside the shared region (a program bug).
-    Mem(MemError),
+    Mem(MemFault),
     /// An access fault to be resolved by the DSM protocol.
     Fault(Fault),
 }
 
-impl From<MemError> for AccessError {
-    fn from(e: MemError) -> Self {
+impl From<MemFault> for AccessError {
+    fn from(e: MemFault) -> Self {
         AccessError::Mem(e)
     }
 }
@@ -213,15 +212,15 @@ impl AddressSpace {
 
     /// Sets the protection of a global vpage.
     ///
-    /// Returns [`MemError::PrivilegedViewProtection`] for privileged vpages,
+    /// Returns [`MemFault::Privileged`] for privileged vpages,
     /// whose protection is fixed (§2.3.1).
     #[inline]
-    pub fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemError> {
+    pub fn set_prot(&self, vpage: usize, prot: Prot) -> Result<(), MemFault> {
         if vpage >= self.priv_start {
             return Err(if vpage < self.geo.total_vpages() {
-                MemError::PrivilegedViewProtection { vpage }
+                MemFault::Privileged { vpage }
             } else {
-                MemError::OutOfRange {
+                MemFault::OutOfRange {
                     addr: VAddr(0),
                     len: 0,
                 }
@@ -295,7 +294,7 @@ impl AddressSpace {
 
     /// Privileged read (server turns, §2.3.1): ignores application
     /// protections. `addr` may be expressed through any view.
-    pub fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemError> {
+    pub fn priv_read(&self, addr: VAddr, len: usize) -> Result<Vec<u8>, MemFault> {
         let mut out = vec![0u8; len];
         self.priv_read_into(addr, &mut out)?;
         Ok(out)
@@ -303,7 +302,7 @@ impl AddressSpace {
 
     /// [`priv_read`](AddressSpace::priv_read) into `out`, filling all of
     /// it: a reply's bytes land in the buffer the message carries.
-    pub fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemError> {
+    pub fn priv_read_into(&self, addr: VAddr, out: &mut [u8]) -> Result<(), MemFault> {
         for s in self.segments(addr, out.len())?.1 {
             self.copy_out(s.page, s.off, &mut out[s.at..s.at + s.take]);
         }
@@ -312,7 +311,7 @@ impl AddressSpace {
 
     /// Privileged write (zero-copy receive path of §3.5): ignores
     /// application protections.
-    pub fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemError> {
+    pub fn priv_write(&self, addr: VAddr, data: &[u8]) -> Result<(), MemFault> {
         self.priv_patch(addr, data.len(), |at, bytes| {
             bytes.copy_from_slice(&data[at..at + bytes.len()]);
         })
@@ -328,7 +327,7 @@ impl AddressSpace {
         addr: VAddr,
         len: usize,
         mut f: impl FnMut(usize, &mut [u8]),
-    ) -> Result<(), MemError> {
+    ) -> Result<(), MemFault> {
         for s in self.segments(addr, len)?.1 {
             f(s.at, &mut self.page_mut(s.page)[s.off..s.off + s.take]);
         }
@@ -347,10 +346,10 @@ impl AddressSpace {
         len: usize,
         prot: Prot,
         f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, MemError> {
+    ) -> Result<R, MemFault> {
         let (view, segs) = self.segments(addr, len)?;
         if view == self.geo.priv_view() {
-            return Err(MemError::PrivilegedViewProtection { vpage: segs.vpage });
+            return Err(MemFault::Privileged { vpage: segs.vpage });
         }
         let (first, off) = (segs.page, segs.off);
         for s in segs {
@@ -371,11 +370,11 @@ impl AddressSpace {
     /// Decodes `[addr, addr+len)` once: its view, and the page segments
     /// it covers.
     #[inline]
-    fn segments(&self, addr: VAddr, len: usize) -> Result<(usize, Segments), MemError> {
+    fn segments(&self, addr: VAddr, len: usize) -> Result<(usize, Segments), MemFault> {
         let (loc, vpages) = self
             .geo
             .vpages_covering(addr, len)
-            .ok_or(MemError::OutOfRange { addr, len })?;
+            .ok_or(MemFault::OutOfRange { addr, len })?;
         let segs = Segments {
             page_size: self.geo.page_size(),
             vpage: vpages.start,
@@ -492,7 +491,7 @@ mod tests {
         }
         // Out of range and privileged vpages are still errors, and touch
         // no chunk.
-        let out = MemError::OutOfRange {
+        let out = MemFault::OutOfRange {
             addr: VAddr(0),
             len: 0,
         };
@@ -500,7 +499,7 @@ mod tests {
         assert_eq!(s.set_prot(usize::MAX, Prot::ReadWrite), Err(out));
         assert_eq!(
             s.set_prot(priv_start, Prot::NoAccess),
-            Err(MemError::PrivilegedViewProtection { vpage: priv_start })
+            Err(MemFault::Privileged { vpage: priv_start })
         );
         assert_eq!(s.prots.iter().filter(|c| c.get().is_some()).count(), 1);
         assert!(s.pages.iter().all(|c| c.get().is_none()));
@@ -588,7 +587,7 @@ mod tests {
         let vp = g.vpage_index(g.priv_view(), 0);
         assert!(matches!(
             s.set_prot(vp, Prot::NoAccess),
-            Err(MemError::PrivilegedViewProtection { .. })
+            Err(MemFault::Privileged { .. })
         ));
     }
 
@@ -720,7 +719,7 @@ mod tests {
         let mut buf = [0u8; 1];
         assert!(matches!(
             s.read(VAddr(0x10), &mut buf),
-            Err(AccessError::Mem(MemError::OutOfRange { .. }))
+            Err(AccessError::Mem(MemFault::OutOfRange { .. }))
         ));
     }
 }

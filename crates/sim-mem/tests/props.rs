@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sim_mem::{
-    Access, AccessError, AddressSpace, Fault, Geometry, MemError, Prot, VAddr, DEFAULT_BASE,
+    Access, AccessError, AddressSpace, Fault, Geometry, MemFault, Prot, VAddr, DEFAULT_BASE,
 };
 
 fn space(pages: usize, views: usize) -> AddressSpace {
@@ -144,15 +144,15 @@ impl Model {
         self.prots.get(vpage).copied().unwrap_or(Prot::ReadWrite)
     }
 
-    fn set_prot(&mut self, vpage: usize, prot: Prot) -> Result<(), MemError> {
+    fn set_prot(&mut self, vpage: usize, prot: Prot) -> Result<(), MemFault> {
         if vpage >= self.geo.total_vpages() {
-            return Err(MemError::OutOfRange {
+            return Err(MemFault::OutOfRange {
                 addr: VAddr(0),
                 len: 0,
             });
         }
         if vpage >= self.prots.len() {
-            return Err(MemError::PrivilegedViewProtection { vpage });
+            return Err(MemFault::Privileged { vpage });
         }
         self.prots[vpage] = prot;
         Ok(())
@@ -166,10 +166,10 @@ impl Model {
         page: usize,
         off: usize,
         len: usize,
-    ) -> Result<Vec<usize>, MemError> {
+    ) -> Result<Vec<usize>, MemFault> {
         let ps = self.geo.page_size();
         if page * ps + off + len > self.bytes.len() {
-            return Err(MemError::OutOfRange { addr, len });
+            return Err(MemFault::OutOfRange { addr, len });
         }
         Ok((page..=(page * ps + off + len - 1) / ps).collect())
     }
@@ -305,7 +305,7 @@ proptest! {
                     let want = m.pages(addr, page, off, len).and_then(|pages| {
                         let first = geo.vpage_index(view, page);
                         if view == geo.priv_view() {
-                            return Err(MemError::PrivilegedViewProtection { vpage: first });
+                            return Err(MemFault::Privileged { vpage: first });
                         }
                         for p in pages {
                             m.set_prot(geo.vpage_index(view, p), prot).expect("application vpage");
